@@ -25,7 +25,17 @@
 //!   batches (`ReadRequest::offload`) over LZ-compressed chunks against
 //!   four remote NVMe-oF targets on a fabric-bound 1 GB/s NIC, samples
 //!   per virtual second (higher is better); the gate asserts inline that
-//!   the offloaded epoch beats the raw client path on the same wiring;
+//!   the offloaded epoch moves no more fabric bytes than the raw client
+//!   path on the same wiring (with exact-extent fetch items the raw path
+//!   no longer over-fetches, so it is the faster of the two here);
+//! - `disagg_epoch_throughput_sps` — one reader draining an epoch of
+//!   100–130 KB samples from four NVMe-oF targets, samples per virtual
+//!   second (higher is better); the gate asserts inline that the run is
+//!   wire-bound at the reader's NIC, the regime where bytes fetched per
+//!   sample — not CPU per sample — set the throughput;
+//! - `read_amplification` — device bytes read ÷ payload bytes delivered
+//!   on that same run (lower is better; 1.0 plus block alignment when
+//!   every fetch item covers exactly its samples);
 //! - `sharded_lookup_p99_ns` — 99th-percentile end-to-end locate+fetch
 //!   latency through the locality-sharded metadata service, 256 clients
 //!   on 8 storage nodes (lower is better);
@@ -62,6 +72,8 @@ struct Metrics {
     degraded_p99_read_latency_ns: u64,
     rebuild_time_ns: u64,
     offload_epoch_throughput_sps: f64,
+    disagg_epoch_throughput_sps: f64,
+    read_amplification: f64,
     sharded_lookup_p99_ns: u64,
     multitenant_fair_share_err: f64,
 }
@@ -226,7 +238,8 @@ fn degraded_and_rebuild(seed: u64) -> (u64, u64) {
 /// wiring. Its own simulation, so the legacy metrics stay bit-identical.
 fn offload_epoch_throughput(seed: u64) -> f64 {
     const NODES: usize = 4;
-    fn epoch(seed: u64, codec: CodecKind, offload: bool) -> f64 {
+    /// (samples/s, bytes through the reader's NIC both ways).
+    fn epoch(seed: u64, codec: CodecKind, offload: bool) -> (f64, u64) {
         Runtime::simulate(seed, |rt| {
             let source = CompressibleSource::fixed(seed ^ 0x0C, 2000, 2600, 48);
             let cluster = Arc::new(Cluster::new(
@@ -257,7 +270,7 @@ fn offload_epoch_throughput(seed: u64) -> f64 {
             })
             .deployment(Deployment {
                 targets,
-                cluster: Some(cluster),
+                cluster: Some(cluster.clone()),
             })
             .options(MountOptions::default())
             .mount(rt, &source)
@@ -274,20 +287,72 @@ fn offload_epoch_throughput(seed: u64) -> f64 {
             while got < total {
                 got += io.submit(rt, &req).unwrap().len();
             }
-            got as f64 / (rt.now() - t0).as_secs_f64()
+            let (tx, rx) = cluster.node_traffic(NODES);
+            (got as f64 / (rt.now() - t0).as_secs_f64(), tx + rx)
         })
         .0
     }
-    let offloaded = epoch(seed, CodecKind::Lz, true);
-    let raw = epoch(seed, CodecKind::Identity, false);
-    // Below the Fig. 11 crossover the fabric bounds the epoch; offload's
-    // dense per-node responses must beat the raw per-command path there.
+    let (offloaded, offload_bytes) = epoch(seed, CodecKind::Lz, true);
+    let (raw, raw_bytes) = epoch(seed, CodecKind::Identity, false);
+    eprintln!(
+        "offload+lz vs raw client path: {offloaded:.0} vs {raw:.0} sps, \
+         {offload_bytes} vs {raw_bytes} fabric bytes"
+    );
+    // What offload guarantees on the wire: one capsule and one dense
+    // response per node per batch never move more than the raw path's
+    // per-command capsules and block-padded extents. (It used to win on
+    // throughput too, but only because whole-chunk fetch items made the
+    // raw path read edge-sample bytes twice; with exact extents the raw
+    // path is the faster one on this wiring. Offload throughput is gated
+    // against its own baseline instead.)
     assert!(
-        offloaded > raw,
-        "offloaded epoch ({offloaded:.0} sps) must beat the raw client path ({raw:.0} sps) \
-         on a fabric-bound NIC"
+        offload_bytes <= raw_bytes,
+        "offloaded epoch moved {offload_bytes} fabric bytes, more than the raw client path's \
+         {raw_bytes}"
     );
     offloaded
+}
+
+/// One wire-bound disaggregated epoch: a single reader pulls 100–130 KB
+/// samples from four dedicated NVMe-oF storage nodes at batch 16. Returns
+/// `(samples/s, device bytes read ÷ payload bytes delivered)`. Its own
+/// simulation, so every other metric stays bit-identical.
+fn disagg_epoch(seed: u64) -> (f64, f64) {
+    const STORAGE: usize = 4;
+    Runtime::simulate(seed, |rt| {
+        let mut sizes_rng = SplitMix64::new(seed ^ 0xD15A);
+        let sizes = (0..384)
+            .map(|_| 100_000 + sizes_rng.below(30_000))
+            .collect();
+        let source = SyntheticSource::new(seed ^ 0xD15A, sizes);
+        let (fs, cluster, _devices) =
+            setup::dlfs_disagg_chaos(rt, 1, STORAGE, &source, DlfsConfig::default());
+        let mut io = fs.io(0);
+        let total = io.sequence(rt, seed ^ 0xD1, 0);
+        let (_, rx0) = cluster.node_traffic(0);
+        let t0 = rt.now();
+        let mut got = 0usize;
+        while got < total {
+            got += io.submit(rt, &ReadRequest::batch(16)).unwrap().len();
+        }
+        let secs = (rt.now() - t0).as_secs_f64();
+        let (_, rx) = cluster.node_traffic(0);
+        let nic_util = (rx - rx0) as f64 / (secs * FabricConfig::default().nic_bytes_per_sec);
+        assert!(
+            nic_util > 0.9,
+            "the disaggregated epoch must stay wire-bound (reader NIC {:.1}% busy)",
+            nic_util * 100.0
+        );
+        let m = io.metrics();
+        let device_bytes: u64 = (0..STORAGE)
+            .map(|n| m.counter(&format!("blocksim.dev{n}.bytes")))
+            .sum();
+        (
+            got as f64 / secs,
+            device_bytes as f64 / m.counter("dlfs.io.bytes_delivered") as f64,
+        )
+    })
+    .0
 }
 
 fn render_json(rev: &str, m: &Metrics) -> String {
@@ -298,6 +363,8 @@ fn render_json(rev: &str, m: &Metrics) -> String {
          \"reactor_wakeups_per_epoch\": {},\n  \
          \"degraded_p99_read_latency_ns\": {},\n  \"rebuild_time_ns\": {},\n  \
          \"offload_epoch_throughput_sps\": {:.3},\n  \
+         \"disagg_epoch_throughput_sps\": {:.3},\n  \
+         \"read_amplification\": {:.6},\n  \
          \"sharded_lookup_p99_ns\": {},\n  \
          \"multitenant_fair_share_err\": {:.6}\n}}\n",
         rev,
@@ -309,6 +376,8 @@ fn render_json(rev: &str, m: &Metrics) -> String {
         m.degraded_p99_read_latency_ns,
         m.rebuild_time_ns,
         m.offload_epoch_throughput_sps,
+        m.disagg_epoch_throughput_sps,
+        m.read_amplification,
         m.sharded_lookup_p99_ns,
         m.multitenant_fair_share_err
     )
@@ -363,6 +432,7 @@ fn main() {
         fair.err,
         fair.shares
     );
+    let (disagg_epoch_throughput_sps, read_amplification) = disagg_epoch(seed);
     let m = Metrics {
         epoch_throughput_sps,
         verified_epoch_throughput_sps,
@@ -372,13 +442,18 @@ fn main() {
         degraded_p99_read_latency_ns,
         rebuild_time_ns,
         offload_epoch_throughput_sps: offload_epoch_throughput(seed),
+        disagg_epoch_throughput_sps,
+        read_amplification,
         sharded_lookup_p99_ns,
         multitenant_fair_share_err: fair.err,
     };
 
     let json = render_json(&rev, &m);
     let path = format!("{out}/BENCH_{rev}.json");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    if let Err(e) = std::fs::create_dir_all(&out).and_then(|()| std::fs::write(&path, &json)) {
+        eprintln!("perf gate: cannot write {path}: {e}");
+        std::process::exit(2);
+    }
     print!("{json}");
     eprintln!("wrote {path}");
 
@@ -388,7 +463,7 @@ fn main() {
     let base = std::fs::read_to_string(&baseline)
         .unwrap_or_else(|e| panic!("read baseline {baseline}: {e}"));
     // (key, current value, higher-is-better)
-    let checks: [(&str, f64, bool); 10] = [
+    let checks: [(&str, f64, bool); 12] = [
         ("epoch_throughput_sps", m.epoch_throughput_sps, true),
         (
             "verified_epoch_throughput_sps",
@@ -413,6 +488,12 @@ fn main() {
             m.offload_epoch_throughput_sps,
             true,
         ),
+        (
+            "disagg_epoch_throughput_sps",
+            m.disagg_epoch_throughput_sps,
+            true,
+        ),
+        ("read_amplification", m.read_amplification, false),
         (
             "sharded_lookup_p99_ns",
             m.sharded_lookup_p99_ns as f64,

@@ -34,14 +34,14 @@ use simkit::telemetry::{Counter, Gauge, Histo, Registry, Snapshot};
 use simkit::time::{Dur, Time};
 
 use crate::cache::RangeKey;
-use crate::config::{CacheMode, DlfsConfig};
+use crate::config::{BatchMode, CacheMode, DlfsConfig};
 use crate::copy::{CopyDone, CopyJob, SegList, Segment};
 use crate::directory::SampleDirectory;
 use crate::entry::SampleEntry;
 use crate::error::{CorruptCause, DlfsError, IoFailure};
 use crate::integrity::Redundancy;
 use crate::layout::{encode_codec_table, encode_integrity, encode_meta, MetaRecord};
-use crate::plan::{build_epoch_plan, reader_item_ranges, FetchItem, ReaderPlan};
+use crate::plan::{build_epoch_plan, fetch_extent, reader_item_ranges, FetchItem, ReaderPlan};
 use crate::reactor::{CompletionClock, ReactorStats};
 use crate::rebuild::RebuildPlan;
 use crate::request::{Completions, Delivery, ReadRequest};
@@ -326,6 +326,9 @@ struct EpochState {
     open_items: usize,
     /// Seeded draw for the random selection among resident items.
     rng: SplitMix64,
+    /// Which path serves this epoch, fixed by its first batch: `true` for
+    /// storage-side offload, `false` for the client-side engine.
+    offloaded: Option<bool>,
 }
 
 /// Outcome of [`DlfsIo::start_fetch`].
@@ -373,6 +376,11 @@ struct RebuildState {
 /// A per-thread DLFS I/O handle.
 pub struct DlfsIo {
     shared: Arc<DlfsShared>,
+    /// The instance's batching mode, resolved once against the directory
+    /// (`BatchMode::Auto` depends on the mean sample size): the planner,
+    /// the prefetcher and the synchronous paths must agree on it, since it
+    /// decides every sample's fetch extent and hence its cache key.
+    mode: BatchMode,
     qpairs: Vec<IoQPair>,
     epoch: Option<EpochState>,
     inflight: HashMap<u64, (u32, u32, u32, u32)>, // cmd -> (item idx, part, attempt, replica)
@@ -471,6 +479,7 @@ impl DlfsIo {
             ),
             rstats: ReactorStats::new(reg, shared.cfg.reactor_stats),
             registry: reg.clone(),
+            mode: shared.cfg.effective_mode(shared.dir.avg_sample_bytes()),
             shared,
             qpairs,
             epoch: None,
@@ -577,12 +586,11 @@ impl DlfsIo {
     pub fn sequence(&mut self, rt: &Runtime, seed: u64, epoch: u64) -> usize {
         self.abort_epoch(rt);
         let cfg = &self.shared.cfg;
-        let mode = cfg.effective_mode(self.shared.dir.avg_sample_bytes());
         let plan = build_epoch_plan(
             &self.shared.dir,
             cfg.chunk_size,
             self.shared.readers,
-            mode,
+            self.mode,
             cfg.window_chunks,
             seed,
             epoch,
@@ -622,6 +630,7 @@ impl DlfsIo {
             bufs: HashMap::new(),
             open_items: 0,
             rng: SplitMix64::derive(seed ^ 0xD15B, epoch * 7919 + self.shared.reader_id as u64),
+            offloaded: None,
         });
         n
     }
@@ -712,7 +721,6 @@ impl DlfsIo {
     /// allocate cache chunks and queue the item's parts for the device.
     fn start_fetch(&mut self, idx: u32) -> FetchStart {
         let cross = self.shared.cfg.cache_mode == CacheMode::CrossEpoch;
-        let coded = self.shared.codec.is_some();
         let (key, slba, alloc_bytes) = {
             let st = self.epoch.as_ref().expect("no epoch");
             let it = &st.plan.items[idx as usize];
@@ -726,12 +734,7 @@ impl DlfsIo {
             // already hold this exact range — warm items skip the device
             // entirely.
             if let Some((bufs, len, was_prefetched)) = self.shared.cache.acquire(key) {
-                // Under a codec a synchronous read may have parked the
-                // whole (longer) raw frame under this key.
-                debug_assert!(
-                    if coded { len >= it.len } else { len == it.len },
-                    "cached range geometry drifted"
-                );
+                debug_assert_eq!(len, it.len, "cached range geometry drifted");
                 self.tel.ce_hits.inc();
                 if was_prefetched {
                     self.tel.prefetch_hits.inc();
@@ -1014,12 +1017,11 @@ impl DlfsIo {
         }
         let (seed, epoch) = (st.seed, st.epoch);
         if self.prefetch.built_for != Some((seed, epoch + 1)) {
-            let mode = cfg.effective_mode(self.shared.dir.avg_sample_bytes());
             self.prefetch.queue = reader_item_ranges(
                 &self.shared.dir,
                 cfg.chunk_size,
                 self.shared.readers,
-                mode,
+                self.mode,
                 seed,
                 epoch + 1,
                 self.shared.reader_id,
@@ -1498,12 +1500,13 @@ impl DlfsIo {
         let outcome = if req.offload {
             self.run_offload(rt, want, req).map(Completions::copied)
         } else {
-            match req.delivery {
-                Delivery::Copied => self.run_copied(rt, want, req).map(Completions::copied),
-                Delivery::ZeroCopy => self
-                    .run_zero_copy(rt, want, req)
-                    .map(Completions::zero_copy),
-            }
+            self.claim_epoch_path(false)
+                .and_then(|()| match req.delivery {
+                    Delivery::Copied => self.run_copied(rt, want, req).map(Completions::copied),
+                    Delivery::ZeroCopy => self
+                        .run_zero_copy(rt, want, req)
+                        .map(Completions::zero_copy),
+                })
         };
         if let Some(q) = &qos {
             let delivered = outcome.as_ref().map(|b| b.len()).unwrap_or(0);
@@ -1518,6 +1521,24 @@ impl DlfsIo {
             self.tel.deadline_misses.inc();
         }
         Ok(batch)
+    }
+
+    /// Commit the current epoch to the offload path or the client-side
+    /// engine. The offload path claims samples by walking the plan's items
+    /// in order while the engine draws them from whichever fetched items
+    /// are resident, so the two cannot share one epoch's cursors: a batch
+    /// on the other path is a typed error until `sequence` starts the next
+    /// epoch (it used to be an out-of-bounds panic in `dispatch`).
+    fn claim_epoch_path(&mut self, offload: bool) -> Result<(), DlfsError> {
+        let st = self.epoch.as_mut().expect("no epoch");
+        if *st.offloaded.get_or_insert(offload) == offload {
+            return Ok(());
+        }
+        Err(DlfsError::Config(
+            "one epoch is served by one path: offloaded and client-path batches \
+             cannot be mixed before the next sequence()"
+                .into(),
+        ))
     }
 
     /// The copied-delivery engine loop (prep → post → poll → copy).
@@ -1610,9 +1631,8 @@ impl DlfsIo {
     /// reads the stored frames, verifies and decodes them locally (both
     /// charged to the target's compute pool, not this reader), and ships a
     /// single dense response carrying exactly the requested sample bytes.
-    /// Bypasses the qpairs and the sample cache entirely; the per-item
-    /// dispatch cursors it shares with the engine keep delivery
-    /// exactly-once even if the engine path served part of this epoch.
+    /// Bypasses the qpairs and the sample cache entirely, so an epoch is
+    /// served by one path or the other (see [`DlfsIo::claim_epoch_path`]).
     /// Deadlines are not honored: the batch is a single remote exchange
     /// with nothing to cut short client-side.
     fn run_offload(
@@ -1633,6 +1653,7 @@ impl DlfsIo {
                 "ReadRequest::offload requires DlfsConfig { offload: true, .. }".into(),
             ));
         }
+        self.claim_epoch_path(true)?;
         // 1. Claim the next `want` samples, walking items in plan order.
         let mut taken: Vec<(u16, u64, u64, Vec<u32>)> = Vec::new();
         {
@@ -2312,8 +2333,7 @@ impl DlfsIo {
             .dir
             .lookup(rt, &costs, name)
             .ok_or_else(|| DlfsError::NotFound(name.to_string()))?;
-        let _ = id;
-        self.read_entry(rt, entry, None)
+        self.read_entry(rt, id, entry, None)
     }
 
     /// `dlfs_read` by sample id (no name lookup).
@@ -2343,7 +2363,7 @@ impl DlfsIo {
             return Err(DlfsError::BadSampleId(id));
         }
         let entry = self.shared.dir.entry(id);
-        self.read_entry(rt, entry, deadline)
+        self.read_entry(rt, id, entry, deadline)
     }
 
     /// `dlfs_read` by sample id, zero-copy: the returned sample references
@@ -2412,28 +2432,21 @@ impl DlfsIo {
         }
     }
 
-    /// Serve `entry` out of a pinned resident range, if one covers it.
-    /// `keys` pairs each candidate `RangeKey` with the byte base its
-    /// buffers start at.
+    /// Serve `entry` out of the resident range `key`, whose buffers start
+    /// at byte `base`, if the cache holds it.
     fn read_pinned(
         &mut self,
         rt: &Runtime,
         entry: SampleEntry,
-        keys: &[(RangeKey, u64)],
+        key: RangeKey,
+        base: u64,
     ) -> Option<Vec<u8>> {
         let costs = self.shared.cfg.costs.clone();
-        let (key, base, pinned) = keys.iter().find_map(|&(key, base)| {
-            let p = self.shared.cache.pin(key)?;
-            // The pinned range must actually cover the sample (an edge
-            // sample's chunk-base key can name a different, shorter
-            // range).
-            if entry.offset() + entry.len() <= key.1 + p.len {
-                Some((key, base, p))
-            } else {
-                let _ = self.shared.cache.unpin(key, p.gen);
-                None
-            }
-        })?;
+        let pinned = self.shared.cache.pin(key)?;
+        debug_assert!(
+            entry.offset() + entry.len() <= key.1 + pinned.len,
+            "a resident range is its samples' whole extent"
+        );
         self.tel.cache_hits.inc();
         self.tel.cache_pins.inc();
         if pinned.prefetched {
@@ -2695,9 +2708,31 @@ impl DlfsIo {
         Ok(bufs)
     }
 
+    /// Geometry of a synchronous read of sample `id`: `(resident key, byte
+    /// base of the resident buffers, (offset, len) a miss fetches)`. Key
+    /// and base are those of the sample's canonical [`fetch_extent`] — the
+    /// range the batched engine and the prefetcher publish — so a sync
+    /// read pins what a batched epoch left resident, and the reverse. A
+    /// miss fetches that same extent when the bytes outlive the call
+    /// (cross-epoch residency) or the read unit is the stored frame anyway
+    /// (codec); an epoch-scoped raw mount drops them straight after the
+    /// read, so it fetches the sample's covering blocks alone.
+    fn sync_geometry(&self, id: u32, entry: SampleEntry) -> (RangeKey, u64, (u64, u64)) {
+        let cfg = &self.shared.cfg;
+        let (nid, off, len) = fetch_extent(&self.shared.dir, cfg.chunk_size, self.mode, id);
+        let base = self.read_geometry(nid, off, len).0 * BLOCK_SIZE;
+        let miss = if cfg.cache_mode == CacheMode::CrossEpoch || self.shared.codec.is_some() {
+            (off, len)
+        } else {
+            (entry.offset(), entry.len())
+        };
+        (self.shared.rkey(nid, off), base, miss)
+    }
+
     fn read_entry(
         &mut self,
         rt: &Runtime,
+        id: u32,
         entry: SampleEntry,
         deadline: Option<Time>,
     ) -> Result<Vec<u8>, DlfsError> {
@@ -2706,34 +2741,16 @@ impl DlfsIo {
         // synchronous read drains the shared qpairs.
         self.current_deadline = None;
         let cross = self.shared.cfg.cache_mode == CacheMode::CrossEpoch;
-        let chunk_base = entry.offset() / self.shared.cfg.chunk_size * self.shared.cfg.chunk_size;
+        let (key, base, (off, len)) = self.sync_geometry(id, entry);
         // Fast path (paper §III-C1): "we first check the sample entry and
-        // return the data if the V field is on."
-        if entry.valid() {
-            if let Some(data) = self.read_pinned(
-                rt,
-                entry,
-                &[(self.shared.rkey(entry.nid(), chunk_base), chunk_base)],
-            ) {
+        // return the data if the V field is on." Cross-epoch release clears
+        // the V field, but the extent may still sit on the cache's LRU
+        // tail, so that mode probes regardless.
+        if entry.valid() || cross {
+            if let Some(data) = self.read_pinned(rt, entry, key, base) {
                 if cross {
                     self.tel.ce_hits.inc();
                 }
-                return Ok(data);
-            }
-        } else if cross {
-            // Cross-epoch probe: release clears the V field, but the data
-            // may still sit on the cache's LRU tail — under its chunk's
-            // key, or (edge/sample-level items) under its own offset.
-            let (_, _, head) = covering_blocks(entry.offset(), entry.len());
-            let mut keys = vec![(self.shared.rkey(entry.nid(), chunk_base), chunk_base)];
-            if entry.offset() != chunk_base {
-                keys.push((
-                    self.shared.rkey(entry.nid(), entry.offset()),
-                    entry.offset() - head as u64,
-                ));
-            }
-            if let Some(data) = self.read_pinned(rt, entry, &keys) {
-                self.tel.ce_hits.inc();
                 return Ok(data);
             }
         }
@@ -2741,34 +2758,11 @@ impl DlfsIo {
         if cross {
             self.tel.ce_misses.inc();
         }
-        let nid = entry.nid() as usize;
-        // Epoch-scoped mode fetches exactly the sample's covering blocks
-        // and frees them after the copy. Cross-epoch mode fetches the whole
-        // covering chunk instead and parks it on the cache's LRU tail, so
-        // later reads of this sample — or its chunk neighbors — skip the
-        // device entirely.
-        let (slba, nblocks, head) = if let Some((fslba, enc_blocks, _)) =
-            self.coded_geometry(entry.nid(), entry.offset())
-        {
-            // Codec datasets always fetch the sample's whole stored frame
-            // (its encoded prefix), decoded in place below; the sample is
-            // then sliced out of the raw frame.
-            let head = (entry.offset() - fslba * BLOCK_SIZE) as usize;
-            (fslba, enc_blocks, head)
-        } else if cross {
-            let sample_end = entry.offset() + entry.len();
-            let dev_end = self.shared.targets[nid].blocks() * BLOCK_SIZE;
-            let end = (chunk_base + self.shared.cfg.chunk_size)
-                .min(dev_end)
-                .max(sample_end);
-            let nblocks = (end - chunk_base).div_ceil(BLOCK_SIZE) as u32;
-            let head = (entry.offset() - chunk_base) as usize;
-            (chunk_base / BLOCK_SIZE, nblocks, head)
-        } else {
-            covering_blocks(entry.offset(), entry.len())
-        };
-        let bufs = self.fetch_range(rt, nid, entry.nid(), slba, nblocks, deadline)?;
-        self.decode_frame(rt, entry.nid(), entry.offset(), &bufs);
+        let nid = entry.nid();
+        let (slba, nblocks, _) = self.read_geometry(nid, off, len);
+        let head = (entry.offset() - slba * BLOCK_SIZE) as usize;
+        let bufs = self.fetch_range(rt, nid as usize, nid, slba, nblocks, deadline)?;
+        self.decode_frame(rt, nid, entry.offset(), &bufs);
         let chunk = self.shared.cfg.chunk_size as usize;
         // copy stage through the pool.
         let (done_tx, done_rx) = rt.channel::<CopyDone>(None);
@@ -2785,24 +2779,12 @@ impl DlfsIo {
         self.tel.samples_delivered.inc();
         self.tel.bytes_delivered.add(done.data.len() as u64);
         self.tel.copy_ns.record_dur(rt.now() - t_copy);
-        if cross {
-            // Park the fetched chunk on the evictable LRU tail (unless the
-            // batched engine published the same key while we polled).
-            let key = self.shared.rkey(entry.nid(), chunk_base);
-            if self.shared.cache.contains(key) {
-                for b in bufs {
-                    self.shared.cache.free_raw(b);
-                }
-            } else {
-                // Under a codec the buffers now hold the decoded raw
-                // frame, which is longer than the encoded blocks fetched.
-                let len = self
-                    .coded_geometry(entry.nid(), entry.offset())
-                    .map(|(_, _, alloc)| alloc)
-                    .unwrap_or(nblocks as u64 * BLOCK_SIZE);
-                self.shared.cache.publish(key, bufs, len);
-                self.shared.cache.release(key)?;
-            }
+        if cross && !self.shared.cache.contains(key) {
+            // Park the fetched extent on the evictable LRU tail (unless the
+            // batched engine published it while we polled), so later reads
+            // of this sample — or its extent neighbors — skip the device.
+            self.shared.cache.publish(key, bufs, len);
+            self.shared.cache.release(key)?;
         } else {
             for b in bufs {
                 self.shared.cache.free_raw(b);
@@ -2813,7 +2795,7 @@ impl DlfsIo {
 
     /// Synchronous zero-copy read of one directory entry.
     ///
-    /// Warm path: pin a resident range covering the sample and hand out
+    /// Warm path: pin the sample's resident extent and hand out
     /// chunk-backed segments — no memcpy, no allocation. Miss path: fetch
     /// through [`DlfsIo::fetch_range`], publish the range into the cache,
     /// pin it, and release it so the pool reclaims it after the sample
@@ -2828,73 +2810,31 @@ impl DlfsIo {
         // synchronous read drains the shared qpairs.
         self.current_deadline = None;
         let cross = self.shared.cfg.cache_mode == CacheMode::CrossEpoch;
-        let chunk_base = entry.offset() / self.shared.cfg.chunk_size * self.shared.cfg.chunk_size;
-        let (_, _, head) = covering_blocks(entry.offset(), entry.len());
+        let (key, base, (off, len)) = self.sync_geometry(id, entry);
+        let nid = entry.nid();
         loop {
-            // Warm path: candidate keys in a fixed array (no allocation) —
-            // the covering chunk's key, plus (edge/sample-level items) the
-            // sample's own offset.
-            let mut keys: [Option<(RangeKey, u64)>; 2] = [
-                Some((self.shared.rkey(entry.nid(), chunk_base), chunk_base)),
-                None,
-            ];
-            if entry.offset() != chunk_base {
-                keys[1] = Some((
-                    self.shared.rkey(entry.nid(), entry.offset()),
-                    entry.offset() - head as u64,
-                ));
-            }
-            if let Some(s) = self.pin_zero_copy(rt, id, entry, keys) {
+            if let Some((gen, _, prefetched)) = self.shared.cache.pin_key(key) {
+                self.tel.cache_hits.inc();
+                if prefetched {
+                    self.tel.prefetch_hits.inc();
+                }
                 if cross {
                     self.tel.ce_hits.inc();
                 }
-                return Ok(s);
+                return Ok(self.finish_zero_copy(rt, id, entry, key, base, gen));
             }
             self.tel.cache_misses.inc();
             if cross {
                 self.tel.ce_misses.inc();
             }
-            let nid = entry.nid() as usize;
-            // Same fetch geometry as the copied path: the whole covering
-            // chunk in cross-epoch mode (parked on the LRU tail after the
-            // sample drops), exactly the covering blocks otherwise.
-            let (slba, nblocks, base, key) = if let Some((fslba, enc_blocks, _)) =
-                self.coded_geometry(entry.nid(), entry.offset())
-            {
-                // Codec datasets fetch the sample's whole stored frame
-                // (its encoded prefix) and decode in place before the
-                // publish, so the pinned segments reference raw bytes.
-                let fbase = fslba * BLOCK_SIZE;
-                (
-                    fslba,
-                    enc_blocks,
-                    fbase,
-                    self.shared.rkey(entry.nid(), fbase),
-                )
-            } else if cross {
-                let sample_end = entry.offset() + entry.len();
-                let dev_end = self.shared.targets[nid].blocks() * BLOCK_SIZE;
-                let end = (chunk_base + self.shared.cfg.chunk_size)
-                    .min(dev_end)
-                    .max(sample_end);
-                let nblocks = (end - chunk_base).div_ceil(BLOCK_SIZE) as u32;
-                (
-                    chunk_base / BLOCK_SIZE,
-                    nblocks,
-                    chunk_base,
-                    self.shared.rkey(entry.nid(), chunk_base),
-                )
-            } else {
-                let (slba, nblocks, _) = covering_blocks(entry.offset(), entry.len());
-                (
-                    slba,
-                    nblocks,
-                    entry.offset() - head as u64,
-                    self.shared.rkey(entry.nid(), entry.offset()),
-                )
-            };
-            let bufs = self.fetch_range(rt, nid, entry.nid(), slba, nblocks, None)?;
-            if self.shared.cache.contains(key) {
+            // Same fetch geometry as the copied path, published under its
+            // own start: the extent key — or, for the sample-only fetch of
+            // an epoch-scoped raw mount, a range retired (invisible) the
+            // moment it is pinned below.
+            let fetched = self.shared.rkey(nid, off);
+            let (slba, nblocks, _) = self.read_geometry(nid, off, len);
+            let bufs = self.fetch_range(rt, nid as usize, nid, slba, nblocks, None)?;
+            if self.shared.cache.contains(fetched) {
                 // Published concurrently (batched engine or another
                 // reader) while we polled: drop our fetch and pin the
                 // resident copy on the next pass.
@@ -2903,50 +2843,16 @@ impl DlfsIo {
                 }
                 continue;
             }
-            self.decode_frame(rt, entry.nid(), entry.offset(), &bufs);
+            self.decode_frame(rt, nid, entry.offset(), &bufs);
             // publish + pin + release run back to back with no virtual-time
             // advance between them, so no other participant can interleave:
             // the live-double-publish panic in `publish` cannot fire, and
             // the range cannot be evicted before we hold the pin.
-            let len = self
-                .coded_geometry(entry.nid(), entry.offset())
-                .map(|(_, _, alloc)| alloc)
-                .unwrap_or(nblocks as u64 * BLOCK_SIZE);
-            self.shared.cache.publish(key, bufs, len);
-            let (gen, _, _) = self.shared.cache.pin_key(key).expect("just published");
-            self.shared.cache.release(key)?;
-            return Ok(self.finish_zero_copy(rt, id, entry, key, base, gen));
+            self.shared.cache.publish(fetched, bufs, len);
+            let (gen, _, _) = self.shared.cache.pin_key(fetched).expect("just published");
+            self.shared.cache.release(fetched)?;
+            return Ok(self.finish_zero_copy(rt, id, entry, fetched, slba * BLOCK_SIZE, gen));
         }
-    }
-
-    /// Warm zero-copy pin: try each candidate `(key, buffer byte base)`;
-    /// on a resident range covering the sample, take a pin and build the
-    /// sample in place.
-    fn pin_zero_copy(
-        &mut self,
-        rt: &Runtime,
-        id: u32,
-        entry: SampleEntry,
-        keys: [Option<(RangeKey, u64)>; 2],
-    ) -> Option<ZeroCopySample> {
-        for (key, base) in keys.into_iter().flatten() {
-            let Some((gen, len, prefetched)) = self.shared.cache.pin_key(key) else {
-                continue;
-            };
-            // The pinned range must actually cover the sample (an edge
-            // sample's chunk-base key can name a different, shorter
-            // range).
-            if entry.offset() + entry.len() > key.1 + len {
-                let _ = self.shared.cache.unpin(key, gen);
-                continue;
-            }
-            self.tel.cache_hits.inc();
-            if prefetched {
-                self.tel.prefetch_hits.inc();
-            }
-            return Some(self.finish_zero_copy(rt, id, entry, key, base, gen));
-        }
-        None
     }
 
     /// Build the delivered sample from a pin already taken on `key` whose

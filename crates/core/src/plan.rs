@@ -13,7 +13,9 @@
 //! * **chunk-level** (§III-D2): the per-device layout is cut into
 //!   fixed-size data chunks; full samples travel with their chunk, while
 //!   *edge samples* (those crossing a chunk boundary) form their own
-//!   fetch items — the paper's edge sample access list.
+//!   fetch items — the paper's edge sample access list. A chunk item
+//!   reads exactly the extent of its full samples ([`fetch_extent`]), so
+//!   no byte on a node belongs to two items.
 //!
 //! Delivery order is decided up front by a *windowed random draw* over each
 //! reader's item list: with a window of W open items, each next sample is
@@ -27,6 +29,7 @@ use simkit::rng::SplitMix64;
 
 use crate::config::BatchMode;
 use crate::directory::SampleDirectory;
+use crate::entry::SampleEntry;
 
 /// One fetch: a device byte range on one storage node plus the samples the
 /// range carries.
@@ -78,8 +81,50 @@ pub fn full_random_order(samples: usize, seed: u64, epoch: u64) -> Vec<u32> {
     rng.permutation(samples)
 }
 
+/// Does the sample cross a chunk boundary (an *edge sample*)?
+fn is_edge(e: SampleEntry, chunk_size: u64) -> bool {
+    e.offset() / chunk_size != (e.offset() + e.len() - 1) / chunk_size
+}
+
+/// The canonical fetch extent `(nid, offset, len)` of sample `id`: the one
+/// device byte range every read path — planner, prefetcher, synchronous
+/// reads — fetches to obtain the sample, and whose start keys the sample
+/// cache.
+///
+/// Sample-level plans and edge samples fetch the sample itself. Under
+/// chunk-level batching a full sample rides with its chunk, and the
+/// chunk's fetch covers exactly the full samples inside it — first full
+/// sample's offset to last full sample's end — not the fixed-size chunk:
+/// the chunk's partial head and tail belong to edge samples, which are
+/// fetched by their own items, so a whole-chunk read would move those
+/// bytes twice (see DESIGN.md, "Exact-extent fetch items").
+pub fn fetch_extent(
+    dir: &SampleDirectory,
+    chunk_size: u64,
+    mode: BatchMode,
+    id: u32,
+) -> (u16, u64, u64) {
+    let e = dir.entry(id);
+    assert!(mode != BatchMode::Auto, "resolve Auto before planning");
+    if mode == BatchMode::SampleLevel || is_edge(e, chunk_size) {
+        return (e.nid(), e.offset(), e.len());
+    }
+    // The node's list is offset-sorted and samples don't overlap, so the
+    // chunk's full samples are one contiguous run of it.
+    let on_node = dir.samples_on(e.nid());
+    let chunk_start = e.offset() / chunk_size * chunk_size;
+    let first = on_node.partition_point(|&s| dir.entry(s).offset() < chunk_start);
+    let after_last = on_node.partition_point(|&s| {
+        let x = dir.entry(s);
+        x.offset() + x.len() <= chunk_start + chunk_size
+    });
+    let start = dir.entry(on_node[first]).offset();
+    let last = dir.entry(on_node[after_last - 1]);
+    (e.nid(), start, last.offset() + last.len() - start)
+}
+
 /// Cut one storage node's (offset-sorted) samples into chunk items and edge
-/// items.
+/// items — the paper's edge sample access list.
 fn items_for_node(
     dir: &SampleDirectory,
     nid: u16,
@@ -87,54 +132,27 @@ fn items_for_node(
 ) -> (Vec<FetchItem>, Vec<FetchItem>) {
     let mut chunks: Vec<FetchItem> = Vec::new();
     let mut edges: Vec<FetchItem> = Vec::new();
-    // Bytes actually used on this node (samples are packed; the list is
-    // offset-sorted, so the last sample marks the high-water mark).
-    let used = dir
-        .samples_on(nid)
-        .last()
-        .map(|&id| {
-            let e = dir.entry(id);
-            e.offset() + e.len()
-        })
-        .unwrap_or(0);
-    let mut cur_chunk: Option<(u64, Vec<u32>)> = None; // (chunk index, samples)
-    let flush = |cur: &mut Option<(u64, Vec<u32>)>, chunks: &mut Vec<FetchItem>| {
-        if let Some((ci, samples)) = cur.take() {
-            if !samples.is_empty() {
-                let offset = ci * chunk_size;
-                chunks.push(FetchItem {
-                    nid,
-                    offset,
-                    len: chunk_size.min(used - offset),
-                    samples,
-                });
-            }
-        }
-    };
     for &id in dir.samples_on(nid) {
         let e = dir.entry(id);
-        let first = e.offset() / chunk_size;
-        let last = (e.offset() + e.len() - 1) / chunk_size;
-        if first != last {
-            // Edge sample: crosses a chunk boundary; its own fetch item.
-            edges.push(FetchItem {
-                nid,
-                offset: e.offset(),
-                len: e.len(),
-                samples: vec![id],
-            });
-            continue;
-        }
-        match &mut cur_chunk {
-            Some((ci, samples)) if *ci == first => samples.push(id),
-            _ => {
-                flush(&mut cur_chunk, &mut chunks);
-                cur_chunk = Some((first, vec![id]));
+        if let Some(it) = chunks.last_mut() {
+            if e.offset() + e.len() <= it.offset + it.len {
+                it.samples.push(id); // rides with the open chunk item
+                continue;
             }
         }
+        let (_, offset, len) = fetch_extent(dir, chunk_size, BatchMode::ChunkLevel, id);
+        let item = FetchItem {
+            nid,
+            offset,
+            len,
+            samples: vec![id],
+        };
+        if is_edge(e, chunk_size) {
+            edges.push(item);
+        } else {
+            chunks.push(item);
+        }
     }
-    flush(&mut cur_chunk, &mut chunks);
-    // Trim the final chunk of the device region to its used extent.
     (chunks, edges)
 }
 
@@ -197,11 +215,11 @@ fn dealt_items(
             }
             BatchMode::SampleLevel => {
                 for &id in dir.samples_on(nid) {
-                    let e = dir.entry(id);
+                    let (nid, offset, len) = fetch_extent(dir, chunk_size, mode, id);
                     items.push(FetchItem {
                         nid,
-                        offset: e.offset(),
-                        len: e.len(),
+                        offset,
+                        len,
                         samples: vec![id],
                     });
                 }
@@ -352,15 +370,17 @@ mod tests {
     }
 
     #[test]
-    fn chunk_items_respect_chunk_geometry() {
-        let dir = dir_with(2, 2000, |_| 512);
+    fn chunk_items_stay_inside_their_chunk() {
+        let dir = dir_with(2, 2000, |i| 300 + (i as u64 % 7) * 100);
         let cs = 16 * 1024u64;
         let plan = build_epoch_plan(&dir, cs, 1, BatchMode::ChunkLevel, 8, 3, 0);
         for it in &plan.readers[0].items {
             if it.samples.len() > 1 {
-                assert_eq!(it.offset % cs, 0, "chunk item misaligned");
-                assert!(it.len <= cs && it.len > 0, "bad chunk len {}", it.len);
-                // All its samples fall inside the chunk.
+                assert_eq!(
+                    it.offset / cs,
+                    (it.offset + it.len - 1) / cs,
+                    "chunk item crosses a chunk boundary"
+                );
                 for &s in &it.samples {
                     let e = dir.entry(s);
                     assert!(e.offset() >= it.offset);
@@ -368,6 +388,108 @@ mod tests {
                     assert_eq!(e.nid(), it.nid);
                 }
             }
+        }
+    }
+
+    /// The paper's literal planner — whole fixed-size chunks plus the edge
+    /// list — kept as the reference the exact-extent planner must match
+    /// item for item (same count, same order, same sample lists).
+    fn whole_chunk_items_for_node(
+        dir: &SampleDirectory,
+        nid: u16,
+        chunk_size: u64,
+    ) -> (Vec<FetchItem>, Vec<FetchItem>) {
+        let (mut chunks, mut edges): (Vec<FetchItem>, Vec<FetchItem>) = (Vec::new(), Vec::new());
+        let used = dir.samples_on(nid).last().map_or(0, |&id| {
+            let e = dir.entry(id);
+            e.offset() + e.len()
+        });
+        for &id in dir.samples_on(nid) {
+            let e = dir.entry(id);
+            let ci = e.offset() / chunk_size;
+            if ci != (e.offset() + e.len() - 1) / chunk_size {
+                edges.push(FetchItem {
+                    nid,
+                    offset: e.offset(),
+                    len: e.len(),
+                    samples: vec![id],
+                });
+                continue;
+            }
+            match chunks.last_mut() {
+                Some(it) if it.offset == ci * chunk_size => it.samples.push(id),
+                _ => chunks.push(FetchItem {
+                    nid,
+                    offset: ci * chunk_size,
+                    len: chunk_size.min(used - ci * chunk_size),
+                    samples: vec![id],
+                }),
+            }
+        }
+        (chunks, edges)
+    }
+
+    /// The exact-extent invariant, over seeded size distributions and
+    /// chunk sizes: every sample is carried by exactly one item; a node's
+    /// items are pairwise disjoint and their lengths sum to the node's
+    /// sample bytes (no byte is fetched twice); every sample's canonical
+    /// extent is its item's range; and item count, order and sample lists
+    /// equal the whole-chunk planner's, so delivery order is unchanged.
+    #[test]
+    fn exact_extent_items_partition_each_node() {
+        for case in 0..24u64 {
+            let mut rng = SplitMix64::new(0xE47E ^ case);
+            let nodes = 1 + rng.below(4) as usize;
+            let samples = 200 + rng.below(1500) as usize;
+            let chunk_size = 512u64 << rng.below(8); // 512 B .. 64 KiB
+            let (lo, span) = match case % 3 {
+                0 => (1, 4 * chunk_size),          // mostly edges
+                1 => (64, chunk_size / 4 + 1),     // mostly full samples
+                _ => (chunk_size / 2, chunk_size), // about one per chunk
+            };
+            let sizes: Vec<u64> = (0..samples).map(|_| lo + rng.below(span)).collect();
+            let dir = dir_with(nodes, samples, |i| sizes[i as usize]);
+            let mut carried = vec![0u32; samples];
+            for nid in 0..nodes as u16 {
+                let (chunks, edges) = items_for_node(&dir, nid, chunk_size);
+                let (ref_chunks, ref_edges) = whole_chunk_items_for_node(&dir, nid, chunk_size);
+                let lists = |v: &[FetchItem]| -> Vec<Vec<u32>> {
+                    v.iter().map(|it| it.samples.clone()).collect()
+                };
+                assert_eq!(lists(&chunks), lists(&ref_chunks), "case {case} node {nid}");
+                assert_eq!(edges, ref_edges, "case {case} node {nid}");
+
+                let mut items: Vec<&FetchItem> = chunks.iter().chain(&edges).collect();
+                items.sort_by_key(|it| it.offset);
+                for w in items.windows(2) {
+                    assert!(
+                        w[0].offset + w[0].len <= w[1].offset,
+                        "case {case} node {nid}: items overlap"
+                    );
+                }
+                let item_bytes: u64 = items.iter().map(|it| it.len).sum();
+                let sample_bytes: u64 = dir
+                    .samples_on(nid)
+                    .iter()
+                    .map(|&s| dir.entry(s).len())
+                    .sum();
+                assert_eq!(item_bytes, sample_bytes, "case {case} node {nid}");
+                for it in items {
+                    for &s in &it.samples {
+                        carried[s as usize] += 1;
+                        assert_eq!(
+                            fetch_extent(&dir, chunk_size, BatchMode::ChunkLevel, s),
+                            (it.nid, it.offset, it.len),
+                            "case {case}: sample {s} extent differs from its item"
+                        );
+                    }
+                }
+            }
+            assert!(carried.iter().all(|&n| n == 1), "case {case}");
+            // Same items in the same order through the same three shuffle
+            // streams: the delivered-id sequence cannot differ.
+            let plan = build_epoch_plan(&dir, chunk_size, 2, BatchMode::ChunkLevel, 8, case, 1);
+            all_samples_once(&plan, samples);
         }
     }
 

@@ -396,3 +396,64 @@ fn sync_reads_hit_the_cross_epoch_cache() {
         assert!(reg.snapshot().counter("dlfs.cache.hits") >= 2);
     });
 }
+
+/// One fetch geometry on every path (`plan::fetch_extent`): what a batched
+/// cross-epoch epoch leaves resident, the synchronous paths pin — and what
+/// synchronous reads park, a batched epoch acquires. Varied, unaligned
+/// sizes so chunks have partial heads/tails and edge samples exist; the
+/// pool holds one chunk per fetch range.
+#[test]
+fn batched_and_sync_paths_share_resident_extents() {
+    let sizes: Vec<u64> = (0..256u64).map(|i| 1500 + (i * 389) % 2700).collect();
+    let cfg = DlfsConfig {
+        chunk_size: 8 * 1024,
+        pool_chunks: 512,
+        cache_mode: CacheMode::CrossEpoch,
+        ..DlfsConfig::default()
+    };
+    // Batched epoch first, then every sample through both sync paths.
+    Runtime::simulate(109, |rt| {
+        let source = SyntheticSource::new(11, sizes.clone());
+        let fs = direct_deployment(rt, 1, &source, cfg.clone());
+        let reg = Registry::new();
+        let mut io = fs.io_with_registry(0, &reg);
+        let total = io.sequence(rt, 3, 0);
+        assert_eq!(drain_epoch_verified(rt, &mut io, &source), total);
+        let cmds = device_commands(&reg);
+        for id in 0..total as u32 {
+            assert_eq!(io.read_by_id(rt, id).unwrap(), source.expected(id));
+            let z = io.read_zero_copy(rt, id).unwrap();
+            assert_eq!(z.to_vec(), source.expected(id), "sample {id} corrupted");
+        }
+        assert_eq!(
+            device_commands(&reg),
+            cmds,
+            "sync reads after a batched epoch must pin the resident extents"
+        );
+    });
+    // Sync-warmed mount (copied and zero-copy misses alternate), then a
+    // batched epoch.
+    Runtime::simulate(110, |rt| {
+        let source = SyntheticSource::new(11, sizes.clone());
+        let fs = direct_deployment(rt, 1, &source, cfg.clone());
+        let reg = Registry::new();
+        let mut io = fs.io_with_registry(0, &reg);
+        for id in 0..sizes.len() as u32 {
+            let got = if id % 2 == 0 {
+                io.read_by_id(rt, id).unwrap()
+            } else {
+                io.read_zero_copy(rt, id).unwrap().to_vec()
+            };
+            assert_eq!(got, source.expected(id), "sample {id} corrupted");
+        }
+        let cmds = device_commands(&reg);
+        let total = io.sequence(rt, 3, 0);
+        assert_eq!(drain_epoch_verified(rt, &mut io, &source), total);
+        assert_eq!(
+            device_commands(&reg),
+            cmds,
+            "a batched epoch after sync warm-up must acquire the parked extents"
+        );
+        assert_eq!(reg.snapshot().counter("dlfs.cache.evictions"), 0);
+    });
+}

@@ -240,6 +240,71 @@ fn edge_samples_cross_chunk_boundaries_correctly() {
     });
 }
 
+/// Exact-extent fetch items: one epoch-scoped epoch reads each sample's
+/// bytes off the devices once. The only slack is block alignment — at most
+/// 511 B before and after each fetch item — on both delivery paths, with
+/// and without replication + verified reads.
+#[test]
+fn epoch_reads_sample_bytes_plus_block_alignment_only() {
+    for (zero_copy, redundant) in [(false, false), (true, false), (false, true), (true, true)] {
+        Runtime::simulate(8, |rt| {
+            let sizes: Vec<u64> = (0..600u64).map(|i| 900 + (i * 617) % 5000).collect();
+            let source = SyntheticSource::new(4, sizes.clone());
+            let cfg = DlfsConfig {
+                chunk_size: 8 * 1024,
+                pool_chunks: 256,
+                batch_mode: BatchMode::ChunkLevel,
+                replicas: if redundant { 2 } else { 1 },
+                verify_reads: redundant,
+                ..Default::default()
+            };
+            let devices: Vec<Arc<dyn NvmeTarget>> = (0..2)
+                .map(|_| local_device() as Arc<dyn NvmeTarget>)
+                .collect();
+            let fs = dlfs::MountBuilder::new(cfg.clone())
+                .deployment(Deployment {
+                    targets: vec![devices],
+                    cluster: None,
+                })
+                .options(MountOptions::default())
+                .mount(rt, &source)
+                .unwrap();
+            let items = dlfs::build_epoch_plan(&fs.dir, cfg.chunk_size, 1, cfg.batch_mode, 8, 9, 0)
+                .readers[0]
+                .items
+                .len() as u64;
+            let mut io = fs.io(0);
+            let total = io.sequence(rt, 9, 0);
+            let mut delivered = 0;
+            while delivered < total {
+                let req = ReadRequest::batch(40);
+                if zero_copy {
+                    for z in io.submit(rt, &req.zero_copy()).unwrap().into_zero_copy() {
+                        assert_eq!(z.to_vec(), source.expected(z.id));
+                        delivered += 1;
+                    }
+                } else {
+                    for (id, data) in io.submit(rt, &req).unwrap().into_copied() {
+                        assert_eq!(data, source.expected(id));
+                        delivered += 1;
+                    }
+                }
+            }
+            let m = io.metrics();
+            let read: u64 = (0..2)
+                .map(|n| m.counter(&format!("blocksim.dev{n}.bytes")))
+                .sum();
+            let payload: u64 = sizes.iter().sum();
+            assert!(read >= payload);
+            assert!(
+                read <= payload + 2 * 511 * items,
+                "zero_copy={zero_copy} redundant={redundant}: read {read} B for {payload} B \
+                 of samples in {items} items"
+            );
+        });
+    }
+}
+
 #[test]
 fn multi_epoch_reshuffles() {
     Runtime::simulate(7, |rt| {

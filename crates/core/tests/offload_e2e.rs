@@ -294,3 +294,49 @@ fn offload_misuse_is_typed_config_error() {
         }
     });
 }
+
+/// Regression (found by the benchmark): alternating offloaded and
+/// client-path batches inside one epoch used to panic with `index out of
+/// bounds` in `DlfsIo::dispatch` — the offload path claims samples in plan
+/// order, the engine draws them from resident items, and neither saw the
+/// other's cursor. The second path is now refused with a typed error and
+/// the epoch still drains exactly once on the path it started on.
+#[test]
+fn mixing_offload_and_client_batches_in_one_epoch_is_a_typed_error() {
+    Runtime::simulate(test_seed(101), |rt| {
+        let comp = CompressibleSource::fixed(36, 200, 2600, 48);
+        let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
+        let fs = dlfs::MountBuilder::new(offload_cfg(CodecKind::Lz))
+            .deployment(local_deployment(&devices))
+            .mount(rt, &comp)
+            .unwrap();
+        let mut io = fs.io(0);
+        let req = |offload: bool| {
+            if offload {
+                ReadRequest::batch(16).offload()
+            } else {
+                ReadRequest::batch(16)
+            }
+        };
+        for (epoch, first_offloaded) in [true, false].into_iter().enumerate() {
+            io.sequence(rt, 10, epoch as u64);
+            let first = io.submit(rt, &req(first_offloaded)).unwrap().into_copied();
+            assert_eq!(first.len(), 16);
+            match io.submit(rt, &req(!first_offloaded)) {
+                Err(DlfsError::Config(_)) => {}
+                other => panic!("expected a typed Config error, got {other:?}"),
+            }
+            let mut all = drain_to_map(rt, &mut io, &|| req(first_offloaded));
+            for (id, data) in first {
+                assert!(
+                    all.insert(id, data).is_none(),
+                    "sample {id} delivered twice"
+                );
+            }
+            assert_eq!(all.len(), comp.count());
+            for id in 0..comp.count() as u32 {
+                assert_eq!(all[&id], comp.expected(id), "sample {id} corrupted");
+            }
+        }
+    });
+}

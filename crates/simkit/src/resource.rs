@@ -38,7 +38,15 @@ impl Timeline {
     /// Earliest start ≥ `now` where a `d`-long reservation fits.
     fn probe(&self, now: u64, d: u64) -> u64 {
         let mut t = now;
-        for (&s, &e) in &self.intervals {
+        // Intervals don't overlap, so every interval before the last one
+        // starting at or before `now` has ended by `now` and cannot move
+        // `t`: start there instead of at the oldest unpruned booking.
+        let from = self
+            .intervals
+            .range(..=now)
+            .next_back()
+            .map_or(now, |(&s, _)| s);
+        for (&s, &e) in self.intervals.range(from..) {
             if s >= t.saturating_add(d) {
                 break; // gap [t, t+d) fits entirely before this interval
             }
@@ -345,6 +353,41 @@ mod tests {
             let after = link.reserve(Time(1_000), 5_000);
             assert_eq!(after, Time(16_000));
         });
+    }
+
+    #[test]
+    fn probe_ignores_history_without_changing_the_answer() {
+        // Reference: the scan from the oldest booking that `probe` used to
+        // do. A seeded mix of present and future reservations over a long
+        // unpruned history must book identically.
+        fn probe_full(tl: &Timeline, now: u64, d: u64) -> u64 {
+            let mut t = now;
+            for (&s, &e) in &tl.intervals {
+                if s >= t.saturating_add(d) {
+                    break;
+                }
+                if e > t {
+                    t = e;
+                }
+            }
+            t
+        }
+        let mut rng = crate::rng::SplitMix64::new(0x71AE);
+        let mut tl = Timeline::default();
+        let mut now = 0u64;
+        for _ in 0..5_000 {
+            now += rng.below(400);
+            let at = now
+                + if rng.below(4) == 0 {
+                    rng.below(5_000)
+                } else {
+                    0
+                };
+            let d = rng.below(300);
+            assert_eq!(tl.probe(at, d), probe_full(&tl, at, d));
+            tl.reserve(at, d);
+        }
+        assert!(tl.len() > 1_000, "history must stay unpruned for the test");
     }
 
     #[test]
