@@ -12,9 +12,10 @@
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget};
+use dlfs::source::SampleSource;
 use dlfs::{
-    CacheMode, Deployment, DlfsConfig, DlfsError, DlfsInstance, MountBuilder, ReadRequest,
-    SyntheticSource,
+    CacheMode, CodecKind, CompressibleSource, Deployment, DlfsConfig, DlfsError, DlfsInstance,
+    MountBuilder, ReadRequest, SyntheticSource,
 };
 use fabric::{Cluster, FabricConfig, FabricFaultInjector, NvmeOfTarget, TargetConfig};
 use simkit::prelude::*;
@@ -47,6 +48,24 @@ fn check_golden(name: &str, text: &str) {
     );
 }
 
+/// The payload a source staged for `id` (both synthetic sources offer it
+/// as an inherent method; the drains below take either).
+trait Expected {
+    fn expected(&self, id: u32) -> Vec<u8>;
+}
+
+impl Expected for SyntheticSource {
+    fn expected(&self, id: u32) -> Vec<u8> {
+        SyntheticSource::expected(self, id)
+    }
+}
+
+impl Expected for CompressibleSource {
+    fn expected(&self, id: u32) -> Vec<u8> {
+        CompressibleSource::expected(self, id)
+    }
+}
+
 /// Hash of the delivered ids in delivery order.
 fn ids_hash(ids: &[u32]) -> u64 {
     let mut h = 0u64;
@@ -61,7 +80,7 @@ fn ids_hash(ids: &[u32]) -> u64 {
 fn drain_copied_report(
     rt: &Runtime,
     io: &mut dlfs::DlfsIo,
-    source: &SyntheticSource,
+    source: &dyn Expected,
     batch: usize,
     report: &mut String,
 ) {
@@ -99,7 +118,7 @@ fn drain_copied_report(
 fn disaggregated(
     rt: &Runtime,
     n: usize,
-    source: &SyntheticSource,
+    source: &dyn SampleSource,
     cfg: DlfsConfig,
 ) -> (DlfsInstance, Arc<Cluster>, Vec<Arc<NvmeDevice>>) {
     let cluster = Arc::new(Cluster::new(n, FabricConfig::default()));
@@ -137,6 +156,7 @@ fn disaggregated(
 /// must be byte-identical to the pre-reactor engine.
 #[test]
 fn copied_default_matches_golden() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
     let (report, end) = Runtime::simulate(1, |rt| {
         let source = SyntheticSource::fixed(9, 1200, 2048);
         let fs = MountBuilder::new(DlfsConfig::default())
@@ -162,6 +182,7 @@ fn copied_default_matches_golden() {
 /// verified through the pinned-chunk segments.
 #[test]
 fn zero_copy_default_matches_golden() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
     let (report, end) = Runtime::simulate(2, |rt| {
         let source = SyntheticSource::fixed(5, 900, 3000);
         let fs = MountBuilder::new(DlfsConfig::default())
@@ -207,6 +228,7 @@ fn zero_copy_default_matches_golden() {
 /// must hit the cache identically through the reactor.
 #[test]
 fn cross_epoch_warm_matches_golden() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
     let (report, end) = Runtime::simulate(3, |rt| {
         let source = SyntheticSource::fixed(7, 600, 2048);
         let cfg = DlfsConfig {
@@ -240,6 +262,7 @@ fn cross_epoch_warm_matches_golden() {
 /// byte-correct).
 #[test]
 fn faulted_retry_matches_golden() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
     let (report, end) = Runtime::simulate(4, |rt| {
         let source = SyntheticSource::fixed(4, 800, 2048);
         let cfg = DlfsConfig {
@@ -272,6 +295,7 @@ fn faulted_retry_matches_golden() {
 /// other (determinism is what makes the goldens meaningful at all).
 #[test]
 fn faulted_replay_is_deterministic() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
     let run = || {
         Runtime::simulate(4, |rt| {
             let source = SyntheticSource::fixed(4, 800, 2048);
@@ -297,6 +321,271 @@ fn faulted_replay_is_deterministic() {
     let (b, tb) = run();
     assert_eq!(a, b, "chaos replay diverged");
     assert_eq!(ta, tb);
+}
+
+// ------------------------------------------- part-lifecycle goldens --
+//
+// Characterisation fixtures for the paths that share the post / verify /
+// settle core with the batched engine: synchronous reads racing an epoch,
+// replica failover + read-repair + hedging, and verified, decoded
+// prefetch. Generated once from the engine as it stood before that core
+// existed; they pin the virtual timeline and the full telemetry render.
+
+/// `blocksim::copy_ops` is one process-wide counter: the tests that
+/// memcpy hold this shared while [`warm_zero_copy_reads_are_copy_and_alloc_free`]
+/// holds it exclusively around its flat-counter assertion.
+static COPY_OPS_QUIET: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+/// One report line for a synchronous read.
+fn sync_line(report: &mut String, rt: &Runtime, what: &str, id: u32, hash: u64) {
+    report.push_str(&format!(
+        "{what} id={id} t={} payload={hash:016x}\n",
+        rt.now().nanos()
+    ));
+}
+
+/// Drain the current epoch with zero-copy delivery into report lines.
+fn drain_zero_copy_report(
+    rt: &Runtime,
+    io: &mut dlfs::DlfsIo,
+    source: &dyn Expected,
+    batch: usize,
+    report: &mut String,
+) {
+    let mut i = 0usize;
+    loop {
+        match io.submit(rt, &ReadRequest::batch(batch).zero_copy()) {
+            Ok(got) => {
+                let samples = got.into_zero_copy();
+                let ids: Vec<u32> = samples.iter().map(|s| s.id).collect();
+                let mut payload = 0u64;
+                for s in &samples {
+                    assert_eq!(
+                        s.to_vec(),
+                        source.expected(s.id),
+                        "payload mismatch {}",
+                        s.id
+                    );
+                    payload = payload.wrapping_mul(0x100000001b3).wrapping_add(s.fnv1a());
+                }
+                report.push_str(&format!(
+                    "zc batch {i} t={} n={} ids={:016x} payload={:016x}\n",
+                    rt.now().nanos(),
+                    ids.len(),
+                    ids_hash(&ids),
+                    payload,
+                ));
+                i += 1;
+            }
+            Err(DlfsError::EpochExhausted) => break,
+            Err(e) => panic!("epoch failed: {e}"),
+        }
+    }
+}
+
+/// Synchronous `read_by_id` / `read_zero_copy` over the NVMe-oF rig with
+/// media errors and fabric drops, issued while a batched epoch on the
+/// same handle still has parts in flight: the sync drain harvests (and
+/// must re-queue) the engine's strays.
+#[test]
+fn sync_reads_racing_faulted_epoch_match_golden() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    // Epoch-scoped: copied sync reads only (a sync zero-copy miss needs a
+    // mode that keeps the published range resident). Cross-epoch: both.
+    let mut text = String::new();
+    for cache_mode in [CacheMode::EpochScoped, CacheMode::CrossEpoch] {
+        let (report, end) = Runtime::simulate(11, |rt| sync_race_report(rt, cache_mode));
+        text.push_str(&format!("{report}end t={}\n", end.nanos()));
+    }
+    check_golden("reactor_sync_race.txt", &text);
+}
+
+fn sync_race_report(rt: &Runtime, cache_mode: CacheMode) -> String {
+    let source = SyntheticSource::fixed(6, 900, 2048);
+    let cfg = DlfsConfig {
+        chunk_size: 8 * 1024,
+        cache_mode,
+        ..DlfsConfig::default()
+    };
+    let (fs, cluster, devices) = disaggregated(rt, 2, &source, cfg);
+    for (i, d) in devices.iter().enumerate() {
+        d.set_faults(FaultInjector::new(21 + i as u64).with_read_failures(150_000));
+    }
+    cluster.set_faults(
+        FabricFaultInjector::new(23)
+            .with_drops(60_000)
+            .with_io_timeout(Dur::micros(40)),
+    );
+    let mut io = fs.io(0);
+    let total = io.sequence(rt, 41, 0);
+    let mut report = format!("{cache_mode:?} epoch 0 total={total}\n");
+    let mut seen = vec![false; source.count()];
+    let mut delivered = 0usize;
+    for round in 0..6u32 {
+        // A batch leaves the fetch window's parts in flight…
+        let got = io
+            .submit(rt, &ReadRequest::batch(24))
+            .unwrap()
+            .into_copied();
+        let ids: Vec<u32> = got.iter().map(|(id, _)| *id).collect();
+        for (id, data) in &got {
+            assert_eq!(data, &source.expected(*id));
+            assert!(!seen[*id as usize], "sample {id} delivered twice");
+            seen[*id as usize] = true;
+            delivered += 1;
+        }
+        report.push_str(&format!(
+            "batch {round} t={} n={} ids={:016x}\n",
+            rt.now().nanos(),
+            ids.len(),
+            ids_hash(&ids)
+        ));
+        // …which the synchronous reads below harvest as strays.
+        let cold: Vec<u32> = (0..source.count() as u32)
+            .filter(|&id| !fs.dir.is_valid(id))
+            .skip(round as usize * 7)
+            .take(4)
+            .collect();
+        for (k, &id) in cold.iter().enumerate() {
+            if k % 2 == 0 || cache_mode == CacheMode::EpochScoped {
+                let data = io.read_by_id(rt, id).unwrap();
+                assert_eq!(data, source.expected(id));
+                sync_line(&mut report, rt, "read_by_id", id, fnv1a(&data));
+            } else {
+                let s = io.read_zero_copy(rt, id).unwrap();
+                assert_eq!(s.to_vec(), source.expected(id));
+                sync_line(&mut report, rt, "read_zero_copy", id, s.fnv1a());
+            }
+        }
+    }
+    loop {
+        match io.submit(rt, &ReadRequest::batch(32)) {
+            Ok(got) => {
+                for (id, data) in got.into_copied() {
+                    assert_eq!(data, source.expected(id));
+                    assert!(!seen[id as usize], "sample {id} delivered twice");
+                    seen[id as usize] = true;
+                    delivered += 1;
+                }
+                report.push_str(&format!("tail t={}\n", rt.now().nanos()));
+            }
+            Err(DlfsError::EpochExhausted) => break,
+            Err(e) => panic!("epoch failed: {e}"),
+        }
+    }
+    assert_eq!(delivered, total);
+    let m = io.metrics();
+    assert!(m.counter("dlfs.io.retries") > 0, "no retries exercised");
+    assert!(m.counter("dlfs.io.timeouts") > 0, "no timeouts exercised");
+    report.push_str("--- telemetry ---\n");
+    report.push_str(&m.render());
+    report
+}
+
+/// `replicas: 2` + `verify_reads` + `hedge_reads` with flipped blocks on
+/// the fast node and a slow home node: failover, read-repair and hedge
+/// wins in one run, copied then zero-copy, opened by a synchronous read
+/// of a corrupted sample.
+#[test]
+fn failover_repair_hedge_match_golden() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    let (report, end) = Runtime::simulate(12, |rt| {
+        let source = SyntheticSource::fixed(8, 700, 2048);
+        let slow = NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(500)));
+        let fast = NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10)));
+        let devices = [slow, fast];
+        let cfg = DlfsConfig {
+            chunk_size: 8 * 1024,
+            replicas: 2,
+            verify_reads: true,
+            hedge_reads: true,
+            ..DlfsConfig::default()
+        };
+        let fs = MountBuilder::new(cfg)
+            .deployment(Deployment {
+                targets: vec![devices
+                    .iter()
+                    .map(|d| d.clone() as Arc<dyn NvmeTarget>)
+                    .collect()],
+                cluster: None,
+            })
+            .mount(rt, &source)
+            .unwrap();
+        // Volatile layout: node 1's own data (slot 0) starts at block 0.
+        devices[1].set_faults(FaultInjector::new(31).with_bit_flips(0, 40));
+        let mut io = fs.io(0);
+        let mut report = String::new();
+        // A sample homed on node 1 whose blocks sit inside the flipped run.
+        let corrupted = (0..source.count() as u32)
+            .find(|&id| {
+                let e = fs.dir.entry(id);
+                e.nid() == 1 && e.offset() < 8 * 512
+            })
+            .expect("a sample in the flipped extent");
+        let data = io.read_by_id(rt, corrupted).unwrap();
+        assert_eq!(data, source.expected(corrupted));
+        sync_line(&mut report, rt, "read_by_id", corrupted, fnv1a(&data));
+        let total = io.sequence(rt, 43, 0);
+        report.push_str(&format!("epoch 0 total={total}\n"));
+        drain_copied_report(rt, &mut io, &source, 32, &mut report);
+        devices[1].set_faults(FaultInjector::new(33).with_bit_flips(64, 24));
+        let total = io.sequence(rt, 43, 1);
+        report.push_str(&format!("epoch 1 total={total}\n"));
+        drain_zero_copy_report(rt, &mut io, &source, 32, &mut report);
+        let m = io.metrics();
+        for c in ["mismatches", "repairs", "failovers", "hedges", "hedge_wins"] {
+            assert!(m.counter(&format!("dlfs.integrity.{c}")) > 0, "no {c}");
+        }
+        report.push_str("--- telemetry ---\n");
+        report.push_str(&m.render());
+        report
+    });
+    let text = format!("{report}end t={}\n", end.nanos());
+    check_golden("reactor_failover_hedge.txt", &text);
+}
+
+/// `CrossEpoch` + `prefetch_window: 8` + `CodecKind::Lz` + `verify_reads`
+/// over two epochs of a two-reader deal: prefetched frames are verified, decoded and published
+/// through the same steps as demand fetches.
+#[test]
+fn verified_coded_prefetch_matches_golden() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    let (report, end) = Runtime::simulate(13, |rt| {
+        let source = CompressibleSource::fixed(17, 500, 3000, 48);
+        let cfg = DlfsConfig {
+            chunk_size: 8 * 1024,
+            cache_mode: CacheMode::CrossEpoch,
+            prefetch_window: 8,
+            codec: CodecKind::Lz,
+            verify_reads: true,
+            pool_chunks: 256,
+            ..DlfsConfig::default()
+        };
+        // Two readers: each epoch deals reader 0 a different half of the
+        // frames, so the tail of epoch 0 has cold ranges to warm.
+        let (fs, _cluster, _devices) = disaggregated(rt, 2, &source, cfg);
+        let mut io = fs.io(0);
+        let mut report = String::new();
+        for epoch in 0..2u64 {
+            let total = io.sequence(rt, 47, epoch);
+            report.push_str(&format!("epoch {epoch} total={total}\n"));
+            if epoch == 0 {
+                drain_copied_report(rt, &mut io, &source, 40, &mut report);
+            } else {
+                drain_zero_copy_report(rt, &mut io, &source, 40, &mut report);
+            }
+            report.push_str(&format!("epoch {epoch} done t={}\n", rt.now().nanos()));
+        }
+        let m = io.metrics();
+        assert!(m.counter("dlfs.cache.prefetch_issued") > 0, "no prefetch");
+        assert!(m.counter("dlfs.cache.prefetch_hits") > 0, "no prefetch hit");
+        assert!(m.counter("dlfs.codec.bytes_in") < m.counter("dlfs.codec.bytes_out"));
+        report.push_str("--- telemetry ---\n");
+        report.push_str(&m.render());
+        report
+    });
+    let text = format!("{report}end t={}\n", end.nanos());
+    check_golden("reactor_coded_prefetch.txt", &text);
 }
 
 // ------------------------------------------------------- steady-state --
@@ -340,6 +629,7 @@ fn my_allocs() -> u64 {
 /// list stays inline and the cache pin is embedded in the sample.
 #[test]
 fn warm_zero_copy_reads_are_copy_and_alloc_free() {
+    let _quiet = COPY_OPS_QUIET.write().unwrap();
     Runtime::simulate(6, |rt| {
         let source = SyntheticSource::fixed(3, 400, 2048);
         let cfg = DlfsConfig {
@@ -394,6 +684,7 @@ fn warm_zero_copy_reads_are_copy_and_alloc_free() {
 /// observable without disturbing default telemetry renders.
 #[test]
 fn reactor_stats_expose_wakeups_and_doorbells() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
     // Default config: the reactor counters must stay out of the render so
     // existing reports remain byte-stable.
     let (render, _) = Runtime::simulate(7, |rt| {
