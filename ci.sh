@@ -17,7 +17,12 @@
 #     BENCH_<rev>.json and fails on >10% regression against the
 #     committed baseline (crates/bench/baseline/BENCH_baseline.json);
 #  5. rustfmt (check mode) and clippy, warnings denied, across every
-#     target.
+#     target;
+#  6. the surface ratchet: code lines of crates/core/src/io.rs and of
+#     crates/core/src/*.rs, and panic sites (unwrap/expect/panic!/assert!)
+#     in io.rs + rebuild.rs, measured on the rustfmt'd tree, may not
+#     exceed the numbers committed in bench/history/surface.txt. A PR that
+#     shrinks them commits the new values.
 #
 # Everything runs offline: the workspace has no external dependencies.
 set -euo pipefail
@@ -25,6 +30,17 @@ cd "$(dirname "$0")"
 
 echo "== rustfmt (check)"
 cargo fmt --check
+echo "== surface ratchet (bench/history/surface.txt: may only go down)"
+io=crates/core/src/io.rs
+{
+  echo "io_rs_code_lines $(grep -vcE '^\s*(//|$)' $io)"
+  echo "core_src_code_lines $(cat crates/core/src/*.rs | grep -vcE '^\s*(//|$)')"
+  echo "io_panic_sites $(cat $io crates/core/src/rebuild.rs | grep -cE 'unwrap\(\)|expect\(|panic!|assert!\(')"
+} | while read -r name now; do
+  max="$(awk -v n="$name" '$1 == n { print $2 }' bench/history/surface.txt)"
+  echo "$name $now (committed ${max:?no $name in surface.txt})"
+  [ "$now" -le "$max" ] || { echo "surface ratchet: $name grew past $max" >&2; exit 1; }
+done
 echo "== tier-1: release build"
 cargo build --release --offline
 echo "== tier-1: root test suite"

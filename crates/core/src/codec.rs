@@ -247,11 +247,39 @@ pub struct CodecTables {
     pub per_node: Vec<NodeFrames>,
 }
 
+/// One stored frame as the read paths see it: where it starts on its node,
+/// how many blocks hold its encoded prefix, and its encoded / raw lengths.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Frame {
+    pub kind: CodecKind,
+    /// Absolute byte offset of the frame on its node (block-aligned).
+    pub start: u64,
+    pub enc_blocks: u32,
+    pub enc_len: usize,
+    pub raw_len: usize,
+}
+
 impl CodecTables {
     /// Blocks a read of frame `f` on node `nid` must fetch to recover the
     /// frame (the encoded prefix, block-rounded).
     pub fn enc_blocks(&self, nid: usize, f: usize) -> u32 {
         (self.per_node[nid].lens[f] as u64).div_ceil(blocksim::BLOCK_SIZE) as u32
+    }
+
+    /// The stored frame covering byte `offset` on node `nid` — the one
+    /// lookup every read path (geometry, decode, offload) goes through.
+    pub(crate) fn frame(&self, chunk: u64, nid: u16, offset: u64) -> Frame {
+        let frames = &self.per_node[nid as usize];
+        let f = frames.frame_of(chunk, offset);
+        let start = frames.base + f as u64 * chunk;
+        debug_assert_eq!(start % blocksim::BLOCK_SIZE, 0, "frames are block-aligned");
+        Frame {
+            kind: self.kind,
+            start,
+            enc_blocks: self.enc_blocks(nid as usize, f),
+            enc_len: frames.lens[f] as usize,
+            raw_len: frames.raw_len(chunk, f),
+        }
     }
 }
 

@@ -160,7 +160,7 @@ impl std::error::Error for DirectoryError {}
 /// Errors surfaced by the DLFS API.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DlfsError {
-    /// `dlfs_open` on a name the sample directory doesn't contain.
+    /// `dlfs_read` of a name the sample directory doesn't contain.
     NotFound(String),
     /// Sample id out of range.
     BadSampleId(u32),

@@ -9,6 +9,13 @@
 //! * **copy** — hand completed samples to the copy threads, which move
 //!   bytes from the sample cache into the application buffer.
 //!
+//! Every device read, whichever path issues it, is a *part* (one cache
+//! chunk of one fetch) with one lifecycle, each step defined once:
+//! [`part_span`] → `route_part` → `post_part` → harvest → `verify_part` →
+//! `settle_part`. The batched engine, its hedges, the prefetcher and the
+//! synchronous reads are callers of those steps; they differ only in what
+//! they queue and how they wait (see DESIGN.md §3).
+//!
 //! Delivery follows the paper's relaxed randomization (§III-D2): "the copy
 //! threads then select samples randomly from the sample cache" — each next
 //! sample is drawn from a uniformly random *resident* fetch item, so a
@@ -27,29 +34,27 @@ use blocksim::{
     covering_blocks, CmdStatus, DmaBuf, IoQPair, NvmeTarget, OffloadExtent, BLOCK_SIZE,
 };
 use fabric::{CAPSULE_BYTES, DESCRIPTOR_BYTES, RESPONSE_BYTES};
-use simkit::rng::fnv1a;
+use simkit::chan::{Receiver, Sender};
 use simkit::rng::SplitMix64;
 use simkit::runtime::Runtime;
-use simkit::telemetry::{Counter, Gauge, Histo, Registry, Snapshot};
+use simkit::telemetry::{Counter, Histo, Registry, Snapshot};
 use simkit::time::{Dur, Time};
 
 use crate::cache::RangeKey;
+use crate::codec::Frame;
 use crate::config::{BatchMode, CacheMode, DlfsConfig};
 use crate::copy::{CopyDone, CopyJob, SegList, Segment};
 use crate::directory::SampleDirectory;
 use crate::entry::SampleEntry;
 use crate::error::{CorruptCause, DlfsError, IoFailure};
 use crate::integrity::Redundancy;
-use crate::layout::{encode_codec_table, encode_integrity, encode_meta, MetaRecord};
-use crate::plan::{build_epoch_plan, fetch_extent, reader_item_ranges, FetchItem, ReaderPlan};
+use crate::plan::{build_epoch_plan, fetch_extent, reader_item_ranges, ReaderPlan};
 use crate::reactor::{CompletionClock, ReactorStats};
-use crate::rebuild::RebuildPlan;
+use crate::rebuild::Background;
 use crate::request::{Completions, Delivery, ReadRequest};
+use crate::scoped_or_detached;
 use crate::zerocopy::{Pin, PinGuard, ZeroCopySample};
 use crate::{cache::SampleCache, copy::CopyPool};
-
-/// Blocks the background scrubber walks per idle reactor gap.
-const SCRUB_GAP_BLOCKS: u64 = 64;
 
 /// State shared by every I/O thread of one compute node.
 pub struct DlfsShared {
@@ -144,9 +149,9 @@ struct IoTelemetry {
     cache_misses: Counter,
     cache_pins: Counter,
     /// Cross-epoch cache counters under `dlfs.cache.*`. Registered only
-    /// with [`CacheMode::CrossEpoch`] — under the zero-knob default they
-    /// are bound to a detached registry so metric renders stay
-    /// byte-identical to the pre-cache engine.
+    /// with [`CacheMode::CrossEpoch`]; like every optional scope below,
+    /// otherwise bound detached (see [`scoped_or_detached`]) so metric renders of
+    /// the zero-knob default stay byte-identical.
     ce_hits: Counter,
     ce_misses: Counter,
     prefetch_issued: Counter,
@@ -161,40 +166,21 @@ struct IoTelemetry {
     poll_ns: Histo,
     copy_ns: Histo,
     /// Integrity/replication counters under `dlfs.integrity.*`. Registered
-    /// only when the instance carries a [`Redundancy`] — under the
-    /// zero-knob default they bind to a detached registry so metric
-    /// renders stay byte-identical.
+    /// only when the instance carries a [`Redundancy`]. (`scrubbed` and the
+    /// `dlfs.rebuild.*` scope belong to [`Background`].)
     iv_verified: Counter,
     iv_mismatches: Counter,
     iv_repairs: Counter,
-    iv_scrubbed: Counter,
     iv_failovers: Counter,
     iv_hedges: Counter,
     iv_hedge_wins: Counter,
-    /// Rebuild counters under `dlfs.rebuild.*`. Registered only when the
-    /// instance carries a cluster [`fabric::Membership`] view
-    /// ([`crate::DlfsConfig::fail_dead_after`]) — otherwise they bind to a
-    /// detached registry, keeping metric renders of every pre-membership
-    /// configuration byte-identical.
-    rb_blocks: Counter,
-    /// Blocks a catch-up resync found already verified on the replacement
-    /// device (a restarted node that kept its media skips them).
-    rb_clean: Counter,
-    /// Blocks no surviving replica could serve cleanly.
-    rb_failed: Counter,
-    rb_completed: Counter,
-    /// Chunks with less than full redundancy right now (drops toward zero
-    /// as the rebuild progresses).
-    rb_at_risk: Gauge,
     /// Codec counters under `dlfs.codec.*`: encoded bytes fetched off the
     /// devices vs raw bytes they decoded to. Registered only when the
-    /// instance carries [`crate::codec::CodecTables`] — under the
-    /// zero-knob default they bind to a detached registry so metric
-    /// renders stay byte-identical.
+    /// instance carries [`crate::codec::CodecTables`].
     codec_bytes_in: Counter,
     codec_bytes_out: Counter,
     /// Offload counters under `dlfs.offload.*`. Registered only with
-    /// [`crate::DlfsConfig::offload`]; detached otherwise.
+    /// [`crate::DlfsConfig::offload`].
     of_requests: Counter,
     of_samples: Counter,
     /// Bytes carried over the fabric by dense offload responses.
@@ -202,55 +188,23 @@ struct IoTelemetry {
 }
 
 impl IoTelemetry {
-    fn new(
-        reg: &Registry,
-        cross_epoch: bool,
-        integrity: bool,
-        membership: bool,
-        codec: bool,
-        offload: bool,
-    ) -> IoTelemetry {
+    fn new(reg: &Registry, shared: &DlfsShared) -> IoTelemetry {
         let io = reg.scoped("dlfs.io");
-        let cache = if cross_epoch {
-            reg.scoped("dlfs.cache")
-        } else {
-            Registry::new().scoped("dlfs.cache")
-        };
-        let iv = if integrity {
-            reg.scoped("dlfs.integrity")
-        } else {
-            Registry::new().scoped("dlfs.integrity")
-        };
-        let rb = if membership {
-            reg.scoped("dlfs.rebuild")
-        } else {
-            Registry::new().scoped("dlfs.rebuild")
-        };
-        let cd = if codec {
-            reg.scoped("dlfs.codec")
-        } else {
-            Registry::new().scoped("dlfs.codec")
-        };
-        let of = if offload {
-            reg.scoped("dlfs.offload")
-        } else {
-            Registry::new().scoped("dlfs.offload")
-        };
+        let cross_epoch = shared.cfg.cache_mode == CacheMode::CrossEpoch;
+        let scope = |name, on: bool| scoped_or_detached(on.then_some(reg), name);
+        let cache = scope("dlfs.cache", cross_epoch);
+        let iv = scope("dlfs.integrity", shared.redundancy.is_some());
+        let cd = scope("dlfs.codec", shared.codec.is_some());
+        let of = scope("dlfs.offload", shared.cfg.offload);
         IoTelemetry {
             codec_bytes_in: cd.counter("bytes_in"),
             codec_bytes_out: cd.counter("bytes_out"),
             of_requests: of.counter("requests"),
             of_samples: of.counter("samples"),
             of_wire_bytes: of.counter("wire_bytes"),
-            rb_blocks: rb.counter("blocks_rebuilt"),
-            rb_clean: rb.counter("blocks_clean"),
-            rb_failed: rb.counter("blocks_failed"),
-            rb_completed: rb.counter("completed"),
-            rb_at_risk: rb.gauge("chunks_at_risk"),
             iv_verified: iv.counter("verified"),
             iv_mismatches: iv.counter("mismatches"),
             iv_repairs: iv.counter("repairs"),
-            iv_scrubbed: iv.counter("scrubbed"),
             iv_failovers: iv.counter("failovers"),
             iv_hedges: iv.counter("hedges"),
             iv_hedge_wins: iv.counter("hedge_wins"),
@@ -289,15 +243,78 @@ struct ItemRt {
     /// shuffled sample list).
     dispatched: u32,
     copies_done: u32,
-    fetched: bool,
     /// Block-aligned base offset of the fetched range.
     base: u64,
 }
 
+/// One device part — the chunk-sized piece `part` of fetch item `idx` —
+/// queued or in flight: failed submissions so far, and the replica that
+/// serves it (in flight) or is preferred for it (queued).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Part {
+    idx: u32,
+    part: u32,
+    attempt: u32,
+    replica: u32,
+}
+
+impl Part {
+    /// Part `part` of item `idx`, never tried, home copy preferred.
+    fn first(idx: u32, part: u32) -> Part {
+        Part {
+            idx,
+            part,
+            attempt: 0,
+            replica: 0,
+        }
+    }
+}
+
+/// Item index of the parts of a synchronous read ([`DlfsIo::fetch_range`]):
+/// they share the in-flight and mismatch bookkeeping with the epoch's.
+const SYNC_ITEM: u32 = u32::MAX;
+
+/// What one part reads: `nblocks` blocks from `slba` in its home node's
+/// coordinates (replica routing translates them), into cache chunk `buf`.
+struct PartIo {
+    home: u16,
+    slba: u64,
+    nblocks: u32,
+    buf: DmaBuf,
+}
+
+/// Blocks `(first, count)` of part `part` of a fetch of `nblocks` blocks
+/// at `slba`, cut into parts of `per_part` blocks (one cache chunk each);
+/// the last part may be short. Under a codec the fetch is the encoded
+/// prefix of one frame, which can be shorter than the chunk allocated for
+/// its raw extent — still exactly one part.
+fn part_span(slba: u64, nblocks: u32, per_part: u32, part: u32) -> (u64, u32) {
+    let start = part * per_part;
+    (slba + start as u64, (nblocks - start).min(per_part))
+}
+
+/// How a completed part settled ([`DlfsIo::settle_part`]).
+#[derive(Debug, PartialEq)]
+enum Settled {
+    /// Verified bytes are in the part's chunk.
+    Done,
+    /// This command lost, but its hedged twin still races and now owns
+    /// the part: no retry budget consumed.
+    Twin,
+    /// Resubmit as `part` (one more failure on record, the replica to
+    /// prefer next): at once (`None` — another copy can serve now) or
+    /// after a backoff.
+    Requeue {
+        part: Part,
+        not_before: Option<Time>,
+    },
+    /// Retry budget spent: the fetch cannot complete.
+    Fatal(DlfsError),
+}
+
 /// A retry parked until its backoff elapses: readiness instant, insertion
-/// sequence (keeps same-instant pops deterministic), item idx, part,
-/// failed attempts, preferred replica for the resubmission.
-type DelayedPart = Reverse<(Time, u64, u32, u32, u32, u32)>;
+/// sequence (keeps same-instant pops deterministic), the part.
+type DelayedPart = Reverse<(Time, u64, Part)>;
 
 /// Epoch execution state.
 struct EpochState {
@@ -314,9 +331,8 @@ struct EpochState {
     total: usize,
     /// Next item to start fetching.
     next_fetch: usize,
-    /// Parts awaiting qpair submission: (item idx, part no, failed
-    /// attempts so far, preferred replica).
-    pending_parts: VecDeque<(u32, u32, u32, u32)>,
+    /// Parts awaiting qpair submission.
+    pending_parts: VecDeque<Part>,
     /// Failed parts waiting out their retry backoff.
     delayed_parts: BinaryHeap<DelayedPart>,
     delay_seq: u64,
@@ -329,6 +345,35 @@ struct EpochState {
     /// Which path serves this epoch, fixed by its first batch: `true` for
     /// storage-side offload, `false` for the client-side engine.
     offloaded: Option<bool>,
+}
+
+impl EpochState {
+    /// The relaxed-randomization draw (§III-D2): the next undelivered
+    /// sample of a uniformly random resident item, as `(item, sample)`.
+    fn draw(&mut self) -> Option<(u32, u32)> {
+        if self.resident_ready.is_empty() {
+            return None;
+        }
+        let pick = self.rng.below(self.resident_ready.len() as u64) as usize;
+        let idx = self.resident_ready[pick];
+        let item = &mut self.items[idx as usize];
+        let sample = self.plan.items[idx as usize].samples[item.dispatched as usize];
+        item.dispatched += 1;
+        if item.dispatched == item.samples_total {
+            self.resident_ready.swap_remove(pick);
+        }
+        self.total_dispatched += 1;
+        Some((idx, sample))
+    }
+
+    /// Item `idx` is fully resident: flip the V field of its samples and
+    /// offer it to the delivery draw.
+    fn mark_resident(&mut self, dir: &SampleDirectory, idx: u32) {
+        for &s in &self.plan.items[idx as usize].samples {
+            dir.set_valid(s, true);
+        }
+        self.resident_ready.push(idx);
+    }
 }
 
 /// Outcome of [`DlfsIo::start_fetch`].
@@ -353,24 +398,44 @@ struct PrefetchState {
     built_for: Option<(u64, u64)>,
     /// Upcoming ranges to warm, in the next epoch's first-use order.
     queue: VecDeque<(u16, u64, u64)>,
-    /// In-flight prefetches: range key → (chunk, published length).
-    inflight: HashMap<RangeKey, (DmaBuf, u64)>,
-    /// Device command id → range key of an in-flight prefetch.
-    cmds: HashMap<u64, RangeKey>,
+    /// Ranges with a prefetch in flight.
+    inflight: HashSet<RangeKey>,
+    /// Device command id → (range key, chunk, published length) of an
+    /// in-flight prefetch.
+    cmds: HashMap<u64, (RangeKey, DmaBuf, u64)>,
 }
 
-/// In-flight re-replication of one dead node, executed in slices through
-/// idle reactor gaps (see [`DlfsIo::begin_rebuild`]).
-struct RebuildState {
-    plan: RebuildPlan,
-    /// Current extent index into `plan.extents`.
-    ext: usize,
-    /// Next block within the current extent.
-    blk: u64,
-    /// Blocks walked so far (copied, found clean, or failed).
-    walked: u64,
-    /// Blocks no surviving replica could serve.
-    failed: u64,
+/// One engine batch being assembled. Copied delivery (`copies` is the
+/// copy pool's done channel) hands samples to the copy threads and lands
+/// them in `copied` by slot as they finish; zero-copy delivery pushes
+/// pinned handles onto `pinned` the moment they are drawn, so it never has
+/// anything outstanding.
+struct Batch {
+    want: usize,
+    copies: Option<(Sender<CopyDone>, Receiver<CopyDone>)>,
+    copied: Vec<Option<(u32, Vec<u8>)>>,
+    pinned: Vec<ZeroCopySample>,
+    /// One cache pin per fetch item, shared by every sample delivered
+    /// from it in this call (an `Arc` clone per sample instead of a
+    /// buffer-list clone per sample). Pin counts still balance: each
+    /// guard releases the one pin it took when its last sample drops.
+    pins: HashMap<u32, Arc<PinGuard>>,
+    /// Samples handed out / finished; they differ only while copies are
+    /// outstanding.
+    dispatched: usize,
+    received: usize,
+}
+
+/// A synchronous read in progress ([`DlfsIo::fetch_range`]).
+struct SyncFetch {
+    nid: u16,
+    slba: u64,
+    nblocks: u32,
+    bufs: Vec<DmaBuf>,
+    /// Parts to (re)submit, each with its not-before instant.
+    waiting: Vec<(Part, Time)>,
+    /// Own commands in flight.
+    posted: usize,
 }
 
 /// A per-thread DLFS I/O handle.
@@ -383,12 +448,14 @@ pub struct DlfsIo {
     mode: BatchMode,
     qpairs: Vec<IoQPair>,
     epoch: Option<EpochState>,
-    inflight: HashMap<u64, (u32, u32, u32, u32)>, // cmd -> (item idx, part, attempt, replica)
+    /// Demand parts on the devices, by command id: the epoch's and (item
+    /// [`SYNC_ITEM`]) a synchronous read's.
+    inflight: HashMap<u64, Part>,
     next_cmd: u64,
-    /// Parts whose delivered bytes failed checksum verification at least
-    /// once this epoch: a verified success from a replica then read-repairs
-    /// the home extent, and retry exhaustion surfaces `Corrupt` instead of
-    /// a plain I/O error.
+    /// Parts, as `(item, part)`, whose delivered bytes failed checksum
+    /// verification at least once: a verified success from a replica then
+    /// read-repairs the home extent, and retry exhaustion surfaces
+    /// `Corrupt` instead of a plain I/O error.
     mismatched: HashSet<(u32, u32)>,
     /// Hedge pairing: cmd → (partner cmd, partner's qpair, whether *this*
     /// cmd is the late-issued duplicate). The first verified completion of
@@ -396,13 +463,8 @@ pub struct DlfsIo {
     hedges: HashMap<u64, (u64, usize, bool)>,
     /// Primaries due for a hedged duplicate: (due instant, cmd).
     hedge_due: BinaryHeap<Reverse<(Time, u64)>>,
-    /// Background scrub position: (storage node, block within its data
-    /// region).
-    scrub_cursor: (usize, u64),
-    /// In-flight node rebuild, throttled through idle reactor gaps
-    /// (`rebuild_gap_blocks` per gap) so foreground reads keep their
-    /// latency; `None` when full redundancy holds.
-    rebuild: Option<RebuildState>,
+    /// Scrub and rebuild: background work done in idle reactor gaps.
+    background: Background,
     /// Fatal engine failure (a part exhausted its retry budget). Sticky
     /// until the epoch is replaced: the plan can no longer be completed.
     failed: Option<DlfsError>,
@@ -456,8 +518,7 @@ impl DlfsIo {
                 qp
             })
             .collect();
-        let cross_epoch = shared.cfg.cache_mode == CacheMode::CrossEpoch;
-        if cross_epoch {
+        if shared.cfg.cache_mode == CacheMode::CrossEpoch {
             shared.cache.attach_telemetry(&reg.scoped("dlfs.cache"));
         }
         let membership = shared
@@ -467,17 +528,10 @@ impl DlfsIo {
         if let Some(m) = membership {
             m.attach_telemetry(&reg.scoped("dlfs.membership"));
         }
-        let membership = membership.is_some();
         DlfsIo {
-            tel: IoTelemetry::new(
-                reg,
-                cross_epoch,
-                shared.redundancy.is_some(),
-                membership,
-                shared.codec.is_some(),
-                shared.cfg.offload,
-            ),
+            tel: IoTelemetry::new(reg, &shared),
             rstats: ReactorStats::new(reg, shared.cfg.reactor_stats),
+            background: Background::new(shared.clone(), reg),
             registry: reg.clone(),
             mode: shared.cfg.effective_mode(shared.dir.avg_sample_bytes()),
             shared,
@@ -488,8 +542,6 @@ impl DlfsIo {
             mismatched: HashSet::new(),
             hedges: HashMap::new(),
             hedge_due: BinaryHeap::new(),
-            scrub_cursor: (0, 0),
-            rebuild: None,
             failed: None,
             current_deadline: None,
             copy_dispatch_at: Vec::new(),
@@ -512,6 +564,19 @@ impl DlfsIo {
 
     pub fn shared(&self) -> &Arc<DlfsShared> {
         &self.shared
+    }
+
+    /// The epoch a batched call runs against, with the shared state its
+    /// bookkeeping touches. Engine internals run only under
+    /// [`DlfsIo::submit`], which has already turned a missing epoch into
+    /// `NoSequence`.
+    fn split(&mut self) -> (&mut EpochState, &DlfsShared) {
+        let st = self.epoch.as_mut().expect("engine runs under an epoch");
+        (st, &self.shared)
+    }
+
+    fn st(&self) -> &EpochState {
+        self.epoch.as_ref().expect("engine runs under an epoch")
     }
 
     /// Abandon the current epoch: wait out in-flight device commands (SPDK
@@ -604,7 +669,6 @@ impl DlfsIo {
                 samples_total: it.samples.len() as u32,
                 dispatched: 0,
                 copies_done: 0,
-                fetched: false,
                 base: 0,
             })
             .collect();
@@ -650,35 +714,27 @@ impl DlfsIo {
         self.epoch.as_ref().map(|e| &e.plan.order[..])
     }
 
-    /// Stored-frame geometry under the instance codec: `(slba, read
-    /// blocks, alloc bytes)` of the frame covering byte `offset` on node
-    /// `nid`, or `None` without a codec. Only the encoded prefix is read
-    /// off the device (`enc_blocks`, which can exceed the covering blocks
-    /// of a short fetch range when a padded frame stored verbatim), but
-    /// the allocation covers the frame's full raw extent so it can be
-    /// decoded in place after verification.
-    fn coded_geometry(&self, nid: u16, offset: u64) -> Option<(u64, u32, u64)> {
+    /// The stored frame covering byte `offset` on node `nid`, or `None`
+    /// without a codec.
+    fn frame(&self, nid: u16, offset: u64) -> Option<Frame> {
         let tables = self.shared.codec.as_deref()?;
-        let chunk = self.shared.cfg.chunk_size;
-        let frames = &tables.per_node[nid as usize];
-        let f = frames.frame_of(chunk, offset);
-        let start = frames.base + f as u64 * chunk;
-        debug_assert_eq!(start % BLOCK_SIZE, 0, "frames are block-aligned");
-        let raw = frames.raw_len(chunk, f) as u64;
-        Some((
-            start / BLOCK_SIZE,
-            tables.enc_blocks(nid as usize, f),
-            raw.div_ceil(BLOCK_SIZE) * BLOCK_SIZE,
-        ))
+        Some(tables.frame(self.shared.cfg.chunk_size, nid, offset))
     }
 
     /// Device-read geometry of the fetch range `(nid, offset, len)`:
     /// `(slba, read blocks, alloc bytes)`. The historical path reads
-    /// exactly the covering blocks; under a codec the range is one stored
-    /// frame and only its encoded prefix hits the device.
+    /// exactly the covering blocks. Under a codec the range is one stored
+    /// frame: only its encoded prefix is read off the device (which can
+    /// exceed the covering blocks of a short fetch range when a padded
+    /// frame stored verbatim), but the allocation covers the frame's full
+    /// raw extent so it can be decoded in place after verification.
     fn read_geometry(&self, nid: u16, offset: u64, len: u64) -> (u64, u32, u64) {
-        match self.coded_geometry(nid, offset) {
-            Some(g) => g,
+        match self.frame(nid, offset) {
+            Some(f) => (
+                f.start / BLOCK_SIZE,
+                f.enc_blocks,
+                (f.raw_len as u64).div_ceil(BLOCK_SIZE) * BLOCK_SIZE,
+            ),
             None => {
                 let (slba, nblocks, _) = covering_blocks(offset, len);
                 (slba, nblocks, nblocks as u64 * BLOCK_SIZE)
@@ -695,64 +751,286 @@ impl DlfsIo {
     /// thread and records the `dlfs.codec.*` counters. No-op without a
     /// codec.
     fn decode_frame(&self, rt: &Runtime, nid: u16, offset: u64, bufs: &[DmaBuf]) {
-        let Some(tables) = self.shared.codec.as_deref() else {
+        let Some(f) = self.frame(nid, offset) else {
             return;
         };
-        let chunk = self.shared.cfg.chunk_size;
-        let frames = &tables.per_node[nid as usize];
-        let f = frames.frame_of(chunk, offset);
-        let enc_len = frames.lens[f] as usize;
-        let raw_len = frames.raw_len(chunk, f);
-        rt.work(self.shared.cfg.costs.decode(raw_len as u64));
-        self.tel.codec_bytes_in.add(enc_len as u64);
-        self.tel.codec_bytes_out.add(raw_len as u64);
-        if enc_len == raw_len {
+        rt.work(self.shared.cfg.costs.decode(f.raw_len as u64));
+        self.tel.codec_bytes_in.add(f.enc_len as u64);
+        self.tel.codec_bytes_out.add(f.raw_len as u64);
+        if f.enc_len == f.raw_len {
             return; // stored verbatim: the buffer already holds raw bytes
         }
         debug_assert_eq!(bufs.len(), 1, "a coded frame fits one cache chunk");
-        let codec = tables.kind.codec();
         bufs[0].with_mut(|d| {
-            let raw = codec.decode(&d[..enc_len], raw_len);
-            d[..raw_len].copy_from_slice(&raw);
+            let raw = f.kind.codec().decode(&d[..f.enc_len], f.raw_len);
+            d[..f.raw_len].copy_from_slice(&raw);
         });
     }
 
+    // ------------------------------------------------ the part lifecycle --
+
+    /// Part `part` of a fetch of `nblocks` blocks at `slba` homed on
+    /// `home`, landing in its chunk of `bufs`.
+    fn part_io(&self, home: u16, slba: u64, nblocks: u32, part: u32, bufs: &[DmaBuf]) -> PartIo {
+        let per_part = (self.shared.cfg.chunk_size / BLOCK_SIZE) as u32;
+        let (slba, nblocks) = part_span(slba, nblocks, per_part, part);
+        PartIo {
+            home,
+            slba,
+            nblocks,
+            buf: bufs[part as usize].clone(),
+        }
+    }
+
+    /// What part `p` of the epoch's item `p.idx` reads.
+    fn engine_part(&self, p: Part) -> PartIo {
+        let st = self.st();
+        let it = &st.plan.items[p.idx as usize];
+        let (slba, nblocks, _) = self.read_geometry(it.nid, it.offset, it.len);
+        self.part_io(it.nid, slba, nblocks, p.part, &st.bufs[&p.idx])
+    }
+
+    /// Pick the copy that serves a part: `(replica, device, device slba)`.
+    /// Routed through the replica map (health-aware, rotating from
+    /// `prefer`) when the instance is redundant; replica 0 is the home
+    /// copy.
+    fn route_part(&self, rt: &Runtime, io: &PartIo, prefer: u32) -> (u32, usize, u64) {
+        match self.shared.redundancy.as_deref() {
+            Some(red) if red.replicas > 1 => {
+                let r = red.pick_replica(io.home, prefer, rt.now());
+                let (d, s) = red.route(io.home, r, io.slba);
+                (r, d as usize, s)
+            }
+            _ => (0, io.home as usize, io.slba),
+        }
+    }
+
+    /// The prep and post stages of one part: charge both, submit the read
+    /// of `io` at `slba` on qpair `dev`, and (for a demand part) enter it
+    /// in the in-flight set under `owner`. Returns the command id, or
+    /// `None` when the qpair is full — capacity is a bookkeeping check,
+    /// but a blocked post still pays its prep+post (the charge the legacy
+    /// engine paid for the rejected submit), unrecorded in the stage
+    /// histograms. `record` is off only for hedged duplicates, which have
+    /// never counted as pipeline stages.
+    fn post_part(
+        &mut self,
+        rt: &Runtime,
+        dev: usize,
+        slba: u64,
+        io: &PartIo,
+        owner: Option<Part>,
+        record: bool,
+    ) -> Option<u64> {
+        let full = self.qpairs[dev].outstanding() >= self.shared.cfg.queue_depth;
+        let t0 = rt.now();
+        rt.work(self.shared.cfg.costs.prep_request);
+        let t1 = rt.now();
+        rt.work(self.shared.cfg.costs.post_request);
+        if full {
+            return None;
+        }
+        let cmd = self.next_cmd;
+        self.qpairs[dev]
+            .submit_read(rt, cmd, slba, io.nblocks, io.buf.clone(), 0)
+            .expect("capacity checked before staging");
+        if record {
+            self.tel.prep_ns.record_dur(t1 - t0);
+            self.tel.post_ns.record_dur(rt.now() - t1);
+        }
+        self.next_cmd += 1;
+        self.tel.requests_posted.inc();
+        if let Some(part) = owner {
+            self.inflight.insert(cmd, part);
+        }
+        Some(cmd)
+    }
+
+    /// The one place fetched bytes are checked before they can be
+    /// published: charge and count the block checksums of `io`, compare
+    /// them with the integrity table, and — when `repair` says the home
+    /// copy failed earlier and these bytes came from a replica — rewrite
+    /// the home extent from them (clears sticky media faults too).
+    /// Vacuously true when reads are not verified.
+    fn verify_part(&self, rt: &Runtime, io: &PartIo, repair: bool) -> bool {
+        let Some(red) = self.shared.redundancy.as_deref().filter(|r| r.verify()) else {
+            return true;
+        };
+        rt.work(self.shared.cfg.costs.verify_block * io.nblocks as u64);
+        self.tel.iv_verified.add(io.nblocks as u64);
+        let span = io.nblocks as usize * BLOCK_SIZE as usize;
+        let ok = io
+            .buf
+            .with(|d| red.verify_blocks(io.home, io.slba, &d[..span]));
+        if !ok {
+            self.tel.iv_mismatches.inc();
+        } else if repair {
+            let home = &self.shared.targets[io.home as usize];
+            io.buf.with(|d| home.dma_write(io.slba, &d[..span]));
+            self.tel.iv_repairs.inc();
+        }
+        ok
+    }
+
+    /// Settle the completion `cmd` of demand part `p`: resolve its hedge
+    /// pair (first verified completion wins), verify the bytes, feed the
+    /// serving target's health, and decide what happens to the part. A
+    /// mismatch or device error fails straight over to the next replica
+    /// when there is one, else backs off under the retry policy (never
+    /// past the batch deadline); exhaustion is `Corrupt` at `corrupt_at`
+    /// if the part ever failed its checksum, `Io` otherwise. The caller
+    /// owns the queues, so it applies the outcome.
+    fn settle_part(
+        &mut self,
+        rt: &Runtime,
+        cmd: u64,
+        p: Part,
+        io: &PartIo,
+        status: CmdStatus,
+        corrupt_at: u64,
+    ) -> Settled {
+        let hedge = self.hedges.remove(&cmd);
+        if let Some((pcmd, _, _)) = hedge {
+            self.hedges.remove(&pcmd);
+        }
+        let key = (p.idx, p.part);
+        let verified = status.is_ok() && {
+            let repair = p.replica > 0 && self.mismatched.contains(&key);
+            let ok = self.verify_part(rt, io, repair);
+            if ok {
+                self.mismatched.remove(&key);
+            } else {
+                self.mismatched.insert(key);
+            }
+            ok
+        };
+        let red = self.shared.redundancy.as_deref();
+        let replicated = red.filter(|r| r.replicas > 1);
+        let serving = replicated.map_or(io.home, |r| r.route(io.home, p.replica, io.slba).0);
+        if verified {
+            if let Some(red) = replicated {
+                red.record_ok(serving as usize);
+            }
+            if let Some((pcmd, pdev, secondary)) = hedge {
+                // Cancel the partner on its device (it never DMAs) and
+                // drop its in-flight entry.
+                if self.inflight.remove(&pcmd).is_some() {
+                    self.qpairs[pdev].cancel(pcmd);
+                }
+                if secondary {
+                    self.tel.iv_hedge_wins.inc();
+                }
+            }
+            return Settled::Done;
+        }
+        // Failed command: device media error, fabric timeout, or delivered
+        // bytes that failed their checksum.
+        if status == CmdStatus::TransportError {
+            self.tel.timeouts.inc();
+        }
+        if let Some(red) = replicated {
+            red.record_failure(serving as usize, rt.now());
+        }
+        if hedge.is_some_and(|(pcmd, _, _)| self.inflight.contains_key(&pcmd)) {
+            return Settled::Twin;
+        }
+        let attempts = p.attempt + 1;
+        let Some(backoff) = self.shared.cfg.retry.next_delay(attempts) else {
+            let cause = match status {
+                CmdStatus::TransportError => IoFailure::Timeout,
+                _ => IoFailure::Media,
+            };
+            return Settled::Fatal(if self.mismatched.contains(&key) {
+                DlfsError::Corrupt {
+                    chunk: corrupt_at,
+                    tried: attempts,
+                    cause: if status.is_ok() {
+                        CorruptCause::Checksum
+                    } else {
+                        CorruptCause::Io(cause)
+                    },
+                }
+            } else {
+                DlfsError::Io {
+                    target: io.home.into(),
+                    attempts,
+                    cause,
+                }
+            });
+        };
+        self.tel.retries.inc();
+        let mut part = Part {
+            attempt: attempts,
+            ..p
+        };
+        if replicated.is_some() {
+            self.tel.iv_failovers.inc();
+            part.replica += 1;
+            return Settled::Requeue {
+                part,
+                not_before: None,
+            };
+        }
+        let mut ready_at = rt.now() + backoff;
+        if let Some(dl) = self.current_deadline {
+            // Never park a retry past the batch deadline: the caller is
+            // about to give up waiting anyway.
+            ready_at = ready_at.min(dl.max(rt.now()));
+        }
+        Settled::Requeue {
+            part,
+            not_before: Some(ready_at),
+        }
+    }
+
+    /// Allocate cache chunks for `bytes`, waiting out a momentarily full
+    /// pool under the shared retry policy: bounded, deadline-clamped
+    /// exponential backoff, busy-waited in virtual time (another thread's
+    /// release or a dropped zero-copy sample may free chunks meanwhile).
+    /// `None` once the attempts or the deadline are spent.
+    fn alloc_backoff(
+        &self,
+        rt: &Runtime,
+        bytes: u64,
+        deadline: Option<Time>,
+    ) -> Option<Vec<DmaBuf>> {
+        let mut failures = 0u32;
+        loop {
+            if let Some(bufs) = self.shared.cache.alloc_for(bytes) {
+                return Some(bufs);
+            }
+            failures += 1;
+            let retry = self.shared.cfg.retry;
+            rt.work(retry.next_delay_before(failures, rt.now(), deadline)?);
+        }
+    }
+
+    // ------------------------------------------------- the batched engine --
+
     /// Start fetching item `idx`: probe the cross-epoch cache first, else
     /// allocate cache chunks and queue the item's parts for the device.
-    fn start_fetch(&mut self, idx: u32) -> FetchStart {
+    /// With nothing else open (`starving`) a full pool is waited out
+    /// before reporting backpressure: no release of this epoch's can come
+    /// to the rescue.
+    fn start_fetch(&mut self, rt: &Runtime, idx: u32, starving: bool) -> FetchStart {
         let cross = self.shared.cfg.cache_mode == CacheMode::CrossEpoch;
-        let (key, slba, alloc_bytes) = {
-            let st = self.epoch.as_ref().expect("no epoch");
-            let it = &st.plan.items[idx as usize];
-            let (slba, _, alloc) = self.read_geometry(it.nid, it.offset, it.len);
-            (self.shared.rkey(it.nid, it.offset), slba, alloc)
-        };
-        let st = self.epoch.as_mut().expect("no epoch");
-        let it = &st.plan.items[idx as usize];
+        let it = &self.st().plan.items[idx as usize];
+        let (slba, _, alloc_bytes) = self.read_geometry(it.nid, it.offset, it.len);
+        let (key, len) = (self.shared.rkey(it.nid, it.offset), it.len);
         if cross {
             // Residency probe: a previous epoch (or the prefetcher) may
             // already hold this exact range — warm items skip the device
             // entirely.
-            if let Some((bufs, len, was_prefetched)) = self.shared.cache.acquire(key) {
-                debug_assert_eq!(len, it.len, "cached range geometry drifted");
+            if let Some((bufs, cached, was_prefetched)) = self.shared.cache.acquire(key) {
+                debug_assert_eq!(cached, len, "cached range geometry drifted");
                 self.tel.ce_hits.inc();
                 if was_prefetched {
                     self.tel.prefetch_hits.inc();
                 }
-                let rt_item = &mut st.items[idx as usize];
-                rt_item.parts_left = 0;
-                rt_item.fetched = true;
-                rt_item.base = slba * BLOCK_SIZE;
-                st.bufs.insert(idx, bufs);
-                st.open_items += 1;
-                let it = &st.plan.items[idx as usize];
-                for &s in &it.samples {
-                    self.shared.dir.set_valid(s, true);
-                }
-                st.resident_ready.push(idx);
+                self.open_item(idx, slba, bufs, 0);
                 return FetchStart::Started;
             }
-            if self.prefetch.inflight.contains_key(&key) {
+            if self.prefetch.inflight.contains(&key) {
                 // The range is already on the wire as a prefetch; fetching
                 // it again would double-publish. Its completion will
                 // publish it, and the next probe will hit.
@@ -760,34 +1038,52 @@ impl DlfsIo {
             }
             self.tel.ce_misses.inc();
         }
-        let Some(bufs) = self.shared.cache.alloc_for(alloc_bytes) else {
+        let bufs = if starving {
+            self.alloc_backoff(rt, alloc_bytes, self.current_deadline)
+        } else {
+            self.shared.cache.alloc_for(alloc_bytes)
+        };
+        let Some(bufs) = bufs else {
             return FetchStart::Backpressure;
         };
         let parts = bufs.len() as u32;
-        let rt_item = &mut st.items[idx as usize];
-        rt_item.parts_left = parts;
-        rt_item.fetched = true;
-        rt_item.base = slba * BLOCK_SIZE;
-        st.bufs.insert(idx, bufs);
-        for p in 0..parts {
-            st.pending_parts.push_back((idx, p, 0, 0));
-        }
-        st.open_items += 1;
+        self.open_item(idx, slba, bufs, parts);
         FetchStart::Started
     }
 
-    /// Pump stage: keep the fetch window full and the qpairs fed.
-    fn pump(&mut self, rt: &Runtime) -> usize {
+    /// Open item `idx` over `bufs` (its range starts at block `slba`) with
+    /// `parts` parts still to fetch; none means the range was resident.
+    fn open_item(&mut self, idx: u32, slba: u64, bufs: Vec<DmaBuf>, parts: u32) {
+        let (st, shared) = self.split();
+        let item = &mut st.items[idx as usize];
+        item.parts_left = parts;
+        item.base = slba * BLOCK_SIZE;
+        st.bufs.insert(idx, bufs);
+        st.open_items += 1;
+        if parts == 0 {
+            st.mark_resident(&shared.dir, idx);
+        }
+        st.pending_parts
+            .extend((0..parts).map(|part| Part::first(idx, part)));
+    }
+
+    /// Pump stage: keep the fetch window full and the qpairs fed. Returns
+    /// the progress made, or `None` when the epoch cannot be pumped: a
+    /// part is lost for good (`failed`), or the pump is starved — nothing
+    /// is open and there is no cache chunk to open anything with, even
+    /// after the allocation backoff.
+    fn pump(&mut self, rt: &Runtime) -> Option<usize> {
+        if self.failed.is_some() {
+            return None;
+        }
         let window = self.shared.cfg.window_chunks;
         let mut progressed = 0;
 
         // Open new items up to the window.
         loop {
-            let (next_fetch, item_count, open) = {
-                let st = self.epoch.as_ref().expect("no epoch");
-                (st.next_fetch, st.plan.items.len(), st.open_items)
-            };
-            if next_fetch >= item_count {
+            let st = self.st();
+            let (next_fetch, open) = (st.next_fetch, st.open_items);
+            if next_fetch >= st.plan.items.len() {
                 break;
             }
             // The pipeline must never starve: with nothing open at all, a
@@ -796,53 +1092,38 @@ impl DlfsIo {
             if open >= 2 * window && !starving {
                 break;
             }
-            match self.start_fetch(next_fetch as u32) {
+            match self.start_fetch(rt, next_fetch as u32, starving) {
                 FetchStart::Started => {
-                    self.epoch.as_mut().expect("no epoch").next_fetch += 1;
+                    self.split().0.next_fetch += 1;
                     progressed += 1;
                 }
-                FetchStart::AwaitPrefetch => {
-                    // An in-flight prefetch owns this range; progress
-                    // comes from polling its completion.
-                    break;
-                }
-                FetchStart::Backpressure => {
-                    assert!(
-                        !starving,
-                        "DLFS sample cache too small for a single fetch item; \
-                         increase pool_chunks"
-                    );
-                    break; // cache backpressure; retry after releases
-                }
+                // An in-flight prefetch owns this range; progress comes
+                // from polling its completion.
+                FetchStart::AwaitPrefetch => break,
+                // Cache backpressure: retry after releases — unless
+                // nothing of this epoch's is left to release.
+                FetchStart::Backpressure if starving => return None,
+                FetchStart::Backpressure => break,
             }
         }
 
         // Move retry parts whose backoff has elapsed into the submit queue.
         {
             let now = rt.now();
-            let st = self.epoch.as_mut().expect("no epoch");
-            while let Some(&Reverse((ready_at, _, idx, part, attempt, replica))) =
-                st.delayed_parts.peek()
-            {
+            let st = self.split().0;
+            while let Some(&Reverse((ready_at, _, part))) = st.delayed_parts.peek() {
                 if ready_at > now {
                     break;
                 }
                 st.delayed_parts.pop();
-                st.pending_parts.push_back((idx, part, attempt, replica));
+                st.pending_parts.push_back(part);
                 progressed += 1;
             }
         }
 
-        // Doorbell flush: stage every queued part the qpairs have room for
-        // and submit them in one pass (prep + post per request). Capacity
-        // is checked up front — the queue-full probe of the legacy loop is
-        // replaced by a bookkeeping check — but the virtual-time charges
-        // are identical: a flush that stops at a full qpair still pays one
-        // prep+post (the legacy rejected-submit charge, unrecorded in the
-        // stage histograms then and now).
-        let chunk = self.shared.cfg.chunk_size as usize;
-        let costs = self.shared.cfg.costs.clone();
-        let qd = self.shared.cfg.queue_depth;
+        // Doorbell flush: route and post every queued part the qpairs have
+        // room for in one pass, stopping at the first full qpair (which
+        // still pays its prep+post, see `post_part`).
         let hedging = self.shared.cfg.hedge_reads
             && self
                 .shared
@@ -850,64 +1131,20 @@ impl DlfsIo {
                 .as_deref()
                 .is_some_and(|r| r.replicas > 1);
         let mut flushed = false;
-        let mut blocked = false;
-        while let Some(&(idx, part, attempt, replica)) =
-            self.epoch.as_ref().expect("no epoch").pending_parts.front()
-        {
-            let (dev, slba_dev, nblocks_part, replica, buf) = {
-                let st = self.epoch.as_ref().expect("no epoch");
-                let it = &st.plan.items[idx as usize];
-                let (slba, nblocks, _) = self.read_geometry(it.nid, it.offset, it.len);
-                let blocks_per_chunk = (chunk as u64 / BLOCK_SIZE) as u32;
-                let start = part * blocks_per_chunk;
-                let n = (nblocks - start).min(blocks_per_chunk);
-                let buf = st.bufs[&idx][part as usize].clone();
-                // Route through the replica map (health-aware) when the
-                // instance is redundant; replica 0 is the home copy.
-                let (r, dev, slba_dev) = match self.shared.redundancy.as_deref() {
-                    Some(red) if red.replicas > 1 => {
-                        let r = red.pick_replica(it.nid, replica, rt.now());
-                        let (d, s) = red.route(it.nid, r, slba + start as u64);
-                        (r, d as usize, s)
-                    }
-                    _ => (0, it.nid as usize, slba + start as u64),
-                };
-                (dev, slba_dev, n, r, buf)
-            };
-            if self.qpairs[dev].outstanding() >= qd {
-                blocked = true;
+        while let Some(&p) = self.st().pending_parts.front() {
+            let io = self.engine_part(p);
+            let (replica, dev, slba) = self.route_part(rt, &io, p.replica);
+            let owner = Part { replica, ..p };
+            let Some(cmd) = self.post_part(rt, dev, slba, &io, Some(owner), true) else {
                 break; // queue full; poll first
-            }
-            let cmd = self.next_cmd;
-            let t0 = rt.now();
-            rt.work(costs.prep_request);
-            let t1 = rt.now();
-            rt.work(costs.post_request);
-            self.qpairs[dev]
-                .submit_read(rt, cmd, slba_dev, nblocks_part, buf, 0)
-                .expect("capacity checked before staging");
-            self.tel.prep_ns.record_dur(t1 - t0);
-            self.tel.post_ns.record_dur(rt.now() - t1);
-            self.next_cmd += 1;
-            self.tel.requests_posted.inc();
-            self.inflight.insert(cmd, (idx, part, attempt, replica));
+            };
             if hedging {
                 self.hedge_due
                     .push(Reverse((rt.now() + self.hedge_delay(rt.now()), cmd)));
             }
-            self.epoch
-                .as_mut()
-                .expect("no epoch")
-                .pending_parts
-                .pop_front();
+            self.split().0.pending_parts.pop_front();
             progressed += 1;
             flushed = true;
-        }
-        if blocked {
-            // The legacy engine discovered the full queue by paying a
-            // prep+post for the rejected submit; keep the clock identical.
-            rt.work(costs.prep_request);
-            rt.work(costs.post_request);
         }
         if flushed {
             self.rstats.doorbells.inc();
@@ -919,7 +1156,7 @@ impl DlfsIo {
         // With the epoch's own fetch list exhausted, spend the idle tail
         // warming the next epoch (plan-aware prefetch).
         progressed += self.pump_prefetch(rt);
-        progressed
+        Some(progressed)
     }
 
     /// Delay before a demand read is hedged with a duplicate on the next
@@ -944,9 +1181,6 @@ impl DlfsIo {
         let Some(red) = self.shared.redundancy.clone() else {
             return 0;
         };
-        let qd = self.shared.cfg.queue_depth;
-        let costs = self.shared.cfg.costs.clone();
-        let chunk = self.shared.cfg.chunk_size;
         let mut fired = 0;
         while let Some(&Reverse((due, cmd))) = self.hedge_due.peek() {
             if due > rt.now() {
@@ -954,40 +1188,28 @@ impl DlfsIo {
             }
             self.hedge_due.pop();
             // Already completed, or already hedged: nothing to do.
-            let Some(&(idx, part, attempt, replica)) = self.inflight.get(&cmd) else {
+            let Some(&p) = self.inflight.get(&cmd) else {
                 continue;
             };
             if self.hedges.contains_key(&cmd) {
                 continue;
             }
-            let Some(st) = self.epoch.as_ref() else {
-                continue;
-            };
-            let it = &st.plan.items[idx as usize];
-            let (slba, nblocks, _) = self.read_geometry(it.nid, it.offset, it.len);
-            let blocks_per_chunk = (chunk / BLOCK_SIZE) as u32;
-            let start = part * blocks_per_chunk;
-            let n = (nblocks - start).min(blocks_per_chunk);
-            let buf = st.bufs[&idx][part as usize].clone();
-            let r2 = (replica + 1) % red.replicas;
-            let (dev1, _) = red.route(it.nid, replica, slba + start as u64);
-            let (dev2, slba2) = red.route(it.nid, r2, slba + start as u64);
-            if r2 == replica || dev2 == dev1 {
+            let io = self.engine_part(p);
+            let r2 = (p.replica + 1) % red.replicas;
+            let (dev1, _) = red.route(io.home, p.replica, io.slba);
+            let (dev2, slba2) = red.route(io.home, r2, io.slba);
+            if r2 == p.replica || dev2 == dev1 {
                 continue; // no distinct copy to hedge onto
             }
-            if self.qpairs[dev2 as usize].outstanding() >= qd {
+            if self.qpairs[dev2 as usize].outstanding() >= self.shared.cfg.queue_depth {
                 continue; // no room; the primary keeps sole ownership
             }
-            let cmd2 = self.next_cmd;
-            rt.work(costs.prep_request);
-            rt.work(costs.post_request);
-            self.qpairs[dev2 as usize]
-                .submit_read(rt, cmd2, slba2, n, buf, 0)
-                .expect("capacity checked before staging");
-            self.next_cmd += 1;
-            self.tel.requests_posted.inc();
+            let twin = Part { replica: r2, ..p };
+            let Some(cmd2) = self.post_part(rt, dev2 as usize, slba2, &io, Some(twin), false)
+            else {
+                continue;
+            };
             self.tel.iv_hedges.inc();
-            self.inflight.insert(cmd2, (idx, part, attempt, r2));
             self.hedges.insert(cmd, (cmd2, dev2 as usize, false));
             self.hedges.insert(cmd2, (cmd, dev1 as usize, true));
             fired += 1;
@@ -1029,9 +1251,7 @@ impl DlfsIo {
             .into();
             self.prefetch.built_for = Some((seed, epoch + 1));
         }
-        let chunk = cfg.chunk_size;
-        let reserve = cfg.window_chunks;
-        let costs = cfg.costs.clone();
+        let (chunk, reserve) = (cfg.chunk_size, cfg.window_chunks);
         let mut progressed = 0;
         while self.prefetch.inflight.len() < pf_window {
             let Some(&(nid, offset, len)) = self.prefetch.queue.front() else {
@@ -1041,7 +1261,7 @@ impl DlfsIo {
             let (slba, nblocks, bytes) = self.read_geometry(nid, offset, len);
             if bytes > chunk
                 || self.shared.cache.contains(key)
-                || self.prefetch.inflight.contains_key(&key)
+                || self.prefetch.inflight.contains(&key)
                 || self.demand_fetch_in_flight(key)
             {
                 // Multi-chunk edge items aren't worth speculative slots;
@@ -1049,35 +1269,24 @@ impl DlfsIo {
                 self.prefetch.queue.pop_front();
                 continue;
             }
-            let Some(mut bufs) = self.shared.cache.alloc_prefetch(bytes, reserve) else {
+            let chunks = self.shared.cache.alloc_prefetch(bytes, reserve);
+            let Some(buf) = chunks.and_then(|mut b| b.pop()) else {
                 break; // no speculative headroom; retry when pressure drops
             };
-            debug_assert_eq!(bufs.len(), 1);
-            let buf = bufs.pop().expect("single chunk");
-            // Capacity bookkeeping replaces the legacy rejected-submit
-            // probe; the prep+post charge for a blocked flush is kept so
-            // the virtual clock is unchanged.
-            let full = self.qpairs[nid as usize].outstanding() >= self.shared.cfg.queue_depth;
-            let cmd = self.next_cmd;
-            let t0 = rt.now();
-            rt.work(costs.prep_request);
-            let t1 = rt.now();
-            rt.work(costs.post_request);
-            if full {
-                self.shared.cache.free_raw(buf);
+            let io = PartIo {
+                home: nid,
+                slba,
+                nblocks,
+                buf,
+            };
+            let Some(cmd) = self.post_part(rt, nid as usize, slba, &io, None, true) else {
+                self.shared.cache.free_raw(io.buf);
                 break; // qpair full; demand completions first
-            }
-            self.qpairs[nid as usize]
-                .submit_read(rt, cmd, slba, nblocks, buf.clone(), 0)
-                .expect("capacity checked before staging");
-            self.tel.prep_ns.record_dur(t1 - t0);
-            self.tel.post_ns.record_dur(rt.now() - t1);
-            self.next_cmd += 1;
-            self.tel.requests_posted.inc();
+            };
             self.tel.prefetch_issued.inc();
             self.prefetch.queue.pop_front();
-            self.prefetch.cmds.insert(cmd, key);
-            self.prefetch.inflight.insert(key, (buf, len));
+            self.prefetch.cmds.insert(cmd, (key, io.buf, len));
+            self.prefetch.inflight.insert(key);
             progressed += 1;
         }
         if progressed > 0 {
@@ -1100,228 +1309,83 @@ impl DlfsIo {
 
     /// Route the completion of a prefetch command: publish the warmed
     /// range (born released/evictable), or — on failure, or if the range
-    /// became resident meanwhile — return the chunk. Prefetches are
-    /// best-effort: no retries; a miss simply falls back to a demand
-    /// fetch next epoch.
+    /// became resident meanwhile — return the chunk. Prefetched bytes are
+    /// published into the cache, so they must pass verification like any
+    /// demand read. Prefetches are best-effort: no retries, no repair; a
+    /// miss or a corrupt frame simply falls back to a demand fetch next
+    /// epoch (which repairs via replicas).
     fn prefetch_complete(&mut self, rt: &Runtime, cmd: u64, status: CmdStatus) {
-        let key = self
-            .prefetch
-            .cmds
-            .remove(&cmd)
-            .expect("completion for unknown command");
-        let (buf, len) = self
-            .prefetch
-            .inflight
-            .remove(&key)
-            .expect("prefetch buffer tracked");
-        let nid = crate::cache::key_node(key);
-        // Prefetched bytes are published into the cache, so they must pass
-        // checksum verification like any demand read; a corrupt prefetch is
-        // simply dropped (demand reads repair via replicas).
-        let verified = match self.shared.redundancy.as_deref().filter(|r| r.verify()) {
-            Some(red) if status.is_ok() => {
-                let (slba, nblocks, _) = self.read_geometry(nid, key.1, len);
-                rt.work(self.shared.cfg.costs.verify_block * nblocks as u64);
-                self.tel.iv_verified.add(nblocks as u64);
-                let ok = buf.with(|d| {
-                    red.verify_blocks(nid, slba, &d[..nblocks as usize * BLOCK_SIZE as usize])
-                });
-                if !ok {
-                    self.tel.iv_mismatches.inc();
-                }
-                ok
-            }
-            _ => true,
+        let Some((key, buf, len)) = self.prefetch.cmds.remove(&cmd) else {
+            debug_assert!(false, "completion for unknown command {cmd}");
+            return;
         };
-        if status.is_ok() && verified && !self.shared.cache.contains(key) {
-            self.decode_frame(rt, nid, key.1, std::slice::from_ref(&buf));
-            self.shared.cache.publish_prefetched(key, vec![buf], len);
+        self.prefetch.inflight.remove(&key);
+        let nid = crate::cache::key_node(key);
+        let (slba, nblocks, _) = self.read_geometry(nid, key.1, len);
+        let io = PartIo {
+            home: nid,
+            slba,
+            nblocks,
+            buf,
+        };
+        if status.is_ok() && self.verify_part(rt, &io, false) && !self.shared.cache.contains(key) {
+            self.decode_frame(rt, nid, key.1, std::slice::from_ref(&io.buf));
+            self.shared.cache.publish_prefetched(key, vec![io.buf], len);
         } else {
             if status == CmdStatus::TransportError {
                 self.tel.timeouts.inc();
             }
-            self.shared.cache.free_raw(buf);
+            self.shared.cache.free_raw(io.buf);
         }
     }
 
-    /// Apply one harvested device completion belonging to the batched
-    /// engine's in-flight set. Shared by the poll stage and the synchronous
-    /// read path: both drain the same qpairs, so either may harvest the
-    /// other's completions — and either way a failed part must be re-queued
-    /// for retry, never just routed and forgotten.
-    ///
-    /// With a [`Redundancy`] attached this is also where integrity is
-    /// enforced: delivered bytes are checksum-verified *before* the part
-    /// can publish, mismatches and device errors fail straight over to the
-    /// next replica, a verified replica copy read-repairs a home extent
-    /// that mismatched, and hedge pairs are resolved first-wins.
-    #[allow(clippy::too_many_arguments)]
-    fn engine_complete(
-        &mut self,
-        rt: &Runtime,
-        cmd: u64,
-        idx: u32,
-        part: u32,
-        attempt: u32,
-        replica: u32,
-        status: CmdStatus,
-    ) {
-        // Resolve hedge pairing up front: at most one of the pair delivers.
-        let hedge = self.hedges.remove(&cmd);
-        if let Some((pcmd, _, _)) = hedge {
-            self.hedges.remove(&pcmd);
-        }
-        let red = self.shared.redundancy.clone();
-        let (nid, home_slba, nblocks) = {
-            let st = self.epoch.as_ref().expect("no epoch");
-            let it = &st.plan.items[idx as usize];
-            let (slba, total, _) = self.read_geometry(it.nid, it.offset, it.len);
-            let bpc = (self.shared.cfg.chunk_size / BLOCK_SIZE) as u32;
-            let start = part * bpc;
-            (it.nid, slba + start as u64, (total - start).min(bpc))
-        };
-        let serving = red
-            .as_deref()
-            .map(|r| r.route(nid, replica, home_slba).0)
-            .unwrap_or(nid);
-        // Verify the delivered bytes before anything is published.
-        let mut verify_failed = false;
-        if status.is_ok() {
-            if let Some(red) = red.as_deref().filter(|r| r.verify()) {
-                rt.work(self.shared.cfg.costs.verify_block * nblocks as u64);
-                self.tel.iv_verified.add(nblocks as u64);
-                let buf = self.epoch.as_ref().expect("no epoch").bufs[&idx][part as usize].clone();
-                let span = nblocks as usize * BLOCK_SIZE as usize;
-                let ok = buf.with(|d| red.verify_blocks(nid, home_slba, &d[..span]));
-                if ok {
-                    if replica > 0 && self.mismatched.remove(&(idx, part)) {
-                        // Read-repair: the home copy failed its checksum
-                        // earlier; rewrite it from this verified replica
-                        // (clears sticky media faults too).
-                        let home = self.shared.targets[nid as usize].clone();
-                        buf.with(|d| home.dma_write(home_slba, &d[..span]));
-                        self.tel.iv_repairs.inc();
-                    } else {
-                        self.mismatched.remove(&(idx, part));
+    /// Apply the completion of one of the epoch's parts: settle it, then
+    /// move it through the engine's queues — a finished item is decoded,
+    /// published and offered to the delivery draw; a failed part is
+    /// re-queued for retry, never just routed and forgotten.
+    fn engine_complete(&mut self, rt: &Runtime, cmd: u64, p: Part, status: CmdStatus) {
+        let io = self.engine_part(p);
+        let corrupt_at = self.st().plan.items[p.idx as usize].offset;
+        match self.settle_part(rt, cmd, p, &io, status, corrupt_at) {
+            Settled::Done => {
+                let item = &mut self.split().0.items[p.idx as usize];
+                item.parts_left -= 1;
+                if item.parts_left == 0 {
+                    self.publish_item(rt, p.idx);
+                }
+            }
+            Settled::Twin => {}
+            Settled::Requeue { part, not_before } => {
+                let st = self.split().0;
+                match not_before {
+                    None => st.pending_parts.push_back(part),
+                    Some(ready_at) => {
+                        st.delay_seq += 1;
+                        st.delayed_parts
+                            .push(Reverse((ready_at, st.delay_seq, part)));
                     }
-                } else {
-                    self.tel.iv_mismatches.inc();
-                    self.mismatched.insert((idx, part));
-                    verify_failed = true;
                 }
             }
-        }
-        if status.is_ok() && !verify_failed {
-            if let Some(red) = red.as_deref().filter(|r| r.replicas > 1) {
-                red.record_ok(serving as usize);
-            }
-            if let Some((pcmd, pdev, secondary)) = hedge {
-                // First verified completion wins: cancel the partner on its
-                // device (it never DMAs) and drop its in-flight entry.
-                if self.inflight.remove(&pcmd).is_some() {
-                    self.qpairs[pdev].cancel(pcmd);
-                }
-                if secondary {
-                    self.tel.iv_hedge_wins.inc();
-                }
-            }
-            let st = self.epoch.as_mut().expect("no epoch");
-            let item = &mut st.items[idx as usize];
-            item.parts_left -= 1;
-            if item.parts_left == 0 {
-                // Item fully resident: decode its frame (codec datasets;
-                // verification above covered the stored bytes), publish it
-                // in the sample cache, flip the V field of its samples and
-                // offer it to the delivery draw.
-                let it = &st.plan.items[idx as usize];
-                let (key, len) = (self.shared.rkey(it.nid, it.offset), it.len);
-                let (nid, offset) = (it.nid, it.offset);
-                let bufs = st.bufs[&idx].clone();
-                self.decode_frame(rt, nid, offset, &bufs);
-                self.shared.cache.publish(key, bufs, len);
-                let st = self.epoch.as_mut().expect("no epoch");
-                let it = &st.plan.items[idx as usize];
-                for &s in &it.samples {
-                    self.shared.dir.set_valid(s, true);
-                }
-                st.resident_ready.push(idx);
-            }
-            return;
-        }
-        // Failed command: device media error, fabric timeout, or delivered
-        // bytes that failed their checksum.
-        if status == CmdStatus::TransportError {
-            self.tel.timeouts.inc();
-        }
-        if let Some(red) = red.as_deref().filter(|r| r.replicas > 1) {
-            red.record_failure(serving as usize, rt.now());
-        }
-        if let Some((pcmd, _, _)) = hedge {
-            if self.inflight.contains_key(&pcmd) {
-                // The hedged twin is still racing and becomes the part's
-                // sole owner: this loss consumes no retry budget.
-                return;
+            Settled::Fatal(e) => {
+                self.failed.get_or_insert(e);
             }
         }
-        let failed_attempts = attempt + 1;
-        match self.shared.cfg.retry.next_delay(failed_attempts) {
-            Some(backoff) => {
-                self.tel.retries.inc();
-                if red.as_deref().is_some_and(|r| r.replicas > 1) {
-                    // Fail straight over to the next replica in rotation —
-                    // another copy can serve *now*, so no backoff.
-                    self.tel.iv_failovers.inc();
-                    let st = self.epoch.as_mut().expect("no epoch");
-                    st.pending_parts
-                        .push_back((idx, part, failed_attempts, replica + 1));
-                } else {
-                    let mut ready_at = rt.now() + backoff;
-                    if let Some(dl) = self.current_deadline {
-                        // Never park a retry past the batch deadline: the
-                        // caller is about to give up waiting anyway.
-                        ready_at = ready_at.min(dl.max(rt.now()));
-                    }
-                    let st = self.epoch.as_mut().expect("no epoch");
-                    st.delay_seq += 1;
-                    st.delayed_parts.push(Reverse((
-                        ready_at,
-                        st.delay_seq,
-                        idx,
-                        part,
-                        failed_attempts,
-                        replica,
-                    )));
-                }
-            }
-            None => {
-                let chunk_off =
-                    self.epoch.as_ref().expect("no epoch").plan.items[idx as usize].offset;
-                self.failed
-                    .get_or_insert(if self.mismatched.contains(&(idx, part)) {
-                        DlfsError::Corrupt {
-                            chunk: chunk_off,
-                            tried: failed_attempts,
-                            cause: if status.is_ok() {
-                                CorruptCause::Checksum
-                            } else {
-                                CorruptCause::Io(match status {
-                                    CmdStatus::TransportError => IoFailure::Timeout,
-                                    _ => IoFailure::Media,
-                                })
-                            },
-                        }
-                    } else {
-                        DlfsError::Io {
-                            target: nid.into(),
-                            attempts: failed_attempts,
-                            cause: match status {
-                                CmdStatus::TransportError => IoFailure::Timeout,
-                                _ => IoFailure::Media,
-                            },
-                        }
-                    });
-            }
-        }
+    }
+
+    /// Item `idx` is fully fetched: decode its frame (codec datasets;
+    /// verification covered the stored bytes), publish it in the sample
+    /// cache, flip the V field of its samples and offer it to the
+    /// delivery draw.
+    fn publish_item(&mut self, rt: &Runtime, idx: u32) {
+        let st = self.st();
+        let it = &st.plan.items[idx as usize];
+        let (nid, offset, len) = (it.nid, it.offset, it.len);
+        let bufs = st.bufs[&idx].clone();
+        self.decode_frame(rt, nid, offset, &bufs);
+        let key = self.shared.rkey(nid, offset);
+        self.shared.cache.publish(key, bufs, len);
+        let (st, shared) = self.split();
+        st.mark_resident(&shared.dir, idx);
     }
 
     /// Poll stage: harvest completions across all qpairs (the shared
@@ -1352,9 +1416,7 @@ impl DlfsIo {
                 self.tel.completions.inc();
                 harvested += 1;
                 match self.inflight.remove(&comp.id) {
-                    Some((idx, part, attempt, replica)) => {
-                        self.engine_complete(rt, comp.id, idx, part, attempt, replica, comp.status);
-                    }
+                    Some(p) => self.engine_complete(rt, comp.id, p, comp.status),
                     None => self.prefetch_complete(rt, comp.id, comp.status),
                 }
             }
@@ -1369,57 +1431,56 @@ impl DlfsIo {
         harvested
     }
 
-    /// Copy-dispatch stage: draw samples from random resident items and
-    /// hand them to the copy pool. `tag_base` numbers this call's slots.
-    fn dispatch(
-        &mut self,
-        rt: &Runtime,
-        budget: usize,
-        slots_used: usize,
-        done_tx: &simkit::chan::Sender<CopyDone>,
-    ) -> usize {
+    /// Deliver stage: draw samples from random resident items into the
+    /// batch until it is full — copied delivery hands each to the copy
+    /// pool, zero-copy pins its range and hands out references.
+    fn deliver(&mut self, rt: &Runtime, batch: &mut Batch) -> usize {
         let costs = self.shared.cfg.costs.clone();
-        let mut dispatched = 0;
-        while dispatched < budget {
-            let (idx, sample, slot) = {
-                let st = self.epoch.as_mut().expect("no epoch");
-                if st.resident_ready.is_empty() {
-                    break;
-                }
-                let pick = st.rng.below(st.resident_ready.len() as u64) as usize;
-                let idx = st.resident_ready[pick];
-                let item = &mut st.items[idx as usize];
-                let sample = st.plan.items[idx as usize].samples[item.dispatched as usize];
-                item.dispatched += 1;
-                if item.dispatched == item.samples_total {
-                    st.resident_ready.swap_remove(pick);
-                }
-                st.total_dispatched += 1;
-                (idx, sample, (slots_used + dispatched) as u64)
+        let chunk = self.shared.cfg.chunk_size as usize;
+        let mut delivered = 0;
+        while batch.dispatched < batch.want {
+            let Some((idx, sample)) = self.split().0.draw() else {
+                break;
             };
             let entry = self.shared.dir.entry(sample);
-            let segments = {
-                let st = self.epoch.as_ref().expect("no epoch");
-                segments_for(
-                    &st.plan.items[idx as usize],
-                    st.items[idx as usize].base,
-                    &st.bufs[&idx],
-                    self.shared.cfg.chunk_size as usize,
-                    entry,
-                )
-            };
-            rt.work(costs.frontend_per_sample + costs.copy_dispatch);
-            debug_assert_eq!(self.copy_dispatch_at.len(), slot as usize);
-            self.copy_dispatch_at.push(rt.now());
-            self.shared.copy.submit(CopyJob {
-                tag: (idx as u64) << 32 | slot,
-                sample,
-                segments,
-                done: done_tx.clone(),
-            });
-            dispatched += 1;
+            let st = self.st();
+            let it = &st.plan.items[idx as usize];
+            debug_assert_eq!(entry.nid(), it.nid);
+            let within = (entry.offset() - st.items[idx as usize].base) as usize;
+            let segments = segments_at(&st.bufs[&idx], chunk, within, entry.len() as usize);
+            if let Some((done, _)) = &batch.copies {
+                rt.work(costs.frontend_per_sample + costs.copy_dispatch);
+                debug_assert_eq!(self.copy_dispatch_at.len(), batch.dispatched);
+                self.copy_dispatch_at.push(rt.now());
+                self.shared.copy.submit(CopyJob {
+                    tag: (idx as u64) << 32 | batch.dispatched as u64,
+                    sample,
+                    segments,
+                    done: done.clone(),
+                });
+            } else {
+                // Pin the range for the samples' lifetime; no memcpy.
+                let key = self.shared.rkey(it.nid, it.offset);
+                let cache = &self.shared.cache;
+                let guard = batch.pins.entry(idx).or_insert_with(|| {
+                    let (gen, _, _) = cache.pin_key(key).expect("resident range pinnable");
+                    PinGuard::new(cache.clone(), key, gen)
+                });
+                let pin = Pin::Shared(guard.clone());
+                rt.work(costs.frontend_per_sample);
+                self.tel.cache_pins.inc();
+                self.tel.samples_delivered.inc();
+                self.tel.bytes_delivered.add(entry.len());
+                batch
+                    .pinned
+                    .push(ZeroCopySample::new(sample, segments, pin));
+                self.account_delivery(idx);
+                batch.received += 1;
+            }
+            batch.dispatched += 1;
+            delivered += 1;
         }
-        dispatched
+        delivered
     }
 
     /// Account one delivered sample of `idx`; release its item when fully
@@ -1428,7 +1489,7 @@ impl DlfsIo {
     /// `CrossEpoch`: the range joins the evictable LRU tail and may serve
     /// the next epoch without device I/O.
     fn account_delivery(&mut self, idx: u32) {
-        let st = self.epoch.as_mut().expect("no epoch");
+        let (st, shared) = self.split();
         let item = &mut st.items[idx as usize];
         item.copies_done += 1;
         if item.copies_done == item.samples_total {
@@ -1437,19 +1498,17 @@ impl DlfsIo {
             // The engine still holds this range (never released), so it
             // cannot have been evicted; a miss means an eviction or
             // teardown won a race and already reclaimed the chunks.
-            let _ = self
-                .shared
-                .cache
-                .release(self.shared.rkey(it.nid, it.offset));
+            let _ = shared.cache.release(shared.rkey(it.nid, it.offset));
             st.open_items -= 1;
             for &s in &it.samples {
-                self.shared.dir.set_valid(s, false);
+                shared.dir.set_valid(s, false);
             }
         }
     }
 
-    /// Account a finished copy; retire its item when fully drained.
-    fn finish_copy(&mut self, rt: &Runtime, done: &CopyDone) -> usize {
+    /// Collect stage (copied delivery): account a finished copy — retiring
+    /// its item when fully drained — and land it in its result slot.
+    fn finish_copy(&mut self, rt: &Runtime, done: CopyDone, batch: &mut Batch) {
         let idx = (done.tag >> 32) as u32;
         let slot = (done.tag & 0xFFFF_FFFF) as usize;
         self.account_delivery(idx);
@@ -1458,13 +1517,21 @@ impl DlfsIo {
         self.tel
             .copy_ns
             .record_dur(rt.now() - self.copy_dispatch_at[slot]);
-        slot
+        batch.copied[slot] = Some((done.sample, done.data));
+        batch.received += 1;
+    }
+
+    /// Block on the copy pool for one outstanding copy.
+    fn await_copy(&mut self, rt: &Runtime, batch: &mut Batch) -> Result<(), DlfsError> {
+        if let Some((_, copies)) = &batch.copies {
+            let done = copies.recv().map_err(|_| DlfsError::CacheExhausted)?;
+            self.finish_copy(rt, done, batch);
+        }
+        Ok(())
     }
 
     /// Execute a [`ReadRequest`] against the current epoch plan: the one
-    /// entry point unifying the copied and zero-copy delivery paths, and
-    /// the only batched-read API (the interim `bread`/`bread_zero_copy`
-    /// wrappers are gone).
+    /// batched-read entry point, whatever the delivery.
     ///
     /// Returns `EpochExhausted` once the plan is drained and `NoSequence`
     /// before the first [`DlfsIo::sequence`]. With a deadline, the batch
@@ -1493,7 +1560,7 @@ impl DlfsIo {
         let grant = match &qos {
             Some(q) => {
                 let tenant = req.tenant.unwrap_or(self.shared.tenant);
-                Some(q.admit(rt, tenant, q.batch_cost(want))?)
+                Some((q, q.admit(rt, tenant, q.batch_cost(want))?))
             }
             None => None,
         };
@@ -1501,20 +1568,11 @@ impl DlfsIo {
             self.run_offload(rt, want, req).map(Completions::copied)
         } else {
             self.claim_epoch_path(false)
-                .and_then(|()| match req.delivery {
-                    Delivery::Copied => self.run_copied(rt, want, req).map(Completions::copied),
-                    Delivery::ZeroCopy => self
-                        .run_zero_copy(rt, want, req)
-                        .map(Completions::zero_copy),
-                })
+                .and_then(|()| self.run_engine(rt, want, req))
         };
-        if let Some(q) = &qos {
+        if let Some((q, grant)) = grant {
             let delivered = outcome.as_ref().map(|b| b.len()).unwrap_or(0);
-            q.complete(
-                grant.expect("granted above"),
-                delivered as u64,
-                q.batch_cost(delivered),
-            );
+            q.complete(grant, delivered as u64, q.batch_cost(delivered));
         }
         let batch = outcome?;
         if batch.len() < want {
@@ -1530,7 +1588,7 @@ impl DlfsIo {
     /// on the other path is a typed error until `sequence` starts the next
     /// epoch (it used to be an out-of-bounds panic in `dispatch`).
     fn claim_epoch_path(&mut self, offload: bool) -> Result<(), DlfsError> {
-        let st = self.epoch.as_mut().expect("no epoch");
+        let st = self.split().0;
         if *st.offloaded.get_or_insert(offload) == offload {
             return Ok(());
         }
@@ -1541,88 +1599,92 @@ impl DlfsIo {
         ))
     }
 
-    /// The copied-delivery engine loop (prep → post → poll → copy).
-    fn run_copied(
+    /// The engine loop (prep → post → poll → copy): pump, poll, deliver,
+    /// collect, under one deadline / failure / stall policy. Copied and
+    /// zero-copy batches differ only in the deliver step.
+    fn run_engine(
         &mut self,
         rt: &Runtime,
         want: usize,
         req: &ReadRequest,
-    ) -> Result<Vec<(u32, Vec<u8>)>, DlfsError> {
-        let (done_tx, done_rx) = rt.channel::<CopyDone>(None);
-        let mut results: Vec<Option<(u32, Vec<u8>)>> = vec![None; want];
-        let mut dispatched = 0usize;
-        let mut received = 0usize;
+    ) -> Result<Completions, DlfsError> {
+        let copied = req.delivery == Delivery::Copied;
+        let mut batch = Batch {
+            want,
+            copies: copied.then(|| rt.channel::<CopyDone>(None)),
+            copied: vec![None; if copied { want } else { 0 }],
+            pinned: Vec::new(),
+            pins: HashMap::new(),
+            dispatched: 0,
+            received: 0,
+        };
         self.copy_dispatch_at.clear();
-
-        while received < want {
-            if self.failed.is_some() {
-                // Fatal I/O failure: drain the copies already dispatched
-                // (never tear a sample), then surface the error.
-                while received < dispatched {
-                    let done = done_rx.recv().map_err(|_| DlfsError::CacheExhausted)?;
-                    self.finish_copy(rt, &done);
-                    received += 1;
-                }
-                return Err(self.failed.clone().expect("checked above"));
-            }
+        while batch.received < want {
             let expired = req.deadline.is_some_and(|dl| rt.now() >= dl);
-            if expired && received == dispatched {
+            if self.failed.is_none() && expired && batch.received == batch.dispatched {
                 // Past the deadline with nothing outstanding: return short.
                 break;
             }
-            let mut progress = 0;
-            progress += self.pump(rt);
-            progress += self.poll(rt);
+            let Some(pumped) = self.pump(rt) else {
+                // Drain the copies already dispatched (never tear a
+                // sample), then stop. A fatal I/O failure surfaces as the
+                // error. A starved pump — every chunk pinned by samples
+                // the caller still holds — ends the batch short with what
+                // was delivered, or `CacheExhausted` if that is nothing;
+                // the epoch resumes once pins drop.
+                while batch.received < batch.dispatched {
+                    self.await_copy(rt, &mut batch)?;
+                }
+                match self.failed.clone() {
+                    Some(e) => return Err(e),
+                    None if batch.received == 0 => return Err(DlfsError::CacheExhausted),
+                    None => break,
+                }
+            };
+            let mut progress = pumped + self.poll(rt);
             if !expired {
-                let newly = self.dispatch(rt, want - dispatched, dispatched, &done_tx);
-                dispatched += newly;
-                progress += newly;
+                progress += self.deliver(rt, &mut batch);
             }
             // Collect finished copies without blocking.
-            while let Ok(done) = done_rx.try_recv() {
-                let slot = self.finish_copy(rt, &done);
-                results[slot] = Some((done.sample, done.data));
-                received += 1;
+            while let Some(done) = batch.copies.as_ref().and_then(|(_, c)| c.try_recv().ok()) {
+                self.finish_copy(rt, done, &mut batch);
                 progress += 1;
             }
-            if received >= want {
+            if progress > 0 || batch.received >= want {
+                continue;
+            }
+            if batch.dispatched > batch.received {
+                // Copies outstanding: block on the copy pool.
+                self.await_copy(rt, &mut batch)?;
+                continue;
+            }
+            if expired {
                 break;
             }
-            if progress == 0 {
-                if dispatched > received {
-                    // Copies outstanding: block on the copy pool.
-                    let done = done_rx.recv().map_err(|_| DlfsError::CacheExhausted)?;
-                    let slot = self.finish_copy(rt, &done);
-                    results[slot] = Some((done.sample, done.data));
-                    received += 1;
-                    continue;
-                }
-                if expired {
-                    break;
-                }
-                // Waiting on device completions: this is the busy-poll loop
-                // the Fig. 7b experiment adds application computation to —
-                // the compute overlaps with the in-flight SPDK requests.
-                if !req.inject_compute.is_zero() {
-                    rt.work(req.inject_compute);
-                    continue;
-                }
-                // Waiting on the devices: spin the poll loop forward to the
-                // next event — a completion, or a delayed part's retry
-                // instant (busy polling, so it's CPU time).
-                match self.next_engine_event() {
-                    Some(t) => self.advance_to(rt, t),
-                    None => {
-                        panic!(
-                            "dlfs submit stalled: nothing in flight, nothing \
-                             deliverable (reader {})",
-                            self.shared.reader_id
-                        );
-                    }
-                }
+            // Waiting on device completions: this is the busy-poll loop
+            // the Fig. 7b experiment adds application computation to —
+            // the compute overlaps with the in-flight SPDK requests.
+            if !req.inject_compute.is_zero() {
+                rt.work(req.inject_compute);
+                continue;
+            }
+            // Spin the poll loop forward to the next event — a completion,
+            // a delayed part's retry instant or a hedge coming due (busy
+            // polling, so it's CPU time).
+            match self.next_engine_event() {
+                Some(t) => self.advance_to(rt, t),
+                None => panic!(
+                    "dlfs submit stalled: nothing in flight, nothing \
+                     deliverable (reader {})",
+                    self.shared.reader_id
+                ),
             }
         }
-        Ok(results.into_iter().flatten().collect())
+        Ok(if copied {
+            Completions::copied(batch.copied.into_iter().flatten().collect())
+        } else {
+            Completions::zero_copy(batch.pinned)
+        })
     }
 
     /// The storage-side offload path (`ReadRequest::offload`): consume the
@@ -1657,7 +1719,7 @@ impl DlfsIo {
         // 1. Claim the next `want` samples, walking items in plan order.
         let mut taken: Vec<(u16, u64, u64, Vec<u32>)> = Vec::new();
         {
-            let st = self.epoch.as_mut().expect("no epoch");
+            let st = self.split().0;
             let mut left = want;
             let mut idx = 0usize;
             while left > 0 && idx < st.items.len() {
@@ -1688,14 +1750,7 @@ impl DlfsIo {
         let mut per_node: BTreeMap<u16, (Vec<OffloadExtent>, u64)> = BTreeMap::new();
         for (nid, offset, len, ids) in &taken {
             let (slba, nblocks, _) = self.read_geometry(*nid, *offset, *len);
-            let raw_len = match self.shared.codec.as_deref() {
-                Some(t) => {
-                    let chunk = self.shared.cfg.chunk_size;
-                    let f = t.per_node[*nid as usize].frame_of(chunk, *offset);
-                    t.per_node[*nid as usize].raw_len(chunk, f) as u64
-                }
-                None => *len,
-            };
+            let raw_len = self.frame(*nid, *offset).map_or(*len, |f| f.raw_len as u64);
             let mut compute = Dur::ZERO;
             if verify {
                 compute += costs.verify_block * nblocks as u64;
@@ -1803,20 +1858,15 @@ impl DlfsIo {
             self.tel.iv_failovers.inc();
         }
         let mut base = slba * BLOCK_SIZE;
-        if let Some(tables) = self.shared.codec.as_deref() {
-            let chunk = self.shared.cfg.chunk_size;
-            let frames = &tables.per_node[nid as usize];
-            let f = frames.frame_of(chunk, offset);
-            let enc_len = frames.lens[f] as usize;
-            let raw_len = frames.raw_len(chunk, f);
-            self.tel.codec_bytes_in.add(enc_len as u64);
-            self.tel.codec_bytes_out.add(raw_len as u64);
-            if enc_len == raw_len {
-                data.truncate(raw_len);
+        if let Some(f) = self.frame(nid, offset) {
+            self.tel.codec_bytes_in.add(f.enc_len as u64);
+            self.tel.codec_bytes_out.add(f.raw_len as u64);
+            if f.enc_len == f.raw_len {
+                data.truncate(f.raw_len);
             } else {
-                data = tables.kind.codec().decode(&data[..enc_len], raw_len);
+                data = f.kind.codec().decode(&data[..f.enc_len], f.raw_len);
             }
-            base = frames.base + f as u64 * chunk;
+            base = f.start;
         }
         Ok((data, base))
     }
@@ -1862,16 +1912,10 @@ impl DlfsIo {
         }
         self.rstats.wakeups.inc();
         if self.qpairs.iter().all(|q| q.outstanding() == 0) {
-            // Nothing in flight: the reactor parks. Spend the idle gap on a
-            // slice of background scrubbing first (untimed bookkeeping — it
-            // models a housekeeping thread, not reactor CPU).
-            if self.shared.cfg.scrub {
-                self.scrub_blocks(SCRUB_GAP_BLOCKS);
-            }
-            if self.rebuild.is_some() {
-                let gap = self.shared.cfg.rebuild_gap_blocks;
-                self.rebuild_blocks(gap);
-            }
+            // Nothing in flight: the reactor parks. The idle gap goes to
+            // background scrubbing and rebuild first (untimed bookkeeping
+            // — a housekeeping thread, not reactor CPU).
+            self.background.idle_gap();
             self.rstats.park(t - now);
             rt.sleep_until(t);
         } else {
@@ -1879,70 +1923,10 @@ impl DlfsIo {
         }
     }
 
-    /// Walk `budget` data blocks of the scrub cursor, verifying each block
-    /// against the integrity tables (and probing for latent media faults),
-    /// repairing bad blocks from the first healthy replica. Returns the
-    /// number of blocks scrubbed. No-op without checksums.
-    fn scrub_blocks(&mut self, budget: u64) -> u64 {
-        let Some(red) = self.shared.redundancy.clone() else {
-            return 0;
-        };
-        if !red.verify() {
-            return 0;
-        }
-        let nodes = self.shared.targets.len();
-        let mut scrubbed = 0u64;
-        let mut hops = 0usize;
-        let mut left = budget;
-        while left > 0 && hops <= nodes {
-            let (n, blk) = self.scrub_cursor;
-            let total = red.data_blocks(n as u16);
-            if blk >= total {
-                self.scrub_cursor = ((n + 1) % nodes, 0);
-                hops += 1;
-                continue;
-            }
-            let run = left.min(total - blk);
-            let base_blk = red.slots[n].0 / BLOCK_SIZE + blk;
-            let mut data = vec![0u8; (run * BLOCK_SIZE) as usize];
-            self.shared.targets[n].dma_read(base_blk, &mut data);
-            for i in 0..run {
-                let slba = base_blk + i;
-                let span = &data[(i * BLOCK_SIZE) as usize..][..BLOCK_SIZE as usize];
-                let good = red.verify_blocks(n as u16, slba, span)
-                    && !self.shared.targets[n].probe_extent(slba, 1);
-                if !good {
-                    self.scrub_repair(&red, n, slba);
-                }
-            }
-            scrubbed += run;
-            left -= run;
-            self.scrub_cursor = (n, blk + run);
-        }
-        self.tel.iv_scrubbed.add(scrubbed);
-        scrubbed
-    }
-
-    /// Rewrite one bad home block from the first replica whose copy
-    /// verifies. Unrepairable blocks (no healthy copy) are left for the
-    /// read path to surface as [`DlfsError::Corrupt`].
-    fn scrub_repair(&mut self, red: &Redundancy, n: usize, slba: u64) {
-        for r in 1..red.replicas {
-            let (peer, pslba) = red.route(n as u16, r, slba);
-            let src = &self.shared.targets[peer as usize];
-            if src.probe_extent(pslba, 1) {
-                continue;
-            }
-            let mut blk = vec![0u8; BLOCK_SIZE as usize];
-            src.dma_read(pslba, &mut blk);
-            if !red.verify_blocks(n as u16, slba, &blk) {
-                continue;
-            }
-            self.shared.targets[n].dma_write(slba, &blk);
-            self.tel.iv_repairs.inc();
-            return;
-        }
-    }
+    // ------------------------------------------------- background healing --
+    //
+    // Scrub and rebuild execution live in [`Background`]; the handle only
+    // forwards (and lends its idle gaps, see `advance_to`).
 
     /// One full background-scrub sweep over every node's data region:
     /// verify every covered block and repair what a healthy replica can
@@ -1950,82 +1934,30 @@ impl DlfsIo {
     /// and the fsck/CI tooling; the engine otherwise scrubs incrementally
     /// during idle reactor gaps (config `scrub`).
     pub fn scrub_pass(&mut self) -> u64 {
-        let Some(red) = self.shared.redundancy.as_deref() else {
-            return 0;
-        };
-        let total: u64 = (0..self.shared.targets.len())
-            .map(|n| red.data_blocks(n as u16))
-            .sum();
-        if total == 0 {
-            return 0;
-        }
-        self.scrub_cursor = (0, 0);
-        self.scrub_blocks(total)
+        self.background.scrub_pass()
     }
 
     /// Start automated re-replication of storage node `node` after a
     /// permanent loss: enumerate every replica slot the node hosted
-    /// ([`RebuildPlan::for_dead_node`]) and copy each block back from a
-    /// surviving verified replica, `rebuild_gap_blocks` per idle reactor
-    /// gap (call [`DlfsIo::drive_rebuild`] to finish synchronously). The
-    /// replacement device — the revived node, or a fresh one mounted under
-    /// the same index — must be attached and serving writes first. Returns
-    /// the total blocks to rebuild. A rebuild needs surviving copies to
-    /// read from (`replicas >= 2`) and a membership view to rejoin the
-    /// node into afterwards — asking for one on an instance missing either
-    /// is a typed configuration error, not a silent no-op.
+    /// ([`crate::RebuildPlan::for_dead_node`]) and copy each block back
+    /// from a surviving verified replica, `rebuild_gap_blocks` per idle
+    /// reactor gap (call [`DlfsIo::drive_rebuild`] to finish
+    /// synchronously). The replacement device — the revived node, or a
+    /// fresh one mounted under the same index — must be attached and
+    /// serving writes first. Returns the total blocks to rebuild; a typed
+    /// configuration error without `replicas >= 2` and a membership policy.
     pub fn begin_rebuild(&mut self, node: u16) -> Result<u64, DlfsError> {
-        let Some(red) = self.shared.redundancy.as_deref() else {
-            return Err(DlfsError::Config(
-                "rebuild requires redundancy: configure replicas >= 2 and a \
-                 membership policy (fail_dead_after)"
-                    .into(),
-            ));
-        };
-        if red.replicas < 2 {
-            return Err(DlfsError::Config(format!(
-                "rebuild of storage node {node} requires replicas >= 2 (have \
-                 {}): a lone copy has no surviving source to rebuild from",
-                red.replicas
-            )));
-        }
-        if red.membership.is_none() {
-            return Err(DlfsError::Config(format!(
-                "rebuild of storage node {node} requires a membership policy: \
-                 set fail_dead_after so the rebuilt node can be declared Dead \
-                 and rejoined"
-            )));
-        }
-        let blocks_of: Vec<u64> = (0..self.shared.targets.len())
-            .map(|h| match self.shared.layouts.as_deref() {
-                Some(l) => l[h].data_bytes.div_ceil(BLOCK_SIZE),
-                None => red.data_blocks(h as u16),
-            })
-            .collect();
-        let plan = RebuildPlan::for_dead_node(red, node, &blocks_of);
-        let total = plan.total_blocks;
-        self.tel.rb_at_risk.set(self.chunks_at_risk(total) as i64);
-        self.rebuild = Some(RebuildState {
-            plan,
-            ext: 0,
-            blk: 0,
-            walked: 0,
-            failed: 0,
-        });
-        Ok(total)
+        self.background.begin_rebuild(node)
     }
 
     /// Is a node rebuild still in flight?
     pub fn rebuild_active(&self) -> bool {
-        self.rebuild.is_some()
+        self.background.rebuild_active()
     }
 
     /// Blocks the in-flight rebuild has not walked yet (0 when idle).
     pub fn rebuild_remaining(&self) -> u64 {
-        self.rebuild
-            .as_ref()
-            .map(|r| r.plan.total_blocks - r.walked)
-            .unwrap_or(0)
+        self.background.rebuild_remaining()
     }
 
     /// Walk up to `budget` blocks of the in-flight rebuild — the same
@@ -2033,295 +1965,17 @@ impl DlfsIo {
     /// the `ext_rebuild` bench can interleave rebuild progress with
     /// foreground work (or mid-rebuild faults) at a controlled pace.
     pub fn rebuild_step(&mut self, budget: u64) -> u64 {
-        self.rebuild_blocks(budget)
+        self.background.rebuild_blocks(budget)
     }
 
     /// Run the in-flight rebuild to completion in one call (tests, the
     /// `ext_rebuild` bench, and operators who want redundancy back *now*
     /// rather than trickled through idle gaps). Returns blocks walked.
     pub fn drive_rebuild(&mut self) -> u64 {
-        let mut done = 0;
-        while self.rebuild.is_some() {
-            done += self.rebuild_blocks(u64::MAX);
-        }
-        done
+        self.background.drive_rebuild()
     }
 
-    /// Chunks not yet at full redundancy when `blocks` blocks are missing.
-    fn chunks_at_risk(&self, blocks: u64) -> u64 {
-        let per_chunk = (self.shared.cfg.chunk_size / BLOCK_SIZE).max(1);
-        blocks.div_ceil(per_chunk)
-    }
-
-    /// Walk up to `budget` blocks of the in-flight rebuild: verify what
-    /// the replacement device already holds (a restarted node keeps its
-    /// media — catch-up resync skips clean blocks), copy the rest from the
-    /// first surviving replica whose bytes verify, and finish with the
-    /// on-device layout restore + membership rejoin once the plan is
-    /// exhausted. Untimed bookkeeping, same as the scrubber: it models a
-    /// housekeeping thread running in reactor idle gaps, not reactor CPU.
-    fn rebuild_blocks(&mut self, budget: u64) -> u64 {
-        let Some(red) = self.shared.redundancy.clone() else {
-            self.rebuild = None;
-            return 0;
-        };
-        let Some(mut rb) = self.rebuild.take() else {
-            return 0;
-        };
-        let mut left = budget;
-        let mut walked = 0u64;
-        while left > 0 {
-            let Some(ext) = rb.plan.extents.get(rb.ext).copied() else {
-                break;
-            };
-            if rb.blk >= ext.blocks {
-                rb.ext += 1;
-                rb.blk = 0;
-                continue;
-            }
-            let run = left.min(ext.blocks - rb.blk).min(128);
-            let home_base_blk = red.slots[ext.home as usize].0 / BLOCK_SIZE;
-            for i in 0..run {
-                let home_blk = home_base_blk + rb.blk + i;
-                let (dt, dslba) = red.route(ext.home, ext.slot_r, home_blk);
-                debug_assert_eq!(dt, rb.plan.node);
-                let dest = self.shared.targets[dt as usize].clone();
-                if red.verify() {
-                    let mut have = vec![0u8; BLOCK_SIZE as usize];
-                    dest.dma_read(dslba, &mut have);
-                    if red.verify_blocks(ext.home, home_blk, &have) && !dest.probe_extent(dslba, 1)
-                    {
-                        self.tel.rb_clean.inc();
-                        continue;
-                    }
-                }
-                let mut copied = false;
-                for s in rb.plan.sources(&ext, &red) {
-                    let (st, sslba) = red.route(ext.home, s, home_blk);
-                    if st == rb.plan.node || red.is_dead(st as usize) {
-                        continue;
-                    }
-                    let src = &self.shared.targets[st as usize];
-                    if src.probe_extent(sslba, 1) {
-                        continue;
-                    }
-                    let mut blk = vec![0u8; BLOCK_SIZE as usize];
-                    src.dma_read(sslba, &mut blk);
-                    if !red.verify_blocks(ext.home, home_blk, &blk) {
-                        continue;
-                    }
-                    dest.dma_write(dslba, &blk);
-                    copied = true;
-                    break;
-                }
-                if copied {
-                    self.tel.rb_blocks.inc();
-                } else {
-                    rb.failed += 1;
-                    self.tel.rb_failed.inc();
-                }
-            }
-            rb.blk += run;
-            rb.walked += run;
-            walked += run;
-            left -= run;
-        }
-        while rb
-            .plan
-            .extents
-            .get(rb.ext)
-            .is_some_and(|e| rb.blk >= e.blocks)
-        {
-            rb.ext += 1;
-            rb.blk = 0;
-        }
-        let remaining = rb.plan.total_blocks - rb.walked;
-        self.tel
-            .rb_at_risk
-            .set(self.chunks_at_risk(remaining + rb.failed) as i64);
-        if rb.ext >= rb.plan.extents.len() {
-            self.rebuild_finish(&red, rb.plan.node, rb.failed);
-        } else {
-            self.rebuild = Some(rb);
-        }
-        walked
-    }
-
-    /// Final pass of a completed rebuild: on persistent instances, restore
-    /// the replacement device's metadata region (reconstructed from the
-    /// sample directory, payload checksums re-hashed from the rebuilt
-    /// bytes), integrity table, and committed superblock — a fresh device
-    /// comes out `fsck`-clean, indistinguishable from the import, except
-    /// for the checkpoint region, whose stream died with the old node (the
-    /// fsck checkpoint walk treats the zeroed region as an empty stream).
-    /// Only a fully successful rebuild rejoins the node into the
-    /// membership view; failed blocks leave it Dead for another attempt.
-    fn rebuild_finish(&mut self, red: &Redundancy, node: u16, failed: u64) {
-        if let Some(layouts) = self.shared.layouts.clone() {
-            let dest = self.shared.targets[node as usize].clone();
-            let mut sb = layouts[node as usize].clone();
-            let mut records = Vec::with_capacity(sb.node_samples as usize);
-            for &id in self.shared.dir.samples_on(node) {
-                let e = self.shared.dir.entry(id);
-                let (unit1, unit2) = e.raw();
-                records.push(MetaRecord {
-                    id,
-                    unit1,
-                    unit2,
-                    payload_checksum: fnv1a(&self.read_back(&dest, e.offset(), e.len())),
-                });
-            }
-            let meta = encode_meta(&records);
-            debug_assert_eq!(meta.len() as u64, sb.meta_bytes);
-            if !meta.is_empty() {
-                dest.dma_write(sb.meta_base / BLOCK_SIZE, &meta);
-            }
-            if sb.integrity_bytes > 0 {
-                let enc = encode_integrity(&red.sums[node as usize]);
-                debug_assert_eq!(enc.len() as u64, sb.integrity_bytes);
-                dest.dma_write(sb.integrity_base / BLOCK_SIZE, &enc);
-            }
-            if sb.codec_table_bytes > 0 {
-                if let Some(tables) = self.shared.codec.as_deref() {
-                    // Restore the per-frame encoded-length table; the data
-                    // blocks were copied back verbatim (stored/encoded
-                    // bytes), so the table written at import still
-                    // describes them exactly.
-                    let table = encode_codec_table(&tables.per_node[node as usize].lens);
-                    debug_assert_eq!(table.len() as u64, sb.codec_table_bytes);
-                    dest.dma_write(sb.codec_base() / BLOCK_SIZE, &table);
-                }
-            }
-            sb.meta_checksum = fnv1a(&meta);
-            sb.committed = true;
-            dest.dma_write(0, &sb.encode());
-        }
-        if failed == 0 {
-            // `begin_rebuild` refuses to start without a membership policy,
-            // so the rejoin cannot fail here.
-            let r = red.rejoin(node as usize);
-            debug_assert!(r.is_ok(), "rebuild ran without membership");
-        }
-        self.tel.rb_completed.inc();
-        self.tel.rb_at_risk.set(self.chunks_at_risk(failed) as i64);
-    }
-
-    /// Read `len` bytes at absolute device byte offset `off` (block math
-    /// for the payload re-hash of [`DlfsIo::rebuild_finish`]).
-    fn read_back(&self, dev: &Arc<dyn NvmeTarget>, off: u64, len: u64) -> Vec<u8> {
-        let first = off / BLOCK_SIZE;
-        let end = (off + len).div_ceil(BLOCK_SIZE);
-        let mut buf = vec![0u8; ((end - first) * BLOCK_SIZE) as usize];
-        dev.dma_read(first, &mut buf);
-        let at = (off - first * BLOCK_SIZE) as usize;
-        buf[at..at + len as usize].to_vec()
-    }
-
-    /// The zero-copy engine loop: prep → post → poll, then pin + hand out
-    /// references (no copy stage).
-    fn run_zero_copy(
-        &mut self,
-        rt: &Runtime,
-        want: usize,
-        req: &ReadRequest,
-    ) -> Result<Vec<ZeroCopySample>, DlfsError> {
-        let costs = self.shared.cfg.costs.clone();
-        let mut out: Vec<ZeroCopySample> = Vec::with_capacity(want);
-        // One cache pin per fetch item, shared by every sample delivered
-        // from it in this call (an `Arc` clone per sample instead of a
-        // buffer-list clone per sample). Pin counts still balance: each
-        // guard releases the one pin it took when its last sample drops.
-        let mut item_pins: HashMap<u32, Arc<PinGuard>> = HashMap::new();
-        while out.len() < want {
-            if let Some(e) = &self.failed {
-                // Zero-copy delivery has nothing in the copy pool to drain.
-                return Err(e.clone());
-            }
-            if req.deadline.is_some_and(|dl| rt.now() >= dl) {
-                // Zero-copy delivery is immediate, so past the deadline
-                // there is nothing left to drain: return short.
-                break;
-            }
-            let mut progress = 0;
-            progress += self.pump(rt);
-            progress += self.poll(rt);
-            // Deliver directly from resident items.
-            loop {
-                if out.len() >= want {
-                    break;
-                }
-                let (idx, sample) = {
-                    let st = self.epoch.as_mut().expect("no epoch");
-                    if st.resident_ready.is_empty() {
-                        break;
-                    }
-                    let pick = st.rng.below(st.resident_ready.len() as u64) as usize;
-                    let idx = st.resident_ready[pick];
-                    let item = &mut st.items[idx as usize];
-                    let sample = st.plan.items[idx as usize].samples[item.dispatched as usize];
-                    item.dispatched += 1;
-                    if item.dispatched == item.samples_total {
-                        st.resident_ready.swap_remove(pick);
-                    }
-                    st.total_dispatched += 1;
-                    (idx, sample)
-                };
-                let entry = self.shared.dir.entry(sample);
-                let (key, segments) = {
-                    let st = self.epoch.as_ref().expect("no epoch");
-                    let it = &st.plan.items[idx as usize];
-                    (
-                        self.shared.rkey(it.nid, it.offset),
-                        segments_for(
-                            it,
-                            st.items[idx as usize].base,
-                            &st.bufs[&idx],
-                            self.shared.cfg.chunk_size as usize,
-                            entry,
-                        ),
-                    )
-                };
-                // Pin the range for the samples' lifetime; no memcpy.
-                let pin = match item_pins.get(&idx) {
-                    Some(guard) => Pin::Shared(guard.clone()),
-                    None => {
-                        let (gen, _, _) = self
-                            .shared
-                            .cache
-                            .pin_key(key)
-                            .expect("resident range pinnable");
-                        let guard = PinGuard::new(self.shared.cache.clone(), key, gen);
-                        item_pins.insert(idx, guard.clone());
-                        Pin::Shared(guard)
-                    }
-                };
-                rt.work(costs.frontend_per_sample);
-                self.tel.cache_pins.inc();
-                self.tel.samples_delivered.inc();
-                self.tel.bytes_delivered.add(entry.len());
-                out.push(ZeroCopySample::new(sample, segments, pin));
-                self.account_delivery(idx);
-                progress += 1;
-            }
-            if out.len() >= want {
-                break;
-            }
-            if progress == 0 {
-                if !req.inject_compute.is_zero() {
-                    rt.work(req.inject_compute);
-                    continue;
-                }
-                match self.next_engine_event() {
-                    Some(t) => self.advance_to(rt, t),
-                    None => panic!(
-                        "dlfs zero-copy submit stalled (reader {})",
-                        self.shared.reader_id
-                    ),
-                }
-            }
-        }
-        Ok(out)
-    }
+    // -------------------------------------------------- synchronous reads --
 
     /// `dlfs_read` by name: synchronous single-sample read (the DLFS-Base
     /// configuration of Fig. 6). Checks the V field, then fetches the
@@ -2379,112 +2033,40 @@ impl DlfsIo {
         self.read_entry_zero_copy(rt, id, entry)
     }
 
-    /// Submit every due (re)submission of the synchronous read path, lowest
-    /// part first, stopping at qpair backpressure (QueueFull). Each entry
-    /// is routed through the replica map (health-aware) when the instance
-    /// is redundant.
-    #[allow(clippy::too_many_arguments)]
-    fn sync_submit_due(
-        &mut self,
-        rt: &Runtime,
-        nid: usize,
-        target_nid: u16,
-        slba: u64,
-        nblocks: u32,
-        blocks_per_chunk: u32,
-        bufs: &[DmaBuf],
-        waiting: &mut Vec<(u32, u32, Time, u32)>,
-        part_of: &mut HashMap<u64, (u32, u32, u32)>,
-    ) {
-        let costs = self.shared.cfg.costs.clone();
-        loop {
-            let now = rt.now();
-            let Some(i) = waiting.iter().position(|&(_, _, nb, _)| nb <= now) else {
-                break;
-            };
-            let (p, attempt, _, replica) = waiting[i];
-            let start = p * blocks_per_chunk;
-            let nb = (nblocks - start).min(blocks_per_chunk);
-            let (r, dev, dev_slba) = match self.shared.redundancy.as_deref() {
-                Some(red) if red.replicas > 1 => {
-                    let r = red.pick_replica(target_nid, replica, rt.now());
-                    let (d, s) = red.route(target_nid, r, slba + start as u64);
-                    (r, d as usize, s)
-                }
-                _ => (0, nid, slba + start as u64),
-            };
-            let t0 = rt.now();
-            rt.work(costs.prep_request);
-            let t1 = rt.now();
-            rt.work(costs.post_request);
-            let cmd = self.next_cmd;
-            match self.qpairs[dev].submit_read(rt, cmd, dev_slba, nb, bufs[p as usize].clone(), 0) {
-                Ok(()) => {
-                    self.next_cmd += 1;
-                    self.tel.requests_posted.inc();
-                    self.tel.prep_ns.record_dur(t1 - t0);
-                    self.tel.post_ns.record_dur(rt.now() - t1);
-                    part_of.insert(cmd, (p, attempt, r));
-                    waiting.remove(i);
-                }
-                Err(_) => break, // queue full: poll completions, then retry
+    /// Post every due (re)submission of a synchronous fetch, first queued
+    /// first, stopping at qpair backpressure.
+    fn sync_post_due(&mut self, rt: &Runtime, f: &mut SyncFetch) {
+        while let Some(i) = f.waiting.iter().position(|&(_, at)| at <= rt.now()) {
+            let p = f.waiting[i].0;
+            let io = self.part_io(f.nid, f.slba, f.nblocks, p.part, &f.bufs);
+            let (replica, dev, slba) = self.route_part(rt, &io, p.replica);
+            let owner = Part { replica, ..p };
+            if self
+                .post_part(rt, dev, slba, &io, Some(owner), true)
+                .is_none()
+            {
+                break; // queue full: poll completions, then retry
             }
+            f.posted += 1;
+            f.waiting.remove(i);
         }
     }
 
-    /// Serve `entry` out of the resident range `key`, whose buffers start
-    /// at byte `base`, if the cache holds it.
-    fn read_pinned(
-        &mut self,
-        rt: &Runtime,
-        entry: SampleEntry,
-        key: RangeKey,
-        base: u64,
-    ) -> Option<Vec<u8>> {
-        let costs = self.shared.cfg.costs.clone();
-        let pinned = self.shared.cache.pin(key)?;
-        debug_assert!(
-            entry.offset() + entry.len() <= key.1 + pinned.len,
-            "a resident range is its samples' whole extent"
-        );
-        self.tel.cache_hits.inc();
-        self.tel.cache_pins.inc();
-        if pinned.prefetched {
-            self.tel.prefetch_hits.inc();
-        }
-        let chunk = self.shared.cfg.chunk_size as usize;
-        let within = (entry.offset() - base) as usize;
-        let segments = segments_at(&pinned.bufs, chunk, within, entry.len() as usize);
-        let (done_tx, done_rx) = rt.channel::<CopyDone>(None);
-        let t_copy = rt.now();
-        rt.work(costs.copy_dispatch);
-        self.shared.copy.submit(CopyJob {
-            tag: 0,
-            sample: 0,
-            segments,
-            done: done_tx,
-        });
-        let done = done_rx.recv().expect("copy pool alive");
-        let _ = self.shared.cache.unpin(key, pinned.gen);
-        self.tel.samples_delivered.inc();
-        self.tel.bytes_delivered.add(done.data.len() as u64);
-        self.tel.copy_ns.record_dur(rt.now() - t_copy);
-        Some(done.data)
-    }
-
-    /// Synchronously fetch `nblocks` device blocks starting at `slba` from
-    /// qpair `nid` into freshly allocated sample-cache chunks.
+    /// Synchronously fetch `nblocks` device blocks starting at `slba` of
+    /// node `nid` into freshly allocated sample-cache chunks.
     ///
-    /// Submits every part, then polls the qpair until they all drain —
-    /// harvesting (and routing) any batched-engine or prefetcher strays
-    /// that complete meanwhile — resubmitting failed commands under the
-    /// shared retry policy. On retry exhaustion the buffers go back to the
-    /// pool and the error names `target_nid`.
+    /// The parts go through the same post / verify / settle steps as the
+    /// batched engine's; what differs is the wait: this loop polls only
+    /// the devices that can serve the range, charges one poll iteration
+    /// per pass and records the whole wait as one poll stage. It harvests
+    /// (and routes) any batched-engine or prefetcher strays that complete
+    /// meanwhile. On retry exhaustion the buffers go back to the pool once
+    /// the commands still in flight have drained (SPDK cannot cancel a
+    /// submitted command).
     fn fetch_range(
         &mut self,
         rt: &Runtime,
-        nid: usize,
-        target_nid: u16,
+        nid: u16,
         slba: u64,
         nblocks: u32,
         deadline: Option<Time>,
@@ -2493,81 +2075,42 @@ impl DlfsIo {
         // Under a codec `nblocks` is the encoded prefix of one stored
         // frame; the allocation must still cover the frame's raw extent so
         // the caller can decode it in place.
-        let bytes = self
-            .coded_geometry(target_nid, slba * BLOCK_SIZE)
-            .map(|(_, _, alloc)| alloc)
-            .unwrap_or(nblocks as u64 * BLOCK_SIZE);
-        // Bugfix (satellite): a momentarily full pool used to surface
-        // `CacheExhausted` immediately, while the batched path parks and
-        // retries after releases. Wait under the shared retry policy —
-        // bounded, deadline-clamped exponential backoff in virtual time —
-        // before giving up.
-        let retry = self.shared.cfg.retry;
-        let mut alloc_failures = 0u32;
-        let bufs = loop {
-            if let Some(b) = self.shared.cache.alloc_for(bytes) {
-                break b;
-            }
-            alloc_failures += 1;
-            let Some(backoff) = retry.next_delay_before(alloc_failures, rt.now(), deadline) else {
-                return Err(DlfsError::CacheExhausted);
-            };
-            // Busy-wait (virtual CPU time): another thread's release or a
-            // dropped zero-copy sample may free chunks meanwhile.
-            rt.work(backoff);
-        };
-        // prep + post each part; backpressure (a full qpair) and device
-        // failures park the part in `waiting` for a later submission pass.
-        let blocks_per_chunk = (self.shared.cfg.chunk_size / BLOCK_SIZE) as u32;
-        let red = self.shared.redundancy.clone();
+        let (_, _, bytes) = self.read_geometry(nid, slba * BLOCK_SIZE, nblocks as u64 * BLOCK_SIZE);
+        // A momentarily full pool is waited out, as the batched path
+        // parks and retries after releases.
+        let bufs = self
+            .alloc_backoff(rt, bytes, deadline)
+            .ok_or(DlfsError::CacheExhausted)?;
         // Devices that may serve this range (home + replicas): the poll
         // loop below must harvest all of them once reads fail over.
-        let devs: Vec<usize> = match red.as_deref() {
+        let devs: Vec<usize> = match self.shared.redundancy.as_deref() {
             Some(r) if r.replicas > 1 => (0..r.replicas)
-                .map(|i| r.route(target_nid, i, slba).0 as usize)
+                .map(|i| r.route(nid, i, slba).0 as usize)
                 .collect(),
-            _ => vec![nid],
+            _ => vec![nid as usize],
         };
-        // Parts to (re)submit: (part, failed attempts so far, not before,
-        // preferred replica).
-        let mut waiting: Vec<(u32, u32, Time, u32)> = (0..bufs.len() as u32)
-            .map(|p| (p, 0, Time::ZERO, 0))
-            .collect();
-        let mut part_of: HashMap<u64, (u32, u32, u32)> = HashMap::new();
-        let mut mismatched_parts: HashSet<u32> = HashSet::new();
+        self.mismatched.retain(|&(idx, _)| idx != SYNC_ITEM);
         let mut left = bufs.len();
-        let mut fatal: Option<DlfsError> = None;
-        self.sync_submit_due(
-            rt,
+        let mut f = SyncFetch {
             nid,
-            target_nid,
             slba,
             nblocks,
-            blocks_per_chunk,
-            &bufs,
-            &mut waiting,
-            &mut part_of,
-        );
+            waiting: (0..left as u32)
+                .map(|part| (Part::first(SYNC_ITEM, part), Time::ZERO))
+                .collect(),
+            bufs,
+            posted: 0,
+        };
+        let mut fatal: Option<DlfsError> = None;
+        self.sync_post_due(rt, &mut f);
         // Poll until all parts complete, resubmitting failed commands under
-        // the retry policy. On exhaustion, keep polling until our in-flight
-        // commands drain (SPDK cannot cancel a submitted command) before
-        // surfacing the error. Empty polls advance straight to the next
-        // known event (device completion or retry deadline) instead of
-        // spinning toward it.
+        // the retry policy. Empty polls advance straight to the next known
+        // event (device completion or retry instant) instead of spinning
+        // toward it.
         let t_poll = rt.now();
-        while (left > 0 && fatal.is_none()) || !part_of.is_empty() {
+        while (left > 0 && fatal.is_none()) || f.posted > 0 {
             if fatal.is_none() {
-                self.sync_submit_due(
-                    rt,
-                    nid,
-                    target_nid,
-                    slba,
-                    nblocks,
-                    blocks_per_chunk,
-                    &bufs,
-                    &mut waiting,
-                    &mut part_of,
-                );
+                self.sync_post_due(rt, &mut f);
             }
             rt.work(costs.poll_iteration);
             self.tel.poll_spins.inc();
@@ -2579,133 +2122,56 @@ impl DlfsIo {
                 self.tel.scq_empty_polls.inc();
                 let next_dev = devs
                     .iter()
-                    .filter_map(|&d| self.qpairs[d].next_completion_at())
-                    .min();
-                let next_retry = waiting.iter().map(|&(_, _, nb, _)| nb).min();
-                let next = match (next_dev, next_retry) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, None) => a,
-                    (None, b) => b,
-                };
-                if let Some(t) = next {
+                    .filter_map(|&d| self.qpairs[d].next_completion_at());
+                let next_retry = f.waiting.iter().map(|&(_, at)| at);
+                if let Some(t) = next_dev.chain(next_retry).min() {
                     self.advance_to(rt, t);
                 }
-            } else {
-                self.tel.scq_drains.inc();
-                self.tel.scq_drain_batch.record(comps.len() as u64);
-                for c in &comps {
-                    rt.work(costs.per_completion);
-                    self.tel.completions.inc();
-                    let Some((p, attempt, replica)) = part_of.remove(&c.id) else {
-                        // Not ours: the batched engine (and its
-                        // prefetcher) share these qpairs and their
-                        // in-flight commands complete here too —
-                        // including failed ones, which must be re-queued
-                        // for retry, not merely routed.
-                        match self.inflight.remove(&c.id) {
-                            Some((idx, part, att, rep)) => {
-                                self.engine_complete(rt, c.id, idx, part, att, rep, c.status);
-                            }
-                            None => self.prefetch_complete(rt, c.id, c.status),
-                        }
-                        continue;
-                    };
-                    let start = p * blocks_per_chunk;
-                    let nb = (nblocks - start).min(blocks_per_chunk);
-                    let serving = red
-                        .as_deref()
-                        .map(|r| r.route(target_nid, replica, slba + start as u64).0)
-                        .unwrap_or(target_nid);
-                    // Verify before the bytes can reach the caller (and,
-                    // on the cross-epoch path, the sample cache).
-                    let mut verify_failed = false;
-                    if c.status.is_ok() {
-                        if let Some(red) = red.as_deref().filter(|r| r.verify()) {
-                            rt.work(costs.verify_block * nb as u64);
-                            self.tel.iv_verified.add(nb as u64);
-                            let span = nb as usize * BLOCK_SIZE as usize;
-                            let home_slba = slba + start as u64;
-                            let ok = bufs[p as usize]
-                                .with(|d| red.verify_blocks(target_nid, home_slba, &d[..span]));
-                            if ok {
-                                if replica > 0 && mismatched_parts.remove(&p) {
-                                    // Read-repair the home extent from this
-                                    // verified replica copy.
-                                    let home = self.shared.targets[target_nid as usize].clone();
-                                    bufs[p as usize]
-                                        .with(|d| home.dma_write(home_slba, &d[..span]));
-                                    self.tel.iv_repairs.inc();
-                                }
-                            } else {
-                                self.tel.iv_mismatches.inc();
-                                mismatched_parts.insert(p);
-                                verify_failed = true;
-                            }
-                        }
-                    }
-                    if c.status.is_ok() && !verify_failed {
-                        if let Some(red) = red.as_deref().filter(|r| r.replicas > 1) {
-                            red.record_ok(serving as usize);
-                        }
-                        left -= 1;
+                continue;
+            }
+            self.tel.scq_drains.inc();
+            self.tel.scq_drain_batch.record(comps.len() as u64);
+            for c in &comps {
+                rt.work(costs.per_completion);
+                self.tel.completions.inc();
+                let p = match self.inflight.remove(&c.id) {
+                    Some(p) if p.idx == SYNC_ITEM => p,
+                    // Not ours: the batched engine (and its prefetcher)
+                    // share these qpairs and their in-flight commands
+                    // complete here too — failed ones included, which must
+                    // be re-queued for retry.
+                    Some(p) => {
+                        self.engine_complete(rt, c.id, p, c.status);
                         continue;
                     }
-                    if c.status == CmdStatus::TransportError {
-                        self.tel.timeouts.inc();
+                    None => {
+                        self.prefetch_complete(rt, c.id, c.status);
+                        continue;
                     }
-                    if let Some(red) = red.as_deref().filter(|r| r.replicas > 1) {
-                        red.record_failure(serving as usize, rt.now());
+                };
+                f.posted -= 1;
+                let io = self.part_io(nid, slba, nblocks, p.part, &f.bufs);
+                match self.settle_part(rt, c.id, p, &io, c.status, io.slba * BLOCK_SIZE) {
+                    Settled::Done => left -= 1,
+                    Settled::Twin => {}
+                    Settled::Requeue { part, not_before } => {
+                        f.waiting.push((part, not_before.unwrap_or(rt.now())));
                     }
-                    let failed_attempts = attempt + 1;
-                    match retry.next_delay(failed_attempts) {
-                        Some(backoff) => {
-                            self.tel.retries.inc();
-                            if red.as_deref().is_some_and(|r| r.replicas > 1) {
-                                // Immediate failover to the next replica.
-                                self.tel.iv_failovers.inc();
-                                waiting.push((p, failed_attempts, rt.now(), replica + 1));
-                            } else {
-                                waiting.push((p, failed_attempts, rt.now() + backoff, replica));
-                            }
-                        }
-                        None => {
-                            fatal.get_or_insert(if mismatched_parts.contains(&p) {
-                                DlfsError::Corrupt {
-                                    chunk: (slba + start as u64) * BLOCK_SIZE,
-                                    tried: failed_attempts,
-                                    cause: if c.status.is_ok() {
-                                        CorruptCause::Checksum
-                                    } else {
-                                        CorruptCause::Io(match c.status {
-                                            CmdStatus::TransportError => IoFailure::Timeout,
-                                            _ => IoFailure::Media,
-                                        })
-                                    },
-                                }
-                            } else {
-                                DlfsError::Io {
-                                    target: target_nid.into(),
-                                    attempts: failed_attempts,
-                                    cause: match c.status {
-                                        CmdStatus::TransportError => IoFailure::Timeout,
-                                        _ => IoFailure::Media,
-                                    },
-                                }
-                            });
-                            waiting.clear();
-                        }
+                    Settled::Fatal(e) => {
+                        fatal.get_or_insert(e);
+                        f.waiting.clear();
                     }
                 }
             }
         }
         self.tel.poll_ns.record_dur(rt.now() - t_poll);
         if let Some(e) = fatal {
-            for b in bufs {
+            for b in f.bufs {
                 self.shared.cache.free_raw(b);
             }
             return Err(e);
         }
-        Ok(bufs)
+        Ok(f.bufs)
     }
 
     /// Geometry of a synchronous read of sample `id`: `(resident key, byte
@@ -2729,6 +2195,52 @@ impl DlfsIo {
         (self.shared.rkey(nid, off), base, miss)
     }
 
+    /// The synchronous paths' copy stage: move `len` bytes at `pos` of
+    /// `bufs` into a fresh application buffer through the copy pool, and
+    /// account the delivery.
+    fn copy_out(&mut self, rt: &Runtime, bufs: &[DmaBuf], pos: usize, len: usize) -> Vec<u8> {
+        let chunk = self.shared.cfg.chunk_size as usize;
+        let (done_tx, done_rx) = rt.channel::<CopyDone>(None);
+        let t_copy = rt.now();
+        rt.work(self.shared.cfg.costs.copy_dispatch);
+        self.shared.copy.submit(CopyJob {
+            tag: 0,
+            sample: 0,
+            segments: segments_at(bufs, chunk, pos, len),
+            done: done_tx,
+        });
+        let done = done_rx.recv().expect("copy pool alive");
+        self.tel.samples_delivered.inc();
+        self.tel.bytes_delivered.add(done.data.len() as u64);
+        self.tel.copy_ns.record_dur(rt.now() - t_copy);
+        done.data
+    }
+
+    /// Serve `entry` out of the resident range `key`, whose buffers start
+    /// at byte `base`, if the cache holds it.
+    fn read_pinned(
+        &mut self,
+        rt: &Runtime,
+        entry: SampleEntry,
+        key: RangeKey,
+        base: u64,
+    ) -> Option<Vec<u8>> {
+        let pinned = self.shared.cache.pin(key)?;
+        debug_assert!(
+            entry.offset() + entry.len() <= key.1 + pinned.len,
+            "a resident range is its samples' whole extent"
+        );
+        self.tel.cache_hits.inc();
+        self.tel.cache_pins.inc();
+        if pinned.prefetched {
+            self.tel.prefetch_hits.inc();
+        }
+        let within = (entry.offset() - base) as usize;
+        let data = self.copy_out(rt, &pinned.bufs, within, entry.len() as usize);
+        let _ = self.shared.cache.unpin(key, pinned.gen);
+        Some(data)
+    }
+
     fn read_entry(
         &mut self,
         rt: &Runtime,
@@ -2736,7 +2248,6 @@ impl DlfsIo {
         entry: SampleEntry,
         deadline: Option<Time>,
     ) -> Result<Vec<u8>, DlfsError> {
-        let costs = self.shared.cfg.costs.clone();
         // No batch deadline applies to engine retries harvested while this
         // synchronous read drains the shared qpairs.
         self.current_deadline = None;
@@ -2761,24 +2272,9 @@ impl DlfsIo {
         let nid = entry.nid();
         let (slba, nblocks, _) = self.read_geometry(nid, off, len);
         let head = (entry.offset() - slba * BLOCK_SIZE) as usize;
-        let bufs = self.fetch_range(rt, nid as usize, nid, slba, nblocks, deadline)?;
+        let bufs = self.fetch_range(rt, nid, slba, nblocks, deadline)?;
         self.decode_frame(rt, nid, entry.offset(), &bufs);
-        let chunk = self.shared.cfg.chunk_size as usize;
-        // copy stage through the pool.
-        let (done_tx, done_rx) = rt.channel::<CopyDone>(None);
-        let segments = segments_at(&bufs, chunk, head, entry.len() as usize);
-        let t_copy = rt.now();
-        rt.work(costs.copy_dispatch);
-        self.shared.copy.submit(CopyJob {
-            tag: 0,
-            sample: 0,
-            segments,
-            done: done_tx,
-        });
-        let done = done_rx.recv().expect("copy pool alive");
-        self.tel.samples_delivered.inc();
-        self.tel.bytes_delivered.add(done.data.len() as u64);
-        self.tel.copy_ns.record_dur(rt.now() - t_copy);
+        let data = self.copy_out(rt, &bufs, head, entry.len() as usize);
         if cross && !self.shared.cache.contains(key) {
             // Park the fetched extent on the evictable LRU tail (unless the
             // batched engine published it while we polled), so later reads
@@ -2790,7 +2286,7 @@ impl DlfsIo {
                 self.shared.cache.free_raw(b);
             }
         }
-        Ok(done.data)
+        Ok(data)
     }
 
     /// Synchronous zero-copy read of one directory entry.
@@ -2833,7 +2329,7 @@ impl DlfsIo {
             // moment it is pinned below.
             let fetched = self.shared.rkey(nid, off);
             let (slba, nblocks, _) = self.read_geometry(nid, off, len);
-            let bufs = self.fetch_range(rt, nid as usize, nid, slba, nblocks, None)?;
+            let bufs = self.fetch_range(rt, nid, slba, nblocks, None)?;
             if self.shared.cache.contains(fetched) {
                 // Published concurrently (batched engine or another
                 // reader) while we polled: drop our fetch and pin the
@@ -2890,36 +2386,6 @@ impl DlfsIo {
             },
         )
     }
-
-    /// `dlfs_open`: name lookup through the sample directory (returns the
-    /// sample id as the handle — DLFS handles are directory references).
-    pub fn open(&mut self, rt: &Runtime, name: &str) -> Result<u32, DlfsError> {
-        let costs = self.shared.cfg.costs.clone();
-        self.shared
-            .dir
-            .lookup(rt, &costs, name)
-            .map(|(id, _)| id)
-            .ok_or_else(|| DlfsError::NotFound(name.to_string()))
-    }
-
-    /// `dlfs_close`: drop the handle (directory entries are immutable, so
-    /// this is bookkeeping only).
-    pub fn close(&mut self, _rt: &Runtime, _handle: u32) {}
-}
-
-/// Compute the copy segments of `entry` within an item's fetched buffers.
-/// Nearly always one segment (two when the sample straddles a chunk
-/// boundary), so the returned [`SegList`] stays inline and allocation-free.
-fn segments_for(
-    item: &FetchItem,
-    base: u64,
-    bufs: &[DmaBuf],
-    chunk: usize,
-    entry: SampleEntry,
-) -> SegList {
-    debug_assert_eq!(entry.nid(), item.nid);
-    let within = (entry.offset() - base) as usize;
-    segments_at(bufs, chunk, within, entry.len() as usize)
 }
 
 /// Slice `len` payload bytes starting at `pos` (relative to the buffers'
@@ -2939,4 +2405,137 @@ fn segments_at(bufs: &[DmaBuf], chunk: usize, mut pos: usize, mut remaining: usi
         remaining -= take;
     }
     segs
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Deployment, MountBuilder, SyntheticSource};
+    use blocksim::{DeviceConfig, NvmeDevice};
+    use simkit::retry::RetryPolicy;
+
+    #[test]
+    fn part_span_tiles_a_fetch_with_one_short_tail() {
+        for per_part in [1u32, 8, 16, 512] {
+            for nblocks in 1..=3 * per_part + 1 {
+                let parts = nblocks.div_ceil(per_part);
+                let mut next = 100u64;
+                for part in 0..parts {
+                    let (slba, n) = part_span(100, nblocks, per_part, part);
+                    assert_eq!(slba, next);
+                    assert!(n == per_part || (part == parts - 1 && (1..per_part).contains(&n)));
+                    next += n as u64;
+                }
+                assert_eq!(next, 100 + nblocks as u64, "{nblocks} blocks by {per_part}");
+            }
+        }
+        // A coded frame: 3 encoded blocks read into the 16-block chunk
+        // allocated for its raw extent are one short part.
+        assert_eq!(part_span(40, 3, 16, 0), (40, 3));
+    }
+
+    /// Every way a completion can settle: status x checksum x replicas x
+    /// retry budget, with the outcome, the counters and the exact error.
+    #[test]
+    fn settle_part_table() {
+        use CmdStatus::{MediaError, Ok as Good, TransportError};
+        Runtime::simulate(5, |rt| {
+            for (replicas, status, clean, budget) in [1usize, 2]
+                .into_iter()
+                .flat_map(|r| [Good, MediaError, TransportError].map(|s| (r, s)))
+                .flat_map(|(r, s)| [true, false].map(|c| (r, s, c)))
+                .flat_map(|(r, s, c)| [true, false].map(|b| (r, s, c, b)))
+            {
+                let case = format!("replicas={replicas} {status:?} clean={clean} budget={budget}");
+                let devices = (0..2).map(|_| NvmeDevice::new(DeviceConfig::optane(16 << 20)));
+                let cfg = DlfsConfig {
+                    replicas,
+                    verify_reads: true,
+                    retry: RetryPolicy {
+                        max_attempts: 3,
+                        ..RetryPolicy::default()
+                    },
+                    ..DlfsConfig::default()
+                };
+                let fs = MountBuilder::new(cfg)
+                    .deployment(Deployment {
+                        targets: vec![devices.map(|d| d as Arc<dyn NvmeTarget>).collect()],
+                        cluster: None,
+                    })
+                    .mount(rt, &SyntheticSource::fixed(1, 64, 2048))
+                    .unwrap();
+                let mut io = fs.io(0);
+                // Block 0 of node 0 as staged. "Unclean" is a flipped bit
+                // when the command delivers bytes, and a checksum failure
+                // on an earlier attempt when it delivers none.
+                let buf = io.shared.cache.alloc_for(BLOCK_SIZE).unwrap().remove(0);
+                let mut blk = vec![0u8; BLOCK_SIZE as usize];
+                io.shared.targets[0].dma_read(0, &mut blk);
+                blk[9] ^= (!clean && status.is_ok()) as u8;
+                buf.with_mut(|d| d[..blk.len()].copy_from_slice(&blk));
+                let p = Part {
+                    attempt: if budget { 0 } else { 2 },
+                    ..Part::first(3, 1)
+                };
+                if !clean && !status.is_ok() {
+                    io.mismatched.insert((3, 1));
+                }
+                let part_io = PartIo {
+                    home: 0,
+                    slba: 0,
+                    nblocks: 1,
+                    buf,
+                };
+                let got = io.settle_part(rt, 77, p, &part_io, status, 4242);
+
+                let failed = !status.is_ok() || !clean;
+                let cause = match status {
+                    TransportError => IoFailure::Timeout,
+                    _ => IoFailure::Media,
+                };
+                let want = match (failed, budget) {
+                    (false, _) => Settled::Done,
+                    (true, true) => Settled::Requeue {
+                        part: Part {
+                            attempt: 1,
+                            replica: (replicas > 1) as u32,
+                            ..p
+                        },
+                        not_before: (replicas == 1).then(|| rt.now() + Dur::micros(20)),
+                    },
+                    (true, false) if clean => Settled::Fatal(DlfsError::Io {
+                        target: 0,
+                        attempts: 3,
+                        cause,
+                    }),
+                    (true, false) => Settled::Fatal(DlfsError::Corrupt {
+                        chunk: 4242,
+                        tried: 3,
+                        cause: if status.is_ok() {
+                            CorruptCause::Checksum
+                        } else {
+                            CorruptCause::Io(cause)
+                        },
+                    }),
+                };
+                assert_eq!(got, want, "{case}");
+                let m = io.metrics();
+                let requeued = (failed && budget) as u64;
+                for (name, count) in [
+                    ("dlfs.io.retries", requeued),
+                    ("dlfs.io.timeouts", (status == TransportError) as u64),
+                    ("dlfs.integrity.verified", status.is_ok() as u64),
+                    (
+                        "dlfs.integrity.mismatches",
+                        (status.is_ok() && !clean) as u64,
+                    ),
+                    ("dlfs.integrity.failovers", requeued * (replicas as u64 - 1)),
+                    ("dlfs.integrity.repairs", 0),
+                ] {
+                    assert_eq!(m.counter(name), count, "{case}: {name}");
+                }
+                assert_eq!(io.mismatched.contains(&(3, 1)), failed && !clean, "{case}");
+            }
+        });
+    }
 }

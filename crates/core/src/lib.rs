@@ -95,3 +95,18 @@ pub use source::{CompressibleSource, SampleSource, SyntheticSource};
 pub use tenant::{QosConfig, TenantId, TenantQos, TenantSpec};
 pub use writer::{BatchedWriter, CheckpointReader, CheckpointWriter};
 pub use zerocopy::ZeroCopySample;
+
+/// The scope `name` under `reg`, or under a detached registry when there
+/// is none. Handles of an optional subsystem stay bound (and counted)
+/// either way, but only render when the subsystem is configured — or the
+/// caller asked for telemetry at all — which keeps default-config metric
+/// renders byte-identical.
+pub(crate) fn scoped_or_detached(
+    reg: Option<&simkit::telemetry::Registry>,
+    name: &str,
+) -> simkit::telemetry::Registry {
+    match reg {
+        Some(r) => r.scoped(name),
+        None => simkit::telemetry::Registry::new().scoped(name),
+    }
+}

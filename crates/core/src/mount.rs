@@ -1502,10 +1502,7 @@ struct RemountTelemetry {
 
 impl RemountTelemetry {
     fn new(reg: Option<&Registry>) -> RemountTelemetry {
-        let scope = match reg {
-            Some(r) => r.scoped("dlfs.remount"),
-            None => Registry::new().scoped("dlfs.remount"),
-        };
+        let scope = crate::scoped_or_detached(reg, "dlfs.remount");
         RemountTelemetry {
             superblocks: scope.counter("superblocks"),
             meta_bytes: scope.counter("meta_bytes"),

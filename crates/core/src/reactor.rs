@@ -100,11 +100,7 @@ impl ReactorStats {
     /// Bind under `dlfs.reactor.*` in `reg` when `publish` is set;
     /// otherwise bind to a throwaway registry (counted but unreported).
     pub fn new(reg: &Registry, publish: bool) -> ReactorStats {
-        let reg = if publish {
-            reg.scoped("dlfs.reactor")
-        } else {
-            Registry::new().scoped("dlfs.reactor")
-        };
+        let reg = crate::scoped_or_detached(publish.then_some(reg), "dlfs.reactor");
         ReactorStats {
             wakeups: reg.counter("wakeups"),
             doorbells: reg.counter("doorbells"),

@@ -47,10 +47,7 @@ struct WriteTelemetry {
 
 impl WriteTelemetry {
     fn new(reg: Option<&Registry>) -> WriteTelemetry {
-        let scope = match reg {
-            Some(r) => r.scoped("dlfs.write"),
-            None => Registry::new().scoped("dlfs.write"),
-        };
+        let scope = crate::scoped_or_detached(reg, "dlfs.write");
         WriteTelemetry {
             appends: scope.counter("appends"),
             commands: scope.counter("commands"),
@@ -430,10 +427,7 @@ struct CkptTelemetry {
 
 impl CkptTelemetry {
     fn new(reg: Option<&Registry>) -> CkptTelemetry {
-        let scope = match reg {
-            Some(r) => r.scoped("dlfs.ckpt"),
-            None => Registry::new().scoped("dlfs.ckpt"),
-        };
+        let scope = crate::scoped_or_detached(reg, "dlfs.ckpt");
         CkptTelemetry {
             records_written: scope.counter("records_written"),
             bytes_written: scope.counter("bytes_written"),

@@ -295,59 +295,87 @@ fn sync_read_requeues_engine_failures() {
     // Regression: a synchronous read drains the shared qpairs and may
     // harvest the batched engine's *failed* completions — those parts must
     // be re-queued for retry, not just routed and forgotten, or the epoch
-    // wedges with samples that never arrive.
-    Runtime::simulate(test_seed(26), |rt| {
-        let source = SyntheticSource::fixed(9, 3000, 2048);
-        let dev = local_device();
-        let fs = dlfs::MountBuilder::new(DlfsConfig::default())
-            .local(dev.clone())
-            .mount(rt, &source)
-            .unwrap();
-        let mut io = fs.io(0);
-        let total = io.sequence(rt, 31, 0);
-        // Half of all reads fail while the engine prefetches ahead.
-        dev.set_faults(FaultInjector::new(6).with_read_failures(500_000));
-        let batch = io
-            .submit(rt, &ReadRequest::batch(16))
-            .unwrap()
-            .into_copied();
-        let mut seen = vec![false; source.count()];
-        let mut delivered = 0usize;
-        for (id, data) in &batch {
-            assert_eq!(data, &source.expected(*id));
-            seen[*id as usize] = true;
-            delivered += 1;
-        }
-        // A cold synchronous read now busy-polls the same qpair, harvesting
-        // whatever the engine has in flight — including failures.
-        let cold = (0..source.count() as u32)
-            .find(|&id| !fs.dir.is_valid(id))
-            .expect("some sample not resident");
-        let data = io.read_by_id(rt, cold).unwrap();
-        assert_eq!(data, source.expected(cold));
-        // Heal the device and drain the rest of the epoch: every sample the
-        // sync read intercepted as failed must still arrive, exactly once.
-        dev.set_faults(FaultInjector::new(6));
-        loop {
-            match io
-                .submit(rt, &ReadRequest::batch(64))
-                .map(Completions::into_copied)
-            {
-                Ok(batch) => {
-                    for (id, data) in batch {
-                        assert_eq!(data, source.expected(id));
-                        assert!(!seen[id as usize], "sample {id} delivered twice");
-                        seen[id as usize] = true;
-                        delivered += 1;
-                    }
-                }
-                Err(DlfsError::EpochExhausted) => break,
-                Err(e) => panic!("epoch failed: {e}"),
+    // wedges with samples that never arrive. Once on the plain engine
+    // (retry with backoff), once with `replicas: 2` + `verify_reads`
+    // (checksum mismatches too, settled by failover and read-repair).
+    for replicas in [1usize, 2] {
+        Runtime::simulate(test_seed(26), |rt| {
+            let source = SyntheticSource::fixed(9, 3000, 2048);
+            let devices: Vec<_> = (0..replicas).map(|_| local_device()).collect();
+            let cfg = DlfsConfig {
+                replicas,
+                verify_reads: replicas > 1,
+                ..DlfsConfig::default()
+            };
+            let fs = dlfs::MountBuilder::new(cfg)
+                .deployment(Deployment {
+                    targets: vec![devices
+                        .iter()
+                        .map(|d| d.clone() as Arc<dyn NvmeTarget>)
+                        .collect()],
+                    cluster: None,
+                })
+                .mount(rt, &source)
+                .unwrap();
+            let mut io = fs.io(0);
+            let total = io.sequence(rt, 31, 0);
+            // Half of all reads fail while the engine prefetches ahead; the
+            // replicated run also returns flipped bits from node 0.
+            let mut faults = FaultInjector::new(6).with_read_failures(500_000);
+            if replicas > 1 {
+                faults = faults.with_bit_flips(0, 4096);
             }
-        }
-        assert_eq!(delivered, total);
-        assert!(io.metrics().counter("dlfs.io.retries") > 0);
-    });
+            devices[0].set_faults(faults);
+            let batch = io
+                .submit(rt, &ReadRequest::batch(16))
+                .unwrap()
+                .into_copied();
+            let mut seen = vec![false; source.count()];
+            let mut delivered = 0usize;
+            for (id, data) in &batch {
+                assert_eq!(data, &source.expected(*id));
+                seen[*id as usize] = true;
+                delivered += 1;
+            }
+            // A cold synchronous read now busy-polls the same qpairs,
+            // harvesting whatever the engine has in flight — including
+            // failures.
+            let cold = (0..source.count() as u32)
+                .find(|&id| !fs.dir.is_valid(id) && fs.dir.entry(id).nid() == 0)
+                .expect("some sample not resident");
+            let data = io.read_by_id(rt, cold).unwrap();
+            assert_eq!(data, source.expected(cold));
+            // Heal the device and drain the rest of the epoch: every sample
+            // the sync read intercepted as failed must still arrive,
+            // exactly once.
+            devices[0].set_faults(FaultInjector::new(6));
+            loop {
+                match io
+                    .submit(rt, &ReadRequest::batch(64))
+                    .map(Completions::into_copied)
+                {
+                    Ok(batch) => {
+                        for (id, data) in batch {
+                            assert_eq!(data, source.expected(id));
+                            assert!(!seen[id as usize], "sample {id} delivered twice");
+                            seen[id as usize] = true;
+                            delivered += 1;
+                        }
+                    }
+                    Err(DlfsError::EpochExhausted) => break,
+                    Err(e) => panic!("epoch failed: {e}"),
+                }
+            }
+            assert_eq!(delivered, total);
+            let m = io.metrics();
+            assert!(m.counter("dlfs.io.retries") > 0);
+            if replicas > 1 {
+                assert!(m.counter("dlfs.integrity.mismatches") > 0);
+                assert!(m.counter("dlfs.integrity.failovers") > 0);
+                assert!(m.counter("dlfs.integrity.repairs") > 0);
+            }
+        });
+    }
 }
 
 /// Multi-epoch chaos with the cross-epoch cache and prefetcher armed:

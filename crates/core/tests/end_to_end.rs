@@ -133,7 +133,7 @@ fn full_epoch_delivers_every_sample_once() {
 }
 
 #[test]
-fn dlfs_read_by_name_and_open_close() {
+fn dlfs_read_by_name_and_lookup() {
     Runtime::simulate(3, |rt| {
         let source = SyntheticSource::fixed(4, 1000, 4096);
         let fs = dlfs::MountBuilder::new(DlfsConfig::default())
@@ -145,9 +145,11 @@ fn dlfs_read_by_name_and_open_close() {
             let name = source.name(id);
             let data = io.read(rt, &name).unwrap();
             assert_eq!(data, source.expected(id));
-            let h = io.open(rt, &name).unwrap();
+            // DLFS handles are directory references: a name resolves to
+            // its sample id through the directory, nothing to open or close.
+            let costs = &fs.shared(0).cfg.costs;
+            let (h, _) = fs.dir.lookup(rt, costs, &name).unwrap();
             assert_eq!(h, id);
-            io.close(rt, h);
         }
         assert!(matches!(
             io.read(rt, "missing"),

@@ -1,7 +1,7 @@
 //! End-to-end tests of the zero-copy delivery extension.
 
 use blocksim::{DeviceConfig, NvmeDevice};
-use dlfs::{Completions, DlfsConfig, DlfsError, ReadRequest, SyntheticSource};
+use dlfs::{Completions, DlfsConfig, DlfsError, ReadRequest, SampleSource, SyntheticSource};
 use simkit::prelude::*;
 
 fn mount(rt: &Runtime, source: &SyntheticSource) -> dlfs::DlfsInstance {
@@ -166,5 +166,101 @@ fn mixed_bread_and_zero_copy_share_the_epoch() {
         ids.dedup();
         assert_eq!(ids.len(), 400, "no overlap between delivery modes");
         assert_eq!(io.remaining(), total - 400);
+    });
+}
+
+/// Drain what is left of `io`'s epoch zero-copy, checking payloads and
+/// exactly-once delivery against `seen`; returns the samples delivered.
+fn drain_zero_copy(
+    rt: &Runtime,
+    io: &mut dlfs::DlfsIo,
+    source: &SyntheticSource,
+    seen: &mut [bool],
+) -> usize {
+    let mut delivered = 0;
+    loop {
+        match io.submit(rt, &ReadRequest::batch(8).zero_copy()) {
+            Ok(batch) => {
+                for s in batch.into_zero_copy() {
+                    assert_eq!(s.to_vec(), source.expected(s.id));
+                    assert!(!seen[s.id as usize], "sample {} delivered twice", s.id);
+                    seen[s.id as usize] = true;
+                    delivered += 1;
+                }
+            }
+            Err(DlfsError::EpochExhausted) => return delivered,
+            Err(e) => panic!("epoch failed: {e}"),
+        }
+    }
+}
+
+/// Regression: a zero-copy batch that pins more than the whole pool (96 x
+/// 256 KiB against 128 x 200 KiB samples) used to die on the engine's
+/// "sample cache too small" assert. It now comes back short, and the epoch
+/// still delivers every sample exactly once after the pins drop.
+#[test]
+fn zero_copy_batch_bigger_than_the_pool_returns_short() {
+    Runtime::simulate(7, |rt| {
+        let source = SyntheticSource::fixed(6, 400, 200 << 10);
+        let fs = mount(rt, &source);
+        let mut io = fs.io(0);
+        let total = io.sequence(rt, 5, 0);
+        let mut seen = vec![false; source.count()];
+        let big = io
+            .submit(rt, &ReadRequest::batch(128).zero_copy())
+            .unwrap()
+            .into_zero_copy();
+        assert!(
+            !big.is_empty() && big.len() < 128,
+            "the pool cannot hold 128 samples: got {}",
+            big.len()
+        );
+        for s in &big {
+            assert_eq!(s.to_vec(), source.expected(s.id));
+            seen[s.id as usize] = true;
+        }
+        let first = big.len();
+        drop(big);
+        assert_eq!(
+            first + drain_zero_copy(rt, &mut io, &source, &mut seen),
+            total
+        );
+    });
+}
+
+/// Regression: the same starvation reached through held results — the 7th
+/// of ten held `batch(16).zero_copy()` used to panic. With every chunk
+/// pinned by the caller a batch is short or `CacheExhausted`, and the
+/// epoch completes exactly once after the caller lets go.
+#[test]
+fn held_zero_copy_batches_exhaust_the_cache_without_panicking() {
+    Runtime::simulate(8, |rt| {
+        let source = SyntheticSource::fixed(6, 400, 200 << 10);
+        let fs = mount(rt, &source);
+        let mut io = fs.io(0);
+        let total = io.sequence(rt, 5, 0);
+        let mut seen = vec![false; source.count()];
+        let mut held = Vec::new();
+        let mut exhausted = false;
+        for _ in 0..10 {
+            match io.submit(rt, &ReadRequest::batch(16).zero_copy()) {
+                Ok(batch) => held.extend(batch.into_zero_copy()),
+                Err(DlfsError::CacheExhausted) => exhausted = true,
+                Err(e) => panic!("expected a short batch or CacheExhausted: {e}"),
+            }
+        }
+        assert!(exhausted, "ten held batches must run the pool dry");
+        assert!(held.len() < 160);
+        for s in &held {
+            assert_eq!(s.to_vec(), source.expected(s.id));
+            assert!(!seen[s.id as usize]);
+            seen[s.id as usize] = true;
+        }
+        let first = held.len();
+        drop(held);
+        assert_eq!(
+            first + drain_zero_copy(rt, &mut io, &source, &mut seen),
+            total
+        );
     });
 }
