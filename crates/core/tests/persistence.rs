@@ -5,18 +5,21 @@
 //! arbitrary name/size distributions, with zero PFS traffic and zero
 //! device writes on the warm path.
 
+mod common;
+
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget};
+use common::check_golden;
 use dlfs::source::SampleSource;
 use dlfs::{
-    fsck_node, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, FsckState,
-    LayoutError, MountOptions, ReadRequest, SyntheticSource,
+    fsck_node, CodecKind, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, FsckState,
+    LayoutError, MountBuilder, MountOptions, ReadRequest, SyntheticSource,
 };
 use fabric::{Cluster, FabricConfig, NvmeOfTarget, TargetConfig};
 use simkit::prelude::*;
 use simkit::resource::Link;
-use simkit::rng::SplitMix64;
+use simkit::rng::{fnv1a, SplitMix64};
 use simkit::telemetry::Registry;
 
 fn ramdisk(bytes: u64) -> Arc<NvmeDevice> {
@@ -682,4 +685,168 @@ fn remount_integrity_config_mismatches_are_typed() {
         .unwrap();
         drain_all_readers(rt, &warm, &source, 7);
     });
+}
+
+/// Variable-size, compressible samples for the bring-up grid: sizes that
+/// straddle device blocks and pad codec frames, payloads `Lz` shrinks.
+struct GridSource;
+
+impl SampleSource for GridSource {
+    fn count(&self) -> usize {
+        240
+    }
+
+    fn name(&self, id: u32) -> String {
+        format!("grid/sample_{id:05}")
+    }
+
+    fn size(&self, id: u32) -> u64 {
+        500 + (id as u64 * 733) % 3500
+    }
+
+    fn fill(&self, id: u32, buf: &mut [u8]) {
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = (id as usize * 31 + i % 57) as u8;
+        }
+    }
+}
+
+/// Characterisation golden for bring-up: every {ephemeral, persistent} ×
+/// replicas × verify × codec × rig cell records when `mount` returns, what
+/// it wrote (`dlfs.write.*`) and a hash of every device image; persistent
+/// cells add the warm `remount` (time, `dlfs.remount.*`); every cell ends
+/// with one delivered, byte-verified epoch. Generated before the bring-up refactor; a refactor of
+/// `mount.rs`/`layout.rs`/`writer.rs` must pass it unmodified.
+#[test]
+fn setup_grid_matches_golden() {
+    let mut text = String::new();
+    let mut cell = 0u64;
+    for persist in [false, true] {
+        for replicas in [1usize, 2] {
+            for verify in [false, true] {
+                for codec in [CodecKind::Identity, CodecKind::Lz] {
+                    for fabric_rig in [false, true] {
+                        cell += 1;
+                        text.push_str(&format!(
+                            "cell persist={persist} replicas={replicas} verify={verify} \
+                             codec={codec} rig={}\n",
+                            if fabric_rig {
+                                "2x3-nvmeof+pfs"
+                            } else {
+                                "1x2-local"
+                            }
+                        ));
+                        let cfg = DlfsConfig {
+                            chunk_size: 16 * 1024,
+                            ckpt_region_bytes: 64 * 1024,
+                            replicas,
+                            verify_reads: verify,
+                            codec,
+                            ..DlfsConfig::default()
+                        };
+                        text.push_str(&setup_cell(cell, cfg, persist, fabric_rig));
+                    }
+                }
+            }
+        }
+    }
+    check_golden("setup_grid.txt", &text);
+}
+
+/// One grid cell; returns its report lines.
+fn setup_cell(seed: u64, cfg: DlfsConfig, persist: bool, fabric_rig: bool) -> String {
+    Runtime::simulate(7000 + seed, |rt| {
+        let (readers, nodes) = if fabric_rig { (2, 3) } else { (1, 2) };
+        let devices: Vec<Arc<NvmeDevice>> = (0..nodes).map(|_| ramdisk(2 << 20)).collect();
+        // Readers are cluster nodes 0..readers, targets follow.
+        let cluster = Arc::new(Cluster::new(readers + nodes, FabricConfig::default()));
+        let exported: Vec<Arc<NvmeOfTarget>> = devices
+            .iter()
+            .enumerate()
+            .map(|(n, d)| NvmeOfTarget::new(readers + n, d.clone(), TargetConfig::default()))
+            .collect();
+        let deployment = || {
+            if !fabric_rig {
+                return local_deployment(&devices);
+            }
+            Deployment {
+                targets: (0..readers)
+                    .map(|r| {
+                        exported
+                            .iter()
+                            .map(|t| {
+                                fabric::connect(cluster.clone(), r, t.clone())
+                                    as Arc<dyn NvmeTarget>
+                            })
+                            .collect()
+                    })
+                    .collect(),
+                cluster: Some(cluster.clone()),
+            }
+        };
+        let builder = |reg: &Registry| {
+            let b = MountBuilder::new(cfg.clone())
+                .deployment(deployment())
+                .with_registry(reg.clone());
+            if fabric_rig {
+                b.pfs(Link::new(1.0e9, Dur::micros(40)))
+            } else {
+                b
+            }
+        };
+        let mut out = String::new();
+        let reg = Registry::new();
+        let b = if persist {
+            builder(&reg).persistent()
+        } else {
+            builder(&reg)
+        };
+        let fs = b.mount(rt, &GridSource).unwrap();
+        out.push_str(&format!("mount t={}\n", rt.now().nanos()));
+        out.push_str(&reg.snapshot().render());
+        for (n, d) in devices.iter().enumerate() {
+            let mut image = vec![0u8; d.storage().capacity() as usize];
+            d.storage().read_at(0, &mut image);
+            out.push_str(&format!("dev{n} image={:016x}\n", fnv1a(&image)));
+        }
+        // Persistent cells deliver their epoch through a warm remount (the
+        // devices alone must suffice); ephemeral cells through the mount.
+        let fs = if persist {
+            drop(fs);
+            let reg = Registry::new();
+            let warm = builder(&reg).warm().remount(rt).unwrap();
+            out.push_str(&format!("remount t={}\n", rt.now().nanos()));
+            out.push_str(&reg.snapshot().render());
+            warm
+        } else {
+            fs
+        };
+        let mut epoch = 0u64;
+        for r in 0..fs.readers() {
+            let mut io = fs.io(r);
+            io.sequence(rt, 5, 0);
+            loop {
+                match io.submit(rt, &ReadRequest::batch(32)) {
+                    Ok(got) => {
+                        for (id, data) in got.into_copied() {
+                            let mut want = vec![0u8; GridSource.size(id) as usize];
+                            GridSource.fill(id, &mut want);
+                            assert_eq!(data, want, "sample {id} corrupted");
+                            epoch = epoch
+                                .wrapping_mul(0x100000001b3)
+                                .wrapping_add(fnv1a(&data) ^ id as u64);
+                        }
+                    }
+                    Err(DlfsError::EpochExhausted) => break,
+                    Err(e) => panic!("epoch failed: {e}"),
+                }
+            }
+        }
+        out.push_str(&format!(
+            "epoch t={} delivered={epoch:016x}\n",
+            rt.now().nanos()
+        ));
+        out
+    })
+    .0
 }

@@ -9,9 +9,12 @@
 //! delivery trace into a text report and appends the full telemetry
 //! snapshot render; the test asserts byte equality against the fixture.
 
+mod common;
+
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget};
+use common::check_golden;
 use dlfs::source::SampleSource;
 use dlfs::{
     CacheMode, CodecKind, CompressibleSource, Deployment, DlfsConfig, DlfsError, DlfsInstance,
@@ -23,29 +26,6 @@ use simkit::rng::fnv1a;
 
 fn local_device() -> Arc<NvmeDevice> {
     NvmeDevice::new(DeviceConfig::optane(256 << 20))
-}
-
-fn golden_path(name: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-/// Compare `text` against the named fixture; with `DLFS_UPDATE_GOLDEN=1`
-/// (re)write it instead.
-fn check_golden(name: &str, text: &str) {
-    let path = golden_path(name);
-    if std::env::var("DLFS_UPDATE_GOLDEN").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, text).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|_| panic!("fixture {name} missing; run with DLFS_UPDATE_GOLDEN=1"));
-    assert_eq!(
-        text, want,
-        "reactor output diverged from the pre-reactor golden {name}"
-    );
 }
 
 /// The payload a source staged for `id` (both synthetic sources offer it
