@@ -3,6 +3,8 @@
 use simkit::retry::RetryPolicy;
 use simkit::time::Dur;
 
+use crate::error::DlfsError;
+
 /// Costs of DLFS's own (user-level) processing. These are the *small*
 /// per-operation CPU terms that replace the kernel stack; calibrated to
 /// SPDK microbenchmark lore (sub-microsecond submit/poll paths).
@@ -133,11 +135,6 @@ pub struct DlfsConfig {
     /// region when the dataset is `import`ed (persistent layout). `0`
     /// disables checkpointing on that instance.
     pub ckpt_region_bytes: u64,
-    /// Samples buffered per reader between the staging producer and each
-    /// upload task during `mount`/`import`: bounds setup memory to
-    /// O(`import_stream_depth` samples) per reader instead of the whole
-    /// data share.
-    pub import_stream_depth: usize,
     /// Publish the completion reactor's counters
     /// (`dlfs.reactor.{wakeups,doorbells,parked_ns}`) into the instance's
     /// metric registry. Off by default so reports rendered from the
@@ -221,7 +218,6 @@ impl Default for DlfsConfig {
             cache_mode: CacheMode::default(),
             prefetch_window: 0,
             ckpt_region_bytes: 8 << 20,
-            import_stream_depth: 4,
             reactor_stats: false,
             replicas: 1,
             verify_reads: false,
@@ -238,82 +234,96 @@ impl Default for DlfsConfig {
 }
 
 impl DlfsConfig {
-    pub fn validate(&self) -> Result<(), String> {
+    /// Check every knob and knob combination that can be judged without a
+    /// deployment (`DlfsConfig::check_replicas` needs its storage-node
+    /// count); the mount terminals run both once, before anything touches
+    /// a device.
+    pub fn validate(&self) -> Result<(), DlfsError> {
+        let bad = |msg: String| Err(DlfsError::Config(msg));
         if self.chunk_size == 0 || !self.chunk_size.is_multiple_of(blocksim::BLOCK_SIZE) {
-            return Err(format!(
+            return bad(format!(
                 "chunk_size {} must be a nonzero multiple of the device block size",
                 self.chunk_size
             ));
         }
         if self.queue_depth == 0 {
-            return Err("queue_depth must be > 0".into());
+            return bad("queue_depth must be > 0".into());
         }
         if self.window_chunks == 0 {
-            return Err("window_chunks must be > 0".into());
+            return bad("window_chunks must be > 0".into());
         }
         if self.copy_threads == 0 {
-            return Err("copy_threads must be > 0".into());
+            return bad("copy_threads must be > 0".into());
         }
         if self.pool_chunks < self.window_chunks {
-            return Err(format!(
+            return bad(format!(
                 "pool_chunks ({}) must be >= window_chunks ({})",
                 self.pool_chunks, self.window_chunks
             ));
         }
         if self.retry.max_attempts == 0 {
-            return Err("retry.max_attempts must be >= 1 (1 = no retries)".into());
-        }
-        if self.import_stream_depth == 0 {
-            return Err("import_stream_depth must be > 0".into());
+            return bad("retry.max_attempts must be >= 1 (1 = no retries)".into());
         }
         if self.prefetch_window > 0 && self.cache_mode != CacheMode::CrossEpoch {
-            return Err(format!(
+            return bad(format!(
                 "prefetch_window ({}) requires cache_mode CrossEpoch: prefetched \
                  chunks are only useful if they survive into the next epoch",
                 self.prefetch_window
             ));
         }
-        if self.replicas == 0 {
-            return Err("replicas must be >= 1 (1 = no replication)".into());
-        }
         if self.scrub && !self.verify_reads {
-            return Err(
+            return bad(
                 "scrub requires verify_reads: the scrubber walks extents against \
                  the persisted checksum table"
                     .into(),
             );
         }
         if self.hedge_reads && self.replicas < 2 {
-            return Err(format!(
+            return bad(format!(
                 "hedge_reads requires replicas >= 2 (have {}): a hedge needs a \
                  second copy to race",
                 self.replicas
             ));
         }
         if self.fail_dead_after.is_some() && self.replicas < 2 {
-            return Err(format!(
+            return bad(format!(
                 "fail_dead_after requires replicas >= 2 (have {}): declaring a \
                  node dead only helps if its data survives elsewhere",
                 self.replicas
             ));
         }
         if self.rebuild_gap_blocks == 0 {
-            return Err("rebuild_gap_blocks must be > 0".into());
+            return bad("rebuild_gap_blocks must be > 0".into());
         }
         if self.codec != crate::codec::CodecKind::Identity
             && matches!(self.batch_mode, BatchMode::SampleLevel)
         {
-            return Err(
+            return bad(
                 "codec requires chunk-level batching: frames decode as whole chunks, \
                  sample-level fetch items are not frame-aligned"
                     .into(),
             );
         }
         if self.costs.decode_bytes_per_sec <= 0.0 {
-            return Err("costs.decode_bytes_per_sec must be > 0".into());
+            return bad("costs.decode_bytes_per_sec must be > 0".into());
         }
         if let Some(qos) = &self.qos {
             qos.validate()?;
+        }
+        Ok(())
+    }
+
+    /// `replicas` must be at least 1 (no replication) and at most the
+    /// deployment's storage nodes: replica `r` of home `h` lives on node
+    /// `(h + r) mod N`, so more copies than nodes would fold two copies
+    /// onto one device.
+    pub(crate) fn check_replicas(&self, storage_nodes: usize) -> Result<(), DlfsError> {
+        if !(1..=storage_nodes).contains(&self.replicas) {
+            return Err(DlfsError::Config(format!(
+                "replicas = {} must be between 1 and the {storage_nodes} storage node(s) in the \
+                 deployment",
+                self.replicas
+            )));
         }
         Ok(())
     }
@@ -400,7 +410,8 @@ mod tests {
             replicas: 0,
             ..Default::default()
         };
-        assert!(c.validate().is_err());
+        assert!(c.check_replicas(4).is_err());
+        assert!(DlfsConfig::default().check_replicas(0).is_err());
         // Scrub needs the checksum table; hedging needs a second copy…
         let c = DlfsConfig {
             scrub: true,

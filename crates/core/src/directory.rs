@@ -120,6 +120,16 @@ impl DirectoryBuilder {
         Ok(())
     }
 
+    /// Shift every entry placed on node `n` by `base[n]` bytes. Placement
+    /// packs each node's samples from offset 0; a persistent layout then
+    /// moves each region to its planned `data_base` (the planner has
+    /// checked the region's end against the 40-bit offset field).
+    pub fn rebase(&mut self, base: &[u64]) {
+        for (u1, u2) in self.unit1.iter().zip(&mut self.unit2) {
+            *u2 += base[(u1 >> 48) as usize] << 24;
+        }
+    }
+
     pub fn finish(self) -> Result<SampleDirectory, DlfsError> {
         let missing = self.filled.iter().filter(|&&f| !f).count() as u32;
         if missing > 0 {

@@ -8,7 +8,7 @@
 //! 1. **Where does replica `r` of home node `h`'s blocks live?**
 //!    Replica `r` of home `h` is hosted by node `(h + r) mod N`, inside
 //!    that node's replica slot `r` (see
-//!    [`crate::layout::Superblock::plan_redundant`]). Slot 0 is always the
+//!    [`crate::layout::Superblock::plan`]). Slot 0 is always the
 //!    node's own data, so `r = 0` routes to the home node unchanged.
 //! 2. **Are these bytes the bytes the import staged?** The per-block
 //!    FNV-1a table computed client-side during upload (and persisted in
@@ -29,6 +29,7 @@
 use std::sync::Arc;
 
 use crate::error::DlfsError;
+use crate::layout::replica_offset;
 use blocksim::BLOCK_SIZE;
 use fabric::{Membership, MembershipPolicy, TargetHealth};
 use simkit::rng::fnv1a;
@@ -167,10 +168,10 @@ impl Redundancy {
         debug_assert_eq!(home_base % BLOCK_SIZE, 0);
         debug_assert_eq!(peer_base % BLOCK_SIZE, 0);
         debug_assert_eq!(peer_slot % BLOCK_SIZE, 0);
-        let rel = slba - home_base / BLOCK_SIZE;
+        let rel = slba * BLOCK_SIZE - home_base;
         (
             peer as u16,
-            (peer_base + r as u64 * peer_slot) / BLOCK_SIZE + rel,
+            replica_offset(peer_base, peer_slot, r, rel) / BLOCK_SIZE,
         )
     }
 

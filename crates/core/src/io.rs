@@ -56,7 +56,10 @@ use crate::scoped_or_detached;
 use crate::zerocopy::{Pin, PinGuard, ZeroCopySample};
 use crate::{cache::SampleCache, copy::CopyPool};
 
-/// State shared by every I/O thread of one compute node.
+/// State shared by every I/O thread of one compute node. Cloning is cheap
+/// (every heavy member is behind an `Arc`) and is how views over the same
+/// devices are derived: another tenant, another directory.
+#[derive(Clone)]
 pub struct DlfsShared {
     pub cfg: DlfsConfig,
     pub dir: Arc<SampleDirectory>,
@@ -114,18 +117,8 @@ impl DlfsShared {
             return self.clone();
         }
         Arc::new(DlfsShared {
-            cfg: self.cfg.clone(),
-            dir: self.dir.clone(),
-            cache: self.cache.clone(),
-            copy: self.copy.clone(),
-            targets: self.targets.clone(),
-            reader_id: self.reader_id,
-            readers: self.readers,
-            layouts: self.layouts.clone(),
-            redundancy: self.redundancy.clone(),
-            codec: self.codec.clone(),
             tenant,
-            qos: self.qos.clone(),
+            ..DlfsShared::clone(self)
         })
     }
 }
@@ -2293,9 +2286,13 @@ impl DlfsIo {
     ///
     /// Warm path: pin the sample's resident extent and hand out
     /// chunk-backed segments — no memcpy, no allocation. Miss path: fetch
-    /// through [`DlfsIo::fetch_range`], publish the range into the cache,
-    /// pin it, and release it so the pool reclaims it after the sample
-    /// drops (cross-epoch mode parks it on the LRU tail instead).
+    /// through [`DlfsIo::fetch_range`], slice the sample's segments out of
+    /// the fetched buffers, then publish the range into the cache, pin it,
+    /// and release it so the pool reclaims it after the sample drops
+    /// (cross-epoch mode parks it on the LRU tail instead). The segments
+    /// are taken *before* the publish: on an epoch-scoped mount the release
+    /// retires the range on the spot, and a retired range, though still
+    /// pinned, can no longer be looked up.
     fn read_entry_zero_copy(
         &mut self,
         rt: &Runtime,
@@ -2306,7 +2303,9 @@ impl DlfsIo {
         // synchronous read drains the shared qpairs.
         self.current_deadline = None;
         let cross = self.shared.cfg.cache_mode == CacheMode::CrossEpoch;
-        let (key, base, (off, len)) = self.sync_geometry(id, entry);
+        let chunk = self.shared.cfg.chunk_size as usize;
+        let len = entry.len() as usize;
+        let (key, base, (off, fetch_len)) = self.sync_geometry(id, entry);
         let nid = entry.nid();
         loop {
             if let Some((gen, _, prefetched)) = self.shared.cache.pin_key(key) {
@@ -2317,7 +2316,13 @@ impl DlfsIo {
                 if cross {
                     self.tel.ce_hits.inc();
                 }
-                return Ok(self.finish_zero_copy(rt, id, entry, key, base, gen));
+                let within = (entry.offset() - base) as usize;
+                let segments = self
+                    .shared
+                    .cache
+                    .with_resident(key, |bufs, _| segments_at(bufs, chunk, within, len))
+                    .expect("a range just pinned by key is resident");
+                return Ok(self.finish_zero_copy(rt, id, segments, key, gen));
             }
             self.tel.cache_misses.inc();
             if cross {
@@ -2328,7 +2333,7 @@ impl DlfsIo {
             // an epoch-scoped raw mount, a range retired (invisible) the
             // moment it is pinned below.
             let fetched = self.shared.rkey(nid, off);
-            let (slba, nblocks, _) = self.read_geometry(nid, off, len);
+            let (slba, nblocks, _) = self.read_geometry(nid, off, fetch_len);
             let bufs = self.fetch_range(rt, nid, slba, nblocks, None)?;
             if self.shared.cache.contains(fetched) {
                 // Published concurrently (batched engine or another
@@ -2340,51 +2345,41 @@ impl DlfsIo {
                 continue;
             }
             self.decode_frame(rt, nid, entry.offset(), &bufs);
+            let within = (entry.offset() - slba * BLOCK_SIZE) as usize;
+            let segments = segments_at(&bufs, chunk, within, len);
             // publish + pin + release run back to back with no virtual-time
             // advance between them, so no other participant can interleave:
             // the live-double-publish panic in `publish` cannot fire, and
             // the range cannot be evicted before we hold the pin.
-            self.shared.cache.publish(fetched, bufs, len);
+            self.shared.cache.publish(fetched, bufs, fetch_len);
             let (gen, _, _) = self.shared.cache.pin_key(fetched).expect("just published");
             self.shared.cache.release(fetched)?;
-            return Ok(self.finish_zero_copy(rt, id, entry, fetched, slba * BLOCK_SIZE, gen));
+            return Ok(self.finish_zero_copy(rt, id, segments, fetched, gen));
         }
     }
 
-    /// Build the delivered sample from a pin already taken on `key` whose
-    /// buffers start at byte `base`. Allocation-free: the segment list
-    /// stays inline and the pin is embedded in the sample.
+    /// Build the delivered sample from its segments and the pin already
+    /// taken on `key`. Allocation-free: the segment list stays inline and
+    /// the pin is embedded in the sample.
     fn finish_zero_copy(
         &mut self,
         rt: &Runtime,
         id: u32,
-        entry: SampleEntry,
+        segments: SegList,
         key: RangeKey,
-        base: u64,
         gen: u64,
     ) -> ZeroCopySample {
-        let chunk = self.shared.cfg.chunk_size as usize;
-        let within = (entry.offset() - base) as usize;
-        let segments = self
-            .shared
-            .cache
-            .with_resident(key, |bufs, _| {
-                segments_at(bufs, chunk, within, entry.len() as usize)
-            })
-            .expect("pinned range is resident");
         rt.work(self.shared.cfg.costs.frontend_per_sample);
         self.tel.cache_pins.inc();
         self.tel.samples_delivered.inc();
-        self.tel.bytes_delivered.add(entry.len());
-        ZeroCopySample::new(
-            id,
-            segments,
-            Pin::Own {
-                cache: self.shared.cache.clone(),
-                key,
-                gen,
-            },
-        )
+        let pin = Pin::Own {
+            cache: self.shared.cache.clone(),
+            key,
+            gen,
+        };
+        let sample = ZeroCopySample::new(id, segments, pin);
+        self.tel.bytes_delivered.add(sample.len() as u64);
+        sample
     }
 }
 

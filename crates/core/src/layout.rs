@@ -25,6 +25,15 @@
 //! the device. A 512 B superblock write is atomic at block granularity, so
 //! there is no window where the superblock itself is half-written.
 //!
+//! **One planner, one loader.** [`Superblock::plan`] is the only place the
+//! regions are sized and placed (an integrity table after the metadata
+//! with `verify_reads`, a codec table before `data_base` with a codec,
+//! `replicas` slots inside the data region), and [`load_node`] is the only
+//! code that reads a device's metadata back: `remount` drives it with
+//! timed reads, [`fsck_node`] and [`fsck_repair`] with `read_untimed`.
+//! So a device fsck reports `Clean` is a device `remount` accepts, by
+//! construction.
+//!
 //! **Checkpoint records** are self-describing: a one-block header (magic,
 //! generation, sequence number, payload length + checksum) followed by the
 //! block-padded payload. The header is written *after* the payload, so a
@@ -37,6 +46,7 @@ use blocksim::{NvmeTarget, BLOCK_SIZE};
 use simkit::rng::fnv1a;
 
 use crate::codec::CodecKind;
+use crate::config::DlfsConfig;
 use crate::entry::MAX_OFFSET;
 use crate::error::{DlfsError, LayoutError};
 
@@ -140,113 +150,48 @@ fn get_u64(b: &[u8], at: usize) -> u64 {
 }
 
 impl Superblock {
-    /// Plan the geometry for a device of `device_bytes` holding
-    /// `node_samples` samples totalling `data_bytes`, with a checkpoint
-    /// region of (about) `ckpt_region_bytes` at the end. Generation and
-    /// metadata checksum are filled in during import.
-    #[allow(clippy::too_many_arguments)]
+    /// Plan the geometry for storage node `node_id`'s device of
+    /// `device_bytes`, holding `share = (samples, data bytes)` of a
+    /// `total_samples` dataset spread over `storage_nodes` nodes. `cfg`
+    /// supplies the rest: `chunk_size` (data and replica slots are
+    /// chunk-aligned), a checkpoint region of (about) `ckpt_region_bytes`
+    /// at the end of the device, `replicas`-way chunk replication (the
+    /// data region is split into `replicas` slots; slot 0 is this node's
+    /// own data, slot `r` mirrors the node `r` places counter-clockwise),
+    /// with `verify_reads` a table of one FNV-1a word per 512 B data block
+    /// after the metadata region, and with a codec a block-aligned
+    /// per-frame encoded-length table (one `u32` per chunk frame plus a
+    /// trailing checksum word) before `data_base`. Regions a feature does
+    /// not need take no space. Generation and metadata checksum are
+    /// filled in during import.
     pub fn plan(
         node_id: u16,
         storage_nodes: u32,
         total_samples: u64,
-        node_samples: u64,
-        data_bytes: u64,
+        (node_samples, data_bytes): (u64, u64),
         device_bytes: u64,
-        chunk_size: u64,
-        ckpt_region_bytes: u64,
+        cfg: &DlfsConfig,
     ) -> Result<Superblock, DlfsError> {
-        Superblock::plan_redundant(
-            node_id,
-            storage_nodes,
-            total_samples,
-            node_samples,
-            data_bytes,
-            device_bytes,
-            chunk_size,
-            ckpt_region_bytes,
-            1,
-            false,
-        )
-    }
-
-    /// [`Superblock::plan`] with redundancy: `replicas`-way chunk
-    /// replication (the data region is split into `replicas` chunk-aligned
-    /// slots; slot 0 is this node's own data, slot `r` mirrors the node
-    /// `r` places counter-clockwise) and, with `integrity`, a table of one
-    /// FNV-1a word per 512 B data block between the metadata and data
-    /// regions. `replicas == 1, integrity == false` reproduces the exact
-    /// [`Superblock::plan`] geometry.
-    #[allow(clippy::too_many_arguments)]
-    pub fn plan_redundant(
-        node_id: u16,
-        storage_nodes: u32,
-        total_samples: u64,
-        node_samples: u64,
-        data_bytes: u64,
-        device_bytes: u64,
-        chunk_size: u64,
-        ckpt_region_bytes: u64,
-        replicas: u32,
-        integrity: bool,
-    ) -> Result<Superblock, DlfsError> {
-        Superblock::plan_coded(
-            node_id,
-            storage_nodes,
-            total_samples,
-            node_samples,
-            data_bytes,
-            device_bytes,
-            chunk_size,
-            ckpt_region_bytes,
-            replicas,
-            integrity,
-            CodecKind::Identity,
-        )
-    }
-
-    /// [`Superblock::plan_redundant`] with a per-chunk codec: reserves a
-    /// block-aligned region between the integrity table and `data_base`
-    /// for the per-frame encoded-length table (one `u32` per chunk frame
-    /// of the node's own data plus a trailing checksum word). Under
-    /// [`CodecKind::Identity`] no region is reserved and the geometry is
-    /// byte-for-byte the `plan_redundant` one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn plan_coded(
-        node_id: u16,
-        storage_nodes: u32,
-        total_samples: u64,
-        node_samples: u64,
-        data_bytes: u64,
-        device_bytes: u64,
-        chunk_size: u64,
-        ckpt_region_bytes: u64,
-        replicas: u32,
-        integrity: bool,
-        codec: CodecKind,
-    ) -> Result<Superblock, DlfsError> {
-        assert!(replicas >= 1, "replicas must be at least 1");
-        assert!(
-            replicas <= storage_nodes,
-            "cannot place {replicas} replicas across {storage_nodes} node(s)"
-        );
+        cfg.check_replicas(storage_nodes as usize)?;
+        let (chunk_size, replicas) = (cfg.chunk_size, cfg.replicas as u32);
         let meta_base = BLOCK_SIZE;
         let meta_bytes = node_samples * META_RECORD_BYTES;
         let meta_capacity = meta_bytes.next_multiple_of(BLOCK_SIZE);
         // One checksum word per data block staged on this node.
-        let integrity_bytes = if integrity {
-            data_bytes.div_ceil(BLOCK_SIZE) * 8
+        let integrity_bytes = if cfg.verify_reads {
+            integrity_table_bytes(data_bytes)
         } else {
             0
         };
         let integrity_capacity = integrity_bytes.next_multiple_of(BLOCK_SIZE);
-        let integrity_base = if integrity {
+        let integrity_base = if cfg.verify_reads {
             meta_base + meta_capacity
         } else {
             0
         };
         // One u32 per chunk frame of this node's own data, plus a trailing
         // FNV-1a checksum word over the length words.
-        let codec_table_bytes = if codec == CodecKind::Identity {
+        let codec_table_bytes = if cfg.codec == CodecKind::Identity {
             0
         } else {
             data_bytes.div_ceil(chunk_size) * 4 + 8
@@ -254,7 +199,7 @@ impl Superblock {
         let codec_capacity = codec_table_bytes.next_multiple_of(BLOCK_SIZE);
         let data_base = (meta_base + meta_capacity + integrity_capacity + codec_capacity)
             .next_multiple_of(chunk_size);
-        let ckpt_capacity = ckpt_region_bytes.next_multiple_of(BLOCK_SIZE);
+        let ckpt_capacity = cfg.ckpt_region_bytes.next_multiple_of(BLOCK_SIZE);
         let need = data_base + data_bytes * replicas as u64 + ckpt_capacity;
         if need > device_bytes {
             return Err(DlfsError::Capacity {
@@ -272,11 +217,7 @@ impl Superblock {
             });
         }
         let data_capacity = ckpt_base - data_base;
-        let replica_slot_bytes = if replicas == 1 {
-            data_capacity
-        } else {
-            data_capacity / replicas as u64 / chunk_size * chunk_size
-        };
+        let replica_slot_bytes = replica_slot(data_capacity, replicas, chunk_size);
         if data_bytes > replica_slot_bytes {
             return Err(DlfsError::Capacity {
                 node: node_id,
@@ -310,7 +251,7 @@ impl Superblock {
             replica_slot_bytes,
             integrity_base,
             integrity_bytes,
-            codec,
+            codec: cfg.codec,
             codec_table_bytes,
         })
     }
@@ -427,8 +368,32 @@ impl Superblock {
     /// 0 is the home copy itself.
     pub fn replica_offset(&self, peer: &Superblock, r: u32, home_offset: u64) -> u64 {
         debug_assert!(home_offset >= self.data_base);
-        peer.data_base + r as u64 * peer.replica_slot_bytes + (home_offset - self.data_base)
+        replica_offset(
+            peer.data_base,
+            peer.replica_slot_bytes,
+            r,
+            home_offset - self.data_base,
+        )
     }
+}
+
+/// Stride between the `replicas` chunk-aligned slots a data region of
+/// `capacity` bytes is split into (the whole region when unreplicated).
+pub(crate) fn replica_slot(capacity: u64, replicas: u32, chunk_size: u64) -> u64 {
+    if replicas == 1 {
+        capacity
+    } else {
+        capacity / replicas as u64 / chunk_size * chunk_size
+    }
+}
+
+/// The replica placement rule, stated once: copy `r` of the byte `rel`
+/// bytes into a home node's data region sits `rel` bytes into slot `r` of
+/// the hosting peer, whose data region starts at `peer_base` and strides
+/// its slots by `peer_slot`. Staging, read routing and repair all place
+/// and find copies through this.
+pub(crate) fn replica_offset(peer_base: u64, peer_slot: u64, r: u32, rel: u64) -> u64 {
+    peer_base + r as u64 * peer_slot + rel
 }
 
 /// Serialize one node's sample metadata region.
@@ -523,6 +488,12 @@ impl BlockChecksums {
         }
         self.sums
     }
+}
+
+/// Serialized length of the integrity table covering `data_bytes` of
+/// staged data: one checksum word per 512 B block.
+fn integrity_table_bytes(data_bytes: u64) -> u64 {
+    data_bytes.div_ceil(BLOCK_SIZE) * 8
 }
 
 /// Serialize a per-block checksum table for the integrity region.
@@ -636,6 +607,77 @@ pub(crate) fn read_untimed(target: &Arc<dyn NvmeTarget>, offset: u64, len: usize
     raw[head..head + len].to_vec()
 }
 
+/// One storage node's on-device metadata, read back and verified by
+/// [`load_node`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NodeMeta {
+    /// The committed superblock.
+    pub sb: Superblock,
+    /// The sample metadata region, checksum-verified.
+    pub records: Vec<MetaRecord>,
+    /// The per-block integrity table; empty when the caller did not ask
+    /// for it or the import persisted none.
+    pub sums: Vec<u64>,
+    /// The per-frame encoded-length table; empty under `Identity`.
+    pub lens: Vec<u32>,
+}
+
+/// The one reader of a device's metadata: superblock (decoded, committed),
+/// sample metadata (region checksum, then records), the integrity table
+/// when `want_sums` and the import persisted one, and the self-checksummed
+/// codec table of a coded import — in that order, through `read(offset,
+/// len)`. `remount` passes a timed read, `fsck_node`/`fsck_repair` an
+/// untimed one, so a device fsck calls clean is a device remount accepts:
+/// both ran this function.
+pub fn load_node(
+    mut read: impl FnMut(u64, usize) -> Result<Vec<u8>, DlfsError>,
+    node: u16,
+    want_sums: bool,
+) -> Result<NodeMeta, DlfsError> {
+    let sb = Superblock::decode(node, &read(0, BLOCK_SIZE as usize)?)?;
+    if !sb.committed {
+        return Err(LayoutError::TornImport {
+            node,
+            generation: sb.generation,
+        }
+        .into());
+    }
+    if sb.integrity_bytes > 0 && sb.integrity_bytes != integrity_table_bytes(sb.data_bytes) {
+        return Err(LayoutError::Inconsistent(format!(
+            "node {node}: integrity table of {} B does not cover {} B of data",
+            sb.integrity_bytes, sb.data_bytes
+        ))
+        .into());
+    }
+    let meta = read(sb.meta_base, sb.meta_bytes as usize)?;
+    if fnv1a(&meta) != sb.meta_checksum {
+        return Err(LayoutError::ChecksumMismatch {
+            node,
+            region: "metadata",
+        }
+        .into());
+    }
+    let records = decode_meta(node, &meta)?;
+    let sums = if want_sums && sb.integrity_bytes > 0 {
+        decode_integrity(&read(sb.integrity_base, sb.integrity_bytes as usize)?)
+    } else {
+        Vec::new()
+    };
+    // Read before any data, so a stale or torn table is caught here
+    // rather than by a decoder fed garbage lengths.
+    let lens = if sb.codec != CodecKind::Identity {
+        decode_codec_table(node, &read(sb.codec_base(), sb.codec_table_bytes as usize)?)?
+    } else {
+        Vec::new()
+    };
+    Ok(NodeMeta {
+        sb,
+        records,
+        sums,
+        lens,
+    })
+}
+
 /// What `fsck` concluded about one device.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FsckState {
@@ -678,8 +720,9 @@ pub fn fsck_node(target: &Arc<dyn NvmeTarget>, node: u16, deep: bool) -> FsckNod
         checkpoints: 0,
         checkpoint_bytes: 0,
     };
-    let sb_block = read_untimed(target, 0, BLOCK_SIZE as usize);
-    let sb = match Superblock::decode(node, &sb_block) {
+    // Peek at the superblock for the report's state and generation; the
+    // verification proper is the shared loader's.
+    let sb = match Superblock::decode(node, &read_untimed(target, 0, BLOCK_SIZE as usize)) {
         Ok(sb) => sb,
         Err(e) => {
             report.state = FsckState::Unformatted(e);
@@ -692,17 +735,16 @@ pub fn fsck_node(target: &Arc<dyn NvmeTarget>, node: u16, deep: bool) -> FsckNod
         };
         return report;
     }
-    let meta = read_untimed(target, sb.meta_base, sb.meta_bytes as usize);
-    report.meta_checksum_ok = fnv1a(&meta) == sb.meta_checksum;
-    if !report.meta_checksum_ok {
-        report.state = FsckState::Corrupt {
-            generation: sb.generation,
-            what: "metadata checksum".into(),
-        };
-        return report;
-    }
-    let records = match decode_meta(node, &meta) {
-        Ok(r) => r,
+    let loaded = load_node(|off, len| Ok(read_untimed(target, off, len)), node, true);
+    report.meta_checksum_ok = !matches!(
+        loaded,
+        Err(DlfsError::Layout(LayoutError::ChecksumMismatch {
+            region: "metadata",
+            ..
+        }))
+    );
+    let records = match loaded {
+        Ok(meta) => meta.records,
         Err(e) => {
             report.state = FsckState::Corrupt {
                 generation: sb.generation,
@@ -785,15 +827,12 @@ pub fn fsck_repair(
     node: u16,
 ) -> Result<FsckRepairReport, DlfsError> {
     let home = &targets[node as usize];
-    let sb_block = read_untimed(home, 0, BLOCK_SIZE as usize);
-    let sb = Superblock::decode(node, &sb_block).map_err(DlfsError::Layout)?;
-    if !sb.committed {
-        return Err(LayoutError::TornImport {
-            node,
-            generation: sb.generation,
-        }
-        .into());
-    }
+    // Per-block expected checksums ride along when the import carried a
+    // table: they let replica blocks be verified in full before they
+    // overwrite home blocks (not just the one sample's byte range).
+    let NodeMeta {
+        sb, records, sums, ..
+    } = load_node(|off, len| Ok(read_untimed(home, off, len)), node, true)?;
     if sb.storage_nodes as usize != targets.len() {
         return Err(LayoutError::Inconsistent(format!(
             "node {node}: superblock spans {} nodes, {} targets supplied",
@@ -802,15 +841,6 @@ pub fn fsck_repair(
         ))
         .into());
     }
-    let meta = read_untimed(home, sb.meta_base, sb.meta_bytes as usize);
-    if fnv1a(&meta) != sb.meta_checksum {
-        return Err(LayoutError::ChecksumMismatch {
-            node,
-            region: "metadata",
-        }
-        .into());
-    }
-    let records = decode_meta(node, &meta).map_err(DlfsError::Layout)?;
     // Decode each replica peer's superblock once; a peer that is torn,
     // from a different import, or differently shaped supplies no copies.
     let peers: Vec<Option<(usize, Superblock)>> = (1..sb.replicas)
@@ -830,16 +860,6 @@ pub fn fsck_repair(
             }
         })
         .collect();
-    // Per-block expected checksums, when the import carried a table:
-    // lets replica blocks be verified in full before they overwrite home
-    // blocks (not just the one sample's byte range).
-    let table: Option<Vec<u64>> = (sb.integrity_bytes > 0).then(|| {
-        decode_integrity(&read_untimed(
-            home,
-            sb.integrity_base,
-            sb.integrity_bytes as usize,
-        ))
-    });
     let mut report = FsckRepairReport::default();
     for r in &records {
         let e = crate::entry::SampleEntry::from_raw(r.unit1, r.unit2);
@@ -869,15 +889,13 @@ pub fn fsck_repair(
             if fnv1a(&buf[head..head + len]) != r.payload_checksum {
                 continue;
             }
-            if let Some(sums) = &table {
-                let base = (slba - sb.data_base / BLOCK_SIZE) as usize;
-                let whole_ok = buf
-                    .chunks_exact(BLOCK_SIZE as usize)
-                    .enumerate()
-                    .all(|(i, blk)| sums.get(base + i).is_none_or(|&s| fnv1a(blk) == s));
-                if !whole_ok {
-                    continue;
-                }
+            let base = (slba - sb.data_base / BLOCK_SIZE) as usize;
+            let whole_ok = buf
+                .chunks_exact(BLOCK_SIZE as usize)
+                .enumerate()
+                .all(|(i, blk)| sums.get(base + i).is_none_or(|&s| fnv1a(blk) == s));
+            if !whole_ok {
+                continue;
             }
             home.dma_write(slba, &buf);
             fixed = true;
@@ -915,9 +933,24 @@ pub fn dataset_stamp(total_samples: u64, per_node: &[(u64, u64)]) -> u64 {
 mod tests {
     use super::*;
 
+    /// Default 256 KiB chunks and 8 MiB checkpoint region.
+    fn cfg(replicas: usize, verify_reads: bool, codec: CodecKind) -> DlfsConfig {
+        DlfsConfig {
+            replicas,
+            verify_reads,
+            codec,
+            ..DlfsConfig::default()
+        }
+    }
+
+    /// Node 3 of 4 on a 128 MiB device, holding 2 500 of 10 000 samples
+    /// (40 MiB).
+    fn plan_node3(cfg: &DlfsConfig) -> Result<Superblock, DlfsError> {
+        Superblock::plan(3, 4, 10_000, (2_500, 40 << 20), 128 << 20, cfg)
+    }
+
     fn sample_sb() -> Superblock {
-        let mut sb = Superblock::plan(3, 4, 10_000, 2_500, 40 << 20, 128 << 20, 256 << 10, 8 << 20)
-            .expect("plan");
+        let mut sb = plan_node3(&cfg(1, false, CodecKind::Identity)).expect("plan");
         sb.generation = 7;
         sb.committed = true;
         sb.meta_checksum = 0xdead_beef;
@@ -978,9 +1011,18 @@ mod tests {
 
     #[test]
     fn plan_rejects_undersized_device() {
-        let err = Superblock::plan(1, 2, 100, 50, 60 << 20, 32 << 20, 256 << 10, 8 << 20)
-            .expect_err("too small");
+        let plain = cfg(1, false, CodecKind::Identity);
+        let err =
+            Superblock::plan(1, 2, 100, (50, 60 << 20), 32 << 20, &plain).expect_err("too small");
         assert!(matches!(err, DlfsError::Capacity { node: 1, .. }));
+    }
+
+    #[test]
+    fn plan_rejects_impossible_replica_counts_typed() {
+        for replicas in [0, 5] {
+            let err = plan_node3(&cfg(replicas, false, CodecKind::Identity)).expect_err("replicas");
+            assert!(matches!(err, DlfsError::Config(_)), "{replicas}: {err:?}");
+        }
     }
 
     #[test]
@@ -1026,37 +1068,12 @@ mod tests {
     #[test]
     fn redundant_plan_geometry() {
         let base = sample_sb();
-        // replicas == 1 without integrity is byte-for-byte the plain plan.
-        let same = Superblock::plan_redundant(
-            3,
-            4,
-            10_000,
-            2_500,
-            40 << 20,
-            128 << 20,
-            256 << 10,
-            8 << 20,
-            1,
-            false,
-        )
-        .expect("plan");
-        assert_eq!(same.data_base, base.data_base);
-        assert_eq!(same.replica_slot_bytes, base.data_capacity);
-        assert_eq!((same.integrity_base, same.integrity_bytes), (0, 0));
+        // replicas == 1 without integrity takes the whole data region as
+        // its one slot and reserves no table.
+        assert_eq!(base.replica_slot_bytes, base.data_capacity);
+        assert_eq!((base.integrity_base, base.integrity_bytes), (0, 0));
         // Two-way replication with an integrity table.
-        let sb = Superblock::plan_redundant(
-            3,
-            4,
-            10_000,
-            2_500,
-            40 << 20,
-            128 << 20,
-            256 << 10,
-            8 << 20,
-            2,
-            true,
-        )
-        .expect("plan");
+        let sb = plan_node3(&cfg(2, true, CodecKind::Identity)).expect("plan");
         assert_eq!(sb.replicas, 2);
         assert_eq!(sb.replica_slot_bytes % (256 << 10), 0);
         assert!(2 * sb.replica_slot_bytes <= sb.data_capacity);
@@ -1073,17 +1090,13 @@ mod tests {
             committed
         );
         // Replica data must fit its slot.
-        let err = Superblock::plan_redundant(
+        let err = Superblock::plan(
             0,
             4,
             100,
-            25,
-            60 << 20,
+            (25, 60 << 20),
             128 << 20,
-            256 << 10,
-            8 << 20,
-            2,
-            false,
+            &cfg(2, false, CodecKind::Identity),
         )
         .expect_err("slot too small");
         assert!(matches!(err, DlfsError::Capacity { .. }));
@@ -1092,39 +1105,12 @@ mod tests {
     #[test]
     fn coded_plan_reserves_table_region_and_roundtrips() {
         let plain = sample_sb();
-        // Identity reserves nothing: geometry is byte-for-byte the old plan.
-        let ident = Superblock::plan_coded(
-            3,
-            4,
-            10_000,
-            2_500,
-            40 << 20,
-            128 << 20,
-            256 << 10,
-            8 << 20,
-            1,
-            false,
-            CodecKind::Identity,
-        )
-        .expect("plan");
-        assert_eq!(ident.data_base, plain.data_base);
-        assert_eq!(ident.codec_table_bytes, 0);
+        // Identity reserves nothing.
+        assert_eq!(plain.codec_table_bytes, 0);
         // Lz reserves one u32 per chunk frame plus the checksum word,
         // block-aligned, between the integrity table and data_base.
-        let coded = Superblock::plan_coded(
-            3,
-            4,
-            10_000,
-            2_500,
-            40 << 20,
-            128 << 20,
-            256 << 10,
-            8 << 20,
-            2,
-            true,
-            CodecKind::Lz,
-        )
-        .expect("plan");
+        let coded = plan_node3(&cfg(2, true, CodecKind::Lz)).expect("plan");
+        assert!(coded.data_base >= plain.data_base);
         let frames = (40u64 << 20).div_ceil(256 << 10);
         assert_eq!(coded.codec_table_bytes, frames * 4 + 8);
         assert!(coded.codec_base() >= coded.integrity_base + coded.integrity_bytes);
@@ -1214,19 +1200,14 @@ mod tests {
                 1 << 20,
                 Dur::micros(10),
             )));
-            let mut sb = Superblock::plan_redundant(
-                n as u16,
-                nodes,
-                PER_NODE * 2,
-                PER_NODE,
-                PER_NODE * SLEN,
-                1 << 20,
-                4096,
-                8192,
-                replicas,
-                integrity,
-            )
-            .expect("plan");
+            let cfg = DlfsConfig {
+                chunk_size: 4096,
+                ckpt_region_bytes: 8192,
+                ..cfg(replicas as usize, integrity, CodecKind::Identity)
+            };
+            let share = (PER_NODE, PER_NODE * SLEN);
+            let mut sb = Superblock::plan(n as u16, nodes, PER_NODE * 2, share, 1 << 20, &cfg)
+                .expect("plan");
             sb.generation = 1;
             sb.committed = true;
             datas.push(

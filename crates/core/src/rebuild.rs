@@ -33,7 +33,7 @@ use simkit::telemetry::{Counter, Gauge, Registry};
 
 use crate::error::DlfsError;
 use crate::io::DlfsShared;
-use crate::layout::{encode_codec_table, encode_integrity, encode_meta, MetaRecord};
+use crate::layout::{encode_codec_table, encode_integrity, encode_meta, read_untimed, MetaRecord};
 use crate::scoped_or_detached;
 
 use crate::integrity::Redundancy;
@@ -443,7 +443,7 @@ impl Background {
                     id,
                     unit1,
                     unit2,
-                    payload_checksum: fnv1a(&read_back(dest.as_ref(), e.offset(), e.len())),
+                    payload_checksum: fnv1a(&read_untimed(dest, e.offset(), e.len() as usize)),
                 });
             }
             let meta = encode_meta(&records);
@@ -480,17 +480,6 @@ impl Background {
         self.rb_completed.inc();
         self.rb_at_risk.set(self.chunks_at_risk(failed) as i64);
     }
-}
-
-/// Read `len` bytes at absolute device byte offset `off` (block math for
-/// the payload re-hash of [`Background::rebuild_finish`]).
-fn read_back(dev: &dyn NvmeTarget, off: u64, len: u64) -> Vec<u8> {
-    let first = off / BLOCK_SIZE;
-    let end = (off + len).div_ceil(BLOCK_SIZE);
-    let mut buf = vec![0u8; ((end - first) * BLOCK_SIZE) as usize];
-    dev.dma_read(first, &mut buf);
-    let at = (off - first * BLOCK_SIZE) as usize;
-    buf[at..at + len as usize].to_vec()
 }
 
 #[cfg(test)]

@@ -94,23 +94,24 @@ impl QosConfig {
         }
     }
 
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), DlfsError> {
+        let bad = |msg: String| Err(DlfsError::Config(msg));
         if self.tenants.is_empty() {
-            return Err("qos.tenants must not be empty".into());
+            return bad("qos.tenants must not be empty".into());
         }
         if self.slots == 0 {
-            return Err("qos.slots must be > 0".into());
+            return bad("qos.slots must be > 0".into());
         }
         let mut seen = std::collections::HashSet::new();
         for t in &self.tenants {
             if !seen.insert(t.id) {
-                return Err(format!("qos tenant id {} declared twice", t.id));
+                return bad(format!("qos tenant id {} declared twice", t.id));
             }
             if t.weight == 0 {
-                return Err(format!("qos tenant {} weight must be > 0", t.id));
+                return bad(format!("qos tenant {} weight must be > 0", t.id));
             }
             if t.rate_bytes_per_sec > 0 && t.burst_bytes == 0 {
-                return Err(format!(
+                return bad(format!(
                     "qos tenant {}: throttling needs burst_bytes > 0",
                     t.id
                 ));

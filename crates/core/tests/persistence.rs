@@ -39,9 +39,11 @@ fn local_deployment(devices: &[Arc<NvmeDevice>]) -> Deployment {
 
 /// Drain one full epoch across every reader, verifying each payload
 /// byte-for-byte against the source and global exactly-once delivery.
-fn drain_all_readers(rt: &Runtime, fs: &DlfsInstance, source: &SyntheticSource, seed: u64) {
+/// Returns a hash of the delivery (ids and payloads, in order).
+fn drain_all_readers(rt: &Runtime, fs: &DlfsInstance, source: &dyn SampleSource, seed: u64) -> u64 {
     let mut seen = vec![false; source.count()];
     let mut delivered = 0usize;
+    let mut hash = 0u64;
     for r in 0..fs.readers() {
         let mut io = fs.io(r);
         io.sequence(rt, seed, 0);
@@ -52,10 +54,15 @@ fn drain_all_readers(rt: &Runtime, fs: &DlfsInstance, source: &SyntheticSource, 
             {
                 Ok(batch) => {
                     for (id, data) in batch {
-                        assert_eq!(data, source.expected(id), "sample {id} corrupted");
+                        let mut want = vec![0u8; source.size(id) as usize];
+                        source.fill(id, &mut want);
+                        assert_eq!(data, want, "sample {id} corrupted");
                         assert!(!seen[id as usize], "sample {id} delivered twice");
                         seen[id as usize] = true;
                         delivered += 1;
+                        hash = hash
+                            .wrapping_mul(0x100000001b3)
+                            .wrapping_add(fnv1a(&data) ^ id as u64);
                     }
                 }
                 Err(DlfsError::EpochExhausted) => break,
@@ -64,6 +71,7 @@ fn drain_all_readers(rt: &Runtime, fs: &DlfsInstance, source: &SyntheticSource, 
         }
     }
     assert_eq!(delivered, source.count(), "epoch must cover the dataset");
+    hash
 }
 
 /// Roundtrip property over randomized shapes: for arbitrary sample
@@ -473,6 +481,50 @@ fn typed_errors_for_bad_shapes() {
             eph.checkpoint_writer(rt, 0, 0, None),
             Err(DlfsError::Deployment(_))
         ));
+
+        // fsck and remount verify a device through the same loader, so
+        // they agree on every metadata region: one flipped byte in any of
+        // them makes fsck report non-Clean iff remount fails with a typed
+        // LayoutError, and both accept the untouched device.
+        let dev = ramdisk(16 << 20);
+        let lz = || DlfsConfig {
+            codec: CodecKind::Lz,
+            ..DlfsConfig::default()
+        };
+        let fs = MountBuilder::new(lz())
+            .local(dev.clone())
+            .persistent()
+            .mount(rt, &small)
+            .unwrap();
+        let sb = fs.layout(0).unwrap().clone();
+        drop(fs);
+        let target: Arc<dyn NvmeTarget> = dev.clone();
+        let both_accept = |what: &str| {
+            let clean = matches!(fsck_node(&target, 0, true).state, FsckState::Clean { .. });
+            match MountBuilder::new(lz())
+                .local(dev.clone())
+                .warm()
+                .remount(rt)
+            {
+                Ok(_) => assert!(clean, "{what}: remount succeeds, fsck is not Clean"),
+                Err(DlfsError::Layout(e)) => assert!(!clean, "{what}: fsck Clean, remount: {e}"),
+                Err(e) => panic!("{what}: remount failed untyped: {e}"),
+            }
+            clean
+        };
+        assert!(both_accept("untouched device"));
+        for (region, at) in [
+            ("superblock", 40),
+            ("sample metadata", sb.meta_base + 5),
+            ("codec table", sb.codec_base() + 1),
+        ] {
+            let mut b = [0u8; 1];
+            dev.storage().read_at(at, &mut b);
+            dev.storage().write_at(at, &[b[0] ^ 0x5a]);
+            assert!(!both_accept(region), "{region} corruption went unnoticed");
+            dev.storage().write_at(at, &b);
+        }
+        assert!(both_accept("restored device"));
     });
 }
 
@@ -821,27 +873,7 @@ fn setup_cell(seed: u64, cfg: DlfsConfig, persist: bool, fabric_rig: bool) -> St
         } else {
             fs
         };
-        let mut epoch = 0u64;
-        for r in 0..fs.readers() {
-            let mut io = fs.io(r);
-            io.sequence(rt, 5, 0);
-            loop {
-                match io.submit(rt, &ReadRequest::batch(32)) {
-                    Ok(got) => {
-                        for (id, data) in got.into_copied() {
-                            let mut want = vec![0u8; GridSource.size(id) as usize];
-                            GridSource.fill(id, &mut want);
-                            assert_eq!(data, want, "sample {id} corrupted");
-                            epoch = epoch
-                                .wrapping_mul(0x100000001b3)
-                                .wrapping_add(fnv1a(&data) ^ id as u64);
-                        }
-                    }
-                    Err(DlfsError::EpochExhausted) => break,
-                    Err(e) => panic!("epoch failed: {e}"),
-                }
-            }
-        }
+        let epoch = drain_all_readers(rt, &fs, &GridSource, 5);
         out.push_str(&format!(
             "epoch t={} delivered={epoch:016x}\n",
             rt.now().nanos()
