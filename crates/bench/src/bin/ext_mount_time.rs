@@ -93,4 +93,29 @@ fn main() {
     println!("metadata region, two-phase commit); the warm remount reads only the");
     println!("per-node metadata — no PFS traffic, no data writes — so it stays");
     println!("near-constant while the cold paths scale with the dataset share.");
+
+    // Pool of devices (paper Fig. 11): ONE reader stages the same dataset
+    // onto n NVMe-oF devices. Its upload stream interleaves the n per-node
+    // streams, so all n devices fill at once and the mount runs at
+    // min(n x device rate, reader NIC) instead of one device's rate.
+    println!("\n## Pool of devices: 1 reader staging onto n NVMe-oF devices (pre-staged source)\n");
+    let device_gbps = setup::emulated_for(1 << 20).config().bytes_per_sec / 1e9;
+    let nic_gbps = fabric::FabricConfig::default().nic_bytes_per_sec / 1e9;
+    let mut t = Table::new(&["devices", "mount", "staging rate", "hardware bound"]);
+    for devices in [1usize, 2, 4, 8] {
+        if devices > max_nodes {
+            break;
+        }
+        let (mount_s, _) = Runtime::simulate(seed, |rt| {
+            setup::dlfs_disagg(rt, 1, devices, &source, DlfsConfig::default());
+            rt.now().as_secs_f64()
+        });
+        t.row(&[
+            devices.to_string(),
+            format!("{:.1} ms", mount_s * 1e3),
+            format!("{:.2} GB/s", dataset_bytes as f64 / mount_s / 1e9),
+            format!("{:.1} GB/s", nic_gbps.min(devices as f64 * device_gbps)),
+        ]);
+    }
+    t.print();
 }

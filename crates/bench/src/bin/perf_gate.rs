@@ -36,6 +36,9 @@
 //! - `read_amplification` — device bytes read ÷ payload bytes delivered
 //!   on that same run (lower is better; 1.0 plus block alignment when
 //!   every fetch item covers exactly its samples);
+//! - `disagg_setup_ns` — the `mount` that precedes that run: one reader
+//!   staging the dataset onto its four NVMe-oF targets (lower is better;
+//!   bounded by the reader NIC when all four devices fill at once);
 //! - `sharded_lookup_p99_ns` — 99th-percentile end-to-end locate+fetch
 //!   latency through the locality-sharded metadata service, 256 clients
 //!   on 8 storage nodes (lower is better);
@@ -74,6 +77,7 @@ struct Metrics {
     offload_epoch_throughput_sps: f64,
     disagg_epoch_throughput_sps: f64,
     read_amplification: f64,
+    disagg_setup_ns: u64,
     sharded_lookup_p99_ns: u64,
     multitenant_fair_share_err: f64,
 }
@@ -315,9 +319,9 @@ fn offload_epoch_throughput(seed: u64) -> f64 {
 
 /// One wire-bound disaggregated epoch: a single reader pulls 100–130 KB
 /// samples from four dedicated NVMe-oF storage nodes at batch 16. Returns
-/// `(samples/s, device bytes read ÷ payload bytes delivered)`. Its own
-/// simulation, so every other metric stays bit-identical.
-fn disagg_epoch(seed: u64) -> (f64, f64) {
+/// `(samples/s, device bytes read ÷ payload bytes delivered, mount ns)`.
+/// Its own simulation, so every other metric stays bit-identical.
+fn disagg_epoch(seed: u64) -> (f64, f64, u64) {
     const STORAGE: usize = 4;
     Runtime::simulate(seed, |rt| {
         let mut sizes_rng = SplitMix64::new(seed ^ 0xD15A);
@@ -325,8 +329,10 @@ fn disagg_epoch(seed: u64) -> (f64, f64) {
             .map(|_| 100_000 + sizes_rng.below(30_000))
             .collect();
         let source = SyntheticSource::new(seed ^ 0xD15A, sizes);
+        let mount_start = rt.now();
         let (fs, cluster, _devices) =
             setup::dlfs_disagg_chaos(rt, 1, STORAGE, &source, DlfsConfig::default());
+        let setup_ns = (rt.now() - mount_start).as_nanos();
         let mut io = fs.io(0);
         let total = io.sequence(rt, seed ^ 0xD1, 0);
         let (_, rx0) = cluster.node_traffic(0);
@@ -350,6 +356,7 @@ fn disagg_epoch(seed: u64) -> (f64, f64) {
         (
             got as f64 / secs,
             device_bytes as f64 / m.counter("dlfs.io.bytes_delivered") as f64,
+            setup_ns,
         )
     })
     .0
@@ -365,6 +372,7 @@ fn render_json(rev: &str, m: &Metrics) -> String {
          \"offload_epoch_throughput_sps\": {:.3},\n  \
          \"disagg_epoch_throughput_sps\": {:.3},\n  \
          \"read_amplification\": {:.6},\n  \
+         \"disagg_setup_ns\": {},\n  \
          \"sharded_lookup_p99_ns\": {},\n  \
          \"multitenant_fair_share_err\": {:.6}\n}}\n",
         rev,
@@ -378,6 +386,7 @@ fn render_json(rev: &str, m: &Metrics) -> String {
         m.offload_epoch_throughput_sps,
         m.disagg_epoch_throughput_sps,
         m.read_amplification,
+        m.disagg_setup_ns,
         m.sharded_lookup_p99_ns,
         m.multitenant_fair_share_err
     )
@@ -432,7 +441,7 @@ fn main() {
         fair.err,
         fair.shares
     );
-    let (disagg_epoch_throughput_sps, read_amplification) = disagg_epoch(seed);
+    let (disagg_epoch_throughput_sps, read_amplification, disagg_setup_ns) = disagg_epoch(seed);
     let m = Metrics {
         epoch_throughput_sps,
         verified_epoch_throughput_sps,
@@ -444,6 +453,7 @@ fn main() {
         offload_epoch_throughput_sps: offload_epoch_throughput(seed),
         disagg_epoch_throughput_sps,
         read_amplification,
+        disagg_setup_ns,
         sharded_lookup_p99_ns,
         multitenant_fair_share_err: fair.err,
     };
@@ -463,7 +473,7 @@ fn main() {
     let base = std::fs::read_to_string(&baseline)
         .unwrap_or_else(|e| panic!("read baseline {baseline}: {e}"));
     // (key, current value, higher-is-better)
-    let checks: [(&str, f64, bool); 12] = [
+    let checks: [(&str, f64, bool); 13] = [
         ("epoch_throughput_sps", m.epoch_throughput_sps, true),
         (
             "verified_epoch_throughput_sps",
@@ -494,6 +504,7 @@ fn main() {
             true,
         ),
         ("read_amplification", m.read_amplification, false),
+        ("disagg_setup_ns", m.disagg_setup_ns as f64, false),
         (
             "sharded_lookup_p99_ns",
             m.sharded_lookup_p99_ns as f64,

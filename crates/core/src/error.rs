@@ -222,6 +222,10 @@ pub enum DlfsError {
         /// Byte offset of the range key.
         offset: u64,
     },
+    /// A [`crate::BatchedWriter`] run was started at a byte offset that is
+    /// not a device-block multiple. The writer addresses whole blocks, so
+    /// landing the run would put it at the wrong LBA; nothing was written.
+    UnalignedWrite { node: u16, offset: u64 },
     /// The operation targets a storage node the cluster membership view
     /// has declared permanently Dead. Writes and imports fail fast with
     /// this instead of burning their retry budget timing out; reads never
@@ -266,6 +270,10 @@ impl std::fmt::Display for DlfsError {
             DlfsError::Cache { op, node, offset } => write!(
                 f,
                 "sample cache: {op} of non-resident range (node {node}, offset {offset})"
+            ),
+            DlfsError::UnalignedWrite { node, offset } => write!(
+                f,
+                "write run to storage node {node} starts at unaligned offset {offset}"
             ),
             DlfsError::Degraded { node, view_epoch } => write!(
                 f,

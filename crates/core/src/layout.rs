@@ -47,7 +47,7 @@ use simkit::rng::fnv1a;
 
 use crate::codec::CodecKind;
 use crate::config::DlfsConfig;
-use crate::entry::MAX_OFFSET;
+use crate::entry::{SampleEntry, MAX_OFFSET};
 use crate::error::{DlfsError, LayoutError};
 
 /// Superblock magic ("DLFSLAY1" little-endian).
@@ -79,6 +79,20 @@ pub struct MetaRecord {
     pub unit2: u64,
     /// FNV-1a of the sample payload as staged at import time.
     pub payload_checksum: u64,
+}
+
+impl MetaRecord {
+    /// The record of sample `id` at `entry`, checksummed over `stored` —
+    /// the bytes the device holds for it.
+    pub fn new(id: u32, entry: SampleEntry, stored: &[u8]) -> MetaRecord {
+        let (unit1, unit2) = entry.raw();
+        MetaRecord {
+            id,
+            unit1,
+            unit2,
+            payload_checksum: fnv1a(stored),
+        }
+    }
 }
 
 /// The per-device superblock: geometry + generation stamps. This is also

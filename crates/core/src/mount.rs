@@ -24,11 +24,26 @@
 //! `Bringup::remount`: [`crate::layout::load_node`] per device instead of
 //! staging, then the same allgather and `assemble`.
 //!
-//! Staging streams samples through a bounded per-reader pipe (the caller's
+//! Staging streams samples through a bounded per-reader pipe: the caller's
 //! task produces, one spawned task per reader consumes and writes through
-//! a [`BatchedWriter`]), so setup memory is O(`STREAM_DEPTH` samples) per
-//! reader, not O(dataset share).
+//! one [`BatchedWriter`] per device stream. A reader that owns several
+//! storage nodes (the paper's pool of devices) is fed the k-way merge of
+//! its nodes' sample lists by data-relative offset, ties by node: every
+//! node's samples still arrive in packed offset order, so each writer
+//! coalesces what a node-by-node feed would, but all of the reader's
+//! devices fill at once and the import runs at min(Σ device rates, reader
+//! NIC) rather than one device's rate. The merge is only safe because one
+//! writer carries one monotone stream — a home node's data, or one
+//! (peer, replica slot) mirror of it — so a writer never has to start a
+//! run at an unaligned offset (`BatchedWriter::write` rejects that in
+//! every build).
+//!
+//! Setup memory does not grow with the dataset share: per reader it is the
+//! pipe (`STREAM_DEPTH` samples) plus, per open writer, a chunk of staging
+//! and up to `queue_depth × chunk_size` of DMA buffers in flight — a bound
+//! the merged feed reaches on all of the reader's nodes at once.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use blocksim::{NvmeTarget, BLOCK_SIZE};
@@ -43,6 +58,7 @@ use simkit::time::Dur;
 use crate::codec::{CodecKind, CodecTables, NodeFrames};
 use crate::config::DlfsConfig;
 use crate::directory::{node_for_name, DirectoryBuilder, SampleDirectory};
+use crate::entry::SampleEntry;
 use crate::error::{DlfsError, LayoutError};
 use crate::integrity::Redundancy;
 use crate::io::{DlfsIo, DlfsShared};
@@ -378,9 +394,8 @@ struct StagedSample {
     /// Index into the consumer's `my_nodes`.
     node_pos: usize,
     id: u32,
-    unit1: u64,
-    unit2: u64,
-    offset: u64,
+    /// The sample's directory entry: where `bytes` belong on the node.
+    entry: SampleEntry,
     bytes: Vec<u8>,
 }
 
@@ -394,9 +409,8 @@ struct FrameStager {
     chunk: u64,
     /// Raw bytes of the frame currently filling.
     raw: Vec<u8>,
-    /// Samples of the current frame, pending their stored-byte checksums:
-    /// `(id, unit1, unit2, offset, len)`.
-    pending: Vec<(u32, u64, u64, u64, u64)>,
+    /// Samples of the current frame, pending their stored-byte checksums.
+    pending: Vec<(u32, SampleEntry)>,
     /// Encoded length of every flushed frame, in frame order.
     lens: Vec<u32>,
 }
@@ -432,20 +446,17 @@ impl FrameStager {
     /// sample opens a new one.
     fn push(&mut self, item: &StagedSample, codec: CodecKind) -> Option<StoredFrame> {
         let mut out = None;
-        if item.offset >= self.frame_start() + self.chunk {
+        if item.entry.offset() >= self.frame_start() + self.chunk {
             // The placement padded to the next frame boundary; the frame
             // just closed keeps its full chunk extent (tail is padding).
             out = Some(self.flush(self.chunk as usize, codec));
-            debug_assert!(item.offset < self.frame_start() + self.chunk);
+            debug_assert!(item.entry.offset() < self.frame_start() + self.chunk);
         }
-        debug_assert_eq!(self.frame_start() + self.raw.len() as u64, item.offset);
-        self.pending.push((
-            item.id,
-            item.unit1,
-            item.unit2,
-            item.offset,
-            item.bytes.len() as u64,
-        ));
+        debug_assert_eq!(
+            self.frame_start() + self.raw.len() as u64,
+            item.entry.offset()
+        );
+        self.pending.push((item.id, item.entry));
         self.raw.extend_from_slice(&item.bytes);
         out
     }
@@ -466,14 +477,9 @@ impl FrameStager {
         let records = self
             .pending
             .drain(..)
-            .map(|(id, unit1, unit2, off, len)| {
-                let rel = (off - offset) as usize;
-                MetaRecord {
-                    id,
-                    unit1,
-                    unit2,
-                    payload_checksum: fnv1a(&stored[rel..rel + len as usize]),
-                }
+            .map(|(id, e)| {
+                let rel = (e.offset() - offset) as usize;
+                MetaRecord::new(id, e, &stored[rel..rel + e.len() as usize])
             })
             .collect();
         self.raw.clear();
@@ -505,12 +511,16 @@ struct UploadTask {
     credit: Sender<usize>,
 }
 
-/// The device-facing state of one upload task, indexed like `my_nodes`
-/// (mirror writers by global peer node, opened on demand: only the peers
-/// that actually host one of my nodes' replicas).
+/// The device-facing state of one upload task, indexed like `my_nodes`.
+/// Mirror writers are keyed by (peer node, replica slot) and opened on
+/// demand. That pair names exactly one home node, so every writer — home
+/// or mirror — carries one node's stream and nothing else: one monotone
+/// run, however the homes' streams interleave in the feed. (A peer alone
+/// is not a key: under `replicas ≥ 3` it hosts mirrors of two homes, and
+/// their interleaved streams would start runs at unaligned offsets.)
 struct Landing {
     writers: Vec<BatchedWriter>,
-    mirrors: Vec<Option<BatchedWriter>>,
+    mirrors: BTreeMap<(usize, u32), BatchedWriter>,
     checks: Vec<BlockChecksums>,
     records: Vec<Vec<MetaRecord>>,
 }
@@ -541,7 +551,7 @@ impl UploadTask {
         for r in 1..self.cfg.replicas as u32 {
             let peer = (home + r as usize) % self.geometry.len();
             let g = self.geometry[peer];
-            let w = l.mirrors[peer].get_or_insert_with(|| {
+            let w = l.mirrors.entry((peer, r)).or_insert_with(|| {
                 BatchedWriter::new(
                     self.row[peer].clone(),
                     peer as u16,
@@ -572,7 +582,7 @@ impl UploadTask {
                 .iter()
                 .map(|&n| BatchedWriter::new(self.row[n].clone(), n as u16, &self.cfg, reg))
                 .collect(),
-            mirrors: self.geometry.iter().map(|_| None).collect(),
+            mirrors: BTreeMap::new(),
             checks: vec![BlockChecksums::new(); self.my_nodes.len()],
             records: vec![Vec::new(); self.my_nodes.len()],
         };
@@ -631,13 +641,9 @@ impl UploadTask {
                     self.land(rt, &mut l, pos, f.offset, &f.stored, f.records)
                 })
             } else {
-                let record = self.drafts.is_some().then(|| MetaRecord {
-                    id: item.id,
-                    unit1: item.unit1,
-                    unit2: item.unit2,
-                    payload_checksum: fnv1a(&item.bytes),
-                });
-                self.land(rt, &mut l, pos, item.offset, &item.bytes, record)
+                let persist = self.drafts.is_some();
+                let record = persist.then(|| MetaRecord::new(item.id, item.entry, &item.bytes));
+                self.land(rt, &mut l, pos, item.entry.offset(), &item.bytes, record)
             };
             failed = landed.err();
         }
@@ -655,7 +661,7 @@ impl UploadTask {
         // mirrors this task wrote land on *peer* nodes whose own commit
         // runs in a different task; replica slots are best-effort spare
         // copies, not covered by the two-phase generation stamp.)
-        for w in l.mirrors.iter_mut().flatten() {
+        for w in l.mirrors.values_mut() {
             w.flush(rt)?;
         }
         // Finalize every node (zero-sample nodes included): drain data
@@ -740,8 +746,9 @@ fn join_nodes<T>(handles: Vec<Worker<T>>, storage_nodes: usize) -> Result<Vec<T>
 }
 
 /// Samples buffered per reader between the staging producer and each
-/// upload task: bounds setup memory to O(`STREAM_DEPTH` samples) per
-/// reader instead of the reader's whole data share.
+/// upload task: the pipe's share of setup memory (the writers' in-flight
+/// DMA buffers are the rest — see the module doc) is a constant, not the
+/// reader's whole data share.
 const STREAM_DEPTH: usize = 4;
 
 /// Counters under `dlfs.remount.*` (throwaway registry by default).
@@ -860,9 +867,10 @@ impl Bringup {
     ) -> Result<Vec<NodeState>, DlfsError> {
         let (credit_tx, credit_rx) = rt.channel::<usize>(None);
         let mut senders: Vec<Option<Sender<StagedSample>>> = Vec::with_capacity(self.readers);
-        // (node_pos, id) per reader, in node order then placement order —
-        // the order that keeps each node's writes contiguous for
-        // coalescing.
+        // (node_pos, id) per reader: the k-way merge of its nodes' sample
+        // lists (each already in offset order) by data-relative offset,
+        // ties by node — all of the reader's devices fill together, each
+        // from a stream still in packed offset order (module doc).
         let mut items: Vec<Vec<(usize, u32)>> = vec![Vec::new(); self.readers];
         let mut handles = Vec::with_capacity(self.readers);
         for (r, reader_items) in items.iter_mut().enumerate() {
@@ -870,6 +878,12 @@ impl Bringup {
             for (pos, &n) in my_nodes.iter().enumerate() {
                 reader_items.extend(dir.samples_on(n as u16).iter().map(|&id| (pos, id)));
             }
+            reader_items.sort_by_cached_key(|&(pos, id)| {
+                (
+                    dir.entry(id).offset() - geometry[my_nodes[pos]].data_base,
+                    pos,
+                )
+            });
             let (tx, rx) = rt.channel::<StagedSample>(Some(STREAM_DEPTH));
             senders.push(Some(tx));
             let task = UploadTask {
@@ -910,16 +924,13 @@ impl Bringup {
             };
             if let Some(&(node_pos, id)) = items[r].get(cursor[r]) {
                 cursor[r] += 1;
-                let e = dir.entry(id);
-                let mut bytes = vec![0u8; e.len() as usize];
+                let entry = dir.entry(id);
+                let mut bytes = vec![0u8; entry.len() as usize];
                 source.fill(id, &mut bytes);
-                let (unit1, unit2) = e.raw();
                 let staged = StagedSample {
                     node_pos,
                     id,
-                    unit1,
-                    unit2,
-                    offset: e.offset(),
+                    entry,
                     bytes,
                 };
                 if sender.send(staged).is_err() {

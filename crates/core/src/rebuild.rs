@@ -438,13 +438,8 @@ impl Background {
             let mut records = Vec::with_capacity(sb.node_samples as usize);
             for &id in sh.dir.samples_on(node) {
                 let e = sh.dir.entry(id);
-                let (unit1, unit2) = e.raw();
-                records.push(MetaRecord {
-                    id,
-                    unit1,
-                    unit2,
-                    payload_checksum: fnv1a(&read_untimed(dest, e.offset(), e.len() as usize)),
-                });
+                let stored = read_untimed(dest, e.offset(), e.len() as usize);
+                records.push(MetaRecord::new(id, e, &stored));
             }
             let meta = encode_meta(&records);
             debug_assert_eq!(meta.len() as u64, sb.meta_bytes);

@@ -125,15 +125,18 @@ impl BatchedWriter {
         if let Some(e) = &self.dead {
             return Err(e.clone());
         }
-        self.tel.appends.inc();
         let contiguous = self.run_active && offset == self.staged_base + self.staged_len as u64;
+        // Checked in every build: a misaligned run would land at
+        // `staged_base / BLOCK_SIZE`, the wrong LBA, without a trace.
+        if !contiguous && !offset.is_multiple_of(BLOCK_SIZE) {
+            return Err(DlfsError::UnalignedWrite {
+                node: self.nid,
+                offset,
+            });
+        }
+        self.tel.appends.inc();
         if !contiguous {
             self.submit_staged(rt)?;
-            debug_assert_eq!(
-                offset % BLOCK_SIZE,
-                0,
-                "new write run must be block-aligned"
-            );
             self.staged_base = offset;
             self.staged_len = 0;
             self.run_active = true;
@@ -463,14 +466,17 @@ impl CheckpointWriter {
         cfg: &DlfsConfig,
         reg: Option<&Registry>,
     ) -> Result<CheckpointWriter, DlfsError> {
-        let (append_at, next_seq, ..) = scan_stream(rt, &target, sb, cfg, None)?;
+        // Walk the stream to its tail: the first invalid, stale or torn
+        // record is where the next append goes.
+        let mut tail = CheckpointReader::open(target.clone(), sb, cfg, None);
+        while tail.next(rt)?.is_some() {}
         Ok(CheckpointWriter {
             w: BatchedWriter::new(target.clone(), sb.node_id, cfg, reg),
             target,
             sb: sb.clone(),
             cfg: cfg.clone(),
-            append_at,
-            next_seq,
+            append_at: tail.pos,
+            next_seq: tail.seq + 1,
             tel: CkptTelemetry::new(reg),
         })
     }
@@ -521,54 +527,6 @@ impl CheckpointWriter {
     pub fn reader(&self, reg: Option<&Registry>) -> CheckpointReader {
         CheckpointReader::open(self.target.clone(), &self.sb, &self.cfg, reg)
     }
-}
-
-/// Walk the checkpoint stream with timed reads. Returns (append tail,
-/// next sequence number); when `collect` is given, each valid payload is
-/// passed to it.
-#[allow(clippy::type_complexity)]
-fn scan_stream(
-    rt: &Runtime,
-    target: &Arc<dyn NvmeTarget>,
-    sb: &Superblock,
-    cfg: &DlfsConfig,
-    mut collect: Option<&mut dyn FnMut(u64, Vec<u8>)>,
-) -> Result<(u64, u64, u64), DlfsError> {
-    let end = sb.ckpt_base + sb.ckpt_capacity;
-    let mut pos = sb.ckpt_base;
-    let mut seq = 0u64;
-    let mut bytes = 0u64;
-    while pos + CKPT_HEADER_BYTES <= end {
-        let hdr = read_timed(rt, target, sb.node_id, pos, BLOCK_SIZE as usize, cfg)?;
-        let Some(h) = CkptHeader::decode(&hdr) else {
-            break;
-        };
-        if h.generation != sb.generation || h.seq != seq + 1 {
-            break;
-        }
-        let span = CkptHeader::record_bytes(h.payload_len);
-        if pos + span > end {
-            break;
-        }
-        let payload = read_timed(
-            rt,
-            target,
-            sb.node_id,
-            pos + CKPT_HEADER_BYTES,
-            h.payload_len as usize,
-            cfg,
-        )?;
-        if fnv1a(&payload) != h.payload_checksum {
-            break;
-        }
-        if let Some(f) = collect.as_mut() {
-            f(h.seq, payload);
-        }
-        seq = h.seq;
-        bytes += h.payload_len;
-        pos += span;
-    }
-    Ok((pos, seq + 1, bytes))
 }
 
 /// Sequential reader over a device's checkpoint stream.
@@ -762,6 +720,31 @@ mod tests {
             }
             // Sticky: the writer refuses further work.
             assert_eq!(w.write(rt, 8192, &[0u8; 512]), Err(err));
+        });
+    }
+
+    #[test]
+    fn unaligned_run_start_is_a_typed_error_in_every_build() {
+        Runtime::simulate(0, |rt| {
+            let d = dev();
+            let mut w = BatchedWriter::new(d.clone(), 3, &DlfsConfig::default(), None);
+            w.write(rt, 4096, &[1u8; 1000]).unwrap();
+            // Contiguous with the open run: any offset is fine.
+            w.write(rt, 5096, &[2u8; 1000]).unwrap();
+            // A new run off a block boundary is refused and leaves the
+            // writer as it was: the open run still lands, nothing else does.
+            let err = w.write(rt, 9000, &[3u8; 1000]).unwrap_err();
+            let want = DlfsError::UnalignedWrite {
+                node: 3,
+                offset: 9000,
+            };
+            assert_eq!(err, want);
+            w.flush(rt).unwrap();
+            let mut back = vec![0u8; 8192];
+            d.storage().read_at(4096, &mut back);
+            assert!(back[..1000].iter().all(|&b| b == 1));
+            assert!(back[1000..2000].iter().all(|&b| b == 2));
+            assert!(back[2000..].iter().all(|&b| b == 0));
         });
     }
 

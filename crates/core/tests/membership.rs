@@ -359,6 +359,44 @@ fn mid_rebuild_source_death_falls_back_to_surviving_replica() {
     });
 }
 
+/// Regression guard for the interleaved staging feed: one reader fills
+/// four devices at once, so with `replicas = 3` the two mirror streams
+/// that land on one peer interleave. Sizes that are not block multiples
+/// make any mirror writer shared by two homes start runs off a block
+/// boundary; (peer, slot)-keyed writers keep each mirror one contiguous
+/// run. Two of four nodes then die mid-epoch: every sample must still
+/// arrive byte-correct from the remaining mirror, and the survivors stay
+/// deep-fsck clean.
+#[test]
+fn interleaved_import_keeps_three_replica_mirrors_intact() {
+    Runtime::simulate(test_seed(96), |rt| {
+        let source = SyntheticSource::fixed(26, 800, 1000);
+        let devices: Vec<_> = (0..4).map(|_| ramdisk(64 << 20)).collect();
+        let fs = dlfs::MountBuilder::new(membership_cfg(3))
+            .deployment(local_deployment(&devices))
+            .persistent()
+            .mount(rt, &source)
+            .unwrap();
+        let mut io = fs.io(0);
+        let total = io.sequence(rt, 71, 0);
+        drain_epoch(rt, &mut io, &source, total, total / 3, || {
+            devices[1].kill();
+            devices[2].kill();
+        });
+        let m = io.metrics();
+        assert!(
+            m.counter("dlfs.integrity.failovers") > 0,
+            "no read failed over"
+        );
+        for node in [0u16, 3] {
+            let rep = fsck_node(&fs.shared(0).targets[node as usize], node, true);
+            let clean = matches!(rep.state, FsckState::Clean { .. });
+            assert!(clean, "survivor {node} not clean: {:?}", rep.state);
+            assert_eq!(rep.data_checksum_ok, Some(true), "survivor {node}");
+        }
+    });
+}
+
 /// A dataset homed entirely on node 0 so node 1 serves only as hedge /
 /// replica target: names are chosen per-id to hash onto node 0.
 struct HomedSource {

@@ -37,6 +37,54 @@ fn local_deployment(devices: &[Arc<NvmeDevice>]) -> Deployment {
     }
 }
 
+/// `readers` reader nodes (cluster nodes `0..readers`) in front of devices
+/// exported as NVMe-oF targets on the cluster nodes that follow.
+struct FabricRig {
+    readers: usize,
+    cluster: Arc<Cluster>,
+    exported: Vec<Arc<NvmeOfTarget>>,
+}
+
+impl FabricRig {
+    fn new(readers: usize, devices: &[Arc<NvmeDevice>]) -> FabricRig {
+        let cluster = Arc::new(Cluster::new(
+            readers + devices.len(),
+            FabricConfig::default(),
+        ));
+        let exported = devices
+            .iter()
+            .enumerate()
+            .map(|(n, d)| NvmeOfTarget::new(readers + n, d.clone(), TargetConfig::default()))
+            .collect();
+        FabricRig {
+            readers,
+            cluster,
+            exported,
+        }
+    }
+
+    /// Fresh initiator handles from every reader to every target.
+    fn deployment(&self) -> Deployment {
+        let row = |r| {
+            let connect = |t: &Arc<NvmeOfTarget>| {
+                fabric::connect(self.cluster.clone(), r, t.clone()) as Arc<dyn NvmeTarget>
+            };
+            self.exported.iter().map(connect).collect()
+        };
+        Deployment {
+            targets: (0..self.readers).map(row).collect(),
+            cluster: Some(self.cluster.clone()),
+        }
+    }
+}
+
+/// FNV-1a of a device's whole image.
+fn image_hash(d: &NvmeDevice) -> u64 {
+    let mut image = vec![0u8; d.storage().capacity() as usize];
+    d.storage().read_at(0, &mut image);
+    fnv1a(&image)
+}
+
 /// Drain one full epoch across every reader, verifying each payload
 /// byte-for-byte against the source and global exactly-once delivery.
 /// Returns a hash of the delivery (ids and payloads, in order).
@@ -810,30 +858,12 @@ fn setup_cell(seed: u64, cfg: DlfsConfig, persist: bool, fabric_rig: bool) -> St
     Runtime::simulate(7000 + seed, |rt| {
         let (readers, nodes) = if fabric_rig { (2, 3) } else { (1, 2) };
         let devices: Vec<Arc<NvmeDevice>> = (0..nodes).map(|_| ramdisk(2 << 20)).collect();
-        // Readers are cluster nodes 0..readers, targets follow.
-        let cluster = Arc::new(Cluster::new(readers + nodes, FabricConfig::default()));
-        let exported: Vec<Arc<NvmeOfTarget>> = devices
-            .iter()
-            .enumerate()
-            .map(|(n, d)| NvmeOfTarget::new(readers + n, d.clone(), TargetConfig::default()))
-            .collect();
+        let rig = FabricRig::new(readers, &devices);
         let deployment = || {
-            if !fabric_rig {
-                return local_deployment(&devices);
-            }
-            Deployment {
-                targets: (0..readers)
-                    .map(|r| {
-                        exported
-                            .iter()
-                            .map(|t| {
-                                fabric::connect(cluster.clone(), r, t.clone())
-                                    as Arc<dyn NvmeTarget>
-                            })
-                            .collect()
-                    })
-                    .collect(),
-                cluster: Some(cluster.clone()),
+            if fabric_rig {
+                rig.deployment()
+            } else {
+                local_deployment(&devices)
             }
         };
         let builder = |reg: &Registry| {
@@ -857,9 +887,7 @@ fn setup_cell(seed: u64, cfg: DlfsConfig, persist: bool, fabric_rig: bool) -> St
         out.push_str(&format!("mount t={}\n", rt.now().nanos()));
         out.push_str(&reg.snapshot().render());
         for (n, d) in devices.iter().enumerate() {
-            let mut image = vec![0u8; d.storage().capacity() as usize];
-            d.storage().read_at(0, &mut image);
-            out.push_str(&format!("dev{n} image={:016x}\n", fnv1a(&image)));
+            out.push_str(&format!("dev{n} image={:016x}\n", image_hash(d)));
         }
         // Persistent cells deliver their epoch through a warm remount (the
         // devices alone must suffice); ephemeral cells through the mount.
@@ -881,4 +909,106 @@ fn setup_cell(seed: u64, cfg: DlfsConfig, persist: bool, fabric_rig: bool) -> St
         out
     })
     .0
+}
+
+/// Device images and `dlfs.write.{commands, bytes}` after `readers` readers
+/// stage [`GridSource`] onto four fresh local devices.
+fn staged_by(readers: usize, cfg: &DlfsConfig, persist: bool) -> (Vec<u64>, u64, u64) {
+    Runtime::simulate(7100, |rt| {
+        let devices: Vec<Arc<NvmeDevice>> = (0..4).map(|_| ramdisk(2 << 20)).collect();
+        let row = local_deployment(&devices).targets.remove(0);
+        let reg = Registry::new();
+        let b = MountBuilder::new(cfg.clone())
+            .deployment(Deployment {
+                targets: vec![row; readers],
+                cluster: None,
+            })
+            .with_registry(reg.clone());
+        let b = if persist { b.persistent() } else { b };
+        b.mount(rt, &GridSource).unwrap();
+        (
+            devices.iter().map(|d| image_hash(d)).collect(),
+            reg.counter("dlfs.write.commands").get(),
+            reg.counter("dlfs.write.bytes").get(),
+        )
+    })
+    .0
+}
+
+/// The order in which one reader feeds its devices changes no byte and no
+/// command: a reader that owns all four nodes (their streams interleaved)
+/// leaves every device exactly as four readers that own one node each
+/// (nothing to interleave) do — data, mirrors, integrity and codec tables,
+/// metadata and superblocks alike.
+#[test]
+fn feed_order_changes_no_byte() {
+    for replicas in [1usize, 2, 3] {
+        for codec in [CodecKind::Identity, CodecKind::Lz] {
+            for persist in [false, true] {
+                let cfg = DlfsConfig {
+                    chunk_size: 16 * 1024,
+                    ckpt_region_bytes: 64 * 1024,
+                    replicas,
+                    verify_reads: true,
+                    codec,
+                    ..DlfsConfig::default()
+                };
+                assert_eq!(
+                    staged_by(1, &cfg, persist),
+                    staged_by(4, &cfg, persist),
+                    "replicas={replicas} codec={codec} persist={persist}"
+                );
+            }
+        }
+    }
+}
+
+/// Staging keeps all of a reader's devices busy at once, so `mount` runs
+/// at the rate of the slowest tier: within 15 % of the larger of (bytes
+/// sent ÷ reader NIC rate) and (most bytes any device takes ÷ device
+/// rate). A reader that fills its devices one after another misses this by
+/// the number of devices it leaves idle.
+#[test]
+fn mount_meets_its_staging_roofline() {
+    let source = SyntheticSource::fixed(31, 700, 100_000); // 70 MB
+    for (fabric_rig, nodes, replicas) in [(true, 4, 1), (false, 3, 2)] {
+        Runtime::simulate(7200, |rt| {
+            let devices: Vec<Arc<NvmeDevice>> = (0..nodes).map(|_| ramdisk(64 << 20)).collect();
+            let deployment = if fabric_rig {
+                FabricRig::new(1, &devices).deployment()
+            } else {
+                local_deployment(&devices)
+            };
+            // A shallow queue keeps a node's share many times what its
+            // writer holds in flight — the regime of a real dataset (128 MB
+            // shares against 32 MiB of queue on `imagenet_disagg`) at a
+            // test's size. A queue that swallowed a whole share would hide
+            // a serial feed behind it.
+            let cfg = DlfsConfig {
+                replicas,
+                queue_depth: 16,
+                ..DlfsConfig::default()
+            };
+            let t0 = rt.now();
+            MountBuilder::new(cfg)
+                .deployment(deployment)
+                .mount(rt, &source)
+                .unwrap();
+            let took = (rt.now() - t0).as_secs_f64();
+            let written: Vec<u64> = devices.iter().map(|d| d.stats().3).collect();
+            let device_s =
+                *written.iter().max().unwrap() as f64 / devices[0].config().bytes_per_sec;
+            let wire_s = if fabric_rig {
+                written.iter().sum::<u64>() as f64 / FabricConfig::default().nic_bytes_per_sec
+            } else {
+                0.0
+            };
+            let roofline = device_s.max(wire_s);
+            assert!(
+                took <= 1.15 * roofline,
+                "{nodes} devices, replicas {replicas}: mount took {took:.6} s, \
+                 roofline {roofline:.6} s (device {device_s:.6}, wire {wire_s:.6})"
+            );
+        });
+    }
 }
