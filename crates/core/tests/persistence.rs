@@ -16,7 +16,7 @@ use dlfs::{
     fsck_node, CodecKind, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, FsckState,
     LayoutError, MountBuilder, MountOptions, ReadRequest, SyntheticSource,
 };
-use fabric::{Cluster, FabricConfig, NvmeOfTarget, TargetConfig};
+use fabric::{Cluster, FabricConfig, FabricFaultInjector, NvmeOfTarget, TargetConfig};
 use simkit::prelude::*;
 use simkit::resource::Link;
 use simkit::rng::{fnv1a, SplitMix64};
@@ -1011,4 +1011,256 @@ fn mount_meets_its_staging_roofline() {
             );
         });
     }
+}
+
+/// Many small samples for the faulted bring-up cells: enough metadata that
+/// a remount pipelines its reads, sizes that straddle device blocks.
+struct FaultSource;
+
+impl SampleSource for FaultSource {
+    fn count(&self) -> usize {
+        1500
+    }
+
+    fn name(&self, id: u32) -> String {
+        format!("faults/sample_{id:05}")
+    }
+
+    fn size(&self, id: u32) -> u64 {
+        300 + (id as u64 * 37) % 900
+    }
+
+    fn fill(&self, id: u32, buf: &mut [u8]) {
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = (id as usize * 17 + i % 61) as u8;
+        }
+    }
+}
+
+/// What a faulted cell injects; every phase arms fresh injectors, so a
+/// phase's fault sequence never depends on how long the one before ran.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Inject {
+    Nothing,
+    /// Device write failures, parts per million.
+    Writes(u32),
+    /// Device read failures, parts per million.
+    Reads(u32),
+    /// Fabric message drops, parts per million (NVMe-oF rig only).
+    Drops(u32),
+}
+
+/// The rig of one faulted cell: devices, their NVMe-oF exports when
+/// `readers > 1`, and the config every phase shares.
+struct FaultCell {
+    devices: Vec<Arc<NvmeDevice>>,
+    rig: Option<FabricRig>,
+    cfg: DlfsConfig,
+}
+
+impl FaultCell {
+    fn new(fabric_rig: bool) -> FaultCell {
+        let nodes = if fabric_rig { 3 } else { 1 };
+        let devices: Vec<Arc<NvmeDevice>> = (0..nodes).map(|_| ramdisk(8 << 20)).collect();
+        FaultCell {
+            rig: fabric_rig.then(|| FabricRig::new(2, &devices)),
+            devices,
+            cfg: DlfsConfig {
+                chunk_size: 4096,
+                queue_depth: 4,
+                ckpt_region_bytes: 256 * 1024,
+                verify_reads: true,
+                ..DlfsConfig::default()
+            },
+        }
+    }
+
+    fn builder(&self, reg: &Registry) -> MountBuilder {
+        let deployment = match &self.rig {
+            Some(rig) => rig.deployment(),
+            None => local_deployment(&self.devices),
+        };
+        MountBuilder::new(self.cfg.clone())
+            .deployment(deployment)
+            .with_registry(reg.clone())
+    }
+
+    /// Replace every injector with a fresh one for the next phase.
+    fn arm(&self, inject: Inject, seed: u64) {
+        for (n, d) in self.devices.iter().enumerate() {
+            let f = FaultInjector::new(seed + n as u64);
+            d.set_faults(match inject {
+                Inject::Writes(ppm) => f.with_write_failures(ppm),
+                Inject::Reads(ppm) => f.with_read_failures(ppm),
+                _ => f,
+            });
+        }
+        if let Some(rig) = &self.rig {
+            let f = FabricFaultInjector::new(seed ^ 0xFAB).with_io_timeout(Dur::micros(40));
+            rig.cluster.set_faults(match inject {
+                Inject::Drops(ppm) => f.with_drops(ppm),
+                _ => f,
+            });
+        }
+    }
+
+    fn images(&self) -> String {
+        let line =
+            |(n, d): (usize, &Arc<NvmeDevice>)| format!("dev{n} image={:016x}\n", image_hash(d));
+        self.devices.iter().enumerate().map(line).collect()
+    }
+}
+
+/// One phase's report: when it ended, how (`ok` or the typed error), and
+/// the counters it registered.
+fn phase_report<T>(rt: &Runtime, what: &str, got: &Result<T, DlfsError>, reg: &Registry) -> String {
+    let how = match got {
+        Ok(_) => "ok".to_string(),
+        Err(e) => format!("{e:?}"),
+    };
+    format!(
+        "{what} t={} {how}\n{}",
+        rt.now().nanos(),
+        reg.snapshot().render()
+    )
+}
+
+/// Append three records to the checkpoint streams of `nodes` (each through
+/// reader `n % readers`), then replay them.
+fn ckpt_phase(
+    rt: &Runtime,
+    fs: &DlfsInstance,
+    nodes: &[u16],
+    reg: &Registry,
+) -> Result<(), DlfsError> {
+    let payloads: [Vec<u8>; 3] = [vec![0xa1; 40_000], vec![0xb2; 5_000], vec![0xc3; 100]];
+    for &n in nodes {
+        let r = n as usize % fs.readers();
+        let mut w = fs.checkpoint_writer(rt, r, n, Some(reg))?;
+        for p in &payloads {
+            w.append(rt, p)?;
+        }
+        let mut replay = fs.checkpoint_reader(r, n, Some(reg))?;
+        for p in &payloads {
+            assert_eq!(replay.next(rt)?.as_ref(), Some(p), "node {n} replay");
+        }
+        assert_eq!(replay.next(rt)?, None);
+    }
+    Ok(())
+}
+
+/// Characterisation golden for the device-command layer under faults:
+/// persistent import, warm remount and checkpoint append + replay at
+/// `queue_depth: 4` on {1 local device, 2 readers × 3 NVMe-oF nodes} under
+/// seeded write failures, read failures and fabric drops — when each phase
+/// ended, `dlfs.write.*` / `dlfs.remount.*` / `dlfs.ckpt.*`, every device
+/// image — plus the cells that spend the retry budget, with their typed
+/// `Io { target, attempts, cause }`. Generated before the command-driver
+/// refactor of `writer.rs`; a refactor under import, remount or the
+/// checkpoint streams must pass it unmodified, except that a phase whose
+/// *reads* retried may move in `t=` only (resubmission order).
+#[test]
+fn setup_faults_matches_golden() {
+    let mut text = String::new();
+    let mut seed = 7300u64;
+    for fabric_rig in [false, true] {
+        let rig_name = if fabric_rig {
+            "2x3-nvmeof"
+        } else {
+            "1x1-local"
+        };
+        let mut clean_images = None;
+        for inject in [
+            Inject::Nothing,
+            Inject::Writes(80_000),
+            Inject::Reads(150_000),
+            Inject::Drops(50_000),
+        ] {
+            if inject == Inject::Drops(50_000) && !fabric_rig {
+                continue; // no fabric to drop on
+            }
+            seed += 10;
+            text.push_str(&format!("cell rig={rig_name} inject={inject:?}\n"));
+            let (report, images) = Runtime::simulate(seed, |rt| {
+                let cell = FaultCell::new(fabric_rig);
+                let mut out = String::new();
+                cell.arm(inject, seed + 1);
+                let reg = Registry::new();
+                let fs = cell.builder(&reg).persistent().mount(rt, &FaultSource);
+                out.push_str(&phase_report(rt, "import", &fs, &reg));
+                let images = cell.images();
+                out.push_str(&images);
+                drop(fs);
+                cell.arm(inject, seed + 2);
+                let reg = Registry::new();
+                let fs = cell.builder(&reg).warm().remount(rt);
+                out.push_str(&phase_report(rt, "remount", &fs, &reg));
+                let fs = fs.unwrap();
+                cell.arm(inject, seed + 3);
+                let reg = Registry::new();
+                let nodes: &[u16] = if fabric_rig { &[0, 1] } else { &[0] };
+                let got = ckpt_phase(rt, &fs, nodes, &reg);
+                out.push_str(&phase_report(rt, "ckpt", &got, &reg));
+                out.push_str(&cell.images());
+                (out, images)
+            })
+            .0;
+            text.push_str(&report);
+            // Retried writes land the same bytes a clean import does.
+            let clean = clean_images.get_or_insert_with(|| images.clone());
+            assert_eq!(
+                &images, clean,
+                "{rig_name} {inject:?}: import image drifted"
+            );
+        }
+    }
+    // The retry budget spent, once per direction and cause.
+    for (what, fabric_rig, inject) in [
+        ("import", false, Inject::Writes(1_000_000)),
+        ("remount", false, Inject::Reads(1_000_000)),
+        ("remount", true, Inject::Drops(1_000_000)),
+        ("ckpt", false, Inject::Writes(1_000_000)),
+    ] {
+        seed += 10;
+        let rig_name = if fabric_rig {
+            "2x3-nvmeof"
+        } else {
+            "1x1-local"
+        };
+        text.push_str(&format!(
+            "cell rig={rig_name} inject={inject:?} exhausts={what}\n"
+        ));
+        let report = Runtime::simulate(seed, |rt| {
+            let cell = FaultCell::new(fabric_rig);
+            let reg = Registry::new();
+            if what == "import" {
+                cell.arm(inject, seed + 1);
+                let got = cell.builder(&reg).persistent().mount(rt, &FaultSource);
+                assert!(matches!(got, Err(DlfsError::Io { .. })), "{got:?}");
+                return phase_report(rt, what, &got, &reg);
+            }
+            let fs = cell
+                .builder(&Registry::new())
+                .persistent()
+                .mount(rt, &FaultSource);
+            drop(fs.unwrap());
+            if what == "remount" {
+                cell.arm(inject, seed + 2);
+                let got = cell.builder(&reg).warm().remount(rt);
+                assert!(matches!(got, Err(DlfsError::Io { .. })), "{got:?}");
+                return phase_report(rt, what, &got, &reg);
+            }
+            let fs = cell.builder(&Registry::new()).warm().remount(rt).unwrap();
+            let mut w = fs.checkpoint_writer(rt, 0, 0, Some(&reg)).unwrap();
+            cell.arm(inject, seed + 3);
+            let got = w.append(rt, &[0xd4; 9000]);
+            assert!(matches!(got, Err(DlfsError::Io { .. })), "{got:?}");
+            // Sticky: the stream's writer refuses further appends.
+            assert_eq!(w.append(rt, &[0xe5; 100]), got);
+            phase_report(rt, what, &got, &reg)
+        })
+        .0;
+        text.push_str(&report);
+    }
+    check_golden("setup_faults.txt", &text);
 }
