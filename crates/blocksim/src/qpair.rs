@@ -363,6 +363,18 @@ impl IoQPair {
         self.pending.peek().map(|p| p.done)
     }
 
+    /// The wait of a busy-poll loop after an empty poll: model one spin
+    /// (`poll_cost` of CPU), then (in virtual time) jump to the next
+    /// completion if it is further away — or to `wake`, when the caller has
+    /// something due sooner (a retry leaving its backoff) — the loop would
+    /// have spun until then anyway.
+    pub fn wait_next(&self, rt: &Runtime, poll_cost: Dur, wake: Option<Time>) {
+        rt.work(poll_cost.max(Dur::nanos(1)));
+        if let Some(t) = self.next_completion_at().into_iter().chain(wake).min() {
+            rt.work_until(t);
+        }
+    }
+
     /// Busy-poll until all outstanding commands complete, charging
     /// `poll_cost` of CPU per poll iteration. Returns all completions.
     pub fn drain(&mut self, rt: &Runtime, poll_cost: Dur) -> Vec<Completion> {
@@ -370,16 +382,7 @@ impl IoQPair {
         while !self.pending.is_empty() {
             let got = self.process_completions(rt, usize::MAX);
             if got.is_empty() {
-                // Model one spin of the polling loop, then (in virtual time)
-                // jump to the next completion if it is further away — the
-                // loop would have spun until then anyway.
-                rt.work(poll_cost.max(Dur::nanos(1)));
-                if let Some(t) = self.next_completion_at() {
-                    let now = rt.now();
-                    if t > now {
-                        rt.work(t - now);
-                    }
-                }
+                self.wait_next(rt, poll_cost, None);
             } else {
                 out.extend(got);
             }
@@ -498,13 +501,7 @@ mod tests {
                 }
                 let got = qp.process_completions(rt, usize::MAX);
                 if got.is_empty() {
-                    rt.work(Dur::nanos(100));
-                    if let Some(t) = qp.next_completion_at() {
-                        let now = rt.now();
-                        if t > now {
-                            rt.work(t - now);
-                        }
-                    }
+                    qp.wait_next(rt, Dur::nanos(100), None);
                 }
                 done += got.len();
             }

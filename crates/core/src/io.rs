@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use blocksim::{
-    covering_blocks, CmdStatus, DmaBuf, IoQPair, NvmeTarget, OffloadExtent, BLOCK_SIZE,
+    covering_blocks, CmdStatus, Completion, DmaBuf, IoQPair, NvmeTarget, OffloadExtent, BLOCK_SIZE,
 };
 use fabric::{CAPSULE_BYTES, DESCRIPTOR_BYTES, RESPONSE_BYTES};
 use simkit::chan::{Receiver, Sender};
@@ -44,15 +44,16 @@ use crate::cache::RangeKey;
 use crate::codec::Frame;
 use crate::config::{BatchMode, CacheMode, DlfsConfig};
 use crate::copy::{CopyDone, CopyJob, SegList, Segment};
+use crate::counter_in;
 use crate::directory::SampleDirectory;
 use crate::entry::SampleEntry;
-use crate::error::{CorruptCause, DlfsError, IoFailure};
+use crate::error::{CorruptCause, DlfsError};
 use crate::integrity::Redundancy;
 use crate::plan::{build_epoch_plan, fetch_extent, reader_item_ranges, ReaderPlan};
 use crate::reactor::{CompletionClock, ReactorStats};
 use crate::rebuild::Background;
 use crate::request::{Completions, Delivery, ReadRequest};
-use crate::scoped_or_detached;
+use crate::writer::io_failure;
 use crate::zerocopy::{Pin, PinGuard, ZeroCopySample};
 use crate::{cache::SampleCache, copy::CopyPool};
 
@@ -143,8 +144,8 @@ struct IoTelemetry {
     cache_pins: Counter,
     /// Cross-epoch cache counters under `dlfs.cache.*`. Registered only
     /// with [`CacheMode::CrossEpoch`]; like every optional scope below,
-    /// otherwise bound detached (see [`scoped_or_detached`]) so metric renders of
-    /// the zero-knob default stay byte-identical.
+    /// otherwise left unregistered (see [`counter_in`]) so metric renders
+    /// of the zero-knob default stay byte-identical.
     ce_hits: Counter,
     ce_misses: Counter,
     prefetch_issued: Counter,
@@ -184,27 +185,28 @@ impl IoTelemetry {
     fn new(reg: &Registry, shared: &DlfsShared) -> IoTelemetry {
         let io = reg.scoped("dlfs.io");
         let cross_epoch = shared.cfg.cache_mode == CacheMode::CrossEpoch;
-        let scope = |name, on: bool| scoped_or_detached(on.then_some(reg), name);
+        let scope = |name, on: bool| on.then(|| reg.scoped(name));
         let cache = scope("dlfs.cache", cross_epoch);
         let iv = scope("dlfs.integrity", shared.redundancy.is_some());
         let cd = scope("dlfs.codec", shared.codec.is_some());
         let of = scope("dlfs.offload", shared.cfg.offload);
+        let (cache, iv, cd, of) = (cache.as_ref(), iv.as_ref(), cd.as_ref(), of.as_ref());
         IoTelemetry {
-            codec_bytes_in: cd.counter("bytes_in"),
-            codec_bytes_out: cd.counter("bytes_out"),
-            of_requests: of.counter("requests"),
-            of_samples: of.counter("samples"),
-            of_wire_bytes: of.counter("wire_bytes"),
-            iv_verified: iv.counter("verified"),
-            iv_mismatches: iv.counter("mismatches"),
-            iv_repairs: iv.counter("repairs"),
-            iv_failovers: iv.counter("failovers"),
-            iv_hedges: iv.counter("hedges"),
-            iv_hedge_wins: iv.counter("hedge_wins"),
-            ce_hits: cache.counter("hits"),
-            ce_misses: cache.counter("misses"),
-            prefetch_issued: cache.counter("prefetch_issued"),
-            prefetch_hits: cache.counter("prefetch_hits"),
+            codec_bytes_in: counter_in(cd, "bytes_in"),
+            codec_bytes_out: counter_in(cd, "bytes_out"),
+            of_requests: counter_in(of, "requests"),
+            of_samples: counter_in(of, "samples"),
+            of_wire_bytes: counter_in(of, "wire_bytes"),
+            iv_verified: counter_in(iv, "verified"),
+            iv_mismatches: counter_in(iv, "mismatches"),
+            iv_repairs: counter_in(iv, "repairs"),
+            iv_failovers: counter_in(iv, "failovers"),
+            iv_hedges: counter_in(iv, "hedges"),
+            iv_hedge_wins: counter_in(iv, "hedge_wins"),
+            ce_hits: counter_in(cache, "hits"),
+            ce_misses: counter_in(cache, "misses"),
+            prefetch_issued: counter_in(cache, "prefetch_issued"),
+            prefetch_hits: counter_in(cache, "prefetch_hits"),
             samples_delivered: io.counter("samples_delivered"),
             bytes_delivered: io.counter("bytes_delivered"),
             requests_posted: io.counter("requests_posted"),
@@ -240,15 +242,21 @@ struct ItemRt {
     base: u64,
 }
 
-/// One device part — the chunk-sized piece `part` of fetch item `idx` —
-/// queued or in flight: failed submissions so far, and the replica that
-/// serves it (in flight) or is preferred for it (queued).
+/// One device part — the chunk-sized piece `part` of fetch item `idx` (0
+/// for a synchronous read, which has no item) — queued or in flight:
+/// failed submissions so far, and the replica that serves it (in flight)
+/// or is preferred for it (queued).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Part {
     idx: u32,
     part: u32,
     attempt: u32,
     replica: u32,
+    /// Delivered bytes of this part failed checksum verification at least
+    /// once: a verified success from a replica then read-repairs the home
+    /// extent, and retry exhaustion surfaces `Corrupt` instead of a plain
+    /// I/O error.
+    mismatched: bool,
 }
 
 impl Part {
@@ -259,16 +267,27 @@ impl Part {
             part,
             attempt: 0,
             replica: 0,
+            mismatched: false,
         }
     }
 }
 
-/// Item index of the parts of a synchronous read ([`DlfsIo::fetch_range`]):
-/// they share the in-flight and mismatch bookkeeping with the epoch's.
-const SYNC_ITEM: u32 = u32::MAX;
+/// What a command on the devices is for. Every harvest — the reactor's
+/// `poll`, the synchronous wait of `fetch_range`, the `abort_epoch` drain —
+/// asks this one table whose completion it holds.
+enum Owner {
+    /// A part of one of the epoch's fetch items.
+    Epoch(Part),
+    /// A part of the synchronous read in progress.
+    Sync(Part),
+    /// A prefetch of range `key` (`len` bytes once published): what it
+    /// reads and the chunk it lands in.
+    Prefetch { key: RangeKey, io: PartIo, len: u64 },
+}
 
 /// What one part reads: `nblocks` blocks from `slba` in its home node's
 /// coordinates (replica routing translates them), into cache chunk `buf`.
+#[derive(Clone)]
 struct PartIo {
     home: u16,
     slba: u64,
@@ -393,9 +412,6 @@ struct PrefetchState {
     queue: VecDeque<(u16, u64, u64)>,
     /// Ranges with a prefetch in flight.
     inflight: HashSet<RangeKey>,
-    /// Device command id → (range key, chunk, published length) of an
-    /// in-flight prefetch.
-    cmds: HashMap<u64, (RangeKey, DmaBuf, u64)>,
 }
 
 /// One engine batch being assembled. Copied delivery (`copies` is the
@@ -427,8 +443,6 @@ struct SyncFetch {
     bufs: Vec<DmaBuf>,
     /// Parts to (re)submit, each with its not-before instant.
     waiting: Vec<(Part, Time)>,
-    /// Own commands in flight.
-    posted: usize,
 }
 
 /// A per-thread DLFS I/O handle.
@@ -441,15 +455,9 @@ pub struct DlfsIo {
     mode: BatchMode,
     qpairs: Vec<IoQPair>,
     epoch: Option<EpochState>,
-    /// Demand parts on the devices, by command id: the epoch's and (item
-    /// [`SYNC_ITEM`]) a synchronous read's.
-    inflight: HashMap<u64, Part>,
+    /// Every command on the devices, by command id.
+    inflight: HashMap<u64, Owner>,
     next_cmd: u64,
-    /// Parts, as `(item, part)`, whose delivered bytes failed checksum
-    /// verification at least once: a verified success from a replica then
-    /// read-repairs the home extent, and retry exhaustion surfaces
-    /// `Corrupt` instead of a plain I/O error.
-    mismatched: HashSet<(u32, u32)>,
     /// Hedge pairing: cmd → (partner cmd, partner's qpair, whether *this*
     /// cmd is the late-issued duplicate). The first verified completion of
     /// a pair delivers; its partner is cancelled (or silently dropped).
@@ -476,8 +484,8 @@ pub struct DlfsIo {
     /// instant here, so the engine advances straight to the next event
     /// instead of spinning poll iterations toward it.
     clock: Arc<CompletionClock>,
-    /// Reactor activity counters (`dlfs.reactor.*`; detached from the
-    /// registry unless [`DlfsConfig::reactor_stats`] is set).
+    /// Reactor activity counters (`dlfs.reactor.*`; unregistered unless
+    /// [`DlfsConfig::reactor_stats`] is set).
     rstats: ReactorStats,
 }
 
@@ -532,7 +540,6 @@ impl DlfsIo {
             epoch: None,
             inflight: HashMap::new(),
             next_cmd: 1,
-            mismatched: HashSet::new(),
             hedges: HashMap::new(),
             hedge_due: BinaryHeap::new(),
             failed: None,
@@ -577,40 +584,43 @@ impl DlfsIo {
     /// range the plan still holds. Called by `sequence` when an epoch is
     /// replaced before being fully consumed.
     fn abort_epoch(&mut self, rt: &Runtime) {
-        if self.epoch.is_none() && self.prefetch.cmds.is_empty() {
-            return;
-        }
-        // Drain outstanding commands (including in-flight prefetches:
-        // their chunks would leak if merely forgotten).
-        while !self.inflight.is_empty() || !self.prefetch.cmds.is_empty() {
+        // Drain outstanding commands. A demand part is discarded unsettled
+        // (`teardown` returns its chunk); an in-flight prefetch completes
+        // as usual, publishing its range or returning its chunk.
+        while !self.inflight.is_empty() {
             let mut harvested = 0;
             for q in 0..self.qpairs.len() {
-                if self.qpairs[q].outstanding() == 0 {
-                    continue;
-                }
                 for comp in self.qpairs[q].process_completions(rt, usize::MAX) {
-                    if self.inflight.remove(&comp.id).is_none() {
-                        self.prefetch_complete(rt, comp.id, comp.status);
+                    if let Some(Owner::Prefetch { key, io, len }) = self.inflight.remove(&comp.id) {
+                        self.prefetch_complete(rt, key, io, len, comp.status);
                     }
                     harvested += 1;
                 }
             }
-            if self.inflight.is_empty() && self.prefetch.cmds.is_empty() {
-                break;
-            }
             if harvested == 0 {
-                match self
-                    .clock
-                    .next_due(|tag| self.qpairs[tag].next_completion_at())
-                {
+                match self.next_completion() {
                     Some(t) => self.advance_to(rt, t),
                     None => break,
                 }
             }
         }
+        self.teardown();
+    }
+
+    /// Give back everything this handle holds in the compute node's shared
+    /// cache: the chunk of every prefetch still on a device, and every
+    /// range the epoch's plan has open. Nothing writes those chunks
+    /// afterwards — `abort_epoch` drained the qpairs first, and a dropped
+    /// handle's qpairs die with it (data only lands at harvest).
+    fn teardown(&mut self) {
+        for (_, owner) in self.inflight.drain() {
+            if let Owner::Prefetch { io, .. } = owner {
+                self.shared.cache.free_raw(io.buf);
+            }
+        }
+        self.prefetch.inflight.clear();
         self.hedges.clear();
         self.hedge_due.clear();
-        self.mismatched.clear();
         let Some(st) = self.epoch.take() else {
             return; // only prefetches were outstanding
         };
@@ -799,8 +809,8 @@ impl DlfsIo {
     }
 
     /// The prep and post stages of one part: charge both, submit the read
-    /// of `io` at `slba` on qpair `dev`, and (for a demand part) enter it
-    /// in the in-flight set under `owner`. Returns the command id, or
+    /// of `io` at `slba` on qpair `dev`, and enter it in the in-flight
+    /// table as `owner`'s. Returns the command id, or
     /// `None` when the qpair is full — capacity is a bookkeeping check,
     /// but a blocked post still pays its prep+post (the charge the legacy
     /// engine paid for the rejected submit), unrecorded in the stage
@@ -812,7 +822,7 @@ impl DlfsIo {
         dev: usize,
         slba: u64,
         io: &PartIo,
-        owner: Option<Part>,
+        owner: Owner,
         record: bool,
     ) -> Option<u64> {
         let full = self.qpairs[dev].outstanding() >= self.shared.cfg.queue_depth;
@@ -833,9 +843,7 @@ impl DlfsIo {
         }
         self.next_cmd += 1;
         self.tel.requests_posted.inc();
-        if let Some(part) = owner {
-            self.inflight.insert(cmd, part);
-        }
+        self.inflight.insert(cmd, owner);
         Some(cmd)
     }
 
@@ -886,17 +894,11 @@ impl DlfsIo {
         if let Some((pcmd, _, _)) = hedge {
             self.hedges.remove(&pcmd);
         }
-        let key = (p.idx, p.part);
-        let verified = status.is_ok() && {
-            let repair = p.replica > 0 && self.mismatched.contains(&key);
-            let ok = self.verify_part(rt, io, repair);
-            if ok {
-                self.mismatched.remove(&key);
-            } else {
-                self.mismatched.insert(key);
-            }
-            ok
-        };
+        let repair = p.replica > 0 && p.mismatched;
+        let verified = status.is_ok() && self.verify_part(rt, io, repair);
+        // Delivered bytes that fail their checksum mark the part, verified
+        // ones clear it; a failed command leaves the mark as it was.
+        let mismatched = (status.is_ok() || p.mismatched) && !verified;
         let red = self.shared.redundancy.as_deref();
         let replicated = red.filter(|r| r.replicas > 1);
         let serving = replicated.map_or(io.home, |r| r.route(io.home, p.replica, io.slba).0);
@@ -924,16 +926,16 @@ impl DlfsIo {
         if let Some(red) = replicated {
             red.record_failure(serving as usize, rt.now());
         }
-        if hedge.is_some_and(|(pcmd, _, _)| self.inflight.contains_key(&pcmd)) {
+        if let Some(Owner::Epoch(twin)) =
+            hedge.and_then(|(pcmd, _, _)| self.inflight.get_mut(&pcmd))
+        {
+            twin.mismatched = mismatched;
             return Settled::Twin;
         }
         let attempts = p.attempt + 1;
         let Some(backoff) = self.shared.cfg.retry.next_delay(attempts) else {
-            let cause = match status {
-                CmdStatus::TransportError => IoFailure::Timeout,
-                _ => IoFailure::Media,
-            };
-            return Settled::Fatal(if self.mismatched.contains(&key) {
+            let cause = io_failure(status);
+            return Settled::Fatal(if mismatched {
                 DlfsError::Corrupt {
                     chunk: corrupt_at,
                     tried: attempts,
@@ -954,6 +956,7 @@ impl DlfsIo {
         self.tel.retries.inc();
         let mut part = Part {
             attempt: attempts,
+            mismatched,
             ..p
         };
         if replicated.is_some() {
@@ -1127,8 +1130,8 @@ impl DlfsIo {
         while let Some(&p) = self.st().pending_parts.front() {
             let io = self.engine_part(p);
             let (replica, dev, slba) = self.route_part(rt, &io, p.replica);
-            let owner = Part { replica, ..p };
-            let Some(cmd) = self.post_part(rt, dev, slba, &io, Some(owner), true) else {
+            let owner = Owner::Epoch(Part { replica, ..p });
+            let Some(cmd) = self.post_part(rt, dev, slba, &io, owner, true) else {
                 break; // queue full; poll first
             };
             if hedging {
@@ -1181,7 +1184,7 @@ impl DlfsIo {
             }
             self.hedge_due.pop();
             // Already completed, or already hedged: nothing to do.
-            let Some(&p) = self.inflight.get(&cmd) else {
+            let Some(&Owner::Epoch(p)) = self.inflight.get(&cmd) else {
                 continue;
             };
             if self.hedges.contains_key(&cmd) {
@@ -1197,9 +1200,8 @@ impl DlfsIo {
             if self.qpairs[dev2 as usize].outstanding() >= self.shared.cfg.queue_depth {
                 continue; // no room; the primary keeps sole ownership
             }
-            let twin = Part { replica: r2, ..p };
-            let Some(cmd2) = self.post_part(rt, dev2 as usize, slba2, &io, Some(twin), false)
-            else {
+            let twin = Owner::Epoch(Part { replica: r2, ..p });
+            let Some(cmd2) = self.post_part(rt, dev2 as usize, slba2, &io, twin, false) else {
                 continue;
             };
             self.tel.iv_hedges.inc();
@@ -1272,13 +1274,20 @@ impl DlfsIo {
                 nblocks,
                 buf,
             };
-            let Some(cmd) = self.post_part(rt, nid as usize, slba, &io, None, true) else {
+            let owner = Owner::Prefetch {
+                key,
+                io: io.clone(),
+                len,
+            };
+            if self
+                .post_part(rt, nid as usize, slba, &io, owner, true)
+                .is_none()
+            {
                 self.shared.cache.free_raw(io.buf);
                 break; // qpair full; demand completions first
-            };
+            }
             self.tel.prefetch_issued.inc();
             self.prefetch.queue.pop_front();
-            self.prefetch.cmds.insert(cmd, (key, io.buf, len));
             self.prefetch.inflight.insert(key);
             progressed += 1;
         }
@@ -1300,29 +1309,24 @@ impl DlfsIo {
         })
     }
 
-    /// Route the completion of a prefetch command: publish the warmed
-    /// range (born released/evictable), or — on failure, or if the range
-    /// became resident meanwhile — return the chunk. Prefetched bytes are
-    /// published into the cache, so they must pass verification like any
+    /// Apply the completion of the prefetch `io` of range `key`: publish
+    /// the warmed range (born released/evictable), or — on failure, or if
+    /// the range became resident meanwhile — return the chunk. Prefetched
+    /// bytes are published into the cache, so they must pass verification like any
     /// demand read. Prefetches are best-effort: no retries, no repair; a
     /// miss or a corrupt frame simply falls back to a demand fetch next
     /// epoch (which repairs via replicas).
-    fn prefetch_complete(&mut self, rt: &Runtime, cmd: u64, status: CmdStatus) {
-        let Some((key, buf, len)) = self.prefetch.cmds.remove(&cmd) else {
-            debug_assert!(false, "completion for unknown command {cmd}");
-            return;
-        };
+    fn prefetch_complete(
+        &mut self,
+        rt: &Runtime,
+        key: RangeKey,
+        io: PartIo,
+        len: u64,
+        status: CmdStatus,
+    ) {
         self.prefetch.inflight.remove(&key);
-        let nid = crate::cache::key_node(key);
-        let (slba, nblocks, _) = self.read_geometry(nid, key.1, len);
-        let io = PartIo {
-            home: nid,
-            slba,
-            nblocks,
-            buf,
-        };
         if status.is_ok() && self.verify_part(rt, &io, false) && !self.shared.cache.contains(key) {
-            self.decode_frame(rt, nid, key.1, std::slice::from_ref(&io.buf));
+            self.decode_frame(rt, io.home, key.1, std::slice::from_ref(&io.buf));
             self.shared.cache.publish_prefetched(key, vec![io.buf], len);
         } else {
             if status == CmdStatus::TransportError {
@@ -1330,6 +1334,20 @@ impl DlfsIo {
             }
             self.shared.cache.free_raw(io.buf);
         }
+    }
+
+    /// The completion router: look up whose command `c` was and apply it.
+    /// The engine's parts and prefetches are settled here, whoever
+    /// harvested them — the shared qpairs hand a synchronous read the
+    /// engine's completions too; a synchronous read's own part is handed
+    /// back to the `fetch_range` waiting on it.
+    fn complete(&mut self, rt: &Runtime, c: &Completion) -> Option<Part> {
+        match self.inflight.remove(&c.id)? {
+            Owner::Epoch(p) => self.engine_complete(rt, c.id, p, c.status),
+            Owner::Prefetch { key, io, len } => self.prefetch_complete(rt, key, io, len, c.status),
+            Owner::Sync(p) => return Some(p),
+        }
+        None
     }
 
     /// Apply the completion of one of the epoch's parts: settle it, then
@@ -1408,10 +1426,8 @@ impl DlfsIo {
                 rt.work(costs.per_completion);
                 self.tel.completions.inc();
                 harvested += 1;
-                match self.inflight.remove(&comp.id) {
-                    Some(p) => self.engine_complete(rt, comp.id, p, comp.status),
-                    None => self.prefetch_complete(rt, comp.id, comp.status),
-                }
+                // No synchronous read is in progress under `submit`.
+                self.complete(rt, &comp);
             }
         }
         if harvested == 0 {
@@ -1864,15 +1880,18 @@ impl DlfsIo {
         Ok((data, base))
     }
 
+    /// Earliest completion instant across every qpair. The completion
+    /// clock already holds it (validated lazily against the authoritative
+    /// per-qpair state), so this is one heap peek instead of a scan.
+    fn next_completion(&self) -> Option<Time> {
+        self.clock
+            .next_due(|tag| self.qpairs[tag].next_completion_at())
+    }
+
     /// Earliest instant at which the engine can make progress again: a
     /// device completion or a delayed retry becoming due.
     fn next_engine_event(&self) -> Option<Time> {
-        // The completion clock already holds the earliest instant across
-        // every qpair (validated lazily against the authoritative per-qpair
-        // state), so this is one heap peek instead of a scan.
-        let next_dev = self
-            .clock
-            .next_due(|tag| self.qpairs[tag].next_completion_at());
+        let next_dev = self.next_completion();
         let next_retry = self
             .epoch
             .as_ref()
@@ -2033,14 +2052,10 @@ impl DlfsIo {
             let p = f.waiting[i].0;
             let io = self.part_io(f.nid, f.slba, f.nblocks, p.part, &f.bufs);
             let (replica, dev, slba) = self.route_part(rt, &io, p.replica);
-            let owner = Part { replica, ..p };
-            if self
-                .post_part(rt, dev, slba, &io, Some(owner), true)
-                .is_none()
-            {
+            let owner = Owner::Sync(Part { replica, ..p });
+            if self.post_part(rt, dev, slba, &io, owner, true).is_none() {
                 break; // queue full: poll completions, then retry
             }
-            f.posted += 1;
             f.waiting.remove(i);
         }
     }
@@ -2082,17 +2097,15 @@ impl DlfsIo {
                 .collect(),
             _ => vec![nid as usize],
         };
-        self.mismatched.retain(|&(idx, _)| idx != SYNC_ITEM);
         let mut left = bufs.len();
         let mut f = SyncFetch {
             nid,
             slba,
             nblocks,
             waiting: (0..left as u32)
-                .map(|part| (Part::first(SYNC_ITEM, part), Time::ZERO))
+                .map(|part| (Part::first(0, part), Time::ZERO))
                 .collect(),
             bufs,
-            posted: 0,
         };
         let mut fatal: Option<DlfsError> = None;
         self.sync_post_due(rt, &mut f);
@@ -2101,7 +2114,8 @@ impl DlfsIo {
         // event (device completion or retry instant) instead of spinning
         // toward it.
         let t_poll = rt.now();
-        while (left > 0 && fatal.is_none()) || f.posted > 0 {
+        let mine = |o: &Owner| matches!(o, Owner::Sync(_));
+        while (left > 0 && fatal.is_none()) || self.inflight.values().any(mine) {
             if fatal.is_none() {
                 self.sync_post_due(rt, &mut f);
             }
@@ -2127,22 +2141,12 @@ impl DlfsIo {
             for c in &comps {
                 rt.work(costs.per_completion);
                 self.tel.completions.inc();
-                let p = match self.inflight.remove(&c.id) {
-                    Some(p) if p.idx == SYNC_ITEM => p,
-                    // Not ours: the batched engine (and its prefetcher)
-                    // share these qpairs and their in-flight commands
-                    // complete here too — failed ones included, which must
-                    // be re-queued for retry.
-                    Some(p) => {
-                        self.engine_complete(rt, c.id, p, c.status);
-                        continue;
-                    }
-                    None => {
-                        self.prefetch_complete(rt, c.id, c.status);
-                        continue;
-                    }
+                // Not ours — the batched engine and its prefetcher share
+                // these qpairs — is settled by the router (a failed engine
+                // part is re-queued for retry).
+                let Some(p) = self.complete(rt, c) else {
+                    continue;
                 };
-                f.posted -= 1;
                 let io = self.part_io(nid, slba, nblocks, p.part, &f.bufs);
                 match self.settle_part(rt, c.id, p, &io, c.status, io.slba * BLOCK_SIZE) {
                     Settled::Done => left -= 1,
@@ -2383,6 +2387,13 @@ impl DlfsIo {
     }
 }
 
+/// A handle dropped mid-epoch returns its open window to the shared pool.
+impl Drop for DlfsIo {
+    fn drop(&mut self) {
+        self.teardown();
+    }
+}
+
 /// Slice `len` payload bytes starting at `pos` (relative to the buffers'
 /// base) into chunk-bounded segments.
 fn segments_at(bufs: &[DmaBuf], chunk: usize, mut pos: usize, mut remaining: usize) -> SegList {
@@ -2405,6 +2416,7 @@ fn segments_at(bufs: &[DmaBuf], chunk: usize, mut pos: usize, mut remaining: usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::IoFailure::{Media, Timeout};
     use crate::{Deployment, MountBuilder, SyntheticSource};
     use blocksim::{DeviceConfig, NvmeDevice};
     use simkit::retry::RetryPolicy;
@@ -2470,11 +2482,9 @@ mod tests {
                 buf.with_mut(|d| d[..blk.len()].copy_from_slice(&blk));
                 let p = Part {
                     attempt: if budget { 0 } else { 2 },
+                    mismatched: !clean && !status.is_ok(),
                     ..Part::first(3, 1)
                 };
-                if !clean && !status.is_ok() {
-                    io.mismatched.insert((3, 1));
-                }
                 let part_io = PartIo {
                     home: 0,
                     slba: 0,
@@ -2484,16 +2494,14 @@ mod tests {
                 let got = io.settle_part(rt, 77, p, &part_io, status, 4242);
 
                 let failed = !status.is_ok() || !clean;
-                let cause = match status {
-                    TransportError => IoFailure::Timeout,
-                    _ => IoFailure::Media,
-                };
+                let cause = [Media, Timeout][(status == TransportError) as usize];
                 let want = match (failed, budget) {
                     (false, _) => Settled::Done,
                     (true, true) => Settled::Requeue {
                         part: Part {
                             attempt: 1,
                             replica: (replicas > 1) as u32,
+                            mismatched: !clean,
                             ..p
                         },
                         not_before: (replicas == 1).then(|| rt.now() + Dur::micros(20)),
@@ -2529,7 +2537,6 @@ mod tests {
                 ] {
                     assert_eq!(m.counter(name), count, "{case}: {name}");
                 }
-                assert_eq!(io.mismatched.contains(&(3, 1)), failed && !clean, "{case}");
             }
         });
     }

@@ -96,17 +96,13 @@ pub use tenant::{QosConfig, TenantId, TenantQos, TenantSpec};
 pub use writer::{BatchedWriter, CheckpointReader, CheckpointWriter};
 pub use zerocopy::ZeroCopySample;
 
-/// The scope `name` under `reg`, or under a detached registry when there
-/// is none. Handles of an optional subsystem stay bound (and counted)
-/// either way, but only render when the subsystem is configured — or the
-/// caller asked for telemetry at all — which keeps default-config metric
-/// renders byte-identical.
-pub(crate) fn scoped_or_detached(
-    reg: Option<&simkit::telemetry::Registry>,
+/// Counter `name` of `scope`, or — when the subsystem that owns it is not
+/// configured, or the caller asked for no telemetry — an unregistered one:
+/// counted, never rendered, and bound without touching any registry, so
+/// default-config metric renders stay byte-identical.
+pub(crate) fn counter_in(
+    scope: Option<&simkit::telemetry::Registry>,
     name: &str,
-) -> simkit::telemetry::Registry {
-    match reg {
-        Some(r) => r.scoped(name),
-        None => simkit::telemetry::Registry::new().scoped(name),
-    }
+) -> simkit::telemetry::Counter {
+    scope.map_or_else(Default::default, |s| s.counter(name))
 }

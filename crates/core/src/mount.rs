@@ -102,8 +102,8 @@ pub struct MountOptions {
     /// CPU cost to merge one remote entry during the allgather.
     pub merge_per_entry: Dur,
     /// Registry for the mount-time counters (`dlfs.write.*` during
-    /// staging, `dlfs.remount.*` during remount). `None` binds them to a
-    /// throwaway registry, keeping default outputs unchanged.
+    /// staging, `dlfs.remount.*` during remount). `None` leaves them
+    /// unregistered, keeping default outputs unchanged.
     pub telemetry: Option<Registry>,
 }
 
@@ -751,7 +751,7 @@ fn join_nodes<T>(handles: Vec<Worker<T>>, storage_nodes: usize) -> Result<Vec<T>
 /// reader's whole data share.
 const STREAM_DEPTH: usize = 4;
 
-/// Counters under `dlfs.remount.*` (throwaway registry by default).
+/// Counters under `dlfs.remount.*` (unregistered without a registry).
 #[derive(Clone)]
 struct RemountTelemetry {
     superblocks: Counter,
@@ -761,11 +761,11 @@ struct RemountTelemetry {
 
 impl RemountTelemetry {
     fn new(reg: Option<&Registry>) -> RemountTelemetry {
-        let scope = crate::scoped_or_detached(reg, "dlfs.remount");
+        let scope = reg.map(|r| r.scoped("dlfs.remount"));
         RemountTelemetry {
-            superblocks: scope.counter("superblocks"),
-            meta_bytes: scope.counter("meta_bytes"),
-            entries: scope.counter("entries"),
+            superblocks: crate::counter_in(scope.as_ref(), "superblocks"),
+            meta_bytes: crate::counter_in(scope.as_ref(), "meta_bytes"),
+            entries: crate::counter_in(scope.as_ref(), "entries"),
         }
     }
 }
@@ -1291,7 +1291,7 @@ impl MountBuilder {
     }
 
     /// Record mount-time counters (`dlfs.write.*`, `dlfs.remount.*`) into
-    /// `reg` instead of a throwaway registry.
+    /// `reg` instead of leaving them unregistered.
     pub fn with_registry(mut self, reg: Registry) -> MountBuilder {
         self.opts.telemetry = Some(reg);
         self

@@ -11,8 +11,8 @@
 //!   command can finish and never spins a poll iteration before it.
 //! * [`ReactorStats`] — wakeups / doorbells / parked-time counters. They
 //!   are registered under `dlfs.reactor.*` only when
-//!   [`crate::DlfsConfig::reactor_stats`] is set; otherwise they live in a
-//!   detached registry so default telemetry reports stay byte-stable.
+//!   [`crate::DlfsConfig::reactor_stats`] is set; otherwise they stay
+//!   unregistered so default telemetry reports stay byte-stable.
 //!
 //! The clock is advisory by construction: entries are validated lazily
 //! against the qpair's own `next_completion_at()` before use, so a stale
@@ -98,13 +98,14 @@ pub(crate) struct ReactorStats {
 
 impl ReactorStats {
     /// Bind under `dlfs.reactor.*` in `reg` when `publish` is set;
-    /// otherwise bind to a throwaway registry (counted but unreported).
+    /// otherwise leave the counters unregistered (counted but unreported).
     pub fn new(reg: &Registry, publish: bool) -> ReactorStats {
-        let reg = crate::scoped_or_detached(publish.then_some(reg), "dlfs.reactor");
+        let scope = publish.then(|| reg.scoped("dlfs.reactor"));
+        let counter = |name| crate::counter_in(scope.as_ref(), name);
         ReactorStats {
-            wakeups: reg.counter("wakeups"),
-            doorbells: reg.counter("doorbells"),
-            parked_ns: reg.counter("parked_ns"),
+            wakeups: counter("wakeups"),
+            doorbells: counter("doorbells"),
+            parked_ns: counter("parked_ns"),
         }
     }
 

@@ -31,10 +31,10 @@ use blocksim::{NvmeTarget, BLOCK_SIZE};
 use simkit::rng::fnv1a;
 use simkit::telemetry::{Counter, Gauge, Registry};
 
+use crate::counter_in;
 use crate::error::DlfsError;
 use crate::io::DlfsShared;
 use crate::layout::{encode_codec_table, encode_integrity, encode_meta, read_untimed, MetaRecord};
-use crate::scoped_or_detached;
 
 use crate::integrity::Redundancy;
 
@@ -185,19 +185,20 @@ pub(crate) struct Background {
 impl Background {
     pub fn new(shared: Arc<DlfsShared>, reg: &Registry) -> Background {
         let red = shared.redundancy.as_deref();
-        let iv = scoped_or_detached(red.map(|_| reg), "dlfs.integrity");
+        let iv = red.map(|_| reg.scoped("dlfs.integrity"));
         let membership = red.and_then(|r| r.membership.as_ref());
-        let rb = scoped_or_detached(membership.map(|_| reg), "dlfs.rebuild");
+        let rb = membership.map(|_| reg.scoped("dlfs.rebuild"));
+        let (iv, rb) = (iv.as_ref(), rb.as_ref());
         Background {
             scrub_cursor: (0, 0),
             rebuild: None,
-            scrubbed: iv.counter("scrubbed"),
-            repairs: iv.counter("repairs"),
-            rb_blocks: rb.counter("blocks_rebuilt"),
-            rb_clean: rb.counter("blocks_clean"),
-            rb_failed: rb.counter("blocks_failed"),
-            rb_completed: rb.counter("completed"),
-            rb_at_risk: rb.gauge("chunks_at_risk"),
+            scrubbed: counter_in(iv, "scrubbed"),
+            repairs: counter_in(iv, "repairs"),
+            rb_blocks: counter_in(rb, "blocks_rebuilt"),
+            rb_clean: counter_in(rb, "blocks_clean"),
+            rb_failed: counter_in(rb, "blocks_failed"),
+            rb_completed: counter_in(rb, "completed"),
+            rb_at_risk: rb.map_or_else(Gauge::default, |s| s.gauge("chunks_at_risk")),
             shared,
         }
     }

@@ -1176,7 +1176,7 @@ fn setup_faults_matches_golden() {
             Inject::Reads(150_000),
             Inject::Drops(50_000),
         ] {
-            if inject == Inject::Drops(50_000) && !fabric_rig {
+            if matches!(inject, Inject::Drops(_)) && !fabric_rig {
                 continue; // no fabric to drop on
             }
             seed += 10;
