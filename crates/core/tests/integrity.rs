@@ -4,13 +4,16 @@
 //! errors when no healthy copy exists. All deterministic: same-seed runs
 //! are byte-identical, and the default configuration builds none of it.
 
+mod common;
+
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget, BLOCK_SIZE};
+use common::check_golden;
 use dlfs::source::SampleSource;
 use dlfs::{
-    fsck_repair, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, MountOptions,
-    ReadRequest, SyntheticSource,
+    fsck_node, fsck_repair, CodecKind, Completions, CompressibleSource, Deployment, DlfsConfig,
+    DlfsError, DlfsInstance, DlfsIo, MountOptions, ReadRequest, SyntheticSource,
 };
 use fabric::{Cluster, FabricConfig, FabricFaultInjector, NvmeOfTarget, TargetConfig};
 use simkit::prelude::*;
@@ -450,4 +453,182 @@ fn same_seed_corruption_runs_are_byte_identical() {
     assert_eq!(a.1, b.1, "virtual end time diverged");
     assert_eq!(a.2, b.2, "telemetry snapshots diverged");
     assert!(a.2.contains("dlfs.integrity.verified"));
+}
+
+/// What a heal-grid cell damages: 64 silently flipped blocks at the head
+/// of node 0's data, a sticky unreadable extent inside node 1's, or node 2
+/// killed and replaced by a wiped device.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Damage {
+    Flips,
+    Sticky,
+    Wiped,
+}
+
+/// Who heals it: a client-path epoch (failover + read-repair), an
+/// offloaded epoch, a full scrub pass, a rebuild of the damaged node, or
+/// the offline `fsck_repair` over every node.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Healer {
+    Client,
+    Offload,
+    Scrub,
+    Rebuild,
+    Fsck,
+}
+
+const HEAL_DEV_BYTES: u64 = 1 << 20;
+
+/// One epoch of `io`, every payload checked against `source`: the end
+/// instant and an order-insensitive hash of what was delivered.
+fn heal_epoch(
+    rt: &Runtime,
+    io: &mut DlfsIo,
+    source: &CompressibleSource,
+    epoch: u64,
+    offload: bool,
+) -> String {
+    let total = io.sequence(rt, 23, epoch);
+    let (mut delivered, mut hash) = (0usize, 0u64);
+    loop {
+        let req = ReadRequest::batch(32);
+        let req = if offload { req.offload() } else { req };
+        match io.submit(rt, &req).map(Completions::into_copied) {
+            Ok(batch) => {
+                for (id, data) in batch {
+                    assert_eq!(data, source.expected(id), "sample {id} corrupted");
+                    delivered += 1;
+                    hash ^= fnv1a(&data).wrapping_mul(2 * id as u64 + 1);
+                }
+            }
+            Err(DlfsError::EpochExhausted) => break,
+            Err(e) => panic!("epoch {epoch} failed: {e}"),
+        }
+    }
+    assert_eq!(delivered, total, "epoch {epoch} must complete");
+    format!(
+        "epoch {epoch} t={} delivered={hash:016x}\n",
+        rt.now().nanos()
+    )
+}
+
+/// The healing counters of `io` and the FNV-1a of every device image,
+/// one line per scope.
+fn heal_state(io: &DlfsIo, devices: &[Arc<NvmeDevice>]) -> String {
+    let m = io.metrics();
+    let mut out = String::new();
+    for scope in ["dlfs.integrity.", "dlfs.rebuild."] {
+        let counters = m
+            .render_prefixed(scope)
+            .replace(scope, "")
+            .replace(' ', "=");
+        let label = scope.trim_end_matches('.');
+        let counters = counters.trim_end().replace('\n', " ");
+        out.push_str(&format!("{label} {counters}\n"));
+    }
+    out.push_str("images");
+    for d in devices {
+        let mut image = vec![0u8; d.storage().capacity() as usize];
+        d.storage().read_at(0, &mut image);
+        out.push_str(&format!(" {:016x}", fnv1a(&image)));
+    }
+    out + "\n"
+}
+
+fn heal_cell(replicas: usize, codec: CodecKind, damage: Damage, healer: Healer) -> String {
+    Runtime::simulate(8100, |rt| {
+        let source = CompressibleSource::fixed(41, 240, 2000, 48);
+        let devices: Vec<_> = (0..4).map(|_| ramdisk(HEAL_DEV_BYTES)).collect();
+        let cfg = DlfsConfig {
+            ckpt_region_bytes: 64 * 1024,
+            codec,
+            offload: true,
+            fail_dead_after: Some(Dur::micros(300)),
+            ..redundant_cfg(replicas)
+        };
+        let fs = dlfs::MountBuilder::new(cfg)
+            .deployment(local_deployment(&devices))
+            .persistent()
+            .mount(rt, &source)
+            .unwrap();
+        let data_blk = |n: u16| fs.layout(n).unwrap().data_base / BLOCK_SIZE;
+        let victim: u16 = match damage {
+            Damage::Flips => {
+                devices[0].set_faults(FaultInjector::new(5).with_bit_flips(data_blk(0), 64));
+                0
+            }
+            Damage::Sticky => {
+                devices[1].set_faults(FaultInjector::new(6).with_bad_extent(data_blk(1) + 32, 4));
+                1
+            }
+            Damage::Wiped => {
+                devices[2].kill();
+                devices[2].revive();
+                devices[2].dma_write(0, &vec![0u8; HEAL_DEV_BYTES as usize]);
+                2
+            }
+        };
+        let mut io = fs.io(0);
+        let mut out = String::new();
+        match healer {
+            Healer::Client => out.push_str(&heal_epoch(rt, &mut io, &source, 0, false)),
+            Healer::Offload => out.push_str(&heal_epoch(rt, &mut io, &source, 0, true)),
+            Healer::Scrub => out.push_str(&format!("scrubbed={}\n", io.scrub_pass())),
+            Healer::Rebuild => {
+                let planned = io.begin_rebuild(victim).unwrap();
+                let walked = io.drive_rebuild();
+                out.push_str(&format!("planned={planned} walked={walked}\n"));
+            }
+            Healer::Fsck => {
+                let targets = &fs.shared(0).targets;
+                for n in 0..devices.len() as u16 {
+                    match fsck_repair(targets, n) {
+                        Ok(r) => out.push_str(&format!("fsck_repair node{n} {r:?}\n")),
+                        Err(e) => out.push_str(&format!("fsck_repair node{n} error: {e}\n")),
+                    }
+                }
+            }
+        }
+        out.push_str(&heal_state(&io, &devices));
+        // Whatever the healer left behind, a client epoch still delivers
+        // every byte (and read-repairs on its way).
+        out.push_str(&heal_epoch(rt, &mut io, &source, 1, false));
+        out.push_str(&heal_state(&io, &devices));
+        out.push_str("fsck");
+        for (n, t) in fs.shared(0).targets.iter().enumerate() {
+            out.push_str(&format!(" | {:?}", fsck_node(t, n as u16, true).state));
+        }
+        out + "\n"
+    })
+    .0
+}
+
+/// Characterisation of every way a damaged copy gets healed, pinned
+/// across refactors of the replica machinery: replicas {2, 3} x codec x
+/// damage x healer on a persistent, verified mount over four local
+/// devices. Offloaded epochs are pinned over bit flips only, and nothing
+/// here runs without `verify_reads` (see the regression tests in
+/// `offload_e2e.rs` and `membership.rs` for those).
+#[test]
+fn heal_grid_matches_golden() {
+    use Damage::*;
+    use Healer::*;
+    let mut text = String::new();
+    for replicas in [2usize, 3] {
+        for codec in [CodecKind::Identity, CodecKind::Lz] {
+            for damage in [Flips, Sticky, Wiped] {
+                for healer in [Client, Offload, Scrub, Rebuild, Fsck] {
+                    if healer == Offload && damage != Flips {
+                        continue;
+                    }
+                    text.push_str(&format!(
+                        "cell replicas={replicas} codec={codec} damage={damage:?} \
+                         healer={healer:?}\n"
+                    ));
+                    text.push_str(&heal_cell(replicas, codec, damage, healer));
+                }
+            }
+        }
+    }
+    check_golden("heal_grid.txt", &text);
 }
