@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use blocksim::{FaultInjector, NvmeDevice, NvmeTarget};
-use dlfs::{fsck_node, Deployment, DlfsConfig, FsckState, MountOptions, SyntheticSource};
+use dlfs::{fsck_node, Deployment, DlfsConfig, FsckState, SyntheticSource};
 use dlfs_bench::{arg, fmt_size, setup, Table, DEFAULT_SEED};
 use simkit::prelude::*;
 
@@ -83,7 +83,6 @@ fn main() {
             .collect();
         dlfs::MountBuilder::new(DlfsConfig::default())
             .deployment(deployment(&devices))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &source)
             .expect("import");
@@ -99,7 +98,6 @@ fn main() {
             rt.spawn_with("crashing-reimport", move |rt| {
                 dlfs::MountBuilder::new(DlfsConfig::default())
                     .deployment(dep)
-                    .options(MountOptions::default())
                     .persistent()
                     .mount(rt, &source)
                     .err()
@@ -120,7 +118,6 @@ fn main() {
         devices[0].set_faults(FaultInjector::new(seed));
         dlfs::MountBuilder::new(DlfsConfig::default())
             .deployment(deployment(&devices))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &source)
             .expect("repair import");
@@ -141,7 +138,6 @@ fn main() {
         };
         let fs = dlfs::MountBuilder::new(cfg)
             .deployment(deployment(&devices))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &source)
             .expect("replicated import");

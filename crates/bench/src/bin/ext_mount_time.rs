@@ -10,7 +10,7 @@
 //! writes. This sweep puts the three job-start paths side by side, fed by
 //! a shared 20 GB/s Lustre-class backend.
 
-use dlfs::{DlfsConfig, MountOptions, SampleSource};
+use dlfs::{DlfsConfig, SampleSource};
 use dlfs_bench::{arg, fmt_size, setup, Table, DEFAULT_SEED};
 use dlio::Pfs;
 use simkit::prelude::*;
@@ -44,15 +44,12 @@ fn main() {
         // same devices: the remount reads exactly what the import wrote.
         let ((mount_s, cold_s, warm_s), _) = Runtime::simulate(seed, |rt| {
             let mesh = setup::Mesh::collocated(nodes, dataset_bytes);
-            let pfs_opts = || MountOptions {
-                pfs: Some(Pfs::hpc_default().link()),
-                ..MountOptions::default()
-            };
+            let pfs = || Pfs::hpc_default().link();
 
             let t0 = rt.now();
             let eph = dlfs::MountBuilder::new(DlfsConfig::default())
                 .deployment(mesh.deployment())
-                .options(pfs_opts())
+                .pfs(pfs())
                 .mount(rt, &source)
                 .expect("mount");
             let mount_s = (rt.now() - t0).as_secs_f64();
@@ -61,7 +58,7 @@ fn main() {
             let t1 = rt.now();
             let fs = dlfs::MountBuilder::new(DlfsConfig::default())
                 .deployment(mesh.deployment())
-                .options(pfs_opts())
+                .pfs(pfs())
                 .persistent()
                 .mount(rt, &source)
                 .expect("import");
@@ -71,7 +68,6 @@ fn main() {
             let t2 = rt.now();
             let warm = dlfs::MountBuilder::new(DlfsConfig::default())
                 .deployment(mesh.deployment())
-                .options(MountOptions::default())
                 .warm()
                 .remount(rt)
                 .expect("remount");

@@ -34,7 +34,7 @@ use blocksim::{NvmeDevice, NvmeTarget};
 use dlfs::source::SampleSource;
 use dlfs::{
     CodecKind, Completions, CompressibleSource, Deployment, DlfsConfig, DlfsError, DlfsInstance,
-    MountOptions, ReadRequest,
+    ReadRequest,
 };
 use dlfs_bench::{arg, fmt_size, fmt_sps, setup, Table, DEFAULT_SEED};
 use fabric::{Cluster, FabricConfig, NvmeOfTarget, TargetConfig};
@@ -82,7 +82,6 @@ fn mount_disagg(
             targets,
             cluster: Some(cluster.clone()),
         })
-        .options(MountOptions::default())
         .mount(rt, source)
         .expect("dlfs mount");
     (fs, cluster)

@@ -23,8 +23,8 @@ use std::sync::Arc;
 
 use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
 use dlfs::{
-    fsck_node, Completions, Deployment, DlfsConfig, DlfsError, DlfsIo, FsckState, MountOptions,
-    ReadRequest, SyntheticSource,
+    fsck_node, Completions, Deployment, DlfsConfig, DlfsError, DlfsIo, FsckState, ReadRequest,
+    SyntheticSource,
 };
 use dlfs_bench::{arg, Table, DEFAULT_SEED};
 use simkit::prelude::*;
@@ -127,7 +127,6 @@ fn cell(seed: u64, n: usize, size: u64, replicas: usize, gap: u64) -> CellOutcom
         let devices: Vec<_> = (0..NODES).map(|_| ramdisk()).collect();
         let fs = dlfs::MountBuilder::new(cfg)
             .deployment(local_deployment(&devices))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &source)
             .expect("dlfs mount");

@@ -58,10 +58,7 @@
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
-use dlfs::{
-    CodecKind, CompressibleSource, Deployment, DlfsConfig, MountOptions, ReadRequest,
-    SyntheticSource,
-};
+use dlfs::{CodecKind, CompressibleSource, Deployment, DlfsConfig, ReadRequest, SyntheticSource};
 use dlfs_bench::{arg, setup, DEFAULT_SEED};
 use fabric::{Cluster, FabricConfig, NvmeOfTarget, TargetConfig};
 use simkit::prelude::*;
@@ -181,7 +178,6 @@ fn degraded_and_rebuild(seed: u64) -> (u64, u64) {
                     .collect()],
                 cluster: None,
             })
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &source)
             .unwrap();
@@ -276,7 +272,6 @@ fn offload_epoch_throughput(seed: u64) -> f64 {
                 targets,
                 cluster: Some(cluster.clone()),
             })
-            .options(MountOptions::default())
             .mount(rt, &source)
             .unwrap();
             let mut io = fs.io(0);

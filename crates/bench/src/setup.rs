@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
-use dlfs::{Deployment, DlfsConfig, DlfsInstance, MountOptions, SampleSource, SyntheticSource};
+use dlfs::{Deployment, DlfsConfig, DlfsInstance, SampleSource, SyntheticSource};
 use dlio::dataset::{stage_ext4_untimed, stage_octopus};
 use fabric::{Cluster, FabricConfig, NvmeOfTarget, TargetConfig};
 use kernsim::{Ext4Fs, FsOptions, KernelCosts};
@@ -65,7 +65,6 @@ pub fn dlfs_local(
             targets,
             cluster: None,
         })
-        .options(MountOptions::default())
         .mount(rt, source)
         .expect("dlfs mount")
 }
@@ -131,7 +130,6 @@ pub fn dlfs_disagg_chaos(
             targets,
             cluster: Some(cluster.clone()),
         })
-        .options(MountOptions::default())
         .mount(rt, source)
         .expect("dlfs mount");
     (fs, cluster, devices)

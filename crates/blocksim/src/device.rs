@@ -73,6 +73,15 @@ pub trait NvmeTarget: Send + Sync {
         false
     }
 
+    /// Would a read of the range come back without data — the device is
+    /// dead, or the range overlaps a sticky bad extent? Draw-free like
+    /// [`NvmeTarget::probe_extent`], but blind to silent corruption: it
+    /// reports only what a timed read of the range would hit, so untimed
+    /// data paths can ask it without learning more than a device tells.
+    fn unreadable(&self, _slba: u64, _nblocks: u32) -> bool {
+        false
+    }
+
     /// Reserve a storage-side offload batch: read every extent and run its
     /// post-read compute (decode/augment) *where the data lives*, then ship
     /// one dense response of `response_bytes`. Returns the instant the
@@ -297,6 +306,13 @@ impl NvmeTarget for NvmeDevice {
     fn probe_extent(&self, slba: u64, nblocks: u32) -> bool {
         match self.faults.lock().as_ref() {
             Some(f) => f.persistent_fault(slba, nblocks),
+            None => false,
+        }
+    }
+
+    fn unreadable(&self, slba: u64, nblocks: u32) -> bool {
+        match self.faults.lock().as_ref() {
+            Some(f) => f.is_dead() || f.sticky_probe(slba, nblocks),
             None => false,
         }
     }

@@ -328,17 +328,25 @@ impl IoQPair {
                 continue;
             }
             let bytes = p.nblocks as u64 * BLOCK_SIZE;
-            if p.op == Op::Read && p.status.is_ok() {
-                p.buf.with_mut(|d| {
-                    self.target
-                        .dma_read(p.slba, &mut d[p.buf_offset..p.buf_offset + bytes as usize]);
-                });
+            let mut status = p.status;
+            if p.op == Op::Read && status.is_ok() {
+                // The fate drawn at submit stands, except that data which
+                // is no longer there cannot land: the device died (or the
+                // range went bad) while the command was in flight.
+                if self.target.unreadable(p.slba, p.nblocks) {
+                    status = CmdStatus::MediaError;
+                } else {
+                    p.buf.with_mut(|d| {
+                        self.target
+                            .dma_read(p.slba, &mut d[p.buf_offset..p.buf_offset + bytes as usize]);
+                    });
+                }
             }
             self.completed += 1;
             if let Some(t) = &self.telemetry {
                 t.bytes.add(bytes);
                 t.cmd_latency_ns.record_dur(p.done - p.submitted);
-                match p.status {
+                match status {
                     CmdStatus::Ok => {}
                     CmdStatus::MediaError => t.media_errors.inc(),
                     CmdStatus::TransportError => t.timeouts.inc(),
@@ -351,7 +359,7 @@ impl IoQPair {
                 bytes,
                 submitted: p.submitted,
                 done: p.done,
-                status: p.status,
+                status,
             });
         }
         out
@@ -512,6 +520,26 @@ mod tests {
             pipelined * 3 < serial,
             "pipelined {pipelined} vs serial {serial}"
         );
+    }
+
+    #[test]
+    fn read_in_flight_across_a_kill_completes_media_error() {
+        Runtime::simulate(0, |rt| {
+            let (dev, mut qp) = setup(rt);
+            dev.storage().write_at(0, &[0xabu8; 512]);
+            let buf = DmaBuf::standalone(512);
+            buf.with_mut(|d| d.fill(0x11));
+            qp.submit_read(rt, 1, 0, 1, buf.clone(), 0).unwrap();
+            dev.kill();
+            let comps = qp.drain(rt, Dur::nanos(50));
+            assert_eq!(comps[0].status, CmdStatus::MediaError);
+            buf.with(|d| assert!(d.iter().all(|&b| b == 0x11), "nothing may land"));
+            // A command submitted and harvested while alive is untouched.
+            dev.revive();
+            qp.submit_read(rt, 2, 0, 1, buf.clone(), 0).unwrap();
+            assert_eq!(qp.drain(rt, Dur::nanos(50))[0].status, CmdStatus::Ok);
+            buf.with(|d| assert!(d.iter().all(|&b| b == 0xab)));
+        });
     }
 
     #[test]

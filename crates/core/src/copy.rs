@@ -176,11 +176,6 @@ impl CopyPool {
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// Jobs currently queued (not yet picked up).
-    pub fn backlog(&self) -> usize {
-        self.jobs.len()
-    }
 }
 
 #[cfg(test)]

@@ -238,6 +238,33 @@ pub enum DlfsError {
     },
 }
 
+impl DlfsError {
+    /// What a read surfaces once it has run out of retries or copies, on
+    /// whichever path: `Corrupt` at byte `chunk` if any attempt delivered
+    /// bytes that failed their checksum, a plain `Io` against storage node
+    /// `target` otherwise. `last` is how the final attempt failed.
+    pub(crate) fn exhausted(
+        target: u16,
+        chunk: u64,
+        tried: u32,
+        mismatched: bool,
+        last: CorruptCause,
+    ) -> DlfsError {
+        match last {
+            CorruptCause::Io(cause) if !mismatched => DlfsError::Io {
+                target: target.into(),
+                attempts: tried,
+                cause,
+            },
+            cause => DlfsError::Corrupt {
+                chunk,
+                tried,
+                cause,
+            },
+        }
+    }
+}
+
 impl std::fmt::Display for DlfsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -1,36 +1,45 @@
-//! End-to-end chunk integrity and replica routing.
+//! End-to-end chunk integrity and replica routing: the one module that
+//! knows replicas.
 //!
-//! A [`Redundancy`] is built at mount time whenever the configuration asks
-//! for more than the bare default — `replicas > 1` and/or
-//! `verify_reads` — and travels in [`crate::io::DlfsShared`]. It answers
-//! three questions the read engine keeps asking:
+//! Every instance carries a [`Redundancy`] in [`crate::io::DlfsShared`]
+//! (built by bring-up for `replicas >= 1`, with an integrity table or
+//! none), and every question about a copy is asked here:
 //!
 //! 1. **Where does replica `r` of home node `h`'s blocks live?**
 //!    Replica `r` of home `h` is hosted by node `(h + r) mod N`, inside
 //!    that node's replica slot `r` (see
 //!    [`crate::layout::Superblock::plan`]). Slot 0 is always the
-//!    node's own data, so `r = 0` routes to the home node unchanged.
-//! 2. **Are these bytes the bytes the import staged?** The per-block
-//!    FNV-1a table computed client-side during upload (and persisted in
-//!    the layout's integrity region) is checked against every block a
-//!    read path delivers — batched engine completions, prefetches, the
-//!    sync `read_entry` path and the zero-copy path all verify *before*
-//!    anything is published into the sample cache.
-//! 3. **Which replica should serve the next attempt?** A shared
-//!    [`TargetHealth`] circuit breaker records per-target failures;
+//!    node's own data, so `r = 0` routes to the home node unchanged
+//!    ([`Redundancy::route`]).
+//! 2. **Which replica should serve the next timed attempt?** A shared
+//!    [`TargetHealth`] circuit breaker records per-target failures (only
+//!    on replicated instances: a lone copy has nowhere to route to);
 //!    [`Redundancy::pick_replica`] rotates to the first replica whose
 //!    target circuit is closed, so a dead or quarantined node stops
 //!    eating retry budget.
+//! 3. **Are these bytes the bytes the import staged?** The per-block
+//!    FNV-1a table computed client-side during upload (and persisted in
+//!    the layout's integrity region) is checked against every block a
+//!    read path delivers, *before* anything is published into the sample
+//!    cache ([`Redundancy::verify_blocks`]; vacuous without a table).
+//! 4. **Is this copy good, which copy is, and how is a bad one healed?**
+//!    The untimed copy primitive — `read_copy` (read replica `r` of a
+//!    home extent and judge it: serving device readable, bytes matching
+//!    the table when there is one), `first_good` (the first good copy of
+//!    a candidate list whose target is not membership-Dead, with what it
+//!    rejected), `rewrite` and `heal` — serves the offload path, scrub,
+//!    rebuild and `fsck_repair` alike.
 //!
-//! With the default configuration (`replicas == 1`, `verify_reads` off)
-//! no `Redundancy` is built at all and every read path takes its
-//! historical branch — outputs stay byte-identical.
+//! `Redundancy::in_use` is what "redundancy is configured" means
+//! (`replicas > 1` or `verify_reads`): the `dlfs.integrity.*` scope and
+//! [`crate::DlfsInstance::redundancy`] exist only then, so outputs of the
+//! default configuration stay byte-identical.
 
 use std::sync::Arc;
 
 use crate::error::DlfsError;
 use crate::layout::replica_offset;
-use blocksim::BLOCK_SIZE;
+use blocksim::{NvmeTarget, BLOCK_SIZE};
 use fabric::{Membership, MembershipPolicy, TargetHealth};
 use simkit::rng::fnv1a;
 use simkit::time::{Dur, Time};
@@ -51,6 +60,9 @@ pub struct Redundancy {
     /// Ephemeral mounts use `(0, slot)`; persistent instances carry the
     /// superblock's geometry.
     pub slots: Vec<(u64, u64)>,
+    /// Per storage node: bytes of its own (slot 0) data, frame padding
+    /// included — what every replica slot mirroring it holds.
+    data_bytes: Vec<u64>,
     /// Per storage node: expected FNV-1a of each 512 B block of its own
     /// (slot 0) data region, in block order. Empty when reads are not
     /// verified.
@@ -74,16 +86,54 @@ impl std::fmt::Debug for Redundancy {
     }
 }
 
+/// How much the untimed judge of a copy may know about its device.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Probe {
+    /// What a read of the range would hit: a dead device or a sticky bad
+    /// extent. The only honest question on a data path — a silent flip is
+    /// for the checksum table to catch, or nobody.
+    Media,
+    /// Plus the simulator's knowledge of silent corruption: scrub, rebuild
+    /// and fsck exist to locate latent damage.
+    Oracle,
+}
+
+/// Why the judge turned a copy down.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Reject {
+    /// Never read: its target is membership-Dead, its device dead, or the
+    /// range under a persistent fault.
+    Unreadable,
+    /// Read, and the bytes fail the integrity table.
+    Mismatch,
+}
+
 impl Redundancy {
     /// Wire up redundancy over `slots.len()` storage nodes. `sums` may be
-    /// empty (no verification) or one table per node.
+    /// empty (no verification) or one table per node; each node's data is
+    /// taken to be what its table covers.
     pub fn new(replicas: u32, slots: Vec<(u64, u64)>, sums: Vec<Arc<Vec<u64>>>) -> Redundancy {
+        let covered = |n: usize| sums.get(n).map_or(0, |t| t.len() as u64 * BLOCK_SIZE);
+        let data_bytes = (0..slots.len()).map(covered).collect();
+        Redundancy::with_geometry(replicas, slots, data_bytes, sums)
+    }
+
+    /// [`Redundancy::new`] with every node's data length stated, so that
+    /// extents are sized from the geometry whether or not there is a table.
+    pub(crate) fn with_geometry(
+        replicas: u32,
+        slots: Vec<(u64, u64)>,
+        data_bytes: Vec<u64>,
+        sums: Vec<Arc<Vec<u64>>>,
+    ) -> Redundancy {
         assert!(replicas >= 1 && replicas as usize <= slots.len());
         assert!(sums.is_empty() || sums.len() == slots.len());
+        assert_eq!(data_bytes.len(), slots.len());
         let health = TargetHealth::new(slots.len(), HEALTH_THRESHOLD, health_cooldown());
         Redundancy {
             replicas,
             slots,
+            data_bytes,
             sums,
             health,
             membership: None,
@@ -100,15 +150,39 @@ impl Redundancy {
         self
     }
 
+    /// Is redundancy configured at all — more than one copy, or checksummed
+    /// reads? Only then do its metrics and accessors exist.
+    pub(crate) fn in_use(&self) -> bool {
+        self.replicas > 1 || self.verify()
+    }
+
     /// Is `target` declared permanently Dead by the membership view?
     /// Always `false` without a membership layer.
     pub fn is_dead(&self, target: usize) -> bool {
         self.membership.as_ref().is_some_and(|m| m.is_dead(target))
     }
 
+    /// Degraded mode for writers: a typed [`DlfsError::Degraded`] naming
+    /// the view that declared `node` Dead, instead of letting every write
+    /// burn its retry budget timing out against it.
+    pub(crate) fn check_alive(&self, node: u16) -> Result<(), DlfsError> {
+        match &self.membership {
+            Some(m) if m.is_dead(node as usize) => Err(DlfsError::Degraded {
+                node,
+                view_epoch: m.view_epoch(),
+            }),
+            _ => Ok(()),
+        }
+    }
+
     /// Record a successful operation against `target`: closes its health
     /// circuit and clears a Suspect membership state (Dead stays Dead).
+    /// Health is tracked only where it can change a routing decision: a
+    /// no-op on an unreplicated instance.
     pub fn record_ok(&self, target: usize) {
+        if self.replicas == 1 {
+            return;
+        }
         self.health.record_ok(target);
         if let Some(m) = &self.membership {
             m.observe_alive(target);
@@ -139,8 +213,12 @@ impl Redundancy {
 
     /// Record a failed operation against `target` at `now`, escalating a
     /// sustained outage through the membership policy. Returns `true` when
-    /// this failure opened (or re-armed) the circuit.
+    /// this failure opened (or re-armed) the circuit. A no-op (`false`) on
+    /// an unreplicated instance, like [`Redundancy::record_ok`].
     pub fn record_failure(&self, target: usize, now: Time) -> bool {
+        if self.replicas == 1 {
+            return false;
+        }
         let opened = self.health.record_failure(target, now);
         if let Some(m) = &self.membership {
             if let Some(since) = self.health.open_since(target) {
@@ -217,13 +295,13 @@ impl Redundancy {
 
     /// Verify whole blocks read from home coordinates `(home, slba)`.
     /// `data` must be a whole number of blocks; blocks past the end of the
-    /// staged data region (chunk-rounded reads) are vacuously good.
-    /// Returns `true` when every covered block matches its table entry.
+    /// staged data region (chunk-rounded reads) are vacuously good, and so
+    /// is everything on an instance without a table. Returns `true` when
+    /// every covered block matches its table entry.
     pub fn verify_blocks(&self, home: u16, slba: u64, data: &[u8]) -> bool {
-        let sums = &self.sums[home as usize];
-        if sums.is_empty() {
+        let Some(sums) = self.sums.get(home as usize) else {
             return true;
-        }
+        };
         let (home_base, _) = self.slots[home as usize];
         debug_assert!(slba >= home_base / BLOCK_SIZE, "read below data region");
         let start = (slba - home_base / BLOCK_SIZE) as usize;
@@ -233,13 +311,114 @@ impl Redundancy {
             .all(|(i, blk)| sums.get(start + i).is_none_or(|&s| fnv1a(blk) == s))
     }
 
-    /// Number of data blocks the integrity table covers on `home` (0 when
-    /// verification is off).
+    /// Blocks of staged data on `home` — the extent every copy of it
+    /// spans, from the geometry (so it is known without a table).
     pub fn data_blocks(&self, home: u16) -> u64 {
-        self.sums
-            .get(home as usize)
-            .map(|s| s.len() as u64)
-            .unwrap_or(0)
+        self.data_bytes[home as usize].div_ceil(BLOCK_SIZE)
+    }
+
+    // ------------------------------------------ the untimed copy primitive --
+    //
+    // Untimed and draw-free: `fault_decide*` is never asked here (it draws,
+    // and would shift every seeded fault replay).
+
+    /// Read replica `r`'s copy of the home extent at `slba` (home
+    /// coordinates, `data.len()` whole blocks) into `data` and judge it:
+    /// the serving device must be able to return the range (`probe` says
+    /// how much the judge may know) and the bytes must match the integrity
+    /// table when there is one. Membership is not asked: a copy on a Dead
+    /// node that a rebuild has already written is a good copy.
+    pub(crate) fn read_copy(
+        &self,
+        targets: &[Arc<dyn NvmeTarget>],
+        home: u16,
+        r: u32,
+        slba: u64,
+        data: &mut [u8],
+        probe: Probe,
+    ) -> Result<(), Reject> {
+        let (t, at) = self.route(home, r, slba);
+        let target = &targets[t as usize];
+        let nblocks = (data.len() / BLOCK_SIZE as usize) as u32;
+        let faulted = match probe {
+            Probe::Media => target.unreadable(at, nblocks),
+            Probe::Oracle => target.probe_extent(at, nblocks),
+        };
+        if faulted {
+            return Err(Reject::Unreadable);
+        }
+        target.dma_read(at, data);
+        if self.verify_blocks(home, slba, data) {
+            Ok(())
+        } else {
+            Err(Reject::Mismatch)
+        }
+    }
+
+    /// The first of `candidates` (replica indices, tried in order) whose
+    /// serving target is not membership-Dead and whose copy
+    /// [`Redundancy::read_copy`] accepts — its bytes are then in `data` —
+    /// together with why each copy before it was turned down.
+    pub(crate) fn first_good(
+        &self,
+        targets: &[Arc<dyn NvmeTarget>],
+        home: u16,
+        slba: u64,
+        candidates: impl IntoIterator<Item = u32>,
+        data: &mut [u8],
+        probe: Probe,
+    ) -> (Option<u32>, Vec<Reject>) {
+        let mut rejected = Vec::new();
+        for r in candidates {
+            let serving = self.route(home, r, slba).0 as usize;
+            let verdict = if self.is_dead(serving) {
+                Err(Reject::Unreadable)
+            } else {
+                self.read_copy(targets, home, r, slba, data, probe)
+            };
+            match verdict {
+                Ok(()) => return (Some(r), rejected),
+                Err(why) => rejected.push(why),
+            }
+        }
+        (None, rejected)
+    }
+
+    /// Overwrite replica `r`'s copy of the home extent at `slba` with
+    /// `data` (whole blocks). A rewrite also clears the device's sticky
+    /// and bit-flip marks over the range; one aimed at a dead device
+    /// vanishes there.
+    pub(crate) fn rewrite(
+        &self,
+        targets: &[Arc<dyn NvmeTarget>],
+        home: u16,
+        r: u32,
+        slba: u64,
+        data: &[u8],
+    ) {
+        let (t, at) = self.route(home, r, slba);
+        targets[t as usize].dma_write(at, data);
+    }
+
+    /// Heal replica `dest` of the home extent at `slba` from the first
+    /// good copy among `sources`, judged with everything the simulator
+    /// knows. Returns whether a copy was found and written; an unhealable
+    /// extent is left for the read path to surface as
+    /// [`DlfsError::Corrupt`].
+    pub(crate) fn heal(
+        &self,
+        targets: &[Arc<dyn NvmeTarget>],
+        home: u16,
+        slba: u64,
+        sources: impl IntoIterator<Item = u32>,
+        dest: u32,
+        data: &mut [u8],
+    ) -> bool {
+        let (found, _) = self.first_good(targets, home, slba, sources, data, Probe::Oracle);
+        if found.is_some() {
+            self.rewrite(targets, home, dest, slba, data);
+        }
+        found.is_some()
     }
 }
 
@@ -343,6 +522,84 @@ mod tests {
         r.record_ok(1);
         assert_eq!(m.state(1), fabric::NodeState::Alive);
         assert!(r.health.available(1, now));
+    }
+
+    /// The copy primitive over four copies of home 0's block 0 (replica
+    /// `r` on node `r`, 8 blocks per replica slot): replica 1 on a
+    /// membership-Dead node, replica 2 under a sticky bad extent, replica 3
+    /// holding bytes the table does not know — with a table and without.
+    #[test]
+    fn copy_primitive_skips_dead_unreadable_and_mismatching_copies() {
+        use blocksim::{DeviceConfig, FaultInjector, NvmeDevice};
+        use Reject::{Mismatch, Unreadable};
+
+        let block = BLOCK_SIZE as usize;
+        let (good, wrong) = (vec![0xA5u8; block], vec![0x5Au8; block]);
+        for table in [true, false] {
+            let devices: Vec<_> = (0..4)
+                .map(|_| NvmeDevice::new(DeviceConfig::optane(1 << 20)))
+                .collect();
+            let targets: Vec<Arc<dyn NvmeTarget>> =
+                devices.iter().map(|d| d.clone() as _).collect();
+            let sums = if table { 0..4 } else { 0..0 };
+            let sums = sums.map(|_| Arc::new(vec![fnv1a(&good)])).collect();
+            let r = Redundancy::with_geometry(4, vec![(0, 4096); 4], vec![BLOCK_SIZE; 4], sums)
+                .with_membership(Dur::micros(100));
+            assert_eq!(r.data_blocks(0), 1, "extent sized from geometry");
+            let verdict =
+                |copy, probe| r.read_copy(&targets, 0, copy, 0, &mut vec![0u8; block], probe);
+            for (copy, bytes) in [(1, &good), (2, &good), (3, &wrong)] {
+                r.rewrite(&targets, 0, copy, 0, bytes);
+            }
+            for at in [0, 0, 0, 100] {
+                r.record_failure(1, Time::ZERO + Dur::micros(at));
+            }
+            assert!(r.is_dead(1));
+            devices[2].set_faults(FaultInjector::new(1).with_bad_extent(16, 1));
+            let mut blk = vec![0u8; block];
+            if table {
+                // Nothing healthy to copy from: the home block stays as it was.
+                let found = r.first_good(&targets, 0, 0, 1..4, &mut blk, Probe::Oracle);
+                assert_eq!(found, (None, vec![Unreadable, Unreadable, Mismatch]));
+                assert!(!r.heal(&targets, 0, 0, 1..4, 0, &mut blk));
+                assert_eq!(verdict(0, Probe::Oracle), Err(Mismatch));
+                r.rewrite(&targets, 0, 3, 0, &good);
+            }
+            // The first copy that can be read and is not known to be wrong
+            // heals — which, without a table, is whatever replica 3 holds.
+            let found = r.first_good(&targets, 0, 0, 1..4, &mut blk, Probe::Oracle);
+            assert_eq!(found, (Some(3), vec![Unreadable, Unreadable]));
+            assert!(r.heal(&targets, 0, 0, 1..4, 0, &mut blk));
+            assert_eq!(&blk, if table { &good } else { &wrong });
+            assert_eq!(verdict(0, Probe::Oracle), Ok(()));
+            // Membership is the candidate list's business, not the judge's:
+            // the copy on the Dead node itself reads fine.
+            assert_eq!(verdict(1, Probe::Media), Ok(()));
+            // A silent flip: the oracle knows, a data path learns of it only
+            // from the table.
+            devices[0].set_faults(FaultInjector::new(2).with_bit_flips(0, 1));
+            assert_eq!(verdict(0, Probe::Oracle), Err(Unreadable));
+            let by_table = if table { Err(Mismatch) } else { Ok(()) };
+            assert_eq!(verdict(0, Probe::Media), by_table);
+            // A dead device is unreadable whoever asks; a rewrite heals a flip.
+            devices[0].kill();
+            assert_eq!(verdict(0, Probe::Media), Err(Unreadable));
+            devices[0].revive();
+            r.rewrite(&targets, 0, 0, 0, &blk);
+            assert_eq!(verdict(0, Probe::Oracle), Ok(()));
+        }
+    }
+
+    #[test]
+    fn unreplicated_instances_track_no_health() {
+        let r = Redundancy::new(1, vec![(0, 4096)], vec![]).with_membership(Dur::micros(100));
+        assert!(!r.in_use());
+        for at in [0, 0, 0, 100, 200] {
+            assert!(!r.record_failure(0, Time::ZERO + Dur::micros(at)));
+        }
+        assert!(!r.is_dead(0) && r.check_alive(0).is_ok());
+        assert!(r.health.available(0, Time::ZERO + Dur::micros(200)));
+        assert!(r.verify_blocks(0, 0, &[7u8; 512]), "no table: vacuous");
     }
 
     #[test]

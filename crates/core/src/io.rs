@@ -47,8 +47,8 @@ use crate::copy::{CopyDone, CopyJob, SegList, Segment};
 use crate::counter_in;
 use crate::directory::SampleDirectory;
 use crate::entry::SampleEntry;
-use crate::error::{CorruptCause, DlfsError};
-use crate::integrity::Redundancy;
+use crate::error::{CorruptCause, DlfsError, IoFailure};
+use crate::integrity::{Probe, Redundancy, Reject};
 use crate::plan::{build_epoch_plan, fetch_extent, reader_item_ranges, ReaderPlan};
 use crate::reactor::{CompletionClock, ReactorStats};
 use crate::rebuild::Background;
@@ -75,10 +75,11 @@ pub struct DlfsShared {
     /// Per-storage-node on-device layouts when this instance is persistent
     /// (created by `import`/`remount`); `None` for ephemeral mounts.
     pub layouts: Option<Arc<Vec<crate::layout::Superblock>>>,
-    /// Replica routing, per-block integrity tables and target health;
-    /// `None` on the default (`replicas == 1`, no `verify_reads`) path —
-    /// every read then takes its historical branch unchanged.
-    pub redundancy: Option<Arc<Redundancy>>,
+    /// Replica routing, per-block integrity tables and target health —
+    /// everything that knows there can be more than one copy, or a table
+    /// to check one against. Always present: with `replicas == 1` and no
+    /// `verify_reads` it routes every read home and accepts every byte.
+    pub redundancy: Arc<Redundancy>,
     /// Per-chunk codec + per-node encoded-frame tables when the dataset
     /// was staged with `cfg.codec != Identity`; `None` keeps every read
     /// on its historical raw-bytes branch.
@@ -160,8 +161,8 @@ struct IoTelemetry {
     poll_ns: Histo,
     copy_ns: Histo,
     /// Integrity/replication counters under `dlfs.integrity.*`. Registered
-    /// only when the instance carries a [`Redundancy`]. (`scrubbed` and the
-    /// `dlfs.rebuild.*` scope belong to [`Background`].)
+    /// only when redundancy is in use ([`Redundancy::in_use`]). (`scrubbed`
+    /// and the `dlfs.rebuild.*` scope belong to [`Background`].)
     iv_verified: Counter,
     iv_mismatches: Counter,
     iv_repairs: Counter,
@@ -187,7 +188,7 @@ impl IoTelemetry {
         let cross_epoch = shared.cfg.cache_mode == CacheMode::CrossEpoch;
         let scope = |name, on: bool| on.then(|| reg.scoped(name));
         let cache = scope("dlfs.cache", cross_epoch);
-        let iv = scope("dlfs.integrity", shared.redundancy.is_some());
+        let iv = scope("dlfs.integrity", shared.redundancy.in_use());
         let cd = scope("dlfs.codec", shared.codec.is_some());
         let of = scope("dlfs.offload", shared.cfg.offload);
         let (cache, iv, cd, of) = (cache.as_ref(), iv.as_ref(), cd.as_ref(), of.as_ref());
@@ -522,11 +523,7 @@ impl DlfsIo {
         if shared.cfg.cache_mode == CacheMode::CrossEpoch {
             shared.cache.attach_telemetry(&reg.scoped("dlfs.cache"));
         }
-        let membership = shared
-            .redundancy
-            .as_deref()
-            .and_then(|r| r.membership.as_ref());
-        if let Some(m) = membership {
+        if let Some(m) = &shared.redundancy.membership {
             m.attach_telemetry(&reg.scoped("dlfs.membership"));
         }
         DlfsIo {
@@ -793,19 +790,14 @@ impl DlfsIo {
         self.part_io(it.nid, slba, nblocks, p.part, &st.bufs[&p.idx])
     }
 
-    /// Pick the copy that serves a part: `(replica, device, device slba)`.
-    /// Routed through the replica map (health-aware, rotating from
-    /// `prefer`) when the instance is redundant; replica 0 is the home
-    /// copy.
+    /// Pick the copy that serves a part: `(replica, device, device slba)`,
+    /// health-aware and rotating from `prefer`. Replica 0 is the home
+    /// copy, the only one an unreplicated instance has.
     fn route_part(&self, rt: &Runtime, io: &PartIo, prefer: u32) -> (u32, usize, u64) {
-        match self.shared.redundancy.as_deref() {
-            Some(red) if red.replicas > 1 => {
-                let r = red.pick_replica(io.home, prefer, rt.now());
-                let (d, s) = red.route(io.home, r, io.slba);
-                (r, d as usize, s)
-            }
-            _ => (0, io.home as usize, io.slba),
-        }
+        let red = &self.shared.redundancy;
+        let r = red.pick_replica(io.home, prefer, rt.now());
+        let (d, s) = red.route(io.home, r, io.slba);
+        (r, d as usize, s)
     }
 
     /// The prep and post stages of one part: charge both, submit the read
@@ -854,9 +846,10 @@ impl DlfsIo {
     /// the home extent from them (clears sticky media faults too).
     /// Vacuously true when reads are not verified.
     fn verify_part(&self, rt: &Runtime, io: &PartIo, repair: bool) -> bool {
-        let Some(red) = self.shared.redundancy.as_deref().filter(|r| r.verify()) else {
+        let red = &self.shared.redundancy;
+        if !red.verify() {
             return true;
-        };
+        }
         rt.work(self.shared.cfg.costs.verify_block * io.nblocks as u64);
         self.tel.iv_verified.add(io.nblocks as u64);
         let span = io.nblocks as usize * BLOCK_SIZE as usize;
@@ -866,8 +859,9 @@ impl DlfsIo {
         if !ok {
             self.tel.iv_mismatches.inc();
         } else if repair {
-            let home = &self.shared.targets[io.home as usize];
-            io.buf.with(|d| home.dma_write(io.slba, &d[..span]));
+            let targets = &self.shared.targets;
+            io.buf
+                .with(|d| red.rewrite(targets, io.home, 0, io.slba, &d[..span]));
             self.tel.iv_repairs.inc();
         }
         ok
@@ -899,13 +893,10 @@ impl DlfsIo {
         // Delivered bytes that fail their checksum mark the part, verified
         // ones clear it; a failed command leaves the mark as it was.
         let mismatched = (status.is_ok() || p.mismatched) && !verified;
-        let red = self.shared.redundancy.as_deref();
-        let replicated = red.filter(|r| r.replicas > 1);
-        let serving = replicated.map_or(io.home, |r| r.route(io.home, p.replica, io.slba).0);
+        let red = &self.shared.redundancy;
+        let serving = red.route(io.home, p.replica, io.slba).0 as usize;
         if verified {
-            if let Some(red) = replicated {
-                red.record_ok(serving as usize);
-            }
+            red.record_ok(serving);
             if let Some((pcmd, pdev, secondary)) = hedge {
                 // Cancel the partner on its device (it never DMAs) and
                 // drop its in-flight entry.
@@ -923,9 +914,7 @@ impl DlfsIo {
         if status == CmdStatus::TransportError {
             self.tel.timeouts.inc();
         }
-        if let Some(red) = replicated {
-            red.record_failure(serving as usize, rt.now());
-        }
+        red.record_failure(serving, rt.now());
         if let Some(Owner::Epoch(twin)) =
             hedge.and_then(|(pcmd, _, _)| self.inflight.get_mut(&pcmd))
         {
@@ -934,24 +923,12 @@ impl DlfsIo {
         }
         let attempts = p.attempt + 1;
         let Some(backoff) = self.shared.cfg.retry.next_delay(attempts) else {
-            let cause = io_failure(status);
-            return Settled::Fatal(if mismatched {
-                DlfsError::Corrupt {
-                    chunk: corrupt_at,
-                    tried: attempts,
-                    cause: if status.is_ok() {
-                        CorruptCause::Checksum
-                    } else {
-                        CorruptCause::Io(cause)
-                    },
-                }
-            } else {
-                DlfsError::Io {
-                    target: io.home.into(),
-                    attempts,
-                    cause,
-                }
-            });
+            let last = match status {
+                CmdStatus::Ok => CorruptCause::Checksum,
+                failed => CorruptCause::Io(io_failure(failed)),
+            };
+            let e = DlfsError::exhausted(io.home, corrupt_at, attempts, mismatched, last);
+            return Settled::Fatal(e);
         };
         self.tel.retries.inc();
         let mut part = Part {
@@ -959,7 +936,8 @@ impl DlfsIo {
             mismatched,
             ..p
         };
-        if replicated.is_some() {
+        if red.replicas > 1 {
+            // Another copy can serve right now.
             self.tel.iv_failovers.inc();
             part.replica += 1;
             return Settled::Requeue {
@@ -1120,12 +1098,7 @@ impl DlfsIo {
         // Doorbell flush: route and post every queued part the qpairs have
         // room for in one pass, stopping at the first full qpair (which
         // still pays its prep+post, see `post_part`).
-        let hedging = self.shared.cfg.hedge_reads
-            && self
-                .shared
-                .redundancy
-                .as_deref()
-                .is_some_and(|r| r.replicas > 1);
+        let hedging = self.shared.cfg.hedge_reads && self.shared.redundancy.replicas > 1;
         let mut flushed = false;
         while let Some(&p) = self.st().pending_parts.front() {
             let io = self.engine_part(p);
@@ -1174,9 +1147,7 @@ impl DlfsIo {
     /// command completes (and verifies) first delivers the part, and its
     /// partner is cancelled on the device.
     fn fire_hedges(&mut self, rt: &Runtime) -> usize {
-        let Some(red) = self.shared.redundancy.clone() else {
-            return 0;
-        };
+        let red = self.shared.redundancy.clone();
         let mut fired = 0;
         while let Some(&Reverse((due, cmd))) = self.hedge_due.peek() {
             if due > rt.now() {
@@ -1562,15 +1533,11 @@ impl DlfsIo {
         }
         self.tel.batches.inc();
         // QoS admission (multi-tenant mounts only): token-bucket throttle
-        // then a WFQ device-slot grant, charged to the request's tenant —
-        // the handle's unless the request overrides it. The slot is held
-        // for the whole batch and released below even on error.
+        // then a WFQ device-slot grant, charged to the handle's tenant. The
+        // slot is held for the whole batch and released below even on error.
         let qos = self.shared.qos.clone();
         let grant = match &qos {
-            Some(q) => {
-                let tenant = req.tenant.unwrap_or(self.shared.tenant);
-                Some((q, q.admit(rt, tenant, q.batch_cost(want))?))
-            }
+            Some(q) => Some((q, q.admit(rt, self.shared.tenant, q.batch_cost(want))?)),
             None => None,
         };
         let outcome = if req.offload {
@@ -1751,11 +1718,7 @@ impl DlfsIo {
         //    verification and frame decode, per extent, on its compute
         //    pool.
         let costs = self.shared.cfg.costs.clone();
-        let verify = self
-            .shared
-            .redundancy
-            .as_deref()
-            .is_some_and(|r| r.verify());
+        let verify = self.shared.redundancy.verify();
         let mut per_node: BTreeMap<u16, (Vec<OffloadExtent>, u64)> = BTreeMap::new();
         for (nid, offset, len, ids) in &taken {
             let (slba, nblocks, _) = self.read_geometry(*nid, *offset, *len);
@@ -1816,55 +1779,52 @@ impl DlfsIo {
         Ok(out)
     }
 
-    /// Read one plan item's stored range for the offload path — verified
-    /// against the integrity tables with replica failover and read-repair
-    /// (all *before* decode, covering the stored encoded bytes), then
-    /// decoded. Returns the raw bytes and the node byte offset they start
-    /// at. Purely functional: the time was already charged by
-    /// `reserve_offload` (extent reads + target-side verify/decode).
+    /// Read one plan item's stored range for the offload path: the first
+    /// good copy in replica order ([`Redundancy::first_good`] — readable,
+    /// and matching the integrity table when there is one, all *before*
+    /// decode, covering the stored encoded bytes), the home extent
+    /// rewritten from it when the home copy was not the one, then decoded.
+    /// Copies are counted as the client path counts them: blocks verified
+    /// per copy checksummed, a mismatch per copy that failed, a failover
+    /// per hop to the next copy, one repair. With no good copy left the
+    /// error is the client path's too: `Corrupt` if a copy failed its
+    /// checksum, `Io` if none could be read. Returns the raw bytes and the
+    /// node byte offset they start at. Purely functional: the time was
+    /// already charged by `reserve_offload` (extent reads + target-side
+    /// verify/decode).
     fn offload_item_bytes(
-        &mut self,
+        &self,
         nid: u16,
         offset: u64,
         len: u64,
     ) -> Result<(Vec<u8>, u64), DlfsError> {
         let (slba, nblocks, _) = self.read_geometry(nid, offset, len);
-        let red = self.shared.redundancy.clone();
-        let replicas = red.as_deref().map(|r| r.replicas).unwrap_or(1);
+        let (red, targets) = (&self.shared.redundancy, &self.shared.targets);
         let mut data = vec![0u8; nblocks as usize * BLOCK_SIZE as usize];
-        let mut attempt = 0u32;
-        loop {
-            let (serving, s_slba) = match red.as_deref() {
-                Some(r) if r.replicas > 1 => r.route(nid, attempt, slba),
-                _ => (nid, slba),
+        let copies = 0..red.replicas;
+        let found = red.first_good(targets, nid, slba, copies, &mut data, Probe::Media);
+        let (served, rejected) = found;
+        let tried = rejected.len() as u32;
+        let mismatches = rejected.iter().filter(|&&r| r == Reject::Mismatch).count() as u64;
+        if red.verify() {
+            let checked = mismatches + served.is_some() as u64;
+            self.tel.iv_verified.add(checked * nblocks as u64);
+        }
+        self.tel.iv_mismatches.add(mismatches);
+        let hops = tried - served.is_none() as u32;
+        self.tel.iv_failovers.add(hops as u64);
+        if served.is_none() {
+            let last = match rejected.last() {
+                Some(Reject::Mismatch) => CorruptCause::Checksum,
+                _ => CorruptCause::Io(IoFailure::Media),
             };
-            self.shared.targets[serving as usize].dma_read(s_slba, &mut data);
-            let ok = match red.as_deref().filter(|r| r.verify()) {
-                Some(r) => {
-                    self.tel.iv_verified.add(nblocks as u64);
-                    r.verify_blocks(nid, slba, &data)
-                }
-                None => true,
-            };
-            if ok {
-                if attempt > 0 {
-                    // A replica served after the home copy failed
-                    // verification: read-repair the home extent.
-                    self.shared.targets[nid as usize].dma_write(slba, &data);
-                    self.tel.iv_repairs.inc();
-                }
-                break;
-            }
-            self.tel.iv_mismatches.inc();
-            attempt += 1;
-            if attempt >= replicas {
-                return Err(DlfsError::Corrupt {
-                    chunk: slba * BLOCK_SIZE,
-                    tried: attempt,
-                    cause: CorruptCause::Checksum,
-                });
-            }
-            self.tel.iv_failovers.inc();
+            let chunk = slba * BLOCK_SIZE;
+            let e = DlfsError::exhausted(nid, chunk, tried, mismatches > 0, last);
+            return Err(e);
+        }
+        if tried > 0 {
+            red.rewrite(targets, nid, 0, slba, &data);
+            self.tel.iv_repairs.inc();
         }
         let mut base = slba * BLOCK_SIZE;
         if let Some(f) = self.frame(nid, offset) {
@@ -2091,12 +2051,10 @@ impl DlfsIo {
             .ok_or(DlfsError::CacheExhausted)?;
         // Devices that may serve this range (home + replicas): the poll
         // loop below must harvest all of them once reads fail over.
-        let devs: Vec<usize> = match self.shared.redundancy.as_deref() {
-            Some(r) if r.replicas > 1 => (0..r.replicas)
-                .map(|i| r.route(nid, i, slba).0 as usize)
-                .collect(),
-            _ => vec![nid as usize],
-        };
+        let red = &self.shared.redundancy;
+        let devs: Vec<usize> = (0..red.replicas)
+            .map(|r| red.route(nid, r, slba).0 as usize)
+            .collect();
         let mut left = bufs.len();
         let mut f = SyncFetch {
             nid,

@@ -42,13 +42,14 @@
 
 use std::sync::Arc;
 
-use blocksim::{NvmeTarget, BLOCK_SIZE};
+use blocksim::{covering_blocks, NvmeTarget, BLOCK_SIZE};
 use simkit::rng::fnv1a;
 
 use crate::codec::CodecKind;
 use crate::config::DlfsConfig;
 use crate::entry::{SampleEntry, MAX_OFFSET};
 use crate::error::{DlfsError, LayoutError};
+use crate::integrity::{Probe, Redundancy};
 
 /// Superblock magic ("DLFSLAY1" little-endian).
 pub const SUPERBLOCK_MAGIC: u64 = 0x3159_414c_5346_4c44;
@@ -375,20 +376,6 @@ impl Superblock {
             codec_table_bytes: get_u32(b, 132) as u64,
         })
     }
-
-    /// Absolute byte offset, on replica `r`'s device, of the bytes that
-    /// live at `home_offset` on this (the home) node. `peer` is replica
-    /// `r`'s superblock — the node `r` places clockwise from here. Replica
-    /// 0 is the home copy itself.
-    pub fn replica_offset(&self, peer: &Superblock, r: u32, home_offset: u64) -> u64 {
-        debug_assert!(home_offset >= self.data_base);
-        replica_offset(
-            peer.data_base,
-            peer.replica_slot_bytes,
-            r,
-            home_offset - self.data_base,
-        )
-    }
 }
 
 /// Stride between the `replicas` chunk-aligned slots a data region of
@@ -610,6 +597,40 @@ impl CkptHeader {
     }
 }
 
+/// The one walker of a checkpoint stream, which starts at `(pos, seq) =
+/// (sb.ckpt_base, 0)`: the payload of the record at `pos`, stepping `pos`
+/// past it and `seq` to its sequence number — or `None` at the end of the
+/// stream, which is the first record that is not one (no header), is not
+/// this import's next (stale generation, wrong sequence number), does not
+/// fit the region or fails its payload checksum (a torn append). Reads
+/// through `read(offset, len)` like [`load_node`]: timed under replay and
+/// the writer's tail walk, untimed under fsck — so fsck counts the records
+/// a replay yields, by construction.
+pub(crate) fn next_ckpt_record(
+    mut read: impl FnMut(u64, usize) -> Result<Vec<u8>, DlfsError>,
+    sb: &Superblock,
+    (pos, seq): (&mut u64, &mut u64),
+) -> Result<Option<Vec<u8>>, DlfsError> {
+    let end = sb.ckpt_base + sb.ckpt_capacity;
+    if *pos + CKPT_HEADER_BYTES > end {
+        return Ok(None);
+    }
+    let Some(h) = CkptHeader::decode(&read(*pos, BLOCK_SIZE as usize)?) else {
+        return Ok(None);
+    };
+    let span = CkptHeader::record_bytes(h.payload_len);
+    if h.generation != sb.generation || h.seq != *seq + 1 || *pos + span > end {
+        return Ok(None);
+    }
+    let payload = read(*pos + CKPT_HEADER_BYTES, h.payload_len as usize)?;
+    if fnv1a(&payload) != h.payload_checksum {
+        return Ok(None);
+    }
+    *pos += span;
+    *seq = h.seq;
+    Ok(Some(payload))
+}
+
 /// Untimed block-granular read (debug / verification paths only — the
 /// timed I/O goes through qpairs).
 pub(crate) fn read_untimed(target: &Arc<dyn NvmeTarget>, offset: u64, len: usize) -> Vec<u8> {
@@ -771,7 +792,7 @@ pub fn fsck_node(target: &Arc<dyn NvmeTarget>, node: u16, deep: bool) -> FsckNod
     if deep {
         let mut ok = true;
         for r in &records {
-            let e = crate::entry::SampleEntry::from_raw(r.unit1, r.unit2);
+            let e = SampleEntry::from_raw(r.unit1, r.unit2);
             let data = read_untimed(target, e.offset(), e.len() as usize);
             if fnv1a(&data) != r.payload_checksum {
                 ok = false;
@@ -787,29 +808,12 @@ pub fn fsck_node(target: &Arc<dyn NvmeTarget>, node: u16, deep: bool) -> FsckNod
             return report;
         }
     }
-    // Walk the checkpoint stream.
-    let mut pos = sb.ckpt_base;
-    let mut seq = 0u64;
-    while pos + CKPT_HEADER_BYTES <= sb.ckpt_base + sb.ckpt_capacity {
-        let hdr = read_untimed(target, pos, BLOCK_SIZE as usize);
-        let Some(h) = CkptHeader::decode(&hdr) else {
-            break;
-        };
-        if h.generation != sb.generation || h.seq != seq + 1 {
-            break;
-        }
-        let span = CkptHeader::record_bytes(h.payload_len);
-        if pos + span > sb.ckpt_base + sb.ckpt_capacity {
-            break;
-        }
-        let payload = read_untimed(target, pos + CKPT_HEADER_BYTES, h.payload_len as usize);
-        if fnv1a(&payload) != h.payload_checksum {
-            break;
-        }
-        seq = h.seq;
+    // Walk the checkpoint stream, exactly as a replay would.
+    let (mut pos, mut seq) = (sb.ckpt_base, 0);
+    let read = |off, len| Ok(read_untimed(target, off, len));
+    while let Ok(Some(payload)) = next_ckpt_record(read, &sb, (&mut pos, &mut seq)) {
         report.checkpoints += 1;
-        report.checkpoint_bytes += h.payload_len;
-        pos += span;
+        report.checkpoint_bytes += payload.len() as u64;
     }
     report.state = FsckState::Clean {
         generation: sb.generation,
@@ -829,99 +833,89 @@ pub struct FsckRepairReport {
     pub unrepairable: u64,
 }
 
-/// Offline repair: walk `node`'s samples, verify each home copy (payload
-/// checksum plus a persistent-fault probe over its extent), and rewrite
-/// every bad one from the first replica whose copy verifies. Rewrites go
-/// through `dma_write` at covering-block granularity, which also clears
-/// sticky-extent and bit-flip marks on the healed range. `targets` is the
-/// full target row indexed by storage node. Untimed — a repair tool, not
-/// a data path.
+/// Offline repair: walk `node`'s samples, judge each home copy and rewrite
+/// every bad one from the first replica whose copy is good. What a good
+/// copy is, where replicas live and how one is rewritten are
+/// [`Redundancy`]'s to say (judged with everything the simulator knows
+/// about persistent faults); what this adds is the per-sample payload
+/// checksum from the metadata region. Rewrites go through `dma_write` at
+/// covering-block granularity, which also clears sticky-extent and
+/// bit-flip marks on the healed range. `targets` is the full target row
+/// indexed by storage node. Untimed — a repair tool, not a data path.
 pub fn fsck_repair(
     targets: &[Arc<dyn NvmeTarget>],
     node: u16,
 ) -> Result<FsckRepairReport, DlfsError> {
-    let home = &targets[node as usize];
-    // Per-block expected checksums ride along when the import carried a
-    // table: they let replica blocks be verified in full before they
-    // overwrite home blocks (not just the one sample's byte range).
+    let load = |n: u16, want_sums| {
+        let read = |off, len| Ok(read_untimed(&targets[n as usize], off, len));
+        load_node(read, n, want_sums)
+    };
+    // The per-block table rides along when the import carried one: it lets
+    // a replica's blocks be verified in full before they overwrite home
+    // blocks (not just the one sample's byte range).
     let NodeMeta {
         sb, records, sums, ..
-    } = load_node(|off, len| Ok(read_untimed(home, off, len)), node, true)?;
-    if sb.storage_nodes as usize != targets.len() {
+    } = load(node, true)?;
+    let nodes = targets.len();
+    if sb.storage_nodes as usize != nodes {
         return Err(LayoutError::Inconsistent(format!(
-            "node {node}: superblock spans {} nodes, {} targets supplied",
-            sb.storage_nodes,
-            targets.len()
+            "node {node}: superblock spans {} nodes, {nodes} targets supplied",
+            sb.storage_nodes
         ))
         .into());
     }
-    // Decode each replica peer's superblock once; a peer that is torn,
-    // from a different import, or differently shaped supplies no copies.
-    let peers: Vec<Option<(usize, Superblock)>> = (1..sb.replicas)
-        .map(|r| {
-            let p = (node as u32 + r) % sb.storage_nodes;
-            let b = read_untimed(&targets[p as usize], 0, BLOCK_SIZE as usize);
-            match Superblock::decode(p as u16, &b) {
-                Ok(psb)
-                    if psb.committed
-                        && psb.generation == sb.generation
-                        && psb.dataset_stamp == sb.dataset_stamp
-                        && psb.replicas == sb.replicas =>
-                {
-                    Some((p as usize, psb))
-                }
-                _ => None,
-            }
-        })
-        .collect();
+    // The instance's redundancy, rebuilt from the devices: the table this
+    // node carries, and geometry from every superblock of this import. A
+    // replica whose host is torn, from another import or differently
+    // shaped has none, and is no candidate.
+    let mut tables = Vec::new();
+    if !sums.is_empty() {
+        tables = vec![Arc::default(); nodes];
+        tables[node as usize] = Arc::new(sums);
+    }
+    let mut red = Redundancy::new(sb.replicas, vec![(0, 0); nodes], tables);
+    red.slots[node as usize] = (sb.data_base, sb.replica_slot_bytes);
+    let same_import = |p: &Superblock| {
+        (p.generation, p.dataset_stamp, p.replicas)
+            == (sb.generation, sb.dataset_stamp, sb.replicas)
+    };
+    let mut candidates = Vec::new();
+    for r in 1..sb.replicas {
+        let (host, _) = red.route(node, r, sb.data_base / BLOCK_SIZE);
+        let loaded = load(host, false).ok().map(|meta| meta.sb);
+        if let Some(psb) = loaded.filter(same_import) {
+            red.slots[host as usize] = (psb.data_base, psb.replica_slot_bytes);
+            candidates.push(r);
+        }
+    }
     let mut report = FsckRepairReport::default();
     for r in &records {
-        let e = crate::entry::SampleEntry::from_raw(r.unit1, r.unit2);
-        let (off, len) = (e.offset(), e.len() as usize);
-        let slba = off / BLOCK_SIZE;
-        let head = (off % BLOCK_SIZE) as usize;
-        let nblocks = ((head + len) as u64).div_ceil(BLOCK_SIZE) as u32;
-        let data = read_untimed(home, off, len);
-        let bad = fnv1a(&data) != r.payload_checksum || home.probe_extent(slba, nblocks);
-        if !bad {
+        let e = SampleEntry::from_raw(r.unit1, r.unit2);
+        let (slba, nblocks, head) = covering_blocks(e.offset(), e.len());
+        let mut buf = vec![0u8; nblocks as usize * BLOCK_SIZE as usize];
+        let payload_ok =
+            |buf: &[u8]| fnv1a(&buf[head..head + e.len() as usize]) == r.payload_checksum;
+        let home_ok = |buf: &mut [u8]| {
+            let copy = red.read_copy(targets, node, 0, slba, buf, Probe::Oracle);
+            copy.is_ok() && payload_ok(buf)
+        };
+        if home_ok(&mut buf) {
             continue;
         }
         report.detected += 1;
+        let mut rest = candidates.iter().copied();
         let mut fixed = false;
-        for (ri, peer) in peers.iter().enumerate() {
-            let Some((p, psb)) = peer else { continue };
-            let src_off = sb.replica_offset(psb, ri as u32 + 1, slba * BLOCK_SIZE);
-            let src_slba = src_off / BLOCK_SIZE;
-            if targets[*p].probe_extent(src_slba, nblocks) {
-                continue;
+        while let (Some(_), _) =
+            red.first_good(targets, node, slba, rest.by_ref(), &mut buf, Probe::Oracle)
+        {
+            if payload_ok(&buf) {
+                red.rewrite(targets, node, 0, slba, &buf);
+                fixed = true;
+                break;
             }
-            let buf = read_untimed(
-                &targets[*p],
-                src_off,
-                (nblocks as u64 * BLOCK_SIZE) as usize,
-            );
-            if fnv1a(&buf[head..head + len]) != r.payload_checksum {
-                continue;
-            }
-            let base = (slba - sb.data_base / BLOCK_SIZE) as usize;
-            let whole_ok = buf
-                .chunks_exact(BLOCK_SIZE as usize)
-                .enumerate()
-                .all(|(i, blk)| sums.get(base + i).is_none_or(|&s| fnv1a(blk) == s));
-            if !whole_ok {
-                continue;
-            }
-            home.dma_write(slba, &buf);
-            fixed = true;
-            break;
         }
-        if fixed {
-            let again = read_untimed(home, off, len);
-            if fnv1a(&again) == r.payload_checksum && !home.probe_extent(slba, nblocks) {
-                report.repaired += 1;
-            } else {
-                report.unrepairable += 1;
-            }
+        if fixed && home_ok(&mut buf) {
+            report.repaired += 1;
         } else {
             report.unrepairable += 1;
         }
@@ -1259,11 +1253,11 @@ mod tests {
             }
             devices[n].dma_write(sbs[n].data_base / BLOCK_SIZE, data);
         }
-        for n in 0..nodes as usize {
+        for (n, data) in datas.iter().enumerate() {
             for r in 1..replicas {
                 let p = (n + r as usize) % nodes as usize;
-                let dst = sbs[n].replica_offset(&sbs[p], r, sbs[n].data_base);
-                devices[p].dma_write(dst / BLOCK_SIZE, &datas[n]);
+                let dst = replica_offset(sbs[p].data_base, sbs[p].replica_slot_bytes, r, 0);
+                devices[p].dma_write(dst / BLOCK_SIZE, data);
             }
         }
         for n in 0..nodes as usize {

@@ -84,7 +84,7 @@ pub use layout::{
     fsck_node, fsck_repair, BlockChecksums, FsckNodeReport, FsckRepairReport, FsckState, Superblock,
 };
 pub use metashard::{place_shards, shard_of, MetaClient, MetaLookup, MetaService, MetaShardConfig};
-pub use mount::{Deployment, DlfsInstance, MountBuilder, MountOptions};
+pub use mount::{Deployment, DlfsInstance, MountBuilder};
 pub use plan::{
     build_epoch_plan, full_random_order, reader_item_ranges, EpochPlan, FetchItem, ReaderPlan,
 };

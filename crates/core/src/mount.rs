@@ -91,38 +91,11 @@ impl std::fmt::Debug for Deployment {
     }
 }
 
-/// Mount-time tuning.
-#[derive(Clone)]
-pub struct MountOptions {
-    /// Shared bandwidth to the backend parallel file system the dataset is
-    /// read from; `None` skips PFS cost (pre-staged data).
-    pub pfs: Option<Link>,
-    /// CPU cost to create one directory entry (hash + AVL insert).
-    pub build_per_entry: Dur,
-    /// CPU cost to merge one remote entry during the allgather.
-    pub merge_per_entry: Dur,
-    /// Registry for the mount-time counters (`dlfs.write.*` during
-    /// staging, `dlfs.remount.*` during remount). `None` leaves them
-    /// unregistered, keeping default outputs unchanged.
-    pub telemetry: Option<Registry>,
-}
+/// CPU cost to create one directory entry (hash + AVL insert).
+const BUILD_PER_ENTRY: Dur = Dur::nanos(120);
 
-impl Default for MountOptions {
-    fn default() -> Self {
-        MountOptions {
-            pfs: None,
-            build_per_entry: Dur::nanos(120),
-            merge_per_entry: Dur::nanos(25),
-            telemetry: None,
-        }
-    }
-}
-
-impl std::fmt::Debug for MountOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MountOptions").finish()
-    }
-}
+/// CPU cost to merge one remote entry during the allgather.
+const MERGE_PER_ENTRY: Dur = Dur::nanos(25);
 
 /// A mounted DLFS instance: per-reader shared state + the replicated
 /// directory. Alive for the duration of the job, like the paper's DLFS.
@@ -186,15 +159,6 @@ impl DlfsInstance {
         self.shared[0].qos.as_ref()
     }
 
-    /// Rebind every reader handle's default tenant (mount-time:
-    /// [`MountBuilder::tenant`]).
-    fn with_default_tenant(mut self, tenant: crate::tenant::TenantId) -> DlfsInstance {
-        if tenant != 0 {
-            self.shared = self.shared.iter().map(|s| s.with_tenant(tenant)).collect();
-        }
-        self
-    }
-
     /// Shared per-reader state (cache stats etc.).
     pub fn shared(&self, r: usize) -> &Arc<DlfsShared> {
         &self.shared[r]
@@ -215,7 +179,7 @@ impl DlfsInstance {
     /// Replica routing + integrity state, when the configuration asked
     /// for `replicas > 1` and/or `verify_reads`.
     pub fn redundancy(&self) -> Option<&Arc<Redundancy>> {
-        self.shared[0].redundancy.as_ref()
+        Some(&self.shared[0].redundancy).filter(|r| r.in_use())
     }
 
     fn persistent_layout(&self, nid: u16) -> Result<&Superblock, DlfsError> {
@@ -242,19 +206,8 @@ impl DlfsInstance {
                 "ckpt_region_bytes was 0 at import: no checkpoint region on this device".into(),
             ));
         }
-        // Degraded mode: fail fast with a typed error instead of letting
-        // every append burn its retry budget timing out against a node the
-        // membership view already declared Dead.
-        if let Some(red) = self.redundancy() {
-            if red.is_dead(nid as usize) {
-                let view_epoch = red.membership.as_ref().map(|m| m.view_epoch()).unwrap_or(0);
-                return Err(DlfsError::Degraded {
-                    node: nid,
-                    view_epoch,
-                });
-            }
-        }
         let shared = &self.shared[r];
+        shared.redundancy.check_alive(nid)?;
         CheckpointWriter::open(
             rt,
             shared.targets[nid as usize].clone(),
@@ -505,7 +458,6 @@ struct UploadTask {
     drafts: Option<Vec<Superblock>>,
     cfg: DlfsConfig,
     pfs: Option<Link>,
-    build_per_entry: Dur,
     reg: Option<Registry>,
     rx: Receiver<StagedSample>,
     credit: Sender<usize>,
@@ -631,7 +583,7 @@ impl UploadTask {
             if let Some(pfs) = &self.pfs {
                 pfs.transfer(rt, item.bytes.len() as u64);
             }
-            rt.work(self.build_per_entry);
+            rt.work(BUILD_PER_ENTRY);
             let pos = item.node_pos;
             let landed = if coded {
                 // The stager owns writes under a codec: a completed frame
@@ -775,7 +727,12 @@ impl RemountTelemetry {
 struct Bringup {
     cfg: DlfsConfig,
     deployment: Deployment,
-    opts: MountOptions,
+    /// Shared bandwidth to the backend parallel file system the dataset is
+    /// staged from; `None` skips PFS cost (pre-staged data).
+    pfs: Option<Link>,
+    /// Registry for the bring-up counters (`dlfs.write.*` while staging,
+    /// `dlfs.remount.*` on remount); `None` leaves them unregistered.
+    telemetry: Option<Registry>,
     readers: usize,
     storage_nodes: usize,
 }
@@ -895,9 +852,8 @@ impl Bringup {
                     .map(|d| my_nodes.iter().map(|&n| d[n].clone()).collect()),
                 my_nodes,
                 cfg: self.cfg.clone(),
-                pfs: self.opts.pfs.clone(),
-                build_per_entry: self.opts.build_per_entry,
-                reg: self.opts.telemetry.clone(),
+                pfs: self.pfs.clone(),
+                reg: self.telemetry.clone(),
                 rx,
                 credit: credit_tx.clone(),
             };
@@ -994,12 +950,13 @@ impl Bringup {
             rt.sleep(latest - now);
         }
         // Merge cost: every reader integrates the other nodes' entries.
-        rt.work(self.opts.merge_per_entry * dir.len() as u64);
+        rt.work(MERGE_PER_ENTRY * dir.len() as u64);
     }
 
     /// Turn a finished bring-up into the running instance — the one place
-    /// the redundancy machinery (`replicas` on the devices > 1 and/or
-    /// `verify_reads`; membership layered on when
+    /// the [`Redundancy`] of the instance (every instance has one:
+    /// `replicas` copies, each node's geometry, an integrity table with
+    /// `verify_reads`, membership layered on when
     /// [`DlfsConfig::fail_dead_after`] asks for failure detection), the
     /// codec tables and the per-reader runtime state (caches, copy pools)
     /// are built, for `mount` and `remount` alike.
@@ -1011,22 +968,19 @@ impl Bringup {
         mut nodes: Vec<NodeState>,
     ) -> DlfsInstance {
         let cfg = self.cfg;
-        let redundancy = (replicas > 1 || cfg.verify_reads).then(|| {
-            let slots = nodes
-                .iter()
-                .map(|s| (s.geometry.data_base, s.geometry.slot_bytes))
-                .collect();
-            let sums = if cfg.verify_reads {
-                let table = |s: &mut NodeState| Arc::new(std::mem::take(&mut s.sums));
-                nodes.iter_mut().map(table).collect()
-            } else {
-                Vec::new()
-            };
-            let red = Redundancy::new(replicas, slots, sums);
-            Arc::new(match cfg.fail_dead_after {
-                Some(dead_after) => red.with_membership(dead_after),
-                None => red,
-            })
+        let slot = |s: &NodeState| (s.geometry.data_base, s.geometry.slot_bytes);
+        let slots = nodes.iter().map(slot).collect();
+        let data_bytes = nodes.iter().map(|s| s.geometry.data_bytes).collect();
+        let sums = if cfg.verify_reads {
+            let table = |s: &mut NodeState| Arc::new(std::mem::take(&mut s.sums));
+            nodes.iter_mut().map(table).collect()
+        } else {
+            Vec::new()
+        };
+        let red = Redundancy::with_geometry(replicas, slots, data_bytes, sums);
+        let redundancy = Arc::new(match cfg.fail_dead_after {
+            Some(dead_after) => red.with_membership(dead_after),
+            None => red,
         });
         let codec = (cfg.codec != CodecKind::Identity).then(|| {
             Arc::new(CodecTables {
@@ -1087,13 +1041,12 @@ impl Bringup {
     fn remount(self, rt: &Runtime) -> Result<DlfsInstance, DlfsError> {
         let cfg = &self.cfg;
         let storage_nodes = self.storage_nodes;
-        let tel = RemountTelemetry::new(self.opts.telemetry.as_ref());
+        let tel = RemountTelemetry::new(self.telemetry.as_ref());
         let mut handles = Vec::with_capacity(self.readers);
         for r in 0..self.readers {
             let my_nodes = self.nodes_of(r);
             let row = self.deployment.targets[r].clone();
             let cfg = cfg.clone();
-            let build_per_entry = self.opts.build_per_entry;
             let tel = tel.clone();
             handles.push(rt.spawn_with(&format!("dlfs-remount-r{r}"), move |rt| {
                 let mut loaded = Vec::with_capacity(my_nodes.len());
@@ -1105,7 +1058,7 @@ impl Bringup {
                     tel.entries.add(meta.records.len() as u64);
                     // Rebuilding the AVL trees costs the same per-entry
                     // insert work as building them from names at mount time.
-                    rt.work(build_per_entry * meta.records.len() as u64);
+                    rt.work(BUILD_PER_ENTRY * meta.records.len() as u64);
                     loaded.push((n, meta));
                 }
                 Ok(loaded)
@@ -1242,11 +1195,10 @@ impl From<&Superblock> for Geometry {
 pub struct MountBuilder {
     cfg: DlfsConfig,
     deployment: Option<Deployment>,
-    opts: MountOptions,
+    pfs: Option<Link>,
+    telemetry: Option<Registry>,
     persistent: bool,
     warm: bool,
-    faults: Option<fabric::FabricFaultInjector>,
-    default_tenant: crate::tenant::TenantId,
 }
 
 impl MountBuilder {
@@ -1255,11 +1207,10 @@ impl MountBuilder {
         MountBuilder {
             cfg,
             deployment: None,
-            opts: MountOptions::default(),
+            pfs: None,
+            telemetry: None,
             persistent: false,
             warm: false,
-            faults: None,
-            default_tenant: 0,
         }
     }
 
@@ -1278,38 +1229,17 @@ impl MountBuilder {
         self
     }
 
-    /// Replace the mount-time tuning knobs wholesale.
-    pub fn options(mut self, opts: MountOptions) -> MountBuilder {
-        self.opts = opts;
-        self
-    }
-
-    /// Charge dataset staging against this shared PFS link.
+    /// Charge dataset staging against this shared link to the backend
+    /// parallel file system (default: pre-staged data, no PFS cost).
     pub fn pfs(mut self, link: Link) -> MountBuilder {
-        self.opts.pfs = Some(link);
+        self.pfs = Some(link);
         self
     }
 
     /// Record mount-time counters (`dlfs.write.*`, `dlfs.remount.*`) into
     /// `reg` instead of leaving them unregistered.
     pub fn with_registry(mut self, reg: Registry) -> MountBuilder {
-        self.opts.telemetry = Some(reg);
-        self
-    }
-
-    /// Arm the deployment's fabric with this fault injector before any
-    /// mount traffic flows. Requires a clustered deployment.
-    pub fn with_faults(mut self, injector: fabric::FabricFaultInjector) -> MountBuilder {
-        self.faults = Some(injector);
-        self
-    }
-
-    /// Default tenant of the mounted instance's plain [`DlfsInstance::io`]
-    /// handles (per-request override: [`crate::ReadRequest::tenant`];
-    /// per-handle: [`DlfsInstance::io_tenant`]). Only meaningful with
-    /// [`DlfsConfig::qos`] set; the implicit default is tenant 0.
-    pub fn tenant(mut self, tenant: crate::tenant::TenantId) -> MountBuilder {
-        self.default_tenant = tenant;
+        self.telemetry = Some(reg);
         self
     }
 
@@ -1329,8 +1259,8 @@ impl MountBuilder {
     }
 
     /// The one validation step, run by both terminals before anything
-    /// touches a device: the configuration, the deployment's shape, the
-    /// replica count against its storage nodes, and fault-injector arming.
+    /// touches a device: the configuration, the deployment's shape and the
+    /// replica count against its storage nodes.
     fn validated(self) -> Result<Bringup, DlfsError> {
         self.cfg.validate()?;
         let deployment = self.deployment.ok_or_else(|| {
@@ -1349,16 +1279,11 @@ impl MountBuilder {
             return bad("all readers must see the same storage nodes");
         }
         self.cfg.check_replicas(storage_nodes)?;
-        if let Some(injector) = self.faults {
-            match &deployment.cluster {
-                Some(cluster) => cluster.set_faults(injector),
-                None => return bad("with_faults() needs a clustered deployment"),
-            };
-        }
         Ok(Bringup {
             cfg: self.cfg,
             deployment,
-            opts: self.opts,
+            pfs: self.pfs,
+            telemetry: self.telemetry,
             readers,
             storage_nodes,
         })
@@ -1372,15 +1297,13 @@ impl MountBuilder {
                 "warm() reads the on-device layout and takes no source; use remount()".into(),
             ));
         }
-        let (persist, tenant) = (self.persistent, self.default_tenant);
-        let inst = self.validated()?.stage(rt, source, persist)?;
-        Ok(inst.with_default_tenant(tenant))
+        let persist = self.persistent;
+        self.validated()?.stage(rt, source, persist)
     }
 
     /// Warm path: rebuild the directory from the devices' own metadata
     /// regions — zero PFS traffic, zero data-region writes.
     pub fn remount(self, rt: &Runtime) -> Result<DlfsInstance, DlfsError> {
-        let tenant = self.default_tenant;
-        Ok(self.validated()?.remount(rt)?.with_default_tenant(tenant))
+        self.validated()?.remount(rt)
     }
 }

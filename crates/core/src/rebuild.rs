@@ -23,20 +23,22 @@
 //! idle gaps, not reactor CPU. It touches only [`DlfsShared`] and its own
 //! counters; [`crate::io::DlfsIo`] owns one, calls [`Background::idle_gap`]
 //! when it parks, and forwards its public scrub/rebuild methods here.
-//! Scrub repair and rebuild copy share [`heal_block`].
+//! What a good copy is, and how a bad one is healed, is
+//! [`Redundancy`]'s to say ([`Redundancy::heal`]).
 
 use std::sync::Arc;
 
-use blocksim::{NvmeTarget, BLOCK_SIZE};
+use blocksim::BLOCK_SIZE;
 use simkit::rng::fnv1a;
 use simkit::telemetry::{Counter, Gauge, Registry};
 
 use crate::counter_in;
 use crate::error::DlfsError;
+use crate::integrity::{Probe, Redundancy};
 use crate::io::DlfsShared;
-use crate::layout::{encode_codec_table, encode_integrity, encode_meta, read_untimed, MetaRecord};
-
-use crate::integrity::Redundancy;
+use crate::layout::{
+    encode_codec_table, encode_integrity, encode_meta, read_untimed, BlockChecksums, MetaRecord,
+};
 
 /// One contiguous run of blocks the dead node must get back: the copy of
 /// `home`'s data that lived in the dead node's replica slot `slot_r`.
@@ -62,26 +64,23 @@ pub struct RebuildPlan {
 }
 
 impl RebuildPlan {
-    /// Enumerate everything dead node `node` hosted. `blocks_of[h]` is the
-    /// number of staged data blocks on home node `h` (from the superblock's
-    /// `data_bytes` on persistent instances, or the integrity table length
-    /// on verified ephemeral mounts).
-    pub fn for_dead_node(red: &Redundancy, node: u16, blocks_of: &[u64]) -> RebuildPlan {
+    /// Enumerate everything dead node `node` hosted, each extent as long
+    /// as its home's staged data ([`Redundancy::data_blocks`]).
+    pub fn for_dead_node(red: &Redundancy, node: u16) -> RebuildPlan {
         let n = red.slots.len();
-        assert_eq!(blocks_of.len(), n);
         assert!((node as usize) < n);
         let mut extents = Vec::with_capacity(red.replicas as usize);
         extents.push(RebuildExtent {
             home: node,
             slot_r: 0,
-            blocks: blocks_of[node as usize],
+            blocks: red.data_blocks(node),
         });
         for r in 1..red.replicas {
             let home = ((node as u32 + n as u32 - r) % n as u32) as u16;
             extents.push(RebuildExtent {
                 home,
                 slot_r: r,
-                blocks: blocks_of[home as usize],
+                blocks: red.data_blocks(home),
             });
         }
         let total_blocks = extents.iter().map(|e| e.blocks).sum();
@@ -90,20 +89,6 @@ impl RebuildPlan {
             extents,
             total_blocks,
         }
-    }
-
-    /// Surviving replica indices a block of `ext` can be read from, in
-    /// deterministic preference order (lowest replica index first). Every
-    /// entry routes away from the dead node by construction — the dead
-    /// node hosted exactly the one slot being rebuilt.
-    pub fn sources(&self, ext: &RebuildExtent, red: &Redundancy) -> Vec<u32> {
-        (0..red.replicas)
-            .filter(|&r| r != ext.slot_r)
-            .inspect(|&r| {
-                let home_blk = red.slots[ext.home as usize].0 / BLOCK_SIZE;
-                debug_assert_ne!(red.route(ext.home, r, home_blk).0, self.node);
-            })
-            .collect()
     }
 }
 
@@ -122,37 +107,6 @@ struct RebuildState {
     walked: u64,
     /// Blocks no surviving replica could serve.
     failed: u64,
-}
-
-/// Copy block `home_blk` of `home` (home coordinates) onto `dest` —
-/// `(target, device block)` — from the first of the replica indices
-/// `sources` whose serving target is not Dead, whose extent is readable
-/// and whose bytes match the integrity table. Returns whether a copy
-/// landed; unhealable blocks are left for the read path to surface as
-/// [`DlfsError::Corrupt`].
-fn heal_block(
-    targets: &[Arc<dyn NvmeTarget>],
-    red: &Redundancy,
-    home: u16,
-    home_blk: u64,
-    sources: impl IntoIterator<Item = u32>,
-    dest: (u16, u64),
-) -> bool {
-    for r in sources {
-        let (peer, pslba) = red.route(home, r, home_blk);
-        let src = &targets[peer as usize];
-        if red.is_dead(peer as usize) || src.probe_extent(pslba, 1) {
-            continue;
-        }
-        let mut blk = vec![0u8; BLOCK_SIZE as usize];
-        src.dma_read(pslba, &mut blk);
-        if !red.verify_blocks(home, home_blk, &blk) {
-            continue;
-        }
-        targets[dest.0 as usize].dma_write(dest.1, &blk);
-        return true;
-    }
-    false
 }
 
 /// Scrub cursor, in-flight rebuild and their counters for one I/O handle.
@@ -184,10 +138,9 @@ pub(crate) struct Background {
 
 impl Background {
     pub fn new(shared: Arc<DlfsShared>, reg: &Registry) -> Background {
-        let red = shared.redundancy.as_deref();
-        let iv = red.map(|_| reg.scoped("dlfs.integrity"));
-        let membership = red.and_then(|r| r.membership.as_ref());
-        let rb = membership.map(|_| reg.scoped("dlfs.rebuild"));
+        let red = &shared.redundancy;
+        let iv = red.in_use().then(|| reg.scoped("dlfs.integrity"));
+        let rb = red.membership.as_ref().map(|_| reg.scoped("dlfs.rebuild"));
         let (iv, rb) = (iv.as_ref(), rb.as_ref());
         Background {
             scrub_cursor: (0, 0),
@@ -214,44 +167,35 @@ impl Background {
         }
     }
 
-    /// Walk `budget` data blocks of the scrub cursor, verifying each block
-    /// against the integrity tables (and probing for latent media faults),
-    /// repairing bad blocks from the first healthy replica. Returns the
-    /// number of blocks scrubbed. No-op without checksums.
+    /// Walk `budget` data blocks of the scrub cursor, judging each home
+    /// block against the integrity table (and probing for latent media
+    /// faults) and healing bad ones from the first good replica. Returns
+    /// the number of blocks scrubbed. No-op without checksums.
     fn scrub_blocks(&mut self, budget: u64) -> u64 {
         let sh = &self.shared;
-        let Some(red) = sh.redundancy.as_deref().filter(|r| r.verify()) else {
+        let red = &sh.redundancy;
+        if !red.verify() {
             return 0;
-        };
+        }
         let nodes = sh.targets.len();
+        let mut blk = vec![0u8; BLOCK_SIZE as usize];
         let mut scrubbed = 0u64;
         let mut hops = 0usize;
-        let mut left = budget;
-        while left > 0 && hops <= nodes {
-            let (n, blk) = self.scrub_cursor;
-            let total = red.data_blocks(n as u16);
-            if blk >= total {
+        while scrubbed < budget && hops <= nodes {
+            let (n, at) = self.scrub_cursor;
+            if at >= red.data_blocks(n as u16) {
                 self.scrub_cursor = ((n + 1) % nodes, 0);
                 hops += 1;
                 continue;
             }
-            let run = left.min(total - blk);
-            let base_blk = red.slots[n].0 / BLOCK_SIZE + blk;
-            let mut data = vec![0u8; (run * BLOCK_SIZE) as usize];
-            sh.targets[n].dma_read(base_blk, &mut data);
-            for i in 0..run {
-                let slba = base_blk + i;
-                let span = &data[(i * BLOCK_SIZE) as usize..][..BLOCK_SIZE as usize];
-                let good =
-                    red.verify_blocks(n as u16, slba, span) && !sh.targets[n].probe_extent(slba, 1);
-                let peers = 1..red.replicas;
-                if !good && heal_block(&sh.targets, red, n as u16, slba, peers, (n as u16, slba)) {
-                    self.repairs.inc();
-                }
+            let (home, slba) = (n as u16, red.slots[n].0 / BLOCK_SIZE + at);
+            let good = red.read_copy(&sh.targets, home, 0, slba, &mut blk, Probe::Oracle);
+            let peers = 1..red.replicas;
+            if good.is_err() && red.heal(&sh.targets, home, slba, peers, 0, &mut blk) {
+                self.repairs.inc();
             }
-            scrubbed += run;
-            left -= run;
-            self.scrub_cursor = (n, blk + run);
+            scrubbed += 1;
+            self.scrub_cursor = (n, at + 1);
         }
         self.scrubbed.add(scrubbed);
         scrubbed
@@ -260,15 +204,10 @@ impl Background {
     /// One full scrub sweep over every node's data region; returns the
     /// number of blocks scrubbed.
     pub fn scrub_pass(&mut self) -> u64 {
-        let Some(red) = self.shared.redundancy.as_deref() else {
-            return 0;
-        };
-        let total: u64 = (0..self.shared.targets.len())
+        let red = &self.shared.redundancy;
+        let total = (0..self.shared.targets.len())
             .map(|n| red.data_blocks(n as u16))
             .sum();
-        if total == 0 {
-            return 0;
-        }
         self.scrub_cursor = (0, 0);
         self.scrub_blocks(total)
     }
@@ -279,14 +218,7 @@ impl Background {
     /// node into afterwards — asking for one on an instance missing either
     /// is a typed configuration error, not a silent no-op.
     pub fn begin_rebuild(&mut self, node: u16) -> Result<u64, DlfsError> {
-        let sh = &self.shared;
-        let Some(red) = sh.redundancy.as_deref() else {
-            return Err(DlfsError::Config(
-                "rebuild requires redundancy: configure replicas >= 2 and a \
-                 membership policy (fail_dead_after)"
-                    .into(),
-            ));
-        };
+        let red = &self.shared.redundancy;
         if red.replicas < 2 {
             return Err(DlfsError::Config(format!(
                 "rebuild of storage node {node} requires replicas >= 2 (have \
@@ -301,13 +233,7 @@ impl Background {
                  and rejoined"
             )));
         }
-        let blocks_of: Vec<u64> = (0..sh.targets.len())
-            .map(|h| match sh.layouts.as_deref() {
-                Some(l) => l[h].data_bytes.div_ceil(BLOCK_SIZE),
-                None => red.data_blocks(h as u16),
-            })
-            .collect();
-        let plan = RebuildPlan::for_dead_node(red, node, &blocks_of);
+        let plan = RebuildPlan::for_dead_node(red, node);
         let total = plan.total_blocks;
         self.rb_at_risk.set(self.chunks_at_risk(total) as i64);
         self.rebuild = Some(RebuildState {
@@ -355,16 +281,13 @@ impl Background {
     /// exhausted.
     pub fn rebuild_blocks(&mut self, budget: u64) -> u64 {
         let sh = &self.shared;
-        let Some(red) = sh.redundancy.as_deref() else {
-            self.rebuild = None;
-            return 0;
-        };
+        let red = &sh.redundancy;
         let Some(mut rb) = self.rebuild.take() else {
             return 0;
         };
-        let mut left = budget;
+        let mut blk = vec![0u8; BLOCK_SIZE as usize];
         let mut walked = 0u64;
-        while left > 0 {
+        while walked < budget {
             let Some(ext) = rb.plan.extents.get(rb.ext).copied() else {
                 break;
             };
@@ -373,34 +296,27 @@ impl Background {
                 rb.blk = 0;
                 continue;
             }
-            let run = left.min(ext.blocks - rb.blk).min(128);
-            let home_base_blk = red.slots[ext.home as usize].0 / BLOCK_SIZE;
-            for i in 0..run {
-                let home_blk = home_base_blk + rb.blk + i;
-                let (dt, dslba) = red.route(ext.home, ext.slot_r, home_blk);
-                debug_assert_eq!(dt, rb.plan.node);
-                if red.verify() {
-                    let dest = &sh.targets[dt as usize];
-                    let mut have = vec![0u8; BLOCK_SIZE as usize];
-                    dest.dma_read(dslba, &mut have);
-                    if red.verify_blocks(ext.home, home_blk, &have) && !dest.probe_extent(dslba, 1)
-                    {
-                        self.rb_clean.inc();
-                        continue;
-                    }
-                }
-                let sources = rb.plan.sources(&ext, red);
-                if heal_block(&sh.targets, red, ext.home, home_blk, sources, (dt, dslba)) {
-                    self.rb_blocks.inc();
-                } else {
-                    rb.failed += 1;
-                    self.rb_failed.inc();
-                }
+            let (home, dest) = (ext.home, ext.slot_r);
+            let slba = red.slots[home as usize].0 / BLOCK_SIZE + rb.blk;
+            // Every other replica of the home survives the dead node: the
+            // placement puts the copies of one home on distinct nodes.
+            let survivors = (0..red.replicas).filter(|&r| r != dest);
+            // Only a table can vouch for what the replacement already holds.
+            let have = red.verify()
+                && red
+                    .read_copy(&sh.targets, home, dest, slba, &mut blk, Probe::Oracle)
+                    .is_ok();
+            if have {
+                self.rb_clean.inc();
+            } else if red.heal(&sh.targets, home, slba, survivors, dest, &mut blk) {
+                self.rb_blocks.inc();
+            } else {
+                rb.failed += 1;
+                self.rb_failed.inc();
             }
-            rb.blk += run;
-            rb.walked += run;
-            walked += run;
-            left -= run;
+            rb.blk += 1;
+            rb.walked += 1;
+            walked += 1;
         }
         while rb
             .plan
@@ -415,7 +331,7 @@ impl Background {
         self.rb_at_risk
             .set(self.chunks_at_risk(remaining + rb.failed) as i64);
         if rb.ext >= rb.plan.extents.len() {
-            self.rebuild_finish(red, rb.plan.node, rb.failed);
+            self.rebuild_finish(rb.plan.node, rb.failed);
         } else {
             self.rebuild = Some(rb);
         }
@@ -431,8 +347,9 @@ impl Background {
     /// fsck checkpoint walk treats the zeroed region as an empty stream).
     /// Only a fully successful rebuild rejoins the node into the
     /// membership view; failed blocks leave it Dead for another attempt.
-    fn rebuild_finish(&self, red: &Redundancy, node: u16, failed: u64) {
+    fn rebuild_finish(&self, node: u16, failed: u64) {
         let sh = &self.shared;
+        let red = &sh.redundancy;
         if let Some(layouts) = sh.layouts.as_deref() {
             let dest = &sh.targets[node as usize];
             let mut sb = layouts[node as usize].clone();
@@ -448,7 +365,17 @@ impl Background {
                 dest.dma_write(sb.meta_base / BLOCK_SIZE, &meta);
             }
             if sb.integrity_bytes > 0 {
-                let enc = encode_integrity(&red.sums[node as usize]);
+                // The import's table, or — on an instance remounted without
+                // `verify_reads`, which never loaded it — the rebuilt data
+                // hashed afresh.
+                let enc = match red.sums.get(node as usize) {
+                    Some(sums) => encode_integrity(sums),
+                    None => {
+                        let mut sums = BlockChecksums::new();
+                        sums.update(&read_untimed(dest, sb.data_base, sb.data_bytes as usize));
+                        encode_integrity(&sums.finish())
+                    }
+                };
                 debug_assert_eq!(enc.len() as u64, sb.integrity_bytes);
                 dest.dma_write(sb.integrity_base / BLOCK_SIZE, &enc);
             }
@@ -482,15 +409,15 @@ impl Background {
 mod tests {
     use super::*;
 
+    /// `nodes` nodes holding 10, 20, 30, ... blocks of data.
     fn red(nodes: usize, k: u32) -> Redundancy {
-        Redundancy::new(k, vec![(4096u64, 1 << 20); nodes], vec![])
+        let data_bytes = (1..=nodes as u64).map(|n| n * 10 * BLOCK_SIZE).collect();
+        Redundancy::with_geometry(k, vec![(4096u64, 1 << 20); nodes], data_bytes, vec![])
     }
-
     #[test]
     fn plan_covers_every_slot_the_dead_node_hosted() {
         let r = red(4, 3);
-        let blocks = [10u64, 20, 30, 40];
-        let plan = RebuildPlan::for_dead_node(&r, 2, &blocks);
+        let plan = RebuildPlan::for_dead_node(&r, 2);
         assert_eq!(plan.node, 2);
         // Slot 0: node 2's own data. Slot 1: replica 1 of home 1
         // (1 + 1 = 2). Slot 2: replica 2 of home 0 (0 + 2 = 2).
@@ -515,24 +442,13 @@ mod tests {
             ]
         );
         assert_eq!(plan.total_blocks, 60);
-        // Every extent's destination routes onto the dead node.
+        // Every extent's destination routes onto the dead node, and every
+        // other replica of its home — the rebuild's sources — off it.
         for e in &plan.extents {
             let home_blk = r.slots[e.home as usize].0 / BLOCK_SIZE;
-            assert_eq!(r.route(e.home, e.slot_r, home_blk).0, 2);
-        }
-    }
-
-    #[test]
-    fn sources_avoid_the_dead_node_and_rebuilt_slot() {
-        let r = red(4, 3);
-        let plan = RebuildPlan::for_dead_node(&r, 2, &[10, 10, 10, 10]);
-        for e in &plan.extents {
-            let srcs = plan.sources(e, &r);
-            assert_eq!(srcs.len(), 2);
-            assert!(!srcs.contains(&e.slot_r));
-            let home_blk = r.slots[e.home as usize].0 / BLOCK_SIZE;
-            for s in srcs {
-                assert_ne!(r.route(e.home, s, home_blk).0, 2);
+            for replica in 0..r.replicas {
+                let on_dead = r.route(e.home, replica, home_blk).0 == 2;
+                assert_eq!(on_dead, replica == e.slot_r);
             }
         }
     }
@@ -540,8 +456,8 @@ mod tests {
     #[test]
     fn plan_is_deterministic_and_wraps_homes() {
         let r = red(3, 2);
-        let a = RebuildPlan::for_dead_node(&r, 0, &[5, 6, 7]);
-        let b = RebuildPlan::for_dead_node(&r, 0, &[5, 6, 7]);
+        let a = RebuildPlan::for_dead_node(&r, 0);
+        let b = RebuildPlan::for_dead_node(&r, 0);
         assert_eq!(a.extents, b.extents);
         // Replica 1 of home 2 lives on node (2 + 1) % 3 = 0.
         assert_eq!(
@@ -549,44 +465,8 @@ mod tests {
             RebuildExtent {
                 home: 2,
                 slot_r: 1,
-                blocks: 7
+                blocks: 30
             }
         );
-    }
-    #[test]
-    fn heal_block_skips_dead_unreadable_and_mismatching_sources() {
-        use blocksim::{DeviceConfig, FaultInjector, NvmeDevice};
-        use simkit::time::{Dur, Time};
-
-        let devices: Vec<_> = (0..4)
-            .map(|_| NvmeDevice::new(DeviceConfig::optane(1 << 20)))
-            .collect();
-        let targets: Vec<Arc<dyn NvmeTarget>> = devices.iter().map(|d| d.clone() as _).collect();
-        let good = vec![0xA5u8; BLOCK_SIZE as usize];
-        let sums = [vec![fnv1a(&good)], vec![], vec![], vec![]].map(Arc::new);
-        // Four copies of home 0's block 0: replica r sits on node r, 8
-        // blocks per replica slot.
-        let r =
-            Redundancy::new(4, vec![(0, 4096); 4], sums.to_vec()).with_membership(Dur::micros(100));
-        for node in 1..4u64 {
-            targets[node as usize].dma_write(8 * node, &good);
-        }
-        // Replica 1 is on a Dead node, replica 2 under a bad extent,
-        // replica 3 holds the wrong bytes.
-        for at in [0, 0, 0, 100] {
-            r.record_failure(1, Time::ZERO + Dur::micros(at));
-        }
-        assert!(r.is_dead(1));
-        devices[2].set_faults(FaultInjector::new(1).with_bad_extent(16, 1));
-        targets[3].dma_write(24, &vec![0x5Au8; BLOCK_SIZE as usize]);
-        assert!(!heal_block(&targets, &r, 0, 0, 1..4, (0, 0)));
-        let mut home = vec![0u8; BLOCK_SIZE as usize];
-        targets[0].dma_read(0, &mut home);
-        assert_ne!(home, good, "nothing healthy to copy from");
-        // Once one source is healthy it heals from exactly that one.
-        targets[3].dma_write(24, &good);
-        assert!(heal_block(&targets, &r, 0, 0, 1..4, (0, 0)));
-        targets[0].dma_read(0, &mut home);
-        assert_eq!(home, good);
     }
 }

@@ -59,13 +59,6 @@ pub struct ReadRequest {
     /// delivery (an offloaded batch is assembled remotely, so there is
     /// nothing to zero-copy from the local sample cache).
     pub offload: bool,
-    /// Tenant this batch is accounted to at the QoS admission gate
-    /// (token bucket + WFQ slot). `None` charges the issuing handle's
-    /// tenant — the instance default (0) unless the handle came from
-    /// [`DlfsInstance::io_tenant`](crate::DlfsInstance::io_tenant). The
-    /// cache namespace always follows the *handle's* tenant: residency
-    /// is per-epoch state owned by the handle.
-    pub tenant: Option<crate::tenant::TenantId>,
 }
 
 impl ReadRequest {
@@ -77,7 +70,6 @@ impl ReadRequest {
             deadline: None,
             inject_compute: Dur::ZERO,
             offload: false,
-            tenant: None,
         }
     }
 
@@ -101,12 +93,6 @@ impl ReadRequest {
     /// Inject application compute into the polling loop.
     pub fn inject_compute(mut self, work: Dur) -> ReadRequest {
         self.inject_compute = work;
-        self
-    }
-
-    /// Account this batch to `tenant` (see [`ReadRequest::tenant`]).
-    pub fn tenant(mut self, tenant: crate::tenant::TenantId) -> ReadRequest {
-        self.tenant = Some(tenant);
         self
     }
 

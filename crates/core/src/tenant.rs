@@ -238,15 +238,6 @@ impl TenantQos {
         n as u64 * self.sample_bytes
     }
 
-    pub fn tenant_ids(&self) -> Vec<TenantId> {
-        self.specs.iter().map(|s| s.id).collect()
-    }
-
-    /// Is `tenant` declared in this instance's QoS config?
-    pub fn knows(&self, tenant: TenantId) -> bool {
-        self.specs.iter().any(|s| s.id == tenant)
-    }
-
     fn index_of(&self, tenant: TenantId) -> Result<usize, DlfsError> {
         self.specs
             .iter()

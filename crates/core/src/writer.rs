@@ -37,7 +37,7 @@ use simkit::time::{Dur, Time};
 use crate::config::DlfsConfig;
 use crate::counter_in;
 use crate::error::{DlfsError, IoFailure, LayoutError};
-use crate::layout::{CkptHeader, Superblock, CKPT_HEADER_BYTES};
+use crate::layout::{next_ckpt_record, CkptHeader, Superblock, CKPT_HEADER_BYTES};
 
 /// Why a command that came back `status` (not `Ok`) failed.
 pub(crate) fn io_failure(status: CmdStatus) -> IoFailure {
@@ -486,39 +486,19 @@ impl CheckpointReader {
         }
     }
 
-    /// Timed read of `len` stream bytes at device offset `at`.
-    fn read(&self, rt: &Runtime, at: u64, len: usize) -> Result<Vec<u8>, DlfsError> {
-        read_timed(rt, &self.target, self.sb.node_id, at, len, &self.cfg)
-    }
-
     /// The next record's payload, or `None` at the end of the stream (an
     /// invalid header, a generation from an earlier import, or a torn
-    /// tail all terminate it).
+    /// tail all terminate it — [`next_ckpt_record`] decides), read with
+    /// timed reads.
     pub fn next(&mut self, rt: &Runtime) -> Result<Option<Vec<u8>>, DlfsError> {
-        let end = self.sb.ckpt_base + self.sb.ckpt_capacity;
-        if self.pos + CKPT_HEADER_BYTES > end {
-            return Ok(None);
+        let (target, nid, cfg) = (&self.target, self.sb.node_id, &self.cfg);
+        let read = |at, len| read_timed(rt, target, nid, at, len, cfg);
+        let payload = next_ckpt_record(read, &self.sb, (&mut self.pos, &mut self.seq))?;
+        if let Some(p) = &payload {
+            self.tel.records_read.inc();
+            self.tel.bytes_read.add(p.len() as u64);
         }
-        let hdr = self.read(rt, self.pos, BLOCK_SIZE as usize)?;
-        let Some(h) = CkptHeader::decode(&hdr) else {
-            return Ok(None);
-        };
-        if h.generation != self.sb.generation || h.seq != self.seq + 1 {
-            return Ok(None);
-        }
-        let span = CkptHeader::record_bytes(h.payload_len);
-        if self.pos + span > end {
-            return Ok(None);
-        }
-        let payload = self.read(rt, self.pos + CKPT_HEADER_BYTES, h.payload_len as usize)?;
-        if fnv1a(&payload) != h.payload_checksum {
-            return Ok(None);
-        }
-        self.pos += span;
-        self.seq = h.seq;
-        self.tel.records_read.inc();
-        self.tel.bytes_read.add(payload.len() as u64);
-        Ok(Some(payload))
+        Ok(payload)
     }
 
     /// Read through the stream and return the final record (the natural

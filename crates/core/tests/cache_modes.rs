@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
 use dlfs::{
-    CacheMode, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, MountOptions,
-    ReadRequest, SyntheticSource,
+    CacheMode, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, ReadRequest,
+    SyntheticSource,
 };
 use simkit::prelude::*;
 use simkit::telemetry::Registry;
@@ -38,7 +38,6 @@ fn direct_deployment(
             targets,
             cluster: None,
         })
-        .options(MountOptions::default())
         .mount(rt, source)
         .unwrap()
 }

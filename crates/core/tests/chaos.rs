@@ -8,8 +8,8 @@ use std::sync::Arc;
 use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget};
 use dlfs::source::SampleSource;
 use dlfs::{
-    Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, IoFailure, MountOptions,
-    ReadRequest, SyntheticSource,
+    Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, IoFailure, ReadRequest,
+    SyntheticSource,
 };
 use fabric::{Cluster, FabricConfig, FabricFaultInjector, NvmeOfTarget, TargetConfig};
 use simkit::prelude::*;
@@ -70,7 +70,6 @@ fn disaggregated(
             targets,
             cluster: Some(cluster.clone()),
         })
-        .options(MountOptions::default())
         .mount(rt, source)
         .unwrap();
     (fs, cluster, devices)

@@ -10,7 +10,7 @@ use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget, BLOCK_SIZE};
 use dlfs::source::SampleSource;
 use dlfs::{
     CacheMode, CodecKind, Completions, CompressibleSource, Deployment, DlfsConfig, DlfsError,
-    DlfsInstance, MountOptions, ReadRequest, SyntheticSource,
+    DlfsInstance, ReadRequest, SyntheticSource,
 };
 use simkit::prelude::*;
 
@@ -90,7 +90,6 @@ fn lz_roundtrips_import_remount_and_all_read_paths() {
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(lz_cfg())
             .deployment(local_deployment(&devices))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &comp)
             .unwrap();
@@ -106,7 +105,6 @@ fn lz_roundtrips_import_remount_and_all_read_paths() {
             ..lz_cfg()
         })
         .deployment(local_deployment(&devices))
-        .options(MountOptions::default())
         .warm()
         .remount(rt)
         .unwrap();
@@ -142,7 +140,6 @@ fn remount_with_wrong_codec_is_typed_error() {
         let devices = vec![ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(lz_cfg())
             .deployment(local_deployment(&devices))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &comp)
             .unwrap();
@@ -152,7 +149,6 @@ fn remount_with_wrong_codec_is_typed_error() {
             ..lz_cfg()
         })
         .deployment(local_deployment(&devices))
-        .options(MountOptions::default())
         .warm()
         .remount(rt)
         .unwrap_err();
@@ -229,7 +225,6 @@ fn corrupt_encoded_frames_verify_before_decode_and_repair() {
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(cfg)
             .deployment(local_deployment(&devices))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &comp)
             .unwrap();
@@ -314,7 +309,6 @@ fn unrepairable_encoded_corruption_is_typed_corrupt() {
         let devices = vec![dev.clone()];
         let fs = dlfs::MountBuilder::new(cfg)
             .deployment(local_deployment(&devices))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &comp)
             .unwrap();

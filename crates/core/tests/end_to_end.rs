@@ -6,8 +6,7 @@ use std::sync::Arc;
 use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
 use dlfs::source::SampleSource;
 use dlfs::{
-    BatchMode, Completions, Deployment, DlfsConfig, DlfsError, MountOptions, ReadRequest,
-    SyntheticSource,
+    BatchMode, Completions, Deployment, DlfsConfig, DlfsError, ReadRequest, SyntheticSource,
 };
 use fabric::{Cluster, FabricConfig, NvmeOfTarget, TargetConfig};
 use simkit::prelude::*;
@@ -268,7 +267,6 @@ fn epoch_reads_sample_bytes_plus_block_alignment_only() {
                     targets: vec![devices],
                     cluster: None,
                 })
-                .options(MountOptions::default())
                 .mount(rt, &source)
                 .unwrap();
             let items = dlfs::build_epoch_plan(&fs.dir, cfg.chunk_size, 1, cfg.batch_mode, 8, 9, 0)
@@ -340,7 +338,6 @@ fn disaggregated_mount_and_bread_all_readers() {
         let fs = Arc::new(
             dlfs::MountBuilder::new(DlfsConfig::default())
                 .deployment(deployment)
-                .options(MountOptions::default())
                 .mount(rt, &source)
                 .unwrap(),
         );
@@ -390,7 +387,6 @@ fn same_seed_same_global_plan_across_readers() {
         let source = SyntheticSource::fixed(1, 900, 800);
         let fs = dlfs::MountBuilder::new(DlfsConfig::default())
             .deployment(deployment)
-            .options(MountOptions::default())
             .mount(rt, &source)
             .unwrap();
         let mut io0 = fs.io(0);

@@ -13,7 +13,7 @@ use common::check_golden;
 use dlfs::source::SampleSource;
 use dlfs::{
     fsck_node, fsck_repair, CodecKind, Completions, CompressibleSource, Deployment, DlfsConfig,
-    DlfsError, DlfsInstance, DlfsIo, MountOptions, ReadRequest, SyntheticSource,
+    DlfsError, DlfsInstance, DlfsIo, ReadRequest, SyntheticSource,
 };
 use fabric::{Cluster, FabricConfig, FabricFaultInjector, NvmeOfTarget, TargetConfig};
 use simkit::prelude::*;
@@ -85,7 +85,6 @@ fn disaggregated(
             targets,
             cluster: Some(cluster.clone()),
         })
-        .options(MountOptions::default())
         .mount(rt, source)
         .unwrap();
     (fs, cluster, devices)
@@ -100,17 +99,27 @@ fn drain_epoch_verified(
     source: &SyntheticSource,
     total: usize,
 ) -> u64 {
+    drain_epoch_with(rt, io, source, total, &ReadRequest::batch(32))
+}
+
+/// [`drain_epoch_verified`] over any source, batch by batch of `req`.
+fn drain_epoch_with(
+    rt: &Runtime,
+    io: &mut dlfs::DlfsIo,
+    source: &dyn SampleSource,
+    total: usize,
+    req: &ReadRequest,
+) -> u64 {
     let mut seen = vec![false; source.count()];
     let mut delivered = 0usize;
     let mut checksum = 0u64;
     loop {
-        match io
-            .submit(rt, &ReadRequest::batch(32))
-            .map(Completions::into_copied)
-        {
+        match io.submit(rt, req).map(Completions::into_copied) {
             Ok(batch) => {
                 for (id, data) in batch {
-                    assert_eq!(data, source.expected(id), "sample {id} corrupted");
+                    let mut want = vec![0u8; source.size(id) as usize];
+                    source.fill(id, &mut want);
+                    assert_eq!(data, want, "sample {id} corrupted");
                     assert!(!seen[id as usize], "sample {id} delivered twice");
                     seen[id as usize] = true;
                     delivered += 1;
@@ -306,7 +315,6 @@ fn scrub_pass_heals_latent_corruption_to_fsck_clean() {
         };
         let fs = dlfs::MountBuilder::new(cfg)
             .deployment(local_deployment(&devices))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &source)
             .unwrap();
@@ -489,23 +497,9 @@ fn heal_epoch(
     offload: bool,
 ) -> String {
     let total = io.sequence(rt, 23, epoch);
-    let (mut delivered, mut hash) = (0usize, 0u64);
-    loop {
-        let req = ReadRequest::batch(32);
-        let req = if offload { req.offload() } else { req };
-        match io.submit(rt, &req).map(Completions::into_copied) {
-            Ok(batch) => {
-                for (id, data) in batch {
-                    assert_eq!(data, source.expected(id), "sample {id} corrupted");
-                    delivered += 1;
-                    hash ^= fnv1a(&data).wrapping_mul(2 * id as u64 + 1);
-                }
-            }
-            Err(DlfsError::EpochExhausted) => break,
-            Err(e) => panic!("epoch {epoch} failed: {e}"),
-        }
-    }
-    assert_eq!(delivered, total, "epoch {epoch} must complete");
+    let req = ReadRequest::batch(32);
+    let req = if offload { req.offload() } else { req };
+    let hash = drain_epoch_with(rt, io, source, total, &req);
     format!(
         "epoch {epoch} t={} delivered={hash:016x}\n",
         rt.now().nanos()

@@ -12,7 +12,7 @@ use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
 use dlfs::source::SampleSource;
 use dlfs::{
     fsck_node, node_for_name, Completions, Deployment, DlfsConfig, DlfsError, DlfsIo, FsckState,
-    MountOptions, ReadRequest, SyntheticSource,
+    ReadRequest, SyntheticSource,
 };
 use fabric::NodeState;
 use simkit::prelude::*;
@@ -170,7 +170,6 @@ fn membership_run(seed: u64) -> (u64, u64, String) {
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(membership_cfg(2))
             .deployment(local_deployment(&devices))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &source)
             .unwrap();
@@ -282,7 +281,6 @@ fn rolling_failures_rebuild_and_rejoin_in_sequence() {
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(membership_cfg(2))
             .deployment(local_deployment(&devices))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &source)
             .unwrap();
@@ -323,7 +321,6 @@ fn mid_rebuild_source_death_falls_back_to_surviving_replica() {
         let devices: Vec<_> = (0..4).map(|_| ramdisk(64 << 20)).collect();
         let fs = dlfs::MountBuilder::new(membership_cfg(3))
             .deployment(local_deployment(&devices))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &source)
             .unwrap();
@@ -476,11 +473,112 @@ fn hedge_against_dying_target_cancels_without_counting_failover() {
             0,
             "a dying hedge twin must not count as a failover"
         );
-        // Hedge twins already submitted when the kill lands complete with
-        // an OK status (drawn at submit) but zeroed DMA bytes; verification
-        // flags them as mismatches and the primary still serves the read.
-        // Retries/timeouts stay clean — only the doomed twins are charged.
+        // Hedge twins in flight when the kill lands complete as media
+        // errors (no data can land from a dead device) and the primary
+        // still serves the read. Retries/timeouts stay clean — only the
+        // doomed twins are charged.
         assert_eq!(m.counter("dlfs.io.retries"), 0);
         assert_eq!(m.counter("dlfs.io.timeouts"), 0);
     });
+}
+
+/// Replicated, membership-enabled, and *not* verified: no checksum table
+/// stands behind any of the healing below.
+fn unverified_cfg() -> DlfsConfig {
+    DlfsConfig {
+        verify_reads: false,
+        ..membership_cfg(2)
+    }
+}
+
+/// Regression (blocksim): a read in flight when its device dies completes
+/// as a media error and fails over; it used to complete `Ok` over zeroed
+/// bytes, which only a checksum table could catch — without one a few
+/// samples of the kill epoch were delivered wrong.
+#[test]
+fn reads_in_flight_across_a_kill_fail_over_without_checksums() {
+    Runtime::simulate(test_seed(97), |rt| {
+        let source = SyntheticSource::fixed(27, 600, 2048);
+        let devices: Vec<_> = (0..3).map(|_| ramdisk(64 << 20)).collect();
+        let fs = dlfs::MountBuilder::new(unverified_cfg())
+            .deployment(local_deployment(&devices))
+            .mount(rt, &source)
+            .unwrap();
+        let mut io = fs.io(0);
+        let total = io.sequence(rt, 81, 0);
+        drain_epoch(rt, &mut io, &source, total, total / 3, || {
+            devices[1].kill();
+        });
+        assert!(io.metrics().counter("dlfs.integrity.failovers") > 0);
+    });
+}
+
+/// Regression: rebuild without `verify_reads`. Extents are sized from the
+/// geometry, not from the checksum table's length, and a copy is judged
+/// against the table only when there is one — an ephemeral instance used
+/// to plan 0 blocks, report completion and serve the wiped node's zeros;
+/// a persistent one used to panic indexing the empty table. The third cell
+/// imports *with* a table and remounts without: the rebuild then has no
+/// table in memory to restore, and rehashes the rebuilt data instead.
+#[test]
+fn rebuild_without_checksums_is_sized_from_geometry() {
+    for (persist, import_verified) in [(false, false), (true, false), (true, true)] {
+        Runtime::simulate(test_seed(98), |rt| {
+            let case = format!("persist={persist} import_verified={import_verified}");
+            let source = SyntheticSource::fixed(28, 600, 2048);
+            let devices: Vec<_> = (0..3).map(|_| ramdisk(64 << 20)).collect();
+            let builder = |cfg| dlfs::MountBuilder::new(cfg).deployment(local_deployment(&devices));
+            let fs = match (persist, import_verified) {
+                (false, _) => builder(unverified_cfg()).mount(rt, &source),
+                (true, false) => builder(unverified_cfg()).persistent().mount(rt, &source),
+                (true, true) => {
+                    let imported = builder(membership_cfg(2)).persistent().mount(rt, &source);
+                    drop(imported.unwrap());
+                    builder(unverified_cfg()).warm().remount(rt)
+                }
+            }
+            .unwrap();
+            let red = fs.redundancy().unwrap().clone();
+            assert!(!red.verify(), "{case}");
+            // Node 1 hosts its own data and the replica of node 0's.
+            let blocks_of = |n: u16| {
+                let dir = &fs.shared(0).dir;
+                let ends = dir.samples_on(n).iter().map(|&id| dir.entry(id));
+                let end = ends.map(|e| e.offset() + e.len()).max().unwrap();
+                (end - fs.layout(n).map_or(0, |sb| sb.data_base)).div_ceil(512)
+            };
+            let hosted = blocks_of(1) + blocks_of(0);
+
+            devices[1].kill();
+            let mut io = fs.io(0);
+            let total = io.sequence(rt, 83, 0);
+            drain_epoch(rt, &mut io, &source, total, usize::MAX, || {});
+            assert!(red.is_dead(1), "{case}: no escalation");
+            replace_with_fresh(&devices[1], 64 << 20);
+            assert_eq!(io.begin_rebuild(1).unwrap(), hosted, "{case}");
+            assert_eq!(io.drive_rebuild(), hosted, "{case}");
+            let m = io.metrics();
+            assert_eq!(m.counter("dlfs.rebuild.blocks_rebuilt"), hosted, "{case}");
+            assert_eq!(m.counter("dlfs.rebuild.blocks_failed"), 0, "{case}");
+            assert!(!red.is_dead(1), "{case}: rebuilt node must rejoin");
+            if persist {
+                assert_fsck_clean(&fs.shared(0).targets);
+            }
+            // The rebuilt node serves its own samples again, byte-correct.
+            let total = io.sequence(rt, 83, 1);
+            drain_epoch(rt, &mut io, &source, total, usize::MAX, || {});
+            if import_verified {
+                // The rehashed table is the import's: a verifying remount
+                // checks every block of every node against it.
+                drop((io, fs));
+                let fs = builder(membership_cfg(2)).warm().remount(rt).unwrap();
+                let mut io = fs.io(0);
+                let total = io.sequence(rt, 83, 2);
+                drain_epoch(rt, &mut io, &source, total, usize::MAX, || {});
+                let m = io.metrics();
+                assert!(m.counter("dlfs.integrity.verified") > 0, "{case}");
+                assert_eq!(m.counter("dlfs.integrity.mismatches"), 0, "{case}");
+            }
+        });
+    }
 }

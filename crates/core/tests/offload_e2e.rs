@@ -13,7 +13,7 @@ use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget, BLOCK_SIZE};
 use dlfs::source::SampleSource;
 use dlfs::{
     CodecKind, Completions, CompressibleSource, Deployment, DlfsConfig, DlfsError, DlfsInstance,
-    MountOptions, ReadRequest,
+    IoFailure, ReadRequest,
 };
 use fabric::{Cluster, FabricConfig, FabricFaultInjector, NvmeOfTarget, TargetConfig};
 use simkit::prelude::*;
@@ -74,7 +74,6 @@ fn disaggregated(
             targets,
             cluster: Some(cluster.clone()),
         })
-        .options(MountOptions::default())
         .mount(rt, source)
         .unwrap();
     (fs, cluster, devices)
@@ -185,7 +184,6 @@ fn offload_verifies_encoded_frames_and_repairs() {
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(cfg)
             .deployment(local_deployment(&devices))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &comp)
             .unwrap();
@@ -226,7 +224,6 @@ fn offload_unrepairable_corruption_is_typed_corrupt() {
         let devices = vec![dev.clone()];
         let fs = dlfs::MountBuilder::new(cfg)
             .deployment(local_deployment(&devices))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &comp)
             .unwrap();
@@ -234,13 +231,7 @@ fn offload_unrepairable_corruption_is_typed_corrupt() {
         dev.set_faults(FaultInjector::new(29).with_bit_flips(sb0.data_base / BLOCK_SIZE, 32));
         let mut io = fs.io(0);
         io.sequence(rt, 8, 0);
-        let err = loop {
-            match io.submit(rt, &ReadRequest::batch(16).offload()) {
-                Ok(_) => continue,
-                Err(e) => break e,
-            }
-        };
-        match err {
+        match until_error(rt, &mut io, true) {
             DlfsError::Corrupt { tried, .. } => assert!(tried > 0),
             other => panic!("expected Corrupt, got {other:?}"),
         }
@@ -339,4 +330,93 @@ fn mixing_offload_and_client_batches_in_one_epoch_is_a_typed_error() {
             }
         }
     });
+}
+
+/// Submit batches of 32 until one fails; the error.
+fn until_error(rt: &Runtime, io: &mut dlfs::DlfsIo, offload: bool) -> DlfsError {
+    loop {
+        let req = ReadRequest::batch(32);
+        if let Err(e) = io.submit(rt, &if offload { req.offload() } else { req }) {
+            break e;
+        }
+    }
+}
+
+/// Regression: an offloaded read keeps the client path's failure
+/// semantics when the home copy cannot be read, checksums or not
+/// (`verify_reads` is off throughout). Storage node 1 is dead, or the head
+/// of its data sits under a sticky bad extent — which an untimed device
+/// read sails straight through. With a replica every sample still arrives
+/// byte-correct (it used to be zeros for a dead home, and the mark used to
+/// survive the epoch) and the sticky home extent is rewritten on the way;
+/// with a lone copy the epoch ends in the typed `Io` error the client path
+/// gives (it used to be `Ok` over zeros), sticky until the next
+/// `sequence`.
+#[test]
+fn offload_over_an_unreadable_home_fails_over_or_fails_typed() {
+    for sticky in [false, true] {
+        for replicas in [2usize, 1] {
+            Runtime::simulate(test_seed(102), |rt| {
+                let case = format!("sticky={sticky} replicas={replicas}");
+                let comp = CompressibleSource::fixed(37, 300, 2048, 40);
+                let devices: Vec<_> = (0..3).map(|_| ramdisk(64 << 20)).collect();
+                let cfg = DlfsConfig {
+                    replicas,
+                    ..offload_cfg(CodecKind::Identity)
+                };
+                let fs = dlfs::MountBuilder::new(cfg)
+                    .deployment(local_deployment(&devices))
+                    .mount(rt, &comp)
+                    .unwrap();
+                // An ephemeral mount: node 1's own data starts at block 0.
+                if sticky {
+                    devices[1].set_faults(FaultInjector::new(43).with_bad_extent(0, 64));
+                } else {
+                    devices[1].kill();
+                }
+                let offloaded = || ReadRequest::batch(32).offload();
+                let check = |got: &HashMap<u32, Vec<u8>>| {
+                    assert_eq!(got.len(), comp.count(), "{case}");
+                    for id in 0..comp.count() as u32 {
+                        assert_eq!(got[&id], comp.expected(id), "{case}: sample {id}");
+                    }
+                };
+                let mut io = fs.io(0);
+                io.sequence(rt, 11, 0);
+                if replicas == 2 {
+                    check(&drain_to_map(rt, &mut io, &offloaded));
+                    let m = io.metrics();
+                    assert!(m.counter("dlfs.integrity.failovers") > 0, "{case}");
+                    assert_eq!(m.counter("dlfs.integrity.mismatches"), 0, "{case}");
+                    if sticky {
+                        assert!(m.counter("dlfs.integrity.repairs") >= 1, "{case}");
+                        assert!(!devices[1].probe_extent(0, 64), "{case}: mark survived");
+                    }
+                    return;
+                }
+                // A lone copy: the client path's error (which retried its
+                // whole budget; an offload exchange tries each copy once)...
+                let failure = |e: DlfsError| match e {
+                    DlfsError::Io { target, cause, .. } => (target, cause),
+                    other => panic!("{case}: want a typed Io error, got {other:?}"),
+                };
+                let mut client = fs.io(0);
+                client.sequence(rt, 11, 0);
+                let want = failure(until_error(rt, &mut client, false));
+                assert_eq!(want, (1, IoFailure::Media), "{case}");
+                // ...is the offload path's, and it outlives the fault: the
+                // plan lost samples it has already claimed.
+                assert_eq!(failure(until_error(rt, &mut io, true)), want, "{case}");
+                if sticky {
+                    devices[1].set_faults(FaultInjector::new(43));
+                } else {
+                    devices[1].revive();
+                }
+                let again = io.submit(rt, &offloaded()).unwrap_err();
+                assert_eq!(failure(again), want, "{case}: not sticky");
+                io.sequence(rt, 11, 1);
+                check(&drain_to_map(rt, &mut io, &offloaded));
+            });
+        }
+    }
 }

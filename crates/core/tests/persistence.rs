@@ -14,7 +14,7 @@ use common::check_golden;
 use dlfs::source::SampleSource;
 use dlfs::{
     fsck_node, CodecKind, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, FsckState,
-    LayoutError, MountBuilder, MountOptions, ReadRequest, SyntheticSource,
+    LayoutError, MountBuilder, ReadRequest, SyntheticSource,
 };
 use fabric::{Cluster, FabricConfig, FabricFaultInjector, NvmeOfTarget, TargetConfig};
 use simkit::prelude::*;
@@ -142,7 +142,6 @@ fn roundtrip_import_remount_arbitrary_distributions() {
 
             let fs = dlfs::MountBuilder::new(DlfsConfig::default())
                 .deployment(local_deployment(&devices))
-                .options(MountOptions::default())
                 .persistent()
                 .mount(rt, &source)
                 .unwrap();
@@ -154,7 +153,6 @@ fn roundtrip_import_remount_arbitrary_distributions() {
             let before: Vec<_> = devices.iter().map(|d| d.stats()).collect();
             let warm = dlfs::MountBuilder::new(DlfsConfig::default())
                 .deployment(local_deployment(&devices))
-                .options(MountOptions::default())
                 .warm()
                 .remount(rt)
                 .unwrap();
@@ -194,7 +192,6 @@ fn import_onto_dead_device_fails_typed_not_panicking() {
         devices[1].kill();
         let err = dlfs::MountBuilder::new(DlfsConfig::default())
             .deployment(local_deployment(&devices))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &source)
             .unwrap_err();
@@ -215,15 +212,12 @@ fn warm_remount_skips_pfs_and_beats_cold_import() {
         let nodes = 4;
         let devices: Vec<Arc<NvmeDevice>> = (0..nodes).map(|_| ramdisk(64 << 20)).collect();
         let source = SyntheticSource::fixed(5, 3000, 4096);
-        let pfs = || Some(Link::new(1.0e9, Dur::micros(40)));
+        let pfs = || Link::new(1.0e9, Dur::micros(40));
 
         let t0 = rt.now();
         let fs = dlfs::MountBuilder::new(DlfsConfig::default())
             .deployment(local_deployment(&devices))
-            .options(MountOptions {
-                pfs: pfs(),
-                ..MountOptions::default()
-            })
+            .pfs(pfs())
             .persistent()
             .mount(rt, &source)
             .unwrap();
@@ -235,11 +229,8 @@ fn warm_remount_skips_pfs_and_beats_cold_import() {
         let t1 = rt.now();
         let warm_fs = dlfs::MountBuilder::new(DlfsConfig::default())
             .deployment(local_deployment(&devices))
-            .options(MountOptions {
-                pfs: pfs(), // configured but must go unused
-                telemetry: Some(reg.clone()),
-                ..MountOptions::default()
-            })
+            .pfs(pfs()) // configured but must go unused
+            .with_registry(reg.clone())
             .warm()
             .remount(rt)
             .unwrap();
@@ -424,6 +415,65 @@ fn checkpoint_region_exhaustion_is_typed() {
     });
 }
 
+/// fsck counts N checkpoint records ⇔ a replay yields N records: both walk
+/// the stream through the one stepping function, over a full region, a
+/// torn tail and a record left behind by an earlier generation.
+#[test]
+fn fsck_counts_the_records_a_replay_yields() {
+    Runtime::simulate(57, |rt| {
+        let dev = ramdisk(8 << 20);
+        let source = SyntheticSource::fixed(13, 50, 1024);
+        let cfg = DlfsConfig {
+            ckpt_region_bytes: 4096,
+            ..DlfsConfig::default()
+        };
+        let import = || {
+            dlfs::MountBuilder::new(cfg.clone())
+                .local(dev.clone())
+                .persistent()
+                .mount(rt, &source)
+                .unwrap()
+        };
+        let agree = |fs: &DlfsInstance, want: u64, what: &str| {
+            let (mut records, mut bytes) = (0u64, 0u64);
+            let mut replay = fs.checkpoint_reader(0, 0, None).unwrap();
+            while let Some(p) = replay.next(rt).unwrap() {
+                records += 1;
+                bytes += p.len() as u64;
+            }
+            let rep = fsck_node(&fs.shared(0).targets[0], 0, false);
+            assert_eq!(
+                (rep.checkpoints, rep.checkpoint_bytes),
+                (records, bytes),
+                "{what}"
+            );
+            assert_eq!(records, want, "{what}");
+        };
+        // Full: 4096 B hold exactly four records of one header block and
+        // one payload block.
+        let fs = import();
+        let mut w = fs.checkpoint_writer(rt, 0, 0, None).unwrap();
+        for i in 0..4u8 {
+            w.append(rt, &[i; 512]).unwrap();
+        }
+        assert_eq!(w.remaining(), 0);
+        agree(&fs, 4, "full region");
+        // Torn: the last record's payload no longer matches its header.
+        let last_payload = fs.layout(0).unwrap().ckpt_base + 3 * 1024 + 512;
+        dev.storage().write_at(last_payload, &[0xff]);
+        agree(&fs, 3, "torn tail");
+        // Stale: a re-import invalidates the head of the old stream only,
+        // so behind the new generation's first record sits the previous
+        // generation's second, intact.
+        drop((w, fs));
+        let fs = import();
+        agree(&fs, 0, "fresh generation");
+        let mut w = fs.checkpoint_writer(rt, 0, 0, None).unwrap();
+        w.append(rt, &[7; 512]).unwrap();
+        agree(&fs, 1, "stale-generation record behind the new head");
+    });
+}
+
 /// Every bad shape surfaces as a typed error: undersized devices,
 /// malformed deployments, unformatted or mismatched devices, and
 /// checkpoint access on ephemeral mounts.
@@ -461,7 +511,6 @@ fn typed_errors_for_bad_shapes() {
         assert!(matches!(
             dlfs::MountBuilder::new(DlfsConfig::default())
                 .deployment(empty)
-                .options(MountOptions::default())
                 .warm()
                 .remount(rt),
             Err(DlfsError::Deployment(_))
@@ -479,7 +528,6 @@ fn typed_errors_for_bad_shapes() {
         assert!(matches!(
             dlfs::MountBuilder::new(DlfsConfig::default())
                 .deployment(ragged)
-                .options(MountOptions::default())
                 .warm()
                 .remount(rt),
             Err(DlfsError::Deployment(_))
@@ -506,7 +554,6 @@ fn typed_errors_for_bad_shapes() {
         let small = SyntheticSource::fixed(14, 100, 512);
         dlfs::MountBuilder::new(DlfsConfig::default())
             .deployment(local_deployment(&pair))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &small)
             .unwrap();
@@ -613,7 +660,6 @@ fn remote_import_and_remount_over_fabric() {
         let source = SyntheticSource::fixed(21, 1500, 4096);
         let fs = dlfs::MountBuilder::new(DlfsConfig::default())
             .deployment(mesh())
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &source)
             .unwrap();
@@ -624,7 +670,6 @@ fn remote_import_and_remount_over_fabric() {
         let before: Vec<_> = devices.iter().map(|d| d.stats()).collect();
         let warm = dlfs::MountBuilder::new(DlfsConfig::default())
             .deployment(mesh())
-            .options(MountOptions::default())
             .warm()
             .remount(rt)
             .unwrap();
@@ -649,7 +694,6 @@ fn same_seed_persistent_runs_byte_identical() {
             let source = SyntheticSource::fixed(8, 900, 3000);
             let fs = dlfs::MountBuilder::new(DlfsConfig::default())
                 .deployment(local_deployment(&devices))
-                .options(MountOptions::default())
                 .persistent()
                 .mount(rt, &source)
                 .unwrap();
@@ -658,7 +702,6 @@ fn same_seed_persistent_runs_byte_identical() {
             drop(fs);
             let warm = dlfs::MountBuilder::new(DlfsConfig::default())
                 .deployment(local_deployment(&devices))
-                .options(MountOptions::default())
                 .warm()
                 .remount(rt)
                 .unwrap();
@@ -689,7 +732,6 @@ fn replicated_import_remounts_and_heals_corruption() {
         };
         let fs = dlfs::MountBuilder::new(cfg())
             .deployment(local_deployment(&devices))
-            .options(MountOptions::default())
             .persistent()
             .mount(rt, &source)
             .unwrap();
@@ -697,7 +739,6 @@ fn replicated_import_remounts_and_heals_corruption() {
 
         let warm = dlfs::MountBuilder::new(cfg())
             .deployment(local_deployment(&devices))
-            .options(MountOptions::default())
             .warm()
             .remount(rt)
             .unwrap();
@@ -739,7 +780,6 @@ fn remount_integrity_config_mismatches_are_typed() {
             ..DlfsConfig::default()
         })
         .deployment(local_deployment(&devices))
-        .options(MountOptions::default())
         .persistent()
         .mount(rt, &source)
         .unwrap();
@@ -750,7 +790,6 @@ fn remount_integrity_config_mismatches_are_typed() {
             ..DlfsConfig::default()
         })
         .deployment(local_deployment(&devices))
-        .options(MountOptions::default())
         .warm()
         .remount(rt)
         .unwrap_err();
@@ -765,7 +804,6 @@ fn remount_integrity_config_mismatches_are_typed() {
             ..DlfsConfig::default()
         })
         .deployment(local_deployment(&devices))
-        .options(MountOptions::default())
         .warm()
         .remount(rt)
         .unwrap_err();
@@ -779,7 +817,6 @@ fn remount_integrity_config_mismatches_are_typed() {
             ..DlfsConfig::default()
         })
         .deployment(local_deployment(&devices))
-        .options(MountOptions::default())
         .warm()
         .remount(rt)
         .unwrap();

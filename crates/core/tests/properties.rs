@@ -253,7 +253,7 @@ fn cache_interleavings_never_panic_leak_or_tear() {
 #[test]
 fn randomized_corruption_repair_across_delivery_modes() {
     use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget};
-    use dlfs::{Deployment, DlfsConfig, DlfsError, MountOptions, ReadRequest, SyntheticSource};
+    use dlfs::{Deployment, DlfsConfig, DlfsError, ReadRequest, SyntheticSource};
     use simkit::prelude::*;
     use std::sync::Arc;
 
@@ -295,7 +295,6 @@ fn randomized_corruption_repair_across_delivery_modes() {
                         .collect()],
                     cluster: None,
                 })
-                .options(MountOptions::default())
                 .mount(rt, &source)
                 .unwrap();
             devices[0].set_faults(

@@ -48,7 +48,7 @@ impl Pfs {
         Pfs::new(20e9, Dur::micros(500))
     }
 
-    /// The bandwidth link (to hand to `dlfs::MountOptions.pfs`).
+    /// The bandwidth link (to hand to `dlfs::MountBuilder::pfs`).
     pub fn link(&self) -> Link {
         self.link.clone()
     }

@@ -221,6 +221,10 @@ impl NvmeTarget for RemoteTarget {
         self.target.device.probe_extent(slba, nblocks)
     }
 
+    fn unreadable(&self, slba: u64, nblocks: u32) -> bool {
+        self.target.device.unreadable(slba, nblocks)
+    }
+
     fn reserve_offload(
         &self,
         now: Time,

@@ -62,7 +62,6 @@ fn main() {
                     targets,
                     cluster: Some(cluster),
                 })
-                .options(dlfs::MountOptions::default())
                 .mount(rt, &source)
                 .unwrap(),
         );
