@@ -3,14 +3,20 @@
 //! prefetcher, and the two bugfix regressions (zombie republish, sync-path
 //! transient cache exhaustion).
 
+mod common;
+
+use std::fmt::Write;
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
+use dlfs::source::SampleSource;
+use dlfs::tenant::QosConfig;
 use dlfs::{
-    CacheMode, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, ReadRequest,
-    SyntheticSource,
+    CacheMode, CodecKind, Completions, CompressibleSource, Deployment, DlfsConfig, DlfsError,
+    DlfsInstance, DlfsIo, ReadRequest, SyntheticSource, ZeroCopySample,
 };
 use simkit::prelude::*;
+use simkit::rng::fnv1a;
 use simkit::telemetry::Registry;
 
 /// Two storage nodes reached directly (no fabric) by `readers` readers.
@@ -19,7 +25,7 @@ use simkit::telemetry::Registry;
 fn direct_deployment(
     rt: &Runtime,
     readers: usize,
-    source: &SyntheticSource,
+    source: &dyn SampleSource,
     cfg: DlfsConfig,
 ) -> DlfsInstance {
     let devices: Vec<Arc<NvmeDevice>> = (0..2)
@@ -492,4 +498,321 @@ fn dropped_handle_returns_its_window_to_the_pool() {
             assert_eq!(drain_epoch_verified(rt, &mut io, &source), 4000);
         });
     }
+}
+
+// ------------------------------------------------ residency golden, part B --
+//
+// Part B of `golden/residency_trace.txt` (part A, the bare cache under a
+// seeded op stream, is in `properties.rs`): the engine, the synchronous
+// reads and the prefetcher over the sample cache in both cache modes, both
+// codecs and all deliveries, one line per step with the virtual time, the
+// delivered bytes, the pool occupancy and every cache counter. It pins when
+// chunks return to the pool and which ranges an eviction takes; never
+// regenerate it to make a change to `cache.rs` / `io.rs` pass.
+
+const CHUNK: u64 = 8 * 1024;
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Deliver {
+    Copied,
+    ZeroCopy,
+    Alternating,
+}
+
+/// One golden cell: a mount, the one registry its handles record into, and
+/// the report so far.
+struct Cell<'a> {
+    rt: &'a Runtime,
+    fs: DlfsInstance,
+    source: CompressibleSource,
+    reg: Registry,
+    deliver: Deliver,
+    batches: usize,
+    out: String,
+}
+
+impl<'a> Cell<'a> {
+    /// 192 compressible 1000-byte samples (chunk-crossing edge samples
+    /// included) on two direct devices behind `readers` readers, 8 KiB
+    /// chunks, a `pool`-chunk cache; `CrossEpoch` cells prefetch.
+    fn mount(
+        rt: &'a Runtime,
+        (mode, codec, deliver): (CacheMode, CodecKind, Deliver),
+        readers: usize,
+        pool: usize,
+        qos: Option<QosConfig>,
+    ) -> Cell<'a> {
+        let source = CompressibleSource::fixed(17, 192, 1000, 48);
+        let cfg = DlfsConfig {
+            chunk_size: CHUNK,
+            pool_chunks: pool,
+            window_chunks: 4,
+            cache_mode: mode,
+            prefetch_window: if mode == CacheMode::CrossEpoch { 8 } else { 0 },
+            codec,
+            qos,
+            ..DlfsConfig::default()
+        };
+        Cell {
+            rt,
+            fs: direct_deployment(rt, readers, &source, cfg),
+            source,
+            reg: Registry::new(),
+            deliver,
+            batches: 0,
+            out: String::new(),
+        }
+    }
+
+    fn io(&self) -> DlfsIo {
+        self.fs.io_with_registry(0, &self.reg)
+    }
+
+    /// One report line: the step, the virtual time, what it delivered, the
+    /// pool and the residency map, then `dlfs.io.cache.{hits,misses,pins}`
+    /// and `dlfs.cache.{hits,misses,evictions,prefetch_issued,
+    /// prefetch_hits,resident_chunks}` (all zero when unregistered).
+    fn line(&mut self, what: &str, hash: u64) {
+        let (m, cache) = (self.reg.snapshot(), &self.fs.shared(0).cache);
+        let c = |name: &str| m.counter(name);
+        writeln!(
+            self.out,
+            "{what} t={} hash={hash:016x} free={} res={} io={}/{}/{} ce={}/{} ev={} pf={}/{} chunks={}",
+            self.rt.now().nanos(),
+            cache.free_chunks(),
+            cache.resident_count(),
+            c("dlfs.io.cache.hits"),
+            c("dlfs.io.cache.misses"),
+            c("dlfs.io.cache.pins"),
+            c("dlfs.cache.hits"),
+            c("dlfs.cache.misses"),
+            c("dlfs.cache.evictions"),
+            c("dlfs.cache.prefetch_issued"),
+            c("dlfs.cache.prefetch_hits"),
+            m.gauge("dlfs.cache.resident_chunks"),
+        )
+        .unwrap();
+    }
+
+    /// Fold one verified payload into a delivery-order-sensitive hash.
+    fn fold(&self, hash: u64, id: u32, data: &[u8]) -> u64 {
+        assert_eq!(data, self.source.expected(id), "sample {id} corrupted");
+        (hash ^ id as u64)
+            .wrapping_mul(0x100000001b3)
+            .wrapping_add(fnv1a(data))
+    }
+
+    /// One batch of up to `n` samples in the cell's delivery — zero-copy
+    /// when the samples are to be kept in `hold` — and its report line.
+    /// False once the epoch is exhausted.
+    fn batch(&mut self, io: &mut DlfsIo, n: usize, hold: Option<&mut Vec<ZeroCopySample>>) -> bool {
+        let zero_copy = hold.is_some()
+            || match self.deliver {
+                Deliver::Copied => false,
+                Deliver::ZeroCopy => true,
+                Deliver::Alternating => self.batches % 2 == 1,
+            };
+        self.batches += 1;
+        let req = ReadRequest::batch(n);
+        let req = if zero_copy { req.zero_copy() } else { req };
+        let mut hash = 0u64;
+        let what = match io.submit(self.rt, &req) {
+            Ok(got) if zero_copy => {
+                let got = got.into_zero_copy();
+                for s in &got {
+                    hash = self.fold(hash, s.id, &s.to_vec());
+                }
+                let what = format!("zc-batch n={}", got.len());
+                if let Some(hold) = hold {
+                    hold.extend(got);
+                }
+                what
+            }
+            Ok(got) => {
+                let got = got.into_copied();
+                for (id, data) in &got {
+                    hash = self.fold(hash, *id, data);
+                }
+                format!("batch n={}", got.len())
+            }
+            Err(DlfsError::EpochExhausted) => return false,
+            Err(DlfsError::CacheExhausted) => "batch cache-exhausted".to_string(),
+            Err(e) => panic!("batch failed: {e}"),
+        };
+        self.line(&what, hash);
+        true
+    }
+
+    fn drain(&mut self, io: &mut DlfsIo) {
+        while self.batch(io, 64, None) {}
+    }
+
+    fn sequence(&mut self, io: &mut DlfsIo, epoch: u64) {
+        let total = io.sequence(self.rt, 42, epoch);
+        self.line(&format!("sequence {epoch} total={total}"), 0);
+    }
+
+    /// `read_by_id` then `read_zero_copy` of sample `id`.
+    fn sync_reads(&mut self, io: &mut DlfsIo, kind: &str, id: u32) {
+        let data = io.read_by_id(self.rt, id).unwrap();
+        let hash = self.fold(0, id, &data);
+        self.line(&format!("read_by_id {kind} {id}"), hash);
+        let sample = io.read_zero_copy(self.rt, id).unwrap();
+        let hash = self.fold(0, id, &sample.to_vec());
+        self.line(&format!("read_zero_copy {kind} {id} held"), hash);
+        drop(sample);
+        self.line(&format!("read_zero_copy {kind} {id} dropped"), hash);
+    }
+
+    /// The first sample the predicate holds for (by id).
+    fn find(&self, what: impl Fn(u32, dlfs::SampleEntry) -> bool) -> Option<u32> {
+        (0..self.fs.dir.len() as u32).find(|&id| what(id, self.fs.dir.entry(id)))
+    }
+}
+
+fn crosses_a_chunk(e: dlfs::SampleEntry) -> bool {
+    e.offset() / CHUNK != (e.offset() + e.len() - 1) / CHUNK
+}
+
+type Grid = (CacheMode, CodecKind, Deliver);
+type Scenario = fn(&Runtime, Grid) -> String;
+
+/// Three batched epochs on reader 0 of two (every epoch deals it another
+/// half, so the prefetcher has cold ranges to warm), on a pool smaller
+/// than the dataset.
+fn three_epochs(rt: &Runtime, grid: Grid) -> String {
+    let mut c = Cell::mount(rt, grid, 2, 32, None);
+    let mut io = c.io();
+    for epoch in 0..3 {
+        c.sequence(&mut io, epoch);
+        c.drain(&mut io);
+    }
+    c.out
+}
+
+/// Batches interleaved with both synchronous reads of a resident, a cold
+/// and an edge sample.
+fn batches_and_sync_reads(rt: &Runtime, grid: Grid) -> String {
+    let mut c = Cell::mount(rt, grid, 1, 32, None);
+    let mut io = c.io();
+    c.sequence(&mut io, 0);
+    for _round in 0..2 {
+        c.batch(&mut io, 24, None);
+        let dir = c.fs.dir.clone();
+        let resident = c.find(|id, _| dir.is_valid(id));
+        let cold = c.find(|id, e| !dir.is_valid(id) && !crosses_a_chunk(e));
+        let edge = c.find(|id, e| !dir.is_valid(id) && crosses_a_chunk(e));
+        for (kind, id) in [("resident", resident), ("cold", cold), ("edge", edge)] {
+            // (Coded frames never split a sample: no edge samples there.)
+            if let Some(id) = id {
+                c.sync_reads(&mut io, kind, id);
+            }
+        }
+    }
+    c.drain(&mut io);
+    c.out
+}
+
+/// One zero-copy sample held across `sequence` while the next epoch
+/// fetches its key again.
+fn held_across_sequence(rt: &Runtime, grid: Grid) -> String {
+    let mut c = Cell::mount(rt, grid, 1, 32, None);
+    let mut io = c.io();
+    c.sequence(&mut io, 0);
+    let mut held = Vec::new();
+    c.batch(&mut io, 1, Some(&mut held));
+    let want = c.fold(0, held[0].id, &c.source.expected(held[0].id));
+    c.drain(&mut io);
+    c.sequence(&mut io, 1);
+    c.drain(&mut io);
+    let hash = c.fold(0, held[0].id, &held[0].to_vec());
+    assert_eq!(hash, want, "the held sample was torn");
+    c.line("held intact", hash);
+    drop(held);
+    c.line("held dropped", 0);
+    c.out
+}
+
+/// Zero-copy batches held on a pool smaller than the epoch until the pump
+/// starves, then let go.
+fn held_batches_starve_the_pump(rt: &Runtime, grid: Grid) -> String {
+    let mut c = Cell::mount(rt, grid, 1, 8, None);
+    let mut io = c.io();
+    c.sequence(&mut io, 0);
+    let mut held = Vec::new();
+    for _ in 0..4 {
+        c.batch(&mut io, 24, Some(&mut held));
+    }
+    c.line(&format!("holding {}", held.len()), 0);
+    drop(held);
+    c.line("let go", 0);
+    c.drain(&mut io);
+    c.sequence(&mut io, 1);
+    c.drain(&mut io);
+    c.out
+}
+
+/// A handle dropped mid-epoch, a zero-copy sample of its outliving it; a
+/// second handle then runs two epochs on the same cache.
+fn handle_dropped_mid_epoch(rt: &Runtime, grid: Grid) -> String {
+    let mut c = Cell::mount(rt, grid, 1, 32, None);
+    let mut io = c.io();
+    c.sequence(&mut io, 0);
+    let mut held = Vec::new();
+    c.batch(&mut io, 1, Some(&mut held));
+    c.batch(&mut io, 40, None);
+    drop(io);
+    c.line("handle dropped", 0);
+    drop(held);
+    c.line("sample dropped", 0);
+    let mut io = c.io();
+    for epoch in 1..3 {
+        c.sequence(&mut io, epoch);
+        c.drain(&mut io);
+    }
+    c.out
+}
+
+/// Two tenants' handles taking turns on one pool and one registry.
+fn two_tenants_one_pool(rt: &Runtime, grid: Grid) -> String {
+    let mut c = Cell::mount(rt, grid, 1, 32, Some(QosConfig::equal(2, 2)));
+    let mut ios = [0u16, 1].map(|t| c.fs.io_tenant_with_registry(0, t, &c.reg));
+    for epoch in 0..2 {
+        for io in &mut ios {
+            c.sequence(io, epoch);
+        }
+        let mut live = [true; 2];
+        while live.contains(&true) {
+            for (t, io) in ios.iter_mut().enumerate() {
+                live[t] = live[t] && c.batch(io, 64, None);
+            }
+        }
+    }
+    c.out
+}
+
+#[test]
+fn residency_trace_matches_golden() {
+    let scenarios: [(&str, Scenario); 6] = [
+        ("three epochs", three_epochs),
+        ("batches and sync reads", batches_and_sync_reads),
+        ("held across sequence", held_across_sequence),
+        ("held batches starve the pump", held_batches_starve_the_pump),
+        ("handle dropped mid-epoch", handle_dropped_mid_epoch),
+        ("two tenants, one pool", two_tenants_one_pool),
+    ];
+    let mut text = String::new();
+    for mode in [CacheMode::EpochScoped, CacheMode::CrossEpoch] {
+        for codec in [CodecKind::Identity, CodecKind::Lz] {
+            for deliver in [Deliver::Copied, Deliver::ZeroCopy, Deliver::Alternating] {
+                for (name, scenario) in scenarios {
+                    writeln!(text, "== {mode:?} {codec:?} {deliver:?}: {name}").unwrap();
+                    let (report, end) =
+                        Runtime::simulate(18, |rt| scenario(rt, (mode, codec, deliver)));
+                    writeln!(text, "{report}end t={}", end.nanos()).unwrap();
+                }
+            }
+        }
+    }
+    common::check_golden_part("residency_trace.txt", "B", &text);
 }

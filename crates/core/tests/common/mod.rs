@@ -1,4 +1,6 @@
-//! Helpers shared by the integration-test crates (`mod common;`).
+//! Helpers shared by the integration-test crates (`mod common;`); each
+//! crate uses a subset.
+#![allow(dead_code)]
 
 /// Compare `text` against the fixture `tests/golden/<name>`; with
 /// `DLFS_UPDATE_GOLDEN=1` (re)write it instead. Fixtures pin behaviour
@@ -15,4 +17,34 @@ pub fn check_golden(name: &str, text: &str) {
     let want = std::fs::read_to_string(&path)
         .unwrap_or_else(|_| panic!("fixture {name} missing; run with DLFS_UPDATE_GOLDEN=1"));
     assert_eq!(text, want, "output diverged from the golden {name}");
+}
+
+/// [`check_golden`] for a fixture that several test crates share: the file
+/// is a sequence of parts, each opened by a `## part <part>` line, and this
+/// compares (or, with `DLFS_UPDATE_GOLDEN=1`, replaces) only `part`.
+pub fn check_golden_part(name: &str, part: &str, text: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    let file = std::fs::read_to_string(&path).unwrap_or_default();
+    let mut parts: std::collections::BTreeMap<&str, &str> = file
+        .split("## part ")
+        .filter_map(|p| p.split_once('\n'))
+        .collect();
+    if std::env::var("DLFS_UPDATE_GOLDEN").is_ok() {
+        parts.insert(part, text);
+        let whole: String = parts
+            .iter()
+            .map(|(p, t)| format!("## part {p}\n{t}"))
+            .collect();
+        std::fs::write(&path, whole).unwrap();
+        return;
+    }
+    let want = parts.get(part).unwrap_or_else(|| {
+        panic!("fixture {name} lacks part {part}; run with DLFS_UPDATE_GOLDEN=1")
+    });
+    assert_eq!(
+        &text, want,
+        "output diverged from part {part} of the golden {name}"
+    );
 }

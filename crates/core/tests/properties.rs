@@ -3,6 +3,8 @@
 //! and the sample cache's pin/retire/evict lifecycle. Cases come from
 //! seeded [`SplitMix64`] streams so failures replay exactly.
 
+mod common;
+
 use dlfs::avl::AvlTree;
 use dlfs::cache::RangeKey;
 use dlfs::plan::{build_epoch_plan, windowed_delivery, FetchItem};
@@ -128,13 +130,19 @@ fn plan_covers_each_sample_once() {
     }
 }
 
-/// Random interleavings of publish / pin / unpin / retire / release /
-/// acquire / republish across both cache modes: never a panic, never a
-/// torn read (every pinned buffer keeps its generation's byte pattern for
-/// the pin's whole lifetime, across zombie republishes and evictions), and
-/// never a chunk leak (the pool refills completely once all pins drop).
-#[test]
-fn cache_interleavings_never_panic_leak_or_tear() {
+/// One seeded case of the cache op stream — publish / prefetched publish /
+/// pin / unpin / retire / release / claim / allocation churn on a small
+/// pool in a random mode — with the oracles applied at every step: never a
+/// panic, never a torn read (every pinned buffer keeps its generation's
+/// byte pattern for the pin's whole lifetime, across zombie republishes
+/// and evictions), and never a chunk leak (the pool refills completely
+/// once all pins drop). With `trace`, appends one line per step: the op,
+/// then `free_chunks`, `resident_count`, `evictions()` and which of the
+/// six keys are resident — eviction victims and pool-return instants.
+/// (Steps the cache state made a no-op are left out; the step numbers
+/// show the gaps.)
+fn cache_case(case: u64, mut trace: Option<&mut String>) {
+    use std::fmt::Write;
     const CHUNK: usize = 512;
     let verify = |bufs: &[blocksim::DmaBuf], tag: u8| {
         assert!(
@@ -142,106 +150,162 @@ fn cache_interleavings_never_panic_leak_or_tear() {
             "torn read: pinned bytes no longer match tag {tag}"
         );
     };
-    for case in 0..CASES {
-        let mut g = SplitMix64::derive(0xCAC4E, case);
-        let total = g.range(2, 12) as usize;
-        let mode = if g.below(2) == 1 {
-            CacheMode::CrossEpoch
-        } else {
-            CacheMode::EpochScoped
-        };
-        let cache = SampleCache::with_mode(CHUNK, total, mode);
-        let keys: Vec<RangeKey> = (0..6).map(|i| (0u32, i * 4 * CHUNK as u64)).collect();
-        // Latest published byte tag per key; stale entries are pruned on
-        // retire (and on release in epoch-scoped mode, where release frees).
-        let mut tags: std::collections::HashMap<RangeKey, u8> = Default::default();
-        let mut pins: Vec<(RangeKey, u64, u8, Vec<blocksim::DmaBuf>)> = Vec::new();
-        let steps = g.range(50, 250);
-        for step in 0..steps {
-            let key = keys[g.below(keys.len() as u64) as usize];
-            match g.below(7) {
-                0 | 1 => {
-                    // (Re)publish under a fresh byte tag.
-                    if cache.contains(key) {
-                        continue;
-                    }
-                    let nbufs = g.range(1, 3);
-                    let Some(bufs) = cache.alloc_for(nbufs * CHUNK as u64) else {
-                        continue;
-                    };
-                    let tag = (case * 37 + step + 1) as u8;
-                    for b in &bufs {
-                        b.copy_from(0, &vec![tag; CHUNK]);
-                    }
-                    let len = bufs.len() as u64 * CHUNK as u64;
-                    if g.below(4) == 0 {
-                        cache.publish_prefetched(key, bufs, len);
-                    } else {
-                        cache.publish(key, bufs, len);
-                    }
-                    tags.insert(key, tag);
+    let mut g = SplitMix64::derive(0xCAC4E, case);
+    let total = g.range(2, 12) as usize;
+    let mode = if g.below(2) == 1 {
+        CacheMode::CrossEpoch
+    } else {
+        CacheMode::EpochScoped
+    };
+    let cache = SampleCache::with_mode(CHUNK, total, mode);
+    let keys: Vec<RangeKey> = (0..6).map(|i| (0u32, i * 4 * CHUNK as u64)).collect();
+    if let Some(t) = trace.as_deref_mut() {
+        writeln!(t, "case {case} {mode:?} chunks={total}").unwrap();
+    }
+    // Latest published byte tag per key; stale entries are pruned on
+    // retire (and on release in epoch-scoped mode, where release frees).
+    let mut tags: std::collections::HashMap<RangeKey, u8> = Default::default();
+    let mut pins: Vec<(RangeKey, u64, u8, Vec<blocksim::DmaBuf>)> = Vec::new();
+    let steps = g.range(50, 250);
+    for step in 0..steps {
+        let k = g.below(keys.len() as u64) as usize;
+        let key = keys[k];
+        // What the step did; `-` when the cache state made it a no-op.
+        let mut op = "-";
+        match g.below(8) {
+            0 | 1 => 'publish: {
+                // (Re)publish under a fresh byte tag.
+                if cache.contains(key) {
+                    break 'publish;
                 }
-                2 => {
-                    if let Some(p) = cache.pin(key) {
-                        let tag = tags[&key];
-                        verify(&p.bufs, tag);
-                        pins.push((key, p.gen, tag, p.bufs));
-                    }
+                let nbufs = g.range(1, 3);
+                let Some(bufs) = cache.alloc_for(nbufs * CHUNK as u64) else {
+                    op = "full";
+                    break 'publish;
+                };
+                let tag = (case * 37 + step + 1) as u8;
+                for b in &bufs {
+                    b.copy_from(0, &vec![tag; CHUNK]);
                 }
-                3 => {
-                    if pins.is_empty() {
-                        continue;
-                    }
+                let len = bufs.len() as u64 * CHUNK as u64;
+                if g.below(4) == 0 {
+                    cache.publish_prefetched(key, bufs, len);
+                    op = "prefetched";
+                } else {
+                    cache.publish(key, bufs, len);
+                    op = "publish";
+                }
+                tags.insert(key, tag);
+            }
+            2 => {
+                if let Some(p) = cache.pin(key) {
+                    let tag = tags[&key];
+                    verify(&p.bufs, tag);
+                    pins.push((key, p.gen, tag, p.bufs));
+                    op = if p.prefetched { "pin+first" } else { "pin" };
+                }
+            }
+            3 => {
+                if !pins.is_empty() {
                     let (key, gen, tag, bufs) =
                         pins.swap_remove(g.below(pins.len() as u64) as usize);
                     verify(&bufs, tag);
                     cache.unpin(key, gen).unwrap();
+                    op = "unpin";
                 }
-                4 => {
-                    // Retire — a zombie if pins are still out on the key.
-                    if cache.contains(key) {
-                        cache.retire(key).unwrap();
+            }
+            4 => {
+                // Retire — a zombie if pins are still out on the key.
+                if cache.contains(key) {
+                    cache.retire(key).unwrap();
+                    tags.remove(&key);
+                    op = "retire";
+                }
+            }
+            5 => {
+                if cache.contains(key) {
+                    cache.release(key).unwrap();
+                    if mode == CacheMode::EpochScoped {
                         tags.remove(&key);
                     }
+                    op = "release";
                 }
-                5 => {
-                    if cache.contains(key) {
-                        cache.release(key).unwrap();
-                        if mode == CacheMode::EpochScoped {
-                            tags.remove(&key);
-                        }
-                    }
+            }
+            6 => {
+                // The engine's claim of a resident range for a new epoch:
+                // in use again, so not evictable until released.
+                if let Some((bufs, _, first)) = cache.acquire(key) {
+                    verify(&bufs, tags[&key]);
+                    op = if first { "claim+first" } else { "claim" };
                 }
-                _ => {
-                    // Allocation churn: drives LRU eviction of released
-                    // ranges in cross-epoch mode.
-                    if let Some(bufs) = cache.alloc_for(CHUNK as u64) {
-                        for b in bufs {
-                            cache.free_raw(b);
-                        }
+            }
+            _ => {
+                // Allocation churn: drives LRU eviction of released
+                // ranges in cross-epoch mode.
+                op = "churn-full";
+                if let Some(bufs) = cache.alloc_for(CHUNK as u64) {
+                    for b in bufs {
+                        cache.free_raw(b);
                     }
+                    op = "churn";
                 }
             }
         }
-        // Drain: every pin unpins with its bytes intact, every live range
-        // retires, and the pool must be whole again.
-        for (key, gen, tag, bufs) in pins.drain(..) {
-            verify(&bufs, tag);
-            cache.unpin(key, gen).unwrap();
+        if let Some(t) = trace.as_deref_mut().filter(|_| op != "-") {
+            let resident: String = keys
+                .iter()
+                .map(|&k| if cache.contains(k) { '1' } else { '.' })
+                .collect();
+            writeln!(
+                t,
+                "{step} {op} k{k} free={} res={} ev={} [{resident}] held={}",
+                cache.free_chunks(),
+                cache.resident_count(),
+                cache.evictions(),
+                pins.len(),
+            )
+            .unwrap();
         }
-        for &key in &keys {
-            if cache.contains(key) {
-                cache.retire(key).unwrap();
-            }
-        }
-        assert_eq!(cache.zombie_count(), 0, "case {case}: zombies leaked");
-        assert_eq!(cache.resident_count(), 0, "case {case}: residents leaked");
-        assert_eq!(
-            cache.free_chunks(),
-            cache.total_chunks(),
-            "case {case}: chunks leaked"
-        );
     }
+    // Drain: every pin unpins with its bytes intact, every live range
+    // retires, and the pool must be whole again.
+    for (key, gen, tag, bufs) in pins.drain(..) {
+        verify(&bufs, tag);
+        cache.unpin(key, gen).unwrap();
+    }
+    for &key in &keys {
+        if cache.contains(key) {
+            cache.retire(key).unwrap();
+        }
+    }
+    assert_eq!(cache.zombie_count(), 0, "case {case}: zombies leaked");
+    assert_eq!(cache.resident_count(), 0, "case {case}: residents leaked");
+    assert_eq!(
+        cache.free_chunks(),
+        cache.total_chunks(),
+        "case {case}: chunks leaked"
+    );
+}
+
+#[test]
+fn cache_interleavings_never_panic_leak_or_tear() {
+    for case in 0..CASES {
+        cache_case(case, None);
+    }
+}
+
+/// Part A of the residency golden: the first cases of the op stream above
+/// with every step traced. The seed is fixed (not moved by
+/// `DLFS_TEST_SEED_OFFSET`). Pins which range each eviction takes and the
+/// step at which chunks return to the pool; never regenerate it to make a
+/// change to `cache.rs` pass.
+#[test]
+fn cache_residency_trace_matches_golden() {
+    let mut trace = String::new();
+    for case in 0..12 {
+        cache_case(case, Some(&mut trace));
+    }
+    common::check_golden_part("residency_trace.txt", "A", &trace);
 }
 
 /// Randomized end-to-end integrity sweep: random node/replica geometry,
