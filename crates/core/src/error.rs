@@ -209,19 +209,6 @@ pub enum DlfsError {
         /// Why the final attempt was rejected (the `Error::source` chain).
         cause: CorruptCause,
     },
-    /// A sample-cache bookkeeping operation named a range the cache does
-    /// not (or no longer) hold: a retire/release/unpin racing an eviction
-    /// or an epoch teardown. Surfaced as a typed error so a pin/evict
-    /// interleaving under `CacheMode::CrossEpoch` degrades the one read
-    /// instead of aborting the process.
-    Cache {
-        /// Which bookkeeping call hit the missing range.
-        op: &'static str,
-        /// Storage node of the range key.
-        node: u16,
-        /// Byte offset of the range key.
-        offset: u64,
-    },
     /// A [`crate::BatchedWriter`] run was started at a byte offset that is
     /// not a device-block multiple. The writer addresses whole blocks, so
     /// landing the run would put it at the wrong LBA; nothing was written.
@@ -293,10 +280,6 @@ impl std::fmt::Display for DlfsError {
             DlfsError::Corrupt { chunk, tried, .. } => write!(
                 f,
                 "chunk at offset {chunk} corrupt on every replica ({tried} read(s) tried)"
-            ),
-            DlfsError::Cache { op, node, offset } => write!(
-                f,
-                "sample cache: {op} of non-resident range (node {node}, offset {offset})"
             ),
             DlfsError::UnalignedWrite { node, offset } => write!(
                 f,

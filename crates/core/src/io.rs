@@ -37,10 +37,10 @@ use fabric::{CAPSULE_BYTES, DESCRIPTOR_BYTES, RESPONSE_BYTES};
 use simkit::chan::{Receiver, Sender};
 use simkit::rng::SplitMix64;
 use simkit::runtime::Runtime;
-use simkit::telemetry::{Counter, Histo, Registry, Snapshot};
+use simkit::telemetry::{Counter, Gauge, Histo, Registry, Snapshot};
 use simkit::time::{Dur, Time};
 
-use crate::cache::RangeKey;
+use crate::cache::{CachedRange, RangeKey};
 use crate::codec::Frame;
 use crate::config::{BatchMode, CacheMode, DlfsConfig};
 use crate::copy::{CopyDone, CopyJob, SegList, Segment};
@@ -54,7 +54,7 @@ use crate::reactor::{CompletionClock, ReactorStats};
 use crate::rebuild::Background;
 use crate::request::{Completions, Delivery, ReadRequest};
 use crate::writer::io_failure;
-use crate::zerocopy::{Pin, PinGuard, ZeroCopySample};
+use crate::zerocopy::ZeroCopySample;
 use crate::{cache::SampleCache, copy::CopyPool};
 
 /// State shared by every I/O thread of one compute node. Cloning is cheap
@@ -151,6 +151,10 @@ struct IoTelemetry {
     ce_misses: Counter,
     prefetch_issued: Counter,
     prefetch_hits: Counter,
+    /// `evictions` and `resident_chunks`: what this handle's own calls did
+    /// to the shared cache. `None` with the scope off, so the cache is not
+    /// asked for its residency just to have the answer dropped.
+    residency: Option<(Counter, Gauge)>,
     /// Shared-completion-queue drain stats.
     scq_drains: Counter,
     scq_empty_polls: Counter,
@@ -208,6 +212,7 @@ impl IoTelemetry {
             ce_misses: counter_in(cache, "misses"),
             prefetch_issued: counter_in(cache, "prefetch_issued"),
             prefetch_hits: counter_in(cache, "prefetch_hits"),
+            residency: cache.map(|s| (s.counter("evictions"), s.gauge("resident_chunks"))),
             samples_delivered: io.counter("samples_delivered"),
             bytes_delivered: io.counter("bytes_delivered"),
             requests_posted: io.counter("requests_posted"),
@@ -329,6 +334,26 @@ enum Settled {
 /// sequence (keeps same-instant pops deterministic), the part.
 type DelayedPart = Reverse<(Time, u64, Part)>;
 
+/// The chunks of an open fetch item.
+enum Open {
+    /// Parts still in flight: the chunks are loose, because a device
+    /// command holds a view of each and writes it at harvest. Whoever
+    /// gives the item up frees them explicitly, after the harvest.
+    Fetching(Vec<DmaBuf>),
+    /// Completely fetched and published (or found resident): a pin on the
+    /// range, held until the item is drained.
+    Resident(Arc<CachedRange>),
+}
+
+impl Open {
+    fn bufs(&self) -> &[DmaBuf] {
+        match self {
+            Open::Fetching(bufs) => bufs,
+            Open::Resident(range) => range.bufs(),
+        }
+    }
+}
+
 /// Epoch execution state.
 struct EpochState {
     /// The collective seed and epoch number `sequence` was called with
@@ -349,10 +374,8 @@ struct EpochState {
     /// Failed parts waiting out their retry backoff.
     delayed_parts: BinaryHeap<DelayedPart>,
     delay_seq: u64,
-    /// Buffers per item while open.
-    bufs: HashMap<u32, Vec<DmaBuf>>,
-    /// Items fetched or fetching and not yet retired.
-    open_items: usize,
+    /// Items fetched or fetching and not yet drained, with their chunks.
+    open: HashMap<u32, Open>,
     /// Seeded draw for the random selection among resident items.
     rng: SplitMix64,
     /// Which path serves this epoch, fixed by its first batch: `true` for
@@ -418,18 +441,13 @@ struct PrefetchState {
 /// One engine batch being assembled. Copied delivery (`copies` is the
 /// copy pool's done channel) hands samples to the copy threads and lands
 /// them in `copied` by slot as they finish; zero-copy delivery pushes
-/// pinned handles onto `pinned` the moment they are drawn, so it never has
-/// anything outstanding.
+/// samples pinning their item's range onto `pinned` the moment they are
+/// drawn, so it never has anything outstanding.
 struct Batch {
     want: usize,
     copies: Option<(Sender<CopyDone>, Receiver<CopyDone>)>,
     copied: Vec<Option<(u32, Vec<u8>)>>,
     pinned: Vec<ZeroCopySample>,
-    /// One cache pin per fetch item, shared by every sample delivered
-    /// from it in this call (an `Arc` clone per sample instead of a
-    /// buffer-list clone per sample). Pin counts still balance: each
-    /// guard releases the one pin it took when its last sample drops.
-    pins: HashMap<u32, Arc<PinGuard>>,
     /// Samples handed out / finished; they differ only while copies are
     /// outstanding.
     dispatched: usize,
@@ -520,13 +538,10 @@ impl DlfsIo {
                 qp
             })
             .collect();
-        if shared.cfg.cache_mode == CacheMode::CrossEpoch {
-            shared.cache.attach_telemetry(&reg.scoped("dlfs.cache"));
-        }
         if let Some(m) = &shared.redundancy.membership {
             m.attach_telemetry(&reg.scoped("dlfs.membership"));
         }
-        DlfsIo {
+        let io = DlfsIo {
             tel: IoTelemetry::new(reg, &shared),
             rstats: ReactorStats::new(reg, shared.cfg.reactor_stats),
             background: Background::new(shared.clone(), reg),
@@ -544,7 +559,9 @@ impl DlfsIo {
             copy_dispatch_at: Vec::new(),
             prefetch: PrefetchState::default(),
             clock,
-        }
+        };
+        io.report_residency(0);
+        io
     }
 
     /// Snapshot of this handle's metrics: `dlfs.io.*` engine counters,
@@ -621,21 +638,18 @@ impl DlfsIo {
         let Some(st) = self.epoch.take() else {
             return; // only prefetches were outstanding
         };
-        for (idx, bufs) in st.bufs {
+        for (idx, open) in st.open {
             let it = &st.plan.items[idx as usize];
-            let key = self.shared.rkey(it.nid, it.offset);
-            if self.shared.cache.contains(key) {
-                // Published: the cache owns the chunks. EpochScoped:
-                // release retires them (deferred if zero-copy samples
-                // still pin the range). CrossEpoch: the range survives on
-                // the evictable LRU tail for the replacing epoch. An
-                // eviction racing the teardown already reclaimed the
-                // chunks; nothing left to do for that key.
-                let _ = self.shared.cache.release(key);
-            } else {
-                // Never became resident: return our chunks directly.
-                for b in bufs {
-                    self.shared.cache.free_raw(b);
+            let (cache, key) = (&self.shared.cache, self.shared.rkey(it.nid, it.offset));
+            match open {
+                // Never became resident: return the loose chunks.
+                Open::Fetching(bufs) => bufs.into_iter().for_each(|b| cache.free_raw(b)),
+                // Published. EpochScoped: release retires the range (its
+                // chunks go home once zero-copy samples stop pinning it).
+                // CrossEpoch: it survives on the evictable LRU tail for
+                // the replacing epoch.
+                Open::Resident(_) => {
+                    cache.release(key);
                 }
             }
             for &sample in &it.samples {
@@ -691,8 +705,7 @@ impl DlfsIo {
             pending_parts: VecDeque::new(),
             delayed_parts: BinaryHeap::new(),
             delay_seq: 0,
-            bufs: HashMap::new(),
-            open_items: 0,
+            open: HashMap::new(),
             rng: SplitMix64::derive(seed ^ 0xD15B, epoch * 7919 + self.shared.reader_id as u64),
             offloaded: None,
         });
@@ -787,7 +800,7 @@ impl DlfsIo {
         let st = self.st();
         let it = &st.plan.items[p.idx as usize];
         let (slba, nblocks, _) = self.read_geometry(it.nid, it.offset, it.len);
-        self.part_io(it.nid, slba, nblocks, p.part, &st.bufs[&p.idx])
+        self.part_io(it.nid, slba, nblocks, p.part, st.open[&p.idx].bufs())
     }
 
     /// Pick the copy that serves a part: `(replica, device, device slba)`,
@@ -957,6 +970,25 @@ impl DlfsIo {
         }
     }
 
+    /// Demand chunks for `bytes` from the shared cache. The ranges evicted
+    /// to make room are this handle's to report, with the residency left.
+    fn alloc(&self, bytes: u64) -> Option<Vec<DmaBuf>> {
+        let (bufs, evicted) = self.shared.cache.alloc_for(bytes);
+        if evicted > 0 {
+            self.report_residency(evicted);
+        }
+        bufs
+    }
+
+    /// Report a call of this handle's that changed what the shared cache
+    /// holds: the ranges it `evicted`, and the resident chunks it left.
+    fn report_residency(&self, evicted: u64) {
+        if let Some((evictions, resident_chunks)) = &self.tel.residency {
+            evictions.add(evicted);
+            resident_chunks.set(self.shared.cache.resident_chunks() as i64);
+        }
+    }
+
     /// Allocate cache chunks for `bytes`, waiting out a momentarily full
     /// pool under the shared retry policy: bounded, deadline-clamped
     /// exponential backoff, busy-waited in virtual time (another thread's
@@ -970,7 +1002,7 @@ impl DlfsIo {
     ) -> Option<Vec<DmaBuf>> {
         let mut failures = 0u32;
         loop {
-            if let Some(bufs) = self.shared.cache.alloc_for(bytes) {
+            if let Some(bufs) = self.alloc(bytes) {
                 return Some(bufs);
             }
             failures += 1;
@@ -995,13 +1027,13 @@ impl DlfsIo {
             // Residency probe: a previous epoch (or the prefetcher) may
             // already hold this exact range — warm items skip the device
             // entirely.
-            if let Some((bufs, cached, was_prefetched)) = self.shared.cache.acquire(key) {
-                debug_assert_eq!(cached, len, "cached range geometry drifted");
+            if let Some((range, was_prefetched)) = self.shared.cache.pin(key, true) {
+                debug_assert_eq!(range.bytes(), len, "cached range geometry drifted");
                 self.tel.ce_hits.inc();
                 if was_prefetched {
                     self.tel.prefetch_hits.inc();
                 }
-                self.open_item(idx, slba, bufs, 0);
+                self.open_item(idx, slba, Open::Resident(range));
                 return FetchStart::Started;
             }
             if self.prefetch.inflight.contains(&key) {
@@ -1015,25 +1047,27 @@ impl DlfsIo {
         let bufs = if starving {
             self.alloc_backoff(rt, alloc_bytes, self.current_deadline)
         } else {
-            self.shared.cache.alloc_for(alloc_bytes)
+            self.alloc(alloc_bytes)
         };
         let Some(bufs) = bufs else {
             return FetchStart::Backpressure;
         };
-        let parts = bufs.len() as u32;
-        self.open_item(idx, slba, bufs, parts);
+        self.open_item(idx, slba, Open::Fetching(bufs));
         FetchStart::Started
     }
 
-    /// Open item `idx` over `bufs` (its range starts at block `slba`) with
-    /// `parts` parts still to fetch; none means the range was resident.
-    fn open_item(&mut self, idx: u32, slba: u64, bufs: Vec<DmaBuf>, parts: u32) {
+    /// Open item `idx` (its range starts at block `slba`): one part to
+    /// fetch per loose chunk, none when the range was resident.
+    fn open_item(&mut self, idx: u32, slba: u64, open: Open) {
         let (st, shared) = self.split();
+        let parts = match &open {
+            Open::Fetching(bufs) => bufs.len() as u32,
+            Open::Resident(_) => 0,
+        };
         let item = &mut st.items[idx as usize];
         item.parts_left = parts;
         item.base = slba * BLOCK_SIZE;
-        st.bufs.insert(idx, bufs);
-        st.open_items += 1;
+        st.open.insert(idx, open);
         if parts == 0 {
             st.mark_resident(&shared.dir, idx);
         }
@@ -1056,7 +1090,7 @@ impl DlfsIo {
         // Open new items up to the window.
         loop {
             let st = self.st();
-            let (next_fetch, open) = (st.next_fetch, st.open_items);
+            let (next_fetch, open) = (st.next_fetch, st.open.len());
             if next_fetch >= st.plan.items.len() {
                 break;
             }
@@ -1274,7 +1308,7 @@ impl DlfsIo {
         let Some(st) = self.epoch.as_ref() else {
             return false;
         };
-        st.bufs.keys().any(|&idx| {
+        st.open.keys().any(|&idx| {
             let it = &st.plan.items[idx as usize];
             self.shared.rkey(it.nid, it.offset) == key && st.items[idx as usize].parts_left > 0
         })
@@ -1298,7 +1332,9 @@ impl DlfsIo {
         self.prefetch.inflight.remove(&key);
         if status.is_ok() && self.verify_part(rt, &io, false) && !self.shared.cache.contains(key) {
             self.decode_frame(rt, io.home, key.1, std::slice::from_ref(&io.buf));
-            self.shared.cache.publish_prefetched(key, vec![io.buf], len);
+            // Born evictable: nobody keeps the pin `publish` hands back.
+            self.shared.cache.publish(key, vec![io.buf], len, true);
+            self.report_residency(0);
         } else {
             if status == CmdStatus::TransportError {
                 self.tel.timeouts.inc();
@@ -1359,14 +1395,19 @@ impl DlfsIo {
     /// cache, flip the V field of its samples and offer it to the
     /// delivery draw.
     fn publish_item(&mut self, rt: &Runtime, idx: u32) {
-        let st = self.st();
+        let st = self.split().0;
         let it = &st.plan.items[idx as usize];
         let (nid, offset, len) = (it.nid, it.offset, it.len);
-        let bufs = st.bufs[&idx].clone();
+        // Its last part just settled, so the item is still fetching.
+        let Some(Open::Fetching(bufs)) = st.open.remove(&idx) else {
+            return;
+        };
         self.decode_frame(rt, nid, offset, &bufs);
         let key = self.shared.rkey(nid, offset);
-        self.shared.cache.publish(key, bufs, len);
+        let range = self.shared.cache.publish(key, bufs, len, false);
+        self.report_residency(0);
         let (st, shared) = self.split();
+        st.open.insert(idx, Open::Resident(range));
         st.mark_resident(&shared.dir, idx);
     }
 
@@ -1427,7 +1468,10 @@ impl DlfsIo {
             let it = &st.plan.items[idx as usize];
             debug_assert_eq!(entry.nid(), it.nid);
             let within = (entry.offset() - st.items[idx as usize].base) as usize;
-            let segments = segments_at(&st.bufs[&idx], chunk, within, entry.len() as usize);
+            let Open::Resident(range) = &st.open[&idx] else {
+                unreachable!("only resident items are drawn");
+            };
+            let segments = segments_at(range.bufs(), chunk, within, entry.len() as usize);
             if let Some((done, _)) = &batch.copies {
                 rt.work(costs.frontend_per_sample + costs.copy_dispatch);
                 debug_assert_eq!(self.copy_dispatch_at.len(), batch.dispatched);
@@ -1439,21 +1483,13 @@ impl DlfsIo {
                     done: done.clone(),
                 });
             } else {
-                // Pin the range for the samples' lifetime; no memcpy.
-                let key = self.shared.rkey(it.nid, it.offset);
-                let cache = &self.shared.cache;
-                let guard = batch.pins.entry(idx).or_insert_with(|| {
-                    let (gen, _, _) = cache.pin_key(key).expect("resident range pinnable");
-                    PinGuard::new(cache.clone(), key, gen)
-                });
-                let pin = Pin::Shared(guard.clone());
+                // The sample pins the range for its lifetime; no memcpy.
+                let sample = ZeroCopySample::new(sample, segments, range.clone());
                 rt.work(costs.frontend_per_sample);
                 self.tel.cache_pins.inc();
                 self.tel.samples_delivered.inc();
                 self.tel.bytes_delivered.add(entry.len());
-                batch
-                    .pinned
-                    .push(ZeroCopySample::new(sample, segments, pin));
+                batch.pinned.push(sample);
                 self.account_delivery(idx);
                 batch.received += 1;
             }
@@ -1473,13 +1509,10 @@ impl DlfsIo {
         let item = &mut st.items[idx as usize];
         item.copies_done += 1;
         if item.copies_done == item.samples_total {
-            st.bufs.remove(&idx);
+            // Drops the engine's pin; what samples still hold are theirs.
+            st.open.remove(&idx);
             let it = &st.plan.items[idx as usize];
-            // The engine still holds this range (never released), so it
-            // cannot have been evicted; a miss means an eviction or
-            // teardown won a race and already reclaimed the chunks.
-            let _ = shared.cache.release(shared.rkey(it.nid, it.offset));
-            st.open_items -= 1;
+            shared.cache.release(shared.rkey(it.nid, it.offset));
             for &s in &it.samples {
                 shared.dir.set_valid(s, false);
             }
@@ -1590,7 +1623,6 @@ impl DlfsIo {
             copies: copied.then(|| rt.channel::<CopyDone>(None)),
             copied: vec![None; if copied { want } else { 0 }],
             pinned: Vec::new(),
-            pins: HashMap::new(),
             dispatched: 0,
             received: 0,
         };
@@ -1954,17 +1986,17 @@ impl DlfsIo {
     /// sample's covering blocks and waits for completion.
     pub fn read(&mut self, rt: &Runtime, name: &str) -> Result<Vec<u8>, DlfsError> {
         let costs = self.shared.cfg.costs.clone();
-        let (id, entry) = self
+        let (id, _) = self
             .shared
             .dir
             .lookup(rt, &costs, name)
             .ok_or_else(|| DlfsError::NotFound(name.to_string()))?;
-        self.read_entry(rt, id, entry, None)
+        self.read_copied(rt, id, None)
     }
 
     /// `dlfs_read` by sample id (no name lookup).
     pub fn read_by_id(&mut self, rt: &Runtime, id: u32) -> Result<Vec<u8>, DlfsError> {
-        self.read_by_id_opt(rt, id, None)
+        self.read_copied(rt, id, None)
     }
 
     /// [`DlfsIo::read_by_id`] with a deadline: cache-pressure backoff
@@ -1976,33 +2008,51 @@ impl DlfsIo {
         id: u32,
         deadline: Time,
     ) -> Result<Vec<u8>, DlfsError> {
-        self.read_by_id_opt(rt, id, Some(deadline))
+        self.read_copied(rt, id, Some(deadline))
     }
 
-    fn read_by_id_opt(
+    /// The copied synchronous read: move the sample out of its range
+    /// through the copy pool into a fresh application buffer, and account
+    /// the delivery. The range is let go once the copy has landed.
+    fn read_copied(
         &mut self,
         rt: &Runtime,
         id: u32,
         deadline: Option<Time>,
     ) -> Result<Vec<u8>, DlfsError> {
-        if id as usize >= self.shared.dir.len() {
-            return Err(DlfsError::BadSampleId(id));
+        let (_range, segments, hit) = self.sync_read(rt, id, deadline)?;
+        if hit {
+            self.tel.cache_pins.inc();
         }
-        let entry = self.shared.dir.entry(id);
-        self.read_entry(rt, id, entry, deadline)
+        let (done_tx, done_rx) = rt.channel::<CopyDone>(None);
+        let t_copy = rt.now();
+        rt.work(self.shared.cfg.costs.copy_dispatch);
+        self.shared.copy.submit(CopyJob {
+            tag: 0,
+            sample: 0,
+            segments,
+            done: done_tx,
+        });
+        let done = done_rx.recv().map_err(|_| DlfsError::CacheExhausted)?;
+        self.tel.samples_delivered.inc();
+        self.tel.bytes_delivered.add(done.data.len() as u64);
+        self.tel.copy_ns.record_dur(rt.now() - t_copy);
+        Ok(done.data)
     }
 
     /// `dlfs_read` by sample id, zero-copy: the returned sample references
     /// pinned sample-cache chunks directly. On a warm cache this path does
     /// no memcpy and no heap allocation — the segment list stays inline
-    /// and the pin is embedded in the sample. The chunks return to the
-    /// pool (or the cross-epoch LRU tail) when the sample drops.
+    /// and the pin is a reference count. The chunks return to the pool (or
+    /// become evictable on the cross-epoch LRU tail) when the sample drops.
     pub fn read_zero_copy(&mut self, rt: &Runtime, id: u32) -> Result<ZeroCopySample, DlfsError> {
-        if id as usize >= self.shared.dir.len() {
-            return Err(DlfsError::BadSampleId(id));
-        }
-        let entry = self.shared.dir.entry(id);
-        self.read_entry_zero_copy(rt, id, entry)
+        let (range, segments, _) = self.sync_read(rt, id, None)?;
+        rt.work(self.shared.cfg.costs.frontend_per_sample);
+        self.tel.cache_pins.inc();
+        self.tel.samples_delivered.inc();
+        let sample = ZeroCopySample::new(id, segments, range.share());
+        self.tel.bytes_delivered.add(sample.len() as u64);
+        Ok(sample)
     }
 
     /// Post every due (re)submission of a synchronous fetch, first queued
@@ -2150,75 +2200,50 @@ impl DlfsIo {
         (self.shared.rkey(nid, off), base, miss)
     }
 
-    /// The synchronous paths' copy stage: move `len` bytes at `pos` of
-    /// `bufs` into a fresh application buffer through the copy pool, and
-    /// account the delivery.
-    fn copy_out(&mut self, rt: &Runtime, bufs: &[DmaBuf], pos: usize, len: usize) -> Vec<u8> {
-        let chunk = self.shared.cfg.chunk_size as usize;
-        let (done_tx, done_rx) = rt.channel::<CopyDone>(None);
-        let t_copy = rt.now();
-        rt.work(self.shared.cfg.costs.copy_dispatch);
-        self.shared.copy.submit(CopyJob {
-            tag: 0,
-            sample: 0,
-            segments: segments_at(bufs, chunk, pos, len),
-            done: done_tx,
-        });
-        let done = done_rx.recv().expect("copy pool alive");
-        self.tel.samples_delivered.inc();
-        self.tel.bytes_delivered.add(done.data.len() as u64);
-        self.tel.copy_ns.record_dur(rt.now() - t_copy);
-        done.data
-    }
-
-    /// Serve `entry` out of the resident range `key`, whose buffers start
-    /// at byte `base`, if the cache holds it.
-    fn read_pinned(
-        &mut self,
-        rt: &Runtime,
-        entry: SampleEntry,
-        key: RangeKey,
-        base: u64,
-    ) -> Option<Vec<u8>> {
-        let pinned = self.shared.cache.pin(key)?;
-        debug_assert!(
-            entry.offset() + entry.len() <= key.1 + pinned.len,
-            "a resident range is its samples' whole extent"
-        );
-        self.tel.cache_hits.inc();
-        self.tel.cache_pins.inc();
-        if pinned.prefetched {
-            self.tel.prefetch_hits.inc();
-        }
-        let within = (entry.offset() - base) as usize;
-        let data = self.copy_out(rt, &pinned.bufs, within, entry.len() as usize);
-        let _ = self.shared.cache.unpin(key, pinned.gen);
-        Some(data)
-    }
-
-    fn read_entry(
+    /// The synchronous read: find or fetch the range holding sample `id`.
+    /// Returns the range, the sample's segments within it, and whether it
+    /// was resident.
+    ///
+    /// Probe (paper §III-C1: "we first check the sample entry and return
+    /// the data if the V field is on" — the residency map is asked
+    /// directly, since a cross-epoch release clears the V field while the
+    /// extent still sits on the LRU tail): a hit pins the resident range.
+    /// Miss: fetch through [`DlfsIo::fetch_range`] and decode. Cross-epoch,
+    /// the extent is then parked on the evictable LRU tail — unless the
+    /// batched engine published it while this read polled — so later reads
+    /// of the sample or its extent neighbors skip the device; otherwise the
+    /// fetch stays this read's own and its chunks go home with it.
+    fn sync_read(
         &mut self,
         rt: &Runtime,
         id: u32,
-        entry: SampleEntry,
         deadline: Option<Time>,
-    ) -> Result<Vec<u8>, DlfsError> {
+    ) -> Result<(SyncRange, SegList, bool), DlfsError> {
+        if id as usize >= self.shared.dir.len() {
+            return Err(DlfsError::BadSampleId(id));
+        }
+        let entry = self.shared.dir.entry(id);
         // No batch deadline applies to engine retries harvested while this
         // synchronous read drains the shared qpairs.
         self.current_deadline = None;
         let cross = self.shared.cfg.cache_mode == CacheMode::CrossEpoch;
+        let chunk = self.shared.cfg.chunk_size as usize;
         let (key, base, (off, len)) = self.sync_geometry(id, entry);
-        // Fast path (paper §III-C1): "we first check the sample entry and
-        // return the data if the V field is on." Cross-epoch release clears
-        // the V field, but the extent may still sit on the cache's LRU
-        // tail, so that mode probes regardless.
-        if entry.valid() || cross {
-            if let Some(data) = self.read_pinned(rt, entry, key, base) {
-                if cross {
-                    self.tel.ce_hits.inc();
-                }
-                return Ok(data);
+        if let Some((range, prefetched)) = self.shared.cache.pin(key, false) {
+            debug_assert!(
+                entry.offset() + entry.len() <= key.1 + range.bytes(),
+                "a resident range is its samples' whole extent"
+            );
+            self.tel.cache_hits.inc();
+            if prefetched {
+                self.tel.prefetch_hits.inc();
             }
+            if cross {
+                self.tel.ce_hits.inc();
+            }
+            let within = (entry.offset() - base) as usize;
+            let segments = segments_at(range.bufs(), chunk, within, entry.len() as usize);
+            return Ok((SyncRange::Resident(range), segments, true));
         }
         self.tel.cache_misses.inc();
         if cross {
@@ -2226,122 +2251,39 @@ impl DlfsIo {
         }
         let nid = entry.nid();
         let (slba, nblocks, _) = self.read_geometry(nid, off, len);
-        let head = (entry.offset() - slba * BLOCK_SIZE) as usize;
         let bufs = self.fetch_range(rt, nid, slba, nblocks, deadline)?;
         self.decode_frame(rt, nid, entry.offset(), &bufs);
-        let data = self.copy_out(rt, &bufs, head, entry.len() as usize);
-        if cross && !self.shared.cache.contains(key) {
-            // Park the fetched extent on the evictable LRU tail (unless the
-            // batched engine published it while we polled), so later reads
-            // of this sample — or its extent neighbors — skip the device.
-            self.shared.cache.publish(key, bufs, len);
-            self.shared.cache.release(key)?;
+        let head = (entry.offset() - slba * BLOCK_SIZE) as usize;
+        let segments = segments_at(&bufs, chunk, head, entry.len() as usize);
+        let cache = &self.shared.cache;
+        let range = if cross && !cache.contains(key) {
+            let range = cache.publish(key, bufs, len, false);
+            cache.release(key);
+            self.report_residency(0);
+            SyncRange::Resident(range)
         } else {
-            for b in bufs {
-                self.shared.cache.free_raw(b);
-            }
-        }
-        Ok(data)
-    }
-
-    /// Synchronous zero-copy read of one directory entry.
-    ///
-    /// Warm path: pin the sample's resident extent and hand out
-    /// chunk-backed segments — no memcpy, no allocation. Miss path: fetch
-    /// through [`DlfsIo::fetch_range`], slice the sample's segments out of
-    /// the fetched buffers, then publish the range into the cache, pin it,
-    /// and release it so the pool reclaims it after the sample drops
-    /// (cross-epoch mode parks it on the LRU tail instead). The segments
-    /// are taken *before* the publish: on an epoch-scoped mount the release
-    /// retires the range on the spot, and a retired range, though still
-    /// pinned, can no longer be looked up.
-    fn read_entry_zero_copy(
-        &mut self,
-        rt: &Runtime,
-        id: u32,
-        entry: SampleEntry,
-    ) -> Result<ZeroCopySample, DlfsError> {
-        // No batch deadline applies to engine retries harvested while this
-        // synchronous read drains the shared qpairs.
-        self.current_deadline = None;
-        let cross = self.shared.cfg.cache_mode == CacheMode::CrossEpoch;
-        let chunk = self.shared.cfg.chunk_size as usize;
-        let len = entry.len() as usize;
-        let (key, base, (off, fetch_len)) = self.sync_geometry(id, entry);
-        let nid = entry.nid();
-        loop {
-            if let Some((gen, _, prefetched)) = self.shared.cache.pin_key(key) {
-                self.tel.cache_hits.inc();
-                if prefetched {
-                    self.tel.prefetch_hits.inc();
-                }
-                if cross {
-                    self.tel.ce_hits.inc();
-                }
-                let within = (entry.offset() - base) as usize;
-                let segments = self
-                    .shared
-                    .cache
-                    .with_resident(key, |bufs, _| segments_at(bufs, chunk, within, len))
-                    .expect("a range just pinned by key is resident");
-                return Ok(self.finish_zero_copy(rt, id, segments, key, gen));
-            }
-            self.tel.cache_misses.inc();
-            if cross {
-                self.tel.ce_misses.inc();
-            }
-            // Same fetch geometry as the copied path, published under its
-            // own start: the extent key — or, for the sample-only fetch of
-            // an epoch-scoped raw mount, a range retired (invisible) the
-            // moment it is pinned below.
-            let fetched = self.shared.rkey(nid, off);
-            let (slba, nblocks, _) = self.read_geometry(nid, off, fetch_len);
-            let bufs = self.fetch_range(rt, nid, slba, nblocks, None)?;
-            if self.shared.cache.contains(fetched) {
-                // Published concurrently (batched engine or another
-                // reader) while we polled: drop our fetch and pin the
-                // resident copy on the next pass.
-                for b in bufs {
-                    self.shared.cache.free_raw(b);
-                }
-                continue;
-            }
-            self.decode_frame(rt, nid, entry.offset(), &bufs);
-            let within = (entry.offset() - slba * BLOCK_SIZE) as usize;
-            let segments = segments_at(&bufs, chunk, within, len);
-            // publish + pin + release run back to back with no virtual-time
-            // advance between them, so no other participant can interleave:
-            // the live-double-publish panic in `publish` cannot fire, and
-            // the range cannot be evicted before we hold the pin.
-            self.shared.cache.publish(fetched, bufs, fetch_len);
-            let (gen, _, _) = self.shared.cache.pin_key(fetched).expect("just published");
-            self.shared.cache.release(fetched)?;
-            return Ok(self.finish_zero_copy(rt, id, segments, fetched, gen));
-        }
-    }
-
-    /// Build the delivered sample from its segments and the pin already
-    /// taken on `key`. Allocation-free: the segment list stays inline and
-    /// the pin is embedded in the sample.
-    fn finish_zero_copy(
-        &mut self,
-        rt: &Runtime,
-        id: u32,
-        segments: SegList,
-        key: RangeKey,
-        gen: u64,
-    ) -> ZeroCopySample {
-        rt.work(self.shared.cfg.costs.frontend_per_sample);
-        self.tel.cache_pins.inc();
-        self.tel.samples_delivered.inc();
-        let pin = Pin::Own {
-            cache: self.shared.cache.clone(),
-            key,
-            gen,
+            SyncRange::Own(cache.wrap(bufs, len))
         };
-        let sample = ZeroCopySample::new(id, segments, pin);
-        self.tel.bytes_delivered.add(sample.len() as u64);
-        sample
+        Ok((range, segments, false))
+    }
+}
+
+/// The range a synchronous read serves its sample from.
+enum SyncRange {
+    /// Resident: a pin on the cache's range (a hit, or a miss just parked).
+    Resident(Arc<CachedRange>),
+    /// This read's own fetch, published nowhere — held by value, so the
+    /// copied read of an epoch-scoped mount never allocates for it.
+    Own(CachedRange),
+}
+
+impl SyncRange {
+    /// The pin a zero-copy sample holds.
+    fn share(self) -> Arc<CachedRange> {
+        match self {
+            SyncRange::Resident(range) => range,
+            SyncRange::Own(range) => Arc::new(range),
+        }
     }
 }
 
@@ -2433,7 +2375,7 @@ mod tests {
                 // Block 0 of node 0 as staged. "Unclean" is a flipped bit
                 // when the command delivers bytes, and a checksum failure
                 // on an earlier attempt when it delivers none.
-                let buf = io.shared.cache.alloc_for(BLOCK_SIZE).unwrap().remove(0);
+                let buf = io.shared.cache.alloc_for(BLOCK_SIZE).0.unwrap().remove(0);
                 let mut blk = vec![0u8; BLOCK_SIZE as usize];
                 io.shared.targets[0].dma_read(0, &mut blk);
                 blk[9] ^= (!clean && status.is_ok()) as u8;

@@ -5,65 +5,15 @@
 //!
 //! [`ZeroCopySample`] hands the application direct references into the
 //! huge-page sample cache instead of memcpy'ing into private buffers. The
-//! sample pins its cache range; the chunks return to the pool when the
-//! last sample referencing them is dropped (the cache's deferred-retire
-//! mechanism). The *copy* stage of the engine disappears entirely.
+//! sample holds a pin on its cache range — a reference to the
+//! [`CachedRange`] that owns the chunks — so the chunks return to the pool
+//! when the last holder drops, whether or not the engine has retired the
+//! range meanwhile. The *copy* stage of the engine disappears entirely.
 
 use std::sync::Arc;
 
-use crate::cache::{RangeKey, SampleCache};
+use crate::cache::CachedRange;
 use crate::copy::SegList;
-
-/// Keeps one cache range pinned for the lifetime of the samples built on
-/// it. Remembers the publication generation the pin was taken on, so the
-/// drop releases exactly that generation even if the key was republished
-/// meanwhile (zombie drain).
-#[derive(Debug)]
-pub(crate) struct PinGuard {
-    cache: Arc<SampleCache>,
-    key: RangeKey,
-    gen: u64,
-}
-
-impl PinGuard {
-    pub(crate) fn new(cache: Arc<SampleCache>, key: RangeKey, gen: u64) -> Arc<PinGuard> {
-        Arc::new(PinGuard { cache, key, gen })
-    }
-}
-
-impl Drop for PinGuard {
-    fn drop(&mut self) {
-        // A pin outliving its range (eviction won a teardown race) is the
-        // typed-error path; a Drop has nowhere to report it, and the
-        // chunks were already reclaimed by whoever removed the range.
-        let _ = self.cache.unpin(self.key, self.gen);
-    }
-}
-
-/// How a sample holds its cache pin.
-///
-/// `Shared` refcounts one [`PinGuard`] across every sample of a batch
-/// (one `Arc::clone` per sample, no allocation after the first). `Own`
-/// embeds the pin inline — the sample *is* the guard — so the synchronous
-/// zero-copy read path allocates nothing at all.
-#[derive(Debug)]
-pub(crate) enum Pin {
-    // The guard is held for its Drop alone, never read.
-    Shared(#[allow(dead_code)] Arc<PinGuard>),
-    Own {
-        cache: Arc<SampleCache>,
-        key: RangeKey,
-        gen: u64,
-    },
-}
-
-impl Drop for Pin {
-    fn drop(&mut self) {
-        if let Pin::Own { cache, key, gen } = self {
-            let _ = cache.unpin(*key, *gen);
-        }
-    }
-}
 
 /// A sample delivered without copying: segments point straight into pinned
 /// huge-page chunks of the sample cache.
@@ -71,7 +21,8 @@ pub struct ZeroCopySample {
     pub id: u32,
     segments: SegList,
     len: usize,
-    _pin: Pin,
+    /// Keeps the chunks under `segments` out of the pool.
+    _range: Arc<CachedRange>,
 }
 
 impl std::fmt::Debug for ZeroCopySample {
@@ -85,13 +36,13 @@ impl std::fmt::Debug for ZeroCopySample {
 }
 
 impl ZeroCopySample {
-    pub(crate) fn new(id: u32, segments: SegList, pin: Pin) -> ZeroCopySample {
+    pub(crate) fn new(id: u32, segments: SegList, range: Arc<CachedRange>) -> ZeroCopySample {
         let len = segments.total_bytes();
         ZeroCopySample {
             id,
             segments,
             len,
-            _pin: pin,
+            _range: range,
         }
     }
 
@@ -134,109 +85,40 @@ impl ZeroCopySample {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::SampleCache;
+    use crate::config::CacheMode;
     use crate::copy::Segment;
-    use blocksim::DmaBuf;
 
-    fn cache() -> Arc<SampleCache> {
-        Arc::new(SampleCache::new(64, 4))
-    }
-
-    fn resident(c: &Arc<SampleCache>, key: RangeKey, content: &[u8]) -> Vec<DmaBuf> {
-        let bufs = c.alloc_for(content.len() as u64).unwrap();
-        let mut at = 0;
-        for b in &bufs {
-            let n = content.len().min(at + 64) - at;
-            b.copy_from(0, &content[at..at + n]);
-            at += n;
-        }
-        c.publish(key, bufs.clone(), content.len() as u64);
-        bufs
-    }
-
+    /// Two samples over one published range read its bytes in place, and
+    /// the chunks outlive the engine's retire until the last one drops.
     #[test]
-    fn zero_copy_reads_without_copying() {
-        let c = cache();
+    fn samples_read_in_place_and_the_last_drop_returns_the_chunks() {
+        let c = SampleCache::with_mode(64, 4, CacheMode::EpochScoped);
         let content: Vec<u8> = (0..100u8).collect();
-        let bufs = resident(&c, (0, 0), &content);
-        let pinned = c.pin((0, 0)).unwrap();
-        let pin = PinGuard::new(c.clone(), (0, 0), pinned.gen);
-        let sample = ZeroCopySample::new(
-            7,
-            SegList::from_iter([
-                Segment {
-                    buf: bufs[0].clone(),
-                    offset: 0,
-                    len: 64,
-                },
-                Segment {
-                    buf: bufs[1].clone(),
-                    offset: 0,
-                    len: 36,
-                },
-            ]),
-            Pin::Shared(pin),
-        );
-        assert_eq!(sample.len(), 100);
-        assert_eq!(sample.to_vec(), content);
-        assert_eq!(sample.fnv1a(), simkit::fnv1a(&content));
-    }
-
-    #[test]
-    fn dropping_last_sample_releases_chunks() {
-        let c = cache();
-        let content = vec![9u8; 64];
-        let bufs = resident(&c, (1, 0), &content);
-        let p1 = c.pin((1, 0)).unwrap();
-        let s1 = ZeroCopySample::new(
-            0,
-            SegList::from_iter([Segment {
-                buf: bufs[0].clone(),
+        let bufs = c.alloc_for(100).0.unwrap();
+        bufs[0].copy_from(0, &content[..64]);
+        bufs[1].copy_from(0, &content[64..]);
+        let range = c.publish((0, 0), bufs, 100, false);
+        let sample = |id, parts: &[(usize, usize)]| {
+            let segs = parts.iter().map(|&(b, len)| Segment {
+                buf: range.bufs()[b].clone(),
                 offset: 0,
-                len: 64,
-            }]),
-            Pin::Shared(PinGuard::new(c.clone(), (1, 0), p1.gen)),
-        );
-        let p2 = c.pin((1, 0)).unwrap();
-        let s2 = ZeroCopySample::new(
-            1,
-            SegList::from_iter([Segment {
-                buf: bufs[0].clone(),
-                offset: 0,
-                len: 32,
-            }]),
-            Pin::Shared(PinGuard::new(c.clone(), (1, 0), p2.gen)),
-        );
-        // Engine retires the range; chunks stay alive while pinned.
-        c.retire((1, 0)).unwrap();
-        assert_eq!(c.free_chunks(), 3);
+                len,
+            });
+            ZeroCopySample::new(id, SegList::from_iter(segs), range.clone())
+        };
+        let (s1, s2) = (sample(7, &[(0, 64), (1, 36)]), sample(8, &[(0, 32)]));
+        drop(range);
+        assert_eq!(s1.len(), 100);
+        assert_eq!(s1.to_vec(), content);
+        assert_eq!(s1.fnv1a(), simkit::fnv1a(&content));
+        assert_eq!(s2.to_vec(), content[..32]);
+        // Engine retires the range; chunks stay alive while referenced.
+        assert!(c.retire((0, 0)));
+        assert_eq!(c.free_chunks(), 2);
         drop(s1);
-        assert_eq!(c.free_chunks(), 3);
+        assert_eq!(c.free_chunks(), 2);
         drop(s2);
-        assert_eq!(c.free_chunks(), 4, "last drop must free the chunk");
-    }
-    #[test]
-    fn own_pin_releases_on_drop() {
-        let c = cache();
-        let content = vec![3u8; 64];
-        let bufs = resident(&c, (2, 0), &content);
-        let (gen, len, _) = c.pin_key((2, 0)).unwrap();
-        assert_eq!(len, 64);
-        let s = ZeroCopySample::new(
-            5,
-            SegList::from_iter([Segment {
-                buf: bufs[0].clone(),
-                offset: 0,
-                len: 64,
-            }]),
-            Pin::Own {
-                cache: c.clone(),
-                key: (2, 0),
-                gen,
-            },
-        );
-        c.retire((2, 0)).unwrap();
-        assert_eq!(c.free_chunks(), 3);
-        drop(s);
-        assert_eq!(c.free_chunks(), 4, "own pin must unpin on drop");
+        assert_eq!(c.free_chunks(), 4, "last drop must free the chunks");
     }
 }

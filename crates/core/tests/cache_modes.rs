@@ -1,7 +1,8 @@
 //! Cross-epoch sample-cache behavior: warm epochs served entirely from
 //! resident chunks, LRU eviction under pool pressure, the plan-aware
-//! prefetcher, and the two bugfix regressions (zombie republish, sync-path
-//! transient cache exhaustion).
+//! prefetcher, and the bugfix regressions (a key republished while an old
+//! pin drains, sync-path transient cache exhaustion, a second handle
+//! stealing the cache's instruments).
 
 mod common;
 
@@ -187,7 +188,9 @@ fn cross_epoch_evicts_lru_under_pool_pressure() {
         let snap = reg.snapshot();
         assert!(snap.counter("dlfs.cache.evictions") > 0);
         assert!(snap.gauge("dlfs.cache.resident_chunks") <= 24);
-        assert_eq!(cache.zombie_count(), 0);
+        // Nothing is held, so every chunk is free or resident.
+        let resident = snap.gauge("dlfs.cache.resident_chunks") as usize;
+        assert_eq!(cache.free_chunks() + resident, 24);
     });
 }
 
@@ -231,16 +234,15 @@ fn prefetcher_warms_next_epoch_head() {
         // either free or accounted resident.
         io.sequence(rt, 42, 3);
         let cache = &fs.shared(0).cache;
-        assert_eq!(cache.zombie_count(), 0);
         let resident = reg.snapshot().gauge("dlfs.cache.resident_chunks") as usize;
         assert_eq!(cache.free_chunks() + resident, 96);
     });
 }
 
 /// Satellite regression: a range retired while the application still holds
-/// a zero-copy pin (a *zombie*) must tolerate the next epoch refetching
-/// and republishing the same key. Pre-fix this panicked with "published
-/// twice" inside the engine.
+/// a zero-copy sample of it (a *zombie*: no longer resident, chunks not yet
+/// home) must tolerate the next epoch refetching and republishing the same
+/// key. Once this panicked with "published twice" inside the engine.
 #[test]
 fn zombie_range_republished_across_epochs() {
     Runtime::simulate(105, |rt| {
@@ -262,20 +264,26 @@ fn zombie_range_republished_across_epochs() {
             .remove(0);
         let held_expected = source.expected(held.id);
         // Drain the rest: the chunk item closes and is retired while the
-        // held sample still pins it -> zombie.
+        // held sample still pins it: not resident, its one chunk not home.
         drain_epoch_verified(rt, &mut io, &source);
         let cache = fs.shared(0).cache.clone();
-        assert_eq!(cache.zombie_count(), 1, "held pin must keep a zombie");
+        assert_eq!(cache.resident_count(), 0);
+        assert_eq!(
+            cache.free_chunks(),
+            cache.total_chunks() - 1,
+            "the held sample must keep its chunk out of the pool"
+        );
 
-        // Epoch 1 refetches and republishes the same (nid, offset) key.
-        // Pre-fix: panic "published twice". Post-fix: fresh generation.
+        // Epoch 1 refetches and republishes the same (nid, offset) key
+        // (once: panic "published twice") under a chunk of its own.
         io.sequence(rt, 12, 1);
         drain_epoch_verified(rt, &mut io, &source);
 
-        // The zombie's bytes were never recycled under the live pin.
+        // The old range's bytes were never recycled under the live pin.
         assert_eq!(held.to_vec(), held_expected, "torn zero-copy read");
+        assert_eq!(cache.free_chunks(), cache.total_chunks() - 1);
         drop(held);
-        assert_eq!(cache.zombie_count(), 0);
+        assert_eq!(cache.resident_count(), 0);
         assert_eq!(cache.free_chunks(), cache.total_chunks());
     });
 }
@@ -297,7 +305,7 @@ fn sync_read_waits_out_transient_cache_pressure() {
         // Hog the entire pool, then give it back 50 us into the read.
         let chunk = cache.chunk_size() as u64;
         let mut hogged = Vec::new();
-        while let Some(bufs) = cache.alloc_for(chunk) {
+        while let Some(bufs) = cache.alloc_for(chunk).0 {
             hogged.extend(bufs);
         }
         assert_eq!(cache.free_chunks(), 0);
@@ -336,7 +344,7 @@ fn sync_read_bounds_the_wait_and_honors_deadlines() {
         let cache = fs.shared(0).cache.clone();
         let chunk = cache.chunk_size() as u64;
         let mut hogged = Vec::new();
-        while let Some(bufs) = cache.alloc_for(chunk) {
+        while let Some(bufs) = cache.alloc_for(chunk).0 {
             hogged.extend(bufs);
         }
 
@@ -463,6 +471,43 @@ fn batched_and_sync_paths_share_resident_extents() {
     });
 }
 
+/// Regression: the cache's evictions and residency are reported by the
+/// handle whose call caused them, into that handle's registry. They used
+/// to go through instruments attached to the shared cache, which every
+/// new handle overwrote — a second handle on the reader silently took
+/// `dlfs.cache.evictions` away from the first one's registry and froze its
+/// `resident_chunks` gauge (here the registry kept 8 of 22 evictions).
+#[test]
+fn a_second_handle_does_not_steal_the_cache_instruments() {
+    Runtime::simulate(111, |rt| {
+        // 512 x 2 KiB = 16 chunks of 64 KiB against an 8-chunk pool.
+        let source = SyntheticSource::fixed(5, 512, 2048);
+        let cfg = DlfsConfig {
+            chunk_size: 64 * 1024,
+            pool_chunks: 8,
+            window_chunks: 2,
+            cache_mode: CacheMode::CrossEpoch,
+            ..DlfsConfig::default()
+        };
+        let fs = direct_deployment(rt, 1, &source, cfg);
+        let cache = &fs.shared(0).cache;
+        let reg = Registry::new();
+        let mut a = fs.io_with_registry(0, &reg);
+        let total = a.sequence(rt, 7, 0);
+        assert_eq!(drain_epoch_verified(rt, &mut a, &source), total);
+        let _b = fs.io(0);
+        let total = a.sequence(rt, 8, 1);
+        assert_eq!(drain_epoch_verified(rt, &mut a, &source), total);
+        assert!(cache.evictions() > 0, "a thrashing pool must evict");
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("dlfs.cache.evictions"), cache.evictions());
+        assert_eq!(
+            snap.gauge("dlfs.cache.resident_chunks") as usize,
+            cache.resident_chunks()
+        );
+    });
+}
+
 /// A handle dropped mid-epoch returns its open window to the compute
 /// node's shared pool. It used to leak it — the default pool went 96 → 72
 /// → 48 → 24 → 0 free chunks and the fifth handle's first batch failed
@@ -491,7 +536,7 @@ fn dropped_handle_returns_its_window_to_the_pool() {
             }
             // Free or evictable: the whole pool can be claimed at once.
             let pool_bytes = (cache.total_chunks() * cache.chunk_size()) as u64;
-            let all = cache.alloc_for(pool_bytes).expect("no chunk is stuck");
+            let all = cache.alloc_for(pool_bytes).0.expect("no chunk is stuck");
             all.into_iter().for_each(|b| cache.free_raw(b));
             let mut io = fs.io(0);
             io.sequence(rt, 5, 12);

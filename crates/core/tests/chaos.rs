@@ -405,9 +405,11 @@ fn cross_epoch_chaos_run(seed: u64) -> (u64, u64, String) {
             let total = io.sequence(rt, 17, epoch);
             checksum ^= drain_epoch_verified(rt, &mut io, &source, total).rotate_left(epoch as u32);
         }
-        // Faults must not corrupt the residency bookkeeping either.
+        // Faults must not corrupt the residency bookkeeping either: with
+        // nothing held, every chunk is free or resident.
         let cache = &fs.shared(0).cache;
-        assert_eq!(cache.zombie_count(), 0);
+        let resident = reg.snapshot().gauge("dlfs.cache.resident_chunks") as usize;
+        assert_eq!(cache.free_chunks() + resident, cache.total_chunks());
         (checksum, reg.snapshot().render())
     });
     (checksum, end.nanos(), metrics)

@@ -2,13 +2,17 @@
 //! crate uses a subset.
 #![allow(dead_code)]
 
+fn golden(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
+}
+
 /// Compare `text` against the fixture `tests/golden/<name>`; with
 /// `DLFS_UPDATE_GOLDEN=1` (re)write it instead. Fixtures pin behaviour
 /// across refactors: never regenerate one to make a refactor pass.
 pub fn check_golden(name: &str, text: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
+    let path = golden(name);
     if std::env::var("DLFS_UPDATE_GOLDEN").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, text).unwrap();
@@ -23,9 +27,7 @@ pub fn check_golden(name: &str, text: &str) {
 /// is a sequence of parts, each opened by a `## part <part>` line, and this
 /// compares (or, with `DLFS_UPDATE_GOLDEN=1`, replaces) only `part`.
 pub fn check_golden_part(name: &str, part: &str, text: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
+    let path = golden(name);
     let file = std::fs::read_to_string(&path).unwrap_or_default();
     let mut parts: std::collections::BTreeMap<&str, &str> = file
         .split("## part ")

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, NvmeDevice};
-use dlfs::cache::{key_node, range_key};
+use dlfs::cache::range_key;
 
 use dlfs::tenant::{QosConfig, TenantQos, TenantSpec};
 use dlfs::{CacheMode, DlfsConfig, DlfsInstance, ReadRequest, SampleCache, SyntheticSource};
@@ -220,7 +220,7 @@ fn range_keys_never_collide_across_tenants() {
         let off = g.below(1 << 40);
         let (k1, k2) = (range_key(t1, n, off), range_key(t2, n, off));
         assert_eq!(k1 == k2, t1 == t2, "tenant must be part of the key");
-        assert_eq!(key_node(k1), n);
+        assert_eq!(k1.0 & 0xFFFF, n as u32, "node in the low bits");
         assert_eq!(
             range_key(0, n, off),
             (n as u32, off),
@@ -277,9 +277,9 @@ fn interleaved_admission_throttle_evict_holds_isolation() {
                             let key = range_key(t, 0, g.below(4) * CHUNK as u64);
                             // Tag every byte with the tenant id so a key
                             // collision shows up as data corruption.
-                            match cache.pin(key) {
-                                Some(p) => {
-                                    for b in &p.bufs {
+                            match cache.pin(key, false) {
+                                Some((p, _)) => {
+                                    for b in p.bufs() {
                                         b.with(|d| {
                                             assert!(
                                                 d.iter().all(|&x| x == t as u8),
@@ -287,17 +287,16 @@ fn interleaved_admission_throttle_evict_holds_isolation() {
                                             );
                                         });
                                     }
-                                    cache.unpin(key, p.gen).unwrap();
                                 }
                                 None => {
-                                    if let Some(bufs) = cache.alloc_for(CHUNK as u64) {
+                                    if let Some(bufs) = cache.alloc_for(CHUNK as u64).0 {
                                         for b in &bufs {
                                             b.with_mut(|d| d.fill(t as u8));
                                         }
-                                        cache.publish(key, bufs, CHUNK as u64);
+                                        drop(cache.publish(key, bufs, CHUNK as u64, false));
                                         // Park on the LRU tail: evictable,
                                         // so tenants contend for the pool.
-                                        cache.release(key).unwrap();
+                                        assert!(cache.release(key));
                                     }
                                 }
                             }

@@ -6,7 +6,9 @@
 mod common;
 
 use dlfs::avl::AvlTree;
-use dlfs::cache::RangeKey;
+use std::sync::Arc;
+
+use dlfs::cache::{CachedRange, RangeKey};
 use dlfs::plan::{build_epoch_plan, windowed_delivery, FetchItem};
 use dlfs::{BatchMode, CacheMode, DirectoryBuilder, SampleCache, SampleEntry};
 use simkit::rng::SplitMix64;
@@ -130,23 +132,30 @@ fn plan_covers_each_sample_once() {
     }
 }
 
+/// Is every byte of every chunk of `range` still `tag`?
+fn filled_with(range: &CachedRange, tag: u8) -> bool {
+    let same = |b: &blocksim::DmaBuf| b.with(|d| d.iter().all(|&x| x == tag));
+    range.bufs().iter().all(same)
+}
+
 /// One seeded case of the cache op stream — publish / prefetched publish /
 /// pin / unpin / retire / release / claim / allocation churn on a small
 /// pool in a random mode — with the oracles applied at every step: never a
-/// panic, never a torn read (every pinned buffer keeps its generation's
-/// byte pattern for the pin's whole lifetime, across zombie republishes
-/// and evictions), and never a chunk leak (the pool refills completely
-/// once all pins drop). With `trace`, appends one line per step: the op,
-/// then `free_chunks`, `resident_count`, `evictions()` and which of the
-/// six keys are resident — eviction victims and pool-return instants.
-/// (Steps the cache state made a no-op are left out; the step numbers
-/// show the gaps.)
+/// panic, never a torn read (every pinned range keeps its publication's
+/// byte pattern for the pin's whole lifetime, across republishes of its
+/// key and evictions), never an eviction of a range a live pin still
+/// names, and never a chunk leak (the pool refills completely once all
+/// pins drop). A pin is a handle on the range; unpinning drops it. With
+/// `trace`, appends one line per step: the op, then `free_chunks`,
+/// `resident_count`, `evictions()` and which of the six keys are resident
+/// — eviction victims and pool-return instants. (Steps the cache state
+/// made a no-op are left out; the step numbers show the gaps.)
 fn cache_case(case: u64, mut trace: Option<&mut String>) {
     use std::fmt::Write;
     const CHUNK: usize = 512;
-    let verify = |bufs: &[blocksim::DmaBuf], tag: u8| {
+    let verify = |range: &CachedRange, tag: u8| {
         assert!(
-            bufs.iter().all(|b| b.with(|d| d.iter().all(|&x| x == tag))),
+            filled_with(range, tag),
             "torn read: pinned bytes no longer match tag {tag}"
         );
     };
@@ -165,7 +174,7 @@ fn cache_case(case: u64, mut trace: Option<&mut String>) {
     // Latest published byte tag per key; stale entries are pruned on
     // retire (and on release in epoch-scoped mode, where release frees).
     let mut tags: std::collections::HashMap<RangeKey, u8> = Default::default();
-    let mut pins: Vec<(RangeKey, u64, u8, Vec<blocksim::DmaBuf>)> = Vec::new();
+    let mut pins: Vec<(RangeKey, u8, Arc<CachedRange>)> = Vec::new();
     let steps = g.range(50, 250);
     for step in 0..steps {
         let k = g.below(keys.len() as u64) as usize;
@@ -179,7 +188,7 @@ fn cache_case(case: u64, mut trace: Option<&mut String>) {
                     break 'publish;
                 }
                 let nbufs = g.range(1, 3);
-                let Some(bufs) = cache.alloc_for(nbufs * CHUNK as u64) else {
+                let Some(bufs) = cache.alloc_for(nbufs * CHUNK as u64).0 else {
                     op = "full";
                     break 'publish;
                 };
@@ -188,43 +197,37 @@ fn cache_case(case: u64, mut trace: Option<&mut String>) {
                     b.copy_from(0, &vec![tag; CHUNK]);
                 }
                 let len = bufs.len() as u64 * CHUNK as u64;
-                if g.below(4) == 0 {
-                    cache.publish_prefetched(key, bufs, len);
-                    op = "prefetched";
-                } else {
-                    cache.publish(key, bufs, len);
-                    op = "publish";
-                }
+                let prefetched = g.below(4) == 0;
+                drop(cache.publish(key, bufs, len, prefetched));
+                op = if prefetched { "prefetched" } else { "publish" };
                 tags.insert(key, tag);
             }
             2 => {
-                if let Some(p) = cache.pin(key) {
+                if let Some((range, first)) = cache.pin(key, false) {
                     let tag = tags[&key];
-                    verify(&p.bufs, tag);
-                    pins.push((key, p.gen, tag, p.bufs));
-                    op = if p.prefetched { "pin+first" } else { "pin" };
+                    verify(&range, tag);
+                    pins.push((key, tag, range));
+                    op = if first { "pin+first" } else { "pin" };
                 }
             }
             3 => {
                 if !pins.is_empty() {
-                    let (key, gen, tag, bufs) =
-                        pins.swap_remove(g.below(pins.len() as u64) as usize);
-                    verify(&bufs, tag);
-                    cache.unpin(key, gen).unwrap();
+                    let (_, tag, range) = pins.swap_remove(g.below(pins.len() as u64) as usize);
+                    verify(&range, tag);
                     op = "unpin";
                 }
             }
             4 => {
-                // Retire — a zombie if pins are still out on the key.
+                // Retire — the range drains under the pins still out on it.
                 if cache.contains(key) {
-                    cache.retire(key).unwrap();
+                    assert!(cache.retire(key));
                     tags.remove(&key);
                     op = "retire";
                 }
             }
             5 => {
                 if cache.contains(key) {
-                    cache.release(key).unwrap();
+                    assert!(cache.release(key));
                     if mode == CacheMode::EpochScoped {
                         tags.remove(&key);
                     }
@@ -234,8 +237,8 @@ fn cache_case(case: u64, mut trace: Option<&mut String>) {
             6 => {
                 // The engine's claim of a resident range for a new epoch:
                 // in use again, so not evictable until released.
-                if let Some((bufs, _, first)) = cache.acquire(key) {
-                    verify(&bufs, tags[&key]);
+                if let Some((range, first)) = cache.pin(key, true) {
+                    verify(&range, tags[&key]);
                     op = if first { "claim+first" } else { "claim" };
                 }
             }
@@ -243,13 +246,21 @@ fn cache_case(case: u64, mut trace: Option<&mut String>) {
                 // Allocation churn: drives LRU eviction of released
                 // ranges in cross-epoch mode.
                 op = "churn-full";
-                if let Some(bufs) = cache.alloc_for(CHUNK as u64) {
+                if let Some(bufs) = cache.alloc_for(CHUNK as u64).0 {
                     for b in bufs {
                         cache.free_raw(b);
                     }
                     op = "churn";
                 }
             }
+        }
+        // Whatever the step evicted, it was no range a live pin names:
+        // a pin on a key's current publication keeps it resident.
+        for (key, tag, _) in &pins {
+            assert!(
+                tags.get(key) != Some(tag) || cache.contains(*key),
+                "case {case} step {step}: evicted {key:?} under a live pin"
+            );
         }
         if let Some(t) = trace.as_deref_mut().filter(|_| op != "-") {
             let resident: String = keys
@@ -267,18 +278,16 @@ fn cache_case(case: u64, mut trace: Option<&mut String>) {
             .unwrap();
         }
     }
-    // Drain: every pin unpins with its bytes intact, every live range
+    // Drain: every pin drops with its bytes intact, every live range
     // retires, and the pool must be whole again.
-    for (key, gen, tag, bufs) in pins.drain(..) {
-        verify(&bufs, tag);
-        cache.unpin(key, gen).unwrap();
+    for (_, tag, range) in pins.drain(..) {
+        verify(&range, tag);
     }
     for &key in &keys {
         if cache.contains(key) {
-            cache.retire(key).unwrap();
+            assert!(cache.retire(key));
         }
     }
-    assert_eq!(cache.zombie_count(), 0, "case {case}: zombies leaked");
     assert_eq!(cache.resident_count(), 0, "case {case}: residents leaked");
     assert_eq!(
         cache.free_chunks(),
@@ -306,6 +315,94 @@ fn cache_residency_trace_matches_golden() {
         cache_case(case, Some(&mut trace));
     }
     common::check_golden_part("residency_trace.txt", "A", &trace);
+}
+
+/// The one invariant residency-by-ownership rests on, on real threads:
+/// "released and referenced by the map alone" is read under the cache
+/// lock, and pins are only minted under it, so eviction never takes a
+/// range somebody holds. Four OS threads hammer one small cross-epoch
+/// pool with seeded pin / drop / publish / release / alloc ops (each
+/// publishes only its own keys — publishing a live key is a caller bug —
+/// and pins anybody's; nobody retires, so only an eviction can end a
+/// residency). Every held range must stay the resident range of its key,
+/// with the one byte value it was published with, until it is let go, and
+/// the pool must be whole at the end.
+#[test]
+fn cache_pins_hold_on_os_threads() {
+    const CHUNK: usize = 512;
+    const THREADS: u64 = 4;
+    let cache = SampleCache::with_mode(CHUNK, 8, CacheMode::CrossEpoch);
+    let key = |owner: u64, i: u64| -> RangeKey { (owner as u32, i * 4 * CHUNK as u64) };
+    let intact = |range: &CachedRange, tag: u8| {
+        assert!(filled_with(range, tag), "a held range was recycled");
+    };
+    let start = std::sync::Barrier::new(THREADS as usize);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (cache, start) = (&cache, &start);
+            s.spawn(move || {
+                let mut g = SplitMix64::derive(0x057E55, t);
+                let mut held: Vec<(RangeKey, u8, Arc<CachedRange>)> = Vec::new();
+                start.wait();
+                for step in 0..2000u64 {
+                    let mine = key(t, g.below(3));
+                    match g.below(8) {
+                        0 | 1 if !cache.contains(mine) => {
+                            let nbufs = g.range(1, 3);
+                            if let Some(bufs) = cache.alloc_for(nbufs * CHUNK as u64).0 {
+                                let tag = (t * 64 + step % 64) as u8;
+                                for b in &bufs {
+                                    b.copy_from(0, &vec![tag; CHUNK]);
+                                }
+                                let len = (bufs.len() * CHUNK) as u64;
+                                drop(cache.publish(mine, bufs, len, g.below(4) == 0));
+                            }
+                        }
+                        2 | 3 => {
+                            let any = key(g.below(THREADS), g.below(3));
+                            if let Some((range, _)) = cache.pin(any, g.below(4) == 0) {
+                                let tag = range.bufs()[0].with(|d| d[0]);
+                                intact(&range, tag);
+                                held.push((any, tag, range));
+                            }
+                        }
+                        4 if !held.is_empty() => {
+                            let (_, tag, range) =
+                                held.swap_remove(g.below(held.len() as u64) as usize);
+                            intact(&range, tag);
+                        }
+                        5 | 6 => {
+                            cache.release(mine);
+                        }
+                        _ => {
+                            if let Some(bufs) = cache.alloc_for(CHUNK as u64).0 {
+                                bufs.into_iter().for_each(|b| cache.free_raw(b));
+                            }
+                        }
+                    }
+                    for (key, tag, range) in &held {
+                        intact(range, *tag);
+                        let resident = cache.pin(*key, false);
+                        assert!(
+                            resident.is_some_and(|(r, _)| Arc::ptr_eq(&r, range)),
+                            "{key:?} was evicted under a live pin"
+                        );
+                    }
+                    // Bound what one thread pins, so eviction keeps work.
+                    if held.len() > 3 {
+                        held.remove(0);
+                    }
+                }
+            });
+        }
+    });
+    for t in 0..THREADS {
+        for i in 0..3 {
+            cache.retire(key(t, i));
+        }
+    }
+    assert_eq!(cache.resident_count(), 0);
+    assert_eq!(cache.free_chunks(), cache.total_chunks(), "chunks leaked");
 }
 
 /// Randomized end-to-end integrity sweep: random node/replica geometry,

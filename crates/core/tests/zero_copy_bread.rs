@@ -266,10 +266,10 @@ fn held_zero_copy_batches_exhaust_the_cache_without_panicking() {
 }
 
 /// A cold synchronous `read_zero_copy` on a default (epoch-scoped) mount:
-/// the freshly fetched range is retired the moment it is published and
-/// pinned, so the sample must be built from the fetched buffers, not from
-/// a second cache lookup (which panicked: a retired range is a zombie no
-/// lookup sees). The sample owns its pin; the chunks come home on drop.
+/// the freshly fetched range is never resident, so the sample must be
+/// built from the fetched buffers, not from a second cache lookup (which
+/// once panicked). The sample owns the range; the chunks come home on
+/// drop.
 #[test]
 fn cold_sync_zero_copy_on_an_epoch_scoped_mount() {
     Runtime::simulate(9, |rt| {
@@ -282,13 +282,13 @@ fn cold_sync_zero_copy_on_an_epoch_scoped_mount() {
             let sample = io.read_zero_copy(rt, id).unwrap();
             assert_eq!(sample.id, id);
             assert_eq!(sample.to_vec(), source.expected(id));
-            assert!(
-                cache.free_chunks() < total,
-                "the held sample pins its chunk"
+            assert_eq!(
+                (cache.free_chunks(), cache.resident_count()),
+                (total - 1, 0),
+                "the held sample keeps its one chunk, resident nowhere"
             );
             drop(sample);
             assert_eq!(cache.free_chunks(), total, "pool whole after the drop");
-            assert_eq!((cache.resident_count(), cache.zombie_count()), (0, 0));
         }
     });
 }
