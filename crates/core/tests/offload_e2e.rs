@@ -6,6 +6,8 @@
 //! configuration (`offload: false`) rejects offload requests with a typed
 //! error and builds none of this.
 
+mod common;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -17,6 +19,7 @@ use dlfs::{
 };
 use fabric::{Cluster, FabricConfig, FabricFaultInjector, NvmeOfTarget, TargetConfig};
 use simkit::prelude::*;
+use simkit::rng::fnv1a;
 
 fn test_seed(base: u64) -> u64 {
     base + std::env::var("DLFS_TEST_SEED_OFFSET")
@@ -56,8 +59,22 @@ fn disaggregated(
     source: &dyn SampleSource,
     cfg: DlfsConfig,
 ) -> (DlfsInstance, Arc<Cluster>, Vec<Arc<NvmeDevice>>) {
-    let cluster = Arc::new(Cluster::new(n + 1, FabricConfig::default()));
     let devices: Vec<Arc<NvmeDevice>> = (0..n).map(|_| ramdisk(128 << 20)).collect();
+    let (deployment, cluster) = fabric_deployment(&devices, FabricConfig::default());
+    let fs = dlfs::MountBuilder::new(cfg)
+        .deployment(deployment)
+        .mount(rt, source)
+        .unwrap();
+    (fs, cluster, devices)
+}
+
+/// `devices` exported over NVMe-oF to one reader on the last cluster node.
+fn fabric_deployment(
+    devices: &[Arc<NvmeDevice>],
+    fabric: FabricConfig,
+) -> (Deployment, Arc<Cluster>) {
+    let n = devices.len();
+    let cluster = Arc::new(Cluster::new(n + 1, fabric));
     let targets: Vec<Vec<Arc<dyn NvmeTarget>>> = vec![devices
         .iter()
         .enumerate()
@@ -69,14 +86,11 @@ fn disaggregated(
             ) as Arc<dyn NvmeTarget>
         })
         .collect()];
-    let fs = dlfs::MountBuilder::new(cfg)
-        .deployment(Deployment {
-            targets,
-            cluster: Some(cluster.clone()),
-        })
-        .mount(rt, source)
-        .unwrap();
-    (fs, cluster, devices)
+    let deployment = Deployment {
+        targets,
+        cluster: Some(cluster.clone()),
+    };
+    (deployment, cluster)
 }
 
 /// Drain one full epoch through `submit`, returning id → payload.
@@ -419,4 +433,135 @@ fn offload_over_an_unreadable_home_fails_over_or_fails_typed() {
             });
         }
     }
+}
+
+/// What an offload-trace cell injects before its first epoch.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Inject {
+    Clean,
+    /// 64 silently flipped blocks at the head of node 0's data.
+    Flips,
+    /// Seeded fabric delays and drops (NVMe-oF rig only).
+    Fabric,
+}
+
+/// One cell of the offload trace: two epochs of `batch(32).offload()` over
+/// 300 samples (nine full batches and a short one) — a line per batch, a
+/// counter line per epoch.
+fn offload_trace_cell(codec: CodecKind, replicated: bool, fabric_rig: bool, inj: Inject) -> String {
+    Runtime::simulate(8200, |rt| {
+        let comp = CompressibleSource::fixed(51, 300, 2600, 48);
+        let cfg = DlfsConfig {
+            replicas: if replicated { 2 } else { 1 },
+            verify_reads: replicated,
+            ..offload_cfg(codec)
+        };
+        let nodes = if fabric_rig { 3 } else { 2 };
+        let devices: Vec<_> = (0..nodes).map(|_| ramdisk(64 << 20)).collect();
+        let (deployment, cluster) = if fabric_rig {
+            let fabric = FabricConfig {
+                nic_bytes_per_sec: 1e9,
+                ..FabricConfig::default()
+            };
+            let (deployment, cluster) = fabric_deployment(&devices, fabric);
+            (deployment, Some(cluster))
+        } else {
+            (local_deployment(&devices), None)
+        };
+        let fs = dlfs::MountBuilder::new(cfg)
+            .deployment(deployment)
+            .persistent()
+            .mount(rt, &comp)
+            .unwrap();
+        match inj {
+            Inject::Clean => {}
+            Inject::Flips => {
+                let head = fs.layout(0).unwrap().data_base / BLOCK_SIZE;
+                devices[0].set_faults(FaultInjector::new(23).with_bit_flips(head, 64));
+            }
+            Inject::Fabric => {
+                cluster.as_ref().unwrap().set_faults(
+                    FabricFaultInjector::new(41)
+                        .with_delays(200_000, Dur::micros(200))
+                        .with_drops(50_000)
+                        .with_io_timeout(Dur::millis(1)),
+                );
+            }
+        }
+        let reg = simkit::telemetry::Registry::new();
+        let mut io = fs.io_with_registry(0, &reg);
+        let mut out = String::new();
+        for epoch in 0..2 {
+            let total = io.sequence(rt, 23, epoch);
+            let mut got = 0;
+            while io.remaining() > 0 {
+                let batch = io
+                    .submit(rt, &ReadRequest::batch(32).offload())
+                    .unwrap()
+                    .into_copied();
+                let mut ids = Vec::new();
+                let mut bytes = Vec::new();
+                for (id, data) in &batch {
+                    assert_eq!(data, &comp.expected(*id), "sample {id} corrupted");
+                    ids.extend_from_slice(&id.to_le_bytes());
+                    bytes.extend_from_slice(data);
+                }
+                got += batch.len();
+                out.push_str(&format!(
+                    "batch t={} n={} ids={:016x} bytes={:016x}\n",
+                    rt.now().nanos(),
+                    batch.len(),
+                    fnv1a(&ids),
+                    fnv1a(&bytes)
+                ));
+            }
+            assert_eq!(got, total);
+            let m = reg.snapshot();
+            out.push_str(&format!("epoch {epoch} t={}", rt.now().nanos()));
+            for scope in ["dlfs.offload.", "dlfs.integrity.", "dlfs.codec."] {
+                for line in m.render_prefixed(scope).lines() {
+                    out.push_str(&format!(" {}", line.replace(' ', "=")));
+                }
+            }
+            for name in ["dlfs.io.samples_delivered", "dlfs.io.bytes_delivered"] {
+                out.push_str(&format!(" {name}={}", m.counter(name)));
+            }
+            if let Some(c) = &cluster {
+                out.push_str(&format!(" node_traffic={:?}", c.node_traffic(nodes)));
+            }
+            out.push('\n');
+        }
+        out
+    })
+    .0
+}
+
+/// Characterisation of the offload path, pinned across changes to *when*
+/// an exchange is issued: codec x {one copy; two verified copies} x {two
+/// local ramdisks; three NVMe-oF targets behind a 1 GB/s reader NIC} x
+/// {clean; flipped blocks (replicated cells); fabric faults (fabric cells)}.
+/// The seed is fixed (no `DLFS_TEST_SEED_OFFSET`). A change to offload
+/// timing may regenerate it only if nothing but `t=` values moves.
+#[test]
+fn offload_trace_matches_golden() {
+    let mut text = String::new();
+    for codec in [CodecKind::Identity, CodecKind::Lz] {
+        for replicated in [false, true] {
+            for fabric_rig in [false, true] {
+                for inj in [Inject::Clean, Inject::Flips, Inject::Fabric] {
+                    if (inj == Inject::Flips && !replicated)
+                        || (inj == Inject::Fabric && !fabric_rig)
+                    {
+                        continue;
+                    }
+                    text.push_str(&format!(
+                        "cell codec={codec} replicated={replicated} fabric={fabric_rig} \
+                         inject={inj:?}\n"
+                    ));
+                    text.push_str(&offload_trace_cell(codec, replicated, fabric_rig, inj));
+                }
+            }
+        }
+    }
+    common::check_golden("offload_trace.txt", &text);
 }
