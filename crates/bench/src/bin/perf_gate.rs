@@ -26,8 +26,8 @@
 //!   four remote NVMe-oF targets on a fabric-bound 1 GB/s NIC, samples
 //!   per virtual second (higher is better); the gate asserts inline that
 //!   the offloaded epoch moves no more fabric bytes than the raw client
-//!   path on the same wiring (with exact-extent fetch items the raw path
-//!   no longer over-fetches, so it is the faster of the two here);
+//!   path on the same wiring (both paths keep the NIC busy, so the fewer
+//!   bytes also make it the faster of the two here);
 //! - `disagg_epoch_throughput_sps` — one reader draining an epoch of
 //!   100–130 KB samples from four NVMe-oF targets, samples per virtual
 //!   second (higher is better); the gate asserts inline that the run is
@@ -58,7 +58,7 @@
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
-use dlfs::{CodecKind, CompressibleSource, Deployment, DlfsConfig, ReadRequest, SyntheticSource};
+use dlfs::{CodecKind, Deployment, DlfsConfig, ReadRequest, SyntheticSource};
 use dlfs_bench::{arg, setup, DEFAULT_SEED};
 use fabric::{Cluster, FabricConfig, NvmeOfTarget, TargetConfig};
 use simkit::prelude::*;
@@ -241,7 +241,7 @@ fn offload_epoch_throughput(seed: u64) -> f64 {
     /// (samples/s, bytes through the reader's NIC both ways).
     fn epoch(seed: u64, codec: CodecKind, offload: bool) -> (f64, u64) {
         Runtime::simulate(seed, |rt| {
-            let source = CompressibleSource::fixed(seed ^ 0x0C, 2000, 2600, 48);
+            let source = SyntheticSource::compressible(seed ^ 0x0C, 2000, 2600, 48);
             let cluster = Arc::new(Cluster::new(
                 NODES + 1,
                 FabricConfig {
@@ -299,11 +299,10 @@ fn offload_epoch_throughput(seed: u64) -> f64 {
     );
     // What offload guarantees on the wire: one capsule and one dense
     // response per node per batch never move more than the raw path's
-    // per-command capsules and block-padded extents. (It used to win on
-    // throughput too, but only because whole-chunk fetch items made the
-    // raw path read edge-sample bytes twice; with exact extents the raw
-    // path is the faster one on this wiring. Offload throughput is gated
-    // against its own baseline instead.)
+    // per-command capsules and block-padded extents. (Throughput follows
+    // from it now that the next exchange is issued before the current one
+    // is waited for, but it is gated against its own baseline, not
+    // against the raw path.)
     assert!(
         offload_bytes <= raw_bytes,
         "offloaded epoch moved {offload_bytes} fabric bytes, more than the raw client path's \

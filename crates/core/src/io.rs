@@ -27,13 +27,10 @@
 //! copy pool through [`DlfsShared`].
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use blocksim::{
-    covering_blocks, CmdStatus, Completion, DmaBuf, IoQPair, NvmeTarget, OffloadExtent, BLOCK_SIZE,
-};
-use fabric::{CAPSULE_BYTES, DESCRIPTOR_BYTES, RESPONSE_BYTES};
+use blocksim::{covering_blocks, CmdStatus, Completion, DmaBuf, IoQPair, NvmeTarget, BLOCK_SIZE};
 use simkit::chan::{Receiver, Sender};
 use simkit::rng::SplitMix64;
 use simkit::runtime::Runtime;
@@ -47,8 +44,8 @@ use crate::copy::{CopyDone, CopyJob, SegList, Segment};
 use crate::counter_in;
 use crate::directory::SampleDirectory;
 use crate::entry::SampleEntry;
-use crate::error::{CorruptCause, DlfsError, IoFailure};
-use crate::integrity::{Probe, Redundancy, Reject};
+use crate::error::{CorruptCause, DlfsError};
+use crate::integrity::Redundancy;
 use crate::plan::{build_epoch_plan, fetch_extent, reader_item_ranges, ReaderPlan};
 use crate::reactor::{CompletionClock, ReactorStats};
 use crate::rebuild::Background;
@@ -56,6 +53,10 @@ use crate::request::{Completions, Delivery, ReadRequest};
 use crate::writer::io_failure;
 use crate::zerocopy::ZeroCopySample;
 use crate::{cache::SampleCache, copy::CopyPool};
+
+/// The storage-side offload path: more of `impl DlfsIo`, in its own file.
+#[path = "offload.rs"]
+mod offload;
 
 /// State shared by every I/O thread of one compute node. Cloning is cheap
 /// (every heavy member is behind an `Arc`) and is how views over the same
@@ -381,6 +382,8 @@ struct EpochState {
     /// Which path serves this epoch, fixed by its first batch: `true` for
     /// storage-side offload, `false` for the client-side engine.
     offloaded: Option<bool>,
+    /// Offload exchanges issued ahead of delivery; gone with the epoch.
+    ahead: offload::Ahead,
 }
 
 impl EpochState {
@@ -708,6 +711,7 @@ impl DlfsIo {
             open: HashMap::new(),
             rng: SplitMix64::derive(seed ^ 0xD15B, epoch * 7919 + self.shared.reader_id as u64),
             offloaded: None,
+            ahead: Default::default(),
         });
         n
     }
@@ -768,16 +772,22 @@ impl DlfsIo {
             return;
         };
         rt.work(self.shared.cfg.costs.decode(f.raw_len as u64));
-        self.tel.codec_bytes_in.add(f.enc_len as u64);
-        self.tel.codec_bytes_out.add(f.raw_len as u64);
-        if f.enc_len == f.raw_len {
-            return; // stored verbatim: the buffer already holds raw bytes
-        }
         debug_assert_eq!(bufs.len(), 1, "a coded frame fits one cache chunk");
         bufs[0].with_mut(|d| {
-            let raw = f.kind.codec().decode(&d[..f.enc_len], f.raw_len);
-            d[..f.raw_len].copy_from_slice(&raw);
+            if let Some(raw) = self.decode_counted(&f, d) {
+                d[..f.raw_len].copy_from_slice(&raw);
+            }
         });
+    }
+
+    /// Count frame `f` in `dlfs.codec.*` and decode it — wherever that
+    /// happens — from `stored`, which starts with its encoded prefix.
+    /// `None` for a frame stored verbatim: `stored[..raw_len]` already is
+    /// its raw bytes.
+    fn decode_counted(&self, f: &Frame, stored: &[u8]) -> Option<Vec<u8>> {
+        self.tel.codec_bytes_in.add(f.enc_len as u64);
+        self.tel.codec_bytes_out.add(f.raw_len as u64);
+        (f.enc_len != f.raw_len).then(|| f.kind.codec().decode(&stored[..f.enc_len], f.raw_len))
     }
 
     // ------------------------------------------------ the part lifecycle --
@@ -1693,183 +1703,6 @@ impl DlfsIo {
         } else {
             Completions::zero_copy(batch.pinned)
         })
-    }
-
-    /// The storage-side offload path (`ReadRequest::offload`): consume the
-    /// next `want` samples of the plan in item order, group them by home
-    /// storage node, and issue ONE offload exchange per node — the target
-    /// reads the stored frames, verifies and decodes them locally (both
-    /// charged to the target's compute pool, not this reader), and ships a
-    /// single dense response carrying exactly the requested sample bytes.
-    /// Bypasses the qpairs and the sample cache entirely, so an epoch is
-    /// served by one path or the other (see [`DlfsIo::claim_epoch_path`]).
-    /// Deadlines are not honored: the batch is a single remote exchange
-    /// with nothing to cut short client-side.
-    fn run_offload(
-        &mut self,
-        rt: &Runtime,
-        want: usize,
-        req: &ReadRequest,
-    ) -> Result<Vec<(u32, Vec<u8>)>, DlfsError> {
-        if req.delivery != Delivery::Copied {
-            return Err(DlfsError::Config(
-                "offload batches are assembled storage-side; only copied \
-                 delivery can cross the fabric"
-                    .into(),
-            ));
-        }
-        if !self.shared.cfg.offload {
-            return Err(DlfsError::Config(
-                "ReadRequest::offload requires DlfsConfig { offload: true, .. }".into(),
-            ));
-        }
-        self.claim_epoch_path(true)?;
-        // 1. Claim the next `want` samples, walking items in plan order.
-        let mut taken: Vec<(u16, u64, u64, Vec<u32>)> = Vec::new();
-        {
-            let st = self.split().0;
-            let mut left = want;
-            let mut idx = 0usize;
-            while left > 0 && idx < st.items.len() {
-                let done = st.items[idx].dispatched;
-                let take = (st.items[idx].samples_total - done).min(left as u32);
-                if take == 0 {
-                    idx += 1;
-                    continue;
-                }
-                let it = &st.plan.items[idx];
-                let ids = it.samples[done as usize..(done + take) as usize].to_vec();
-                st.items[idx].dispatched += take;
-                st.total_dispatched += take as usize;
-                left -= take as usize;
-                taken.push((it.nid, it.offset, it.len, ids));
-            }
-        }
-        // 2. One dense request per storage node touched by the batch. The
-        //    target is charged what the client no longer pays: block
-        //    verification and frame decode, per extent, on its compute
-        //    pool.
-        let costs = self.shared.cfg.costs.clone();
-        let verify = self.shared.redundancy.verify();
-        let mut per_node: BTreeMap<u16, (Vec<OffloadExtent>, u64)> = BTreeMap::new();
-        for (nid, offset, len, ids) in &taken {
-            let (slba, nblocks, _) = self.read_geometry(*nid, *offset, *len);
-            let raw_len = self.frame(*nid, *offset).map_or(*len, |f| f.raw_len as u64);
-            let mut compute = Dur::ZERO;
-            if verify {
-                compute += costs.verify_block * nblocks as u64;
-            }
-            if self.shared.codec.is_some() {
-                compute += costs.decode(raw_len);
-            }
-            let slot = per_node.entry(*nid).or_default();
-            slot.0.push(OffloadExtent {
-                slba,
-                nblocks,
-                compute,
-            });
-            slot.1 += ids
-                .iter()
-                .map(|&id| self.shared.dir.entry(id).len())
-                .sum::<u64>();
-        }
-        // 3. Timing: one request/process/respond exchange per node, all
-        //    concurrent; this reader parks until the last dense response
-        //    lands.
-        let mut done_at = rt.now();
-        for (nid, (extents, payload)) in &per_node {
-            let t = self.shared.targets[*nid as usize].reserve_offload(rt.now(), extents, *payload);
-            done_at = done_at.max(t);
-            self.tel.of_requests.inc();
-            self.tel.of_wire_bytes.add(
-                CAPSULE_BYTES + extents.len() as u64 * DESCRIPTOR_BYTES + payload + RESPONSE_BYTES,
-            );
-        }
-        // 4. Functional bytes: read + verify (failover / read-repair) +
-        //    decode each stored frame, then slice out the samples.
-        let mut out = Vec::with_capacity(want);
-        for (nid, offset, len, ids) in &taken {
-            let (raw, base) = match self.offload_item_bytes(*nid, *offset, *len) {
-                Ok(v) => v,
-                Err(e) => {
-                    // A frame no replica can serve: the plan can no longer
-                    // complete (same sticky semantics as the engine path).
-                    self.failed = Some(e.clone());
-                    return Err(e);
-                }
-            };
-            for &id in ids {
-                let entry = self.shared.dir.entry(id);
-                let at = (entry.offset() - base) as usize;
-                out.push((id, raw[at..at + entry.len() as usize].to_vec()));
-                self.tel.samples_delivered.inc();
-                self.tel.bytes_delivered.add(entry.len());
-                self.tel.of_samples.inc();
-            }
-        }
-        self.advance_to(rt, done_at);
-        Ok(out)
-    }
-
-    /// Read one plan item's stored range for the offload path: the first
-    /// good copy in replica order ([`Redundancy::first_good`] — readable,
-    /// and matching the integrity table when there is one, all *before*
-    /// decode, covering the stored encoded bytes), the home extent
-    /// rewritten from it when the home copy was not the one, then decoded.
-    /// Copies are counted as the client path counts them: blocks verified
-    /// per copy checksummed, a mismatch per copy that failed, a failover
-    /// per hop to the next copy, one repair. With no good copy left the
-    /// error is the client path's too: `Corrupt` if a copy failed its
-    /// checksum, `Io` if none could be read. Returns the raw bytes and the
-    /// node byte offset they start at. Purely functional: the time was
-    /// already charged by `reserve_offload` (extent reads + target-side
-    /// verify/decode).
-    fn offload_item_bytes(
-        &self,
-        nid: u16,
-        offset: u64,
-        len: u64,
-    ) -> Result<(Vec<u8>, u64), DlfsError> {
-        let (slba, nblocks, _) = self.read_geometry(nid, offset, len);
-        let (red, targets) = (&self.shared.redundancy, &self.shared.targets);
-        let mut data = vec![0u8; nblocks as usize * BLOCK_SIZE as usize];
-        let copies = 0..red.replicas;
-        let found = red.first_good(targets, nid, slba, copies, &mut data, Probe::Media);
-        let (served, rejected) = found;
-        let tried = rejected.len() as u32;
-        let mismatches = rejected.iter().filter(|&&r| r == Reject::Mismatch).count() as u64;
-        if red.verify() {
-            let checked = mismatches + served.is_some() as u64;
-            self.tel.iv_verified.add(checked * nblocks as u64);
-        }
-        self.tel.iv_mismatches.add(mismatches);
-        let hops = tried - served.is_none() as u32;
-        self.tel.iv_failovers.add(hops as u64);
-        if served.is_none() {
-            let last = match rejected.last() {
-                Some(Reject::Mismatch) => CorruptCause::Checksum,
-                _ => CorruptCause::Io(IoFailure::Media),
-            };
-            let chunk = slba * BLOCK_SIZE;
-            let e = DlfsError::exhausted(nid, chunk, tried, mismatches > 0, last);
-            return Err(e);
-        }
-        if tried > 0 {
-            red.rewrite(targets, nid, 0, slba, &data);
-            self.tel.iv_repairs.inc();
-        }
-        let mut base = slba * BLOCK_SIZE;
-        if let Some(f) = self.frame(nid, offset) {
-            self.tel.codec_bytes_in.add(f.enc_len as u64);
-            self.tel.codec_bytes_out.add(f.raw_len as u64);
-            if f.enc_len == f.raw_len {
-                data.truncate(f.raw_len);
-            } else {
-                data = f.kind.codec().decode(&data[..f.enc_len], f.raw_len);
-            }
-            base = f.start;
-        }
-        Ok((data, base))
     }
 
     /// Earliest completion instant across every qpair. The completion

@@ -91,7 +91,7 @@ pub use plan::{
 pub use reactor::CompletionClock;
 pub use rebuild::{RebuildExtent, RebuildPlan};
 pub use request::{Completion, Completions, Delivery, ReadRequest};
-pub use source::{CompressibleSource, SampleSource, SyntheticSource};
+pub use source::{SampleSource, SyntheticSource};
 pub use tenant::{QosConfig, TenantId, TenantQos, TenantSpec};
 pub use writer::{BatchedWriter, CheckpointReader, CheckpointWriter};
 pub use zerocopy::ZeroCopySample;

@@ -1,0 +1,245 @@
+//! The storage-side offload path of [`DlfsIo`] (`ReadRequest::offload`,
+//! DESIGN.md §16), a child module of `io` so it shares the handle's state.
+//!
+//! A batch is not an exchange: the path *issues* exchanges and *delivers*
+//! from what they claimed, and keeps one exchange ahead of the batch being
+//! delivered. An exchange claims the next samples of the plan in item
+//! order, sends one descriptor capsule per storage node touched — the
+//! target reads the stored frames, verifies and decodes them locally (both
+//! charged to the target's compute pool, not this reader) and ships a
+//! single dense response carrying exactly the claimed sample bytes — and
+//! is ready when the last response lands. The plan is seed-determined, so
+//! the next exchange is known the moment the current one is claimed: it is
+//! issued before the reader parks, and its response streams in behind the
+//! one being waited for.
+//!
+//! ```text
+//! submit k:   issue k (only if nothing is ahead) → issue k+1 → wait k → deliver k
+//! submit k+1:                                      issue k+2 → wait k+1 → deliver k+1
+//! ```
+//!
+//! The depth is one by design (double buffering): between calls a handle
+//! holds fewer than 2 × `req.n` delivered-size payloads. Everything ahead
+//! dies with the epoch state (`sequence`, drop); its NIC reservation and
+//! wire bytes stay booked, because the response really was sent.
+//!
+//! The path bypasses the qpairs and the sample cache entirely, so an epoch
+//! is served by it or by the engine, never both (`claim_epoch_path`).
+//! Deadlines are not honored: there is nothing to cut short client-side.
+
+use std::collections::BTreeMap;
+
+use blocksim::OffloadExtent;
+use fabric::{CAPSULE_BYTES, DESCRIPTOR_BYTES, RESPONSE_BYTES};
+
+use super::*;
+use crate::error::IoFailure;
+use crate::integrity::{Probe, Reject};
+
+/// A sample as delivered: its id and payload.
+type Sample = (u32, Vec<u8>);
+
+/// The offload half of an epoch's state.
+#[derive(Default)]
+pub(super) struct Ahead {
+    /// Claimed samples awaiting delivery, in plan order, each with the
+    /// instant the last dense response of its exchange lands. An exchange
+    /// with a frame no replica could serve queues that typed error in
+    /// place of its samples.
+    queue: VecDeque<(Time, Result<Sample, DlfsError>)>,
+    /// Samples of the plan claimed by an exchange so far. Delivery, not
+    /// this, is what `remaining()` counts down.
+    claimed: usize,
+}
+
+impl DlfsIo {
+    /// Serve the next `want` samples of the plan from offload exchanges.
+    pub(super) fn run_offload(
+        &mut self,
+        rt: &Runtime,
+        want: usize,
+        req: &ReadRequest,
+    ) -> Result<Vec<Sample>, DlfsError> {
+        if req.delivery != Delivery::Copied {
+            return Err(DlfsError::Config(
+                "offload batches are assembled storage-side; only copied \
+                 delivery can cross the fabric"
+                    .into(),
+            ));
+        }
+        if !self.shared.cfg.offload {
+            return Err(DlfsError::Config(
+                "ReadRequest::offload requires DlfsConfig { offload: true, .. }".into(),
+            ));
+        }
+        self.claim_epoch_path(true)?;
+        // Issue: cover this batch (the first of an epoch finds nothing
+        // ahead), then one more exchange of `req.n` unless a batch's worth
+        // is already buffered behind it.
+        loop {
+            let st = self.st();
+            let buffered = st.ahead.claimed - st.total_dispatched;
+            let unclaimed = st.total - st.ahead.claimed;
+            if unclaimed == 0 || buffered.saturating_sub(want) >= req.n {
+                break;
+            }
+            self.issue_exchange(rt, req.n.min(unclaimed));
+        }
+        // Deliver: the next `want` samples off the front of the queue. A
+        // failed exchange surfaces here, at the batch that needs it, and
+        // the plan can no longer complete (sticky, like the engine's).
+        let mut out = Vec::with_capacity(want);
+        let mut ready = rt.now();
+        while out.len() < want {
+            let Some((landed, sample)) = self.split().0.ahead.queue.pop_front() else {
+                break;
+            };
+            ready = ready.max(landed);
+            match sample {
+                Ok(sample) => out.push(sample),
+                Err(e) => {
+                    self.failed = Some(e.clone());
+                    return Err(e);
+                }
+            }
+        }
+        self.split().0.total_dispatched += out.len();
+        self.tel.samples_delivered.add(out.len() as u64);
+        self.tel.of_samples.add(out.len() as u64);
+        let bytes = out.iter().map(|(_, data)| data.len() as u64).sum();
+        self.tel.bytes_delivered.add(bytes);
+        // This reader parks until the last response it needs has landed.
+        self.advance_to(rt, ready);
+        Ok(out)
+    }
+
+    /// Issue one exchange for the next `n` unclaimed samples: group them by
+    /// home storage node, send ONE request per node, all concurrent, and
+    /// queue what the dense responses will carry.
+    fn issue_exchange(&mut self, rt: &Runtime, n: usize) {
+        // 1. Claim the samples, walking items in plan order.
+        let mut taken: Vec<(u16, u64, u64, Vec<u32>)> = Vec::new();
+        let st = self.split().0;
+        st.ahead.claimed += n;
+        let mut left = n as u32;
+        for (item, it) in st.items.iter_mut().zip(&st.plan.items) {
+            if left == 0 {
+                break;
+            }
+            let take = (item.samples_total - item.dispatched).min(left);
+            if take > 0 {
+                let ids = &it.samples[item.dispatched as usize..][..take as usize];
+                taken.push((it.nid, it.offset, it.len, ids.to_vec()));
+                item.dispatched += take;
+                left -= take;
+            }
+        }
+        // 2. One descriptor per item, grouped by node. The target is
+        //    charged what the client no longer pays: block verification
+        //    and frame decode, per extent, on its compute pool.
+        let costs = &self.shared.cfg.costs;
+        let verify = self.shared.redundancy.verify();
+        let mut per_node: BTreeMap<u16, (Vec<OffloadExtent>, u64)> = BTreeMap::new();
+        let mut items = Vec::with_capacity(taken.len());
+        for (nid, offset, len, ids) in taken {
+            let (slba, nblocks, _) = self.read_geometry(nid, offset, len);
+            let frame = self.frame(nid, offset);
+            let checked = if verify { nblocks as u64 } else { 0 };
+            let decode = frame.map_or(Dur::ZERO, |f| costs.decode(f.raw_len as u64));
+            let slot = per_node.entry(nid).or_default();
+            slot.0.push(OffloadExtent {
+                slba,
+                nblocks,
+                compute: costs.verify_block * checked + decode,
+            });
+            slot.1 += ids
+                .iter()
+                .map(|&id| self.shared.dir.entry(id).len())
+                .sum::<u64>();
+            items.push((nid, slba, nblocks, frame, ids));
+        }
+        // 3. Timing: one request/process/respond exchange per node; the
+        //    exchange is ready when the last dense response lands.
+        let mut ready = rt.now();
+        for (nid, (extents, payload)) in &per_node {
+            let t = self.shared.targets[*nid as usize].reserve_offload(rt.now(), extents, *payload);
+            ready = ready.max(t);
+            self.tel.of_requests.inc();
+            self.tel.of_wire_bytes.add(
+                CAPSULE_BYTES + extents.len() as u64 * DESCRIPTOR_BYTES + payload + RESPONSE_BYTES,
+            );
+        }
+        // 4. Functional bytes: read + verify (failover / read-repair) +
+        //    decode each stored frame, then slice out the samples.
+        let samples = (|| {
+            let mut samples = Vec::with_capacity(n);
+            for (nid, slba, nblocks, frame, ids) in items {
+                let (raw, base) = self.offload_item_bytes(nid, slba, nblocks, frame)?;
+                for id in ids {
+                    let entry = self.shared.dir.entry(id);
+                    let at = (entry.offset() - base) as usize;
+                    samples.push((id, raw[at..at + entry.len() as usize].to_vec()));
+                }
+            }
+            Ok(samples)
+        })();
+        let queue = &mut self.split().0.ahead.queue;
+        match samples {
+            Ok(samples) => queue.extend(samples.into_iter().map(|s| (ready, Ok(s)))),
+            Err(e) => queue.push_back((ready, Err(e))),
+        }
+    }
+
+    /// Read one plan item's stored range (`nblocks` blocks at `slba` of its
+    /// home node, holding `frame` under a codec): the first good copy in
+    /// replica order ([`crate::integrity::Redundancy::first_good`] —
+    /// readable, and matching the integrity table when there is one, all
+    /// *before* decode, covering the stored encoded bytes), the home extent
+    /// rewritten from it when the home copy was not the one, then decoded.
+    /// Copies are counted as the client path counts them: blocks verified
+    /// per copy checksummed, a mismatch per copy that failed, a failover
+    /// per hop to the next copy, one repair. With no good copy left the
+    /// error is the client path's too: `Corrupt` if a copy failed its
+    /// checksum, `Io` if none could be read. Returns the raw bytes and the
+    /// node byte offset they start at. Purely functional: the time was
+    /// already charged by `reserve_offload` (extent reads + target-side
+    /// verify/decode).
+    fn offload_item_bytes(
+        &self,
+        nid: u16,
+        slba: u64,
+        nblocks: u32,
+        frame: Option<Frame>,
+    ) -> Result<(Vec<u8>, u64), DlfsError> {
+        let (red, targets) = (&self.shared.redundancy, &self.shared.targets);
+        let mut data = vec![0u8; nblocks as usize * BLOCK_SIZE as usize];
+        let copies = 0..red.replicas;
+        let found = red.first_good(targets, nid, slba, copies, &mut data, Probe::Media);
+        let (served, rejected) = found;
+        let tried = rejected.len() as u32;
+        let mismatches = rejected.iter().filter(|&&r| r == Reject::Mismatch).count() as u64;
+        if red.verify() {
+            let checked = mismatches + served.is_some() as u64;
+            self.tel.iv_verified.add(checked * nblocks as u64);
+        }
+        self.tel.iv_mismatches.add(mismatches);
+        let hops = tried - served.is_none() as u32;
+        self.tel.iv_failovers.add(hops as u64);
+        if served.is_none() {
+            let last = match rejected.last() {
+                Some(Reject::Mismatch) => CorruptCause::Checksum,
+                _ => CorruptCause::Io(IoFailure::Media),
+            };
+            let chunk = slba * BLOCK_SIZE;
+            let e = DlfsError::exhausted(nid, chunk, tried, mismatches > 0, last);
+            return Err(e);
+        }
+        if tried > 0 {
+            red.rewrite(targets, nid, 0, slba, &data);
+            self.tel.iv_repairs.inc();
+        }
+        let base = frame.map_or(slba * BLOCK_SIZE, |f| f.start);
+        let raw = frame.and_then(|f| self.decode_counted(&f, &data));
+        Ok((raw.unwrap_or(data), base))
+    }
+}

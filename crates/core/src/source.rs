@@ -18,12 +18,19 @@ pub trait SampleSource: Send + Sync {
 }
 
 /// Deterministic synthetic dataset: "a dummy dataset with random values as
-/// the sample content" (paper §IV), with configurable per-sample sizes.
+/// the sample content" (paper §IV), with configurable per-sample sizes —
+/// or, built with [`SyntheticSource::compressible`], samples that each
+/// repeat a short per-sample random motif, so LZ-style codecs find long
+/// back-references (real DL corpora — text shards, sparse tensors,
+/// annotation JSON — are highly repetitive, unlike white noise). Payloads
+/// stay distinct per id and per seed either way.
 #[derive(Clone, Debug)]
 pub struct SyntheticSource {
     sizes: Vec<u64>,
     seed: u64,
     prefix: String,
+    /// Length of the pattern each payload repeats; 0 is white noise.
+    motif: usize,
 }
 
 impl SyntheticSource {
@@ -33,12 +40,23 @@ impl SyntheticSource {
             sizes,
             seed,
             prefix: "sample".to_string(),
+            motif: 0,
         }
     }
 
     /// `count` samples, all of `size` bytes (the paper's fixed-size sweeps).
     pub fn fixed(seed: u64, count: usize, size: u64) -> SyntheticSource {
         SyntheticSource::new(seed, vec![size; count])
+    }
+
+    /// `count` samples of `size` bytes, each repeating a `motif`-byte
+    /// pseudo-random pattern (smaller motifs compress harder).
+    pub fn compressible(seed: u64, count: usize, size: u64, motif: usize) -> SyntheticSource {
+        assert!(motif > 0, "zero-length motif");
+        SyntheticSource {
+            motif,
+            ..SyntheticSource::fixed(seed, count, size)
+        }
     }
 
     pub fn with_prefix(mut self, prefix: &str) -> SyntheticSource {
@@ -69,65 +87,9 @@ impl SampleSource for SyntheticSource {
 
     fn fill(&self, id: u32, buf: &mut [u8]) {
         debug_assert_eq!(buf.len() as u64, self.sizes[id as usize]);
-        fill_deterministic(buf, self.seed, id as u64);
-    }
-}
-
-/// Deterministic *compressible* dataset: each sample repeats a short
-/// per-sample random motif, so LZ-style codecs find long back-references
-/// (real DL corpora — text shards, sparse tensors, annotation JSON — are
-/// highly repetitive, unlike [`SyntheticSource`]'s white noise). Payloads
-/// stay distinct per id and per seed.
-#[derive(Clone, Debug)]
-pub struct CompressibleSource {
-    sizes: Vec<u64>,
-    seed: u64,
-    motif: usize,
-    prefix: String,
-}
-
-impl CompressibleSource {
-    /// `count` samples of `size` bytes, each repeating a `motif`-byte
-    /// pseudo-random pattern (smaller motifs compress harder).
-    pub fn fixed(seed: u64, count: usize, size: u64, motif: usize) -> CompressibleSource {
-        assert!(size > 0, "zero-size sample");
-        assert!(motif > 0, "zero-length motif");
-        CompressibleSource {
-            sizes: vec![size; count],
-            seed,
-            motif,
-            prefix: "sample".to_string(),
+        if self.motif == 0 {
+            return fill_deterministic(buf, self.seed, id as u64);
         }
-    }
-
-    pub fn with_prefix(mut self, prefix: &str) -> CompressibleSource {
-        self.prefix = prefix.to_string();
-        self
-    }
-
-    /// The expected payload of a sample (for verification in tests).
-    pub fn expected(&self, id: u32) -> Vec<u8> {
-        let mut buf = vec![0u8; self.size(id) as usize];
-        self.fill(id, &mut buf);
-        buf
-    }
-}
-
-impl SampleSource for CompressibleSource {
-    fn count(&self) -> usize {
-        self.sizes.len()
-    }
-
-    fn name(&self, id: u32) -> String {
-        format!("{}_{id:08}", self.prefix)
-    }
-
-    fn size(&self, id: u32) -> u64 {
-        self.sizes[id as usize]
-    }
-
-    fn fill(&self, id: u32, buf: &mut [u8]) {
-        debug_assert_eq!(buf.len() as u64, self.sizes[id as usize]);
         let mut motif = vec![0u8; self.motif];
         fill_deterministic(&mut motif, self.seed ^ 0xC0DEC, id as u64);
         for (i, b) in buf.iter_mut().enumerate() {
@@ -165,7 +127,7 @@ mod tests {
 
     #[test]
     fn compressible_source_compresses_and_stays_distinct() {
-        let s = CompressibleSource::fixed(1, 4, 4096, 64);
+        let s = SyntheticSource::compressible(1, 4, 4096, 64);
         assert_eq!(s.expected(0), s.expected(0));
         assert_ne!(s.expected(0), s.expected(1));
         let enc = crate::codec::CodecKind::Lz.codec().encode(&s.expected(0));

@@ -13,8 +13,8 @@ use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
 use dlfs::source::SampleSource;
 use dlfs::tenant::QosConfig;
 use dlfs::{
-    CacheMode, CodecKind, Completions, CompressibleSource, Deployment, DlfsConfig, DlfsError,
-    DlfsInstance, DlfsIo, ReadRequest, SyntheticSource, ZeroCopySample,
+    CacheMode, CodecKind, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, DlfsIo,
+    ReadRequest, SyntheticSource, ZeroCopySample,
 };
 use simkit::prelude::*;
 use simkit::rng::fnv1a;
@@ -569,7 +569,7 @@ enum Deliver {
 struct Cell<'a> {
     rt: &'a Runtime,
     fs: DlfsInstance,
-    source: CompressibleSource,
+    source: SyntheticSource,
     reg: Registry,
     deliver: Deliver,
     batches: usize,
@@ -587,7 +587,7 @@ impl<'a> Cell<'a> {
         pool: usize,
         qos: Option<QosConfig>,
     ) -> Cell<'a> {
-        let source = CompressibleSource::fixed(17, 192, 1000, 48);
+        let source = SyntheticSource::compressible(17, 192, 1000, 48);
         let cfg = DlfsConfig {
             chunk_size: CHUNK,
             pool_chunks: pool,

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget, BLOCK_SIZE};
 use dlfs::source::SampleSource;
 use dlfs::{
-    CacheMode, CodecKind, Completions, CompressibleSource, Deployment, DlfsConfig, DlfsError,
-    DlfsInstance, ReadRequest, SyntheticSource,
+    CacheMode, CodecKind, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance,
+    ReadRequest, SyntheticSource,
 };
 use simkit::prelude::*;
 
@@ -86,7 +86,7 @@ fn drain_verified(
 #[test]
 fn lz_roundtrips_import_remount_and_all_read_paths() {
     Runtime::simulate(test_seed(90), |rt| {
-        let comp = CompressibleSource::fixed(21, 300, 3000, 48);
+        let comp = SyntheticSource::compressible(21, 300, 3000, 48);
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(lz_cfg())
             .deployment(local_deployment(&devices))
@@ -136,7 +136,7 @@ fn lz_roundtrips_import_remount_and_all_read_paths() {
 #[test]
 fn remount_with_wrong_codec_is_typed_error() {
     Runtime::simulate(test_seed(91), |rt| {
-        let comp = CompressibleSource::fixed(22, 64, 2048, 32);
+        let comp = SyntheticSource::compressible(22, 64, 2048, 32);
         let devices = vec![ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(lz_cfg())
             .deployment(local_deployment(&devices))
@@ -216,7 +216,7 @@ fn verbatim_fallback_roundtrips_with_cross_epoch_cache() {
 #[test]
 fn corrupt_encoded_frames_verify_before_decode_and_repair() {
     Runtime::simulate(test_seed(93), |rt| {
-        let comp = CompressibleSource::fixed(24, 400, 2048, 40);
+        let comp = SyntheticSource::compressible(24, 400, 2048, 40);
         let cfg = DlfsConfig {
             replicas: 2,
             verify_reads: true,
@@ -300,7 +300,7 @@ fn corrupt_encoded_frames_verify_before_decode_and_repair() {
 #[test]
 fn unrepairable_encoded_corruption_is_typed_corrupt() {
     Runtime::simulate(test_seed(94), |rt| {
-        let comp = CompressibleSource::fixed(25, 200, 2048, 40);
+        let comp = SyntheticSource::compressible(25, 200, 2048, 40);
         let cfg = DlfsConfig {
             verify_reads: true,
             ..lz_cfg()
@@ -341,7 +341,7 @@ fn unrepairable_encoded_corruption_is_typed_corrupt() {
 fn lz_fetches_strictly_fewer_device_bytes() {
     let run = |codec: CodecKind| {
         Runtime::simulate(test_seed(95), |rt| {
-            let comp = CompressibleSource::fixed(26, 500, 4096, 64);
+            let comp = SyntheticSource::compressible(26, 500, 4096, 64);
             let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
             let fs = dlfs::MountBuilder::new(DlfsConfig { codec, ..lz_cfg() })
                 .deployment(local_deployment(&devices))

@@ -12,8 +12,8 @@ use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget, BLOCK_SIZE};
 use common::check_golden;
 use dlfs::source::SampleSource;
 use dlfs::{
-    fsck_node, fsck_repair, CodecKind, Completions, CompressibleSource, Deployment, DlfsConfig,
-    DlfsError, DlfsInstance, DlfsIo, ReadRequest, SyntheticSource,
+    fsck_node, fsck_repair, CodecKind, Completions, Deployment, DlfsConfig, DlfsError,
+    DlfsInstance, DlfsIo, ReadRequest, SyntheticSource,
 };
 use fabric::{Cluster, FabricConfig, FabricFaultInjector, NvmeOfTarget, TargetConfig};
 use simkit::prelude::*;
@@ -492,7 +492,7 @@ const HEAL_DEV_BYTES: u64 = 1 << 20;
 fn heal_epoch(
     rt: &Runtime,
     io: &mut DlfsIo,
-    source: &CompressibleSource,
+    source: &SyntheticSource,
     epoch: u64,
     offload: bool,
 ) -> String {
@@ -531,7 +531,7 @@ fn heal_state(io: &DlfsIo, devices: &[Arc<NvmeDevice>]) -> String {
 
 fn heal_cell(replicas: usize, codec: CodecKind, damage: Damage, healer: Healer) -> String {
     Runtime::simulate(8100, |rt| {
-        let source = CompressibleSource::fixed(41, 240, 2000, 48);
+        let source = SyntheticSource::compressible(41, 240, 2000, 48);
         let devices: Vec<_> = (0..4).map(|_| ramdisk(HEAL_DEV_BYTES)).collect();
         let cfg = DlfsConfig {
             ckpt_region_bytes: 64 * 1024,

@@ -14,12 +14,12 @@ use std::sync::Arc;
 use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget, BLOCK_SIZE};
 use dlfs::source::SampleSource;
 use dlfs::{
-    CodecKind, Completions, CompressibleSource, Deployment, DlfsConfig, DlfsError, DlfsInstance,
-    IoFailure, ReadRequest,
+    CodecKind, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, IoFailure,
+    ReadRequest, SyntheticSource,
 };
 use fabric::{Cluster, FabricConfig, FabricFaultInjector, NvmeOfTarget, TargetConfig};
 use simkit::prelude::*;
-use simkit::rng::fnv1a;
+use simkit::rng::{fnv1a, SplitMix64};
 
 fn test_seed(base: u64) -> u64 {
     base + std::env::var("DLFS_TEST_SEED_OFFSET")
@@ -124,7 +124,7 @@ fn drain_to_map(
 fn offload_matches_client_path_bytes() {
     for codec in [CodecKind::Identity, CodecKind::Lz] {
         Runtime::simulate(test_seed(96), |rt| {
-            let comp = CompressibleSource::fixed(31, 300, 2600, 48);
+            let comp = SyntheticSource::compressible(31, 300, 2600, 48);
             let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
             let fs = dlfs::MountBuilder::new(offload_cfg(codec))
                 .deployment(local_deployment(&devices))
@@ -156,7 +156,7 @@ fn offload_matches_client_path_bytes() {
 #[test]
 fn offload_over_faulty_fabric_stays_byte_identical() {
     Runtime::simulate(test_seed(97), |rt| {
-        let comp = CompressibleSource::fixed(32, 400, 2600, 40);
+        let comp = SyntheticSource::compressible(32, 400, 2600, 40);
         let (fs, cluster, _devices) = disaggregated(rt, 3, &comp, offload_cfg(CodecKind::Lz));
         cluster.set_faults(
             FabricFaultInjector::new(41)
@@ -189,7 +189,7 @@ fn offload_over_faulty_fabric_stays_byte_identical() {
 #[test]
 fn offload_verifies_encoded_frames_and_repairs() {
     Runtime::simulate(test_seed(98), |rt| {
-        let comp = CompressibleSource::fixed(33, 400, 2048, 40);
+        let comp = SyntheticSource::compressible(33, 400, 2048, 40);
         let cfg = DlfsConfig {
             replicas: 2,
             verify_reads: true,
@@ -229,7 +229,7 @@ fn offload_verifies_encoded_frames_and_repairs() {
 #[test]
 fn offload_unrepairable_corruption_is_typed_corrupt() {
     Runtime::simulate(test_seed(99), |rt| {
-        let comp = CompressibleSource::fixed(34, 100, 2048, 40);
+        let comp = SyntheticSource::compressible(34, 100, 2048, 40);
         let cfg = DlfsConfig {
             verify_reads: true,
             ..offload_cfg(CodecKind::Lz)
@@ -263,7 +263,7 @@ fn offload_unrepairable_corruption_is_typed_corrupt() {
 #[test]
 fn offload_misuse_is_typed_config_error() {
     Runtime::simulate(test_seed(100), |rt| {
-        let comp = CompressibleSource::fixed(35, 40, 2048, 32);
+        let comp = SyntheticSource::compressible(35, 40, 2048, 32);
         // offload disabled in the instance config
         let devices = vec![ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(DlfsConfig {
@@ -309,7 +309,7 @@ fn offload_misuse_is_typed_config_error() {
 #[test]
 fn mixing_offload_and_client_batches_in_one_epoch_is_a_typed_error() {
     Runtime::simulate(test_seed(101), |rt| {
-        let comp = CompressibleSource::fixed(36, 200, 2600, 48);
+        let comp = SyntheticSource::compressible(36, 200, 2600, 48);
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(offload_cfg(CodecKind::Lz))
             .deployment(local_deployment(&devices))
@@ -330,6 +330,18 @@ fn mixing_offload_and_client_batches_in_one_epoch_is_a_typed_error() {
             match io.submit(rt, &req(!first_offloaded)) {
                 Err(DlfsError::Config(_)) => {}
                 other => panic!("expected a typed Config error, got {other:?}"),
+            }
+            if first_offloaded {
+                // The exchange issued ahead of the refused batch is still
+                // the next one delivered: the epoch keeps the order an
+                // uninterrupted handle sees.
+                let mut fresh = fs.io(0);
+                fresh.sequence(rt, 10, epoch as u64);
+                let want = drain_offloaded(rt, &mut fresh, &comp, |_| 16);
+                let mut got: Vec<u32> = first.iter().map(|(id, _)| *id).collect();
+                got.extend(drain_offloaded(rt, &mut io, &comp, |_| 16));
+                assert_eq!(got, want, "a refused client batch disturbed the order");
+                continue;
             }
             let mut all = drain_to_map(rt, &mut io, &|| req(first_offloaded));
             for (id, data) in first {
@@ -372,7 +384,7 @@ fn offload_over_an_unreadable_home_fails_over_or_fails_typed() {
         for replicas in [2usize, 1] {
             Runtime::simulate(test_seed(102), |rt| {
                 let case = format!("sticky={sticky} replicas={replicas}");
-                let comp = CompressibleSource::fixed(37, 300, 2048, 40);
+                let comp = SyntheticSource::compressible(37, 300, 2048, 40);
                 let devices: Vec<_> = (0..3).map(|_| ramdisk(64 << 20)).collect();
                 let cfg = DlfsConfig {
                     replicas,
@@ -450,7 +462,7 @@ enum Inject {
 /// counter line per epoch.
 fn offload_trace_cell(codec: CodecKind, replicated: bool, fabric_rig: bool, inj: Inject) -> String {
     Runtime::simulate(8200, |rt| {
-        let comp = CompressibleSource::fixed(51, 300, 2600, 48);
+        let comp = SyntheticSource::compressible(51, 300, 2600, 48);
         let cfg = DlfsConfig {
             replicas: if replicated { 2 } else { 1 },
             verify_reads: replicated,
@@ -458,16 +470,7 @@ fn offload_trace_cell(codec: CodecKind, replicated: bool, fabric_rig: bool, inj:
         };
         let nodes = if fabric_rig { 3 } else { 2 };
         let devices: Vec<_> = (0..nodes).map(|_| ramdisk(64 << 20)).collect();
-        let (deployment, cluster) = if fabric_rig {
-            let fabric = FabricConfig {
-                nic_bytes_per_sec: 1e9,
-                ..FabricConfig::default()
-            };
-            let (deployment, cluster) = fabric_deployment(&devices, fabric);
-            (deployment, Some(cluster))
-        } else {
-            (local_deployment(&devices), None)
-        };
+        let (deployment, cluster) = offload_rig(&devices, fabric_rig);
         let fs = dlfs::MountBuilder::new(cfg)
             .deployment(deployment)
             .persistent()
@@ -564,4 +567,257 @@ fn offload_trace_matches_golden() {
         }
     }
     common::check_golden("offload_trace.txt", &text);
+}
+
+/// Drain the current epoch of `io` through offloaded batches, the next
+/// one sized by `next_n(remaining)`. After every `submit`: the batch has
+/// the length asked for (or what was left), `remaining()` fell by exactly
+/// that, and every payload equals the source's. Returns the ids in
+/// delivery order.
+fn drain_offloaded(
+    rt: &Runtime,
+    io: &mut dlfs::DlfsIo,
+    comp: &SyntheticSource,
+    mut next_n: impl FnMut(usize) -> usize,
+) -> Vec<u32> {
+    let mut order = Vec::new();
+    while io.remaining() > 0 {
+        let before = io.remaining();
+        let n = next_n(before);
+        let batch = io
+            .submit(rt, &ReadRequest::batch(n).offload())
+            .unwrap()
+            .into_copied();
+        assert_eq!(batch.len(), n.min(before), "batch({n}) with {before} left");
+        assert_eq!(io.remaining(), before - batch.len());
+        for (id, data) in batch {
+            assert_eq!(data, comp.expected(id), "sample {id} corrupted");
+            order.push(id);
+        }
+    }
+    let again = io.submit(rt, &ReadRequest::batch(1).offload());
+    assert!(matches!(again, Err(DlfsError::EpochExhausted)), "{again:?}");
+    order
+}
+
+/// A 1 GB/s reader NIC in front of `devices`, or no fabric at all.
+fn offload_rig(
+    devices: &[Arc<NvmeDevice>],
+    fabric_rig: bool,
+) -> (Deployment, Option<Arc<Cluster>>) {
+    if !fabric_rig {
+        return (local_deployment(devices), None);
+    }
+    let fabric = FabricConfig {
+        nic_bytes_per_sec: 1e9,
+        ..FabricConfig::default()
+    };
+    let (deployment, cluster) = fabric_deployment(devices, fabric);
+    (deployment, Some(cluster))
+}
+
+/// What constant-size traffic never exercises: batch sizes drawn per call
+/// from {1, 7, 32, 64, everything left}, so a batch takes a prefix of the
+/// exchange ahead, spans two, or outruns the read-ahead. Whatever the
+/// sizes, an epoch delivers every sample exactly once, byte-correct, in
+/// the order a constant `batch(32)` delivers it — and books the same
+/// `dlfs.offload.samples`.
+#[test]
+fn offload_batch_sizes_do_not_change_what_an_epoch_delivers() {
+    for case in 0..24u64 {
+        let codec = [CodecKind::Identity, CodecKind::Lz][case as usize % 2];
+        let fabric_rig = case / 2 % 2 == 1;
+        Runtime::simulate(test_seed(200 + case), |rt| {
+            let comp = SyntheticSource::compressible(60 + case, 330 + 7 * case as usize, 2600, 48);
+            let devices: Vec<_> = (0..3).map(|_| ramdisk(64 << 20)).collect();
+            let (deployment, _cluster) = offload_rig(&devices, fabric_rig);
+            let fs = dlfs::MountBuilder::new(offload_cfg(codec))
+                .deployment(deployment)
+                .mount(rt, &comp)
+                .unwrap();
+            let mut reference = fs.io(0);
+            let total = reference.sequence(rt, 12, case);
+            let want = drain_offloaded(rt, &mut reference, &comp, |_| 32);
+            let mut once = want.clone();
+            once.sort_unstable();
+            assert!(once.into_iter().eq(0..total as u32), "case {case}");
+
+            let mut io = fs.io(0);
+            assert_eq!(io.sequence(rt, 12, case), total);
+            let mut draw = SplitMix64::derive(test_seed(200), case);
+            let got = drain_offloaded(rt, &mut io, &comp, |left| {
+                [1, 7, 32, 64, left][draw.below(5) as usize]
+            });
+            assert_eq!(got, want, "case {case}: batch sizes changed the order");
+            let m = io.metrics();
+            assert_eq!(m.counter("dlfs.offload.samples"), total as u64);
+            assert_eq!(m.counter("dlfs.io.samples_delivered"), total as u64);
+        });
+    }
+}
+
+/// `sequence` mid-epoch discards the exchange ahead: the next epoch
+/// delivers exactly its own plan order, as a fresh handle would, and what
+/// the dropped exchange moved stays booked — its response really was sent.
+#[test]
+fn sequence_mid_epoch_drops_the_exchange_ahead_but_not_its_bytes() {
+    let comp = SyntheticSource::compressible(61, 400, 2600, 48);
+    // (delivery order, dlfs.offload.wire_bytes, reader rx bytes) of epoch 1,
+    // alone or after three batches of epoch 0.
+    let epoch1 = |batches_of_epoch0: usize| {
+        Runtime::simulate(test_seed(230), |rt| {
+            let devices: Vec<_> = (0..3).map(|_| ramdisk(64 << 20)).collect();
+            let (deployment, cluster) = offload_rig(&devices, true);
+            let fs = dlfs::MountBuilder::new(offload_cfg(CodecKind::Lz))
+                .deployment(deployment)
+                .mount(rt, &comp)
+                .unwrap();
+            let mut io = fs.io(0);
+            let booked = |io: &dlfs::DlfsIo| {
+                let wire = io.metrics().counter("dlfs.offload.wire_bytes");
+                (wire, cluster.as_ref().unwrap().node_traffic(3).1)
+            };
+            let before = booked(&io);
+            io.sequence(rt, 13, 0);
+            for _ in 0..batches_of_epoch0 {
+                let batch = io.submit(rt, &ReadRequest::batch(32).offload()).unwrap();
+                assert_eq!(batch.len(), 32);
+            }
+            let dropped = booked(&io);
+            io.sequence(rt, 13, 1);
+            let order = drain_offloaded(rt, &mut io, &comp, |_| 32);
+            let after = booked(&io);
+            let delivered = io.metrics().counter("dlfs.offload.samples");
+            assert_eq!(delivered as usize, batches_of_epoch0 * 32 + comp.count());
+            (
+                order,
+                (dropped.0 - before.0, dropped.1 - before.1),
+                (after.0 - dropped.0, after.1 - dropped.1),
+            )
+        })
+        .0
+    };
+    let (fresh_order, nothing, fresh_bytes) = epoch1(0);
+    let (order, dropped, bytes) = epoch1(3);
+    assert_eq!(nothing, (0, 0));
+    assert_eq!(order, fresh_order, "epoch 1 delivered samples of epoch 0");
+    assert_eq!(
+        bytes, fresh_bytes,
+        "epoch 1 moved other bytes than a fresh one"
+    );
+    // Three delivered batches and the one issued ahead of them.
+    let four_exchanges = 4 * 32 * 2600;
+    assert!(dropped.0 > four_exchanges, "wire_bytes {dropped:?}");
+    assert!(dropped.1 > four_exchanges, "node_traffic {dropped:?}");
+}
+
+/// A frame no copy can serve fails the batch that needs it — not the one
+/// before, during which its exchange was issued — with the typed error the
+/// serialized path gave, and stays failed until `sequence`. The batch is
+/// computed from the plan: offload claims samples in fetch-item order.
+#[test]
+fn an_unrepairable_frame_fails_its_own_batch_and_no_earlier_one() {
+    Runtime::simulate(test_seed(231), |rt| {
+        let comp = SyntheticSource::compressible(62, 600, 2600, 48);
+        let cfg = DlfsConfig {
+            verify_reads: true,
+            ..offload_cfg(CodecKind::Identity)
+        };
+        let dev = ramdisk(64 << 20);
+        let fs = dlfs::MountBuilder::new(cfg.clone())
+            .deployment(local_deployment(std::slice::from_ref(&dev)))
+            .mount(rt, &comp)
+            .unwrap();
+        // An ephemeral mount: the node's data starts at block 0. Four
+        // flipped blocks in the middle of it.
+        let bad = 600 * 2600 / 2 / BLOCK_SIZE;
+        dev.set_faults(FaultInjector::new(31).with_bit_flips(bad, 4));
+        let dir = &fs.shared(0).dir;
+        let mode = cfg.effective_mode(dir.avg_sample_bytes());
+        let mut io = fs.io(0);
+        let mut exercised = false;
+        for epoch in 0..3 {
+            io.sequence(rt, 14, epoch);
+            let plan =
+                dlfs::build_epoch_plan(dir, cfg.chunk_size, 1, mode, cfg.window_chunks, 14, epoch);
+            let mut claimed = 0;
+            let (fails_at, chunk) = plan.readers[0]
+                .items
+                .iter()
+                .find_map(|it| {
+                    let (slba, nblocks, _) = blocksim::covering_blocks(it.offset, it.len);
+                    let hit = slba < bad + 4 && bad < slba + nblocks as u64;
+                    claimed += it.samples.len();
+                    hit.then(|| ((claimed - it.samples.len()) / 32, slba * BLOCK_SIZE))
+                })
+                .expect("some item covers the flipped blocks");
+            exercised |= fails_at >= 2;
+            for _ in 0..fails_at {
+                let batch = io.submit(rt, &ReadRequest::batch(32).offload()).unwrap();
+                for (id, data) in batch.into_copied() {
+                    assert_eq!(data, comp.expected(id), "sample {id} corrupted");
+                }
+            }
+            let want = DlfsError::Corrupt {
+                chunk,
+                tried: 1,
+                cause: dlfs::CorruptCause::Checksum,
+            };
+            for _ in 0..2 {
+                let got = io
+                    .submit(rt, &ReadRequest::batch(32).offload())
+                    .unwrap_err();
+                assert_eq!(got, want, "epoch {epoch}, batch {fails_at}");
+            }
+        }
+        assert!(exercised, "no epoch put the damage behind a read-ahead");
+    });
+}
+
+/// An offloaded epoch keeps the reader's NIC busy: with the next exchange
+/// issued before the current one is waited for, the epoch takes the wire
+/// time of what the reader received plus one exchange of start-up, and a
+/// steady-state batch costs its own response's wire time. (A serialized
+/// issue → wait per batch is ≈ 1.22 × on both.)
+#[test]
+fn offloaded_epoch_meets_its_wire_roofline() {
+    Runtime::simulate(test_seed(232), |rt| {
+        let comp = SyntheticSource::compressible(63, 2048, 2600, 48);
+        let cfg = DlfsConfig {
+            replicas: 2,
+            verify_reads: true,
+            ..offload_cfg(CodecKind::Lz)
+        };
+        let devices: Vec<_> = (0..4).map(|_| ramdisk(64 << 20)).collect();
+        let (deployment, cluster) = offload_rig(&devices, true);
+        let fs = dlfs::MountBuilder::new(cfg)
+            .deployment(deployment)
+            .mount(rt, &comp)
+            .unwrap();
+        let rx = || cluster.as_ref().unwrap().node_traffic(4).1;
+        let mut io = fs.io(0);
+        io.sequence(rt, 15, 0);
+        let (t0, rx0) = (rt.now(), rx());
+        let mut latencies = Vec::new();
+        while io.remaining() > 0 {
+            let t = rt.now();
+            io.submit(rt, &ReadRequest::batch(32).offload()).unwrap();
+            latencies.push((rt.now() - t).as_secs_f64());
+        }
+        let took = (rt.now() - t0).as_secs_f64();
+        let wire = (rx() - rx0) as f64 / 1e9;
+        let first_exchange = latencies[0];
+        assert!(
+            took <= 1.05 * wire + first_exchange,
+            "epoch took {took:.6} s, wire roofline {wire:.6} s + {first_exchange:.6} s"
+        );
+        let batch_wire = wire / latencies.len() as f64;
+        let steady = &mut latencies[1..];
+        steady.sort_by(f64::total_cmp);
+        let median = steady[steady.len() / 2];
+        assert!(
+            median <= 1.05 * batch_wire,
+            "median batch {median:.9} s, its response's wire time {batch_wire:.9} s"
+        );
+    });
 }

@@ -17,8 +17,8 @@ use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget};
 use common::check_golden;
 use dlfs::source::SampleSource;
 use dlfs::{
-    CacheMode, CodecKind, CompressibleSource, Deployment, DlfsConfig, DlfsError, DlfsInstance,
-    MountBuilder, ReadRequest, SyntheticSource,
+    CacheMode, CodecKind, Deployment, DlfsConfig, DlfsError, DlfsInstance, MountBuilder,
+    ReadRequest, SyntheticSource,
 };
 use fabric::{Cluster, FabricConfig, FabricFaultInjector, NvmeOfTarget, TargetConfig};
 use simkit::prelude::*;
@@ -26,24 +26,6 @@ use simkit::rng::fnv1a;
 
 fn local_device() -> Arc<NvmeDevice> {
     NvmeDevice::new(DeviceConfig::optane(256 << 20))
-}
-
-/// The payload a source staged for `id` (both synthetic sources offer it
-/// as an inherent method; the drains below take either).
-trait Expected {
-    fn expected(&self, id: u32) -> Vec<u8>;
-}
-
-impl Expected for SyntheticSource {
-    fn expected(&self, id: u32) -> Vec<u8> {
-        SyntheticSource::expected(self, id)
-    }
-}
-
-impl Expected for CompressibleSource {
-    fn expected(&self, id: u32) -> Vec<u8> {
-        CompressibleSource::expected(self, id)
-    }
 }
 
 /// Hash of the delivered ids in delivery order.
@@ -60,7 +42,7 @@ fn ids_hash(ids: &[u32]) -> u64 {
 fn drain_copied_report(
     rt: &Runtime,
     io: &mut dlfs::DlfsIo,
-    source: &dyn Expected,
+    source: &SyntheticSource,
     batch: usize,
     report: &mut String,
 ) {
@@ -328,7 +310,7 @@ fn sync_line(report: &mut String, rt: &Runtime, what: &str, id: u32, hash: u64) 
 fn drain_zero_copy_report(
     rt: &Runtime,
     io: &mut dlfs::DlfsIo,
-    source: &dyn Expected,
+    source: &SyntheticSource,
     batch: usize,
     report: &mut String,
 ) {
@@ -531,7 +513,7 @@ fn failover_repair_hedge_match_golden() {
 fn verified_coded_prefetch_matches_golden() {
     let _copies = COPY_OPS_QUIET.read().unwrap();
     let (report, end) = Runtime::simulate(13, |rt| {
-        let source = CompressibleSource::fixed(17, 500, 3000, 48);
+        let source = SyntheticSource::compressible(17, 500, 3000, 48);
         let cfg = DlfsConfig {
             chunk_size: 8 * 1024,
             cache_mode: CacheMode::CrossEpoch,
