@@ -38,7 +38,8 @@ fn report(devices: &[Arc<NvmeDevice>], deep: bool) {
     ]);
     for (n, d) in devices.iter().enumerate() {
         let target: Arc<dyn NvmeTarget> = d.clone();
-        let r = fsck_node(&target, n as u16, deep);
+        // Every import below uses the default chunk size.
+        let r = fsck_node(&target, n as u16, deep, DlfsConfig::default().chunk_size);
         t.row(&[
             n.to_string(),
             state_str(&r.state),
@@ -151,7 +152,8 @@ fn main() {
         let targets = &fs.shared(0).targets;
         let mut t = Table::new(&["node", "detected", "repaired", "unrepairable"]);
         for n in 0..nodes as u16 {
-            let r = dlfs::fsck_repair(targets, n).expect("repair pass");
+            let r =
+                dlfs::fsck_repair(targets, n, fs.shared(0).cfg.chunk_size).expect("repair pass");
             t.row(&[
                 n.to_string(),
                 r.detected.to_string(),

@@ -13,15 +13,18 @@
 //!
 //! Grid: NIC bandwidth × codec {identity, lz} × path {client, offload},
 //! one reader on its own cluster node against `nodes` remote NVMe-oF
-//! targets. Reported per cell: epoch time, samples/s, the *measured*
-//! fabric byte ledger at the reader's NIC (`Cluster::node_traffic`), and
-//! how close the epoch came to its wire roofline (reader ingress bytes ÷
-//! NIC rate, as a share of the epoch time).
+//! targets. Reported per cell: the import (`mount`) on its own — its time
+//! and the bytes it put through the reader's NIC — then, counted from the
+//! end of `mount`, epoch time, samples/s, the *measured* fabric byte ledger
+//! at the reader's NIC (`Cluster::node_traffic`), and how close the epoch
+//! came to its wire roofline (reader ingress bytes ÷ NIC rate, as a share
+//! of the epoch time). An import saving (a coded import ships only what
+//! the codec kept) therefore cannot pass as an epoch saving.
 //!
 //! Built-in assertions (CI runs this as a smoke test):
 //! - every delivered payload is byte-identical to the source, every cell;
 //! - same seed ⇒ bit-identical epoch time and byte ledger (determinism);
-//! - offloaded epochs move strictly fewer fabric bytes than the raw
+//! - offloaded epochs move strictly fewer epoch fabric bytes than the raw
 //!   client path at every NIC setting (byte counts are NIC-independent);
 //! - up to [`WIRE_BOUND_GBPS`] an offloaded epoch runs within 5 % of its
 //!   wire roofline: the path issues its next exchange before it waits for
@@ -52,8 +55,12 @@ const WIRE_BOUND_GBPS: f64 = 1.6;
 
 #[derive(Clone, Copy)]
 struct Cell {
+    /// The `mount`: its time and its bytes through the reader's NIC.
+    import_ns: u64,
+    import_bytes: u64,
     epoch_ns: u64,
     sps: f64,
+    /// Bytes through the reader's NIC during the epoch alone.
     fabric_bytes: u64,
     /// Wire time of the reader's ingress bytes as a percentage of the epoch.
     wire_roofline_pct: f64,
@@ -115,7 +122,10 @@ fn run(
             offload: true,
             ..DlfsConfig::default()
         };
+        let start = rt.now();
         let (fs, cluster) = mount_disagg(rt, nodes, nic, comp, cfg);
+        let import_ns = (rt.now() - start).as_nanos();
+        let (tx0, rx0) = cluster.node_traffic(nodes);
         let mut io = fs.io(0);
         let total = io.sequence(rt, seed ^ 0x0F, 0);
         let t0 = rt.now();
@@ -141,10 +151,12 @@ fn run(
         let secs = (rt.now() - t0).as_secs_f64();
         let (tx, rx) = cluster.node_traffic(nodes);
         Cell {
+            import_ns,
+            import_bytes: tx0 + rx0,
             epoch_ns: (rt.now() - t0).as_nanos(),
             sps: got as f64 / secs,
-            fabric_bytes: tx + rx,
-            wire_roofline_pct: 100.0 * (rx as f64 / nic) / secs,
+            fabric_bytes: tx + rx - tx0 - rx0,
+            wire_roofline_pct: 100.0 * ((rx - rx0) as f64 / nic) / secs,
         }
     });
     cell
@@ -185,6 +197,8 @@ fn main() {
         "nic_GB/s",
         "codec",
         "path",
+        "import_ms",
+        "import",
         "epoch_ms",
         "samples/s",
         "fabric",
@@ -224,6 +238,8 @@ fn main() {
                 format!("{g:.1}"),
                 codec_name.to_string(),
                 path.to_string(),
+                format!("{:.3}", cell.import_ns as f64 / 1e6),
+                fmt_size(cell.import_bytes),
                 format!("{:.3}", cell.epoch_ns as f64 / 1e6),
                 fmt_sps(cell.sps),
                 fmt_size(cell.fabric_bytes),

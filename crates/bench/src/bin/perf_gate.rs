@@ -27,7 +27,14 @@
 //!   per virtual second (higher is better); the gate asserts inline that
 //!   the offloaded epoch moves no more fabric bytes than the raw client
 //!   path on the same wiring (both paths keep the NIC busy, so the fewer
-//!   bytes also make it the faster of the two here);
+//!   bytes also make it the faster of the two here) — epoch bytes only,
+//!   counted from the end of `mount`, so an import saving cannot pass as
+//!   an epoch saving;
+//! - `coded_setup_ns` and `coded_stored_ratio` — the LZ `mount` behind
+//!   that run: its time, and device bytes written ÷ source bytes (both
+//!   lower is better; a coded import lands each frame's stored extent and
+//!   leaves the rest of its slot a hole, so the ratio is the codec's, and
+//!   the gate asserts inline that it stays under 0.2);
 //! - `disagg_epoch_throughput_sps` — one reader draining an epoch of
 //!   100–130 KB samples from four NVMe-oF targets, samples per virtual
 //!   second (higher is better); the gate asserts inline that the run is
@@ -62,22 +69,6 @@ use dlfs::{CodecKind, Deployment, DlfsConfig, ReadRequest, SyntheticSource};
 use dlfs_bench::{arg, setup, DEFAULT_SEED};
 use fabric::{Cluster, FabricConfig, NvmeOfTarget, TargetConfig};
 use simkit::prelude::*;
-
-struct Metrics {
-    epoch_throughput_sps: f64,
-    verified_epoch_throughput_sps: f64,
-    p99_read_latency_ns: u64,
-    warm_remount_ns: u64,
-    reactor_wakeups_per_epoch: u64,
-    degraded_p99_read_latency_ns: u64,
-    rebuild_time_ns: u64,
-    offload_epoch_throughput_sps: f64,
-    disagg_epoch_throughput_sps: f64,
-    read_amplification: f64,
-    disagg_setup_ns: u64,
-    sharded_lookup_p99_ns: u64,
-    multitenant_fair_share_err: f64,
-}
 
 fn epoch_throughput_and_wakeups(seed: u64, verify: bool) -> (f64, u64) {
     Runtime::simulate(seed, |rt| {
@@ -236,10 +227,11 @@ fn degraded_and_rebuild(seed: u64) -> (u64, u64) {
 /// NVMe-oF pool (reader on its own node, four remote targets, 1 GB/s
 /// NICs), compared inline against the raw client path on the same
 /// wiring. Its own simulation, so the legacy metrics stay bit-identical.
-fn offload_epoch_throughput(seed: u64) -> f64 {
+fn offload_epoch_throughput(seed: u64) -> (f64, u64, f64) {
     const NODES: usize = 4;
-    /// (samples/s, bytes through the reader's NIC both ways).
-    fn epoch(seed: u64, codec: CodecKind, offload: bool) -> (f64, u64) {
+    /// (samples/s, epoch bytes through the reader's NIC both ways, mount ns,
+    /// device bytes written per source byte).
+    fn epoch(seed: u64, codec: CodecKind, offload: bool) -> (f64, u64, u64, f64) {
         Runtime::simulate(seed, |rt| {
             let source = SyntheticSource::compressible(seed ^ 0x0C, 2000, 2600, 48);
             let cluster = Arc::new(Cluster::new(
@@ -262,6 +254,7 @@ fn offload_epoch_throughput(seed: u64) -> f64 {
                     ) as Arc<dyn NvmeTarget>
                 })
                 .collect()];
+            let mount_start = rt.now();
             let fs = dlfs::MountBuilder::new(DlfsConfig {
                 chunk_size: 8 * 1024,
                 codec,
@@ -274,6 +267,9 @@ fn offload_epoch_throughput(seed: u64) -> f64 {
             })
             .mount(rt, &source)
             .unwrap();
+            let setup_ns = (rt.now() - mount_start).as_nanos();
+            let written: u64 = devices.iter().map(|d| d.stats().3).sum();
+            let (tx0, rx0) = cluster.node_traffic(NODES);
             let mut io = fs.io(0);
             let total = io.sequence(rt, seed ^ 0x0F, 0);
             let req = if offload {
@@ -287,15 +283,24 @@ fn offload_epoch_throughput(seed: u64) -> f64 {
                 got += io.submit(rt, &req).unwrap().len();
             }
             let (tx, rx) = cluster.node_traffic(NODES);
-            (got as f64 / (rt.now() - t0).as_secs_f64(), tx + rx)
+            (
+                got as f64 / (rt.now() - t0).as_secs_f64(),
+                tx + rx - tx0 - rx0,
+                setup_ns,
+                written as f64 / (2000.0 * 2600.0),
+            )
         })
         .0
     }
-    let (offloaded, offload_bytes) = epoch(seed, CodecKind::Lz, true);
-    let (raw, raw_bytes) = epoch(seed, CodecKind::Identity, false);
+    let (offloaded, offload_bytes, setup_ns, stored_ratio) = epoch(seed, CodecKind::Lz, true);
+    let (raw, raw_bytes, ..) = epoch(seed, CodecKind::Identity, false);
     eprintln!(
         "offload+lz vs raw client path: {offloaded:.0} vs {raw:.0} sps, \
-         {offload_bytes} vs {raw_bytes} fabric bytes"
+         {offload_bytes} vs {raw_bytes} epoch fabric bytes"
+    );
+    assert!(
+        stored_ratio <= 0.2,
+        "the coded import wrote {stored_ratio:.3} device bytes per source byte (gate: 0.2)"
     );
     // What offload guarantees on the wire: one capsule and one dense
     // response per node per batch never move more than the raw path's
@@ -308,7 +313,7 @@ fn offload_epoch_throughput(seed: u64) -> f64 {
         "offloaded epoch moved {offload_bytes} fabric bytes, more than the raw client path's \
          {raw_bytes}"
     );
-    offloaded
+    (offloaded, setup_ns, stored_ratio)
 }
 
 /// One wire-bound disaggregated epoch: a single reader pulls 100–130 KB
@@ -354,36 +359,6 @@ fn disagg_epoch(seed: u64) -> (f64, f64, u64) {
         )
     })
     .0
-}
-
-fn render_json(rev: &str, m: &Metrics) -> String {
-    format!(
-        "{{\n  \"rev\": \"{}\",\n  \"epoch_throughput_sps\": {:.3},\n  \
-         \"verified_epoch_throughput_sps\": {:.3},\n  \
-         \"p99_read_latency_ns\": {},\n  \"warm_remount_ns\": {},\n  \
-         \"reactor_wakeups_per_epoch\": {},\n  \
-         \"degraded_p99_read_latency_ns\": {},\n  \"rebuild_time_ns\": {},\n  \
-         \"offload_epoch_throughput_sps\": {:.3},\n  \
-         \"disagg_epoch_throughput_sps\": {:.3},\n  \
-         \"read_amplification\": {:.6},\n  \
-         \"disagg_setup_ns\": {},\n  \
-         \"sharded_lookup_p99_ns\": {},\n  \
-         \"multitenant_fair_share_err\": {:.6}\n}}\n",
-        rev,
-        m.epoch_throughput_sps,
-        m.verified_epoch_throughput_sps,
-        m.p99_read_latency_ns,
-        m.warm_remount_ns,
-        m.reactor_wakeups_per_epoch,
-        m.degraded_p99_read_latency_ns,
-        m.rebuild_time_ns,
-        m.offload_epoch_throughput_sps,
-        m.disagg_epoch_throughput_sps,
-        m.read_amplification,
-        m.disagg_setup_ns,
-        m.sharded_lookup_p99_ns,
-        m.multitenant_fair_share_err
-    )
 }
 
 /// Pull `"key": value` out of the flat JSON the gate itself writes.
@@ -436,23 +411,64 @@ fn main() {
         fair.shares
     );
     let (disagg_epoch_throughput_sps, read_amplification, disagg_setup_ns) = disagg_epoch(seed);
-    let m = Metrics {
-        epoch_throughput_sps,
-        verified_epoch_throughput_sps,
-        p99_read_latency_ns: p99_read_latency(seed),
-        warm_remount_ns: warm_remount(seed),
-        reactor_wakeups_per_epoch,
-        degraded_p99_read_latency_ns,
-        rebuild_time_ns,
-        offload_epoch_throughput_sps: offload_epoch_throughput(seed),
-        disagg_epoch_throughput_sps,
-        read_amplification,
-        disagg_setup_ns,
-        sharded_lookup_p99_ns,
-        multitenant_fair_share_err: fair.err,
-    };
+    let (offload_epoch_throughput_sps, coded_setup_ns, coded_stored_ratio) =
+        offload_epoch_throughput(seed);
+    // (key, value, higher is better, decimals printed), in file order.
+    let metrics: [(&str, f64, bool, usize); 15] = [
+        ("epoch_throughput_sps", epoch_throughput_sps, true, 3),
+        (
+            "verified_epoch_throughput_sps",
+            verified_epoch_throughput_sps,
+            true,
+            3,
+        ),
+        (
+            "p99_read_latency_ns",
+            p99_read_latency(seed) as f64,
+            false,
+            0,
+        ),
+        ("warm_remount_ns", warm_remount(seed) as f64, false, 0),
+        (
+            "reactor_wakeups_per_epoch",
+            reactor_wakeups_per_epoch as f64,
+            false,
+            0,
+        ),
+        (
+            "degraded_p99_read_latency_ns",
+            degraded_p99_read_latency_ns as f64,
+            false,
+            0,
+        ),
+        ("rebuild_time_ns", rebuild_time_ns as f64, false, 0),
+        (
+            "offload_epoch_throughput_sps",
+            offload_epoch_throughput_sps,
+            true,
+            3,
+        ),
+        (
+            "disagg_epoch_throughput_sps",
+            disagg_epoch_throughput_sps,
+            true,
+            3,
+        ),
+        ("read_amplification", read_amplification, false, 6),
+        ("disagg_setup_ns", disagg_setup_ns as f64, false, 0),
+        (
+            "sharded_lookup_p99_ns",
+            sharded_lookup_p99_ns as f64,
+            false,
+            0,
+        ),
+        ("multitenant_fair_share_err", fair.err, false, 6),
+        ("coded_setup_ns", coded_setup_ns as f64, false, 0),
+        ("coded_stored_ratio", coded_stored_ratio, false, 6),
+    ];
 
-    let json = render_json(&rev, &m);
+    let lines = metrics.map(|(key, now, _, decimals)| format!(",\n  \"{key}\": {now:.decimals$}"));
+    let json = format!("{{\n  \"rev\": \"{rev}\"{}\n}}\n", lines.concat());
     let path = format!("{out}/BENCH_{rev}.json");
     if let Err(e) = std::fs::create_dir_all(&out).and_then(|()| std::fs::write(&path, &json)) {
         eprintln!("perf gate: cannot write {path}: {e}");
@@ -466,52 +482,8 @@ fn main() {
     }
     let base = std::fs::read_to_string(&baseline)
         .unwrap_or_else(|e| panic!("read baseline {baseline}: {e}"));
-    // (key, current value, higher-is-better)
-    let checks: [(&str, f64, bool); 13] = [
-        ("epoch_throughput_sps", m.epoch_throughput_sps, true),
-        (
-            "verified_epoch_throughput_sps",
-            m.verified_epoch_throughput_sps,
-            true,
-        ),
-        ("p99_read_latency_ns", m.p99_read_latency_ns as f64, false),
-        ("warm_remount_ns", m.warm_remount_ns as f64, false),
-        (
-            "reactor_wakeups_per_epoch",
-            m.reactor_wakeups_per_epoch as f64,
-            false,
-        ),
-        (
-            "degraded_p99_read_latency_ns",
-            m.degraded_p99_read_latency_ns as f64,
-            false,
-        ),
-        ("rebuild_time_ns", m.rebuild_time_ns as f64, false),
-        (
-            "offload_epoch_throughput_sps",
-            m.offload_epoch_throughput_sps,
-            true,
-        ),
-        (
-            "disagg_epoch_throughput_sps",
-            m.disagg_epoch_throughput_sps,
-            true,
-        ),
-        ("read_amplification", m.read_amplification, false),
-        ("disagg_setup_ns", m.disagg_setup_ns as f64, false),
-        (
-            "sharded_lookup_p99_ns",
-            m.sharded_lookup_p99_ns as f64,
-            false,
-        ),
-        (
-            "multitenant_fair_share_err",
-            m.multitenant_fair_share_err,
-            false,
-        ),
-    ];
     let mut failed = false;
-    for (key, now, higher_better) in checks {
+    for (key, now, higher_better, _) in metrics {
         let Some(was) = json_num(&base, key) else {
             eprintln!("baseline missing {key}; skipping");
             continue;

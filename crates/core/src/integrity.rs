@@ -29,6 +29,13 @@
 //!    a candidate list whose target is not membership-Dead, with what it
 //!    rejected), `rewrite` and `heal` — serves the offload path, scrub,
 //!    rebuild and `fsck_repair` alike.
+//! 5. **Which blocks of a home's data region hold data at all?** Its
+//!    *stored runs*: all of it without a codec, one stored extent per
+//!    frame with one ([`crate::codec`]); everything else is a hole no copy
+//!    ever had written. Scrub, rebuild, the rebuild's rehash and both
+//!    fsck passes walk `Redundancy::next_stored` / `codec::stored_len` /
+//!    `layout::read_logical`, so what a hole happens to hold is never
+//!    judged, copied or repaired.
 //!
 //! `Redundancy::in_use` is what "redundancy is configured" means
 //! (`replicas > 1` or `verify_reads`): the `dlfs.integrity.*` scope and
@@ -60,9 +67,10 @@ pub struct Redundancy {
     /// Ephemeral mounts use `(0, slot)`; persistent instances carry the
     /// superblock's geometry.
     pub slots: Vec<(u64, u64)>,
-    /// Per storage node: bytes of its own (slot 0) data, frame padding
-    /// included — what every replica slot mirroring it holds.
-    data_bytes: Vec<u64>,
+    /// Per storage node: the stored runs of its own (slot 0) data —
+    /// `(first block, blocks)` relative to the data region, ascending and
+    /// disjoint — which is what every replica slot mirroring it holds.
+    pub(crate) runs: Vec<Vec<(u64, u64)>>,
     /// Per storage node: expected FNV-1a of each 512 B block of its own
     /// (slot 0) data region, in block order. Empty when reads are not
     /// verified.
@@ -85,6 +93,9 @@ impl std::fmt::Debug for Redundancy {
             .finish()
     }
 }
+
+/// Where a walk of one home's stored blocks stands: (run, block within it).
+pub(crate) type StoredCursor = (usize, u64);
 
 /// How much the untimed judge of a copy may know about its device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,27 +124,28 @@ impl Redundancy {
     /// empty (no verification) or one table per node; each node's data is
     /// taken to be what its table covers.
     pub fn new(replicas: u32, slots: Vec<(u64, u64)>, sums: Vec<Arc<Vec<u64>>>) -> Redundancy {
-        let covered = |n: usize| sums.get(n).map_or(0, |t| t.len() as u64 * BLOCK_SIZE);
-        let data_bytes = (0..slots.len()).map(covered).collect();
-        Redundancy::with_geometry(replicas, slots, data_bytes, sums)
+        let covered = |n: usize| vec![(0, sums.get(n).map_or(0, |t| t.len() as u64))];
+        let runs = (0..slots.len()).map(covered).collect();
+        Redundancy::with_geometry(replicas, slots, runs, sums)
     }
 
-    /// [`Redundancy::new`] with every node's data length stated, so that
-    /// extents are sized from the geometry whether or not there is a table.
+    /// [`Redundancy::new`] with every node's stored runs stated
+    /// ([`crate::codec::stored_runs`]), so that extents are sized from the
+    /// geometry whether or not there is a table.
     pub(crate) fn with_geometry(
         replicas: u32,
         slots: Vec<(u64, u64)>,
-        data_bytes: Vec<u64>,
+        runs: Vec<Vec<(u64, u64)>>,
         sums: Vec<Arc<Vec<u64>>>,
     ) -> Redundancy {
         assert!(replicas >= 1 && replicas as usize <= slots.len());
         assert!(sums.is_empty() || sums.len() == slots.len());
-        assert_eq!(data_bytes.len(), slots.len());
+        assert_eq!(runs.len(), slots.len());
         let health = TargetHealth::new(slots.len(), HEALTH_THRESHOLD, health_cooldown());
         Redundancy {
             replicas,
             slots,
-            data_bytes,
+            runs,
             sums,
             health,
             membership: None,
@@ -311,10 +323,25 @@ impl Redundancy {
             .all(|(i, blk)| sums.get(start + i).is_none_or(|&s| fnv1a(blk) == s))
     }
 
-    /// Blocks of staged data on `home` — the extent every copy of it
-    /// spans, from the geometry (so it is known without a table).
-    pub fn data_blocks(&self, home: u16) -> u64 {
-        self.data_bytes[home as usize].div_ceil(BLOCK_SIZE)
+    /// Blocks every copy of `home`'s data holds: the sum of its stored
+    /// runs, from the geometry (so it is known without a table).
+    pub(crate) fn stored_blocks(&self, home: u16) -> u64 {
+        self.runs[home as usize].iter().map(|r| r.1).sum()
+    }
+
+    /// Step a walk over `home`'s stored blocks: the block (relative to the
+    /// data region) at `cursor` = (run, block within it), which moves on;
+    /// `None` once the runs are exhausted. The one iterator under scrub
+    /// and rebuild, resumable across their budgets.
+    pub(crate) fn next_stored(&self, home: u16, cursor: &mut StoredCursor) -> Option<u64> {
+        loop {
+            let &(start, blocks) = self.runs[home as usize].get(cursor.0)?;
+            if cursor.1 < blocks {
+                cursor.1 += 1;
+                return Some(start + cursor.1 - 1);
+            }
+            *cursor = (cursor.0 + 1, 0);
+        }
     }
 
     // ------------------------------------------ the untimed copy primitive --
@@ -543,9 +570,9 @@ mod tests {
                 devices.iter().map(|d| d.clone() as _).collect();
             let sums = if table { 0..4 } else { 0..0 };
             let sums = sums.map(|_| Arc::new(vec![fnv1a(&good)])).collect();
-            let r = Redundancy::with_geometry(4, vec![(0, 4096); 4], vec![BLOCK_SIZE; 4], sums)
+            let r = Redundancy::with_geometry(4, vec![(0, 4096); 4], vec![vec![(0, 1)]; 4], sums)
                 .with_membership(Dur::micros(100));
-            assert_eq!(r.data_blocks(0), 1, "extent sized from geometry");
+            assert_eq!(r.stored_blocks(0), 1, "extent sized from geometry");
             let verdict =
                 |copy, probe| r.read_copy(&targets, 0, copy, 0, &mut vec![0u8; block], probe);
             for (copy, bytes) in [(1, &good), (2, &good), (3, &wrong)] {
@@ -611,7 +638,7 @@ mod tests {
         padded.resize(3 * BLOCK_SIZE as usize, 0);
         let r = Redundancy::new(1, vec![(1024, 4096)], vec![sums_of(&data)]);
         assert!(r.verify());
-        assert_eq!(r.data_blocks(0), 3);
+        assert_eq!(r.stored_blocks(0), 3);
         let base = 1024 / BLOCK_SIZE;
         assert!(r.verify_blocks(0, base, &padded));
         assert!(r.verify_blocks(0, base + 1, &padded[BLOCK_SIZE as usize..]));

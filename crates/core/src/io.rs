@@ -27,7 +27,7 @@
 //! copy pool through [`DlfsShared`].
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use blocksim::{covering_blocks, CmdStatus, Completion, DmaBuf, IoQPair, NvmeTarget, BLOCK_SIZE};
@@ -375,8 +375,11 @@ struct EpochState {
     /// Failed parts waiting out their retry backoff.
     delayed_parts: BinaryHeap<DelayedPart>,
     delay_seq: u64,
-    /// Items fetched or fetching and not yet drained, with their chunks.
-    open: HashMap<u32, Open>,
+    /// Items fetched or fetching and not yet drained, with their chunks —
+    /// ordered by item, because `teardown` walks it: the order it releases
+    /// ranges in stamps the LRU, and with it which of them the next epoch
+    /// evicts first (same seed, same timeline, whatever the hasher).
+    open: BTreeMap<u32, Open>,
     /// Seeded draw for the random selection among resident items.
     rng: SplitMix64,
     /// Which path serves this epoch, fixed by its first batch: `true` for
@@ -708,7 +711,7 @@ impl DlfsIo {
             pending_parts: VecDeque::new(),
             delayed_parts: BinaryHeap::new(),
             delay_seq: 0,
-            open: HashMap::new(),
+            open: BTreeMap::new(),
             rng: SplitMix64::derive(seed ^ 0xD15B, epoch * 7919 + self.shared.reader_id as u64),
             offloaded: None,
             ahead: Default::default(),

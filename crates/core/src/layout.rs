@@ -45,7 +45,7 @@ use std::sync::Arc;
 use blocksim::{covering_blocks, NvmeTarget, BLOCK_SIZE};
 use simkit::rng::fnv1a;
 
-use crate::codec::CodecKind;
+use crate::codec::{stored_len, stored_runs, CodecKind};
 use crate::config::DlfsConfig;
 use crate::entry::{SampleEntry, MAX_OFFSET};
 use crate::error::{DlfsError, LayoutError};
@@ -216,29 +216,22 @@ impl Superblock {
             .next_multiple_of(chunk_size);
         let ckpt_capacity = cfg.ckpt_region_bytes.next_multiple_of(BLOCK_SIZE);
         let need = data_base + data_bytes * replicas as u64 + ckpt_capacity;
+        let too_small = || DlfsError::Capacity {
+            node: node_id,
+            need,
+            have: device_bytes,
+        };
         if need > device_bytes {
-            return Err(DlfsError::Capacity {
-                node: node_id,
-                need,
-                have: device_bytes,
-            });
+            return Err(too_small());
         }
         let ckpt_base = (device_bytes - ckpt_capacity) / BLOCK_SIZE * BLOCK_SIZE;
         if ckpt_base < data_base || data_bytes > ckpt_base - data_base {
-            return Err(DlfsError::Capacity {
-                node: node_id,
-                need,
-                have: device_bytes,
-            });
+            return Err(too_small());
         }
         let data_capacity = ckpt_base - data_base;
         let replica_slot_bytes = replica_slot(data_capacity, replicas, chunk_size);
         if data_bytes > replica_slot_bytes {
-            return Err(DlfsError::Capacity {
-                node: node_id,
-                need,
-                have: device_bytes,
-            });
+            return Err(too_small());
         }
         if data_base + data_bytes > MAX_OFFSET {
             return Err(DlfsError::Layout(LayoutError::Inconsistent(format!(
@@ -642,6 +635,25 @@ pub(crate) fn read_untimed(target: &Arc<dyn NvmeTarget>, offset: u64, len: usize
     raw[head..head + len].to_vec()
 }
 
+/// Untimed read of the *logical* bytes `[offset, offset + len)` — a range
+/// inside one frame's slot, as a sample is — of a data region at `base`
+/// whose stored runs ([`Redundancy::runs`]) are `runs`: what the device
+/// holds of it, then zeros for the part in the frame's hole, which nothing
+/// ever wrote — whatever a device holds there is not data. This is what
+/// the import hashed into the integrity table and the metadata records.
+pub(crate) fn read_logical(
+    target: &Arc<dyn NvmeTarget>,
+    base: u64,
+    runs: &[(u64, u64)],
+    offset: u64,
+    len: usize,
+) -> Vec<u8> {
+    let stored = stored_len(runs, offset - base, len as u64) as usize;
+    let mut out = read_untimed(target, offset, stored);
+    out.resize(len, 0);
+    out
+}
+
 /// One storage node's on-device metadata, read back and verified by
 /// [`load_node`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -743,9 +755,18 @@ pub struct FsckNodeReport {
 }
 
 /// Walk one device's metadata (untimed; a debug tool, not a data path).
-/// `deep` additionally re-reads every sample payload and verifies its
-/// stored checksum.
-pub fn fsck_node(target: &Arc<dyn NvmeTarget>, node: u16, deep: bool) -> FsckNodeReport {
+/// `deep` additionally re-reads every sample's logical bytes (a coded
+/// import's holes read as zeros, DESIGN.md §16) and verifies its stored
+/// checksum. `chunk_size` is the import's frame size — the importing
+/// configuration's `chunk_size`, which the layout does not record and
+/// `remount` takes on trust as well — used only for that and only on a
+/// coded device.
+pub fn fsck_node(
+    target: &Arc<dyn NvmeTarget>,
+    node: u16,
+    deep: bool,
+    chunk_size: u64,
+) -> FsckNodeReport {
     let mut report = FsckNodeReport {
         node,
         state: FsckState::Unformatted(LayoutError::BadMagic { node }),
@@ -778,33 +799,28 @@ pub fn fsck_node(target: &Arc<dyn NvmeTarget>, node: u16, deep: bool) -> FsckNod
             ..
         }))
     );
-    let records = match loaded {
-        Ok(meta) => meta.records,
+    let corrupt = |what: String| FsckState::Corrupt {
+        generation: sb.generation,
+        what,
+    };
+    let meta = match loaded {
+        Ok(meta) => meta,
         Err(e) => {
-            report.state = FsckState::Corrupt {
-                generation: sb.generation,
-                what: e.to_string(),
-            };
+            report.state = corrupt(e.to_string());
             return report;
         }
     };
-    report.entries = records.len() as u64;
+    report.entries = meta.records.len() as u64;
     if deep {
-        let mut ok = true;
-        for r in &records {
+        let runs = stored_runs(sb.data_bytes, sb.codec, chunk_size, &meta.lens);
+        let ok = meta.records.iter().all(|r| {
             let e = SampleEntry::from_raw(r.unit1, r.unit2);
-            let data = read_untimed(target, e.offset(), e.len() as usize);
-            if fnv1a(&data) != r.payload_checksum {
-                ok = false;
-                break;
-            }
-        }
+            let data = read_logical(target, sb.data_base, &runs, e.offset(), e.len() as usize);
+            fnv1a(&data) == r.payload_checksum
+        });
         report.data_checksum_ok = Some(ok);
         if !ok {
-            report.state = FsckState::Corrupt {
-                generation: sb.generation,
-                what: "sample payload checksum".into(),
-            };
+            report.state = corrupt("sample payload checksum".into());
             return report;
         }
     }
@@ -841,10 +857,15 @@ pub struct FsckRepairReport {
 /// checksum from the metadata region. Rewrites go through `dma_write` at
 /// covering-block granularity, which also clears sticky-extent and
 /// bit-flip marks on the healed range. `targets` is the full target row
-/// indexed by storage node. Untimed — a repair tool, not a data path.
+/// indexed by storage node, `chunk_size` the import's frame size as for
+/// [`fsck_node`]: of a sample's covering blocks only the stored prefix is
+/// judged, fetched from a replica and rewritten — the rest lies in its
+/// frame's hole and reads as zeros. Untimed — a repair tool, not a data
+/// path.
 pub fn fsck_repair(
     targets: &[Arc<dyn NvmeTarget>],
     node: u16,
+    chunk_size: u64,
 ) -> Result<FsckRepairReport, DlfsError> {
     let load = |n: u16, want_sums| {
         let read = |off, len| Ok(read_untimed(&targets[n as usize], off, len));
@@ -853,9 +874,9 @@ pub fn fsck_repair(
     // The per-block table rides along when the import carried one: it lets
     // a replica's blocks be verified in full before they overwrite home
     // blocks (not just the one sample's byte range).
-    let NodeMeta {
-        sb, records, sums, ..
-    } = load(node, true)?;
+    let meta = load(node, true)?;
+    let runs = stored_runs(meta.sb.data_bytes, meta.sb.codec, chunk_size, &meta.lens);
+    let (sb, records, sums) = (meta.sb, meta.records, meta.sums);
     let nodes = targets.len();
     if sb.storage_nodes as usize != nodes {
         return Err(LayoutError::Inconsistent(format!(
@@ -893,10 +914,16 @@ pub fn fsck_repair(
         let e = SampleEntry::from_raw(r.unit1, r.unit2);
         let (slba, nblocks, head) = covering_blocks(e.offset(), e.len());
         let mut buf = vec![0u8; nblocks as usize * BLOCK_SIZE as usize];
+        // Only this much of `buf` is on any device; the tail keeps the
+        // zeros its hole stands for.
+        let stored = stored_len(&runs, slba * BLOCK_SIZE - sb.data_base, buf.len() as u64) as usize;
+        if stored == 0 {
+            continue;
+        }
         let payload_ok =
             |buf: &[u8]| fnv1a(&buf[head..head + e.len() as usize]) == r.payload_checksum;
         let home_ok = |buf: &mut [u8]| {
-            let copy = red.read_copy(targets, node, 0, slba, buf, Probe::Oracle);
+            let copy = red.read_copy(targets, node, 0, slba, &mut buf[..stored], Probe::Oracle);
             copy.is_ok() && payload_ok(buf)
         };
         if home_ok(&mut buf) {
@@ -905,11 +932,16 @@ pub fn fsck_repair(
         report.detected += 1;
         let mut rest = candidates.iter().copied();
         let mut fixed = false;
-        while let (Some(_), _) =
-            red.first_good(targets, node, slba, rest.by_ref(), &mut buf, Probe::Oracle)
-        {
+        while let (Some(_), _) = red.first_good(
+            targets,
+            node,
+            slba,
+            rest.by_ref(),
+            &mut buf[..stored],
+            Probe::Oracle,
+        ) {
             if payload_ok(&buf) {
-                red.rewrite(targets, node, 0, slba, &buf);
+                red.rewrite(targets, node, 0, slba, &buf[..stored]);
                 fixed = true;
                 break;
             }
@@ -1098,15 +1130,9 @@ mod tests {
             committed
         );
         // Replica data must fit its slot.
-        let err = Superblock::plan(
-            0,
-            4,
-            100,
-            (25, 60 << 20),
-            128 << 20,
-            &cfg(2, false, CodecKind::Identity),
-        )
-        .expect_err("slot too small");
+        let two = cfg(2, false, CodecKind::Identity);
+        let err = Superblock::plan(0, 4, 100, (25, 60 << 20), 128 << 20, &two)
+            .expect_err("slot too small");
         assert!(matches!(err, DlfsError::Capacity { .. }));
     }
 
@@ -1187,142 +1213,82 @@ mod tests {
     }
 
     use blocksim::{DeviceConfig, FaultInjector, NvmeDevice};
-    use simkit::time::Dur;
 
     const SLEN: u64 = 1000;
-    const PER_NODE: u64 = 4;
 
-    /// Hand-stage a two-node replicated layout directly through untimed
-    /// DMA: per-node deterministic payloads, metadata, integrity table,
-    /// replica slot copies, committed superblocks.
-    fn mini_cluster(
-        replicas: u32,
-        integrity: bool,
-    ) -> (Vec<Arc<NvmeDevice>>, Vec<Superblock>, Vec<Vec<u8>>) {
-        let nodes = 2u32;
-        let mut devices = Vec::new();
-        let mut sbs = Vec::new();
-        let mut datas = Vec::new();
-        for n in 0..nodes {
-            devices.push(NvmeDevice::new(DeviceConfig::emulated_ramdisk(
-                1 << 20,
-                Dur::micros(10),
-            )));
-            let cfg = DlfsConfig {
-                chunk_size: 4096,
-                ckpt_region_bytes: 8192,
-                ..cfg(replicas as usize, integrity, CodecKind::Identity)
-            };
-            let share = (PER_NODE, PER_NODE * SLEN);
-            let mut sb = Superblock::plan(n as u16, nodes, PER_NODE * 2, share, 1 << 20, &cfg)
-                .expect("plan");
-            sb.generation = 1;
-            sb.committed = true;
-            datas.push(
-                (0..PER_NODE * SLEN)
-                    .map(|i| (i as u8) ^ (n as u8 * 37))
-                    .collect::<Vec<u8>>(),
-            );
-            sbs.push(sb);
-        }
-        for n in 0..nodes as usize {
-            let data = &datas[n];
-            let recs: Vec<MetaRecord> = (0..PER_NODE)
-                .map(|i| {
-                    let off = sbs[n].data_base + i * SLEN;
-                    MetaRecord {
-                        id: i as u32,
-                        unit1: ((n as u64) << 48) | i,
-                        unit2: (off << 24) | (SLEN << 1),
-                        payload_checksum: fnv1a(
-                            &data[(i * SLEN) as usize..((i + 1) * SLEN) as usize],
-                        ),
-                    }
-                })
-                .collect();
-            let meta = encode_meta(&recs);
-            sbs[n].meta_checksum = fnv1a(&meta);
-            devices[n].dma_write(sbs[n].meta_base / BLOCK_SIZE, &meta);
-            if integrity {
-                let mut bc = BlockChecksums::new();
-                bc.update(data);
-                devices[n].dma_write(
-                    sbs[n].integrity_base / BLOCK_SIZE,
-                    &encode_integrity(&bc.finish()),
-                );
-            }
-            devices[n].dma_write(sbs[n].data_base / BLOCK_SIZE, data);
-        }
-        for (n, data) in datas.iter().enumerate() {
-            for r in 1..replicas {
-                let p = (n + r as usize) % nodes as usize;
-                let dst = replica_offset(sbs[p].data_base, sbs[p].replica_slot_bytes, r, 0);
-                devices[p].dma_write(dst / BLOCK_SIZE, data);
-            }
-        }
-        for n in 0..nodes as usize {
-            devices[n].dma_write(0, &sbs[n].encode());
-        }
-        (devices, sbs, datas)
-    }
-
-    fn as_targets(devices: &[Arc<NvmeDevice>]) -> Vec<Arc<dyn NvmeTarget>> {
-        devices
-            .iter()
-            .map(|d| d.clone() as Arc<dyn NvmeTarget>)
-            .collect()
+    /// A persistent two-node import of sixteen `SLEN`-byte samples, packed
+    /// back to back from each node's `data_base` in 4 KiB chunks: the
+    /// devices, their target row, and node 0's superblock.
+    fn imported(
+        replicas: usize,
+        verify: bool,
+    ) -> (Vec<Arc<NvmeDevice>>, Vec<Arc<dyn NvmeTarget>>, Superblock) {
+        let ramdisk = DeviceConfig::emulated_ramdisk(1 << 20, simkit::time::Dur::micros(10));
+        let devices: Vec<_> = (0..2).map(|_| NvmeDevice::new(ramdisk.clone())).collect();
+        let targets: Vec<Arc<dyn NvmeTarget>> = devices.iter().map(|d| d.clone() as _).collect();
+        let cfg = DlfsConfig {
+            chunk_size: 4096,
+            ckpt_region_bytes: 8192,
+            ..cfg(replicas, verify, CodecKind::Identity)
+        };
+        let deployment = crate::Deployment {
+            targets: vec![targets.clone()],
+            cluster: None,
+        };
+        let (sb, _) = simkit::runtime::Runtime::simulate(1, |rt| {
+            let source = crate::SyntheticSource::fixed(3, 16, SLEN);
+            let builder = crate::MountBuilder::new(cfg).deployment(deployment);
+            let fs = builder.persistent().mount(rt, &source).expect("import");
+            fs.layout(0).expect("persistent").clone()
+        });
+        assert!(sb.node_samples >= 4, "node 0 holds {}", sb.node_samples);
+        (devices, targets, sb)
     }
 
     #[test]
     fn fsck_repair_heals_corruption_from_replica() {
-        let (devices, sbs, datas) = mini_cluster(2, true);
-        let targets = as_targets(&devices);
-        // Sanity: the hand-staged layout is fsck-clean.
-        let clean = fsck_node(&targets[0], 0, true);
+        let (devices, targets, sb) = imported(2, true);
+        let clean = fsck_node(&targets[0], 0, true, 4096);
         assert!(matches!(clean.state, FsckState::Clean { .. }), "{clean:?}");
         assert_eq!(clean.data_checksum_ok, Some(true));
+        let staged = read_untimed(&targets[0], sb.data_base, sb.data_bytes as usize);
         // Sample 0 spans blocks [base, base+1]; a silent flip on its first
         // (fully-owned) block corrupts it. Sample 3 spans blocks
-        // [base+13.., ..]; a sticky extent makes its reads fail without
+        // [base+5, base+7]; a sticky extent makes its reads fail without
         // touching stored bytes.
-        let base = sbs[0].data_base / BLOCK_SIZE;
+        let base = sb.data_base / BLOCK_SIZE;
         devices[0].set_faults(
             FaultInjector::new(7)
                 .with_bit_flips(base, 1)
                 .with_bad_extent(base + (3 * SLEN) / BLOCK_SIZE + 1, 1),
         );
-        let report = fsck_repair(&targets, 0).expect("repair");
+        let report = fsck_repair(&targets, 0, 4096).expect("repair");
         assert_eq!(
-            report,
-            FsckRepairReport {
-                detected: 2,
-                repaired: 2,
-                unrepairable: 0
-            }
+            (report.detected, report.repaired, report.unrepairable),
+            (2, 2, 0)
         );
         // Healed: deep fsck is clean, persistent marks gone, bytes match.
-        let after = fsck_node(&targets[0], 0, true);
+        let after = fsck_node(&targets[0], 0, true, 4096);
         assert_eq!(after.data_checksum_ok, Some(true));
-        assert!(!targets[0].probe_extent(base, (PER_NODE * SLEN).div_ceil(BLOCK_SIZE) as u32));
-        let back = read_untimed(&targets[0], sbs[0].data_base, datas[0].len());
-        assert_eq!(back, datas[0]);
-        // Idempotent: a second pass finds nothing.
+        assert!(!targets[0].probe_extent(base, sb.data_bytes.div_ceil(BLOCK_SIZE) as u32));
         assert_eq!(
-            fsck_repair(&targets, 0).unwrap(),
-            FsckRepairReport::default()
+            read_untimed(&targets[0], sb.data_base, staged.len()),
+            staged
         );
+        // Idempotent: a second pass finds nothing.
+        let again = fsck_repair(&targets, 0, 4096).expect("repair");
+        assert_eq!(again, FsckRepairReport::default());
     }
 
     #[test]
     fn fsck_repair_without_replicas_reports_unrepairable() {
-        let (devices, sbs, _) = mini_cluster(1, false);
-        let targets = as_targets(&devices);
-        devices[0]
-            .set_faults(FaultInjector::new(3).with_bit_flips(sbs[0].data_base / BLOCK_SIZE, 1));
-        let report = fsck_repair(&targets, 0).expect("repair");
-        assert_eq!(report.detected, 1);
-        assert_eq!(report.repaired, 0);
-        assert_eq!(report.unrepairable, 1);
+        let (devices, targets, sb) = imported(1, false);
+        devices[0].set_faults(FaultInjector::new(3).with_bit_flips(sb.data_base / BLOCK_SIZE, 1));
+        let report = fsck_repair(&targets, 0, 4096).expect("repair");
+        assert_eq!(
+            (report.detected, report.repaired, report.unrepairable),
+            (1, 0, 1)
+        );
     }
 
     #[test]

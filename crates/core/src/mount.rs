@@ -52,10 +52,10 @@ use simkit::chan::{Receiver, Sender};
 use simkit::resource::Link;
 use simkit::rng::fnv1a;
 use simkit::runtime::{JoinHandle, Runtime};
-use simkit::telemetry::{Counter, Registry};
+use simkit::telemetry::Registry;
 use simkit::time::Dur;
 
-use crate::codec::{CodecKind, CodecTables, NodeFrames};
+use crate::codec::{stored_runs, CodecKind, CodecTables, FrameStager, NodeFrames, StoredFrame};
 use crate::config::DlfsConfig;
 use crate::directory::{node_for_name, DirectoryBuilder, SampleDirectory};
 use crate::entry::SampleEntry;
@@ -246,14 +246,8 @@ impl DlfsInstance {
             .shared
             .iter()
             .map(|s| {
-                let cfg = &s.cfg;
-                let cache = Arc::new(SampleCache::with_mode(
-                    cfg.chunk_size as usize,
-                    cfg.pool_chunks,
-                    cfg.cache_mode,
-                ));
                 let name = format!("dlfs-remap-r{}", s.reader_id);
-                let copy = CopyPool::spawn(rt, &name, cfg.copy_threads, &cfg.costs);
+                let (cache, copy) = reader_runtime(rt, &s.cfg, &name);
                 Arc::new(DlfsShared {
                     dir: dir.clone(),
                     cache,
@@ -264,6 +258,13 @@ impl DlfsInstance {
             .collect();
         DlfsInstance { dir, shared }
     }
+}
+
+/// A reader's own runtime state: its sample cache and its copy threads.
+fn reader_runtime(rt: &Runtime, cfg: &DlfsConfig, name: &str) -> (Arc<SampleCache>, CopyPool) {
+    let cache = SampleCache::with_mode(cfg.chunk_size as usize, cfg.pool_chunks, cfg.cache_mode);
+    let copy = CopyPool::spawn(rt, name, cfg.copy_threads, &cfg.costs);
+    (Arc::new(cache), copy)
 }
 
 /// Advance one node's placement cursor past a sample of `len` bytes.
@@ -352,98 +353,6 @@ struct StagedSample {
     bytes: Vec<u8>,
 }
 
-/// Accumulates one storage node's staged samples into chunk frames,
-/// encoding each completed frame before it is written. Samples arrive in
-/// placement order (contiguous within a frame — [`place_sample`]
-/// guarantees no straddle), so frames complete strictly in order.
-struct FrameStager {
-    /// `data_base` of the node (0 on ephemeral mounts).
-    base: u64,
-    chunk: u64,
-    /// Raw bytes of the frame currently filling.
-    raw: Vec<u8>,
-    /// Samples of the current frame, pending their stored-byte checksums.
-    pending: Vec<(u32, SampleEntry)>,
-    /// Encoded length of every flushed frame, in frame order.
-    lens: Vec<u32>,
-}
-
-/// One encoded frame ready to hit the device: stored bytes (encoded
-/// payload zero-padded to the frame's raw length), the frame's absolute
-/// byte offset, and the frame's metadata records (checksummed over the
-/// stored bytes, so fsck / repair / rebuild verify what the device
-/// actually holds).
-struct StoredFrame {
-    offset: u64,
-    stored: Vec<u8>,
-    records: Vec<MetaRecord>,
-}
-
-impl FrameStager {
-    fn new(base: u64, chunk: u64) -> FrameStager {
-        FrameStager {
-            base,
-            chunk,
-            raw: Vec::new(),
-            pending: Vec::new(),
-            lens: Vec::new(),
-        }
-    }
-
-    /// Absolute offset of the frame currently filling.
-    fn frame_start(&self) -> u64 {
-        self.base + self.lens.len() as u64 * self.chunk
-    }
-
-    /// Stage one sample; returns the completed previous frame when this
-    /// sample opens a new one.
-    fn push(&mut self, item: &StagedSample, codec: CodecKind) -> Option<StoredFrame> {
-        let mut out = None;
-        if item.entry.offset() >= self.frame_start() + self.chunk {
-            // The placement padded to the next frame boundary; the frame
-            // just closed keeps its full chunk extent (tail is padding).
-            out = Some(self.flush(self.chunk as usize, codec));
-            debug_assert!(item.entry.offset() < self.frame_start() + self.chunk);
-        }
-        debug_assert_eq!(
-            self.frame_start() + self.raw.len() as u64,
-            item.entry.offset()
-        );
-        self.pending.push((item.id, item.entry));
-        self.raw.extend_from_slice(&item.bytes);
-        out
-    }
-
-    /// Close the final (possibly short) frame at end of stream.
-    fn finish(&mut self, codec: CodecKind) -> Option<StoredFrame> {
-        (!self.raw.is_empty()).then(|| self.flush(self.raw.len(), codec))
-    }
-
-    /// Encode the current frame as `raw_target` stored bytes and emit it.
-    fn flush(&mut self, raw_target: usize, codec: CodecKind) -> StoredFrame {
-        let offset = self.frame_start();
-        self.raw.resize(raw_target, 0); // frame padding is part of the frame
-        let mut stored = codec.codec().encode(&self.raw);
-        debug_assert!(stored.len() <= raw_target, "codec grew a frame");
-        self.lens.push(stored.len() as u32);
-        stored.resize(raw_target, 0);
-        let records = self
-            .pending
-            .drain(..)
-            .map(|(id, e)| {
-                let rel = (e.offset() - offset) as usize;
-                MetaRecord::new(id, e, &stored[rel..rel + e.len() as usize])
-            })
-            .collect();
-        self.raw.clear();
-        StoredFrame {
-            offset,
-            stored,
-            records,
-        }
-    }
-}
-
 /// Everything one reader's upload task needs, moved into the spawn.
 struct UploadTask {
     r: usize,
@@ -478,25 +387,27 @@ struct Landing {
 }
 
 impl UploadTask {
-    /// Land one staged extent of node `my_nodes[pos]` — a raw sample, or a
-    /// whole encoded frame under a codec: write it, feed the node's
-    /// rolling integrity hasher, mirror it to the k−1 replica slots on
-    /// peer nodes, and queue its metadata records. Extents arrive per node
-    /// in packed offset order, so the hasher sees the data region as one
-    /// stream, and replicas and the integrity table see the exact stored
-    /// bytes (frame padding included).
+    /// Land one staged extent of node `my_nodes[pos]` — a raw sample (a
+    /// frame stored in full), or a whole encoded frame under a codec
+    /// ([`FrameStager`]): write its stored extent, feed the
+    /// node's rolling integrity hasher its logical bytes, mirror the stored
+    /// extent to the k−1 replica slots on peer nodes, and queue its
+    /// metadata records. Extents arrive per node in packed offset order, so
+    /// the hasher sees the logical data region as one stream; a frame's
+    /// hole is hashed as the zeros it stands for and reaches no device,
+    /// home or replica. Every stored extent is cut from its frame's start,
+    /// so a run a writer has to open for it starts block-aligned.
     fn land(
         &self,
         rt: &Runtime,
         l: &mut Landing,
         pos: usize,
-        offset: u64,
-        bytes: &[u8],
-        records: impl IntoIterator<Item = MetaRecord>,
+        f: StoredFrame,
     ) -> Result<(), DlfsError> {
+        let (offset, bytes) = (f.offset, &f.stored[..f.extent]);
         l.writers[pos].write(rt, offset, bytes)?;
         if self.cfg.verify_reads {
-            l.checks[pos].update(bytes);
+            l.checks[pos].update(&f.stored);
         }
         let home = self.my_nodes[pos];
         let rel = offset - self.geometry[home].data_base;
@@ -515,7 +426,12 @@ impl UploadTask {
             w.write(rt, at, bytes)?;
         }
         if self.drafts.is_some() {
-            l.records[pos].extend(records);
+            // Checksummed over its logical bytes: what a checker reads back.
+            let record = |&(id, e): &(u32, SampleEntry)| {
+                let at = (e.offset() - offset) as usize;
+                MetaRecord::new(id, e, &f.stored[at..at + e.len() as usize])
+            };
+            l.records[pos].extend(f.samples.iter().map(record));
         }
         Ok(())
     }
@@ -540,8 +456,8 @@ impl UploadTask {
         };
         // Per-node frame stagers when a codec is configured: samples
         // accumulate into chunk frames that are encoded and landed whole.
-        let codec = self.cfg.codec;
-        let coded = codec != CodecKind::Identity;
+        let codec = self.cfg.codec.codec();
+        let coded = self.cfg.codec != CodecKind::Identity;
         let mut stagers: Vec<FrameStager> = if coded {
             let stager =
                 |&n: &usize| FrameStager::new(self.geometry[n].data_base, self.cfg.chunk_size);
@@ -585,18 +501,21 @@ impl UploadTask {
             }
             rt.work(BUILD_PER_ENTRY);
             let pos = item.node_pos;
-            let landed = if coded {
+            let staged = if coded {
                 // The stager owns writes under a codec: a completed frame
                 // is encoded and landed whole; this sample's own frame
                 // flushes on a later push or at end of stream.
-                stagers[pos].push(&item, codec).map_or(Ok(()), |f| {
-                    self.land(rt, &mut l, pos, f.offset, &f.stored, f.records)
-                })
+                stagers[pos].push(item.id, item.entry, &item.bytes, codec)
             } else {
-                let persist = self.drafts.is_some();
-                let record = persist.then(|| MetaRecord::new(item.id, item.entry, &item.bytes));
-                self.land(rt, &mut l, pos, item.entry.offset(), &item.bytes, record)
+                Ok(Some(StoredFrame {
+                    offset: item.entry.offset(),
+                    extent: item.bytes.len(),
+                    // Only a persistent import records its samples.
+                    samples: (self.drafts.iter().map(|_| (item.id, item.entry))).collect(),
+                    stored: item.bytes,
+                }))
             };
+            let landed = staged.and_then(|f| f.map_or(Ok(()), |f| self.land(rt, &mut l, pos, f)));
             failed = landed.err();
         }
         if let Some(e) = failed {
@@ -605,8 +524,8 @@ impl UploadTask {
         // Under a codec the last frame of each node is still staging:
         // close it now that the stream is over.
         for (pos, stager) in stagers.iter_mut().enumerate() {
-            if let Some(f) = stager.finish(codec) {
-                self.land(rt, &mut l, pos, f.offset, &f.stored, f.records)?;
+            if let Some(f) = stager.finish(codec)? {
+                self.land(rt, &mut l, pos, f)?;
             }
         }
         // Replica mirrors drain before any superblock commits. (The
@@ -702,25 +621,6 @@ fn join_nodes<T>(handles: Vec<Worker<T>>, storage_nodes: usize) -> Result<Vec<T>
 /// DMA buffers are the rest — see the module doc) is a constant, not the
 /// reader's whole data share.
 const STREAM_DEPTH: usize = 4;
-
-/// Counters under `dlfs.remount.*` (unregistered without a registry).
-#[derive(Clone)]
-struct RemountTelemetry {
-    superblocks: Counter,
-    meta_bytes: Counter,
-    entries: Counter,
-}
-
-impl RemountTelemetry {
-    fn new(reg: Option<&Registry>) -> RemountTelemetry {
-        let scope = reg.map(|r| r.scoped("dlfs.remount"));
-        RemountTelemetry {
-            superblocks: crate::counter_in(scope.as_ref(), "superblocks"),
-            meta_bytes: crate::counter_in(scope.as_ref(), "meta_bytes"),
-            entries: crate::counter_in(scope.as_ref(), "entries"),
-        }
-    }
-}
 
 /// A validated bring-up: what [`MountBuilder::validated`] hands the two
 /// pipelines ([`Bringup::stage`] for `mount`, [`Bringup::remount`]).
@@ -970,18 +870,15 @@ impl Bringup {
         let cfg = self.cfg;
         let slot = |s: &NodeState| (s.geometry.data_base, s.geometry.slot_bytes);
         let slots = nodes.iter().map(slot).collect();
-        let data_bytes = nodes.iter().map(|s| s.geometry.data_bytes).collect();
+        let runs =
+            |s: &NodeState| stored_runs(s.geometry.data_bytes, cfg.codec, cfg.chunk_size, &s.lens);
+        let runs = nodes.iter().map(runs).collect();
         let sums = if cfg.verify_reads {
             let table = |s: &mut NodeState| Arc::new(std::mem::take(&mut s.sums));
             nodes.iter_mut().map(table).collect()
         } else {
             Vec::new()
         };
-        let red = Redundancy::with_geometry(replicas, slots, data_bytes, sums);
-        let redundancy = Arc::new(match cfg.fail_dead_after {
-            Some(dead_after) => red.with_membership(dead_after),
-            None => red,
-        });
         let codec = (cfg.codec != CodecKind::Identity).then(|| {
             Arc::new(CodecTables {
                 kind: cfg.codec,
@@ -995,6 +892,11 @@ impl Bringup {
                     .collect(),
             })
         });
+        let red = Redundancy::with_geometry(replicas, slots, runs, sums);
+        let redundancy = Arc::new(match cfg.fail_dead_after {
+            Some(dead_after) => red.with_membership(dead_after),
+            None => red,
+        });
         // All nodes carry a superblock, or none does.
         let layouts: Option<Vec<Superblock>> = nodes.into_iter().map(|s| s.sb).collect();
         let layouts = layouts.map(Arc::new);
@@ -1004,12 +906,7 @@ impl Bringup {
             .map(|q| crate::tenant::TenantQos::new(q, dir.avg_sample_bytes()));
         let shared = (self.deployment.targets.into_iter().enumerate())
             .map(|(r, targets)| {
-                let cache = Arc::new(SampleCache::with_mode(
-                    cfg.chunk_size as usize,
-                    cfg.pool_chunks,
-                    cfg.cache_mode,
-                ));
-                let copy = CopyPool::spawn(rt, &format!("dlfs-r{r}"), cfg.copy_threads, &cfg.costs);
+                let (cache, copy) = reader_runtime(rt, &cfg, &format!("dlfs-r{r}"));
                 Arc::new(DlfsShared {
                     cfg: cfg.clone(),
                     dir: dir.clone(),
@@ -1041,7 +938,10 @@ impl Bringup {
     fn remount(self, rt: &Runtime) -> Result<DlfsInstance, DlfsError> {
         let cfg = &self.cfg;
         let storage_nodes = self.storage_nodes;
-        let tel = RemountTelemetry::new(self.telemetry.as_ref());
+        // Counters under `dlfs.remount.*` (unregistered without a registry).
+        let scope = self.telemetry.as_ref().map(|r| r.scoped("dlfs.remount"));
+        let tel =
+            ["superblocks", "meta_bytes", "entries"].map(|n| crate::counter_in(scope.as_ref(), n));
         let mut handles = Vec::with_capacity(self.readers);
         for r in 0..self.readers {
             let my_nodes = self.nodes_of(r);
@@ -1053,9 +953,10 @@ impl Bringup {
                 for n in my_nodes {
                     let read = |off, len| read_timed(rt, &row[n], n as u16, off, len, &cfg);
                     let meta = layout::load_node(read, n as u16, cfg.verify_reads)?;
-                    tel.superblocks.inc();
-                    tel.meta_bytes.add(meta.sb.meta_bytes);
-                    tel.entries.add(meta.records.len() as u64);
+                    let [superblocks, meta_bytes, entries] = &tel;
+                    superblocks.inc();
+                    meta_bytes.add(meta.sb.meta_bytes);
+                    entries.add(meta.records.len() as u64);
                     // Rebuilding the AVL trees costs the same per-entry
                     // insert work as building them from names at mount time.
                     rt.work(BUILD_PER_ENTRY * meta.records.len() as u64);

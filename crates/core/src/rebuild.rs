@@ -34,10 +34,10 @@ use simkit::telemetry::{Counter, Gauge, Registry};
 
 use crate::counter_in;
 use crate::error::DlfsError;
-use crate::integrity::{Probe, Redundancy};
+use crate::integrity::{Probe, Redundancy, StoredCursor};
 use crate::io::DlfsShared;
 use crate::layout::{
-    encode_codec_table, encode_integrity, encode_meta, read_untimed, BlockChecksums, MetaRecord,
+    encode_codec_table, encode_integrity, encode_meta, read_logical, BlockChecksums, MetaRecord,
 };
 
 /// One contiguous run of blocks the dead node must get back: the copy of
@@ -48,7 +48,8 @@ pub struct RebuildExtent {
     pub home: u16,
     /// Replica slot index on the dead node (`0` = the node's own data).
     pub slot_r: u32,
-    /// Blocks of staged data in the extent.
+    /// Stored blocks in the extent (holes between the stored extents of a
+    /// coded home's frames are not part of any copy).
     pub blocks: u64,
 }
 
@@ -65,24 +66,17 @@ pub struct RebuildPlan {
 
 impl RebuildPlan {
     /// Enumerate everything dead node `node` hosted, each extent as long
-    /// as its home's staged data ([`Redundancy::data_blocks`]).
+    /// as its home's stored runs (`Redundancy::stored_blocks`).
     pub fn for_dead_node(red: &Redundancy, node: u16) -> RebuildPlan {
-        let n = red.slots.len();
-        assert!((node as usize) < n);
-        let mut extents = Vec::with_capacity(red.replicas as usize);
-        extents.push(RebuildExtent {
-            home: node,
-            slot_r: 0,
-            blocks: red.data_blocks(node),
-        });
-        for r in 1..red.replicas {
-            let home = ((node as u32 + n as u32 - r) % n as u32) as u16;
-            extents.push(RebuildExtent {
-                home,
-                slot_r: r,
-                blocks: red.data_blocks(home),
-            });
-        }
+        let n = red.slots.len() as u32;
+        assert!((node as u32) < n);
+        let extent = |home: u16, slot_r: u32| RebuildExtent {
+            home,
+            slot_r,
+            blocks: red.stored_blocks(home),
+        };
+        let hosted = |r: u32| extent(((node as u32 + n - r) % n) as u16, r);
+        let extents: Vec<_> = (0..red.replicas).map(hosted).collect();
         let total_blocks = extents.iter().map(|e| e.blocks).sum();
         RebuildPlan {
             node,
@@ -101,8 +95,9 @@ struct RebuildState {
     plan: RebuildPlan,
     /// Current extent index into `plan.extents`.
     ext: usize,
-    /// Next block within the current extent.
-    blk: u64,
+    /// Where the walk of the current extent's home stands
+    /// ([`Redundancy::next_stored`]).
+    at: StoredCursor,
     /// Blocks walked so far (copied, found clean, or failed).
     walked: u64,
     /// Blocks no surviving replica could serve.
@@ -112,8 +107,9 @@ struct RebuildState {
 /// Scrub cursor, in-flight rebuild and their counters for one I/O handle.
 pub(crate) struct Background {
     shared: Arc<DlfsShared>,
-    /// Scrub position: (storage node, block within its data region).
-    scrub_cursor: (usize, u64),
+    /// Scrub position: storage node, and where the walk of its stored
+    /// blocks stands ([`Redundancy::next_stored`]).
+    scrub_cursor: (usize, StoredCursor),
     /// In-flight node rebuild, throttled to `rebuild_gap_blocks` per idle
     /// gap so foreground reads keep their latency; `None` when full
     /// redundancy holds.
@@ -143,7 +139,7 @@ impl Background {
         let rb = red.membership.as_ref().map(|_| reg.scoped("dlfs.rebuild"));
         let (iv, rb) = (iv.as_ref(), rb.as_ref());
         Background {
-            scrub_cursor: (0, 0),
+            scrub_cursor: (0, (0, 0)),
             rebuild: None,
             scrubbed: counter_in(iv, "scrubbed"),
             repairs: counter_in(iv, "repairs"),
@@ -167,8 +163,8 @@ impl Background {
         }
     }
 
-    /// Walk `budget` data blocks of the scrub cursor, judging each home
-    /// block against the integrity table (and probing for latent media
+    /// Walk `budget` stored blocks from the scrub cursor, judging each
+    /// home block against the integrity table (and probing for latent media
     /// faults) and healing bad ones from the first good replica. Returns
     /// the number of blocks scrubbed. No-op without checksums.
     fn scrub_blocks(&mut self, budget: u64) -> u64 {
@@ -182,12 +178,12 @@ impl Background {
         let mut scrubbed = 0u64;
         let mut hops = 0usize;
         while scrubbed < budget && hops <= nodes {
-            let (n, at) = self.scrub_cursor;
-            if at >= red.data_blocks(n as u16) {
-                self.scrub_cursor = ((n + 1) % nodes, 0);
+            let n = self.scrub_cursor.0;
+            let Some(at) = red.next_stored(n as u16, &mut self.scrub_cursor.1) else {
+                self.scrub_cursor = ((n + 1) % nodes, (0, 0));
                 hops += 1;
                 continue;
-            }
+            };
             let (home, slba) = (n as u16, red.slots[n].0 / BLOCK_SIZE + at);
             let good = red.read_copy(&sh.targets, home, 0, slba, &mut blk, Probe::Oracle);
             let peers = 1..red.replicas;
@@ -195,20 +191,19 @@ impl Background {
                 self.repairs.inc();
             }
             scrubbed += 1;
-            self.scrub_cursor = (n, at + 1);
         }
         self.scrubbed.add(scrubbed);
         scrubbed
     }
 
-    /// One full scrub sweep over every node's data region; returns the
+    /// One full scrub sweep over every node's stored blocks; returns the
     /// number of blocks scrubbed.
     pub fn scrub_pass(&mut self) -> u64 {
         let red = &self.shared.redundancy;
         let total = (0..self.shared.targets.len())
-            .map(|n| red.data_blocks(n as u16))
+            .map(|n| red.stored_blocks(n as u16))
             .sum();
-        self.scrub_cursor = (0, 0);
+        self.scrub_cursor = (0, (0, 0));
         self.scrub_blocks(total)
     }
 
@@ -239,7 +234,7 @@ impl Background {
         self.rebuild = Some(RebuildState {
             plan,
             ext: 0,
-            blk: 0,
+            at: (0, 0),
             walked: 0,
             failed: 0,
         });
@@ -273,7 +268,7 @@ impl Background {
         blocks.div_ceil(per_chunk)
     }
 
-    /// Walk up to `budget` blocks of the in-flight rebuild: verify what
+    /// Walk up to `budget` stored blocks of the in-flight rebuild: verify what
     /// the replacement device already holds (a restarted node keeps its
     /// media — catch-up resync skips clean blocks), copy the rest from the
     /// first surviving replica whose bytes verify, and finish with the
@@ -291,13 +286,13 @@ impl Background {
             let Some(ext) = rb.plan.extents.get(rb.ext).copied() else {
                 break;
             };
-            if rb.blk >= ext.blocks {
-                rb.ext += 1;
-                rb.blk = 0;
-                continue;
-            }
             let (home, dest) = (ext.home, ext.slot_r);
-            let slba = red.slots[home as usize].0 / BLOCK_SIZE + rb.blk;
+            let Some(at) = red.next_stored(home, &mut rb.at) else {
+                rb.ext += 1;
+                rb.at = (0, 0);
+                continue;
+            };
+            let slba = red.slots[home as usize].0 / BLOCK_SIZE + at;
             // Every other replica of the home survives the dead node: the
             // placement puts the copies of one home on distinct nodes.
             let survivors = (0..red.replicas).filter(|&r| r != dest);
@@ -314,23 +309,13 @@ impl Background {
                 rb.failed += 1;
                 self.rb_failed.inc();
             }
-            rb.blk += 1;
             rb.walked += 1;
             walked += 1;
-        }
-        while rb
-            .plan
-            .extents
-            .get(rb.ext)
-            .is_some_and(|e| rb.blk >= e.blocks)
-        {
-            rb.ext += 1;
-            rb.blk = 0;
         }
         let remaining = rb.plan.total_blocks - rb.walked;
         self.rb_at_risk
             .set(self.chunks_at_risk(remaining + rb.failed) as i64);
-        if rb.ext >= rb.plan.extents.len() {
+        if remaining == 0 {
             self.rebuild_finish(rb.plan.node, rb.failed);
         } else {
             self.rebuild = Some(rb);
@@ -353,12 +338,15 @@ impl Background {
         if let Some(layouts) = sh.layouts.as_deref() {
             let dest = &sh.targets[node as usize];
             let mut sb = layouts[node as usize].clone();
-            let mut records = Vec::with_capacity(sb.node_samples as usize);
-            for &id in sh.dir.samples_on(node) {
+            // The logical bytes, as the import hashed them: holes the walk
+            // above never copied into read as zeros, whatever dest holds.
+            let runs = &red.runs[node as usize];
+            let logical = |at, len| read_logical(dest, sb.data_base, runs, at, len);
+            let record = |&id: &u32| {
                 let e = sh.dir.entry(id);
-                let stored = read_untimed(dest, e.offset(), e.len() as usize);
-                records.push(MetaRecord::new(id, e, &stored));
-            }
+                MetaRecord::new(id, e, &logical(e.offset(), e.len() as usize))
+            };
+            let records: Vec<_> = sh.dir.samples_on(node).iter().map(record).collect();
             let meta = encode_meta(&records);
             debug_assert_eq!(meta.len() as u64, sb.meta_bytes);
             if !meta.is_empty() {
@@ -367,28 +355,29 @@ impl Background {
             if sb.integrity_bytes > 0 {
                 // The import's table, or — on an instance remounted without
                 // `verify_reads`, which never loaded it — the rebuilt data
-                // hashed afresh.
+                // hashed afresh, frame slot by frame slot.
                 let enc = match red.sums.get(node as usize) {
                     Some(sums) => encode_integrity(sums),
                     None => {
-                        let mut sums = BlockChecksums::new();
-                        sums.update(&read_untimed(dest, sb.data_base, sb.data_bytes as usize));
+                        let (mut sums, chunk) = (BlockChecksums::new(), sh.cfg.chunk_size);
+                        for at in (0..sb.data_bytes).step_by(chunk as usize) {
+                            let slot = (sb.data_bytes - at).min(chunk) as usize;
+                            sums.update(&logical(sb.data_base + at, slot));
+                        }
                         encode_integrity(&sums.finish())
                     }
                 };
                 debug_assert_eq!(enc.len() as u64, sb.integrity_bytes);
                 dest.dma_write(sb.integrity_base / BLOCK_SIZE, &enc);
             }
-            if sb.codec_table_bytes > 0 {
-                if let Some(tables) = sh.codec.as_deref() {
-                    // Restore the per-frame encoded-length table; the data
-                    // blocks were copied back verbatim (stored/encoded
-                    // bytes), so the table written at import still
-                    // describes them exactly.
-                    let table = encode_codec_table(&tables.per_node[node as usize].lens);
-                    debug_assert_eq!(table.len() as u64, sb.codec_table_bytes);
-                    dest.dma_write(sb.codec_base() / BLOCK_SIZE, &table);
-                }
+            if let Some(tables) = sh.codec.as_deref() {
+                // Restore the per-frame encoded-length table (a coded
+                // layout has one); the stored extents were copied back
+                // verbatim, so the table written at import still describes
+                // them exactly.
+                let table = encode_codec_table(&tables.per_node[node as usize].lens);
+                debug_assert_eq!(table.len() as u64, sb.codec_table_bytes);
+                dest.dma_write(sb.codec_base() / BLOCK_SIZE, &table);
             }
             sb.meta_checksum = fnv1a(&meta);
             sb.committed = true;
@@ -411,9 +400,15 @@ mod tests {
 
     /// `nodes` nodes holding 10, 20, 30, ... blocks of data.
     fn red(nodes: usize, k: u32) -> Redundancy {
-        let data_bytes = (1..=nodes as u64).map(|n| n * 10 * BLOCK_SIZE).collect();
-        Redundancy::with_geometry(k, vec![(4096u64, 1 << 20); nodes], data_bytes, vec![])
+        let runs = (1..=nodes as u64).map(|n| vec![(0, n * 10)]).collect();
+        Redundancy::with_geometry(k, vec![(4096u64, 1 << 20); nodes], runs, vec![])
     }
+    /// A plan's extents as `(home, slot_r, blocks)`.
+    fn extents(plan: &RebuildPlan) -> Vec<(u16, u32, u64)> {
+        let tuple = |e: &RebuildExtent| (e.home, e.slot_r, e.blocks);
+        plan.extents.iter().map(tuple).collect()
+    }
+
     #[test]
     fn plan_covers_every_slot_the_dead_node_hosted() {
         let r = red(4, 3);
@@ -421,26 +416,7 @@ mod tests {
         assert_eq!(plan.node, 2);
         // Slot 0: node 2's own data. Slot 1: replica 1 of home 1
         // (1 + 1 = 2). Slot 2: replica 2 of home 0 (0 + 2 = 2).
-        assert_eq!(
-            plan.extents,
-            vec![
-                RebuildExtent {
-                    home: 2,
-                    slot_r: 0,
-                    blocks: 30
-                },
-                RebuildExtent {
-                    home: 1,
-                    slot_r: 1,
-                    blocks: 20
-                },
-                RebuildExtent {
-                    home: 0,
-                    slot_r: 2,
-                    blocks: 10
-                },
-            ]
-        );
+        assert_eq!(extents(&plan), vec![(2, 0, 30), (1, 1, 20), (0, 2, 10)]);
         assert_eq!(plan.total_blocks, 60);
         // Every extent's destination routes onto the dead node, and every
         // other replica of its home — the rebuild's sources — off it.
@@ -460,13 +436,24 @@ mod tests {
         let b = RebuildPlan::for_dead_node(&r, 0);
         assert_eq!(a.extents, b.extents);
         // Replica 1 of home 2 lives on node (2 + 1) % 3 = 0.
+        assert_eq!(extents(&a)[1], (2, 1, 30));
+    }
+
+    /// A coded home is planned, and walked, by its stored runs: the holes
+    /// between its frames' stored extents are part of no copy.
+    #[test]
+    fn a_coded_home_is_walked_by_its_stored_runs() {
+        let runs =
+            |lens: &[u32]| crate::codec::stored_runs(3 * 4096, crate::CodecKind::Lz, 4096, lens);
+        let runs = vec![runs(&[100, 4096, 600]), runs(&[1, 1, 1])];
+        let r = Redundancy::with_geometry(2, vec![(4096, 1 << 20); 2], runs, vec![]);
         assert_eq!(
-            a.extents[1],
-            RebuildExtent {
-                home: 2,
-                slot_r: 1,
-                blocks: 30
-            }
+            extents(&RebuildPlan::for_dead_node(&r, 1)),
+            vec![(1, 0, 3), (0, 1, 11)]
         );
+        let mut cursor = (0, 0);
+        let walk: Vec<u64> = std::iter::from_fn(|| r.next_stored(0, &mut cursor)).collect();
+        assert_eq!(walk, [vec![0], (8..16).collect(), vec![16, 17]].concat());
+        assert_eq!(r.next_stored(0, &mut cursor), None, "and stays at the end");
     }
 }

@@ -194,6 +194,50 @@ fn cross_epoch_evicts_lru_under_pool_pressure() {
     });
 }
 
+/// Same seed, same timeline — whatever the process's hasher: a `sequence`
+/// over a half-consumed epoch releases the ranges it still has open in
+/// item order, so the LRU stamps they get, and with them which of them the
+/// next epoch evicts before it comes back for them, do not depend on the
+/// iteration order of a `HashMap`. The pool is too small for the dataset
+/// (24 chunks against 64), several items are open at the abort, and the
+/// whole simulation repeats eight times in one process.
+#[test]
+fn a_mid_epoch_sequence_releases_open_ranges_in_item_order() {
+    let run = || {
+        let (outcome, end) = Runtime::simulate(131, |rt| {
+            let source = SyntheticSource::fixed(5, 1024, 512);
+            let cfg = DlfsConfig {
+                chunk_size: 8 * 1024,
+                pool_chunks: 24,
+                cache_mode: CacheMode::CrossEpoch,
+                ..DlfsConfig::default()
+            };
+            let fs = direct_deployment(rt, 1, &source, cfg);
+            let reg = Registry::new();
+            let mut io = fs.io_with_registry(0, &reg);
+            io.sequence(rt, 42, 0);
+            for _ in 0..3 {
+                io.submit(rt, &ReadRequest::batch(32)).unwrap();
+            }
+            let total = io.sequence(rt, 43, 1);
+            assert_eq!(drain_epoch_verified(rt, &mut io, &source), total);
+            let snap = reg.snapshot();
+            (
+                snap.counter("dlfs.cache.hits"),
+                snap.counter("dlfs.cache.evictions"),
+            )
+        });
+        (end.nanos(), outcome)
+    };
+    let first = run();
+    let (_, (hits, evictions)) = first;
+    assert!(hits > 0, "the aborted epoch's ranges must be worth keeping");
+    assert!(evictions > 0, "the pool must be small enough to evict");
+    for repeat in 1..8 {
+        assert_eq!(run(), first, "repeat {repeat} took another timeline");
+    }
+}
+
 /// With two readers an epoch leaves each reader holding only its half of
 /// the dataset; the prefetcher warms the *next* epoch's missing head
 /// during the current epoch's tail, and those fetches register as hits

@@ -337,7 +337,7 @@ fn scrub_pass_heals_latent_corruption_to_fsck_clean() {
         // to repair.
         let targets = &fs.shared(0).targets;
         for node in 0..devices.len() as u16 {
-            let rep = fsck_repair(targets, node).unwrap();
+            let rep = fsck_repair(targets, node, fs.shared(0).cfg.chunk_size).unwrap();
             assert_eq!(
                 (rep.detected, rep.repaired, rep.unrepairable),
                 (0, 0, 0),
@@ -576,7 +576,7 @@ fn heal_cell(replicas: usize, codec: CodecKind, damage: Damage, healer: Healer) 
             Healer::Fsck => {
                 let targets = &fs.shared(0).targets;
                 for n in 0..devices.len() as u16 {
-                    match fsck_repair(targets, n) {
+                    match fsck_repair(targets, n, fs.shared(0).cfg.chunk_size) {
                         Ok(r) => out.push_str(&format!("fsck_repair node{n} {r:?}\n")),
                         Err(e) => out.push_str(&format!("fsck_repair node{n} error: {e}\n")),
                     }
@@ -590,7 +590,11 @@ fn heal_cell(replicas: usize, codec: CodecKind, damage: Damage, healer: Healer) 
         out.push_str(&heal_state(&io, &devices));
         out.push_str("fsck");
         for (n, t) in fs.shared(0).targets.iter().enumerate() {
-            out.push_str(&format!(" | {:?}", fsck_node(t, n as u16, true).state));
+            let chunk = fs.shared(0).cfg.chunk_size;
+            out.push_str(&format!(
+                " | {:?}",
+                fsck_node(t, n as u16, true, chunk).state
+            ));
         }
         out + "\n"
     })

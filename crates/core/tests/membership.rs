@@ -41,10 +41,13 @@ fn local_deployment(devices: &[Arc<NvmeDevice>]) -> Deployment {
     }
 }
 
+/// The chunk size of every import here (deep `fsck_node` is told it).
+const CHUNK: u64 = 8 * 1024;
+
 /// Replicated + verified + membership-enabled config over small chunks.
 fn membership_cfg(replicas: usize) -> DlfsConfig {
     DlfsConfig {
-        chunk_size: 8 * 1024,
+        chunk_size: CHUNK,
         replicas,
         verify_reads: true,
         fail_dead_after: Some(Dur::micros(300)),
@@ -105,7 +108,7 @@ fn replace_with_fresh(dev: &Arc<NvmeDevice>, bytes: u64) {
 
 fn assert_fsck_clean(targets: &[Arc<dyn NvmeTarget>]) {
     for node in 0..targets.len() as u16 {
-        let rep = fsck_node(&targets[node as usize], node, true);
+        let rep = fsck_node(&targets[node as usize], node, true, CHUNK);
         assert!(
             matches!(rep.state, FsckState::Clean { .. }),
             "node {node} not fsck-clean: {:?}",
@@ -129,7 +132,7 @@ fn replica_configs_without_the_knob_build_no_membership() {
         let source = SyntheticSource::fixed(21, 300, 2048);
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
         let cfg = DlfsConfig {
-            chunk_size: 8 * 1024,
+            chunk_size: CHUNK,
             replicas: 2,
             verify_reads: true,
             ..DlfsConfig::default()
@@ -346,7 +349,7 @@ fn mid_rebuild_source_death_falls_back_to_surviving_replica() {
             "a third replica must cover every block node 2 can no longer serve"
         );
         assert!(!red.is_dead(1), "rebuilt node must rejoin");
-        let rep = fsck_node(&fs.shared(0).targets[1], 1, true);
+        let rep = fsck_node(&fs.shared(0).targets[1], 1, true, CHUNK);
         assert!(
             matches!(rep.state, FsckState::Clean { .. }),
             "{:?}",
@@ -386,7 +389,7 @@ fn interleaved_import_keeps_three_replica_mirrors_intact() {
             "no read failed over"
         );
         for node in [0u16, 3] {
-            let rep = fsck_node(&fs.shared(0).targets[node as usize], node, true);
+            let rep = fsck_node(&fs.shared(0).targets[node as usize], node, true, CHUNK);
             let clean = matches!(rep.state, FsckState::Clean { .. });
             assert!(clean, "survivor {node} not clean: {:?}", rep.state);
             assert_eq!(rep.data_checksum_ok, Some(true), "survivor {node}");
@@ -447,7 +450,7 @@ fn hedge_against_dying_target_cancels_without_counting_failover() {
         let fast = ramdisk(64 << 20);
         let devices = vec![slow, fast];
         let cfg = DlfsConfig {
-            chunk_size: 8 * 1024,
+            chunk_size: CHUNK,
             replicas: 2,
             verify_reads: true,
             hedge_reads: true,

@@ -9,7 +9,7 @@ mod common;
 
 use std::sync::Arc;
 
-use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget};
+use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget, BLOCK_SIZE};
 use common::check_golden;
 use dlfs::source::SampleSource;
 use dlfs::{
@@ -47,10 +47,15 @@ struct FabricRig {
 
 impl FabricRig {
     fn new(readers: usize, devices: &[Arc<NvmeDevice>]) -> FabricRig {
-        let cluster = Arc::new(Cluster::new(
-            readers + devices.len(),
-            FabricConfig::default(),
-        ));
+        FabricRig::with_nic(readers, devices, FabricConfig::default().nic_bytes_per_sec)
+    }
+
+    fn with_nic(readers: usize, devices: &[Arc<NvmeDevice>], nic_bytes_per_sec: f64) -> FabricRig {
+        let fabric = FabricConfig {
+            nic_bytes_per_sec,
+            ..FabricConfig::default()
+        };
+        let cluster = Arc::new(Cluster::new(readers + devices.len(), fabric));
         let exported = devices
             .iter()
             .enumerate()
@@ -280,7 +285,7 @@ fn torn_import_rejected_typed_and_repaired_by_reimport() {
 
         // The torn state is visible to fsck and typed on remount.
         let target: Arc<dyn NvmeTarget> = dev.clone();
-        let report = fsck_node(&target, 0, false);
+        let report = fsck_node(&target, 0, false, 0);
         assert!(
             matches!(report.state, FsckState::Torn { generation: 1 }),
             "fsck saw {:?}",
@@ -308,7 +313,7 @@ fn torn_import_rejected_typed_and_repaired_by_reimport() {
             .unwrap();
         assert_eq!(fs.layout(0).unwrap().generation, 2);
         drop(fs);
-        let report = fsck_node(&target, 0, true);
+        let report = fsck_node(&target, 0, true, DlfsConfig::default().chunk_size);
         assert!(matches!(report.state, FsckState::Clean { generation: 2 }));
         assert_eq!(report.data_checksum_ok, Some(true));
         let warm = dlfs::MountBuilder::new(DlfsConfig::default())
@@ -441,7 +446,7 @@ fn fsck_counts_the_records_a_replay_yields() {
                 records += 1;
                 bytes += p.len() as u64;
             }
-            let rep = fsck_node(&fs.shared(0).targets[0], 0, false);
+            let rep = fsck_node(&fs.shared(0).targets[0], 0, false, 0);
             assert_eq!(
                 (rep.checkpoints, rep.checkpoint_bytes),
                 (records, bytes),
@@ -544,7 +549,7 @@ fn typed_errors_for_bad_shapes() {
         ));
         let blank_t: Arc<dyn NvmeTarget> = blank;
         assert!(matches!(
-            fsck_node(&blank_t, 0, false).state,
+            fsck_node(&blank_t, 0, false, 0).state,
             FsckState::Unformatted(_)
         ));
 
@@ -595,7 +600,8 @@ fn typed_errors_for_bad_shapes() {
         drop(fs);
         let target: Arc<dyn NvmeTarget> = dev.clone();
         let both_accept = |what: &str| {
-            let clean = matches!(fsck_node(&target, 0, true).state, FsckState::Clean { .. });
+            let fsck = fsck_node(&target, 0, true, lz().chunk_size);
+            let clean = matches!(fsck.state, FsckState::Clean { .. });
             match MountBuilder::new(lz())
                 .local(dev.clone())
                 .warm()
@@ -753,11 +759,11 @@ fn replicated_import_remounts_and_heals_corruption() {
         // Demand reads stay byte-correct throughout (verified failover).
         drain_all_readers(rt, &warm, &source, 5);
         // Offline repair from the replica finishes the job…
-        let rep = dlfs::fsck_repair(&warm.shared(0).targets, 0).unwrap();
+        let rep = dlfs::fsck_repair(&warm.shared(0).targets, 0, cfg().chunk_size).unwrap();
         assert_eq!(rep.unrepairable, 0, "replica copy must cover every block");
         // …and a deep fsck agrees the node is clean again.
         let t0 = warm.shared(0).targets[0].clone();
-        let report = fsck_node(&t0, 0, true);
+        let report = fsck_node(&t0, 0, true, cfg().chunk_size);
         assert!(
             matches!(report.state, FsckState::Clean { .. }),
             "node 0 not clean after repair: {:?}",
@@ -1048,6 +1054,57 @@ fn mount_meets_its_staging_roofline() {
             );
         });
     }
+}
+
+/// A coded import ships what the codec kept: on a 1 GB/s wire, where bytes
+/// are the whole cost of set-up, the reader sends its frames' stored
+/// extents (once per replica, plus a capsule per command) and the mount
+/// takes a quarter — here a twelfth — of what shipping the same frames
+/// padded back out to their raw length costs on that wire.
+#[test]
+fn coded_import_meets_its_wire_roofline() {
+    const NIC: f64 = 1.0e9;
+    Runtime::simulate(7300, |rt| {
+        let source = SyntheticSource::compressible(33, 2048, 2600, 48);
+        let devices: Vec<Arc<NvmeDevice>> = (0..4).map(|_| ramdisk(16 << 20)).collect();
+        let rig = FabricRig::with_nic(1, &devices, NIC);
+        let cfg = DlfsConfig {
+            chunk_size: 8 * 1024,
+            replicas: 2,
+            verify_reads: true,
+            codec: CodecKind::Lz,
+            ..DlfsConfig::default()
+        };
+        let reg = Registry::new();
+        let t0 = rt.now();
+        let fs = MountBuilder::new(cfg.clone())
+            .deployment(rig.deployment())
+            .with_registry(reg.clone())
+            .mount(rt, &source)
+            .unwrap();
+        let took = (rt.now() - t0).as_secs_f64();
+        let (tx, _) = rig.cluster.node_traffic(0);
+        let tables = fs.shared(0).codec.as_ref().unwrap();
+        let (mut stored, mut raw) = (0u64, 0u64);
+        for frames in &tables.per_node {
+            for (f, &enc) in frames.lens.iter().enumerate() {
+                let len = frames.raw_len(cfg.chunk_size, f) as u64;
+                stored += (enc as u64).next_multiple_of(BLOCK_SIZE).min(len);
+                raw += len;
+            }
+        }
+        let copies = cfg.replicas as u64;
+        let capsules = reg.snapshot().counter("dlfs.write.commands") * fabric::CAPSULE_BYTES;
+        assert!(
+            tx as f64 <= 1.1 * (stored * copies) as f64 + capsules as f64,
+            "reader sent {tx} B for {stored} B of stored extents x {copies} + {capsules} B of capsules"
+        );
+        let padded_s = (raw * copies) as f64 / NIC;
+        assert!(
+            took <= 0.25 * padded_s,
+            "mount took {took:.6} s; shipping the padded frames costs {padded_s:.6} s"
+        );
+    });
 }
 
 /// Many small samples for the faulted bring-up cells: enough metadata that
