@@ -21,7 +21,7 @@ pub struct DlfsCosts {
     /// Frontend bookkeeping per delivered sample (sequence list advance,
     /// entry touch, result slot management).
     pub frontend_per_sample: Dur,
-    /// Dispatch one job onto the shared completion queue for copy threads.
+    /// One enqueue of a run onto the copy queue.
     pub copy_dispatch: Dur,
     /// Copy-thread memcpy bandwidth (sample cache → application buffer).
     pub memcpy_bytes_per_sec: f64,

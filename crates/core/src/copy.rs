@@ -4,13 +4,16 @@
 //! the SCQ ... a shared queue helps balance the workload distribution to
 //! all copying threads." Jobs carry segments of DMA chunks; a copy thread
 //! charges the memcpy time and hands the assembled sample back through the
-//! job's completion channel.
+//! job's completion channel. The frontend publishes jobs by the *run* — all
+//! the samples one deliver pass drew, in one enqueue — and the threads take
+//! a run's entries one at a time, first in first out, whichever is free.
 
 use blocksim::DmaBuf;
 use simkit::chan::Sender;
 use simkit::runtime::Runtime;
 
 use crate::config::DlfsCosts;
+use crate::error::DlfsError;
 
 /// One contiguous piece of a sample inside a DMA chunk.
 #[derive(Clone, Debug)]
@@ -132,14 +135,12 @@ pub struct CopyDone {
 #[derive(Clone, Debug)]
 pub struct CopyPool {
     jobs: Sender<CopyJob>,
-    threads: usize,
 }
 
 impl CopyPool {
     /// Spawn `threads` copy threads. They exit when the pool handle (and
     /// every cloned sender) is dropped.
     pub fn spawn(rt: &Runtime, name: &str, threads: usize, costs: &DlfsCosts) -> CopyPool {
-        assert!(threads > 0);
         let (tx, rx) = rt.channel::<CopyJob>(None);
         for t in 0..threads {
             let rx = rx.clone();
@@ -163,24 +164,42 @@ impl CopyPool {
                 }
             });
         }
-        CopyPool { jobs: tx, threads }
+        CopyPool { jobs: tx }
     }
 
-    /// Enqueue a job onto the shared completion queue.
-    pub fn submit(&self, job: CopyJob) {
-        if self.jobs.send(job).is_err() {
-            panic!("copy pool threads terminated early");
-        }
+    /// Publish a run of jobs onto the shared queue at one instant, in
+    /// order. The queue stays per job: each free copy thread takes the
+    /// next one, so a run spreads over the pool however long its entries
+    /// are. `CopyPoolDown` if no copy thread is left to take them.
+    pub fn submit_run(&self, run: impl IntoIterator<Item = CopyJob>) -> Result<(), DlfsError> {
+        run.into_iter()
+            .try_for_each(|job| self.jobs.send(job).map_err(|_| DlfsError::CopyPoolDown))
     }
 
-    pub fn threads(&self) -> usize {
-        self.threads
+    /// A run of one.
+    pub fn submit(&self, job: CopyJob) -> Result<(), DlfsError> {
+        self.submit_run([job])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A job copying the first `len` bytes of `buf`.
+    fn job(tag: u64, buf: &DmaBuf, len: usize, done: &Sender<CopyDone>) -> CopyJob {
+        let segments = SegList::from_iter([Segment {
+            buf: buf.clone(),
+            offset: 0,
+            len,
+        }]);
+        CopyJob {
+            tag,
+            sample: tag as u32,
+            segments,
+            done: done.clone(),
+        }
+    }
 
     #[test]
     fn copies_assemble_segments_in_order() {
@@ -207,7 +226,8 @@ mod tests {
                     },
                 ]),
                 done: tx,
-            });
+            })
+            .unwrap();
             let done = rx.recv().unwrap();
             assert_eq!(done.tag, 9);
             assert_eq!(done.sample, 3);
@@ -215,68 +235,54 @@ mod tests {
         });
     }
 
+    /// A run lands on the queue at one instant and is drained an entry at a
+    /// time by whichever thread is free: 8 equal entries are answered one
+    /// by one, on 4 threads four after one memcpy and four after two, on
+    /// one thread (or handed whole to one) the last after eight, the pool
+    /// busy for eight memcpys either way; and a run of one is `submit`.
     #[test]
-    fn pool_parallelism_speeds_up_many_jobs() {
-        let run = |threads: usize| {
+    fn a_run_spreads_over_the_pool_entry_by_entry() {
+        let costs = DlfsCosts::default();
+        let len = 64 << 10;
+        let memcpy = costs.memcpy(len as u64);
+        let answered_at = |threads: usize, entries: u64| {
             Runtime::simulate(0, |rt| {
-                let pool = CopyPool::spawn(rt, "t", threads, &DlfsCosts::default());
-                let buf = DmaBuf::standalone(1 << 20);
+                let pool = CopyPool::spawn(rt, "t", threads, &costs);
+                let buf = DmaBuf::standalone(len);
                 let (tx, rx) = rt.channel(None);
-                let jobs = 16;
-                for i in 0..jobs {
-                    pool.submit(CopyJob {
-                        tag: i,
-                        sample: i as u32,
-                        segments: SegList::from_iter([Segment {
-                            buf: buf.clone(),
-                            offset: 0,
-                            len: 1 << 20,
-                        }]),
-                        done: tx.clone(),
-                    });
+                let t0 = rt.now();
+                if entries == 1 {
+                    pool.submit(job(0, &buf, len, &tx)).unwrap();
+                } else {
+                    pool.submit_run((0..entries).map(|tag| job(tag, &buf, len, &tx)))
+                        .unwrap();
                 }
-                drop(tx);
-                for _ in 0..jobs {
-                    rx.recv().unwrap();
-                }
-                rt.now().nanos()
+                assert_eq!(rt.now(), t0, "publishing takes no time of its own");
+                let mut done: Vec<_> = (0..entries)
+                    .map(|_| (rx.recv().unwrap().tag, rt.now() - t0))
+                    .collect();
+                done.sort();
+                assert_eq!(rt.total_busy(), memcpy * entries);
+                done
             })
             .0
         };
-        let one = run(1);
-        let four = run(4);
-        assert!(four * 3 < one, "four={four} one={one}");
+        for threads in [4, 1] {
+            let wave = |tag| 1 + tag / threads as u64;
+            let expect: Vec<_> = (0..8).map(|tag| (tag, memcpy * wave(tag))).collect();
+            assert_eq!(answered_at(threads, 8), expect);
+            assert_eq!(answered_at(threads, 1), [(0, memcpy)]);
+        }
     }
 
+    /// A pool with no thread to take a job says so; nothing waits on it.
     #[test]
-    fn work_distributes_across_threads() {
+    fn a_dead_pool_is_a_typed_error() {
         Runtime::simulate(0, |rt| {
-            let pool = CopyPool::spawn(rt, "t", 4, &DlfsCosts::default());
-            assert_eq!(pool.threads(), 4);
-            let buf = DmaBuf::standalone(4096);
-            let (tx, rx) = rt.channel(None);
-            for i in 0..32 {
-                pool.submit(CopyJob {
-                    tag: i,
-                    sample: 0,
-                    segments: SegList::from_iter([Segment {
-                        buf: buf.clone(),
-                        offset: 0,
-                        len: 4096,
-                    }]),
-                    done: tx.clone(),
-                });
-            }
-            drop(tx);
-            let mut got = 0;
-            while rx.recv().is_ok() {
-                got += 1;
-            }
-            assert_eq!(got, 32);
-            // All four threads should have accumulated busy time; total
-            // busy ≥ 32 copies of 4 KB at 8 GB/s each.
-            let total = rt.total_busy();
-            assert!(total.as_nanos() >= 32 * 500, "{total:?}");
+            let pool = CopyPool::spawn(rt, "t", 0, &DlfsCosts::default());
+            let (tx, _rx) = rt.channel(None);
+            let run = job(0, &DmaBuf::standalone(8), 8, &tx);
+            assert_eq!(pool.submit(run), Err(DlfsError::CopyPoolDown));
         });
     }
 }

@@ -173,6 +173,9 @@ pub enum DlfsError {
     /// [`simkit::retry::RetryPolicy`]) failed to find free or evictable
     /// chunks — transient pressure is waited out, not reported.
     CacheExhausted,
+    /// The copy pool has no thread left to take a copy job or to answer
+    /// one (its threads exited: the runtime is shutting down).
+    CopyPoolDown,
     /// An I/O command exhausted its retry budget against `target`.
     Io {
         /// Storage node whose device kept failing.
@@ -260,6 +263,7 @@ impl std::fmt::Display for DlfsError {
             DlfsError::NoSequence => write!(f, "dlfs_sequence must be called before dlfs_bread"),
             DlfsError::EpochExhausted => write!(f, "sample sequence exhausted for this epoch"),
             DlfsError::CacheExhausted => write!(f, "sample cache (huge-page pool) exhausted"),
+            DlfsError::CopyPoolDown => write!(f, "copy pool has no running copy thread"),
             DlfsError::Io {
                 target,
                 attempts,

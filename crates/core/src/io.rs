@@ -445,13 +445,16 @@ struct PrefetchState {
 }
 
 /// One engine batch being assembled. Copied delivery (`copies` is the
-/// copy pool's done channel) hands samples to the copy threads and lands
-/// them in `copied` by slot as they finish; zero-copy delivery pushes
-/// samples pinning their item's range onto `pinned` the moment they are
-/// drawn, so it never has anything outstanding.
+/// copy pool's done channel) hands samples to the copy threads a run per
+/// deliver pass and lands them in `copied` by slot as they finish;
+/// zero-copy delivery pushes samples pinning their item's range onto
+/// `pinned` the moment they are drawn, so it never has anything
+/// outstanding.
 struct Batch {
     want: usize,
     copies: Option<(Sender<CopyDone>, Receiver<CopyDone>)>,
+    /// Each published run: its first slot and its publish instant.
+    runs: Vec<(usize, Time)>,
     copied: Vec<Option<(u32, Vec<u8>)>>,
     pinned: Vec<ZeroCopySample>,
     /// Samples handed out / finished; they differ only while copies are
@@ -499,9 +502,6 @@ pub struct DlfsIo {
     current_deadline: Option<Time>,
     registry: Registry,
     tel: IoTelemetry,
-    /// Dispatch instant per copy slot of the in-progress `submit` call
-    /// (slot indices restart at zero each call).
-    copy_dispatch_at: Vec<Time>,
     /// Plan-aware prefetcher (active only with `CacheMode::CrossEpoch`
     /// and `prefetch_window > 0`).
     prefetch: PrefetchState,
@@ -562,7 +562,6 @@ impl DlfsIo {
             hedge_due: BinaryHeap::new(),
             failed: None,
             current_deadline: None,
-            copy_dispatch_at: Vec::new(),
             prefetch: PrefetchState::default(),
             clock,
         };
@@ -1466,12 +1465,15 @@ impl DlfsIo {
     }
 
     /// Deliver stage: draw samples from random resident items into the
-    /// batch until it is full — copied delivery hands each to the copy
-    /// pool, zero-copy pins its range and hands out references.
-    fn deliver(&mut self, rt: &Runtime, batch: &mut Batch) -> usize {
+    /// batch until it is full or nothing is resident — zero-copy pins each
+    /// sample's range and hands out references; copied delivery books each
+    /// into a run and, as the pass ends, publishes the run to the copy pool
+    /// with one enqueue. Nothing stays staged past the pass.
+    fn deliver(&mut self, rt: &Runtime, batch: &mut Batch) -> Result<usize, DlfsError> {
         let costs = self.shared.cfg.costs.clone();
         let chunk = self.shared.cfg.chunk_size as usize;
-        let mut delivered = 0;
+        let first = batch.dispatched;
+        let mut run = Vec::with_capacity(batch.copies.as_ref().map_or(0, |_| batch.want - first));
         while batch.dispatched < batch.want {
             let Some((idx, sample)) = self.split().0.draw() else {
                 break;
@@ -1485,11 +1487,9 @@ impl DlfsIo {
                 unreachable!("only resident items are drawn");
             };
             let segments = segments_at(range.bufs(), chunk, within, entry.len() as usize);
+            rt.work(costs.frontend_per_sample);
             if let Some((done, _)) = &batch.copies {
-                rt.work(costs.frontend_per_sample + costs.copy_dispatch);
-                debug_assert_eq!(self.copy_dispatch_at.len(), batch.dispatched);
-                self.copy_dispatch_at.push(rt.now());
-                self.shared.copy.submit(CopyJob {
+                run.push(CopyJob {
                     tag: (idx as u64) << 32 | batch.dispatched as u64,
                     sample,
                     segments,
@@ -1498,26 +1498,29 @@ impl DlfsIo {
             } else {
                 // The sample pins the range for its lifetime; no memcpy.
                 let sample = ZeroCopySample::new(sample, segments, range.clone());
-                rt.work(costs.frontend_per_sample);
                 self.tel.cache_pins.inc();
-                self.tel.samples_delivered.inc();
-                self.tel.bytes_delivered.add(entry.len());
                 batch.pinned.push(sample);
-                self.account_delivery(idx);
-                batch.received += 1;
+                self.account_delivery(idx, entry.len(), batch);
             }
             batch.dispatched += 1;
-            delivered += 1;
         }
-        delivered
+        if !run.is_empty() {
+            rt.work(costs.copy_dispatch);
+            batch.runs.push((first, rt.now()));
+            self.shared.copy.submit_run(run)?;
+        }
+        Ok(batch.dispatched - first)
     }
 
-    /// Account one delivered sample of `idx`; release its item when fully
-    /// drained. `EpochScoped`: chunks go back to the pool (or, if
-    /// zero-copy samples still pin them, when the last pin drops).
-    /// `CrossEpoch`: the range joins the evictable LRU tail and may serve
-    /// the next epoch without device I/O.
-    fn account_delivery(&mut self, idx: u32) {
+    /// Account one sample of `idx`, `bytes` long, landed in `batch`; release
+    /// its item when fully drained. `EpochScoped`: chunks go back to the
+    /// pool (or, if zero-copy samples still pin them, when the last pin
+    /// drops). `CrossEpoch`: the range joins the evictable LRU tail and may
+    /// serve the next epoch without device I/O.
+    fn account_delivery(&mut self, idx: u32, bytes: u64, batch: &mut Batch) {
+        self.tel.samples_delivered.inc();
+        self.tel.bytes_delivered.add(bytes);
+        batch.received += 1;
         let (st, shared) = self.split();
         let item = &mut st.items[idx as usize];
         item.copies_done += 1;
@@ -1537,20 +1540,17 @@ impl DlfsIo {
     fn finish_copy(&mut self, rt: &Runtime, done: CopyDone, batch: &mut Batch) {
         let idx = (done.tag >> 32) as u32;
         let slot = (done.tag & 0xFFFF_FFFF) as usize;
-        self.account_delivery(idx);
-        self.tel.samples_delivered.inc();
-        self.tel.bytes_delivered.add(done.data.len() as u64);
-        self.tel
-            .copy_ns
-            .record_dur(rt.now() - self.copy_dispatch_at[slot]);
+        self.account_delivery(idx, done.data.len() as u64, batch);
+        // The run that holds `slot` is the last one starting at or before it.
+        let run = batch.runs.partition_point(|&(first, _)| first <= slot) - 1;
+        self.tel.copy_ns.record_dur(rt.now() - batch.runs[run].1);
         batch.copied[slot] = Some((done.sample, done.data));
-        batch.received += 1;
     }
 
     /// Block on the copy pool for one outstanding copy.
     fn await_copy(&mut self, rt: &Runtime, batch: &mut Batch) -> Result<(), DlfsError> {
         if let Some((_, copies)) = &batch.copies {
-            let done = copies.recv().map_err(|_| DlfsError::CacheExhausted)?;
+            let done = copies.recv().map_err(|_| DlfsError::CopyPoolDown)?;
             self.finish_copy(rt, done, batch);
         }
         Ok(())
@@ -1634,12 +1634,12 @@ impl DlfsIo {
         let mut batch = Batch {
             want,
             copies: copied.then(|| rt.channel::<CopyDone>(None)),
+            runs: Vec::new(),
             copied: vec![None; if copied { want } else { 0 }],
             pinned: Vec::new(),
             dispatched: 0,
             received: 0,
         };
-        self.copy_dispatch_at.clear();
         while batch.received < want {
             let expired = req.deadline.is_some_and(|dl| rt.now() >= dl);
             if self.failed.is_none() && expired && batch.received == batch.dispatched {
@@ -1664,7 +1664,12 @@ impl DlfsIo {
             };
             let mut progress = pumped + self.poll(rt);
             if !expired {
-                progress += self.deliver(rt, &mut batch);
+                progress += self.deliver(rt, &mut batch)?;
+            }
+            // The whole batch is with the copy pool: collect it as it was
+            // published, in one blocking wait.
+            while batch.dispatched == want && batch.received < want {
+                self.await_copy(rt, &mut batch)?;
             }
             // Collect finished copies without blocking.
             while let Some(done) = batch.copies.as_ref().and_then(|(_, c)| c.try_recv().ok()) {
@@ -1868,8 +1873,8 @@ impl DlfsIo {
             sample: 0,
             segments,
             done: done_tx,
-        });
-        let done = done_rx.recv().map_err(|_| DlfsError::CacheExhausted)?;
+        })?;
+        let done = done_rx.recv().map_err(|_| DlfsError::CopyPoolDown)?;
         self.tel.samples_delivered.inc();
         self.tel.bytes_delivered.add(done.data.len() as u64);
         self.tel.copy_ns.record_dur(rt.now() - t_copy);

@@ -564,3 +564,172 @@ fn mid_epoch_resequence_releases_everything() {
         );
     });
 }
+
+/// The books of a copied epoch after one `submit`: every sample is whole,
+/// source-equal and new, and nothing the call drew is still staged or with
+/// the copy pool — what has been handed out and what `remaining()` still
+/// owes add up to the epoch, and the delivery counter agrees.
+fn account_copied(
+    io: &dlfs::DlfsIo,
+    source: &SyntheticSource,
+    batch: Vec<(u32, Vec<u8>)>,
+    seen: &mut [bool],
+    handed_out: &mut usize,
+) {
+    for (id, data) in batch {
+        assert_eq!(data, source.expected(id), "sample {id}");
+        assert!(
+            !std::mem::replace(&mut seen[id as usize], true),
+            "{id} twice"
+        );
+        *handed_out += 1;
+    }
+    assert_eq!(
+        *handed_out + io.remaining(),
+        seen.len(),
+        "a drawn sample is unpublished"
+    );
+    let counted = io.metrics().counter("dlfs.io.samples_delivered");
+    assert_eq!(
+        counted, *handed_out as u64,
+        "a published copy is uncollected"
+    );
+}
+
+/// A copied batch is published by the run — one per deliver pass — and a
+/// pass can end anywhere: the batch fills, nothing more is resident, or the
+/// deadline falls inside it. However it ends, the run is never torn.
+/// Deadlines from "already over" to "ample" cut batches short before,
+/// inside and after a pass; the epoch still delivers every sample once.
+#[test]
+fn a_deadline_inside_a_pass_never_tears_the_run() {
+    Runtime::simulate(23, |rt| {
+        let source = SyntheticSource::fixed(11, 3000, 1024);
+        let fs = dlfs::MountBuilder::new(DlfsConfig::default())
+            .local(local_device())
+            .mount(rt, &source)
+            .unwrap();
+        let mut io = fs.io(0);
+        let total = io.sequence(rt, 9, 0);
+        let (mut seen, mut handed_out) = (vec![false; total], 0);
+        let (mut short, mut overran) = (0, 0);
+        for budget in [0u64, 2, 5, 12, 30, 80].into_iter().cycle() {
+            let deadline = rt.now() + Dur::micros(budget);
+            let batch = match io.submit(rt, &ReadRequest::batch(64).deadline(deadline)) {
+                Ok(batch) => batch.into_copied(),
+                Err(DlfsError::EpochExhausted) => break,
+                Err(e) => panic!("{e}"),
+            };
+            short += (batch.len() < 64.min(total - handed_out)) as usize;
+            // Samples came back from a call that outlived its deadline: the
+            // pass that drew them ran over it and was published whole.
+            overran += (!batch.is_empty() && rt.now() > deadline) as usize;
+            account_copied(&io, &source, batch, &mut seen, &mut handed_out);
+        }
+        assert_eq!(handed_out, total);
+        assert!(short > 0 && overran > 0, "short={short} overran={overran}");
+    });
+}
+
+/// Zero-copy samples the caller holds pin all but three chunks of the
+/// pool. A copied batch on the dry pool is `CacheExhausted` with nothing
+/// staged; on three chunks it is assembled from many short runs — a pass
+/// ends after at most three samples — each published before the next pass
+/// and all collected before `submit` returns.
+#[test]
+fn a_pump_starved_by_held_pins_never_tears_the_run() {
+    Runtime::simulate(24, |rt| {
+        let source = SyntheticSource::fixed(6, 400, 200 << 10);
+        let fs = dlfs::MountBuilder::new(DlfsConfig::default())
+            .local(local_device())
+            .mount(rt, &source)
+            .unwrap();
+        let mut io = fs.io(0);
+        let total = io.sequence(rt, 5, 0);
+        let mut seen = vec![false; total];
+        let mut held = Vec::new();
+        loop {
+            match io.submit(rt, &ReadRequest::batch(16).zero_copy()) {
+                Ok(batch) => held.extend(batch.into_zero_copy()),
+                Err(DlfsError::CacheExhausted) => break,
+                Err(e) => panic!("{e}"),
+            }
+        }
+        for s in &held {
+            assert_eq!(s.to_vec(), source.expected(s.id));
+            assert!(!std::mem::replace(&mut seen[s.id as usize], true));
+        }
+        let mut handed_out = held.len();
+        assert_eq!(fs.shared(0).cache.free_chunks(), 0, "the pool is dry");
+        assert_eq!(
+            io.submit(rt, &ReadRequest::batch(16)).map(|b| b.len()),
+            Err(DlfsError::CacheExhausted)
+        );
+        assert_eq!(handed_out + io.remaining(), total, "nothing was drawn");
+        let zero_copied = held.len() as u64;
+        held.truncate(held.len() - 3);
+        loop {
+            let batch = match io.submit(rt, &ReadRequest::batch(16)) {
+                Ok(batch) => batch.into_copied(),
+                Err(DlfsError::EpochExhausted) => break,
+                Err(e) => panic!("{e}"),
+            };
+            assert_eq!(batch.len(), 16.min(total - handed_out));
+            account_copied(&io, &source, batch, &mut seen, &mut handed_out);
+        }
+        assert_eq!(handed_out, total);
+        let m = io.metrics();
+        assert_eq!(m.counter("dlfs.io.samples_delivered"), total as u64);
+        assert_eq!(m.counter("dlfs.io.cache.pins"), zero_copied);
+        // One copy_ns record per copied sample, each from its own run.
+        let copies = m.histogram("dlfs.io.stage.copy_ns").count;
+        assert_eq!(copies, total as u64 - zero_copied);
+    });
+}
+
+/// A local small-sample epoch runs at the rate of its one frontend thread.
+/// Per sample that thread pays `frontend_per_sample`; per batch of 32, one
+/// `copy_dispatch`, one poll iteration and the tail of the run it
+/// published (32 memcpys over `copy_threads`); per device request — one
+/// chunk of 1 KB samples — one prep, post and completion. The epoch
+/// reaches 98 % of the rate those `DlfsCosts` alone allow; an enqueue per
+/// sample (`frontend_per_sample + copy_dispatch` each) stops near 91 %.
+#[test]
+fn small_sample_epoch_meets_its_frontend_roofline() {
+    const BATCH: u64 = 32;
+    Runtime::simulate(25, |rt| {
+        let source = SyntheticSource::fixed(13, 24_000, 1024);
+        let cfg = DlfsConfig {
+            batch_mode: BatchMode::ChunkLevel,
+            ..DlfsConfig::default()
+        };
+        let costs = cfg.costs.clone();
+        let per_batch = costs.copy_dispatch
+            + costs.poll_iteration
+            + costs.memcpy(1024) * BATCH.div_ceil(cfg.copy_threads as u64);
+        let per_request = costs.prep_request + costs.post_request + costs.per_completion;
+        let roofline_ns = costs.frontend_per_sample.as_nanos() as f64
+            + per_batch.as_nanos() as f64 / BATCH as f64
+            + per_request.as_nanos() as f64 / (cfg.chunk_size / 1024) as f64;
+        let fs = dlfs::MountBuilder::new(cfg)
+            .local(local_device())
+            .mount(rt, &source)
+            .unwrap();
+        let mut io = fs.io(0);
+        io.sequence(rt, 17, 0);
+        let request = ReadRequest::batch(BATCH as usize);
+        // Past the first device reads, short of the epoch's draining tail.
+        for _ in 0..50 {
+            io.submit(rt, &request).unwrap();
+        }
+        let (t0, batches) = (rt.now(), 600);
+        for _ in 0..batches {
+            assert_eq!(io.submit(rt, &request).unwrap().len(), BATCH as usize);
+        }
+        let per_sample_ns = (rt.now() - t0).as_nanos() as f64 / (batches * BATCH) as f64;
+        assert!(
+            roofline_ns >= 0.98 * per_sample_ns,
+            "{per_sample_ns:.1} ns per sample against a roofline of {roofline_ns:.1} ns"
+        );
+    });
+}
