@@ -1,0 +1,261 @@
+//! The check stage of [`DlfsIo`] — the state of a part between harvested
+//! and settled — a child module of `io` so it shares the handle's state.
+//!
+//! Everything that touches a fetched part's bytes before they are
+//! published is *payload work*: the block checksums (with read-repair)
+//! when reads are verified, and the in-place decode of a coded frame.
+//! `judge` compares the bytes a completion landed with the integrity table
+//! and prices the work, `check_part` acts on the judgement. The polling
+//! thread pays for neither on the engine's parts and prefetches: the
+//! completion router judges and stages them, a harvest pass publishes what
+//! it staged as one run of check entries on the copy queue (one
+//! `copy_dispatch`), a copy thread pays each entry's cost, and the part is
+//! settled — by the same `settle_part` / `prefetch_complete` that settle a
+//! part with nothing to check — when the frontend collects the answer;
+//! nothing of the judgement is visible before. A synchronous read has one
+//! range in flight and nothing to overlap the work with, so it pays for the
+//! same two functions on its own thread (`fetch_range`).
+//!
+//! Hedged twins land in one chunk. A twin harvested while its partner waits
+//! for a verdict overwrites the bytes the partner was judged on, so the
+//! partner wins only if the twin's bytes hold too (they are then the same
+//! bytes): a bad copy landing over a good one fails both and the part is
+//! read again, and no verdict ever vouches for bytes it did not cover.
+
+use super::*;
+
+/// What a completion brought: bytes that hold against their block
+/// checksums (`Ok(true)`; vacuously when reads are not verified), bytes
+/// that do not (`Ok(false)`), or a failed command.
+pub(super) type Landed = Result<bool, CmdStatus>;
+
+impl DlfsIo {
+    /// What the payload work on the `nblocks` blocks read at `slba` of node
+    /// `home` costs whoever runs it — a copy thread, a synchronous read, an
+    /// offload target: the block checksums when reads are verified, and
+    /// with `decode` (the checksums held) the decode of the frame the
+    /// blocks hold under a codec. Zero without either.
+    pub(super) fn check_cost(&self, home: u16, slba: u64, nblocks: u32, decode: bool) -> Dur {
+        let costs = &self.shared.cfg.costs;
+        let verified = self.shared.redundancy.verify() as u64 * nblocks as u64;
+        let frame = self.frame(home, slba * BLOCK_SIZE).filter(|_| decode);
+        costs.verify_block * verified + frame.map_or(Dur::ZERO, |f| costs.decode(f.raw_len as u64))
+    }
+
+    /// Judge what the completion with `status` landed in `io`'s chunk —
+    /// now, while the bytes are that command's — and price the payload
+    /// work it leaves ([`DlfsIo::check_cost`]). Host-side and untimed:
+    /// whoever pays the price finds out what the judgement already says.
+    pub(super) fn judge(&self, io: &PartIo, status: CmdStatus) -> (Landed, Dur) {
+        if !status.is_ok() {
+            return (Err(status), Dur::ZERO);
+        }
+        let red = &self.shared.redundancy;
+        let span = io.nblocks as usize * BLOCK_SIZE as usize;
+        let ok = !red.verify()
+            || io
+                .buf
+                .with(|d| red.verify_blocks(io.home, io.slba, &d[..span]));
+        (Ok(ok), self.check_cost(io.home, io.slba, io.nblocks, ok))
+    }
+
+    /// Act on the judgement `ok` of the bytes in `io`'s chunk, the one gate
+    /// before they can be published: count the block checksums and a
+    /// mismatch; when the bytes hold and `repair` says the home copy failed
+    /// earlier and these came from a replica, rewrite the home extent from
+    /// them (clears sticky media faults too); then, under a codec, decode
+    /// the frame in place (stored encoded prefix → raw bytes; the sample
+    /// cache only ever holds decoded bytes) and count it in `dlfs.codec.*`.
+    /// Verification covers the stored bytes, so decode runs strictly after
+    /// it and after repair. Takes no virtual time: whoever calls it has
+    /// paid what [`DlfsIo::judge`] asked. Returns `ok`.
+    pub(super) fn check_part(&self, io: &PartIo, ok: bool, repair: bool) -> bool {
+        let red = &self.shared.redundancy;
+        if red.verify() {
+            self.tel.iv_verified.add(io.nblocks as u64);
+            if !ok {
+                self.tel.iv_mismatches.inc();
+                return false;
+            }
+            if repair {
+                let span = io.nblocks as usize * BLOCK_SIZE as usize;
+                let targets = &self.shared.targets;
+                io.buf
+                    .with(|d| red.rewrite(targets, io.home, 0, io.slba, &d[..span]));
+                self.tel.iv_repairs.inc();
+            }
+        }
+        if let Some(f) = self.frame(io.home, io.slba * BLOCK_SIZE) {
+            io.buf.with_mut(|d| {
+                if let Some(raw) = self.decode_counted(&f, d) {
+                    d[..f.raw_len].copy_from_slice(&raw);
+                }
+            });
+        }
+        true
+    }
+
+    /// The completion router: look up whose command `c` was and route it,
+    /// whoever harvested it — the shared qpairs hand a synchronous read the
+    /// engine's completions too. A synchronous read's own part is handed
+    /// back to the `fetch_range` waiting on it, which judges and checks it
+    /// on its own thread. An engine part or a prefetch is judged here; one
+    /// that leaves payload work enters `checking` and the pass's run of
+    /// check entries, and is settled when its verdict is collected.
+    /// Anything else — a failed command, a part with nothing to check — is
+    /// settled here and now.
+    pub(super) fn complete(&mut self, rt: &Runtime, c: &Completion) -> Option<Part> {
+        let owner = self.inflight.remove(&c.id)?;
+        let io = match &owner {
+            Owner::Sync(p) => return Some(*p),
+            Owner::Epoch(p) => self.engine_part(*p),
+            Owner::Prefetch { io, .. } => io.clone(),
+        };
+        let (landed, cost) = self.judge(&io, c.status);
+        if cost.is_zero() {
+            self.settle(rt, c.id, owner, landed);
+            return None;
+        }
+        // A hedged twin still waiting for its verdict now holds these bytes.
+        let twin = self.hedges.get(&c.id).map(|&(pcmd, ..)| pcmd);
+        if let Some((.., Ok(held))) = twin.and_then(|pcmd| self.checking.get_mut(&pcmd)) {
+            *held &= landed == Ok(true);
+        }
+        self.staged.push((c.id, cost));
+        self.checking.insert(c.id, (owner, rt.now(), landed));
+        None
+    }
+
+    /// Apply the completion `cmd` of `owner`'s: what it landed, checked or
+    /// with nothing to check.
+    pub(super) fn settle(&mut self, rt: &Runtime, cmd: u64, owner: Owner, landed: Landed) {
+        match owner {
+            Owner::Epoch(p) => self.engine_complete(rt, cmd, p, landed),
+            Owner::Prefetch { key, io, len } => self.prefetch_complete(key, io, len, landed),
+            Owner::Sync(_) => {}
+        }
+    }
+
+    /// A harvest pass is over: publish the check entries it staged as one
+    /// run, for one enqueue charge. A dead pool fails the epoch.
+    pub(super) fn publish_checks(&mut self, rt: &Runtime) {
+        if self.staged.is_empty() {
+            return;
+        }
+        rt.work(self.shared.cfg.costs.copy_dispatch);
+        for (cmd, _) in &self.staged {
+            if let Some((_, published, _)) = self.checking.get_mut(cmd) {
+                *published = rt.now();
+            }
+        }
+        let (done, run) = (self.done(rt), self.staged.len());
+        match self.shared.copy.check_run(self.staged.drain(..), &done) {
+            Ok(()) => self.checks_out += run,
+            Err(e) => drop(self.failed.get_or_insert(e)),
+        }
+    }
+
+    /// A sending half of this handle's answer channel, for the entries of
+    /// one run. The handle keeps none between runs: with nobody left to
+    /// answer, a wait on the channel fails instead of hanging.
+    pub(super) fn done(&mut self, rt: &Runtime) -> Sender<CopyDone> {
+        let answers = self.answers.get_or_insert_with(|| rt.channel(None).1);
+        answers.sender()
+    }
+
+    /// The copy pool's next answer to this handle — waited for if `block`,
+    /// else `None` when there is none yet — with a verdict counted off
+    /// `checks_out`. `CopyPoolDown` when the pool went away owing one.
+    fn answer(&mut self, block: bool) -> Result<Option<CopyDone>, DlfsError> {
+        let Some(answers) = &self.answers else {
+            return Ok(None);
+        };
+        let done = match block {
+            true => Some(answers.recv().map_err(|_| DlfsError::CopyPoolDown)?),
+            false => answers.try_recv().ok(),
+        };
+        self.checks_out -= matches!(done, Some(CopyDone::Check(_))) as usize;
+        Ok(done)
+    }
+
+    /// Collect stage: take the copy pool's answers off this handle's
+    /// channel — all that are there, after waiting for the first if
+    /// `block`. A finished copy lands in `batch` (one that outlived its
+    /// batch is dropped); a verdict settles the part it stood for, unless
+    /// its hedged twin settled first and dropped it. Returns how many
+    /// answers that was.
+    pub(super) fn collect(
+        &mut self,
+        rt: &Runtime,
+        mut block: bool,
+        mut batch: Option<&mut Batch>,
+    ) -> Result<usize, DlfsError> {
+        let mut collected = 0;
+        while let Some(done) = self.answer(block)? {
+            (block, collected) = (false, collected + 1);
+            match (done, &mut batch) {
+                (CopyDone::Copy { tag, sample, data }, Some(batch)) => {
+                    self.finish_copy(rt, (tag, sample, data), batch)
+                }
+                (CopyDone::Copy { .. }, None) => {}
+                (CopyDone::Check(cmd), _) => {
+                    if let Some((owner, published, landed)) = self.checking.remove(&cmd) {
+                        self.tel.check_ns.record_dur(rt.now() - published);
+                        self.settle(rt, cmd, owner, landed);
+                    }
+                }
+            }
+        }
+        Ok(collected)
+    }
+
+    /// Wait until the copy pool owes this handle no verdict, so that no
+    /// chunk goes back to the cache under a check: the one wait of
+    /// `abort_epoch`, which has a runtime and applies each verdict (a
+    /// prefetch publishes its range), and of a dropped handle, which has
+    /// none and discards them. A dead pool checks nothing.
+    pub(super) fn await_verdicts(&mut self, rt: Option<&Runtime>) {
+        while self.checks_out > 0 {
+            let answered = match rt {
+                Some(rt) => self.collect(rt, true, None).is_ok(),
+                None => self.answer(true).is_ok(),
+            };
+            if !answered {
+                break;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{MountBuilder, SyntheticSource};
+    use blocksim::{DeviceConfig, NvmeDevice};
+
+    /// An engine that has lost track of its parts — samples left to
+    /// deliver, nothing on a device it knows of, nothing with the copy
+    /// pool — fails the caller with `Stalled` once the devices are quiet,
+    /// and keeps failing until `sequence` installs a fresh epoch.
+    #[test]
+    fn a_stalled_engine_is_a_sticky_typed_error() -> Result<(), DlfsError> {
+        let run = |rt: &Runtime| {
+            let source = SyntheticSource::fixed(1, 64, 2048);
+            let fs = MountBuilder::new(DlfsConfig::default())
+                .local(NvmeDevice::new(DeviceConfig::optane(16 << 20)))
+                .mount(rt, &source)?;
+            let mut io = fs.io(0);
+            let total = io.sequence(rt, 1, 0);
+            io.pump(rt);
+            io.inflight.clear();
+            let batch = |io: &mut DlfsIo| io.submit(rt, &ReadRequest::batch(8)).map(|b| b.len());
+            assert_eq!(batch(&mut io), Err(DlfsError::Stalled(0)));
+            assert_eq!(batch(&mut io), Err(DlfsError::Stalled(0)), "sticky");
+            assert_eq!(io.sequence(rt, 1, 1), total);
+            let delivered: usize = std::iter::from_fn(|| batch(&mut io).ok()).sum();
+            assert_eq!(delivered, total);
+            Ok(())
+        };
+        Runtime::simulate(3, run).0
+    }
+}

@@ -7,10 +7,17 @@
 //! job's completion channel. The frontend publishes jobs by the *run* — all
 //! the samples one deliver pass drew, in one enqueue — and the threads take
 //! a run's entries one at a time, first in first out, whichever is free.
+//!
+//! The same queue carries the other per-byte work of a read: a *check*
+//! entry is the block checksums (and frame decode) of one fetched part,
+//! published by the run per poll pass. A copy thread charges its cost and
+//! answers with its tag; the frontend applies the verdict when it collects
+//! the answer, so the polling thread never pays for a payload byte.
 
 use blocksim::DmaBuf;
 use simkit::chan::Sender;
 use simkit::runtime::Runtime;
+use simkit::time::Dur;
 
 use crate::config::DlfsCosts;
 use crate::error::DlfsError;
@@ -123,57 +130,100 @@ impl std::fmt::Debug for CopyJob {
     }
 }
 
-/// A completed copy.
+/// The pool's answer to one queue entry.
 #[derive(Debug)]
-pub struct CopyDone {
-    pub tag: u64,
-    pub sample: u32,
-    pub data: Vec<u8>,
+pub enum CopyDone {
+    /// A completed copy: the job's tag and sample, and the assembled bytes.
+    Copy {
+        tag: u64,
+        sample: u32,
+        data: Vec<u8>,
+    },
+    /// A check entry's cost has been paid: its tag.
+    Check(u64),
+}
+
+/// One entry of the shared queue.
+#[derive(Debug)]
+enum Entry {
+    Copy(CopyJob),
+    /// Per-byte work worth `cost` on a fetched part.
+    Check {
+        tag: u64,
+        cost: Dur,
+        done: Sender<CopyDone>,
+    },
 }
 
 /// Handle to the shared copy queue.
 #[derive(Clone, Debug)]
 pub struct CopyPool {
-    jobs: Sender<CopyJob>,
+    jobs: Sender<Entry>,
 }
 
 impl CopyPool {
     /// Spawn `threads` copy threads. They exit when the pool handle (and
     /// every cloned sender) is dropped.
     pub fn spawn(rt: &Runtime, name: &str, threads: usize, costs: &DlfsCosts) -> CopyPool {
-        let (tx, rx) = rt.channel::<CopyJob>(None);
+        let (tx, rx) = rt.channel::<Entry>(None);
         for t in 0..threads {
             let rx = rx.clone();
             let costs = costs.clone();
             rt.spawn(&format!("{name}-copy{t}"), move |rt| {
-                while let Ok(job) = rx.recv() {
-                    let total: usize = job.segments.iter().map(|s| s.len).sum();
-                    let mut data = vec![0u8; total];
-                    let mut at = 0;
-                    for seg in &job.segments {
-                        seg.buf.copy_to(seg.offset, &mut data[at..at + seg.len]);
-                        at += seg.len;
-                    }
-                    rt.work(costs.memcpy(total as u64));
+                while let Ok(entry) = rx.recv() {
+                    let (done, answer) = match entry {
+                        Entry::Copy(job) => {
+                            let total = job.segments.total_bytes();
+                            let mut data = vec![0u8; total];
+                            let mut at = 0;
+                            for seg in &job.segments {
+                                seg.buf.copy_to(seg.offset, &mut data[at..at + seg.len]);
+                                at += seg.len;
+                            }
+                            rt.work(costs.memcpy(total as u64));
+                            let (tag, sample) = (job.tag, job.sample);
+                            (job.done, CopyDone::Copy { tag, sample, data })
+                        }
+                        Entry::Check { tag, cost, done } => {
+                            rt.work(cost);
+                            (done, CopyDone::Check(tag))
+                        }
+                    };
                     // Receiver may be gone during teardown; that's fine.
-                    let _ = job.done.send(CopyDone {
-                        tag: job.tag,
-                        sample: job.sample,
-                        data,
-                    });
+                    let _ = done.send(answer);
                 }
             });
         }
         CopyPool { jobs: tx }
     }
 
-    /// Publish a run of jobs onto the shared queue at one instant, in
-    /// order. The queue stays per job: each free copy thread takes the
+    /// Publish a run of entries onto the shared queue at one instant, in
+    /// order. The queue stays per entry: each free copy thread takes the
     /// next one, so a run spreads over the pool however long its entries
     /// are. `CopyPoolDown` if no copy thread is left to take them.
-    pub fn submit_run(&self, run: impl IntoIterator<Item = CopyJob>) -> Result<(), DlfsError> {
+    fn publish(&self, run: impl IntoIterator<Item = Entry>) -> Result<(), DlfsError> {
         run.into_iter()
-            .try_for_each(|job| self.jobs.send(job).map_err(|_| DlfsError::CopyPoolDown))
+            .try_for_each(|e| self.jobs.send(e).map_err(|_| DlfsError::CopyPoolDown))
+    }
+
+    /// Publish a run of copy jobs ([`CopyPool::publish`]).
+    pub fn submit_run(&self, run: impl IntoIterator<Item = CopyJob>) -> Result<(), DlfsError> {
+        self.publish(run.into_iter().map(Entry::Copy))
+    }
+
+    /// Publish a run of check entries, `(tag, cost)` each, answered on
+    /// `done` ([`CopyPool::publish`]).
+    pub(crate) fn check_run(
+        &self,
+        run: impl IntoIterator<Item = (u64, Dur)>,
+        done: &Sender<CopyDone>,
+    ) -> Result<(), DlfsError> {
+        let entry = |(tag, cost)| Entry::Check {
+            tag,
+            cost,
+            done: done.clone(),
+        };
+        self.publish(run.into_iter().map(entry))
     }
 
     /// A run of one.
@@ -228,61 +278,77 @@ mod tests {
                 done: tx,
             })
             .unwrap();
-            let done = rx.recv().unwrap();
-            assert_eq!(done.tag, 9);
-            assert_eq!(done.sample, 3);
-            assert_eq!(done.data, b"hello world");
+            let CopyDone::Copy { tag, sample, data } = rx.recv().unwrap() else {
+                panic!("a copy job is answered with a copy");
+            };
+            assert_eq!((tag, sample, &data[..]), (9, 3, &b"hello world"[..]));
         });
     }
 
     /// A run lands on the queue at one instant and is drained an entry at a
-    /// time by whichever thread is free: 8 equal entries are answered one
-    /// by one, on 4 threads four after one memcpy and four after two, on
-    /// one thread (or handed whole to one) the last after eight, the pool
-    /// busy for eight memcpys either way; and a run of one is `submit`.
+    /// time by whichever thread is free, and check and copy entries share
+    /// the one FIFO: eight entries of eight costs, published interleaved as
+    /// runs of one, two and three, are each taken in publish order and
+    /// answered their own cost later — the list schedule, on four threads
+    /// and on one — and the pool is busy for exactly Σ check costs +
+    /// Σ memcpys. A run of one is `submit`.
     #[test]
     fn a_run_spreads_over_the_pool_entry_by_entry() {
         let costs = DlfsCosts::default();
-        let len = 64 << 10;
-        let memcpy = costs.memcpy(len as u64);
-        let answered_at = |threads: usize, entries: u64| {
-            Runtime::simulate(0, |rt| {
-                let pool = CopyPool::spawn(rt, "t", threads, &costs);
-                let buf = DmaBuf::standalone(len);
-                let (tx, rx) = rt.channel(None);
-                let t0 = rt.now();
-                if entries == 1 {
-                    pool.submit(job(0, &buf, len, &tx)).unwrap();
-                } else {
-                    pool.submit_run((0..entries).map(|tag| job(tag, &buf, len, &tx)))
-                        .unwrap();
-                }
-                assert_eq!(rt.now(), t0, "publishing takes no time of its own");
-                let mut done: Vec<_> = (0..entries)
-                    .map(|_| (rx.recv().unwrap().tag, rt.now() - t0))
-                    .collect();
-                done.sort();
-                assert_eq!(rt.total_busy(), memcpy * entries);
-                done
-            })
-            .0
+        // Entry `i`: a copy of (i + 2) × 2 KiB when even, a check of
+        // (i + 1) × 300 ns when odd — no two answers at one instant.
+        let len = |i: u64| (i as usize + 2) << 11;
+        let cost = |i: u64| match i % 2 {
+            0 => costs.memcpy(len(i) as u64),
+            _ => Dur::nanos(300 * (i + 1)),
         };
         for threads in [4, 1] {
-            let wave = |tag| 1 + tag / threads as u64;
-            let expect: Vec<_> = (0..8).map(|tag| (tag, memcpy * wave(tag))).collect();
-            assert_eq!(answered_at(threads, 8), expect);
-            assert_eq!(answered_at(threads, 1), [(0, memcpy)]);
+            Runtime::simulate(0, |rt| {
+                let pool = CopyPool::spawn(rt, "t", threads, &costs);
+                let buf = DmaBuf::standalone(len(8));
+                let (tx, rx) = rt.channel(None);
+                let copy = |i| job(i, &buf, len(i), &tx);
+                let t0 = rt.now();
+                pool.submit(copy(0)).unwrap();
+                pool.check_run([1, 3].map(|i| (i, cost(i))), &tx).unwrap();
+                pool.submit_run([2, 4, 6].map(copy)).unwrap();
+                pool.check_run([5, 7].map(|i| (i, cost(i))), &tx).unwrap();
+                assert_eq!(rt.now(), t0, "publishing takes no time of its own");
+                // The list schedule of the entries, in publish order.
+                let mut free = vec![Dur::ZERO; threads];
+                let mut expect = [0, 1, 3, 2, 4, 6, 5, 7].map(|i| {
+                    let t = free.iter_mut().min().unwrap();
+                    *t += cost(i);
+                    (*t, i)
+                });
+                expect.sort();
+                let got = [(); 8].map(|()| {
+                    let tag = match rx.recv().unwrap() {
+                        CopyDone::Copy { tag, .. } | CopyDone::Check(tag) => tag,
+                    };
+                    (rt.now() - t0, tag)
+                });
+                assert_eq!(got, expect, "{threads} thread(s)");
+                let total = (0..8).map(cost).fold(Dur::ZERO, |a, c| a + c);
+                assert_eq!(rt.total_busy(), total);
+            });
         }
     }
 
-    /// A pool with no thread to take a job says so; nothing waits on it.
+    /// A pool with no thread to take an entry says so and keeps nothing:
+    /// once the caller's own sender is gone the answer channel disconnects,
+    /// so nothing waits on a dead pool.
     #[test]
     fn a_dead_pool_is_a_typed_error() {
         Runtime::simulate(0, |rt| {
             let pool = CopyPool::spawn(rt, "t", 0, &DlfsCosts::default());
-            let (tx, _rx) = rt.channel(None);
+            let (tx, rx) = rt.channel(None);
             let run = job(0, &DmaBuf::standalone(8), 8, &tx);
             assert_eq!(pool.submit(run), Err(DlfsError::CopyPoolDown));
+            let check = pool.check_run([(1, Dur::nanos(300))], &tx);
+            assert_eq!(check, Err(DlfsError::CopyPoolDown));
+            drop(tx);
+            assert!(rx.recv().is_err());
         });
     }
 }

@@ -176,6 +176,11 @@ pub enum DlfsError {
     /// The copy pool has no thread left to take a copy job or to answer
     /// one (its threads exited: the runtime is shutting down).
     CopyPoolDown,
+    /// Reader `.0`'s batched engine has samples left to deliver and
+    /// nothing that could produce them: no command on a device, no retry
+    /// or hedge due, no part with the copy pool. A bug in the engine's
+    /// bookkeeping, surfaced to the one caller instead of aborting.
+    Stalled(usize),
     /// An I/O command exhausted its retry budget against `target`.
     Io {
         /// Storage node whose device kept failing.
@@ -264,6 +269,7 @@ impl std::fmt::Display for DlfsError {
             DlfsError::EpochExhausted => write!(f, "sample sequence exhausted for this epoch"),
             DlfsError::CacheExhausted => write!(f, "sample cache (huge-page pool) exhausted"),
             DlfsError::CopyPoolDown => write!(f, "copy pool has no running copy thread"),
+            DlfsError::Stalled(r) => write!(f, "reader {r} stalled: nothing in flight, nothing deliverable"),
             DlfsError::Io {
                 target,
                 attempts,

@@ -5,16 +5,20 @@
 //! * **prep** — turn the next fetch items of the epoch plan into SPDK
 //!   requests with sample-cache chunks attached;
 //! * **post** — submit to the per-device I/O qpair (bounded queue depth);
-//! * **poll** — busy-poll the shared completion queue across all qpairs;
+//! * **poll** — busy-poll the shared completion queue across all qpairs,
+//!   and hand what completed with payload work to do — block checksums, a
+//!   frame decode — to the copy threads (the *check* stage, `check.rs`);
 //! * **copy** — hand completed samples to the copy threads, which move
 //!   bytes from the sample cache into the application buffer.
 //!
 //! Every device read, whichever path issues it, is a *part* (one cache
 //! chunk of one fetch) with one lifecycle, each step defined once:
-//! [`part_span`] → `route_part` → `post_part` → harvest → `verify_part` →
+//! [`part_span`] → `route_part` → `post_part` → harvest → `check_part` →
 //! `settle_part`. The batched engine, its hedges, the prefetcher and the
 //! synchronous reads are callers of those steps; they differ only in what
-//! they queue and how they wait (see DESIGN.md §3).
+//! they queue, how they wait and whose thread pays for the check: the copy
+//! pool's for engine parts and prefetches, the caller's for a synchronous
+//! read (see DESIGN.md §3).
 //!
 //! Delivery follows the paper's relaxed randomization (§III-D2): "the copy
 //! threads then select samples randomly from the sample cache" — each next
@@ -54,7 +58,10 @@ use crate::writer::io_failure;
 use crate::zerocopy::ZeroCopySample;
 use crate::{cache::SampleCache, copy::CopyPool};
 
-/// The storage-side offload path: more of `impl DlfsIo`, in its own file.
+/// The check stage (harvested → settled) and the storage-side offload
+/// path: more of `impl DlfsIo`, each in its own file.
+#[path = "check.rs"]
+mod check;
 #[path = "offload.rs"]
 mod offload;
 
@@ -165,6 +172,10 @@ struct IoTelemetry {
     post_ns: Histo,
     poll_ns: Histo,
     copy_ns: Histo,
+    /// A part's stay with the copy pool for its payload work: publish of
+    /// its run → verdict applied. Registered only when parts have such
+    /// work (`verify_reads` or a codec).
+    check_ns: Histo,
     /// Integrity/replication counters under `dlfs.integrity.*`. Registered
     /// only when redundancy is in use ([`Redundancy::in_use`]). (`scrubbed`
     /// and the `dlfs.rebuild.*` scope belong to [`Background`].)
@@ -197,7 +208,10 @@ impl IoTelemetry {
         let cd = scope("dlfs.codec", shared.codec.is_some());
         let of = scope("dlfs.offload", shared.cfg.offload);
         let (cache, iv, cd, of) = (cache.as_ref(), iv.as_ref(), cd.as_ref(), of.as_ref());
+        let checked = shared.redundancy.verify() || shared.codec.is_some();
+        let checked = scope("dlfs.io.stage", checked).map(|s| s.histogram("check_ns"));
         IoTelemetry {
+            check_ns: checked.unwrap_or_default(),
             codec_bytes_in: counter_in(cd, "bytes_in"),
             codec_bytes_out: counter_in(cd, "bytes_out"),
             of_requests: counter_in(of, "requests"),
@@ -444,15 +458,15 @@ struct PrefetchState {
     inflight: HashSet<RangeKey>,
 }
 
-/// One engine batch being assembled. Copied delivery (`copies` is the
-/// copy pool's done channel) hands samples to the copy threads a run per
-/// deliver pass and lands them in `copied` by slot as they finish;
+/// One engine batch being assembled. Copied delivery (`copy`) hands
+/// samples to the copy threads a run per deliver pass and lands them in
+/// `copied` by slot as they finish;
 /// zero-copy delivery pushes samples pinning their item's range onto
 /// `pinned` the moment they are drawn, so it never has anything
 /// outstanding.
 struct Batch {
     want: usize,
-    copies: Option<(Sender<CopyDone>, Receiver<CopyDone>)>,
+    copy: bool,
     /// Each published run: its first slot and its publish instant.
     runs: Vec<(usize, Time)>,
     copied: Vec<Option<(u32, Vec<u8>)>>,
@@ -486,6 +500,20 @@ pub struct DlfsIo {
     /// Every command on the devices, by command id.
     inflight: HashMap<u64, Owner>,
     next_cmd: u64,
+    /// The copy pool's answers to this handle, finished copies and check
+    /// verdicts alike, in the order the pool produced them. Made at first
+    /// use; the senders are the entries' ([`DlfsIo::done`]).
+    answers: Option<Receiver<CopyDone>>,
+    /// Parts harvested and with the copy pool for their payload work — the
+    /// state between in flight and settled — by command id, each with the
+    /// instant its run was published and what it landed. Until the pool
+    /// answers, their chunks are the pool's to read.
+    checking: HashMap<u64, (Owner, Time, check::Landed)>,
+    /// What the harvest pass in progress added to `checking`, with each
+    /// entry's cost: one run, published when the pass ends.
+    staged: Vec<(u64, Dur)>,
+    /// Check entries published and not yet answered.
+    checks_out: usize,
     /// Hedge pairing: cmd → (partner cmd, partner's qpair, whether *this*
     /// cmd is the late-issued duplicate). The first verified completion of
     /// a pair delivers; its partner is cancelled (or silently dropped).
@@ -558,6 +586,10 @@ impl DlfsIo {
             epoch: None,
             inflight: HashMap::new(),
             next_cmd: 1,
+            answers: None,
+            checking: HashMap::new(),
+            staged: Vec::new(),
+            checks_out: 0,
             hedges: HashMap::new(),
             hedge_due: BinaryHeap::new(),
             failed: None,
@@ -610,9 +642,10 @@ impl DlfsIo {
             let mut harvested = 0;
             for q in 0..self.qpairs.len() {
                 for comp in self.qpairs[q].process_completions(rt, usize::MAX) {
-                    if let Some(Owner::Prefetch { key, io, len }) = self.inflight.remove(&comp.id) {
-                        self.prefetch_complete(rt, key, io, len, comp.status);
+                    if let Some(Owner::Epoch(_)) = self.inflight.get(&comp.id) {
+                        self.inflight.remove(&comp.id);
                     }
+                    self.complete(rt, &comp);
                     harvested += 1;
                 }
             }
@@ -623,16 +656,30 @@ impl DlfsIo {
                 }
             }
         }
-        self.teardown();
+        // The same for what is with the copy pool: every verdict is waited
+        // for, a prefetch's is applied, a demand part's is dropped.
+        self.checking
+            .retain(|_, (owner, ..)| matches!(owner, Owner::Prefetch { .. }));
+        self.publish_checks(rt);
+        self.teardown(Some(rt));
     }
 
     /// Give back everything this handle holds in the compute node's shared
     /// cache: the chunk of every prefetch still on a device, and every
     /// range the epoch's plan has open. Nothing writes those chunks
     /// afterwards — `abort_epoch` drained the qpairs first, and a dropped
-    /// handle's qpairs die with it (data only lands at harvest).
-    fn teardown(&mut self) {
-        for (_, owner) in self.inflight.drain() {
+    /// handle's qpairs die with it (data only lands at harvest) — and
+    /// nothing reads them: the copy pool's outstanding verdicts are waited
+    /// for first ([`DlfsIo::await_verdicts`]; `rt` is `None` in `drop`).
+    fn teardown(&mut self, rt: Option<&Runtime>) {
+        self.await_verdicts(rt);
+        let checking = self.checking.drain().map(|(_, (owner, ..))| owner);
+        for owner in self
+            .inflight
+            .drain()
+            .map(|(_, owner)| owner)
+            .chain(checking)
+        {
             if let Owner::Prefetch { io, .. } = owner {
                 self.shared.cache.free_raw(io.buf);
             }
@@ -761,27 +808,6 @@ impl DlfsIo {
         }
     }
 
-    /// Decode one fetched frame in place (stored encoded prefix → raw
-    /// frame bytes) before it becomes visible to any consumer — the
-    /// sample cache only ever holds decoded bytes, so every warm path and
-    /// zero-copy pin serves raw data. Runs strictly *after* block
-    /// verification and read-repair, which cover the stored bytes.
-    /// Charges the configured decoder throughput on the calling reader
-    /// thread and records the `dlfs.codec.*` counters. No-op without a
-    /// codec.
-    fn decode_frame(&self, rt: &Runtime, nid: u16, offset: u64, bufs: &[DmaBuf]) {
-        let Some(f) = self.frame(nid, offset) else {
-            return;
-        };
-        rt.work(self.shared.cfg.costs.decode(f.raw_len as u64));
-        debug_assert_eq!(bufs.len(), 1, "a coded frame fits one cache chunk");
-        bufs[0].with_mut(|d| {
-            if let Some(raw) = self.decode_counted(&f, d) {
-                d[..f.raw_len].copy_from_slice(&raw);
-            }
-        });
-    }
-
     /// Count frame `f` in `dlfs.codec.*` and decode it — wherever that
     /// happens — from `stored`, which starts with its encoded prefix.
     /// `None` for a frame stored verbatim: `stored[..raw_len]` already is
@@ -864,34 +890,6 @@ impl DlfsIo {
         Some(cmd)
     }
 
-    /// The one place fetched bytes are checked before they can be
-    /// published: charge and count the block checksums of `io`, compare
-    /// them with the integrity table, and — when `repair` says the home
-    /// copy failed earlier and these bytes came from a replica — rewrite
-    /// the home extent from them (clears sticky media faults too).
-    /// Vacuously true when reads are not verified.
-    fn verify_part(&self, rt: &Runtime, io: &PartIo, repair: bool) -> bool {
-        let red = &self.shared.redundancy;
-        if !red.verify() {
-            return true;
-        }
-        rt.work(self.shared.cfg.costs.verify_block * io.nblocks as u64);
-        self.tel.iv_verified.add(io.nblocks as u64);
-        let span = io.nblocks as usize * BLOCK_SIZE as usize;
-        let ok = io
-            .buf
-            .with(|d| red.verify_blocks(io.home, io.slba, &d[..span]));
-        if !ok {
-            self.tel.iv_mismatches.inc();
-        } else if repair {
-            let targets = &self.shared.targets;
-            io.buf
-                .with(|d| red.rewrite(targets, io.home, 0, io.slba, &d[..span]));
-            self.tel.iv_repairs.inc();
-        }
-        ok
-    }
-
     /// Settle the completion `cmd` of demand part `p`: resolve its hedge
     /// pair (first verified completion wins), verify the bytes, feed the
     /// serving target's health, and decide what happens to the part. A
@@ -906,7 +904,7 @@ impl DlfsIo {
         cmd: u64,
         p: Part,
         io: &PartIo,
-        status: CmdStatus,
+        landed: check::Landed,
         corrupt_at: u64,
     ) -> Settled {
         let hedge = self.hedges.remove(&cmd);
@@ -914,20 +912,22 @@ impl DlfsIo {
             self.hedges.remove(&pcmd);
         }
         let repair = p.replica > 0 && p.mismatched;
-        let verified = status.is_ok() && self.verify_part(rt, io, repair);
+        let verified = landed.is_ok_and(|ok| self.check_part(io, ok, repair));
         // Delivered bytes that fail their checksum mark the part, verified
         // ones clear it; a failed command leaves the mark as it was.
-        let mismatched = (status.is_ok() || p.mismatched) && !verified;
+        let mismatched = (landed.is_ok() || p.mismatched) && !verified;
         let red = &self.shared.redundancy;
         let serving = red.route(io.home, p.replica, io.slba).0 as usize;
         if verified {
             red.record_ok(serving);
             if let Some((pcmd, pdev, secondary)) = hedge {
                 // Cancel the partner on its device (it never DMAs) and
-                // drop its in-flight entry.
+                // drop its in-flight entry — or, harvested already, its
+                // claim to a verdict: the part settles once.
                 if self.inflight.remove(&pcmd).is_some() {
                     self.qpairs[pdev].cancel(pcmd);
                 }
+                self.checking.remove(&pcmd);
                 if secondary {
                     self.tel.iv_hedge_wins.inc();
                 }
@@ -936,21 +936,24 @@ impl DlfsIo {
         }
         // Failed command: device media error, fabric timeout, or delivered
         // bytes that failed their checksum.
-        if status == CmdStatus::TransportError {
+        if landed == Err(CmdStatus::TransportError) {
             self.tel.timeouts.inc();
         }
         red.record_failure(serving, rt.now());
-        if let Some(Owner::Epoch(twin)) =
-            hedge.and_then(|(pcmd, _, _)| self.inflight.get_mut(&pcmd))
-        {
+        // The twin still races, on its device or with the copy pool.
+        let checking = &mut self.checking;
+        if let Some(Owner::Epoch(twin)) = hedge.and_then(|(pcmd, _, _)| {
+            let checked = checking.get_mut(&pcmd).map(|(owner, ..)| owner);
+            self.inflight.get_mut(&pcmd).or(checked)
+        }) {
             twin.mismatched = mismatched;
             return Settled::Twin;
         }
         let attempts = p.attempt + 1;
         let Some(backoff) = self.shared.cfg.retry.next_delay(attempts) else {
-            let last = match status {
-                CmdStatus::Ok => CorruptCause::Checksum,
-                failed => CorruptCause::Io(io_failure(failed)),
+            let last = match landed {
+                Ok(_) => CorruptCause::Checksum,
+                Err(failed) => CorruptCause::Io(io_failure(failed)),
             };
             let e = DlfsError::exhausted(io.home, corrupt_at, attempts, mismatched, last);
             return Settled::Fatal(e);
@@ -1333,55 +1336,34 @@ impl DlfsIo {
     /// demand read. Prefetches are best-effort: no retries, no repair; a
     /// miss or a corrupt frame simply falls back to a demand fetch next
     /// epoch (which repairs via replicas).
-    fn prefetch_complete(
-        &mut self,
-        rt: &Runtime,
-        key: RangeKey,
-        io: PartIo,
-        len: u64,
-        status: CmdStatus,
-    ) {
+    fn prefetch_complete(&mut self, key: RangeKey, io: PartIo, len: u64, landed: check::Landed) {
         self.prefetch.inflight.remove(&key);
-        if status.is_ok() && self.verify_part(rt, &io, false) && !self.shared.cache.contains(key) {
-            self.decode_frame(rt, io.home, key.1, std::slice::from_ref(&io.buf));
+        let checked = landed.is_ok_and(|ok| self.check_part(&io, ok, false));
+        if checked && !self.shared.cache.contains(key) {
             // Born evictable: nobody keeps the pin `publish` hands back.
             self.shared.cache.publish(key, vec![io.buf], len, true);
             self.report_residency(0);
         } else {
-            if status == CmdStatus::TransportError {
+            if landed == Err(CmdStatus::TransportError) {
                 self.tel.timeouts.inc();
             }
             self.shared.cache.free_raw(io.buf);
         }
     }
 
-    /// The completion router: look up whose command `c` was and apply it.
-    /// The engine's parts and prefetches are settled here, whoever
-    /// harvested them — the shared qpairs hand a synchronous read the
-    /// engine's completions too; a synchronous read's own part is handed
-    /// back to the `fetch_range` waiting on it.
-    fn complete(&mut self, rt: &Runtime, c: &Completion) -> Option<Part> {
-        match self.inflight.remove(&c.id)? {
-            Owner::Epoch(p) => self.engine_complete(rt, c.id, p, c.status),
-            Owner::Prefetch { key, io, len } => self.prefetch_complete(rt, key, io, len, c.status),
-            Owner::Sync(p) => return Some(p),
-        }
-        None
-    }
-
     /// Apply the completion of one of the epoch's parts: settle it, then
     /// move it through the engine's queues — a finished item is decoded,
     /// published and offered to the delivery draw; a failed part is
     /// re-queued for retry, never just routed and forgotten.
-    fn engine_complete(&mut self, rt: &Runtime, cmd: u64, p: Part, status: CmdStatus) {
+    fn engine_complete(&mut self, rt: &Runtime, cmd: u64, p: Part, landed: check::Landed) {
         let io = self.engine_part(p);
         let corrupt_at = self.st().plan.items[p.idx as usize].offset;
-        match self.settle_part(rt, cmd, p, &io, status, corrupt_at) {
+        match self.settle_part(rt, cmd, p, &io, landed, corrupt_at) {
             Settled::Done => {
                 let item = &mut self.split().0.items[p.idx as usize];
                 item.parts_left -= 1;
                 if item.parts_left == 0 {
-                    self.publish_item(rt, p.idx);
+                    self.publish_item(p.idx);
                 }
             }
             Settled::Twin => {}
@@ -1402,11 +1384,13 @@ impl DlfsIo {
         }
     }
 
-    /// Item `idx` is fully fetched: decode its frame (codec datasets;
-    /// verification covered the stored bytes), publish it in the sample
-    /// cache, flip the V field of its samples and offer it to the
-    /// delivery draw.
-    fn publish_item(&mut self, rt: &Runtime, idx: u32) {
+    /// Item `idx` is fully fetched, checked and decoded: publish it in the
+    /// sample cache, flip the V field of its samples and offer it to the
+    /// delivery draw. A part waits for its verdict, and a synchronous read
+    /// of the same extent may have published the range meanwhile: then that
+    /// range serves the item (claimed, as a warm probe would) and the
+    /// fetch's own chunks go back to the pool.
+    fn publish_item(&mut self, idx: u32) {
         let st = self.split().0;
         let it = &st.plan.items[idx as usize];
         let (nid, offset, len) = (it.nid, it.offset, it.len);
@@ -1414,9 +1398,14 @@ impl DlfsIo {
         let Some(Open::Fetching(bufs)) = st.open.remove(&idx) else {
             return;
         };
-        self.decode_frame(rt, nid, offset, &bufs);
-        let key = self.shared.rkey(nid, offset);
-        let range = self.shared.cache.publish(key, bufs, len, false);
+        let (cache, key) = (&self.shared.cache, self.shared.rkey(nid, offset));
+        let range = match cache.pin(key, true) {
+            Some((resident, _)) => {
+                bufs.into_iter().for_each(|b| cache.free_raw(b));
+                resident
+            }
+            None => cache.publish(key, bufs, len, false),
+        };
         self.report_residency(0);
         let (st, shared) = self.split();
         st.open.insert(idx, Open::Resident(range));
@@ -1424,7 +1413,8 @@ impl DlfsIo {
     }
 
     /// Poll stage: harvest completions across all qpairs (the shared
-    /// completion queue consolidates this into one pass).
+    /// completion queue consolidates this into one pass), then publish the
+    /// pass's check entries.
     fn poll(&mut self, rt: &Runtime) -> usize {
         let costs = self.shared.cfg.costs.clone();
         let t0 = rt.now();
@@ -1461,6 +1451,7 @@ impl DlfsIo {
             self.tel.scq_drain_batch.record(harvested as u64);
         }
         self.tel.poll_ns.record_dur(rt.now() - t0);
+        self.publish_checks(rt);
         harvested
     }
 
@@ -1473,7 +1464,8 @@ impl DlfsIo {
         let costs = self.shared.cfg.costs.clone();
         let chunk = self.shared.cfg.chunk_size as usize;
         let first = batch.dispatched;
-        let mut run = Vec::with_capacity(batch.copies.as_ref().map_or(0, |_| batch.want - first));
+        let done = batch.copy.then(|| self.done(rt));
+        let mut run = Vec::with_capacity(done.as_ref().map_or(0, |_| batch.want - first));
         while batch.dispatched < batch.want {
             let Some((idx, sample)) = self.split().0.draw() else {
                 break;
@@ -1488,7 +1480,7 @@ impl DlfsIo {
             };
             let segments = segments_at(range.bufs(), chunk, within, entry.len() as usize);
             rt.work(costs.frontend_per_sample);
-            if let Some((done, _)) = &batch.copies {
+            if let Some(done) = &done {
                 run.push(CopyJob {
                     tag: (idx as u64) << 32 | batch.dispatched as u64,
                     sample,
@@ -1535,25 +1527,17 @@ impl DlfsIo {
         }
     }
 
-    /// Collect stage (copied delivery): account a finished copy — retiring
-    /// its item when fully drained — and land it in its result slot.
-    fn finish_copy(&mut self, rt: &Runtime, done: CopyDone, batch: &mut Batch) {
-        let idx = (done.tag >> 32) as u32;
-        let slot = (done.tag & 0xFFFF_FFFF) as usize;
-        self.account_delivery(idx, done.data.len() as u64, batch);
+    /// Account a finished copy — retiring its item when fully drained — and
+    /// land it in its result slot.
+    fn finish_copy(&mut self, rt: &Runtime, copy: (u64, u32, Vec<u8>), batch: &mut Batch) {
+        let (tag, sample, data) = copy;
+        let idx = (tag >> 32) as u32;
+        let slot = (tag & 0xFFFF_FFFF) as usize;
+        self.account_delivery(idx, data.len() as u64, batch);
         // The run that holds `slot` is the last one starting at or before it.
         let run = batch.runs.partition_point(|&(first, _)| first <= slot) - 1;
         self.tel.copy_ns.record_dur(rt.now() - batch.runs[run].1);
-        batch.copied[slot] = Some((done.sample, done.data));
-    }
-
-    /// Block on the copy pool for one outstanding copy.
-    fn await_copy(&mut self, rt: &Runtime, batch: &mut Batch) -> Result<(), DlfsError> {
-        if let Some((_, copies)) = &batch.copies {
-            let done = copies.recv().map_err(|_| DlfsError::CopyPoolDown)?;
-            self.finish_copy(rt, done, batch);
-        }
-        Ok(())
+        batch.copied[slot] = Some((sample, data));
     }
 
     /// Execute a [`ReadRequest`] against the current epoch plan: the one
@@ -1633,7 +1617,7 @@ impl DlfsIo {
         let copied = req.delivery == Delivery::Copied;
         let mut batch = Batch {
             want,
-            copies: copied.then(|| rt.channel::<CopyDone>(None)),
+            copy: copied,
             runs: Vec::new(),
             copied: vec![None; if copied { want } else { 0 }],
             pinned: Vec::new(),
@@ -1641,7 +1625,8 @@ impl DlfsIo {
             received: 0,
         };
         while batch.received < want {
-            let expired = req.deadline.is_some_and(|dl| rt.now() >= dl);
+            let past = |now| req.deadline.is_some_and(|dl| now >= dl);
+            let mut expired = past(rt.now());
             if self.failed.is_none() && expired && batch.received == batch.dispatched {
                 // Past the deadline with nothing outstanding: return short.
                 break;
@@ -1654,7 +1639,7 @@ impl DlfsIo {
                 // was delivered, or `CacheExhausted` if that is nothing;
                 // the epoch resumes once pins drop.
                 while batch.received < batch.dispatched {
-                    self.await_copy(rt, &mut batch)?;
+                    self.collect(rt, true, Some(&mut batch))?;
                 }
                 match self.failed.clone() {
                     Some(e) => return Err(e),
@@ -1663,25 +1648,29 @@ impl DlfsIo {
                 }
             };
             let mut progress = pumped + self.poll(rt);
-            if !expired {
-                progress += self.deliver(rt, &mut batch)?;
+            loop {
+                if !expired {
+                    progress += self.deliver(rt, &mut batch)?;
+                }
+                if expired || batch.dispatched == want || self.checks_out == 0 {
+                    break;
+                }
+                // The pass came up short with verdicts outstanding: what
+                // the next one makes resident is worth more than another
+                // spin of the poll loop.
+                progress += self.collect(rt, true, Some(&mut batch))?;
+                expired = past(rt.now());
             }
             // The whole batch is with the copy pool: collect it as it was
             // published, in one blocking wait.
             while batch.dispatched == want && batch.received < want {
-                self.await_copy(rt, &mut batch)?;
+                self.collect(rt, true, Some(&mut batch))?;
             }
-            // Collect finished copies without blocking.
-            while let Some(done) = batch.copies.as_ref().and_then(|(_, c)| c.try_recv().ok()) {
-                self.finish_copy(rt, done, &mut batch);
-                progress += 1;
-            }
+            // Collect what the pool has answered meanwhile — or, with
+            // answers outstanding and nothing else to do, its next one.
+            let idle = progress == 0 && (batch.dispatched > batch.received || self.checks_out > 0);
+            progress += self.collect(rt, idle, Some(&mut batch))?;
             if progress > 0 || batch.received >= want {
-                continue;
-            }
-            if batch.dispatched > batch.received {
-                // Copies outstanding: block on the copy pool.
-                self.await_copy(rt, &mut batch)?;
                 continue;
             }
             if expired {
@@ -1697,14 +1686,13 @@ impl DlfsIo {
             // Spin the poll loop forward to the next event — a completion,
             // a delayed part's retry instant or a hedge coming due (busy
             // polling, so it's CPU time).
-            match self.next_engine_event() {
-                Some(t) => self.advance_to(rt, t),
-                None => panic!(
-                    "dlfs submit stalled: nothing in flight, nothing \
-                     deliverable (reader {})",
-                    self.shared.reader_id
-                ),
-            }
+            let Some(t) = self.next_engine_event() else {
+                // Nothing on a device, nothing with the copy pool, nothing
+                // deliverable: the engine lost track of a part, for good.
+                let stalled = DlfsError::Stalled(self.shared.reader_id);
+                return Err(self.failed.insert(stalled).clone());
+            };
+            self.advance_to(rt, t);
         }
         Ok(if copied {
             Completions::copied(batch.copied.into_iter().flatten().collect())
@@ -1865,20 +1853,24 @@ impl DlfsIo {
         if hit {
             self.tel.cache_pins.inc();
         }
-        let (done_tx, done_rx) = rt.channel::<CopyDone>(None);
+        // One copy and one answer: a channel of its own, so the read
+        // need not sift the engine's verdicts for it.
+        let (done, copied) = rt.channel(None);
         let t_copy = rt.now();
         rt.work(self.shared.cfg.costs.copy_dispatch);
         self.shared.copy.submit(CopyJob {
             tag: 0,
             sample: 0,
             segments,
-            done: done_tx,
+            done,
         })?;
-        let done = done_rx.recv().map_err(|_| DlfsError::CopyPoolDown)?;
+        let Ok(CopyDone::Copy { data, .. }) = copied.recv() else {
+            return Err(DlfsError::CopyPoolDown);
+        };
         self.tel.samples_delivered.inc();
-        self.tel.bytes_delivered.add(done.data.len() as u64);
+        self.tel.bytes_delivered.add(data.len() as u64);
         self.tel.copy_ns.record_dur(rt.now() - t_copy);
-        Ok(done.data)
+        Ok(data)
     }
 
     /// `dlfs_read` by sample id, zero-copy: the returned sample references
@@ -1992,12 +1984,18 @@ impl DlfsIo {
                 self.tel.completions.inc();
                 // Not ours — the batched engine and its prefetcher share
                 // these qpairs — is settled by the router (a failed engine
-                // part is re-queued for retry).
+                // part is re-queued for retry) or staged for the pool.
                 let Some(p) = self.complete(rt, c) else {
                     continue;
                 };
                 let io = self.part_io(nid, slba, nblocks, p.part, &f.bufs);
-                match self.settle_part(rt, c.id, p, &io, c.status, io.slba * BLOCK_SIZE) {
+                // One range in flight and nothing to overlap its check
+                // with: this thread pays for it, as it waits for it.
+                let (landed, cost) = self.judge(&io, c.status);
+                if !cost.is_zero() {
+                    rt.work(cost);
+                }
+                match self.settle_part(rt, c.id, p, &io, landed, io.slba * BLOCK_SIZE) {
                     Settled::Done => left -= 1,
                     Settled::Twin => {}
                     Settled::Requeue { part, not_before } => {
@@ -2009,6 +2007,7 @@ impl DlfsIo {
                     }
                 }
             }
+            self.publish_checks(rt);
         }
         self.tel.poll_ns.record_dur(rt.now() - t_poll);
         if let Some(e) = fatal {
@@ -2093,7 +2092,6 @@ impl DlfsIo {
         let nid = entry.nid();
         let (slba, nblocks, _) = self.read_geometry(nid, off, len);
         let bufs = self.fetch_range(rt, nid, slba, nblocks, deadline)?;
-        self.decode_frame(rt, nid, entry.offset(), &bufs);
         let head = (entry.offset() - slba * BLOCK_SIZE) as usize;
         let segments = segments_at(&bufs, chunk, head, entry.len() as usize);
         let cache = &self.shared.cache;
@@ -2131,7 +2129,11 @@ impl SyncRange {
 /// A handle dropped mid-epoch returns its open window to the shared pool.
 impl Drop for DlfsIo {
     fn drop(&mut self) {
-        self.teardown();
+        if std::thread::panicking() {
+            // An unwinding thread cannot wait: the run is over.
+            self.checks_out = 0;
+        }
+        self.teardown(None);
     }
 }
 
@@ -2232,7 +2234,8 @@ mod tests {
                     nblocks: 1,
                     buf,
                 };
-                let got = io.settle_part(rt, 77, p, &part_io, status, 4242);
+                let landed = io.judge(&part_io, status).0;
+                let got = io.settle_part(rt, 77, p, &part_io, landed, 4242);
 
                 let failed = !status.is_ok() || !clean;
                 let cause = [Media, Timeout][(status == TransportError) as usize];

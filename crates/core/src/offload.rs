@@ -135,22 +135,19 @@ impl DlfsIo {
             }
         }
         // 2. One descriptor per item, grouped by node. The target is
-        //    charged what the client no longer pays: block verification
-        //    and frame decode, per extent, on its compute pool.
-        let costs = &self.shared.cfg.costs;
-        let verify = self.shared.redundancy.verify();
+        //    charged the payload work the client's copy pool is spared:
+        //    block verification and frame decode, per extent, on its
+        //    compute pool.
         let mut per_node: BTreeMap<u16, (Vec<OffloadExtent>, u64)> = BTreeMap::new();
         let mut items = Vec::with_capacity(taken.len());
         for (nid, offset, len, ids) in taken {
             let (slba, nblocks, _) = self.read_geometry(nid, offset, len);
             let frame = self.frame(nid, offset);
-            let checked = if verify { nblocks as u64 } else { 0 };
-            let decode = frame.map_or(Dur::ZERO, |f| costs.decode(f.raw_len as u64));
             let slot = per_node.entry(nid).or_default();
             slot.0.push(OffloadExtent {
                 slba,
                 nblocks,
-                compute: costs.verify_block * checked + decode,
+                compute: self.check_cost(nid, slba, nblocks, true),
             });
             slot.1 += ids
                 .iter()

@@ -589,6 +589,68 @@ fn dropped_handle_returns_its_window_to_the_pool() {
     }
 }
 
+/// A range published while its engine part waited for its verdict is not
+/// published twice. `CrossEpoch` + `Lz` + `verify_reads`: the first batch
+/// — one zero-copy sample, after a poll pass that harvested the whole
+/// window at once — returns with parts harvested and still with the copy
+/// pool; a `read_by_id` of every sample not resident yet then misses on
+/// theirs, fetches the extent again and parks it. When the verdicts come
+/// back the engine finds the range resident, serves the item from it and
+/// gives its own chunk back: every sample is delivered once,
+/// source-equal, and no chunk is lost.
+#[test]
+fn a_range_published_while_its_part_waited_is_served_once() {
+    Runtime::simulate(113, |rt| {
+        let source = SyntheticSource::compressible(17, 192, 1000, 48);
+        let cfg = DlfsConfig {
+            chunk_size: CHUNK,
+            pool_chunks: 64,
+            window_chunks: 4,
+            cache_mode: CacheMode::CrossEpoch,
+            codec: CodecKind::Lz,
+            verify_reads: true,
+            ..DlfsConfig::default()
+        };
+        let fs = direct_deployment(rt, 1, &source, cfg);
+        let mut io = fs.io(0);
+        let total = io.sequence(rt, 42, 0);
+        let mut seen = vec![0u32; total];
+        let mut take = |id: u32, data: Vec<u8>| {
+            assert_eq!(data, source.expected(id), "sample {id} corrupted");
+            seen[id as usize] += 1;
+        };
+        // A millisecond of compute between polls: the whole window has
+        // completed by the second pass. Zero-copy: the batch is back the
+        // moment its sample is drawn, the pass's later verdicts still out.
+        let first = ReadRequest::batch(1)
+            .zero_copy()
+            .inject_compute(Dur::millis(1));
+        let first = io.submit(rt, &first).unwrap();
+        first
+            .into_zero_copy()
+            .into_iter()
+            .for_each(|s| take(s.id, s.to_vec()));
+        let checked = |io: &DlfsIo| io.metrics().histogram("dlfs.io.stage.check_ns").count;
+        let (harvested, settled) = (io.metrics().counter("dlfs.io.completions"), checked(&io));
+        assert!(harvested > settled, "no part is waiting for its verdict");
+        for id in (0..total as u32).filter(|&id| !fs.dir.is_valid(id)) {
+            assert_eq!(io.read_by_id(rt, id).unwrap(), source.expected(id));
+        }
+        while let Ok(got) = io.submit(rt, &ReadRequest::batch(24)) {
+            got.into_copied()
+                .into_iter()
+                .for_each(|(id, data)| take(id, data));
+        }
+        assert!(seen.iter().all(|&n| n == 1), "not exactly once: {seen:?}");
+        drop(io);
+        // Free or evictable: the whole pool can be claimed at once.
+        let cache = &fs.shared(0).cache;
+        let pool_bytes = (cache.total_chunks() * cache.chunk_size()) as u64;
+        let all = cache.alloc_for(pool_bytes).0.expect("no chunk is stuck");
+        assert_eq!(all.len(), cache.total_chunks());
+    });
+}
+
 // ------------------------------------------------ residency golden, part B --
 //
 // Part B of `golden/residency_trace.txt` (part A, the bare cache under a

@@ -420,6 +420,180 @@ fn hedged_reads_win_against_slow_target() {
     });
 }
 
+/// The block checksums ride the copy pool. Flipped home blocks: every
+/// completed request is checked by the pool (one `stage.check_ns` record
+/// each) and paid for there — the other threads' busy time is the memcpys
+/// plus 20 ns a verified block — and each part that fails its checksum
+/// fails over to the replica and read-repairs the home extent. Every copy
+/// flipped: the part runs out of copies and retries into `Corrupt`, with
+/// the item's offset, the attempts made and the checksum as the cause.
+#[test]
+fn parts_checked_on_the_pool_fail_over_repair_and_type_corrupt() {
+    let retry = RetryPolicy {
+        max_attempts: 3,
+        ..Default::default()
+    };
+    let cfg = DlfsConfig {
+        retry,
+        ..redundant_cfg(2)
+    };
+    Runtime::simulate(test_seed(79), |rt| {
+        let source = SyntheticSource::fixed(4, 800, 2048);
+        let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
+        let fs = dlfs::MountBuilder::new(cfg.clone())
+            .deployment(local_deployment(&devices))
+            .mount(rt, &source)
+            .unwrap();
+        devices[0].set_faults(FaultInjector::new(9).with_bit_flips(0, 64));
+        let mut io = fs.io(0);
+        let others_busy = |rt: &Runtime| rt.total_busy() - rt.my_busy();
+        let before = others_busy(rt);
+        let total = io.sequence(rt, 7, 0);
+        drain_epoch_verified(rt, &mut io, &source, total);
+        let m = io.metrics();
+        let mismatches = m.counter("dlfs.integrity.mismatches");
+        assert!(mismatches > 0, "flips unseen");
+        assert_eq!(m.counter("dlfs.integrity.failovers"), mismatches);
+        assert_eq!(m.counter("dlfs.integrity.repairs"), mismatches);
+        assert!(
+            !devices[0].as_ref().probe_extent(0, 64),
+            "marks not cleared"
+        );
+        let checked = m.histogram("dlfs.io.stage.check_ns").count;
+        assert_eq!(checked, m.counter("dlfs.io.requests_posted"));
+        let costs = &cfg.costs;
+        let verify = costs.verify_block * m.counter("dlfs.integrity.verified");
+        let copies = costs.memcpy(2048) * total as u64;
+        assert_eq!(others_busy(rt) - before, verify + copies);
+    });
+    // (Literal fields and counts: fixed seed.)
+    Runtime::simulate(79, |rt| {
+        let source = SyntheticSource::fixed(4, 64, 2048);
+        let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
+        let fs = dlfs::MountBuilder::new(cfg.clone())
+            .deployment(local_deployment(&devices))
+            .mount(rt, &source)
+            .unwrap();
+        for (n, dev) in devices.iter().enumerate() {
+            let all = (64 << 20) / BLOCK_SIZE;
+            dev.set_faults(FaultInjector::new(15 + n as u64).with_bit_flips(0, all));
+        }
+        let mut io = fs.io(0);
+        io.sequence(rt, 13, 0);
+        let corrupt = DlfsError::Corrupt {
+            chunk: 24576,
+            tried: 3,
+            cause: dlfs::CorruptCause::Checksum,
+        };
+        let mut batch = || io.submit(rt, &ReadRequest::batch(8)).map(|b| b.len());
+        assert_eq!(batch(), Err(corrupt.clone()));
+        assert_eq!(batch(), Err(corrupt), "sticky");
+        let m = io.metrics();
+        for (name, count) in [("mismatches", 33), ("failovers", 32), ("repairs", 0)] {
+            assert_eq!(
+                m.counter(&format!("dlfs.integrity.{name}")),
+                count,
+                "{name}"
+            );
+        }
+    });
+}
+
+/// A hedged pair harvested back to back — both commands in one poll pass,
+/// both with the copy pool before either verdict is back — settles once:
+/// the first verdict delivers the part and drops its twin's claim, so no
+/// block is verified twice and every sample arrives once. The home node
+/// answers in 60 µs, the replica in 10 µs, a hedge fires 50 µs after its
+/// primary, and the reader computes 5 µs between polls: the two
+/// completions of a pair fall into the same pass.
+#[test]
+fn a_hedged_pair_harvested_together_settles_once() {
+    let run = |hedge_reads: bool| {
+        Runtime::simulate(test_seed(81), |rt| {
+            let source = SyntheticSource::fixed(8, 600, 2048);
+            let slow = NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(60)));
+            let devices = vec![slow, ramdisk(64 << 20)];
+            let cfg = DlfsConfig {
+                hedge_reads,
+                ..redundant_cfg(2)
+            };
+            let fs = dlfs::MountBuilder::new(cfg)
+                .deployment(local_deployment(&devices))
+                .mount(rt, &source)
+                .unwrap();
+            let mut io = fs.io(0);
+            let total = io.sequence(rt, 17, 0);
+            let req = ReadRequest::batch(32).inject_compute(Dur::micros(5));
+            drain_epoch_with(rt, &mut io, &source, total, &req);
+            io.metrics()
+        })
+        .0
+    };
+    let (plain, hedged) = (run(false), run(true));
+    let count = |m: &simkit::telemetry::Snapshot, name: &str| m.counter(name);
+    let hedges = count(&hedged, "dlfs.integrity.hedges");
+    assert!(hedges > 0, "no hedges fired");
+    // A cancelled loser never completes; one harvested before the winner's
+    // verdict does. Parts = primaries = requests − hedges.
+    let parts = count(&hedged, "dlfs.io.requests_posted") - hedges;
+    let harvested_losers = count(&hedged, "dlfs.io.completions") - parts;
+    assert!(harvested_losers > 0, "no pair was harvested together");
+    assert_eq!(hedged.histogram("dlfs.io.stage.check_ns").count, parts);
+    let verified = |m| count(m, "dlfs.integrity.verified");
+    assert_eq!(
+        verified(&hedged),
+        verified(&plain),
+        "a block verified twice"
+    );
+    assert_eq!(count(&hedged, "dlfs.integrity.mismatches"), 0);
+}
+
+/// A flipped home copy whose good hedged twin lands before the home copy's
+/// verdict is back is still judged on the bytes it brought: the two
+/// commands share the part's chunk, and the twin's DMA replaces the bytes
+/// the pool is being paid to check. The home node answers in 65 µs, the
+/// replica in 10 µs, a hedge fires 50 µs after its primary and the reader
+/// polls every 20 µs: the hedge goes out at 60 µs and both commands are
+/// harvested at 80 µs, home first. Two chunks of node 0's home copy are
+/// flipped (too few to open its circuit): each is counted as a mismatch
+/// against the home device, repaired from its twin without a failover, and
+/// clean afterwards.
+#[test]
+fn a_twin_landing_before_the_verdict_hides_no_mismatch() {
+    Runtime::simulate(test_seed(83), |rt| {
+        let source = SyntheticSource::fixed(8, 600, 2048);
+        let slow = NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(65)));
+        let devices = vec![slow, ramdisk(64 << 20)];
+        let cfg = DlfsConfig {
+            hedge_reads: true,
+            window_chunks: 2,
+            ..redundant_cfg(2)
+        };
+        let fs = dlfs::MountBuilder::new(cfg)
+            .deployment(local_deployment(&devices))
+            .mount(rt, &source)
+            .unwrap();
+        devices[0].set_faults(FaultInjector::new(9).with_bit_flips(0, 32));
+        let mut io = fs.io(0);
+        let total = io.sequence(rt, 17, 0);
+        let req = ReadRequest::batch(32).inject_compute(Dur::micros(20));
+        drain_epoch_with(rt, &mut io, &source, total, &req);
+        let m = io.metrics();
+        let count = |name: &str| m.counter(&format!("dlfs.integrity.{name}"));
+        assert!(count("hedges") > 0, "no hedges fired");
+        assert_eq!((count("mismatches"), count("repairs")), (2, 2));
+        assert_eq!(
+            count("failovers"),
+            0,
+            "repaired by a re-read, not by the twin"
+        );
+        assert!(
+            !devices[0].as_ref().probe_extent(0, 32),
+            "marks not cleared"
+        );
+    });
+}
+
 /// One corruption scenario end to end, twice, same seed: delivered bytes,
 /// virtual end time and the full telemetry render (integrity counters
 /// included) must be bit-identical.

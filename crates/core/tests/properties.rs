@@ -499,23 +499,66 @@ fn randomized_corruption_repair_across_delivery_modes() {
                 }
                 assert_eq!(delivered, total, "case {case} epoch {epoch} incomplete");
             };
-            drain(&mut io, 0);
-            let m = io.metrics();
-            let mismatches = m.counter("dlfs.integrity.mismatches");
-            if mismatches > 0 {
-                assert!(
-                    m.counter("dlfs.integrity.repairs") > 0,
-                    "case {case}: mismatches without repair"
+            // Every device part of a fetch item homed on node 0 (item
+            // geometry is a pure function of the directory), and how many of
+            // them still overlap a flipped block of its device.
+            let shared = io.shared().clone();
+            let mode = shared.cfg.effective_mode(shared.dir.avg_sample_bytes());
+            let per_part = (shared.cfg.chunk_size / blocksim::BLOCK_SIZE) as u32;
+            let parts: Vec<(u64, u32)> = dlfs::plan::reader_item_ranges(
+                &shared.dir,
+                shared.cfg.chunk_size,
+                1,
+                mode,
+                0,
+                0,
+                0,
+            )
+            .into_iter()
+            .filter(|&(nid, ..)| nid == 0)
+            .flat_map(|(_, offset, len)| {
+                let (slba, nblocks, _) = blocksim::covering_blocks(offset, len);
+                (0..nblocks.div_ceil(per_part)).map(move |p| {
+                    let first = p * per_part;
+                    (slba + first as u64, (nblocks - first).min(per_part))
+                })
+            })
+            .collect();
+            let dirty = || {
+                parts
+                    .iter()
+                    .filter(|&&(slba, n)| devices[0].probe_extent(slba, n))
+                    .count() as u64
+            };
+            // A mismatch is the first verified read of a dirty part, and its
+            // read-repair cleans the part: epoch by epoch the mismatches
+            // found are exactly the dirty parts that went clean, each one
+            // repaired — a repaired extent that mismatched again, or a
+            // repair that healed nothing, breaks the equality. Reads detour
+            // to the replicas while three mismatches in a row hold device
+            // 0's circuit open, so an epoch may leave dirty parts for the
+            // next; once none is left, an epoch finds nothing.
+            let (mut found, mut left, mut epoch) = (0, dirty(), 0);
+            assert!(left > 0, "case {case}: the flips miss every part");
+            loop {
+                drain(&mut io, epoch);
+                let m = io.metrics();
+                let mismatches = m.counter("dlfs.integrity.mismatches");
+                assert_eq!(
+                    (mismatches - found, mismatches),
+                    (left - dirty(), m.counter("dlfs.integrity.repairs")),
+                    "case {case} epoch {epoch}: (new mismatches, all mismatches) != \
+                     (parts gone clean, all repairs)"
                 );
+                if left == 0 {
+                    break;
+                }
+                assert!(
+                    epoch < 8,
+                    "case {case}: {left} dirty parts are never read home"
+                );
+                (found, left, epoch) = (mismatches, dirty(), epoch + 1);
             }
-            // Read-repair healed whatever epoch 0 touched: a second pass
-            // over the same device detects nothing new on those extents.
-            drain(&mut io, 1);
-            assert_eq!(
-                io.metrics().counter("dlfs.integrity.mismatches"),
-                mismatches,
-                "case {case}: repaired extents mismatched again"
-            );
         });
     }
 }

@@ -689,3 +689,138 @@ fn reactor_stats_expose_wakeups_and_doorbells() {
     assert!(wakeups > 0, "an epoch must record reactor wakeups");
     assert!(doorbells > 0, "an epoch must record doorbell flushes");
 }
+
+/// `sequence()` and a dropped handle with verdicts outstanding — parts
+/// harvested, their chunks still the copy pool's to read: each waits for
+/// the pool before any chunk goes back (a prefetch's verdict is applied,
+/// a demand part's dropped), every chunk does go back, and the pool
+/// answers the next handle. One zero-copy sample per batch after a poll
+/// pass that harvested the whole window, so every batch returns with most
+/// of the pass's verdicts still to come.
+#[test]
+fn resequence_and_drop_wait_for_outstanding_verdicts() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    Runtime::simulate(9, |rt| {
+        let source = SyntheticSource::fixed(6, 1200, 2048);
+        let cfg = DlfsConfig {
+            chunk_size: 8 << 10,
+            verify_reads: true,
+            ..DlfsConfig::default()
+        };
+        let fs = MountBuilder::new(cfg)
+            .local(local_device())
+            .mount(rt, &source)
+            .unwrap();
+        let cache = fs.shared(0).cache.clone();
+        let one = ReadRequest::batch(1)
+            .zero_copy()
+            .inject_compute(Dur::micros(200));
+        // Completions harvested and not yet settled: verdicts outstanding.
+        let outstanding = |io: &dlfs::DlfsIo| {
+            let m = io.metrics();
+            m.counter("dlfs.io.completions") - m.histogram("dlfs.io.stage.check_ns").count
+        };
+        let mut io = fs.io(0);
+        let mut dropped = 0;
+        for cycle in 0..6 {
+            io.sequence(rt, 3, cycle);
+            assert_eq!(io.submit(rt, &one).map(|b| b.len()), Ok(1));
+            let waiting = outstanding(&io) - dropped;
+            assert!(waiting > 0, "cycle {cycle}: nothing with the copy pool");
+            dropped += waiting;
+            if cycle % 2 == 1 {
+                // The handle goes, its window and its verdicts with it.
+                io = fs.io(0);
+                dropped = 0;
+                assert_eq!(cache.free_chunks(), cache.total_chunks(), "cycle {cycle}");
+            }
+        }
+        let total = io.sequence(rt, 3, 6);
+        assert_eq!(cache.free_chunks(), cache.total_chunks());
+        let mut seen = vec![false; total];
+        while let Ok(batch) = io.submit(rt, &ReadRequest::batch(32)) {
+            for (id, data) in batch.into_copied() {
+                assert_eq!(data, source.expected(id), "sample {id} corrupted");
+                assert!(!std::mem::replace(&mut seen[id as usize], true));
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "epoch incomplete");
+    });
+}
+
+/// A handle whose copy pool has no thread left fails its batch with the
+/// typed `CopyPoolDown`, at the first pass with checks to publish, and
+/// keeps failing; neither `sequence` nor the drop waits for verdicts
+/// nobody will give, and every chunk goes back.
+#[test]
+fn a_dead_copy_pool_fails_the_batch_and_nothing_waits_on_it() {
+    Runtime::simulate(9, |rt| {
+        let source = SyntheticSource::fixed(6, 256, 2048);
+        let cfg = DlfsConfig {
+            chunk_size: 8 << 10,
+            verify_reads: true,
+            ..DlfsConfig::default()
+        };
+        let fs = MountBuilder::new(cfg.clone())
+            .local(local_device())
+            .mount(rt, &source)
+            .unwrap();
+        let live = fs.shared(0);
+        let cache = live.cache.clone();
+        let mut io = dlfs::DlfsIo::new(Arc::new(dlfs::DlfsShared {
+            copy: dlfs::copy::CopyPool::spawn(rt, "dead", 0, &cfg.costs),
+            ..dlfs::DlfsShared::clone(live)
+        }));
+        let down = Err(DlfsError::CopyPoolDown);
+        for epoch in 0..2 {
+            io.sequence(rt, 3, epoch);
+            assert_eq!(cache.free_chunks(), cache.total_chunks(), "epoch {epoch}");
+            for _ in 0..2 {
+                let batch = io.submit(rt, &ReadRequest::batch(8));
+                assert_eq!(batch.map(|b| b.len()), down, "epoch {epoch}");
+            }
+        }
+        drop(io);
+        assert_eq!(cache.free_chunks(), cache.total_chunks());
+    });
+}
+
+/// A handle that goes down with its thread does not wait for the pool: the
+/// simulation ends while a reader sleeps mid-epoch with verdicts
+/// outstanding (the same one-sample batch as above), its thread is unwound
+/// and the handle dropped on the way. A wait on the pool there is a
+/// second unwind inside the first: the process aborts.
+#[test]
+fn a_handle_unwound_with_verdicts_outstanding_does_not_wait() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    Runtime::simulate(9, |rt| {
+        let source = SyntheticSource::fixed(6, 1200, 2048);
+        let cfg = DlfsConfig {
+            chunk_size: 8 << 10,
+            verify_reads: true,
+            ..DlfsConfig::default()
+        };
+        let fs = MountBuilder::new(cfg)
+            .local(local_device())
+            .mount(rt, &source)
+            .unwrap();
+        let (ready, parked) = rt.channel(None);
+        rt.spawn("reader", move |rt| {
+            let mut io = fs.io(0);
+            io.sequence(rt, 3, 0);
+            let one = ReadRequest::batch(1)
+                .zero_copy()
+                .inject_compute(Dur::micros(200));
+            let batch = io.submit(rt, &one).map(|b| b.len());
+            let m = io.metrics();
+            let settled = m.histogram("dlfs.io.stage.check_ns").count;
+            ready
+                .send((batch, m.counter("dlfs.io.completions") - settled))
+                .unwrap();
+            rt.sleep(Dur::secs(1));
+        });
+        let (batch, outstanding) = parked.recv().unwrap();
+        assert_eq!(batch, Ok(1));
+        assert!(outstanding > 0, "nothing with the copy pool");
+    });
+}

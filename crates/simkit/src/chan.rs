@@ -227,6 +227,20 @@ impl<T: Send> Receiver<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// A new sending half of this channel — also after every sender is
+    /// gone, which reconnects it. A holder that only ever waits on the
+    /// channel keeps no sender of its own between sends, so its `recv`
+    /// fails once nobody else can answer.
+    pub fn sender(&self) -> Sender<T> {
+        match &self.0 {
+            ReceiverImpl::Sim(ch) => {
+                ch.st.lock().senders += 1;
+                Sender(SenderImpl::Sim(ch.clone()))
+            }
+            ReceiverImpl::Real(r) => Sender(SenderImpl::Real(r.sender())),
+        }
+    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -273,6 +287,11 @@ impl<T> Drop for Receiver<T> {
             st.receivers -= 1;
             if st.receivers == 0 {
                 ch.wake_all(&mut st);
+                // Nobody can take what is queued: drop it (outside the
+                // lock), and with it whatever it holds — a reply sender, say.
+                let unread = std::mem::take(&mut st.queue);
+                drop(st);
+                drop(unread);
             }
         }
     }

@@ -113,6 +113,12 @@ impl<T> Rx<T> {
     pub(crate) fn len(&self) -> usize {
         self.0.st.lock().queue.len()
     }
+
+    /// A new sending half, also of a channel whose senders are all gone.
+    pub(crate) fn sender(&self) -> Tx<T> {
+        self.0.st.lock().senders += 1;
+        Tx(self.0.clone())
+    }
 }
 
 impl<T> Clone for Tx<T> {
@@ -145,6 +151,11 @@ impl<T> Drop for Rx<T> {
         st.receivers -= 1;
         if st.receivers == 0 {
             self.0.writable.notify_all();
+            // Nobody can take what is queued: drop it (outside the lock),
+            // and with it whatever it holds — a reply sender, say.
+            let unread = std::mem::take(&mut st.queue);
+            drop(st);
+            drop(unread);
         }
     }
 }
@@ -203,5 +214,16 @@ mod tests {
         drop(tx);
         assert!(rx.recv().is_err());
         assert!(matches!(rx.try_recv(), Err(TryRecvErr::Disconnected)));
+        // A sender made from the receiver reconnects it.
+        let tx = rx.sender();
+        tx.send(7).unwrap();
+        assert_eq!(rx.recv(), Ok(7));
+        // The last receiver takes the queue with it: a reply sender queued
+        // in a request nobody will serve disconnects its reply channel.
+        let (reply_tx, reply_rx) = channel::<u32>(None);
+        let (req_tx, req_rx) = channel::<Tx<u32>>(None);
+        assert!(req_tx.send(reply_tx).is_ok());
+        drop(req_rx);
+        assert!(reply_rx.recv().is_err());
     }
 }

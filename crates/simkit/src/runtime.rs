@@ -385,6 +385,15 @@ mod tests {
             drop(tx);
             assert_eq!(rx.recv(), Ok(9));
             assert!(rx.recv().is_err());
+            // A sender made from the receiver reconnects it.
+            rx.sender().send(7).unwrap();
+            assert_eq!(rx.recv(), Ok(7));
+            // The last receiver takes the queue with it: a reply sender
+            // queued in a request nobody will serve disconnects its channel.
+            let (req_tx, req_rx) = rt.channel(None);
+            req_tx.send(rx.sender()).unwrap();
+            drop(req_rx);
+            assert!(rx.recv().is_err());
         });
     }
 
