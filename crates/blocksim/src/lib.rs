@@ -51,5 +51,5 @@ pub use config::{DeviceConfig, BLOCK_SIZE};
 pub use device::{covering_blocks, NvmeDevice, NvmeTarget, OffloadExtent};
 pub use dma::{copy_ops, DmaBuf, DmaPool, HUGE_PAGE};
 pub use fault::{CmdStatus, FaultInjector, FaultOutcome};
-pub use qpair::{Completion, CompletionHook, IoQPair, Op, QpairError};
+pub use qpair::{Completion, IoQPair, Op, QpairError};
 pub use storage::Storage;

@@ -96,19 +96,6 @@ impl Ord for Pending {
     }
 }
 
-/// Completion-event hook: at submission time the qpair announces when the
-/// command it just accepted will complete on the device. An event-driven
-/// reactor keeps a clock of these instants so it polls only queues that
-/// can actually have work, instead of spinning on idle queues. Purely
-/// advisory — completions are still *discovered* only by polling
-/// [`IoQPair::process_completions`], so attaching a hook never changes
-/// polling semantics, ordering or timing.
-pub trait CompletionHook: Send + Sync {
-    /// A command was accepted on the qpair registered under `tag`; the
-    /// device will have it finished at `done` (fault latency included).
-    fn on_submit(&self, tag: usize, done: Time);
-}
-
 /// Telemetry handles of one qpair (see [`IoQPair::attach_telemetry`]).
 #[derive(Clone, Debug)]
 struct QpTelemetry {
@@ -136,7 +123,6 @@ pub struct IoQPair {
     submitted: u64,
     completed: u64,
     telemetry: Option<QpTelemetry>,
-    hook: Option<(Arc<dyn CompletionHook>, usize)>,
     cancelled: HashSet<u64>,
 }
 
@@ -163,16 +149,8 @@ impl IoQPair {
             submitted: 0,
             completed: 0,
             telemetry: None,
-            hook: None,
             cancelled: HashSet::new(),
         }
-    }
-
-    /// Register a [`CompletionHook`] under `tag` (typically the qpair's
-    /// index in the initiator's qpair array). Every accepted submission
-    /// reports its device completion instant to the hook.
-    pub fn attach_completion_hook(&mut self, hook: Arc<dyn CompletionHook>, tag: usize) {
-        self.hook = Some((hook, tag));
     }
 
     /// Register this qpair's metrics in `reg` (typically a registry scoped
@@ -286,9 +264,6 @@ impl IoQPair {
         if let Some(t) = &self.telemetry {
             t.commands.inc();
             t.queue_depth.set(self.pending.len() as i64);
-        }
-        if let Some((hook, tag)) = &self.hook {
-            hook.on_submit(*tag, done);
         }
         Ok(())
     }

@@ -99,39 +99,38 @@ impl DlfsIo {
     /// whoever harvested it — the shared qpairs hand a synchronous read the
     /// engine's completions too. A synchronous read's own part is handed
     /// back to the `fetch_range` waiting on it, which judges and checks it
-    /// on its own thread. An engine part or a prefetch is judged here; one
-    /// that leaves payload work enters `checking` and the pass's run of
-    /// check entries, and is settled when its verdict is collected.
-    /// Anything else — a failed command, a part with nothing to check — is
-    /// settled here and now.
-    pub(super) fn complete(&mut self, rt: &Runtime, c: &Completion) -> Option<Part> {
-        let owner = self.inflight.remove(&c.id)?;
-        let io = match &owner {
-            Owner::Sync(p) => return Some(*p),
-            Owner::Epoch(p) => self.engine_part(*p),
-            Owner::Prefetch { io, .. } => io.clone(),
-        };
-        let (landed, cost) = self.judge(&io, c.status);
+    /// on its own thread, record and all. An engine part or a prefetch is
+    /// judged here; one that leaves payload work stays in the table, now
+    /// with the pool, enters the pass's run of check entries, and is
+    /// settled when its verdict is collected. Anything else — a failed
+    /// command, a part with nothing to check — is settled here and now.
+    pub(super) fn complete(&mut self, rt: &Runtime, c: &Completion) -> Option<(Part, Cmd)> {
+        let mut cmd = self.cmds.remove(&c.id)?;
+        if let Owner::Sync(p) = cmd.owner {
+            return Some((p, cmd));
+        }
+        let (landed, cost) = self.judge(&cmd.io, c.status);
         if cost.is_zero() {
-            self.settle(rt, c.id, owner, landed);
+            self.settle(rt, cmd, landed);
             return None;
         }
         // A hedged twin still waiting for its verdict now holds these bytes.
-        let twin = self.hedges.get(&c.id).map(|&(pcmd, ..)| pcmd);
-        if let Some((.., Ok(held))) = twin.and_then(|pcmd| self.checking.get_mut(&pcmd)) {
+        let twin = cmd.twin.and_then(|(pcmd, ..)| self.cmds.get_mut(&pcmd));
+        if let Some((_, Ok(held))) = twin.and_then(|t| t.pool.as_mut()) {
             *held &= landed == Ok(true);
         }
         self.staged.push((c.id, cost));
-        self.checking.insert(c.id, (owner, rt.now(), landed));
+        cmd.pool = Some((rt.now(), landed));
+        self.cmds.insert(c.id, cmd);
         None
     }
 
-    /// Apply the completion `cmd` of `owner`'s: what it landed, checked or
-    /// with nothing to check.
-    pub(super) fn settle(&mut self, rt: &Runtime, cmd: u64, owner: Owner, landed: Landed) {
-        match owner {
-            Owner::Epoch(p) => self.engine_complete(rt, cmd, p, landed),
-            Owner::Prefetch { key, io, len } => self.prefetch_complete(key, io, len, landed),
+    /// Apply the completion `cmd`, its record out of the table: what it
+    /// landed, checked or with nothing to check.
+    pub(super) fn settle(&mut self, rt: &Runtime, cmd: Cmd, landed: Landed) {
+        match cmd.owner {
+            Owner::Epoch(p) => self.engine_complete(rt, p, &cmd, landed),
+            Owner::Prefetch { key, len } => self.prefetch_complete(key, cmd.io, len, landed),
             Owner::Sync(_) => {}
         }
     }
@@ -144,7 +143,7 @@ impl DlfsIo {
         }
         rt.work(self.shared.cfg.costs.copy_dispatch);
         for (cmd, _) in &self.staged {
-            if let Some((_, published, _)) = self.checking.get_mut(cmd) {
+            if let Some((published, _)) = self.cmds.get_mut(cmd).and_then(|c| c.pool.as_mut()) {
                 *published = rt.now();
             }
         }
@@ -198,10 +197,14 @@ impl DlfsIo {
                     self.finish_copy(rt, (tag, sample, data), batch)
                 }
                 (CopyDone::Copy { .. }, None) => {}
-                (CopyDone::Check(cmd), _) => {
-                    if let Some((owner, published, landed)) = self.checking.remove(&cmd) {
+                (CopyDone::Check(id), _) => {
+                    // Not in the table: aborted, or its twin settled first.
+                    let Some(cmd) = self.cmds.remove(&id) else {
+                        continue;
+                    };
+                    if let Some((published, landed)) = cmd.pool {
                         self.tel.check_ns.record_dur(rt.now() - published);
-                        self.settle(rt, cmd, owner, landed);
+                        self.settle(rt, cmd, landed);
                     }
                 }
             }
@@ -247,7 +250,7 @@ mod tests {
             let mut io = fs.io(0);
             let total = io.sequence(rt, 1, 0);
             io.pump(rt);
-            io.inflight.clear();
+            io.cmds.clear();
             let batch = |io: &mut DlfsIo| io.submit(rt, &ReadRequest::batch(8)).map(|b| b.len());
             assert_eq!(batch(&mut io), Err(DlfsError::Stalled(0)));
             assert_eq!(batch(&mut io), Err(DlfsError::Stalled(0)), "sticky");

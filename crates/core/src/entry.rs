@@ -23,9 +23,6 @@ pub const MAX_OFFSET: u64 = (1 << 40) - 1;
 /// Maximum sample length encodable in 23 bits (8 MiB - 1).
 pub const MAX_LEN: u64 = (1 << 23) - 1;
 
-/// Maximum node id encodable in 16 bits.
-pub const MAX_NID: u16 = u16::MAX;
-
 /// Mask for the 48-bit key.
 pub const KEY_MASK: u64 = (1 << 48) - 1;
 
@@ -89,15 +86,6 @@ impl SampleEntry {
         self.unit2 & 1 == 1
     }
 
-    #[inline]
-    pub fn set_valid(&mut self, v: bool) {
-        if v {
-            self.unit2 |= 1;
-        } else {
-            self.unit2 &= !1;
-        }
-    }
-
     /// Raw words (for serialization / wire-size accounting).
     pub fn raw(self) -> (u64, u64) {
         (self.unit1, self.unit2)
@@ -141,23 +129,12 @@ mod tests {
 
     #[test]
     fn extremes_roundtrip() {
-        let e = SampleEntry::new(MAX_NID, KEY_MASK, MAX_OFFSET, MAX_LEN, false);
-        assert_eq!(e.nid(), MAX_NID);
+        let e = SampleEntry::new(u16::MAX, KEY_MASK, MAX_OFFSET, MAX_LEN, false);
+        assert_eq!(e.nid(), u16::MAX);
         assert_eq!(e.key(), KEY_MASK);
         assert_eq!(e.offset(), MAX_OFFSET);
         assert_eq!(e.len(), MAX_LEN);
         assert!(!e.valid());
-    }
-
-    #[test]
-    fn v_bit_toggles_without_disturbing_fields() {
-        let mut e = SampleEntry::new(7, 42, 4096, 512, false);
-        e.set_valid(true);
-        assert!(e.valid());
-        assert_eq!((e.nid(), e.key(), e.offset(), e.len()), (7, 42, 4096, 512));
-        e.set_valid(false);
-        assert!(!e.valid());
-        assert_eq!((e.nid(), e.key(), e.offset(), e.len()), (7, 42, 4096, 512));
     }
 
     #[test]

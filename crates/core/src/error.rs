@@ -217,7 +217,7 @@ pub enum DlfsError {
         /// Why the final attempt was rejected (the `Error::source` chain).
         cause: CorruptCause,
     },
-    /// A [`crate::BatchedWriter`] run was started at a byte offset that is
+    /// A `BatchedWriter` run was started at a byte offset that is
     /// not a device-block multiple. The writer addresses whole blocks, so
     /// landing the run would put it at the wrong LBA; nothing was written.
     UnalignedWrite { node: u16, offset: u64 },

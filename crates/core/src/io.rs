@@ -30,8 +30,13 @@
 //! all `DlfsIo` handles of a node share the directory, sample cache and
 //! copy pool through [`DlfsShared`].
 
+// The `pub(super)` items below move to child modules of this one in the
+// next commit, where the mark means "visible to `io`" — what private means
+// here. Until then it reaches the crate.
+#![allow(private_interfaces)]
+
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use blocksim::{covering_blocks, CmdStatus, Completion, DmaBuf, IoQPair, NvmeTarget, BLOCK_SIZE};
@@ -51,7 +56,6 @@ use crate::entry::SampleEntry;
 use crate::error::{CorruptCause, DlfsError};
 use crate::integrity::Redundancy;
 use crate::plan::{build_epoch_plan, fetch_extent, reader_item_ranges, ReaderPlan};
-use crate::reactor::{CompletionClock, ReactorStats};
 use crate::rebuild::Background;
 use crate::request::{Completions, Delivery, ReadRequest};
 use crate::writer::io_failure;
@@ -135,71 +139,80 @@ impl DlfsShared {
 
 /// Telemetry handles for one I/O thread, living under `dlfs.io.*` in the
 /// engine's registry (see DESIGN.md, "Telemetry").
-struct IoTelemetry {
-    samples_delivered: Counter,
-    bytes_delivered: Counter,
-    requests_posted: Counter,
-    completions: Counter,
-    poll_spins: Counter,
+pub(super) struct IoTelemetry {
+    pub(super) samples_delivered: Counter,
+    pub(super) bytes_delivered: Counter,
+    pub(super) requests_posted: Counter,
+    pub(super) completions: Counter,
+    pub(super) poll_spins: Counter,
     /// Commands resubmitted after a device media error or fabric timeout.
-    retries: Counter,
+    pub(super) retries: Counter,
     /// Commands the initiator gave up on after its I/O timeout (the fabric
     /// dropped the capsule or the target was down).
-    timeouts: Counter,
-    batches: Counter,
-    deadline_misses: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    cache_pins: Counter,
+    pub(super) timeouts: Counter,
+    pub(super) batches: Counter,
+    pub(super) deadline_misses: Counter,
+    pub(super) cache_hits: Counter,
+    pub(super) cache_misses: Counter,
+    pub(super) cache_pins: Counter,
     /// Cross-epoch cache counters under `dlfs.cache.*`. Registered only
     /// with [`CacheMode::CrossEpoch`]; like every optional scope below,
     /// otherwise left unregistered (see [`counter_in`]) so metric renders
     /// of the zero-knob default stay byte-identical.
-    ce_hits: Counter,
-    ce_misses: Counter,
-    prefetch_issued: Counter,
-    prefetch_hits: Counter,
+    pub(super) ce_hits: Counter,
+    pub(super) ce_misses: Counter,
+    pub(super) prefetch_issued: Counter,
+    pub(super) prefetch_hits: Counter,
     /// `evictions` and `resident_chunks`: what this handle's own calls did
     /// to the shared cache. `None` with the scope off, so the cache is not
     /// asked for its residency just to have the answer dropped.
-    residency: Option<(Counter, Gauge)>,
+    pub(super) residency: Option<(Counter, Gauge)>,
     /// Shared-completion-queue drain stats.
-    scq_drains: Counter,
-    scq_empty_polls: Counter,
-    scq_drain_batch: Histo,
+    pub(super) scq_drains: Counter,
+    pub(super) scq_empty_polls: Counter,
+    pub(super) scq_drain_batch: Histo,
     /// Per-stage latency of the four-stage pipeline.
-    prep_ns: Histo,
-    post_ns: Histo,
-    poll_ns: Histo,
-    copy_ns: Histo,
+    pub(super) prep_ns: Histo,
+    pub(super) post_ns: Histo,
+    pub(super) poll_ns: Histo,
+    pub(super) copy_ns: Histo,
     /// A part's stay with the copy pool for its payload work: publish of
     /// its run → verdict applied. Registered only when parts have such
     /// work (`verify_reads` or a codec).
-    check_ns: Histo,
+    pub(super) check_ns: Histo,
     /// Integrity/replication counters under `dlfs.integrity.*`. Registered
     /// only when redundancy is in use ([`Redundancy::in_use`]). (`scrubbed`
     /// and the `dlfs.rebuild.*` scope belong to [`Background`].)
-    iv_verified: Counter,
-    iv_mismatches: Counter,
-    iv_repairs: Counter,
-    iv_failovers: Counter,
-    iv_hedges: Counter,
-    iv_hedge_wins: Counter,
+    pub(super) iv_verified: Counter,
+    pub(super) iv_mismatches: Counter,
+    pub(super) iv_repairs: Counter,
+    pub(super) iv_failovers: Counter,
+    pub(super) iv_hedges: Counter,
+    pub(super) iv_hedge_wins: Counter,
     /// Codec counters under `dlfs.codec.*`: encoded bytes fetched off the
     /// devices vs raw bytes they decoded to. Registered only when the
     /// instance carries [`crate::codec::CodecTables`].
-    codec_bytes_in: Counter,
-    codec_bytes_out: Counter,
+    pub(super) codec_bytes_in: Counter,
+    pub(super) codec_bytes_out: Counter,
     /// Offload counters under `dlfs.offload.*`. Registered only with
     /// [`crate::DlfsConfig::offload`].
-    of_requests: Counter,
-    of_samples: Counter,
+    pub(super) of_requests: Counter,
+    pub(super) of_samples: Counter,
     /// Bytes carried over the fabric by dense offload responses.
-    of_wire_bytes: Counter,
+    pub(super) of_wire_bytes: Counter,
+    /// Reactor activity under `dlfs.reactor.*`, registered only with
+    /// [`DlfsConfig::reactor_stats`]: times the thread advanced straight
+    /// to a known event (a completion instant, a retry or hedge coming
+    /// due) instead of spinning poll iterations toward it; submission-queue
+    /// doorbell flushes (one per pass that posted, not one per command);
+    /// virtual nanoseconds parked idle with nothing in flight.
+    pub(super) wakeups: Counter,
+    pub(super) doorbells: Counter,
+    pub(super) parked_ns: Counter,
 }
 
 impl IoTelemetry {
-    fn new(reg: &Registry, shared: &DlfsShared) -> IoTelemetry {
+    pub(super) fn new(reg: &Registry, shared: &DlfsShared) -> IoTelemetry {
         let io = reg.scoped("dlfs.io");
         let cross_epoch = shared.cfg.cache_mode == CacheMode::CrossEpoch;
         let scope = |name, on: bool| on.then(|| reg.scoped(name));
@@ -207,6 +220,7 @@ impl IoTelemetry {
         let iv = scope("dlfs.integrity", shared.redundancy.in_use());
         let cd = scope("dlfs.codec", shared.codec.is_some());
         let of = scope("dlfs.offload", shared.cfg.offload);
+        let rx = scope("dlfs.reactor", shared.cfg.reactor_stats);
         let (cache, iv, cd, of) = (cache.as_ref(), iv.as_ref(), cd.as_ref(), of.as_ref());
         let checked = shared.redundancy.verify() || shared.codec.is_some();
         let checked = scope("dlfs.io.stage", checked).map(|s| s.histogram("check_ns"));
@@ -217,6 +231,9 @@ impl IoTelemetry {
             of_requests: counter_in(of, "requests"),
             of_samples: counter_in(of, "samples"),
             of_wire_bytes: counter_in(of, "wire_bytes"),
+            wakeups: counter_in(rx.as_ref(), "wakeups"),
+            doorbells: counter_in(rx.as_ref(), "doorbells"),
+            parked_ns: counter_in(rx.as_ref(), "parked_ns"),
             iv_verified: counter_in(iv, "verified"),
             iv_mismatches: counter_in(iv, "mismatches"),
             iv_repairs: counter_in(iv, "repairs"),
@@ -252,12 +269,12 @@ impl IoTelemetry {
 }
 
 #[derive(Debug)]
-struct ItemRt {
-    parts_left: u32,
-    samples_total: u32,
+pub(super) struct ItemRt {
+    pub(super) parts_left: u32,
+    pub(super) samples_total: u32,
     /// Samples handed to copy threads so far (cursor into the item's
     /// shuffled sample list).
-    dispatched: u32,
+    pub(super) dispatched: u32,
     copies_done: u32,
     /// Block-aligned base offset of the fetched range.
     base: u64,
@@ -293,17 +310,38 @@ impl Part {
     }
 }
 
-/// What a command on the devices is for. Every harvest — the reactor's
-/// `poll`, the synchronous wait of `fetch_range`, the `abort_epoch` drain —
-/// asks this one table whose completion it holds.
+/// What a device command is for.
 enum Owner {
     /// A part of one of the epoch's fetch items.
     Epoch(Part),
     /// A part of the synchronous read in progress.
     Sync(Part),
-    /// A prefetch of range `key` (`len` bytes once published): what it
-    /// reads and the chunk it lands in.
-    Prefetch { key: RangeKey, io: PartIo, len: u64 },
+    /// A prefetch of range `key` (`len` bytes once published).
+    Prefetch { key: RangeKey, len: u64 },
+}
+
+/// The hedged partner of a command: (its id, its qpair, whether the
+/// command that *holds* this is the late-issued duplicate).
+type Twin = (u64, usize, bool);
+
+/// One device command, from post to settle: the one record of its fate.
+/// Every harvest — the reactor's `poll`, the synchronous wait of
+/// `fetch_range`, the `abort_epoch` drain — and every verdict collected
+/// asks [`DlfsIo::cmds`] whose command it holds. Whoever settles a command
+/// takes its record out first; besides that, `settle_part` removes the
+/// losing twin's, `abort_epoch` the epoch's demand parts' (discarded
+/// unsettled) and `teardown` what is left.
+struct Cmd {
+    owner: Owner,
+    /// What it reads and the chunk it lands in, fixed at post.
+    io: PartIo,
+    /// Hedge pairing. The first verified completion of a pair delivers;
+    /// its partner is cancelled (or silently dropped).
+    twin: Option<Twin>,
+    /// `None` on a device. Harvested with payload work: with the copy pool
+    /// — the instant its run was published and what it landed. Until the
+    /// pool answers, its chunk is the pool's to read.
+    pool: Option<(Time, check::Landed)>,
 }
 
 /// What one part reads: `nblocks` blocks from `slba` in its home node's
@@ -350,7 +388,7 @@ enum Settled {
 type DelayedPart = Reverse<(Time, u64, Part)>;
 
 /// The chunks of an open fetch item.
-enum Open {
+pub(super) enum Open {
     /// Parts still in flight: the chunks are loose, because a device
     /// command holds a view of each and writes it at harvest. Whoever
     /// gives the item up frees them explicitly, after the harvest.
@@ -370,20 +408,20 @@ impl Open {
 }
 
 /// Epoch execution state.
-struct EpochState {
+pub(super) struct EpochState {
     /// The collective seed and epoch number `sequence` was called with
     /// (the prefetcher derives the *next* epoch's item deal from them).
-    seed: u64,
-    epoch: u64,
-    plan: ReaderPlan,
-    items: Vec<ItemRt>,
+    pub(super) seed: u64,
+    pub(super) epoch: u64,
+    pub(super) plan: ReaderPlan,
+    pub(super) items: Vec<ItemRt>,
     /// Items resident with undelivered samples (the sample-cache draw set).
     resident_ready: Vec<u32>,
     /// Samples dispatched to copy threads this epoch.
-    total_dispatched: usize,
-    total: usize,
+    pub(super) total_dispatched: usize,
+    pub(super) total: usize,
     /// Next item to start fetching.
-    next_fetch: usize,
+    pub(super) next_fetch: usize,
     /// Parts awaiting qpair submission.
     pending_parts: VecDeque<Part>,
     /// Failed parts waiting out their retry backoff.
@@ -393,17 +431,46 @@ struct EpochState {
     /// ordered by item, because `teardown` walks it: the order it releases
     /// ranges in stamps the LRU, and with it which of them the next epoch
     /// evicts first (same seed, same timeline, whatever the hasher).
-    open: BTreeMap<u32, Open>,
+    pub(super) open: BTreeMap<u32, Open>,
     /// Seeded draw for the random selection among resident items.
     rng: SplitMix64,
     /// Which path serves this epoch, fixed by its first batch: `true` for
     /// storage-side offload, `false` for the client-side engine.
     offloaded: Option<bool>,
     /// Offload exchanges issued ahead of delivery; gone with the epoch.
-    ahead: offload::Ahead,
+    pub(super) ahead: offload::Ahead,
 }
 
 impl EpochState {
+    /// Epoch `epoch` of `seed` with nothing fetched yet; `plan` is reader
+    /// `reader`'s share of the deal.
+    pub(super) fn new(seed: u64, epoch: u64, plan: ReaderPlan, reader: usize) -> EpochState {
+        let item = |it: &crate::plan::FetchItem| ItemRt {
+            parts_left: 0,
+            samples_total: it.samples.len() as u32,
+            dispatched: 0,
+            copies_done: 0,
+            base: 0,
+        };
+        EpochState {
+            seed,
+            epoch,
+            items: plan.items.iter().map(item).collect(),
+            resident_ready: Vec::new(),
+            total_dispatched: 0,
+            total: plan.samples(),
+            plan,
+            next_fetch: 0,
+            pending_parts: VecDeque::new(),
+            delayed_parts: BinaryHeap::new(),
+            delay_seq: 0,
+            open: BTreeMap::new(),
+            rng: SplitMix64::derive(seed ^ 0xD15B, epoch * 7919 + reader as u64),
+            offloaded: None,
+            ahead: Default::default(),
+        }
+    }
+
     /// The relaxed-randomization draw (§III-D2): the next undelivered
     /// sample of a uniformly random resident item, as `(item, sample)`.
     fn draw(&mut self) -> Option<(u32, u32)> {
@@ -448,14 +515,13 @@ enum FetchStart {
 /// exhausted, the engine warms the *next* epoch's items (this reader's
 /// share of the `(seed, epoch+1)` deal) into the cross-epoch cache.
 #[derive(Default)]
-struct PrefetchState {
+pub(super) struct PrefetchState {
     /// `(seed, epoch)` the queue was built for; rebuilt when it goes
     /// stale.
-    built_for: Option<(u64, u64)>,
-    /// Upcoming ranges to warm, in the next epoch's first-use order.
-    queue: VecDeque<(u16, u64, u64)>,
-    /// Ranges with a prefetch in flight.
-    inflight: HashSet<RangeKey>,
+    pub(super) built_for: Option<(u64, u64)>,
+    /// Upcoming ranges to warm, in the next epoch's first-use order. (What
+    /// is in flight is in the command table: [`DlfsIo::prefetches`].)
+    pub(super) queue: VecDeque<(u16, u64, u64)>,
 }
 
 /// One engine batch being assembled. Copied delivery (`copy`) hands
@@ -464,7 +530,7 @@ struct PrefetchState {
 /// zero-copy delivery pushes samples pinning their item's range onto
 /// `pinned` the moment they are drawn, so it never has anything
 /// outstanding.
-struct Batch {
+pub(super) struct Batch {
     want: usize,
     copy: bool,
     /// Each published run: its first slot and its publish instant.
@@ -497,27 +563,18 @@ pub struct DlfsIo {
     mode: BatchMode,
     qpairs: Vec<IoQPair>,
     epoch: Option<EpochState>,
-    /// Every command on the devices, by command id.
-    inflight: HashMap<u64, Owner>,
+    /// Every command posted and not yet settled, by command id.
+    cmds: HashMap<u64, Cmd>,
     next_cmd: u64,
     /// The copy pool's answers to this handle, finished copies and check
     /// verdicts alike, in the order the pool produced them. Made at first
     /// use; the senders are the entries' ([`DlfsIo::done`]).
     answers: Option<Receiver<CopyDone>>,
-    /// Parts harvested and with the copy pool for their payload work — the
-    /// state between in flight and settled — by command id, each with the
-    /// instant its run was published and what it landed. Until the pool
-    /// answers, their chunks are the pool's to read.
-    checking: HashMap<u64, (Owner, Time, check::Landed)>,
-    /// What the harvest pass in progress added to `checking`, with each
+    /// What the harvest pass in progress handed to the pool, with each
     /// entry's cost: one run, published when the pass ends.
     staged: Vec<(u64, Dur)>,
     /// Check entries published and not yet answered.
     checks_out: usize,
-    /// Hedge pairing: cmd → (partner cmd, partner's qpair, whether *this*
-    /// cmd is the late-issued duplicate). The first verified completion of
-    /// a pair delivers; its partner is cancelled (or silently dropped).
-    hedges: HashMap<u64, (u64, usize, bool)>,
     /// Primaries due for a hedged duplicate: (due instant, cmd).
     hedge_due: BinaryHeap<Reverse<(Time, u64)>>,
     /// Scrub and rebuild: background work done in idle reactor gaps.
@@ -533,13 +590,6 @@ pub struct DlfsIo {
     /// Plan-aware prefetcher (active only with `CacheMode::CrossEpoch`
     /// and `prefetch_window > 0`).
     prefetch: PrefetchState,
-    /// Completion-event feed: every qpair submit reports its completion
-    /// instant here, so the engine advances straight to the next event
-    /// instead of spinning poll iterations toward it.
-    clock: Arc<CompletionClock>,
-    /// Reactor activity counters (`dlfs.reactor.*`; unregistered unless
-    /// [`DlfsConfig::reactor_stats`] is set).
-    rstats: ReactorStats,
 }
 
 impl std::fmt::Debug for DlfsIo {
@@ -560,7 +610,6 @@ impl DlfsIo {
     /// `blocksim.dev{n}.*`.
     pub fn with_registry(shared: Arc<DlfsShared>, reg: &Registry) -> DlfsIo {
         let qd = shared.cfg.queue_depth;
-        let clock = CompletionClock::new();
         let qpairs = shared
             .targets
             .iter()
@@ -568,7 +617,6 @@ impl DlfsIo {
             .map(|(nid, t)| {
                 let mut qp = IoQPair::new(t.clone(), qd);
                 qp.attach_telemetry(&reg.scoped(&format!("blocksim.dev{nid}")));
-                qp.attach_completion_hook(clock.clone(), nid);
                 qp
             })
             .collect();
@@ -577,25 +625,21 @@ impl DlfsIo {
         }
         let io = DlfsIo {
             tel: IoTelemetry::new(reg, &shared),
-            rstats: ReactorStats::new(reg, shared.cfg.reactor_stats),
             background: Background::new(shared.clone(), reg),
             registry: reg.clone(),
             mode: shared.cfg.effective_mode(shared.dir.avg_sample_bytes()),
             shared,
             qpairs,
             epoch: None,
-            inflight: HashMap::new(),
+            cmds: HashMap::new(),
             next_cmd: 1,
             answers: None,
-            checking: HashMap::new(),
             staged: Vec::new(),
             checks_out: 0,
-            hedges: HashMap::new(),
             hedge_due: BinaryHeap::new(),
             failed: None,
             current_deadline: None,
             prefetch: PrefetchState::default(),
-            clock,
         };
         io.report_residency(0);
         io
@@ -621,12 +665,12 @@ impl DlfsIo {
     /// bookkeeping touches. Engine internals run only under
     /// [`DlfsIo::submit`], which has already turned a missing epoch into
     /// `NoSequence`.
-    fn split(&mut self) -> (&mut EpochState, &DlfsShared) {
+    pub(super) fn split(&mut self) -> (&mut EpochState, &DlfsShared) {
         let st = self.epoch.as_mut().expect("engine runs under an epoch");
         (st, &self.shared)
     }
 
-    fn st(&self) -> &EpochState {
+    pub(super) fn st(&self) -> &EpochState {
         self.epoch.as_ref().expect("engine runs under an epoch")
     }
 
@@ -638,12 +682,12 @@ impl DlfsIo {
         // Drain outstanding commands. A demand part is discarded unsettled
         // (`teardown` returns its chunk); an in-flight prefetch completes
         // as usual, publishing its range or returning its chunk.
-        while !self.inflight.is_empty() {
+        while self.cmds.values().any(|c| c.pool.is_none()) {
             let mut harvested = 0;
             for q in 0..self.qpairs.len() {
                 for comp in self.qpairs[q].process_completions(rt, usize::MAX) {
-                    if let Some(Owner::Epoch(_)) = self.inflight.get(&comp.id) {
-                        self.inflight.remove(&comp.id);
+                    if let Some(Owner::Epoch(_)) = self.cmds.get(&comp.id).map(|c| &c.owner) {
+                        self.cmds.remove(&comp.id);
                     }
                     self.complete(rt, &comp);
                     harvested += 1;
@@ -658,8 +702,8 @@ impl DlfsIo {
         }
         // The same for what is with the copy pool: every verdict is waited
         // for, a prefetch's is applied, a demand part's is dropped.
-        self.checking
-            .retain(|_, (owner, ..)| matches!(owner, Owner::Prefetch { .. }));
+        self.cmds
+            .retain(|_, c| matches!(c.owner, Owner::Prefetch { .. }));
         self.publish_checks(rt);
         self.teardown(Some(rt));
     }
@@ -673,19 +717,11 @@ impl DlfsIo {
     /// for first ([`DlfsIo::await_verdicts`]; `rt` is `None` in `drop`).
     fn teardown(&mut self, rt: Option<&Runtime>) {
         self.await_verdicts(rt);
-        let checking = self.checking.drain().map(|(_, (owner, ..))| owner);
-        for owner in self
-            .inflight
-            .drain()
-            .map(|(_, owner)| owner)
-            .chain(checking)
-        {
-            if let Owner::Prefetch { io, .. } = owner {
-                self.shared.cache.free_raw(io.buf);
+        for (_, cmd) in self.cmds.drain() {
+            if matches!(cmd.owner, Owner::Prefetch { .. }) {
+                self.shared.cache.free_raw(cmd.io.buf);
             }
         }
-        self.prefetch.inflight.clear();
-        self.hedges.clear();
         self.hedge_due.clear();
         let Some(st) = self.epoch.take() else {
             return; // only prefetches were outstanding
@@ -727,17 +763,6 @@ impl DlfsIo {
             epoch,
         );
         let mine = plan.readers[self.shared.reader_id].clone();
-        let items = mine
-            .items
-            .iter()
-            .map(|it| ItemRt {
-                parts_left: 0,
-                samples_total: it.samples.len() as u32,
-                dispatched: 0,
-                copies_done: 0,
-                base: 0,
-            })
-            .collect();
         let n = mine.samples();
         self.failed = None;
         // A queue built during the previous epoch targeted *this* one;
@@ -745,23 +770,7 @@ impl DlfsIo {
         // rest is stale.
         self.prefetch.queue.clear();
         self.prefetch.built_for = None;
-        self.epoch = Some(EpochState {
-            seed,
-            epoch,
-            plan: mine,
-            items,
-            resident_ready: Vec::new(),
-            total_dispatched: 0,
-            total: n,
-            next_fetch: 0,
-            pending_parts: VecDeque::new(),
-            delayed_parts: BinaryHeap::new(),
-            delay_seq: 0,
-            open: BTreeMap::new(),
-            rng: SplitMix64::derive(seed ^ 0xD15B, epoch * 7919 + self.shared.reader_id as u64),
-            offloaded: None,
-            ahead: Default::default(),
-        });
+        self.epoch = Some(EpochState::new(seed, epoch, mine, self.shared.reader_id));
         n
     }
 
@@ -852,12 +861,13 @@ impl DlfsIo {
     }
 
     /// The prep and post stages of one part: charge both, submit the read
-    /// of `io` at `slba` on qpair `dev`, and enter it in the in-flight
-    /// table as `owner`'s. Returns the command id, or
+    /// of `io` at `slba` on qpair `dev`, and enter it in the command
+    /// table as `owner`'s, paired with `twin` when it is the hedged
+    /// duplicate of that command. Returns the command id, or
     /// `None` when the qpair is full — capacity is a bookkeeping check,
     /// but a blocked post still pays its prep+post (the charge the legacy
     /// engine paid for the rejected submit), unrecorded in the stage
-    /// histograms. `record` is off only for hedged duplicates, which have
+    /// histograms — as a hedged duplicate's always are: they have
     /// never counted as pipeline stages.
     fn post_part(
         &mut self,
@@ -866,7 +876,7 @@ impl DlfsIo {
         slba: u64,
         io: &PartIo,
         owner: Owner,
-        record: bool,
+        twin: Option<Twin>,
     ) -> Option<u64> {
         let full = self.qpairs[dev].outstanding() >= self.shared.cfg.queue_depth;
         let t0 = rt.now();
@@ -880,18 +890,25 @@ impl DlfsIo {
         self.qpairs[dev]
             .submit_read(rt, cmd, slba, io.nblocks, io.buf.clone(), 0)
             .expect("capacity checked before staging");
-        if record {
+        if twin.is_none() {
             self.tel.prep_ns.record_dur(t1 - t0);
             self.tel.post_ns.record_dur(rt.now() - t1);
         }
         self.next_cmd += 1;
         self.tel.requests_posted.inc();
-        self.inflight.insert(cmd, owner);
+        let record = Cmd {
+            owner,
+            io: io.clone(),
+            twin,
+            pool: None,
+        };
+        self.cmds.insert(cmd, record);
         Some(cmd)
     }
 
-    /// Settle the completion `cmd` of demand part `p`: resolve its hedge
-    /// pair (first verified completion wins), verify the bytes, feed the
+    /// Settle a completion of demand part `p` — its record already out of
+    /// the table, `twin` its hedge pairing: resolve the pair (first
+    /// verified completion wins), verify the bytes, feed the
     /// serving target's health, and decide what happens to the part. A
     /// mismatch or device error fails straight over to the next replica
     /// when there is one, else backs off under the retry policy (never
@@ -901,15 +918,15 @@ impl DlfsIo {
     fn settle_part(
         &mut self,
         rt: &Runtime,
-        cmd: u64,
         p: Part,
         io: &PartIo,
+        hedge: Option<Twin>,
         landed: check::Landed,
         corrupt_at: u64,
     ) -> Settled {
-        let hedge = self.hedges.remove(&cmd);
-        if let Some((pcmd, _, _)) = hedge {
-            self.hedges.remove(&pcmd);
+        // Whichever of the pair survives this settles as sole owner.
+        if let Some(partner) = hedge.and_then(|(pcmd, ..)| self.cmds.get_mut(&pcmd)) {
+            partner.twin = None;
         }
         let repair = p.replica > 0 && p.mismatched;
         let verified = landed.is_ok_and(|ok| self.check_part(io, ok, repair));
@@ -921,13 +938,12 @@ impl DlfsIo {
         if verified {
             red.record_ok(serving);
             if let Some((pcmd, pdev, secondary)) = hedge {
-                // Cancel the partner on its device (it never DMAs) and
-                // drop its in-flight entry — or, harvested already, its
-                // claim to a verdict: the part settles once.
-                if self.inflight.remove(&pcmd).is_some() {
+                // Drop the partner's record, and with it its claim to a
+                // verdict — the part settles once — and cancel it on its
+                // device (it never DMAs) if it is still there.
+                if self.cmds.remove(&pcmd).is_some_and(|c| c.pool.is_none()) {
                     self.qpairs[pdev].cancel(pcmd);
                 }
-                self.checking.remove(&pcmd);
                 if secondary {
                     self.tel.iv_hedge_wins.inc();
                 }
@@ -941,11 +957,8 @@ impl DlfsIo {
         }
         red.record_failure(serving, rt.now());
         // The twin still races, on its device or with the copy pool.
-        let checking = &mut self.checking;
-        if let Some(Owner::Epoch(twin)) = hedge.and_then(|(pcmd, _, _)| {
-            let checked = checking.get_mut(&pcmd).map(|(owner, ..)| owner);
-            self.inflight.get_mut(&pcmd).or(checked)
-        }) {
+        let twin = hedge.and_then(|(pcmd, ..)| self.cmds.get_mut(&pcmd));
+        if let Some(Owner::Epoch(twin)) = twin.map(|c| &mut c.owner) {
             twin.mismatched = mismatched;
             return Settled::Twin;
         }
@@ -1051,7 +1064,7 @@ impl DlfsIo {
                 self.open_item(idx, slba, Open::Resident(range));
                 return FetchStart::Started;
             }
-            if self.prefetch.inflight.contains(&key) {
+            if self.prefetches().any(|k| k == key) {
                 // The range is already on the wire as a prefetch; fetching
                 // it again would double-publish. Its completion will
                 // publish it, and the next probe will hit.
@@ -1095,7 +1108,7 @@ impl DlfsIo {
     /// part is lost for good (`failed`), or the pump is starved — nothing
     /// is open and there is no cache chunk to open anything with, even
     /// after the allocation backoff.
-    fn pump(&mut self, rt: &Runtime) -> Option<usize> {
+    pub(super) fn pump(&mut self, rt: &Runtime) -> Option<usize> {
         if self.failed.is_some() {
             return None;
         }
@@ -1153,7 +1166,7 @@ impl DlfsIo {
             let io = self.engine_part(p);
             let (replica, dev, slba) = self.route_part(rt, &io, p.replica);
             let owner = Owner::Epoch(Part { replica, ..p });
-            let Some(cmd) = self.post_part(rt, dev, slba, &io, owner, true) else {
+            let Some(cmd) = self.post_part(rt, dev, slba, &io, owner, None) else {
                 break; // queue full; poll first
             };
             if hedging {
@@ -1165,7 +1178,7 @@ impl DlfsIo {
             flushed = true;
         }
         if flushed {
-            self.rstats.doorbells.inc();
+            self.tel.doorbells.inc();
         }
         if hedging {
             progressed += self.fire_hedges(rt);
@@ -1203,14 +1216,18 @@ impl DlfsIo {
                 break;
             }
             self.hedge_due.pop();
-            // Already completed, or already hedged: nothing to do.
-            let Some(&Owner::Epoch(p)) = self.inflight.get(&cmd) else {
+            // Gone, already hedged, or harvested and with the pool:
+            // nothing to do.
+            let Some(Cmd {
+                owner: Owner::Epoch(p),
+                io,
+                twin: None,
+                pool: None,
+            }) = self.cmds.get(&cmd)
+            else {
                 continue;
             };
-            if self.hedges.contains_key(&cmd) {
-                continue;
-            }
-            let io = self.engine_part(p);
+            let (p, io) = (*p, io.clone());
             let r2 = (p.replica + 1) % red.replicas;
             let (dev1, _) = red.route(io.home, p.replica, io.slba);
             let (dev2, slba2) = red.route(io.home, r2, io.slba);
@@ -1221,12 +1238,14 @@ impl DlfsIo {
                 continue; // no room; the primary keeps sole ownership
             }
             let twin = Owner::Epoch(Part { replica: r2, ..p });
-            let Some(cmd2) = self.post_part(rt, dev2 as usize, slba2, &io, twin, false) else {
+            let pair = Some((cmd, dev1 as usize, true));
+            let Some(cmd2) = self.post_part(rt, dev2 as usize, slba2, &io, twin, pair) else {
                 continue;
             };
             self.tel.iv_hedges.inc();
-            self.hedges.insert(cmd, (cmd2, dev2 as usize, false));
-            self.hedges.insert(cmd2, (cmd, dev1 as usize, true));
+            if let Some(primary) = self.cmds.get_mut(&cmd) {
+                primary.twin = Some((cmd2, dev2 as usize, false));
+            }
             fired += 1;
         }
         fired
@@ -1240,7 +1259,7 @@ impl DlfsIo {
     /// ranges, warming the next epoch's head during this one's tail.
     /// Clamped by the prefetch window, pool headroom (demand fetches keep
     /// `window_chunks` of reserve) and qpair depth.
-    fn pump_prefetch(&mut self, rt: &Runtime) -> usize {
+    pub(super) fn pump_prefetch(&mut self, rt: &Runtime) -> usize {
         let cfg = &self.shared.cfg;
         let pf_window = cfg.prefetch_window;
         if pf_window == 0 || cfg.cache_mode != CacheMode::CrossEpoch {
@@ -1267,8 +1286,8 @@ impl DlfsIo {
             self.prefetch.built_for = Some((seed, epoch + 1));
         }
         let (chunk, reserve) = (cfg.chunk_size, cfg.window_chunks);
-        let mut progressed = 0;
-        while self.prefetch.inflight.len() < pf_window {
+        let (out, mut progressed) = (self.prefetches().count(), 0);
+        while out + progressed < pf_window {
             let Some(&(nid, offset, len)) = self.prefetch.queue.front() else {
                 break;
             };
@@ -1276,7 +1295,7 @@ impl DlfsIo {
             let (slba, nblocks, bytes) = self.read_geometry(nid, offset, len);
             if bytes > chunk
                 || self.shared.cache.contains(key)
-                || self.prefetch.inflight.contains(&key)
+                || self.prefetches().any(|k| k == key)
                 || self.demand_fetch_in_flight(key)
             {
                 // Multi-chunk edge items aren't worth speculative slots;
@@ -1294,13 +1313,9 @@ impl DlfsIo {
                 nblocks,
                 buf,
             };
-            let owner = Owner::Prefetch {
-                key,
-                io: io.clone(),
-                len,
-            };
+            let owner = Owner::Prefetch { key, len };
             if self
-                .post_part(rt, nid as usize, slba, &io, owner, true)
+                .post_part(rt, nid as usize, slba, &io, owner, None)
                 .is_none()
             {
                 self.shared.cache.free_raw(io.buf);
@@ -1308,13 +1323,20 @@ impl DlfsIo {
             }
             self.tel.prefetch_issued.inc();
             self.prefetch.queue.pop_front();
-            self.prefetch.inflight.insert(key);
             progressed += 1;
         }
         if progressed > 0 {
-            self.rstats.doorbells.inc();
+            self.tel.doorbells.inc();
         }
         progressed
+    }
+
+    /// The ranges with a prefetch in flight — on a device or with the pool.
+    pub(super) fn prefetches(&self) -> impl Iterator<Item = RangeKey> + '_ {
+        self.cmds.values().filter_map(|c| match c.owner {
+            Owner::Prefetch { key, .. } => Some(key),
+            _ => None,
+        })
     }
 
     /// Is `key` currently being fetched by the demand path (allocated but
@@ -1336,8 +1358,13 @@ impl DlfsIo {
     /// demand read. Prefetches are best-effort: no retries, no repair; a
     /// miss or a corrupt frame simply falls back to a demand fetch next
     /// epoch (which repairs via replicas).
-    fn prefetch_complete(&mut self, key: RangeKey, io: PartIo, len: u64, landed: check::Landed) {
-        self.prefetch.inflight.remove(&key);
+    pub(super) fn prefetch_complete(
+        &mut self,
+        key: RangeKey,
+        io: PartIo,
+        len: u64,
+        landed: check::Landed,
+    ) {
         let checked = landed.is_ok_and(|ok| self.check_part(&io, ok, false));
         if checked && !self.shared.cache.contains(key) {
             // Born evictable: nobody keeps the pin `publish` hands back.
@@ -1355,10 +1382,15 @@ impl DlfsIo {
     /// move it through the engine's queues — a finished item is decoded,
     /// published and offered to the delivery draw; a failed part is
     /// re-queued for retry, never just routed and forgotten.
-    fn engine_complete(&mut self, rt: &Runtime, cmd: u64, p: Part, landed: check::Landed) {
-        let io = self.engine_part(p);
+    pub(super) fn engine_complete(
+        &mut self,
+        rt: &Runtime,
+        p: Part,
+        cmd: &Cmd,
+        landed: check::Landed,
+    ) {
         let corrupt_at = self.st().plan.items[p.idx as usize].offset;
-        match self.settle_part(rt, cmd, p, &io, landed, corrupt_at) {
+        match self.settle_part(rt, p, &cmd.io, cmd.twin, landed, corrupt_at) {
             Settled::Done => {
                 let item = &mut self.split().0.items[p.idx as usize];
                 item.parts_left -= 1;
@@ -1529,7 +1561,12 @@ impl DlfsIo {
 
     /// Account a finished copy — retiring its item when fully drained — and
     /// land it in its result slot.
-    fn finish_copy(&mut self, rt: &Runtime, copy: (u64, u32, Vec<u8>), batch: &mut Batch) {
+    pub(super) fn finish_copy(
+        &mut self,
+        rt: &Runtime,
+        copy: (u64, u32, Vec<u8>),
+        batch: &mut Batch,
+    ) {
         let (tag, sample, data) = copy;
         let idx = (tag >> 32) as u32;
         let slot = (tag & 0xFFFF_FFFF) as usize;
@@ -1593,7 +1630,7 @@ impl DlfsIo {
     /// are resident, so the two cannot share one epoch's cursors: a batch
     /// on the other path is a typed error until `sequence` starts the next
     /// epoch (it used to be an out-of-bounds panic in `dispatch`).
-    fn claim_epoch_path(&mut self, offload: bool) -> Result<(), DlfsError> {
+    pub(super) fn claim_epoch_path(&mut self, offload: bool) -> Result<(), DlfsError> {
         let st = self.split().0;
         if *st.offloaded.get_or_insert(offload) == offload {
             return Ok(());
@@ -1701,12 +1738,11 @@ impl DlfsIo {
         })
     }
 
-    /// Earliest completion instant across every qpair. The completion
-    /// clock already holds it (validated lazily against the authoritative
-    /// per-qpair state), so this is one heap peek instead of a scan.
+    /// Earliest completion instant across every qpair: each is asked for
+    /// its own (a heap peek; a handle has one qpair per storage node).
     fn next_completion(&self) -> Option<Time> {
-        self.clock
-            .next_due(|tag| self.qpairs[tag].next_completion_at())
+        let next = self.qpairs.iter().filter_map(|q| q.next_completion_at());
+        next.min()
     }
 
     /// Earliest instant at which the engine can make progress again: a
@@ -1743,13 +1779,13 @@ impl DlfsIo {
         if t <= now {
             return;
         }
-        self.rstats.wakeups.inc();
+        self.tel.wakeups.inc();
         if self.qpairs.iter().all(|q| q.outstanding() == 0) {
             // Nothing in flight: the reactor parks. The idle gap goes to
             // background scrubbing and rebuild first (untimed bookkeeping
             // — a housekeeping thread, not reactor CPU).
             self.background.idle_gap();
-            self.rstats.park(t - now);
+            self.tel.parked_ns.add((t - now).as_nanos());
             rt.sleep_until(t);
         } else {
             rt.work_until(t);
@@ -1772,7 +1808,7 @@ impl DlfsIo {
 
     /// Start automated re-replication of storage node `node` after a
     /// permanent loss: enumerate every replica slot the node hosted
-    /// ([`crate::RebuildPlan::for_dead_node`]) and copy each block back
+    /// (`RebuildPlan::for_dead_node`) and copy each block back
     /// from a surviving verified replica, `rebuild_gap_blocks` per idle
     /// reactor gap (call [`DlfsIo::drive_rebuild`] to finish
     /// synchronously). The replacement device — the revived node, or a
@@ -1896,7 +1932,7 @@ impl DlfsIo {
             let io = self.part_io(f.nid, f.slba, f.nblocks, p.part, &f.bufs);
             let (replica, dev, slba) = self.route_part(rt, &io, p.replica);
             let owner = Owner::Sync(Part { replica, ..p });
-            if self.post_part(rt, dev, slba, &io, owner, true).is_none() {
+            if self.post_part(rt, dev, slba, &io, owner, None).is_none() {
                 break; // queue full: poll completions, then retry
             }
             f.waiting.remove(i);
@@ -1955,8 +1991,8 @@ impl DlfsIo {
         // event (device completion or retry instant) instead of spinning
         // toward it.
         let t_poll = rt.now();
-        let mine = |o: &Owner| matches!(o, Owner::Sync(_));
-        while (left > 0 && fatal.is_none()) || self.inflight.values().any(mine) {
+        let mine = |c: &Cmd| matches!(c.owner, Owner::Sync(_));
+        while (left > 0 && fatal.is_none()) || self.cmds.values().any(mine) {
             if fatal.is_none() {
                 self.sync_post_due(rt, &mut f);
             }
@@ -1985,17 +2021,16 @@ impl DlfsIo {
                 // Not ours — the batched engine and its prefetcher share
                 // these qpairs — is settled by the router (a failed engine
                 // part is re-queued for retry) or staged for the pool.
-                let Some(p) = self.complete(rt, c) else {
+                let Some((p, Cmd { io, twin, .. })) = self.complete(rt, c) else {
                     continue;
                 };
-                let io = self.part_io(nid, slba, nblocks, p.part, &f.bufs);
                 // One range in flight and nothing to overlap its check
                 // with: this thread pays for it, as it waits for it.
                 let (landed, cost) = self.judge(&io, c.status);
                 if !cost.is_zero() {
                     rt.work(cost);
                 }
-                match self.settle_part(rt, c.id, p, &io, landed, io.slba * BLOCK_SIZE) {
+                match self.settle_part(rt, p, &io, twin, landed, io.slba * BLOCK_SIZE) {
                     Settled::Done => left -= 1,
                     Settled::Twin => {}
                     Settled::Requeue { part, not_before } => {
@@ -2161,7 +2196,7 @@ mod tests {
     use super::*;
     use crate::error::IoFailure::{Media, Timeout};
     use crate::{Deployment, MountBuilder, SyntheticSource};
-    use blocksim::{DeviceConfig, NvmeDevice};
+    use blocksim::{DeviceConfig, FaultInjector, NvmeDevice};
     use simkit::retry::RetryPolicy;
 
     #[test]
@@ -2184,6 +2219,96 @@ mod tests {
         assert_eq!(part_span(40, 3, 16, 0), (40, 3));
     }
 
+    /// Reader 0 of `readers` over `devices`, a small dataset staged.
+    fn mount_on(
+        rt: &Runtime,
+        cfg: DlfsConfig,
+        devices: &[Arc<NvmeDevice>],
+        readers: usize,
+    ) -> DlfsIo {
+        let targets = devices.iter().map(|d| d.clone() as Arc<dyn NvmeTarget>);
+        let deployment = Deployment {
+            targets: vec![targets.collect(); readers],
+            cluster: None,
+        };
+        let source = SyntheticSource::fixed(8, 300, 2048);
+        let fs = MountBuilder::new(cfg).deployment(deployment);
+        fs.mount(rt, &source).unwrap().io(0)
+    }
+
+    /// Every path that enters a record in the command table takes it out
+    /// again: faulted, replicated, verified, hedged cross-epoch epochs
+    /// with the prefetcher on (two readers: each epoch deals this one
+    /// ranges it does not hold), drained and then replaced, leave nothing.
+    #[test]
+    fn a_drained_and_replaced_epoch_leaves_the_handle_quiescent() {
+        Runtime::simulate(12, |rt| {
+            let ramdisk = |us| DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(us));
+            let devices = [500, 10].map(|us| NvmeDevice::new(ramdisk(us)));
+            let cfg = DlfsConfig {
+                chunk_size: 8 * 1024,
+                replicas: 2,
+                verify_reads: true,
+                hedge_reads: true,
+                cache_mode: CacheMode::CrossEpoch,
+                prefetch_window: 8,
+                ..DlfsConfig::default()
+            };
+            let mut io = mount_on(rt, cfg, &devices, 2);
+            let faults = FaultInjector::new(31).with_bit_flips(0, 40);
+            devices[1].set_faults(faults.with_read_failures(20_000));
+            for epoch in 0..2 {
+                io.sequence(rt, 43, epoch);
+                let end = std::iter::repeat_with(|| io.submit(rt, &ReadRequest::batch(32)))
+                    .find_map(Result::err);
+                assert_eq!(end, Some(DlfsError::EpochExhausted));
+                // Every demand part settled; only prefetches are still out.
+                let demand = |c: &&Cmd| !matches!(c.owner, Owner::Prefetch { .. });
+                assert_eq!(io.cmds.values().filter(demand).count(), 0, "epoch {epoch}");
+            }
+            let m = io.metrics();
+            for c in [
+                "integrity.hedges",
+                "integrity.mismatches",
+                "cache.prefetch_issued",
+            ] {
+                assert_ne!(m.counter(&format!("dlfs.{c}")), 0, "no {c}");
+            }
+            io.sequence(rt, 43, 2);
+            assert_eq!((io.cmds.len(), io.staged.len(), io.checks_out), (0, 0, 0));
+            let cache = &io.shared.cache;
+            let held = cache.total_chunks() - cache.free_chunks() - cache.resident_chunks();
+            assert_eq!(held, 0, "chunks neither free nor resident");
+        });
+    }
+
+    /// Each qpair is asked for its next completion: one harvested, one
+    /// whose command was cancelled and discarded, one still pending.
+    #[test]
+    fn next_completion_is_the_earliest_pending_commands() {
+        Runtime::simulate(5, |rt| {
+            let devices = [0; 3].map(|_| NvmeDevice::new(DeviceConfig::optane(16 << 20)));
+            let mut io = mount_on(rt, DlfsConfig::default(), &devices, 1);
+            assert_eq!(io.next_completion(), None);
+            for (q, nblocks) in [(0, 1), (1, 1), (2, 1024)] {
+                let buf = DmaBuf::standalone(nblocks as usize * BLOCK_SIZE as usize);
+                let posted = io.qpairs[q].submit_read(rt, q as u64, 0, nblocks, buf, 0);
+                assert_eq!(posted, Ok(()));
+            }
+            // (A qpair with nothing pending would fail the next assert.)
+            let due = [0, 1, 2].map(|q| io.qpairs[q].next_completion_at().unwrap_or(rt.now()));
+            assert_eq!(io.next_completion(), Some(due[0].min(due[1])));
+            io.qpairs[1].cancel(1);
+            rt.work_until(due[0].max(due[1]));
+            assert_eq!(io.qpairs[0].process_completions(rt, usize::MAX).len(), 1);
+            assert_eq!(io.qpairs[1].process_completions(rt, usize::MAX).len(), 0);
+            assert_eq!(io.next_completion(), Some(due[2]));
+            rt.work_until(due[2]);
+            assert_eq!(io.qpairs[2].process_completions(rt, usize::MAX).len(), 1);
+            assert_eq!(io.next_completion(), None);
+        });
+    }
+
     /// Every way a completion can settle: status x checksum x replicas x
     /// retry budget, with the outcome, the counters and the exact error.
     #[test]
@@ -2197,7 +2322,7 @@ mod tests {
                 .flat_map(|(r, s, c)| [true, false].map(|b| (r, s, c, b)))
             {
                 let case = format!("replicas={replicas} {status:?} clean={clean} budget={budget}");
-                let devices = (0..2).map(|_| NvmeDevice::new(DeviceConfig::optane(16 << 20)));
+                let devices = [0; 2].map(|_| NvmeDevice::new(DeviceConfig::optane(16 << 20)));
                 let cfg = DlfsConfig {
                     replicas,
                     verify_reads: true,
@@ -2207,14 +2332,7 @@ mod tests {
                     },
                     ..DlfsConfig::default()
                 };
-                let fs = MountBuilder::new(cfg)
-                    .deployment(Deployment {
-                        targets: vec![devices.map(|d| d as Arc<dyn NvmeTarget>).collect()],
-                        cluster: None,
-                    })
-                    .mount(rt, &SyntheticSource::fixed(1, 64, 2048))
-                    .unwrap();
-                let mut io = fs.io(0);
+                let mut io = mount_on(rt, cfg, &devices, 1);
                 // Block 0 of node 0 as staged. "Unclean" is a flipped bit
                 // when the command delivers bytes, and a checksum failure
                 // on an earlier attempt when it delivers none.
@@ -2235,7 +2353,7 @@ mod tests {
                     buf,
                 };
                 let landed = io.judge(&part_io, status).0;
-                let got = io.settle_part(rt, 77, p, &part_io, landed, 4242);
+                let got = io.settle_part(rt, p, &part_io, None, landed, 4242);
 
                 let failed = !status.is_ok() || !clean;
                 let cause = [Media, Timeout][(status == TransportError) as usize];

@@ -10,10 +10,10 @@
 //!
 //! | Paper | Module |
 //! |---|---|
-//! | §III-A thin API (`dlfs_mount/open/read/close/sequence/bread`) | [`mount`], [`io::DlfsIo`] |
-//! | §III-B in-memory tree-based sample directory, 128-bit entries | [`directory`], [`avl`], [`entry`] |
-//! | §III-C SPDK user-level I/O: sample cache on huge pages, request posting queues, shared completion queue, copy threads | [`cache`], [`io`], [`copy`] |
-//! | §III-D opportunistic batching: sample-level + chunk-level, edge samples, seeded global sequence | [`plan`], [`config::BatchMode`] |
+//! | §III-A thin API (`dlfs_mount/open/read/close/sequence/bread`) | [`MountBuilder`], [`DlfsIo`] |
+//! | §III-B in-memory tree-based sample directory, 128-bit entries | [`SampleDirectory`], [`avl`], [`SampleEntry`] |
+//! | §III-C SPDK user-level I/O: sample cache on huge pages, request posting queues, shared completion queue, copy threads | [`cache`], [`DlfsIo`], [`copy`] |
+//! | §III-D opportunistic batching: sample-level + chunk-level, edge samples, seeded global sequence | [`plan`], [`BatchMode`] |
 //!
 //! ## Quick start
 //!
@@ -52,25 +52,24 @@
 
 pub mod avl;
 pub mod cache;
-pub mod codec;
-pub mod config;
+mod codec;
+mod config;
 pub mod copy;
-pub mod directory;
-pub mod entry;
-pub mod error;
-pub mod integrity;
-pub mod io;
-pub mod layout;
-pub mod metashard;
-pub mod mount;
+mod directory;
+mod entry;
+mod error;
+mod integrity;
+mod io;
+mod layout;
+mod metashard;
+mod mount;
 pub mod plan;
-pub mod reactor;
-pub mod rebuild;
-pub mod request;
+mod rebuild;
+mod request;
 pub mod source;
 pub mod tenant;
-pub mod writer;
-pub mod zerocopy;
+mod writer;
+mod zerocopy;
 
 pub use cache::SampleCache;
 pub use codec::{Codec, CodecKind, CodecTables, NodeFrames};
@@ -80,20 +79,14 @@ pub use entry::SampleEntry;
 pub use error::{CorruptCause, DirectoryError, DlfsError, IoFailure, LayoutError};
 pub use integrity::Redundancy;
 pub use io::{DlfsIo, DlfsShared};
-pub use layout::{
-    fsck_node, fsck_repair, BlockChecksums, FsckNodeReport, FsckRepairReport, FsckState, Superblock,
-};
-pub use metashard::{place_shards, shard_of, MetaClient, MetaLookup, MetaService, MetaShardConfig};
+pub use layout::{fsck_node, fsck_repair, FsckNodeReport, FsckRepairReport, FsckState, Superblock};
+pub use metashard::{shard_of, MetaClient, MetaLookup, MetaService, MetaShardConfig};
 pub use mount::{Deployment, DlfsInstance, MountBuilder};
-pub use plan::{
-    build_epoch_plan, full_random_order, reader_item_ranges, EpochPlan, FetchItem, ReaderPlan,
-};
-pub use reactor::CompletionClock;
-pub use rebuild::{RebuildExtent, RebuildPlan};
+pub use plan::{build_epoch_plan, full_random_order, reader_item_ranges, FetchItem};
 pub use request::{Completion, Completions, Delivery, ReadRequest};
 pub use source::{SampleSource, SyntheticSource};
-pub use tenant::{QosConfig, TenantId, TenantQos, TenantSpec};
-pub use writer::{BatchedWriter, CheckpointReader, CheckpointWriter};
+pub use tenant::{QosConfig, TenantQos, TenantSpec};
+pub use writer::{CheckpointReader, CheckpointWriter};
 pub use zerocopy::ZeroCopySample;
 
 /// Counter `name` of `scope`, or — when the subsystem that owns it is not

@@ -65,7 +65,6 @@ impl ReaderPlan {
 #[derive(Clone, Debug)]
 pub struct EpochPlan {
     pub readers: Vec<ReaderPlan>,
-    pub mode: BatchMode,
 }
 
 /// RNG stream labels.
@@ -183,7 +182,6 @@ pub fn build_epoch_plan(
         .collect();
     EpochPlan {
         readers: readers_plans,
-        mode,
     }
 }
 
