@@ -30,11 +30,6 @@
 //! all `DlfsIo` handles of a node share the directory, sample cache and
 //! copy pool through [`DlfsShared`].
 
-// The `pub(super)` items below move to child modules of this one in the
-// next commit, where the mark means "visible to `io`" — what private means
-// here. Until then it reaches the crate.
-#![allow(private_interfaces)]
-
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -62,12 +57,26 @@ use crate::writer::io_failure;
 use crate::zerocopy::ZeroCopySample;
 use crate::{cache::SampleCache, copy::CopyPool};
 
-/// The check stage (harvested → settled) and the storage-side offload
-/// path: more of `impl DlfsIo`, each in its own file.
+/// More of `impl DlfsIo`, each in its own file: the callers of the part
+/// lifecycle below — the batched engine, the prefetcher, the synchronous
+/// reads, the storage-side offload path — the check stage (harvested →
+/// settled), and the telemetry handles.
 #[path = "check.rs"]
 mod check;
+#[path = "engine.rs"]
+mod engine;
 #[path = "offload.rs"]
 mod offload;
+#[path = "prefetch.rs"]
+mod prefetch;
+#[path = "sync.rs"]
+mod sync;
+#[path = "tel.rs"]
+mod tel;
+
+use engine::*;
+use prefetch::*;
+use tel::*;
 
 /// State shared by every I/O thread of one compute node. Cloning is cheap
 /// (every heavy member is behind an `Arc`) and is how views over the same
@@ -135,149 +144,6 @@ impl DlfsShared {
             ..DlfsShared::clone(self)
         })
     }
-}
-
-/// Telemetry handles for one I/O thread, living under `dlfs.io.*` in the
-/// engine's registry (see DESIGN.md, "Telemetry").
-pub(super) struct IoTelemetry {
-    pub(super) samples_delivered: Counter,
-    pub(super) bytes_delivered: Counter,
-    pub(super) requests_posted: Counter,
-    pub(super) completions: Counter,
-    pub(super) poll_spins: Counter,
-    /// Commands resubmitted after a device media error or fabric timeout.
-    pub(super) retries: Counter,
-    /// Commands the initiator gave up on after its I/O timeout (the fabric
-    /// dropped the capsule or the target was down).
-    pub(super) timeouts: Counter,
-    pub(super) batches: Counter,
-    pub(super) deadline_misses: Counter,
-    pub(super) cache_hits: Counter,
-    pub(super) cache_misses: Counter,
-    pub(super) cache_pins: Counter,
-    /// Cross-epoch cache counters under `dlfs.cache.*`. Registered only
-    /// with [`CacheMode::CrossEpoch`]; like every optional scope below,
-    /// otherwise left unregistered (see [`counter_in`]) so metric renders
-    /// of the zero-knob default stay byte-identical.
-    pub(super) ce_hits: Counter,
-    pub(super) ce_misses: Counter,
-    pub(super) prefetch_issued: Counter,
-    pub(super) prefetch_hits: Counter,
-    /// `evictions` and `resident_chunks`: what this handle's own calls did
-    /// to the shared cache. `None` with the scope off, so the cache is not
-    /// asked for its residency just to have the answer dropped.
-    pub(super) residency: Option<(Counter, Gauge)>,
-    /// Shared-completion-queue drain stats.
-    pub(super) scq_drains: Counter,
-    pub(super) scq_empty_polls: Counter,
-    pub(super) scq_drain_batch: Histo,
-    /// Per-stage latency of the four-stage pipeline.
-    pub(super) prep_ns: Histo,
-    pub(super) post_ns: Histo,
-    pub(super) poll_ns: Histo,
-    pub(super) copy_ns: Histo,
-    /// A part's stay with the copy pool for its payload work: publish of
-    /// its run → verdict applied. Registered only when parts have such
-    /// work (`verify_reads` or a codec).
-    pub(super) check_ns: Histo,
-    /// Integrity/replication counters under `dlfs.integrity.*`. Registered
-    /// only when redundancy is in use ([`Redundancy::in_use`]). (`scrubbed`
-    /// and the `dlfs.rebuild.*` scope belong to [`Background`].)
-    pub(super) iv_verified: Counter,
-    pub(super) iv_mismatches: Counter,
-    pub(super) iv_repairs: Counter,
-    pub(super) iv_failovers: Counter,
-    pub(super) iv_hedges: Counter,
-    pub(super) iv_hedge_wins: Counter,
-    /// Codec counters under `dlfs.codec.*`: encoded bytes fetched off the
-    /// devices vs raw bytes they decoded to. Registered only when the
-    /// instance carries [`crate::codec::CodecTables`].
-    pub(super) codec_bytes_in: Counter,
-    pub(super) codec_bytes_out: Counter,
-    /// Offload counters under `dlfs.offload.*`. Registered only with
-    /// [`crate::DlfsConfig::offload`].
-    pub(super) of_requests: Counter,
-    pub(super) of_samples: Counter,
-    /// Bytes carried over the fabric by dense offload responses.
-    pub(super) of_wire_bytes: Counter,
-    /// Reactor activity under `dlfs.reactor.*`, registered only with
-    /// [`DlfsConfig::reactor_stats`]: times the thread advanced straight
-    /// to a known event (a completion instant, a retry or hedge coming
-    /// due) instead of spinning poll iterations toward it; submission-queue
-    /// doorbell flushes (one per pass that posted, not one per command);
-    /// virtual nanoseconds parked idle with nothing in flight.
-    pub(super) wakeups: Counter,
-    pub(super) doorbells: Counter,
-    pub(super) parked_ns: Counter,
-}
-
-impl IoTelemetry {
-    pub(super) fn new(reg: &Registry, shared: &DlfsShared) -> IoTelemetry {
-        let io = reg.scoped("dlfs.io");
-        let cross_epoch = shared.cfg.cache_mode == CacheMode::CrossEpoch;
-        let scope = |name, on: bool| on.then(|| reg.scoped(name));
-        let cache = scope("dlfs.cache", cross_epoch);
-        let iv = scope("dlfs.integrity", shared.redundancy.in_use());
-        let cd = scope("dlfs.codec", shared.codec.is_some());
-        let of = scope("dlfs.offload", shared.cfg.offload);
-        let rx = scope("dlfs.reactor", shared.cfg.reactor_stats);
-        let (cache, iv, cd, of) = (cache.as_ref(), iv.as_ref(), cd.as_ref(), of.as_ref());
-        let checked = shared.redundancy.verify() || shared.codec.is_some();
-        let checked = scope("dlfs.io.stage", checked).map(|s| s.histogram("check_ns"));
-        IoTelemetry {
-            check_ns: checked.unwrap_or_default(),
-            codec_bytes_in: counter_in(cd, "bytes_in"),
-            codec_bytes_out: counter_in(cd, "bytes_out"),
-            of_requests: counter_in(of, "requests"),
-            of_samples: counter_in(of, "samples"),
-            of_wire_bytes: counter_in(of, "wire_bytes"),
-            wakeups: counter_in(rx.as_ref(), "wakeups"),
-            doorbells: counter_in(rx.as_ref(), "doorbells"),
-            parked_ns: counter_in(rx.as_ref(), "parked_ns"),
-            iv_verified: counter_in(iv, "verified"),
-            iv_mismatches: counter_in(iv, "mismatches"),
-            iv_repairs: counter_in(iv, "repairs"),
-            iv_failovers: counter_in(iv, "failovers"),
-            iv_hedges: counter_in(iv, "hedges"),
-            iv_hedge_wins: counter_in(iv, "hedge_wins"),
-            ce_hits: counter_in(cache, "hits"),
-            ce_misses: counter_in(cache, "misses"),
-            prefetch_issued: counter_in(cache, "prefetch_issued"),
-            prefetch_hits: counter_in(cache, "prefetch_hits"),
-            residency: cache.map(|s| (s.counter("evictions"), s.gauge("resident_chunks"))),
-            samples_delivered: io.counter("samples_delivered"),
-            bytes_delivered: io.counter("bytes_delivered"),
-            requests_posted: io.counter("requests_posted"),
-            completions: io.counter("completions"),
-            poll_spins: io.counter("poll_spins"),
-            retries: io.counter("retries"),
-            timeouts: io.counter("timeouts"),
-            batches: io.counter("batches"),
-            deadline_misses: io.counter("deadline_misses"),
-            cache_hits: io.counter("cache.hits"),
-            cache_misses: io.counter("cache.misses"),
-            cache_pins: io.counter("cache.pins"),
-            scq_drains: io.counter("scq.drains"),
-            scq_empty_polls: io.counter("scq.empty_polls"),
-            scq_drain_batch: io.histogram("scq.drain_batch"),
-            prep_ns: io.histogram("stage.prep_ns"),
-            post_ns: io.histogram("stage.post_ns"),
-            poll_ns: io.histogram("stage.poll_ns"),
-            copy_ns: io.histogram("stage.copy_ns"),
-        }
-    }
-}
-
-#[derive(Debug)]
-pub(super) struct ItemRt {
-    pub(super) parts_left: u32,
-    pub(super) samples_total: u32,
-    /// Samples handed to copy threads so far (cursor into the item's
-    /// shuffled sample list).
-    pub(super) dispatched: u32,
-    copies_done: u32,
-    /// Block-aligned base offset of the fetched range.
-    base: u64,
 }
 
 /// One device part — the chunk-sized piece `part` of fetch item `idx` (0
@@ -381,176 +247,6 @@ enum Settled {
     },
     /// Retry budget spent: the fetch cannot complete.
     Fatal(DlfsError),
-}
-
-/// A retry parked until its backoff elapses: readiness instant, insertion
-/// sequence (keeps same-instant pops deterministic), the part.
-type DelayedPart = Reverse<(Time, u64, Part)>;
-
-/// The chunks of an open fetch item.
-pub(super) enum Open {
-    /// Parts still in flight: the chunks are loose, because a device
-    /// command holds a view of each and writes it at harvest. Whoever
-    /// gives the item up frees them explicitly, after the harvest.
-    Fetching(Vec<DmaBuf>),
-    /// Completely fetched and published (or found resident): a pin on the
-    /// range, held until the item is drained.
-    Resident(Arc<CachedRange>),
-}
-
-impl Open {
-    fn bufs(&self) -> &[DmaBuf] {
-        match self {
-            Open::Fetching(bufs) => bufs,
-            Open::Resident(range) => range.bufs(),
-        }
-    }
-}
-
-/// Epoch execution state.
-pub(super) struct EpochState {
-    /// The collective seed and epoch number `sequence` was called with
-    /// (the prefetcher derives the *next* epoch's item deal from them).
-    pub(super) seed: u64,
-    pub(super) epoch: u64,
-    pub(super) plan: ReaderPlan,
-    pub(super) items: Vec<ItemRt>,
-    /// Items resident with undelivered samples (the sample-cache draw set).
-    resident_ready: Vec<u32>,
-    /// Samples dispatched to copy threads this epoch.
-    pub(super) total_dispatched: usize,
-    pub(super) total: usize,
-    /// Next item to start fetching.
-    pub(super) next_fetch: usize,
-    /// Parts awaiting qpair submission.
-    pending_parts: VecDeque<Part>,
-    /// Failed parts waiting out their retry backoff.
-    delayed_parts: BinaryHeap<DelayedPart>,
-    delay_seq: u64,
-    /// Items fetched or fetching and not yet drained, with their chunks —
-    /// ordered by item, because `teardown` walks it: the order it releases
-    /// ranges in stamps the LRU, and with it which of them the next epoch
-    /// evicts first (same seed, same timeline, whatever the hasher).
-    pub(super) open: BTreeMap<u32, Open>,
-    /// Seeded draw for the random selection among resident items.
-    rng: SplitMix64,
-    /// Which path serves this epoch, fixed by its first batch: `true` for
-    /// storage-side offload, `false` for the client-side engine.
-    offloaded: Option<bool>,
-    /// Offload exchanges issued ahead of delivery; gone with the epoch.
-    pub(super) ahead: offload::Ahead,
-}
-
-impl EpochState {
-    /// Epoch `epoch` of `seed` with nothing fetched yet; `plan` is reader
-    /// `reader`'s share of the deal.
-    pub(super) fn new(seed: u64, epoch: u64, plan: ReaderPlan, reader: usize) -> EpochState {
-        let item = |it: &crate::plan::FetchItem| ItemRt {
-            parts_left: 0,
-            samples_total: it.samples.len() as u32,
-            dispatched: 0,
-            copies_done: 0,
-            base: 0,
-        };
-        EpochState {
-            seed,
-            epoch,
-            items: plan.items.iter().map(item).collect(),
-            resident_ready: Vec::new(),
-            total_dispatched: 0,
-            total: plan.samples(),
-            plan,
-            next_fetch: 0,
-            pending_parts: VecDeque::new(),
-            delayed_parts: BinaryHeap::new(),
-            delay_seq: 0,
-            open: BTreeMap::new(),
-            rng: SplitMix64::derive(seed ^ 0xD15B, epoch * 7919 + reader as u64),
-            offloaded: None,
-            ahead: Default::default(),
-        }
-    }
-
-    /// The relaxed-randomization draw (§III-D2): the next undelivered
-    /// sample of a uniformly random resident item, as `(item, sample)`.
-    fn draw(&mut self) -> Option<(u32, u32)> {
-        if self.resident_ready.is_empty() {
-            return None;
-        }
-        let pick = self.rng.below(self.resident_ready.len() as u64) as usize;
-        let idx = self.resident_ready[pick];
-        let item = &mut self.items[idx as usize];
-        let sample = self.plan.items[idx as usize].samples[item.dispatched as usize];
-        item.dispatched += 1;
-        if item.dispatched == item.samples_total {
-            self.resident_ready.swap_remove(pick);
-        }
-        self.total_dispatched += 1;
-        Some((idx, sample))
-    }
-
-    /// Item `idx` is fully resident: flip the V field of its samples and
-    /// offer it to the delivery draw.
-    fn mark_resident(&mut self, dir: &SampleDirectory, idx: u32) {
-        for &s in &self.plan.items[idx as usize].samples {
-            dir.set_valid(s, true);
-        }
-        self.resident_ready.push(idx);
-    }
-}
-
-/// Outcome of [`DlfsIo::start_fetch`].
-enum FetchStart {
-    /// The item is being fetched (or was already resident).
-    Started,
-    /// No cache chunks available even after eviction; retry after a
-    /// release frees or unpins something.
-    Backpressure,
-    /// A prefetch of exactly this range is in flight: don't double-fetch,
-    /// its completion will publish the range.
-    AwaitPrefetch,
-}
-
-/// Plan-aware prefetcher state: once the current epoch's fetch list is
-/// exhausted, the engine warms the *next* epoch's items (this reader's
-/// share of the `(seed, epoch+1)` deal) into the cross-epoch cache.
-#[derive(Default)]
-pub(super) struct PrefetchState {
-    /// `(seed, epoch)` the queue was built for; rebuilt when it goes
-    /// stale.
-    pub(super) built_for: Option<(u64, u64)>,
-    /// Upcoming ranges to warm, in the next epoch's first-use order. (What
-    /// is in flight is in the command table: [`DlfsIo::prefetches`].)
-    pub(super) queue: VecDeque<(u16, u64, u64)>,
-}
-
-/// One engine batch being assembled. Copied delivery (`copy`) hands
-/// samples to the copy threads a run per deliver pass and lands them in
-/// `copied` by slot as they finish;
-/// zero-copy delivery pushes samples pinning their item's range onto
-/// `pinned` the moment they are drawn, so it never has anything
-/// outstanding.
-pub(super) struct Batch {
-    want: usize,
-    copy: bool,
-    /// Each published run: its first slot and its publish instant.
-    runs: Vec<(usize, Time)>,
-    copied: Vec<Option<(u32, Vec<u8>)>>,
-    pinned: Vec<ZeroCopySample>,
-    /// Samples handed out / finished; they differ only while copies are
-    /// outstanding.
-    dispatched: usize,
-    received: usize,
-}
-
-/// A synchronous read in progress ([`DlfsIo::fetch_range`]).
-struct SyncFetch {
-    nid: u16,
-    slba: u64,
-    nblocks: u32,
-    bufs: Vec<DmaBuf>,
-    /// Parts to (re)submit, each with its not-before instant.
-    waiting: Vec<(Part, Time)>,
 }
 
 /// A per-thread DLFS I/O handle.
@@ -659,19 +355,6 @@ impl DlfsIo {
 
     pub fn shared(&self) -> &Arc<DlfsShared> {
         &self.shared
-    }
-
-    /// The epoch a batched call runs against, with the shared state its
-    /// bookkeeping touches. Engine internals run only under
-    /// [`DlfsIo::submit`], which has already turned a missing epoch into
-    /// `NoSequence`.
-    pub(super) fn split(&mut self) -> (&mut EpochState, &DlfsShared) {
-        let st = self.epoch.as_mut().expect("engine runs under an epoch");
-        (st, &self.shared)
-    }
-
-    pub(super) fn st(&self) -> &EpochState {
-        self.epoch.as_ref().expect("engine runs under an epoch")
     }
 
     /// Abandon the current epoch: wait out in-flight device commands (SPDK
@@ -840,14 +523,6 @@ impl DlfsIo {
             nblocks,
             buf: bufs[part as usize].clone(),
         }
-    }
-
-    /// What part `p` of the epoch's item `p.idx` reads.
-    fn engine_part(&self, p: Part) -> PartIo {
-        let st = self.st();
-        let it = &st.plan.items[p.idx as usize];
-        let (slba, nblocks, _) = self.read_geometry(it.nid, it.offset, it.len);
-        self.part_io(it.nid, slba, nblocks, p.part, st.open[&p.idx].bufs())
     }
 
     /// Pick the copy that serves a part: `(replica, device, device slba)`,
@@ -1039,732 +714,11 @@ impl DlfsIo {
         }
     }
 
-    // ------------------------------------------------- the batched engine --
-
-    /// Start fetching item `idx`: probe the cross-epoch cache first, else
-    /// allocate cache chunks and queue the item's parts for the device.
-    /// With nothing else open (`starving`) a full pool is waited out
-    /// before reporting backpressure: no release of this epoch's can come
-    /// to the rescue.
-    fn start_fetch(&mut self, rt: &Runtime, idx: u32, starving: bool) -> FetchStart {
-        let cross = self.shared.cfg.cache_mode == CacheMode::CrossEpoch;
-        let it = &self.st().plan.items[idx as usize];
-        let (slba, _, alloc_bytes) = self.read_geometry(it.nid, it.offset, it.len);
-        let (key, len) = (self.shared.rkey(it.nid, it.offset), it.len);
-        if cross {
-            // Residency probe: a previous epoch (or the prefetcher) may
-            // already hold this exact range — warm items skip the device
-            // entirely.
-            if let Some((range, was_prefetched)) = self.shared.cache.pin(key, true) {
-                debug_assert_eq!(range.bytes(), len, "cached range geometry drifted");
-                self.tel.ce_hits.inc();
-                if was_prefetched {
-                    self.tel.prefetch_hits.inc();
-                }
-                self.open_item(idx, slba, Open::Resident(range));
-                return FetchStart::Started;
-            }
-            if self.prefetches().any(|k| k == key) {
-                // The range is already on the wire as a prefetch; fetching
-                // it again would double-publish. Its completion will
-                // publish it, and the next probe will hit.
-                return FetchStart::AwaitPrefetch;
-            }
-            self.tel.ce_misses.inc();
-        }
-        let bufs = if starving {
-            self.alloc_backoff(rt, alloc_bytes, self.current_deadline)
-        } else {
-            self.alloc(alloc_bytes)
-        };
-        let Some(bufs) = bufs else {
-            return FetchStart::Backpressure;
-        };
-        self.open_item(idx, slba, Open::Fetching(bufs));
-        FetchStart::Started
-    }
-
-    /// Open item `idx` (its range starts at block `slba`): one part to
-    /// fetch per loose chunk, none when the range was resident.
-    fn open_item(&mut self, idx: u32, slba: u64, open: Open) {
-        let (st, shared) = self.split();
-        let parts = match &open {
-            Open::Fetching(bufs) => bufs.len() as u32,
-            Open::Resident(_) => 0,
-        };
-        let item = &mut st.items[idx as usize];
-        item.parts_left = parts;
-        item.base = slba * BLOCK_SIZE;
-        st.open.insert(idx, open);
-        if parts == 0 {
-            st.mark_resident(&shared.dir, idx);
-        }
-        st.pending_parts
-            .extend((0..parts).map(|part| Part::first(idx, part)));
-    }
-
-    /// Pump stage: keep the fetch window full and the qpairs fed. Returns
-    /// the progress made, or `None` when the epoch cannot be pumped: a
-    /// part is lost for good (`failed`), or the pump is starved — nothing
-    /// is open and there is no cache chunk to open anything with, even
-    /// after the allocation backoff.
-    pub(super) fn pump(&mut self, rt: &Runtime) -> Option<usize> {
-        if self.failed.is_some() {
-            return None;
-        }
-        let window = self.shared.cfg.window_chunks;
-        let mut progressed = 0;
-
-        // Open new items up to the window.
-        loop {
-            let st = self.st();
-            let (next_fetch, open) = (st.next_fetch, st.open.len());
-            if next_fetch >= st.plan.items.len() {
-                break;
-            }
-            // The pipeline must never starve: with nothing open at all, a
-            // fetch is mandatory regardless of the window budget.
-            let starving = open == 0;
-            if open >= 2 * window && !starving {
-                break;
-            }
-            match self.start_fetch(rt, next_fetch as u32, starving) {
-                FetchStart::Started => {
-                    self.split().0.next_fetch += 1;
-                    progressed += 1;
-                }
-                // An in-flight prefetch owns this range; progress comes
-                // from polling its completion.
-                FetchStart::AwaitPrefetch => break,
-                // Cache backpressure: retry after releases — unless
-                // nothing of this epoch's is left to release.
-                FetchStart::Backpressure if starving => return None,
-                FetchStart::Backpressure => break,
-            }
-        }
-
-        // Move retry parts whose backoff has elapsed into the submit queue.
-        {
-            let now = rt.now();
-            let st = self.split().0;
-            while let Some(&Reverse((ready_at, _, part))) = st.delayed_parts.peek() {
-                if ready_at > now {
-                    break;
-                }
-                st.delayed_parts.pop();
-                st.pending_parts.push_back(part);
-                progressed += 1;
-            }
-        }
-
-        // Doorbell flush: route and post every queued part the qpairs have
-        // room for in one pass, stopping at the first full qpair (which
-        // still pays its prep+post, see `post_part`).
-        let hedging = self.shared.cfg.hedge_reads && self.shared.redundancy.replicas > 1;
-        let mut flushed = false;
-        while let Some(&p) = self.st().pending_parts.front() {
-            let io = self.engine_part(p);
-            let (replica, dev, slba) = self.route_part(rt, &io, p.replica);
-            let owner = Owner::Epoch(Part { replica, ..p });
-            let Some(cmd) = self.post_part(rt, dev, slba, &io, owner, None) else {
-                break; // queue full; poll first
-            };
-            if hedging {
-                self.hedge_due
-                    .push(Reverse((rt.now() + self.hedge_delay(rt.now()), cmd)));
-            }
-            self.split().0.pending_parts.pop_front();
-            progressed += 1;
-            flushed = true;
-        }
-        if flushed {
-            self.tel.doorbells.inc();
-        }
-        if hedging {
-            progressed += self.fire_hedges(rt);
-        }
-
-        // With the epoch's own fetch list exhausted, spend the idle tail
-        // warming the next epoch (plan-aware prefetch).
-        progressed += self.pump_prefetch(rt);
-        Some(progressed)
-    }
-
-    /// Delay before a demand read is hedged with a duplicate on the next
-    /// replica: a quarter of the remaining deadline budget, floored so
-    /// near-deadline batches don't hedge instantly.
-    fn hedge_delay(&self, now: Time) -> Dur {
-        match self.current_deadline {
-            Some(dl) if dl > now => {
-                let quarter = Dur::nanos((dl - now).as_nanos() / 4);
-                quarter.max(Dur::micros(5))
-            }
-            _ => Dur::micros(50),
-        }
-    }
-
-    /// Issue hedged duplicates for primaries that have been in flight past
-    /// their hedge delay (config `hedge_reads`, replicas >= 2). The
-    /// duplicate reads the *next* replica into the same buffer; whichever
-    /// command completes (and verifies) first delivers the part, and its
-    /// partner is cancelled on the device.
-    fn fire_hedges(&mut self, rt: &Runtime) -> usize {
-        let red = self.shared.redundancy.clone();
-        let mut fired = 0;
-        while let Some(&Reverse((due, cmd))) = self.hedge_due.peek() {
-            if due > rt.now() {
-                break;
-            }
-            self.hedge_due.pop();
-            // Gone, already hedged, or harvested and with the pool:
-            // nothing to do.
-            let Some(Cmd {
-                owner: Owner::Epoch(p),
-                io,
-                twin: None,
-                pool: None,
-            }) = self.cmds.get(&cmd)
-            else {
-                continue;
-            };
-            let (p, io) = (*p, io.clone());
-            let r2 = (p.replica + 1) % red.replicas;
-            let (dev1, _) = red.route(io.home, p.replica, io.slba);
-            let (dev2, slba2) = red.route(io.home, r2, io.slba);
-            if r2 == p.replica || dev2 == dev1 {
-                continue; // no distinct copy to hedge onto
-            }
-            if self.qpairs[dev2 as usize].outstanding() >= self.shared.cfg.queue_depth {
-                continue; // no room; the primary keeps sole ownership
-            }
-            let twin = Owner::Epoch(Part { replica: r2, ..p });
-            let pair = Some((cmd, dev1 as usize, true));
-            let Some(cmd2) = self.post_part(rt, dev2 as usize, slba2, &io, twin, pair) else {
-                continue;
-            };
-            self.tel.iv_hedges.inc();
-            if let Some(primary) = self.cmds.get_mut(&cmd) {
-                primary.twin = Some((cmd2, dev2 as usize, false));
-            }
-            fired += 1;
-        }
-        fired
-    }
-
-    /// Plan-aware prefetch (paper-adjacent: the epoch access sequence is
-    /// known at `dlfs_sequence` time, so the *next* epoch's is too). Once
-    /// the current epoch has no more items to open, post single-chunk
-    /// fetches for the ranges epoch+1 will deal to this reader — newest
-    /// data lands in the cross-epoch cache as released (evictable)
-    /// ranges, warming the next epoch's head during this one's tail.
-    /// Clamped by the prefetch window, pool headroom (demand fetches keep
-    /// `window_chunks` of reserve) and qpair depth.
-    pub(super) fn pump_prefetch(&mut self, rt: &Runtime) -> usize {
-        let cfg = &self.shared.cfg;
-        let pf_window = cfg.prefetch_window;
-        if pf_window == 0 || cfg.cache_mode != CacheMode::CrossEpoch {
-            return 0;
-        }
-        let Some(st) = self.epoch.as_ref() else {
-            return 0;
-        };
-        if st.next_fetch < st.plan.items.len() {
-            return 0; // demand fetches still pending; they have priority
-        }
-        let (seed, epoch) = (st.seed, st.epoch);
-        if self.prefetch.built_for != Some((seed, epoch + 1)) {
-            self.prefetch.queue = reader_item_ranges(
-                &self.shared.dir,
-                cfg.chunk_size,
-                self.shared.readers,
-                self.mode,
-                seed,
-                epoch + 1,
-                self.shared.reader_id,
-            )
-            .into();
-            self.prefetch.built_for = Some((seed, epoch + 1));
-        }
-        let (chunk, reserve) = (cfg.chunk_size, cfg.window_chunks);
-        let (out, mut progressed) = (self.prefetches().count(), 0);
-        while out + progressed < pf_window {
-            let Some(&(nid, offset, len)) = self.prefetch.queue.front() else {
-                break;
-            };
-            let key = self.shared.rkey(nid, offset);
-            let (slba, nblocks, bytes) = self.read_geometry(nid, offset, len);
-            if bytes > chunk
-                || self.shared.cache.contains(key)
-                || self.prefetches().any(|k| k == key)
-                || self.demand_fetch_in_flight(key)
-            {
-                // Multi-chunk edge items aren't worth speculative slots;
-                // already-resident or in-flight ranges need no warming.
-                self.prefetch.queue.pop_front();
-                continue;
-            }
-            let chunks = self.shared.cache.alloc_prefetch(bytes, reserve);
-            let Some(buf) = chunks.and_then(|mut b| b.pop()) else {
-                break; // no speculative headroom; retry when pressure drops
-            };
-            let io = PartIo {
-                home: nid,
-                slba,
-                nblocks,
-                buf,
-            };
-            let owner = Owner::Prefetch { key, len };
-            if self
-                .post_part(rt, nid as usize, slba, &io, owner, None)
-                .is_none()
-            {
-                self.shared.cache.free_raw(io.buf);
-                break; // qpair full; demand completions first
-            }
-            self.tel.prefetch_issued.inc();
-            self.prefetch.queue.pop_front();
-            progressed += 1;
-        }
-        if progressed > 0 {
-            self.tel.doorbells.inc();
-        }
-        progressed
-    }
-
-    /// The ranges with a prefetch in flight — on a device or with the pool.
-    pub(super) fn prefetches(&self) -> impl Iterator<Item = RangeKey> + '_ {
-        self.cmds.values().filter_map(|c| match c.owner {
-            Owner::Prefetch { key, .. } => Some(key),
-            _ => None,
-        })
-    }
-
-    /// Is `key` currently being fetched by the demand path (allocated but
-    /// not yet published)? The prefetcher must not double-fetch it.
-    fn demand_fetch_in_flight(&self, key: RangeKey) -> bool {
-        let Some(st) = self.epoch.as_ref() else {
-            return false;
-        };
-        st.open.keys().any(|&idx| {
-            let it = &st.plan.items[idx as usize];
-            self.shared.rkey(it.nid, it.offset) == key && st.items[idx as usize].parts_left > 0
-        })
-    }
-
-    /// Apply the completion of the prefetch `io` of range `key`: publish
-    /// the warmed range (born released/evictable), or — on failure, or if
-    /// the range became resident meanwhile — return the chunk. Prefetched
-    /// bytes are published into the cache, so they must pass verification like any
-    /// demand read. Prefetches are best-effort: no retries, no repair; a
-    /// miss or a corrupt frame simply falls back to a demand fetch next
-    /// epoch (which repairs via replicas).
-    pub(super) fn prefetch_complete(
-        &mut self,
-        key: RangeKey,
-        io: PartIo,
-        len: u64,
-        landed: check::Landed,
-    ) {
-        let checked = landed.is_ok_and(|ok| self.check_part(&io, ok, false));
-        if checked && !self.shared.cache.contains(key) {
-            // Born evictable: nobody keeps the pin `publish` hands back.
-            self.shared.cache.publish(key, vec![io.buf], len, true);
-            self.report_residency(0);
-        } else {
-            if landed == Err(CmdStatus::TransportError) {
-                self.tel.timeouts.inc();
-            }
-            self.shared.cache.free_raw(io.buf);
-        }
-    }
-
-    /// Apply the completion of one of the epoch's parts: settle it, then
-    /// move it through the engine's queues — a finished item is decoded,
-    /// published and offered to the delivery draw; a failed part is
-    /// re-queued for retry, never just routed and forgotten.
-    pub(super) fn engine_complete(
-        &mut self,
-        rt: &Runtime,
-        p: Part,
-        cmd: &Cmd,
-        landed: check::Landed,
-    ) {
-        let corrupt_at = self.st().plan.items[p.idx as usize].offset;
-        match self.settle_part(rt, p, &cmd.io, cmd.twin, landed, corrupt_at) {
-            Settled::Done => {
-                let item = &mut self.split().0.items[p.idx as usize];
-                item.parts_left -= 1;
-                if item.parts_left == 0 {
-                    self.publish_item(p.idx);
-                }
-            }
-            Settled::Twin => {}
-            Settled::Requeue { part, not_before } => {
-                let st = self.split().0;
-                match not_before {
-                    None => st.pending_parts.push_back(part),
-                    Some(ready_at) => {
-                        st.delay_seq += 1;
-                        st.delayed_parts
-                            .push(Reverse((ready_at, st.delay_seq, part)));
-                    }
-                }
-            }
-            Settled::Fatal(e) => {
-                self.failed.get_or_insert(e);
-            }
-        }
-    }
-
-    /// Item `idx` is fully fetched, checked and decoded: publish it in the
-    /// sample cache, flip the V field of its samples and offer it to the
-    /// delivery draw. A part waits for its verdict, and a synchronous read
-    /// of the same extent may have published the range meanwhile: then that
-    /// range serves the item (claimed, as a warm probe would) and the
-    /// fetch's own chunks go back to the pool.
-    fn publish_item(&mut self, idx: u32) {
-        let st = self.split().0;
-        let it = &st.plan.items[idx as usize];
-        let (nid, offset, len) = (it.nid, it.offset, it.len);
-        // Its last part just settled, so the item is still fetching.
-        let Some(Open::Fetching(bufs)) = st.open.remove(&idx) else {
-            return;
-        };
-        let (cache, key) = (&self.shared.cache, self.shared.rkey(nid, offset));
-        let range = match cache.pin(key, true) {
-            Some((resident, _)) => {
-                bufs.into_iter().for_each(|b| cache.free_raw(b));
-                resident
-            }
-            None => cache.publish(key, bufs, len, false),
-        };
-        self.report_residency(0);
-        let (st, shared) = self.split();
-        st.open.insert(idx, Open::Resident(range));
-        st.mark_resident(&shared.dir, idx);
-    }
-
-    /// Poll stage: harvest completions across all qpairs (the shared
-    /// completion queue consolidates this into one pass), then publish the
-    /// pass's check entries.
-    fn poll(&mut self, rt: &Runtime) -> usize {
-        let costs = self.shared.cfg.costs.clone();
-        let t0 = rt.now();
-        self.tel.poll_spins.inc();
-        if self.shared.cfg.shared_completion_queue {
-            rt.work(costs.poll_iteration);
-        } else {
-            rt.work(costs.poll_iteration * self.qpairs.len() as u64);
-        }
-        let mut harvested = 0;
-        for q in 0..self.qpairs.len() {
-            // Event-driven sweep: only queues whose earliest completion is
-            // due get a harvest pass. The check is live (per-completion
-            // work advances the clock mid-sweep, so a later queue may
-            // become due during this pass) and in index order — both are
-            // load-bearing for determinism. An empty harvest charges and
-            // records nothing, so the skip is unobservable.
-            match self.qpairs[q].next_completion_at() {
-                Some(t) if t <= rt.now() => {}
-                _ => continue,
-            }
-            for comp in self.qpairs[q].process_completions(rt, usize::MAX) {
-                rt.work(costs.per_completion);
-                self.tel.completions.inc();
-                harvested += 1;
-                // No synchronous read is in progress under `submit`.
-                self.complete(rt, &comp);
-            }
-        }
-        if harvested == 0 {
-            self.tel.scq_empty_polls.inc();
-        } else {
-            self.tel.scq_drains.inc();
-            self.tel.scq_drain_batch.record(harvested as u64);
-        }
-        self.tel.poll_ns.record_dur(rt.now() - t0);
-        self.publish_checks(rt);
-        harvested
-    }
-
-    /// Deliver stage: draw samples from random resident items into the
-    /// batch until it is full or nothing is resident — zero-copy pins each
-    /// sample's range and hands out references; copied delivery books each
-    /// into a run and, as the pass ends, publishes the run to the copy pool
-    /// with one enqueue. Nothing stays staged past the pass.
-    fn deliver(&mut self, rt: &Runtime, batch: &mut Batch) -> Result<usize, DlfsError> {
-        let costs = self.shared.cfg.costs.clone();
-        let chunk = self.shared.cfg.chunk_size as usize;
-        let first = batch.dispatched;
-        let done = batch.copy.then(|| self.done(rt));
-        let mut run = Vec::with_capacity(done.as_ref().map_or(0, |_| batch.want - first));
-        while batch.dispatched < batch.want {
-            let Some((idx, sample)) = self.split().0.draw() else {
-                break;
-            };
-            let entry = self.shared.dir.entry(sample);
-            let st = self.st();
-            let it = &st.plan.items[idx as usize];
-            debug_assert_eq!(entry.nid(), it.nid);
-            let within = (entry.offset() - st.items[idx as usize].base) as usize;
-            let Open::Resident(range) = &st.open[&idx] else {
-                unreachable!("only resident items are drawn");
-            };
-            let segments = segments_at(range.bufs(), chunk, within, entry.len() as usize);
-            rt.work(costs.frontend_per_sample);
-            if let Some(done) = &done {
-                run.push(CopyJob {
-                    tag: (idx as u64) << 32 | batch.dispatched as u64,
-                    sample,
-                    segments,
-                    done: done.clone(),
-                });
-            } else {
-                // The sample pins the range for its lifetime; no memcpy.
-                let sample = ZeroCopySample::new(sample, segments, range.clone());
-                self.tel.cache_pins.inc();
-                batch.pinned.push(sample);
-                self.account_delivery(idx, entry.len(), batch);
-            }
-            batch.dispatched += 1;
-        }
-        if !run.is_empty() {
-            rt.work(costs.copy_dispatch);
-            batch.runs.push((first, rt.now()));
-            self.shared.copy.submit_run(run)?;
-        }
-        Ok(batch.dispatched - first)
-    }
-
-    /// Account one sample of `idx`, `bytes` long, landed in `batch`; release
-    /// its item when fully drained. `EpochScoped`: chunks go back to the
-    /// pool (or, if zero-copy samples still pin them, when the last pin
-    /// drops). `CrossEpoch`: the range joins the evictable LRU tail and may
-    /// serve the next epoch without device I/O.
-    fn account_delivery(&mut self, idx: u32, bytes: u64, batch: &mut Batch) {
-        self.tel.samples_delivered.inc();
-        self.tel.bytes_delivered.add(bytes);
-        batch.received += 1;
-        let (st, shared) = self.split();
-        let item = &mut st.items[idx as usize];
-        item.copies_done += 1;
-        if item.copies_done == item.samples_total {
-            // Drops the engine's pin; what samples still hold are theirs.
-            st.open.remove(&idx);
-            let it = &st.plan.items[idx as usize];
-            shared.cache.release(shared.rkey(it.nid, it.offset));
-            for &s in &it.samples {
-                shared.dir.set_valid(s, false);
-            }
-        }
-    }
-
-    /// Account a finished copy — retiring its item when fully drained — and
-    /// land it in its result slot.
-    pub(super) fn finish_copy(
-        &mut self,
-        rt: &Runtime,
-        copy: (u64, u32, Vec<u8>),
-        batch: &mut Batch,
-    ) {
-        let (tag, sample, data) = copy;
-        let idx = (tag >> 32) as u32;
-        let slot = (tag & 0xFFFF_FFFF) as usize;
-        self.account_delivery(idx, data.len() as u64, batch);
-        // The run that holds `slot` is the last one starting at or before it.
-        let run = batch.runs.partition_point(|&(first, _)| first <= slot) - 1;
-        self.tel.copy_ns.record_dur(rt.now() - batch.runs[run].1);
-        batch.copied[slot] = Some((sample, data));
-    }
-
-    /// Execute a [`ReadRequest`] against the current epoch plan: the one
-    /// batched-read entry point, whatever the delivery.
-    ///
-    /// Returns `EpochExhausted` once the plan is drained and `NoSequence`
-    /// before the first [`DlfsIo::sequence`]. With a deadline, the batch
-    /// may come back shorter than `req.n` (but never torn: samples already
-    /// handed to the copy threads always drain).
-    pub fn submit(&mut self, rt: &Runtime, req: &ReadRequest) -> Result<Completions, DlfsError> {
-        if self.epoch.is_none() {
-            return Err(DlfsError::NoSequence);
-        }
-        if let Some(e) = &self.failed {
-            // A part of this epoch is permanently lost; the plan cannot
-            // complete until `sequence` installs a fresh one.
-            return Err(e.clone());
-        }
-        self.current_deadline = req.deadline;
-        let want = req.n.min(self.remaining());
-        if want == 0 {
-            return Err(DlfsError::EpochExhausted);
-        }
-        self.tel.batches.inc();
-        // QoS admission (multi-tenant mounts only): token-bucket throttle
-        // then a WFQ device-slot grant, charged to the handle's tenant. The
-        // slot is held for the whole batch and released below even on error.
-        let qos = self.shared.qos.clone();
-        let grant = match &qos {
-            Some(q) => Some((q, q.admit(rt, self.shared.tenant, q.batch_cost(want))?)),
-            None => None,
-        };
-        let outcome = if req.offload {
-            self.run_offload(rt, want, req).map(Completions::copied)
-        } else {
-            self.claim_epoch_path(false)
-                .and_then(|()| self.run_engine(rt, want, req))
-        };
-        if let Some((q, grant)) = grant {
-            let delivered = outcome.as_ref().map(|b| b.len()).unwrap_or(0);
-            q.complete(grant, delivered as u64, q.batch_cost(delivered));
-        }
-        let batch = outcome?;
-        if batch.len() < want {
-            self.tel.deadline_misses.inc();
-        }
-        Ok(batch)
-    }
-
-    /// Commit the current epoch to the offload path or the client-side
-    /// engine. The offload path claims samples by walking the plan's items
-    /// in order while the engine draws them from whichever fetched items
-    /// are resident, so the two cannot share one epoch's cursors: a batch
-    /// on the other path is a typed error until `sequence` starts the next
-    /// epoch (it used to be an out-of-bounds panic in `dispatch`).
-    pub(super) fn claim_epoch_path(&mut self, offload: bool) -> Result<(), DlfsError> {
-        let st = self.split().0;
-        if *st.offloaded.get_or_insert(offload) == offload {
-            return Ok(());
-        }
-        Err(DlfsError::Config(
-            "one epoch is served by one path: offloaded and client-path batches \
-             cannot be mixed before the next sequence()"
-                .into(),
-        ))
-    }
-
-    /// The engine loop (prep → post → poll → copy): pump, poll, deliver,
-    /// collect, under one deadline / failure / stall policy. Copied and
-    /// zero-copy batches differ only in the deliver step.
-    fn run_engine(
-        &mut self,
-        rt: &Runtime,
-        want: usize,
-        req: &ReadRequest,
-    ) -> Result<Completions, DlfsError> {
-        let copied = req.delivery == Delivery::Copied;
-        let mut batch = Batch {
-            want,
-            copy: copied,
-            runs: Vec::new(),
-            copied: vec![None; if copied { want } else { 0 }],
-            pinned: Vec::new(),
-            dispatched: 0,
-            received: 0,
-        };
-        while batch.received < want {
-            let past = |now| req.deadline.is_some_and(|dl| now >= dl);
-            let mut expired = past(rt.now());
-            if self.failed.is_none() && expired && batch.received == batch.dispatched {
-                // Past the deadline with nothing outstanding: return short.
-                break;
-            }
-            let Some(pumped) = self.pump(rt) else {
-                // Drain the copies already dispatched (never tear a
-                // sample), then stop. A fatal I/O failure surfaces as the
-                // error. A starved pump — every chunk pinned by samples
-                // the caller still holds — ends the batch short with what
-                // was delivered, or `CacheExhausted` if that is nothing;
-                // the epoch resumes once pins drop.
-                while batch.received < batch.dispatched {
-                    self.collect(rt, true, Some(&mut batch))?;
-                }
-                match self.failed.clone() {
-                    Some(e) => return Err(e),
-                    None if batch.received == 0 => return Err(DlfsError::CacheExhausted),
-                    None => break,
-                }
-            };
-            let mut progress = pumped + self.poll(rt);
-            loop {
-                if !expired {
-                    progress += self.deliver(rt, &mut batch)?;
-                }
-                if expired || batch.dispatched == want || self.checks_out == 0 {
-                    break;
-                }
-                // The pass came up short with verdicts outstanding: what
-                // the next one makes resident is worth more than another
-                // spin of the poll loop.
-                progress += self.collect(rt, true, Some(&mut batch))?;
-                expired = past(rt.now());
-            }
-            // The whole batch is with the copy pool: collect it as it was
-            // published, in one blocking wait.
-            while batch.dispatched == want && batch.received < want {
-                self.collect(rt, true, Some(&mut batch))?;
-            }
-            // Collect what the pool has answered meanwhile — or, with
-            // answers outstanding and nothing else to do, its next one.
-            let idle = progress == 0 && (batch.dispatched > batch.received || self.checks_out > 0);
-            progress += self.collect(rt, idle, Some(&mut batch))?;
-            if progress > 0 || batch.received >= want {
-                continue;
-            }
-            if expired {
-                break;
-            }
-            // Waiting on device completions: this is the busy-poll loop
-            // the Fig. 7b experiment adds application computation to —
-            // the compute overlaps with the in-flight SPDK requests.
-            if !req.inject_compute.is_zero() {
-                rt.work(req.inject_compute);
-                continue;
-            }
-            // Spin the poll loop forward to the next event — a completion,
-            // a delayed part's retry instant or a hedge coming due (busy
-            // polling, so it's CPU time).
-            let Some(t) = self.next_engine_event() else {
-                // Nothing on a device, nothing with the copy pool, nothing
-                // deliverable: the engine lost track of a part, for good.
-                let stalled = DlfsError::Stalled(self.shared.reader_id);
-                return Err(self.failed.insert(stalled).clone());
-            };
-            self.advance_to(rt, t);
-        }
-        Ok(if copied {
-            Completions::copied(batch.copied.into_iter().flatten().collect())
-        } else {
-            Completions::zero_copy(batch.pinned)
-        })
-    }
-
     /// Earliest completion instant across every qpair: each is asked for
     /// its own (a heap peek; a handle has one qpair per storage node).
     fn next_completion(&self) -> Option<Time> {
         let next = self.qpairs.iter().filter_map(|q| q.next_completion_at());
         next.min()
-    }
-
-    /// Earliest instant at which the engine can make progress again: a
-    /// device completion or a delayed retry becoming due.
-    fn next_engine_event(&self) -> Option<Time> {
-        let next_dev = self.next_completion();
-        let next_retry = self
-            .epoch
-            .as_ref()
-            .and_then(|st| st.delayed_parts.peek())
-            .map(|Reverse((t, ..))| *t);
-        // A pending hedge is an engine event too: the reactor must wake at
-        // its due instant, not sleep through to the (slow) primary.
-        let next_hedge = if self.shared.cfg.hedge_reads {
-            self.hedge_due.peek().map(|Reverse((t, _))| *t)
-        } else {
-            None
-        };
-        [next_dev, next_retry, next_hedge]
-            .into_iter()
-            .flatten()
-            .min()
     }
 
     /// Advance the calling thread to `t`, the next engine event. Counted
@@ -1842,322 +796,6 @@ impl DlfsIo {
     /// rather than trickled through idle gaps). Returns blocks walked.
     pub fn drive_rebuild(&mut self) -> u64 {
         self.background.drive_rebuild()
-    }
-
-    // -------------------------------------------------- synchronous reads --
-
-    /// `dlfs_read` by name: synchronous single-sample read (the DLFS-Base
-    /// configuration of Fig. 6). Checks the V field, then fetches the
-    /// sample's covering blocks and waits for completion.
-    pub fn read(&mut self, rt: &Runtime, name: &str) -> Result<Vec<u8>, DlfsError> {
-        let costs = self.shared.cfg.costs.clone();
-        let (id, _) = self
-            .shared
-            .dir
-            .lookup(rt, &costs, name)
-            .ok_or_else(|| DlfsError::NotFound(name.to_string()))?;
-        self.read_copied(rt, id, None)
-    }
-
-    /// `dlfs_read` by sample id (no name lookup).
-    pub fn read_by_id(&mut self, rt: &Runtime, id: u32) -> Result<Vec<u8>, DlfsError> {
-        self.read_copied(rt, id, None)
-    }
-
-    /// [`DlfsIo::read_by_id`] with a deadline: cache-pressure backoff
-    /// never waits past it (the read surfaces
-    /// [`DlfsError::CacheExhausted`] instead).
-    pub fn read_by_id_before(
-        &mut self,
-        rt: &Runtime,
-        id: u32,
-        deadline: Time,
-    ) -> Result<Vec<u8>, DlfsError> {
-        self.read_copied(rt, id, Some(deadline))
-    }
-
-    /// The copied synchronous read: move the sample out of its range
-    /// through the copy pool into a fresh application buffer, and account
-    /// the delivery. The range is let go once the copy has landed.
-    fn read_copied(
-        &mut self,
-        rt: &Runtime,
-        id: u32,
-        deadline: Option<Time>,
-    ) -> Result<Vec<u8>, DlfsError> {
-        let (_range, segments, hit) = self.sync_read(rt, id, deadline)?;
-        if hit {
-            self.tel.cache_pins.inc();
-        }
-        // One copy and one answer: a channel of its own, so the read
-        // need not sift the engine's verdicts for it.
-        let (done, copied) = rt.channel(None);
-        let t_copy = rt.now();
-        rt.work(self.shared.cfg.costs.copy_dispatch);
-        self.shared.copy.submit(CopyJob {
-            tag: 0,
-            sample: 0,
-            segments,
-            done,
-        })?;
-        let Ok(CopyDone::Copy { data, .. }) = copied.recv() else {
-            return Err(DlfsError::CopyPoolDown);
-        };
-        self.tel.samples_delivered.inc();
-        self.tel.bytes_delivered.add(data.len() as u64);
-        self.tel.copy_ns.record_dur(rt.now() - t_copy);
-        Ok(data)
-    }
-
-    /// `dlfs_read` by sample id, zero-copy: the returned sample references
-    /// pinned sample-cache chunks directly. On a warm cache this path does
-    /// no memcpy and no heap allocation — the segment list stays inline
-    /// and the pin is a reference count. The chunks return to the pool (or
-    /// become evictable on the cross-epoch LRU tail) when the sample drops.
-    pub fn read_zero_copy(&mut self, rt: &Runtime, id: u32) -> Result<ZeroCopySample, DlfsError> {
-        let (range, segments, _) = self.sync_read(rt, id, None)?;
-        rt.work(self.shared.cfg.costs.frontend_per_sample);
-        self.tel.cache_pins.inc();
-        self.tel.samples_delivered.inc();
-        let sample = ZeroCopySample::new(id, segments, range.share());
-        self.tel.bytes_delivered.add(sample.len() as u64);
-        Ok(sample)
-    }
-
-    /// Post every due (re)submission of a synchronous fetch, first queued
-    /// first, stopping at qpair backpressure.
-    fn sync_post_due(&mut self, rt: &Runtime, f: &mut SyncFetch) {
-        while let Some(i) = f.waiting.iter().position(|&(_, at)| at <= rt.now()) {
-            let p = f.waiting[i].0;
-            let io = self.part_io(f.nid, f.slba, f.nblocks, p.part, &f.bufs);
-            let (replica, dev, slba) = self.route_part(rt, &io, p.replica);
-            let owner = Owner::Sync(Part { replica, ..p });
-            if self.post_part(rt, dev, slba, &io, owner, None).is_none() {
-                break; // queue full: poll completions, then retry
-            }
-            f.waiting.remove(i);
-        }
-    }
-
-    /// Synchronously fetch `nblocks` device blocks starting at `slba` of
-    /// node `nid` into freshly allocated sample-cache chunks.
-    ///
-    /// The parts go through the same post / verify / settle steps as the
-    /// batched engine's; what differs is the wait: this loop polls only
-    /// the devices that can serve the range, charges one poll iteration
-    /// per pass and records the whole wait as one poll stage. It harvests
-    /// (and routes) any batched-engine or prefetcher strays that complete
-    /// meanwhile. On retry exhaustion the buffers go back to the pool once
-    /// the commands still in flight have drained (SPDK cannot cancel a
-    /// submitted command).
-    fn fetch_range(
-        &mut self,
-        rt: &Runtime,
-        nid: u16,
-        slba: u64,
-        nblocks: u32,
-        deadline: Option<Time>,
-    ) -> Result<Vec<DmaBuf>, DlfsError> {
-        let costs = self.shared.cfg.costs.clone();
-        // Under a codec `nblocks` is the encoded prefix of one stored
-        // frame; the allocation must still cover the frame's raw extent so
-        // the caller can decode it in place.
-        let (_, _, bytes) = self.read_geometry(nid, slba * BLOCK_SIZE, nblocks as u64 * BLOCK_SIZE);
-        // A momentarily full pool is waited out, as the batched path
-        // parks and retries after releases.
-        let bufs = self
-            .alloc_backoff(rt, bytes, deadline)
-            .ok_or(DlfsError::CacheExhausted)?;
-        // Devices that may serve this range (home + replicas): the poll
-        // loop below must harvest all of them once reads fail over.
-        let red = &self.shared.redundancy;
-        let devs: Vec<usize> = (0..red.replicas)
-            .map(|r| red.route(nid, r, slba).0 as usize)
-            .collect();
-        let mut left = bufs.len();
-        let mut f = SyncFetch {
-            nid,
-            slba,
-            nblocks,
-            waiting: (0..left as u32)
-                .map(|part| (Part::first(0, part), Time::ZERO))
-                .collect(),
-            bufs,
-        };
-        let mut fatal: Option<DlfsError> = None;
-        self.sync_post_due(rt, &mut f);
-        // Poll until all parts complete, resubmitting failed commands under
-        // the retry policy. Empty polls advance straight to the next known
-        // event (device completion or retry instant) instead of spinning
-        // toward it.
-        let t_poll = rt.now();
-        let mine = |c: &Cmd| matches!(c.owner, Owner::Sync(_));
-        while (left > 0 && fatal.is_none()) || self.cmds.values().any(mine) {
-            if fatal.is_none() {
-                self.sync_post_due(rt, &mut f);
-            }
-            rt.work(costs.poll_iteration);
-            self.tel.poll_spins.inc();
-            let mut comps = Vec::new();
-            for &d in &devs {
-                comps.extend(self.qpairs[d].process_completions(rt, usize::MAX));
-            }
-            if comps.is_empty() {
-                self.tel.scq_empty_polls.inc();
-                let next_dev = devs
-                    .iter()
-                    .filter_map(|&d| self.qpairs[d].next_completion_at());
-                let next_retry = f.waiting.iter().map(|&(_, at)| at);
-                if let Some(t) = next_dev.chain(next_retry).min() {
-                    self.advance_to(rt, t);
-                }
-                continue;
-            }
-            self.tel.scq_drains.inc();
-            self.tel.scq_drain_batch.record(comps.len() as u64);
-            for c in &comps {
-                rt.work(costs.per_completion);
-                self.tel.completions.inc();
-                // Not ours — the batched engine and its prefetcher share
-                // these qpairs — is settled by the router (a failed engine
-                // part is re-queued for retry) or staged for the pool.
-                let Some((p, Cmd { io, twin, .. })) = self.complete(rt, c) else {
-                    continue;
-                };
-                // One range in flight and nothing to overlap its check
-                // with: this thread pays for it, as it waits for it.
-                let (landed, cost) = self.judge(&io, c.status);
-                if !cost.is_zero() {
-                    rt.work(cost);
-                }
-                match self.settle_part(rt, p, &io, twin, landed, io.slba * BLOCK_SIZE) {
-                    Settled::Done => left -= 1,
-                    Settled::Twin => {}
-                    Settled::Requeue { part, not_before } => {
-                        f.waiting.push((part, not_before.unwrap_or(rt.now())));
-                    }
-                    Settled::Fatal(e) => {
-                        fatal.get_or_insert(e);
-                        f.waiting.clear();
-                    }
-                }
-            }
-            self.publish_checks(rt);
-        }
-        self.tel.poll_ns.record_dur(rt.now() - t_poll);
-        if let Some(e) = fatal {
-            for b in f.bufs {
-                self.shared.cache.free_raw(b);
-            }
-            return Err(e);
-        }
-        Ok(f.bufs)
-    }
-
-    /// Geometry of a synchronous read of sample `id`: `(resident key, byte
-    /// base of the resident buffers, (offset, len) a miss fetches)`. Key
-    /// and base are those of the sample's canonical [`fetch_extent`] — the
-    /// range the batched engine and the prefetcher publish — so a sync
-    /// read pins what a batched epoch left resident, and the reverse. A
-    /// miss fetches that same extent when the bytes outlive the call
-    /// (cross-epoch residency) or the read unit is the stored frame anyway
-    /// (codec); an epoch-scoped raw mount drops them straight after the
-    /// read, so it fetches the sample's covering blocks alone.
-    fn sync_geometry(&self, id: u32, entry: SampleEntry) -> (RangeKey, u64, (u64, u64)) {
-        let cfg = &self.shared.cfg;
-        let (nid, off, len) = fetch_extent(&self.shared.dir, cfg.chunk_size, self.mode, id);
-        let base = self.read_geometry(nid, off, len).0 * BLOCK_SIZE;
-        let miss = if cfg.cache_mode == CacheMode::CrossEpoch || self.shared.codec.is_some() {
-            (off, len)
-        } else {
-            (entry.offset(), entry.len())
-        };
-        (self.shared.rkey(nid, off), base, miss)
-    }
-
-    /// The synchronous read: find or fetch the range holding sample `id`.
-    /// Returns the range, the sample's segments within it, and whether it
-    /// was resident.
-    ///
-    /// Probe (paper §III-C1: "we first check the sample entry and return
-    /// the data if the V field is on" — the residency map is asked
-    /// directly, since a cross-epoch release clears the V field while the
-    /// extent still sits on the LRU tail): a hit pins the resident range.
-    /// Miss: fetch through [`DlfsIo::fetch_range`] and decode. Cross-epoch,
-    /// the extent is then parked on the evictable LRU tail — unless the
-    /// batched engine published it while this read polled — so later reads
-    /// of the sample or its extent neighbors skip the device; otherwise the
-    /// fetch stays this read's own and its chunks go home with it.
-    fn sync_read(
-        &mut self,
-        rt: &Runtime,
-        id: u32,
-        deadline: Option<Time>,
-    ) -> Result<(SyncRange, SegList, bool), DlfsError> {
-        if id as usize >= self.shared.dir.len() {
-            return Err(DlfsError::BadSampleId(id));
-        }
-        let entry = self.shared.dir.entry(id);
-        // No batch deadline applies to engine retries harvested while this
-        // synchronous read drains the shared qpairs.
-        self.current_deadline = None;
-        let cross = self.shared.cfg.cache_mode == CacheMode::CrossEpoch;
-        let chunk = self.shared.cfg.chunk_size as usize;
-        let (key, base, (off, len)) = self.sync_geometry(id, entry);
-        if let Some((range, prefetched)) = self.shared.cache.pin(key, false) {
-            debug_assert!(
-                entry.offset() + entry.len() <= key.1 + range.bytes(),
-                "a resident range is its samples' whole extent"
-            );
-            self.tel.cache_hits.inc();
-            if prefetched {
-                self.tel.prefetch_hits.inc();
-            }
-            if cross {
-                self.tel.ce_hits.inc();
-            }
-            let within = (entry.offset() - base) as usize;
-            let segments = segments_at(range.bufs(), chunk, within, entry.len() as usize);
-            return Ok((SyncRange::Resident(range), segments, true));
-        }
-        self.tel.cache_misses.inc();
-        if cross {
-            self.tel.ce_misses.inc();
-        }
-        let nid = entry.nid();
-        let (slba, nblocks, _) = self.read_geometry(nid, off, len);
-        let bufs = self.fetch_range(rt, nid, slba, nblocks, deadline)?;
-        let head = (entry.offset() - slba * BLOCK_SIZE) as usize;
-        let segments = segments_at(&bufs, chunk, head, entry.len() as usize);
-        let cache = &self.shared.cache;
-        let range = if cross && !cache.contains(key) {
-            let range = cache.publish(key, bufs, len, false);
-            cache.release(key);
-            self.report_residency(0);
-            SyncRange::Resident(range)
-        } else {
-            SyncRange::Own(cache.wrap(bufs, len))
-        };
-        Ok((range, segments, false))
-    }
-}
-
-/// The range a synchronous read serves its sample from.
-enum SyncRange {
-    /// Resident: a pin on the cache's range (a hit, or a miss just parked).
-    Resident(Arc<CachedRange>),
-    /// This read's own fetch, published nowhere — held by value, so the
-    /// copied read of an epoch-scoped mount never allocates for it.
-    Own(CachedRange),
-}
-
-impl SyncRange {
-    /// The pin a zero-copy sample holds.
-    fn share(self) -> Arc<CachedRange> {
-        match self {
-            SyncRange::Resident(range) => range,
-            SyncRange::Own(range) => Arc::new(range),
-        }
     }
 }
 
