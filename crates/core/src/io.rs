@@ -921,7 +921,9 @@ mod tests {
     }
 
     /// Each qpair is asked for its next completion: one harvested, one
-    /// whose command was cancelled and discarded, one still pending.
+    /// whose command was cancelled, one still pending. A cancelled command
+    /// keeps its instant until its completion is discarded: the thread
+    /// still wakes for it.
     #[test]
     fn next_completion_is_the_earliest_pending_commands() {
         Runtime::simulate(5, |rt| {
@@ -937,6 +939,7 @@ mod tests {
             let due = [0, 1, 2].map(|q| io.qpairs[q].next_completion_at().unwrap_or(rt.now()));
             assert_eq!(io.next_completion(), Some(due[0].min(due[1])));
             io.qpairs[1].cancel(1);
+            assert_eq!(io.qpairs[1].next_completion_at(), Some(due[1]));
             rt.work_until(due[0].max(due[1]));
             assert_eq!(io.qpairs[0].process_completions(rt, usize::MAX).len(), 1);
             assert_eq!(io.qpairs[1].process_completions(rt, usize::MAX).len(), 0);

@@ -642,52 +642,48 @@ fn warm_zero_copy_reads_are_copy_and_alloc_free() {
 }
 
 /// Reactor activity counters surface in the registry when (and only when)
-/// `reactor_stats` is set: wakeups and doorbell flushes per epoch become
-/// observable without disturbing default telemetry renders.
+/// `reactor_stats` is set: wakeups, doorbell flushes and parked time per
+/// epoch become observable without disturbing default telemetry renders.
 #[test]
 fn reactor_stats_expose_wakeups_and_doorbells() {
     let _copies = COPY_OPS_QUIET.read().unwrap();
+    // A client-path epoch, then an offloaded one: the wait for a storage
+    // node's answer, nothing on any qpair, is parked time.
+    let epochs = |reactor_stats| {
+        let run = Runtime::simulate(7, move |rt| {
+            let source = SyntheticSource::fixed(2, 300, 2048);
+            let cfg = DlfsConfig {
+                reactor_stats,
+                offload: true,
+                ..DlfsConfig::default()
+            };
+            let fs = MountBuilder::new(cfg)
+                .local(local_device())
+                .mount(rt, &source)
+                .unwrap();
+            let mut io = fs.io(0);
+            io.sequence(rt, 5, 0);
+            while io.submit(rt, &ReadRequest::batch(32)).is_ok() {}
+            io.sequence(rt, 5, 1);
+            while io.submit(rt, &ReadRequest::batch(32).offload()).is_ok() {}
+            io.metrics()
+        });
+        run.0
+    };
     // Default config: the reactor counters must stay out of the render so
     // existing reports remain byte-stable.
-    let (render, _) = Runtime::simulate(7, |rt| {
-        let source = SyntheticSource::fixed(2, 300, 2048);
-        let fs = MountBuilder::new(DlfsConfig::default())
-            .local(local_device())
-            .mount(rt, &source)
-            .unwrap();
-        let mut io = fs.io(0);
-        io.sequence(rt, 5, 0);
-        while io.submit(rt, &ReadRequest::batch(32)).is_ok() {}
-        io.metrics().render()
-    });
+    let render = epochs(false).render();
     assert!(
         !render.contains("dlfs.reactor."),
         "reactor counters must be hidden by default:\n{render}"
     );
 
     // Opt-in: wakeups, doorbells and parked time are published.
-    let (wakeups, doorbells) = Runtime::simulate(7, |rt| {
-        let source = SyntheticSource::fixed(2, 300, 2048);
-        let cfg = DlfsConfig {
-            reactor_stats: true,
-            ..DlfsConfig::default()
-        };
-        let fs = MountBuilder::new(cfg)
-            .local(local_device())
-            .mount(rt, &source)
-            .unwrap();
-        let mut io = fs.io(0);
-        io.sequence(rt, 5, 0);
-        while io.submit(rt, &ReadRequest::batch(32)).is_ok() {}
-        let m = io.metrics();
-        (
-            m.counter("dlfs.reactor.wakeups"),
-            m.counter("dlfs.reactor.doorbells"),
-        )
-    })
-    .0;
-    assert!(wakeups > 0, "an epoch must record reactor wakeups");
-    assert!(doorbells > 0, "an epoch must record doorbell flushes");
+    let m = epochs(true);
+    let reactor = |name: &str| m.counter(&format!("dlfs.reactor.{name}"));
+    assert!(reactor("wakeups") > 0, "an epoch must record wakeups");
+    assert!(reactor("doorbells") > 0, "an epoch must ring doorbells");
+    assert!(reactor("parked_ns") > 0, "an offload wait is parked time");
 }
 
 /// `sequence()` and a dropped handle with verdicts outstanding — parts
