@@ -58,16 +58,6 @@ fn report(devices: &[Arc<NvmeDevice>], deep: bool) {
     println!();
 }
 
-fn deployment(devices: &[Arc<NvmeDevice>]) -> Deployment {
-    Deployment {
-        targets: vec![devices
-            .iter()
-            .map(|d| d.clone() as Arc<dyn NvmeTarget>)
-            .collect()],
-        cluster: None,
-    }
-}
-
 fn main() {
     let seed: u64 = arg("seed", DEFAULT_SEED);
     let nodes: usize = arg("nodes", 3);
@@ -82,8 +72,9 @@ fn main() {
         let devices: Vec<Arc<NvmeDevice>> = (0..nodes)
             .map(|_| setup::emulated_for(size * samples as u64))
             .collect();
+        let deployment = Deployment::local(1, &devices);
         dlfs::MountBuilder::new(DlfsConfig::default())
-            .deployment(deployment(&devices))
+            .deployment(deployment.clone())
             .persistent()
             .mount(rt, &source)
             .expect("import");
@@ -94,7 +85,7 @@ fn main() {
         // after phase A. The import is collective, so the new generation
         // never commits on any node — all report torn until repaired.
         let importer = {
-            let dep = deployment(&devices);
+            let dep = deployment.clone();
             let source = source.clone();
             rt.spawn_with("crashing-reimport", move |rt| {
                 dlfs::MountBuilder::new(DlfsConfig::default())
@@ -118,7 +109,7 @@ fn main() {
         // torn one and recommits everywhere.
         devices[0].set_faults(FaultInjector::new(seed));
         dlfs::MountBuilder::new(DlfsConfig::default())
-            .deployment(deployment(&devices))
+            .deployment(deployment.clone())
             .persistent()
             .mount(rt, &source)
             .expect("repair import");
@@ -138,7 +129,7 @@ fn main() {
             ..DlfsConfig::default()
         };
         let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(deployment(&devices))
+            .deployment(deployment)
             .persistent()
             .mount(rt, &source)
             .expect("replicated import");

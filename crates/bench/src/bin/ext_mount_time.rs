@@ -43,12 +43,12 @@ fn main() {
         // All three paths in one simulation so import and remount see the
         // same devices: the remount reads exactly what the import wrote.
         let ((mount_s, cold_s, warm_s), _) = Runtime::simulate(seed, |rt| {
-            let mesh = setup::Mesh::collocated(nodes, dataset_bytes);
+            let (mesh, ..) = setup::disagg_deployment(nodes, nodes, dataset_bytes);
             let pfs = || Pfs::hpc_default().link();
 
             let t0 = rt.now();
             let eph = dlfs::MountBuilder::new(DlfsConfig::default())
-                .deployment(mesh.deployment())
+                .deployment(mesh.clone())
                 .pfs(pfs())
                 .mount(rt, &source)
                 .expect("mount");
@@ -57,7 +57,7 @@ fn main() {
 
             let t1 = rt.now();
             let fs = dlfs::MountBuilder::new(DlfsConfig::default())
-                .deployment(mesh.deployment())
+                .deployment(mesh.clone())
                 .pfs(pfs())
                 .persistent()
                 .mount(rt, &source)
@@ -67,7 +67,7 @@ fn main() {
 
             let t2 = rt.now();
             let warm = dlfs::MountBuilder::new(DlfsConfig::default())
-                .deployment(mesh.deployment())
+                .deployment(mesh)
                 .warm()
                 .remount(rt)
                 .expect("remount");

@@ -38,14 +38,14 @@
 
 use std::sync::Arc;
 
-use blocksim::{NvmeDevice, NvmeTarget};
+use blocksim::NvmeDevice;
 use dlfs::source::SampleSource;
 use dlfs::{
     CodecKind, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, ReadRequest,
     SyntheticSource,
 };
 use dlfs_bench::{arg, fmt_size, fmt_sps, setup, Table, DEFAULT_SEED};
-use fabric::{Cluster, FabricConfig, NvmeOfTarget, TargetConfig};
+use fabric::{Cluster, FabricConfig};
 use simkit::prelude::*;
 
 /// NIC settings (GB/s) up to which the reader's wire bounds an offloaded
@@ -85,22 +85,10 @@ fn mount_disagg(
     let devices: Vec<Arc<NvmeDevice>> = (0..nodes)
         .map(|_| setup::emulated_for(total / nodes as u64 * 2))
         .collect();
-    let targets: Vec<Vec<Arc<dyn NvmeTarget>>> = vec![devices
-        .iter()
-        .enumerate()
-        .map(|(node, d)| {
-            fabric::connect(
-                cluster.clone(),
-                nodes, // the reader lives on the last cluster node
-                NvmeOfTarget::new(node, d.clone(), TargetConfig::default()),
-            ) as Arc<dyn NvmeTarget>
-        })
-        .collect()];
+    let device_nodes: Vec<usize> = (0..nodes).collect();
+    let deployment = Deployment::fabric(&cluster, &[nodes], &device_nodes, &devices);
     let fs = dlfs::MountBuilder::new(cfg)
-        .deployment(Deployment {
-            targets,
-            cluster: Some(cluster.clone()),
-        })
+        .deployment(deployment.expect("every node inside the cluster"))
         .mount(rt, source)
         .expect("dlfs mount");
     (fs, cluster)

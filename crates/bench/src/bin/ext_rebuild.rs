@@ -37,16 +37,6 @@ fn ramdisk() -> Arc<NvmeDevice> {
     NvmeDevice::new(DeviceConfig::emulated_ramdisk(DEV_BYTES, Dur::micros(10)))
 }
 
-fn local_deployment(devices: &[Arc<NvmeDevice>]) -> Deployment {
-    Deployment {
-        targets: vec![devices
-            .iter()
-            .map(|d| d.clone() as Arc<dyn NvmeTarget>)
-            .collect()],
-        cluster: None,
-    }
-}
-
 /// Drain the current epoch, verifying every payload; returns an
 /// order-insensitive checksum and the per-batch latencies. The hook fires
 /// once after `kill_after` delivered samples.
@@ -126,7 +116,7 @@ fn cell(seed: u64, n: usize, size: u64, replicas: usize, gap: u64) -> CellOutcom
         };
         let devices: Vec<_> = (0..NODES).map(|_| ramdisk()).collect();
         let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &source)
             .expect("dlfs mount");

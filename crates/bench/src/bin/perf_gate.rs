@@ -67,7 +67,7 @@ use std::sync::Arc;
 use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
 use dlfs::{CodecKind, Deployment, DlfsConfig, ReadRequest, SyntheticSource};
 use dlfs_bench::{arg, setup, DEFAULT_SEED};
-use fabric::{Cluster, FabricConfig, NvmeOfTarget, TargetConfig};
+use fabric::{Cluster, FabricConfig};
 use simkit::prelude::*;
 
 fn epoch_throughput_and_wakeups(seed: u64, verify: bool) -> (f64, u64) {
@@ -162,13 +162,7 @@ fn degraded_and_rebuild(seed: u64) -> (u64, u64) {
             .map(|_| NvmeDevice::new(DeviceConfig::emulated_ramdisk(DEV_BYTES, Dur::micros(10))))
             .collect();
         let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(Deployment {
-                targets: vec![devices
-                    .iter()
-                    .map(|d| d.clone() as Arc<dyn NvmeTarget>)
-                    .collect()],
-                cluster: None,
-            })
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &source)
             .unwrap();
@@ -243,17 +237,9 @@ fn offload_epoch_throughput(seed: u64) -> (f64, u64, f64) {
             ));
             let devices: Vec<Arc<NvmeDevice>> =
                 (0..NODES).map(|_| setup::emulated_for(8 << 20)).collect();
-            let targets: Vec<Vec<Arc<dyn NvmeTarget>>> = vec![devices
-                .iter()
-                .enumerate()
-                .map(|(node, d)| {
-                    fabric::connect(
-                        cluster.clone(),
-                        NODES,
-                        NvmeOfTarget::new(node, d.clone(), TargetConfig::default()),
-                    ) as Arc<dyn NvmeTarget>
-                })
-                .collect()];
+            let device_nodes: Vec<usize> = (0..NODES).collect();
+            let deployment =
+                Deployment::fabric(&cluster, &[NODES], &device_nodes, &devices).unwrap();
             let mount_start = rt.now();
             let fs = dlfs::MountBuilder::new(DlfsConfig {
                 chunk_size: 8 * 1024,
@@ -261,10 +247,7 @@ fn offload_epoch_throughput(seed: u64) -> (f64, u64, f64) {
                 offload: true,
                 ..DlfsConfig::default()
             })
-            .deployment(Deployment {
-                targets,
-                cluster: Some(cluster.clone()),
-            })
+            .deployment(deployment)
             .mount(rt, &source)
             .unwrap();
             let setup_ns = (rt.now() - mount_start).as_nanos();

@@ -39,11 +39,16 @@ pub fn cluster_throughput(
     per_node: usize,
     batch: usize,
 ) -> Measured {
-    let (m, _) = Runtime::simulate(seed, |rt| {
-        let factories = backend_factories(rt, seed, system, nodes, source);
-        read_parallel(rt, factories, seed, 0, per_node, batch)
-    });
-    m
+    cluster_throughput_with(
+        seed,
+        system,
+        nodes,
+        source,
+        per_node,
+        batch,
+        &DlfsConfig::default(),
+    )
+    .0
 }
 
 /// Like [`cluster_throughput`], with an explicit [`DlfsConfig`] (ignored
@@ -70,19 +75,8 @@ pub fn cluster_throughput_with(
     out
 }
 
-/// Build per-reader backend factories for one system on a fresh cluster.
-pub fn backend_factories(
-    rt: &Runtime,
-    seed: u64,
-    system: System,
-    nodes: usize,
-    source: &SyntheticSource,
-) -> Vec<BackendFactory> {
-    backend_factories_with(rt, seed, system, nodes, source, DlfsConfig::default(), None)
-}
-
-/// [`backend_factories`] with an explicit DLFS configuration and an
-/// optional shared telemetry registry (DLFS readers aggregate into it).
+/// Build per-reader backend factories for one system on a fresh cluster,
+/// DLFS readers under `cfg` and aggregating their telemetry into `reg`.
 pub fn backend_factories_with(
     rt: &Runtime,
     seed: u64,
@@ -149,7 +143,8 @@ pub fn cluster_pipeline_throughput(
     batch: usize,
 ) -> Measured {
     let (m, _) = Runtime::simulate(seed, |rt| {
-        let factories = backend_factories(rt, seed, system, nodes, source);
+        let factories =
+            backend_factories_with(rt, seed, system, nodes, source, DlfsConfig::default(), None);
         let start = rt.now();
         let mut handles = Vec::new();
         for (r, f) in factories.into_iter().enumerate() {

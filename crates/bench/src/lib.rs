@@ -19,7 +19,7 @@ pub mod setup;
 pub mod table;
 
 pub use cluster_runs::{
-    backend_factories, backend_factories_with, cluster_pipeline_throughput, cluster_throughput,
+    backend_factories_with, cluster_pipeline_throughput, cluster_throughput,
     cluster_throughput_with, System,
 };
 pub use measure::{read_n, read_n_latency, read_parallel, BackendFactory, Measured};

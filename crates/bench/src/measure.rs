@@ -59,28 +59,7 @@ pub fn read_n(
     n: usize,
     batch: usize,
 ) -> Measured {
-    let mut epoch = epoch;
-    let available = backend.begin_epoch(rt, seed, epoch);
-    if available == 0 {
-        return Measured::default();
-    }
-    let t0 = rt.now();
-    let mut m = Measured::default();
-    while (m.samples as usize) < n {
-        let ask = batch.min(n - m.samples as usize);
-        match backend.next_batch(rt, ask) {
-            Some(samples) => {
-                m.samples += samples.len() as u64;
-                m.bytes += samples.iter().map(|s| s.bytes.len() as u64).sum::<u64>();
-            }
-            None => {
-                epoch += 1;
-                backend.begin_epoch(rt, seed, epoch);
-            }
-        }
-    }
-    m.elapsed_ns = (rt.now() - t0).as_nanos();
-    m
+    read_n_latency(rt, backend, seed, epoch, n, batch).0
 }
 
 /// Like [`read_n`], additionally recording each batch's fetch latency

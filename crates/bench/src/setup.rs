@@ -3,10 +3,10 @@
 
 use std::sync::Arc;
 
-use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
+use blocksim::{DeviceConfig, NvmeDevice};
 use dlfs::{Deployment, DlfsConfig, DlfsInstance, SampleSource, SyntheticSource};
 use dlio::dataset::{stage_ext4_untimed, stage_octopus};
-use fabric::{Cluster, FabricConfig, NvmeOfTarget, TargetConfig};
+use fabric::{Cluster, FabricConfig};
 use kernsim::{Ext4Fs, FsOptions, KernelCosts};
 use octofs::OctopusFs;
 use simkit::runtime::Runtime;
@@ -56,15 +56,8 @@ pub fn dlfs_local(
     cfg: DlfsConfig,
     readers: usize,
 ) -> DlfsInstance {
-    let dev = optane_for(source);
-    let targets = (0..readers)
-        .map(|_| vec![dev.clone() as Arc<dyn NvmeTarget>])
-        .collect();
     dlfs::MountBuilder::new(cfg)
-        .deployment(Deployment {
-            targets,
-            cluster: None,
-        })
+        .deployment(Deployment::local(readers, &[optane_for(source)]))
         .mount(rt, source)
         .expect("dlfs mount")
 }
@@ -95,101 +88,35 @@ pub fn dlfs_disagg_chaos(
     source: &SyntheticSource,
     cfg: DlfsConfig,
 ) -> (DlfsInstance, Arc<Cluster>, Vec<Arc<NvmeDevice>>) {
-    let collocated = readers == storage;
-    let cluster_nodes = if collocated {
-        readers
-    } else {
-        readers + storage
-    };
-    let cluster = Arc::new(Cluster::new(cluster_nodes, FabricConfig::default()));
     let total: u64 = (0..source.count() as u32).map(|i| source.size(i)).sum();
-    let per_node = total / storage as u64 + (64 << 10);
-    let devices: Vec<Arc<NvmeDevice>> = (0..storage).map(|_| emulated_for(per_node * 2)).collect();
-    let exported: Vec<Arc<NvmeOfTarget>> = devices
-        .iter()
-        .enumerate()
-        .map(|(n, d)| {
-            let node = if collocated { n } else { readers + n };
-            NvmeOfTarget::new(node, d.clone(), TargetConfig::default())
-        })
-        .collect();
-    let mut targets: Vec<Vec<Arc<dyn NvmeTarget>>> = Vec::with_capacity(readers);
-    for r in 0..readers {
-        let mut row: Vec<Arc<dyn NvmeTarget>> = Vec::with_capacity(storage);
-        for n in 0..storage {
-            if collocated && r == n {
-                row.push(devices[n].clone());
-            } else {
-                row.push(fabric::connect(cluster.clone(), r, exported[n].clone()));
-            }
-        }
-        targets.push(row);
-    }
+    let (deployment, cluster, devices) = disagg_deployment(readers, storage, total);
     let fs = dlfs::MountBuilder::new(cfg)
-        .deployment(Deployment {
-            targets,
-            cluster: Some(cluster.clone()),
-        })
+        .deployment(deployment)
         .mount(rt, source)
         .expect("dlfs mount");
     (fs, cluster, devices)
 }
 
-/// A collocated full-mesh cluster whose deployment can be rebuilt — the
-/// persistence benches run `import` and then `remount` over the *same*
-/// devices, and each operation consumes a [`Deployment`], so they need
-/// the parts rather than a mounted instance.
-pub struct Mesh {
-    pub cluster: Arc<Cluster>,
-    pub devices: Vec<Arc<NvmeDevice>>,
-    exported: Vec<Arc<NvmeOfTarget>>,
-}
-
-impl Mesh {
-    /// `nodes` emulated devices, each sized for its share of
-    /// `dataset_bytes` plus layout/checkpoint headroom.
-    pub fn collocated(nodes: usize, dataset_bytes: u64) -> Mesh {
-        let cluster = Arc::new(Cluster::new(nodes, FabricConfig::default()));
-        let per_node = dataset_bytes / nodes as u64 + (64 << 10);
-        let devices: Vec<Arc<NvmeDevice>> =
-            (0..nodes).map(|_| emulated_for(per_node * 2)).collect();
-        let exported = devices
-            .iter()
-            .enumerate()
-            .map(|(n, d)| NvmeOfTarget::new(n, d.clone(), TargetConfig::default()))
-            .collect();
-        Mesh {
-            cluster,
-            devices,
-            exported,
-        }
-    }
-
-    /// A fresh full-mesh deployment (reader i local to device i, NVMe-oF
-    /// elsewhere) over the cluster's devices.
-    pub fn deployment(&self) -> Deployment {
-        let nodes = self.devices.len();
-        let mut targets: Vec<Vec<Arc<dyn NvmeTarget>>> = Vec::with_capacity(nodes);
-        for r in 0..nodes {
-            let mut row: Vec<Arc<dyn NvmeTarget>> = Vec::with_capacity(nodes);
-            for n in 0..nodes {
-                if r == n {
-                    row.push(self.devices[n].clone());
-                } else {
-                    row.push(fabric::connect(
-                        self.cluster.clone(),
-                        r,
-                        self.exported[n].clone(),
-                    ));
-                }
-            }
-            targets.push(row);
-        }
-        Deployment {
-            targets,
-            cluster: Some(self.cluster.clone()),
-        }
-    }
+/// The wiring [`dlfs_disagg`] mounts: `storage` emulated devices, each
+/// sized for its share of `dataset_bytes` plus layout/checkpoint headroom,
+/// collocated with the readers when `readers == storage` and on the
+/// cluster nodes after the readers otherwise. A clone of the deployment
+/// serves an `import` and a later `remount` over the same devices.
+pub fn disagg_deployment(
+    readers: usize,
+    storage: usize,
+    dataset_bytes: u64,
+) -> (Deployment, Arc<Cluster>, Vec<Arc<NvmeDevice>>) {
+    let first_device = if readers == storage { 0 } else { readers };
+    let nodes = first_device + storage;
+    let cluster = Arc::new(Cluster::new(nodes, FabricConfig::default()));
+    let per_node = dataset_bytes / storage as u64 + (64 << 10);
+    let devices: Vec<Arc<NvmeDevice>> = (0..storage).map(|_| emulated_for(per_node * 2)).collect();
+    let reader_nodes: Vec<usize> = (0..readers).collect();
+    let device_nodes: Vec<usize> = (first_device..nodes).collect();
+    let deployment = Deployment::fabric(&cluster, &reader_nodes, &device_nodes, &devices)
+        .expect("every node inside the cluster");
+    (deployment, cluster, devices)
 }
 
 /// Device capacity for an ext4 shard: files consume whole 4 KiB blocks,

@@ -864,13 +864,8 @@ mod tests {
         devices: &[Arc<NvmeDevice>],
         readers: usize,
     ) -> DlfsIo {
-        let targets = devices.iter().map(|d| d.clone() as Arc<dyn NvmeTarget>);
-        let deployment = Deployment {
-            targets: vec![targets.collect(); readers],
-            cluster: None,
-        };
         let source = SyntheticSource::fixed(8, 300, 2048);
-        let fs = MountBuilder::new(cfg).deployment(deployment);
+        let fs = MountBuilder::new(cfg).deployment(Deployment::local(readers, devices));
         fs.mount(rt, &source).unwrap().io(0)
     }
 

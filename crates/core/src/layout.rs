@@ -1231,13 +1231,10 @@ mod tests {
             ckpt_region_bytes: 8192,
             ..cfg(replicas, verify, CodecKind::Identity)
         };
-        let deployment = crate::Deployment {
-            targets: vec![targets.clone()],
-            cluster: None,
-        };
         let (sb, _) = simkit::runtime::Runtime::simulate(1, |rt| {
             let source = crate::SyntheticSource::fixed(3, 16, SLEN);
-            let builder = crate::MountBuilder::new(cfg).deployment(deployment);
+            let builder =
+                crate::MountBuilder::new(cfg).deployment(crate::Deployment::local(1, &devices));
             let fs = builder.persistent().mount(rt, &source).expect("import");
             fs.layout(0).expect("persistent").clone()
         });

@@ -46,8 +46,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use blocksim::{NvmeTarget, BLOCK_SIZE};
-use fabric::Cluster;
+use blocksim::{NvmeDevice, NvmeTarget, BLOCK_SIZE};
+use fabric::{Cluster, NvmeOfTarget, TargetConfig};
 use simkit::chan::{Receiver, Sender};
 use simkit::resource::Link;
 use simkit::rng::fnv1a;
@@ -70,13 +70,66 @@ use crate::source::SampleSource;
 use crate::writer::{read_timed, BatchedWriter, CheckpointReader, CheckpointWriter};
 use crate::{cache::SampleCache, copy::CopyPool};
 
-/// How readers reach the storage devices.
+/// How readers reach the storage devices. [`Deployment::local`] and
+/// [`Deployment::fabric`] are the one definition of the wiring; a clone is
+/// the same wiring (every handle is an `Arc`), so one deployment serves a
+/// `mount` and a later `remount`.
+#[derive(Clone)]
 pub struct Deployment {
     /// `targets[r][n]` is reader r's handle to storage node n's device
     /// (a local `NvmeDevice` or an NVMe-oF `RemoteTarget`).
     pub targets: Vec<Vec<Arc<dyn NvmeTarget>>>,
     /// Fabric for the directory allgather; `None` for single-node setups.
     pub cluster: Option<Arc<Cluster>>,
+}
+
+impl Deployment {
+    /// `readers` readers on one node, each reaching every device directly.
+    pub fn local(readers: usize, devices: &[Arc<NvmeDevice>]) -> Deployment {
+        let row: Vec<Arc<dyn NvmeTarget>> = devices.iter().map(|d| d.clone() as _).collect();
+        Deployment {
+            targets: vec![row; readers],
+            cluster: None,
+        }
+    }
+
+    /// Reader r on cluster node `reader_nodes[r]`, device n on
+    /// `device_nodes[n]`. Each device is exported by one [`NvmeOfTarget`]
+    /// (default [`TargetConfig`]) that every reader shares: a reader on the
+    /// device's node reaches the device itself, every other reader connects
+    /// over NVMe-oF. A node outside the cluster, or a node list that does
+    /// not match the devices, is [`DlfsError::Deployment`].
+    pub fn fabric(
+        cluster: &Arc<Cluster>,
+        reader_nodes: &[usize],
+        device_nodes: &[usize],
+        devices: &[Arc<NvmeDevice>],
+    ) -> Result<Deployment, DlfsError> {
+        let nodes = cluster.len();
+        let outside = reader_nodes.iter().chain(device_nodes).any(|&n| n >= nodes);
+        if outside || device_nodes.len() != devices.len() {
+            return Err(DlfsError::Deployment(format!(
+                "readers on nodes {reader_nodes:?} and {} devices on nodes {device_nodes:?} \
+                 do not fit a {nodes}-node cluster",
+                devices.len()
+            )));
+        }
+        let exported: Vec<Arc<NvmeOfTarget>> = std::iter::zip(device_nodes, devices)
+            .map(|(&node, d)| NvmeOfTarget::new(node, d.clone(), TargetConfig::default()))
+            .collect();
+        let reach = |r: usize, t: &Arc<NvmeOfTarget>| -> Arc<dyn NvmeTarget> {
+            if t.node() == r {
+                t.device().clone()
+            } else {
+                fabric::connect(cluster.clone(), r, t.clone())
+            }
+        };
+        let row = |r| exported.iter().map(|t| reach(r, t)).collect();
+        Ok(Deployment {
+            targets: reader_nodes.iter().map(|&r| row(r)).collect(),
+            cluster: Some(cluster.clone()),
+        })
+    }
 }
 
 impl std::fmt::Debug for Deployment {

@@ -9,7 +9,7 @@ mod common;
 use std::fmt::Write;
 use std::sync::Arc;
 
-use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
+use blocksim::{DeviceConfig, NvmeDevice};
 use dlfs::source::SampleSource;
 use dlfs::tenant::QosConfig;
 use dlfs::{
@@ -32,19 +32,8 @@ fn direct_deployment(
     let devices: Vec<Arc<NvmeDevice>> = (0..2)
         .map(|_| NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(500))))
         .collect();
-    let targets: Vec<Vec<Arc<dyn NvmeTarget>>> = (0..readers)
-        .map(|_| {
-            devices
-                .iter()
-                .map(|d| d.clone() as Arc<dyn NvmeTarget>)
-                .collect()
-        })
-        .collect();
     dlfs::MountBuilder::new(cfg)
-        .deployment(Deployment {
-            targets,
-            cluster: None,
-        })
+        .deployment(Deployment::local(readers, &devices))
         .mount(rt, source)
         .unwrap()
 }

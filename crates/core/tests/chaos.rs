@@ -5,13 +5,13 @@
 
 use std::sync::Arc;
 
-use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget};
+use blocksim::{DeviceConfig, FaultInjector, NvmeDevice};
 use dlfs::source::SampleSource;
 use dlfs::{
     Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, IoFailure, ReadRequest,
     SyntheticSource,
 };
-use fabric::{Cluster, FabricConfig, FabricFaultInjector, NvmeOfTarget, TargetConfig};
+use fabric::{Cluster, FabricConfig, FabricFaultInjector};
 use simkit::prelude::*;
 use simkit::rng::fnv1a;
 
@@ -48,28 +48,10 @@ fn disaggregated(
     let devices: Vec<Arc<NvmeDevice>> = (0..n)
         .map(|_| NvmeDevice::new(DeviceConfig::emulated_ramdisk(128 << 20, Dur::micros(10))))
         .collect();
-    let exported: Vec<Arc<NvmeOfTarget>> = devices
-        .iter()
-        .enumerate()
-        .map(|(node, d)| NvmeOfTarget::new(node, d.clone(), TargetConfig::default()))
-        .collect();
-    let mut targets: Vec<Vec<Arc<dyn NvmeTarget>>> = Vec::new();
-    for r in 0..n {
-        let mut row: Vec<Arc<dyn NvmeTarget>> = Vec::new();
-        for t in 0..n {
-            if r == t {
-                row.push(devices[t].clone());
-            } else {
-                row.push(fabric::connect(cluster.clone(), r, exported[t].clone()));
-            }
-        }
-        targets.push(row);
-    }
+    let nodes: Vec<usize> = (0..n).collect();
+    let deployment = Deployment::fabric(&cluster, &nodes, &nodes, &devices).unwrap();
     let fs = dlfs::MountBuilder::new(cfg)
-        .deployment(Deployment {
-            targets,
-            cluster: Some(cluster.clone()),
-        })
+        .deployment(deployment)
         .mount(rt, source)
         .unwrap();
     (fs, cluster, devices)
@@ -307,13 +289,7 @@ fn sync_read_requeues_engine_failures() {
                 ..DlfsConfig::default()
             };
             let fs = dlfs::MountBuilder::new(cfg)
-                .deployment(Deployment {
-                    targets: vec![devices
-                        .iter()
-                        .map(|d| d.clone() as Arc<dyn NvmeTarget>)
-                        .collect()],
-                    cluster: None,
-                })
+                .deployment(Deployment::local(1, &devices))
                 .mount(rt, &source)
                 .unwrap();
             let mut io = fs.io(0);

@@ -25,16 +25,6 @@ fn ramdisk(bytes: u64) -> Arc<NvmeDevice> {
     NvmeDevice::new(DeviceConfig::emulated_ramdisk(bytes, Dur::micros(10)))
 }
 
-fn local_deployment(devices: &[Arc<NvmeDevice>]) -> Deployment {
-    Deployment {
-        targets: vec![devices
-            .iter()
-            .map(|d| d.clone() as Arc<dyn NvmeTarget>)
-            .collect()],
-        cluster: None,
-    }
-}
-
 fn lz_cfg() -> DlfsConfig {
     DlfsConfig {
         chunk_size: 8 * 1024,
@@ -89,7 +79,7 @@ fn lz_roundtrips_import_remount_and_all_read_paths() {
         let comp = SyntheticSource::compressible(21, 300, 3000, 48);
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(lz_cfg())
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &comp)
             .unwrap();
@@ -104,7 +94,7 @@ fn lz_roundtrips_import_remount_and_all_read_paths() {
             cache_mode: CacheMode::CrossEpoch,
             ..lz_cfg()
         })
-        .deployment(local_deployment(&devices))
+        .deployment(Deployment::local(1, &devices))
         .warm()
         .remount(rt)
         .unwrap();
@@ -139,7 +129,7 @@ fn remount_with_wrong_codec_is_typed_error() {
         let comp = SyntheticSource::compressible(22, 64, 2048, 32);
         let devices = vec![ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(lz_cfg())
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &comp)
             .unwrap();
@@ -148,7 +138,7 @@ fn remount_with_wrong_codec_is_typed_error() {
             codec: CodecKind::Identity,
             ..lz_cfg()
         })
-        .deployment(local_deployment(&devices))
+        .deployment(Deployment::local(1, &devices))
         .warm()
         .remount(rt)
         .unwrap_err();
@@ -174,7 +164,7 @@ fn verbatim_fallback_roundtrips_with_cross_epoch_cache() {
         };
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .mount(rt, &noise)
             .unwrap();
         let mut io = fs.io(0);
@@ -224,7 +214,7 @@ fn corrupt_encoded_frames_verify_before_decode_and_repair() {
         };
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &comp)
             .unwrap();
@@ -308,7 +298,7 @@ fn unrepairable_encoded_corruption_is_typed_corrupt() {
         let dev = ramdisk(64 << 20);
         let devices = vec![dev.clone()];
         let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &comp)
             .unwrap();
@@ -344,7 +334,7 @@ fn lz_fetches_strictly_fewer_device_bytes() {
             let comp = SyntheticSource::compressible(26, 500, 4096, 64);
             let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
             let fs = dlfs::MountBuilder::new(DlfsConfig { codec, ..lz_cfg() })
-                .deployment(local_deployment(&devices))
+                .deployment(Deployment::local(1, &devices))
                 .mount(rt, &comp)
                 .unwrap();
             let base: u64 = devices.iter().map(|d| d.stats().2).sum();
@@ -478,7 +468,7 @@ fn reimport_over_an_older_generation_leaves_no_stale_hole_visible() {
         let devices: Vec<_> = (0..3).map(|_| ramdisk(4 << 20)).collect();
         let import = |source: &SyntheticSource| {
             dlfs::MountBuilder::new(replicated_lz_cfg())
-                .deployment(local_deployment(&devices))
+                .deployment(Deployment::local(1, &devices))
                 .persistent()
                 .mount(rt, source)
                 .unwrap()
@@ -506,7 +496,7 @@ fn poisoned_holes_are_never_read() {
         let devices: Vec<_> = (0..3).map(|_| ramdisk(4 << 20)).collect();
         let comp = SyntheticSource::compressible(29, 600, 2000, 48);
         let fs = dlfs::MountBuilder::new(replicated_lz_cfg())
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &comp)
             .unwrap();
@@ -553,7 +543,7 @@ fn rebuild_rehash_restores_the_imported_table_over_poisoned_holes() {
         let devices: Vec<_> = (0..3).map(|_| ramdisk(4 << 20)).collect();
         let comp = SyntheticSource::compressible(30, 600, 2000, 48);
         let fs = dlfs::MountBuilder::new(replicated_lz_cfg())
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &comp)
             .unwrap();
@@ -568,7 +558,7 @@ fn rebuild_rehash_restores_the_imported_table_over_poisoned_holes() {
             verify_reads: false,
             ..replicated_lz_cfg()
         })
-        .deployment(local_deployment(&devices))
+        .deployment(Deployment::local(1, &devices))
         .warm()
         .remount(rt)
         .unwrap();
@@ -680,7 +670,8 @@ fn coded_import_writes_exactly_its_stored_extents() {
                     ckpt_region_bytes: 64 * 1024,
                     ..DlfsConfig::default()
                 };
-                let builder = dlfs::MountBuilder::new(cfg).deployment(local_deployment(&devices));
+                let builder =
+                    dlfs::MountBuilder::new(cfg).deployment(Deployment::local(1, &devices));
                 let builder = if persist {
                     builder.persistent()
                 } else {

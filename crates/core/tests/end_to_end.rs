@@ -8,45 +8,63 @@ use dlfs::source::SampleSource;
 use dlfs::{
     BatchMode, Completions, Deployment, DlfsConfig, DlfsError, ReadRequest, SyntheticSource,
 };
-use fabric::{Cluster, FabricConfig, NvmeOfTarget, TargetConfig};
+use fabric::{Cluster, FabricConfig};
 use simkit::prelude::*;
 
 fn local_device() -> Arc<NvmeDevice> {
     NvmeDevice::new(DeviceConfig::optane(256 << 20))
 }
 
-/// Build a disaggregated deployment: `n` nodes, each a reader and an
-/// NVMe-oF target, full mesh of remote targets.
-fn disaggregated(rt: &Runtime, n: usize) -> Deployment {
+/// Mount `source` disaggregated: `n` nodes, each a reader and an NVMe-oF
+/// target, full mesh of remote targets.
+fn disaggregated(rt: &Runtime, n: usize, source: &SyntheticSource) -> dlfs::DlfsInstance {
     let cluster = Arc::new(Cluster::new(n, FabricConfig::default()));
     let devices: Vec<Arc<NvmeDevice>> = (0..n)
         .map(|_| NvmeDevice::new(DeviceConfig::emulated_ramdisk(128 << 20, Dur::micros(10))))
         .collect();
-    let targets_exported: Vec<Arc<NvmeOfTarget>> = devices
-        .iter()
-        .enumerate()
-        .map(|(node, d)| NvmeOfTarget::new(node, d.clone(), TargetConfig::default()))
-        .collect();
-    let mut targets: Vec<Vec<Arc<dyn NvmeTarget>>> = Vec::new();
-    for r in 0..n {
-        let mut row: Vec<Arc<dyn NvmeTarget>> = Vec::new();
-        for t in 0..n {
-            if r == t {
-                row.push(devices[t].clone());
-            } else {
-                row.push(fabric::connect(
-                    cluster.clone(),
-                    r,
-                    targets_exported[t].clone(),
-                ));
+    let nodes: Vec<usize> = (0..n).collect();
+    dlfs::MountBuilder::new(DlfsConfig::default())
+        .deployment(Deployment::fabric(&cluster, &nodes, &nodes, &devices).unwrap())
+        .mount(rt, source)
+        .unwrap()
+}
+
+/// The one wiring rule, for each placement in use — mesh (reader r and
+/// device r on node r), a pool of storage nodes after the readers, one
+/// reader after its devices: a reader reaches a device directly iff they
+/// share a node, and from its own node to the device's over NVMe-oF
+/// otherwise.
+#[test]
+fn a_reader_reaches_only_its_own_nodes_device_directly() {
+    let placements: [(&[usize], &[usize]); 3] = [
+        (&[0, 1, 2], &[0, 1, 2]),
+        (&[0, 1], &[2, 3, 4]),
+        (&[3], &[0, 1, 2]),
+    ];
+    for (reader_nodes, device_nodes) in placements {
+        let cluster = Arc::new(Cluster::new(5, FabricConfig::default()));
+        let devices: Vec<Arc<NvmeDevice>> = device_nodes
+            .iter()
+            .map(|_| NvmeDevice::new(DeviceConfig::emulated_ramdisk(1 << 20, Dur::micros(10))))
+            .collect();
+        let d = Deployment::fabric(&cluster, reader_nodes, device_nodes, &devices).unwrap();
+        assert!(Arc::ptr_eq(d.cluster.as_ref().unwrap(), &cluster));
+        assert_eq!(d.targets.len(), reader_nodes.len());
+        for (row, &r) in d.targets.iter().zip(reader_nodes) {
+            assert_eq!(row.len(), devices.len());
+            for ((target, device), &host) in row.iter().zip(&devices).zip(device_nodes) {
+                let want = if r == host {
+                    device.describe()
+                } else {
+                    format!("nvme-of node{r}→node{host} ({})", device.config().name)
+                };
+                assert_eq!(
+                    target.describe(),
+                    want,
+                    "readers {reader_nodes:?}, devices {device_nodes:?}"
+                );
             }
         }
-        targets.push(row);
-    }
-    let _ = rt;
-    Deployment {
-        targets,
-        cluster: Some(cluster),
     }
 }
 
@@ -259,14 +277,9 @@ fn epoch_reads_sample_bytes_plus_block_alignment_only() {
                 verify_reads: redundant,
                 ..Default::default()
             };
-            let devices: Vec<Arc<dyn NvmeTarget>> = (0..2)
-                .map(|_| local_device() as Arc<dyn NvmeTarget>)
-                .collect();
+            let devices = [local_device(), local_device()];
             let fs = dlfs::MountBuilder::new(cfg.clone())
-                .deployment(Deployment {
-                    targets: vec![devices],
-                    cluster: None,
-                })
+                .deployment(Deployment::local(1, &devices))
                 .mount(rt, &source)
                 .unwrap();
             let items = dlfs::build_epoch_plan(&fs.dir, cfg.chunk_size, 1, cfg.batch_mode, 8, 9, 0)
@@ -333,14 +346,8 @@ fn multi_epoch_reshuffles() {
 fn disaggregated_mount_and_bread_all_readers() {
     Runtime::simulate(8, |rt| {
         let n = 4;
-        let deployment = disaggregated(rt, n);
         let source = SyntheticSource::fixed(11, 4000, 1500);
-        let fs = Arc::new(
-            dlfs::MountBuilder::new(DlfsConfig::default())
-                .deployment(deployment)
-                .mount(rt, &source)
-                .unwrap(),
-        );
+        let fs = Arc::new(disaggregated(rt, n, &source));
         // Every reader reads its slice concurrently; together they must
         // cover every sample exactly once.
         let (tx, rx) = rt.channel::<Vec<u32>>(None);
@@ -383,12 +390,8 @@ fn disaggregated_mount_and_bread_all_readers() {
 #[test]
 fn same_seed_same_global_plan_across_readers() {
     Runtime::simulate(9, |rt| {
-        let deployment = disaggregated(rt, 3);
         let source = SyntheticSource::fixed(1, 900, 800);
-        let fs = dlfs::MountBuilder::new(DlfsConfig::default())
-            .deployment(deployment)
-            .mount(rt, &source)
-            .unwrap();
+        let fs = disaggregated(rt, 3, &source);
         let mut io0 = fs.io(0);
         let mut io1 = fs.io(1);
         let mut io2 = fs.io(2);
@@ -765,12 +768,9 @@ fn verified_epoch_meets_its_frontend_roofline() {
             + per_batch.as_nanos() as f64 / BATCH as f64
             + per_request.as_nanos() as f64 / (cfg.chunk_size / 2048) as f64;
         let ramdisk = || NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10)));
-        let devices = (0..3).map(|_| ramdisk() as Arc<dyn NvmeTarget>);
+        let devices = [ramdisk(), ramdisk(), ramdisk()];
         let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(Deployment {
-                targets: vec![devices.collect()],
-                cluster: None,
-            })
+            .deployment(Deployment::local(1, &devices))
             .mount(rt, &source)
             .unwrap();
         let mut io = fs.io(0);

@@ -15,7 +15,7 @@ use dlfs::{
     fsck_node, fsck_repair, CodecKind, Completions, Deployment, DlfsConfig, DlfsError,
     DlfsInstance, DlfsIo, ReadRequest, SyntheticSource,
 };
-use fabric::{Cluster, FabricConfig, FabricFaultInjector, NvmeOfTarget, TargetConfig};
+use fabric::{Cluster, FabricConfig, FabricFaultInjector};
 use simkit::prelude::*;
 use simkit::rng::fnv1a;
 
@@ -42,17 +42,6 @@ fn redundant_cfg(replicas: usize) -> DlfsConfig {
     }
 }
 
-/// Single-reader deployment over `devices` as local storage nodes.
-fn local_deployment(devices: &[Arc<NvmeDevice>]) -> Deployment {
-    Deployment {
-        targets: vec![devices
-            .iter()
-            .map(|d| d.clone() as Arc<dyn NvmeTarget>)
-            .collect()],
-        cluster: None,
-    }
-}
-
 /// Disaggregated full-mesh deployment (as in chaos.rs), returning the
 /// cluster and raw devices so faults can be armed after the mount.
 fn disaggregated(
@@ -63,28 +52,10 @@ fn disaggregated(
 ) -> (DlfsInstance, Arc<Cluster>, Vec<Arc<NvmeDevice>>) {
     let cluster = Arc::new(Cluster::new(n, FabricConfig::default()));
     let devices: Vec<Arc<NvmeDevice>> = (0..n).map(|_| ramdisk(128 << 20)).collect();
-    let exported: Vec<Arc<NvmeOfTarget>> = devices
-        .iter()
-        .enumerate()
-        .map(|(node, d)| NvmeOfTarget::new(node, d.clone(), TargetConfig::default()))
-        .collect();
-    let mut targets: Vec<Vec<Arc<dyn NvmeTarget>>> = Vec::new();
-    for r in 0..n {
-        let mut row: Vec<Arc<dyn NvmeTarget>> = Vec::new();
-        for t in 0..n {
-            if r == t {
-                row.push(devices[t].clone());
-            } else {
-                row.push(fabric::connect(cluster.clone(), r, exported[t].clone()));
-            }
-        }
-        targets.push(row);
-    }
+    let nodes: Vec<usize> = (0..n).collect();
+    let deployment = Deployment::fabric(&cluster, &nodes, &nodes, &devices).unwrap();
     let fs = dlfs::MountBuilder::new(cfg)
-        .deployment(Deployment {
-            targets,
-            cluster: Some(cluster.clone()),
-        })
+        .deployment(deployment)
         .mount(rt, source)
         .unwrap();
     (fs, cluster, devices)
@@ -177,7 +148,10 @@ fn too_many_replicas_is_typed() {
     Runtime::simulate(test_seed(71), |rt| {
         let source = SyntheticSource::fixed(2, 100, 2048);
         let err = dlfs::MountBuilder::new(redundant_cfg(3))
-            .deployment(local_deployment(&[ramdisk(64 << 20), ramdisk(64 << 20)]))
+            .deployment(Deployment::local(
+                1,
+                &[ramdisk(64 << 20), ramdisk(64 << 20)],
+            ))
             .mount(rt, &source)
             .unwrap_err();
         assert!(matches!(err, DlfsError::Config(_)), "got {err:?}");
@@ -228,7 +202,7 @@ fn bit_flips_are_detected_failed_over_and_read_repaired() {
         let source = SyntheticSource::fixed(4, 800, 2048);
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(redundant_cfg(2))
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .mount(rt, &source)
             .unwrap();
         // Flip bits across the front of node 0's data region (volatile
@@ -272,7 +246,7 @@ fn zero_copy_reads_verify_and_repair() {
             ..redundant_cfg(2)
         };
         let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .mount(rt, &source)
             .unwrap();
         devices[0].set_faults(FaultInjector::new(11).with_bit_flips(0, 48));
@@ -314,7 +288,7 @@ fn scrub_pass_heals_latent_corruption_to_fsck_clean() {
             ..redundant_cfg(2)
         };
         let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &source)
             .unwrap();
@@ -404,7 +378,7 @@ fn hedged_reads_win_against_slow_target() {
             ..redundant_cfg(2)
         };
         let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .mount(rt, &source)
             .unwrap();
         let mut io = fs.io(0);
@@ -441,7 +415,7 @@ fn parts_checked_on_the_pool_fail_over_repair_and_type_corrupt() {
         let source = SyntheticSource::fixed(4, 800, 2048);
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(cfg.clone())
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .mount(rt, &source)
             .unwrap();
         devices[0].set_faults(FaultInjector::new(9).with_bit_flips(0, 64));
@@ -471,7 +445,7 @@ fn parts_checked_on_the_pool_fail_over_repair_and_type_corrupt() {
         let source = SyntheticSource::fixed(4, 64, 2048);
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(cfg.clone())
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .mount(rt, &source)
             .unwrap();
         for (n, dev) in devices.iter().enumerate() {
@@ -518,7 +492,7 @@ fn a_hedged_pair_harvested_together_settles_once() {
                 ..redundant_cfg(2)
             };
             let fs = dlfs::MountBuilder::new(cfg)
-                .deployment(local_deployment(&devices))
+                .deployment(Deployment::local(1, &devices))
                 .mount(rt, &source)
                 .unwrap();
             let mut io = fs.io(0);
@@ -570,7 +544,7 @@ fn a_twin_landing_before_the_verdict_hides_no_mismatch() {
             ..redundant_cfg(2)
         };
         let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .mount(rt, &source)
             .unwrap();
         devices[0].set_faults(FaultInjector::new(9).with_bit_flips(0, 32));
@@ -715,7 +689,7 @@ fn heal_cell(replicas: usize, codec: CodecKind, damage: Damage, healer: Healer) 
             ..redundant_cfg(replicas)
         };
         let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &source)
             .unwrap();

@@ -31,16 +31,6 @@ fn ramdisk(bytes: u64) -> Arc<NvmeDevice> {
     NvmeDevice::new(DeviceConfig::emulated_ramdisk(bytes, Dur::micros(10)))
 }
 
-fn local_deployment(devices: &[Arc<NvmeDevice>]) -> Deployment {
-    Deployment {
-        targets: vec![devices
-            .iter()
-            .map(|d| d.clone() as Arc<dyn NvmeTarget>)
-            .collect()],
-        cluster: None,
-    }
-}
-
 /// The chunk size of every import here (deep `fsck_node` is told it).
 const CHUNK: u64 = 8 * 1024;
 
@@ -138,7 +128,7 @@ fn replica_configs_without_the_knob_build_no_membership() {
             ..DlfsConfig::default()
         };
         let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .mount(rt, &source)
             .unwrap();
         let red = fs.redundancy().expect("replicas build redundancy");
@@ -172,7 +162,7 @@ fn membership_run(seed: u64) -> (u64, u64, String) {
         let source = SyntheticSource::fixed(22, 1200, 2048);
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(membership_cfg(2))
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &source)
             .unwrap();
@@ -283,7 +273,7 @@ fn rolling_failures_rebuild_and_rejoin_in_sequence() {
         let source = SyntheticSource::fixed(23, 900, 2048);
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(membership_cfg(2))
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &source)
             .unwrap();
@@ -323,7 +313,7 @@ fn mid_rebuild_source_death_falls_back_to_surviving_replica() {
         let source = SyntheticSource::fixed(24, 800, 2048);
         let devices: Vec<_> = (0..4).map(|_| ramdisk(64 << 20)).collect();
         let fs = dlfs::MountBuilder::new(membership_cfg(3))
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &source)
             .unwrap();
@@ -373,7 +363,7 @@ fn interleaved_import_keeps_three_replica_mirrors_intact() {
         let source = SyntheticSource::fixed(26, 800, 1000);
         let devices: Vec<_> = (0..4).map(|_| ramdisk(64 << 20)).collect();
         let fs = dlfs::MountBuilder::new(membership_cfg(3))
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &source)
             .unwrap();
@@ -457,7 +447,7 @@ fn hedge_against_dying_target_cancels_without_counting_failover() {
             ..DlfsConfig::default()
         };
         let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .mount(rt, &source)
             .unwrap();
         assert!(
@@ -504,7 +494,7 @@ fn reads_in_flight_across_a_kill_fail_over_without_checksums() {
         let source = SyntheticSource::fixed(27, 600, 2048);
         let devices: Vec<_> = (0..3).map(|_| ramdisk(64 << 20)).collect();
         let fs = dlfs::MountBuilder::new(unverified_cfg())
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .mount(rt, &source)
             .unwrap();
         let mut io = fs.io(0);
@@ -530,7 +520,8 @@ fn rebuild_without_checksums_is_sized_from_geometry() {
             let case = format!("persist={persist} import_verified={import_verified}");
             let source = SyntheticSource::fixed(28, 600, 2048);
             let devices: Vec<_> = (0..3).map(|_| ramdisk(64 << 20)).collect();
-            let builder = |cfg| dlfs::MountBuilder::new(cfg).deployment(local_deployment(&devices));
+            let builder =
+                |cfg| dlfs::MountBuilder::new(cfg).deployment(Deployment::local(1, &devices));
             let fs = match (persist, import_verified) {
                 (false, _) => builder(unverified_cfg()).mount(rt, &source),
                 (true, false) => builder(unverified_cfg()).persistent().mount(rt, &source),

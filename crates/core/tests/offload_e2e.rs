@@ -17,7 +17,7 @@ use dlfs::{
     CodecKind, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, IoFailure,
     ReadRequest, SyntheticSource,
 };
-use fabric::{Cluster, FabricConfig, FabricFaultInjector, NvmeOfTarget, TargetConfig};
+use fabric::{Cluster, FabricConfig, FabricFaultInjector};
 use simkit::prelude::*;
 use simkit::rng::{fnv1a, SplitMix64};
 
@@ -30,16 +30,6 @@ fn test_seed(base: u64) -> u64 {
 
 fn ramdisk(bytes: u64) -> Arc<NvmeDevice> {
     NvmeDevice::new(DeviceConfig::emulated_ramdisk(bytes, Dur::micros(10)))
-}
-
-fn local_deployment(devices: &[Arc<NvmeDevice>]) -> Deployment {
-    Deployment {
-        targets: vec![devices
-            .iter()
-            .map(|d| d.clone() as Arc<dyn NvmeTarget>)
-            .collect()],
-        cluster: None,
-    }
 }
 
 fn offload_cfg(codec: CodecKind) -> DlfsConfig {
@@ -75,21 +65,8 @@ fn fabric_deployment(
 ) -> (Deployment, Arc<Cluster>) {
     let n = devices.len();
     let cluster = Arc::new(Cluster::new(n + 1, fabric));
-    let targets: Vec<Vec<Arc<dyn NvmeTarget>>> = vec![devices
-        .iter()
-        .enumerate()
-        .map(|(node, d)| {
-            fabric::connect(
-                cluster.clone(),
-                n, // the reader lives on the last cluster node
-                NvmeOfTarget::new(node, d.clone(), TargetConfig::default()),
-            ) as Arc<dyn NvmeTarget>
-        })
-        .collect()];
-    let deployment = Deployment {
-        targets,
-        cluster: Some(cluster.clone()),
-    };
+    let device_nodes: Vec<usize> = (0..n).collect();
+    let deployment = Deployment::fabric(&cluster, &[n], &device_nodes, devices).unwrap();
     (deployment, cluster)
 }
 
@@ -127,7 +104,7 @@ fn offload_matches_client_path_bytes() {
             let comp = SyntheticSource::compressible(31, 300, 2600, 48);
             let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
             let fs = dlfs::MountBuilder::new(offload_cfg(codec))
-                .deployment(local_deployment(&devices))
+                .deployment(Deployment::local(1, &devices))
                 .mount(rt, &comp)
                 .unwrap();
             let mut io = fs.io(0);
@@ -197,7 +174,7 @@ fn offload_verifies_encoded_frames_and_repairs() {
         };
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &comp)
             .unwrap();
@@ -237,7 +214,7 @@ fn offload_unrepairable_corruption_is_typed_corrupt() {
         let dev = ramdisk(64 << 20);
         let devices = vec![dev.clone()];
         let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &comp)
             .unwrap();
@@ -270,7 +247,7 @@ fn offload_misuse_is_typed_config_error() {
             offload: false,
             ..offload_cfg(CodecKind::Lz)
         })
-        .deployment(local_deployment(&devices))
+        .deployment(Deployment::local(1, &devices))
         .mount(rt, &comp)
         .unwrap();
         let mut io = fs.io(0);
@@ -282,7 +259,7 @@ fn offload_misuse_is_typed_config_error() {
         // zero-copy delivery cannot be offloaded
         let devices = vec![ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(offload_cfg(CodecKind::Lz))
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .mount(rt, &comp)
             .unwrap();
         let mut io = fs.io(0);
@@ -312,7 +289,7 @@ fn mixing_offload_and_client_batches_in_one_epoch_is_a_typed_error() {
         let comp = SyntheticSource::compressible(36, 200, 2600, 48);
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
         let fs = dlfs::MountBuilder::new(offload_cfg(CodecKind::Lz))
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .mount(rt, &comp)
             .unwrap();
         let mut io = fs.io(0);
@@ -391,7 +368,7 @@ fn offload_over_an_unreadable_home_fails_over_or_fails_typed() {
                     ..offload_cfg(CodecKind::Identity)
                 };
                 let fs = dlfs::MountBuilder::new(cfg)
-                    .deployment(local_deployment(&devices))
+                    .deployment(Deployment::local(1, &devices))
                     .mount(rt, &comp)
                     .unwrap();
                 // An ephemeral mount: node 1's own data starts at block 0.
@@ -606,7 +583,7 @@ fn offload_rig(
     fabric_rig: bool,
 ) -> (Deployment, Option<Arc<Cluster>>) {
     if !fabric_rig {
-        return (local_deployment(devices), None);
+        return (Deployment::local(1, devices), None);
     }
     let fabric = FabricConfig {
         nic_bytes_per_sec: 1e9,
@@ -725,7 +702,7 @@ fn an_unrepairable_frame_fails_its_own_batch_and_no_earlier_one() {
         };
         let dev = ramdisk(64 << 20);
         let fs = dlfs::MountBuilder::new(cfg.clone())
-            .deployment(local_deployment(std::slice::from_ref(&dev)))
+            .deployment(Deployment::local(1, std::slice::from_ref(&dev)))
             .mount(rt, &comp)
             .unwrap();
         // An ephemeral mount: the node's data starts at block 0. Four

@@ -16,7 +16,7 @@ use dlfs::{
     fsck_node, CodecKind, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, FsckState,
     LayoutError, MountBuilder, ReadRequest, SyntheticSource,
 };
-use fabric::{Cluster, FabricConfig, FabricFaultInjector, NvmeOfTarget, TargetConfig};
+use fabric::{Cluster, FabricConfig, FabricFaultInjector};
 use simkit::prelude::*;
 use simkit::resource::Link;
 use simkit::rng::{fnv1a, SplitMix64};
@@ -26,61 +26,19 @@ fn ramdisk(bytes: u64) -> Arc<NvmeDevice> {
     NvmeDevice::new(DeviceConfig::emulated_ramdisk(bytes, Dur::micros(10)))
 }
 
-/// Single-reader deployment over `devices` as local storage nodes.
-fn local_deployment(devices: &[Arc<NvmeDevice>]) -> Deployment {
-    Deployment {
-        targets: vec![devices
-            .iter()
-            .map(|d| d.clone() as Arc<dyn NvmeTarget>)
-            .collect()],
-        cluster: None,
-    }
-}
-
 /// `readers` reader nodes (cluster nodes `0..readers`) in front of devices
 /// exported as NVMe-oF targets on the cluster nodes that follow.
-struct FabricRig {
+fn pool(
     readers: usize,
-    cluster: Arc<Cluster>,
-    exported: Vec<Arc<NvmeOfTarget>>,
-}
-
-impl FabricRig {
-    fn new(readers: usize, devices: &[Arc<NvmeDevice>]) -> FabricRig {
-        FabricRig::with_nic(readers, devices, FabricConfig::default().nic_bytes_per_sec)
-    }
-
-    fn with_nic(readers: usize, devices: &[Arc<NvmeDevice>], nic_bytes_per_sec: f64) -> FabricRig {
-        let fabric = FabricConfig {
-            nic_bytes_per_sec,
-            ..FabricConfig::default()
-        };
-        let cluster = Arc::new(Cluster::new(readers + devices.len(), fabric));
-        let exported = devices
-            .iter()
-            .enumerate()
-            .map(|(n, d)| NvmeOfTarget::new(readers + n, d.clone(), TargetConfig::default()))
-            .collect();
-        FabricRig {
-            readers,
-            cluster,
-            exported,
-        }
-    }
-
-    /// Fresh initiator handles from every reader to every target.
-    fn deployment(&self) -> Deployment {
-        let row = |r| {
-            let connect = |t: &Arc<NvmeOfTarget>| {
-                fabric::connect(self.cluster.clone(), r, t.clone()) as Arc<dyn NvmeTarget>
-            };
-            self.exported.iter().map(connect).collect()
-        };
-        Deployment {
-            targets: (0..self.readers).map(row).collect(),
-            cluster: Some(self.cluster.clone()),
-        }
-    }
+    devices: &[Arc<NvmeDevice>],
+    fabric: FabricConfig,
+) -> (Deployment, Arc<Cluster>) {
+    let nodes = readers + devices.len();
+    let cluster = Arc::new(Cluster::new(nodes, fabric));
+    let reader_nodes: Vec<usize> = (0..readers).collect();
+    let device_nodes: Vec<usize> = (readers..nodes).collect();
+    let deployment = Deployment::fabric(&cluster, &reader_nodes, &device_nodes, devices).unwrap();
+    (deployment, cluster)
 }
 
 /// FNV-1a of a device's whole image.
@@ -146,7 +104,7 @@ fn roundtrip_import_remount_arbitrary_distributions() {
             let devices: Vec<Arc<NvmeDevice>> = (0..nodes).map(|_| ramdisk(64 << 20)).collect();
 
             let fs = dlfs::MountBuilder::new(DlfsConfig::default())
-                .deployment(local_deployment(&devices))
+                .deployment(Deployment::local(1, &devices))
                 .persistent()
                 .mount(rt, &source)
                 .unwrap();
@@ -157,7 +115,7 @@ fn roundtrip_import_remount_arbitrary_distributions() {
 
             let before: Vec<_> = devices.iter().map(|d| d.stats()).collect();
             let warm = dlfs::MountBuilder::new(DlfsConfig::default())
-                .deployment(local_deployment(&devices))
+                .deployment(Deployment::local(1, &devices))
                 .warm()
                 .remount(rt)
                 .unwrap();
@@ -196,7 +154,7 @@ fn import_onto_dead_device_fails_typed_not_panicking() {
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
         devices[1].kill();
         let err = dlfs::MountBuilder::new(DlfsConfig::default())
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &source)
             .unwrap_err();
@@ -221,7 +179,7 @@ fn warm_remount_skips_pfs_and_beats_cold_import() {
 
         let t0 = rt.now();
         let fs = dlfs::MountBuilder::new(DlfsConfig::default())
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .pfs(pfs())
             .persistent()
             .mount(rt, &source)
@@ -233,7 +191,7 @@ fn warm_remount_skips_pfs_and_beats_cold_import() {
         let before: Vec<_> = devices.iter().map(|d| d.stats()).collect();
         let t1 = rt.now();
         let warm_fs = dlfs::MountBuilder::new(DlfsConfig::default())
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .pfs(pfs()) // configured but must go unused
             .with_registry(reg.clone())
             .warm()
@@ -537,6 +495,20 @@ fn typed_errors_for_bad_shapes() {
                 .remount(rt),
             Err(DlfsError::Deployment(_))
         ));
+        // A reader or a device placed outside the cluster, or a node list
+        // that does not match the devices, is typed before any mount.
+        let cluster = Arc::new(Cluster::new(2, FabricConfig::default()));
+        let one = [ramdisk(8 << 20)];
+        let placements: [(&[usize], &[usize]); 3] = [(&[2], &[1]), (&[0], &[2]), (&[0], &[1, 0])];
+        for (readers, device_nodes) in placements {
+            assert!(
+                matches!(
+                    Deployment::fabric(&cluster, readers, device_nodes, &one),
+                    Err(DlfsError::Deployment(_))
+                ),
+                "readers on {readers:?}, devices on {device_nodes:?}"
+            );
+        }
 
         // Unformatted device: remount rejects, fsck reports Unformatted.
         let blank = ramdisk(8 << 20);
@@ -558,7 +530,7 @@ fn typed_errors_for_bad_shapes() {
         let pair: Vec<Arc<NvmeDevice>> = (0..2).map(|_| ramdisk(16 << 20)).collect();
         let small = SyntheticSource::fixed(14, 100, 512);
         dlfs::MountBuilder::new(DlfsConfig::default())
-            .deployment(local_deployment(&pair))
+            .deployment(Deployment::local(1, &pair))
             .persistent()
             .mount(rt, &small)
             .unwrap();
@@ -631,7 +603,7 @@ fn typed_errors_for_bad_shapes() {
 
 /// Import and remount work identically over NVMe-oF: a full-mesh
 /// disaggregated deployment imports through remote write qpairs, then a
-/// second job remounts the same devices through fresh fabric handles —
+/// second job remounts the same devices over a clone of that wiring —
 /// still read-only, still byte-correct.
 #[test]
 fn remote_import_and_remount_over_fabric() {
@@ -639,33 +611,12 @@ fn remote_import_and_remount_over_fabric() {
         let n = 4;
         let cluster = Arc::new(Cluster::new(n, FabricConfig::default()));
         let devices: Vec<Arc<NvmeDevice>> = (0..n).map(|_| ramdisk(128 << 20)).collect();
-        let exported: Vec<Arc<NvmeOfTarget>> = devices
-            .iter()
-            .enumerate()
-            .map(|(node, d)| NvmeOfTarget::new(node, d.clone(), TargetConfig::default()))
-            .collect();
-        let mesh = || {
-            let mut targets: Vec<Vec<Arc<dyn NvmeTarget>>> = Vec::new();
-            for r in 0..n {
-                let mut row: Vec<Arc<dyn NvmeTarget>> = Vec::new();
-                for t in 0..n {
-                    if r == t {
-                        row.push(devices[t].clone());
-                    } else {
-                        row.push(fabric::connect(cluster.clone(), r, exported[t].clone()));
-                    }
-                }
-                targets.push(row);
-            }
-            Deployment {
-                targets,
-                cluster: Some(cluster.clone()),
-            }
-        };
+        let nodes: Vec<usize> = (0..n).collect();
+        let mesh = Deployment::fabric(&cluster, &nodes, &nodes, &devices).unwrap();
 
         let source = SyntheticSource::fixed(21, 1500, 4096);
         let fs = dlfs::MountBuilder::new(DlfsConfig::default())
-            .deployment(mesh())
+            .deployment(mesh.clone())
             .persistent()
             .mount(rt, &source)
             .unwrap();
@@ -675,7 +626,7 @@ fn remote_import_and_remount_over_fabric() {
 
         let before: Vec<_> = devices.iter().map(|d| d.stats()).collect();
         let warm = dlfs::MountBuilder::new(DlfsConfig::default())
-            .deployment(mesh())
+            .deployment(mesh)
             .warm()
             .remount(rt)
             .unwrap();
@@ -699,7 +650,7 @@ fn same_seed_persistent_runs_byte_identical() {
             let devices: Vec<Arc<NvmeDevice>> = (0..3).map(|_| ramdisk(64 << 20)).collect();
             let source = SyntheticSource::fixed(8, 900, 3000);
             let fs = dlfs::MountBuilder::new(DlfsConfig::default())
-                .deployment(local_deployment(&devices))
+                .deployment(Deployment::local(1, &devices))
                 .persistent()
                 .mount(rt, &source)
                 .unwrap();
@@ -707,7 +658,7 @@ fn same_seed_persistent_runs_byte_identical() {
             w.append(rt, &[7u8; 4096]).unwrap();
             drop(fs);
             let warm = dlfs::MountBuilder::new(DlfsConfig::default())
-                .deployment(local_deployment(&devices))
+                .deployment(Deployment::local(1, &devices))
                 .warm()
                 .remount(rt)
                 .unwrap();
@@ -737,14 +688,14 @@ fn replicated_import_remounts_and_heals_corruption() {
             ..DlfsConfig::default()
         };
         let fs = dlfs::MountBuilder::new(cfg())
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &source)
             .unwrap();
         drop(fs);
 
         let warm = dlfs::MountBuilder::new(cfg())
-            .deployment(local_deployment(&devices))
+            .deployment(Deployment::local(1, &devices))
             .warm()
             .remount(rt)
             .unwrap();
@@ -785,7 +736,7 @@ fn remount_integrity_config_mismatches_are_typed() {
             replicas: 2,
             ..DlfsConfig::default()
         })
-        .deployment(local_deployment(&devices))
+        .deployment(Deployment::local(1, &devices))
         .persistent()
         .mount(rt, &source)
         .unwrap();
@@ -795,7 +746,7 @@ fn remount_integrity_config_mismatches_are_typed() {
             replicas: 3,
             ..DlfsConfig::default()
         })
-        .deployment(local_deployment(&devices))
+        .deployment(Deployment::local(1, &devices))
         .warm()
         .remount(rt)
         .unwrap_err();
@@ -809,7 +760,7 @@ fn remount_integrity_config_mismatches_are_typed() {
             verify_reads: true,
             ..DlfsConfig::default()
         })
-        .deployment(local_deployment(&devices))
+        .deployment(Deployment::local(1, &devices))
         .warm()
         .remount(rt)
         .unwrap_err();
@@ -822,7 +773,7 @@ fn remount_integrity_config_mismatches_are_typed() {
             replicas: 2,
             ..DlfsConfig::default()
         })
-        .deployment(local_deployment(&devices))
+        .deployment(Deployment::local(1, &devices))
         .warm()
         .remount(rt)
         .unwrap();
@@ -901,17 +852,14 @@ fn setup_cell(seed: u64, cfg: DlfsConfig, persist: bool, fabric_rig: bool) -> St
     Runtime::simulate(7000 + seed, |rt| {
         let (readers, nodes) = if fabric_rig { (2, 3) } else { (1, 2) };
         let devices: Vec<Arc<NvmeDevice>> = (0..nodes).map(|_| ramdisk(2 << 20)).collect();
-        let rig = FabricRig::new(readers, &devices);
-        let deployment = || {
-            if fabric_rig {
-                rig.deployment()
-            } else {
-                local_deployment(&devices)
-            }
+        let deployment = if fabric_rig {
+            pool(readers, &devices, FabricConfig::default()).0
+        } else {
+            Deployment::local(readers, &devices)
         };
         let builder = |reg: &Registry| {
             let b = MountBuilder::new(cfg.clone())
-                .deployment(deployment())
+                .deployment(deployment.clone())
                 .with_registry(reg.clone());
             if fabric_rig {
                 b.pfs(Link::new(1.0e9, Dur::micros(40)))
@@ -959,13 +907,9 @@ fn setup_cell(seed: u64, cfg: DlfsConfig, persist: bool, fabric_rig: bool) -> St
 fn staged_by(readers: usize, cfg: &DlfsConfig, persist: bool) -> (Vec<u64>, u64, u64) {
     Runtime::simulate(7100, |rt| {
         let devices: Vec<Arc<NvmeDevice>> = (0..4).map(|_| ramdisk(2 << 20)).collect();
-        let row = local_deployment(&devices).targets.remove(0);
         let reg = Registry::new();
         let b = MountBuilder::new(cfg.clone())
-            .deployment(Deployment {
-                targets: vec![row; readers],
-                cluster: None,
-            })
+            .deployment(Deployment::local(readers, &devices))
             .with_registry(reg.clone());
         let b = if persist { b.persistent() } else { b };
         b.mount(rt, &GridSource).unwrap();
@@ -1018,9 +962,9 @@ fn mount_meets_its_staging_roofline() {
         Runtime::simulate(7200, |rt| {
             let devices: Vec<Arc<NvmeDevice>> = (0..nodes).map(|_| ramdisk(64 << 20)).collect();
             let deployment = if fabric_rig {
-                FabricRig::new(1, &devices).deployment()
+                pool(1, &devices, FabricConfig::default()).0
             } else {
-                local_deployment(&devices)
+                Deployment::local(1, &devices)
             };
             // A shallow queue keeps a node's share many times what its
             // writer holds in flight — the regime of a real dataset (128 MB
@@ -1067,7 +1011,11 @@ fn coded_import_meets_its_wire_roofline() {
     Runtime::simulate(7300, |rt| {
         let source = SyntheticSource::compressible(33, 2048, 2600, 48);
         let devices: Vec<Arc<NvmeDevice>> = (0..4).map(|_| ramdisk(16 << 20)).collect();
-        let rig = FabricRig::with_nic(1, &devices, NIC);
+        let fabric = FabricConfig {
+            nic_bytes_per_sec: NIC,
+            ..FabricConfig::default()
+        };
+        let (deployment, cluster) = pool(1, &devices, fabric);
         let cfg = DlfsConfig {
             chunk_size: 8 * 1024,
             replicas: 2,
@@ -1078,12 +1026,12 @@ fn coded_import_meets_its_wire_roofline() {
         let reg = Registry::new();
         let t0 = rt.now();
         let fs = MountBuilder::new(cfg.clone())
-            .deployment(rig.deployment())
+            .deployment(deployment)
             .with_registry(reg.clone())
             .mount(rt, &source)
             .unwrap();
         let took = (rt.now() - t0).as_secs_f64();
-        let (tx, _) = rig.cluster.node_traffic(0);
+        let (tx, _) = cluster.node_traffic(0);
         let tables = fs.shared(0).codec.as_ref().unwrap();
         let (mut stored, mut raw) = (0u64, 0u64);
         for frames in &tables.per_node {
@@ -1144,11 +1092,12 @@ enum Inject {
     Drops(u32),
 }
 
-/// The rig of one faulted cell: devices, their NVMe-oF exports when
-/// `readers > 1`, and the config every phase shares.
+/// The rig of one faulted cell: devices, how the readers reach them (two
+/// readers over NVMe-oF, or one local reader), and the config every phase
+/// shares.
 struct FaultCell {
     devices: Vec<Arc<NvmeDevice>>,
-    rig: Option<FabricRig>,
+    deployment: Deployment,
     cfg: DlfsConfig,
 }
 
@@ -1157,7 +1106,11 @@ impl FaultCell {
         let nodes = if fabric_rig { 3 } else { 1 };
         let devices: Vec<Arc<NvmeDevice>> = (0..nodes).map(|_| ramdisk(8 << 20)).collect();
         FaultCell {
-            rig: fabric_rig.then(|| FabricRig::new(2, &devices)),
+            deployment: if fabric_rig {
+                pool(2, &devices, FabricConfig::default()).0
+            } else {
+                Deployment::local(1, &devices)
+            },
             devices,
             cfg: DlfsConfig {
                 chunk_size: 4096,
@@ -1170,12 +1123,8 @@ impl FaultCell {
     }
 
     fn builder(&self, reg: &Registry) -> MountBuilder {
-        let deployment = match &self.rig {
-            Some(rig) => rig.deployment(),
-            None => local_deployment(&self.devices),
-        };
         MountBuilder::new(self.cfg.clone())
-            .deployment(deployment)
+            .deployment(self.deployment.clone())
             .with_registry(reg.clone())
     }
 
@@ -1189,9 +1138,9 @@ impl FaultCell {
                 _ => f,
             });
         }
-        if let Some(rig) = &self.rig {
+        if let Some(cluster) = &self.deployment.cluster {
             let f = FabricFaultInjector::new(seed ^ 0xFAB).with_io_timeout(Dur::micros(40));
-            rig.cluster.set_faults(match inject {
+            cluster.set_faults(match inject {
                 Inject::Drops(ppm) => f.with_drops(ppm),
                 _ => f,
             });

@@ -449,13 +449,7 @@ fn randomized_corruption_repair_across_delivery_modes() {
                 ..DlfsConfig::default()
             };
             let fs = dlfs::MountBuilder::new(cfg)
-                .deployment(Deployment {
-                    targets: vec![devices
-                        .iter()
-                        .map(|d| d.clone() as Arc<dyn NvmeTarget>)
-                        .collect()],
-                    cluster: None,
-                })
+                .deployment(Deployment::local(1, &devices))
                 .mount(rt, &source)
                 .unwrap();
             devices[0].set_faults(

@@ -13,14 +13,14 @@ mod common;
 
 use std::sync::Arc;
 
-use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget};
+use blocksim::{DeviceConfig, FaultInjector, NvmeDevice};
 use common::check_golden;
 use dlfs::source::SampleSource;
 use dlfs::{
     CacheMode, CodecKind, Deployment, DlfsConfig, DlfsError, DlfsInstance, MountBuilder,
     ReadRequest, SyntheticSource,
 };
-use fabric::{Cluster, FabricConfig, FabricFaultInjector, NvmeOfTarget, TargetConfig};
+use fabric::{Cluster, FabricConfig, FabricFaultInjector};
 use simkit::prelude::*;
 use simkit::rng::fnv1a;
 
@@ -87,28 +87,10 @@ fn disaggregated(
     let devices: Vec<Arc<NvmeDevice>> = (0..n)
         .map(|_| NvmeDevice::new(DeviceConfig::emulated_ramdisk(128 << 20, Dur::micros(10))))
         .collect();
-    let exported: Vec<Arc<NvmeOfTarget>> = devices
-        .iter()
-        .enumerate()
-        .map(|(node, d)| NvmeOfTarget::new(node, d.clone(), TargetConfig::default()))
-        .collect();
-    let mut targets: Vec<Vec<Arc<dyn NvmeTarget>>> = Vec::new();
-    for r in 0..n {
-        let mut row: Vec<Arc<dyn NvmeTarget>> = Vec::new();
-        for t in 0..n {
-            if r == t {
-                row.push(devices[t].clone());
-            } else {
-                row.push(fabric::connect(cluster.clone(), r, exported[t].clone()));
-            }
-        }
-        targets.push(row);
-    }
+    let nodes: Vec<usize> = (0..n).collect();
+    let deployment = Deployment::fabric(&cluster, &nodes, &nodes, &devices).unwrap();
     let fs = MountBuilder::new(cfg)
-        .deployment(Deployment {
-            targets,
-            cluster: Some(cluster.clone()),
-        })
+        .deployment(deployment)
         .mount(rt, source)
         .unwrap();
     (fs, cluster, devices)
@@ -464,13 +446,7 @@ fn failover_repair_hedge_match_golden() {
             ..DlfsConfig::default()
         };
         let fs = MountBuilder::new(cfg)
-            .deployment(Deployment {
-                targets: vec![devices
-                    .iter()
-                    .map(|d| d.clone() as Arc<dyn NvmeTarget>)
-                    .collect()],
-                cluster: None,
-            })
+            .deployment(Deployment::local(1, &devices))
             .mount(rt, &source)
             .unwrap();
         // Volatile layout: node 1's own data (slot 0) starts at block 0.

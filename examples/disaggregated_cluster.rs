@@ -27,8 +27,8 @@ fn main() {
 
     // NOTE: these helpers live in the benchmark harness crate; the example
     // wires the systems directly to show the public APIs.
-    use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
-    use fabric::{Cluster, FabricConfig, NvmeOfTarget, TargetConfig};
+    use blocksim::{DeviceConfig, NvmeDevice};
+    use fabric::{Cluster, FabricConfig};
     use std::sync::Arc;
 
     // ---------------- DLFS over NVMe-oF.
@@ -37,31 +37,13 @@ fn main() {
         let devices: Vec<Arc<NvmeDevice>> = (0..nodes)
             .map(|_| NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10))))
             .collect();
-        let exported: Vec<Arc<NvmeOfTarget>> = devices
-            .iter()
-            .enumerate()
-            .map(|(n, d)| NvmeOfTarget::new(n, d.clone(), TargetConfig::default()))
-            .collect();
-        let mut targets: Vec<Vec<Arc<dyn NvmeTarget>>> = Vec::new();
-        for r in 0..nodes {
-            targets.push(
-                (0..nodes)
-                    .map(|n| {
-                        if r == n {
-                            devices[n].clone() as Arc<dyn NvmeTarget>
-                        } else {
-                            fabric::connect(cluster.clone(), r, exported[n].clone())
-                        }
-                    })
-                    .collect(),
-            );
-        }
+        // Reader r and device r share node r: each reader reaches its own
+        // device directly and the other fifteen over NVMe-oF.
+        let mesh: Vec<usize> = (0..nodes).collect();
+        let deployment = dlfs::Deployment::fabric(&cluster, &mesh, &mesh, &devices).unwrap();
         let fs = Arc::new(
             dlfs::MountBuilder::new(dlfs::DlfsConfig::default())
-                .deployment(dlfs::Deployment {
-                    targets,
-                    cluster: Some(cluster),
-                })
+                .deployment(deployment)
                 .mount(rt, &source)
                 .unwrap(),
         );

@@ -17,8 +17,8 @@ fn main() {
     let seed = 7u64;
 
     Runtime::simulate(seed, move |rt| {
-        use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
-        use fabric::{Cluster, FabricConfig, NvmeOfTarget, TargetConfig};
+        use blocksim::{DeviceConfig, NvmeDevice};
+        use fabric::{Cluster, FabricConfig};
 
         let nodes = 4usize;
         let source = dlfs::SyntheticSource::fixed(3, 8_000, 4096);
@@ -28,31 +28,12 @@ fn main() {
         let devices: Vec<Arc<NvmeDevice>> = (0..nodes)
             .map(|_| NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10))))
             .collect();
-        let exported: Vec<_> = devices
-            .iter()
-            .enumerate()
-            .map(|(n, d)| NvmeOfTarget::new(n, d.clone(), TargetConfig::default()))
-            .collect();
-        let mut targets: Vec<Vec<Arc<dyn NvmeTarget>>> = Vec::new();
-        for r in 0..nodes {
-            targets.push(
-                (0..nodes)
-                    .map(|n| {
-                        if r == n {
-                            devices[n].clone() as Arc<dyn NvmeTarget>
-                        } else {
-                            fabric::connect(cluster.clone(), r, exported[n].clone())
-                        }
-                    })
-                    .collect(),
-            );
-        }
+        // Reader r and device r share node r (direct); the rest is NVMe-oF.
+        let mesh: Vec<usize> = (0..nodes).collect();
+        let deployment = dlfs::Deployment::fabric(&cluster, &mesh, &mesh, &devices).unwrap();
         let fs = Arc::new(
             dlfs::MountBuilder::new(DlfsConfig::default())
-                .deployment(dlfs::Deployment {
-                    targets,
-                    cluster: Some(cluster),
-                })
+                .deployment(deployment)
                 .mount(rt, &source)
                 .unwrap(),
         );
