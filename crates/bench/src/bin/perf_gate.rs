@@ -57,8 +57,10 @@
 //! Usage:
 //!   perf_gate rev=<id> [out=<dir>] [baseline=<file>] [tolerance=0.10]
 //!
-//! With `baseline=`, exits non-zero when any metric regresses beyond the
-//! tolerance fraction in its bad direction. Because every metric is
+//! With `baseline=`, exits 1 when any metric regresses beyond the
+//! tolerance fraction in its bad direction or is missing from the
+//! baseline, and 2 when the baseline (or `out=`) cannot be read (written).
+//! Because every metric is
 //! deterministic, a clean run reproduces the baseline bit-for-bit; the
 //! tolerance only absorbs *intentional* small shifts, not noise.
 
@@ -127,14 +129,12 @@ fn warm_remount(seed: u64) -> u64 {
             .unwrap();
         drop(cold);
         let t0 = rt.now();
-        let warm = dlfs::MountBuilder::new(DlfsConfig::default())
+        let _warm = dlfs::MountBuilder::new(DlfsConfig::default())
             .local(dev)
             .warm()
             .remount(rt)
             .unwrap();
-        let dt = (rt.now() - t0).as_nanos();
-        drop(warm);
-        dt
+        (rt.now() - t0).as_nanos()
     })
     .0
 }
@@ -462,12 +462,17 @@ fn main() {
     if baseline.is_empty() {
         return;
     }
-    let base = std::fs::read_to_string(&baseline)
-        .unwrap_or_else(|e| panic!("read baseline {baseline}: {e}"));
+    let base = std::fs::read_to_string(&baseline).unwrap_or_else(|e| {
+        eprintln!("perf gate: cannot read baseline {baseline}: {e}");
+        std::process::exit(2);
+    });
     let mut failed = false;
     for (key, now, higher_better, _) in metrics {
+        // A metric the baseline does not pin fails: a renamed key must not
+        // pass the gate unchecked.
         let Some(was) = json_num(&base, key) else {
-            eprintln!("baseline missing {key}; skipping");
+            eprintln!("{key}: missing from baseline {baseline} (FAILED)");
+            failed = true;
             continue;
         };
         let drift = if was == 0.0 { 0.0 } else { (now - was) / was };
@@ -477,9 +482,7 @@ fn main() {
             "{key}: baseline {was:.3} -> {now:.3} ({:+.2}% {verdict})",
             drift * 100.0
         );
-        if bad > tolerance {
-            failed = true;
-        }
+        failed |= bad > tolerance;
     }
     if failed {
         eprintln!("perf gate FAILED (tolerance {:.0}%)", tolerance * 100.0);

@@ -173,7 +173,7 @@ impl DlfsIo {
             true => Some(answers.recv().map_err(|_| DlfsError::CopyPoolDown)?),
             false => answers.try_recv().ok(),
         };
-        self.checks_out -= matches!(done, Some(CopyDone::Check(_))) as usize;
+        self.checks_out -= matches!(done, Some(CopyDone::Check { .. })) as usize;
         Ok(done)
     }
 
@@ -193,17 +193,23 @@ impl DlfsIo {
         while let Some(done) = self.answer(block)? {
             (block, collected) = (false, collected + 1);
             match (done, &mut batch) {
-                (CopyDone::Copy { tag, sample, data }, Some(batch)) => {
-                    self.finish_copy(rt, (tag, sample, data), batch)
-                }
+                (
+                    CopyDone::Copy {
+                        tag,
+                        sample,
+                        data,
+                        finished,
+                    },
+                    Some(batch),
+                ) => self.finish_copy((tag, sample, data), finished, batch),
                 (CopyDone::Copy { .. }, None) => {}
-                (CopyDone::Check(id), _) => {
+                (CopyDone::Check { tag, finished }, _) => {
                     // Not in the table: aborted, or its twin settled first.
-                    let Some(cmd) = self.cmds.remove(&id) else {
+                    let Some(cmd) = self.cmds.remove(&tag) else {
                         continue;
                     };
                     if let Some((published, landed)) = cmd.pool {
-                        self.tel.check_ns.record_dur(rt.now() - published);
+                        self.tel.check_ns.record_dur(finished - published);
                         self.settle(rt, cmd, landed);
                     }
                 }

@@ -4,9 +4,11 @@
 //! the SCQ ... a shared queue helps balance the workload distribution to
 //! all copying threads." Jobs carry segments of DMA chunks; a copy thread
 //! charges the memcpy time and hands the assembled sample back through the
-//! job's completion channel. The frontend publishes jobs by the *run* — all
-//! the samples one deliver pass drew, in one enqueue — and the threads take
-//! a run's entries one at a time, first in first out, whichever is free.
+//! job's completion channel. The frontend publishes jobs by the *run* — the
+//! samples one deliver pass drew, in one enqueue, or in two when the pass
+//! wants more samples than there are threads: its first half as soon as it
+//! is drawn — and the threads take a run's entries one at a time, first in
+//! first out, whichever is free.
 //!
 //! The same queue carries the other per-byte work of a read: a *check*
 //! entry is the block checksums (and frame decode) of one fetched part,
@@ -17,7 +19,7 @@
 use blocksim::DmaBuf;
 use simkit::chan::Sender;
 use simkit::runtime::Runtime;
-use simkit::time::Dur;
+use simkit::time::{Dur, Time};
 
 use crate::config::DlfsCosts;
 use crate::error::DlfsError;
@@ -130,7 +132,9 @@ impl std::fmt::Debug for CopyJob {
     }
 }
 
-/// The pool's answer to one queue entry.
+/// The pool's answer to one queue entry, with the instant the copy thread
+/// finished it — the end of the entry's stage, however late the frontend
+/// collects the answer.
 #[derive(Debug)]
 pub enum CopyDone {
     /// A completed copy: the job's tag and sample, and the assembled bytes.
@@ -138,9 +142,10 @@ pub enum CopyDone {
         tag: u64,
         sample: u32,
         data: Vec<u8>,
+        finished: Time,
     },
     /// A check entry's cost has been paid: its tag.
-    Check(u64),
+    Check { tag: u64, finished: Time },
 }
 
 /// One entry of the shared queue.
@@ -181,12 +186,19 @@ impl CopyPool {
                                 at += seg.len;
                             }
                             rt.work(costs.memcpy(total as u64));
-                            let (tag, sample) = (job.tag, job.sample);
-                            (job.done, CopyDone::Copy { tag, sample, data })
+                            let (tag, sample, finished) = (job.tag, job.sample, rt.now());
+                            let copy = CopyDone::Copy {
+                                tag,
+                                sample,
+                                data,
+                                finished,
+                            };
+                            (job.done, copy)
                         }
                         Entry::Check { tag, cost, done } => {
                             rt.work(cost);
-                            (done, CopyDone::Check(tag))
+                            let finished = rt.now();
+                            (done, CopyDone::Check { tag, finished })
                         }
                     };
                     // Receiver may be gone during teardown; that's fine.
@@ -278,7 +290,10 @@ mod tests {
                 done: tx,
             })
             .unwrap();
-            let CopyDone::Copy { tag, sample, data } = rx.recv().unwrap() else {
+            let CopyDone::Copy {
+                tag, sample, data, ..
+            } = rx.recv().unwrap()
+            else {
                 panic!("a copy job is answered with a copy");
             };
             assert_eq!((tag, sample, &data[..]), (9, 3, &b"hello world"[..]));
@@ -323,10 +338,11 @@ mod tests {
                 });
                 expect.sort();
                 let got = [(); 8].map(|()| {
-                    let tag = match rx.recv().unwrap() {
-                        CopyDone::Copy { tag, .. } | CopyDone::Check(tag) => tag,
+                    let (tag, finished) = match rx.recv().unwrap() {
+                        CopyDone::Copy { tag, finished, .. }
+                        | CopyDone::Check { tag, finished } => (tag, finished),
                     };
-                    (rt.now() - t0, tag)
+                    (finished - t0, tag)
                 });
                 assert_eq!(got, expect, "{threads} thread(s)");
                 let total = (0..8).map(cost).fold(Dur::ZERO, |a, c| a + c);

@@ -146,8 +146,8 @@ enum FetchStart {
 }
 
 /// One engine batch being assembled. Copied delivery (`copy`) hands
-/// samples to the copy threads a run per deliver pass and lands them in
-/// `copied` by slot as they finish;
+/// samples to the copy threads in runs — one or two per deliver pass — and
+/// lands them in `copied` by slot as they finish;
 /// zero-copy delivery pushes samples pinning their item's range onto
 /// `pinned` the moment they are drawn, so it never has anything
 /// outstanding.
@@ -508,14 +508,30 @@ impl DlfsIo {
     /// Deliver stage: draw samples from random resident items into the
     /// batch until it is full or nothing is resident — zero-copy pins each
     /// sample's range and hands out references; copied delivery books each
-    /// into a run and, as the pass ends, publishes the run to the copy pool
-    /// with one enqueue. Nothing stays staged past the pass.
+    /// into a run and publishes it to the copy pool with one enqueue. A pass
+    /// that wants more samples than there are copy threads publishes its
+    /// first half the moment it is drawn, so the pool copies it while the
+    /// frontend draws the rest; the rest goes as the pass ends. Nothing
+    /// stays staged past the pass.
     fn deliver(&mut self, rt: &Runtime, batch: &mut Batch) -> Result<usize, DlfsError> {
         let costs = self.shared.cfg.costs.clone();
         let chunk = self.shared.cfg.chunk_size as usize;
-        let first = batch.dispatched;
+        let (first, n) = (batch.dispatched, batch.want - batch.dispatched);
+        let threads = self.shared.cfg.copy_threads;
+        let half = first + if n > threads { n.div_ceil(2) } else { n };
         let done = batch.copy.then(|| self.done(rt));
-        let mut run = Vec::with_capacity(done.as_ref().map_or(0, |_| batch.want - first));
+        let mut run = Vec::with_capacity(done.as_ref().map_or(0, |_| n));
+        // A run of the last-drawn slots: one `copy_dispatch`, one enqueue,
+        // one publish instant.
+        let pool = self.shared.copy.clone();
+        let publish = |batch: &mut Batch, run: Vec<CopyJob>| {
+            if run.is_empty() {
+                return Ok(());
+            }
+            rt.work(costs.copy_dispatch);
+            batch.runs.push((batch.dispatched - run.len(), rt.now()));
+            pool.submit_run(run)
+        };
         while batch.dispatched < batch.want {
             let Some((idx, sample)) = self.split().0.draw() else {
                 break;
@@ -545,12 +561,11 @@ impl DlfsIo {
                 self.account_delivery(idx, entry.len(), batch);
             }
             batch.dispatched += 1;
+            if batch.dispatched == half {
+                publish(batch, std::mem::take(&mut run))?;
+            }
         }
-        if !run.is_empty() {
-            rt.work(costs.copy_dispatch);
-            batch.runs.push((first, rt.now()));
-            self.shared.copy.submit_run(run)?;
-        }
+        publish(batch, run)?;
         Ok(batch.dispatched - first)
     }
 
@@ -578,11 +593,12 @@ impl DlfsIo {
     }
 
     /// Account a finished copy — retiring its item when fully drained — and
-    /// land it in its result slot.
+    /// land it in its result slot. Its stage ran from its run's publish to
+    /// the instant the copy thread finished it.
     pub(super) fn finish_copy(
         &mut self,
-        rt: &Runtime,
         copy: (u64, u32, Vec<u8>),
+        finished: Time,
         batch: &mut Batch,
     ) {
         let (tag, sample, data) = copy;
@@ -591,7 +607,7 @@ impl DlfsIo {
         self.account_delivery(idx, data.len() as u64, batch);
         // The run that holds `slot` is the last one starting at or before it.
         let run = batch.runs.partition_point(|&(first, _)| first <= slot) - 1;
-        self.tel.copy_ns.record_dur(rt.now() - batch.runs[run].1);
+        self.tel.copy_ns.record_dur(finished - batch.runs[run].1);
         batch.copied[slot] = Some((sample, data));
     }
 

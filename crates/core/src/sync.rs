@@ -90,12 +90,12 @@ impl DlfsIo {
             segments,
             done,
         })?;
-        let Ok(CopyDone::Copy { data, .. }) = copied.recv() else {
+        let Ok(CopyDone::Copy { data, finished, .. }) = copied.recv() else {
             return Err(DlfsError::CopyPoolDown);
         };
         self.tel.samples_delivered.inc();
         self.tel.bytes_delivered.add(data.len() as u64);
-        self.tel.copy_ns.record_dur(rt.now() - t_copy);
+        self.tel.copy_ns.record_dur(finished - t_copy);
         Ok(data)
     }
 

@@ -43,8 +43,8 @@ pub(super) struct IoTelemetry {
     pub(super) poll_ns: Histo,
     pub(super) copy_ns: Histo,
     /// A part's stay with the copy pool for its payload work: publish of
-    /// its run → verdict applied. Registered only when parts have such
-    /// work (`verify_reads` or a codec).
+    /// its run → the copy thread's answer. Registered only when parts have
+    /// such work (`verify_reads` or a codec).
     pub(super) check_ns: Histo,
     /// Integrity/replication counters under `dlfs.integrity.*`. Registered
     /// only when redundancy is in use ([`Redundancy::in_use`]). (`scrubbed`

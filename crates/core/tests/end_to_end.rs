@@ -6,7 +6,8 @@ use std::sync::Arc;
 use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
 use dlfs::source::SampleSource;
 use dlfs::{
-    BatchMode, Completions, Deployment, DlfsConfig, DlfsError, ReadRequest, SyntheticSource,
+    BatchMode, CacheMode, Completions, Deployment, DlfsConfig, DlfsError, ReadRequest,
+    SyntheticSource,
 };
 use fabric::{Cluster, FabricConfig};
 use simkit::prelude::*;
@@ -599,8 +600,8 @@ fn account_copied(
     );
 }
 
-/// A copied batch is published by the run — one per deliver pass — and a
-/// pass can end anywhere: the batch fills, nothing more is resident, or the
+/// A copied batch is published by the run — one or two per deliver pass —
+/// and a pass can end anywhere: the batch fills, nothing more is resident, or the
 /// deadline falls inside it. However it ends, the run is never torn.
 /// Deadlines from "already over" to "ample" cut batches short before,
 /// inside and after a pass; the epoch still delivers every sample once.
@@ -690,13 +691,72 @@ fn a_pump_starved_by_held_pins_never_tears_the_run() {
     });
 }
 
+/// A deliver pass that wants more samples than there are copy threads
+/// publishes two runs — its first ⌈n/2⌉ samples the moment they are drawn,
+/// the rest as the pass ends — and one that wants no more publishes one.
+/// Batches of n 2 KB samples, all resident from the previous epoch, are one
+/// pass each, and the first run is copied before the second is published.
+/// So a batch takes exactly n × `frontend_per_sample`, a poll iteration,
+/// one `copy_dispatch` per run and the wait for the last run; and a run of
+/// r entries, list-scheduled from its publish over T idle threads, adds
+/// memcpy × Σ_{j<r} (⌊j/T⌋ + 1) to `stage.copy_ns`, which ends when the
+/// copy thread finishes, not when the frontend collects. On one thread the
+/// two pin each run's size; on four, n ≤ 4 is one run.
+#[test]
+fn a_pass_publishes_its_first_half_as_it_is_drawn() {
+    let source = SyntheticSource::fixed(15, 1200, 2048);
+    for (threads, n) in (1..=9usize).flat_map(|n| [(1, n), (4, n)]) {
+        let runs = match n > threads {
+            true => vec![n.div_ceil(2), n / 2],
+            false => vec![n],
+        };
+        let cfg = DlfsConfig {
+            cache_mode: CacheMode::CrossEpoch,
+            copy_threads: threads,
+            ..DlfsConfig::default()
+        };
+        let c = cfg.costs.clone();
+        let copy = c.memcpy(2048);
+        let tail = copy * runs[runs.len() - 1].div_ceil(threads) as u64;
+        let took = c.frontend_per_sample * n as u64
+            + c.poll_iteration
+            + c.copy_dispatch * runs.len() as u64
+            + tail;
+        let staged = |r: usize| (0..r).map(|j| copy * (j / threads + 1) as u64);
+        let copy_ns = runs.iter().flat_map(|&r| staged(r)).sum::<Dur>();
+        Runtime::simulate(27, |rt| {
+            let fs = dlfs::MountBuilder::new(cfg)
+                .local(local_device())
+                .mount(rt, &source)
+                .unwrap();
+            let mut io = fs.io(0);
+            let request = ReadRequest::batch(n);
+            io.sequence(rt, 19, 0);
+            while io.submit(rt, &request).is_ok() {}
+            io.sequence(rt, 19, 1);
+            let copy_sum = |io: &dlfs::DlfsIo| io.metrics().histogram("dlfs.io.stage.copy_ns").sum;
+            for _ in 0..20 {
+                let (t0, s0) = (rt.now(), copy_sum(&io));
+                assert_eq!(io.submit(rt, &request).unwrap().len(), n);
+                let cell = format!("{threads} thread(s), batch {n}");
+                assert_eq!(rt.now() - t0, took, "{cell}");
+                assert_eq!(copy_sum(&io) - s0, copy_ns.as_nanos(), "{cell}");
+            }
+        });
+    }
+}
+
 /// A local small-sample epoch runs at the rate of its one frontend thread.
-/// Per sample that thread pays `frontend_per_sample`; per batch of 32, one
-/// `copy_dispatch`, one poll iteration and the tail of the run it
-/// published (32 memcpys over `copy_threads`); per device request — one
-/// chunk of 1 KB samples — one prep, post and completion. The epoch
-/// reaches 98 % of the rate those `DlfsCosts` alone allow; an enqueue per
-/// sample (`frontend_per_sample + copy_dispatch` each) stops near 91 %.
+/// Per sample that thread pays `frontend_per_sample`; per batch of 32, two
+/// `copy_dispatch`es (the pass publishes its first half as it is drawn and
+/// the rest as it ends), one poll iteration and the tail of the second run
+/// (16 memcpys over `copy_threads`; the pool copied the first half while
+/// the frontend drew the second); per device request — one chunk of 1 KB
+/// samples — one prep, post and completion: 728.5 ns per sample. The epoch
+/// runs 728.3 ns, within 1 % of the rate those `DlfsCosts` alone allow. One
+/// run per pass, with its whole 32-memcpy tail, runs 741.3 ns (98.3 %) and
+/// fails the bound; an enqueue per sample (`frontend_per_sample +
+/// copy_dispatch` each) stops near 91 %.
 #[test]
 fn small_sample_epoch_meets_its_frontend_roofline() {
     const BATCH: u64 = 32;
@@ -707,9 +767,9 @@ fn small_sample_epoch_meets_its_frontend_roofline() {
             ..DlfsConfig::default()
         };
         let costs = cfg.costs.clone();
-        let per_batch = costs.copy_dispatch
+        let per_batch = costs.copy_dispatch * 2
             + costs.poll_iteration
-            + costs.memcpy(1024) * BATCH.div_ceil(cfg.copy_threads as u64);
+            + costs.memcpy(1024) * (BATCH / 2).div_ceil(cfg.copy_threads as u64);
         let per_request = costs.prep_request + costs.post_request + costs.per_completion;
         let roofline_ns = costs.frontend_per_sample.as_nanos() as f64
             + per_batch.as_nanos() as f64 / BATCH as f64
@@ -731,7 +791,7 @@ fn small_sample_epoch_meets_its_frontend_roofline() {
         }
         let per_sample_ns = (rt.now() - t0).as_nanos() as f64 / (batches * BATCH) as f64;
         assert!(
-            roofline_ns >= 0.98 * per_sample_ns,
+            roofline_ns >= 0.99 * per_sample_ns,
             "{per_sample_ns:.1} ns per sample against a roofline of {roofline_ns:.1} ns"
         );
     });
@@ -740,13 +800,15 @@ fn small_sample_epoch_meets_its_frontend_roofline() {
 /// A verified epoch pays for its checksums on the copy pool, not on the
 /// polling thread. Local devices, two copies, `verify_reads`, 8 KiB chunks
 /// of 2 KiB samples, batches of 16: per sample the frontend is charged
-/// `frontend_per_sample`; per batch one poll pass, two enqueues (the pass's
-/// check entries, the batch's copies) and the wait for the copies (16
-/// memcpys over `copy_threads`); per device request — one chunk of four
-/// samples — one prep, post and completion. No verify term: the epoch
-/// runs at the rate those `DlfsCosts` alone allow (the bound is 95 %).
-/// With the checksums of every harvested block on the polling thread (16
-/// blocks a request) it stops near 93 %.
+/// `frontend_per_sample`; per batch one poll pass, three enqueues (the
+/// pass's check entries, the two halves of the batch's copies) and the
+/// wait for the second half (8 memcpys over `copy_threads`); per device
+/// request — one chunk of four samples — one prep, post and completion:
+/// 920.75 ns per sample. No verify term: the epoch runs 920.7 ns, within
+/// 1 % of it. One run of copies per pass, with its 16-memcpy tail, runs
+/// 946.5 ns (97.3 %) and fails the bound; with the checksums of every
+/// harvested block on the polling thread (16 blocks a request) it stops
+/// near 93 %.
 #[test]
 fn verified_epoch_meets_its_frontend_roofline() {
     const BATCH: u64 = 16;
@@ -761,8 +823,8 @@ fn verified_epoch_meets_its_frontend_roofline() {
         };
         let costs = cfg.costs.clone();
         let per_batch = costs.poll_iteration
-            + costs.copy_dispatch * 2
-            + costs.memcpy(2048) * BATCH.div_ceil(cfg.copy_threads as u64);
+            + costs.copy_dispatch * 3
+            + costs.memcpy(2048) * (BATCH / 2).div_ceil(cfg.copy_threads as u64);
         let per_request = costs.prep_request + costs.post_request + costs.per_completion;
         let roofline_ns = costs.frontend_per_sample.as_nanos() as f64
             + per_batch.as_nanos() as f64 / BATCH as f64
@@ -786,7 +848,7 @@ fn verified_epoch_meets_its_frontend_roofline() {
         }
         let per_sample_ns = (rt.now() - t0).as_nanos() as f64 / (batches * BATCH) as f64;
         assert!(
-            roofline_ns >= 0.95 * per_sample_ns,
+            roofline_ns >= 0.99 * per_sample_ns,
             "{per_sample_ns:.1} ns per sample against a roofline of {roofline_ns:.1} ns"
         );
         let m = io.metrics();
