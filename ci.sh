@@ -30,14 +30,21 @@
 #     the non-test part of mount.rs + layout.rs + writer.rs and in the
 #     non-test part of all of crates/core/src,
 #     too_many_arguments/type_complexity lint allows, `pub` items in
-#     crates/core/src and hand-wired deployment lines (`fabric::connect(`,
+#     crates/core/src, hand-wired deployment lines (`fabric::connect(`,
 #     `NvmeOfTarget::new(`, `Deployment {` in the Rust sources of
 #     crates/core, crates/bench, src, tests and examples outside
-#     mount.rs), measured on the rustfmt'd tree, may not exceed the
-#     numbers committed in bench/history/surface.txt. A PR that shrinks
-#     them commits the new values; one that cannot pay for what it adds
-#     raises the number there and says so in bench/history/README.md;
-#  7. the benchmark's compile contract: benchmark/ is its own workspace
+#     mount.rs), code lines of crates/simkit/src and panic sites in the
+#     non-test part of crates/{simkit,fabric,blocksim}/src, measured on
+#     the rustfmt'd tree, may not exceed the numbers committed in
+#     bench/history/surface.txt. A PR that shrinks them commits the new
+#     values; one that cannot pay for what it adds raises the number
+#     there and says so in bench/history/README.md;
+#  7. doc citations: every `file.rs::fn_name` that DESIGN.md, README.md or
+#     EXPERIMENTS.md cites names a `fn` in a file of that name under
+#     crates, src, tests or examples;
+#  8. every example runs twice in release mode and must print the same
+#     bytes both times (everything is simulated, so nothing may differ);
+#  9. the benchmark's compile contract: benchmark/ is its own workspace
 #     that names crates/core items by path (`CopyPool::spawn`, `CopyJob {
 #     tag, sample, segments, done }`, `MountBuilder::warm`, ...), so a
 #     visibility or signature change can break it with every test above
@@ -77,11 +84,24 @@ panics='unwrap\(\)|expect\(|panic!|assert!\('
   echo "wiring_sites $(find crates/core crates/bench src tests examples -name '*.rs' \
     ! -path $mount -exec cat {} + |
     grep -cE 'fabric::connect\(|NvmeOfTarget::new\(|Deployment \{')"
+  echo "simkit_src_code_lines $(cat crates/simkit/src/*.rs | grep -vcE '^\s*(//|$)')"
+  # The simulator, fabric and device crates without their unit-test modules.
+  echo "lower_nontest_panic_sites $(for f in crates/{simkit,fabric,blocksim}/src/*.rs; do
+    sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -cE "$panics")"
 } | while read -r name now; do
   max="$(awk -v n="$name" '$1 == n { print $2 }' bench/history/surface.txt)"
   echo "$name $now (committed ${max:?no $name in surface.txt})"
   [ "$now" -le "$max" ] || { echo "surface ratchet: $name grew past $max" >&2; exit 1; }
 done
+echo "== doc citations (file.rs::fn_name in DESIGN.md, README.md, EXPERIMENTS.md)"
+grep -ohE '\b[A-Za-z0-9_]+\.rs::[a-z_][a-z0-9_]*' DESIGN.md README.md EXPERIMENTS.md | sort -u |
+  while IFS= read -r cite; do
+    file="${cite%%::*}" name="${cite##*::}"
+    # /dev/null keeps grep off stdin when no file has that name.
+    grep -qsE "\bfn $name\b" $(find crates src tests examples -name "$file") /dev/null ||
+      { echo "doc citation $cite: no \`fn $name\` in any $file" >&2; exit 1; }
+    echo "$cite"
+  done
 echo "== tier-1: release build"
 cargo build --release --offline
 echo "== tier-1: root test suite"
@@ -113,6 +133,17 @@ cargo run -q --release --offline -p dlfs-bench --bin ext_multitenant -- \
 echo "== thousand-client metadata tier of fig09 (smoke)"
 cargo run -q --release --offline -p dlfs-bench --bin fig09_scalability -- \
   per_node=150 clients=1024
+echo "== examples, twice each: stdout must repeat byte for byte"
+mkdir -p target/examples-check
+for f in examples/*.rs; do
+  ex="$(basename "$f" .rs)"
+  for pass in 1 2; do
+    cargo run -q --release --offline --example "$ex" >"target/examples-check/$ex.$pass.txt"
+  done
+  cmp "target/examples-check/$ex.1.txt" "target/examples-check/$ex.2.txt" ||
+    { echo "example $ex printed different output on two runs" >&2; exit 1; }
+  echo "$ex: $(wc -l <"target/examples-check/$ex.1.txt") lines, identical"
+done
 echo "== perf-trajectory gate"
 REV="$(git rev-parse --short HEAD 2>/dev/null || echo worktree)"
 mkdir -p target/bench

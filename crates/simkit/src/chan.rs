@@ -1,16 +1,13 @@
-//! Channels that work in both virtual-time and real-time runtimes.
+//! Channels integrated with the deterministic scheduler.
 //!
-//! In simulation mode a blocked receiver/sender is descheduled through the
-//! deterministic scheduler; wake order is FIFO, so message delivery order is
-//! reproducible. In real mode the implementation delegates to the in-tree
-//! blocking MPMC channel ([`crate::mpmc`]). Sending and receiving consume
-//! **zero virtual time**; processing costs are modelled explicitly by the
-//! components via `Runtime::work`.
+//! A blocked receiver/sender is descheduled through the scheduler; wake
+//! order is FIFO, so message delivery order is reproducible. Sending and
+//! receiving consume **zero virtual time**; processing costs are modelled
+//! explicitly by the components via `Runtime::work`.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::mpmc;
 use crate::plock::Mutex;
 use crate::sched::{Pid, SimCore};
 
@@ -66,21 +63,11 @@ impl<T> SimChan<T> {
     }
 }
 
-enum SenderImpl<T> {
-    Sim(Arc<SimChan<T>>),
-    Real(mpmc::Tx<T>),
-}
-
-enum ReceiverImpl<T> {
-    Sim(Arc<SimChan<T>>),
-    Real(mpmc::Rx<T>),
-}
-
 /// Sending half of a channel (cloneable; MPMC).
-pub struct Sender<T>(SenderImpl<T>);
+pub struct Sender<T>(Arc<SimChan<T>>);
 
 /// Receiving half of a channel (cloneable; MPMC).
-pub struct Receiver<T>(ReceiverImpl<T>);
+pub struct Receiver<T>(Arc<SimChan<T>>);
 
 pub(crate) fn sim_channel<T: Send>(
     core: Arc<SimCore>,
@@ -97,65 +84,36 @@ pub(crate) fn sim_channel<T: Send>(
             send_waiters: VecDeque::new(),
         }),
     });
-    (
-        Sender(SenderImpl::Sim(ch.clone())),
-        Receiver(ReceiverImpl::Sim(ch)),
-    )
-}
-
-pub(crate) fn real_channel<T: Send>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
-    let (s, r) = mpmc::channel(cap);
-    (Sender(SenderImpl::Real(s)), Receiver(ReceiverImpl::Real(r)))
+    (Sender(ch.clone()), Receiver(ch))
 }
 
 impl<T: Send> Sender<T> {
-    /// Send a value, blocking (in virtual or real time) while the channel is
-    /// at capacity. Returns the value back if all receivers are gone.
+    /// Send a value, blocking in virtual time while the channel is at
+    /// capacity. Returns the value back if all receivers are gone.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        match &self.0 {
-            SenderImpl::Sim(ch) => loop {
-                let mut st = ch.st.lock();
-                if st.receivers == 0 {
-                    return Err(SendError(value));
-                }
-                let full = st.cap.is_some_and(|c| st.queue.len() >= c);
-                if !full {
-                    st.queue.push_back(value);
-                    ch.wake_one_recv(&mut st);
-                    return Ok(());
-                }
-                let me = ch.core.current_pid();
-                st.send_waiters.push_back(me);
-                drop(st);
-                // `block()` returns when a receiver frees space; retry.
-                ch.core.block();
-            },
-            SenderImpl::Real(s) => s.send(value).map_err(SendError),
-        }
-    }
-
-    /// Non-blocking send. On a full channel returns `Err` with the value.
-    pub fn try_send(&self, value: T) -> Result<(), T> {
-        match &self.0 {
-            SenderImpl::Sim(ch) => {
-                let mut st = ch.st.lock();
-                if st.receivers == 0 || st.cap.is_some_and(|c| st.queue.len() >= c) {
-                    return Err(value);
-                }
+        let ch = &self.0;
+        loop {
+            let mut st = ch.st.lock();
+            if st.receivers == 0 {
+                return Err(SendError(value));
+            }
+            let full = st.cap.is_some_and(|c| st.queue.len() >= c);
+            if !full {
                 st.queue.push_back(value);
                 ch.wake_one_recv(&mut st);
-                Ok(())
+                return Ok(());
             }
-            SenderImpl::Real(s) => s.try_send(value),
+            let me = ch.core.current_pid();
+            st.send_waiters.push_back(me);
+            drop(st);
+            // `block()` returns when a receiver frees space; retry.
+            ch.core.block();
         }
     }
 
     /// Number of queued messages (snapshot).
     pub fn len(&self) -> usize {
-        match &self.0 {
-            SenderImpl::Sim(ch) => ch.st.lock().queue.len(),
-            SenderImpl::Real(s) => s.len(),
-        }
+        self.0.st.lock().queue.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -166,44 +124,34 @@ impl<T: Send> Sender<T> {
 impl<T: Send> Receiver<T> {
     /// Receive a value, blocking until one is available or all senders drop.
     pub fn recv(&self) -> Result<T, RecvError> {
-        match &self.0 {
-            ReceiverImpl::Sim(ch) => loop {
-                let mut st = ch.st.lock();
-                if let Some(v) = st.queue.pop_front() {
-                    ch.wake_one_send(&mut st);
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvError);
-                }
-                let me = ch.core.current_pid();
-                st.recv_waiters.push_back(me);
-                drop(st);
-                ch.core.block();
-            },
-            ReceiverImpl::Real(r) => r.recv().map_err(|_| RecvError),
+        let ch = &self.0;
+        loop {
+            let mut st = ch.st.lock();
+            if let Some(v) = st.queue.pop_front() {
+                ch.wake_one_send(&mut st);
+                return Ok(v);
+            }
+            if st.senders == 0 {
+                return Err(RecvError);
+            }
+            let me = ch.core.current_pid();
+            st.recv_waiters.push_back(me);
+            drop(st);
+            ch.core.block();
         }
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        match &self.0 {
-            ReceiverImpl::Sim(ch) => {
-                let mut st = ch.st.lock();
-                if let Some(v) = st.queue.pop_front() {
-                    ch.wake_one_send(&mut st);
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    Err(TryRecvError::Disconnected)
-                } else {
-                    Err(TryRecvError::Empty)
-                }
-            }
-            ReceiverImpl::Real(r) => r.try_recv().map_err(|e| match e {
-                mpmc::TryRecvErr::Empty => TryRecvError::Empty,
-                mpmc::TryRecvErr::Disconnected => TryRecvError::Disconnected,
-            }),
+        let mut st = self.0.st.lock();
+        if let Some(v) = st.queue.pop_front() {
+            self.0.wake_one_send(&mut st);
+            return Ok(v);
+        }
+        if st.senders == 0 {
+            Err(TryRecvError::Disconnected)
+        } else {
+            Err(TryRecvError::Empty)
         }
     }
 
@@ -218,10 +166,7 @@ impl<T: Send> Receiver<T> {
 
     /// Number of queued messages (snapshot).
     pub fn len(&self) -> usize {
-        match &self.0 {
-            ReceiverImpl::Sim(ch) => ch.st.lock().queue.len(),
-            ReceiverImpl::Real(r) => r.len(),
-        }
+        self.0.st.lock().queue.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -233,66 +178,49 @@ impl<T: Send> Receiver<T> {
     /// channel keeps no sender of its own between sends, so its `recv`
     /// fails once nobody else can answer.
     pub fn sender(&self) -> Sender<T> {
-        match &self.0 {
-            ReceiverImpl::Sim(ch) => {
-                ch.st.lock().senders += 1;
-                Sender(SenderImpl::Sim(ch.clone()))
-            }
-            ReceiverImpl::Real(r) => Sender(SenderImpl::Real(r.sender())),
-        }
+        self.0.st.lock().senders += 1;
+        Sender(self.0.clone())
     }
 }
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        match &self.0 {
-            SenderImpl::Sim(ch) => {
-                ch.st.lock().senders += 1;
-                Sender(SenderImpl::Sim(ch.clone()))
-            }
-            SenderImpl::Real(s) => Sender(SenderImpl::Real(s.clone())),
-        }
+        self.0.st.lock().senders += 1;
+        Sender(self.0.clone())
     }
 }
 
 impl<T> Clone for Receiver<T> {
     fn clone(&self) -> Self {
-        match &self.0 {
-            ReceiverImpl::Sim(ch) => {
-                ch.st.lock().receivers += 1;
-                Receiver(ReceiverImpl::Sim(ch.clone()))
-            }
-            ReceiverImpl::Real(r) => Receiver(ReceiverImpl::Real(r.clone())),
-        }
+        self.0.st.lock().receivers += 1;
+        Receiver(self.0.clone())
     }
 }
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        if let SenderImpl::Sim(ch) = &self.0 {
-            let mut st = ch.st.lock();
-            st.senders -= 1;
-            if st.senders == 0 {
-                // Receivers must observe disconnection.
-                ch.wake_all(&mut st);
-            }
+        let ch = &self.0;
+        let mut st = ch.st.lock();
+        st.senders -= 1;
+        if st.senders == 0 {
+            // Receivers must observe disconnection.
+            ch.wake_all(&mut st);
         }
     }
 }
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        if let ReceiverImpl::Sim(ch) = &self.0 {
-            let mut st = ch.st.lock();
-            st.receivers -= 1;
-            if st.receivers == 0 {
-                ch.wake_all(&mut st);
-                // Nobody can take what is queued: drop it (outside the
-                // lock), and with it whatever it holds — a reply sender, say.
-                let unread = std::mem::take(&mut st.queue);
-                drop(st);
-                drop(unread);
-            }
+        let ch = &self.0;
+        let mut st = ch.st.lock();
+        st.receivers -= 1;
+        if st.receivers == 0 {
+            ch.wake_all(&mut st);
+            // Nobody can take what is queued: drop it (outside the
+            // lock), and with it whatever it holds — a reply sender, say.
+            let unread = std::mem::take(&mut st.queue);
+            drop(st);
+            drop(unread);
         }
     }
 }

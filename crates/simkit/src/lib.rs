@@ -4,18 +4,20 @@
 //! multi-threaded storage-system code (queue pairs, poll loops, copy-thread
 //! pools, multi-node clusters) run under a **deterministic virtual clock**:
 //! results are exact, reproducible, and independent of the host machine.
-//!
-//! The same code can also run against real OS threads and the wall clock
-//! (see [`Runtime::real`]), which the runnable examples use.
+//! There is no wall-clock mode: every test, figure and example runs on this
+//! clock and replays bit for bit.
 //!
 //! ## Pieces
 //!
 //! - [`runtime::Runtime`] — spawn tasks, sleep/work, channels, time.
 //! - [`chan`] — MPMC channels integrated with the scheduler.
+//! - [`sync`] — a reusable barrier for collective operations.
 //! - [`resource`] — links (bandwidth + latency) and k-channel service
 //!   centers used to model NICs and NVMe internals.
 //! - [`rng`] — splittable deterministic RNG streams.
-//! - [`stats`] — summaries, histograms, throughput meters.
+//! - [`stats`] — the log-scale latency histogram.
+//! - [`telemetry`] — the metrics registry and its epoch snapshots.
+//! - [`trace`] — virtual-time event tracing.
 //! - [`time`] — `Time`/`Dur` virtual-time newtypes.
 //!
 //! ## Example
@@ -46,7 +48,6 @@
 #![forbid(unsafe_code)]
 
 pub mod chan;
-mod mpmc;
 pub mod plock;
 pub mod resource;
 pub mod retry;
@@ -61,12 +62,12 @@ pub mod trace;
 pub mod runtime;
 
 pub use chan::{Receiver, RecvError, SendError, Sender, TryRecvError};
-pub use resource::{Link, Semaphore, Servers};
+pub use resource::{Link, Servers};
 pub use retry::RetryPolicy;
 pub use rng::{fill_deterministic, fnv1a, SplitMix64};
 pub use runtime::{JoinHandle, Runtime};
-pub use stats::{fmt_bytes, fmt_bytes_rate, fmt_rate, Histogram, Meter, Summary};
-pub use sync::{Barrier, Gate, WaitGroup};
+pub use stats::Histogram;
+pub use sync::Barrier;
 pub use telemetry::{Registry, Snapshot};
 pub use time::{Dur, Time};
 pub use trace::Tracer;
@@ -74,11 +75,11 @@ pub use trace::Tracer;
 /// Convenient glob import for downstream crates.
 pub mod prelude {
     pub use crate::chan::{Receiver, Sender};
-    pub use crate::resource::{Link, Semaphore, Servers};
+    pub use crate::resource::{Link, Servers};
     pub use crate::retry::RetryPolicy;
     pub use crate::rng::SplitMix64;
     pub use crate::runtime::{JoinHandle, Runtime};
-    pub use crate::stats::{Histogram, Meter, Summary};
-    pub use crate::sync::{Barrier, Gate, WaitGroup};
+    pub use crate::stats::Histogram;
+    pub use crate::sync::Barrier;
     pub use crate::time::{Dur, Time};
 }

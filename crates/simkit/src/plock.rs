@@ -25,26 +25,6 @@ impl<T> Mutex<T> {
             self.0.lock().unwrap_or_else(sync::PoisonError::into_inner),
         ))
     }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(sync::TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
-            Err(sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.0
-            .into_inner()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0
-            .get_mut()
-            .unwrap_or_else(sync::PoisonError::into_inner)
-    }
 }
 
 /// Guard for [`Mutex`]. The inner `Option` exists so [`Condvar::wait`]
@@ -85,10 +65,6 @@ impl Condvar {
 
     pub fn notify_one(&self) {
         self.0.notify_one();
-    }
-
-    pub fn notify_all(&self) {
-        self.0.notify_all();
     }
 }
 
@@ -144,7 +120,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
-        assert!(m.try_lock().is_some());
     }
 
     #[test]

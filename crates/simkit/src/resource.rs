@@ -236,57 +236,6 @@ impl Servers {
     }
 }
 
-/// A counting semaphore over virtual time, used e.g. to bound queue depth.
-/// FIFO fairness is provided by the underlying channel.
-#[derive(Clone)]
-pub struct Semaphore {
-    slots_tx: crate::chan::Sender<()>,
-    slots_rx: crate::chan::Receiver<()>,
-}
-
-impl std::fmt::Debug for Semaphore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Semaphore")
-            .field("available", &self.available())
-            .finish()
-    }
-}
-
-impl Semaphore {
-    pub fn new(rt: &Runtime, permits: usize) -> Semaphore {
-        let (tx, rx) = rt.channel::<()>(None);
-        for _ in 0..permits {
-            tx.send(()).expect("receiver alive");
-        }
-        Semaphore {
-            slots_tx: tx,
-            slots_rx: rx,
-        }
-    }
-
-    /// Acquire a permit, blocking in virtual time until one is available.
-    pub fn acquire(&self) {
-        self.slots_rx
-            .recv()
-            .expect("semaphore channel closed while acquiring");
-    }
-
-    /// Try to acquire a permit without blocking.
-    pub fn try_acquire(&self) -> bool {
-        self.slots_rx.try_recv().is_ok()
-    }
-
-    /// Return a permit.
-    pub fn release(&self) {
-        self.slots_tx.send(()).expect("semaphore channel closed");
-    }
-
-    /// Permits currently available.
-    pub fn available(&self) -> usize {
-        self.slots_rx.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,50 +398,6 @@ mod tests {
             );
             // Present request slots in before it.
             assert_eq!(srv.reserve(Time(0), Dur::micros(50)), Time(50_000));
-        });
-    }
-
-    #[test]
-    fn semaphore_bounds_concurrency() {
-        let (max_in_flight, _) = Runtime::simulate(0, |rt| {
-            let sem = Semaphore::new(rt, 3);
-            let (tx, rx) = rt.channel::<i64>(None);
-            let mut handles = Vec::new();
-            for i in 0..10 {
-                let sem = sem.clone();
-                let tx = tx.clone();
-                handles.push(rt.spawn(&format!("t{i}"), move |rt| {
-                    sem.acquire();
-                    tx.send(1).unwrap();
-                    rt.sleep(Dur::micros(10));
-                    tx.send(-1).unwrap();
-                    sem.release();
-                }));
-            }
-            drop(tx);
-            for h in handles {
-                h.join();
-            }
-            let mut cur = 0i64;
-            let mut max = 0i64;
-            while let Ok(v) = rx.recv() {
-                cur += v;
-                max = max.max(cur);
-            }
-            max
-        });
-        assert_eq!(max_in_flight, 3);
-    }
-
-    #[test]
-    fn semaphore_try_acquire() {
-        Runtime::simulate(0, |rt| {
-            let sem = Semaphore::new(rt, 1);
-            assert!(sem.try_acquire());
-            assert!(!sem.try_acquire());
-            sem.release();
-            assert!(sem.try_acquire());
-            assert_eq!(sem.available(), 0);
         });
     }
 }

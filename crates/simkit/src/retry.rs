@@ -15,16 +15,16 @@ use crate::time::{Dur, Time};
 ///
 /// `max_attempts` counts *total* submissions, so `max_attempts == 1` means
 /// "never retry". After the `n`-th failed attempt the caller waits
-/// [`RetryPolicy::backoff_after`]`(n)` before resubmitting, unless
-/// [`RetryPolicy::next_delay`] says the budget is spent.
+/// [`RetryPolicy::next_delay`]`(n)` before resubmitting, or gives up when
+/// it returns `None`: the budget is spent.
 ///
 /// ```
 /// use simkit::retry::RetryPolicy;
 /// use simkit::time::Dur;
 ///
 /// let p = RetryPolicy::default();
-/// assert_eq!(p.backoff_after(1), Dur::micros(20));
-/// assert_eq!(p.backoff_after(2), Dur::micros(40));
+/// assert_eq!(p.next_delay(1), Some(Dur::micros(20)));
+/// assert_eq!(p.next_delay(2), Some(Dur::micros(40)));
 /// assert!(p.next_delay(p.max_attempts).is_none());
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,17 +51,9 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that fails immediately on the first error.
-    pub fn no_retries() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ..Default::default()
-        }
-    }
-
     /// Backoff interval after `failed_attempts` consecutive failures
     /// (1-based): `min(base << (n-1), max)`, shift-saturating.
-    pub fn backoff_after(&self, failed_attempts: u32) -> Dur {
+    fn backoff_after(&self, failed_attempts: u32) -> Dur {
         if failed_attempts == 0 {
             return Dur::ZERO;
         }
@@ -147,7 +139,11 @@ mod tests {
         assert!(p.next_delay(1).is_some());
         assert!(p.next_delay(2).is_some());
         assert!(p.next_delay(3).is_none());
-        assert!(RetryPolicy::no_retries().next_delay(1).is_none());
+        let never = RetryPolicy {
+            max_attempts: 1,
+            ..Default::default()
+        };
+        assert!(never.next_delay(1).is_none());
     }
 
     #[test]

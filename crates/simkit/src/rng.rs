@@ -120,14 +120,8 @@ impl SplitMix64 {
         v
     }
 
-    /// Next raw 32-bit value (the high half of [`SplitMix64::next`]).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
     /// Fill `dest` with pseudo-random bytes from this stream.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut chunks = dest.chunks_exact_mut(8);
         for chunk in &mut chunks {
             chunk.copy_from_slice(&self.next().to_le_bytes());

@@ -1,38 +1,24 @@
 //! The `Runtime` facade: one handle for spawning tasks, telling time,
-//! sleeping, and creating channels — backed either by the deterministic
-//! virtual-time scheduler ([`Runtime::simulate`]) or by real OS threads and
-//! the wall clock ([`Runtime::real`]).
+//! sleeping, and creating channels, backed by the deterministic
+//! virtual-time scheduler ([`Runtime::simulate`]).
 //!
 //! Components throughout the workspace are written against this handle only,
-//! so the same DLFS/Ext4/Octopus code runs both inside exact, reproducible
-//! simulations (for the paper's figures) and live on real threads (for the
-//! interactive examples).
+//! so the DLFS/Ext4/Octopus code runs inside exact, reproducible
+//! simulations: every figure, test and example is measured in virtual time.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::plock::Mutex;
 
-use crate::chan::{real_channel, sim_channel, Receiver, Sender};
+use crate::chan::{sim_channel, Receiver, Sender};
 use crate::rng::SplitMix64;
 use crate::sched::{Pid, SimCore};
 use crate::time::{Dur, Time};
 
-#[derive(Clone)]
-enum RtImpl {
-    Sim(Arc<SimCore>),
-    Real(Arc<RealCore>),
-}
-
-struct RealCore {
-    epoch: Instant,
-    seed: u64,
-}
-
 /// A handle to the execution environment. Cheap to clone; pass it to every
 /// spawned task.
 #[derive(Clone)]
-pub struct Runtime(RtImpl);
+pub struct Runtime(Arc<SimCore>);
 
 impl Runtime {
     /// Run `f` inside a fresh deterministic simulation and return its result
@@ -55,49 +41,27 @@ impl Runtime {
             }
         }
         let mut guard = Guard(core.clone(), None);
-        let rt = Runtime(RtImpl::Sim(core));
+        let rt = Runtime(core);
         let out = f(&rt);
         let end = guard.0.exit_root();
         guard.1 = Some(end);
         (out, end)
     }
 
-    /// A runtime backed by real OS threads and the wall clock. Virtual time
-    /// maps to wall time since creation.
-    pub fn real(seed: u64) -> Runtime {
-        Runtime(RtImpl::Real(Arc::new(RealCore {
-            epoch: Instant::now(),
-            seed,
-        })))
-    }
-
-    /// Whether this runtime is a deterministic simulation.
-    pub fn is_sim(&self) -> bool {
-        matches!(self.0, RtImpl::Sim(_))
-    }
-
-    /// Current (virtual or wall) time.
+    /// Current virtual time.
     pub fn now(&self) -> Time {
-        match &self.0 {
-            RtImpl::Sim(c) => c.now(),
-            RtImpl::Real(c) => Time(c.epoch.elapsed().as_nanos() as u64),
-        }
+        self.0.now()
     }
 
-    /// Suspend the calling task for `d` (idle time; models waiting).
+    /// Suspend the calling task for `d` (idle time; models waiting). A zero
+    /// `d` yields: the task goes to the back of the ready queue.
     pub fn sleep(&self, d: Dur) {
-        match &self.0 {
-            RtImpl::Sim(c) => c.sleep(d),
-            RtImpl::Real(c) => c.sleep_real(d),
-        }
+        self.0.sleep(d)
     }
 
     /// Consume `d` of CPU (busy time; models computation / memcpy / polling).
     pub fn work(&self, d: Dur) {
-        match &self.0 {
-            RtImpl::Sim(c) => c.work(d),
-            RtImpl::Real(c) => c.spin(d),
-        }
+        self.0.work(d)
     }
 
     /// Sleep until the absolute instant `t` (idle time). A no-op when `t`
@@ -120,56 +84,26 @@ impl Runtime {
         }
     }
 
-    /// Yield to other runnable tasks without advancing time.
-    pub fn yield_now(&self) {
-        match &self.0 {
-            RtImpl::Sim(c) => c.sleep(Dur::ZERO),
-            RtImpl::Real(_) => std::thread::yield_now(),
-        }
-    }
-
-    /// Busy CPU time consumed so far by the calling task (sim mode only;
-    /// real mode approximates with zero).
+    /// Busy CPU time consumed so far by the calling task.
     pub fn my_busy(&self) -> Dur {
-        match &self.0 {
-            RtImpl::Sim(c) => c.my_busy(),
-            RtImpl::Real(_) => Dur::ZERO,
-        }
+        self.0.my_busy()
     }
 
-    /// Total busy CPU time across all tasks (sim mode only).
+    /// Total busy CPU time across all tasks.
     pub fn total_busy(&self) -> Dur {
-        match &self.0 {
-            RtImpl::Sim(c) => c.total_busy(),
-            RtImpl::Real(_) => Dur::ZERO,
-        }
+        self.0.total_busy()
     }
 
-    /// Idle (parked) time spent so far by the calling task in `sleep`
-    /// (sim mode only). The complement of [`Runtime::my_busy`]: an
-    /// event-driven loop parks instead of spinning, and the difference
-    /// shows up here.
-    pub fn my_idle(&self) -> Dur {
-        match &self.0 {
-            RtImpl::Sim(c) => c.my_idle(),
-            RtImpl::Real(_) => Dur::ZERO,
-        }
-    }
-
-    /// Total parked idle time across all tasks (sim mode only).
+    /// Total parked idle time across all tasks: the complement of
+    /// [`Runtime::total_busy`]. An event-driven loop parks instead of
+    /// spinning, and the difference shows up here.
     pub fn total_idle(&self) -> Dur {
-        match &self.0 {
-            RtImpl::Sim(c) => c.total_idle(),
-            RtImpl::Real(_) => Dur::ZERO,
-        }
+        self.0.total_idle()
     }
 
     /// The experiment seed this runtime was created with.
     pub fn seed(&self) -> u64 {
-        match &self.0 {
-            RtImpl::Sim(c) => c.seed,
-            RtImpl::Real(c) => c.seed,
-        }
+        self.0.seed
     }
 
     /// Derive a deterministic RNG stream labelled `stream` from the runtime
@@ -178,8 +112,7 @@ impl Runtime {
         SplitMix64::derive(self.seed(), stream)
     }
 
-    /// Spawn a task. In simulation mode the task becomes a scheduler
-    /// participant; in real mode it is a plain OS thread.
+    /// Spawn a task; it becomes a scheduler participant.
     pub fn spawn(&self, name: &str, f: impl FnOnce(&Runtime) + Send + 'static) -> JoinHandle<()> {
         self.spawn_with(name, move |rt| {
             f(rt);
@@ -193,110 +126,46 @@ impl Runtime {
         f: impl FnOnce(&Runtime) -> T + Send + 'static,
     ) -> JoinHandle<T> {
         let slot: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-        match &self.0 {
-            RtImpl::Sim(core) => {
-                let rt = self.clone();
-                let s2 = slot.clone();
-                let pid = core.spawn_participant(
-                    name,
-                    Box::new(move || {
-                        let v = f(&rt);
-                        *s2.lock() = Some(v);
-                    }),
-                );
-                JoinHandle {
-                    inner: JoinImpl::Sim(core.clone(), pid),
-                    slot,
-                }
-            }
-            RtImpl::Real(_) => {
-                let rt = self.clone();
-                let s2 = slot.clone();
-                let h = std::thread::Builder::new()
-                    .name(name.to_string())
-                    .spawn(move || {
-                        let v = f(&rt);
-                        *s2.lock() = Some(v);
-                    })
-                    .expect("failed to spawn thread");
-                JoinHandle {
-                    inner: JoinImpl::Real(Some(h)),
-                    slot,
-                }
-            }
+        let rt = self.clone();
+        let s2 = slot.clone();
+        let pid = self.0.spawn_participant(
+            name,
+            Box::new(move || {
+                let v = f(&rt);
+                *s2.lock() = Some(v);
+            }),
+        );
+        JoinHandle {
+            core: self.0.clone(),
+            pid,
+            slot,
         }
     }
 
     /// Create a channel. `cap = None` means unbounded.
     pub fn channel<T: Send>(&self, cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
-        match &self.0 {
-            RtImpl::Sim(core) => sim_channel(core.clone(), cap),
-            RtImpl::Real(_) => real_channel(cap),
-        }
+        sim_channel(self.0.clone(), cap)
     }
-}
-
-impl RealCore {
-    fn sleep_real(&self, d: Dur) {
-        let ns = d.as_nanos();
-        if ns == 0 {
-            std::thread::yield_now();
-        } else if ns >= 200_000 {
-            std::thread::sleep(std::time::Duration::from_nanos(ns));
-        } else {
-            self.spin(d);
-        }
-    }
-
-    fn spin(&self, d: Dur) {
-        let until = Instant::now() + std::time::Duration::from_nanos(d.as_nanos());
-        while Instant::now() < until {
-            std::hint::spin_loop();
-        }
-    }
-}
-
-enum JoinImpl {
-    Sim(Arc<SimCore>, Pid),
-    Real(Option<std::thread::JoinHandle<()>>),
 }
 
 /// Handle to a spawned task.
 pub struct JoinHandle<T> {
-    inner: JoinImpl,
+    core: Arc<SimCore>,
+    pid: Pid,
     slot: Arc<Mutex<Option<T>>>,
 }
 
 impl<T> JoinHandle<T> {
     /// Wait for the task to finish and return its value.
     ///
-    /// In simulation mode, a task that panicked poisons the whole simulation
-    /// (see the scheduler docs), so `join` on it never returns normally.
-    pub fn join(mut self) -> T {
-        match &mut self.inner {
-            JoinImpl::Sim(core, pid) => {
-                core.join_participant(*pid);
-            }
-            JoinImpl::Real(h) => {
-                if let Some(h) = h.take() {
-                    if let Err(p) = h.join() {
-                        std::panic::resume_unwind(p);
-                    }
-                }
-            }
-        }
+    /// A task that panicked poisons the whole simulation (see the scheduler
+    /// docs), so `join` on it never returns normally.
+    pub fn join(self) -> T {
+        self.core.join_participant(self.pid);
         self.slot
             .lock()
             .take()
             .expect("joined task did not produce a value")
-    }
-
-    /// Whether the task has finished (non-blocking).
-    pub fn is_finished(&self) -> bool {
-        match &self.inner {
-            JoinImpl::Sim(core, pid) => core.is_finished(*pid),
-            JoinImpl::Real(h) => h.as_ref().map(|h| h.is_finished()).unwrap_or(true),
-        }
     }
 }
 
@@ -434,19 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn real_runtime_smoke() {
-        let rt = Runtime::real(1);
-        let (tx, rx) = rt.channel::<u32>(None);
-        let h = rt.spawn_with("w", move |rt| {
-            rt.sleep(Dur::micros(50));
-            tx.send(5).unwrap();
-        });
-        assert_eq!(rx.recv(), Ok(5));
-        h.join();
-        assert!(rt.now().nanos() > 0);
-    }
-
-    #[test]
     fn zero_sleep_yields_fifo() {
         let (seqs, _) = Runtime::simulate(0, |rt| {
             let (tx, rx) = rt.channel::<u32>(None);
@@ -455,7 +311,7 @@ mod tests {
                 rt.spawn_with(&format!("y{i}"), move |rt| {
                     for k in 0..3u32 {
                         tx.send(i * 10 + k).unwrap();
-                        rt.yield_now();
+                        rt.sleep(Dur::ZERO);
                     }
                 });
             }

@@ -19,7 +19,7 @@
 //!
 //! Any panic inside a participant, and any detected deadlock, *poisons* the
 //! simulation: every parked participant is woken with a shutdown signal and
-//! the root call to [`crate::runtime::Runtime::sim`]'s closure panics with
+//! the root call to [`crate::runtime::Runtime::simulate`]'s closure panics with
 //! the original message. A buggy simulation therefore fails fast and loud
 //! instead of hanging the test suite.
 
@@ -183,11 +183,6 @@ impl SimCore {
 
     pub(crate) fn total_busy(&self) -> Dur {
         Dur(self.state.lock().parts.iter().map(|p| p.busy_ns).sum())
-    }
-
-    pub(crate) fn my_idle(&self) -> Dur {
-        let pid = self.my_pid();
-        Dur(self.state.lock().parts[pid].idle_ns)
     }
 
     pub(crate) fn total_idle(&self) -> Dur {
@@ -496,10 +491,5 @@ impl SimCore {
             g.parts[my].status = Status::Blocked;
             self.dispatch(g, my, true);
         }
-    }
-
-    /// Whether the participant has finished.
-    pub(crate) fn is_finished(&self, pid: Pid) -> bool {
-        self.state.lock().parts[pid].status == Status::Finished
     }
 }

@@ -1,12 +1,11 @@
-//! Synchronization primitives over the simulation runtime: barriers, wait
-//! groups and one-shot gates, built on the deterministic channels so they
-//! work identically in virtual and real time.
+//! A reusable barrier over the simulation runtime, built on the
+//! deterministic channels so release order is reproducible.
 
 use std::sync::Arc;
 
 use crate::plock::Mutex;
 
-use crate::chan::{Receiver, Sender};
+use crate::chan::Sender;
 use crate::runtime::Runtime;
 
 /// A reusable barrier for `n` tasks (collective operations: the paper's
@@ -78,155 +77,6 @@ impl Barrier {
     }
 }
 
-/// Counts outstanding work; `wait` blocks until the count returns to zero.
-#[derive(Clone)]
-pub struct WaitGroup {
-    inner: Arc<WgInner>,
-}
-
-struct WgInner {
-    state: Mutex<WgState>,
-}
-
-struct WgState {
-    count: usize,
-    waiters: Vec<Sender<()>>,
-}
-
-impl std::fmt::Debug for WaitGroup {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WaitGroup")
-            .field("count", &self.inner.state.lock().count)
-            .finish()
-    }
-}
-
-impl Default for WaitGroup {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WaitGroup {
-    pub fn new() -> WaitGroup {
-        WaitGroup {
-            inner: Arc::new(WgInner {
-                state: Mutex::new(WgState {
-                    count: 0,
-                    waiters: Vec::new(),
-                }),
-            }),
-        }
-    }
-
-    pub fn add(&self, n: usize) {
-        self.inner.state.lock().count += n;
-    }
-
-    pub fn done(&self) {
-        let mut st = self.inner.state.lock();
-        assert!(st.count > 0, "WaitGroup::done without matching add");
-        st.count -= 1;
-        if st.count == 0 {
-            for w in st.waiters.drain(..) {
-                let _ = w.send(());
-            }
-        }
-    }
-
-    /// Block until the count reaches zero (returns immediately when zero).
-    pub fn wait(&self, rt: &Runtime) {
-        let rx: Option<Receiver<()>> = {
-            let mut st = self.inner.state.lock();
-            if st.count == 0 {
-                None
-            } else {
-                let (tx, rx) = rt.channel::<()>(None);
-                st.waiters.push(tx);
-                Some(rx)
-            }
-        };
-        if let Some(rx) = rx {
-            rx.recv().expect("waitgroup completion");
-        }
-    }
-
-    pub fn count(&self) -> usize {
-        self.inner.state.lock().count
-    }
-}
-
-/// A one-shot gate: tasks wait until it opens; opening is idempotent.
-#[derive(Clone)]
-pub struct Gate {
-    inner: Arc<GateInner>,
-}
-
-struct GateInner {
-    state: Mutex<GateState>,
-}
-
-struct GateState {
-    open: bool,
-    waiters: Vec<Sender<()>>,
-}
-
-impl std::fmt::Debug for Gate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Gate")
-            .field("open", &self.inner.state.lock().open)
-            .finish()
-    }
-}
-
-impl Default for Gate {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Gate {
-    pub fn new() -> Gate {
-        Gate {
-            inner: Arc::new(GateInner {
-                state: Mutex::new(GateState {
-                    open: false,
-                    waiters: Vec::new(),
-                }),
-            }),
-        }
-    }
-
-    pub fn open(&self) {
-        let mut st = self.inner.state.lock();
-        st.open = true;
-        for w in st.waiters.drain(..) {
-            let _ = w.send(());
-        }
-    }
-
-    pub fn is_open(&self) -> bool {
-        self.inner.state.lock().open
-    }
-
-    /// Block until the gate opens (returns immediately if already open).
-    pub fn wait(&self, rt: &Runtime) {
-        let rx: Option<Receiver<()>> = {
-            let mut st = self.inner.state.lock();
-            if st.open {
-                None
-            } else {
-                let (tx, rx) = rt.channel::<()>(None);
-                st.waiters.push(tx);
-                Some(rx)
-            }
-        };
-        if let Some(rx) = rx {
-            rx.recv().expect("gate opens");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,69 +136,5 @@ mod tests {
             5,
             "one leader per round"
         );
-    }
-
-    #[test]
-    fn waitgroup_waits_for_all() {
-        let ((), end) = Runtime::simulate(2, |rt| {
-            let wg = WaitGroup::new();
-            wg.add(3);
-            for i in 0..3u64 {
-                let wg = wg.clone();
-                rt.spawn(&format!("w{i}"), move |rt| {
-                    rt.sleep(Dur::micros(5 * (i + 1)));
-                    wg.done();
-                });
-            }
-            wg.wait(rt);
-            assert_eq!(wg.count(), 0);
-        });
-        assert_eq!(end.nanos(), 15_000);
-    }
-
-    #[test]
-    fn waitgroup_wait_on_zero_is_instant() {
-        Runtime::simulate(3, |rt| {
-            let wg = WaitGroup::new();
-            wg.wait(rt);
-            assert_eq!(rt.now().nanos(), 0);
-        });
-    }
-
-    #[test]
-    fn gate_releases_all_waiters() {
-        let (times, _) = Runtime::simulate(4, |rt| {
-            let g = Gate::new();
-            let (tx, rx) = rt.channel::<u64>(None);
-            let mut handles = Vec::new();
-            for i in 0..3u64 {
-                let g = g.clone();
-                let tx = tx.clone();
-                handles.push(rt.spawn(&format!("t{i}"), move |rt| {
-                    g.wait(rt);
-                    tx.send(rt.now().nanos()).unwrap();
-                }));
-            }
-            drop(tx);
-            rt.sleep(Dur::micros(25));
-            assert!(!g.is_open());
-            g.open();
-            for h in handles {
-                h.join();
-            }
-            rx.drain()
-        });
-        assert_eq!(times, vec![25_000; 3]);
-    }
-
-    #[test]
-    fn open_gate_passes_through() {
-        Runtime::simulate(5, |rt| {
-            let g = Gate::new();
-            g.open();
-            g.open(); // idempotent
-            g.wait(rt);
-            assert_eq!(rt.now().nanos(), 0);
-        });
     }
 }

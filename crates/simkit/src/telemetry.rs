@@ -85,8 +85,7 @@ impl Histo {
         self.record(d.as_nanos());
     }
 
-    /// Snapshot of this one histogram.
-    pub fn summary(&self) -> HistoSummary {
+    fn summary(&self) -> HistoSummary {
         HistoSummary::from(&self.0.lock())
     }
 }

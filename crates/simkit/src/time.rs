@@ -71,12 +71,6 @@ impl Dur {
         }
     }
 
-    /// Build a duration from fractional microseconds; negative values clamp to zero.
-    #[inline]
-    pub fn from_micros_f64(us: f64) -> Dur {
-        Dur::from_secs_f64(us * 1e-6)
-    }
-
     #[inline]
     pub fn as_nanos(self) -> u64 {
         self.0
@@ -276,7 +270,6 @@ mod tests {
         assert_eq!(Dur::micros(1), Dur::nanos(1_000));
         assert_eq!(Dur::from_secs_f64(1.5), Dur::millis(1_500));
         assert_eq!(Dur::from_secs_f64(-2.0), Dur::ZERO);
-        assert_eq!(Dur::from_micros_f64(2.5), Dur::nanos(2_500));
     }
 
     #[test]

@@ -150,19 +150,22 @@ fn link_contention_is_deterministic() {
 #[test]
 fn semaphore_queue_depth_pipeline() {
     // Model an SPDK-style queue-depth-bounded submission pipeline and check
-    // the completion count and makespan are exactly reproducible.
+    // the completion count and makespan are exactly reproducible. The queue
+    // depth is a bounded channel of unit permits: send to acquire a slot,
+    // recv to release it.
     let run = || {
         Runtime::simulate(3, |rt| {
-            let qd = Semaphore::new(rt, 16);
+            let (acquire, release) = rt.channel::<()>(Some(16));
             let srv = Servers::new(4);
             let mut handles = Vec::new();
             for i in 0..64 {
-                let qd = qd.clone();
+                let acquire = acquire.clone();
+                let release = release.clone();
                 let srv = srv.clone();
                 handles.push(rt.spawn(&format!("io{i}"), move |rt| {
-                    qd.acquire();
+                    acquire.send(()).unwrap();
                     srv.serve(rt, Dur::micros(10));
-                    qd.release();
+                    release.recv().unwrap();
                 }));
             }
             for h in handles {
