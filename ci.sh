@@ -33,9 +33,11 @@
 #     crates/core/src, hand-wired deployment lines (`fabric::connect(`,
 #     `NvmeOfTarget::new(`, `Deployment {` in the Rust sources of
 #     crates/core, crates/bench, src, tests and examples outside
-#     mount.rs), code lines of crates/simkit/src and panic sites in the
-#     non-test part of crates/{simkit,fabric,blocksim}/src, measured on
-#     the rustfmt'd tree, may not exceed the numbers committed in
+#     mount.rs), code lines of crates/simkit/src and of the substrate
+#     crates (fabric, blocksim, kernsim, dlio, dnn, octofs), panic sites in
+#     the non-test part of every crate but core and bench, and the bytes of
+#     DESIGN.md and CHANGES.md, measured on the rustfmt'd tree, may not
+#     exceed the numbers committed in
 #     bench/history/surface.txt. A PR that shrinks them commits the new
 #     values; one that cannot pay for what it adds raises the number
 #     there and says so in bench/history/README.md;
@@ -85,9 +87,14 @@ panics='unwrap\(\)|expect\(|panic!|assert!\('
     ! -path $mount -exec cat {} + |
     grep -cE 'fabric::connect\(|NvmeOfTarget::new\(|Deployment \{')"
   echo "simkit_src_code_lines $(cat crates/simkit/src/*.rs | grep -vcE '^\s*(//|$)')"
-  # The simulator, fabric and device crates without their unit-test modules.
-  echo "lower_nontest_panic_sites $(for f in crates/{simkit,fabric,blocksim}/src/*.rs; do
-    sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -cE "$panics")"
+  # The devices, the fabric, both baselines and the DL substrate.
+  echo "substrate_src_code_lines $(find crates/{fabric,blocksim,kernsim,dlio,dnn,octofs}/src \
+    -name '*.rs' -exec cat {} + | grep -vcE '^\s*(//|$)')"
+  # Every crate but core and bench, without their unit-test modules.
+  echo "lower_nontest_panic_sites $(for f in $(find crates/{simkit,fabric,blocksim,kernsim,octofs,dlio,dnn}/src \
+    -name '*.rs'); do sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -cE "$panics")"
+  echo "design_md_bytes $(wc -c <DESIGN.md)"
+  echo "changes_md_bytes $(wc -c <CHANGES.md)"
 } | while read -r name now; do
   max="$(awk -v n="$name" '$1 == n { print $2 }' bench/history/surface.txt)"
   echo "$name $now (committed ${max:?no $name in surface.txt})"

@@ -12,7 +12,6 @@
 
 use dlfs::{DlfsConfig, SampleSource};
 use dlfs_bench::{arg, fmt_size, setup, Table, DEFAULT_SEED};
-use dlio::Pfs;
 use simkit::prelude::*;
 
 fn main() {
@@ -44,7 +43,7 @@ fn main() {
         // same devices: the remount reads exactly what the import wrote.
         let ((mount_s, cold_s, warm_s), _) = Runtime::simulate(seed, |rt| {
             let (mesh, ..) = setup::disagg_deployment(nodes, nodes, dataset_bytes);
-            let pfs = || Pfs::hpc_default().link();
+            let pfs = || Link::new(20e9, Dur::ZERO);
 
             let t0 = rt.now();
             let eph = dlfs::MountBuilder::new(DlfsConfig::default())

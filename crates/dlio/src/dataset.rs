@@ -74,39 +74,10 @@ pub fn shard_of(id: u32, readers: usize) -> usize {
 
 /// Stage reader `r`'s shard of the dataset into a local ext4 file system
 /// (file-per-sample under `/data`, as the paper's Ext4 baseline reads
-/// datasets). Returns the staged (id, path) pairs.
-pub fn stage_ext4(
-    rt: &Runtime,
-    fs: &Arc<Ext4Fs>,
-    source: &dyn SampleSource,
-    reader: usize,
-    readers: usize,
-) -> Vec<(u32, String)> {
-    fs.mkdir_p("/data").expect("mkdir /data");
-    let mut staged = Vec::new();
-    let mut buf = Vec::new();
-    for id in 0..source.count() as u32 {
-        if shard_of(id, readers) != reader {
-            continue;
-        }
-        let path = format!("/data/{}", source.name(id));
-        if let Some(parent) = path.rsplit_once('/').map(|(p, _)| p) {
-            if parent != "/data" {
-                fs.mkdir_p(parent).expect("mkdir class dir");
-            }
-        }
-        buf.resize(source.size(id) as usize, 0);
-        source.fill(id, &mut buf);
-        fs.create_with_size(rt, &path, &buf).expect("stage file");
-        staged.push((id, path));
-    }
-    // Benchmarks measure cold reads, as after a fresh staging + job start.
-    fs.drop_caches();
-    staged
-}
-
-/// Untimed variant of [`stage_ext4`] for benchmark setup: identical
-/// on-device state, zero virtual time.
+/// datasets) without charging virtual time: staging is set-up, not a
+/// measured quantity. Caches are dropped afterwards, so benchmarks measure
+/// cold reads, as after a fresh staging + job start. Returns the staged
+/// (id, path) pairs.
 pub fn stage_ext4_untimed(
     fs: &Arc<Ext4Fs>,
     source: &dyn SampleSource,
@@ -181,7 +152,7 @@ mod tests {
             let dev = NvmeDevice::new(DeviceConfig::optane(128 << 20));
             let fs = Ext4Fs::mkfs(dev, KernelCosts::default(), FsOptions::default());
             let source = generate(2, 40, &SizeDist::Fixed(2048));
-            let staged = stage_ext4(rt, &fs, &source, 0, 2);
+            let staged = stage_ext4_untimed(&fs, &source, 0, 2);
             assert_eq!(staged.len(), 20); // half the shard
             for (id, path) in &staged {
                 let fd = fs.open(rt, path).unwrap();

@@ -3,7 +3,7 @@
 //! The paper (§II-B) discusses why preprocessed container formats
 //! (TFRecord, the CIFAR binary format) don't solve the random-small-read
 //! problem: they are read sequentially through a bounded shuffle buffer,
-//! which only partially shuffles. We implement both formats for real so the
+//! which only partially shuffles. TFRecord is implemented for real so the
 //! pipeline experiments and the partial-shuffle demonstration run against
 //! the genuine article.
 
@@ -33,7 +33,6 @@ pub enum FormatError {
     Truncated,
     BadLengthCrc,
     BadDataCrc,
-    BadGeometry(String),
 }
 
 impl std::fmt::Display for FormatError {
@@ -42,7 +41,6 @@ impl std::fmt::Display for FormatError {
             FormatError::Truncated => write!(f, "record truncated"),
             FormatError::BadLengthCrc => write!(f, "length CRC mismatch"),
             FormatError::BadDataCrc => write!(f, "data CRC mismatch"),
-            FormatError::BadGeometry(m) => write!(f, "bad geometry: {m}"),
         }
     }
 }
@@ -114,59 +112,6 @@ pub fn tfrecord_index(buf: &[u8]) -> Result<Vec<(u64, u64)>, FormatError> {
     Ok(out)
 }
 
-/// CIFAR-10 style binary format: fixed-size records, `1 label byte +
-/// payload` each.
-#[derive(Clone, Copy, Debug)]
-pub struct CifarGeometry {
-    pub payload: usize,
-}
-
-impl CifarGeometry {
-    /// The real CIFAR-10 geometry (3072-byte images).
-    pub fn cifar10() -> CifarGeometry {
-        CifarGeometry { payload: 3072 }
-    }
-
-    pub fn record_len(&self) -> usize {
-        self.payload + 1
-    }
-
-    pub fn write(&self, records: &[(u8, &[u8])]) -> Result<Vec<u8>, FormatError> {
-        let mut out = Vec::with_capacity(records.len() * self.record_len());
-        for (label, data) in records {
-            if data.len() != self.payload {
-                return Err(FormatError::BadGeometry(format!(
-                    "payload {} != {}",
-                    data.len(),
-                    self.payload
-                )));
-            }
-            out.push(*label);
-            out.extend_from_slice(data);
-        }
-        Ok(out)
-    }
-
-    pub fn read(&self, buf: &[u8]) -> Result<Vec<(u8, Vec<u8>)>, FormatError> {
-        if !buf.len().is_multiple_of(self.record_len()) {
-            return Err(FormatError::BadGeometry(format!(
-                "buffer {} not a multiple of record {}",
-                buf.len(),
-                self.record_len()
-            )));
-        }
-        Ok(buf
-            .chunks_exact(self.record_len())
-            .map(|c| (c[0], c[1..].to_vec()))
-            .collect())
-    }
-
-    /// Offset/len of record `i`'s payload.
-    pub fn index(&self, i: usize) -> (u64, u64) {
-        ((i * self.record_len() + 1) as u64, self.payload as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,26 +156,5 @@ mod tests {
             assert_eq!(len, 50);
             assert_eq!(&buf[off as usize..(off + len) as usize], recs[i].as_slice());
         }
-    }
-
-    #[test]
-    fn cifar_roundtrip_and_geometry() {
-        let g = CifarGeometry { payload: 16 };
-        let a = [1u8; 16];
-        let b = [2u8; 16];
-        let buf = g.write(&[(3, &a), (7, &b)]).unwrap();
-        assert_eq!(buf.len(), 34);
-        let back = g.read(&buf).unwrap();
-        assert_eq!(back[0], (3, a.to_vec()));
-        assert_eq!(back[1], (7, b.to_vec()));
-        let (off, len) = g.index(1);
-        assert_eq!((off, len), (18, 16));
-        assert!(g.write(&[(0, &[0u8; 5])]).is_err());
-        assert!(g.read(&buf[..10]).is_err());
-    }
-
-    #[test]
-    fn cifar10_is_3073_bytes_per_record() {
-        assert_eq!(CifarGeometry::cifar10().record_len(), 3073);
     }
 }

@@ -4,9 +4,8 @@
 //!
 //! - [`sizedist`] — sample-size distributions calibrated to the paper's
 //!   Fig. 1 (ImageNet p75 ≈ 147 KB, IMDB p75 ≈ 1.6 KB);
-//! - [`formats`] — real TFRecord and CIFAR-binary container codecs,
-//!   including the record index DLFS uses for sample-level access;
-//! - [`pfs`] — a parallel-file-system stub datasets are staged from;
+//! - [`formats`] — the real TFRecord container codec, including the
+//!   record index DLFS uses for sample-level access;
 //! - [`dataset`] — deterministic dataset generation + staging helpers for
 //!   every system under test;
 //! - [`backend`] — the `ReaderBackend` trait with DLFS / DLFS-Base / Ext4
@@ -32,18 +31,12 @@ pub mod backend;
 pub mod container;
 pub mod dataset;
 pub mod formats;
-pub mod pfs;
 pub mod pipeline;
 pub mod sizedist;
 
 pub use backend::{DlfsBackend, DlfsBaseBackend, Ext4Backend, OctoBackend, ReaderBackend, Sample};
 pub use container::TfRecordDataset;
-pub use dataset::{
-    generate, shard_of, stage_ext4, stage_ext4_untimed, stage_octopus, HierarchicalSource,
-};
-pub use formats::{
-    crc32c, masked_crc, tfrecord_index, tfrecord_read, tfrecord_write, CifarGeometry,
-};
-pub use pfs::Pfs;
+pub use dataset::{generate, shard_of, stage_ext4_untimed, stage_octopus, HierarchicalSource};
+pub use formats::{crc32c, masked_crc, tfrecord_index, tfrecord_read, tfrecord_write};
 pub use pipeline::{shuffle_quality, InputPipeline, PipelineCosts, ShuffleBuffer};
 pub use sizedist::SizeDist;

@@ -25,13 +25,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod conv;
 pub mod data;
 pub mod net;
 pub mod tensor;
 pub mod train;
 
-pub use conv::{Conv1d, MaxPool1d};
 pub use data::ClassData;
 pub use net::{softmax_xent, Mlp};
 pub use tensor::Matrix;

@@ -124,12 +124,6 @@ impl Mlp {
         loss
     }
 
-    /// Weights of the first dense layer (used by tests composing custom
-    /// architectures around the MLP head).
-    pub fn first_layer_weights(&self) -> &Matrix {
-        &self.layers[0].w
-    }
-
     /// Serialize the full optimizer state (weights, biases and momentum
     /// buffers, f32 little-endian) — the payload of a training checkpoint.
     /// [`Mlp::from_state_bytes`] restores a network that continues

@@ -133,10 +133,6 @@ impl Matrix {
         }
         out
     }
-
-    pub fn frobenius(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
-    }
 }
 
 fn gemm_band(lhs: &[f32], rhs: &[f32], out: &mut [f32], k: usize, n: usize) {

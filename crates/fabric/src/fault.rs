@@ -2,11 +2,11 @@
 //!
 //! The block layer already injects *device* faults (media errors, latency
 //! spikes); this module adds the failure modes that only exist once storage
-//! is disaggregated: dropped or delayed RPC capsules, links that flap on a
-//! fixed down/up schedule, and whole targets that crash and restart at
-//! scheduled virtual instants. The injector follows the same replay
-//! discipline as [`blocksim::FaultInjector`] — a SplitMix64 step keyed on
-//! `(seed, decision-counter)` — so a failing run replays bit-identically.
+//! is disaggregated: dropped or delayed RPC capsules and whole targets that
+//! crash and restart at scheduled virtual instants. The injector follows
+//! the same replay discipline as [`blocksim::FaultInjector`] — a SplitMix64
+//! step keyed on `(seed, decision-counter)` — so a failing run replays
+//! bit-identically.
 //!
 //! Attach one injector per [`Cluster`](crate::Cluster) via
 //! [`Cluster::set_faults`](crate::Cluster::set_faults); the NVMe-oF client
@@ -48,34 +48,10 @@ struct CrashWindow {
     up_at: Time,
 }
 
-/// A deterministic link flap: `node`'s link is down during
-/// `[first_down + k*period, first_down + k*period + down_for)` for
-/// `k < cycles`.
-#[derive(Clone, Copy, Debug)]
-struct LinkFlap {
-    node: usize,
-    first_down: Time,
-    down_for: Dur,
-    period: Dur,
-    cycles: u32,
-}
-
-impl LinkFlap {
-    fn is_down(&self, now: Time) -> bool {
-        if now < self.first_down {
-            return false;
-        }
-        let since = (now - self.first_down).as_nanos();
-        let period = self.period.as_nanos().max(1);
-        let k = since / period;
-        k < self.cycles as u64 && since % period < self.down_for.as_nanos()
-    }
-}
-
 struct FaultTel {
     /// Messages dropped by the random die.
     drops: Counter,
-    /// Messages dropped because an endpoint was crashed or its link down.
+    /// Messages dropped because an endpoint was crashed.
     outage_drops: Counter,
     /// Messages delayed by the random die.
     delays: Counter,
@@ -97,7 +73,6 @@ pub struct FabricFaultInjector {
     /// How long an initiator waits before declaring a dropped command lost.
     pub io_timeout: Dur,
     crashes: Vec<CrashWindow>,
-    flaps: Vec<LinkFlap>,
     tel: Mutex<Option<FaultTel>>,
 }
 
@@ -108,7 +83,6 @@ impl std::fmt::Debug for FabricFaultInjector {
             .field("drop_ppm", &self.drop_ppm)
             .field("delay_ppm", &self.delay_ppm)
             .field("crashes", &self.crashes.len())
-            .field("flaps", &self.flaps.len())
             .finish()
     }
 }
@@ -123,7 +97,6 @@ impl FabricFaultInjector {
             delay_extra: Dur::ZERO,
             io_timeout: Dur::micros(50),
             crashes: Vec::new(),
-            flaps: Vec::new(),
             tel: Mutex::new(None),
         }
     }
@@ -158,30 +131,6 @@ impl FabricFaultInjector {
         self
     }
 
-    /// Flap `node`'s link: down for `down_for` at the start of each of
-    /// `cycles` periods of `period`, beginning at `first_down`.
-    pub fn with_link_flap(
-        mut self,
-        node: usize,
-        first_down: Time,
-        down_for: Dur,
-        period: Dur,
-        cycles: u32,
-    ) -> Self {
-        assert!(
-            down_for < period,
-            "flap must come back up within its period"
-        );
-        self.flaps.push(LinkFlap {
-            node,
-            first_down,
-            down_for,
-            period,
-            cycles,
-        });
-        self
-    }
-
     /// Register counters and per-node `target_up` gauges in `reg`
     /// (typically scoped to `fabric.faults`). Called by
     /// [`Cluster::set_faults`](crate::Cluster::set_faults).
@@ -200,21 +149,19 @@ impl FabricFaultInjector {
         });
     }
 
-    /// Is `node` reachable at `now` (not crashed, link not flapped down)?
+    /// Is `node` reachable at `now` (not inside a crash window)?
     pub fn node_up(&self, node: usize, now: Time) -> bool {
-        let crashed = self
+        !self
             .crashes
             .iter()
-            .any(|c| c.node == node && c.down_at <= now && now < c.up_at);
-        let flapped = self.flaps.iter().any(|f| f.node == node && f.is_down(now));
-        !crashed && !flapped
+            .any(|c| c.node == node && c.down_at <= now && now < c.up_at)
     }
 
     /// Decide the fate of one `from → to` message at `now`.
     ///
-    /// The seeded die advances on *every* call, so adding a crash window or
-    /// a flap schedule does not shift the random drop/delay sequence — the
-    /// healthy part of the run replays unchanged.
+    /// The seeded die advances on *every* call, so adding a crash window
+    /// does not shift the random drop/delay sequence — the healthy part of
+    /// the run replays unchanged.
     pub fn decide(&self, now: Time, from: usize, to: usize) -> FabricFault {
         let n = self.counter.fetch_add(1, Ordering::Relaxed);
         // SplitMix64 step keyed on (seed, n), as in blocksim's injector.
@@ -317,28 +264,6 @@ mod tests {
             f.decide(Time::ZERO + Dur::micros(20), 0, 1),
             FabricFault::Healthy
         );
-    }
-
-    #[test]
-    fn flap_schedule_is_periodic_and_bounded() {
-        let f = FabricFaultInjector::new(3).with_link_flap(
-            0,
-            Time::ZERO + Dur::micros(100),
-            Dur::micros(10),
-            Dur::micros(50),
-            2,
-        );
-        let at = |us| Time::ZERO + Dur::micros(us);
-        assert!(f.node_up(0, at(99)));
-        assert!(!f.node_up(0, at(100)));
-        assert!(!f.node_up(0, at(109)));
-        assert!(f.node_up(0, at(110)));
-        // Second cycle.
-        assert!(!f.node_up(0, at(150)));
-        assert!(f.node_up(0, at(160)));
-        // Cycle budget spent: stays up forever after.
-        assert!(f.node_up(0, at(200)));
-        assert!(f.node_up(0, at(10_000)));
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub mod health;
 pub mod membership;
 pub mod nvmeof;
 pub mod offload;
-pub mod rdma;
 pub mod rpc;
 pub mod shard;
 pub mod topology;
@@ -52,7 +51,6 @@ pub use nvmeof::{
     connect, NvmeOfTarget, RemoteTarget, TargetConfig, CAPSULE_BYTES, RESPONSE_BYTES,
 };
 pub use offload::{OffloadRequestWire, OffloadScheduler, DESCRIPTOR_BYTES};
-pub use rdma::{MemoryRegion, RdmaQp};
 pub use rpc::{serve, RpcClient, RpcError, WireSize};
 pub use shard::{Route, ShardMap, ShardRouter};
 pub use topology::{Cluster, FabricConfig};

@@ -127,11 +127,6 @@ impl Membership {
         self.state(target) == NodeState::Dead
     }
 
-    /// The first Dead target, if any (lowest index — deterministic).
-    pub fn first_dead(&self) -> Option<usize> {
-        (0..self.states.len()).find(|&n| self.is_dead(n))
-    }
-
     /// The target's circuit is open and has been since `since`; decide
     /// whether that sustained outage crosses the death policy at `now`.
     /// Returns the target's state after the observation.
@@ -229,7 +224,6 @@ mod tests {
         );
         assert_eq!(m.view_epoch(), 2);
         assert!(m.is_dead(1));
-        assert_eq!(m.first_dead(), Some(1));
         // Other nodes unaffected.
         assert_eq!(m.state(0), NodeState::Alive);
         assert_eq!(m.state(2), NodeState::Alive);

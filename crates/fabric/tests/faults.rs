@@ -123,27 +123,6 @@ fn rpc_rides_out_a_crash_window() {
 }
 
 #[test]
-fn link_flap_follows_its_schedule() {
-    let inj = FabricFaultInjector::new(4).with_link_flap(
-        0,
-        Time::ZERO + Dur::micros(100),
-        Dur::micros(20),
-        Dur::micros(50),
-        2,
-    );
-    let at = |us: u64| Time::ZERO + Dur::micros(us);
-    assert!(inj.node_up(0, at(0)));
-    assert!(!inj.node_up(0, at(100)));
-    assert!(!inj.node_up(0, at(119)));
-    assert!(inj.node_up(0, at(120)));
-    assert!(!inj.node_up(0, at(150)));
-    assert!(inj.node_up(0, at(170)));
-    // Past the last cycle the link stays up.
-    assert!(inj.node_up(0, at(200)));
-    assert!(inj.node_up(0, at(250)));
-}
-
-#[test]
 fn seeded_fault_stream_replays_bit_identically() {
     let fates = |seed: u64| {
         let inj = FabricFaultInjector::new(seed)

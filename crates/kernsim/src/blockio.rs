@@ -8,10 +8,14 @@ use blocksim::{NvmeTarget, BLOCK_SIZE};
 use simkit::runtime::Runtime;
 use simkit::time::Time;
 
+use crate::ext4::FsError;
 use crate::params::{KernelCosts, PAGE_SIZE};
 
 /// Device blocks per file-system block.
 pub const DEV_BLOCKS_PER_FS_BLOCK: u64 = PAGE_SIZE / BLOCK_SIZE;
+
+/// Submission rounds a read gets before the block layer surfaces EIO.
+pub const MAX_READ_ATTEMPTS: u32 = 8;
 
 #[derive(Clone)]
 pub struct BlockLayer {
@@ -53,31 +57,39 @@ impl BlockLayer {
     /// Read the physical fs-block `runs` (start, len in fs blocks),
     /// depositing the bytes consecutively into `dst`. Blocks (sleeps) until
     /// the last bio completes; charges bio submission, IRQ and wakeup costs.
-    pub fn read_blocks(&self, rt: &Runtime, runs: &[(u64, u64)], dst: &mut [u8]) {
+    /// Fails with [`FsError::Io`] when some bio still fails after
+    /// [`MAX_READ_ATTEMPTS`] rounds.
+    pub fn read_blocks(
+        &self,
+        rt: &Runtime,
+        runs: &[(u64, u64)],
+        dst: &mut [u8],
+    ) -> Result<(), FsError> {
         let total_blocks: u64 = runs.iter().map(|r| r.1).sum();
         assert!(
             dst.len() as u64 >= total_blocks * PAGE_SIZE,
             "dst too small"
         );
-        let bios = self.split_bios(runs);
         // Submit all bios (the kernel plugs the queue, so they pipeline).
         // Bios failed by the device are retried, as the kernel block layer
         // does before surfacing EIO.
-        let mut queue: Vec<(u64, u64)> = bios.clone();
+        let mut queue = self.split_bios(runs);
         let mut attempts = 0;
         while !queue.is_empty() {
+            if attempts == MAX_READ_ATTEMPTS {
+                return Err(FsError::Io { attempts });
+            }
             attempts += 1;
-            assert!(attempts <= 8, "device keeps failing reads");
             let mut latest = Time::ZERO;
             let mut failed = Vec::new();
             for &(start, len) in &queue {
                 rt.work(self.costs.bio_submit);
-                let fault = self.dev.fault_decide(rt.now(), false);
-                let done = self.dev.reserve_read(
-                    rt.now(),
-                    start * DEV_BLOCKS_PER_FS_BLOCK,
-                    (len * DEV_BLOCKS_PER_FS_BLOCK) as u32,
-                ) + fault.extra_latency;
+                let slba = start * DEV_BLOCKS_PER_FS_BLOCK;
+                let nblocks = (len * DEV_BLOCKS_PER_FS_BLOCK) as u32;
+                // Range-aware, so a killed device or a sticky bad extent
+                // fails the bio too.
+                let fault = self.dev.fault_decide_range(rt.now(), false, slba, nblocks);
+                let done = self.dev.reserve_read(rt.now(), slba, nblocks) + fault.extra_latency;
                 latest = latest.max(done);
                 if !fault.status.is_ok() {
                     failed.push((start, len));
@@ -103,59 +115,7 @@ impl BlockLayer {
             );
             cursor += bytes;
         }
-    }
-
-    /// Write `src` to the physical fs-block `runs`. Blocking, like an
-    /// O_DIRECT/fsync'd write (used by dataset loading and journal commits).
-    pub fn write_blocks(&self, rt: &Runtime, runs: &[(u64, u64)], src: &[u8]) {
-        let total_blocks: u64 = runs.iter().map(|r| r.1).sum();
-        assert!(
-            src.len() as u64 <= total_blocks * PAGE_SIZE,
-            "src too large"
-        );
-        let bios = self.split_bios(runs);
-        let mut cursor = 0usize;
-        for &(start, len) in runs {
-            let bytes = ((len * PAGE_SIZE) as usize).min(src.len() - cursor);
-            if bytes == 0 {
-                break;
-            }
-            self.dev.dma_write(
-                start * DEV_BLOCKS_PER_FS_BLOCK,
-                &src[cursor..cursor + bytes],
-            );
-            cursor += bytes;
-        }
-        let mut queue: Vec<(u64, u64)> = bios.clone();
-        let mut attempts = 0;
-        while !queue.is_empty() {
-            attempts += 1;
-            assert!(attempts <= 8, "device keeps failing writes");
-            let mut latest = Time::ZERO;
-            let mut failed = Vec::new();
-            for &(start, len) in &queue {
-                rt.work(self.costs.bio_submit);
-                let fault = self.dev.fault_decide(rt.now(), true);
-                let done = self.dev.reserve_write(
-                    rt.now(),
-                    start * DEV_BLOCKS_PER_FS_BLOCK,
-                    (len * DEV_BLOCKS_PER_FS_BLOCK) as u32,
-                ) + fault.extra_latency;
-                latest = latest.max(done);
-                if !fault.status.is_ok() {
-                    failed.push((start, len));
-                }
-            }
-            let now = rt.now();
-            if latest > now {
-                rt.sleep(latest - now);
-            }
-            for _ in &queue {
-                rt.work(self.costs.irq);
-            }
-            rt.work(self.costs.context_switch);
-            queue = failed;
-        }
+        Ok(())
     }
 }
 
@@ -178,9 +138,9 @@ mod tests {
             let data: Vec<u8> = (0..2 * PAGE_SIZE as usize)
                 .map(|i| (i % 253) as u8)
                 .collect();
-            bl.write_blocks(rt, &[(100, 2)], &data);
+            bl.device().dma_write(100 * DEV_BLOCKS_PER_FS_BLOCK, &data);
             let mut out = vec![0u8; data.len()];
-            bl.read_blocks(rt, &[(100, 2)], &mut out);
+            bl.read_blocks(rt, &[(100, 2)], &mut out).unwrap();
             assert_eq!(out, data);
         });
     }
@@ -191,7 +151,7 @@ mod tests {
             let bl = layer();
             let mut out = vec![0u8; PAGE_SIZE as usize];
             let t0 = rt.now();
-            bl.read_blocks(rt, &[(0, 1)], &mut out);
+            bl.read_blocks(rt, &[(0, 1)], &mut out).unwrap();
             let elapsed = rt.now() - t0;
             let c = KernelCosts::default();
             let min = c.bio_submit + Dur::micros(10) + c.irq + c.context_switch;
@@ -208,7 +168,7 @@ mod tests {
                 let bl = layer();
                 let mut out = vec![0u8; (fs_blocks * PAGE_SIZE) as usize];
                 let t0 = rt.now();
-                bl.read_blocks(rt, &[(0, fs_blocks)], &mut out);
+                bl.read_blocks(rt, &[(0, fs_blocks)], &mut out).unwrap();
                 (rt.now() - t0).as_nanos()
             })
             .0
@@ -227,10 +187,10 @@ mod tests {
             let bl = layer();
             let a = vec![1u8; PAGE_SIZE as usize];
             let b = vec![2u8; PAGE_SIZE as usize];
-            bl.write_blocks(rt, &[(10, 1)], &a);
-            bl.write_blocks(rt, &[(50, 1)], &b);
+            bl.device().dma_write(10 * DEV_BLOCKS_PER_FS_BLOCK, &a);
+            bl.device().dma_write(50 * DEV_BLOCKS_PER_FS_BLOCK, &b);
             let mut out = vec![0u8; 2 * PAGE_SIZE as usize];
-            bl.read_blocks(rt, &[(50, 1), (10, 1)], &mut out);
+            bl.read_blocks(rt, &[(50, 1), (10, 1)], &mut out).unwrap();
             assert!(out[..PAGE_SIZE as usize].iter().all(|&x| x == 2));
             assert!(out[PAGE_SIZE as usize..].iter().all(|&x| x == 1));
         });

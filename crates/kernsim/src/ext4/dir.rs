@@ -65,10 +65,6 @@ impl Directory {
         self.entries.get(name).copied()
     }
 
-    pub fn remove(&mut self, name: &str) -> Option<u64> {
-        self.entries.remove(name)
-    }
-
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.entries.keys().map(|s| s.as_str())
     }
@@ -79,13 +75,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_lookup_remove() {
+    fn insert_then_lookup() {
         let mut d = Directory::new();
         assert!(d.insert("a.jpg", 10).is_none());
         assert_eq!(d.insert("a.jpg", 11), Some(10));
         assert_eq!(d.lookup("a.jpg"), Some(11));
-        assert_eq!(d.remove("a.jpg"), Some(11));
-        assert_eq!(d.lookup("a.jpg"), None);
+        assert_eq!(d.lookup("b.jpg"), None);
     }
 
     #[test]

@@ -1,24 +1,22 @@
 //! In-memory ext4-like metadata: superblock layout, inode table, directory
-//! tree, block allocation, journal.
+//! tree, block allocation.
 //!
 //! The *contents* of data files are really written to the device; metadata
 //! structures are kept functionally in memory while their on-disk locations
-//! (inode-table blocks, directory leaf blocks, journal region) are tracked
-//! so the VFS layer can charge real device I/O for cold metadata access —
+//! (inode-table blocks, directory leaf blocks) are tracked so the VFS layer
+//! can charge real device I/O for cold metadata access —
 //! exactly the cost the paper's Fig. 10 attributes to "complex inode and
 //! block management".
 
 pub mod alloc;
 pub mod dir;
 pub mod inode;
-pub mod journal;
 
 use std::collections::HashMap;
 
 use self::alloc::BitmapAllocator;
 use self::dir::Directory;
 use self::inode::{Inode, InodeKind, INODE_SIZE};
-use self::journal::Journal;
 use crate::params::PAGE_SIZE;
 
 /// Root directory inode number (as in ext*).
@@ -34,7 +32,6 @@ pub struct Ext4Meta {
     /// Blocks reserved for the inode table.
     pub inode_table_blocks: u64,
     pub allocator: BitmapAllocator,
-    pub journal: Journal,
     inodes: HashMap<u64, Inode>,
     dirs: HashMap<u64, Directory>,
     /// Physical leaf-block placement per directory: dir ino → first block.
@@ -51,6 +48,10 @@ pub enum FsError {
     AlreadyExists(String),
     NoSpace,
     BadDescriptor,
+    /// The device kept failing a read through every retry (EIO).
+    Io {
+        attempts: u32,
+    },
 }
 
 impl std::fmt::Display for FsError {
@@ -61,6 +62,7 @@ impl std::fmt::Display for FsError {
             FsError::AlreadyExists(p) => write!(f, "already exists: {p}"),
             FsError::NoSpace => write!(f, "no space left on device"),
             FsError::BadDescriptor => write!(f, "bad file descriptor"),
+            FsError::Io { attempts } => write!(f, "I/O error after {attempts} attempts"),
         }
     }
 }
@@ -69,8 +71,10 @@ impl std::error::Error for FsError {}
 
 impl Ext4Meta {
     /// Lay out a filesystem over `device_bytes`: superblock+bitmaps (64
-    /// blocks), inode table sized for `max_inodes`, a journal (1024 blocks),
-    /// then the data area.
+    /// blocks), inode table sized for `max_inodes`, a journal region (1024
+    /// blocks), then the data area. Nothing writes the journal — the
+    /// baseline is only ever read — but its region stays reserved so file
+    /// data lands on the blocks ext4 would give it.
     pub fn mkfs(device_bytes: u64, max_inodes: u64) -> Ext4Meta {
         let fs_blocks = device_bytes / PAGE_SIZE;
         let reserved = 64u64;
@@ -94,7 +98,6 @@ impl Ext4Meta {
             inode_table_start: reserved,
             inode_table_blocks,
             allocator: BitmapAllocator::new(data_start, fs_blocks - data_start),
-            journal: Journal::new(journal_start, journal_blocks, 32),
             inodes: HashMap::new(),
             dirs: HashMap::new(),
             dir_block_base: HashMap::new(),
@@ -117,16 +120,6 @@ impl Ext4Meta {
 
     pub fn dir(&self, ino: u64) -> Option<&Directory> {
         self.dirs.get(&ino)
-    }
-
-    pub fn dir_mut(&mut self, ino: u64) -> Option<&mut Directory> {
-        self.dirs.get_mut(&ino)
-    }
-
-    /// Drop an inode (unlink path; the caller frees its extents first).
-    pub fn remove_inode(&mut self, ino: u64) {
-        self.inodes.remove(&ino);
-        self.dirs.remove(&ino);
     }
 
     pub fn inode_count(&self) -> usize {
@@ -260,12 +253,18 @@ mod tests {
 
     #[test]
     fn mkfs_layout_is_ordered() {
-        let m = Ext4Meta::mkfs(1 << 30, 100_000);
-        assert!(m.inode_table_start > 0);
-        let journal_start = m.inode_table_start + m.inode_table_blocks;
-        assert!(journal_start < m.fs_blocks);
-        assert!(m.allocator.total() > 0);
+        let mut m = Ext4Meta::mkfs(1 << 30, 100_000);
+        // 262 144 blocks: superblock + bitmaps, then 100 000 inodes at 16
+        // per block, then the 1024-block journal region, then data.
+        assert_eq!(m.fs_blocks, 262_144);
+        assert_eq!(m.inode_table_start, 64);
+        assert_eq!(m.inode_table_blocks, 6_250);
+        let data_start = 7_338; // 64 + 6 250 + 1 024
+        assert_eq!(m.allocator.total(), m.fs_blocks - data_start);
         assert!(m.inode(ROOT_INO).is_some());
+        // The first file's data lands on the first block past the journal.
+        let ino = m.create_file("/f").unwrap();
+        assert_eq!(m.extend_file(ino, 3).unwrap(), vec![(data_start, 3)]);
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! The "Ext4" baseline of the DLFS paper, built for real: VFS syscall layer
 //! with dentry/inode caches ([`vfs::Ext4Fs`]), an ext4-flavoured on-disk
-//! design (inode table, extent trees, htree directories, bitmap allocator,
-//! jbd2-style journal — [`ext4`]), an LRU page cache ([`pagecache`]), and a
-//! block layer that submits bios and blocks on interrupts ([`blockio`]).
+//! design (inode table, extent trees, htree directories, bitmap allocator —
+//! [`ext4`]), an LRU page cache ([`pagecache`]), and a block layer that
+//! submits bios, blocks on interrupts and surfaces EIO when a device keeps
+//! failing ([`blockio`]). Datasets are staged untimed; only reads are
+//! measured.
 //!
 //! Every sample read through this stack pays the costs DLFS's user-level
 //! design avoids: syscall transitions, metadata walks against on-disk
@@ -22,7 +24,7 @@
 //!     let dev = NvmeDevice::new(DeviceConfig::optane(128 << 20));
 //!     let fs = Ext4Fs::mkfs(dev, KernelCosts::default(), FsOptions::default());
 //!     fs.mkdir_p("/data").unwrap();
-//!     fs.create_with_size(rt, "/data/a.bin", &[42u8; 8192]).unwrap();
+//!     fs.create_untimed("/data/a.bin", &[42u8; 8192]).unwrap();
 //!     let fd = fs.open(rt, "/data/a.bin").unwrap();
 //!     let mut buf = [0u8; 8192];
 //!     assert_eq!(fs.pread(rt, fd, 0, &mut buf).unwrap(), 8192);

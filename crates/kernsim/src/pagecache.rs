@@ -25,10 +25,6 @@ impl PageCache {
         }
     }
 
-    pub fn capacity_pages(&self) -> usize {
-        self.pages.capacity()
-    }
-
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
     }

@@ -1,5 +1,7 @@
-//! The VFS/syscall layer: `open`/`pread`/`close`/`create` with dentry,
+//! The VFS/syscall layer: `open`/`pread`/`close`/`readdir` with dentry,
 //! inode and page caches, charging the kernel-path costs along the way.
+//! Files are staged untimed ([`Ext4Fs::create_untimed`]): the baseline is
+//! only ever read.
 //!
 //! This is the "Ext4" baseline of the paper: every sample read pays syscall
 //! transitions, path resolution against on-disk directory blocks, inode
@@ -64,7 +66,6 @@ struct VfsTelemetry {
     opens: Counter,
     preads: Counter,
     closes: Counter,
-    creates: Counter,
     bytes_read: Counter,
     pread_ns: Histo,
 }
@@ -77,7 +78,6 @@ impl VfsTelemetry {
             opens: reg.counter("opens"),
             preads: reg.counter("preads"),
             closes: reg.counter("closes"),
-            creates: reg.counter("creates"),
             bytes_read: reg.counter("bytes_read"),
             pread_ns: reg.histogram("pread_ns"),
         }
@@ -109,22 +109,14 @@ impl std::fmt::Debug for Ext4Fs {
 }
 
 impl Ext4Fs {
-    /// Format and mount a file system over `dev`.
+    /// Format and mount a file system over `dev`, with telemetry recorded
+    /// under `kernsim.vfs.*` in a registry of its own.
     pub fn mkfs(dev: Arc<dyn NvmeTarget>, costs: KernelCosts, opts: FsOptions) -> Arc<Ext4Fs> {
-        Ext4Fs::mkfs_with_registry(dev, costs, opts, &Registry::new())
-    }
-
-    /// `mkfs`, with telemetry recorded under `kernsim.vfs.*` in `reg`.
-    pub fn mkfs_with_registry(
-        dev: Arc<dyn NvmeTarget>,
-        costs: KernelCosts,
-        opts: FsOptions,
-        reg: &Registry,
-    ) -> Arc<Ext4Fs> {
         let device_bytes = dev.blocks() * blocksim::BLOCK_SIZE;
+        let registry = Registry::new();
         Arc::new(Ext4Fs {
-            registry: reg.clone(),
-            tel: VfsTelemetry::new(reg),
+            tel: VfsTelemetry::new(&registry),
+            registry,
             block: BlockLayer::new(dev, costs.clone()),
             costs,
             meta: Mutex::new(Ext4Meta::mkfs(device_bytes, opts.max_inodes)),
@@ -147,11 +139,6 @@ impl Ext4Fs {
         self.tel.syscalls.inc();
         let t = self.active_threads.load(Ordering::Relaxed);
         rt.work(self.costs.syscall + self.costs.contention(t));
-    }
-
-    /// The registry this file system records its `kernsim.vfs.*` metrics in.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Snapshot of the syscall counters and pread latency histogram.
@@ -186,40 +173,6 @@ impl Ext4Fs {
         Ok(())
     }
 
-    /// Create a file with `data`, paying the full kernel write path:
-    /// syscalls, journal, allocation, copy-from-user and device writes.
-    pub fn create(&self, rt: &Runtime, path: &str, data: &[u8]) -> Result<(), FsError> {
-        self.tel.creates.inc();
-        self.syscall_cost(rt); // open(O_CREAT)
-        let (ino, runs, journal_io) = {
-            let mut meta = self.meta.lock();
-            let ino = meta.create_file(path)?;
-            let blocks = (data.len() as u64).div_ceil(PAGE_SIZE).max(1);
-            let exts = meta.extend_file(ino, blocks)?;
-            // Journal the inode block and the parent directory's leaf block.
-            let (parent, name, _) = meta.resolve(path)?;
-            let leaf = meta.dir(parent).expect("parent dir").leaf_block_of(&name);
-            let leaf_phys = meta.dir_leaf_physical(parent, leaf)?;
-            let ino_block = meta.inode_block_of(ino);
-            let io = meta.journal.handle(&[ino_block, leaf_phys]);
-            (ino, exts, io)
-        };
-        let _ = ino;
-        // write() syscall: copy from user, then data writeback.
-        self.syscall_cost(rt);
-        rt.work(self.costs.copy(data.len() as u64));
-        self.block.write_blocks(rt, &runs, data);
-        if let Some(io) = journal_io {
-            self.block.write_blocks(
-                rt,
-                &[(io.start, io.blocks)],
-                &vec![0u8; (io.blocks * PAGE_SIZE) as usize],
-            );
-        }
-        self.syscall_cost(rt); // close()
-        Ok(())
-    }
-
     /// `open(2)`: path resolution through the dentry cache, directory leaf
     /// blocks and the on-disk inode table.
     pub fn open(&self, rt: &Runtime, path: &str) -> Result<Fd, FsError> {
@@ -251,14 +204,14 @@ impl Ext4Fs {
                     (meta.dir_leaf_physical(parent, leaf)?, depth)
                 };
                 rt.work(self.costs.htree_search * (htree_depth as u64 + 1));
-                self.read_meta_page(rt, (parent, leaf_phys));
+                self.read_meta_page(rt, (parent, leaf_phys))?;
                 // Load the inode from the inode table.
                 let icache_hit = { self.icache.lock().get(&ino).is_some() };
                 if icache_hit {
                     rt.work(self.costs.icache_hit);
                 } else {
                     let ino_block = { self.meta.lock().inode_block_of(ino) };
-                    self.read_meta_page(rt, (INODE_TABLE_KEY, ino_block));
+                    self.read_meta_page(rt, (INODE_TABLE_KEY, ino_block))?;
                     rt.work(self.costs.icache_hit + self.costs.copy(INODE_SIZE));
                     self.icache.lock().insert(ino, ());
                 }
@@ -272,16 +225,17 @@ impl Ext4Fs {
     }
 
     /// Read a metadata page through the page cache (cost-only content).
-    fn read_meta_page(&self, rt: &Runtime, key: (u64, u64)) {
+    fn read_meta_page(&self, rt: &Runtime, key: (u64, u64)) -> Result<(), FsError> {
         rt.work(self.costs.pagecache_lookup);
         let hit = { self.pcache.lock().contains(key) };
         if hit {
             self.pcache.lock().lookup(key);
-            return;
+            return Ok(());
         }
         let mut page = vec![0u8; PAGE_SIZE as usize];
-        self.block.read_blocks(rt, &[(key.1, 1)], &mut page);
+        self.block.read_blocks(rt, &[(key.1, 1)], &mut page)?;
         self.pcache.lock().insert_cost_only(key);
+        Ok(())
     }
 
     /// `pread(2)`: read `dst.len()` bytes at `offset`. Returns bytes read
@@ -303,8 +257,7 @@ impl Ext4Fs {
             let meta = self.meta.lock();
             meta.inode(ino).ok_or(FsError::BadDescriptor)?.size
         };
-        // Note: size is tracked on create; files created via `create` set it
-        // below. Fall back to mapped blocks if size is unset.
+        // An empty file reads as its one mapped block.
         let size = if size == 0 {
             let meta = self.meta.lock();
             meta.inode(ino).map(|i| i.blocks() * PAGE_SIZE).unwrap_or(0)
@@ -363,7 +316,7 @@ impl Ext4Fs {
                     .map_range(lpage, count)
             };
             let mut buf = vec![0u8; (count * PAGE_SIZE) as usize];
-            self.block.read_blocks(rt, &phys_runs, &mut buf);
+            self.block.read_blocks(rt, &phys_runs, &mut buf)?;
             let mut pc = self.pcache.lock();
             for i in 0..count {
                 let s = (i * PAGE_SIZE) as usize;
@@ -389,32 +342,6 @@ impl Ext4Fs {
         Ok(len)
     }
 
-    /// `fsync(2)`: force-commit the running journal transaction.
-    pub fn fsync(&self, rt: &Runtime, fd: Fd) -> Result<(), FsError> {
-        self.syscall_cost(rt);
-        if !self.fds.lock().contains_key(&fd.0) {
-            return Err(FsError::BadDescriptor);
-        }
-        let io = {
-            let mut meta = self.meta.lock();
-            meta.journal.force_commit()
-        };
-        if let Some(io) = io {
-            self.block.write_blocks(
-                rt,
-                &[(io.start, io.blocks)],
-                &vec![0u8; (io.blocks * PAGE_SIZE) as usize],
-            );
-        }
-        Ok(())
-    }
-
-    /// Journal statistics: (commits, blocks logged).
-    pub fn journal_stats(&self) -> (u64, u64) {
-        let meta = self.meta.lock();
-        (meta.journal.commits(), meta.journal.blocks_logged())
-    }
-
     /// `close(2)`.
     pub fn close(&self, rt: &Runtime, fd: Fd) -> Result<(), FsError> {
         self.tel.closes.inc();
@@ -426,28 +353,10 @@ impl Ext4Fs {
             .ok_or(FsError::BadDescriptor)
     }
 
-    /// Record a file's logical size (called by `create`).
-    fn set_size(&self, ino: u64, size: u64) {
-        if let Some(inode) = self.meta.lock().inode_mut(ino) {
-            inode.size = size;
-        }
-    }
-
-    /// Convenience: create + size bookkeeping.
-    pub fn create_with_size(&self, rt: &Runtime, path: &str, data: &[u8]) -> Result<(), FsError> {
-        self.create(rt, path, data)?;
-        let ino = {
-            let meta = self.meta.lock();
-            meta.resolve(path)?.2.ok_or(FsError::BadDescriptor)?
-        };
-        self.set_size(ino, data.len() as u64);
-        Ok(())
-    }
-
-    /// Create a file with `data` without charging any virtual time: used by
-    /// benchmark setup, where dataset staging is not a measured quantity.
-    /// Metadata, extents and device contents end up identical to the timed
-    /// path; caches stay cold.
+    /// Create a file with `data` without charging any virtual time: dataset
+    /// staging is set-up, not a measured quantity. Metadata and extents are
+    /// allocated as ext4 would and the bytes land on the device; caches
+    /// stay cold.
     pub fn create_untimed(&self, path: &str, data: &[u8]) -> Result<(), FsError> {
         let runs = {
             let mut meta = self.meta.lock();
@@ -459,7 +368,7 @@ impl Ext4Fs {
             }
             exts
         };
-        // Deposit the bytes directly (no bios, no journal, no clock).
+        // Deposit the bytes directly (no bios, no clock).
         let dev = self.block.device();
         let mut cursor = 0usize;
         for &(start, len) in &runs {
@@ -512,104 +421,9 @@ impl Ext4Fs {
                 let mut meta = self.meta.lock();
                 meta.dir_leaf_physical(dir_ino, leaf)?
             };
-            self.read_meta_page(rt, (dir_ino, phys));
+            self.read_meta_page(rt, (dir_ino, phys))?;
         }
         Ok(names)
-    }
-
-    /// `unlink(2)`: remove a file, free its blocks, journal the metadata.
-    pub fn unlink(&self, rt: &Runtime, path: &str) -> Result<(), FsError> {
-        self.syscall_cost(rt);
-        let journal_io = {
-            let mut meta = self.meta.lock();
-            let (parent, name, found) = meta.resolve(path)?;
-            let ino = found.ok_or_else(|| FsError::NotFound(path.to_string()))?;
-            // Free the file's extents.
-            let extents: Vec<(u64, u64)> = meta
-                .inode(ino)
-                .ok_or(FsError::BadDescriptor)?
-                .extents()
-                .iter()
-                .map(|e| (e.physical, e.len))
-                .collect();
-            for (p, l) in extents {
-                meta.allocator.free_extent(p, l);
-            }
-            meta.dir_mut(parent)
-                .expect("parent dir")
-                .remove(&name)
-                .ok_or_else(|| FsError::NotFound(path.to_string()))?;
-            meta.remove_inode(ino);
-            let ino_block = meta.inode_block_of(ino);
-            meta.journal.handle(&[ino_block])
-        };
-        self.dcache.lock().remove(&path.to_string());
-        if let Some(io) = journal_io {
-            self.block.write_blocks(
-                rt,
-                &[(io.start, io.blocks)],
-                &vec![0u8; (io.blocks * PAGE_SIZE) as usize],
-            );
-        }
-        Ok(())
-    }
-
-    /// `pread` with O_DIRECT semantics: bypass the page cache entirely —
-    /// block-aligned device I/O straight into the caller's buffer. Offset
-    /// and length must be page-aligned, as the kernel requires.
-    pub fn pread_direct(
-        &self,
-        rt: &Runtime,
-        fd: Fd,
-        offset: u64,
-        dst: &mut [u8],
-    ) -> Result<usize, FsError> {
-        self.syscall_cost(rt);
-        if !offset.is_multiple_of(PAGE_SIZE) || !(dst.len() as u64).is_multiple_of(PAGE_SIZE) {
-            return Err(FsError::BadDescriptor);
-        }
-        let ino = self
-            .fds
-            .lock()
-            .get(&fd.0)
-            .ok_or(FsError::BadDescriptor)?
-            .ino;
-        let size = {
-            let meta = self.meta.lock();
-            let inode = meta.inode(ino).ok_or(FsError::BadDescriptor)?;
-            if inode.size > 0 {
-                inode.size
-            } else {
-                inode.blocks() * PAGE_SIZE
-            }
-        };
-        if offset >= size {
-            return Ok(0);
-        }
-        let len_pages = (dst.len() as u64 / PAGE_SIZE).min((size - offset).div_ceil(PAGE_SIZE));
-        if len_pages == 0 {
-            return Ok(0);
-        }
-        let runs = {
-            let meta = self.meta.lock();
-            meta.inode(ino)
-                .ok_or(FsError::BadDescriptor)?
-                .map_range(offset / PAGE_SIZE, len_pages)
-        };
-        self.block
-            .read_blocks(rt, &runs, &mut dst[..(len_pages * PAGE_SIZE) as usize]);
-        // No page-cache population, no copy_to_user (DMA into user pages).
-        Ok(((size - offset).min(len_pages * PAGE_SIZE)) as usize)
-    }
-
-    /// File size by path (untimed helper).
-    pub fn size_of(&self, path: &str) -> Result<u64, FsError> {
-        let meta = self.meta.lock();
-        let ino = meta
-            .resolve(path)?
-            .2
-            .ok_or_else(|| FsError::NotFound(path.to_string()))?;
-        Ok(meta.inode(ino).map(|i| i.size).unwrap_or(0))
     }
 }
 
@@ -631,7 +445,7 @@ mod tests {
             let fs = mkfs();
             fs.mkdir_p("/data").unwrap();
             let payload: Vec<u8> = (0..10_000).map(|i| (i % 251) as u8).collect();
-            fs.create_with_size(rt, "/data/f1", &payload).unwrap();
+            fs.create_untimed("/data/f1", &payload).unwrap();
             let fd = fs.open(rt, "/data/f1").unwrap();
             let mut out = vec![0u8; payload.len()];
             let n = fs.pread(rt, fd, 0, &mut out).unwrap();
@@ -646,7 +460,7 @@ mod tests {
         Runtime::simulate(0, |rt| {
             let fs = mkfs();
             let payload: Vec<u8> = (0..5000).map(|i| (i % 7) as u8).collect();
-            fs.create_with_size(rt, "/f", &payload).unwrap();
+            fs.create_untimed("/f", &payload).unwrap();
             let fd = fs.open(rt, "/f").unwrap();
             let mut out = vec![0u8; 100];
             assert_eq!(fs.pread(rt, fd, 4900, &mut out).unwrap(), 100);
@@ -671,8 +485,7 @@ mod tests {
             let fs = mkfs();
             fs.mkdir_p("/d").unwrap();
             for i in 0..200 {
-                fs.create_with_size(rt, &format!("/d/f{i}"), &[0u8; 512])
-                    .unwrap();
+                fs.create_untimed(&format!("/d/f{i}"), &[0u8; 512]).unwrap();
             }
             fs.drop_caches();
             let t0 = rt.now();
@@ -696,7 +509,7 @@ mod tests {
         Runtime::simulate(0, |rt| {
             let fs = mkfs();
             let payload = vec![3u8; 65536];
-            fs.create_with_size(rt, "/f", &payload).unwrap();
+            fs.create_untimed("/f", &payload).unwrap();
             fs.drop_caches();
             let fd = fs.open(rt, "/f").unwrap();
             let mut out = vec![0u8; 65536];
@@ -719,7 +532,7 @@ mod tests {
     fn contention_raises_syscall_cost() {
         Runtime::simulate(0, |rt| {
             let fs = mkfs();
-            fs.create_with_size(rt, "/f", &[1u8; 512]).unwrap();
+            fs.create_untimed("/f", &[1u8; 512]).unwrap();
             let fd = fs.open(rt, "/f").unwrap();
             let mut out = vec![0u8; 512];
             fs.pread(rt, fd, 0, &mut out).unwrap(); // warm the cache

@@ -131,7 +131,7 @@ fn files_roundtrip_any_size() {
                 .map(|(i, &s)| (0..s).map(|b| ((b * 31 + i * 7) % 251) as u8).collect())
                 .collect();
             for (i, p) in payloads.iter().enumerate() {
-                fs.create_with_size(rt, &format!("/p/f{i}"), p).unwrap();
+                fs.create_untimed(&format!("/p/f{i}"), p).unwrap();
             }
             fs.drop_caches();
             for (i, p) in payloads.iter().enumerate() {

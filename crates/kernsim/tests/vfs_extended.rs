@@ -1,7 +1,9 @@
-//! Tests of the extended VFS surface: readdir, unlink, O_DIRECT reads.
+//! Tests of the VFS surface beyond open/pread/close: readdir, readahead,
+//! and EIO from a device that keeps failing reads.
 
-use blocksim::{DeviceConfig, NvmeDevice};
-use kernsim::{Ext4Fs, Fd, FsError, FsOptions, KernelCosts, PAGE_SIZE};
+use blocksim::{DeviceConfig, FaultInjector, NvmeDevice};
+use kernsim::blockio::MAX_READ_ATTEMPTS;
+use kernsim::{Ext4Fs, FsError, FsOptions, KernelCosts};
 use simkit::prelude::*;
 use std::sync::Arc;
 
@@ -61,105 +63,11 @@ fn readdir_cost_scales_with_directory_size() {
 }
 
 #[test]
-fn unlink_frees_space_and_name() {
-    Runtime::simulate(0, |rt| {
-        let fs = mkfs();
-        let payload = vec![7u8; 1 << 20];
-        fs.create_with_size(rt, "/a", &payload).unwrap();
-        fs.unlink(rt, "/a").unwrap();
-        assert!(matches!(fs.open(rt, "/a"), Err(FsError::NotFound(_))));
-        assert!(matches!(fs.unlink(rt, "/a"), Err(FsError::NotFound(_))));
-        // The space and the name are reusable.
-        fs.create_with_size(rt, "/a", &payload).unwrap();
-        let fd = fs.open(rt, "/a").unwrap();
-        let mut out = vec![0u8; 1 << 20];
-        assert_eq!(fs.pread(rt, fd, 0, &mut out).unwrap(), 1 << 20);
-        assert_eq!(out, payload);
-        fs.close(rt, fd).unwrap();
-    });
-}
-
-#[test]
-fn unlink_reclaims_all_blocks() {
-    Runtime::simulate(0, |rt| {
-        // Device sized so that the dataset only fits once: unlink must make
-        // the second round succeed.
-        let dev = NvmeDevice::new(DeviceConfig::optane(96 << 20));
-        let fs = Ext4Fs::mkfs(dev, KernelCosts::default(), FsOptions::default());
-        for round in 0..3 {
-            for i in 0..10 {
-                fs.create_with_size(rt, &format!("/r{round}_f{i}"), &vec![3u8; 4 << 20])
-                    .unwrap();
-            }
-            for i in 0..10 {
-                fs.unlink(rt, &format!("/r{round}_f{i}")).unwrap();
-            }
-        }
-    });
-}
-
-#[test]
-fn o_direct_bypasses_page_cache() {
-    Runtime::simulate(0, |rt| {
-        let fs = mkfs();
-        let payload: Vec<u8> = (0..(64 << 10)).map(|i| (i % 251) as u8).collect();
-        fs.create_with_size(rt, "/f", &payload).unwrap();
-        fs.drop_caches();
-        let fd = fs.open(rt, "/f").unwrap();
-        let mut out = vec![0u8; 64 << 10];
-        let n = fs.pread_direct(rt, fd, 0, &mut out).unwrap();
-        assert_eq!(n, 64 << 10);
-        assert_eq!(out, payload);
-        // The page cache stayed cold.
-        let (hits, _) = fs.page_cache_stats();
-        assert_eq!(hits, 0);
-        // Repeat read costs the same (no cache effect), unlike buffered.
-        let t0 = rt.now();
-        fs.pread_direct(rt, fd, 0, &mut out).unwrap();
-        let first = rt.now() - t0;
-        let t1 = rt.now();
-        fs.pread_direct(rt, fd, 0, &mut out).unwrap();
-        let second = rt.now() - t1;
-        assert_eq!(first.as_nanos(), second.as_nanos());
-        // Unaligned requests are rejected, as the kernel does.
-        assert!(fs.pread_direct(rt, fd, 13, &mut out).is_err());
-        let mut odd = vec![0u8; PAGE_SIZE as usize + 1];
-        assert!(fs.pread_direct(rt, fd, 0, &mut odd).is_err());
-        fs.close(rt, fd).unwrap();
-    });
-}
-
-#[test]
-fn o_direct_is_faster_than_buffered_cold_read() {
-    Runtime::simulate(0, |rt| {
-        let fs = mkfs();
-        let payload = vec![9u8; 1 << 20];
-        fs.create_with_size(rt, "/big", &payload).unwrap();
-        fs.drop_caches();
-        let fd = fs.open(rt, "/big").unwrap();
-        let mut out = vec![0u8; 1 << 20];
-        let t0 = rt.now();
-        fs.pread(rt, fd, 0, &mut out).unwrap();
-        let buffered = rt.now() - t0;
-        fs.drop_caches();
-        let t1 = rt.now();
-        fs.pread_direct(rt, fd, 0, &mut out).unwrap();
-        let direct = rt.now() - t1;
-        // O_DIRECT skips the copy_to_user and page-cache population.
-        assert!(
-            direct < buffered,
-            "direct {direct:?} should beat buffered {buffered:?}"
-        );
-        fs.close(rt, fd).unwrap();
-    });
-}
-
-#[test]
 fn sequential_reads_trigger_readahead() {
     Runtime::simulate(0, |rt| {
         let fs = mkfs();
         let payload = vec![5u8; 4 << 20];
-        fs.create_with_size(rt, "/stream", &payload).unwrap();
+        fs.create_untimed("/stream", &payload).unwrap();
         fs.drop_caches();
         let fd = fs.open(rt, "/stream").unwrap();
         let mut chunk = vec![0u8; 64 << 10];
@@ -184,7 +92,7 @@ fn sequential_scan_beats_random_reads_per_byte() {
     Runtime::simulate(0, |rt| {
         let fs = mkfs();
         let payload = vec![7u8; 8 << 20];
-        fs.create_with_size(rt, "/f", &payload).unwrap();
+        fs.create_untimed("/f", &payload).unwrap();
         fs.drop_caches();
         let fd = fs.open(rt, "/f").unwrap();
         let mut buf = vec![0u8; 64 << 10];
@@ -210,25 +118,33 @@ fn sequential_scan_beats_random_reads_per_byte() {
 }
 
 #[test]
-fn fsync_commits_the_journal() {
+fn a_failing_or_killed_device_surfaces_eio() {
     Runtime::simulate(0, |rt| {
-        let fs = mkfs();
-        // A handful of creates join the running transaction (batch = 32, so
-        // nothing commits on its own).
-        for i in 0..5 {
-            fs.create_with_size(rt, &format!("/j{i}"), &[1u8; 128])
-                .unwrap();
-        }
-        let (commits_before, _) = fs.journal_stats();
-        let fd = fs.open(rt, "/j0").unwrap();
-        fs.fsync(rt, fd).unwrap();
-        let (commits_after, logged) = fs.journal_stats();
-        assert_eq!(commits_after, commits_before + 1);
-        assert!(logged > 0);
-        // fsync with nothing pending is a no-op commit-wise.
-        fs.fsync(rt, fd).unwrap();
-        assert_eq!(fs.journal_stats().0, commits_after);
+        let dev = NvmeDevice::new(DeviceConfig::optane(256 << 20));
+        let fs = Ext4Fs::mkfs(dev.clone(), KernelCosts::default(), FsOptions::default());
+        fs.mkdir_p("/d").unwrap();
+        fs.create_untimed("/d/a", &[1u8; 8192]).unwrap();
+        fs.create_untimed("/d/b", &[2u8; 8192]).unwrap();
+        let fd = fs.open(rt, "/d/a").unwrap();
+        // Every read now fails; cold pages must come from the device.
+        dev.set_faults(FaultInjector::new(1).with_read_failures(1_000_000));
+        fs.drop_caches();
+        let eio = FsError::Io {
+            attempts: MAX_READ_ATTEMPTS,
+        };
+        let mut out = vec![0u8; 8192];
+        assert_eq!(fs.pread(rt, fd, 0, &mut out).unwrap_err(), eio);
+        assert_eq!(fs.open(rt, "/d/b").unwrap_err(), eio);
+        assert_eq!(fs.readdir(rt, "/d").unwrap_err(), eio);
+        // The file system is still usable once the device recovers.
+        dev.set_faults(FaultInjector::new(1));
+        assert_eq!(fs.pread(rt, fd, 0, &mut out).unwrap(), 8192);
+        assert!(out.iter().all(|&b| b == 1));
+        // A killed device fails every read, too.
+        dev.kill();
+        fs.drop_caches();
+        assert_eq!(fs.pread(rt, fd, 0, &mut out).unwrap_err(), eio);
+        assert_eq!(fs.open(rt, "/d/b").unwrap_err(), eio);
         fs.close(rt, fd).unwrap();
-        assert!(fs.fsync(rt, Fd(999)).is_err());
     });
 }

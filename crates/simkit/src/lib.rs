@@ -11,13 +11,11 @@
 //!
 //! - [`runtime::Runtime`] — spawn tasks, sleep/work, channels, time.
 //! - [`chan`] — MPMC channels integrated with the scheduler.
-//! - [`sync`] — a reusable barrier for collective operations.
 //! - [`resource`] — links (bandwidth + latency) and k-channel service
 //!   centers used to model NICs and NVMe internals.
 //! - [`rng`] — splittable deterministic RNG streams.
 //! - [`stats`] — the log-scale latency histogram.
 //! - [`telemetry`] — the metrics registry and its epoch snapshots.
-//! - [`trace`] — virtual-time event tracing.
 //! - [`time`] — `Time`/`Dur` virtual-time newtypes.
 //!
 //! ## Example
@@ -54,10 +52,8 @@ pub mod retry;
 pub mod rng;
 mod sched;
 pub mod stats;
-pub mod sync;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 
 pub mod runtime;
 
@@ -67,10 +63,8 @@ pub use retry::RetryPolicy;
 pub use rng::{fill_deterministic, fnv1a, SplitMix64};
 pub use runtime::{JoinHandle, Runtime};
 pub use stats::Histogram;
-pub use sync::Barrier;
 pub use telemetry::{Registry, Snapshot};
 pub use time::{Dur, Time};
-pub use trace::Tracer;
 
 /// Convenient glob import for downstream crates.
 pub mod prelude {
@@ -80,6 +74,5 @@ pub mod prelude {
     pub use crate::rng::SplitMix64;
     pub use crate::runtime::{JoinHandle, Runtime};
     pub use crate::stats::Histogram;
-    pub use crate::sync::Barrier;
     pub use crate::time::{Dur, Time};
 }

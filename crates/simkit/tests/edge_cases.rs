@@ -127,23 +127,3 @@ fn deeply_chained_pipeline_terminates() {
     });
     assert_eq!(count, 100);
 }
-
-#[test]
-fn barrier_reuse_across_many_generations() {
-    Runtime::simulate(7, |rt| {
-        let b = Barrier::new(2);
-        let b2 = b.clone();
-        let h = rt.spawn("peer", move |rt| {
-            for _ in 0..50 {
-                b2.wait(rt);
-                rt.sleep(Dur::nanos(10));
-            }
-        });
-        for _ in 0..50 {
-            b.wait(rt);
-            rt.sleep(Dur::nanos(10));
-        }
-        h.join();
-        assert_eq!(b.generation(), 50);
-    });
-}
