@@ -105,7 +105,8 @@ pub enum CacheMode {
 pub struct DlfsConfig {
     /// Sample-cache chunk size ("256 KB by default but configurable").
     pub chunk_size: u64,
-    /// SPDK I/O qpair queue depth.
+    /// SPDK I/O qpair queue depth, clamped per qpair to the device's
+    /// `max_queue_depth`.
     pub queue_depth: usize,
     /// Chunks kept in flight / resident per bread stream.
     pub window_chunks: usize,

@@ -24,6 +24,13 @@ pub fn node_for_name(name: &str, nodes: usize) -> u16 {
     (SampleEntry::key_for(name) % nodes as u64) as u16
 }
 
+/// Serialized size of the trees of nodes holding `entries` entries each,
+/// for the allgather (16 B/entry plus framing per tree), used by mount to
+/// charge network time.
+pub(crate) fn tree_wire_bytes(entries: impl IntoIterator<Item = usize>) -> u64 {
+    entries.into_iter().map(|n| n as u64 * 16 + 64).sum()
+}
+
 /// Builds a [`SampleDirectory`]; detects 48-bit key collisions at build
 /// time so lookups never return the wrong sample.
 #[derive(Debug)]
@@ -253,12 +260,6 @@ impl SampleDirectory {
         self.trees.iter().map(|t| t.height()).max().unwrap_or(0)
     }
 
-    /// Serialized size of one node's tree for the allgather (16 B/entry
-    /// plus framing), used by mount to charge network time.
-    pub fn tree_wire_bytes(&self, nid: u16) -> u64 {
-        self.per_node[nid as usize].len() as u64 * 16 + 64
-    }
-
     /// Validate every per-node AVL tree's invariants (tests).
     pub fn validate(&self) -> Result<(), DlfsError> {
         for t in &self.trees {
@@ -357,7 +358,7 @@ mod tests {
         assert_eq!(dir.storage_nodes(), 2);
         assert!(dir.total_bytes() >= 100 * 512);
         assert!(dir.avg_sample_bytes() >= 512);
-        assert!(dir.tree_wire_bytes(0) > 64);
+        assert!(tree_wire_bytes([dir.samples_on(0).len()]) > 64);
     }
 
     #[test]

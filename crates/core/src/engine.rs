@@ -302,9 +302,9 @@ impl DlfsIo {
             }
         }
 
-        // Doorbell flush: route and post every queued part the qpairs have
-        // room for in one pass, stopping at the first full qpair (which
-        // still pays its prep+post, see `post_part`).
+        // Post pass: route and post every queued part the qpairs have room
+        // for, each submitted at once, stopping at the first full qpair
+        // (which still pays its prep+post, see `post_part`).
         let hedging = self.shared.cfg.hedge_reads && self.shared.redundancy.replicas > 1;
         let mut flushed = false;
         while let Some(&p) = self.st().pending_parts.front() {
@@ -376,11 +376,12 @@ impl DlfsIo {
             let r2 = (p.replica + 1) % red.replicas;
             let (dev1, _) = red.route(io.home, p.replica, io.slba);
             let (dev2, slba2) = red.route(io.home, r2, io.slba);
-            if r2 == p.replica || dev2 == dev1 {
-                continue; // no distinct copy to hedge onto
-            }
-            if self.qpairs[dev2 as usize].outstanding() >= self.shared.cfg.queue_depth {
-                continue; // no room; the primary keeps sole ownership
+            // No distinct copy to hedge onto, or no room on its qpair (at
+            // the qpair's own, device-clamped depth): the primary keeps sole
+            // ownership.
+            let qp = &self.qpairs[dev2 as usize];
+            if r2 == p.replica || dev2 == dev1 || qp.outstanding() >= qp.queue_depth() {
+                continue;
             }
             let twin = Owner::Epoch(Part { replica: r2, ..p });
             let pair = Some((cmd, dev1 as usize, true));

@@ -553,7 +553,8 @@ impl DlfsIo {
         owner: Owner,
         twin: Option<Twin>,
     ) -> Option<u64> {
-        let full = self.qpairs[dev].outstanding() >= self.shared.cfg.queue_depth;
+        // The qpair's own depth: it clamps `cfg.queue_depth` to the device.
+        let full = self.qpairs[dev].outstanding() >= self.qpairs[dev].queue_depth();
         let t0 = rt.now();
         rt.work(self.shared.cfg.costs.prep_request);
         let t1 = rt.now();

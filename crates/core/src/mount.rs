@@ -19,24 +19,33 @@
 //! `Bringup::stage`: place the dataset (`place`), derive each node's
 //! `Geometry` — the only step that differs between an ephemeral and a
 //! persistent mount — stream it through `UploadTask`s whose single `land`
-//! writes, checksums, mirrors and records every extent, charge the
-//! allgather, and `assemble` the instance. `remount` is
-//! `Bringup::remount`: [`crate::layout::load_node`] per device instead of
-//! staging, then the same allgather and `assemble`.
+//! writes, checksums, mirrors and records every extent, and `assemble` the
+//! instance. `remount` is `Bringup::remount`: [`crate::layout::load_node`]
+//! per device instead of staging, then the same `assemble`.
 //!
 //! Staging streams samples through a bounded per-reader pipe: the caller's
 //! task produces, one spawned task per reader consumes and writes through
-//! one [`BatchedWriter`] per device stream. A reader that owns several
-//! storage nodes (the paper's pool of devices) is fed the k-way merge of
-//! its nodes' sample lists by data-relative offset, ties by node: every
-//! node's samples still arrive in packed offset order, so each writer
-//! coalesces what a node-by-node feed would, but all of the reader's
-//! devices fill at once and the import runs at min(Σ device rates, reader
-//! NIC) rather than one device's rate. The merge is only safe because one
-//! writer carries one monotone stream — a home node's data, or one
-//! (peer, replica slot) mirror of it — so a writer never has to start a
-//! run at an unaligned offset (`BatchedWriter::write` rejects that in
-//! every build).
+//! one [`BatchedWriter`] per device stream. Set-up finishes when its
+//! slowest device or NIC does, because no step waits on one it does not
+//! need:
+//! - *Fed by share.* A reader that owns several storage nodes (the paper's
+//!   pool of devices) is fed the k-way merge of its nodes' sample lists by
+//!   data-relative offset ÷ the node's data bytes (cross-multiplied), ties
+//!   by node, so all of its devices fill at once and finish together.
+//!   Every node's samples still arrive in packed offset order, so each
+//!   writer coalesces what a node-by-node feed would. The merge is only
+//!   safe because one writer carries one monotone stream — a home node's
+//!   data, or one (peer, replica slot) mirror of it — so a writer never
+//!   has to start a run at an unaligned offset (`BatchedWriter::write`
+//!   rejects that in every build).
+//! - *A tree ships when it is built.* A reader ships its nodes' trees to
+//!   every other reader ([`Allgather::ship`]) once its last sample has
+//!   landed (on remount: once its nodes are loaded); the merge is charged
+//!   when the last tree arrives, while the devices still drain.
+//! - *Every tail drains at once.* Every writer's staged tail is submitted
+//!   before any is drained (`flush_all`), and a persistent import
+//!   finalizes phase by phase across its nodes: every table, one drain,
+//!   every committed superblock, one drain.
 //!
 //! Setup memory does not grow with the dataset share: per reader it is the
 //! pipe (`STREAM_DEPTH` samples) plus, per open writer, a chunk of staging
@@ -53,11 +62,11 @@ use simkit::resource::Link;
 use simkit::rng::fnv1a;
 use simkit::runtime::{JoinHandle, Runtime};
 use simkit::telemetry::Registry;
-use simkit::time::Dur;
+use simkit::time::{Dur, Time};
 
 use crate::codec::{stored_runs, CodecKind, CodecTables, FrameStager, NodeFrames, StoredFrame};
 use crate::config::DlfsConfig;
-use crate::directory::{node_for_name, DirectoryBuilder, SampleDirectory};
+use crate::directory::{node_for_name, tree_wire_bytes, DirectoryBuilder, SampleDirectory};
 use crate::entry::SampleEntry;
 use crate::error::{DlfsError, LayoutError};
 use crate::integrity::Redundancy;
@@ -149,6 +158,43 @@ const BUILD_PER_ENTRY: Dur = Dur::nanos(120);
 
 /// CPU cost to merge one remote entry during the allgather.
 const MERGE_PER_ENTRY: Dur = Dur::nanos(25);
+
+/// A reader's half of the directory allgather (paper §III-B2), one rule
+/// for `stage` and `remount`: a reader ships its nodes' trees from its own
+/// task the moment they are built, and [`Bringup::merge`] charges the
+/// merge once the last of them has arrived.
+#[derive(Clone)]
+struct Allgather {
+    cluster: Arc<Cluster>,
+    readers: usize,
+    arrived: Sender<Time>,
+}
+
+impl Allgather {
+    /// Reserve reader `src`'s transfer of `bytes` of trees to every other
+    /// reader on the fabric, and report when the last one lands.
+    fn ship(&self, rt: &Runtime, src: usize, bytes: u64) {
+        let mut latest = rt.now();
+        for dst in (0..self.readers).filter(|&dst| dst != src) {
+            latest = latest.max(self.cluster.reserve_transfer(rt.now(), src, dst, bytes));
+        }
+        // Closed only when the mount has already failed.
+        let _ = self.arrived.send(latest);
+    }
+}
+
+/// Submit every writer's staged tail before draining any of them, so all
+/// of their devices drain at once.
+fn flush_all<'a>(
+    rt: &Runtime,
+    writers: impl IntoIterator<Item = &'a mut BatchedWriter>,
+) -> Result<(), DlfsError> {
+    let mut writers: Vec<&mut BatchedWriter> = writers.into_iter().collect();
+    for w in &mut writers {
+        w.submit(rt)?;
+    }
+    writers.into_iter().try_for_each(|w| w.flush(rt))
+}
 
 /// A mounted DLFS instance: per-reader shared state + the replicated
 /// directory. Alive for the duration of the job, like the paper's DLFS.
@@ -418,6 +464,10 @@ struct UploadTask {
     geometry: Arc<Vec<Geometry>>,
     /// Superblock drafts of `my_nodes`: `Some` = persist the layout.
     drafts: Option<Vec<Superblock>>,
+    /// Where the trees of `my_nodes` go, and their wire size; `None` when
+    /// there is nothing to gather or this reader owns no node.
+    gather: Option<Allgather>,
+    tree_bytes: u64,
     cfg: DlfsConfig,
     pfs: Option<Link>,
     reg: Option<Registry>,
@@ -489,12 +539,13 @@ impl UploadTask {
         Ok(())
     }
 
-    /// Receive samples and land them through per-node [`BatchedWriter`]s;
-    /// when persisting, run the two-phase superblock commit around the
-    /// data. The per-block integrity table accumulates as the stream
-    /// flows — no read-back pass. On an I/O failure the task keeps
-    /// draining its pipe (so the producer never blocks on a dead consumer)
-    /// and reports the error at the end.
+    /// Receive samples and land them through per-node [`BatchedWriter`]s,
+    /// ship the trees once the last one has landed, and drain; when
+    /// persisting, run the two-phase superblock commit around the data.
+    /// The per-block integrity table accumulates as the stream flows — no
+    /// read-back pass. On an I/O failure the task keeps draining its pipe
+    /// (so the producer never blocks on a dead consumer) and reports the
+    /// error at the end.
     fn run(mut self, rt: &Runtime) -> Result<Vec<(usize, NodeState)>, DlfsError> {
         let reg = self.reg.as_ref();
         let mut l = Landing {
@@ -581,30 +632,29 @@ impl UploadTask {
                 self.land(rt, &mut l, pos, f)?;
             }
         }
-        // Replica mirrors drain before any superblock commits. (The
-        // mirrors this task wrote land on *peer* nodes whose own commit
-        // runs in a different task; replica slots are best-effort spare
-        // copies, not covered by the two-phase generation stamp.)
-        for w in l.mirrors.values_mut() {
-            w.flush(rt)?;
+        // Every entry is built: the trees ship while the devices drain.
+        if let Some(gather) = &self.gather {
+            gather.ship(rt, self.r, self.tree_bytes);
         }
-        // Finalize every node (zero-sample nodes included): drain data
-        // writes; when persisting, write the integrity table, the
-        // metadata and the codec table, and only then the committed
-        // superblock — strictly after everything else is durable, which
-        // is what makes the commit two-phase.
-        let mut out = Vec::with_capacity(self.my_nodes.len());
-        for (pos, &n) in self.my_nodes.iter().enumerate() {
-            let w = &mut l.writers[pos];
-            w.flush(rt)?;
-            let sums = std::mem::take(&mut l.checks[pos]).finish();
-            let lens = stagers
-                .get_mut(pos)
-                .map_or_else(Vec::new, |s| std::mem::take(&mut s.lens));
-            if let Some(drafts) = self.drafts.as_mut() {
-                let sb = &mut drafts[pos];
+        // Every tail drains at once (zero-sample nodes included), replica
+        // mirrors before any superblock commits. (The mirrors this task
+        // wrote land on *peer* nodes whose own commit runs in a different
+        // task; replica slots are best-effort spare copies, not covered by
+        // the two-phase generation stamp.)
+        flush_all(rt, l.mirrors.values_mut().chain(&mut l.writers))?;
+        let sums: Vec<Vec<u64>> = l.checks.into_iter().map(BlockChecksums::finish).collect();
+        // Without a codec there are no stagers, and every frame table is empty.
+        let mut lens: Vec<Vec<u32>> = stagers.into_iter().map(|s| s.lens).collect();
+        lens.resize(self.my_nodes.len(), Vec::new());
+        // When persisting, finalize phase by phase across the nodes: every
+        // integrity table, metadata and codec table, one drain, then every
+        // committed superblock, one drain — each strictly after its node's
+        // data and tables are durable, which is what makes the commit
+        // two-phase.
+        if let Some(drafts) = self.drafts.as_mut() {
+            for (pos, (sb, w)) in drafts.iter_mut().zip(&mut l.writers).enumerate() {
                 if sb.integrity_bytes > 0 {
-                    let enc = encode_integrity(&sums);
+                    let enc = encode_integrity(&sums[pos]);
                     debug_assert_eq!(enc.len() as u64, sb.integrity_bytes);
                     if !enc.is_empty() {
                         w.write(rt, sb.integrity_base, &enc)?;
@@ -617,20 +667,28 @@ impl UploadTask {
                     w.write(rt, sb.meta_base, &meta)?;
                 }
                 if coded {
-                    let table = encode_codec_table(&lens);
+                    let table = encode_codec_table(&lens[pos]);
                     debug_assert_eq!(table.len() as u64, sb.codec_table_bytes);
                     w.write(rt, sb.codec_base(), &table)?;
                 }
-                w.flush(rt)?;
+            }
+            flush_all(rt, &mut l.writers)?;
+            for (sb, w) in drafts.iter_mut().zip(&mut l.writers) {
                 sb.committed = true;
                 w.write(rt, 0, &sb.encode())?;
-                w.flush(rt)?;
             }
+            flush_all(rt, &mut l.writers)?;
+        }
+        let mut out = Vec::with_capacity(self.my_nodes.len());
+        for (pos, (sums, lens)) in std::iter::zip(sums, lens).enumerate() {
+            let n = self.my_nodes[pos];
+            let sb = self.drafts.as_ref().map(|d| d[pos].clone());
+            let geometry = self.geometry[n];
             out.push((
                 n,
                 NodeState {
-                    sb: self.drafts.as_ref().map(|d| d[pos].clone()),
-                    geometry: self.geometry[n],
+                    sb,
+                    geometry,
                     sums,
                     lens,
                 },
@@ -759,14 +817,14 @@ impl Bringup {
         };
         let dir = Arc::new(builder.finish()?);
         let nodes = self.upload(rt, &dir, source, drafts, Arc::new(geometry))?;
-        self.allgather(rt, &dir);
         let replicas = self.cfg.replicas as u32;
         Ok(self.assemble(rt, dir, replicas, nodes))
     }
 
     /// Stage the dataset onto the devices: the caller's task produces
     /// samples into bounded per-reader pipes (capacity [`STREAM_DEPTH`]);
-    /// one spawned [`UploadTask`] per reader consumes and writes.
+    /// one spawned [`UploadTask`] per reader consumes, writes and ships its
+    /// trees, and the caller merges them while the tasks drain.
     fn upload(
         &self,
         rt: &Runtime,
@@ -776,11 +834,13 @@ impl Bringup {
         geometry: Arc<Vec<Geometry>>,
     ) -> Result<Vec<NodeState>, DlfsError> {
         let (credit_tx, credit_rx) = rt.channel::<usize>(None);
+        let (gather, arrived) = self.allgather(rt).unzip();
         let mut senders: Vec<Option<Sender<StagedSample>>> = Vec::with_capacity(self.readers);
         // (node_pos, id) per reader: the k-way merge of its nodes' sample
-        // lists (each already in offset order) by data-relative offset,
-        // ties by node — all of the reader's devices fill together, each
-        // from a stream still in packed offset order (module doc).
+        // lists (each already in offset order) by share — data-relative
+        // offset ÷ the node's data bytes, cross-multiplied — ties by node:
+        // all of the reader's devices fill together and finish together,
+        // each from a stream still in packed offset order (module doc).
         let mut items: Vec<Vec<(usize, u32)>> = vec![Vec::new(); self.readers];
         let mut handles = Vec::with_capacity(self.readers);
         for (r, reader_items) in items.iter_mut().enumerate() {
@@ -788,11 +848,14 @@ impl Bringup {
             for (pos, &n) in my_nodes.iter().enumerate() {
                 reader_items.extend(dir.samples_on(n as u16).iter().map(|&id| (pos, id)));
             }
-            reader_items.sort_by_cached_key(|&(pos, id)| {
-                (
-                    dir.entry(id).offset() - geometry[my_nodes[pos]].data_base,
-                    pos,
-                )
+            let share = |&(pos, id): &(usize, u32)| {
+                let g = geometry[my_nodes[pos]];
+                let rel = dir.entry(id).offset() - g.data_base;
+                (rel as u128, g.data_bytes.max(1) as u128, pos)
+            };
+            reader_items.sort_by(|a, b| {
+                let ((ra, da, pa), (rb, db, pb)) = (share(a), share(b));
+                (ra * db).cmp(&(rb * da)).then(pa.cmp(&pb))
             });
             let (tx, rx) = rt.channel::<StagedSample>(Some(STREAM_DEPTH));
             senders.push(Some(tx));
@@ -803,6 +866,10 @@ impl Bringup {
                 drafts: drafts
                     .as_ref()
                     .map(|d| my_nodes.iter().map(|&n| d[n].clone()).collect()),
+                gather: gather.clone().filter(|_| !my_nodes.is_empty()),
+                tree_bytes: tree_wire_bytes(
+                    my_nodes.iter().map(|&n| dir.samples_on(n as u16).len()),
+                ),
                 my_nodes,
                 cfg: self.cfg.clone(),
                 pfs: self.pfs.clone(),
@@ -812,7 +879,7 @@ impl Bringup {
             };
             handles.push(rt.spawn_with(&format!("dlfs-mount-r{r}"), move |rt| task.run(rt)));
         }
-        drop(credit_tx);
+        drop((credit_tx, gather));
         // Produce: fill every pipe to its bound, then send one sample per
         // returned credit. Memory in flight is bounded by depth × readers.
         //
@@ -867,6 +934,9 @@ impl Bringup {
             }
         }
         drop(senders);
+        if let Some(arrived) = arrived {
+            self.merge(rt, arrived, dir.len());
+        }
         let nodes = join_nodes(handles, self.storage_nodes)?;
         if aborted {
             return Err(DlfsError::Deployment(
@@ -876,34 +946,38 @@ impl Bringup {
         Ok(nodes)
     }
 
-    /// Charge the mount-time allgather: every reader ships its nodes'
-    /// trees to every other reader, then merges (functionally the
-    /// directory is already complete; this charges the network + merge
-    /// time the collective takes).
-    fn allgather(&self, rt: &Runtime, dir: &SampleDirectory) {
-        let Some(cluster) = &self.deployment.cluster else {
-            return;
-        };
+    /// The allgather's shipping half, cloned into every reader task, and
+    /// the merge's end of it; `None` without a fabric or with one reader.
+    /// (Functionally the directory is complete before any tree ships; the
+    /// collective charges the network and merge time it takes.)
+    fn allgather(&self, rt: &Runtime) -> Option<(Allgather, Receiver<Time>)> {
+        let cluster = self.deployment.cluster.clone()?;
         if self.readers <= 1 {
-            return;
+            return None;
         }
+        let (arrived, merge) = rt.channel(None);
+        let gather = Allgather {
+            cluster,
+            readers: self.readers,
+            arrived,
+        };
+        Some((gather, merge))
+    }
+
+    /// Charge the merge of `entries` entries — every reader integrates the
+    /// other nodes' — once every reader that owns a node has shipped its
+    /// trees and the last of them has arrived. A reader that failed before
+    /// shipping leaves nothing to merge; the join reports why.
+    fn merge(&self, rt: &Runtime, arrived: Receiver<Time>, entries: usize) {
         let mut latest = rt.now();
-        for src in 0..self.readers.min(self.storage_nodes) {
-            let bytes: u64 = self
-                .nodes_of(src)
-                .into_iter()
-                .map(|n| dir.tree_wire_bytes(n as u16))
-                .sum();
-            for dst in (0..self.readers).filter(|&dst| dst != src) {
-                latest = latest.max(cluster.reserve_transfer(rt.now(), src, dst, bytes));
-            }
+        for _ in 0..self.readers.min(self.storage_nodes) {
+            let Ok(at) = arrived.recv() else {
+                return;
+            };
+            latest = latest.max(at);
         }
-        let now = rt.now();
-        if latest > now {
-            rt.sleep(latest - now);
-        }
-        // Merge cost: every reader integrates the other nodes' entries.
-        rt.work(MERGE_PER_ENTRY * dir.len() as u64);
+        rt.sleep_until(latest);
+        rt.work(MERGE_PER_ENTRY * entries as u64);
     }
 
     /// Turn a finished bring-up into the running instance — the one place
@@ -984,9 +1058,10 @@ impl Bringup {
     /// reader loads and verifies the metadata of its share of nodes
     /// through [`layout::load_node`] (timed reads through qpairs; the
     /// integrity table only when `cfg.verify_reads` asks for checksummed
-    /// reads, keeping the default remount's timing untouched), the
-    /// directory is rebuilt from the serialized entries, and the usual
-    /// allgather is charged. Rejects torn imports, checksum mismatches and
+    /// reads, keeping the default remount's timing untouched) and ships its
+    /// trees once they are loaded, the directory is rebuilt from the
+    /// serialized entries, and the merge is charged as on `stage`. Rejects
+    /// torn imports, checksum mismatches and
     /// devices mixed from different imports with typed [`LayoutError`]s.
     fn remount(self, rt: &Runtime) -> Result<DlfsInstance, DlfsError> {
         let cfg = &self.cfg;
@@ -995,12 +1070,14 @@ impl Bringup {
         let scope = self.telemetry.as_ref().map(|r| r.scoped("dlfs.remount"));
         let tel =
             ["superblocks", "meta_bytes", "entries"].map(|n| crate::counter_in(scope.as_ref(), n));
+        let (gather, arrived) = self.allgather(rt).unzip();
         let mut handles = Vec::with_capacity(self.readers);
         for r in 0..self.readers {
             let my_nodes = self.nodes_of(r);
             let row = self.deployment.targets[r].clone();
             let cfg = cfg.clone();
             let tel = tel.clone();
+            let gather = gather.clone().filter(|_| !my_nodes.is_empty());
             handles.push(rt.spawn_with(&format!("dlfs-remount-r{r}"), move |rt| {
                 let mut loaded = Vec::with_capacity(my_nodes.len());
                 for n in my_nodes {
@@ -1015,9 +1092,14 @@ impl Bringup {
                     rt.work(BUILD_PER_ENTRY * meta.records.len() as u64);
                     loaded.push((n, meta));
                 }
+                if let Some(gather) = gather {
+                    let entries = loaded.iter().map(|(_, m)| m.records.len());
+                    gather.ship(rt, r, tree_wire_bytes(entries));
+                }
                 Ok(loaded)
             }));
         }
+        drop(gather);
         let nodes: Vec<NodeMeta> = join_nodes(handles, storage_nodes)?;
         // Cross-node consistency: all devices must come from one import of
         // one dataset, shaped for this deployment.
@@ -1081,7 +1163,9 @@ impl Bringup {
             builder.add_raw(rec.id, rec.unit1, rec.unit2)?;
         }
         let dir = Arc::new(builder.finish()?);
-        self.allgather(rt, &dir);
+        if let Some(arrived) = arrived {
+            self.merge(rt, arrived, dir.len());
+        }
         let nodes = nodes
             .into_iter()
             .map(|NodeMeta { sb, sums, lens, .. }| NodeState {

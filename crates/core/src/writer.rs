@@ -300,13 +300,21 @@ impl BatchedWriter {
         self.drv.submit(rt, cmd)
     }
 
-    /// Submit the staged tail and wait until every command (including
-    /// retries) has completed. Returns the first exhausted-retry error.
-    pub fn flush(&mut self, rt: &Runtime) -> Result<(), DlfsError> {
+    /// Submit the staged tail and close the run without waiting for it:
+    /// submit every writer's tail before flushing any, and all of their
+    /// devices drain at once.
+    pub(crate) fn submit(&mut self, rt: &Runtime) -> Result<(), DlfsError> {
         self.drv.check()?;
         self.submit_staged(rt)?;
         self.run_active = false;
         self.staged_len = 0;
+        Ok(())
+    }
+
+    /// Submit the staged tail and wait until every command (including
+    /// retries) has completed. Returns the first exhausted-retry error.
+    pub fn flush(&mut self, rt: &Runtime) -> Result<(), DlfsError> {
+        self.submit(rt)?;
         self.flushes.inc();
         self.drv.drain(rt)
     }

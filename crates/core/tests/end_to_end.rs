@@ -150,6 +150,48 @@ fn full_epoch_delivers_every_sample_once() {
     });
 }
 
+/// A `queue_depth` above the device's limit is clamped per qpair (128 on
+/// every `DeviceConfig`), and the engine asks the qpair, not the config,
+/// whether it has room: with 200 one-chunk reads in the window it would
+/// otherwise post a 129th command and panic on `QueueFull`.
+#[test]
+fn a_queue_depth_above_the_device_limit_is_clamped_not_a_panic() {
+    Runtime::simulate(3, |rt| {
+        let source = SyntheticSource::fixed(5, 4000, 4096);
+        let cfg = DlfsConfig {
+            chunk_size: 4096,
+            queue_depth: 256,
+            window_chunks: 200,
+            pool_chunks: 600,
+            ..DlfsConfig::default()
+        };
+        let fs = dlfs::MountBuilder::new(cfg)
+            .local(local_device())
+            .mount(rt, &source)
+            .unwrap();
+        let mut io = fs.io(0);
+        io.sequence(rt, 5, 0);
+        let mut seen = vec![false; source.count()];
+        loop {
+            match io
+                .submit(rt, &ReadRequest::batch(64))
+                .map(Completions::into_copied)
+            {
+                Ok(batch) => {
+                    for (id, data) in batch {
+                        assert!(!seen[id as usize], "sample {id} delivered twice");
+                        seen[id as usize] = true;
+                        assert_eq!(data, source.expected(id), "sample {id}");
+                    }
+                }
+                Err(DlfsError::EpochExhausted) => break,
+                Err(e) => panic!("{e}"),
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every sample delivered");
+    });
+}
+
 #[test]
 fn dlfs_read_by_name_and_lookup() {
     Runtime::simulate(3, |rt| {
