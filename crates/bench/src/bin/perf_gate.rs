@@ -224,8 +224,8 @@ fn degraded_and_rebuild(seed: u64) -> (u64, u64) {
 fn offload_epoch_throughput(seed: u64) -> (f64, u64, f64) {
     const NODES: usize = 4;
     /// (samples/s, epoch bytes through the reader's NIC both ways, mount ns,
-    /// device bytes written per source byte).
-    fn epoch(seed: u64, codec: CodecKind, offload: bool) -> (f64, u64, u64, f64) {
+    /// device bytes written per source byte, epoch device read commands).
+    fn epoch(seed: u64, codec: CodecKind, offload: bool) -> (f64, u64, u64, f64, u64) {
         Runtime::simulate(seed, |rt| {
             let source = SyntheticSource::compressible(seed ^ 0x0C, 2000, 2600, 48);
             let cluster = Arc::new(Cluster::new(
@@ -235,8 +235,7 @@ fn offload_epoch_throughput(seed: u64) -> (f64, u64, f64) {
                     ..FabricConfig::default()
                 },
             ));
-            let devices: Vec<Arc<NvmeDevice>> =
-                (0..NODES).map(|_| setup::emulated_for(8 << 20)).collect();
+            let devices: Vec<_> = (0..NODES).map(|_| setup::emulated_for(8 << 20)).collect();
             let device_nodes: Vec<usize> = (0..NODES).collect();
             let deployment =
                 Deployment::fabric(&cluster, &[NODES], &device_nodes, &devices).unwrap();
@@ -255,28 +254,28 @@ fn offload_epoch_throughput(seed: u64) -> (f64, u64, f64) {
             let (tx0, rx0) = cluster.node_traffic(NODES);
             let mut io = fs.io(0);
             let total = io.sequence(rt, seed ^ 0x0F, 0);
-            let req = if offload {
-                ReadRequest::batch(32).offload()
-            } else {
-                ReadRequest::batch(32)
-            };
-            let t0 = rt.now();
-            let mut got = 0usize;
-            while got < total {
-                got += io.submit(rt, &req).unwrap().len();
+            let req = ReadRequest::batch(32);
+            let req = if offload { req.offload() } else { req };
+            let reads = || devices.iter().map(|d| d.stats().0).sum::<u64>();
+            let (t0, reads0) = (rt.now(), reads());
+            while io.remaining() > 0 {
+                io.submit(rt, &req).unwrap();
             }
             let (tx, rx) = cluster.node_traffic(NODES);
             (
-                got as f64 / (rt.now() - t0).as_secs_f64(),
+                total as f64 / (rt.now() - t0).as_secs_f64(),
                 tx + rx - tx0 - rx0,
                 setup_ns,
                 written as f64 / (2000.0 * 2600.0),
+                reads() - reads0,
             )
         })
         .0
     }
-    let (offloaded, offload_bytes, setup_ns, stored_ratio) = epoch(seed, CodecKind::Lz, true);
+    let (offloaded, offload_bytes, setup_ns, stored_ratio, offload_reads) =
+        epoch(seed, CodecKind::Lz, true);
     let (raw, raw_bytes, ..) = epoch(seed, CodecKind::Identity, false);
+    let lz_reads = epoch(seed, CodecKind::Lz, false).4;
     eprintln!(
         "offload+lz vs raw client path: {offloaded:.0} vs {raw:.0} sps, \
          {offload_bytes} vs {raw_bytes} epoch fabric bytes"
@@ -296,6 +295,10 @@ fn offload_epoch_throughput(seed: u64) -> (f64, u64, f64) {
         "offloaded epoch moved {offload_bytes} fabric bytes, more than the raw client path's \
          {raw_bytes}"
     );
+    // What the target reads: each plan item once, as the `lz` client path
+    // does — an item split by a batch boundary is carried to the next
+    // exchange, not read again.
+    assert_eq!(offload_reads, lz_reads, "reads: offload vs lz client");
     (offloaded, setup_ns, stored_ratio)
 }
 

@@ -84,21 +84,29 @@ pub trait NvmeTarget: Send + Sync {
 
     /// Reserve a storage-side offload batch: read every extent and run its
     /// post-read compute (decode/augment) *where the data lives*, then ship
-    /// one dense response of `response_bytes`. Returns the instant the
-    /// assembled response is available to the submitter.
+    /// one dense response of `response_bytes`, assembled no earlier than
+    /// `floor` (the instant bytes it carries from an earlier batch were
+    /// computed). Returns the instants the response is assembled and
+    /// available to the submitter.
     ///
     /// The default models a local target: the extent reads pipeline through
     /// the device like ordinary commands and a single implicit compute
     /// context processes each extent as its read lands; there is no fabric,
     /// so `response_bytes` never touches a wire. Remote targets override
     /// this with capsule/processing/NIC stages and a real compute pool.
-    fn reserve_offload(&self, now: Time, extents: &[OffloadExtent], _response_bytes: u64) -> Time {
+    fn reserve_offload(
+        &self,
+        now: Time,
+        extents: &[OffloadExtent],
+        _response_bytes: u64,
+        floor: Time,
+    ) -> (Time, Time) {
         let mut cpu = now;
         for e in extents {
             let read_done = self.reserve_read(now, e.slba, e.nblocks);
             cpu = cpu.max(read_done) + e.compute;
         }
-        cpu
+        (cpu.max(floor), cpu.max(floor))
     }
 }
 

@@ -13,15 +13,22 @@
 //! issued before the reader parks, and its response streams in behind the
 //! one being waited for.
 //!
+//! Every plan item is read, verified and decoded once. An exchange can
+//! split only the last item it claims; the target keeps that item's
+//! decoded rest (the *carry*), and the next exchange ships it with no
+//! descriptor, no read and no compute charge — but not before the instant
+//! the item's compute finished, the floor of that node's response.
+//!
 //! ```text
 //! submit k:   issue k (only if nothing is ahead) → issue k+1 → wait k → deliver k
 //! submit k+1:                                      issue k+2 → wait k+1 → deliver k+1
 //! ```
 //!
 //! The depth is one by design (double buffering): between calls a handle
-//! holds fewer than 2 × `req.n` delivered-size payloads. Everything ahead
-//! dies with the epoch state (`sequence`, drop); its NIC reservation and
-//! wire bytes stay booked, because the response really was sent.
+//! holds fewer than 2 × `req.n` delivered-size payloads, plus the carry.
+//! Everything ahead, the carry included, dies with the epoch state
+//! (`sequence`, drop); its NIC reservation and wire bytes stay booked,
+//! because the response really was sent.
 //!
 //! The path bypasses the qpairs and the sample cache entirely, so an epoch
 //! is served by it or by the engine, never both (`claim_epoch_path`).
@@ -35,11 +42,13 @@ use fabric::{CAPSULE_BYTES, DESCRIPTOR_BYTES, RESPONSE_BYTES};
 use super::*;
 use crate::error::IoFailure;
 use crate::integrity::{Probe, Reject};
+use crate::plan::FetchItem;
 
 /// A sample as delivered: its id and payload.
 type Sample = (u32, Vec<u8>);
 
-/// The offload half of an epoch's state.
+/// The offload half of an epoch's state: what the exchanges issued so far
+/// claimed and have not delivered, and the one item the target carries.
 #[derive(Default)]
 pub(super) struct Ahead {
     /// Claimed samples awaiting delivery, in plan order, each with the
@@ -50,6 +59,12 @@ pub(super) struct Ahead {
     /// Samples of the plan claimed by an exchange so far. Delivery, not
     /// this, is what `remaining()` counts down.
     claimed: usize,
+    /// The one item the last exchange split, as the target keeps it: its
+    /// index, its decoded bytes with the node byte offset they start at,
+    /// and the instant its compute finished (its node's response in that
+    /// exchange was assembled). The next exchange ships the rest of its
+    /// samples from here, without a descriptor or a second read.
+    carry: Option<(usize, (Vec<u8>, u64), Time)>,
 }
 
 impl DlfsIo {
@@ -75,12 +90,15 @@ impl DlfsIo {
         self.claim_epoch_path(true)?;
         // Issue: cover this batch (the first of an epoch finds nothing
         // ahead), then one more exchange of `req.n` unless a batch's worth
-        // is already buffered behind it.
+        // is already buffered behind it. Nothing is issued behind a failed
+        // exchange: the plan can no longer complete, and the item it may
+        // have split was never carried.
         loop {
             let st = self.st();
             let buffered = st.ahead.claimed - st.total_dispatched;
             let unclaimed = st.total - st.ahead.claimed;
-            if unclaimed == 0 || buffered.saturating_sub(want) >= req.n {
+            let failed = matches!(st.ahead.queue.back(), Some((_, Err(_))));
+            if unclaimed == 0 || failed || buffered.saturating_sub(want) >= req.n {
                 break;
             }
             self.issue_exchange(rt, req.n.min(unclaimed));
@@ -117,69 +135,91 @@ impl DlfsIo {
     /// home storage node, send ONE request per node, all concurrent, and
     /// queue what the dense responses will carry.
     fn issue_exchange(&mut self, rt: &Runtime, n: usize) {
-        // 1. Claim the samples, walking items in plan order.
-        let mut taken: Vec<(u16, u64, u64, Vec<u32>)> = Vec::new();
+        // 1. Claim the samples, walking items in plan order: the carried
+        //    item's rest first, if any, then whole items. Only the last
+        //    item claimed can be split.
         let st = self.split().0;
         st.ahead.claimed += n;
+        let mut carry = st.ahead.carry.take();
+        let mut claims = Vec::new();
         let mut left = n as u32;
-        for (item, it) in st.items.iter_mut().zip(&st.plan.items) {
+        for (idx, item) in st.items.iter_mut().enumerate() {
             if left == 0 {
                 break;
             }
             let take = (item.samples_total - item.dispatched).min(left);
             if take > 0 {
-                let ids = &it.samples[item.dispatched as usize..][..take as usize];
-                taken.push((it.nid, it.offset, it.len, ids.to_vec()));
+                let first = item.dispatched as usize;
+                claims.push((idx, first..first + take as usize));
                 item.dispatched += take;
                 left -= take;
             }
         }
-        // 2. One descriptor per item, grouped by node. The target is
-        //    charged the payload work the client's copy pool is spared:
-        //    block verification and frame decode, per extent, on its
-        //    compute pool.
-        let mut per_node: BTreeMap<u16, (Vec<OffloadExtent>, u64)> = BTreeMap::new();
-        let mut items = Vec::with_capacity(taken.len());
-        for (nid, offset, len, ids) in taken {
-            let (slba, nblocks, _) = self.read_geometry(nid, offset, len);
-            let frame = self.frame(nid, offset);
-            let slot = per_node.entry(nid).or_default();
-            slot.0.push(OffloadExtent {
-                slba,
-                nblocks,
-                compute: self.check_cost(nid, slba, nblocks, true),
-            });
-            slot.1 += ids
+        // 2. Per node touched: one descriptor per item this exchange reads
+        //    — the target is charged the payload work the client's copy
+        //    pool is spared, block verification and frame decode, per
+        //    extent, on its compute pool — the bytes of every sample
+        //    claimed, and the instant the carried item's compute finished:
+        //    its samples cannot ship before it.
+        let plan = &self.st().plan;
+        let mut per_node: BTreeMap<u16, (Vec<OffloadExtent>, u64, Time)> = BTreeMap::new();
+        for (idx, ids) in &claims {
+            let it = &plan.items[*idx];
+            let slot = per_node.entry(it.nid).or_default();
+            slot.1 += it.samples[ids.clone()]
                 .iter()
                 .map(|&id| self.shared.dir.entry(id).len())
                 .sum::<u64>();
-            items.push((nid, slba, nblocks, frame, ids));
+            match &carry {
+                Some(c) if c.0 == *idx => slot.2 = c.2,
+                _ => {
+                    let (slba, nblocks, _) = self.read_geometry(it.nid, it.offset, it.len);
+                    slot.0.push(OffloadExtent {
+                        slba,
+                        nblocks,
+                        compute: self.check_cost(it.nid, slba, nblocks, true),
+                    });
+                }
+            }
         }
         // 3. Timing: one request/process/respond exchange per node; the
-        //    exchange is ready when the last dense response lands.
+        //    exchange is ready when the last dense response lands. Each
+        //    node's slot keeps the instant its response was assembled.
         let mut ready = rt.now();
-        for (nid, (extents, payload)) in &per_node {
-            let t = self.shared.targets[*nid as usize].reserve_offload(rt.now(), extents, *payload);
-            ready = ready.max(t);
+        for (nid, (extents, payload, floor)) in &mut per_node {
+            let target = &self.shared.targets[*nid as usize];
+            let (assembled, landed) = target.reserve_offload(rt.now(), extents, *payload, *floor);
+            (*floor, ready) = (assembled, ready.max(landed));
             self.tel.of_requests.inc();
             self.tel.of_wire_bytes.add(
-                CAPSULE_BYTES + extents.len() as u64 * DESCRIPTOR_BYTES + payload + RESPONSE_BYTES,
+                CAPSULE_BYTES + extents.len() as u64 * DESCRIPTOR_BYTES + *payload + RESPONSE_BYTES,
             );
         }
-        // 4. Functional bytes: read + verify (failover / read-repair) +
-        //    decode each stored frame, then slice out the samples.
+        // 4. Functional bytes: each item read once — read + verify
+        //    (failover / read-repair) + decode its stored frame, or take
+        //    the carry — then slice out the samples; a split item's bytes
+        //    become the carry.
         let samples = (|| {
             let mut samples = Vec::with_capacity(n);
-            for (nid, slba, nblocks, frame, ids) in items {
-                let (raw, base) = self.offload_item_bytes(nid, slba, nblocks, frame)?;
-                for id in ids {
+            for (idx, ids) in claims {
+                let it = &plan.items[idx];
+                let (bytes, done) = match carry.take() {
+                    Some(c) if c.0 == idx => (c.1, c.2),
+                    _ => (self.offload_item_bytes(it)?, per_node[&it.nid].2),
+                };
+                let (raw, base) = &bytes;
+                for &id in &it.samples[ids.clone()] {
                     let entry = self.shared.dir.entry(id);
                     let at = (entry.offset() - base) as usize;
                     samples.push((id, raw[at..at + entry.len() as usize].to_vec()));
                 }
+                if ids.end < it.samples.len() {
+                    carry = Some((idx, bytes, done));
+                }
             }
             Ok(samples)
         })();
+        self.split().0.ahead.carry = carry;
         let queue = &mut self.split().0.ahead.queue;
         match samples {
             Ok(samples) => queue.extend(samples.into_iter().map(|s| (ready, Ok(s)))),
@@ -187,8 +227,8 @@ impl DlfsIo {
         }
     }
 
-    /// Read one plan item's stored range (`nblocks` blocks at `slba` of its
-    /// home node, holding `frame` under a codec): the first good copy in
+    /// Read one plan item's stored range (the blocks of its stored frame
+    /// under a codec, its covering blocks without): the first good copy in
     /// replica order ([`crate::integrity::Redundancy::first_good`] —
     /// readable, and matching the integrity table when there is one, all
     /// *before* decode, covering the stored encoded bytes), the home extent
@@ -201,13 +241,9 @@ impl DlfsIo {
     /// node byte offset they start at. Purely functional: the time was
     /// already charged by `reserve_offload` (extent reads + target-side
     /// verify/decode).
-    fn offload_item_bytes(
-        &self,
-        nid: u16,
-        slba: u64,
-        nblocks: u32,
-        frame: Option<Frame>,
-    ) -> Result<(Vec<u8>, u64), DlfsError> {
+    fn offload_item_bytes(&self, it: &FetchItem) -> Result<(Vec<u8>, u64), DlfsError> {
+        let (nid, frame) = (it.nid, self.frame(it.nid, it.offset));
+        let (slba, nblocks, _) = self.read_geometry(nid, it.offset, it.len);
         let (red, targets) = (&self.shared.redundancy, &self.shared.targets);
         let mut data = vec![0u8; nblocks as usize * BLOCK_SIZE as usize];
         let copies = 0..red.replicas;

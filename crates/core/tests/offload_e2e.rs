@@ -593,39 +593,106 @@ fn offload_rig(
     (deployment, Some(cluster))
 }
 
+/// Reader 0's fetch items of epoch `epoch` of `seed` (one reader).
+fn plan_items(fs: &DlfsInstance, seed: u64, epoch: u64) -> Vec<dlfs::FetchItem> {
+    let (cfg, dir) = (&fs.shared(0).cfg, &fs.shared(0).dir);
+    let mode = cfg.effective_mode(dir.avg_sample_bytes());
+    let plan = dlfs::build_epoch_plan(dir, cfg.chunk_size, 1, mode, cfg.window_chunks, seed, epoch);
+    plan.readers[0].items.clone()
+}
+
+/// The blocks a read of `it` fetches and verifies — its stored frame's
+/// stored extent under a codec, its covering blocks without — and the
+/// encoded bytes that frame decodes from (0 without a codec).
+fn item_read(fs: &DlfsInstance, it: &dlfs::FetchItem) -> (u64, u64) {
+    let chunk = fs.shared(0).cfg.chunk_size;
+    let Some(tables) = &fs.shared(0).codec else {
+        return (blocksim::covering_blocks(it.offset, it.len).1 as u64, 0);
+    };
+    let frames = &tables.per_node[it.nid as usize];
+    let f = frames.frame_of(chunk, it.offset);
+    let (enc, raw) = (frames.lens[f] as u64, frames.raw_len(chunk, f) as u64);
+    let stored = enc.next_multiple_of(BLOCK_SIZE).min(raw);
+    (stored.div_ceil(BLOCK_SIZE), enc)
+}
+
+/// What an offloaded epoch of `items` that reads each item exactly once
+/// costs: `(device read commands, dlfs.integrity.verified,
+/// dlfs.codec.bytes_in)` — one command per item, its blocks verified once
+/// (every copy is clean), its frame decoded once.
+fn read_once(fs: &DlfsInstance, items: &[dlfs::FetchItem]) -> (u64, u64, u64) {
+    let (blocks, enc) = items
+        .iter()
+        .map(|it| item_read(fs, it))
+        .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
+    (items.len() as u64, blocks, enc)
+}
+
+/// What an epoch drained through `io` booked: `(device read commands over
+/// `devices`, dlfs.integrity.verified, dlfs.codec.bytes_in)`.
+fn read_ledger(io: &dlfs::DlfsIo, devices: &[Arc<NvmeDevice>]) -> (u64, u64, u64) {
+    let m = io.metrics();
+    (
+        devices.iter().map(|d| d.stats().0).sum(),
+        m.counter("dlfs.integrity.verified"),
+        m.counter("dlfs.codec.bytes_in"),
+    )
+}
+
 /// What constant-size traffic never exercises: batch sizes drawn per call
 /// from {1, 7, 32, 64, everything left}, so a batch takes a prefix of the
-/// exchange ahead, spans two, or outruns the read-ahead. Whatever the
-/// sizes, an epoch delivers every sample exactly once, byte-correct, in
-/// the order a constant `batch(32)` delivers it — and books the same
-/// `dlfs.offload.samples`.
+/// exchange ahead, spans two, or outruns the read-ahead, and an exchange
+/// boundary splits an item. Whatever the sizes, an epoch delivers every
+/// sample exactly once, byte-correct, in the order a constant `batch(32)`
+/// delivers it — and books the same `dlfs.offload.samples`. And it reads
+/// each plan item once, codec or not, one copy or two: a device command,
+/// its blocks verified and its frame decoded per item, whatever exchange
+/// boundary splits it (the target carries the rest to the next exchange).
 #[test]
 fn offload_batch_sizes_do_not_change_what_an_epoch_delivers() {
     for case in 0..24u64 {
         let codec = [CodecKind::Identity, CodecKind::Lz][case as usize % 2];
         let fabric_rig = case / 2 % 2 == 1;
+        let replicas = 1 + (case / 4 % 2) as usize;
         Runtime::simulate(test_seed(200 + case), |rt| {
             let comp = SyntheticSource::compressible(60 + case, 330 + 7 * case as usize, 2600, 48);
             let devices: Vec<_> = (0..3).map(|_| ramdisk(64 << 20)).collect();
             let (deployment, _cluster) = offload_rig(&devices, fabric_rig);
-            let fs = dlfs::MountBuilder::new(offload_cfg(codec))
+            let cfg = DlfsConfig {
+                replicas,
+                verify_reads: true,
+                ..offload_cfg(codec)
+            };
+            let fs = dlfs::MountBuilder::new(cfg)
                 .deployment(deployment)
                 .mount(rt, &comp)
                 .unwrap();
+            let once = read_once(&fs, &plan_items(&fs, 12, case));
+            let label = format!("case {case} ({codec}, {replicas} copies)");
             let mut reference = fs.io(0);
             let total = reference.sequence(rt, 12, case);
+            let before = read_ledger(&reference, &devices).0;
             let want = drain_offloaded(rt, &mut reference, &comp, |_| 32);
-            let mut once = want.clone();
-            once.sort_unstable();
-            assert!(once.into_iter().eq(0..total as u32), "case {case}");
+            let (reads, verified, enc) = read_ledger(&reference, &devices);
+            assert_eq!((reads - before, verified, enc), once, "{label}, batch(32)");
+            let mut ids = want.clone();
+            ids.sort_unstable();
+            assert!(ids.into_iter().eq(0..total as u32), "{label}");
 
             let mut io = fs.io(0);
             assert_eq!(io.sequence(rt, 12, case), total);
+            let before = read_ledger(&io, &devices).0;
             let mut draw = SplitMix64::derive(test_seed(200), case);
             let got = drain_offloaded(rt, &mut io, &comp, |left| {
                 [1, 7, 32, 64, left][draw.below(5) as usize]
             });
-            assert_eq!(got, want, "case {case}: batch sizes changed the order");
+            assert_eq!(got, want, "{label}: batch sizes changed the order");
+            let (reads, verified, enc) = read_ledger(&io, &devices);
+            assert_eq!(
+                (reads - before, verified, enc),
+                once,
+                "{label}: an item read twice"
+            );
             let m = io.metrics();
             assert_eq!(m.counter("dlfs.offload.samples"), total as u64);
             assert_eq!(m.counter("dlfs.io.samples_delivered"), total as u64);
@@ -633,14 +700,16 @@ fn offload_batch_sizes_do_not_change_what_an_epoch_delivers() {
     }
 }
 
-/// `sequence` mid-epoch discards the exchange ahead: the next epoch
-/// delivers exactly its own plan order, as a fresh handle would, and what
-/// the dropped exchange moved stays booked — its response really was sent.
+/// `sequence` mid-epoch discards the exchange ahead and the item it split:
+/// the next epoch delivers exactly its own plan order and reads exactly
+/// its own items, as a fresh handle would, and what the dropped exchange
+/// moved stays booked — its response really was sent.
 #[test]
 fn sequence_mid_epoch_drops_the_exchange_ahead_but_not_its_bytes() {
     let comp = SyntheticSource::compressible(61, 400, 2600, 48);
-    // (delivery order, dlfs.offload.wire_bytes, reader rx bytes) of epoch 1,
-    // alone or after three batches of epoch 0.
+    // (delivery order, [dlfs.offload.wire_bytes, reader rx bytes, device
+    // read commands, dlfs.codec.bytes_in]) of epoch 1, alone or after three
+    // batches of epoch 0.
     let epoch1 = |batches_of_epoch0: usize| {
         Runtime::simulate(test_seed(230), |rt| {
             let devices: Vec<_> = (0..3).map(|_| ramdisk(64 << 20)).collect();
@@ -649,11 +718,26 @@ fn sequence_mid_epoch_drops_the_exchange_ahead_but_not_its_bytes() {
                 .deployment(deployment)
                 .mount(rt, &comp)
                 .unwrap();
+            // The exchange ahead of the last batch ends inside an item: the
+            // target holds its rest when `sequence` comes.
+            let claimed = (batches_of_epoch0 + 1) * 32;
+            let mut ends = plan_items(&fs, 13, 0).into_iter().scan(0, |n, it| {
+                *n += it.samples.len();
+                Some(*n)
+            });
+            assert!(batches_of_epoch0 == 0 || !ends.any(|end| end == claimed));
             let mut io = fs.io(0);
             let booked = |io: &dlfs::DlfsIo| {
+                let (reads, _, enc) = read_ledger(io, &devices);
                 let wire = io.metrics().counter("dlfs.offload.wire_bytes");
-                (wire, cluster.as_ref().unwrap().node_traffic(3).1)
+                [
+                    wire,
+                    cluster.as_ref().unwrap().node_traffic(3).1,
+                    reads,
+                    enc,
+                ]
             };
+            let since = |a: [u64; 4], b: [u64; 4]| std::array::from_fn::<_, 4, _>(|i| a[i] - b[i]);
             let before = booked(&io);
             io.sequence(rt, 13, 0);
             for _ in 0..batches_of_epoch0 {
@@ -666,26 +750,135 @@ fn sequence_mid_epoch_drops_the_exchange_ahead_but_not_its_bytes() {
             let after = booked(&io);
             let delivered = io.metrics().counter("dlfs.offload.samples");
             assert_eq!(delivered as usize, batches_of_epoch0 * 32 + comp.count());
-            (
-                order,
-                (dropped.0 - before.0, dropped.1 - before.1),
-                (after.0 - dropped.0, after.1 - dropped.1),
-            )
+            (order, since(dropped, before), since(after, dropped))
         })
         .0
     };
     let (fresh_order, nothing, fresh_bytes) = epoch1(0);
     let (order, dropped, bytes) = epoch1(3);
-    assert_eq!(nothing, (0, 0));
+    assert_eq!(nothing, [0; 4]);
     assert_eq!(order, fresh_order, "epoch 1 delivered samples of epoch 0");
     assert_eq!(
         bytes, fresh_bytes,
-        "epoch 1 moved other bytes than a fresh one"
+        "epoch 1 moved or read other bytes than a fresh one"
     );
     // Three delivered batches and the one issued ahead of them.
     let four_exchanges = 4 * 32 * 2600;
-    assert!(dropped.0 > four_exchanges, "wire_bytes {dropped:?}");
-    assert!(dropped.1 > four_exchanges, "node_traffic {dropped:?}");
+    assert!(dropped[0] > four_exchanges, "wire_bytes {dropped:?}");
+    assert!(dropped[1] > four_exchanges, "node_traffic {dropped:?}");
+    assert!(dropped[2] > 0 && dropped[3] > 0, "reads {dropped:?}");
+}
+
+/// The target's carry outlives the home device: kill it between the
+/// exchange that read a split item and the ones that ship the rest. The
+/// rest still arrives byte-correct and costs no read, failover or verified
+/// block; every later item of that node fails over to its replica once —
+/// one hop, its blocks verified once, no mismatch — as on the client path.
+#[test]
+fn a_carried_item_outlives_its_home_device() {
+    Runtime::simulate(test_seed(233), |rt| {
+        let comp = SyntheticSource::compressible(64, 300, 2600, 48);
+        let devices: Vec<_> = (0..3).map(|_| ramdisk(64 << 20)).collect();
+        let cfg = DlfsConfig {
+            replicas: 2,
+            verify_reads: true,
+            ..offload_cfg(CodecKind::Lz)
+        };
+        let fs = dlfs::MountBuilder::new(cfg)
+            .deployment(Deployment::local(1, &devices))
+            .mount(rt, &comp)
+            .unwrap();
+        // batch(1): exchange k claims the plan's k-th sample, and submit k
+        // issues exchange k + 1 (the first one issues two). Item `x` is the
+        // first past item 0 with two samples or more: the exchange that
+        // reads it and the next one are issued by different submits.
+        let items = plan_items(&fs, 16, 0);
+        let x = (1..items.len())
+            .find(|&i| items[i].samples.len() >= 2)
+            .unwrap();
+        let first: usize = items[..x].iter().map(|it| it.samples.len()).sum();
+        let home = items[x].nid as usize;
+        let mut io = fs.io(0);
+        io.sequence(rt, 16, 0);
+        // (device read commands, dlfs.integrity.verified, dlfs.codec.bytes_in,
+        // dlfs.integrity.failovers) so far.
+        let ledger = |io: &dlfs::DlfsIo| {
+            let (reads, verified, enc) = read_ledger(io, &devices);
+            let failovers = io.metrics().counter("dlfs.integrity.failovers");
+            [reads, verified, enc, failovers]
+        };
+        let step = |io: &mut dlfs::DlfsIo| {
+            let batch = io.submit(rt, &ReadRequest::batch(1).offload()).unwrap();
+            for (id, data) in batch.into_copied() {
+                assert_eq!(data, comp.expected(id), "sample {id} corrupted");
+            }
+            ledger(io)
+        };
+        for _ in 0..first {
+            step(&mut io);
+        }
+        devices[home].kill();
+        // Issues the exchange that ships the carry's first sample.
+        let killed = step(&mut io);
+        for _ in 2..items[x].samples.len() {
+            assert_eq!(step(&mut io), killed, "the carried rest was read again");
+        }
+        while io.remaining() > 0 {
+            step(&mut io);
+        }
+        let later = &items[x + 1..];
+        let on_home = later.iter().filter(|it| it.nid as usize == home).count() as u64;
+        assert!(on_home > 0, "no later item of node {home} to fail over");
+        let (reads, verified, enc) = read_once(&fs, later);
+        let now = ledger(&io);
+        let since: Vec<u64> = now.iter().zip(killed).map(|(n, k)| n - k).collect();
+        assert_eq!(since, [reads, verified, enc, on_home]);
+        assert_eq!(io.metrics().counter("dlfs.integrity.mismatches"), 0);
+    });
+}
+
+/// A carried sample is never on the wire before its item's compute
+/// finished. Behind slow devices, `batch(1)` issues exchange 1 — it reads
+/// the first item and carries its rest — and exchange 2, which gives that
+/// item's node nothing but the carry: no descriptor, so without a floor
+/// its response would leave at capsule + processing time, long before the
+/// item was off the device. It leaves after the item's compute instead,
+/// so on the target's link it queues behind the response that read it.
+#[test]
+fn a_carry_only_response_waits_for_the_compute_that_made_it() {
+    Runtime::simulate(test_seed(234), |rt| {
+        let comp = SyntheticSource::compressible(65, 120, 2600, 48);
+        let slow = Dur::micros(500);
+        let device = || NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, slow));
+        let devices: Vec<_> = (0..3).map(|_| device()).collect();
+        let (deployment, _cluster) = offload_rig(&devices, true);
+        let fs = dlfs::MountBuilder::new(offload_cfg(CodecKind::Lz))
+            .deployment(deployment)
+            .mount(rt, &comp)
+            .unwrap();
+        let items = plan_items(&fs, 17, 0);
+        assert!(items[0].samples.len() >= 2, "batch(1) must split item 0");
+        let mut io = fs.io(0);
+        io.sequence(rt, 17, 0);
+        let mut times = vec![rt.now()];
+        for _ in 0..2 {
+            io.submit(rt, &ReadRequest::batch(1).offload()).unwrap();
+            times.push(rt.now());
+        }
+        let carried = comp.size(items[0].samples[1]) + fabric::RESPONSE_BYTES;
+        let wire = Dur::from_secs_f64(carried as f64 / 1e9);
+        assert!(
+            times[1] - times[0] >= slow,
+            "item 0 came off the device in {:?}",
+            times[1] - times[0]
+        );
+        assert!(
+            times[2] >= times[1] + wire,
+            "the carried sample landed {:?} after the one that read its item, \
+             less than its own wire time {wire:?}",
+            times[2] - times[1]
+        );
+    });
 }
 
 /// A frame no copy can serve fails the batch that needs it — not the one

@@ -230,7 +230,8 @@ impl NvmeTarget for RemoteTarget {
         now: Time,
         extents: &[blocksim::OffloadExtent],
         response_bytes: u64,
-    ) -> Time {
+        floor: Time,
+    ) -> (Time, Time) {
         // One request capsule describes the whole batch.
         let req = crate::offload::OffloadRequestWire {
             extents: extents.len(),
@@ -258,18 +259,22 @@ impl NvmeTarget for RemoteTarget {
             .processing
             .reserve(t1, self.target.cfg.per_cmd_processing);
         // 3. Extent reads through the device, decode/augment on the
-        //    target's offload compute pool.
+        //    target's offload compute pool. The response is assembled no
+        //    earlier than `floor`: it carries bytes an earlier batch
+        //    computed then.
         let t3 = self
             .target
             .offload
-            .reserve_batch(t2, &self.target.device, extents);
+            .reserve_batch(t2, &self.target.device, extents)
+            .max(floor);
         // 4. ONE dense response: the assembled sample bytes.
-        self.cluster.reserve_transfer(
+        let landed = self.cluster.reserve_transfer(
             t3,
             self.target.node,
             self.client_node,
             response_bytes + RESPONSE_BYTES,
-        )
+        );
+        (t3, landed)
     }
 }
 

@@ -14,7 +14,9 @@
 //! It is deliberately simple and deterministic: extent reads pipeline
 //! through the backing device like any other command; each extent then
 //! occupies one compute thread for its decode/augment cost; the response
-//! ships when the last extent clears compute. [`NvmeOfTarget`]
+//! ships when the last extent clears compute, and never before the floor
+//! the request names (the instant an earlier batch computed bytes it
+//! carries). [`NvmeOfTarget`]
 //! (`nvmeof.rs`) embeds one scheduler per target and exposes the whole
 //! request/process/respond exchange through
 //! [`NvmeTarget::reserve_offload`](blocksim::NvmeTarget::reserve_offload).
