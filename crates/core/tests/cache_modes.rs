@@ -444,7 +444,7 @@ fn sync_reads_hit_the_cross_epoch_cache() {
 }
 
 /// One fetch geometry on every path (`plan::fetch_extent`): what a batched
-/// cross-epoch epoch leaves resident, the synchronous paths pin — and what
+/// cross-epoch epoch leaves resident, the synchronous read pins — and what
 /// synchronous reads park, a batched epoch acquires. Varied, unaligned
 /// sizes so chunks have partial heads/tails and edge samples exist; the
 /// pool holds one chunk per fetch range.
@@ -457,7 +457,7 @@ fn batched_and_sync_paths_share_resident_extents() {
         cache_mode: CacheMode::CrossEpoch,
         ..DlfsConfig::default()
     };
-    // Batched epoch first, then every sample through both sync paths.
+    // Batched epoch first, then every sample through the sync read.
     Runtime::simulate(109, |rt| {
         let source = SyntheticSource::new(11, sizes.clone());
         let fs = direct_deployment(rt, 1, &source, cfg.clone());
@@ -467,9 +467,8 @@ fn batched_and_sync_paths_share_resident_extents() {
         assert_eq!(drain_epoch_verified(rt, &mut io, &source), total);
         let cmds = device_commands(&reg);
         for id in 0..total as u32 {
-            assert_eq!(io.read_by_id(rt, id).unwrap(), source.expected(id));
-            let z = io.read_zero_copy(rt, id).unwrap();
-            assert_eq!(z.to_vec(), source.expected(id), "sample {id} corrupted");
+            let got = io.read_by_id(rt, id).unwrap();
+            assert_eq!(got, source.expected(id), "sample {id} corrupted");
         }
         assert_eq!(
             device_commands(&reg),
@@ -477,19 +476,14 @@ fn batched_and_sync_paths_share_resident_extents() {
             "sync reads after a batched epoch must pin the resident extents"
         );
     });
-    // Sync-warmed mount (copied and zero-copy misses alternate), then a
-    // batched epoch.
+    // Sync-warmed mount, then a batched epoch.
     Runtime::simulate(110, |rt| {
         let source = SyntheticSource::new(11, sizes.clone());
         let fs = direct_deployment(rt, 1, &source, cfg.clone());
         let reg = Registry::new();
         let mut io = fs.io_with_registry(0, &reg);
         for id in 0..sizes.len() as u32 {
-            let got = if id % 2 == 0 {
-                io.read_by_id(rt, id).unwrap()
-            } else {
-                io.read_zero_copy(rt, id).unwrap().to_vec()
-            };
+            let got = io.read_by_id(rt, id).unwrap();
             assert_eq!(got, source.expected(id), "sample {id} corrupted");
         }
         let cmds = device_commands(&reg);
@@ -792,16 +786,11 @@ impl<'a> Cell<'a> {
         self.line(&format!("sequence {epoch} total={total}"), 0);
     }
 
-    /// `read_by_id` then `read_zero_copy` of sample `id`.
-    fn sync_reads(&mut self, io: &mut DlfsIo, kind: &str, id: u32) {
+    /// `read_by_id` of sample `id`.
+    fn sync_read(&mut self, io: &mut DlfsIo, kind: &str, id: u32) {
         let data = io.read_by_id(self.rt, id).unwrap();
         let hash = self.fold(0, id, &data);
         self.line(&format!("read_by_id {kind} {id}"), hash);
-        let sample = io.read_zero_copy(self.rt, id).unwrap();
-        let hash = self.fold(0, id, &sample.to_vec());
-        self.line(&format!("read_zero_copy {kind} {id} held"), hash);
-        drop(sample);
-        self.line(&format!("read_zero_copy {kind} {id} dropped"), hash);
     }
 
     /// The first sample the predicate holds for (by id).
@@ -830,8 +819,8 @@ fn three_epochs(rt: &Runtime, grid: Grid) -> String {
     c.out
 }
 
-/// Batches interleaved with both synchronous reads of a resident, a cold
-/// and an edge sample.
+/// Batches interleaved with synchronous reads of a resident, a cold and an
+/// edge sample.
 fn batches_and_sync_reads(rt: &Runtime, grid: Grid) -> String {
     let mut c = Cell::mount(rt, grid, 1, 32, None);
     let mut io = c.io();
@@ -845,7 +834,7 @@ fn batches_and_sync_reads(rt: &Runtime, grid: Grid) -> String {
         for (kind, id) in [("resident", resident), ("cold", cold), ("edge", edge)] {
             // (Coded frames never split a sample: no edge samples there.)
             if let Some(id) = id {
-                c.sync_reads(&mut io, kind, id);
+                c.sync_read(&mut io, kind, id);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! End-to-end integrity and self-healing tests: checksummed reads,
 //! replica failover under permanent target death, read-repair of silent
-//! bit flips, background scrubbing, hedged reads, and typed `Corrupt`
+//! bit flips, background scrubbing, and typed `Corrupt`
 //! errors when no healthy copy exists. All deterministic: same-seed runs
 //! are byte-identical, and the default configuration builds none of it.
 
@@ -239,13 +239,7 @@ fn zero_copy_reads_verify_and_repair() {
     Runtime::simulate(test_seed(74), |rt| {
         let source = SyntheticSource::fixed(5, 600, 2048);
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20)];
-        // Sync zero-copy misses publish into the cache, which needs the
-        // cross-epoch (resident) mode — same as reactor.rs.
-        let cfg = DlfsConfig {
-            cache_mode: dlfs::CacheMode::CrossEpoch,
-            ..redundant_cfg(2)
-        };
-        let fs = dlfs::MountBuilder::new(cfg)
+        let fs = dlfs::MountBuilder::new(redundant_cfg(2))
             .deployment(Deployment::local(1, &devices))
             .mount(rt, &source)
             .unwrap();
@@ -269,9 +263,8 @@ fn zero_copy_reads_verify_and_repair() {
         let m = io.metrics();
         assert!(m.counter("dlfs.integrity.mismatches") > 0);
         assert!(m.counter("dlfs.integrity.repairs") > 0);
-        // The synchronous zero-copy single read verifies as well.
-        let s = io.read_zero_copy(rt, 0).unwrap();
-        assert_eq!(s.to_vec(), source.expected(0));
+        // The synchronous single read verifies as well.
+        assert_eq!(io.read_by_id(rt, 0).unwrap(), source.expected(0));
     });
 }
 
@@ -362,38 +355,6 @@ fn unrepairable_corruption_surfaces_typed_corrupt() {
     });
 }
 
-/// Hedged reads: when the home copy is slow, a duplicate fired at the
-/// hedge delay races the next replica and the first verified completion
-/// wins. Bytes stay correct; the loser is cancelled.
-#[test]
-fn hedged_reads_win_against_slow_target() {
-    Runtime::simulate(test_seed(77), |rt| {
-        let source = SyntheticSource::fixed(8, 600, 2048);
-        // Node 0 is an order of magnitude slower than node 1.
-        let slow = NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(500)));
-        let fast = ramdisk(64 << 20);
-        let devices = vec![slow, fast];
-        let cfg = DlfsConfig {
-            hedge_reads: true,
-            ..redundant_cfg(2)
-        };
-        let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(Deployment::local(1, &devices))
-            .mount(rt, &source)
-            .unwrap();
-        let mut io = fs.io(0);
-        let total = io.sequence(rt, 17, 0);
-        drain_epoch_verified(rt, &mut io, &source, total);
-        let m = io.metrics();
-        assert!(m.counter("dlfs.integrity.hedges") > 0, "no hedges fired");
-        assert!(
-            m.counter("dlfs.integrity.hedge_wins") > 0,
-            "hedges never won against a 50x slower home"
-        );
-        assert_eq!(m.counter("dlfs.integrity.mismatches"), 0);
-    });
-}
-
 /// The block checksums ride the copy pool. Flipped home blocks: every
 /// completed request is checked by the pool (one `stage.check_ns` record
 /// each) and paid for there — the other threads' busy time is the memcpys
@@ -470,101 +431,6 @@ fn parts_checked_on_the_pool_fail_over_repair_and_type_corrupt() {
                 "{name}"
             );
         }
-    });
-}
-
-/// A hedged pair harvested back to back — both commands in one poll pass,
-/// both with the copy pool before either verdict is back — settles once:
-/// the first verdict delivers the part and drops its twin's claim, so no
-/// block is verified twice and every sample arrives once. The home node
-/// answers in 60 µs, the replica in 10 µs, a hedge fires 50 µs after its
-/// primary, and the reader computes 5 µs between polls: the two
-/// completions of a pair fall into the same pass.
-#[test]
-fn a_hedged_pair_harvested_together_settles_once() {
-    let run = |hedge_reads: bool| {
-        Runtime::simulate(test_seed(81), |rt| {
-            let source = SyntheticSource::fixed(8, 600, 2048);
-            let slow = NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(60)));
-            let devices = vec![slow, ramdisk(64 << 20)];
-            let cfg = DlfsConfig {
-                hedge_reads,
-                ..redundant_cfg(2)
-            };
-            let fs = dlfs::MountBuilder::new(cfg)
-                .deployment(Deployment::local(1, &devices))
-                .mount(rt, &source)
-                .unwrap();
-            let mut io = fs.io(0);
-            let total = io.sequence(rt, 17, 0);
-            let req = ReadRequest::batch(32).inject_compute(Dur::micros(5));
-            drain_epoch_with(rt, &mut io, &source, total, &req);
-            io.metrics()
-        })
-        .0
-    };
-    let (plain, hedged) = (run(false), run(true));
-    let count = |m: &simkit::telemetry::Snapshot, name: &str| m.counter(name);
-    let hedges = count(&hedged, "dlfs.integrity.hedges");
-    assert!(hedges > 0, "no hedges fired");
-    // A cancelled loser never completes; one harvested before the winner's
-    // verdict does. Parts = primaries = requests − hedges.
-    let parts = count(&hedged, "dlfs.io.requests_posted") - hedges;
-    let harvested_losers = count(&hedged, "dlfs.io.completions") - parts;
-    assert!(harvested_losers > 0, "no pair was harvested together");
-    assert_eq!(hedged.histogram("dlfs.io.stage.check_ns").count, parts);
-    let verified = |m| count(m, "dlfs.integrity.verified");
-    assert_eq!(
-        verified(&hedged),
-        verified(&plain),
-        "a block verified twice"
-    );
-    assert_eq!(count(&hedged, "dlfs.integrity.mismatches"), 0);
-}
-
-/// A flipped home copy whose good hedged twin lands before the home copy's
-/// verdict is back is still judged on the bytes it brought: the two
-/// commands share the part's chunk, and the twin's DMA replaces the bytes
-/// the pool is being paid to check. The home node answers in 65 µs, the
-/// replica in 10 µs, a hedge fires 50 µs after its primary and the reader
-/// polls every 20 µs: the hedge goes out at 60 µs and both commands are
-/// harvested at 80 µs, home first. Two chunks of node 0's home copy are
-/// flipped (too few to open its circuit): each is counted as a mismatch
-/// against the home device, repaired from its twin without a failover, and
-/// clean afterwards.
-#[test]
-fn a_twin_landing_before_the_verdict_hides_no_mismatch() {
-    Runtime::simulate(test_seed(83), |rt| {
-        let source = SyntheticSource::fixed(8, 600, 2048);
-        let slow = NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(65)));
-        let devices = vec![slow, ramdisk(64 << 20)];
-        let cfg = DlfsConfig {
-            hedge_reads: true,
-            window_chunks: 2,
-            ..redundant_cfg(2)
-        };
-        let fs = dlfs::MountBuilder::new(cfg)
-            .deployment(Deployment::local(1, &devices))
-            .mount(rt, &source)
-            .unwrap();
-        devices[0].set_faults(FaultInjector::new(9).with_bit_flips(0, 32));
-        let mut io = fs.io(0);
-        let total = io.sequence(rt, 17, 0);
-        let req = ReadRequest::batch(32).inject_compute(Dur::micros(20));
-        drain_epoch_with(rt, &mut io, &source, total, &req);
-        let m = io.metrics();
-        let count = |name: &str| m.counter(&format!("dlfs.integrity.{name}"));
-        assert!(count("hedges") > 0, "no hedges fired");
-        assert_eq!((count("mismatches"), count("repairs")), (2, 2));
-        assert_eq!(
-            count("failovers"),
-            0,
-            "repaired by a re-read, not by the twin"
-        );
-        assert!(
-            !devices[0].as_ref().probe_extent(0, 32),
-            "marks not cleared"
-        );
     });
 }
 

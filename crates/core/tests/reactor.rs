@@ -271,12 +271,12 @@ fn faulted_replay_is_deterministic() {
 //
 // Characterisation fixtures for the paths that share the post / verify /
 // settle core with the batched engine: synchronous reads racing an epoch,
-// replica failover + read-repair + hedging, and verified, decoded
-// prefetch. Generated once from the engine as it stood before that core
-// existed; they pin the virtual timeline and the full telemetry render.
+// replica failover + read-repair, and verified, decoded prefetch.
+// Generated once from the engine as it stood before that core existed;
+// they pin the virtual timeline and the full telemetry render.
 
 /// `blocksim::copy_ops` is one process-wide counter: the tests that
-/// memcpy hold this shared while [`warm_zero_copy_reads_are_copy_and_alloc_free`]
+/// memcpy hold this shared while [`warm_zero_copy_batches_are_copy_free`]
 /// holds it exclusively around its flat-counter assertion.
 static COPY_OPS_QUIET: std::sync::RwLock<()> = std::sync::RwLock::new(());
 
@@ -327,15 +327,14 @@ fn drain_zero_copy_report(
     }
 }
 
-/// Synchronous `read_by_id` / `read_zero_copy` over the NVMe-oF rig with
-/// media errors and fabric drops, issued while a batched epoch on the
-/// same handle still has parts in flight: the sync drain harvests (and
-/// must re-queue) the engine's strays.
+/// Synchronous `read_by_id` over the NVMe-oF rig with media errors and
+/// fabric drops, issued while a batched epoch on the same handle still has
+/// parts in flight: the sync drain harvests (and must re-queue) the
+/// engine's strays. In both cache modes: cross-epoch, a miss parks its
+/// range where the engine finds it.
 #[test]
 fn sync_reads_racing_faulted_epoch_match_golden() {
     let _copies = COPY_OPS_QUIET.read().unwrap();
-    // Epoch-scoped: copied sync reads only (a sync zero-copy miss needs a
-    // mode that keeps the published range resident). Cross-epoch: both.
     let mut text = String::new();
     for cache_mode in [CacheMode::EpochScoped, CacheMode::CrossEpoch] {
         let (report, end) = Runtime::simulate(11, |rt| sync_race_report(rt, cache_mode));
@@ -390,16 +389,10 @@ fn sync_race_report(rt: &Runtime, cache_mode: CacheMode) -> String {
             .skip(round as usize * 7)
             .take(4)
             .collect();
-        for (k, &id) in cold.iter().enumerate() {
-            if k % 2 == 0 || cache_mode == CacheMode::EpochScoped {
-                let data = io.read_by_id(rt, id).unwrap();
-                assert_eq!(data, source.expected(id));
-                sync_line(&mut report, rt, "read_by_id", id, fnv1a(&data));
-            } else {
-                let s = io.read_zero_copy(rt, id).unwrap();
-                assert_eq!(s.to_vec(), source.expected(id));
-                sync_line(&mut report, rt, "read_zero_copy", id, s.fnv1a());
-            }
+        for id in cold {
+            let data = io.read_by_id(rt, id).unwrap();
+            assert_eq!(data, source.expected(id));
+            sync_line(&mut report, rt, "read_by_id", id, fnv1a(&data));
         }
     }
     loop {
@@ -426,12 +419,11 @@ fn sync_race_report(rt: &Runtime, cache_mode: CacheMode) -> String {
     report
 }
 
-/// `replicas: 2` + `verify_reads` + `hedge_reads` with flipped blocks on
-/// the fast node and a slow home node: failover, read-repair and hedge
-/// wins in one run, copied then zero-copy, opened by a synchronous read
-/// of a corrupted sample.
+/// `replicas: 2` + `verify_reads` with flipped blocks on the fast node and
+/// a slow home node: failover and read-repair in one run, copied then
+/// zero-copy, opened by a synchronous read of a corrupted sample.
 #[test]
-fn failover_repair_hedge_match_golden() {
+fn failover_repair_match_golden() {
     let _copies = COPY_OPS_QUIET.read().unwrap();
     let (report, end) = Runtime::simulate(12, |rt| {
         let source = SyntheticSource::fixed(8, 700, 2048);
@@ -442,7 +434,6 @@ fn failover_repair_hedge_match_golden() {
             chunk_size: 8 * 1024,
             replicas: 2,
             verify_reads: true,
-            hedge_reads: true,
             ..DlfsConfig::default()
         };
         let fs = MountBuilder::new(cfg)
@@ -471,7 +462,7 @@ fn failover_repair_hedge_match_golden() {
         report.push_str(&format!("epoch 1 total={total}\n"));
         drain_zero_copy_report(rt, &mut io, &source, 32, &mut report);
         let m = io.metrics();
-        for c in ["mismatches", "repairs", "failovers", "hedges", "hedge_wins"] {
+        for c in ["mismatches", "repairs", "failovers"] {
             assert!(m.counter(&format!("dlfs.integrity.{c}")) > 0, "no {c}");
         }
         report.push_str("--- telemetry ---\n");
@@ -479,7 +470,7 @@ fn failover_repair_hedge_match_golden() {
         report
     });
     let text = format!("{report}end t={}\n", end.nanos());
-    check_golden("reactor_failover_hedge.txt", &text);
+    check_golden("reactor_failover_repair.txt", &text);
 }
 
 /// `CrossEpoch` + `prefetch_window: 8` + `CodecKind::Lz` + `verify_reads`
@@ -561,12 +552,15 @@ fn my_allocs() -> u64 {
     ALLOCS.with(|c| c.get())
 }
 
-/// The steady-state warm read path is zero-copy end to end: once a chunk
-/// is resident, `read_zero_copy` performs no memcpy (`blocksim::copy_ops`
-/// is flat) and no heap allocation on the reading thread — the segment
-/// list stays inline and the cache pin is embedded in the sample.
+/// The steady-state warm batched read is zero-copy end to end: once a
+/// `CrossEpoch` epoch is resident, draining it with `batch(n).zero_copy()`
+/// posts no device command and performs no memcpy (`blocksim::copy_ops` is
+/// flat) — each sample's segment list stays inline and its cache pin is
+/// embedded in it. What the reading thread allocates in `submit` is
+/// pinned: the vector each batch's samples are pushed onto, and the epoch's
+/// bookkeeping.
 #[test]
-fn warm_zero_copy_reads_are_copy_and_alloc_free() {
+fn warm_zero_copy_batches_are_copy_free() {
     let _quiet = COPY_OPS_QUIET.write().unwrap();
     Runtime::simulate(6, |rt| {
         let source = SyntheticSource::fixed(3, 400, 2048);
@@ -579,41 +573,49 @@ fn warm_zero_copy_reads_are_copy_and_alloc_free() {
             .mount(rt, &source)
             .unwrap();
         let mut io = fs.io(0);
-
-        // Cold read faults the covering chunk in (this one may copy for
-        // the device DMA and allocate for the fetch).
-        let ids: Vec<u32> = (0..32).collect();
-        let expect: Vec<u64> = ids.iter().map(|&id| fnv1a(&source.expected(id))).collect();
-        let cold = io.read_zero_copy(rt, ids[0]).unwrap();
-        assert_eq!(cold.fnv1a(), expect[0]);
-        drop(cold);
-
-        // Warm-up laps: let every lazily-grown structure (scheduler heap,
-        // qpair maps, TLS) reach steady state.
-        for lap in 0..4 {
-            for (i, &id) in ids.iter().enumerate() {
-                let s = io.read_zero_copy(rt, id).unwrap();
-                assert_eq!(s.fnv1a(), expect[i], "lap {lap} sample {id}");
+        // One epoch in zero-copy batches of 32: (samples, batches, heap
+        // allocations inside `submit`), every payload checked in place.
+        let epoch = |io: &mut dlfs::DlfsIo, epoch| {
+            io.sequence(rt, 5, epoch);
+            let (mut samples, mut batches, mut allocs) = (0, 0, 0);
+            loop {
+                let before = my_allocs();
+                let got = io.submit(rt, &ReadRequest::batch(32).zero_copy());
+                allocs += my_allocs() - before;
+                match got {
+                    Ok(got) => {
+                        for s in got.into_zero_copy() {
+                            assert_eq!(s.fnv1a(), fnv1a(&source.expected(s.id)));
+                            samples += 1;
+                        }
+                        batches += 1;
+                    }
+                    Err(DlfsError::EpochExhausted) => break,
+                    Err(e) => panic!("epoch failed: {e}"),
+                }
             }
+            (samples, batches, allocs)
+        };
+        // Epoch 0 faults every range in; epoch 1 lets every lazily grown
+        // structure (scheduler heap, qpair maps, TLS) reach steady state.
+        for e in 0..2 {
+            assert_eq!(epoch(&mut io, e).0, source.count());
         }
-
-        // Measured laps: flat memcpy counter, zero allocations.
-        let hits0 = io.metrics().counter("dlfs.io.cache.hits");
-        let copies0 = blocksim::copy_ops();
-        let allocs0 = my_allocs();
-        let mut sum = 0u64;
-        for &id in &ids {
-            let s = io.read_zero_copy(rt, id).unwrap();
-            sum = sum.wrapping_add(s.fnv1a());
-        }
-        let copied = blocksim::copy_ops() - copies0;
-        let allocated = my_allocs() - allocs0;
-        let hits = io.metrics().counter("dlfs.io.cache.hits") - hits0;
-        assert_eq!(hits, ids.len() as u64, "every measured read must be warm");
-        assert_eq!(copied, 0, "warm zero-copy reads must not memcpy");
-        assert_eq!(allocated, 0, "warm zero-copy reads must not allocate");
-        let want: u64 = expect.iter().fold(0u64, |a, &h| a.wrapping_add(h));
-        assert_eq!(sum, want, "payloads stay byte-correct");
+        let posted = |io: &dlfs::DlfsIo| io.metrics().counter("dlfs.io.requests_posted");
+        let (posted0, copies0) = (posted(&io), blocksim::copy_ops());
+        let (samples, batches, allocs) = epoch(&mut io, 2);
+        assert_eq!((samples, batches), (400, 13));
+        assert_eq!(posted(&io), posted0, "a warm epoch reads no device");
+        assert_eq!(
+            blocksim::copy_ops(),
+            copies0,
+            "warm batches must not memcpy"
+        );
+        // The vector a batch's samples are pushed onto grows 4 → 8 → 16 →
+        // 32: four allocations per batch of 32, three for the last 16. The
+        // epoch adds two, its open-item map and its draw set: 53 for 400
+        // samples, ≈ 0.13 per sample.
+        assert_eq!(allocs, 12 * 4 + 3 + 2, "heap allocations in a warm epoch");
     });
 }
 

@@ -264,31 +264,3 @@ fn held_zero_copy_batches_exhaust_the_cache_without_panicking() {
         );
     });
 }
-
-/// A cold synchronous `read_zero_copy` on a default (epoch-scoped) mount:
-/// the freshly fetched range is never resident, so the sample must be
-/// built from the fetched buffers, not from a second cache lookup (which
-/// once panicked). The sample owns the range; the chunks come home on
-/// drop.
-#[test]
-fn cold_sync_zero_copy_on_an_epoch_scoped_mount() {
-    Runtime::simulate(9, |rt| {
-        let source = SyntheticSource::fixed(3, 400, 2048);
-        let fs = mount(rt, &source);
-        let cache = &fs.shared(0).cache;
-        let total = cache.total_chunks();
-        let mut io = fs.io(0);
-        for id in [0u32, 399, 17] {
-            let sample = io.read_zero_copy(rt, id).unwrap();
-            assert_eq!(sample.id, id);
-            assert_eq!(sample.to_vec(), source.expected(id));
-            assert_eq!(
-                (cache.free_chunks(), cache.resident_count()),
-                (total - 1, 0),
-                "the held sample keeps its one chunk, resident nowhere"
-            );
-            drop(sample);
-            assert_eq!(cache.free_chunks(), total, "pool whole after the drop");
-        }
-    });
-}
