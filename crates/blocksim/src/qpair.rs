@@ -11,7 +11,7 @@
 //!   submitters need their own qpairs, exactly as in SPDK.
 
 use std::cmp::Ordering as CmpOrd;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use simkit::runtime::Runtime;
@@ -123,7 +123,6 @@ pub struct IoQPair {
     submitted: u64,
     completed: u64,
     telemetry: Option<QpTelemetry>,
-    cancelled: HashSet<u64>,
 }
 
 impl std::fmt::Debug for IoQPair {
@@ -149,7 +148,6 @@ impl IoQPair {
             submitted: 0,
             completed: 0,
             telemetry: None,
-            cancelled: HashSet::new(),
         }
     }
 
@@ -268,20 +266,6 @@ impl IoQPair {
         Ok(())
     }
 
-    /// Cancel an outstanding command by id (hedged-read loser): it is
-    /// discarded at harvest time without a DMA and without emitting a
-    /// completion. Returns whether an outstanding command matched. The
-    /// device still spends its reserved service time — cancellation only
-    /// stops the payload from landing in the buffer.
-    pub fn cancel(&mut self, id: u64) -> bool {
-        if self.pending.iter().any(|p| p.id == id) {
-            self.cancelled.insert(id);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Poll the completion queue: harvest up to `max` commands whose device
     /// completion time has passed. Read payloads are DMA'd into their
     /// buffers here (the data was in flight until now). Returns completions
@@ -295,13 +279,6 @@ impl IoQPair {
                 _ => break,
             }
             let p = self.pending.pop().expect("peeked entry");
-            if self.cancelled.remove(&p.id) {
-                self.completed += 1;
-                if let Some(t) = &self.telemetry {
-                    t.queue_depth.set(self.pending.len() as i64);
-                }
-                continue;
-            }
             let bytes = p.nblocks as u64 * BLOCK_SIZE;
             let mut status = p.status;
             if p.op == Op::Read && status.is_ok() {

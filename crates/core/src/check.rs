@@ -15,12 +15,6 @@
 //! nothing of the judgement is visible before. A synchronous read has one
 //! range in flight and nothing to overlap the work with, so it pays for the
 //! same two functions on its own thread (`fetch_range`).
-//!
-//! Hedged twins land in one chunk. A twin harvested while its partner waits
-//! for a verdict overwrites the bytes the partner was judged on, so the
-//! partner wins only if the twin's bytes hold too (they are then the same
-//! bytes): a bad copy landing over a good one fails both and the part is
-//! read again, and no verdict ever vouches for bytes it did not cover.
 
 use super::*;
 
@@ -114,11 +108,6 @@ impl DlfsIo {
             self.settle(rt, cmd, landed);
             return None;
         }
-        // A hedged twin still waiting for its verdict now holds these bytes.
-        let twin = cmd.twin.and_then(|(pcmd, ..)| self.cmds.get_mut(&pcmd));
-        if let Some((_, Ok(held))) = twin.and_then(|t| t.pool.as_mut()) {
-            *held &= landed == Ok(true);
-        }
         self.staged.push((c.id, cost));
         cmd.pool = Some((rt.now(), landed));
         self.cmds.insert(c.id, cmd);
@@ -129,7 +118,7 @@ impl DlfsIo {
     /// landed, checked or with nothing to check.
     pub(super) fn settle(&mut self, rt: &Runtime, cmd: Cmd, landed: Landed) {
         match cmd.owner {
-            Owner::Epoch(p) => self.engine_complete(rt, p, &cmd, landed),
+            Owner::Epoch(p) => self.engine_complete(rt, p, &cmd.io, landed),
             Owner::Prefetch { key, len } => self.prefetch_complete(key, cmd.io, len, landed),
             Owner::Sync(_) => {}
         }
@@ -181,8 +170,8 @@ impl DlfsIo {
     /// channel — all that are there, after waiting for the first if
     /// `block`. A finished copy lands in `batch` (one that outlived its
     /// batch is dropped); a verdict settles the part it stood for, unless
-    /// its hedged twin settled first and dropped it. Returns how many
-    /// answers that was.
+    /// the epoch it belonged to was aborted. Returns how many answers that
+    /// was.
     pub(super) fn collect(
         &mut self,
         rt: &Runtime,
@@ -204,7 +193,7 @@ impl DlfsIo {
                 ) => self.finish_copy((tag, sample, data), finished, batch),
                 (CopyDone::Copy { .. }, None) => {}
                 (CopyDone::Check { tag, finished }, _) => {
-                    // Not in the table: aborted, or its twin settled first.
+                    // Not in the table: aborted.
                     let Some(cmd) = self.cmds.remove(&tag) else {
                         continue;
                     };

@@ -1,6 +1,6 @@
 //! The batched engine of [`DlfsIo`] — the epoch's state and the loop that
-//! runs a [`ReadRequest`] against it: pump (open items, post their parts,
-//! hedge), poll, deliver, collect. A child module of `io` so it shares the
+//! runs a [`ReadRequest`] against it: pump (open items, post their parts),
+//! poll, deliver, collect. A child module of `io` so it shares the
 //! handle's state; the part lifecycle it drives is `io.rs`'s.
 
 use super::*;
@@ -305,18 +305,13 @@ impl DlfsIo {
         // Post pass: route and post every queued part the qpairs have room
         // for, each submitted at once, stopping at the first full qpair
         // (which still pays its prep+post, see `post_part`).
-        let hedging = self.shared.cfg.hedge_reads && self.shared.redundancy.replicas > 1;
         let mut flushed = false;
         while let Some(&p) = self.st().pending_parts.front() {
             let io = self.engine_part(p);
             let (replica, dev, slba) = self.route_part(rt, &io, p.replica);
             let owner = Owner::Epoch(Part { replica, ..p });
-            let Some(cmd) = self.post_part(rt, dev, slba, &io, owner, None) else {
+            if self.post_part(rt, dev, slba, &io, owner).is_none() {
                 break; // queue full; poll first
-            };
-            if hedging {
-                self.hedge_due
-                    .push(Reverse((rt.now() + self.hedge_delay(rt.now()), cmd)));
             }
             self.split().0.pending_parts.pop_front();
             progressed += 1;
@@ -325,9 +320,6 @@ impl DlfsIo {
         if flushed {
             self.tel.doorbells.inc();
         }
-        if hedging {
-            progressed += self.fire_hedges(rt);
-        }
 
         // With the epoch's own fetch list exhausted, spend the idle tail
         // warming the next epoch (plan-aware prefetch).
@@ -335,81 +327,19 @@ impl DlfsIo {
         Some(progressed)
     }
 
-    /// Delay before a demand read is hedged with a duplicate on the next
-    /// replica: a quarter of the remaining deadline budget, floored so
-    /// near-deadline batches don't hedge instantly.
-    fn hedge_delay(&self, now: Time) -> Dur {
-        match self.current_deadline {
-            Some(dl) if dl > now => {
-                let quarter = Dur::nanos((dl - now).as_nanos() / 4);
-                quarter.max(Dur::micros(5))
-            }
-            _ => Dur::micros(50),
-        }
-    }
-
-    /// Issue hedged duplicates for primaries that have been in flight past
-    /// their hedge delay (config `hedge_reads`, replicas >= 2). The
-    /// duplicate reads the *next* replica into the same buffer; whichever
-    /// command completes (and verifies) first delivers the part, and its
-    /// partner is cancelled on the device.
-    fn fire_hedges(&mut self, rt: &Runtime) -> usize {
-        let red = self.shared.redundancy.clone();
-        let mut fired = 0;
-        while let Some(&Reverse((due, cmd))) = self.hedge_due.peek() {
-            if due > rt.now() {
-                break;
-            }
-            self.hedge_due.pop();
-            // Gone, already hedged, or harvested and with the pool:
-            // nothing to do.
-            let Some(Cmd {
-                owner: Owner::Epoch(p),
-                io,
-                twin: None,
-                pool: None,
-            }) = self.cmds.get(&cmd)
-            else {
-                continue;
-            };
-            let (p, io) = (*p, io.clone());
-            let r2 = (p.replica + 1) % red.replicas;
-            let (dev1, _) = red.route(io.home, p.replica, io.slba);
-            let (dev2, slba2) = red.route(io.home, r2, io.slba);
-            // No distinct copy to hedge onto, or no room on its qpair (at
-            // the qpair's own, device-clamped depth): the primary keeps sole
-            // ownership.
-            let qp = &self.qpairs[dev2 as usize];
-            if r2 == p.replica || dev2 == dev1 || qp.outstanding() >= qp.queue_depth() {
-                continue;
-            }
-            let twin = Owner::Epoch(Part { replica: r2, ..p });
-            let pair = Some((cmd, dev1 as usize, true));
-            let Some(cmd2) = self.post_part(rt, dev2 as usize, slba2, &io, twin, pair) else {
-                continue;
-            };
-            self.tel.iv_hedges.inc();
-            if let Some(primary) = self.cmds.get_mut(&cmd) {
-                primary.twin = Some((cmd2, dev2 as usize, false));
-            }
-            fired += 1;
-        }
-        fired
-    }
-
-    /// Apply the completion of one of the epoch's parts: settle it, then
-    /// move it through the engine's queues — a finished item is decoded,
-    /// published and offered to the delivery draw; a failed part is
-    /// re-queued for retry, never just routed and forgotten.
+    /// Apply the completion of one of the epoch's parts, which read `io`:
+    /// settle it, then move it through the engine's queues — a finished
+    /// item is decoded, published and offered to the delivery draw; a
+    /// failed part is re-queued for retry, never just routed and forgotten.
     pub(super) fn engine_complete(
         &mut self,
         rt: &Runtime,
         p: Part,
-        cmd: &Cmd,
+        io: &PartIo,
         landed: check::Landed,
     ) {
         let corrupt_at = self.st().plan.items[p.idx as usize].offset;
-        match self.settle_part(rt, p, &cmd.io, cmd.twin, landed, corrupt_at) {
+        match self.settle_part(rt, p, io, landed, corrupt_at) {
             Settled::Done => {
                 let item = &mut self.split().0.items[p.idx as usize];
                 item.parts_left -= 1;
@@ -417,7 +347,6 @@ impl DlfsIo {
                     self.publish_item(p.idx);
                 }
             }
-            Settled::Twin => {}
             Settled::Requeue { part, not_before } => {
                 let st = self.split().0;
                 match not_before {
@@ -755,9 +684,9 @@ impl DlfsIo {
                 rt.work(req.inject_compute);
                 continue;
             }
-            // Spin the poll loop forward to the next event — a completion,
-            // a delayed part's retry instant or a hedge coming due (busy
-            // polling, so it's CPU time).
+            // Spin the poll loop forward to the next event — a completion
+            // or a delayed part's retry instant (busy polling, so it's CPU
+            // time).
             let Some(t) = self.next_engine_event() else {
                 // Nothing on a device, nothing with the copy pool, nothing
                 // deliverable: the engine lost track of a part, for good.
@@ -782,16 +711,6 @@ impl DlfsIo {
             .as_ref()
             .and_then(|st| st.delayed_parts.peek())
             .map(|Reverse((t, ..))| *t);
-        // A pending hedge is an engine event too: the reactor must wake at
-        // its due instant, not sleep through to the (slow) primary.
-        let next_hedge = if self.shared.cfg.hedge_reads {
-            self.hedge_due.peek().map(|Reverse((t, _))| *t)
-        } else {
-            None
-        };
-        [next_dev, next_retry, next_hedge]
-            .into_iter()
-            .flatten()
-            .min()
+        next_dev.into_iter().chain(next_retry).min()
     }
 }

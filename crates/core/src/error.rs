@@ -178,7 +178,7 @@ pub enum DlfsError {
     CopyPoolDown,
     /// Reader `.0`'s batched engine has samples left to deliver and
     /// nothing that could produce them: no command on a device, no retry
-    /// or hedge due, no part with the copy pool. A bug in the engine's
+    /// due, no part with the copy pool. A bug in the engine's
     /// bookkeeping, surfaced to the one caller instead of aborting.
     Stalled(usize),
     /// An I/O command exhausted its retry budget against `target`.

@@ -81,10 +81,7 @@ impl DlfsIo {
                 buf,
             };
             let owner = Owner::Prefetch { key, len };
-            if self
-                .post_part(rt, nid as usize, slba, &io, owner, None)
-                .is_none()
-            {
+            if self.post_part(rt, nid as usize, slba, &io, owner).is_none() {
                 self.shared.cache.free_raw(io.buf);
                 break; // qpair full; demand completions first
             }

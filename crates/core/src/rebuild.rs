@@ -65,11 +65,11 @@ pub struct RebuildPlan {
 }
 
 impl RebuildPlan {
-    /// Enumerate everything dead node `node` hosted, each extent as long
-    /// as its home's stored runs (`Redundancy::stored_blocks`).
+    /// Enumerate everything dead node `node` — one of `red`'s storage
+    /// nodes — hosted, each extent as long as its home's stored runs
+    /// (`Redundancy::stored_blocks`).
     pub fn for_dead_node(red: &Redundancy, node: u16) -> RebuildPlan {
         let n = red.slots.len() as u32;
-        assert!((node as u32) < n);
         let extent = |home: u16, slot_r: u32| RebuildExtent {
             home,
             slot_r,
@@ -210,8 +210,9 @@ impl Background {
     /// Plan the re-replication of storage node `node` and arm it; returns
     /// the total blocks to rebuild. A rebuild needs surviving copies to
     /// read from (`replicas >= 2`) and a membership view to rejoin the
-    /// node into afterwards — asking for one on an instance missing either
-    /// is a typed configuration error, not a silent no-op.
+    /// node into afterwards — asking for one on an instance missing either,
+    /// or for a node the deployment does not have, is a typed
+    /// configuration error that leaves no rebuild armed.
     pub fn begin_rebuild(&mut self, node: u16) -> Result<u64, DlfsError> {
         let red = &self.shared.redundancy;
         if red.replicas < 2 {
@@ -226,6 +227,12 @@ impl Background {
                 "rebuild of storage node {node} requires a membership policy: \
                  set fail_dead_after so the rebuilt node can be declared Dead \
                  and rejoined"
+            )));
+        }
+        let nodes = red.slots.len();
+        if node as usize >= nodes {
+            return Err(DlfsError::Config(format!(
+                "rebuild of storage node {node}: the deployment has {nodes} storage node(s)"
             )));
         }
         let plan = RebuildPlan::for_dead_node(red, node);

@@ -16,25 +16,6 @@ struct SyncFetch {
     waiting: Vec<(Part, Time)>,
 }
 
-/// The range a synchronous read serves its sample from.
-enum SyncRange {
-    /// Resident: a pin on the cache's range (a hit, or a miss just parked).
-    Resident(Arc<CachedRange>),
-    /// This read's own fetch, published nowhere — held by value, so the
-    /// copied read of an epoch-scoped mount never allocates for it.
-    Own(CachedRange),
-}
-
-impl SyncRange {
-    /// The pin a zero-copy sample holds.
-    fn share(self) -> Arc<CachedRange> {
-        match self {
-            SyncRange::Resident(range) => range,
-            SyncRange::Own(range) => Arc::new(range),
-        }
-    }
-}
-
 impl DlfsIo {
     /// `dlfs_read` by name: synchronous single-sample read (the DLFS-Base
     /// configuration of Fig. 6). Checks the V field, then fetches the
@@ -46,12 +27,12 @@ impl DlfsIo {
             .dir
             .lookup(rt, &costs, name)
             .ok_or_else(|| DlfsError::NotFound(name.to_string()))?;
-        self.read_copied(rt, id, None)
+        self.sync_read(rt, id, None)
     }
 
     /// `dlfs_read` by sample id (no name lookup).
     pub fn read_by_id(&mut self, rt: &Runtime, id: u32) -> Result<Vec<u8>, DlfsError> {
-        self.read_copied(rt, id, None)
+        self.sync_read(rt, id, None)
     }
 
     /// [`DlfsIo::read_by_id`] with a deadline: cache-pressure backoff
@@ -63,22 +44,13 @@ impl DlfsIo {
         id: u32,
         deadline: Time,
     ) -> Result<Vec<u8>, DlfsError> {
-        self.read_copied(rt, id, Some(deadline))
+        self.sync_read(rt, id, Some(deadline))
     }
 
-    /// The copied synchronous read: move the sample out of its range
-    /// through the copy pool into a fresh application buffer, and account
-    /// the delivery. The range is let go once the copy has landed.
-    fn read_copied(
-        &mut self,
-        rt: &Runtime,
-        id: u32,
-        deadline: Option<Time>,
-    ) -> Result<Vec<u8>, DlfsError> {
-        let (_range, segments, hit) = self.sync_read(rt, id, deadline)?;
-        if hit {
-            self.tel.cache_pins.inc();
-        }
+    /// Move the sample bytes `segments` out of the sample cache through the
+    /// copy pool into a fresh application buffer, and account the delivery.
+    /// The caller holds the range under them until this returns.
+    fn copy_out(&mut self, rt: &Runtime, segments: SegList) -> Result<Vec<u8>, DlfsError> {
         // One copy and one answer: a channel of its own, so the read
         // need not sift the engine's verdicts for it.
         let (done, copied) = rt.channel(None);
@@ -99,21 +71,6 @@ impl DlfsIo {
         Ok(data)
     }
 
-    /// `dlfs_read` by sample id, zero-copy: the returned sample references
-    /// pinned sample-cache chunks directly. On a warm cache this path does
-    /// no memcpy and no heap allocation — the segment list stays inline
-    /// and the pin is a reference count. The chunks return to the pool (or
-    /// become evictable on the cross-epoch LRU tail) when the sample drops.
-    pub fn read_zero_copy(&mut self, rt: &Runtime, id: u32) -> Result<ZeroCopySample, DlfsError> {
-        let (range, segments, _) = self.sync_read(rt, id, None)?;
-        rt.work(self.shared.cfg.costs.frontend_per_sample);
-        self.tel.cache_pins.inc();
-        self.tel.samples_delivered.inc();
-        let sample = ZeroCopySample::new(id, segments, range.share());
-        self.tel.bytes_delivered.add(sample.len() as u64);
-        Ok(sample)
-    }
-
     /// Post every due (re)submission of a synchronous fetch, first queued
     /// first, stopping at qpair backpressure.
     fn sync_post_due(&mut self, rt: &Runtime, f: &mut SyncFetch) {
@@ -122,7 +79,7 @@ impl DlfsIo {
             let io = self.part_io(f.nid, f.slba, f.nblocks, p.part, &f.bufs);
             let (replica, dev, slba) = self.route_part(rt, &io, p.replica);
             let owner = Owner::Sync(Part { replica, ..p });
-            if self.post_part(rt, dev, slba, &io, owner, None).is_none() {
+            if self.post_part(rt, dev, slba, &io, owner).is_none() {
                 break; // queue full: poll completions, then retry
             }
             f.waiting.remove(i);
@@ -211,7 +168,7 @@ impl DlfsIo {
                 // Not ours — the batched engine and its prefetcher share
                 // these qpairs — is settled by the router (a failed engine
                 // part is re-queued for retry) or staged for the pool.
-                let Some((p, Cmd { io, twin, .. })) = self.complete(rt, c) else {
+                let Some((p, Cmd { io, .. })) = self.complete(rt, c) else {
                     continue;
                 };
                 // One range in flight and nothing to overlap its check
@@ -220,9 +177,8 @@ impl DlfsIo {
                 if !cost.is_zero() {
                     rt.work(cost);
                 }
-                match self.settle_part(rt, p, &io, twin, landed, io.slba * BLOCK_SIZE) {
+                match self.settle_part(rt, p, &io, landed, io.slba * BLOCK_SIZE) {
                     Settled::Done => left -= 1,
-                    Settled::Twin => {}
                     Settled::Requeue { part, not_before } => {
                         f.waiting.push((part, not_before.unwrap_or(rt.now())));
                     }
@@ -265,9 +221,8 @@ impl DlfsIo {
         (self.shared.rkey(nid, off), base, miss)
     }
 
-    /// The synchronous read: find or fetch the range holding sample `id`.
-    /// Returns the range, the sample's segments within it, and whether it
-    /// was resident.
+    /// The synchronous read: find or fetch the range holding sample `id`,
+    /// copy the sample out of it ([`DlfsIo::copy_out`]), then let it go.
     ///
     /// Probe (paper §III-C1: "we first check the sample entry and return
     /// the data if the V field is on" — the residency map is asked
@@ -283,7 +238,7 @@ impl DlfsIo {
         rt: &Runtime,
         id: u32,
         deadline: Option<Time>,
-    ) -> Result<(SyncRange, SegList, bool), DlfsError> {
+    ) -> Result<Vec<u8>, DlfsError> {
         if id as usize >= self.shared.dir.len() {
             return Err(DlfsError::BadSampleId(id));
         }
@@ -306,9 +261,10 @@ impl DlfsIo {
             if cross {
                 self.tel.ce_hits.inc();
             }
+            self.tel.cache_pins.inc();
             let within = (entry.offset() - base) as usize;
             let segments = segments_at(range.bufs(), chunk, within, entry.len() as usize);
-            return Ok((SyncRange::Resident(range), segments, true));
+            return self.copy_out(rt, segments);
         }
         self.tel.cache_misses.inc();
         if cross {
@@ -320,14 +276,16 @@ impl DlfsIo {
         let head = (entry.offset() - slba * BLOCK_SIZE) as usize;
         let segments = segments_at(&bufs, chunk, head, entry.len() as usize);
         let cache = &self.shared.cache;
-        let range = if cross && !cache.contains(key) {
-            let range = cache.publish(key, bufs, len, false);
+        if cross && !cache.contains(key) {
+            let _parked = cache.publish(key, bufs, len, false);
             cache.release(key);
             self.report_residency(0);
-            SyncRange::Resident(range)
+            self.copy_out(rt, segments)
         } else {
-            SyncRange::Own(cache.wrap(bufs, len))
-        };
-        Ok((range, segments, false))
+            // Published nowhere: held by value, so the read of an
+            // epoch-scoped mount never allocates for it.
+            let _own = cache.wrap(bufs, len);
+            self.copy_out(rt, segments)
+        }
     }
 }

@@ -20,7 +20,7 @@ pub fn check_golden(name: &str, text: &str) {
     }
     let want = std::fs::read_to_string(&path)
         .unwrap_or_else(|_| panic!("fixture {name} missing; run with DLFS_UPDATE_GOLDEN=1"));
-    assert_eq!(text, want, "output diverged from the golden {name}");
+    assert_golden(&format!("the golden {name}"), &want, text);
 }
 
 /// [`check_golden`] for a fixture that several test crates share: the file
@@ -45,8 +45,35 @@ pub fn check_golden_part(name: &str, part: &str, text: &str) {
     let want = parts.get(part).unwrap_or_else(|| {
         panic!("fixture {name} lacks part {part}; run with DLFS_UPDATE_GOLDEN=1")
     });
-    assert_eq!(
-        &text, want,
-        "output diverged from part {part} of the golden {name}"
+    assert_golden(&format!("part {part} of the golden {name}"), want, text);
+}
+
+/// Fail unless `text` is `want`, the fixture `what`: name the first line
+/// that differs, with the expected and the actual line, and how many lines
+/// differ — not the whole fixture.
+fn assert_golden(what: &str, want: &str, text: &str) {
+    if text == want {
+        return;
+    }
+    let (want, got): (Vec<&str>, Vec<&str>) = (want.lines().collect(), text.lines().collect());
+    let differ: Vec<usize> = (0..want.len().max(got.len()))
+        .filter(|&i| want.get(i) != got.get(i))
+        .collect();
+    let Some(&first) = differ.first() else {
+        panic!("output diverged from {what} in its line endings only");
+    };
+    let line = |lines: &[&str]| {
+        lines
+            .get(first)
+            .map_or("<none>".into(), |l| format!("{l:?}"))
+    };
+    panic!(
+        "output diverged from {what}: {} of {} lines differ, the first is line {}\n  \
+         expected: {}\n  actual:   {}",
+        differ.len(),
+        want.len(),
+        first + 1,
+        line(&want),
+        line(&got),
     );
 }
