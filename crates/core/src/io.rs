@@ -34,7 +34,9 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use blocksim::{covering_blocks, CmdStatus, Completion, DmaBuf, IoQPair, NvmeTarget, BLOCK_SIZE};
+use blocksim::{
+    covering_blocks, CmdStatus, Completion, DmaBuf, IoQPair, NvmeTarget, QpairError, BLOCK_SIZE,
+};
 use simkit::chan::{Receiver, Sender};
 use simkit::rng::SplitMix64;
 use simkit::runtime::Runtime;
@@ -53,7 +55,7 @@ use crate::integrity::Redundancy;
 use crate::plan::{build_epoch_plan, fetch_extent, reader_item_ranges, ReaderPlan};
 use crate::rebuild::Background;
 use crate::request::{Completions, Delivery, ReadRequest};
-use crate::writer::io_failure;
+use crate::writer::{io_failure, ForegroundReads};
 use crate::zerocopy::ZeroCopySample;
 use crate::{cache::SampleCache, copy::CopyPool};
 
@@ -112,6 +114,9 @@ pub struct DlfsShared {
     /// The instance's shared admission gate; `None` — the default — skips
     /// admission entirely (no QoS config on the mount).
     pub qos: Option<Arc<crate::tenant::TenantQos>>,
+    /// The instance's read commands in flight per storage node, kept by
+    /// every handle's qpairs ([`ReadQp`]): what checkpoint appends yield to.
+    pub fg_reads: Arc<ForegroundReads>,
 }
 
 impl std::fmt::Debug for DlfsShared {
@@ -143,6 +148,52 @@ impl DlfsShared {
             tenant,
             ..DlfsShared::clone(self)
         })
+    }
+}
+
+/// One of a handle's qpairs, on storage node `nid`. Every read it holds
+/// counts in the instance's [`ForegroundReads`] from the submit that enters
+/// it to the harvest — or the handle's drop — that takes it out, whichever
+/// path posted it; everything else is the qpair's own.
+struct ReadQp {
+    qp: IoQPair,
+    nid: usize,
+    fg: Arc<ForegroundReads>,
+}
+
+impl ReadQp {
+    fn submit_read(
+        &mut self,
+        rt: &Runtime,
+        id: u64,
+        slba: u64,
+        nblocks: u32,
+        buf: DmaBuf,
+        at: usize,
+    ) -> Result<(), QpairError> {
+        self.qp.submit_read(rt, id, slba, nblocks, buf, at)?;
+        self.fg.enter(self.nid);
+        Ok(())
+    }
+
+    fn process_completions(&mut self, rt: &Runtime, max: usize) -> Vec<Completion> {
+        let done = self.qp.process_completions(rt, max);
+        self.fg.leave(self.nid, done.len());
+        done
+    }
+}
+
+impl std::ops::Deref for ReadQp {
+    type Target = IoQPair;
+    fn deref(&self) -> &IoQPair {
+        &self.qp
+    }
+}
+
+/// A dropped handle's reads never complete for it.
+impl Drop for ReadQp {
+    fn drop(&mut self) {
+        self.fg.leave(self.nid, self.qp.outstanding());
     }
 }
 
@@ -246,7 +297,7 @@ pub struct DlfsIo {
     /// the prefetcher and the synchronous paths must agree on it, since it
     /// decides every sample's fetch extent and hence its cache key.
     mode: BatchMode,
-    qpairs: Vec<IoQPair>,
+    qpairs: Vec<ReadQp>,
     epoch: Option<EpochState>,
     /// Every command posted and not yet settled, by command id.
     cmds: HashMap<u64, Cmd>,
@@ -300,7 +351,8 @@ impl DlfsIo {
             .map(|(nid, t)| {
                 let mut qp = IoQPair::new(t.clone(), qd);
                 qp.attach_telemetry(&reg.scoped(&format!("blocksim.dev{nid}")));
-                qp
+                let fg = shared.fg_reads.clone();
+                ReadQp { qp, nid, fg }
             })
             .collect();
         if let Some(m) = &shared.redundancy.membership {
@@ -864,6 +916,16 @@ mod tests {
             let cache = &io.shared.cache;
             let held = cache.total_chunks() - cache.free_chunks() - cache.resident_chunks();
             assert_eq!(held, 0, "chunks neither free nor resident");
+            // Nor is a read counted in flight, and a handle dropped
+            // mid-epoch takes its reads out of the count.
+            let fg = io.shared.fg_reads.clone();
+            let in_flight = || [0, 1].map(|nid| fg.in_flight(nid));
+            assert_eq!(in_flight(), [0, 0]);
+            let batch = io.submit(rt, &ReadRequest::batch(4));
+            assert_eq!(batch.map(|b| b.len()), Ok(4));
+            assert_ne!(in_flight(), [0, 0]);
+            drop(io);
+            assert_eq!(in_flight(), [0, 0]);
         });
     }
 

@@ -76,7 +76,9 @@ use crate::layout::{
     MetaRecord, NodeMeta, Superblock,
 };
 use crate::source::SampleSource;
-use crate::writer::{read_timed, BatchedWriter, CheckpointReader, CheckpointWriter};
+use crate::writer::{
+    read_timed, BatchedWriter, CheckpointReader, CheckpointWriter, ForegroundReads,
+};
 use crate::{cache::SampleCache, copy::CopyPool};
 
 /// How readers reach the storage devices. [`Deployment::local`] and
@@ -281,17 +283,38 @@ impl DlfsInstance {
         Some(&self.shared[0].redundancy).filter(|r| r.in_use())
     }
 
-    fn persistent_layout(&self, nid: u16) -> Result<&Superblock, DlfsError> {
-        self.layout(nid).ok_or_else(|| {
+    /// Reader `r`'s state and storage node `nid`'s superblock: a typed
+    /// [`DlfsError::Config`] naming an index past its count, then
+    /// [`DlfsError::Deployment`] on an ephemeral instance.
+    fn checkpoint_stream(
+        &self,
+        r: usize,
+        nid: u16,
+    ) -> Result<(&DlfsShared, &Superblock), DlfsError> {
+        let nodes = self.shared[0].targets.len();
+        for (what, i, count) in [
+            ("reader", r, self.readers()),
+            ("storage node", nid as usize, nodes),
+        ] {
+            if i >= count {
+                return Err(DlfsError::Config(format!(
+                    "checkpoint stream through {what} {i}, but the instance has {count} {what}s"
+                )));
+            }
+        }
+        let sb = self.layout(nid).ok_or_else(|| {
             DlfsError::Deployment(
                 "checkpoint streams need a persistent instance (import/remount, not mount)".into(),
             )
-        })
+        })?;
+        Ok((&self.shared[r], sb))
     }
 
     /// Open a checkpoint append stream on storage node `nid` through
-    /// reader `r`'s target handle. Fails with [`DlfsError::Deployment`]
-    /// on an ephemeral instance.
+    /// reader `r`'s target handle. Its appends are background work: they
+    /// yield the device to the instance's reads (`writer.rs`). Fails with
+    /// [`DlfsError::Config`] for a reader or node that does not exist and
+    /// with [`DlfsError::Deployment`] on an ephemeral instance.
     pub fn checkpoint_writer(
         &self,
         rt: &Runtime,
@@ -299,33 +322,28 @@ impl DlfsInstance {
         nid: u16,
         reg: Option<&Registry>,
     ) -> Result<CheckpointWriter, DlfsError> {
-        let sb = self.persistent_layout(nid)?;
+        let (shared, sb) = self.checkpoint_stream(r, nid)?;
         if sb.ckpt_capacity == 0 {
             return Err(DlfsError::Config(
                 "ckpt_region_bytes was 0 at import: no checkpoint region on this device".into(),
             ));
         }
-        let shared = &self.shared[r];
         shared.redundancy.check_alive(nid)?;
-        CheckpointWriter::open(
-            rt,
-            shared.targets[nid as usize].clone(),
-            sb,
-            &shared.cfg,
-            reg,
-        )
+        let target = shared.targets[nid as usize].clone();
+        let fg = shared.fg_reads.clone();
+        CheckpointWriter::open(rt, target, sb, &shared.cfg, reg, fg)
     }
 
     /// Open a checkpoint replay stream on storage node `nid` through
-    /// reader `r`'s target handle.
+    /// reader `r`'s target handle; the same typed errors as
+    /// [`DlfsInstance::checkpoint_writer`].
     pub fn checkpoint_reader(
         &self,
         r: usize,
         nid: u16,
         reg: Option<&Registry>,
     ) -> Result<CheckpointReader, DlfsError> {
-        let sb = self.persistent_layout(nid)?;
-        let shared = &self.shared[r];
+        let (shared, sb) = self.checkpoint_stream(r, nid)?;
         Ok(CheckpointReader::open(
             shared.targets[nid as usize].clone(),
             sb,
@@ -1031,6 +1049,7 @@ impl Bringup {
             .qos
             .as_ref()
             .map(|q| crate::tenant::TenantQos::new(q, dir.avg_sample_bytes()));
+        let fg_reads = Arc::new(ForegroundReads::new(self.storage_nodes));
         let shared = (self.deployment.targets.into_iter().enumerate())
             .map(|(r, targets)| {
                 let (cache, copy) = reader_runtime(rt, &cfg, &format!("dlfs-r{r}"));
@@ -1047,6 +1066,7 @@ impl Bringup {
                     codec: codec.clone(),
                     tenant: 0,
                     qos: qos.clone(),
+                    fg_reads: fg_reads.clone(),
                 })
             })
             .collect();

@@ -12,6 +12,15 @@
 //! [`DlfsError::Io`] the read engine uses ([`io_failure`] is the mapping
 //! both share).
 //!
+//! A driver is *foreground* (import, mirrors, remount, replay) or
+//! *background* (the checkpoint appender). A background driver posts a
+//! command — a first submission or a parked retry alike — only when it has
+//! none in flight or its device has no foreground read in flight: the
+//! instance's [`ForegroundReads`], which every reader handle's qpairs keep.
+//! On an idle device it pipelines to the queue depth like any driver;
+//! beside an epoch it holds one chunk-sized command, so a read batch waits
+//! behind at most one chunk instead of a whole record.
+//!
 //! [`BatchedWriter`] is opportunistic batching run in reverse: where the
 //! read path coalesces adjacent samples into chunk-sized device *reads*
 //! (paper §III-D), the writer coalesces adjacent byte-stream writes into
@@ -25,6 +34,7 @@
 //! torn append is invisible to readers.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use blocksim::{CmdStatus, DmaBuf, IoQPair, NvmeTarget, Op, BLOCK_SIZE};
@@ -44,6 +54,32 @@ pub(crate) fn io_failure(status: CmdStatus) -> IoFailure {
     match status {
         CmdStatus::TransportError => IoFailure::Timeout,
         _ => IoFailure::Media,
+    }
+}
+
+/// Per storage node, the instance's read commands in flight: counted from
+/// the submit that enters a reader handle's qpair to the harvest (or the
+/// handle's drop) that takes it out. Every reader handle shares one; it
+/// advances no virtual time.
+#[derive(Debug)]
+pub struct ForegroundReads(Vec<AtomicUsize>);
+
+impl ForegroundReads {
+    pub(crate) fn new(nodes: usize) -> ForegroundReads {
+        ForegroundReads((0..nodes).map(|_| AtomicUsize::new(0)).collect())
+    }
+
+    /// Read commands in flight on storage node `nid` (0 past the last).
+    pub fn in_flight(&self, nid: usize) -> usize {
+        self.0.get(nid).map_or(0, |n| n.load(Ordering::Relaxed))
+    }
+
+    pub(crate) fn enter(&self, nid: usize) {
+        self.0[nid].fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn leave(&self, nid: usize, n: usize) {
+        self.0[nid].fetch_sub(n, Ordering::Relaxed);
     }
 }
 
@@ -74,6 +110,8 @@ struct CmdDriver {
     parked: BTreeMap<(Time, u64), Cmd>,
     /// First exhausted-retry error; the driver is unusable once set.
     dead: Option<DlfsError>,
+    /// The reads a background driver yields to; `None` in the foreground.
+    yields_to: Option<Arc<ForegroundReads>>,
     retries: Counter,
     timeouts: Counter,
 }
@@ -96,6 +134,7 @@ impl CmdDriver {
             inflight: HashMap::new(),
             parked: BTreeMap::new(),
             dead: None,
+            yields_to: None,
             retries: counter_in(scope, "retries"),
             timeouts: counter_in(scope, "timeouts"),
         }
@@ -106,12 +145,16 @@ impl CmdDriver {
         self.dead.clone().map_or(Ok(()), Err)
     }
 
+    /// No room for another command: the queue is full, or this background
+    /// driver has one in flight while its device serves foreground reads.
     fn full(&self) -> bool {
-        self.qp.outstanding() >= self.qp.queue_depth()
+        let n = self.qp.outstanding();
+        let yields = |fg: &Arc<ForegroundReads>| n > 0 && fg.in_flight(self.nid as usize) > 0;
+        n >= self.qp.queue_depth() || self.yields_to.as_ref().is_some_and(yields)
     }
 
     /// Queue one command: harvest what completed, resubmit due retries
-    /// ahead of it, and poll on while the queue is full.
+    /// ahead of it, and poll on while there is no room for it.
     fn submit(&mut self, rt: &Runtime, cmd: Cmd) -> Result<(), DlfsError> {
         self.check()?;
         self.harvest(rt)?;
@@ -397,19 +440,24 @@ pub struct CheckpointWriter {
 }
 
 impl CheckpointWriter {
-    pub fn open(
+    /// A writer at the stream's tail whose appends are background work:
+    /// they yield the device to `fg`'s reads (module doc).
+    pub(crate) fn open(
         rt: &Runtime,
         target: Arc<dyn NvmeTarget>,
         sb: &Superblock,
         cfg: &DlfsConfig,
         reg: Option<&Registry>,
+        fg: Arc<ForegroundReads>,
     ) -> Result<CheckpointWriter, DlfsError> {
         // Walk the stream to its tail: the first invalid, stale or torn
         // record is where the next append goes.
         let mut tail = CheckpointReader::open(target.clone(), sb, cfg, None);
         while tail.next(rt)?.is_some() {}
+        let mut w = BatchedWriter::new(target.clone(), sb.node_id, cfg, reg);
+        w.drv.yields_to = Some(fg);
         Ok(CheckpointWriter {
-            w: BatchedWriter::new(target.clone(), sb.node_id, cfg, reg),
+            w,
             target,
             sb: sb.clone(),
             cfg: cfg.clone(),
@@ -478,7 +526,7 @@ pub struct CheckpointReader {
 }
 
 impl CheckpointReader {
-    pub fn open(
+    pub(crate) fn open(
         target: Arc<dyn NvmeTarget>,
         sb: &Superblock,
         cfg: &DlfsConfig,
@@ -713,6 +761,100 @@ mod tests {
             assert!(back[..1000].iter().all(|&b| b == 1));
             assert!(back[1000..2000].iter().all(|&b| b == 2));
             assert!(back[2000..].iter().all(|&b| b == 0));
+        });
+    }
+
+    /// A device that notes, as each write is booked, how many writes are
+    /// then unfinished on it (this one included) and how many of the
+    /// instance's reads are in flight.
+    struct Watched {
+        dev: Arc<NvmeDevice>,
+        fg: std::sync::OnceLock<Arc<ForegroundReads>>,
+        /// Finish instant of every write booked so far.
+        done: std::sync::Mutex<Vec<Time>>,
+        /// Per write booked: (writes unfinished, reads in flight).
+        seen: std::sync::Mutex<Vec<(usize, usize)>>,
+    }
+
+    impl NvmeTarget for Watched {
+        fn reserve_read(&self, now: Time, slba: u64, nblocks: u32) -> Time {
+            self.dev.reserve_read(now, slba, nblocks)
+        }
+        fn reserve_write(&self, now: Time, slba: u64, nblocks: u32) -> Time {
+            let mut done = self.done.lock().unwrap();
+            let writes = 1 + done.iter().filter(|&&t| t > now).count();
+            let reads = self.fg.get().map_or(0, |fg| fg.in_flight(0));
+            self.seen.lock().unwrap().push((writes, reads));
+            done.push(self.dev.reserve_write(now, slba, nblocks));
+            done[done.len() - 1]
+        }
+        fn dma_read(&self, slba: u64, dst: &mut [u8]) {
+            self.dev.dma_read(slba, dst)
+        }
+        fn dma_write(&self, slba: u64, src: &[u8]) {
+            self.dev.dma_write(slba, src)
+        }
+        fn max_queue_depth(&self) -> usize {
+            self.dev.max_queue_depth()
+        }
+        fn blocks(&self) -> u64 {
+            self.dev.blocks()
+        }
+        fn describe(&self) -> String {
+            self.dev.describe()
+        }
+    }
+
+    /// The background class: on an idle device a 1 MiB append pipelines
+    /// its four chunk commands exactly as a foreground writer does (the
+    /// instants were measured before the class existed); beside an epoch
+    /// streaming from the same device it never has a second command out
+    /// while reads are in flight.
+    #[test]
+    fn checkpoint_appends_pipeline_alone_and_yield_to_reads() {
+        const IDLE_APPENDS_DONE_NS: [u64; 3] = [8_203_346, 8_701_203, 9_199_060];
+        Runtime::simulate(3, |rt| {
+            let watched = Arc::new(Watched {
+                dev: dev(),
+                fg: Default::default(),
+                done: Default::default(),
+                seen: Default::default(),
+            });
+            let mut deployment = crate::Deployment::local(1, std::slice::from_ref(&watched.dev));
+            deployment.targets[0][0] = watched.clone();
+            let source = crate::SyntheticSource::fixed(5, 1024, 16 << 10);
+            let fs = crate::MountBuilder::new(DlfsConfig::default())
+                .deployment(deployment)
+                .persistent()
+                .mount(rt, &source)
+                .unwrap();
+            watched.fg.set(fs.shared(0).fg_reads.clone()).unwrap();
+            let record = vec![0x5au8; 1 << 20];
+            let mut w = fs.checkpoint_writer(rt, 0, 0, None).unwrap();
+            watched.seen.lock().unwrap().clear();
+            let idle = [0; 3].map(|_| {
+                w.append(rt, &record).unwrap();
+                rt.now().nanos()
+            });
+            assert_eq!(idle, IDLE_APPENDS_DONE_NS);
+            let seen = std::mem::take(&mut *watched.seen.lock().unwrap());
+            assert!(seen.iter().any(|&(writes, _)| writes > 1), "{seen:?}");
+
+            let mut io = fs.io(0);
+            io.sequence(rt, 9, 0);
+            let appender = rt.spawn_with("ckpt", move |rt| {
+                for _ in 0..3 {
+                    w.append(rt, &record).unwrap();
+                }
+            });
+            while io.submit(rt, &crate::ReadRequest::batch(16)).is_ok() {}
+            appender.join();
+            let seen = watched.seen.lock().unwrap();
+            let beside_reads: Vec<usize> = (seen.iter())
+                .filter_map(|&(writes, reads)| (reads > 0).then_some(writes))
+                .collect();
+            assert!(!beside_reads.is_empty(), "{seen:?}");
+            assert!(beside_reads.iter().all(|&writes| writes == 1), "{seen:?}");
         });
     }
 

@@ -344,6 +344,45 @@ fn checkpoint_stream_roundtrip_and_torn_tail() {
         w.append(rt, &[0xe5; 100]).unwrap();
         let mut r = fs.checkpoint_reader(0, 0, None).unwrap();
         assert_eq!(r.last(rt).unwrap(), Some(vec![0xe5; 100]));
+
+        // Tear that record's payload under its intact header: the payload
+        // checksum truncates the stream just the same.
+        dev.storage().write_at(tear_at + 512, &[!0xe5]);
+        let mut r = fs.checkpoint_reader(0, 0, None).unwrap();
+        assert_eq!(r.last(rt).unwrap(), Some(vec![0xc3; 512]));
+        assert_eq!(fs.checkpoint_writer(rt, 0, 0, None).unwrap().records(), 3);
+    });
+}
+
+/// A reader or a storage node that does not exist is a typed `Config`
+/// error naming the index and the count, before any I/O — not an index
+/// panic, and not the ephemeral-instance error.
+#[test]
+fn checkpoint_streams_refuse_a_reader_or_node_that_does_not_exist() {
+    Runtime::simulate(58, |rt| {
+        let devices = [ramdisk(16 << 20), ramdisk(16 << 20)];
+        let fs = MountBuilder::new(DlfsConfig::default())
+            .deployment(Deployment::local(2, &devices))
+            .persistent()
+            .mount(rt, &SyntheticSource::fixed(15, 100, 1024))
+            .unwrap();
+        let (t0, stats) = (rt.now(), devices.each_ref().map(|d| d.stats()));
+        for (r, nid, want) in [
+            (2, 0, "reader 2, but the instance has 2 readers"),
+            (7, 1, "reader 7, but the instance has 2 readers"),
+            (0, 2, "storage node 2, but the instance has 2 storage nodes"),
+        ] {
+            let refused = |got: Result<(), DlfsError>| match got {
+                Err(DlfsError::Config(msg)) => assert!(msg.contains(want), "{msg}"),
+                other => panic!("reader {r} node {nid}: want Config, got {other:?}"),
+            };
+            refused(fs.checkpoint_writer(rt, r, nid, None).map(drop));
+            refused(fs.checkpoint_reader(r, nid, None).map(drop));
+        }
+        assert_eq!(
+            (rt.now(), devices.each_ref().map(|d| d.stats())),
+            (t0, stats)
+        );
     });
 }
 
