@@ -323,26 +323,17 @@ impl IoQPair {
         self.pending.peek().map(|p| p.done)
     }
 
-    /// The wait of a busy-poll loop after an empty poll: model one spin
-    /// (`poll_cost` of CPU), then (in virtual time) jump to the next
-    /// completion if it is further away — or to `wake`, when the caller has
-    /// something due sooner (a retry leaving its backoff) — the loop would
-    /// have spun until then anyway.
-    pub fn wait_next(&self, rt: &Runtime, poll_cost: Dur, wake: Option<Time>) {
-        rt.work(poll_cost.max(Dur::nanos(1)));
-        if let Some(t) = self.next_completion_at().into_iter().chain(wake).min() {
-            rt.work_until(t);
-        }
-    }
-
-    /// Busy-poll until all outstanding commands complete, charging
-    /// `poll_cost` of CPU per poll iteration. Returns all completions.
+    /// Busy-poll until all outstanding commands complete. Returns all
+    /// completions. An empty poll models one spin (`poll_cost` of CPU),
+    /// then (in virtual time) a jump to the next completion if it is
+    /// further away: the loop would have spun until then anyway.
     pub fn drain(&mut self, rt: &Runtime, poll_cost: Dur) -> Vec<Completion> {
         let mut out = Vec::new();
-        while !self.pending.is_empty() {
+        while let Some(next) = self.next_completion_at() {
             let got = self.process_completions(rt, usize::MAX);
             if got.is_empty() {
-                self.wait_next(rt, poll_cost, None);
+                rt.work(poll_cost.max(Dur::nanos(1)));
+                rt.work_until(next);
             } else {
                 out.extend(got);
             }
@@ -461,7 +452,9 @@ mod tests {
                 }
                 let got = qp.process_completions(rt, usize::MAX);
                 if got.is_empty() {
-                    qp.wait_next(rt, Dur::nanos(100), None);
+                    // One 100 ns spin, then on to the next completion.
+                    let next = qp.next_completion_at().expect("commands in flight");
+                    rt.work_until(next.max(rt.now() + Dur::nanos(100)));
                 }
                 done += got.len();
             }

@@ -28,7 +28,9 @@
 //! holds fewer than 2 × `req.n` delivered-size payloads, plus the carry.
 //! Everything ahead, the carry included, dies with the epoch state
 //! (`sequence`, drop); its NIC reservation and wire bytes stay booked,
-//! because the response really was sent.
+//! because the response really was sent. An exchange is foreground reads
+//! on every node it touches until the batch that consumes it collects it
+//! ([`Issued`]): checkpoint appends yield to it as to a qpair's reads.
 //!
 //! The path bypasses the qpairs and the sample cache entirely, so an epoch
 //! is served by it or by the engine, never both (`claim_epoch_path`).
@@ -65,6 +67,24 @@ pub(super) struct Ahead {
     /// exchange was assembled). The next exchange ships the rest of its
     /// samples from here, without a descriptor or a second read.
     carry: Option<(usize, (Vec<u8>, u64), Time)>,
+    /// Exchanges issued and not yet collected, oldest first.
+    issued: VecDeque<Issued>,
+}
+
+/// One exchange as foreground reads: every node it touches counts in the
+/// instance's [`ForegroundReads`] from its issue until the batch that
+/// consumes it collects it, or the epoch state dies (`abort_epoch`, drop).
+struct Issued {
+    /// `Ahead::claimed` once this exchange had claimed its samples.
+    end: usize,
+    nodes: Vec<usize>,
+    fg: Arc<ForegroundReads>,
+}
+
+impl Drop for Issued {
+    fn drop(&mut self) {
+        self.nodes.iter().for_each(|&nid| self.fg.leave(nid, 1));
+    }
 }
 
 impl DlfsIo {
@@ -116,18 +136,26 @@ impl DlfsIo {
             match sample {
                 Ok(sample) => out.push(sample),
                 Err(e) => {
+                    self.split().0.ahead.issued.clear();
                     self.failed = Some(e.clone());
                     return Err(e);
                 }
             }
         }
-        self.split().0.total_dispatched += out.len();
+        let st = self.split().0;
+        st.total_dispatched += out.len();
+        let done = st.total_dispatched;
         self.tel.samples_delivered.add(out.len() as u64);
         self.tel.of_samples.add(out.len() as u64);
         let bytes = out.iter().map(|(_, data)| data.len() as u64).sum();
         self.tel.bytes_delivered.add(bytes);
-        // This reader parks until the last response it needs has landed.
+        // This reader parks until the last response it needs has landed,
+        // and collects every exchange this batch consumed the last of.
         self.advance_to(rt, ready);
+        let issued = &mut self.split().0.ahead.issued;
+        while issued.front().is_some_and(|x| x.end <= done) {
+            issued.pop_front();
+        }
         Ok(out)
     }
 
@@ -219,8 +247,13 @@ impl DlfsIo {
             }
             Ok(samples)
         })();
-        self.split().0.ahead.carry = carry;
-        let queue = &mut self.split().0.ahead.queue;
+        let (st, shared) = self.split();
+        st.ahead.carry = carry;
+        let nodes: Vec<usize> = per_node.keys().map(|&nid| nid as usize).collect();
+        nodes.iter().for_each(|&nid| shared.fg_reads.enter(nid));
+        let (end, fg) = (st.ahead.claimed, shared.fg_reads.clone());
+        st.ahead.issued.push_back(Issued { end, nodes, fg });
+        let queue = &mut st.ahead.queue;
         match samples {
             Ok(samples) => queue.extend(samples.into_iter().map(|s| (ready, Ok(s)))),
             Err(e) => queue.push_back((ready, Err(e))),
