@@ -35,7 +35,9 @@
 #     crates/core, crates/bench, src, tests and examples outside
 #     mount.rs), code lines of crates/simkit/src and of the substrate
 #     crates (fabric, blocksim, kernsim, dlio, dnn, octofs), panic sites in
-#     the non-test part of every crate but core and bench, and the bytes of
+#     the non-test part of every crate but core and bench, the `pub` fields
+#     of DlfsConfig, ReadRequest, QosConfig, TenantSpec and MetaShardConfig
+#     (what a caller can set), and the bytes of
 #     DESIGN.md and CHANGES.md, measured on the rustfmt'd tree, may not
 #     exceed the numbers committed in
 #     bench/history/surface.txt. A PR that shrinks them commits the new
@@ -93,6 +95,9 @@ panics='unwrap\(\)|expect\(|panic!|assert!\('
   # Every crate but core and bench, without their unit-test modules.
   echo "lower_nontest_panic_sites $(for f in $(find crates/{simkit,fabric,blocksim,kernsim,octofs,dlio,dnn}/src \
     -name '*.rs'); do sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -cE "$panics")"
+  # Fields a caller sets on the five configuration / request structs.
+  echo "caller_knobs $(awk '/^pub struct (DlfsConfig|ReadRequest|QosConfig|TenantSpec|MetaShardConfig) \{/{on=1;next}
+    on&&/^\}/{on=0} on&&/^    pub [a-z_0-9]+:/{n++} END{print n}' crates/core/src/{config,request,tenant,metashard}.rs)"
   echo "design_md_bytes $(wc -c <DESIGN.md)"
   echo "changes_md_bytes $(wc -c <CHANGES.md)"
 } | while read -r name now; do

@@ -10,7 +10,7 @@
 //!    ignores data location?
 //! 2. **Fairness** — does deterministic WFQ over device qpair slots hold
 //!    a 1:2:4-weighted tenant mix to its weight shares, where an
-//!    unthrottled greedy job starves its neighbours?
+//!    unarbitrated greedy job starves its neighbours?
 //!
 //! Both sections replay byte-identically under the same seed; the run
 //! re-executes itself and asserts the fingerprints match.

@@ -120,7 +120,6 @@ pub fn meta_scale_run(
             MetaDesign::Centralized => MetaShardConfig {
                 shards: 1,
                 pin_node: Some(0),
-                ..MetaShardConfig::default()
             },
             _ => MetaShardConfig {
                 shards: nodes,

@@ -218,7 +218,7 @@ impl DlfsIo {
             self.tel.ce_misses.inc();
         }
         let bufs = if starving {
-            self.alloc_backoff(rt, alloc_bytes, self.current_deadline)
+            self.alloc_backoff(rt, alloc_bytes)
         } else {
             self.alloc(alloc_bytes)
         };
@@ -545,9 +545,11 @@ impl DlfsIo {
     /// batched-read entry point, whatever the delivery.
     ///
     /// Returns `EpochExhausted` once the plan is drained and `NoSequence`
-    /// before the first [`DlfsIo::sequence`]. With a deadline, the batch
-    /// may come back shorter than `req.n` (but never torn: samples already
-    /// handed to the copy threads always drain).
+    /// before the first [`DlfsIo::sequence`]. A batch comes back shorter
+    /// than `req.n` in one way only: the pool is starved by samples the
+    /// caller still holds (never torn: samples already handed to the copy
+    /// threads always drain). `dlfs.io.deadline_misses` counts such
+    /// batches.
     pub fn submit(&mut self, rt: &Runtime, req: &ReadRequest) -> Result<Completions, DlfsError> {
         if self.epoch.is_none() {
             return Err(DlfsError::NoSequence);
@@ -557,15 +559,14 @@ impl DlfsIo {
             // complete until `sequence` installs a fresh one.
             return Err(e.clone());
         }
-        self.current_deadline = req.deadline;
         let want = req.n.min(self.remaining());
         if want == 0 {
             return Err(DlfsError::EpochExhausted);
         }
         self.tel.batches.inc();
-        // QoS admission (multi-tenant mounts only): token-bucket throttle
-        // then a WFQ device-slot grant, charged to the handle's tenant. The
-        // slot is held for the whole batch and released below even on error.
+        // QoS admission (multi-tenant mounts only): a WFQ device-slot
+        // grant, charged to the handle's tenant. The slot is held for the
+        // whole batch and released below even on error.
         let qos = self.shared.qos.clone();
         let grant = match &qos {
             Some(q) => Some((q, q.admit(rt, self.shared.tenant, q.batch_cost(want))?)),
@@ -607,7 +608,7 @@ impl DlfsIo {
     }
 
     /// The engine loop (prep → post → poll → copy): pump, poll, deliver,
-    /// collect, under one deadline / failure / stall policy. Copied and
+    /// collect, under one failure / stall policy. Copied and
     /// zero-copy batches differ only in the deliver step.
     fn run_engine(
         &mut self,
@@ -626,12 +627,6 @@ impl DlfsIo {
             received: 0,
         };
         while batch.received < want {
-            let past = |now| req.deadline.is_some_and(|dl| now >= dl);
-            let mut expired = past(rt.now());
-            if self.failed.is_none() && expired && batch.received == batch.dispatched {
-                // Past the deadline with nothing outstanding: return short.
-                break;
-            }
             let Some(pumped) = self.pump(rt) else {
                 // Drain the copies already dispatched (never tear a
                 // sample), then stop. A fatal I/O failure surfaces as the
@@ -650,17 +645,14 @@ impl DlfsIo {
             };
             let mut progress = pumped + self.poll(rt);
             loop {
-                if !expired {
-                    progress += self.deliver(rt, &mut batch)?;
-                }
-                if expired || batch.dispatched == want || self.checks_out == 0 {
+                progress += self.deliver(rt, &mut batch)?;
+                if batch.dispatched == want || self.checks_out == 0 {
                     break;
                 }
                 // The pass came up short with verdicts outstanding: what
                 // the next one makes resident is worth more than another
                 // spin of the poll loop.
                 progress += self.collect(rt, true, Some(&mut batch))?;
-                expired = past(rt.now());
             }
             // The whole batch is with the copy pool: collect it as it was
             // published, in one blocking wait.
@@ -673,9 +665,6 @@ impl DlfsIo {
             progress += self.collect(rt, idle, Some(&mut batch))?;
             if progress > 0 || batch.received >= want {
                 continue;
-            }
-            if expired {
-                break;
             }
             // Waiting on device completions: this is the busy-poll loop
             // the Fig. 7b experiment adds application computation to —

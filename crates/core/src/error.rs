@@ -119,11 +119,6 @@ pub enum DirectoryError {
     DuplicateId(u32),
     /// `finish` was called before every declared sample id was registered.
     Incomplete { missing: u32, total: u32 },
-    /// A metadata-shard lookup hit an entry that was retired from its
-    /// shard (tombstoned by a rebalance or an explicit retire): the name
-    /// was once present, so this is neither `NotFound` nor a stale-map
-    /// routing error.
-    Retired { id: u32 },
     /// An AVL-tree structural invariant (BST order, balance, height, or an
     /// arena link pointing outside the arena) failed validation.
     Corrupt(String),
@@ -147,9 +142,6 @@ impl std::fmt::Display for DirectoryError {
                 f,
                 "directory build incomplete: {missing} of {total} sample id(s) never added"
             ),
-            DirectoryError::Retired { id } => {
-                write!(f, "sample id {id} was retired from its metadata shard")
-            }
             DirectoryError::Corrupt(m) => write!(f, "directory tree corrupt: {m}"),
         }
     }
@@ -169,9 +161,10 @@ pub enum DlfsError {
     /// The epoch's sample plan is exhausted.
     EpochExhausted,
     /// The huge-page sample cache cannot hold the requested working set:
-    /// surfaced only after bounded, deadline-clamped backoff (the shared
-    /// [`simkit::retry::RetryPolicy`]) failed to find free or evictable
-    /// chunks — transient pressure is waited out, not reported.
+    /// surfaced only after bounded backoff (the shared
+    /// [`simkit::retry::RetryPolicy`], at most its `total_backoff()`)
+    /// failed to find free or evictable chunks — transient pressure is
+    /// waited out, not reported.
     CacheExhausted,
     /// The copy pool has no thread left to take a copy job or to answer
     /// one (its threads exited: the runtime is shutting down).

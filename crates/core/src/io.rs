@@ -316,9 +316,6 @@ pub struct DlfsIo {
     /// Fatal engine failure (a part exhausted its retry budget). Sticky
     /// until the epoch is replaced: the plan can no longer be completed.
     failed: Option<DlfsError>,
-    /// Deadline of the in-progress `submit` call; retry backoffs are
-    /// clamped so a resubmission is never pointlessly scheduled past it.
-    current_deadline: Option<Time>,
     registry: Registry,
     tel: IoTelemetry,
     /// Plan-aware prefetcher (active only with `CacheMode::CrossEpoch`
@@ -372,7 +369,6 @@ impl DlfsIo {
             staged: Vec::new(),
             checks_out: 0,
             failed: None,
-            current_deadline: None,
             prefetch: PrefetchState::default(),
         };
         io.report_residency(0);
@@ -503,8 +499,8 @@ impl DlfsIo {
     }
 
     /// The planned delivery order of the current epoch (statistically
-    /// equivalent to the engine's resident-random draw; used by the
-    /// Fig. 13 order extraction).
+    /// equivalent to the engine's resident-random draw; the plan tests
+    /// of `end_to_end.rs` read it).
     pub fn planned_order(&self) -> Option<&[u32]> {
         self.epoch.as_ref().map(|e| &e.plan.order[..])
     }
@@ -616,8 +612,8 @@ impl DlfsIo {
     /// the table: verify the bytes, feed the serving target's health, and
     /// decide what happens to the part. A
     /// mismatch or device error fails straight over to the next replica
-    /// when there is one, else backs off under the retry policy (never
-    /// past the batch deadline); exhaustion is `Corrupt` at `corrupt_at`
+    /// when there is one, else backs off under the retry policy;
+    /// exhaustion is `Corrupt` at `corrupt_at`
     /// if the part ever failed its checksum, `Io` otherwise. The caller
     /// owns the queues, so it applies the outcome.
     fn settle_part(
@@ -669,15 +665,9 @@ impl DlfsIo {
                 not_before: None,
             };
         }
-        let mut ready_at = rt.now() + backoff;
-        if let Some(dl) = self.current_deadline {
-            // Never park a retry past the batch deadline: the caller is
-            // about to give up waiting anyway.
-            ready_at = ready_at.min(dl.max(rt.now()));
-        }
         Settled::Requeue {
             part,
-            not_before: Some(ready_at),
+            not_before: Some(rt.now() + backoff),
         }
     }
 
@@ -701,24 +691,18 @@ impl DlfsIo {
     }
 
     /// Allocate cache chunks for `bytes`, waiting out a momentarily full
-    /// pool under the shared retry policy: bounded, deadline-clamped
-    /// exponential backoff, busy-waited in virtual time (another thread's
-    /// release or a dropped zero-copy sample may free chunks meanwhile).
-    /// `None` once the attempts or the deadline are spent.
-    fn alloc_backoff(
-        &self,
-        rt: &Runtime,
-        bytes: u64,
-        deadline: Option<Time>,
-    ) -> Option<Vec<DmaBuf>> {
+    /// pool under the shared retry policy: bounded exponential backoff,
+    /// busy-waited in virtual time (another thread's release or a dropped
+    /// zero-copy sample may free chunks meanwhile). `None` once the
+    /// attempts are spent.
+    fn alloc_backoff(&self, rt: &Runtime, bytes: u64) -> Option<Vec<DmaBuf>> {
         let mut failures = 0u32;
         loop {
             if let Some(bufs) = self.alloc(bytes) {
                 return Some(bufs);
             }
             failures += 1;
-            let retry = self.shared.cfg.retry;
-            rt.work(retry.next_delay_before(failures, rt.now(), deadline)?);
+            rt.work(self.shared.cfg.retry.next_delay(failures)?);
         }
     }
 

@@ -21,30 +21,24 @@
 //! - **Routing**: clients hold a [`fabric::shard::ShardRouter`] — a
 //!   per-client cached [`ShardMap`] plus circuit breakers — and send the
 //!   epoch they routed with; a server that sees a stale epoch piggybacks
-//!   the current map on the reply (epoch-stamped invalidation).
-//!
-//! Retired entries (tombstoned by [`MetaService::retire`], e.g. during a
-//! rebalance) surface as the typed
-//! [`DirectoryError::Retired`](crate::error::DirectoryError::Retired) —
-//! the name *was* present, so neither `NotFound` nor a routing error
-//! would be honest.
+//!   the current map on the reply (epoch-stamped invalidation). A node's
+//!   circuit opens on the same rule as a data target's
+//!   ([`HEALTH_THRESHOLD`], [`health_cooldown`]).
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use fabric::rpc::{serve, RpcClient, RpcError, WireSize};
 use fabric::shard::{ShardMap, ShardRouter};
 use fabric::topology::Cluster;
 use simkit::plock::Mutex;
-use simkit::retry::RetryPolicy;
 use simkit::runtime::Runtime;
-use simkit::time::Dur;
 
 use crate::avl::AvlTree;
 use crate::config::DlfsCosts;
 use crate::directory::SampleDirectory;
 use crate::entry::SampleEntry;
 use crate::error::{DirectoryError, DlfsError};
+use crate::integrity::{health_cooldown, HEALTH_THRESHOLD};
 
 /// Which metadata shard a 48-bit sample key belongs to.
 pub fn shard_of(key: u64, shards: usize) -> usize {
@@ -91,15 +85,9 @@ pub fn place_shards(dir: &SampleDirectory, shards: usize) -> ShardMap {
 pub struct MetaShardConfig {
     /// Number of metadata shards (1 = the centralized baseline).
     pub shards: usize,
-    /// Pin every shard to one node instead of locality-aware placement —
-    /// the "centralized tree behind one NIC" baseline.
+    /// Pin every shard to one storage node instead of locality-aware
+    /// placement — the "centralized tree behind one NIC" baseline.
     pub pin_node: Option<u16>,
-    /// Consecutive RPC failures before a node's circuit opens.
-    pub health_threshold: u32,
-    /// Circuit cooldown before a half-open probe.
-    pub health_cooldown: Dur,
-    /// Per-lookup RPC retry budget.
-    pub retry: RetryPolicy,
 }
 
 impl Default for MetaShardConfig {
@@ -107,9 +95,6 @@ impl Default for MetaShardConfig {
         MetaShardConfig {
             shards: 1,
             pin_node: None,
-            health_threshold: 3,
-            health_cooldown: Dur::micros(500),
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -143,8 +128,6 @@ pub enum MetaBody {
     },
     /// The shard does not contain the key.
     Miss,
-    /// The key was present but tombstoned.
-    Retired { id: u32 },
     /// The routed-to node no longer serves this shard under the current
     /// map — retry with the refreshed map in [`MetaResp::map`].
     WrongShard,
@@ -168,11 +151,10 @@ impl WireSize for MetaResp {
     }
 }
 
-/// Shared server-side state: per-shard replicated trees + tombstones.
+/// Shared server-side state: per-shard replicated trees.
 struct Store {
     shards: usize,
     trees: Vec<AvlTree<u32>>,
-    retired: Mutex<HashSet<u64>>,
     dir: Arc<SampleDirectory>,
     costs: DlfsCosts,
 }
@@ -184,7 +166,6 @@ pub struct MetaService {
     peers: Vec<RpcClient<MetaReq, MetaResp>>,
     map: Arc<Mutex<Arc<ShardMap>>>,
     store: Arc<Store>,
-    cfg: MetaShardConfig,
 }
 
 impl std::fmt::Debug for MetaService {
@@ -213,6 +194,12 @@ impl MetaService {
         if cfg.shards == 0 {
             return Err(DlfsError::Config("metadata_shards must be >= 1".into()));
         }
+        let nodes = dir.storage_nodes();
+        if let Some(n) = cfg.pin_node.filter(|&n| n as usize >= nodes) {
+            return Err(DlfsError::Config(format!(
+                "pin_node {n} is not a storage node (the directory has {nodes})"
+            )));
+        }
         let mut trees: Vec<AvlTree<u32>> = (0..cfg.shards).map(|_| AvlTree::new()).collect();
         for id in 0..dir.len() as u32 {
             let key = dir.entry(id).key();
@@ -227,12 +214,10 @@ impl MetaService {
         let store = Arc::new(Store {
             shards: cfg.shards,
             trees,
-            retired: Mutex::new(HashSet::new()),
             dir,
             costs,
         });
         let map = Arc::new(Mutex::new(Arc::new(map)));
-        let nodes = store.dir.storage_nodes();
         let mut peers = Vec::with_capacity(nodes);
         for n in 0..nodes {
             let store = store.clone();
@@ -248,12 +233,7 @@ impl MetaService {
             );
             peers.push(client);
         }
-        Ok(MetaService {
-            peers,
-            map,
-            store,
-            cfg,
-        })
+        Ok(MetaService { peers, map, store })
     }
 
     /// The authoritative map epoch.
@@ -268,25 +248,14 @@ impl MetaService {
         *cur = Arc::new(cur.reassigned(shard, owner, standby));
     }
 
-    /// Tombstone a name. Subsequent lookups surface the typed
-    /// [`DirectoryError::Retired`] instead of a miss. Returns the retired
-    /// sample id, or `None` when the name was never present.
-    pub fn retire(&self, name: &str) -> Option<u32> {
-        let key = SampleEntry::key_for(name);
-        let id = *self.store.trees[shard_of(key, self.store.shards)].get(key)?;
-        self.store.retired.lock().insert(key);
-        Some(id)
-    }
-
     /// A routed client handle with its own shard-map cache and circuit
     /// breakers, seeded from the current authoritative map.
     pub fn client(&self) -> MetaClient {
         let router = ShardRouter::new(
             (**self.map.lock()).clone(),
             self.peers.len(),
-            self.cfg.health_threshold,
-            self.cfg.health_cooldown,
-            self.cfg.retry,
+            HEALTH_THRESHOLD,
+            health_cooldown(),
         );
         MetaClient {
             shards: self.store.shards,
@@ -316,7 +285,6 @@ fn serve_lookup(
     rt.work(store.costs.lookup_base + store.costs.lookup_per_level * depth as u64);
     let body = match found {
         None => MetaBody::Miss,
-        Some(&id) if store.retired.lock().contains(&req.key) => MetaBody::Retired { id },
         Some(&id) => {
             let e = store.dir.entry(id);
             let (unit1, unit2) = e.raw();
@@ -371,9 +339,9 @@ impl MetaClient {
     /// Look `name` up from cluster node `from_node`. `fetch` asks the
     /// owner to piggyback the payload when co-located.
     ///
-    /// `Ok(None)` is an honest miss; retired names surface as
-    /// [`DirectoryError::Retired`]; an exhausted RPC retry budget maps to
-    /// [`DlfsError::Io`] against the routed node.
+    /// `Ok(None)` is an honest miss; an exhausted RPC retry budget maps to
+    /// [`DlfsError::Io`] against the routed node, and a map that never
+    /// converges to [`DirectoryError::Corrupt`].
     pub fn lookup(
         &self,
         rt: &Runtime,
@@ -426,9 +394,6 @@ impl MetaClient {
                     }))
                 }
                 MetaBody::Miss => return Ok(None),
-                MetaBody::Retired { id } => {
-                    return Err(DirectoryError::Retired { id }.into());
-                }
                 MetaBody::WrongShard => continue,
             }
         }
@@ -579,29 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_of_retired_entry_is_typed() {
-        // Regression: a tombstoned entry must surface as the typed
-        // Directory(Retired) error, not a panic and not NotFound.
-        Runtime::simulate(5, |rt| {
-            let (_, svc) = deploy(rt, 2, 100, MetaShardConfig::default());
-            let client = svc.client();
-            let name = "train/sample_0000007";
-            assert!(client.lookup(rt, 2, name, false).unwrap().is_some());
-            assert_eq!(svc.retire(name), Some(7));
-            assert_eq!(svc.retire("never-there"), None);
-            assert_eq!(
-                client.lookup(rt, 2, name, false),
-                Err(DlfsError::Directory(DirectoryError::Retired { id: 7 }))
-            );
-            // Other entries are untouched.
-            assert!(client
-                .lookup(rt, 2, "train/sample_0000008", false)
-                .unwrap()
-                .is_some());
-        });
-    }
-
-    #[test]
     fn pinned_single_shard_is_centralized() {
         Runtime::simulate(9, |rt| {
             let (_, svc) = deploy(
@@ -611,7 +553,6 @@ mod tests {
                 MetaShardConfig {
                     shards: 1,
                     pin_node: Some(0),
-                    ..MetaShardConfig::default()
                 },
             );
             let client = svc.client();
@@ -621,6 +562,25 @@ mod tests {
                 .lookup(rt, 5, "train/sample_0000000", false)
                 .unwrap()
                 .is_some());
+        });
+    }
+
+    #[test]
+    fn pin_past_the_storage_nodes_is_a_config_error() {
+        // Regression: the router indexed the health table with the pinned
+        // node at the first lookup and panicked; deploy refuses it first.
+        Runtime::simulate(9, |rt| {
+            let dir = build_dir(4, 200);
+            let cluster = Arc::new(Cluster::new(8, FabricConfig::default()));
+            let cfg = MetaShardConfig {
+                shards: 1,
+                pin_node: Some(4),
+            };
+            let err = MetaService::deploy(rt, cluster, dir, DlfsCosts::default(), cfg).unwrap_err();
+            assert_eq!(
+                err,
+                DlfsError::Config("pin_node 4 is not a storage node (the directory has 4)".into())
+            );
         });
     }
 }

@@ -34,7 +34,6 @@
 //!
 //! The path bypasses the qpairs and the sample cache entirely, so an epoch
 //! is served by it or by the engine, never both (`claim_epoch_path`).
-//! Deadlines are not honored: there is nothing to cut short client-side.
 
 use std::collections::BTreeMap;
 

@@ -4,11 +4,11 @@
 //! [`DlfsIo::submit`](crate::DlfsIo::submit).
 //!
 //! This replaces the older positional `bread(rt, n, inject)` /
-//! `bread_zero_copy(rt, n)` pair: one entry point, with the delivery mode,
-//! the injected-compute hook (Fig. 7b) and an optional virtual-time
-//! deadline expressed as explicit request fields.
+//! `bread_zero_copy(rt, n)` pair: one entry point, with the delivery mode
+//! and the injected-compute hook (Fig. 7b) expressed as explicit request
+//! fields.
 
-use simkit::time::{Dur, Time};
+use simkit::time::Dur;
 
 use crate::zerocopy::ZeroCopySample;
 
@@ -42,10 +42,6 @@ pub struct ReadRequest {
     pub n: usize,
     /// Payload delivery mode.
     pub delivery: Delivery,
-    /// Virtual-time instant after which no *further* samples are started.
-    /// Samples already handed to the copy threads still drain, so the batch
-    /// returns possibly short but never torn. `None` means run to `n`.
-    pub deadline: Option<Time>,
     /// Application computation executed inside the busy-poll loop while
     /// device commands are in flight (the Fig. 7b experiment). Normally
     /// zero.
@@ -62,12 +58,11 @@ pub struct ReadRequest {
 }
 
 impl ReadRequest {
-    /// A copied-delivery request for `n` samples with no deadline.
+    /// A copied-delivery request for `n` samples.
     pub fn batch(n: usize) -> ReadRequest {
         ReadRequest {
             n,
             delivery: Delivery::default(),
-            deadline: None,
             inject_compute: Dur::ZERO,
             offload: false,
         }
@@ -82,12 +77,6 @@ impl ReadRequest {
     /// Shorthand for `delivery(Delivery::ZeroCopy)`.
     pub fn zero_copy(self) -> ReadRequest {
         self.delivery(Delivery::ZeroCopy)
-    }
-
-    /// Stop starting new samples once the virtual clock reaches `at`.
-    pub fn deadline(mut self, at: Time) -> ReadRequest {
-        self.deadline = Some(at);
-        self
     }
 
     /// Inject application compute into the polling loop.
@@ -237,18 +226,14 @@ mod tests {
         let req = ReadRequest::batch(16);
         assert_eq!(req.n, 16);
         assert_eq!(req.delivery, Delivery::Copied);
-        assert_eq!(req.deadline, None);
         assert!(req.inject_compute.is_zero());
         assert!(!req.offload);
         assert!(ReadRequest::batch(16).offload().offload);
 
-        let at = Time::ZERO + Dur::nanos(500);
         let req = ReadRequest::batch(8)
             .zero_copy()
-            .deadline(at)
             .inject_compute(Dur::micros(2));
         assert_eq!(req.delivery, Delivery::ZeroCopy);
-        assert_eq!(req.deadline, Some(at));
         assert_eq!(req.inject_compute, Dur::micros(2));
     }
 

@@ -27,24 +27,12 @@ impl DlfsIo {
             .dir
             .lookup(rt, &costs, name)
             .ok_or_else(|| DlfsError::NotFound(name.to_string()))?;
-        self.sync_read(rt, id, None)
+        self.sync_read(rt, id)
     }
 
     /// `dlfs_read` by sample id (no name lookup).
     pub fn read_by_id(&mut self, rt: &Runtime, id: u32) -> Result<Vec<u8>, DlfsError> {
-        self.sync_read(rt, id, None)
-    }
-
-    /// [`DlfsIo::read_by_id`] with a deadline: cache-pressure backoff
-    /// never waits past it (the read surfaces
-    /// [`DlfsError::CacheExhausted`] instead).
-    pub fn read_by_id_before(
-        &mut self,
-        rt: &Runtime,
-        id: u32,
-        deadline: Time,
-    ) -> Result<Vec<u8>, DlfsError> {
-        self.sync_read(rt, id, Some(deadline))
+        self.sync_read(rt, id)
     }
 
     /// Move the sample bytes `segments` out of the sample cache through the
@@ -103,7 +91,6 @@ impl DlfsIo {
         nid: u16,
         slba: u64,
         nblocks: u32,
-        deadline: Option<Time>,
     ) -> Result<Vec<DmaBuf>, DlfsError> {
         let costs = self.shared.cfg.costs.clone();
         // Under a codec `nblocks` is the encoded prefix of one stored
@@ -113,7 +100,7 @@ impl DlfsIo {
         // A momentarily full pool is waited out, as the batched path
         // parks and retries after releases.
         let bufs = self
-            .alloc_backoff(rt, bytes, deadline)
+            .alloc_backoff(rt, bytes)
             .ok_or(DlfsError::CacheExhausted)?;
         // Devices that may serve this range (home + replicas): the poll
         // loop below must harvest all of them once reads fail over.
@@ -233,19 +220,11 @@ impl DlfsIo {
     /// batched engine published it while this read polled — so later reads
     /// of the sample or its extent neighbors skip the device; otherwise the
     /// fetch stays this read's own and its chunks go home with it.
-    fn sync_read(
-        &mut self,
-        rt: &Runtime,
-        id: u32,
-        deadline: Option<Time>,
-    ) -> Result<Vec<u8>, DlfsError> {
+    fn sync_read(&mut self, rt: &Runtime, id: u32) -> Result<Vec<u8>, DlfsError> {
         if id as usize >= self.shared.dir.len() {
             return Err(DlfsError::BadSampleId(id));
         }
         let entry = self.shared.dir.entry(id);
-        // No batch deadline applies to engine retries harvested while this
-        // synchronous read drains the shared qpairs.
-        self.current_deadline = None;
         let cross = self.shared.cfg.cache_mode == CacheMode::CrossEpoch;
         let chunk = self.shared.cfg.chunk_size as usize;
         let (key, base, (off, len)) = self.sync_geometry(id, entry);
@@ -272,7 +251,7 @@ impl DlfsIo {
         }
         let nid = entry.nid();
         let (slba, nblocks, _) = self.read_geometry(nid, off, len);
-        let bufs = self.fetch_range(rt, nid, slba, nblocks, deadline)?;
+        let bufs = self.fetch_range(rt, nid, slba, nblocks)?;
         let head = (entry.offset() - slba * BLOCK_SIZE) as usize;
         let segments = segments_at(&bufs, chunk, head, entry.len() as usize);
         let cache = &self.shared.cache;

@@ -17,6 +17,8 @@ pub(super) struct IoTelemetry {
     /// dropped the capsule or the target was down).
     pub(super) timeouts: Counter,
     pub(super) batches: Counter,
+    /// Batches that came back short of their `n` (a pool starved by held
+    /// samples); the goldens spell this name.
     pub(super) deadline_misses: Counter,
     pub(super) cache_hits: Counter,
     pub(super) cache_misses: Counter,

@@ -1,26 +1,20 @@
-//! Multi-tenant serving: tenant identity, token-bucket admission control
-//! and deterministic weighted-fair scheduling of device qpair slots.
+//! Multi-tenant serving: tenant identity and deterministic weighted-fair
+//! scheduling of device qpair slots.
 //!
 //! Many concurrent training jobs can share one DLFS device pool
 //! (FanStore-style). Each job is a *tenant*: it keeps its own namespace in
 //! the shared sample cache (the tenant id is folded into every
-//! [`RangeKey`](crate::cache::RangeKey)), and its reads pass an admission
-//! gate before touching the qpairs:
-//!
-//! 1. **Token bucket** — a tenant with `rate_bytes_per_sec > 0` earns
-//!    tokens in virtual time up to `burst_bytes`; a batch short on tokens
-//!    sleeps exactly the deficit (`deficit / rate`) before proceeding, and
-//!    the wait is counted as `throttled`.
-//! 2. **Weighted-fair queueing** — at most `slots` batches hold device
-//!    qpair slots at once. Admission order is start-time fair queueing on
-//!    a shared virtual clock `V`: a batch of `c` bytes from tenant `t`
-//!    gets start tag `S = max(V, F_t)` and finish tag
-//!    `F_t = S + c·K/w_t` (`w_t` the tenant's weight, `K` a fixed scale);
-//!    waiters are served in `(F, seq)` order and `V` advances to the
-//!    granted batch's start tag. Over any contended interval each tenant
-//!    therefore receives qpair time proportional to its weight — and the
-//!    whole schedule is a pure function of arrival order, so same-seed
-//!    replays are byte-identical.
+//! [`RangeKey`](crate::cache::RangeKey)), and its reads pass one admission
+//! gate before touching the qpairs, **weighted-fair queueing**: at most
+//! `slots` batches hold device qpair slots at once. Admission order is
+//! start-time fair queueing on a shared virtual clock `V`: a batch of `c`
+//! bytes from tenant `t` gets start tag `S = max(V, F_t)` and finish tag
+//! `F_t = S + c·K/w_t` (`w_t` the tenant's weight, `K` a fixed scale);
+//! waiters are served in `(F, seq)` order and `V` advances to the granted
+//! batch's start tag. Over any contended interval each tenant therefore
+//! receives qpair time proportional to its weight — and the whole schedule
+//! is a pure function of arrival order, so same-seed replays are
+//! byte-identical.
 //!
 //! Everything here is off unless [`DlfsConfig::qos`](crate::DlfsConfig)
 //! is set; the default single-implicit-tenant path never calls into this
@@ -33,7 +27,7 @@ use simkit::chan::Sender;
 use simkit::plock::Mutex;
 use simkit::runtime::Runtime;
 use simkit::telemetry::{Counter, Registry};
-use simkit::time::{Dur, Time};
+use simkit::time::Dur;
 
 use crate::error::DlfsError;
 
@@ -48,28 +42,12 @@ pub struct TenantSpec {
     pub id: TenantId,
     /// WFQ weight (relative share of qpair slots under contention). > 0.
     pub weight: u32,
-    /// Token-bucket refill rate; 0 disables throttling for this tenant.
-    pub rate_bytes_per_sec: u64,
-    /// Token-bucket capacity (max burst). Must be > 0 when rate is.
-    pub burst_bytes: u64,
 }
 
 impl TenantSpec {
-    /// An unthrottled tenant with the given WFQ weight.
+    /// A tenant with the given WFQ weight.
     pub fn weighted(id: TenantId, weight: u32) -> TenantSpec {
-        TenantSpec {
-            id,
-            weight,
-            rate_bytes_per_sec: 0,
-            burst_bytes: 0,
-        }
-    }
-
-    /// Cap this tenant at `rate` bytes/s with a `burst` byte bucket.
-    pub fn throttled(mut self, rate: u64, burst: u64) -> TenantSpec {
-        self.rate_bytes_per_sec = rate;
-        self.burst_bytes = burst;
-        self
+        TenantSpec { id, weight }
     }
 }
 
@@ -110,12 +88,6 @@ impl QosConfig {
             if t.weight == 0 {
                 return bad(format!("qos tenant {} weight must be > 0", t.id));
             }
-            if t.rate_bytes_per_sec > 0 && t.burst_bytes == 0 {
-                return bad(format!(
-                    "qos tenant {}: throttling needs burst_bytes > 0",
-                    t.id
-                ));
-            }
         }
         Ok(())
     }
@@ -123,19 +95,6 @@ impl QosConfig {
 
 /// Virtual-time scale of the WFQ tags (bytes → tag units per unit weight).
 const WFQ_SCALE: u128 = 1 << 16;
-
-#[derive(Clone, Copy, Debug, Default)]
-struct Bucket {
-    /// Available tokens, bytes.
-    level: u64,
-    last_refill: Time,
-    /// Sub-token refill remainder, in units of `1e-9` token (i.e.
-    /// `elapsed_ns * rate mod 1e9`). Carrying it across refills makes the
-    /// bucket conserve tokens exactly: without it, concurrent waiters
-    /// polling at sub-token intervals would each truncate the fractional
-    /// credit to zero and the bucket could starve forever.
-    frac: u64,
-}
 
 struct Wfq {
     /// Shared virtual clock: the largest start tag ever granted.
@@ -153,7 +112,6 @@ struct TenantTel {
     reads: Counter,
     bytes: Counter,
     queue_ns: Counter,
-    throttled: Counter,
     slo_ok: Counter,
     slo_miss: Counter,
 }
@@ -163,7 +121,7 @@ struct TenantTel {
 #[derive(Debug)]
 pub struct QosGrant {
     idx: usize,
-    /// Total admission wait (throttle sleep + WFQ queueing).
+    /// Total admission wait (WFQ queueing).
     pub queued: Dur,
 }
 
@@ -175,7 +133,6 @@ pub struct TenantQos {
     /// Mean sample size of the mounted dataset: batch cost estimate is
     /// `n * sample_bytes`.
     sample_bytes: u64,
-    buckets: Vec<Mutex<Bucket>>,
     wfq: Mutex<Wfq>,
     tel: Mutex<Option<Vec<TenantTel>>>,
 }
@@ -193,16 +150,14 @@ impl TenantQos {
     /// `sample_bytes` is the dataset's mean sample size (cost model for a
     /// batch of `n` samples). `cfg` must already be validated.
     pub fn new(cfg: &QosConfig, sample_bytes: u64) -> Arc<TenantQos> {
-        let n = cfg.tenants.len();
         Arc::new(TenantQos {
             specs: cfg.tenants.clone(),
             slots: cfg.slots,
             slo_queue: cfg.slo_queue,
             sample_bytes: sample_bytes.max(1),
-            buckets: (0..n).map(|_| Mutex::new(Bucket::default())).collect(),
             wfq: Mutex::new(Wfq {
                 vtime: 0,
-                finish: vec![0; n],
+                finish: vec![0; cfg.tenants.len()],
                 busy: 0,
                 waiters: BTreeMap::new(),
                 seq: 0,
@@ -224,7 +179,6 @@ impl TenantQos {
                     reads: scope.counter("reads"),
                     bytes: scope.counter("bytes"),
                     queue_ns: scope.counter("queue_ns"),
-                    throttled: scope.counter("throttled"),
                     slo_ok: scope.counter("slo_ok"),
                     slo_miss: scope.counter("slo_miss"),
                 }
@@ -245,12 +199,11 @@ impl TenantQos {
             .ok_or_else(|| DlfsError::Config(format!("unknown tenant id {tenant}")))
     }
 
-    /// Admit a batch of `cost` bytes for `tenant`: sleeps out any token
-    /// deficit, then waits for a WFQ slot grant. Returns the slot lease.
+    /// Admit a batch of `cost` bytes for `tenant`: waits for a WFQ slot
+    /// grant. Returns the slot lease.
     pub fn admit(&self, rt: &Runtime, tenant: TenantId, cost: u64) -> Result<QosGrant, DlfsError> {
         let idx = self.index_of(tenant)?;
         let enter = rt.now();
-        self.take_tokens(rt, idx, cost);
         self.acquire_slot(rt, idx, cost);
         let queued = rt.now() - enter;
         if let Some(tel) = self.tel.lock().as_ref() {
@@ -266,11 +219,7 @@ impl TenantQos {
             // Transfer the slot to the best-tagged waiter, if any;
             // otherwise free it. The transfer keeps `busy` constant, so a
             // woken batch never re-races for its slot (no lost wakeups).
-            if let Some((&(_, seq), _)) = wfq.waiters.first_key_value() {
-                let ((ftag, _), (start, wake)) =
-                    wfq.waiters.pop_first().expect("nonempty waiter map");
-                let _ = seq;
-                let _ = ftag;
+            if let Some((_, (start, wake))) = wfq.waiters.pop_first() {
                 wfq.vtime = wfq.vtime.max(start);
                 // A dropped receiver means the waiter's task died with the
                 // simulation; nothing to hand the slot to.
@@ -289,59 +238,6 @@ impl TenantQos {
                 t.slo_ok.inc();
             } else {
                 t.slo_miss.inc();
-            }
-        }
-    }
-
-    /// Token-bucket gate: deterministic deficit sleep.
-    fn take_tokens(&self, rt: &Runtime, idx: usize, cost: u64) {
-        let spec = self.specs[idx];
-        if spec.rate_bytes_per_sec == 0 || cost == 0 {
-            return;
-        }
-        let mut throttled = false;
-        loop {
-            let wait = {
-                let mut b = self.buckets[idx].lock();
-                let dt = rt.now() - b.last_refill;
-                let accrued =
-                    b.frac as u128 + dt.as_nanos() as u128 * spec.rate_bytes_per_sec as u128;
-                let earned = accrued / 1_000_000_000;
-                b.level = (b.level as u128 + earned).min(spec.burst_bytes as u128) as u64;
-                // A full bucket banks no extra credit; otherwise keep the
-                // sub-token remainder so truncation never loses tokens.
-                b.frac = if b.level == spec.burst_bytes {
-                    0
-                } else {
-                    (accrued % 1_000_000_000) as u64
-                };
-                b.last_refill = rt.now();
-                // A batch larger than the whole bucket drains it and owes
-                // the rest: cap the requirement at the burst size so the
-                // wait is finite.
-                let need = cost.min(spec.burst_bytes);
-                if b.level >= need {
-                    b.level -= need;
-                    None
-                } else {
-                    let deficit = (need - b.level) as u128;
-                    Some(Dur::nanos(
-                        ((deficit * 1_000_000_000).div_ceil(spec.rate_bytes_per_sec as u128))
-                            as u64,
-                    ))
-                }
-            };
-            match wait {
-                None => break,
-                Some(d) => {
-                    throttled = true;
-                    rt.sleep(d);
-                }
-            }
-        }
-        if throttled {
-            if let Some(tel) = self.tel.lock().as_ref() {
-                tel[idx].throttled.inc();
             }
         }
     }
@@ -399,11 +295,7 @@ mod tests {
         let mut zero_w = QosConfig::equal(2, 4);
         zero_w.tenants[0].weight = 0;
         assert!(zero_w.validate().is_err());
-        let mut no_burst = QosConfig::equal(1, 4);
-        no_burst.tenants[0].rate_bytes_per_sec = 100;
-        assert!(no_burst.validate().is_err());
-        no_burst.tenants[0].burst_bytes = 100;
-        no_burst.validate().unwrap();
+        QosConfig::equal(2, 4).validate().unwrap();
     }
 
     #[test]
@@ -411,30 +303,6 @@ mod tests {
         Runtime::simulate(0, |rt| {
             let q = qos(&[(1, 1)], 2);
             assert!(matches!(q.admit(rt, 9, 100), Err(DlfsError::Config(_))));
-        });
-    }
-
-    #[test]
-    fn token_bucket_sleeps_exact_deficit() {
-        Runtime::simulate(0, |rt| {
-            let cfg = QosConfig {
-                tenants: vec![TenantSpec::weighted(0, 1).throttled(1_000_000, 10_000)],
-                slots: 4,
-                slo_queue: Dur::millis(5),
-            };
-            let q = TenantQos::new(&cfg, 1000);
-            // First 10_000 bytes ride the initial burst... which starts
-            // empty: level 0 at t=0, so the full cost must be earned.
-            let t0 = rt.now();
-            let g = q.admit(rt, 0, 10_000).unwrap();
-            // 10_000 bytes at 1 MB/s = exactly 10 ms.
-            assert_eq!(rt.now() - t0, Dur::millis(10));
-            q.complete(g, 1, 10_000);
-            // Immediately asking again waits the full refill once more.
-            let t1 = rt.now();
-            let g = q.admit(rt, 0, 5_000).unwrap();
-            assert_eq!(rt.now() - t1, Dur::millis(5));
-            q.complete(g, 1, 5_000);
         });
     }
 

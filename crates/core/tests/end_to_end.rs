@@ -642,41 +642,6 @@ fn account_copied(
     );
 }
 
-/// A copied batch is published by the run — one or two per deliver pass —
-/// and a pass can end anywhere: the batch fills, nothing more is resident, or the
-/// deadline falls inside it. However it ends, the run is never torn.
-/// Deadlines from "already over" to "ample" cut batches short before,
-/// inside and after a pass; the epoch still delivers every sample once.
-#[test]
-fn a_deadline_inside_a_pass_never_tears_the_run() {
-    Runtime::simulate(23, |rt| {
-        let source = SyntheticSource::fixed(11, 3000, 1024);
-        let fs = dlfs::MountBuilder::new(DlfsConfig::default())
-            .local(local_device())
-            .mount(rt, &source)
-            .unwrap();
-        let mut io = fs.io(0);
-        let total = io.sequence(rt, 9, 0);
-        let (mut seen, mut handed_out) = (vec![false; total], 0);
-        let (mut short, mut overran) = (0, 0);
-        for budget in [0u64, 2, 5, 12, 30, 80].into_iter().cycle() {
-            let deadline = rt.now() + Dur::micros(budget);
-            let batch = match io.submit(rt, &ReadRequest::batch(64).deadline(deadline)) {
-                Ok(batch) => batch.into_copied(),
-                Err(DlfsError::EpochExhausted) => break,
-                Err(e) => panic!("{e}"),
-            };
-            short += (batch.len() < 64.min(total - handed_out)) as usize;
-            // Samples came back from a call that outlived its deadline: the
-            // pass that drew them ran over it and was published whole.
-            overran += (!batch.is_empty() && rt.now() > deadline) as usize;
-            account_copied(&io, &source, batch, &mut seen, &mut handed_out);
-        }
-        assert_eq!(handed_out, total);
-        assert!(short > 0 && overran > 0, "short={short} overran={overran}");
-    });
-}
-
 /// Zero-copy samples the caller holds pin all but three chunks of the
 /// pool. A copied batch on the dry pool is `CacheExhausted` with nothing
 /// staged; on three chunks it is assembled from many short runs — a pass

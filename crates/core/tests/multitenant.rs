@@ -1,7 +1,7 @@
 //! Multi-tenant serving tests: the defaults-off byte-identity guarantee,
 //! tenant namespace isolation in the shared sample cache, per-tenant
-//! telemetry, and a seeded property test interleaving admission /
-//! throttling / eviction against the shared chunk cache.
+//! telemetry, and a seeded property test interleaving admission and
+//! eviction against the shared chunk cache.
 
 use std::sync::Arc;
 
@@ -48,7 +48,7 @@ fn run_workload(rt: &Runtime, fs: &DlfsInstance, n: usize, batch: usize) -> Vec<
     print
 }
 
-/// The whole QoS layer with one unthrottled tenant and free slots is
+/// The whole QoS layer with one tenant and free slots is
 /// byte-identical to a build without it: same delivered ids, same
 /// payload bytes, same virtual timestamps.
 #[test]
@@ -64,7 +64,7 @@ fn single_tenant_qos_matches_default_path_bit_for_bit() {
         })
     };
     let baseline = run(None);
-    // Tenant 0, no throttle, more slots than the workload can occupy:
+    // Tenant 0, more slots than the workload can occupy:
     // admission grants immediately and adds zero virtual time.
     let gated = run(Some(QosConfig::equal(1, 8)));
     assert_eq!(baseline, gated, "single-tenant QoS perturbed the engine");
@@ -133,61 +133,10 @@ fn tenants_share_pool_but_not_keys_or_counters() {
                 "tenant {tenant} delivery accounting"
             );
             assert!(snap.counter(&format!("dlfs.tenant.{tenant}.bytes")) > 0);
-            assert_eq!(
-                snap.counter(&format!("dlfs.tenant.{tenant}.throttled")),
-                0,
-                "unthrottled tenants never wait on the bucket"
-            );
             let ok = snap.counter(&format!("dlfs.tenant.{tenant}.slo_ok"));
             let miss = snap.counter(&format!("dlfs.tenant.{tenant}.slo_miss"));
             assert!(ok + miss > 0, "every batch lands in an SLO bucket");
         }
-    });
-}
-
-/// A throttled tenant is slowed to its token rate and counted; an
-/// unthrottled tenant on the same mount is not.
-#[test]
-fn token_bucket_throttles_only_the_capped_tenant() {
-    Runtime::simulate(3, |rt| {
-        let cfg = DlfsConfig {
-            qos: Some(QosConfig {
-                tenants: vec![
-                    // ~4 MB/s with a one-chunk bucket: far below what the
-                    // device can serve, so every batch waits.
-                    TenantSpec::weighted(1, 1).throttled(4_000_000, 256 * 1024),
-                    TenantSpec::weighted(2, 1),
-                ],
-                slots: 2,
-                slo_queue: Dur::millis(5),
-            }),
-            ..DlfsConfig::default()
-        };
-        let fs = Arc::new(mount(rt, cfg, 2000, 4096));
-        let reg = Registry::new();
-        fs.qos().unwrap().attach_telemetry(&reg);
-        for tenant in [1u16, 2] {
-            let mut io = fs.io_tenant(0, tenant);
-            io.sequence(rt, 7, 0);
-            let mut read = 0;
-            while read < 400 {
-                read += io
-                    .submit(rt, &ReadRequest::batch(50))
-                    .unwrap()
-                    .into_copied()
-                    .len();
-            }
-        }
-        let snap = reg.snapshot();
-        assert!(
-            snap.counter("dlfs.tenant.1.throttled") > 0,
-            "capped tenant never hit the bucket"
-        );
-        assert_eq!(snap.counter("dlfs.tenant.2.throttled"), 0);
-        assert!(
-            snap.counter("dlfs.tenant.1.queue_ns") > snap.counter("dlfs.tenant.2.queue_ns"),
-            "throttle wait must dominate the free tenant's queueing"
-        );
     });
 }
 
@@ -229,12 +178,12 @@ fn range_keys_never_collide_across_tenants() {
     }
 }
 
-/// Seeded interleaving of tenant admission, token throttling and cache
+/// Seeded interleaving of tenant admission and cache
 /// publish/acquire/evict against one shared pool: every worker finishes
 /// (no lost wakeups), and every acquired range carries its own tenant's
 /// tag (no cross-tenant key collisions).
 #[test]
-fn interleaved_admission_throttle_evict_holds_isolation() {
+fn interleaved_admission_and_eviction_hold_isolation() {
     const CASES: u64 = 24;
     const CHUNK: usize = 4096;
     for case in 0..CASES {
@@ -244,19 +193,10 @@ fn interleaved_admission_throttle_evict_holds_isolation() {
         let slots = g.range(1, 4) as usize;
         let pool = g.range(4, 10) as usize;
         let rounds = g.range(10, 40);
-        let throttle_mask = g.below(1 << tenants as u64);
         let seed = g.below(1 << 32);
         let cfg = QosConfig {
             tenants: (0..tenants)
-                .map(|t| {
-                    let spec = TenantSpec::weighted(t, 1 + (t as u32 % 3));
-                    if throttle_mask >> t & 1 == 1 {
-                        // Fast enough to finish, slow enough to wait.
-                        spec.throttled(200_000_000, 64 * 1024)
-                    } else {
-                        spec
-                    }
-                })
+                .map(|t| TenantSpec::weighted(t, 1 + (t as u32 % 3)))
                 .collect(),
             slots,
             slo_queue: Dur::micros(50),

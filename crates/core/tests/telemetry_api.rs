@@ -194,45 +194,44 @@ fn inject_compute_costs_time_without_changing_delivery() {
     );
 }
 
-// --------------------------------------------------------------- deadline --
+// ------------------------------------------------------------ short batch --
 
-/// A deadline mid-batch yields a short (but never torn) batch and bumps the
-/// miss counter; without a deadline the same request delivers in full.
+/// A batch comes back short in one way only: zero-copy samples the caller
+/// holds starve the pool, so it can open fewer items than the batch asks
+/// for. That batch returns what the pool could hold — whole, source-equal
+/// and new, never torn — and `dlfs.io.deadline_misses` counts it exactly
+/// once. Once the pins drop, the next batch delivers in full.
 #[test]
-fn deadline_returns_short_batch() {
+fn a_starved_pool_returns_one_short_batch() {
     Runtime::simulate(41, |rt| {
-        let source = SyntheticSource::fixed(8, 3000, 4096);
+        // 200 KiB samples, one 256 KiB chunk each, on the 96-chunk pool.
+        let source = SyntheticSource::fixed(8, 400, 200 << 10);
         let fs = mount(rt, &source);
         let mut io = fs.io(0);
         io.sequence(rt, 3, 0);
-        // Warm up so the pipeline is in steady state.
-        let full = io.submit(rt, &ReadRequest::batch(64)).unwrap();
-        assert_eq!(full.len(), 64);
-
-        // A deadline that's already expired: nothing new may start.
-        let past = rt.now();
-        rt.work(Dur::micros(10));
-        let short = io
-            .submit(rt, &ReadRequest::batch(64).deadline(past))
-            .unwrap();
-        assert!(
-            short.len() < 64,
-            "expired deadline must cut the batch short, got {}",
-            short.len()
-        );
-        let m = io.metrics();
-        assert!(
-            m.counter("dlfs.io.deadline_misses") >= 1,
-            "deadline miss must be counted"
-        );
-        // Every delivered sample is still whole and correct.
-        for (id, bytes) in short.into_copied() {
-            assert_eq!(bytes, source.expected(id));
+        let req = ReadRequest::batch(20).zero_copy();
+        let misses = |io: &dlfs::DlfsIo| io.metrics().counter("dlfs.io.deadline_misses");
+        // Four held batches pin 80 chunks and leave 16.
+        let mut held = Vec::new();
+        for _ in 0..4 {
+            let batch = io.submit(rt, &req).unwrap().into_zero_copy();
+            assert_eq!(batch.len(), 20);
+            held.extend(batch);
         }
-
-        // And the pipeline keeps working afterwards.
-        let next = io.submit(rt, &ReadRequest::batch(32)).unwrap();
-        assert_eq!(next.len(), 32);
+        assert_eq!(misses(&io), 0, "a full batch is no miss");
+        held.extend(io.submit(rt, &req).unwrap().into_zero_copy());
+        assert_eq!(held.len(), 80 + 16, "the fifth batch is the pool's rest");
+        assert_eq!(misses(&io), 1);
+        let mut ids: Vec<u32> = held.iter().map(|s| s.id).collect();
+        for s in &held {
+            assert_eq!(s.to_vec(), source.expected(s.id), "sample {}", s.id);
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), held.len(), "a sample was delivered twice");
+        drop(held);
+        assert_eq!(io.submit(rt, &req).unwrap().len(), 20);
+        assert_eq!(misses(&io), 1, "the short batch is counted once");
     });
 }
 

@@ -17,7 +17,6 @@
 use std::sync::Arc;
 
 use simkit::plock::Mutex;
-use simkit::retry::RetryPolicy;
 use simkit::telemetry::{Counter, Registry};
 use simkit::time::{Dur, Time};
 
@@ -87,7 +86,6 @@ struct RouterTel {
 pub struct ShardRouter {
     map: Mutex<Arc<ShardMap>>,
     health: TargetHealth,
-    retry: RetryPolicy,
     tel: Mutex<Option<RouterTel>>,
 }
 
@@ -103,20 +101,11 @@ impl std::fmt::Debug for ShardRouter {
 
 impl ShardRouter {
     /// Route over `map` across `nodes` metadata nodes. The circuit opens
-    /// after `threshold` consecutive failures for `cooldown`; `retry` is
-    /// the per-call RPC budget callers should use with
-    /// [`crate::rpc::RpcClient::try_call`].
-    pub fn new(
-        map: ShardMap,
-        nodes: usize,
-        threshold: u32,
-        cooldown: Dur,
-        retry: RetryPolicy,
-    ) -> ShardRouter {
+    /// after `threshold` consecutive failures for `cooldown`.
+    pub fn new(map: ShardMap, nodes: usize, threshold: u32, cooldown: Dur) -> ShardRouter {
         ShardRouter {
             map: Mutex::new(Arc::new(map)),
             health: TargetHealth::new(nodes, threshold, cooldown),
-            retry,
             tel: Mutex::new(None),
         }
     }
@@ -140,14 +129,6 @@ impl ShardRouter {
         self.map.lock().epoch
     }
 
-    pub fn retry(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    pub fn health(&self) -> &TargetHealth {
-        &self.health
-    }
-
     /// Install a fresher map (a server piggybacked it on a reply, or the
     /// controller pushed it). Older or same-epoch maps are ignored so a
     /// delayed reply cannot roll the cache back. Returns whether the
@@ -167,8 +148,8 @@ impl ShardRouter {
     /// Pick the node to send `shard`'s request to at `now`: the primary
     /// owner while its circuit is closed (or it wins the half-open
     /// probe), otherwise the standby. With both circuits open the primary
-    /// is returned anyway — the caller's retry policy, not the router,
-    /// decides when to give up.
+    /// is returned anyway — the caller's RPC retry budget, not the
+    /// router, decides when to give up.
     pub fn route(&self, shard: usize, now: Time) -> Route {
         let map = self.map.lock().clone();
         let owner = map.owner[shard];
@@ -211,7 +192,6 @@ mod tests {
             3,
             2,
             Dur::micros(100),
-            RetryPolicy::default(),
         )
     }
 

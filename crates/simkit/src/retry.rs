@@ -9,7 +9,7 @@
 //! avoidance, and callers that need decorrelation already run on
 //! independent virtual timelines.
 
-use crate::time::{Dur, Time};
+use crate::time::Dur;
 
 /// A bounded-attempt, exponential-backoff retry schedule.
 ///
@@ -77,22 +77,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Deadline-aware variant: also gives up when waiting out the backoff
-    /// would land past `deadline`, so `ReadRequest` deadlines are honored
-    /// mid-retry instead of after one more doomed round trip.
-    pub fn next_delay_before(
-        &self,
-        failed_attempts: u32,
-        now: Time,
-        deadline: Option<Time>,
-    ) -> Option<Dur> {
-        let d = self.next_delay(failed_attempts)?;
-        match deadline {
-            Some(dl) if now + d > dl => None,
-            _ => Some(d),
-        }
-    }
-
     /// Worst-case total backoff the policy can spend (sum over all retries).
     /// Useful for sizing crash windows in tests.
     pub fn total_backoff(&self) -> Dur {
@@ -144,20 +128,6 @@ mod tests {
             ..Default::default()
         };
         assert!(never.next_delay(1).is_none());
-    }
-
-    #[test]
-    fn deadline_cuts_retries_short() {
-        let p = RetryPolicy::default();
-        let now = Time::ZERO + Dur::micros(100);
-        // Without a deadline the second attempt is allowed.
-        assert_eq!(p.next_delay_before(1, now, None), Some(Dur::micros(20)));
-        // A deadline right at now + backoff still allows it…
-        let dl = now + Dur::micros(20);
-        assert_eq!(p.next_delay_before(1, now, Some(dl)), Some(Dur::micros(20)));
-        // …one nanosecond earlier does not.
-        let dl = now + Dur::micros(20) - Dur::nanos(1);
-        assert_eq!(p.next_delay_before(1, now, Some(dl)), None);
     }
 
     #[test]
