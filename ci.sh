@@ -134,6 +134,7 @@ echo "== persistence: checkpoint interference (smoke)"
 cargo run -q --release --offline -p dlfs-bench --bin ext_checkpoint -- samples=512 appends=4
 echo "== persistence: fsck demo + replica repair (smoke)"
 cargo run -q --release --offline -p dlfs-bench --bin dlfs_fsck -- nodes=2 samples=256 repair=1
+cargo run -q --release --offline -p dlfs-bench --bin dlfs_fsck -- nodes=2 samples=256 repair=1 codec=lz
 echo "== rebuild after permanent target loss (smoke)"
 cargo run -q --release --offline -p dlfs-bench --bin ext_rebuild -- n=512
 echo "== storage-side offload + chunk compression (smoke)"

@@ -4,7 +4,10 @@
 //! and prints a per-node report: commit state (clean / torn / corrupt /
 //! unformatted), generation, entry count, checksum verdicts and
 //! checkpoint-stream occupancy. `deep=1` also re-reads every data extent
-//! and verifies the per-sample payload checksums.
+//! and verifies the per-sample payload checksums. `codec=lz` imports a
+//! compressible dataset through the LZ codec instead, so the same walk
+//! reads a coded (version 2) layout: frame size and codec from each
+//! superblock, frames packed back to back.
 //!
 //! The demo is simulation-hosted like everything else: it imports a
 //! dataset, shows the clean report, crashes a re-import mid-flight to
@@ -13,7 +16,7 @@
 use std::sync::Arc;
 
 use blocksim::{FaultInjector, NvmeDevice, NvmeTarget};
-use dlfs::{fsck_node, Deployment, DlfsConfig, FsckState, SyntheticSource};
+use dlfs::{fsck_node, CodecKind, Deployment, DlfsConfig, FsckState, SyntheticSource};
 use dlfs_bench::{arg, fmt_size, setup, Table, DEFAULT_SEED};
 use simkit::prelude::*;
 
@@ -38,8 +41,7 @@ fn report(devices: &[Arc<NvmeDevice>], deep: bool) {
     ]);
     for (n, d) in devices.iter().enumerate() {
         let target: Arc<dyn NvmeTarget> = d.clone();
-        // Every import below uses the default chunk size.
-        let r = fsck_node(&target, n as u16, deep, DlfsConfig::default().chunk_size);
+        let r = fsck_node(&target, n as u16, deep);
         t.row(&[
             n.to_string(),
             state_str(&r.state),
@@ -65,15 +67,26 @@ fn main() {
     let size: u64 = arg("size", 16 << 10);
     let deep: bool = arg::<u64>("deep", 1) != 0;
     let repair: bool = arg::<u64>("repair", 1) != 0;
+    let codec: CodecKind = arg("codec", CodecKind::Identity);
 
-    println!("# dlfs_fsck: on-device layout inspection ({nodes} nodes)\n");
-    let source = SyntheticSource::fixed(seed, samples, size);
+    let (source, coded) = match codec {
+        CodecKind::Identity => (SyntheticSource::fixed(seed, samples, size), String::new()),
+        CodecKind::Lz => {
+            let source = SyntheticSource::compressible(seed, samples, size, 48);
+            (source, format!(", codec {codec}"))
+        }
+    };
+    println!("# dlfs_fsck: on-device layout inspection ({nodes} nodes{coded})\n");
+    let base = DlfsConfig {
+        codec,
+        ..DlfsConfig::default()
+    };
     Runtime::simulate(seed, |rt| {
         let devices: Vec<Arc<NvmeDevice>> = (0..nodes)
             .map(|_| setup::emulated_for(size * samples as u64))
             .collect();
         let deployment = Deployment::local(1, &devices);
-        dlfs::MountBuilder::new(DlfsConfig::default())
+        dlfs::MountBuilder::new(base.clone())
             .deployment(deployment.clone())
             .persistent()
             .mount(rt, &source)
@@ -86,9 +99,9 @@ fn main() {
         // never commits on any node — all report torn until repaired.
         let importer = {
             let dep = deployment.clone();
-            let source = source.clone();
+            let (source, base) = (source.clone(), base.clone());
             rt.spawn_with("crashing-reimport", move |rt| {
-                dlfs::MountBuilder::new(DlfsConfig::default())
+                dlfs::MountBuilder::new(base)
                     .deployment(dep)
                     .persistent()
                     .mount(rt, &source)
@@ -96,7 +109,13 @@ fn main() {
                     .map(|e| e.to_string())
             })
         };
-        rt.sleep(Dur::micros(300));
+        // A coded import writes a fraction of the bytes and is over sooner.
+        let mid_flight = if codec == CodecKind::Identity {
+            300
+        } else {
+            60
+        };
+        rt.sleep(Dur::micros(mid_flight));
         devices[0].set_faults(FaultInjector::new(seed).with_write_failures(1_000_000));
         match importer.join() {
             Some(e) => println!("re-import crashed as expected: {e}\n"),
@@ -108,7 +127,7 @@ fn main() {
         // Heal and repair: a fresh import bumps the generation past the
         // torn one and recommits everywhere.
         devices[0].set_faults(FaultInjector::new(seed));
-        dlfs::MountBuilder::new(DlfsConfig::default())
+        dlfs::MountBuilder::new(base.clone())
             .deployment(deployment.clone())
             .persistent()
             .mount(rt, &source)
@@ -126,7 +145,7 @@ fn main() {
         let cfg = DlfsConfig {
             replicas: 2.min(nodes),
             verify_reads: true,
-            ..DlfsConfig::default()
+            ..base
         };
         let fs = dlfs::MountBuilder::new(cfg)
             .deployment(deployment)
@@ -143,8 +162,7 @@ fn main() {
         let targets = &fs.shared(0).targets;
         let mut t = Table::new(&["node", "detected", "repaired", "unrepairable"]);
         for n in 0..nodes as u16 {
-            let r =
-                dlfs::fsck_repair(targets, n, fs.shared(0).cfg.chunk_size).expect("repair pass");
+            let r = dlfs::fsck_repair(targets, n).expect("repair pass");
             t.row(&[
                 n.to_string(),
                 r.detected.to_string(),

@@ -195,8 +195,7 @@ fn cell(seed: u64, n: usize, size: u64, replicas: usize, gap: u64) -> CellOutcom
         assert_eq!(m.counter("dlfs.rebuild.blocks_failed"), 0);
         assert!(!red.is_dead(1), "rebuilt node must rejoin");
         for node in 0..NODES as u16 {
-            let chunk = fs.shared(0).cfg.chunk_size;
-            let rep = fsck_node(&fs.shared(0).targets[node as usize], node, true, chunk);
+            let rep = fsck_node(&fs.shared(0).targets[node as usize], node, true);
             assert!(
                 matches!(rep.state, FsckState::Clean { .. }),
                 "node {node} not fsck-clean after rebuild: {:?}",

@@ -24,15 +24,15 @@ use super::*;
 pub(super) type Landed = Result<bool, CmdStatus>;
 
 impl DlfsIo {
-    /// What the payload work on the `nblocks` blocks read at `slba` of node
-    /// `home` costs whoever runs it — a copy thread, a synchronous read, an
-    /// offload target: the block checksums when reads are verified, and
-    /// with `decode` (the checksums held) the decode of the frame the
-    /// blocks hold under a codec. Zero without either.
-    pub(super) fn check_cost(&self, home: u16, slba: u64, nblocks: u32, decode: bool) -> Dur {
+    /// What the payload work on `nblocks` blocks read — under a codec, the
+    /// stored extent of `frame` — costs whoever runs it: a copy thread, a
+    /// synchronous read, an offload target. That is the block checksums
+    /// when reads are verified, and with `decode` (the checksums held) the
+    /// decode of the frame. Zero without either.
+    pub(super) fn check_cost(&self, nblocks: u32, frame: Option<Frame>, decode: bool) -> Dur {
         let costs = &self.shared.cfg.costs;
         let verified = self.shared.redundancy.verify() as u64 * nblocks as u64;
-        let frame = self.frame(home, slba * BLOCK_SIZE).filter(|_| decode);
+        let frame = frame.filter(|_| decode);
         costs.verify_block * verified + frame.map_or(Dur::ZERO, |f| costs.decode(f.raw_len as u64))
     }
 
@@ -50,7 +50,7 @@ impl DlfsIo {
             || io
                 .buf
                 .with(|d| red.verify_blocks(io.home, io.slba, &d[..span]));
-        (Ok(ok), self.check_cost(io.home, io.slba, io.nblocks, ok))
+        (Ok(ok), self.check_cost(io.nblocks, io.frame, ok))
     }
 
     /// Act on the judgement `ok` of the bytes in `io`'s chunk, the one gate
@@ -79,7 +79,7 @@ impl DlfsIo {
                 self.tel.iv_repairs.inc();
             }
         }
-        if let Some(f) = self.frame(io.home, io.slba * BLOCK_SIZE) {
+        if let Some(f) = io.frame {
             io.buf.with_mut(|d| {
                 if let Some(raw) = self.decode_counted(&f, d) {
                     d[..f.raw_len].copy_from_slice(&raw);

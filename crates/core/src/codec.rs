@@ -1,18 +1,19 @@
 //! Transparent per-chunk codecs for the staged data region.
 //!
 //! FanStore-style: every chunk *frame* (the `chunk_size`-aligned tile a
-//! fetch item covers) is encoded independently at import/mount time and
-//! stored at its usual offset. Addressing is therefore identical to an
-//! uncompressed import — offsets, capacities, replica slots and
-//! integrity-table indexing are all unchanged; only the *bytes* at the
-//! front of each frame's slot differ. What a frame occupies of its slot is
-//! its **stored extent** (`stored_extent`): the encoded prefix rounded
-//! up to a block, capped at the frame's raw length. The rest of the slot
-//! is a **hole** — never written, shipped, mirrored or read, free to hold
-//! an older import's bytes, and zeros by definition wherever a checker
-//! needs the frame's logical bytes (DESIGN.md §16 lists who asks).
-//! Per-frame encoded lengths are persisted in a self-checksummed table
-//! region just below `data_base` (see [`crate::layout`]).
+//! fetch item covers) is encoded independently at import/mount time.
+//! Samples keep their raw addresses — placement, directory offsets, plan
+//! items and cache keys are those of an uncompressed import — but a device
+//! holds only each frame's **stored extent** (`stored_extent`): the encoded
+//! prefix rounded up to a block, capped at the frame's raw length. The
+//! extents of a node's frames lie **back to back** from the start of its
+//! data region, frame `f` where frame `f − 1`'s extent ends, so a node's
+//! data is one contiguous stored run and an import writes it in chunk-sized
+//! commands. Where frame `f` sits is the prefix sum of the extents before
+//! it, known from the per-frame encoded lengths persisted in a
+//! self-checksummed table region just below `data_base` (see
+//! [`crate::layout`]); [`CodecTables::frame`] is the one lookup from a raw
+//! address to a stored frame.
 //!
 //! Invariants every codec must hold:
 //!
@@ -22,12 +23,12 @@
 //!   verbatim, signalled by `enc_len == raw_len`.
 //! * `decode(encode(raw), raw.len()) == raw` for every input.
 //!
-//! Block checksums (the integrity region) and the per-sample metadata
-//! checksums cover the *logical* frame — encoded bytes, then zeros to the
-//! frame's raw length — so verification always happens before decoding
-//! and a flipped bit in the compressed stream is caught without ever
-//! running the decoder over corrupt input. (The table therefore carries
-//! entries for hole blocks too; compacting it would be a format change.)
+//! Block checksums (the integrity region) cover the stored blocks, and so
+//! does verification on every read path, before decoding: a flipped bit in
+//! the compressed stream is caught without ever running the decoder over
+//! corrupt input. The per-sample metadata checksums cover a sample's range
+//! of the *logical* frame — encoded bytes, then zeros to the frame's raw
+//! length.
 
 use blocksim::BLOCK_SIZE;
 
@@ -79,6 +80,19 @@ impl std::fmt::Display for CodecKind {
         match self {
             CodecKind::Identity => write!(f, "identity"),
             CodecKind::Lz => write!(f, "lz"),
+        }
+    }
+}
+
+impl std::str::FromStr for CodecKind {
+    type Err = String;
+
+    /// The inverse of `Display`: `identity` or `lz`.
+    fn from_str(s: &str) -> Result<CodecKind, String> {
+        match s {
+            "identity" => Ok(CodecKind::Identity),
+            "lz" => Ok(CodecKind::Lz),
+            _ => Err(format!("unknown codec {s:?} (identity, lz)")),
         }
     }
 }
@@ -217,19 +231,18 @@ impl Codec for LzCodec {
     }
 }
 
-/// Bytes of its chunk slot a frame of `raw_len` bytes encoded to `enc_len`
-/// occupies on a device — the one definition of the stored extent (module
-/// doc). Everything past it, up to the next frame, is a hole.
+/// Bytes a frame of `raw_len` bytes encoded to `enc_len` occupies on a
+/// device — the one definition of the stored extent (module doc).
 fn stored_extent(enc_len: u64, raw_len: u64) -> u64 {
     enc_len.next_multiple_of(BLOCK_SIZE).min(raw_len)
 }
 
 /// Per-node encoded-frame lengths for one mounted/imported dataset.
 ///
-/// Frame `f` of node `n` has the slot
-/// `[base + f * chunk, base + min((f + 1) * chunk, data_len))`; its
-/// encoded payload occupies the first `lens[f]` of those bytes and its
-/// stored extent is all of the slot a device holds.
+/// Frame `f` of node `n` covers the raw addresses
+/// `[base + f * chunk, base + min((f + 1) * chunk, data_len))`; its encoded
+/// payload is `lens[f]` bytes, and its stored extent starts `starts[f]`
+/// blocks into the data region, right after frame `f − 1`'s.
 #[derive(Clone, Debug, Default)]
 pub struct NodeFrames {
     /// First byte of the node's staged data region (`data_base`; 0 on
@@ -239,11 +252,30 @@ pub struct NodeFrames {
     pub data_len: u64,
     /// Encoded length of each frame, in frame order.
     pub lens: Vec<u32>,
+    /// Block offset of each frame's stored extent from `base` — the prefix
+    /// sums of the extents before it — and, last, where the run ends.
+    starts: Vec<u64>,
 }
 
 impl NodeFrames {
-    /// Frame index covering stored byte `offset` (which must lie inside
-    /// the data region).
+    /// The frames of a node whose `data_len` raw bytes were cut into
+    /// `chunk`-byte frames encoded to `lens`.
+    pub(crate) fn new(base: u64, data_len: u64, chunk: u64, lens: Vec<u32>) -> NodeFrames {
+        let mut starts = vec![0];
+        starts.extend(extent_blocks(data_len, chunk, &lens).scan(0, |at, blocks| {
+            *at += blocks;
+            Some(*at)
+        }));
+        NodeFrames {
+            base,
+            data_len,
+            lens,
+            starts,
+        }
+    }
+
+    /// Frame index covering raw byte `offset` (which must lie inside the
+    /// data region).
     pub fn frame_of(&self, chunk: u64, offset: u64) -> usize {
         debug_assert!(offset >= self.base);
         ((offset - self.base) / chunk) as usize
@@ -254,50 +286,56 @@ impl NodeFrames {
         let start = f as u64 * chunk;
         (self.data_len - start).min(chunk) as usize
     }
-}
 
-/// The stored runs of a node's `data_len` bytes of data — `(first block,
-/// blocks)` relative to the data region, ascending: all of it under
-/// `Identity`, otherwise one [`stored_extent`] per `chunk`-byte frame
-/// (encoded to `lens`) with a hole after it. This is what
-/// [`crate::integrity::Redundancy`] hands every walker of a data region in
-/// place of `0..data blocks`.
-pub(crate) fn stored_runs(
-    data_len: u64,
-    kind: CodecKind,
-    chunk: u64,
-    lens: &[u32],
-) -> Vec<(u64, u64)> {
-    if kind == CodecKind::Identity {
-        return vec![(0, data_len.div_ceil(BLOCK_SIZE))];
+    /// The stored frame covering raw byte `offset`.
+    pub(crate) fn frame(&self, kind: CodecKind, chunk: u64, offset: u64) -> Frame {
+        let f = self.frame_of(chunk, offset);
+        let start = self.base + f as u64 * chunk;
+        debug_assert_eq!(start % BLOCK_SIZE, 0, "frames are block-aligned");
+        Frame {
+            kind,
+            start,
+            at: self.base + self.starts[f] * BLOCK_SIZE,
+            enc_blocks: (self.starts[f + 1] - self.starts[f]) as u32,
+            enc_len: self.lens[f] as usize,
+            raw_len: self.raw_len(chunk, f),
+        }
     }
-    let run = |(f, &enc): (usize, &u32)| {
-        let start = f as u64 * chunk;
-        let stored = stored_extent(enc as u64, data_len.saturating_sub(start).min(chunk));
-        (start / BLOCK_SIZE, stored.div_ceil(BLOCK_SIZE))
-    };
-    lens.iter().enumerate().map(run).collect()
 }
 
-/// How many of the `len` bytes at `rel` (relative to the data region; a
-/// range inside one frame's slot, as a sample and its covering blocks are)
-/// are stored. A stored extent starts its slot, so the stored part of such
-/// a range is a prefix of it and the rest lies in the hole.
-pub(crate) fn stored_len(runs: &[(u64, u64)], rel: u64, len: u64) -> u64 {
-    let after = runs.partition_point(|r| r.0 * BLOCK_SIZE <= rel);
-    let run = after.checked_sub(1).map(|at| runs[at]);
-    let end = run.map_or(0, |(first, blocks)| (first + blocks) * BLOCK_SIZE);
-    end.saturating_sub(rel).min(len)
+/// Blocks every copy of a node's `data_len` bytes of data holds — one run
+/// from the start of its data region: all of it under `Identity`, the
+/// frames' stored extents (encoded to `lens`) back to back otherwise. This
+/// is what [`crate::integrity::Redundancy`] hands every walker of a data
+/// region.
+pub(crate) fn stored_blocks(data_len: u64, kind: CodecKind, chunk: u64, lens: &[u32]) -> u64 {
+    if kind == CodecKind::Identity {
+        return data_len.div_ceil(BLOCK_SIZE);
+    }
+    extent_blocks(data_len, chunk, lens).sum()
+}
+
+/// The stored extent of each `chunk`-byte frame of `data_len` raw bytes
+/// encoded to `lens`, in blocks.
+fn extent_blocks(data_len: u64, chunk: u64, lens: &[u32]) -> impl Iterator<Item = u64> + '_ {
+    let blocks = move |(f, &enc): (usize, &u32)| {
+        let raw = data_len.saturating_sub(f as u64 * chunk).min(chunk);
+        stored_extent(enc as u64, raw).div_ceil(BLOCK_SIZE)
+    };
+    lens.iter().enumerate().map(blocks)
 }
 
 /// One extent ready to hit a device — an encoded frame, or a raw sample:
-/// its absolute byte offset, its logical bytes (a frame's encoded payload
-/// zero-padded to its raw length: what the integrity table and the
-/// metadata records hash), how many of them are its [`stored_extent`] (all
-/// of a raw sample) — the only ones written and mirrored, the rest of a
-/// frame's slot staying a hole — and the samples it holds.
+/// its raw address (where its samples' offsets count from), the device
+/// address its stored bytes go to (the same for a raw sample; for a frame,
+/// where the previous frame's stored extent ended), its logical bytes (a
+/// frame's encoded payload zero-padded to its raw length: what the metadata
+/// records hash), how many of them are its [`stored_extent`] (all of a raw
+/// sample) — the only ones written, mirrored and block-checksummed — and
+/// the samples it holds.
 pub(crate) struct StoredFrame {
     pub offset: u64,
+    pub at: u64,
     pub stored: Vec<u8>,
     pub extent: usize,
     pub samples: Vec<(u32, SampleEntry)>,
@@ -312,6 +350,8 @@ pub(crate) struct FrameStager {
     /// `data_base` of the node (0 on ephemeral mounts).
     base: u64,
     chunk: u64,
+    /// Device offset the next frame's stored extent goes to.
+    at: u64,
     /// Raw bytes of the frame currently filling.
     raw: Vec<u8>,
     /// Samples of the frame currently filling.
@@ -325,13 +365,14 @@ impl FrameStager {
         FrameStager {
             base,
             chunk,
+            at: base,
             raw: Vec::new(),
             pending: Vec::new(),
             lens: Vec::new(),
         }
     }
 
-    /// Absolute offset of the frame currently filling.
+    /// Raw address of the frame currently filling.
     fn frame_start(&self) -> u64 {
         self.base + self.lens.len() as u64 * self.chunk
     }
@@ -383,8 +424,11 @@ impl FrameStager {
         let extent = stored_extent(stored.len() as u64, raw_target as u64) as usize;
         stored.resize(raw_target, 0);
         self.raw.clear();
+        let at = self.at;
+        self.at += (extent as u64).next_multiple_of(BLOCK_SIZE);
         Ok(StoredFrame {
             offset,
+            at,
             stored,
             extent,
             samples: std::mem::take(&mut self.pending),
@@ -400,35 +444,29 @@ pub struct CodecTables {
     pub per_node: Vec<NodeFrames>,
 }
 
-/// One stored frame as the read paths see it: where it starts on its node,
-/// how many blocks hold its encoded prefix, and its encoded / raw lengths.
+/// One stored frame as the read paths see it: the raw address it starts
+/// at, where its stored extent sits on the device and how many blocks that
+/// is, and its encoded / raw lengths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Frame {
     pub kind: CodecKind,
-    /// Absolute byte offset of the frame on its node (block-aligned).
+    /// Raw address of the frame on its node (chunk-aligned): where its
+    /// samples' offsets count from.
     pub start: u64,
+    /// Device byte offset of its stored extent (block-aligned).
+    pub at: u64,
     pub enc_blocks: u32,
     pub enc_len: usize,
     pub raw_len: usize,
 }
 
 impl CodecTables {
-    /// The stored frame covering byte `offset` on node `nid` — the one
-    /// lookup every read path (geometry, decode, offload) goes through.
+    /// The stored frame covering raw byte `offset` on node `nid` — the one
+    /// lookup every reader of a mounted coded dataset (read geometry,
+    /// decode, offload, rebuild) goes through; offline fsck asks the
+    /// [`NodeFrames`] it loads.
     pub(crate) fn frame(&self, chunk: u64, nid: u16, offset: u64) -> Frame {
-        let frames = &self.per_node[nid as usize];
-        let f = frames.frame_of(chunk, offset);
-        let start = frames.base + f as u64 * chunk;
-        debug_assert_eq!(start % BLOCK_SIZE, 0, "frames are block-aligned");
-        let (enc_len, raw_len) = (frames.lens[f] as usize, frames.raw_len(chunk, f));
-        Frame {
-            kind: self.kind,
-            start,
-            // What a read fetches is the frame's stored extent, in blocks.
-            enc_blocks: stored_extent(enc_len as u64, raw_len as u64).div_ceil(BLOCK_SIZE) as u32,
-            enc_len,
-            raw_len,
-        }
+        self.per_node[nid as usize].frame(self.kind, chunk, offset)
     }
 }
 
@@ -517,33 +555,49 @@ mod tests {
         stager.push(0, entry, &[7; 700], &LzCodec).unwrap();
         let frame = stager.finish(&LzCodec).unwrap().expect("the open frame");
         assert_eq!(
-            (frame.offset, frame.extent, frame.stored.len()),
-            (4096, 512, 700)
+            (frame.offset, frame.at, frame.extent, frame.stored.len()),
+            (4096, 4096, 512, 700)
         );
     }
 
     #[test]
     fn node_frames_geometry() {
-        let nf = NodeFrames {
-            base: 4096,
-            data_len: 10_000,
-            lens: vec![100, 4096, 1808],
-        };
+        let nf = NodeFrames::new(4096, 10_000, 4096, vec![100, 4096, 1808]);
         assert_eq!(nf.frame_of(4096, 4096), 0);
         assert_eq!(nf.frame_of(4096, 4096 + 8192 + 10), 2);
         assert_eq!(nf.raw_len(4096, 1), 4096);
         assert_eq!(nf.raw_len(4096, 2), 10_000 - 8192);
         // A block of encoded bytes, a verbatim frame, a short verbatim last
-        // frame whose extent is capped at its raw length.
+        // frame whose extent is capped at its raw length — back to back.
         assert_eq!(stored_extent(1808, 1808), 1808);
-        let runs = stored_runs(nf.data_len, CodecKind::Lz, 4096, &nf.lens);
-        assert_eq!(runs, vec![(0, 1), (8, 8), (16, 4)]);
-        let whole = stored_runs(nf.data_len, CodecKind::Identity, 4096, &[]);
-        assert_eq!(whole, vec![(0, 20)]);
-        // A sample at the back of frame 0 lies in its hole; one straddling
-        // the end of the stored block keeps a prefix.
-        assert_eq!(stored_len(&runs, 1000, 300), 0);
-        assert_eq!(stored_len(&runs, 400, 300), 112);
-        assert_eq!(stored_len(&runs, 4096 + 100, 3000), 3000);
+        assert_eq!(
+            stored_blocks(nf.data_len, CodecKind::Lz, 4096, &nf.lens),
+            13
+        );
+        assert_eq!(
+            stored_blocks(nf.data_len, CodecKind::Identity, 4096, &[]),
+            20
+        );
+        let at = |offset| {
+            let f = nf.frame(CodecKind::Lz, 4096, offset);
+            (f.start, f.at, f.enc_blocks, f.enc_len, f.raw_len)
+        };
+        assert_eq!(at(4096 + 1000), (4096, 4096, 1, 100, 4096));
+        assert_eq!(at(8192), (8192, 4096 + 512, 8, 4096, 4096));
+        assert_eq!(at(12288 + 5), (12288, 4096 + 9 * 512, 4, 1808, 1808));
+        // The stager lands each frame where the previous one's extent ended.
+        let mut stager = FrameStager::new(4096, 4096);
+        let mut landed = Vec::new();
+        for (i, len) in [3000u64, 3000, 700].into_iter().enumerate() {
+            let offset = 4096 + i as u64 * 4096;
+            let entry = SampleEntry::new(0, i as u64, offset, len, false);
+            let bytes = vec![i as u8; len as usize];
+            landed.extend(stager.push(i as u32, entry, &bytes, &LzCodec).unwrap());
+        }
+        landed.extend(stager.finish(&LzCodec).unwrap());
+        let placed: Vec<(u64, u64)> = landed.iter().map(|f| (f.offset, f.at)).collect();
+        let extents: Vec<usize> = landed.iter().map(|f| f.extent).collect();
+        assert_eq!(extents, [512, 512, 512]);
+        assert_eq!(placed, [(4096, 4096), (8192, 4608), (12288, 5120)]);
     }
 }

@@ -182,8 +182,8 @@ impl DlfsIo {
     fn engine_part(&self, p: Part) -> PartIo {
         let st = self.st();
         let it = &st.plan.items[p.idx as usize];
-        let (slba, nblocks, _) = self.read_geometry(it.nid, it.offset, it.len);
-        self.part_io(it.nid, slba, nblocks, p.part, st.open[&p.idx].bufs())
+        let g = self.read_geometry(it.nid, it.offset, it.len);
+        self.part_io(it.nid, &g, p.part, st.open[&p.idx].bufs())
     }
 
     /// Start fetching item `idx`: probe the cross-epoch cache first, else
@@ -194,7 +194,7 @@ impl DlfsIo {
     fn start_fetch(&mut self, rt: &Runtime, idx: u32, starving: bool) -> FetchStart {
         let cross = self.shared.cfg.cache_mode == CacheMode::CrossEpoch;
         let it = &self.st().plan.items[idx as usize];
-        let (slba, _, alloc_bytes) = self.read_geometry(it.nid, it.offset, it.len);
+        let g = self.read_geometry(it.nid, it.offset, it.len);
         let (key, len) = (self.shared.rkey(it.nid, it.offset), it.len);
         if cross {
             // Residency probe: a previous epoch (or the prefetcher) may
@@ -206,7 +206,7 @@ impl DlfsIo {
                 if was_prefetched {
                     self.tel.prefetch_hits.inc();
                 }
-                self.open_item(idx, slba, Open::Resident(range));
+                self.open_item(idx, g.base, Open::Resident(range));
                 return FetchStart::Started;
             }
             if self.prefetches().any(|k| k == key) {
@@ -218,20 +218,21 @@ impl DlfsIo {
             self.tel.ce_misses.inc();
         }
         let bufs = if starving {
-            self.alloc_backoff(rt, alloc_bytes)
+            self.alloc_backoff(rt, g.alloc)
         } else {
-            self.alloc(alloc_bytes)
+            self.alloc(g.alloc)
         };
         let Some(bufs) = bufs else {
             return FetchStart::Backpressure;
         };
-        self.open_item(idx, slba, Open::Fetching(bufs));
+        self.open_item(idx, g.base, Open::Fetching(bufs));
         FetchStart::Started
     }
 
-    /// Open item `idx` (its range starts at block `slba`): one part to
-    /// fetch per loose chunk, none when the range was resident.
-    fn open_item(&mut self, idx: u32, slba: u64, open: Open) {
+    /// Open item `idx` (its buffers stand for the raw addresses from
+    /// `base`): one part to fetch per loose chunk, none when the range was
+    /// resident.
+    fn open_item(&mut self, idx: u32, base: u64, open: Open) {
         let (st, shared) = self.split();
         let parts = match &open {
             Open::Fetching(bufs) => bufs.len() as u32,
@@ -239,7 +240,7 @@ impl DlfsIo {
         };
         let item = &mut st.items[idx as usize];
         item.parts_left = parts;
-        item.base = slba * BLOCK_SIZE;
+        item.base = base;
         st.open.insert(idx, open);
         if parts == 0 {
             st.mark_resident(&shared.dir, idx);

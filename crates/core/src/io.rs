@@ -254,13 +254,31 @@ struct Cmd {
 }
 
 /// What one part reads: `nblocks` blocks from `slba` in its home node's
-/// coordinates (replica routing translates them), into cache chunk `buf`.
+/// coordinates (replica routing translates them), into cache chunk `buf` —
+/// under a codec, the stored extent of `frame`.
 #[derive(Clone)]
 struct PartIo {
     home: u16,
     slba: u64,
     nblocks: u32,
     buf: DmaBuf,
+    frame: Option<Frame>,
+}
+
+/// Where a fetch range is read from and what it lands in
+/// ([`DlfsIo::read_geometry`]).
+#[derive(Clone, Copy)]
+struct ReadGeometry {
+    /// Raw address the first fetched byte stands for: the offsets of the
+    /// range's samples count from it.
+    base: u64,
+    /// Device blocks read, in the home node's coordinates.
+    slba: u64,
+    nblocks: u32,
+    /// Cache bytes the range lands in.
+    alloc: u64,
+    /// The stored frame read, under a codec.
+    frame: Option<Frame>,
 }
 
 /// Blocks `(first, count)` of part `part` of a fetch of `nblocks` blocks
@@ -512,23 +530,32 @@ impl DlfsIo {
         Some(tables.frame(self.shared.cfg.chunk_size, nid, offset))
     }
 
-    /// Device-read geometry of the fetch range `(nid, offset, len)`:
-    /// `(slba, read blocks, alloc bytes)`. The historical path reads
-    /// exactly the covering blocks. Under a codec the range is one stored
-    /// frame: only its encoded prefix is read off the device (which can
-    /// exceed the covering blocks of a short fetch range when a padded
-    /// frame stored verbatim), but the allocation covers the frame's full
-    /// raw extent so it can be decoded in place after verification.
-    fn read_geometry(&self, nid: u16, offset: u64, len: u64) -> (u64, u32, u64) {
+    /// Device-read geometry of the fetch range `(nid, offset, len)`. The
+    /// historical path reads exactly the covering blocks. Under a codec the
+    /// range is one stored frame: only its stored extent is read off the
+    /// device, from where it sits (which can exceed the covering blocks of
+    /// a short fetch range when a padded frame stored verbatim), but the
+    /// allocation covers the frame's full raw extent so it can be decoded
+    /// in place after verification, and the buffer stands for the frame's
+    /// raw addresses.
+    fn read_geometry(&self, nid: u16, offset: u64, len: u64) -> ReadGeometry {
         match self.frame(nid, offset) {
-            Some(f) => (
-                f.start / BLOCK_SIZE,
-                f.enc_blocks,
-                (f.raw_len as u64).div_ceil(BLOCK_SIZE) * BLOCK_SIZE,
-            ),
+            Some(f) => ReadGeometry {
+                base: f.start,
+                slba: f.at / BLOCK_SIZE,
+                nblocks: f.enc_blocks,
+                alloc: (f.raw_len as u64).div_ceil(BLOCK_SIZE) * BLOCK_SIZE,
+                frame: Some(f),
+            },
             None => {
                 let (slba, nblocks, _) = covering_blocks(offset, len);
-                (slba, nblocks, nblocks as u64 * BLOCK_SIZE)
+                ReadGeometry {
+                    base: slba * BLOCK_SIZE,
+                    slba,
+                    nblocks,
+                    alloc: nblocks as u64 * BLOCK_SIZE,
+                    frame: None,
+                }
             }
         }
     }
@@ -545,16 +572,17 @@ impl DlfsIo {
 
     // ------------------------------------------------ the part lifecycle --
 
-    /// Part `part` of a fetch of `nblocks` blocks at `slba` homed on
-    /// `home`, landing in its chunk of `bufs`.
-    fn part_io(&self, home: u16, slba: u64, nblocks: u32, part: u32, bufs: &[DmaBuf]) -> PartIo {
+    /// Part `part` of the fetch `g` homed on `home`, landing in its chunk
+    /// of `bufs`.
+    fn part_io(&self, home: u16, g: &ReadGeometry, part: u32, bufs: &[DmaBuf]) -> PartIo {
         let per_part = (self.shared.cfg.chunk_size / BLOCK_SIZE) as u32;
-        let (slba, nblocks) = part_span(slba, nblocks, per_part, part);
+        let (slba, nblocks) = part_span(g.slba, g.nblocks, per_part, part);
         PartIo {
             home,
             slba,
             nblocks,
             buf: bufs[part as usize].clone(),
+            frame: g.frame,
         }
     }
 
@@ -982,6 +1010,7 @@ mod tests {
                     slba: 0,
                     nblocks: 1,
                     buf,
+                    frame: None,
                 };
                 let landed = io.judge(&part_io, status).0;
                 let got = io.settle_part(rt, p, &part_io, landed, 4242);

@@ -25,6 +25,15 @@
 //! the device. A 512 B superblock write is atomic at block granularity, so
 //! there is no window where the superblock itself is half-written.
 //!
+//! **Versions.** A coded import (a codec other than `Identity`) writes
+//! version 2: its frames' stored extents lie back to back from `data_base`
+//! ([`crate::codec`]), the superblock records the frame size
+//! (`chunk_size`), and the integrity table covers the stored blocks only.
+//! An uncoded import writes version 1, the same layout it always had — no
+//! frames, nothing to record — so its device image is byte-identical to
+//! earlier builds'. A version-1 superblock naming a codec holds frames at
+//! their raw chunk offsets, which this build cannot read, and is refused.
+//!
 //! **One planner, one loader.** [`Superblock::plan`] is the only place the
 //! regions are sized and placed (an integrity table after the metadata
 //! with `verify_reads`, a codec table before `data_base` with a codec,
@@ -45,7 +54,7 @@ use std::sync::Arc;
 use blocksim::{covering_blocks, NvmeTarget, BLOCK_SIZE};
 use simkit::rng::fnv1a;
 
-use crate::codec::{stored_len, stored_runs, CodecKind};
+use crate::codec::{stored_blocks, CodecKind, Frame, NodeFrames};
 use crate::config::DlfsConfig;
 use crate::entry::{SampleEntry, MAX_OFFSET};
 use crate::error::{DlfsError, LayoutError};
@@ -57,8 +66,9 @@ pub const SUPERBLOCK_MAGIC: u64 = 0x3159_414c_5346_4c44;
 /// Checkpoint record header magic ("DLFSCKP1").
 pub const CKPT_MAGIC: u64 = 0x3150_4b43_5346_4c44;
 
-/// On-device format version this build reads and writes.
-pub const LAYOUT_VERSION: u32 = 1;
+/// On-device format version of a coded import (module doc); an uncoded
+/// import is written, and read, as version 1.
+pub const LAYOUT_VERSION: u32 = 2;
 
 /// Serialized size of one sample metadata record: id (4) + unit1 (8) +
 /// unit2 (8) + payload checksum (8).
@@ -67,7 +77,10 @@ pub const META_RECORD_BYTES: u64 = 28;
 /// Checkpoint record header size (one block; the payload follows).
 pub const CKPT_HEADER_BYTES: u64 = BLOCK_SIZE;
 
+/// Where the superblock checksum sits (it covers every byte before it):
+/// version 2 puts `chunk_size` where version 1 put the checksum.
 const SB_CHECKSUM_AT: usize = 160;
+const SB_V2_CHECKSUM_AT: usize = 168;
 
 /// One sample's serialized directory entry plus a content checksum over
 /// its payload (verified by deep fsck and the roundtrip tests).
@@ -146,6 +159,9 @@ pub struct Superblock {
     /// Serialized per-frame encoded-length table (0 under `Identity`);
     /// the table region sits at [`Superblock::codec_base`].
     pub codec_table_bytes: u64,
+    /// Frame size of a coded import (version 2); 0 on an uncoded one,
+    /// whose layout does not depend on it.
+    pub chunk_size: u64,
 }
 
 fn put_u32(b: &mut [u8], at: usize, v: u32) {
@@ -156,12 +172,13 @@ fn put_u64(b: &mut [u8], at: usize, v: u64) {
     b[at..at + 8].copy_from_slice(&v.to_le_bytes());
 }
 
-fn get_u32(b: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(b[at..at + 4].try_into().expect("u32 slice"))
+/// The little-endian word at `at` of `b`; `None` past its end.
+fn get_u32(b: &[u8], at: usize) -> Option<u32> {
+    Some(u32::from_le_bytes(b.get(at..at + 4)?.try_into().ok()?))
 }
 
-fn get_u64(b: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(b[at..at + 8].try_into().expect("u64 slice"))
+fn get_u64(b: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_le_bytes(b.get(at..at + 8)?.try_into().ok()?))
 }
 
 impl Superblock {
@@ -174,7 +191,9 @@ impl Superblock {
     /// data region is split into `replicas` slots; slot 0 is this node's
     /// own data, slot `r` mirrors the node `r` places counter-clockwise),
     /// with `verify_reads` a table of one FNV-1a word per 512 B data block
-    /// after the metadata region, and with a codec a block-aligned
+    /// after the metadata region (sized for the raw data; a coded import
+    /// fills only the words of its stored blocks and records that length
+    /// at commit), and with a codec a block-aligned
     /// per-frame encoded-length table (one `u32` per chunk frame plus a
     /// trailing checksum word) before `data_base`. Regions a feature does
     /// not need take no space. Generation and metadata checksum are
@@ -261,16 +280,22 @@ impl Superblock {
             integrity_bytes,
             codec: cfg.codec,
             codec_table_bytes,
+            chunk_size: if codec_table_bytes > 0 { chunk_size } else { 0 },
         })
     }
 
     /// First byte of the codec table region: the block-aligned slot just
-    /// after the integrity table (or the metadata region when no
-    /// integrity table was planned). Meaningless when
+    /// after the integrity table's region — planned for the raw data,
+    /// whatever length of it a coded import filled — or after the metadata
+    /// region when no integrity table was planned. Meaningless when
     /// `codec_table_bytes == 0`.
     pub fn codec_base(&self) -> u64 {
         let meta_capacity = self.meta_bytes.next_multiple_of(BLOCK_SIZE);
-        let integrity_capacity = self.integrity_bytes.next_multiple_of(BLOCK_SIZE);
+        let integrity_capacity = if self.integrity_base > 0 {
+            integrity_table_bytes(self.data_bytes).next_multiple_of(BLOCK_SIZE)
+        } else {
+            0
+        };
         self.meta_base + meta_capacity + integrity_capacity
     }
 
@@ -278,8 +303,9 @@ impl Superblock {
     /// stays zero — the phase-A ("import in progress") form.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = vec![0u8; BLOCK_SIZE as usize];
+        let coded = self.codec != CodecKind::Identity;
         put_u64(&mut b, 0, SUPERBLOCK_MAGIC);
-        put_u32(&mut b, 8, LAYOUT_VERSION);
+        put_u32(&mut b, 8, if coded { LAYOUT_VERSION } else { 1 });
         put_u32(&mut b, 12, self.node_id as u32);
         put_u32(&mut b, 16, self.storage_nodes);
         put_u32(&mut b, 20, self.codec.to_u32());
@@ -305,8 +331,13 @@ impl Superblock {
         put_u64(&mut b, 136, self.replica_slot_bytes);
         put_u64(&mut b, 144, self.integrity_base);
         put_u64(&mut b, 152, self.integrity_bytes);
-        let crc = fnv1a(&b[..SB_CHECKSUM_AT]);
-        put_u64(&mut b, SB_CHECKSUM_AT, crc);
+        let mut crc_at = SB_CHECKSUM_AT;
+        if coded {
+            put_u64(&mut b, 160, self.chunk_size);
+            crc_at = SB_V2_CHECKSUM_AT;
+        }
+        let crc = fnv1a(&b[..crc_at]);
+        put_u64(&mut b, crc_at, crc);
         b
     }
 
@@ -316,57 +347,76 @@ impl Superblock {
     /// `committed == false`; callers that need a servable device must
     /// check [`Superblock::committed`].
     pub fn decode(node: u16, b: &[u8]) -> Result<Superblock, LayoutError> {
-        if b.len() < BLOCK_SIZE as usize || get_u64(b, 0) != SUPERBLOCK_MAGIC {
+        // Past the length check every word is in the block.
+        let word = |at| get_u64(b, at).ok_or(LayoutError::BadMagic { node });
+        let half = |at| get_u32(b, at).ok_or(LayoutError::BadMagic { node });
+        if b.len() < BLOCK_SIZE as usize || word(0)? != SUPERBLOCK_MAGIC {
             return Err(LayoutError::BadMagic { node });
         }
-        let version = get_u32(b, 8);
-        if version != LAYOUT_VERSION {
-            return Err(LayoutError::Version {
-                node,
-                found: version,
-            });
-        }
-        if fnv1a(&b[..SB_CHECKSUM_AT]) != get_u64(b, SB_CHECKSUM_AT) {
+        let version = half(8)?;
+        let crc_at = match version {
+            1 => SB_CHECKSUM_AT,
+            LAYOUT_VERSION => SB_V2_CHECKSUM_AT,
+            found => return Err(LayoutError::Version { node, found }),
+        };
+        if fnv1a(&b[..crc_at]) != word(crc_at)? {
             return Err(LayoutError::ChecksumMismatch {
                 node,
                 region: "superblock",
             });
         }
-        let stored_node = get_u32(b, 12) as u16;
+        let stored_node = half(12)? as u16;
         if stored_node != node {
             return Err(LayoutError::Inconsistent(format!(
                 "device claims node {stored_node}, deployment mounts it as node {node}"
             )));
         }
-        let generation = get_u64(b, 24);
-        let codec_wire = get_u32(b, 20);
+        let generation = word(24)?;
+        let codec_wire = half(20)?;
         let Some(codec) = CodecKind::from_u32(codec_wire) else {
             return Err(LayoutError::Inconsistent(format!(
                 "node {node}: unknown codec {codec_wire} (newer format?)"
             )));
         };
+        let chunk_size = match version {
+            // Version 1 stored a coded import's frames at their raw chunk
+            // offsets, a layout this build no longer reads.
+            1 if codec != CodecKind::Identity => {
+                return Err(LayoutError::Version { node, found: 1 })
+            }
+            1 => 0,
+            _ => word(160)?,
+        };
+        if codec != CodecKind::Identity
+            && (chunk_size == 0 || !chunk_size.is_multiple_of(BLOCK_SIZE))
+        {
+            return Err(LayoutError::Inconsistent(format!(
+                "node {node}: {codec} frames of {chunk_size} B are not whole blocks"
+            )));
+        }
         Ok(Superblock {
             node_id: stored_node,
-            storage_nodes: get_u32(b, 16),
+            storage_nodes: half(16)?,
             generation,
-            committed: get_u64(b, 120) == generation && generation > 0,
-            node_samples: get_u64(b, 32),
-            total_samples: get_u64(b, 40),
-            meta_base: get_u64(b, 48),
-            meta_bytes: get_u64(b, 56),
-            meta_checksum: get_u64(b, 64),
-            data_base: get_u64(b, 72),
-            data_bytes: get_u64(b, 80),
-            data_capacity: get_u64(b, 88),
-            ckpt_base: get_u64(b, 96),
-            ckpt_capacity: get_u64(b, 104),
-            dataset_stamp: get_u64(b, 112),
-            replicas: get_u32(b, 128).max(1),
-            replica_slot_bytes: get_u64(b, 136),
-            integrity_base: get_u64(b, 144),
-            integrity_bytes: get_u64(b, 152),
+            committed: word(120)? == generation && generation > 0,
+            node_samples: word(32)?,
+            total_samples: word(40)?,
+            meta_base: word(48)?,
+            meta_bytes: word(56)?,
+            meta_checksum: word(64)?,
+            data_base: word(72)?,
+            data_bytes: word(80)?,
+            data_capacity: word(88)?,
+            ckpt_base: word(96)?,
+            ckpt_capacity: word(104)?,
+            dataset_stamp: word(112)?,
+            replicas: half(128)?.max(1),
+            replica_slot_bytes: word(136)?,
+            integrity_base: word(144)?,
+            integrity_bytes: word(152)?,
             codec,
-            codec_table_bytes: get_u32(b, 132) as u64,
+            codec_table_bytes: half(132)? as u64,
+            chunk_size,
         })
     }
 }
@@ -412,18 +462,19 @@ pub fn decode_meta(node: u16, bytes: &[u8]) -> Result<Vec<MetaRecord>, LayoutErr
             bytes.len()
         )));
     }
-    Ok(bytes
-        .chunks_exact(META_RECORD_BYTES as usize)
-        .map(|c| MetaRecord {
-            id: get_u32(c, 0),
-            unit1: get_u64(c, 4),
-            unit2: get_u64(c, 12),
-            payload_checksum: get_u64(c, 20),
+    let record = |c: &[u8]| {
+        Some(MetaRecord {
+            id: get_u32(c, 0)?,
+            unit1: get_u64(c, 4)?,
+            unit2: get_u64(c, 12)?,
+            payload_checksum: get_u64(c, 20)?,
         })
-        .collect())
+    };
+    let records = bytes.chunks_exact(META_RECORD_BYTES as usize).map(record);
+    Ok(records.flatten().collect())
 }
 
-/// Accumulates payload bytes in on-device order and produces one FNV-1a
+/// Accumulates stored bytes in on-device order and produces one FNV-1a
 /// checksum per 512 B data block. The final partial block is hashed as if
 /// zero-padded to a full block, which matches what a read of that block
 /// returns from the zero-initialized device — so the table can be built
@@ -499,12 +550,19 @@ pub fn encode_integrity(sums: &[u64]) -> Vec<u8> {
     out
 }
 
-/// Parse an integrity region previously produced by [`encode_integrity`].
-pub fn decode_integrity(bytes: &[u8]) -> Vec<u64> {
-    bytes
+/// Parse an integrity region previously produced by [`encode_integrity`];
+/// a length that is not a whole number of words is a typed error.
+pub fn decode_integrity(node: u16, bytes: &[u8]) -> Result<Vec<u64>, LayoutError> {
+    if !bytes.len().is_multiple_of(8) {
+        return Err(LayoutError::Inconsistent(format!(
+            "node {node}: integrity table length {} is not a table",
+            bytes.len()
+        )));
+    }
+    Ok(bytes
         .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("u64 slice")))
-        .collect()
+        .filter_map(|c| get_u64(c, 0))
+        .collect())
 }
 
 /// Serialize one node's per-frame encoded-length table: one `u32` per
@@ -531,7 +589,7 @@ pub fn decode_codec_table(node: u16, bytes: &[u8]) -> Result<Vec<u32>, LayoutErr
         )));
     }
     let body = bytes.len() - 8;
-    if fnv1a(&bytes[..body]) != get_u64(bytes, body) {
+    if get_u64(bytes, body) != Some(fnv1a(&bytes[..body])) {
         return Err(LayoutError::ChecksumMismatch {
             node,
             region: "codec table",
@@ -539,7 +597,7 @@ pub fn decode_codec_table(node: u16, bytes: &[u8]) -> Result<Vec<u32>, LayoutErr
     }
     Ok(bytes[..body]
         .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("u32 slice")))
+        .filter_map(|c| get_u32(c, 0))
         .collect())
 }
 
@@ -570,17 +628,17 @@ impl CkptHeader {
 
     /// `None` means "not a record": end of the stream.
     pub fn decode(b: &[u8]) -> Option<CkptHeader> {
-        if b.len() < BLOCK_SIZE as usize || get_u64(b, 0) != CKPT_MAGIC {
+        if b.len() < BLOCK_SIZE as usize || get_u64(b, 0)? != CKPT_MAGIC {
             return None;
         }
-        if fnv1a(&b[..40]) != get_u64(b, 40) {
+        if fnv1a(&b[..40]) != get_u64(b, 40)? {
             return None;
         }
         Some(CkptHeader {
-            generation: get_u64(b, 8),
-            seq: get_u64(b, 16),
-            payload_len: get_u64(b, 24),
-            payload_checksum: get_u64(b, 32),
+            generation: get_u64(b, 8)?,
+            seq: get_u64(b, 16)?,
+            payload_len: get_u64(b, 24)?,
+            payload_checksum: get_u64(b, 32)?,
         })
     }
 
@@ -635,22 +693,27 @@ pub(crate) fn read_untimed(target: &Arc<dyn NvmeTarget>, offset: u64, len: usize
     raw[head..head + len].to_vec()
 }
 
-/// Untimed read of the *logical* bytes `[offset, offset + len)` — a range
-/// inside one frame's slot, as a sample is — of a data region at `base`
-/// whose stored runs ([`Redundancy::runs`]) are `runs`: what the device
-/// holds of it, then zeros for the part in the frame's hole, which nothing
-/// ever wrote — whatever a device holds there is not data. This is what
-/// the import hashed into the integrity table and the metadata records.
+/// Untimed read of the *logical* bytes `[offset, offset + len)` — raw
+/// addresses, a range inside one frame, as a sample is. Without a codec
+/// (`frame` is `None`) they are the device bytes there. In a coded frame
+/// they are the device bytes of the frame's stored extent at the same
+/// distance from its start, then zeros for the part of the range past the
+/// extent. This is what the import hashed into the metadata records.
 pub(crate) fn read_logical(
     target: &Arc<dyn NvmeTarget>,
-    base: u64,
-    runs: &[(u64, u64)],
+    frame: Option<Frame>,
     offset: u64,
-    len: usize,
+    len: u64,
 ) -> Vec<u8> {
-    let stored = stored_len(runs, offset - base, len as u64) as usize;
-    let mut out = read_untimed(target, offset, stored);
-    out.resize(len, 0);
+    let Some(f) = frame else {
+        return read_untimed(target, offset, len as usize);
+    };
+    let rel = offset - f.start;
+    let stored = (f.enc_blocks as u64 * BLOCK_SIZE)
+        .saturating_sub(rel)
+        .min(len);
+    let mut out = read_untimed(target, f.at + rel, stored as usize);
+    out.resize(len as usize, 0);
     out
 }
 
@@ -667,6 +730,18 @@ pub struct NodeMeta {
     pub sums: Vec<u64>,
     /// The per-frame encoded-length table; empty under `Identity`.
     pub lens: Vec<u32>,
+}
+
+impl NodeMeta {
+    /// The stored frame holding a raw address of the node; `None` for
+    /// every address under `Identity`.
+    fn frame_at(&self) -> impl Fn(u64) -> Option<Frame> {
+        let sb = &self.sb;
+        let (kind, chunk) = (sb.codec, sb.chunk_size);
+        let frames = (kind != CodecKind::Identity)
+            .then(|| NodeFrames::new(sb.data_base, sb.data_bytes, chunk, self.lens.clone()));
+        move |offset| frames.as_ref().map(|f| f.frame(kind, chunk, offset))
+    }
 }
 
 /// The one reader of a device's metadata: superblock (decoded, committed),
@@ -689,9 +764,11 @@ pub fn load_node(
         }
         .into());
     }
-    if sb.integrity_bytes > 0 && sb.integrity_bytes != integrity_table_bytes(sb.data_bytes) {
+    // The table's region was planned for the raw data; what it holds is
+    // checked against the stored blocks once the codec table is in.
+    if sb.integrity_bytes > integrity_table_bytes(sb.data_bytes) {
         return Err(LayoutError::Inconsistent(format!(
-            "node {node}: integrity table of {} B does not cover {} B of data",
+            "node {node}: integrity table of {} B overruns its region for {} B of data",
             sb.integrity_bytes, sb.data_bytes
         ))
         .into());
@@ -706,7 +783,7 @@ pub fn load_node(
     }
     let records = decode_meta(node, &meta)?;
     let sums = if want_sums && sb.integrity_bytes > 0 {
-        decode_integrity(&read(sb.integrity_base, sb.integrity_bytes as usize)?)
+        decode_integrity(node, &read(sb.integrity_base, sb.integrity_bytes as usize)?)?
     } else {
         Vec::new()
     };
@@ -717,6 +794,24 @@ pub fn load_node(
     } else {
         Vec::new()
     };
+    let frames = sb.data_bytes.div_ceil(sb.chunk_size.max(1));
+    if sb.codec != CodecKind::Identity && lens.len() as u64 != frames {
+        return Err(LayoutError::Inconsistent(format!(
+            "node {node}: codec table holds {} frames, {} B of data in {} B frames are {frames}",
+            lens.len(),
+            sb.data_bytes,
+            sb.chunk_size
+        ))
+        .into());
+    }
+    let stored = stored_blocks(sb.data_bytes, sb.codec, sb.chunk_size, &lens);
+    if sb.integrity_bytes > 0 && sb.integrity_bytes != integrity_table_bytes(stored * BLOCK_SIZE) {
+        return Err(LayoutError::Inconsistent(format!(
+            "node {node}: integrity table of {} B does not cover {stored} stored blocks",
+            sb.integrity_bytes
+        ))
+        .into());
+    }
     Ok(NodeMeta {
         sb,
         records,
@@ -755,18 +850,10 @@ pub struct FsckNodeReport {
 }
 
 /// Walk one device's metadata (untimed; a debug tool, not a data path).
-/// `deep` additionally re-reads every sample's logical bytes (a coded
-/// import's holes read as zeros, DESIGN.md §16) and verifies its stored
-/// checksum. `chunk_size` is the import's frame size — the importing
-/// configuration's `chunk_size`, which the layout does not record and
-/// `remount` takes on trust as well — used only for that and only on a
-/// coded device.
-pub fn fsck_node(
-    target: &Arc<dyn NvmeTarget>,
-    node: u16,
-    deep: bool,
-    chunk_size: u64,
-) -> FsckNodeReport {
+/// `deep` additionally re-reads every sample's logical bytes
+/// ([`read_logical`]; a coded device's frame size and codec come from its
+/// superblock) and verifies its stored checksum.
+pub fn fsck_node(target: &Arc<dyn NvmeTarget>, node: u16, deep: bool) -> FsckNodeReport {
     let mut report = FsckNodeReport {
         node,
         state: FsckState::Unformatted(LayoutError::BadMagic { node }),
@@ -812,11 +899,11 @@ pub fn fsck_node(
     };
     report.entries = meta.records.len() as u64;
     if deep {
-        let runs = stored_runs(sb.data_bytes, sb.codec, chunk_size, &meta.lens);
+        let frame_at = meta.frame_at();
         let ok = meta.records.iter().all(|r| {
             let e = SampleEntry::from_raw(r.unit1, r.unit2);
-            let data = read_logical(target, sb.data_base, &runs, e.offset(), e.len() as usize);
-            fnv1a(&data) == r.payload_checksum
+            let frame = frame_at(e.offset());
+            fnv1a(&read_logical(target, frame, e.offset(), e.len())) == r.payload_checksum
         });
         report.data_checksum_ok = Some(ok);
         if !ok {
@@ -857,15 +944,14 @@ pub struct FsckRepairReport {
 /// checksum from the metadata region. Rewrites go through `dma_write` at
 /// covering-block granularity, which also clears sticky-extent and
 /// bit-flip marks on the healed range. `targets` is the full target row
-/// indexed by storage node, `chunk_size` the import's frame size as for
-/// [`fsck_node`]: of a sample's covering blocks only the stored prefix is
-/// judged, fetched from a replica and rewritten — the rest lies in its
-/// frame's hole and reads as zeros. Untimed — a repair tool, not a data
-/// path.
+/// indexed by storage node. On a coded device (frame size and codec from
+/// its superblock) a sample's blocks are those of its range in its frame's
+/// stored extent, and only the part of them inside that extent is judged,
+/// fetched from a replica and rewritten — the rest of the range reads as
+/// zeros. Untimed — a repair tool, not a data path.
 pub fn fsck_repair(
     targets: &[Arc<dyn NvmeTarget>],
     node: u16,
-    chunk_size: u64,
 ) -> Result<FsckRepairReport, DlfsError> {
     let load = |n: u16, want_sums| {
         let read = |off, len| Ok(read_untimed(&targets[n as usize], off, len));
@@ -874,9 +960,9 @@ pub fn fsck_repair(
     // The per-block table rides along when the import carried one: it lets
     // a replica's blocks be verified in full before they overwrite home
     // blocks (not just the one sample's byte range).
-    let meta = load(node, true)?;
-    let runs = stored_runs(meta.sb.data_bytes, meta.sb.codec, chunk_size, &meta.lens);
-    let (sb, records, sums) = (meta.sb, meta.records, meta.sums);
+    let mut meta = load(node, true)?;
+    let (frame_at, sums) = (meta.frame_at(), std::mem::take(&mut meta.sums));
+    let (sb, records) = (&meta.sb, &meta.records);
     let nodes = targets.len();
     if sb.storage_nodes as usize != nodes {
         return Err(LayoutError::Inconsistent(format!(
@@ -910,13 +996,21 @@ pub fn fsck_repair(
         }
     }
     let mut report = FsckRepairReport::default();
-    for r in &records {
+    for r in records {
         let e = SampleEntry::from_raw(r.unit1, r.unit2);
-        let (slba, nblocks, head) = covering_blocks(e.offset(), e.len());
+        // Where the sample's bytes sit, and where its frame's extent ends.
+        let (at, end) = match frame_at(e.offset()) {
+            Some(f) => (
+                f.at + e.offset() - f.start,
+                f.at + f.enc_blocks as u64 * BLOCK_SIZE,
+            ),
+            None => (e.offset(), u64::MAX),
+        };
+        let (slba, nblocks, head) = covering_blocks(at, e.len());
         let mut buf = vec![0u8; nblocks as usize * BLOCK_SIZE as usize];
         // Only this much of `buf` is on any device; the tail keeps the
-        // zeros its hole stands for.
-        let stored = stored_len(&runs, slba * BLOCK_SIZE - sb.data_base, buf.len() as u64) as usize;
+        // zeros the logical frame holds there.
+        let stored = end.saturating_sub(slba * BLOCK_SIZE).min(buf.len() as u64) as usize;
         if stored == 0 {
             continue;
         }
@@ -1155,15 +1249,41 @@ mod tests {
         committed.committed = true;
         let back = Superblock::decode(3, &committed.encode()).unwrap();
         assert_eq!(back, committed);
-        assert_eq!(back.codec, CodecKind::Lz);
+        assert_eq!((back.codec, back.chunk_size), (CodecKind::Lz, 256 << 10));
+        // A coded import is version 2; an uncoded one keeps version 1.
+        assert_eq!(get_u32(&committed.encode(), 8), Some(LAYOUT_VERSION));
+        assert_eq!(get_u32(&sample_sb().encode(), 8), Some(1));
         // Unknown codec values are rejected, not misread as identity.
-        let mut b = committed.encode();
-        put_u32(&mut b, 20, 99);
-        let crc = fnv1a(&b[..SB_CHECKSUM_AT]);
-        put_u64(&mut b, SB_CHECKSUM_AT, crc);
+        let resealed = |at: usize, v: u32, version: u32| {
+            let mut b = committed.encode();
+            put_u32(&mut b, at, v);
+            let crc_at = if version == 1 {
+                SB_CHECKSUM_AT
+            } else {
+                SB_V2_CHECKSUM_AT
+            };
+            put_u32(&mut b, 8, version);
+            let crc = fnv1a(&b[..crc_at]);
+            put_u64(&mut b, crc_at, crc);
+            b
+        };
         assert!(matches!(
-            Superblock::decode(3, &b),
+            Superblock::decode(3, &resealed(20, 99, 2)),
             Err(LayoutError::Inconsistent(_))
+        ));
+        // A version-1 superblock naming a codec: frames at raw offsets.
+        assert_eq!(
+            Superblock::decode(3, &resealed(20, CodecKind::Lz.to_u32(), 1)),
+            Err(LayoutError::Version { node: 3, found: 1 })
+        );
+        assert_eq!(
+            Superblock::decode(3, &resealed(20, CodecKind::Lz.to_u32(), 7)),
+            Err(LayoutError::Version { node: 3, found: 7 })
+        );
+        // A frame size that is not whole blocks.
+        assert!(matches!(
+            Superblock::decode(3, &resealed(160, 1000, 2)),
+            Err(LayoutError::Inconsistent(m)) if m.contains("1000 B")
         ));
     }
 
@@ -1209,7 +1329,11 @@ mod tests {
         padded.resize(BLOCK_SIZE as usize, 0);
         assert_eq!(sums[2], fnv1a(&padded));
         let enc = encode_integrity(&sums);
-        assert_eq!(decode_integrity(&enc), sums);
+        assert_eq!(decode_integrity(0, &enc), Ok(sums));
+        assert!(matches!(
+            decode_integrity(2, &enc[..13]),
+            Err(LayoutError::Inconsistent(m)) if m.contains("node 2")
+        ));
     }
 
     use blocksim::{DeviceConfig, FaultInjector, NvmeDevice};
@@ -1245,7 +1369,7 @@ mod tests {
     #[test]
     fn fsck_repair_heals_corruption_from_replica() {
         let (devices, targets, sb) = imported(2, true);
-        let clean = fsck_node(&targets[0], 0, true, 4096);
+        let clean = fsck_node(&targets[0], 0, true);
         assert!(matches!(clean.state, FsckState::Clean { .. }), "{clean:?}");
         assert_eq!(clean.data_checksum_ok, Some(true));
         let staged = read_untimed(&targets[0], sb.data_base, sb.data_bytes as usize);
@@ -1259,13 +1383,13 @@ mod tests {
                 .with_bit_flips(base, 1)
                 .with_bad_extent(base + (3 * SLEN) / BLOCK_SIZE + 1, 1),
         );
-        let report = fsck_repair(&targets, 0, 4096).expect("repair");
+        let report = fsck_repair(&targets, 0).expect("repair");
         assert_eq!(
             (report.detected, report.repaired, report.unrepairable),
             (2, 2, 0)
         );
         // Healed: deep fsck is clean, persistent marks gone, bytes match.
-        let after = fsck_node(&targets[0], 0, true, 4096);
+        let after = fsck_node(&targets[0], 0, true);
         assert_eq!(after.data_checksum_ok, Some(true));
         assert!(!targets[0].probe_extent(base, sb.data_bytes.div_ceil(BLOCK_SIZE) as u32));
         assert_eq!(
@@ -1273,7 +1397,7 @@ mod tests {
             staged
         );
         // Idempotent: a second pass finds nothing.
-        let again = fsck_repair(&targets, 0, 4096).expect("repair");
+        let again = fsck_repair(&targets, 0).expect("repair");
         assert_eq!(again, FsckRepairReport::default());
     }
 
@@ -1281,7 +1405,7 @@ mod tests {
     fn fsck_repair_without_replicas_reports_unrepairable() {
         let (devices, targets, sb) = imported(1, false);
         devices[0].set_faults(FaultInjector::new(3).with_bit_flips(sb.data_base / BLOCK_SIZE, 1));
-        let report = fsck_repair(&targets, 0, 4096).expect("repair");
+        let report = fsck_repair(&targets, 0).expect("repair");
         assert_eq!(
             (report.detected, report.repaired, report.unrepairable),
             (1, 0, 1)

@@ -64,7 +64,7 @@ use simkit::runtime::{JoinHandle, Runtime};
 use simkit::telemetry::Registry;
 use simkit::time::{Dur, Time};
 
-use crate::codec::{stored_runs, CodecKind, CodecTables, FrameStager, NodeFrames, StoredFrame};
+use crate::codec::{stored_blocks, CodecKind, CodecTables, FrameStager, NodeFrames, StoredFrame};
 use crate::config::DlfsConfig;
 use crate::directory::{node_for_name, tree_wire_bytes, DirectoryBuilder, SampleDirectory};
 use crate::entry::SampleEntry;
@@ -510,14 +510,14 @@ struct Landing {
 impl UploadTask {
     /// Land one staged extent of node `my_nodes[pos]` — a raw sample (a
     /// frame stored in full), or a whole encoded frame under a codec
-    /// ([`FrameStager`]): write its stored extent, feed the
-    /// node's rolling integrity hasher its logical bytes, mirror the stored
-    /// extent to the k−1 replica slots on peer nodes, and queue its
-    /// metadata records. Extents arrive per node in packed offset order, so
-    /// the hasher sees the logical data region as one stream; a frame's
-    /// hole is hashed as the zeros it stands for and reaches no device,
-    /// home or replica. Every stored extent is cut from its frame's start,
-    /// so a run a writer has to open for it starts block-aligned.
+    /// ([`FrameStager`]): write its stored extent at its device address,
+    /// feed the node's rolling integrity hasher the same bytes, mirror them
+    /// to the k−1 replica slots on peer nodes, and queue its metadata
+    /// records. Extents arrive per node in device order and each starts
+    /// where the previous one ended — a coded node's frames lie back to
+    /// back — so every writer sees one contiguous run, merges it into
+    /// chunk-sized commands, and the hasher sees the stored region as one
+    /// stream.
     fn land(
         &self,
         rt: &Runtime,
@@ -525,13 +525,13 @@ impl UploadTask {
         pos: usize,
         f: StoredFrame,
     ) -> Result<(), DlfsError> {
-        let (offset, bytes) = (f.offset, &f.stored[..f.extent]);
-        l.writers[pos].write(rt, offset, bytes)?;
+        let bytes = &f.stored[..f.extent];
+        l.writers[pos].write(rt, f.at, bytes)?;
         if self.cfg.verify_reads {
-            l.checks[pos].update(&f.stored);
+            l.checks[pos].update(bytes);
         }
         let home = self.my_nodes[pos];
-        let rel = offset - self.geometry[home].data_base;
+        let rel = f.at - self.geometry[home].data_base;
         for r in 1..self.cfg.replicas as u32 {
             let peer = (home + r as usize) % self.geometry.len();
             let g = self.geometry[peer];
@@ -549,7 +549,7 @@ impl UploadTask {
         if self.drafts.is_some() {
             // Checksummed over its logical bytes: what a checker reads back.
             let record = |&(id, e): &(u32, SampleEntry)| {
-                let at = (e.offset() - offset) as usize;
+                let at = (e.offset() - f.offset) as usize;
                 MetaRecord::new(id, e, &f.stored[at..at + e.len() as usize])
             };
             l.records[pos].extend(f.samples.iter().map(record));
@@ -631,6 +631,7 @@ impl UploadTask {
             } else {
                 Ok(Some(StoredFrame {
                     offset: item.entry.offset(),
+                    at: item.entry.offset(),
                     extent: item.bytes.len(),
                     // Only a persistent import records its samples.
                     samples: (self.drafts.iter().map(|_| (item.id, item.entry))).collect(),
@@ -672,8 +673,10 @@ impl UploadTask {
         if let Some(drafts) = self.drafts.as_mut() {
             for (pos, (sb, w)) in drafts.iter_mut().zip(&mut l.writers).enumerate() {
                 if sb.integrity_bytes > 0 {
+                    // Planned for the raw data; a coded node's stored blocks
+                    // fill less of the region.
                     let enc = encode_integrity(&sums[pos]);
-                    debug_assert_eq!(enc.len() as u64, sb.integrity_bytes);
+                    sb.integrity_bytes = enc.len() as u64;
                     if !enc.is_empty() {
                         w.write(rt, sb.integrity_base, &enc)?;
                     }
@@ -1015,9 +1018,10 @@ impl Bringup {
         let cfg = self.cfg;
         let slot = |s: &NodeState| (s.geometry.data_base, s.geometry.slot_bytes);
         let slots = nodes.iter().map(slot).collect();
-        let runs =
-            |s: &NodeState| stored_runs(s.geometry.data_bytes, cfg.codec, cfg.chunk_size, &s.lens);
-        let runs = nodes.iter().map(runs).collect();
+        let stored = |s: &NodeState| {
+            stored_blocks(s.geometry.data_bytes, cfg.codec, cfg.chunk_size, &s.lens)
+        };
+        let stored = nodes.iter().map(stored).collect();
         let sums = if cfg.verify_reads {
             let table = |s: &mut NodeState| Arc::new(std::mem::take(&mut s.sums));
             nodes.iter_mut().map(table).collect()
@@ -1029,15 +1033,14 @@ impl Bringup {
                 kind: cfg.codec,
                 per_node: nodes
                     .iter_mut()
-                    .map(|s| NodeFrames {
-                        base: s.geometry.data_base,
-                        data_len: s.geometry.data_bytes,
-                        lens: std::mem::take(&mut s.lens),
+                    .map(|s| {
+                        let (g, lens) = (s.geometry, std::mem::take(&mut s.lens));
+                        NodeFrames::new(g.data_base, g.data_bytes, cfg.chunk_size, lens)
                     })
                     .collect(),
             })
         });
-        let red = Redundancy::with_geometry(replicas, slots, runs, sums);
+        let red = Redundancy::with_geometry(replicas, slots, stored, sums);
         let redundancy = Arc::new(match cfg.fail_dead_after {
             Some(dead_after) => red.with_membership(dead_after),
             None => red,
@@ -1126,6 +1129,24 @@ impl Bringup {
         let bad = |msg: String| Err(LayoutError::Inconsistent(msg).into());
         let first = &nodes[0].sb;
         let (total, replicas, codec) = (first.total_samples, first.replicas, first.codec);
+        // The codec and a coded import's frame size are the devices' to
+        // say: reading with another would serve garbage, so a config that
+        // disagrees is refused (re-import, or set it to what the devices
+        // hold). An uncoded layout records no frame size and needs none.
+        let recorded = first.chunk_size;
+        if cfg.codec != codec {
+            return Err(DlfsError::Config(format!(
+                "config asks for codec {}, devices were imported with codec {codec}",
+                cfg.codec
+            )));
+        }
+        if recorded != 0 && cfg.chunk_size != recorded {
+            return Err(DlfsError::Config(format!(
+                "config asks for chunk_size {} B, devices were imported with {recorded} B \
+                 {codec} frames",
+                cfg.chunk_size
+            )));
+        }
         let mut sum = 0u64;
         for (n, NodeMeta { sb, records, .. }) in nodes.iter().enumerate() {
             if sb.storage_nodes != storage_nodes as u32 {
@@ -1137,7 +1158,7 @@ impl Bringup {
             if sb.total_samples != total
                 || sb.dataset_stamp != first.dataset_stamp
                 || sb.replicas != replicas
-                || sb.codec != codec
+                || (sb.codec, sb.chunk_size) != (codec, recorded)
             {
                 return bad(format!(
                     "node {n} belongs to a different import than node 0"
@@ -1162,15 +1183,6 @@ impl Bringup {
             return bad(format!(
                 "config asks for {} replicas, devices were imported with {replicas}",
                 cfg.replicas
-            ));
-        }
-        // The on-device codec wins only if the config agrees: decoding with
-        // the wrong codec would serve garbage, so mismatches are typed
-        // errors (re-import, or set `cfg.codec` to what the devices hold).
-        if cfg.codec != codec {
-            return bad(format!(
-                "config asks for codec {}, devices were imported with {codec}",
-                cfg.codec
             ));
         }
         if sum != total || total > u32::MAX as u64 {

@@ -200,11 +200,11 @@ impl DlfsIo {
             match &carry {
                 Some(c) if c.0 == *idx => slot.2 = c.2,
                 _ => {
-                    let (slba, nblocks, _) = self.read_geometry(it.nid, it.offset, it.len);
+                    let g = self.read_geometry(it.nid, it.offset, it.len);
                     slot.0.push(OffloadExtent {
-                        slba,
-                        nblocks,
-                        compute: self.check_cost(it.nid, slba, nblocks, true),
+                        slba: g.slba,
+                        nblocks: g.nblocks,
+                        compute: self.check_cost(g.nblocks, g.frame, true),
                     });
                 }
             }
@@ -274,8 +274,9 @@ impl DlfsIo {
     /// already charged by `reserve_offload` (extent reads + target-side
     /// verify/decode).
     fn offload_item_bytes(&self, it: &FetchItem) -> Result<(Vec<u8>, u64), DlfsError> {
-        let (nid, frame) = (it.nid, self.frame(it.nid, it.offset));
-        let (slba, nblocks, _) = self.read_geometry(nid, it.offset, it.len);
+        let nid = it.nid;
+        let g = self.read_geometry(nid, it.offset, it.len);
+        let (slba, nblocks) = (g.slba, g.nblocks);
         let (red, targets) = (&self.shared.redundancy, &self.shared.targets);
         let mut data = vec![0u8; nblocks as usize * BLOCK_SIZE as usize];
         let copies = 0..red.replicas;
@@ -295,16 +296,14 @@ impl DlfsIo {
                 Some(Reject::Mismatch) => CorruptCause::Checksum,
                 _ => CorruptCause::Io(IoFailure::Media),
             };
-            let chunk = slba * BLOCK_SIZE;
-            let e = DlfsError::exhausted(nid, chunk, tried, mismatches > 0, last);
+            let e = DlfsError::exhausted(nid, g.base, tried, mismatches > 0, last);
             return Err(e);
         }
         if tried > 0 {
             red.rewrite(targets, nid, 0, slba, &data);
             self.tel.iv_repairs.inc();
         }
-        let base = frame.map_or(slba * BLOCK_SIZE, |f| f.start);
-        let raw = frame.and_then(|f| self.decode_counted(&f, &data));
-        Ok((raw.unwrap_or(data), base))
+        let raw = g.frame.and_then(|f| self.decode_counted(&f, &data));
+        Ok((raw.unwrap_or(data), g.base))
     }
 }

@@ -59,8 +59,8 @@ impl DlfsIo {
                 break;
             };
             let key = self.shared.rkey(nid, offset);
-            let (slba, nblocks, bytes) = self.read_geometry(nid, offset, len);
-            if bytes > chunk
+            let g = self.read_geometry(nid, offset, len);
+            if g.alloc > chunk
                 || self.shared.cache.contains(key)
                 || self.prefetches().any(|k| k == key)
                 || self.demand_fetch_in_flight(key)
@@ -70,18 +70,22 @@ impl DlfsIo {
                 self.prefetch.queue.pop_front();
                 continue;
             }
-            let chunks = self.shared.cache.alloc_prefetch(bytes, reserve);
+            let chunks = self.shared.cache.alloc_prefetch(g.alloc, reserve);
             let Some(buf) = chunks.and_then(|mut b| b.pop()) else {
                 break; // no speculative headroom; retry when pressure drops
             };
             let io = PartIo {
                 home: nid,
-                slba,
-                nblocks,
+                slba: g.slba,
+                nblocks: g.nblocks,
                 buf,
+                frame: g.frame,
             };
             let owner = Owner::Prefetch { key, len };
-            if self.post_part(rt, nid as usize, slba, &io, owner).is_none() {
+            if self
+                .post_part(rt, nid as usize, g.slba, &io, owner)
+                .is_none()
+            {
                 self.shared.cache.free_raw(io.buf);
                 break; // qpair full; demand completions first
             }

@@ -34,10 +34,11 @@ use simkit::telemetry::{Counter, Gauge, Registry};
 
 use crate::counter_in;
 use crate::error::DlfsError;
-use crate::integrity::{Probe, Redundancy, StoredCursor};
+use crate::integrity::{Probe, Redundancy};
 use crate::io::DlfsShared;
 use crate::layout::{
-    encode_codec_table, encode_integrity, encode_meta, read_logical, BlockChecksums, MetaRecord,
+    encode_codec_table, encode_integrity, encode_meta, read_logical, read_untimed, BlockChecksums,
+    MetaRecord,
 };
 
 /// One contiguous run of blocks the dead node must get back: the copy of
@@ -48,8 +49,7 @@ pub struct RebuildExtent {
     pub home: u16,
     /// Replica slot index on the dead node (`0` = the node's own data).
     pub slot_r: u32,
-    /// Stored blocks in the extent (holes between the stored extents of a
-    /// coded home's frames are not part of any copy).
+    /// Stored blocks in the extent (a coded home's frames back to back).
     pub blocks: u64,
 }
 
@@ -66,7 +66,7 @@ pub struct RebuildPlan {
 
 impl RebuildPlan {
     /// Enumerate everything dead node `node` — one of `red`'s storage
-    /// nodes — hosted, each extent as long as its home's stored runs
+    /// nodes — hosted, each extent as long as its home's stored run
     /// (`Redundancy::stored_blocks`).
     pub fn for_dead_node(red: &Redundancy, node: u16) -> RebuildPlan {
         let n = red.slots.len() as u32;
@@ -97,7 +97,7 @@ struct RebuildState {
     ext: usize,
     /// Where the walk of the current extent's home stands
     /// ([`Redundancy::next_stored`]).
-    at: StoredCursor,
+    at: u64,
     /// Blocks walked so far (copied, found clean, or failed).
     walked: u64,
     /// Blocks no surviving replica could serve.
@@ -109,7 +109,7 @@ pub(crate) struct Background {
     shared: Arc<DlfsShared>,
     /// Scrub position: storage node, and where the walk of its stored
     /// blocks stands ([`Redundancy::next_stored`]).
-    scrub_cursor: (usize, StoredCursor),
+    scrub_cursor: (usize, u64),
     /// In-flight node rebuild, throttled to `rebuild_gap_blocks` per idle
     /// gap so foreground reads keep their latency; `None` when full
     /// redundancy holds.
@@ -139,7 +139,7 @@ impl Background {
         let rb = red.membership.as_ref().map(|_| reg.scoped("dlfs.rebuild"));
         let (iv, rb) = (iv.as_ref(), rb.as_ref());
         Background {
-            scrub_cursor: (0, (0, 0)),
+            scrub_cursor: (0, 0),
             rebuild: None,
             scrubbed: counter_in(iv, "scrubbed"),
             repairs: counter_in(iv, "repairs"),
@@ -180,7 +180,7 @@ impl Background {
         while scrubbed < budget && hops <= nodes {
             let n = self.scrub_cursor.0;
             let Some(at) = red.next_stored(n as u16, &mut self.scrub_cursor.1) else {
-                self.scrub_cursor = ((n + 1) % nodes, (0, 0));
+                self.scrub_cursor = ((n + 1) % nodes, 0);
                 hops += 1;
                 continue;
             };
@@ -203,7 +203,7 @@ impl Background {
         let total = (0..self.shared.targets.len())
             .map(|n| red.stored_blocks(n as u16))
             .sum();
-        self.scrub_cursor = (0, (0, 0));
+        self.scrub_cursor = (0, 0);
         self.scrub_blocks(total)
     }
 
@@ -241,7 +241,7 @@ impl Background {
         self.rebuild = Some(RebuildState {
             plan,
             ext: 0,
-            at: (0, 0),
+            at: 0,
             walked: 0,
             failed: 0,
         });
@@ -296,7 +296,7 @@ impl Background {
             let (home, dest) = (ext.home, ext.slot_r);
             let Some(at) = red.next_stored(home, &mut rb.at) else {
                 rb.ext += 1;
-                rb.at = (0, 0);
+                rb.at = 0;
                 continue;
             };
             let slba = red.slots[home as usize].0 / BLOCK_SIZE + at;
@@ -345,13 +345,12 @@ impl Background {
         if let Some(layouts) = sh.layouts.as_deref() {
             let dest = &sh.targets[node as usize];
             let mut sb = layouts[node as usize].clone();
-            // The logical bytes, as the import hashed them: holes the walk
-            // above never copied into read as zeros, whatever dest holds.
-            let runs = &red.runs[node as usize];
-            let logical = |at, len| read_logical(dest, sb.data_base, runs, at, len);
+            // The logical bytes, as the import hashed them.
+            let frames = sh.codec.as_deref();
             let record = |&id: &u32| {
                 let e = sh.dir.entry(id);
-                MetaRecord::new(id, e, &logical(e.offset(), e.len() as usize))
+                let frame = frames.map(|t| t.frame(sh.cfg.chunk_size, node, e.offset()));
+                MetaRecord::new(id, e, &read_logical(dest, frame, e.offset(), e.len()))
             };
             let records: Vec<_> = sh.dir.samples_on(node).iter().map(record).collect();
             let meta = encode_meta(&records);
@@ -361,16 +360,14 @@ impl Background {
             }
             if sb.integrity_bytes > 0 {
                 // The import's table, or — on an instance remounted without
-                // `verify_reads`, which never loaded it — the rebuilt data
-                // hashed afresh, frame slot by frame slot.
+                // `verify_reads`, which never loaded it — the rebuilt stored
+                // run hashed afresh.
                 let enc = match red.sums.get(node as usize) {
                     Some(sums) => encode_integrity(sums),
                     None => {
-                        let (mut sums, chunk) = (BlockChecksums::new(), sh.cfg.chunk_size);
-                        for at in (0..sb.data_bytes).step_by(chunk as usize) {
-                            let slot = (sb.data_bytes - at).min(chunk) as usize;
-                            sums.update(&logical(sb.data_base + at, slot));
-                        }
+                        let run = red.stored_blocks(node) * BLOCK_SIZE;
+                        let mut sums = BlockChecksums::new();
+                        sums.update(&read_untimed(dest, sb.data_base, run as usize));
                         encode_integrity(&sums.finish())
                     }
                 };
@@ -379,9 +376,8 @@ impl Background {
             }
             if let Some(tables) = sh.codec.as_deref() {
                 // Restore the per-frame encoded-length table (a coded
-                // layout has one); the stored extents were copied back
-                // verbatim, so the table written at import still describes
-                // them exactly.
+                // layout has one); the stored run was copied back verbatim,
+                // so the table written at import still describes it exactly.
                 let table = encode_codec_table(&tables.per_node[node as usize].lens);
                 debug_assert_eq!(table.len() as u64, sb.codec_table_bytes);
                 dest.dma_write(sb.codec_base() / BLOCK_SIZE, &table);
@@ -407,8 +403,8 @@ mod tests {
 
     /// `nodes` nodes holding 10, 20, 30, ... blocks of data.
     fn red(nodes: usize, k: u32) -> Redundancy {
-        let runs = (1..=nodes as u64).map(|n| vec![(0, n * 10)]).collect();
-        Redundancy::with_geometry(k, vec![(4096u64, 1 << 20); nodes], runs, vec![])
+        let stored = (1..=nodes as u64).map(|n| n * 10).collect();
+        Redundancy::with_geometry(k, vec![(4096u64, 1 << 20); nodes], stored, vec![])
     }
     /// A plan's extents as `(home, slot_r, blocks)`.
     fn extents(plan: &RebuildPlan) -> Vec<(u16, u32, u64)> {
@@ -446,21 +442,21 @@ mod tests {
         assert_eq!(extents(&a)[1], (2, 1, 30));
     }
 
-    /// A coded home is planned, and walked, by its stored runs: the holes
-    /// between its frames' stored extents are part of no copy.
+    /// A coded home is planned, and walked, by its stored run: its frames'
+    /// extents back to back from the start of its data region.
     #[test]
-    fn a_coded_home_is_walked_by_its_stored_runs() {
-        let runs =
-            |lens: &[u32]| crate::codec::stored_runs(3 * 4096, crate::CodecKind::Lz, 4096, lens);
-        let runs = vec![runs(&[100, 4096, 600]), runs(&[1, 1, 1])];
-        let r = Redundancy::with_geometry(2, vec![(4096, 1 << 20); 2], runs, vec![]);
+    fn a_coded_home_is_walked_by_its_stored_run() {
+        let stored =
+            |lens: &[u32]| crate::codec::stored_blocks(3 * 4096, crate::CodecKind::Lz, 4096, lens);
+        let stored = vec![stored(&[100, 4096, 600]), stored(&[1, 1, 1])];
+        let r = Redundancy::with_geometry(2, vec![(4096, 1 << 20); 2], stored, vec![]);
         assert_eq!(
             extents(&RebuildPlan::for_dead_node(&r, 1)),
             vec![(1, 0, 3), (0, 1, 11)]
         );
-        let mut cursor = (0, 0);
+        let mut cursor = 0;
         let walk: Vec<u64> = std::iter::from_fn(|| r.next_stored(0, &mut cursor)).collect();
-        assert_eq!(walk, [vec![0], (8..16).collect(), vec![16, 17]].concat());
+        assert_eq!(walk, (0..11).collect::<Vec<u64>>());
         assert_eq!(r.next_stored(0, &mut cursor), None, "and stays at the end");
     }
 }

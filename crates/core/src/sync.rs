@@ -9,8 +9,7 @@ use super::*;
 /// A synchronous read in progress ([`DlfsIo::fetch_range`]).
 struct SyncFetch {
     nid: u16,
-    slba: u64,
-    nblocks: u32,
+    g: ReadGeometry,
     bufs: Vec<DmaBuf>,
     /// Parts to (re)submit, each with its not-before instant.
     waiting: Vec<(Part, Time)>,
@@ -64,7 +63,7 @@ impl DlfsIo {
     fn sync_post_due(&mut self, rt: &Runtime, f: &mut SyncFetch) {
         while let Some(i) = f.waiting.iter().position(|&(_, at)| at <= rt.now()) {
             let p = f.waiting[i].0;
-            let io = self.part_io(f.nid, f.slba, f.nblocks, p.part, &f.bufs);
+            let io = self.part_io(f.nid, &f.g, p.part, &f.bufs);
             let (replica, dev, slba) = self.route_part(rt, &io, p.replica);
             let owner = Owner::Sync(Part { replica, ..p });
             if self.post_part(rt, dev, slba, &io, owner).is_none() {
@@ -74,8 +73,8 @@ impl DlfsIo {
         }
     }
 
-    /// Synchronously fetch `nblocks` device blocks starting at `slba` of
-    /// node `nid` into freshly allocated sample-cache chunks.
+    /// Synchronously fetch the range `g` of node `nid` into freshly
+    /// allocated sample-cache chunks.
     ///
     /// The parts go through the same post / verify / settle steps as the
     /// batched engine's; what differs is the wait: this loop polls only
@@ -89,30 +88,26 @@ impl DlfsIo {
         &mut self,
         rt: &Runtime,
         nid: u16,
-        slba: u64,
-        nblocks: u32,
+        g: ReadGeometry,
     ) -> Result<Vec<DmaBuf>, DlfsError> {
         let costs = self.shared.cfg.costs.clone();
-        // Under a codec `nblocks` is the encoded prefix of one stored
-        // frame; the allocation must still cover the frame's raw extent so
-        // the caller can decode it in place.
-        let (_, _, bytes) = self.read_geometry(nid, slba * BLOCK_SIZE, nblocks as u64 * BLOCK_SIZE);
-        // A momentarily full pool is waited out, as the batched path
-        // parks and retries after releases.
+        // Under a codec the read is the stored extent of one frame; the
+        // allocation still covers the frame's raw extent so the caller can
+        // decode it in place. A momentarily full pool is waited out, as the
+        // batched path parks and retries after releases.
         let bufs = self
-            .alloc_backoff(rt, bytes)
+            .alloc_backoff(rt, g.alloc)
             .ok_or(DlfsError::CacheExhausted)?;
         // Devices that may serve this range (home + replicas): the poll
         // loop below must harvest all of them once reads fail over.
         let red = &self.shared.redundancy;
         let devs: Vec<usize> = (0..red.replicas)
-            .map(|r| red.route(nid, r, slba).0 as usize)
+            .map(|r| red.route(nid, r, g.slba).0 as usize)
             .collect();
         let mut left = bufs.len();
         let mut f = SyncFetch {
             nid,
-            slba,
-            nblocks,
+            g,
             waiting: (0..left as u32)
                 .map(|part| (Part::first(0, part), Time::ZERO))
                 .collect(),
@@ -164,7 +159,8 @@ impl DlfsIo {
                 if !cost.is_zero() {
                     rt.work(cost);
                 }
-                match self.settle_part(rt, p, &io, landed, io.slba * BLOCK_SIZE) {
+                let corrupt_at = io.frame.map_or(io.slba * BLOCK_SIZE, |f| f.start);
+                match self.settle_part(rt, p, &io, landed, corrupt_at) {
                     Settled::Done => left -= 1,
                     Settled::Requeue { part, not_before } => {
                         f.waiting.push((part, not_before.unwrap_or(rt.now())));
@@ -199,7 +195,7 @@ impl DlfsIo {
     fn sync_geometry(&self, id: u32, entry: SampleEntry) -> (RangeKey, u64, (u64, u64)) {
         let cfg = &self.shared.cfg;
         let (nid, off, len) = fetch_extent(&self.shared.dir, cfg.chunk_size, self.mode, id);
-        let base = self.read_geometry(nid, off, len).0 * BLOCK_SIZE;
+        let base = self.read_geometry(nid, off, len).base;
         let miss = if cfg.cache_mode == CacheMode::CrossEpoch || self.shared.codec.is_some() {
             (off, len)
         } else {
@@ -250,9 +246,9 @@ impl DlfsIo {
             self.tel.ce_misses.inc();
         }
         let nid = entry.nid();
-        let (slba, nblocks, _) = self.read_geometry(nid, off, len);
-        let bufs = self.fetch_range(rt, nid, slba, nblocks)?;
-        let head = (entry.offset() - slba * BLOCK_SIZE) as usize;
+        let g = self.read_geometry(nid, off, len);
+        let bufs = self.fetch_range(rt, nid, g)?;
+        let head = (entry.offset() - g.base) as usize;
         let segments = segments_at(&bufs, chunk, head, entry.len() as usize);
         let cache = &self.shared.cache;
         if cross && !cache.contains(key) {

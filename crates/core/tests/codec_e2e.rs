@@ -119,31 +119,65 @@ fn lz_roundtrips_import_remount_and_all_read_paths() {
     });
 }
 
-/// Remounting a coded dataset with a mismatched config codec is a typed
-/// layout error, not silent garbage.
+/// A coded dataset's superblocks record its codec and frame size, and a
+/// remount whose configuration disagrees on either is a typed config error
+/// naming both values, not silent garbage. An uncoded dataset records no
+/// frame size and needs none: it remounts under another `chunk_size`.
 #[test]
-fn remount_with_wrong_codec_is_typed_error() {
+fn remount_with_wrong_codec_or_chunk_size_is_a_config_error() {
     Runtime::simulate(test_seed(91), |rt| {
         let comp = SyntheticSource::compressible(22, 64, 2048, 32);
         let devices = vec![ramdisk(64 << 20)];
-        let fs = dlfs::MountBuilder::new(lz_cfg())
-            .deployment(Deployment::local(1, &devices))
-            .persistent()
-            .mount(rt, &comp)
-            .unwrap();
-        drop(fs);
-        let err = dlfs::MountBuilder::new(DlfsConfig {
+        let import = |cfg: DlfsConfig| {
+            dlfs::MountBuilder::new(cfg)
+                .deployment(Deployment::local(1, &devices))
+                .persistent()
+                .mount(rt, &comp)
+                .unwrap()
+        };
+        let remount = |cfg: DlfsConfig| {
+            dlfs::MountBuilder::new(cfg)
+                .deployment(Deployment::local(1, &devices))
+                .warm()
+                .remount(rt)
+        };
+        drop(import(lz_cfg()));
+        for (cfg, names) in [
+            (
+                DlfsConfig {
+                    codec: CodecKind::Identity,
+                    ..lz_cfg()
+                },
+                ["codec identity", "codec lz"],
+            ),
+            (
+                DlfsConfig {
+                    chunk_size: 4096,
+                    ..lz_cfg()
+                },
+                ["chunk_size 4096 B", "8192 B lz frames"],
+            ),
+        ] {
+            match remount(cfg).err() {
+                Some(DlfsError::Config(m)) => {
+                    assert!(names.iter().all(|n| m.contains(n)), "{m}")
+                }
+                other => panic!("expected a config error naming {names:?}, got {other:?}"),
+            }
+        }
+        drain_verified(rt, &remount(lz_cfg()).unwrap(), 3, 64, &|id| {
+            comp.expected(id)
+        });
+        let identity = DlfsConfig {
             codec: CodecKind::Identity,
             ..lz_cfg()
-        })
-        .deployment(Deployment::local(1, &devices))
-        .warm()
-        .remount(rt)
-        .unwrap_err();
-        match err {
-            DlfsError::Layout(_) => {}
-            other => panic!("expected a typed layout error, got {other}"),
-        }
+        };
+        drop(import(identity.clone()));
+        let other_chunks = remount(DlfsConfig {
+            chunk_size: 4096,
+            ..identity
+        });
+        drain_verified(rt, &other_chunks.unwrap(), 4, 64, &|id| comp.expected(id));
     });
 }
 
@@ -217,11 +251,13 @@ fn corrupt_encoded_frames_verify_before_decode_and_repair() {
             .mount(rt, &comp)
             .unwrap();
         let sb0 = fs.shared(0).layouts.as_ref().unwrap()[0].clone();
-        // Flip bits across the front of node 0's stored (encoded) data
-        // region — compressed streams, where an unverified flip would
+        // Flip bits across the stored (encoded) extents of node 0's first
+        // four frames — compressed streams, where an unverified flip would
         // derail the decoder, not just corrupt one byte.
         let data_blk = sb0.data_base / BLOCK_SIZE;
-        devices[0].set_faults(FaultInjector::new(17).with_bit_flips(data_blk, 64));
+        let frames = &fs.shared(0).codec.as_ref().unwrap().per_node[0];
+        let front: u64 = (0..4).map(|f| extent_blocks(frames, 8192, f)).sum();
+        devices[0].set_faults(FaultInjector::new(17).with_bit_flips(data_blk, front));
         // One handle bound to a shared registry so the integrity counters
         // from the whole epoch survive (`fs.io()` registries are
         // per-handle).
@@ -352,17 +388,19 @@ fn lz_fetches_strictly_fewer_device_bytes() {
     );
 }
 
-// ---- the stored extent and its hole (DESIGN.md §16) -----------------------
+// ---- the packed layout (DESIGN.md §16) ------------------------------------
 //
 // A coded import lands, of every frame, the encoded prefix rounded up to a
-// block (capped at the frame's raw length) and nothing else: the rest of
-// the frame's chunk slot is a hole that nothing writes, ships, mirrors or
-// reads. The oracle below restates that rule on its own, from the public
-// codec tables.
+// block (capped at the frame's raw length), each right where the previous
+// frame's ended: every slot holding a copy of a node's data holds its
+// frames as one run from the slot's start. The rest of the slot — what an
+// uncoded import of the same data would fill — is a tail the import never
+// writes and nothing ever reads. The oracle below restates that rule on its
+// own, from the public codec tables.
 
 const BLOCK: u64 = BLOCK_SIZE;
 
-/// Blocks of its slot frame `f` of a node occupies, from the tables.
+/// Blocks frame `f` of a node stores, from the tables.
 fn extent_blocks(frames: &dlfs::NodeFrames, chunk: u64, f: usize) -> u64 {
     let raw = frames.raw_len(chunk, f) as u64;
     (frames.lens[f] as u64)
@@ -371,22 +409,22 @@ fn extent_blocks(frames: &dlfs::NodeFrames, chunk: u64, f: usize) -> u64 {
         .div_ceil(BLOCK)
 }
 
-/// Every `(device, first block, stored blocks, slot blocks)` a coded
-/// instance keeps a frame copy at: home and replica slots alike.
-fn frame_copies(fs: &DlfsInstance) -> Vec<(usize, u64, u64, u64)> {
+/// Every `(device, first block, stored blocks, raw blocks)` a coded
+/// instance keeps a copy of a node's data at, home and replica slots
+/// alike: the slot's first block, the node's stored extents summed — the
+/// run from there — and its raw data in blocks, past the run the tail.
+fn slot_runs(fs: &DlfsInstance) -> Vec<(usize, u64, u64, u64)> {
     let sh = fs.shared(0);
     let (tables, red) = (sh.codec.as_ref().expect("coded instance"), &sh.redundancy);
     let (chunk, nodes) = (sh.cfg.chunk_size, red.slots.len());
     let mut out = Vec::new();
     for (home, frames) in tables.per_node.iter().enumerate() {
+        let stored = (0..frames.lens.len()).map(|f| extent_blocks(frames, chunk, f));
+        let stored = stored.sum();
         for r in 0..red.replicas as usize {
             let peer = (home + r) % nodes;
             let slot = red.slots[peer].0 + r as u64 * red.slots[peer].1;
-            for f in 0..frames.lens.len() {
-                let first = (slot + f as u64 * chunk) / BLOCK;
-                let slot_blocks = (frames.raw_len(chunk, f) as u64).div_ceil(BLOCK);
-                out.push((peer, first, extent_blocks(frames, chunk, f), slot_blocks));
-            }
+            out.push((peer, slot / BLOCK, stored, frames.data_len.div_ceil(BLOCK)));
         }
     }
     out
@@ -402,17 +440,17 @@ fn assert_whole(
     devices: &[Arc<NvmeDevice>],
     expected: &dyn Fn(u32) -> Vec<u8>,
 ) {
-    let (targets, chunk) = (&fs.shared(0).targets, fs.shared(0).cfg.chunk_size);
+    let targets = &fs.shared(0).targets;
     let fsck_clean = |when: &str| {
         for (n, t) in targets.iter().enumerate() {
-            let rep = dlfs::fsck_node(t, n as u16, true, chunk);
+            let rep = dlfs::fsck_node(t, n as u16, true);
             let clean = matches!(rep.state, dlfs::FsckState::Clean { .. });
             assert!(clean, "{when}: node {n} is {:?}", rep.state);
         }
     };
     fsck_clean("as imported");
     for n in 0..targets.len() as u16 {
-        let rep = dlfs::fsck_repair(targets, n, chunk).unwrap();
+        let rep = dlfs::fsck_repair(targets, n).unwrap();
         assert_eq!(rep, dlfs::FsckRepairReport::default(), "node {n}");
     }
     let reg = simkit::telemetry::Registry::new();
@@ -458,10 +496,10 @@ fn replicated_lz_cfg() -> DlfsConfig {
 }
 
 /// A re-import over an older generation leaves that generation's bytes in
-/// the new frames' holes (the old import stored white noise verbatim, the
+/// the tail of every slot (the old import stored white noise verbatim, the
 /// new one compresses sixteen-fold) — and nobody sees them.
 #[test]
-fn reimport_over_an_older_generation_leaves_no_stale_hole_visible() {
+fn reimport_over_an_older_generation_leaves_no_stale_tail_visible() {
     Runtime::simulate(test_seed(96), |rt| {
         let devices: Vec<_> = (0..3).map(|_| ramdisk(4 << 20)).collect();
         let import = |source: &SyntheticSource| {
@@ -474,22 +512,22 @@ fn reimport_over_an_older_generation_leaves_no_stale_hole_visible() {
         drop(import(&SyntheticSource::fixed(27, 600, 2000)));
         let comp = SyntheticSource::compressible(28, 600, 2000, 48);
         let fs = import(&comp);
-        let stale = frame_copies(&fs).iter().any(|&(d, first, stored, slot)| {
-            let mut hole = vec![0u8; ((slot - stored) * BLOCK) as usize];
+        let stale = slot_runs(&fs).iter().any(|&(d, first, stored, slot)| {
+            let mut tail = vec![0u8; ((slot - stored) * BLOCK) as usize];
             devices[d]
                 .storage()
-                .read_at((first + stored) * BLOCK, &mut hole);
-            hole.iter().any(|&b| b != 0)
+                .read_at((first + stored) * BLOCK, &mut tail);
+            tail.iter().any(|&b| b != 0)
         });
-        assert!(stale, "generation 1 should still sit in the holes");
+        assert!(stale, "generation 1 should still sit in the tails");
         assert_whole(rt, &fs, &devices, &|id| comp.expected(id));
     });
 }
 
-/// Noise written over every hole block of every copy changes nothing: no
-/// checker, healer or read path ever looks there.
+/// Noise written over the tail of every slot changes nothing: no checker,
+/// healer or read path ever looks past a stored run.
 #[test]
-fn poisoned_holes_are_never_read() {
+fn poisoned_slot_tails_are_never_read() {
     Runtime::simulate(test_seed(97), |rt| {
         let devices: Vec<_> = (0..3).map(|_| ramdisk(4 << 20)).collect();
         let comp = SyntheticSource::compressible(29, 600, 2000, 48);
@@ -500,14 +538,14 @@ fn poisoned_holes_are_never_read() {
             .unwrap();
         let mut rng = SplitMix64::new(test_seed(5));
         let mut poisoned = 0;
-        for (d, first, stored, slot) in frame_copies(&fs) {
+        for (d, first, stored, slot) in slot_runs(&fs) {
             let noise: Vec<u8> = (0..(slot - stored) * BLOCK)
                 .map(|_| rng.next() as u8)
                 .collect();
             devices[d].dma_write(first + stored, &noise);
             poisoned += slot - stored;
         }
-        assert!(poisoned > 0, "a compressible import must leave holes");
+        assert!(poisoned > 0, "a compressible import must leave tails");
         let mut io = fs.io(0);
         let total = io.sequence(rt, 11, 0);
         let mut got = 0;
@@ -527,12 +565,11 @@ fn poisoned_holes_are_never_read() {
 }
 
 /// A rebuild on an instance remounted without `verify_reads` has no table
-/// in memory and rehashes the rebuilt data region from the device: holes
-/// hash as the zeros they stand for, so the integrity table it restores is
-/// the one the import wrote — with junk in every hole of the sources and
-/// of the replacement device alike.
+/// in memory and rehashes the rebuilt stored run from the device, so the
+/// integrity table it restores is the one the import wrote — with junk in
+/// every tail of the sources and of the replacement device alike.
 #[test]
-fn rebuild_rehash_restores_the_imported_table_over_poisoned_holes() {
+fn rebuild_rehash_restores_the_imported_table_over_poisoned_tails() {
     Runtime::simulate(test_seed(100), |rt| {
         let devices: Vec<_> = (0..3).map(|_| ramdisk(4 << 20)).collect();
         let comp = SyntheticSource::compressible(30, 600, 2000, 48);
@@ -541,7 +578,7 @@ fn rebuild_rehash_restores_the_imported_table_over_poisoned_holes() {
             .persistent()
             .mount(rt, &comp)
             .unwrap();
-        for (d, first, stored, slot) in frame_copies(&fs) {
+        for (d, first, stored, slot) in slot_runs(&fs) {
             devices[d].dma_write(
                 first + stored,
                 &vec![0xEE; ((slot - stored) * BLOCK) as usize],
@@ -573,7 +610,7 @@ fn rebuild_rehash_restores_the_imported_table_over_poisoned_holes() {
         io.drive_rebuild();
         assert_eq!(io.metrics().counter("dlfs.rebuild.blocks_failed"), 0);
         assert_eq!(table(&devices[1]), imported, "restored integrity table");
-        let rep = dlfs::fsck_node(&warm.shared(0).targets[1], 1, true, lz_cfg().chunk_size);
+        let rep = dlfs::fsck_node(&warm.shared(0).targets[1], 1, true);
         assert!(
             matches!(rep.state, dlfs::FsckState::Clean { .. }),
             "{:?}",
@@ -627,13 +664,15 @@ impl SampleSource for MixedSource {
 }
 
 /// What a coded import writes into the data region of each device is
-/// exactly the stored extents it hosts — home and replica slots, every
-/// extent from its frame's start, the short last frame included — and it
-/// writes no block twice; the `Identity` twin of every cell writes its
-/// packed data whole. Devices start out filled with a marker, so a block
-/// is written iff it no longer holds it.
+/// exactly the stored runs it hosts: in every slot that holds a copy of a
+/// node's data, the node's stored extents as one contiguous run from the
+/// slot's start, frame after frame with no block between two frames, the
+/// short last frame included — and it writes no block twice; the
+/// `Identity` twin of every cell writes its packed data whole. Devices
+/// start out filled with a marker, so a block is written iff it no longer
+/// holds it.
 #[test]
-fn coded_import_writes_exactly_its_stored_extents() {
+fn coded_import_packs_each_slot_into_one_stored_run() {
     const MARK: u8 = 0xA5;
     const DEV_BYTES: u64 = 2 << 20;
     let mut short_last_frames = 0;
@@ -676,7 +715,7 @@ fn coded_import_writes_exactly_its_stored_extents() {
                 // Blocks each device should hold data in.
                 let mut want = vec![std::collections::BTreeSet::new(); devices.len()];
                 if codec == CodecKind::Lz {
-                    for (d, first, stored, _) in frame_copies(&fs) {
+                    for (d, first, stored, _) in slot_runs(&fs) {
                         want[d].extend(first..first + stored);
                     }
                     let tables = fs.shared(0).codec.as_ref().unwrap();
@@ -724,4 +763,98 @@ fn coded_import_writes_exactly_its_stored_extents() {
         short_last_frames > 0,
         "no cell ended a node on a ragged frame"
     );
+}
+
+/// A persistent coded import of `source` onto three fresh devices.
+fn coded_import(rt: &Runtime, source: &SyntheticSource) -> (Vec<Arc<NvmeDevice>>, DlfsInstance) {
+    let devices: Vec<_> = (0..3).map(|_| ramdisk(4 << 20)).collect();
+    let fs = dlfs::MountBuilder::new(replicated_lz_cfg())
+        .deployment(Deployment::local(1, &devices))
+        .persistent()
+        .mount(rt, source)
+        .unwrap();
+    (devices, fs)
+}
+
+/// What a warm remount of `devices` and a deep fsck of node 0 say.
+fn remount_and_fsck(rt: &Runtime, devices: &[Arc<NvmeDevice>]) -> (DlfsError, dlfs::FsckState) {
+    let err = dlfs::MountBuilder::new(replicated_lz_cfg())
+        .deployment(Deployment::local(1, devices))
+        .warm()
+        .remount(rt)
+        .expect_err("the remount is refused");
+    let target: Arc<dyn NvmeTarget> = devices[0].clone();
+    (err, dlfs::fsck_node(&target, 0, true).state)
+}
+
+/// A version-1 coded image — frames at their raw chunk offsets, no frame
+/// size recorded — is refused by remount and fsck alike with a typed
+/// error naming version 1, never read as if it were packed.
+#[test]
+fn a_version_1_coded_image_is_refused() {
+    Runtime::simulate(test_seed(101), |rt| {
+        let (devices, fs) = coded_import(rt, &SyntheticSource::compressible(31, 300, 2000, 48));
+        drop(fs);
+        for d in &devices {
+            // The version-1 superblock: checksum right after the
+            // integrity-table words, where version 2 keeps `chunk_size`.
+            let mut sb = vec![0u8; BLOCK as usize];
+            d.storage().read_at(0, &mut sb);
+            sb[8..12].copy_from_slice(&1u32.to_le_bytes());
+            sb[160..176].fill(0);
+            let crc = simkit::rng::fnv1a(&sb[..160]);
+            sb[160..168].copy_from_slice(&crc.to_le_bytes());
+            d.dma_write(0, &sb);
+        }
+        let (err, fsck) = remount_and_fsck(rt, &devices);
+        let v1 = dlfs::LayoutError::Version { node: 0, found: 1 };
+        assert!(err.to_string().contains("version 1"), "{err}");
+        assert!(
+            matches!(err, DlfsError::Layout(ref e) if *e == v1),
+            "{err:?}"
+        );
+        assert_eq!(fsck, dlfs::FsckState::Unformatted(v1));
+    });
+}
+
+/// A codec table that covers fewer frames than the data region holds —
+/// one short by a frame under a valid checksum, or too short to be a
+/// table at all — is a typed layout error for remount and fsck alike,
+/// before any frame is looked up in it.
+#[test]
+fn a_truncated_codec_table_is_a_typed_layout_error() {
+    Runtime::simulate(test_seed(102), |rt| {
+        let source = SyntheticSource::compressible(32, 300, 2000, 48);
+        for (cut, what) in [(4u64, "codec table holds"), (0, "is not a table")] {
+            let (devices, fs) = coded_import(rt, &source);
+            let mut sb = fs.layout(0).unwrap().clone();
+            let lens = fs.shared(0).codec.as_ref().unwrap().per_node[0]
+                .lens
+                .clone();
+            drop(fs);
+            sb.codec_table_bytes = if cut == 0 {
+                6
+            } else {
+                sb.codec_table_bytes - cut
+            };
+            // One frame fewer, sealed with the table's own checksum.
+            let mut table: Vec<u8> = lens[..lens.len() - 1]
+                .iter()
+                .flat_map(|l| l.to_le_bytes())
+                .collect();
+            let crc = simkit::rng::fnv1a(&table);
+            table.extend(crc.to_le_bytes());
+            devices[0].dma_write(sb.codec_base() / BLOCK, &table);
+            devices[0].dma_write(0, &sb.encode());
+            let (err, fsck) = remount_and_fsck(rt, &devices);
+            let typed = matches!(
+                &err,
+                DlfsError::Layout(dlfs::LayoutError::Inconsistent(m)) if m.contains(what)
+            );
+            assert!(typed, "{what}: {err:?}");
+            let corrupt =
+                matches!(&fsck, dlfs::FsckState::Corrupt { what: m, .. } if m.contains(what));
+            assert!(corrupt, "{what}: {fsck:?}");
+        }
+    });
 }

@@ -304,7 +304,7 @@ fn scrub_pass_heals_latent_corruption_to_fsck_clean() {
         // to repair.
         let targets = &fs.shared(0).targets;
         for node in 0..devices.len() as u16 {
-            let rep = fsck_repair(targets, node, fs.shared(0).cfg.chunk_size).unwrap();
+            let rep = fsck_repair(targets, node).unwrap();
             assert_eq!(
                 (rep.detected, rep.repaired, rep.unrepairable),
                 (0, 0, 0),
@@ -566,7 +566,20 @@ fn heal_cell(replicas: usize, codec: CodecKind, damage: Damage, healer: Healer) 
                 0
             }
             Damage::Sticky => {
-                devices[1].set_faults(FaultInjector::new(6).with_bad_extent(data_blk(1) + 32, 4));
+                // 32 blocks into node 1's data, or half-way into its stored
+                // run when that is shorter (a coded node's frames are
+                // packed back to back): damage where a copy holds data.
+                let sb = fs.layout(1).unwrap();
+                let run = fs.shared(0).codec.as_ref().map_or(sb.data_bytes, |t| {
+                    let frames = &t.per_node[1];
+                    let extent = |(f, &enc): (usize, &u32)| {
+                        let raw = frames.raw_len(sb.chunk_size, f) as u64;
+                        (enc as u64).next_multiple_of(BLOCK_SIZE).min(raw)
+                    };
+                    frames.lens.iter().enumerate().map(extent).sum()
+                });
+                let at = data_blk(1) + 32.min(run / BLOCK_SIZE / 2);
+                devices[1].set_faults(FaultInjector::new(6).with_bad_extent(at, 4));
                 1
             }
             Damage::Wiped => {
@@ -590,7 +603,7 @@ fn heal_cell(replicas: usize, codec: CodecKind, damage: Damage, healer: Healer) 
             Healer::Fsck => {
                 let targets = &fs.shared(0).targets;
                 for n in 0..devices.len() as u16 {
-                    match fsck_repair(targets, n, fs.shared(0).cfg.chunk_size) {
+                    match fsck_repair(targets, n) {
                         Ok(r) => out.push_str(&format!("fsck_repair node{n} {r:?}\n")),
                         Err(e) => out.push_str(&format!("fsck_repair node{n} error: {e}\n")),
                     }
@@ -604,11 +617,7 @@ fn heal_cell(replicas: usize, codec: CodecKind, damage: Damage, healer: Healer) 
         out.push_str(&heal_state(&io, &devices));
         out.push_str("fsck");
         for (n, t) in fs.shared(0).targets.iter().enumerate() {
-            let chunk = fs.shared(0).cfg.chunk_size;
-            out.push_str(&format!(
-                " | {:?}",
-                fsck_node(t, n as u16, true, chunk).state
-            ));
+            out.push_str(&format!(" | {:?}", fsck_node(t, n as u16, true).state));
         }
         out + "\n"
     })

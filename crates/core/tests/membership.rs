@@ -31,7 +31,7 @@ fn ramdisk(bytes: u64) -> Arc<NvmeDevice> {
     NvmeDevice::new(DeviceConfig::emulated_ramdisk(bytes, Dur::micros(10)))
 }
 
-/// The chunk size of every import here (deep `fsck_node` is told it).
+/// The chunk size of every import here.
 const CHUNK: u64 = 8 * 1024;
 
 /// Replicated + verified + membership-enabled config over small chunks.
@@ -98,7 +98,7 @@ fn replace_with_fresh(dev: &Arc<NvmeDevice>, bytes: u64) {
 
 fn assert_fsck_clean(targets: &[Arc<dyn NvmeTarget>]) {
     for node in 0..targets.len() as u16 {
-        let rep = fsck_node(&targets[node as usize], node, true, CHUNK);
+        let rep = fsck_node(&targets[node as usize], node, true);
         assert!(
             matches!(rep.state, FsckState::Clean { .. }),
             "node {node} not fsck-clean: {:?}",
@@ -363,7 +363,7 @@ fn mid_rebuild_source_death_falls_back_to_surviving_replica() {
             "a third replica must cover every block node 2 can no longer serve"
         );
         assert!(!red.is_dead(1), "rebuilt node must rejoin");
-        let rep = fsck_node(&fs.shared(0).targets[1], 1, true, CHUNK);
+        let rep = fsck_node(&fs.shared(0).targets[1], 1, true);
         assert!(
             matches!(rep.state, FsckState::Clean { .. }),
             "{:?}",
@@ -403,7 +403,7 @@ fn interleaved_import_keeps_three_replica_mirrors_intact() {
             "no read failed over"
         );
         for node in [0u16, 3] {
-            let rep = fsck_node(&fs.shared(0).targets[node as usize], node, true, CHUNK);
+            let rep = fsck_node(&fs.shared(0).targets[node as usize], node, true);
             let clean = matches!(rep.state, FsckState::Clean { .. });
             assert!(clean, "survivor {node} not clean: {:?}", rep.state);
             assert_eq!(rep.data_checksum_ok, Some(true), "survivor {node}");
