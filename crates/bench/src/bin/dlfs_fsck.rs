@@ -94,9 +94,10 @@ fn main() {
         println!("## after import");
         report(&devices, deep);
 
-        // Crash a re-import mid-flight: node 0 starts failing writes
-        // after phase A. The import is collective, so the new generation
-        // never commits on any node — all report torn until repaired.
+        // Crash a re-import mid-flight: node 0 starts failing writes once
+        // phase A has stamped every node with the new, uncommitted
+        // generation. The import is collective, so that generation never
+        // commits on any node — all report torn until repaired.
         let importer = {
             let dep = deployment.clone();
             let (source, base) = (source.clone(), base.clone());
@@ -109,18 +110,19 @@ fn main() {
                     .map(|e| e.to_string())
             })
         };
-        // A coded import writes a fraction of the bytes and is over sooner.
-        let mid_flight = if codec == CodecKind::Identity {
-            300
-        } else {
-            60
+        let torn = |(n, d): (usize, &Arc<NvmeDevice>)| {
+            let target: Arc<dyn NvmeTarget> = d.clone();
+            matches!(
+                fsck_node(&target, n as u16, false).state,
+                FsckState::Torn { .. }
+            )
         };
-        rt.sleep(Dur::micros(mid_flight));
-        devices[0].set_faults(FaultInjector::new(seed).with_write_failures(1_000_000));
-        match importer.join() {
-            Some(e) => println!("re-import crashed as expected: {e}\n"),
-            None => println!("re-import unexpectedly succeeded\n"),
+        while !devices.iter().enumerate().all(torn) {
+            rt.sleep(Dur::micros(1));
         }
+        devices[0].set_faults(FaultInjector::new(seed).with_write_failures(1_000_000));
+        let e = importer.join().expect("the re-import crashes");
+        println!("re-import crashed as expected: {e}\n");
         println!("## after crashed re-import (uncommitted generation)");
         report(&devices, deep);
 

@@ -12,8 +12,9 @@
 //!    node's own data, so `r = 0` routes to the home node unchanged
 //!    ([`Redundancy::route`]).
 //! 2. **Which replica should serve the next timed attempt?** A shared
-//!    [`TargetHealth`] circuit breaker records per-target failures (only
-//!    on replicated instances: a lone copy has nowhere to route to);
+//!    [`TargetHealth`] circuit breaker records per-target failed commands
+//!    (not checksum mismatches, which are an extent's fault; and only on
+//!    replicated instances: a lone copy has nowhere to route to);
 //!    [`Redundancy::pick_replica`] rotates to the first replica whose
 //!    target circuit is closed, so a dead or quarantined node stops
 //!    eating retry budget.
@@ -69,7 +70,7 @@ pub struct Redundancy {
     /// Per storage node: the blocks of its own (slot 0) data — one run
     /// from the start of the data region — which is what every replica
     /// slot mirroring it holds.
-    pub(crate) stored: Vec<u64>,
+    pub stored: Vec<u64>,
     /// Per storage node: expected FNV-1a of each stored 512 B block of its
     /// own (slot 0) data region, in block order. Empty when reads are not
     /// verified.
@@ -319,12 +320,6 @@ impl Redundancy {
             .all(|(i, blk)| sums.get(start + i).is_none_or(|&s| fnv1a(blk) == s))
     }
 
-    /// Blocks every copy of `home`'s data holds, from the geometry (so it
-    /// is known without a table).
-    pub(crate) fn stored_blocks(&self, home: u16) -> u64 {
-        self.stored[home as usize]
-    }
-
     /// Step a walk over `home`'s stored blocks: the block (relative to the
     /// data region) at `cursor`, which moves on; `None` once the run is
     /// exhausted. The one iterator under scrub and rebuild, resumable
@@ -565,7 +560,7 @@ mod tests {
             let sums = sums.map(|_| Arc::new(vec![fnv1a(&good)])).collect();
             let r = Redundancy::with_geometry(4, vec![(0, 4096); 4], vec![1; 4], sums)
                 .with_membership(Dur::micros(100));
-            assert_eq!(r.stored_blocks(0), 1, "extent sized from geometry");
+            assert_eq!(r.stored[0], 1, "extent sized from geometry");
             let verdict =
                 |copy, probe| r.read_copy(&targets, 0, copy, 0, &mut vec![0u8; block], probe);
             for (copy, bytes) in [(1, &good), (2, &good), (3, &wrong)] {
@@ -631,7 +626,7 @@ mod tests {
         padded.resize(3 * BLOCK_SIZE as usize, 0);
         let r = Redundancy::new(1, vec![(1024, 4096)], vec![sums_of(&data)]);
         assert!(r.verify());
-        assert_eq!(r.stored_blocks(0), 3);
+        assert_eq!(r.stored[0], 3);
         let base = 1024 / BLOCK_SIZE;
         assert!(r.verify_blocks(0, base, &padded));
         assert!(r.verify_blocks(0, base + 1, &padded[BLOCK_SIZE as usize..]));

@@ -637,7 +637,8 @@ impl DlfsIo {
     }
 
     /// Settle a completion of demand part `p` — its record already out of
-    /// the table: verify the bytes, feed the serving target's health, and
+    /// the table: verify the bytes, feed the serving target's health (a
+    /// success or a failed command; a checksum mismatch leaves it be), and
     /// decide what happens to the part. A
     /// mismatch or device error fails straight over to the next replica
     /// when there is one, else backs off under the retry policy;
@@ -664,11 +665,16 @@ impl DlfsIo {
             return Settled::Done;
         }
         // Failed command: device media error, fabric timeout, or delivered
-        // bytes that failed their checksum.
-        if landed == Err(CmdStatus::TransportError) {
-            self.tel.timeouts.inc();
+        // bytes that failed their checksum. Only a failed command counts
+        // against the serving target's circuit. A mismatch is its extent's
+        // fault: the target answered, and routing around it would leave the
+        // rest of its damage unread and so never read-repaired.
+        if let Err(status) = landed {
+            self.tel
+                .timeouts
+                .add((status == CmdStatus::TransportError) as u64);
+            red.record_failure(serving, rt.now());
         }
-        red.record_failure(serving, rt.now());
         let attempts = p.attempt + 1;
         let Some(backoff) = self.shared.cfg.retry.next_delay(attempts) else {
             let last = match landed {

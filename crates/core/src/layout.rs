@@ -804,6 +804,21 @@ pub fn load_node(
         ))
         .into());
     }
+    // A coded sample is found through the frame covering its offset, so
+    // every record must point inside the data region the frames tile.
+    let data = sb.data_base..sb.data_base + sb.data_bytes;
+    let outside = |r: &&MetaRecord| {
+        let e = SampleEntry::from_raw(r.unit1, r.unit2);
+        !data.contains(&e.offset()) || e.offset() + e.len() > data.end
+    };
+    let coded = sb.codec != CodecKind::Identity;
+    if let Some(r) = records.iter().find(|r| coded && outside(r)) {
+        return Err(LayoutError::Inconsistent(format!(
+            "node {node}: sample {} lies outside the data region [{}, {})",
+            r.id, data.start, data.end
+        ))
+        .into());
+    }
     let stored = stored_blocks(sb.data_bytes, sb.codec, sb.chunk_size, &lens);
     if sb.integrity_bytes > 0 && sb.integrity_bytes != integrity_table_bytes(stored * BLOCK_SIZE) {
         return Err(LayoutError::Inconsistent(format!(

@@ -73,7 +73,7 @@ impl RebuildPlan {
         let extent = |home: u16, slot_r: u32| RebuildExtent {
             home,
             slot_r,
-            blocks: red.stored_blocks(home),
+            blocks: red.stored[home as usize],
         };
         let hosted = |r: u32| extent(((node as u32 + n - r) % n) as u16, r);
         let extents: Vec<_> = (0..red.replicas).map(hosted).collect();
@@ -199,10 +199,7 @@ impl Background {
     /// One full scrub sweep over every node's stored blocks; returns the
     /// number of blocks scrubbed.
     pub fn scrub_pass(&mut self) -> u64 {
-        let red = &self.shared.redundancy;
-        let total = (0..self.shared.targets.len())
-            .map(|n| red.stored_blocks(n as u16))
-            .sum();
+        let total = self.shared.redundancy.stored.iter().sum();
         self.scrub_cursor = (0, 0);
         self.scrub_blocks(total)
     }
@@ -365,7 +362,7 @@ impl Background {
                 let enc = match red.sums.get(node as usize) {
                     Some(sums) => encode_integrity(sums),
                     None => {
-                        let run = red.stored_blocks(node) * BLOCK_SIZE;
+                        let run = red.stored[node as usize] * BLOCK_SIZE;
                         let mut sums = BlockChecksums::new();
                         sums.update(&read_untimed(dest, sb.data_base, run as usize));
                         encode_integrity(&sums.finish())

@@ -251,13 +251,11 @@ fn corrupt_encoded_frames_verify_before_decode_and_repair() {
             .mount(rt, &comp)
             .unwrap();
         let sb0 = fs.shared(0).layouts.as_ref().unwrap()[0].clone();
-        // Flip bits across the stored (encoded) extents of node 0's first
-        // four frames — compressed streams, where an unverified flip would
+        // Flip bits across the front of node 0's stored (encoded) data
+        // region — compressed streams, where an unverified flip would
         // derail the decoder, not just corrupt one byte.
         let data_blk = sb0.data_base / BLOCK_SIZE;
-        let frames = &fs.shared(0).codec.as_ref().unwrap().per_node[0];
-        let front: u64 = (0..4).map(|f| extent_blocks(frames, 8192, f)).sum();
-        devices[0].set_faults(FaultInjector::new(17).with_bit_flips(data_blk, front));
+        devices[0].set_faults(FaultInjector::new(17).with_bit_flips(data_blk, 64));
         // One handle bound to a shared registry so the integrity counters
         // from the whole epoch survive (`fs.io()` registries are
         // per-handle).
@@ -290,6 +288,11 @@ fn corrupt_encoded_frames_verify_before_decode_and_repair() {
             m.counter("dlfs.integrity.repairs") > 0,
             "verified failover must read-repair the home replica"
         );
+        // Mismatches are the extents' fault: the home's circuit stays
+        // closed, so every damaged frame the epoch reads is read there,
+        // caught and repaired.
+        let health = &fs.shared(0).redundancy.health;
+        assert_eq!(health.open_since(0), None, "mismatches opened the circuit");
         // A second epoch over the repaired home copies is mismatch-free.
         let reg2 = simkit::telemetry::Registry::new();
         let mut io2 = fs.io_with_registry(0, &reg2);
@@ -395,19 +398,11 @@ fn lz_fetches_strictly_fewer_device_bytes() {
 // frame's ended: every slot holding a copy of a node's data holds its
 // frames as one run from the slot's start. The rest of the slot — what an
 // uncoded import of the same data would fill — is a tail the import never
-// writes and nothing ever reads. The oracle below restates that rule on its
-// own, from the public codec tables.
+// writes and nothing ever reads. The run's length is `Redundancy::stored`,
+// the count every walker of a data region goes by; the checks below look
+// at every block on either side of it.
 
 const BLOCK: u64 = BLOCK_SIZE;
-
-/// Blocks frame `f` of a node stores, from the tables.
-fn extent_blocks(frames: &dlfs::NodeFrames, chunk: u64, f: usize) -> u64 {
-    let raw = frames.raw_len(chunk, f) as u64;
-    (frames.lens[f] as u64)
-        .next_multiple_of(BLOCK)
-        .min(raw)
-        .div_ceil(BLOCK)
-}
 
 /// Every `(device, first block, stored blocks, raw blocks)` a coded
 /// instance keeps a copy of a node's data at, home and replica slots
@@ -416,15 +411,14 @@ fn extent_blocks(frames: &dlfs::NodeFrames, chunk: u64, f: usize) -> u64 {
 fn slot_runs(fs: &DlfsInstance) -> Vec<(usize, u64, u64, u64)> {
     let sh = fs.shared(0);
     let (tables, red) = (sh.codec.as_ref().expect("coded instance"), &sh.redundancy);
-    let (chunk, nodes) = (sh.cfg.chunk_size, red.slots.len());
+    let nodes = red.slots.len();
     let mut out = Vec::new();
     for (home, frames) in tables.per_node.iter().enumerate() {
-        let stored = (0..frames.lens.len()).map(|f| extent_blocks(frames, chunk, f));
-        let stored = stored.sum();
         for r in 0..red.replicas as usize {
             let peer = (home + r) % nodes;
             let slot = red.slots[peer].0 + r as u64 * red.slots[peer].1;
-            out.push((peer, slot / BLOCK, stored, frames.data_len.div_ceil(BLOCK)));
+            let raw = frames.data_len.div_ceil(BLOCK);
+            out.push((peer, slot / BLOCK, red.stored[home], raw));
         }
     }
     out
@@ -855,6 +849,48 @@ fn a_truncated_codec_table_is_a_typed_layout_error() {
             let corrupt =
                 matches!(&fsck, dlfs::FsckState::Corrupt { what: m, .. } if m.contains(what));
             assert!(corrupt, "{what}: {fsck:?}");
+        }
+    });
+}
+
+/// A metadata record whose offset lies outside the data region — under a
+/// valid region checksum, so only the frame lookup could notice — is a
+/// typed layout error for remount and deep fsck alike, not a panic.
+#[test]
+fn a_record_outside_the_data_region_is_a_typed_layout_error() {
+    Runtime::simulate(test_seed(103), |rt| {
+        let source = SyntheticSource::compressible(33, 300, 2000, 48);
+        for past in [false, true] {
+            let (devices, fs) = coded_import(rt, &source);
+            let mut sb = fs.layout(0).unwrap().clone();
+            drop(fs);
+            let mut meta = vec![0u8; sb.meta_bytes as usize];
+            devices[0].storage().read_at(sb.meta_base, &mut meta);
+            // Move the first record's sample below the region or past it.
+            let word = |at: usize| u64::from_le_bytes(meta[at..at + 8].try_into().unwrap());
+            let e = dlfs::SampleEntry::from_raw(word(4), word(12));
+            let offset = if past {
+                sb.data_base + sb.data_bytes
+            } else {
+                0
+            };
+            let (unit1, unit2) =
+                dlfs::SampleEntry::new(e.nid(), e.key(), offset, e.len(), false).raw();
+            meta[4..12].copy_from_slice(&unit1.to_le_bytes());
+            meta[12..20].copy_from_slice(&unit2.to_le_bytes());
+            sb.meta_checksum = simkit::rng::fnv1a(&meta);
+            devices[0].dma_write(sb.meta_base / BLOCK, &meta);
+            devices[0].dma_write(0, &sb.encode());
+            let what = "lies outside the data region";
+            let (err, fsck) = remount_and_fsck(rt, &devices);
+            let typed = matches!(
+                &err,
+                DlfsError::Layout(dlfs::LayoutError::Inconsistent(m)) if m.contains(what)
+            );
+            assert!(typed, "past {past}: {err:?}");
+            let corrupt =
+                matches!(&fsck, dlfs::FsckState::Corrupt { what: m, .. } if m.contains(what));
+            assert!(corrupt, "past {past}: {fsck:?}");
         }
     });
 }

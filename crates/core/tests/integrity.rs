@@ -569,16 +569,8 @@ fn heal_cell(replicas: usize, codec: CodecKind, damage: Damage, healer: Healer) 
                 // 32 blocks into node 1's data, or half-way into its stored
                 // run when that is shorter (a coded node's frames are
                 // packed back to back): damage where a copy holds data.
-                let sb = fs.layout(1).unwrap();
-                let run = fs.shared(0).codec.as_ref().map_or(sb.data_bytes, |t| {
-                    let frames = &t.per_node[1];
-                    let extent = |(f, &enc): (usize, &u32)| {
-                        let raw = frames.raw_len(sb.chunk_size, f) as u64;
-                        (enc as u64).next_multiple_of(BLOCK_SIZE).min(raw)
-                    };
-                    frames.lens.iter().enumerate().map(extent).sum()
-                });
-                let at = data_blk(1) + 32.min(run / BLOCK_SIZE / 2);
+                let run = fs.shared(0).redundancy.stored[1];
+                let at = data_blk(1) + 32.min(run / 2);
                 devices[1].set_faults(FaultInjector::new(6).with_bad_extent(at, 4));
                 1
             }
