@@ -30,7 +30,7 @@
 #     the non-test part of mount.rs + layout.rs + writer.rs and in the
 #     non-test part of all of crates/core/src,
 #     too_many_arguments/type_complexity lint allows, `pub` items in
-#     crates/core/src, hand-wired deployment lines (`fabric::connect(`,
+#     crates/core/src and in crates/fabric/src, hand-wired deployment lines (`fabric::connect(`,
 #     `NvmeOfTarget::new(`, `Deployment {` in the Rust sources of
 #     crates/core, crates/bench, src, tests and examples outside
 #     mount.rs), code lines of crates/simkit/src and of the substrate
@@ -76,6 +76,8 @@ panics='unwrap\(\)|expect\(|panic!|assert!\('
   echo "lint_allows $(cat crates/core/src/*.rs | grep -cE '#\[allow\(clippy::(too_many_arguments|type_complexity)')"
   echo "writer_rs_code_lines $(grep -vcE '^\s*(//|$)' crates/core/src/writer.rs)"
   echo "core_pub_items $(cat crates/core/src/*.rs |
+    grep -cE '^\s*pub (fn|struct|enum|trait|const|type|mod|use|static)')"
+  echo "fabric_pub_items $(cat crates/fabric/src/*.rs |
     grep -cE '^\s*pub (fn|struct|enum|trait|const|type|mod|use|static)')"
   echo "bench_src_code_lines $(find crates/bench/src -name '*.rs' -exec cat {} + |
     grep -vcE '^\s*(//|$)')"
