@@ -161,13 +161,13 @@ pub struct DlfsConfig {
     /// latent corruption from replicas before demand reads hit it.
     /// Requires `verify_reads`.
     pub scrub: bool,
-    /// Membership policy: a target whose health circuit has been
-    /// continuously open for at least this long is declared permanently
-    /// Dead — it is never routed to or probed again, writes targeting it
-    /// fail fast with [`crate::DlfsError::Degraded`], and the rebuild
-    /// planner restores full redundancy from surviving copies. `None`
-    /// (the default) disables membership entirely: circuits re-close on a
-    /// successful probe forever, exactly as before. Requires
+    /// Death policy: a target continuously Suspect (its circuit open) for
+    /// at least this long is declared permanently Dead — it is never
+    /// routed to or probed again, writes targeting it fail fast with
+    /// [`crate::DlfsError::Degraded`], and the rebuild planner restores
+    /// full redundancy from surviving copies. `None` (the default)
+    /// declares nothing Dead: circuits re-close on a successful probe
+    /// forever. Requires
     /// `replicas >= 2` — with a single copy there is nothing to serve
     /// from once a node is written off.
     pub fail_dead_after: Option<Dur>,

@@ -19,7 +19,7 @@
 //!   every node holds a replica of each shard's AVL tree, so a standby
 //!   can serve the moment the owner's circuit opens.
 //! - **Routing**: clients hold a [`fabric::shard::ShardRouter`] — a
-//!   per-client cached [`ShardMap`] plus circuit breakers — and send the
+//!   per-client cached [`ShardMap`] plus the nodes' routing state — and send the
 //!   epoch they routed with; a server that sees a stale epoch piggybacks
 //!   the current map on the reply (epoch-stamped invalidation). A node's
 //!   circuit opens on the same rule as a data target's
@@ -362,14 +362,16 @@ impl MetaClient {
             };
             let resp = match self.peers[route.node as usize].try_call(rt, from_node, req) {
                 Ok(resp) => {
-                    self.router.record_ok(route.node);
+                    self.router
+                        .observe(route.node, fabric::Outcome::Ok, rt.now());
                     resp
                 }
                 Err(RpcError::Timeout {
                     server_node,
                     attempts,
                 }) => {
-                    self.router.record_failure(route.node, rt.now());
+                    self.router
+                        .observe(route.node, fabric::Outcome::Timeout, rt.now());
                     return Err(DlfsError::Io {
                         target: server_node as u32,
                         attempts,

@@ -118,8 +118,8 @@ pub(crate) struct Background {
     /// counts into the same `repairs`).
     scrubbed: Counter,
     repairs: Counter,
-    /// `dlfs.rebuild.*`, registered only when the instance carries a
-    /// cluster [`fabric::Membership`] view.
+    /// `dlfs.rebuild.*`, registered only when the instance's target
+    /// states carry a death policy (`Redundancy::membership`).
     rb_blocks: Counter,
     /// Blocks a catch-up resync found already verified on the replacement
     /// device (a restarted node that kept its media skips them).

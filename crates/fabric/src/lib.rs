@@ -36,21 +36,19 @@
 #![forbid(unsafe_code)]
 
 pub mod fault;
-pub mod health;
-pub mod membership;
 pub mod nvmeof;
 pub mod offload;
 pub mod rpc;
 pub mod shard;
+pub mod state;
 pub mod topology;
 
 pub use fault::{FabricFault, FabricFaultInjector};
-pub use health::TargetHealth;
-pub use membership::{Membership, MembershipPolicy, NodeState};
 pub use nvmeof::{
     connect, NvmeOfTarget, RemoteTarget, TargetConfig, CAPSULE_BYTES, RESPONSE_BYTES,
 };
 pub use offload::{OffloadRequestWire, OffloadScheduler, DESCRIPTOR_BYTES};
 pub use rpc::{serve, RpcClient, RpcError, WireSize};
 pub use shard::{Route, ShardMap, ShardRouter};
+pub use state::{Outcome, TargetState, TargetStates};
 pub use topology::{Cluster, FabricConfig};

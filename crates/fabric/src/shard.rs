@@ -3,8 +3,8 @@
 //! A metadata namespace split into `S` shards is described by a
 //! [`ShardMap`]: an epoch-stamped table assigning every shard a primary
 //! owner node and a standby. Clients hold a [`ShardRouter`], which caches
-//! the map, routes each shard to a healthy node through the shared
-//! [`TargetHealth`] circuit breaker, and refreshes the cached map when a
+//! the map, routes each shard to a healthy node through one
+//! [`TargetStates`] over the nodes, and refreshes the cached map when a
 //! server response proves it stale (epoch-stamped invalidation: the client
 //! sends the epoch it routed with, the server piggybacks the current map
 //! on the reply when the epochs disagree).
@@ -20,7 +20,7 @@ use simkit::plock::Mutex;
 use simkit::telemetry::{Counter, Registry};
 use simkit::time::{Dur, Time};
 
-use crate::health::TargetHealth;
+use crate::state::{Outcome, TargetStates};
 
 /// Epoch-stamped assignment of metadata shards to serving nodes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -85,7 +85,7 @@ struct RouterTel {
 /// A client's cached, health-aware view of a [`ShardMap`].
 pub struct ShardRouter {
     map: Mutex<Arc<ShardMap>>,
-    health: TargetHealth,
+    health: TargetStates,
     tel: Mutex<Option<RouterTel>>,
 }
 
@@ -94,18 +94,19 @@ impl std::fmt::Debug for ShardRouter {
         f.debug_struct("ShardRouter")
             .field("shards", &self.map.lock().shards())
             .field("epoch", &self.map.lock().epoch)
-            .field("nodes", &self.health.targets())
+            .field("health", &self.health)
             .finish()
     }
 }
 
 impl ShardRouter {
-    /// Route over `map` across `nodes` metadata nodes. The circuit opens
-    /// after `threshold` consecutive failures for `cooldown`.
+    /// Route over `map` across `nodes` metadata nodes. A node's circuit
+    /// opens after `threshold` consecutive failures for `cooldown`; no node
+    /// is ever declared Dead.
     pub fn new(map: ShardMap, nodes: usize, threshold: u32, cooldown: Dur) -> ShardRouter {
         ShardRouter {
             map: Mutex::new(Arc::new(map)),
-            health: TargetHealth::new(nodes, threshold, cooldown),
+            health: TargetStates::new(nodes, threshold, cooldown, None),
             tel: Mutex::new(None),
         }
     }
@@ -172,13 +173,9 @@ impl ShardRouter {
         }
     }
 
-    /// Record the outcome of a routed call against the node's circuit.
-    pub fn record_ok(&self, node: u16) {
-        self.health.record_ok(node as usize);
-    }
-
-    pub fn record_failure(&self, node: u16, now: Time) {
-        self.health.record_failure(node as usize, now);
+    /// Record what a routed call to `node` came to at `now`.
+    pub fn observe(&self, node: u16, outcome: Outcome, now: Time) {
+        self.health.observe(node as usize, outcome, now);
     }
 }
 
@@ -199,33 +196,20 @@ mod tests {
     fn routes_to_owner_then_standby_on_open_circuit() {
         let r = router();
         let t0 = Time::ZERO + Dur::micros(5);
-        assert_eq!(
-            r.route(1, t0),
-            Route {
-                node: 1,
-                primary: true,
-                epoch: 1
-            }
-        );
-        r.record_failure(1, t0);
-        r.record_failure(1, t0);
+        let first = r.route(1, t0);
+        assert_eq!((first.node, first.primary, first.epoch), (1, true, 1));
+        r.observe(1, Outcome::Timeout, t0);
+        r.observe(1, Outcome::Timeout, t0);
         let fo = r.route(1, t0 + Dur::micros(1));
         assert_eq!((fo.node, fo.primary), (2, false));
-        // Success on a later probe closes the circuit again.
-        r.record_ok(1);
-        assert!(r.route(1, t0 + Dur::micros(2)).primary);
-    }
-
-    #[test]
-    fn both_circuits_open_falls_back_to_owner() {
-        let r = router();
-        let t0 = Time::ZERO + Dur::micros(5);
-        for n in [1u16, 2] {
-            r.record_failure(n, t0);
-            r.record_failure(n, t0);
-        }
+        // With the standby's circuit open too, the owner is returned anyway.
+        r.observe(2, Outcome::Timeout, t0);
+        r.observe(2, Outcome::Timeout, t0);
         let route = r.route(1, t0 + Dur::micros(1));
         assert_eq!((route.node, route.primary), (1, true));
+        // Success on a later probe closes the circuit again.
+        r.observe(1, Outcome::Ok, t0 + Dur::micros(2));
+        assert!(r.route(1, t0 + Dur::micros(2)).primary);
     }
 
     #[test]
@@ -248,8 +232,8 @@ mod tests {
         let r = router();
         r.attach_telemetry(&reg.scoped("router"));
         let t0 = Time::ZERO + Dur::micros(5);
-        r.record_failure(0, t0);
-        r.record_failure(0, t0);
+        r.observe(0, Outcome::Timeout, t0);
+        r.observe(0, Outcome::Timeout, t0);
         let _ = r.route(0, t0 + Dur::micros(1));
         r.install(r.map().reassigned(2, 1, 0));
         let snap = reg.snapshot();

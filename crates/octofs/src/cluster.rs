@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use blocksim::{covering_blocks, DeviceConfig, NvmeDevice, NvmeTarget};
-use fabric::{Cluster, FabricFault, RpcClient, RpcError, TargetHealth};
+use fabric::{Cluster, FabricFault, Outcome, RpcClient, RpcError, TargetStates};
 use simkit::plock::Mutex;
 use simkit::retry::RetryPolicy;
 use simkit::runtime::Runtime;
@@ -111,7 +111,7 @@ pub struct OctopusFs {
     cursors: Vec<Mutex<u64>>,
     tables: Vec<Arc<Mutex<MetaTable>>>,
     cfg: OctoConfig,
-    health: TargetHealth,
+    health: TargetStates,
     tel: OctoTelemetry,
 }
 
@@ -164,7 +164,7 @@ impl OctopusFs {
             servers.push(client);
         }
         let scope = cluster.registry().scoped("octofs");
-        let health = TargetHealth::new(nodes, cfg.health_threshold, cfg.health_cooldown);
+        let health = TargetStates::new(nodes, cfg.health_threshold, cfg.health_cooldown, None);
         health.attach_telemetry(&cluster.registry().scoped("octofs.health"));
         Arc::new(OctopusFs {
             tel: OctoTelemetry {
@@ -307,18 +307,18 @@ impl OctopusFs {
             if srv == client_node {
                 // Local: hash-table access in shared memory.
                 rt.work(SERVER_LOOKUP_COST);
-                self.health.record_ok(srv);
+                self.health.observe(srv, Outcome::Ok, rt.now());
                 return Ok(self.tables[srv].lock().lookup(name));
             }
             self.tel.lookup_rpcs.inc();
             match self.servers[srv].try_call(rt, client_node, LookupReq(name.to_string())) {
                 Ok(resp) => {
-                    self.health.record_ok(srv);
+                    self.health.observe(srv, Outcome::Ok, rt.now());
                     return Ok(resp.0);
                 }
-                Err(RpcError::Timeout { attempts, .. }) => {
+                Err(e @ RpcError::Timeout { attempts, .. }) => {
                     self.tel.timeouts.inc();
-                    self.health.record_failure(srv, rt.now());
+                    self.health.observe(srv, Outcome::from(&e), rt.now());
                     last_err = OctoError::Unavailable {
                         node: srv as u32,
                         attempts,
@@ -420,7 +420,7 @@ impl OctopusFs {
                 rt.sleep(t_done - now);
             }
             if ok {
-                self.health.record_ok(node);
+                self.health.observe(node, Outcome::Ok, rt.now());
                 let n = entry.len as usize;
                 let mut block_buf = vec![0u8; bytes as usize];
                 dev.dma_read(slba, &mut block_buf);
@@ -431,7 +431,7 @@ impl OctopusFs {
                 // Only transport losses indict the *target*; media errors
                 // are the device's problem and retry in place.
                 self.tel.timeouts.inc();
-                self.health.record_failure(node, rt.now());
+                self.health.observe(node, Outcome::Timeout, rt.now());
             }
             failed += 1;
             self.tel.read_retries.inc();
