@@ -23,6 +23,9 @@ use super::*;
 /// that do not (`Ok(false)`), or a failed command.
 pub(super) type Landed = Result<bool, CmdStatus>;
 
+/// Why a part's bytes cannot be published, if they cannot.
+pub(super) type Verdict = Result<(), CorruptCause>;
+
 impl DlfsIo {
     /// What the payload work on `nblocks` blocks read — under a codec, the
     /// stored extent of `frame` — costs whoever runs it: a copy thread, a
@@ -62,14 +65,16 @@ impl DlfsIo {
     /// cache only ever holds decoded bytes) and count it in `dlfs.codec.*`.
     /// Verification covers the stored bytes, so decode runs strictly after
     /// it and after repair. Takes no virtual time: whoever calls it has
-    /// paid what [`DlfsIo::judge`] asked. Returns `ok`.
-    pub(super) fn check_part(&self, io: &PartIo, ok: bool, repair: bool) -> bool {
+    /// paid what [`DlfsIo::judge`] asked. Returns why the bytes cannot be
+    /// published: they fail their checksums, or do not decode (counted as
+    /// a mismatch too).
+    pub(super) fn check_part(&self, io: &PartIo, ok: bool, repair: bool) -> Verdict {
         let red = &self.shared.redundancy;
         if red.verify() {
             self.tel.iv_verified.add(io.nblocks as u64);
             if !ok {
                 self.tel.iv_mismatches.inc();
-                return false;
+                return Err(CorruptCause::Checksum);
             }
             if repair {
                 let span = io.nblocks as usize * BLOCK_SIZE as usize;
@@ -81,12 +86,15 @@ impl DlfsIo {
         }
         if let Some(f) = io.frame {
             io.buf.with_mut(|d| {
-                if let Some(raw) = self.decode_counted(&f, d) {
+                let raw = self.decode_counted(&f, d);
+                let raw = raw.inspect_err(|_| self.tel.iv_mismatches.inc())?;
+                if let Some(raw) = raw {
                     d[..f.raw_len].copy_from_slice(&raw);
                 }
-            });
+                Ok(())
+            })?;
         }
-        true
+        Ok(())
     }
 
     /// The completion router: look up whose command `c` was and route it,

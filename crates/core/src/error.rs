@@ -29,6 +29,9 @@ pub enum CorruptCause {
     /// The final attempt returned bytes, but they failed per-block
     /// checksum verification.
     Checksum,
+    /// The final attempt returned bytes that are not a coded frame: they
+    /// decode short.
+    Frame,
     /// The final attempt never returned good bytes at all.
     Io(IoFailure),
 }
@@ -37,6 +40,7 @@ impl std::fmt::Display for CorruptCause {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CorruptCause::Checksum => write!(f, "block checksum mismatch"),
+            CorruptCause::Frame => write!(f, "malformed coded frame"),
             CorruptCause::Io(e) => write!(f, "{e}"),
         }
     }
@@ -46,7 +50,7 @@ impl std::error::Error for CorruptCause {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CorruptCause::Io(e) => Some(e),
-            CorruptCause::Checksum => None,
+            CorruptCause::Checksum | CorruptCause::Frame => None,
         }
     }
 }

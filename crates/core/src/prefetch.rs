@@ -133,7 +133,7 @@ impl DlfsIo {
         len: u64,
         landed: check::Landed,
     ) {
-        let checked = landed.is_ok_and(|ok| self.check_part(&io, ok, false));
+        let checked = landed.is_ok_and(|ok| self.check_part(&io, ok, false).is_ok());
         if checked && !self.shared.cache.contains(key) {
             // Born evictable: nobody keeps the pin `publish` hands back.
             self.shared.cache.publish(key, vec![io.buf], len, true);
