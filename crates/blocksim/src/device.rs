@@ -108,6 +108,22 @@ pub trait NvmeTarget: Send + Sync {
         }
         (cpu.max(floor), cpu.max(floor))
     }
+
+    /// The handle a replica copy of this target's writes takes to `peer`
+    /// (the peer as the caller reaches it). Each copy is submitted right
+    /// after the write it copies. The default, a target with no fabric of
+    /// its own, has the caller write each copy to `peer` directly from its
+    /// submit instant; an NVMe-oF target instead forwards the payload it
+    /// just received from its own NIC.
+    fn forward_to(&self, peer: &Arc<dyn NvmeTarget>) -> Arc<dyn NvmeTarget> {
+        peer.clone()
+    }
+
+    /// This device as cluster node `node` reaches it, when it sits behind
+    /// a fabric target; `None` for a device reached without one.
+    fn reached_from(&self, _node: usize) -> Option<Arc<dyn NvmeTarget>> {
+        None
+    }
 }
 
 /// One extent of a storage-side offload batch: read `nblocks` logical

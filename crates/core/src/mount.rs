@@ -19,25 +19,29 @@
 //! `Bringup::stage`: place the dataset (`place`), derive each node's
 //! `Geometry` — the only step that differs between an ephemeral and a
 //! persistent mount — stream it through `UploadTask`s whose single `land`
-//! writes, checksums, mirrors and records every extent, and `assemble` the
-//! instance. `remount` is `Bringup::remount`: [`crate::layout::load_node`]
+//! writes (and so replicates), checksums and records every extent, and
+//! `assemble` the instance. `remount` is `Bringup::remount`: [`crate::layout::load_node`]
 //! per device instead of staging, then the same `assemble`.
 //!
 //! Staging streams samples through a bounded per-reader pipe: the caller's
 //! task produces, one spawned task per reader consumes and writes through
-//! one [`BatchedWriter`] per device stream. Set-up finishes when its
-//! slowest device or NIC does, because no step waits on one it does not
-//! need:
+//! one [`BatchedWriter`] per owned node, which also carries the node's k−1
+//! replica copies. Set-up finishes when its slowest device or NIC does,
+//! because no step waits on one it does not need:
 //! - *Fed by share.* A reader that owns several storage nodes (the paper's
 //!   pool of devices) is fed the k-way merge of its nodes' sample lists by
 //!   data-relative offset ÷ the node's data bytes (cross-multiplied), ties
 //!   by node, so all of its devices fill at once and finish together.
 //!   Every node's samples still arrive in packed offset order, so each
 //!   writer coalesces what a node-by-node feed would. The merge is only
-//!   safe because one writer carries one monotone stream — a home node's
-//!   data, or one (peer, replica slot) mirror of it — so a writer never
-//!   has to start a run at an unaligned offset (`BatchedWriter::write`
-//!   rejects that in every build).
+//!   safe because every device stream is monotone — a home node's data,
+//!   or its copy in one (peer, replica slot) — so no stream ever has to
+//!   start a run at an unaligned offset (`BatchedWriter::write` rejects
+//!   that in every build).
+//! - *A copy leaves from its home.* The reader sends each run once, to the
+//!   home's target; over NVMe-oF the home forwards every copy from its own
+//!   NIC ([`NvmeTarget::forward_to`]), so the reader's NIC carries one copy
+//!   of the data however many land.
 //! - *A tree ships when it is built.* A reader ships its nodes' trees to
 //!   every other reader ([`Allgather::ship`]) once its last sample has
 //!   landed (on remount: once its nodes are loaded); the merge is charged
@@ -48,11 +52,11 @@
 //!   every committed superblock, one drain.
 //!
 //! Setup memory does not grow with the dataset share: per reader it is the
-//! pipe (`STREAM_DEPTH` samples) plus, per open writer, a chunk of staging
-//! and up to `queue_depth × chunk_size` of DMA buffers in flight — a bound
-//! the merged feed reaches on all of the reader's nodes at once.
+//! pipe (`STREAM_DEPTH` samples) plus, per owned node, a chunk of staging
+//! and up to `queue_depth × chunk_size` of DMA buffers in flight per device
+//! stream (a copy shares its home command's buffer) — a bound the merged
+//! feed reaches on all of the reader's nodes at once.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use blocksim::{NvmeDevice, NvmeTarget, BLOCK_SIZE};
@@ -478,7 +482,7 @@ struct UploadTask {
     /// The reader's target row by storage node: its own nodes plus the
     /// peers that host their replica mirrors.
     row: Vec<Arc<dyn NvmeTarget>>,
-    /// Every storage node's geometry (routes the mirror writes).
+    /// Every storage node's geometry (places the mirror copies).
     geometry: Arc<Vec<Geometry>>,
     /// Superblock drafts of `my_nodes`: `Some` = persist the layout.
     drafts: Option<Vec<Superblock>>,
@@ -494,30 +498,40 @@ struct UploadTask {
 }
 
 /// The device-facing state of one upload task, indexed like `my_nodes`.
-/// Mirror writers are keyed by (peer node, replica slot) and opened on
-/// demand. That pair names exactly one home node, so every writer — home
-/// or mirror — carries one node's stream and nothing else: one monotone
-/// run, however the homes' streams interleave in the feed. (A peer alone
-/// is not a key: under `replicas ≥ 3` it hosts mirrors of two homes, and
-/// their interleaved streams would start runs at unaligned offsets.)
+/// A node's writer carries its stream and its k−1 replica copies, so every
+/// device stream — home or copy — is one node's data and nothing else: one
+/// monotone run, however the homes' streams interleave in the feed.
 struct Landing {
     writers: Vec<BatchedWriter>,
-    mirrors: BTreeMap<(usize, u32), BatchedWriter>,
     checks: Vec<BlockChecksums>,
     records: Vec<Vec<MetaRecord>>,
 }
 
 impl UploadTask {
+    /// Node `home`'s writer: its data region is mirrored to replica slot r
+    /// of peer home + r for every r < k (`layout::replica_offset`).
+    fn writer(&self, home: usize) -> BatchedWriter {
+        let mirror = |r: usize| {
+            let peer = (home + r) % self.geometry.len();
+            let p = self.geometry[peer];
+            let at = layout::replica_offset(p.data_base, p.slot_bytes, r as u32, 0);
+            (self.row[peer].clone(), peer as u16, at)
+        };
+        let mirrors = (1..self.cfg.replicas).map(mirror).collect();
+        let (g, target) = (self.geometry[home], self.row[home].clone());
+        let (region, reg) = (g.data_base..g.data_base + g.data_bytes, self.reg.as_ref());
+        BatchedWriter::mirrored(target, home as u16, region, mirrors, &self.cfg, reg)
+    }
+
     /// Land one staged extent of node `my_nodes[pos]` — a raw sample (a
     /// frame stored in full), or a whole encoded frame under a codec
-    /// ([`FrameStager`]): write its stored extent at its device address,
-    /// feed the node's rolling integrity hasher the same bytes, mirror them
-    /// to the k−1 replica slots on peer nodes, and queue its metadata
-    /// records. Extents arrive per node in device order and each starts
-    /// where the previous one ended — a coded node's frames lie back to
-    /// back — so every writer sees one contiguous run, merges it into
-    /// chunk-sized commands, and the hasher sees the stored region as one
-    /// stream.
+    /// ([`FrameStager`]): write its stored extent at its device address
+    /// (the writer copies it to the replica slots), feed the node's rolling
+    /// integrity hasher the same bytes, and queue its metadata records.
+    /// Extents arrive per node in device order and each starts where the
+    /// previous one ended — a coded node's frames lie back to back — so
+    /// every writer sees one contiguous run, merges it into chunk-sized
+    /// commands, and the hasher sees the stored region as one stream.
     fn land(
         &self,
         rt: &Runtime,
@@ -529,22 +543,6 @@ impl UploadTask {
         l.writers[pos].write(rt, f.at, bytes)?;
         if self.cfg.verify_reads {
             l.checks[pos].update(bytes);
-        }
-        let home = self.my_nodes[pos];
-        let rel = f.at - self.geometry[home].data_base;
-        for r in 1..self.cfg.replicas as u32 {
-            let peer = (home + r as usize) % self.geometry.len();
-            let g = self.geometry[peer];
-            let w = l.mirrors.entry((peer, r)).or_insert_with(|| {
-                BatchedWriter::new(
-                    self.row[peer].clone(),
-                    peer as u16,
-                    &self.cfg,
-                    self.reg.as_ref(),
-                )
-            });
-            let at = layout::replica_offset(g.data_base, g.slot_bytes, r, rel);
-            w.write(rt, at, bytes)?;
         }
         if self.drafts.is_some() {
             // Checksummed over its logical bytes: what a checker reads back.
@@ -565,14 +563,8 @@ impl UploadTask {
     /// (so the producer never blocks on a dead consumer) and reports the
     /// error at the end.
     fn run(mut self, rt: &Runtime) -> Result<Vec<(usize, NodeState)>, DlfsError> {
-        let reg = self.reg.as_ref();
         let mut l = Landing {
-            writers: self
-                .my_nodes
-                .iter()
-                .map(|&n| BatchedWriter::new(self.row[n].clone(), n as u16, &self.cfg, reg))
-                .collect(),
-            mirrors: BTreeMap::new(),
+            writers: self.my_nodes.iter().map(|&n| self.writer(n)).collect(),
             checks: vec![BlockChecksums::new(); self.my_nodes.len()],
             records: vec![Vec::new(); self.my_nodes.len()],
         };
@@ -656,11 +648,11 @@ impl UploadTask {
             gather.ship(rt, self.r, self.tree_bytes);
         }
         // Every tail drains at once (zero-sample nodes included), replica
-        // mirrors before any superblock commits. (The mirrors this task
+        // copies before any superblock commits. (The copies this task
         // wrote land on *peer* nodes whose own commit runs in a different
         // task; replica slots are best-effort spare copies, not covered by
         // the two-phase generation stamp.)
-        flush_all(rt, l.mirrors.values_mut().chain(&mut l.writers))?;
+        flush_all(rt, &mut l.writers)?;
         let sums: Vec<Vec<u64>> = l.checks.into_iter().map(BlockChecksums::finish).collect();
         // Without a codec there are no stagers, and every frame table is empty.
         let mut lens: Vec<Vec<u32>> = stagers.into_iter().map(|s| s.lens).collect();

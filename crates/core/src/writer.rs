@@ -37,6 +37,7 @@
 //! torn append is invisible to readers.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -249,6 +250,15 @@ impl CmdDriver {
     }
 }
 
+/// One mirror's driver: each of its commands copies the home command
+/// submitted right before it.
+struct Copy {
+    drv: CmdDriver,
+    at: u64,
+    /// Commands submitted since its last drain.
+    dirty: bool,
+}
+
 /// A pipelined, coalescing writer over one target's write qpair.
 ///
 /// Callers stream byte runs with [`BatchedWriter::write`]; contiguous runs
@@ -256,13 +266,19 @@ impl CmdDriver {
 /// commands, pipelined to the qpair's depth. Every run must start
 /// block-aligned (the import streams are laid out that way by
 /// construction); a run's tail is zero-padded to the block boundary at
-/// flush time.
+/// flush time. A mirrored writer sends each run it starts in its mirrored
+/// region to every mirror too, through a driver per mirror on the handle
+/// [`NvmeTarget::forward_to`] gives: an NVMe-oF home forwards the payload
+/// it received, a local one has the caller write the copy itself.
 ///
 /// Counts under `dlfs.write.*` — unregistered unless the caller supplies a
 /// registry, which keeps existing figure outputs byte-identical; `retries`
-/// and `timeouts` are its driver's.
+/// and `timeouts` are its drivers'. Every count is per device stream: a
+/// mirrored run is one append, command and flush per copy.
 pub struct BatchedWriter {
     drv: CmdDriver,
+    copies: Vec<Copy>,
+    mirrored: Range<u64>,
     /// One chunk: the run being coalesced into the next command.
     staging: Vec<u8>,
     staged_base: u64,
@@ -283,9 +299,30 @@ impl BatchedWriter {
         cfg: &DlfsConfig,
         reg: Option<&Registry>,
     ) -> BatchedWriter {
+        BatchedWriter::mirrored(target, nid, 0..0, Vec::new(), cfg, reg)
+    }
+
+    /// A writer whose runs inside `region` also land on every mirror
+    /// `(peer, nid, at)`: storage node `nid`, as the caller reaches it, with
+    /// `at` standing in for `region.start`.
+    pub(crate) fn mirrored(
+        target: Arc<dyn NvmeTarget>,
+        nid: u16,
+        region: Range<u64>,
+        mirrors: Vec<(Arc<dyn NvmeTarget>, u16, u64)>,
+        cfg: &DlfsConfig,
+        reg: Option<&Registry>,
+    ) -> BatchedWriter {
         let scope = reg.map(|r| r.scoped("dlfs.write"));
         let scope = scope.as_ref();
+        let copy = |(peer, nid, at)| Copy {
+            drv: CmdDriver::new(target.forward_to(&peer), nid, cfg, scope),
+            at,
+            dirty: false,
+        };
         BatchedWriter {
+            copies: mirrors.into_iter().map(copy).collect(),
+            mirrored: region,
             drv: CmdDriver::new(target, nid, cfg, scope),
             staging: vec![0u8; cfg.chunk_size as usize],
             staged_base: 0,
@@ -312,7 +349,8 @@ impl BatchedWriter {
                 offset,
             });
         }
-        self.appends.inc();
+        let copies = self.mirrored.contains(&offset) as usize * self.copies.len();
+        self.appends.add(1 + copies as u64);
         if !contiguous {
             self.submit_staged(rt)?;
             self.staged_base = offset;
@@ -344,17 +382,25 @@ impl BatchedWriter {
         let nblocks = (self.staged_len as u64).div_ceil(BLOCK_SIZE) as u32;
         let buf = DmaBuf::standalone(nblocks as usize * BLOCK_SIZE as usize);
         buf.copy_from(0, &self.staging[..self.staged_len]);
-        self.commands.inc();
-        self.bytes.add(nblocks as u64 * BLOCK_SIZE);
-        let cmd = Cmd {
+        let base = self.staged_base;
+        let copies = self.mirrored.contains(&base) as usize * self.copies.len();
+        let write = |at: u64| Cmd {
             op: Op::Write,
-            slba: self.staged_base / BLOCK_SIZE,
+            slba: at / BLOCK_SIZE,
             nblocks,
-            buf,
+            buf: buf.clone(),
             at: 0,
             attempts: 0,
         };
-        self.drv.submit(rt, cmd)
+        self.commands.add(1 + copies as u64);
+        self.bytes
+            .add((1 + copies as u64) * nblocks as u64 * BLOCK_SIZE);
+        self.drv.submit(rt, write(base))?;
+        for c in &mut self.copies[..copies] {
+            c.dirty = true;
+            c.drv.submit(rt, write(c.at + base - self.mirrored.start))?;
+        }
+        Ok(())
     }
 
     /// Submit the staged tail and close the run without waiting for it:
@@ -373,7 +419,13 @@ impl BatchedWriter {
     pub fn flush(&mut self, rt: &Runtime) -> Result<(), DlfsError> {
         self.submit(rt)?;
         self.flushes.inc();
-        self.drv.drain(rt)
+        self.drv.drain(rt)?;
+        for c in self.copies.iter_mut().filter(|c| c.dirty) {
+            c.dirty = false;
+            self.flushes.inc();
+            c.drv.drain(rt)?;
+        }
+        Ok(())
     }
 }
 

@@ -941,19 +941,28 @@ fn setup_cell(seed: u64, cfg: DlfsConfig, persist: bool, fabric_rig: bool) -> St
     .0
 }
 
-/// Device images and `dlfs.write.{commands, bytes}` after `readers` readers
-/// stage [`GridSource`] onto four fresh local devices.
-fn staged_by(readers: usize, cfg: &DlfsConfig, persist: bool) -> (Vec<u64>, u64, u64) {
+/// Every device's image and (persistent only) deep `fsck_node` state, and
+/// `dlfs.write.{commands, bytes}`.
+type Staged = (Vec<(u64, String)>, u64, u64);
+
+/// What staging [`GridSource`] onto four fresh devices leaves behind when
+/// `readers` readers reach them locally or over NVMe-oF.
+fn staged_by(readers: usize, fabric: bool, cfg: &DlfsConfig, persist: bool) -> Staged {
     Runtime::simulate(7100, |rt| {
         let devices: Vec<Arc<NvmeDevice>> = (0..4).map(|_| ramdisk(2 << 20)).collect();
+        let deployment = if fabric {
+            pool(readers, &devices, FabricConfig::default()).0
+        } else {
+            Deployment::local(readers, &devices)
+        };
         let reg = Registry::new();
         let b = MountBuilder::new(cfg.clone())
-            .deployment(Deployment::local(readers, &devices))
+            .deployment(deployment)
             .with_registry(reg.clone());
         let b = if persist { b.persistent() } else { b };
         b.mount(rt, &GridSource).unwrap();
         (
-            devices.iter().map(|d| image_hash(d)).collect(),
+            device_states(&devices, persist),
             reg.counter("dlfs.write.commands").get(),
             reg.counter("dlfs.write.bytes").get(),
         )
@@ -961,11 +970,97 @@ fn staged_by(readers: usize, cfg: &DlfsConfig, persist: bool) -> (Vec<u64>, u64,
     .0
 }
 
-/// The order in which one reader feeds its devices changes no byte and no
-/// command: a reader that owns all four nodes (their streams interleaved)
-/// leaves every device exactly as four readers that own one node each
-/// (nothing to interleave) do — data, mirrors, integrity and codec tables,
-/// metadata and superblocks alike.
+/// Every device's image hash and, when `deep`, its deep fsck state.
+fn device_states(devices: &[Arc<NvmeDevice>], deep: bool) -> Vec<(u64, String)> {
+    let state = |(n, d): (usize, &Arc<NvmeDevice>)| {
+        let target: Arc<dyn NvmeTarget> = d.clone();
+        let fsck = deep.then(|| fsck_node(&target, n as u16, true).state);
+        (image_hash(d), format!("{fsck:?}"))
+    };
+    devices.iter().enumerate().map(state).collect()
+}
+
+/// A replica copy crosses the fabric on the home → peer path only. Drops
+/// there are retried by the copy's driver, and the devices end exactly as
+/// a fault-free local import leaves them, every node deep-fsck clean. A
+/// drop schedule on each reader's path to its home's peer meets no command
+/// at all. A peer that dies mid-import is a typed `Io` naming it.
+#[test]
+fn forward_leg_faults_are_retried_or_typed() {
+    let cfg = DlfsConfig {
+        chunk_size: 16 * 1024,
+        ckpt_region_bytes: 64 * 1024,
+        replicas: 2,
+        verify_reads: true,
+        ..DlfsConfig::default()
+    };
+    // `readers` readers, four devices, and drops on the given cluster
+    // paths: the import's device states, retries and fabric drops.
+    let faulted = |readers: usize, paths: &[(usize, usize)]| {
+        Runtime::simulate(7400, |rt| {
+            let devices: Vec<Arc<NvmeDevice>> = (0..4).map(|_| ramdisk(2 << 20)).collect();
+            let (deployment, cluster) = pool(readers, &devices, FabricConfig::default());
+            let mut drops = FabricFaultInjector::new(41).with_io_timeout(Dur::micros(40));
+            for &(from, to) in paths {
+                drops = drops.with_path_drops(from, to, 200_000);
+            }
+            cluster.set_faults(drops);
+            let reg = Registry::new();
+            MountBuilder::new(cfg.clone())
+                .deployment(deployment)
+                .with_registry(reg.clone())
+                .persistent()
+                .mount(rt, &GridSource)
+                .unwrap();
+            (
+                device_states(&devices, true),
+                reg.counter("dlfs.write.retries").get(),
+                cluster.metrics().counter("fabric.faults.drops"),
+            )
+        })
+        .0
+    };
+    let (clean, ..) = staged_by(1, false, &cfg, true);
+    assert!(clean.iter().all(|(_, fsck)| fsck.starts_with("Some(Clean")));
+    // One reader on node 0, storage node n on cluster node n + 1.
+    let forward: Vec<(usize, usize)> = (0..4).map(|n| (n + 1, (n + 1) % 4 + 1)).collect();
+    let (states, retries, drops) = faulted(1, &forward);
+    assert!(retries > 0 && drops > 0, "{retries} retries, {drops} drops");
+    assert_eq!(states, clean);
+    // Four readers on nodes 0..4, storage node n on cluster node n + 4:
+    // reader n's path to its home's peer.
+    let to_peer: Vec<(usize, usize)> = (0..4).map(|n| (n, (n + 1) % 4 + 4)).collect();
+    assert_eq!(faulted(4, &to_peer), (clean, 0, 0));
+
+    Runtime::simulate(7401, |rt| {
+        let devices: Vec<Arc<NvmeDevice>> = (0..2).map(|_| ramdisk(32 << 20)).collect();
+        let (deployment, _) = pool(2, &devices, FabricConfig::default());
+        let peer = devices[1].clone();
+        let kill = rt.spawn_with("kill", move |rt| {
+            rt.sleep(Dur::micros(300));
+            peer.kill();
+        });
+        // 8 MB: each target takes ≈ 1.2 ms of its own data and its mirror's.
+        let source = SyntheticSource::fixed(45, 2000, 4096);
+        let err = MountBuilder::new(cfg.clone())
+            .deployment(deployment)
+            .mount(rt, &source)
+            .unwrap_err();
+        kill.join();
+        assert!(
+            matches!(err, DlfsError::Io { target: 1, .. }),
+            "want a typed Io naming the dead peer, got {err:?}"
+        );
+    });
+}
+
+/// Neither the order in which one reader feeds its devices nor the path a
+/// replica copy takes changes a byte or a command: a reader that owns all
+/// four nodes (their streams interleaved) leaves every device exactly as
+/// four readers that own one node each (nothing to interleave) do, and
+/// readers over NVMe-oF — whose home targets forward every copy — exactly
+/// as local ones, who write each copy themselves: data, mirrors, integrity
+/// and codec tables, metadata, superblocks and deep fsck states alike.
 #[test]
 fn feed_order_changes_no_byte() {
     for replicas in [1usize, 2, 3] {
@@ -979,11 +1074,15 @@ fn feed_order_changes_no_byte() {
                     codec,
                     ..DlfsConfig::default()
                 };
-                assert_eq!(
-                    staged_by(1, &cfg, persist),
-                    staged_by(4, &cfg, persist),
-                    "replicas={replicas} codec={codec} persist={persist}"
-                );
+                let local = staged_by(1, false, &cfg, persist);
+                for (readers, fabric) in [(4, false), (1, true), (4, true)] {
+                    assert_eq!(
+                        local,
+                        staged_by(readers, fabric, &cfg, persist),
+                        "replicas={replicas} codec={codec} persist={persist} \
+                         readers={readers} fabric={fabric}"
+                    );
+                }
             }
         }
     }
@@ -1005,15 +1104,19 @@ struct StagingRig {
 
 /// Staging runs at its slowest link: `mount` takes at most `bound` over
 /// the larger of (most bytes any device takes ÷ device rate) and (most
-/// bytes any reader sends ÷ reader NIC rate). Each rig pins a serial step
-/// the bring-up must not take: a reader that fills its devices one after
+/// bytes any NIC sends or receives ÷ NIC rate) — a reader's sends, a
+/// target's receives and forwards. Each rig pins a serial step the
+/// bring-up must not take: a reader that fills its devices one after
 /// another (`1x4-nvmeof`, `1x3-local-r2`), trees shipped and merged only
 /// after the last write drains (`4x4-allgather`: 16 384 entries, whose
 /// merge alone is a sixth of the roofline), a node whose larger share is
 /// written alone at the end (`1x4-lognormal`), per-node tails and
-/// finalizes drained one after another (`1x3-local-r2-persist`). At the
-/// bring-up that took those steps, the three rigs after the first two ran
-/// 1.21, 1.08 and 1.013 × their rooflines.
+/// finalizes drained one after another (`1x3-local-r2-persist`), a reader
+/// that sends every replica copy itself (`1x4-nvmeof-r2`, whose readers
+/// must send each byte once). At the bring-up that took those steps, the
+/// three rigs after the first two ran 1.21, 1.08 and 1.013 × their
+/// rooflines, and the last 1.30 × its device roofline (20.7 ms, bound by
+/// the reader sending 140 MB).
 #[test]
 fn mount_meets_its_staging_roofline() {
     let fixed = || SyntheticSource::fixed(31, 700, 100_000); // 70 MB
@@ -1072,6 +1175,16 @@ fn mount_meets_its_staging_roofline() {
             source: fixed(),
             bound: 0.01,
         },
+        StagingRig {
+            name: "1x4-nvmeof-r2",
+            readers: 1,
+            nodes: 4,
+            fabric: true,
+            replicas: 2,
+            persist: false,
+            source: fixed(),
+            bound: 0.02,
+        },
     ];
     let over: Vec<String> = rigs
         .iter()
@@ -1117,28 +1230,52 @@ fn staging_run(rt: &Runtime, rig: &StagingRig) -> (f64, f64) {
     let took = (rt.now() - t0).as_secs_f64();
     let written: Vec<u64> = devices.iter().map(|d| d.stats().3).collect();
     let device_s = *written.iter().max().unwrap() as f64 / devices[0].config().bytes_per_sec;
-    // Every byte a reader sends: its nodes' data, capsules and trees.
+    // The busiest NIC direction: a reader sends its nodes' data, capsules
+    // and trees; a target receives its own data and its mirrors' and
+    // forwards its copies.
     let nic = FabricConfig::default().nic_bytes_per_sec;
-    let sent = |r| cluster.as_ref().map_or(0, |c| c.node_traffic(r).0);
-    let wire_s = (0..rig.readers).map(sent).max().unwrap_or(0) as f64 / nic;
-    (took, device_s.max(wire_s))
+    let traffic = |c: &Cluster| (0..c.len()).map(|n| c.node_traffic(n)).collect::<Vec<_>>();
+    let traffic = cluster.as_deref().map(traffic).unwrap_or_default();
+    let busiest = traffic
+        .iter()
+        .map(|&(tx, rx)| tx.max(rx))
+        .max()
+        .unwrap_or(0);
+    if rig.replicas > 1 {
+        // One copy of every byte leaves the readers, however many land.
+        let data: u64 = (0..rig.source.count() as u32)
+            .map(|id| rig.source.size(id))
+            .sum();
+        let sent: u64 = traffic[..rig.readers.min(traffic.len())]
+            .iter()
+            .map(|t| t.0)
+            .sum();
+        assert!(
+            sent as f64 <= 1.01 * data as f64,
+            "{}: readers sent {sent} B for {data} B of data",
+            rig.name
+        );
+    }
+    (took, device_s.max(busiest as f64 / nic))
 }
 
-/// A coded import ships what the codec kept, in chunk-sized commands: on a
-/// 1 GB/s wire, where bytes are the whole cost of set-up, the reader sends
-/// its frames' stored extents (once per replica, plus a capsule per
-/// command), its writers merge each node's frames — packed back to back —
-/// into one command per chunk of stored bytes (plus one short tail per
-/// writer stream), and the mount lands within 5 % of the wire time of
-/// those bytes and capsules. (What it spends beyond the wire is a constant
-/// ≈ 43 µs — filling the first chunk, draining the last command — so the
-/// dataset is sized for a wire time of ≈ 1.4 ms.)
+/// A coded, replicated import ships what the codec kept, once, in
+/// chunk-sized commands: on a 1 GB/s wire, where bytes are the whole cost
+/// of set-up, the reader sends each node's stored extents once (plus a
+/// capsule per command) and each home target forwards them to its replica
+/// peer, so a storage node receives its own stored extents and its
+/// mirror's (plus capsules). Writers merge each node's frames — packed
+/// back to back — into one command per chunk of stored bytes and copy
+/// (plus one short tail per device stream), and the mount lands within 5 %
+/// of the busiest NIC's wire time. (What it spends beyond the wire is a
+/// constant ≈ 60 µs — filling the first chunk, forwarding and draining the
+/// last command — so the dataset is sized for a wire time of ≈ 1.4 ms.)
 #[test]
 fn coded_import_meets_its_wire_roofline() {
     const NIC: f64 = 1.0e9;
     Runtime::simulate(7300, |rt| {
-        let source = SyntheticSource::compressible(33, 4096, 2600, 48);
-        let devices: Vec<Arc<NvmeDevice>> = (0..4).map(|_| ramdisk(16 << 20)).collect();
+        let source = SyntheticSource::compressible(33, 8192, 2600, 48);
+        let devices: Vec<Arc<NvmeDevice>> = (0..4).map(|_| ramdisk(32 << 20)).collect();
         let fabric = FabricConfig {
             nic_bytes_per_sec: NIC,
             ..FabricConfig::default()
@@ -1159,36 +1296,53 @@ fn coded_import_meets_its_wire_roofline() {
             .mount(rt, &source)
             .unwrap();
         let took = (rt.now() - t0).as_secs_f64();
-        let (tx, _) = cluster.node_traffic(0);
         let tables = fs.shared(0).codec.as_ref().unwrap();
-        let (mut stored, mut raw) = (0u64, 0u64);
-        for frames in &tables.per_node {
+        // Stored bytes per node, and raw bytes overall.
+        let (mut stored, mut raw) = (vec![0u64; devices.len()], 0u64);
+        for (n, frames) in tables.per_node.iter().enumerate() {
             for (f, &enc) in frames.lens.iter().enumerate() {
                 let len = frames.raw_len(cfg.chunk_size, f) as u64;
-                stored += (enc as u64).next_multiple_of(BLOCK_SIZE).min(len);
+                stored[n] += (enc as u64).next_multiple_of(BLOCK_SIZE).min(len);
                 raw += len;
             }
         }
+        let total: u64 = stored.iter().sum();
         let copies = cfg.replicas as u64;
         let commands = reg.snapshot().counter("dlfs.write.commands");
         let streams = tables.per_node.len() as u64 * copies;
-        let merged = (stored * copies).div_ceil(cfg.chunk_size) + streams;
+        let merged = (total * copies).div_ceil(cfg.chunk_size) + streams;
         assert!(
             commands <= merged,
-            "{commands} write commands for {stored} B of stored extents x {copies} in {} B chunks",
+            "{commands} write commands for {total} B of stored extents x {copies} in {} B chunks",
             cfg.chunk_size
         );
         let capsules = commands * fabric::CAPSULE_BYTES;
+        let (tx, _) = cluster.node_traffic(0);
         assert!(
-            tx as f64 <= 1.1 * (stored * copies) as f64 + capsules as f64,
-            "reader sent {tx} B for {stored} B of stored extents x {copies} + {capsules} B of capsules"
+            tx as f64 <= 1.1 * total as f64 + capsules as f64,
+            "reader sent {tx} B for {total} B of stored extents + {capsules} B of capsules"
         );
-        let wire_s = (stored * copies + capsules) as f64 / NIC;
+        // Node n (cluster node n + 1) homes its own extents and mirrors
+        // those of node n - 1.
+        for (n, &own) in stored.iter().enumerate() {
+            let mirror = stored[(n + stored.len() - 1) % stored.len()];
+            let (_, rx) = cluster.node_traffic(n + 1);
+            assert!(
+                rx as f64 <= 1.1 * (own + mirror) as f64 + capsules as f64,
+                "node {n} received {rx} B for {own} + {mirror} B of stored extents"
+            );
+        }
+        let busiest = (0..cluster.len())
+            .map(|n| cluster.node_traffic(n))
+            .map(|(tx, rx)| tx.max(rx))
+            .max()
+            .unwrap();
+        let wire_s = busiest as f64 / NIC;
         assert!(
             took <= 1.05 * wire_s,
-            "mount took {took:.6} s; its stored bytes and capsules take {wire_s:.6} s on the wire"
+            "mount took {took:.6} s; its busiest NIC moves {busiest} B, {wire_s:.6} s on the wire"
         );
-        assert!(stored * 8 < raw, "{stored} B stored of {raw} B raw");
+        assert!(total * 8 < raw, "{total} B stored of {raw} B raw");
     });
 }
 

@@ -73,6 +73,9 @@ pub struct FabricFaultInjector {
     /// How long an initiator waits before declaring a dropped command lost.
     pub io_timeout: Dur,
     crashes: Vec<CrashWindow>,
+    /// Directed paths `(from, to)` that drop at their own rate (ppm)
+    /// instead of `drop_ppm`.
+    path_drops: Vec<(usize, usize, u32)>,
     tel: Mutex<Option<FaultTel>>,
 }
 
@@ -97,6 +100,7 @@ impl FabricFaultInjector {
             delay_extra: Dur::ZERO,
             io_timeout: Dur::micros(50),
             crashes: Vec::new(),
+            path_drops: Vec::new(),
             tel: Mutex::new(None),
         }
     }
@@ -104,6 +108,13 @@ impl FabricFaultInjector {
     /// Drop messages at the given rate.
     pub fn with_drops(mut self, ppm: u32) -> Self {
         self.drop_ppm = ppm;
+        self
+    }
+
+    /// Drop messages from `from` to `to` at the given rate instead of
+    /// `drop_ppm`.
+    pub fn with_path_drops(mut self, from: usize, to: usize, ppm: u32) -> Self {
+        self.path_drops.push((from, to, ppm));
         self
     }
 
@@ -187,7 +198,8 @@ impl FabricFaultInjector {
             };
         }
         let die = (z % 1_000_000) as u32;
-        if die < self.drop_ppm {
+        let path = self.path_drops.iter().find(|p| (p.0, p.1) == (from, to));
+        if die < path.map_or(self.drop_ppm, |p| p.2) {
             if let Some(t) = tel.as_ref() {
                 t.drops.inc();
             }

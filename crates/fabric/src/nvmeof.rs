@@ -15,10 +15,18 @@
 //! 3. the backing device's own service (overhead + media + data path);
 //! 4. RDMA write of the payload, target → client (zero-copy into the
 //!    client's registered DMA buffer).
+//!
+//! A replica copy of a client's write is forwarded by the target that
+//! received it ([`RemoteTarget::forward_to`]): once the payload has landed
+//! there, the target's SPDK thread turns it around, sends capsule and
+//! payload from its own NIC to the peer, which processes and writes it like
+//! any command, and the peer's ack reaches the client through the target.
+//! The client's NIC carries the payload once, however many copies it has.
 
 use std::sync::Arc;
 
-use blocksim::{NvmeDevice, NvmeTarget, BLOCK_SIZE};
+use blocksim::{CmdStatus, FaultOutcome, NvmeDevice, NvmeTarget, BLOCK_SIZE};
+use simkit::plock::Mutex;
 use simkit::resource::Servers;
 use simkit::time::{Dur, Time};
 
@@ -97,6 +105,18 @@ pub struct RemoteTarget {
     cluster: Arc<Cluster>,
     target: Arc<NvmeOfTarget>,
     client_node: usize,
+    /// The latest write's payload, which the target forwards copies of.
+    landed: Arc<Mutex<Landed>>,
+}
+
+/// Where the payload of a client's latest write stands at its target.
+#[derive(Default)]
+struct Landed {
+    /// When it landed: the earliest a copy of it can leave.
+    at: Time,
+    /// The fate of a write the fabric lost on the way, which every copy
+    /// of it shares.
+    lost: Option<FaultOutcome>,
 }
 
 impl std::fmt::Debug for RemoteTarget {
@@ -120,6 +140,7 @@ pub fn connect(
         cluster,
         target,
         client_node,
+        landed: Arc::default(),
     })
 }
 
@@ -155,6 +176,7 @@ impl NvmeTarget for RemoteTarget {
             self.target.node,
             CAPSULE_BYTES + data_bytes,
         );
+        self.landed.lock().at = t1;
         let t2 = self
             .target
             .processing
@@ -193,7 +215,7 @@ impl NvmeTarget for RemoteTarget {
         )
     }
 
-    fn fault_decide(&self, now: Time, is_write: bool) -> blocksim::FaultOutcome {
+    fn fault_decide(&self, now: Time, is_write: bool) -> FaultOutcome {
         // Device-level fate first (media errors, latency spikes), then the
         // fabric's verdict on the client ↔ target path layered on top. A
         // dropped command surfaces as a transport error after the fabric's
@@ -209,12 +231,17 @@ impl NvmeTarget for RemoteTarget {
         is_write: bool,
         slba: u64,
         nblocks: u32,
-    ) -> blocksim::FaultOutcome {
+    ) -> FaultOutcome {
         let dev = self
             .target
             .device
             .fault_decide_range(now, is_write, slba, nblocks);
-        self.layer_fabric(now, dev)
+        let fate = self.layer_fabric(now, dev);
+        if is_write {
+            let lost = fate.status == CmdStatus::TransportError;
+            self.landed.lock().lost = lost.then_some(fate);
+        }
+        fate
     }
 
     fn probe_extent(&self, slba: u64, nblocks: u32) -> bool {
@@ -276,21 +303,110 @@ impl NvmeTarget for RemoteTarget {
         );
         (t3, landed)
     }
+
+    fn forward_to(&self, peer: &Arc<dyn NvmeTarget>) -> Arc<dyn NvmeTarget> {
+        match peer.reached_from(self.target.node) {
+            Some(leg) => Arc::new(Forward {
+                cluster: self.cluster.clone(),
+                home: self.target.clone(),
+                client_node: self.client_node,
+                landed: self.landed.clone(),
+                leg,
+            }),
+            // A device on the client's own node: the client writes it
+            // without touching its NIC.
+            None => peer.clone(),
+        }
+    }
+
+    fn reached_from(&self, node: usize) -> Option<Arc<dyn NvmeTarget>> {
+        Some(connect(self.cluster.clone(), node, self.target.clone()))
+    }
+}
+
+/// A replica copy of a client's writes, forwarded by the `home` target
+/// that received the payload to the peer behind `leg` (the peer as the
+/// home's node reaches it). Every copy is submitted right after the home
+/// write it copies, so the home's latest landed payload is this copy's.
+struct Forward {
+    cluster: Arc<Cluster>,
+    home: Arc<NvmeOfTarget>,
+    client_node: usize,
+    landed: Arc<Mutex<Landed>>,
+    leg: Arc<dyn NvmeTarget>,
+}
+
+impl NvmeTarget for Forward {
+    fn reserve_read(&self, now: Time, slba: u64, nblocks: u32) -> Time {
+        self.leg.reserve_read(now, slba, nblocks)
+    }
+
+    fn reserve_write(&self, now: Time, slba: u64, nblocks: u32) -> Time {
+        // 1. The home's SPDK thread turns the landed payload around.
+        let landed = now.max(self.landed.lock().at);
+        let t1 = self
+            .home
+            .processing
+            .reserve(landed, self.home.cfg.per_cmd_processing);
+        // 2. Capsule + payload home → peer, the peer's processing and
+        //    device write, its ack back to the home.
+        let t2 = self.leg.reserve_write(t1, slba, nblocks);
+        // 3. The home acks the client.
+        self.cluster
+            .reserve_transfer(t2, self.home.node, self.client_node, RESPONSE_BYTES)
+    }
+
+    fn dma_read(&self, slba: u64, dst: &mut [u8]) {
+        self.leg.dma_read(slba, dst);
+    }
+
+    fn dma_write(&self, slba: u64, src: &[u8]) {
+        self.leg.dma_write(slba, src);
+    }
+
+    fn max_queue_depth(&self) -> usize {
+        self.leg.max_queue_depth()
+    }
+
+    fn blocks(&self) -> u64 {
+        self.leg.blocks()
+    }
+
+    fn describe(&self) -> String {
+        format!(
+            "{} forwarded for node{}",
+            self.leg.describe(),
+            self.client_node
+        )
+    }
+
+    /// Lost with its home write's payload; otherwise the peer's device,
+    /// then the fabric on the home → peer path.
+    fn fault_decide_range(
+        &self,
+        now: Time,
+        is_write: bool,
+        slba: u64,
+        nblocks: u32,
+    ) -> FaultOutcome {
+        let lost = self.landed.lock().lost;
+        lost.unwrap_or_else(|| self.leg.fault_decide_range(now, is_write, slba, nblocks))
+    }
 }
 
 impl RemoteTarget {
-    fn layer_fabric(&self, now: Time, dev: blocksim::FaultOutcome) -> blocksim::FaultOutcome {
+    fn layer_fabric(&self, now: Time, dev: FaultOutcome) -> FaultOutcome {
         match self
             .cluster
             .fault_decide(now, self.client_node, self.target.node)
         {
             crate::fault::FabricFault::Healthy => dev,
-            crate::fault::FabricFault::Delay(extra) => blocksim::FaultOutcome {
+            crate::fault::FabricFault::Delay(extra) => FaultOutcome {
                 status: dev.status,
                 extra_latency: dev.extra_latency + extra,
             },
-            crate::fault::FabricFault::Dropped { detect_after } => blocksim::FaultOutcome {
-                status: blocksim::CmdStatus::TransportError,
+            crate::fault::FabricFault::Dropped { detect_after } => FaultOutcome {
+                status: CmdStatus::TransportError,
                 extra_latency: detect_after,
             },
         }
@@ -383,6 +499,43 @@ mod tests {
             let bw = bytes as f64 / last.as_secs_f64();
             // Device (2.2 GB/s) is the binding constraint, not the NIC.
             assert!((1.8e9..2.3e9).contains(&bw), "bw {bw}");
+        });
+    }
+
+    /// A copy the home forwards crosses the home's NIC, not the client's;
+    /// it leaves the home only once the payload has landed there, and its
+    /// fate is drawn on the home → peer path.
+    #[test]
+    fn forwarded_copy_spares_the_client_nic() {
+        Runtime::simulate(0, |rt| {
+            let c = cluster(3);
+            let home = connect(c.clone(), 0, target_on(1));
+            let peer: Arc<dyn NvmeTarget> = connect(c.clone(), 0, target_on(2));
+            let copy = home.forward_to(&peer);
+            let (nblk, data) = (256u32, 256 * BLOCK_SIZE);
+            home.reserve_write(rt.now(), 0, nblk);
+            let done = copy.reserve_write(rt.now(), 0, nblk);
+            let (capsule, ack) = (CAPSULE_BYTES, RESPONSE_BYTES);
+            assert_eq!(c.node_traffic(0), (data + capsule, 2 * ack));
+            assert_eq!(
+                c.node_traffic(1),
+                (2 * ack + data + capsule, data + capsule + ack)
+            );
+            assert_eq!(c.node_traffic(2), (ack, data + capsule));
+            let wire = Dur::for_bytes(data, FabricConfig::default().nic_bytes_per_sec);
+            assert!(done.nanos() > 2 * wire.as_nanos(), "store and forward");
+            let fate = |from, to| {
+                let drops = crate::FabricFaultInjector::new(1).with_path_drops(from, to, 1_000_000);
+                c.set_faults(drops);
+                let home_ok = home.fault_decide_range(rt.now(), true, 0, 1).status.is_ok();
+                (
+                    home_ok,
+                    copy.fault_decide_range(rt.now(), true, 0, 1).status.is_ok(),
+                )
+            };
+            assert_eq!(fate(1, 2), (true, false));
+            assert_eq!(fate(0, 2), (true, true));
+            assert_eq!(fate(0, 1), (false, false), "lost with the home's payload");
         });
     }
 
