@@ -119,9 +119,8 @@ fn bench_shuffle_and_plan() {
         epoch += 1;
         black_box(dlfs::build_epoch_plan(
             &dir,
-            256 << 10,
+            dlfs::plan::Extents::raw(256 << 10, dlfs::BatchMode::ChunkLevel),
             4,
-            dlfs::BatchMode::ChunkLevel,
             12,
             42,
             epoch,

@@ -100,9 +100,8 @@ fn main() {
     let dlfs_order = |epoch: usize| -> Vec<u32> {
         dlfs::build_epoch_plan(
             &record_dir,
-            64 << 10,
+            dlfs::plan::Extents::raw(64 << 10, dlfs::BatchMode::ChunkLevel),
             1,
-            dlfs::BatchMode::ChunkLevel,
             12,
             seed,
             epoch as u64,

@@ -60,8 +60,14 @@ fn main() {
     // DLFS-determined order: the exact chunk-level plan the engine runs
     // (16 KB chunks over ~257 B records, window 12).
     let dlfs_stats = train_with_orders(&train, &val, &cfg, |e| {
-        let plan =
-            dlfs::build_epoch_plan(&dir, 16 << 10, 1, BatchMode::ChunkLevel, 12, seed, e as u64);
+        let plan = dlfs::build_epoch_plan(
+            &dir,
+            dlfs::plan::Extents::raw(16 << 10, BatchMode::ChunkLevel),
+            1,
+            12,
+            seed,
+            e as u64,
+        );
         plan.readers[0].order.clone()
     });
 

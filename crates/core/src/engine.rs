@@ -206,7 +206,7 @@ impl DlfsIo {
                 if was_prefetched {
                     self.tel.prefetch_hits.inc();
                 }
-                self.open_item(idx, g.base, Open::Resident(range));
+                self.open_item(idx, &g, Open::Resident(range));
                 return FetchStart::Started;
             }
             if self.prefetches().any(|k| k == key) {
@@ -225,22 +225,21 @@ impl DlfsIo {
         let Some(bufs) = bufs else {
             return FetchStart::Backpressure;
         };
-        self.open_item(idx, g.base, Open::Fetching(bufs));
+        self.open_item(idx, &g, Open::Fetching(bufs));
         FetchStart::Started
     }
 
-    /// Open item `idx` (its buffers stand for the raw addresses from
-    /// `base`): one part to fetch per loose chunk, none when the range was
-    /// resident.
-    fn open_item(&mut self, idx: u32, base: u64, open: Open) {
-        let (st, shared) = self.split();
+    /// Open item `idx`, read as `g`: `parts` device parts to fetch into
+    /// its loose chunks, none when the range was resident.
+    fn open_item(&mut self, idx: u32, g: &ReadGeometry, open: Open) {
         let parts = match &open {
-            Open::Fetching(bufs) => bufs.len() as u32,
+            Open::Fetching(_) => g.parts(self.per_part()),
             Open::Resident(_) => 0,
         };
+        let (st, shared) = self.split();
         let item = &mut st.items[idx as usize];
         item.parts_left = parts;
-        item.base = base;
+        item.base = g.base;
         st.open.insert(idx, open);
         if parts == 0 {
             st.mark_resident(&shared.dir, idx);

@@ -325,8 +325,15 @@ fn epoch_reads_sample_bytes_plus_block_alignment_only() {
                 .deployment(Deployment::local(1, &devices))
                 .mount(rt, &source)
                 .unwrap();
-            let items = dlfs::build_epoch_plan(&fs.dir, cfg.chunk_size, 1, cfg.batch_mode, 8, 9, 0)
-                .readers[0]
+            let items = dlfs::build_epoch_plan(
+                &fs.dir,
+                dlfs::plan::Extents::raw(cfg.chunk_size, cfg.batch_mode),
+                1,
+                8,
+                9,
+                0,
+            )
+            .readers[0]
                 .items
                 .len() as u64;
             let mut io = fs.io(0);

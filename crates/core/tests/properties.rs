@@ -111,7 +111,14 @@ fn plan_covers_each_sample_once() {
         } else {
             BatchMode::ChunkLevel
         };
-        let plan = build_epoch_plan(&dir, chunk_kb * 1024, readers, mode, 8, seed, 0);
+        let plan = build_epoch_plan(
+            &dir,
+            dlfs::plan::Extents::raw(chunk_kb * 1024, mode),
+            readers,
+            8,
+            seed,
+            0,
+        );
         let mut seen = vec![false; samples];
         for r in &plan.readers {
             assert_eq!(r.order.len(), r.item_of.len());
@@ -501,9 +508,8 @@ fn randomized_corruption_repair_across_delivery_modes() {
             let per_part = (shared.cfg.chunk_size / blocksim::BLOCK_SIZE) as u32;
             let parts: Vec<(u64, u32)> = dlfs::plan::reader_item_ranges(
                 &shared.dir,
-                shared.cfg.chunk_size,
+                dlfs::plan::Extents::raw(shared.cfg.chunk_size, mode),
                 1,
-                mode,
                 0,
                 0,
                 0,

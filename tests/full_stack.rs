@@ -236,9 +236,8 @@ fn dlfs_order_trains_as_well_as_full_shuffle() {
     let dlfs_run = train_with_orders(&train, &val, &cfg, |e| {
         dlfs::build_epoch_plan(
             &dir,
-            8 << 10,
+            dlfs::plan::Extents::raw(8 << 10, dlfs::BatchMode::ChunkLevel),
             1,
-            dlfs::BatchMode::ChunkLevel,
             12,
             3,
             e as u64,
