@@ -6,7 +6,7 @@
 //! checkpoint-stream occupancy. `deep=1` also re-reads every data extent
 //! and verifies the per-sample payload checksums. `codec=lz` imports a
 //! compressible dataset through the LZ codec instead, so the same walk
-//! reads a coded (version 2) layout: frame size and codec from each
+//! reads a coded (version 3) layout: frame size and codec from each
 //! superblock, frames packed back to back.
 //!
 //! The demo is simulation-hosted like everything else: it imports a

@@ -16,7 +16,8 @@
 //! targets. Reported per cell: the import (`mount`) on its own — its time
 //! and the bytes it put through the reader's NIC — then, counted from the
 //! end of `mount`, epoch time, samples/s, the *measured* fabric byte ledger
-//! at the reader's NIC (`Cluster::node_traffic`), and how close the epoch
+//! at the reader's NIC (`Cluster::node_traffic`), the bytes the epoch read
+//! off the devices (a coded epoch reads runs of frames), and how close the epoch
 //! came to its wire roofline (reader ingress bytes ÷ NIC rate, as a share
 //! of the epoch time). An import saving (a coded import ships only what
 //! the codec kept) therefore cannot pass as an epoch saving.
@@ -62,6 +63,8 @@ struct Cell {
     sps: f64,
     /// Bytes through the reader's NIC during the epoch alone.
     fabric_bytes: u64,
+    /// Bytes the epoch read off the devices.
+    device_bytes: u64,
     /// Wire time of the reader's ingress bytes as a percentage of the epoch.
     wire_roofline_pct: f64,
 }
@@ -73,7 +76,7 @@ fn mount_disagg(
     nic_bytes_per_sec: f64,
     source: &dyn SampleSource,
     cfg: DlfsConfig,
-) -> (DlfsInstance, Arc<Cluster>) {
+) -> (DlfsInstance, Arc<Cluster>, Vec<Arc<NvmeDevice>>) {
     let cluster = Arc::new(Cluster::new(
         nodes + 1,
         FabricConfig {
@@ -91,7 +94,7 @@ fn mount_disagg(
         .deployment(deployment.expect("every node inside the cluster"))
         .mount(rt, source)
         .expect("dlfs mount");
-    (fs, cluster)
+    (fs, cluster, devices)
 }
 
 fn run(
@@ -111,9 +114,11 @@ fn run(
             ..DlfsConfig::default()
         };
         let start = rt.now();
-        let (fs, cluster) = mount_disagg(rt, nodes, nic, comp, cfg);
+        let (fs, cluster, devices) = mount_disagg(rt, nodes, nic, comp, cfg);
         let import_ns = (rt.now() - start).as_nanos();
         let (tx0, rx0) = cluster.node_traffic(nodes);
+        let read = || devices.iter().map(|d| d.stats().2).sum::<u64>();
+        let read0 = read();
         let mut io = fs.io(0);
         let total = io.sequence(rt, seed ^ 0x0F, 0);
         let t0 = rt.now();
@@ -144,6 +149,7 @@ fn run(
             epoch_ns: (rt.now() - t0).as_nanos(),
             sps: got as f64 / secs,
             fabric_bytes: tx + rx - tx0 - rx0,
+            device_bytes: read() - read0,
             wire_roofline_pct: 100.0 * ((rx - rx0) as f64 / nic) / secs,
         }
     });
@@ -190,6 +196,7 @@ fn main() {
         "epoch_ms",
         "samples/s",
         "fabric",
+        "dev_read",
         "vs_raw",
         "wire_roof",
     ]);
@@ -231,6 +238,7 @@ fn main() {
                 format!("{:.3}", cell.epoch_ns as f64 / 1e6),
                 fmt_sps(cell.sps),
                 fmt_size(cell.fabric_bytes),
+                fmt_size(cell.device_bytes),
                 format!("{:+.1}%", 100.0 * (cell.sps / raw.sps - 1.0)),
                 format!("{:.1}%", cell.wire_roofline_pct),
             ]);

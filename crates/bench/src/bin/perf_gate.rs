@@ -32,7 +32,7 @@
 //!   an epoch saving;
 //! - `coded_setup_ns` and `coded_stored_ratio` — the LZ `mount` behind
 //!   that run: its time, and device bytes written ÷ source bytes (both
-//!   lower is better; a coded import lands each frame's stored extent and
+//!   lower is better; a coded import lands each frame's encoded bytes and
 //!   leaves the rest of its slot a hole, so the ratio is the codec's, and
 //!   the gate asserts inline that it stays under 0.2);
 //! - `disagg_epoch_throughput_sps` — one reader draining an epoch of

@@ -32,7 +32,7 @@
 //!    rebuild and `fsck_repair` alike.
 //! 5. **Which blocks of a home's data region hold data at all?** Its
 //!    *stored blocks*, one run from the start of the region: all of its
-//!    data without a codec, its frames' stored extents back to back with
+//!    data without a codec, its frames' encoded bytes back to back with
 //!    one ([`crate::codec`]). Scrub and rebuild walk them through
 //!    `Redundancy::next_stored`; what lies past the run was never written
 //!    by this import and is never judged, copied or repaired.

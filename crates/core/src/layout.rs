@@ -26,13 +26,14 @@
 //! there is no window where the superblock itself is half-written.
 //!
 //! **Versions.** A coded import (a codec other than `Identity`) writes
-//! version 2: its frames' stored extents lie back to back from `data_base`
-//! ([`crate::codec`]), the superblock records the frame size
-//! (`chunk_size`), and the integrity table covers the stored blocks only.
-//! An uncoded import writes version 1, the same layout it always had — no
-//! frames, nothing to record — so its device image is byte-identical to
-//! earlier builds'. A version-1 superblock naming a codec holds frames at
-//! their raw chunk offsets, which this build cannot read, and is refused.
+//! version 3: its frames' encoded bytes lie back to back from `data_base`,
+//! packed to the byte ([`crate::codec`]), the superblock records the frame
+//! size (`chunk_size`), and the integrity table covers the stored blocks
+//! only. An uncoded import writes version 1, the same layout it always had
+//! — no frames, nothing to record — so its device image is byte-identical
+//! to earlier builds'. Older coded layouts — version 1 naming a codec
+//! (frames at their raw chunk offsets) and version 2 (frames rounded to
+//! whole blocks) — are refused with [`LayoutError::Version`].
 //!
 //! **One planner, one loader.** [`Superblock::plan`] is the only place the
 //! regions are sized and placed (an integrity table after the metadata
@@ -68,7 +69,7 @@ pub const CKPT_MAGIC: u64 = 0x3150_4b43_5346_4c44;
 
 /// On-device format version of a coded import (module doc); an uncoded
 /// import is written, and read, as version 1.
-pub const LAYOUT_VERSION: u32 = 2;
+pub const LAYOUT_VERSION: u32 = 3;
 
 /// Serialized size of one sample metadata record: id (4) + unit1 (8) +
 /// unit2 (8) + payload checksum (8).
@@ -77,10 +78,10 @@ pub const META_RECORD_BYTES: u64 = 28;
 /// Checkpoint record header size (one block; the payload follows).
 pub const CKPT_HEADER_BYTES: u64 = BLOCK_SIZE;
 
-/// Where the superblock checksum sits (it covers every byte before it):
-/// version 2 puts `chunk_size` where version 1 put the checksum.
+/// Where the superblock checksum sits (it covers every byte before it): a
+/// coded layout puts `chunk_size` where version 1 put the checksum.
 const SB_CHECKSUM_AT: usize = 160;
-const SB_V2_CHECKSUM_AT: usize = 168;
+const SB_CODED_CHECKSUM_AT: usize = 168;
 
 /// One sample's serialized directory entry plus a content checksum over
 /// its payload (verified by deep fsck and the roundtrip tests).
@@ -159,7 +160,7 @@ pub struct Superblock {
     /// Serialized per-frame encoded-length table (0 under `Identity`);
     /// the table region sits at [`Superblock::codec_base`].
     pub codec_table_bytes: u64,
-    /// Frame size of a coded import (version 2); 0 on an uncoded one,
+    /// Frame size of a coded import (version 3); 0 on an uncoded one,
     /// whose layout does not depend on it.
     pub chunk_size: u64,
 }
@@ -334,7 +335,7 @@ impl Superblock {
         let mut crc_at = SB_CHECKSUM_AT;
         if coded {
             put_u64(&mut b, 160, self.chunk_size);
-            crc_at = SB_V2_CHECKSUM_AT;
+            crc_at = SB_CODED_CHECKSUM_AT;
         }
         let crc = fnv1a(&b[..crc_at]);
         put_u64(&mut b, crc_at, crc);
@@ -356,7 +357,7 @@ impl Superblock {
         let version = half(8)?;
         let crc_at = match version {
             1 => SB_CHECKSUM_AT,
-            LAYOUT_VERSION => SB_V2_CHECKSUM_AT,
+            LAYOUT_VERSION => SB_CODED_CHECKSUM_AT,
             found => return Err(LayoutError::Version { node, found }),
         };
         if fnv1a(&b[..crc_at]) != word(crc_at)? {
@@ -696,9 +697,9 @@ pub(crate) fn read_untimed(target: &Arc<dyn NvmeTarget>, offset: u64, len: usize
 /// Untimed read of the *logical* bytes `[offset, offset + len)` — raw
 /// addresses, a range inside one frame, as a sample is. Without a codec
 /// (`frame` is `None`) they are the device bytes there. In a coded frame
-/// they are the device bytes of the frame's stored extent at the same
-/// distance from its start, then zeros for the part of the range past the
-/// extent. This is what the import hashed into the metadata records.
+/// they are the frame's encoded bytes at the same distance from its start,
+/// then zeros for the part of the range past them. This is what the import
+/// hashed into the metadata records.
 pub(crate) fn read_logical(
     target: &Arc<dyn NvmeTarget>,
     frame: Option<Frame>,
@@ -709,9 +710,7 @@ pub(crate) fn read_logical(
         return read_untimed(target, offset, len as usize);
     };
     let rel = offset - f.start;
-    let stored = (f.enc_blocks as u64 * BLOCK_SIZE)
-        .saturating_sub(rel)
-        .min(len);
+    let stored = (f.enc_len as u64).saturating_sub(rel).min(len);
     let mut out = read_untimed(target, f.at + rel, stored as usize);
     out.resize(len as usize, 0);
     out
@@ -801,6 +800,18 @@ pub fn load_node(
             lens.len(),
             sb.data_bytes,
             sb.chunk_size
+        ))
+        .into());
+    }
+    // Every frame encodes to at least a byte and at most its raw length, so
+    // the packed run stays inside the region the raw data was planned for.
+    let raw_len =
+        |f: usize| sb.data_bytes.min((f as u64 + 1) * sb.chunk_size) - f as u64 * sb.chunk_size;
+    if let Some(f) = (0..lens.len()).find(|&f| lens[f] == 0 || lens[f] as u64 > raw_len(f)) {
+        return Err(LayoutError::Inconsistent(format!(
+            "node {node}: frame {f} of {} B claims {} encoded bytes",
+            raw_len(f),
+            lens[f]
         ))
         .into());
     }
@@ -961,9 +972,9 @@ pub struct FsckRepairReport {
 /// bit-flip marks on the healed range. `targets` is the full target row
 /// indexed by storage node. On a coded device (frame size and codec from
 /// its superblock) a sample's blocks are those of its range in its frame's
-/// stored extent, and only the part of them inside that extent is judged,
-/// fetched from a replica and rewritten — the rest of the range reads as
-/// zeros. Untimed — a repair tool, not a data path.
+/// encoded bytes, and only those of them holding some are judged, fetched
+/// from a replica and rewritten — the rest of the range reads as zeros.
+/// Untimed — a repair tool, not a data path.
 pub fn fsck_repair(
     targets: &[Arc<dyn NvmeTarget>],
     node: u16,
@@ -1013,24 +1024,27 @@ pub fn fsck_repair(
     let mut report = FsckRepairReport::default();
     for r in records {
         let e = SampleEntry::from_raw(r.unit1, r.unit2);
-        // Where the sample's bytes sit, and where its frame's extent ends.
+        // Where the sample's bytes sit, and where its frame's stored bytes
+        // end.
         let (at, end) = match frame_at(e.offset()) {
-            Some(f) => (
-                f.at + e.offset() - f.start,
-                f.at + f.enc_blocks as u64 * BLOCK_SIZE,
-            ),
+            Some(f) => (f.at + e.offset() - f.start, f.end()),
             None => (e.offset(), u64::MAX),
         };
         let (slba, nblocks, head) = covering_blocks(at, e.len());
         let mut buf = vec![0u8; nblocks as usize * BLOCK_SIZE as usize];
-        // Only this much of `buf` is on any device; the tail keeps the
-        // zeros the logical frame holds there.
-        let stored = end.saturating_sub(slba * BLOCK_SIZE).min(buf.len() as u64) as usize;
-        if stored == 0 {
+        // Only `held` bytes of the sample are on any device — the logical
+        // frame holds zeros past them — in the first `stored` bytes of
+        // `buf`, whole blocks.
+        let held = end.saturating_sub(at).min(e.len()) as usize;
+        if held == 0 {
             continue;
         }
-        let payload_ok =
-            |buf: &[u8]| fnv1a(&buf[head..head + e.len() as usize]) == r.payload_checksum;
+        let stored = (head + held).next_multiple_of(BLOCK_SIZE as usize);
+        let payload_ok = |buf: &[u8]| {
+            let mut logical = buf[head..head + e.len() as usize].to_vec();
+            logical[held..].fill(0);
+            fnv1a(&logical) == r.payload_checksum
+        };
         let home_ok = |buf: &mut [u8]| {
             let copy = red.read_copy(targets, node, 0, slba, &mut buf[..stored], Probe::Oracle);
             copy.is_ok() && payload_ok(buf)
@@ -1265,7 +1279,7 @@ mod tests {
         let back = Superblock::decode(3, &committed.encode()).unwrap();
         assert_eq!(back, committed);
         assert_eq!((back.codec, back.chunk_size), (CodecKind::Lz, 256 << 10));
-        // A coded import is version 2; an uncoded one keeps version 1.
+        // A coded import is version 3; an uncoded one keeps version 1.
         assert_eq!(get_u32(&committed.encode(), 8), Some(LAYOUT_VERSION));
         assert_eq!(get_u32(&sample_sb().encode(), 8), Some(1));
         // Unknown codec values are rejected, not misread as identity.
@@ -1275,7 +1289,7 @@ mod tests {
             let crc_at = if version == 1 {
                 SB_CHECKSUM_AT
             } else {
-                SB_V2_CHECKSUM_AT
+                SB_CODED_CHECKSUM_AT
             };
             put_u32(&mut b, 8, version);
             let crc = fnv1a(&b[..crc_at]);
@@ -1283,7 +1297,7 @@ mod tests {
             b
         };
         assert!(matches!(
-            Superblock::decode(3, &resealed(20, 99, 2)),
+            Superblock::decode(3, &resealed(20, 99, 3)),
             Err(LayoutError::Inconsistent(_))
         ));
         // A version-1 superblock naming a codec: frames at raw offsets.
@@ -1291,13 +1305,16 @@ mod tests {
             Superblock::decode(3, &resealed(20, CodecKind::Lz.to_u32(), 1)),
             Err(LayoutError::Version { node: 3, found: 1 })
         );
-        assert_eq!(
-            Superblock::decode(3, &resealed(20, CodecKind::Lz.to_u32(), 7)),
-            Err(LayoutError::Version { node: 3, found: 7 })
-        );
+        // Versions 2 (whole-block frames) and 7 (unknown) are refused.
+        for found in [2, 7] {
+            assert_eq!(
+                Superblock::decode(3, &resealed(20, CodecKind::Lz.to_u32(), found)),
+                Err(LayoutError::Version { node: 3, found })
+            );
+        }
         // A frame size that is not whole blocks.
         assert!(matches!(
-            Superblock::decode(3, &resealed(160, 1000, 2)),
+            Superblock::decode(3, &resealed(160, 1000, 3)),
             Err(LayoutError::Inconsistent(m)) if m.contains("1000 B")
         ));
     }
