@@ -48,7 +48,7 @@ pub mod qpair;
 pub mod storage;
 
 pub use config::{DeviceConfig, BLOCK_SIZE};
-pub use device::{covering_blocks, NvmeDevice, NvmeTarget, OffloadExtent};
+pub use device::{covering_blocks, NvmeDevice, NvmeTarget, OffloadExtent, OffloadPiece};
 pub use dma::{copy_ops, DmaBuf, DmaPool, HUGE_PAGE};
 pub use fault::{CmdStatus, FaultInjector, FaultOutcome};
 pub use qpair::{Completion, IoQPair, Op, QpairError};

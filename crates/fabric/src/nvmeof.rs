@@ -289,18 +289,19 @@ impl NvmeTarget for RemoteTarget {
         //    target's offload compute pool. The response is assembled no
         //    earlier than `floor`: it carries bytes an earlier batch
         //    computed then.
-        let t3 = self
-            .target
-            .offload
-            .reserve_batch(t2, &self.target.device, extents)
-            .max(floor);
-        // 4. ONE dense response: the assembled sample bytes.
-        let landed = self.cluster.reserve_transfer(
-            t3,
-            self.target.node,
-            self.client_node,
-            response_bytes + RESPONSE_BYTES,
-        );
+        let (done, mut early) =
+            (self.target.offload).reserve_batch(t2, &self.target.device, extents);
+        let t3 = done.max(floor);
+        // 4. ONE dense response: the bytes a piece completes stream out as
+        //    it is done, the rest of the sample bytes and the completion
+        //    once the response is assembled.
+        let rest = response_bytes - early.iter().map(|&(_, b)| b).sum::<u64>();
+        early.push((t3, rest + RESPONSE_BYTES));
+        early.sort_unstable();
+        let (from, to) = (self.target.node, self.client_node);
+        let landed = (early.into_iter())
+            .map(|(at, bytes)| self.cluster.reserve_transfer(at, from, to, bytes))
+            .fold(t3, Time::max);
         (t3, landed)
     }
 
