@@ -419,6 +419,121 @@ fn sync_race_report(rt: &Runtime, cache_mode: CacheMode) -> String {
     report
 }
 
+/// Synchronous reads and nothing else, on three rigs: the `point_reads`
+/// shape (two reader tasks over four NVMe-oF targets), the degraded tail
+/// (two verified copies, one node dead) and cross-epoch `Lz` misses under
+/// device read failures. Each read's instant and payload hash, then each
+/// handle's telemetry render.
+#[test]
+fn sync_reads_match_golden() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    type Cell = fn(&Runtime) -> String;
+    let cells: [(&str, Cell); 3] = [
+        ("point_reads", sync_point_reads),
+        ("degraded", sync_degraded),
+        ("coded_misses", sync_coded_misses),
+    ];
+    let mut text = String::new();
+    for (name, cell) in cells {
+        let (report, end) = Runtime::simulate(17, cell);
+        text.push_str(&format!("## {name}\n{report}end t={}\n", end.nanos()));
+    }
+    check_golden("sync_reads.txt", &text);
+}
+
+/// `n` seeded `read_by_id` calls of reader `r`, each a report line, then
+/// the handle's telemetry render.
+fn sync_reads_report(
+    rt: &Runtime,
+    io: &mut dlfs::DlfsIo,
+    source: &SyntheticSource,
+    r: u64,
+    n: usize,
+) -> String {
+    let mut ids = simkit::rng::SplitMix64::derive(29, r);
+    let mut report = String::new();
+    for _ in 0..n {
+        let id = ids.below(source.count() as u64) as u32;
+        let data = io.read_by_id(rt, id).unwrap();
+        assert_eq!(data, source.expected(id));
+        sync_line(&mut report, rt, &format!("reader{r}"), id, fnv1a(&data));
+    }
+    report.push_str(&format!("--- reader{r} telemetry ---\n"));
+    report.push_str(&io.metrics().render());
+    report
+}
+
+/// Two reader tasks over four NVMe-oF targets, default configuration.
+fn sync_point_reads(rt: &Runtime) -> String {
+    let source = Arc::new(SyntheticSource::fixed(5, 800, 1024));
+    let cluster = Arc::new(Cluster::new(6, FabricConfig::default()));
+    let devices: Vec<Arc<NvmeDevice>> = (0..4)
+        .map(|_| NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10))))
+        .collect();
+    let deployment = Deployment::fabric(&cluster, &[0, 1], &[2, 3, 4, 5], &devices).unwrap();
+    let cfg = DlfsConfig {
+        reactor_stats: true,
+        ..DlfsConfig::default()
+    };
+    let fs = MountBuilder::new(cfg).deployment(deployment);
+    let fs = Arc::new(fs.mount(rt, &*source).unwrap());
+    let readers: Vec<_> = (0..2)
+        .map(|r| {
+            let (fs, source) = (fs.clone(), source.clone());
+            rt.spawn_with(&format!("reader{r}"), move |rt| {
+                sync_reads_report(rt, &mut fs.io(r), &source, r as u64, 48)
+            })
+        })
+        .collect();
+    readers.into_iter().map(|r| r.join()).collect()
+}
+
+/// Two verified copies over three local ramdisks, one of them dead: the
+/// reads fail over until the membership view declares it Dead.
+fn sync_degraded(rt: &Runtime) -> String {
+    let source = SyntheticSource::fixed(0x8E, 400, 2048);
+    let cfg = DlfsConfig {
+        chunk_size: 8 * 1024,
+        replicas: 2,
+        verify_reads: true,
+        fail_dead_after: Some(Dur::micros(300)),
+        reactor_stats: true,
+        ..DlfsConfig::default()
+    };
+    let devices: Vec<Arc<NvmeDevice>> = (0..3)
+        .map(|_| NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10))))
+        .collect();
+    let fs = MountBuilder::new(cfg)
+        .deployment(Deployment::local(1, &devices))
+        .persistent()
+        .mount(rt, &source)
+        .unwrap();
+    devices[1].kill();
+    let report = sync_reads_report(rt, &mut fs.io(0), &source, 0, 160);
+    assert!(fs.redundancy().unwrap().is_dead(1), "node 1 not Dead");
+    report
+}
+
+/// Cross-epoch `Lz` misses over two NVMe-oF targets whose devices fail
+/// reads: each miss fetches its run of frames, retrying under backoff.
+fn sync_coded_misses(rt: &Runtime) -> String {
+    let source = SyntheticSource::compressible(19, 400, 3000, 48);
+    let cfg = DlfsConfig {
+        chunk_size: 8 * 1024,
+        cache_mode: CacheMode::CrossEpoch,
+        codec: CodecKind::Lz,
+        ..DlfsConfig::default()
+    };
+    let (fs, _cluster, devices) = disaggregated(rt, 2, &source, cfg);
+    for (i, d) in devices.iter().enumerate() {
+        d.set_faults(FaultInjector::new(37 + i as u64).with_read_failures(100_000));
+    }
+    let mut io = fs.io(0);
+    let report = sync_reads_report(rt, &mut io, &source, 0, 96);
+    assert!(io.metrics().counter("dlfs.io.retries") > 0, "no retries");
+    report
+}
+
 /// `replicas: 2` + `verify_reads` with flipped blocks on the fast node and
 /// a slow home node: failover and read-repair in one run, copied then
 /// zero-copy, opened by a synchronous read of a corrupted sample.
