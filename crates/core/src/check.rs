@@ -13,8 +13,9 @@
 //! settled — by the same `settle_part` / `prefetch_complete` that settle a
 //! part with nothing to check — when the frontend collects the answer;
 //! nothing of the judgement is visible before. A synchronous read has one
-//! range in flight and nothing to overlap the work with, so it pays for the
-//! same two functions on its own thread (`fetch_range`).
+//! range in flight and nothing to overlap the work with, so the router
+//! has the thread waiting on it pay for its parts' work and settles them
+//! on the spot.
 
 use super::*;
 
@@ -99,38 +100,36 @@ impl DlfsIo {
         Ok(())
     }
 
-    /// The completion router: look up whose command `c` was and route it,
-    /// whoever harvested it — the shared qpairs hand a synchronous read the
-    /// engine's completions too. A synchronous read's own part is handed
-    /// back to the `fetch_range` waiting on it, which judges and checks it
-    /// on its own thread, record and all. An engine part or a prefetch is
-    /// judged here; one that leaves payload work stays in the table, now
-    /// with the pool, enters the pass's run of check entries, and is
-    /// settled when its verdict is collected. Anything else — a failed
-    /// command, a part with nothing to check — is settled here and now.
-    pub(super) fn complete(&mut self, rt: &Runtime, c: &Completion) -> Option<(Part, Cmd)> {
-        let mut cmd = self.cmds.remove(&c.id)?;
-        if let Owner::Sync(p) = cmd.owner {
-            return Some((p, cmd));
-        }
+    /// The completion router: look up whose command `c` was, judge what it
+    /// landed and route it. A synchronous read's part is checked on this
+    /// thread — the one waiting on it — and settled. An engine part or a
+    /// prefetch that leaves payload work stays in the table, now with the
+    /// pool, enters the pass's run of check entries, and is settled when
+    /// its verdict is collected. Anything else — a failed command, a part
+    /// with nothing to check — is settled here and now.
+    pub(super) fn complete(&mut self, rt: &Runtime, c: &Completion) {
+        let Some(mut cmd) = self.cmds.remove(&c.id) else {
+            return;
+        };
         let (landed, cost) = self.judge(&cmd.io, c.status);
-        if cost.is_zero() {
-            self.settle(rt, cmd, landed);
-            return None;
+        let inline = matches!(cmd.owner, Owner::Demand(p) if p.sync);
+        if inline && !cost.is_zero() {
+            rt.work(cost);
+        }
+        if inline || cost.is_zero() {
+            return self.settle(rt, cmd, landed);
         }
         self.staged.push((c.id, cost));
         cmd.pool = Some((rt.now(), landed));
         self.cmds.insert(c.id, cmd);
-        None
     }
 
     /// Apply the completion `cmd`, its record out of the table: what it
     /// landed, checked or with nothing to check.
     pub(super) fn settle(&mut self, rt: &Runtime, cmd: Cmd, landed: Landed) {
         match cmd.owner {
-            Owner::Epoch(p) => self.engine_complete(rt, p, &cmd.io, landed),
+            Owner::Demand(p) => self.demand_complete(rt, p, &cmd.io, landed),
             Owner::Prefetch { key, len } => self.prefetch_complete(key, cmd.io, len, landed),
-            Owner::Sync(_) => {}
         }
     }
 
