@@ -3,9 +3,12 @@
 //! sample must be byte-correct, failures must surface as typed errors
 //! (never panics), and same-seed runs must be byte-identical.
 
+mod common;
+
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, FaultInjector, NvmeDevice};
+use common::test_seed;
 use dlfs::source::SampleSource;
 use dlfs::{
     Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, IoFailure, ReadRequest,
@@ -15,14 +18,6 @@ use fabric::{Cluster, FabricConfig, FabricFaultInjector};
 use simkit::prelude::*;
 use simkit::rng::fnv1a;
 
-/// Base seed plus the CI sweep offset (`DLFS_TEST_SEED_OFFSET`), so the
-/// whole suite can re-run under a second seed without code changes.
-fn test_seed(base: u64) -> u64 {
-    base + std::env::var("DLFS_TEST_SEED_OFFSET")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0)
-}
 fn local_device() -> Arc<NvmeDevice> {
     NvmeDevice::new(DeviceConfig::optane(256 << 20))
 }

@@ -4,22 +4,18 @@
 //! configuration (`CodecKind::Identity`) builds none of it — those paths
 //! are covered by the byte-identity suites elsewhere.
 
+mod common;
+
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget, BLOCK_SIZE};
+use common::test_seed;
 use dlfs::source::SampleSource;
 use dlfs::{
     CacheMode, CodecKind, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance,
     ReadRequest, SyntheticSource,
 };
 use simkit::prelude::*;
-
-fn test_seed(base: u64) -> u64 {
-    base + std::env::var("DLFS_TEST_SEED_OFFSET")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0)
-}
 
 fn ramdisk(bytes: u64) -> Arc<NvmeDevice> {
     NvmeDevice::new(DeviceConfig::emulated_ramdisk(bytes, Dur::micros(10)))

@@ -2,6 +2,15 @@
 //! crate uses a subset.
 #![allow(dead_code)]
 
+/// Base seed plus the CI sweep offset (`DLFS_TEST_SEED_OFFSET`), so a
+/// randomized suite re-runs under a second seed without code changes.
+pub fn test_seed(base: u64) -> u64 {
+    base + std::env::var("DLFS_TEST_SEED_OFFSET")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .unwrap_or(0)
+}
+
 fn golden(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")

@@ -9,7 +9,7 @@ mod common;
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget, BLOCK_SIZE};
-use common::check_golden;
+use common::{check_golden, test_seed};
 use dlfs::source::SampleSource;
 use dlfs::{
     fsck_node, fsck_repair, CodecKind, Completions, Deployment, DlfsConfig, DlfsError,
@@ -19,14 +19,6 @@ use fabric::{Cluster, FabricConfig, FabricFaultInjector};
 use simkit::prelude::*;
 use simkit::rng::fnv1a;
 
-/// Base seed plus the CI sweep offset (`DLFS_TEST_SEED_OFFSET`), so the
-/// whole suite can re-run under a second seed without code changes.
-fn test_seed(base: u64) -> u64 {
-    base + std::env::var("DLFS_TEST_SEED_OFFSET")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0)
-}
 fn ramdisk(bytes: u64) -> Arc<NvmeDevice> {
     NvmeDevice::new(DeviceConfig::emulated_ramdisk(bytes, Dur::micros(10)))
 }

@@ -11,6 +11,7 @@ mod common;
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
+use common::test_seed;
 use dlfs::source::SampleSource;
 use dlfs::{
     fsck_node, Completions, Deployment, DlfsConfig, DlfsError, DlfsIo, FsckState, ReadRequest,
@@ -20,15 +21,6 @@ use fabric::{Outcome, TargetState};
 use simkit::prelude::*;
 use simkit::rng::{fnv1a, SplitMix64};
 use simkit::telemetry::Registry;
-
-/// Base seed plus the CI sweep offset (`DLFS_TEST_SEED_OFFSET`), so the
-/// whole suite can re-run under a second seed without code changes.
-fn test_seed(base: u64) -> u64 {
-    base + std::env::var("DLFS_TEST_SEED_OFFSET")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0)
-}
 
 fn ramdisk(bytes: u64) -> Arc<NvmeDevice> {
     NvmeDevice::new(DeviceConfig::emulated_ramdisk(bytes, Dur::micros(10)))

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget, BLOCK_SIZE};
+use common::test_seed;
 use dlfs::source::SampleSource;
 use dlfs::{
     CodecKind, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, IoFailure,
@@ -20,13 +21,6 @@ use dlfs::{
 use fabric::{Cluster, FabricConfig, FabricFaultInjector};
 use simkit::prelude::*;
 use simkit::rng::{fnv1a, SplitMix64};
-
-fn test_seed(base: u64) -> u64 {
-    base + std::env::var("DLFS_TEST_SEED_OFFSET")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0)
-}
 
 fn ramdisk(bytes: u64) -> Arc<NvmeDevice> {
     NvmeDevice::new(DeviceConfig::emulated_ramdisk(bytes, Dur::micros(10)))
