@@ -134,7 +134,8 @@ pub struct DlfsConfig {
     pub prefetch_window: usize,
     /// Bytes reserved at the tail of each device for the checkpoint
     /// region when the dataset is `import`ed (persistent layout). `0`
-    /// disables checkpointing on that instance.
+    /// plans no region: the import commits without one, and opening a
+    /// checkpoint stream on the instance is a typed `Config` error.
     pub ckpt_region_bytes: u64,
     /// Publish the completion reactor's counters
     /// (`dlfs.reactor.{wakeups,doorbells,parked_ns}`) into the instance's

@@ -45,7 +45,7 @@
 use std::sync::Arc;
 
 use crate::error::DlfsError;
-use crate::layout::replica_offset;
+use crate::layout::{replica_host, replica_offset};
 use blocksim::{NvmeTarget, BLOCK_SIZE};
 use fabric::{Outcome, TargetState, TargetStates};
 use simkit::rng::fnv1a;
@@ -226,10 +226,9 @@ impl Redundancy {
         if r == 0 {
             return (home, slba);
         }
-        let n = self.slots.len() as u32;
-        let peer = (home as u32 + r) % n;
+        let peer = replica_host(home as usize, r as usize, self.slots.len());
         let (home_base, _) = self.slots[home as usize];
-        let (peer_base, peer_slot) = self.slots[peer as usize];
+        let (peer_base, peer_slot) = self.slots[peer];
         debug_assert_eq!(home_base % BLOCK_SIZE, 0);
         debug_assert_eq!(peer_base % BLOCK_SIZE, 0);
         debug_assert_eq!(peer_slot % BLOCK_SIZE, 0);

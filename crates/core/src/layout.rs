@@ -35,14 +35,20 @@
 //! (frames at their raw chunk offsets) and version 2 (frames rounded to
 //! whole blocks) — are refused with [`LayoutError::Version`].
 //!
-//! **One planner, one loader.** [`Superblock::plan`] is the only place the
-//! regions are sized and placed (an integrity table after the metadata
-//! with `verify_reads`, a codec table before `data_base` with a codec,
-//! `replicas` slots inside the data region), and [`load_node`] is the only
-//! code that reads a device's metadata back: `remount` drives it with
-//! timed reads, [`fsck_node`] and [`fsck_repair`] with `read_untimed`.
-//! So a device fsck reports `Clean` is a device `remount` accepts, by
-//! construction.
+//! **One planner, one committer, one loader.** [`plan_nodes`] sizes and
+//! places every node of a bring-up — through [`Superblock::plan`] when
+//! persisting (an integrity table after the metadata with `verify_reads`, a
+//! codec table before `data_base` with a codec, `replicas` slots inside the
+//! data region), from byte 0 when not — and holds the one fit rule: each
+//! home's share fits every slot hosting one of its copies, whose host
+//! [`replica_host`] names. [`Superblock::stamp_writes`] and
+//! [`Superblock::commit_writes`] are the only code that encodes a node's
+//! regions, for the import and the rebuild's restore alike. [`load_node`]
+//! is the only code that reads them back: `remount` drives it with timed
+//! reads, [`fsck_node`] and [`fsck_repair`] with `read_untimed`. So a
+//! device fsck reports `Clean` is a device `remount` accepts, by
+//! construction. A checkpoint region may be empty (`ckpt_region_bytes:
+//! 0`): the commit then writes no stream head.
 //!
 //! **Checkpoint records** are self-describing: a one-block header (magic,
 //! generation, sequence number, payload length + checksum) followed by the
@@ -197,7 +203,10 @@ impl Superblock {
     /// at commit), and with a codec a block-aligned
     /// per-frame encoded-length table (one `u32` per chunk frame plus a
     /// trailing checksum word) before `data_base`. Regions a feature does
-    /// not need take no space. Generation and metadata checksum are
+    /// not need take no space: with `ckpt_region_bytes: 0` the checkpoint
+    /// region is empty and `ckpt_base` is the device's end. Only the whole
+    /// device is checked here; whether every copy fits the slot hosting it
+    /// is [`plan_nodes`]'s fit rule. Generation and metadata checksum are
     /// filled in during import.
     pub fn plan(
         node_id: u16,
@@ -245,14 +254,10 @@ impl Superblock {
             return Err(too_small());
         }
         let ckpt_base = (device_bytes - ckpt_capacity) / BLOCK_SIZE * BLOCK_SIZE;
-        if ckpt_base < data_base || data_bytes > ckpt_base - data_base {
+        let Some(data_capacity) = ckpt_base.checked_sub(data_base) else {
             return Err(too_small());
-        }
-        let data_capacity = ckpt_base - data_base;
+        };
         let replica_slot_bytes = replica_slot(data_capacity, replicas, chunk_size);
-        if data_bytes > replica_slot_bytes {
-            return Err(too_small());
-        }
         if data_base + data_bytes > MAX_OFFSET {
             return Err(DlfsError::Layout(LayoutError::Inconsistent(format!(
                 "node {node_id}: data region end {} exceeds the 40-bit entry offset",
@@ -298,6 +303,47 @@ impl Superblock {
             0
         };
         self.meta_base + meta_capacity + integrity_capacity
+    }
+
+    /// Phase A of the two-phase commit as `(byte offset, bytes)` device
+    /// writes: this superblock, uncommitted, then a zeroed checkpoint-stream
+    /// head — none when the checkpoint region is empty.
+    pub(crate) fn stamp_writes(&mut self) -> Vec<(u64, Vec<u8>)> {
+        self.committed = false;
+        let head = (self.ckpt_capacity > 0).then(|| (self.ckpt_base, vec![0; BLOCK_SIZE as usize]));
+        [(0, self.encode())].into_iter().chain(head).collect()
+    }
+
+    /// The region writes that commit a node's staged data, in the import's
+    /// order: the integrity table of `sums` (its length set to what the
+    /// stored blocks fill), the metadata of `records` (`meta_checksum` set
+    /// over it) and a coded node's frame-length table of `lens`; an empty
+    /// region is not written. The import and the rebuild's restore both
+    /// apply these, then write the committed superblock once they are
+    /// durable.
+    pub(crate) fn commit_writes(
+        &mut self,
+        records: &[MetaRecord],
+        sums: &[u64],
+        lens: &[u32],
+    ) -> Vec<(u64, Vec<u8>)> {
+        let mut writes = Vec::with_capacity(3);
+        if self.integrity_bytes > 0 {
+            let table = encode_integrity(sums);
+            self.integrity_bytes = table.len() as u64;
+            writes.push((self.integrity_base, table));
+        }
+        let meta = encode_meta(records);
+        debug_assert_eq!(meta.len() as u64, self.meta_bytes);
+        self.meta_checksum = fnv1a(&meta);
+        writes.push((self.meta_base, meta));
+        if self.codec != CodecKind::Identity {
+            let table = encode_codec_table(lens);
+            debug_assert_eq!(table.len() as u64, self.codec_table_bytes);
+            writes.push((self.codec_base(), table));
+        }
+        writes.retain(|(_, bytes)| !bytes.is_empty());
+        writes
     }
 
     /// Serialize into one block. With `committed == false` the tail stamp
@@ -432,6 +478,18 @@ pub(crate) fn replica_slot(capacity: u64, replicas: u32, chunk_size: u64) -> u64
     }
 }
 
+/// The replica host rule, stated once: copy `r` of home node `home`'s data
+/// lives on node `(home + r) mod nodes` (`r = 0` is the home itself).
+pub(crate) fn replica_host(home: usize, r: usize, nodes: usize) -> usize {
+    (home + r) % nodes
+}
+
+/// The inverse of [`replica_host`]: the home whose copy `r` node `host`
+/// holds in its slot `r`.
+pub(crate) fn replica_home(host: usize, r: usize, nodes: usize) -> usize {
+    (host + nodes - r) % nodes
+}
+
 /// The replica placement rule, stated once: copy `r` of the byte `rel`
 /// bytes into a home node's data region sits `rel` bytes into slot `r` of
 /// the hosting peer, whose data region starts at `peer_base` and strides
@@ -439,6 +497,75 @@ pub(crate) fn replica_slot(capacity: u64, replicas: u32, chunk_size: u64) -> u64
 /// and find copies through this.
 pub(crate) fn replica_offset(peer_base: u64, peer_slot: u64, r: u32, rel: u64) -> u64 {
     peer_base + r as u64 * peer_slot + rel
+}
+
+/// Where one storage node keeps its data: a planned [`Superblock`]'s
+/// regions, or byte 0 and the device split into `replicas` slots.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Geometry {
+    /// First byte of the node's own (slot 0) data.
+    pub data_base: u64,
+    /// Stride between the replica slots of the data region.
+    pub slot_bytes: u64,
+    /// Bytes of the node's own share, frame padding included.
+    pub data_bytes: u64,
+}
+
+impl From<&Superblock> for Geometry {
+    fn from(sb: &Superblock) -> Geometry {
+        Geometry {
+            data_base: sb.data_base,
+            slot_bytes: sb.replica_slot_bytes,
+            data_bytes: sb.data_bytes,
+        }
+    }
+}
+
+/// The one bring-up planner: every storage node's [`Geometry`] for a
+/// dataset of `total_samples` whose node shares `(samples, data bytes)` are
+/// `shares`, on devices of `device_bytes`. With `persist` each node's
+/// regions come from [`Superblock::plan`] and its superblock draft (the
+/// import's dataset stamp set) is returned too; without, its data starts at
+/// byte 0 and the device splits into `replicas` slots. Either way one fit
+/// rule holds: each home's share fits every slot hosting one of its copies,
+/// its own included, or the plan is a [`DlfsError::Capacity`] naming the
+/// host.
+pub(crate) fn plan_nodes(
+    shares: &[(u64, u64)],
+    total_samples: u64,
+    device_bytes: &[u64],
+    cfg: &DlfsConfig,
+    persist: bool,
+) -> Result<(Vec<Geometry>, Option<Vec<Superblock>>), DlfsError> {
+    let nodes = shares.len();
+    let (geometry, drafts): (Vec<Geometry>, _) = if persist {
+        let stamp = dataset_stamp(total_samples, shares);
+        let mut drafts = Vec::with_capacity(nodes);
+        for (n, (&share, &device)) in shares.iter().zip(device_bytes).enumerate() {
+            let sb = Superblock::plan(n as u16, nodes as u32, total_samples, share, device, cfg)?;
+            drafts.push(Superblock {
+                dataset_stamp: stamp,
+                ..sb
+            });
+        }
+        (drafts.iter().map(Geometry::from).collect(), Some(drafts))
+    } else {
+        let at_zero = |(&(_, data_bytes), &device): (&(u64, u64), &u64)| Geometry {
+            data_base: 0,
+            slot_bytes: replica_slot(device, cfg.replicas as u32, cfg.chunk_size),
+            data_bytes,
+        };
+        (shares.iter().zip(device_bytes).map(at_zero).collect(), None)
+    };
+    for (home, g) in geometry.iter().enumerate() {
+        let mut hosts = (0..cfg.replicas).map(|r| replica_host(home, r, nodes));
+        if let Some(host) = hosts.find(|&host| g.data_bytes > geometry[host].slot_bytes) {
+            let (need, have) = (g.data_bytes, geometry[host].slot_bytes);
+            let node = host as u16;
+            return Err(DlfsError::Capacity { node, need, have });
+        }
+    }
+    Ok((geometry, drafts))
 }
 
 /// Serialize one node's sample metadata region.

@@ -16,11 +16,12 @@
 //! There is one bring-up pipeline (DESIGN.md §12 has the stage → helper →
 //! callers table). Both [`MountBuilder`] terminals validate once
 //! (`MountBuilder::validated`) and get a `Bringup`. `mount` is
-//! `Bringup::stage`: place the dataset (`place`), derive each node's
-//! `Geometry` — the only step that differs between an ephemeral and a
-//! persistent mount — stream it through `UploadTask`s whose single `land`
-//! writes (and so replicates), checksums and records every extent, and
-//! `assemble` the instance. `remount` is `Bringup::remount`: [`crate::layout::load_node`]
+//! `Bringup::stage`: place the dataset (`place`), take every node's
+//! geometry from [`crate::layout`]'s one planner (which also decides that
+//! every copy fits), stream the data through `UploadTask`s whose single
+//! `land` writes (and so replicates), checksums and records every extent,
+//! apply the layout's commit writes when persisting, and `assemble` the
+//! instance. `remount` is `Bringup::remount`: [`crate::layout::load_node`]
 //! per device instead of staging, then the same `assemble`.
 //!
 //! Staging streams samples through a bounded per-reader pipe: the caller's
@@ -63,7 +64,6 @@ use blocksim::{NvmeDevice, NvmeTarget, BLOCK_SIZE};
 use fabric::{Cluster, NvmeOfTarget, TargetConfig};
 use simkit::chan::{Receiver, Sender};
 use simkit::resource::Link;
-use simkit::rng::fnv1a;
 use simkit::runtime::{JoinHandle, Runtime};
 use simkit::telemetry::Registry;
 use simkit::time::{Dur, Time};
@@ -75,10 +75,7 @@ use crate::entry::SampleEntry;
 use crate::error::{DlfsError, LayoutError};
 use crate::integrity::Redundancy;
 use crate::io::{DlfsIo, DlfsShared};
-use crate::layout::{
-    self, encode_codec_table, encode_integrity, encode_meta, replica_slot, BlockChecksums,
-    MetaRecord, NodeMeta, Superblock,
-};
+use crate::layout::{self, BlockChecksums, Geometry, MetaRecord, NodeMeta, Superblock};
 use crate::source::SampleSource;
 use crate::writer::{
     read_timed, BatchedWriter, CheckpointReader, CheckpointWriter, ForegroundReads,
@@ -438,19 +435,6 @@ fn place(
     Ok((builder, shares))
 }
 
-/// Where one storage node keeps its data — the one thing a persistent and
-/// an ephemeral bring-up derive differently (a planned [`Superblock`], or
-/// base 0 and the device split into `replicas` slots).
-#[derive(Clone, Copy, Debug)]
-struct Geometry {
-    /// First byte of the node's own (slot 0) data.
-    data_base: u64,
-    /// Stride between the replica slots of the data region.
-    slot_bytes: u64,
-    /// Bytes of the node's own share, frame padding included.
-    data_bytes: u64,
-}
-
 /// What bring-up knows about one storage node once it is up, whichever
 /// way it came up (staged just now, or loaded by `remount`).
 struct NodeState {
@@ -509,10 +493,11 @@ struct Landing {
 
 impl UploadTask {
     /// Node `home`'s writer: its data region is mirrored to replica slot r
-    /// of peer home + r for every r < k (`layout::replica_offset`).
+    /// of its host for every r < k (`layout::replica_host`,
+    /// `layout::replica_offset`).
     fn writer(&self, home: usize) -> BatchedWriter {
         let mirror = |r: usize| {
-            let peer = (home + r) % self.geometry.len();
+            let peer = layout::replica_host(home, r, self.geometry.len());
             let p = self.geometry[peer];
             let at = layout::replica_offset(p.data_base, p.slot_bytes, r as u32, 0);
             (self.row[peer].clone(), peer as u16, at)
@@ -585,7 +570,8 @@ impl UploadTask {
         };
         // Phase A (persistent only): stamp each node with the new,
         // uncommitted generation before any data lands, and invalidate the
-        // previous generation's checkpoint stream head. A crash from here
+        // previous generation's checkpoint stream head, if the node has a
+        // checkpoint region (`Superblock::stamp_writes`). A crash from here
         // until the committed superblock below leaves the stamps
         // disagreeing.
         if let Some(drafts) = self.drafts.as_mut() {
@@ -596,9 +582,9 @@ impl UploadTask {
                     .map(|sb| sb.generation)
                     .unwrap_or(0);
                 drafts[pos].generation = prev_gen + 1;
-                drafts[pos].committed = false;
-                l.writers[pos].write(rt, 0, &drafts[pos].encode())?;
-                l.writers[pos].write(rt, drafts[pos].ckpt_base, &[0u8; BLOCK_SIZE as usize])?;
+                for (at, bytes) in drafts[pos].stamp_writes() {
+                    l.writers[pos].write(rt, at, &bytes)?;
+                }
                 l.writers[pos].flush(rt)?;
             }
         }
@@ -669,25 +655,8 @@ impl UploadTask {
         // two-phase.
         if let Some(drafts) = self.drafts.as_mut() {
             for (pos, (sb, w)) in drafts.iter_mut().zip(&mut l.writers).enumerate() {
-                if sb.integrity_bytes > 0 {
-                    // Planned for the raw data; a coded node's stored blocks
-                    // fill less of the region.
-                    let enc = encode_integrity(&sums[pos]);
-                    sb.integrity_bytes = enc.len() as u64;
-                    if !enc.is_empty() {
-                        w.write(rt, sb.integrity_base, &enc)?;
-                    }
-                }
-                let meta = encode_meta(&l.records[pos]);
-                debug_assert_eq!(meta.len() as u64, sb.meta_bytes);
-                sb.meta_checksum = fnv1a(&meta);
-                if !meta.is_empty() {
-                    w.write(rt, sb.meta_base, &meta)?;
-                }
-                if coded {
-                    let table = encode_codec_table(&lens[pos]);
-                    debug_assert_eq!(table.len() as u64, sb.codec_table_bytes);
-                    w.write(rt, sb.codec_base(), &table)?;
+                for (at, bytes) in sb.commit_writes(&l.records[pos], &sums[pos], &lens[pos]) {
+                    w.write(rt, at, &bytes)?;
                 }
             }
             flush_all(rt, &mut l.writers)?;
@@ -778,8 +747,9 @@ impl Bringup {
     /// per device: a crash mid-import leaves a torn generation stamp that
     /// `remount` rejects with [`LayoutError::TornImport`]) so that later
     /// jobs can [`Bringup::remount`] warm; without it the devices hold raw
-    /// sample data from offset 0. The two differ in where each node's
-    /// [`Geometry`] comes from, and in nothing else.
+    /// sample data from offset 0. The two differ in the [`Geometry`]
+    /// [`layout::plan_nodes`] hands back and in the commit around the data,
+    /// and in nothing else.
     fn stage(
         self,
         rt: &Runtime,
@@ -789,50 +759,11 @@ impl Bringup {
         let cfg = &self.cfg;
         let frame = (cfg.codec != CodecKind::Identity).then_some(cfg.chunk_size);
         let (mut builder, shares) = place(source, self.storage_nodes, frame)?;
-        let device_bytes = |n: usize| self.deployment.targets[0][n].blocks() * BLOCK_SIZE;
-        let drafts = if persist {
-            let total = source.count() as u64;
-            let stamp = layout::dataset_stamp(total, &shares);
-            let mut drafts = Vec::with_capacity(self.storage_nodes);
-            for (n, &share) in shares.iter().enumerate() {
-                let nodes = self.storage_nodes as u32;
-                let mut sb = Superblock::plan(n as u16, nodes, total, share, device_bytes(n), cfg)?;
-                sb.dataset_stamp = stamp;
-                drafts.push(sb);
-            }
-            let bases: Vec<u64> = drafts.iter().map(|sb| sb.data_base).collect();
-            builder.rebase(&bases);
-            Some(drafts)
-        } else {
-            None
-        };
-        let geometry: Vec<Geometry> = match &drafts {
-            Some(drafts) => drafts.iter().map(Geometry::from).collect(),
-            // No layout: the device splits into `replicas` slots from byte
-            // 0. The planner checked a persistent device's capacity; here
-            // every share must fit each slot that hosts one of its copies.
-            None => {
-                let slot = |n| replica_slot(device_bytes(n), cfg.replicas as u32, cfg.chunk_size);
-                for (home, &(_, need)) in shares.iter().enumerate() {
-                    for r in 0..cfg.replicas {
-                        let peer = (home + r) % self.storage_nodes;
-                        if need > slot(peer) {
-                            return Err(DlfsError::Capacity {
-                                node: peer as u16,
-                                need,
-                                have: slot(peer),
-                            });
-                        }
-                    }
-                }
-                let at_zero = |(n, &(_, data_bytes))| Geometry {
-                    data_base: 0,
-                    slot_bytes: slot(n),
-                    data_bytes,
-                };
-                shares.iter().enumerate().map(at_zero).collect()
-            }
-        };
+        let devices = self.deployment.targets[0].iter();
+        let device_bytes: Vec<u64> = devices.map(|t| t.blocks() * BLOCK_SIZE).collect();
+        let total = source.count() as u64;
+        let (geometry, drafts) = layout::plan_nodes(&shares, total, &device_bytes, cfg, persist)?;
+        builder.rebase(&geometry.iter().map(|g| g.data_base).collect::<Vec<_>>());
         let dir = Arc::new(builder.finish()?);
         let nodes = self.upload(rt, &dir, source, drafts, Arc::new(geometry))?;
         let replicas = self.cfg.replicas as u32;
@@ -1204,16 +1135,6 @@ impl Bringup {
             })
             .collect();
         Ok(self.assemble(rt, dir, replicas, nodes))
-    }
-}
-
-impl From<&Superblock> for Geometry {
-    fn from(sb: &Superblock) -> Geometry {
-        Geometry {
-            data_base: sb.data_base,
-            slot_bytes: sb.replica_slot_bytes,
-            data_bytes: sb.data_bytes,
-        }
     }
 }
 

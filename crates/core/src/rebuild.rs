@@ -9,10 +9,10 @@
 //!
 //! * **Slot 0** of dead node `d` held `d`'s own data. Surviving copies are
 //!   replicas `1..k` of home `d`, hosted by peers `(d + r) mod N`.
-//! * **Slot `r`** (`1 <= r < k`) of `d` held replica `r` of home
-//!   `h = (d + N - r) mod N` (the inverse of [`Redundancy::route`]'s
-//!   `(h + r) mod N` placement). Surviving copies are `h`'s other
-//!   replicas, including the home copy itself.
+//! * **Slot `r`** (`1 <= r < k`) of `d` held replica `r` of home `h`,
+//!   the inverse of the host rule [`Redundancy::route`] places copies by
+//!   (`layout::replica_home`). Surviving copies are `h`'s other replicas,
+//!   including the home copy itself.
 //!
 //! The plan is pure geometry — no I/O, no clock — so the same dead node
 //! under the same deployment always yields the same extent list, and a
@@ -29,17 +29,13 @@
 use std::sync::Arc;
 
 use blocksim::BLOCK_SIZE;
-use simkit::rng::fnv1a;
 use simkit::telemetry::{Counter, Gauge, Registry};
 
 use crate::counter_in;
 use crate::error::DlfsError;
 use crate::integrity::{Probe, Redundancy};
 use crate::io::DlfsShared;
-use crate::layout::{
-    encode_codec_table, encode_integrity, encode_meta, read_logical, read_untimed, BlockChecksums,
-    MetaRecord,
-};
+use crate::layout::{read_logical, read_untimed, replica_home, BlockChecksums, MetaRecord};
 
 /// One contiguous run of blocks the dead node must get back: the copy of
 /// `home`'s data that lived in the dead node's replica slot `slot_r`.
@@ -69,13 +65,14 @@ impl RebuildPlan {
     /// nodes — hosted, each extent as long as its home's stored run
     /// (`Redundancy::stored_blocks`).
     pub fn for_dead_node(red: &Redundancy, node: u16) -> RebuildPlan {
-        let n = red.slots.len() as u32;
-        let extent = |home: u16, slot_r: u32| RebuildExtent {
-            home,
-            slot_r,
-            blocks: red.stored[home as usize],
+        let hosted = |slot_r: u32| {
+            let home = replica_home(node as usize, slot_r as usize, red.slots.len());
+            RebuildExtent {
+                home: home as u16,
+                slot_r,
+                blocks: red.stored[home],
+            }
         };
-        let hosted = |r: u32| extent(((node as u32 + n - r) % n) as u16, r);
         let extents: Vec<_> = (0..red.replicas).map(hosted).collect();
         let total_blocks = extents.iter().map(|e| e.blocks).sum();
         RebuildPlan {
@@ -328,12 +325,14 @@ impl Background {
     }
 
     /// Final pass of a completed rebuild: on persistent instances, restore
-    /// the replacement device's metadata region (reconstructed from the
-    /// sample directory, payload checksums re-hashed from the rebuilt
-    /// bytes), integrity table, and committed superblock — a fresh device
-    /// comes out `fsck`-clean, indistinguishable from the import, except
-    /// for the checkpoint region, whose stream died with the old node (the
-    /// fsck checkpoint walk treats the zeroed region as an empty stream).
+    /// the replacement device's regions through the import's own commit
+    /// writes (`Superblock::commit_writes`: integrity table, metadata
+    /// reconstructed from the sample directory with payload checksums
+    /// re-hashed from the rebuilt bytes, codec table), then its committed
+    /// superblock — a fresh device comes out `fsck`-clean, its bytes before
+    /// `data_base` those the import wrote, except for the checkpoint
+    /// region, whose stream died with the old node (the fsck checkpoint
+    /// walk treats the zeroed region as an empty stream).
     /// Only a fully successful rebuild rejoins the node into the
     /// membership view; failed blocks leave it Dead for another attempt.
     fn rebuild_finish(&self, node: u16, failed: u64) {
@@ -350,36 +349,25 @@ impl Background {
                 MetaRecord::new(id, e, &read_logical(dest, frame, e.offset(), e.len()))
             };
             let records: Vec<_> = sh.dir.samples_on(node).iter().map(record).collect();
-            let meta = encode_meta(&records);
-            debug_assert_eq!(meta.len() as u64, sb.meta_bytes);
-            if !meta.is_empty() {
-                dest.dma_write(sb.meta_base / BLOCK_SIZE, &meta);
+            // The import's table, or — on an instance remounted without
+            // `verify_reads`, which never loaded it — the rebuilt stored run
+            // hashed afresh.
+            let sums = match red.sums.get(node as usize) {
+                Some(sums) => sums.to_vec(),
+                None if sb.integrity_bytes > 0 => {
+                    let run = red.stored[node as usize] * BLOCK_SIZE;
+                    let mut sums = BlockChecksums::new();
+                    sums.update(&read_untimed(dest, sb.data_base, run as usize));
+                    sums.finish()
+                }
+                None => Vec::new(),
+            };
+            // The stored run was copied back verbatim, so the frame table
+            // written at import still describes it exactly.
+            let lens = frames.map_or(&[][..], |t| &t.per_node[node as usize].lens);
+            for (at, bytes) in sb.commit_writes(&records, &sums, lens) {
+                dest.dma_write(at / BLOCK_SIZE, &bytes);
             }
-            if sb.integrity_bytes > 0 {
-                // The import's table, or — on an instance remounted without
-                // `verify_reads`, which never loaded it — the rebuilt stored
-                // run hashed afresh.
-                let enc = match red.sums.get(node as usize) {
-                    Some(sums) => encode_integrity(sums),
-                    None => {
-                        let run = red.stored[node as usize] * BLOCK_SIZE;
-                        let mut sums = BlockChecksums::new();
-                        sums.update(&read_untimed(dest, sb.data_base, run as usize));
-                        encode_integrity(&sums.finish())
-                    }
-                };
-                debug_assert_eq!(enc.len() as u64, sb.integrity_bytes);
-                dest.dma_write(sb.integrity_base / BLOCK_SIZE, &enc);
-            }
-            if let Some(tables) = sh.codec.as_deref() {
-                // Restore the per-frame encoded-length table (a coded
-                // layout has one); the stored run was copied back verbatim,
-                // so the table written at import still describes it exactly.
-                let table = encode_codec_table(&tables.per_node[node as usize].lens);
-                debug_assert_eq!(table.len() as u64, sb.codec_table_bytes);
-                dest.dma_write(sb.codec_base() / BLOCK_SIZE, &table);
-            }
-            sb.meta_checksum = fnv1a(&meta);
             sb.committed = true;
             dest.dma_write(0, &sb.encode());
         }

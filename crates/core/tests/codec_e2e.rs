@@ -520,12 +520,15 @@ fn slot_runs(fs: &DlfsInstance) -> Vec<(usize, u64, u64, u64)> {
 /// Everything that judges or heals a copy agrees the instance is whole:
 /// deep fsck and `fsck_repair` on every node, a full scrub pass, a verified
 /// epoch, and the rebuild of a killed and wiped node — which must itself
-/// come out deep-fsck clean.
+/// come out deep-fsck clean and, when the import was the devices' `first`
+/// (nothing older left in its regions), hold the import's bytes before
+/// `data_base`.
 fn assert_whole(
     rt: &Runtime,
     fs: &DlfsInstance,
     devices: &[Arc<NvmeDevice>],
     expected: &dyn Fn(u32) -> Vec<u8>,
+    first: bool,
 ) {
     let targets = &fs.shared(0).targets;
     let fsck_clean = |when: &str| {
@@ -553,6 +556,13 @@ fn assert_whole(
     }
     assert_eq!(got, total);
     let victim = devices.len() - 1;
+    let data_base = fs.layout(victim as u16).expect("persistent").data_base;
+    let regions = |d: &NvmeDevice| {
+        let mut bytes = vec![0u8; data_base as usize];
+        d.storage().read_at(0, &mut bytes);
+        bytes
+    };
+    let imported = regions(&devices[victim]);
     devices[victim].kill();
     devices[victim].revive();
     let blank = vec![0u8; devices[victim].storage().capacity() as usize];
@@ -569,6 +579,11 @@ fn assert_whole(
     }
     assert!(m.counter("dlfs.integrity.verified") > 0, "nothing verified");
     fsck_clean("after the rebuild");
+    // The restore wrote the import's superblock, metadata, integrity table
+    // and codec table back, byte for byte.
+    if first {
+        assert_eq!(regions(&devices[victim]), imported, "restored regions");
+    }
 }
 
 fn replicated_lz_cfg() -> DlfsConfig {
@@ -607,7 +622,7 @@ fn reimport_over_an_older_generation_leaves_no_stale_tail_visible() {
             tail.iter().any(|&b| b != 0)
         });
         assert!(stale, "generation 1 should still sit in the tails");
-        assert_whole(rt, &fs, &devices, &|id| comp.expected(id));
+        assert_whole(rt, &fs, &devices, &|id| comp.expected(id), false);
     });
 }
 
@@ -647,7 +662,7 @@ fn poisoned_slot_tails_are_never_read() {
             assert_eq!(io.read_by_id(rt, id).unwrap(), comp.expected(id));
         }
         drop(io);
-        assert_whole(rt, &fs, &devices, &|id| comp.expected(id));
+        assert_whole(rt, &fs, &devices, &|id| comp.expected(id), true);
     });
 }
 

@@ -86,6 +86,13 @@ fn drain_epoch(
 /// Simulate swapping in a factory-fresh replacement device under the same
 /// node index: bring the (previously killed) device back online and wipe
 /// its media clean.
+/// A device's bytes before `data_base`: superblock, metadata and tables.
+fn regions(dev: &NvmeDevice, data_base: u64) -> Vec<u8> {
+    let mut bytes = vec![0u8; data_base as usize];
+    dev.storage().read_at(0, &mut bytes);
+    bytes
+}
+
 fn replace_with_fresh(dev: &Arc<NvmeDevice>, bytes: u64) {
     dev.revive();
     dev.dma_write(0, &vec![0u8; bytes as usize]);
@@ -200,6 +207,8 @@ fn membership_run(seed: u64) -> (u64, u64, String) {
         let red = fs.redundancy().expect("redundancy built").clone();
         let membership = red.membership.as_ref().expect("membership built");
         assert_eq!(membership.view_epoch(), 0);
+        let data_base = fs.layout(1).expect("persistent").data_base;
+        let imported = regions(&devices[1], data_base);
 
         // Epoch 0: node 1 dies permanently a third of the way in. Every
         // sample still arrives byte-correct, served from replicas.
@@ -252,8 +261,10 @@ fn membership_run(seed: u64) -> (u64, u64, String) {
 
         // Finish the rebuild synchronously: full redundancy restored,
         // node 1 rejoined, nothing at risk, deep fsck clean everywhere —
-        // the replacement is indistinguishable from the original import.
+        // the replacement is indistinguishable from the original import,
+        // down to the bytes of its superblock, metadata and tables.
         io.drive_rebuild();
+        assert_eq!(regions(&devices[1], data_base), imported);
         assert!(!io.rebuild_active());
         assert_eq!(io.rebuild_remaining(), 0);
         let m = io.metrics();

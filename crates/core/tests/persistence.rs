@@ -505,6 +505,56 @@ fn typed_errors_for_bad_shapes() {
             Err(DlfsError::Capacity { .. }) => {}
             other => panic!("undersized mount must be Capacity, got {other:?}"),
         }
+        // A tight peer: node 1's slot holds its own 200 samples but not
+        // node 0's copy of 201, which would run into its checkpoint region.
+        let two = DlfsConfig {
+            replicas: 2,
+            chunk_size: 4096,
+            ckpt_region_bytes: 16 << 10,
+            ..DlfsConfig::default()
+        };
+        let shares = SyntheticSource::fixed(41, 401, 4096);
+        // data_base 8 KiB + two 800 KiB slots + the checkpoint region.
+        let tight = vec![
+            ramdisk(4 << 20),
+            ramdisk((8 << 10) + 2 * 819_200 + (16 << 10)),
+        ];
+        match MountBuilder::new(two)
+            .deployment(Deployment::local(1, &tight))
+            .persistent()
+            .mount(rt, &shares)
+        {
+            Err(DlfsError::Capacity {
+                node: 1,
+                need: 823_296,
+                have: 819_200,
+            }) => {}
+            other => panic!("a copy past its host's slot must be Capacity, got {other:?}"),
+        }
+        // No checkpoint region: the import commits, remounts and is deep
+        // fsck clean, and only a checkpoint stream is refused, typed.
+        let no_ckpt = || DlfsConfig {
+            ckpt_region_bytes: 0,
+            ..DlfsConfig::default()
+        };
+        let dev = ramdisk(16 << 20);
+        MountBuilder::new(no_ckpt())
+            .local(dev.clone())
+            .persistent()
+            .mount(rt, &shares)
+            .unwrap();
+        let warm = MountBuilder::new(no_ckpt())
+            .local(dev.clone())
+            .warm()
+            .remount(rt)
+            .unwrap();
+        let target: Arc<dyn NvmeTarget> = dev;
+        let fsck = fsck_node(&target, 0, true);
+        assert!(matches!(fsck.state, FsckState::Clean { .. }), "{fsck:?}");
+        assert!(matches!(
+            warm.checkpoint_writer(rt, 0, 0, None),
+            Err(DlfsError::Config(_))
+        ));
 
         let empty = Deployment {
             targets: vec![],
