@@ -43,27 +43,23 @@ pub trait NvmeTarget: Send + Sync {
     /// Human-readable identification.
     fn describe(&self) -> String;
 
-    /// Decide the fate of a command submitted at `now` (fault injection);
-    /// the default is a healthy device. Remote targets combine the backing
-    /// device's outcome with fabric-level faults, which is why the decision
-    /// is timestamped: link flaps and target crash windows are schedules in
-    /// virtual time.
-    fn fault_decide(&self, _now: Time, _is_write: bool) -> FaultOutcome {
-        FaultOutcome::NONE
-    }
-
-    /// Range-aware fault decision: like [`NvmeTarget::fault_decide`] but
-    /// the command's block range is known, so persistent bad extents can
-    /// fail exactly the reads that touch them. The default delegates to the
-    /// range-oblivious decision (identical draw stream).
+    /// Decide the fate of a command over `[slba, slba + nblocks)` submitted
+    /// at `now` (fault injection) — the one fault decision per command:
+    /// every submitter, local qpair, NVMe-oF initiator or baseline, asks it
+    /// once, and it draws once from the device's stream. Knowing the range,
+    /// it fails every command to a killed device and the reads that touch
+    /// a sticky bad extent. The default is a healthy device. Remote targets
+    /// combine the backing device's outcome with fabric-level faults, which
+    /// is why the decision is timestamped: link flaps and target crash
+    /// windows are schedules in virtual time.
     fn fault_decide_range(
         &self,
-        now: Time,
-        is_write: bool,
+        _now: Time,
+        _is_write: bool,
         _slba: u64,
         _nblocks: u32,
     ) -> FaultOutcome {
-        self.fault_decide(now, is_write)
+        FaultOutcome::NONE
     }
 
     /// Does the range overlap a persistent fault (sticky bad extent or
@@ -315,13 +311,6 @@ impl NvmeTarget for NvmeDevice {
             "local nvme '{}' ({} B)",
             self.config.name, self.config.capacity
         )
-    }
-
-    fn fault_decide(&self, _now: Time, is_write: bool) -> FaultOutcome {
-        match self.faults.lock().as_ref() {
-            Some(f) => f.decide(is_write),
-            None => FaultOutcome::NONE,
-        }
     }
 
     fn fault_decide_range(

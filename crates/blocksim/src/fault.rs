@@ -168,9 +168,11 @@ impl FaultInjector {
         self
     }
 
-    /// Decide the next command's fate. Deterministic: the n-th call for a
-    /// given seed always returns the same outcome.
-    pub fn decide(&self, is_write: bool) -> FaultOutcome {
+    /// Draw the next command's transient fate (media error, latency spike).
+    /// Deterministic: the n-th call for a given seed always returns the same
+    /// outcome. Private: a command's fate is [`FaultInjector::decide_range`],
+    /// which also knows death and sticky extents.
+    fn decide(&self, is_write: bool) -> FaultOutcome {
         let n = self.counter.fetch_add(1, Ordering::Relaxed);
         // SplitMix64 step keyed on (seed, n).
         let mut z = self.seed ^ n.wrapping_mul(0x9e3779b97f4a7c15);

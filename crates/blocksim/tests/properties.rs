@@ -113,7 +113,9 @@ fn fault_rates_track_configuration() {
         let seed = g.below(1000);
         let f = FaultInjector::new(seed).with_read_failures(ppm);
         let n = 8_000u32;
-        let fails = (0..n).filter(|_| !f.decide(false).status.is_ok()).count() as f64;
+        let fails = (0..n)
+            .filter(|_| !f.decide_range(false, 0, 1).status.is_ok())
+            .count() as f64;
         let expect = ppm as f64 / 1_000_000.0 * n as f64;
         // Within 5 sigma of a binomial.
         let sigma = (n as f64 * (ppm as f64 / 1e6) * (1.0 - ppm as f64 / 1e6)).sqrt();

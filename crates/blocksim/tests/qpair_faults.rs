@@ -76,8 +76,8 @@ fn completions_emerge_in_device_finish_order() {
     let seed = (0..1000u64)
         .find(|&s| {
             let probe = FaultInjector::new(s).with_latency_spikes(300_000, Dur::millis(1));
-            let first = !probe.decide(false).extra_latency.is_zero();
-            let second = probe.decide(false).extra_latency.is_zero();
+            let first = !probe.decide_range(false, 0, 1).extra_latency.is_zero();
+            let second = probe.decide_range(false, 0, 1).extra_latency.is_zero();
             first && second
         })
         .expect("some seed produces (spike, clean)");
@@ -122,7 +122,7 @@ fn remote_target_propagates_faults() {
         let tgt = fabric::NvmeOfTarget::new(1, d, fabric::TargetConfig::default());
         let remote = fabric::connect(cluster, 0, tgt);
         assert_eq!(
-            remote.fault_decide(rt.now(), false).status,
+            remote.fault_decide_range(rt.now(), false, 0, 1).status,
             CmdStatus::MediaError
         );
         let mut qp = IoQPair::new(remote, 4);
@@ -162,7 +162,13 @@ impl NvmeTarget for DroppingTarget {
     fn describe(&self) -> String {
         format!("dropping({})", self.inner.describe())
     }
-    fn fault_decide(&self, _now: Time, _is_write: bool) -> blocksim::FaultOutcome {
+    fn fault_decide_range(
+        &self,
+        _now: Time,
+        _is_write: bool,
+        _slba: u64,
+        _nblocks: u32,
+    ) -> blocksim::FaultOutcome {
         blocksim::FaultOutcome {
             status: CmdStatus::TransportError,
             extra_latency: self.detect_after,

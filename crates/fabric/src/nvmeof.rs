@@ -30,6 +30,7 @@ use simkit::plock::Mutex;
 use simkit::resource::Servers;
 use simkit::time::{Dur, Time};
 
+use crate::fault::FabricFault;
 use crate::topology::Cluster;
 
 /// NVMe-oF command capsule size on the wire.
@@ -215,16 +216,11 @@ impl NvmeTarget for RemoteTarget {
         )
     }
 
-    fn fault_decide(&self, now: Time, is_write: bool) -> FaultOutcome {
-        // Device-level fate first (media errors, latency spikes), then the
-        // fabric's verdict on the client ↔ target path layered on top. A
-        // dropped command surfaces as a transport error after the fabric's
-        // I/O timeout — the initiator's qpair sees it complete then, with
-        // no data transferred.
-        let dev = self.target.device.fault_decide(now, is_write);
-        self.layer_fabric(now, dev)
-    }
-
+    /// Device-level fate first (media errors, latency spikes, death, sticky
+    /// extents), then the fabric's verdict on the client ↔ target path
+    /// layered on top. A dropped command surfaces as a transport error
+    /// after the fabric's I/O timeout — the initiator's qpair sees it
+    /// complete then, with no data transferred.
     fn fault_decide_range(
         &self,
         now: Time,
@@ -236,7 +232,20 @@ impl NvmeTarget for RemoteTarget {
             .target
             .device
             .fault_decide_range(now, is_write, slba, nblocks);
-        let fate = self.layer_fabric(now, dev);
+        let fate = match self
+            .cluster
+            .fault_decide(now, self.client_node, self.target.node)
+        {
+            FabricFault::Healthy => dev,
+            FabricFault::Delay(extra) => FaultOutcome {
+                status: dev.status,
+                extra_latency: dev.extra_latency + extra,
+            },
+            FabricFault::Dropped { detect_after } => FaultOutcome {
+                status: CmdStatus::TransportError,
+                extra_latency: detect_after,
+            },
+        };
         if is_write {
             let lost = fate.status == CmdStatus::TransportError;
             self.landed.lock().lost = lost.then_some(fate);
@@ -272,9 +281,9 @@ impl NvmeTarget for RemoteTarget {
             .cluster
             .fault_decide(now, self.client_node, self.target.node)
         {
-            crate::fault::FabricFault::Healthy => now,
-            crate::fault::FabricFault::Delay(extra) => now + extra,
-            crate::fault::FabricFault::Dropped { detect_after } => now + detect_after,
+            FabricFault::Healthy => now,
+            FabricFault::Delay(extra) => now + extra,
+            FabricFault::Dropped { detect_after } => now + detect_after,
         };
         use crate::rpc::WireSize;
         let t1 =
@@ -392,25 +401,6 @@ impl NvmeTarget for Forward {
     ) -> FaultOutcome {
         let lost = self.landed.lock().lost;
         lost.unwrap_or_else(|| self.leg.fault_decide_range(now, is_write, slba, nblocks))
-    }
-}
-
-impl RemoteTarget {
-    fn layer_fabric(&self, now: Time, dev: FaultOutcome) -> FaultOutcome {
-        match self
-            .cluster
-            .fault_decide(now, self.client_node, self.target.node)
-        {
-            crate::fault::FabricFault::Healthy => dev,
-            crate::fault::FabricFault::Delay(extra) => FaultOutcome {
-                status: dev.status,
-                extra_latency: dev.extra_latency + extra,
-            },
-            crate::fault::FabricFault::Dropped { detect_after } => FaultOutcome {
-                status: CmdStatus::TransportError,
-                extra_latency: detect_after,
-            },
-        }
     }
 }
 

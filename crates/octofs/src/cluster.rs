@@ -355,7 +355,10 @@ impl OctopusFs {
     /// reads skip the wire. Failed attempts retry under the deployment's
     /// [`RetryPolicy`] with deterministic backoff; transport failures trip
     /// the target's circuit breaker, and subsequent attempts fail over to
-    /// the replica copy when one exists.
+    /// the replica copy when one exists. A media error sends the next
+    /// attempt to the next copy.
+    /// Each attempt asks its copy's device for one fault decision over the
+    /// extent it reads, so a killed device or a sticky bad extent fails it.
     pub fn read_entry(
         &self,
         rt: &Runtime,
@@ -378,16 +381,16 @@ impl OctopusFs {
                 .iter()
                 .position(|&(n, _)| self.health.available(n, rt.now()))
                 .unwrap_or(0);
-            if last_pick.is_some_and(|prev| prev != pick) {
+            let (node, offset) = copies[pick];
+            if last_pick.is_some_and(|prev| prev != node) {
                 self.tel.failovers.inc();
             }
-            last_pick = Some(pick);
-            let (node, offset) = copies[pick];
+            last_pick = Some(node);
             let dev = &self.devices[node];
             let (slba, nblocks, head) = covering_blocks(offset, entry.len);
             let bytes = nblocks as u64 * blocksim::BLOCK_SIZE;
             rt.work(CLIENT_POST_COST);
-            let dev_fault = dev.fault_decide(rt.now(), false);
+            let dev_fault = dev.fault_decide_range(rt.now(), false, slba, nblocks);
             let net_fault = if node == client_node {
                 FabricFault::Healthy
             } else {
@@ -415,10 +418,7 @@ impl OctopusFs {
                     (dev_fault.status.is_ok(), t)
                 }
             };
-            let now = rt.now();
-            if t_done > now {
-                rt.sleep(t_done - now);
-            }
+            rt.sleep_until(t_done);
             if ok {
                 self.health.observe(node, Outcome::Ok, rt.now());
                 let n = entry.len as usize;
@@ -428,19 +428,18 @@ impl OctopusFs {
                 return Ok(());
             }
             if net_fault.is_dropped() {
-                // Only transport losses indict the *target*; media errors
-                // are the device's problem and retry in place.
+                // Only transport losses indict the *target*.
                 self.tel.timeouts.inc();
                 self.health.observe(node, Outcome::Timeout, rt.now());
+            } else {
+                // A media error is the device's (a killed one fails every
+                // command): the retry goes to the next copy, if any.
+                copies.rotate_left(1);
             }
             failed += 1;
             self.tel.read_retries.inc();
             match self.cfg.retry.next_delay(failed) {
-                Some(backoff) => {
-                    if !backoff.is_zero() {
-                        rt.sleep(backoff);
-                    }
-                }
+                Some(backoff) => rt.sleep_until(rt.now() + backoff),
                 None => {
                     return Err(OctoError::ReadFailed {
                         node: node as u32,
@@ -630,6 +629,27 @@ mod tests {
                     assert!(attempts >= 1);
                 }
                 other => panic!("expected Unavailable, got {other:?}"),
+            }
+        });
+    }
+
+    /// A killed device fails every read instead of serving zeros: alone it
+    /// is a typed error, and a replicated file fails over to its copy.
+    #[test]
+    fn killed_device_is_a_typed_error_or_fails_over() {
+        Runtime::simulate(0, |rt| {
+            let data: Vec<u8> = (0..3000).map(|i| (i * 7 % 251) as u8).collect();
+            let mut out = vec![0u8; 3000];
+            for fs in [deploy(rt, 2), deploy_replicated(rt, 2).1] {
+                let name = name_owned_by(1, 2);
+                fs.store(rt, &name, &data);
+                fs.device(1).kill();
+                match fs.read(rt, 0, &name, &mut out) {
+                    Ok(n) => assert!(fs.cfg.replicate && n == 3000 && out == data),
+                    Err(e) => assert!(
+                        !fs.cfg.replicate && matches!(e, OctoError::ReadFailed { node: 1, .. })
+                    ),
+                }
             }
         });
     }
