@@ -611,9 +611,11 @@ fn heal_cell(replicas: usize, codec: CodecKind, damage: Damage, healer: Healer) 
 /// Characterisation of every way a damaged copy gets healed, pinned
 /// across refactors of the replica machinery: replicas {2, 3} x codec x
 /// damage x healer on a persistent, verified mount over four local
-/// devices. Offloaded epochs are pinned over bit flips only, and nothing
-/// here runs without `verify_reads` (see the regression tests in
-/// `offload_e2e.rs` and `membership.rs` for those).
+/// devices. An offloaded epoch meets each damage too: a flipped home
+/// (mismatch), an unreadable extent (failover) and a wiped node (copies
+/// that read but fail the table). Nothing here runs without
+/// `verify_reads` (see the regression tests in `offload_e2e.rs` and
+/// `membership.rs` for those).
 #[test]
 fn heal_grid_matches_golden() {
     use Damage::*;
@@ -623,9 +625,6 @@ fn heal_grid_matches_golden() {
         for codec in [CodecKind::Identity, CodecKind::Lz] {
             for damage in [Flips, Sticky, Wiped] {
                 for healer in [Client, Offload, Scrub, Rebuild, Fsck] {
-                    if healer == Offload && damage != Flips {
-                        continue;
-                    }
                     text.push_str(&format!(
                         "cell replicas={replicas} codec={codec} damage={damage:?} \
                          healer={healer:?}\n"
