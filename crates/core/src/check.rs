@@ -2,10 +2,13 @@
 //! and settled — a child module of `io` so it shares the handle's state.
 //!
 //! Everything that touches a fetched part's bytes before they are
-//! published is *payload work*: the block checksums (with read-repair)
-//! when reads are verified, and the in-place decode of a coded frame.
-//! `judge` compares the bytes a completion landed with the integrity table
-//! and prices the work, `check_part` acts on the judgement. The polling
+//! published is *payload work*: the block checksums when reads are
+//! verified, the decode of a coded frame into the part's chunks, and the
+//! read-repair of the home copy. `judge` compares the bytes a completion
+//! landed with the integrity table and prices the work, `check_part` acts
+//! on the judgement: the one place a data path counts, decodes and
+//! repairs a copy — a client part's, a prefetch's, or one the offload
+//! path read (`offload.rs`, which walks the copies itself). The polling
 //! thread pays for neither on the engine's parts and prefetches: the
 //! completion router judges and stages them, a harvest pass publishes what
 //! it staged as one run of check entries on the copy queue (one
@@ -23,9 +26,6 @@ use super::*;
 /// checksums (`Ok(true)`; vacuously when reads are not verified), bytes
 /// that do not (`Ok(false)`), or a failed command.
 pub(super) type Landed = Result<bool, CmdStatus>;
-
-/// Why a part's bytes cannot be published, if they cannot.
-pub(super) type Verdict = Result<(), CorruptCause>;
 
 impl DlfsIo {
     /// What the payload work on `nblocks` blocks read — under a codec, the
@@ -64,34 +64,50 @@ impl DlfsIo {
 
     /// Act on the judgement `ok` of the bytes in `io`'s chunk, the one gate
     /// before they can be published: count the block checksums and a
-    /// mismatch; when the bytes hold and `repair` says the home copy failed
-    /// earlier and these came from a replica, rewrite the home extent from
-    /// them (clears sticky media faults too); then, under a codec, decode
-    /// each frame of the run from the chunk the command landed in into its
-    /// own chunk (stored bytes → raw bytes; the sample cache only ever
-    /// holds decoded bytes) and count it in `dlfs.codec.*`.
-    /// Verification covers the stored bytes, so decode runs strictly after
-    /// it and after repair. Takes no virtual time: whoever calls it has
-    /// paid what [`DlfsIo::judge`] asked. Returns why the bytes cannot be
-    /// published: they fail their checksums, or do not decode (counted as
-    /// a mismatch too).
+    /// mismatch; under a codec, decode each frame of the run (stored bytes
+    /// → raw bytes; the sample cache only ever holds decoded bytes) and
+    /// count it in `dlfs.codec.*`; when the bytes decode and `repair` says
+    /// an earlier copy was turned down and these came from another, rewrite
+    /// the home extent from the stored bytes (clears sticky media faults
+    /// too); then land each decoded frame in its own chunk. Verification
+    /// covers the stored bytes, so decode runs strictly after it. Takes no
+    /// virtual time: whoever calls it has paid what [`DlfsIo::judge`]
+    /// asked. Returns why the bytes cannot be published: they fail their
+    /// checksums, or do not decode (counted as a mismatch too).
     pub(super) fn check_part(&self, io: &PartIo, ok: bool, repair: bool) -> Verdict {
-        let red = &self.shared.redundancy;
+        let (red, tel) = (&self.shared.redundancy, &self.tel);
         if red.verify() {
-            self.tel.iv_verified.add(io.nblocks as u64);
-            if !ok {
-                self.tel.iv_mismatches.inc();
-                return Err(CorruptCause::Checksum);
-            }
-            if repair {
-                let span = io.nblocks as usize * BLOCK_SIZE as usize;
-                let targets = &self.shared.targets;
-                io.bufs[0].with(|d| red.rewrite(targets, io.home, 0, io.slba, &d[..span]));
-                self.tel.iv_repairs.inc();
-            }
+            tel.iv_verified.add(io.nblocks as u64);
         }
-        let raws = io.bufs[0].with(|d| self.decode_run(io.frames.iter(), io.slba, d));
-        let raws = raws.inspect_err(|_| self.tel.iv_mismatches.inc())?;
+        if !ok {
+            tel.iv_mismatches.inc();
+            return Err(CorruptCause::Checksum);
+        }
+        // Each frame of the run from where its stored bytes landed: `None`
+        // for one stored verbatim, whose run is itself and whose bytes
+        // already are raw there; a `Frame` verdict for bytes that are not a
+        // frame: they decode short.
+        let decode = |f: &Frame, stored: &[u8]| {
+            tel.codec_bytes_in.add(f.enc_len as u64);
+            tel.codec_bytes_out.add(f.raw_len as u64);
+            if f.enc_len == f.raw_len {
+                return Ok(None);
+            }
+            let at = (f.at - io.slba * BLOCK_SIZE) as usize;
+            let raw = f.kind.codec().decode(&stored[at..][..f.enc_len], f.raw_len);
+            (raw.len() >= f.raw_len)
+                .then_some(Some(raw))
+                .ok_or(CorruptCause::Frame)
+        };
+        let run = |d: &[u8]| io.frames.iter().map(|f| decode(f, d)).collect();
+        let raws: Result<Vec<_>, _> = io.bufs[0].with(run);
+        let raws = raws.inspect_err(|_| tel.iv_mismatches.inc())?;
+        if repair {
+            let span = io.nblocks as usize * BLOCK_SIZE as usize;
+            let targets = &self.shared.targets;
+            io.bufs[0].with(|d| red.rewrite(targets, io.home, 0, io.slba, &d[..span]));
+            tel.iv_repairs.inc();
+        }
         for ((f, buf), raw) in io.frames.iter().zip(&io.bufs).zip(raws) {
             if let Some(raw) = raw {
                 buf.with_mut(|d| d[..f.raw_len].copy_from_slice(&raw));

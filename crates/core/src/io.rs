@@ -51,7 +51,7 @@ use crate::counter_in;
 use crate::directory::SampleDirectory;
 use crate::entry::SampleEntry;
 use crate::error::{CorruptCause, DlfsError};
-use crate::integrity::Redundancy;
+use crate::integrity::{Redundancy, Verdict};
 use crate::plan::{build_epoch_plan, fetch_extent, reader_item_ranges, Extents, ReaderPlan};
 use crate::rebuild::Background;
 use crate::request::{Completions, Delivery, ReadRequest};
@@ -573,36 +573,6 @@ impl DlfsIo {
         }
     }
 
-    /// Count the frames of a run in `dlfs.codec.*` and decode each from
-    /// `stored`, the blocks read from `slba`: `None` for a frame stored
-    /// verbatim, whose run is itself and whose bytes already are raw where
-    /// they landed. [`CorruptCause::Frame`] when the bytes of one are not a
-    /// frame: they decode short.
-    fn decode_run<'f>(
-        &self,
-        frames: impl Iterator<Item = &'f Frame>,
-        slba: u64,
-        stored: &[u8],
-    ) -> Result<Vec<Option<Vec<u8>>>, CorruptCause> {
-        let decode = |f: &Frame| {
-            self.tel.codec_bytes_in.add(f.enc_len as u64);
-            self.tel.codec_bytes_out.add(f.raw_len as u64);
-            if f.enc_len == f.raw_len {
-                return Ok(None);
-            }
-            let at = (f.at - slba * BLOCK_SIZE) as usize;
-            let raw = f
-                .kind
-                .codec()
-                .decode(&stored[at..at + f.enc_len], f.raw_len);
-            match raw.len() < f.raw_len {
-                true => Err(CorruptCause::Frame),
-                false => Ok(Some(raw)),
-            }
-        };
-        frames.map(decode).collect()
-    }
-
     // ------------------------------------------------ the part lifecycle --
 
     /// Part `part` of the fetch `g` homed on `home`, landing in its chunk
@@ -692,7 +662,8 @@ impl DlfsIo {
         landed: check::Landed,
         corrupt_at: u64,
     ) -> Settled {
-        let repair = p.replica > 0 && p.mismatched;
+        // A client part repairs only what a checksum caught.
+        let repair = self.shared.redundancy.verify() && p.replica > 0 && p.mismatched;
         let verdict = match landed {
             Ok(ok) => self.check_part(io, ok, repair),
             Err(failed) => Err(CorruptCause::Io(io_failure(failed))),

@@ -41,8 +41,7 @@ use blocksim::{OffloadExtent, OffloadPiece};
 use fabric::{CAPSULE_BYTES, DESCRIPTOR_BYTES, RESPONSE_BYTES};
 
 use super::*;
-use crate::error::IoFailure;
-use crate::integrity::{Probe, Reject, Reject::Unreadable};
+use crate::integrity::UNREADABLE;
 use crate::plan::FetchItem;
 
 /// A sample as delivered: its id and payload.
@@ -61,11 +60,12 @@ pub(super) struct Ahead {
     /// this, is what `remaining()` counts down.
     claimed: usize,
     /// The one item the last exchange split, as the target keeps it: its
-    /// index, its decoded bytes with the node byte offset they start at,
-    /// and the instant its compute finished (its node's response in that
-    /// exchange was assembled). The next exchange ships the rest of its
-    /// samples from here, without a descriptor or a second read.
-    carry: Option<(usize, (Vec<u8>, u64), Time)>,
+    /// index, its decoded chunks with the node byte offset they start at
+    /// ([`DlfsIo::offload_item`]), and the instant its compute finished
+    /// (its node's response in that exchange was assembled). The next
+    /// exchange ships the rest of its samples from here, without a
+    /// descriptor or a second read.
+    carry: Option<(usize, (Vec<DmaBuf>, u64), Time)>,
     /// Exchanges issued and not yet collected, oldest first.
     issued: VecDeque<Issued>,
 }
@@ -222,26 +222,30 @@ impl DlfsIo {
                 CAPSULE_BYTES + extents.len() as u64 * DESCRIPTOR_BYTES + *payload + RESPONSE_BYTES,
             );
         }
-        // 4. Functional bytes: each item read once — read + verify
-        //    (failover / read-repair) + decode its stored frame, or take
-        //    the carry — then slice out the samples; a split item's bytes
+        // 4. Functional bytes: each item read once — the first copy the
+        //    check stage accepts, decoded into its chunks — or taken from
+        //    the carry, then its samples sliced out; a split item's chunks
         //    become the carry.
         let samples = (|| {
             let mut samples = Vec::with_capacity(n);
             for (idx, ids) in claims {
                 let it = &plan.items[idx];
-                let (bytes, done) = match carry.take() {
+                let (item, done) = match carry.take() {
                     Some(c) if c.0 == idx => (c.1, c.2),
-                    _ => (self.offload_item_bytes(it)?, per_node[&it.nid].2),
+                    _ => (self.offload_item(it)?, per_node[&it.nid].2),
                 };
-                let (raw, base) = &bytes;
+                // Chunk n holds the raw bytes from `base + n × chunk`; under
+                // a codec no sample straddles two.
+                let ((bufs, base), chunk) = (&item, item.0[0].len());
                 for &id in &it.samples[ids.clone()] {
                     let entry = self.shared.dir.entry(id);
                     let at = (entry.offset() - base) as usize;
-                    samples.push((id, raw[at..at + entry.len() as usize].to_vec()));
+                    let len = entry.len() as usize;
+                    let raw = bufs[at / chunk].with(|d| d[at % chunk..][..len].to_vec());
+                    samples.push((id, raw));
                 }
                 if ids.end < it.samples.len() {
-                    carry = Some((idx, bytes, done));
+                    carry = Some((idx, item, done));
                 }
             }
             Ok(samples)
@@ -283,77 +287,57 @@ impl DlfsIo {
     }
 
     /// Read one plan item's stored range (the blocks of its run of stored
-    /// frames under a codec, its covering blocks without): the first good copy in
-    /// replica order ([`crate::integrity::Redundancy::first_good`] —
-    /// readable, and matching the integrity table when there is one, all
-    /// *before* decode, covering the stored encoded bytes), the home extent
-    /// rewritten from it when the home copy was not the one, then decoded.
-    /// Copies are counted as the client path counts them: blocks verified
-    /// per copy checksummed, a mismatch per copy that failed, a failover
-    /// per hop to the next copy, one repair. A copy that does not decode is
-    /// counted and passed over like a mismatch. With no good copy left the
-    /// error is the client path's too: `Corrupt` if a copy failed its
-    /// checksum or its decode, `Io` if none could be read. Returns the raw
-    /// bytes and the node byte offset they start at. Purely functional: the
-    /// time was already charged by `reserve_offload` (extent reads +
-    /// target-side verify/decode).
-    fn offload_item_bytes(&self, it: &FetchItem) -> Result<(Vec<u8>, u64), DlfsError> {
-        let nid = it.nid;
-        let g = self.read_geometry(nid, it.offset, it.len);
-        let (slba, nblocks) = (g.slba, g.nblocks);
+    /// frames under a codec, its covering blocks without) from the first
+    /// copy, in replica order, that can be read — its target not Dead, the
+    /// range not unreadable — and that the check stage accepts: judged,
+    /// counted, decoded into chunks and, when a copy before it was turned
+    /// down, written back over the home extent ([`DlfsIo::check_part`]), as
+    /// a client part is. A hop to the next copy is a failover. With no
+    /// good copy left the error is the client path's: `Corrupt` if a copy
+    /// failed its checksum or its decode, `Io` if none could be read.
+    /// Returns the item's chunks — one holding its raw bytes, or one per
+    /// frame of its run — and the node byte offset they start at. Purely
+    /// functional: the time was already charged by `reserve_offload`
+    /// (extent reads + target-side verify/decode).
+    fn offload_item(&self, it: &FetchItem) -> Result<(Vec<DmaBuf>, u64), DlfsError> {
+        let g = self.read_geometry(it.nid, it.offset, it.len);
+        // One chunk per frame of a run, else one for the whole range.
+        let chunk = g
+            .frames
+            .first()
+            .map_or(g.alloc, |_| self.shared.cfg.chunk_size);
+        let bufs = (0..g.alloc.div_ceil(chunk)).map(|_| DmaBuf::standalone(chunk as usize));
+        let io = PartIo {
+            home: it.nid,
+            slba: g.slba,
+            nblocks: g.nblocks,
+            bufs: bufs.collect(),
+            frames: g.frames,
+        };
         let (red, targets) = (&self.shared.redundancy, &self.shared.targets);
-        let mut data = vec![0u8; nblocks as usize * BLOCK_SIZE as usize];
-        // A copy the judge accepts that does not decode is turned down too,
-        // and the next one tried.
-        let (mut copies, mut rejected) = (0..red.replicas, Vec::new());
-        let decoded = loop {
-            let rest = copies.by_ref();
-            let (found, why) = red.first_good(targets, nid, slba, rest, &mut data, Probe::Media);
-            rejected.extend(why);
-            if found.is_none() {
-                break None;
-            }
-            match self.decode_run(g.frames.iter(), slba, &data) {
-                Ok(raws) => break Some(raws),
-                Err(_) => rejected.push(Reject::Frame),
-            }
-        };
-        let tried = rejected.len() as u32;
-        let unread = rejected.iter().filter(|&&r| r == Unreadable).count();
-        let mismatches = (rejected.len() - unread) as u64;
-        if red.verify() {
-            let checked = mismatches + decoded.is_some() as u64;
-            self.tel.iv_verified.add(checked * nblocks as u64);
-        }
-        self.tel.iv_mismatches.add(mismatches);
-        let hops = tried - decoded.is_none() as u32;
-        self.tel.iv_failovers.add(hops as u64);
-        let Some(raw) = decoded else {
-            let last = match rejected.last() {
-                Some(Reject::Mismatch) => CorruptCause::Checksum,
-                Some(Reject::Frame) => CorruptCause::Frame,
-                _ => CorruptCause::Io(IoFailure::Media),
+        let span = io.nblocks as usize * BLOCK_SIZE as usize;
+        let (mut mismatched, mut last) = (false, UNREADABLE);
+        for r in 0..red.replicas {
+            let (t, at) = red.route(io.home, r, io.slba);
+            let target = &targets[t as usize];
+            let verdict = if red.is_dead(t as usize) || target.unreadable(at, io.nblocks) {
+                Err(UNREADABLE)
+            } else {
+                io.bufs[0].with_mut(|d| target.dma_read(at, &mut d[..span]));
+                let (landed, _) = self.judge(&io, CmdStatus::Ok);
+                self.check_part(&io, landed == Ok(true), r > 0)
             };
-            let e = DlfsError::exhausted(nid, g.base, tried, mismatches > 0, last);
-            return Err(e);
-        };
-        if tried > 0 {
-            red.rewrite(targets, nid, 0, slba, &data);
-            self.tel.iv_repairs.inc();
+            let Err(cause) = verdict else {
+                self.tel.iv_failovers.add(r as u64);
+                return Ok((io.bufs, g.base));
+            };
+            mismatched |= cause != UNREADABLE;
+            last = cause;
         }
-        // Uncoded bytes are raw where they were read. A run's frames land
-        // one by one at their raw offsets: decoded, or — stored verbatim —
-        // copied from where they were read.
-        if g.frames.is_empty() {
-            return Ok((data, g.base));
-        }
-        let mut out = vec![0u8; g.alloc as usize];
-        for (f, raw) in g.frames.iter().zip(raw) {
-            let from = (f.at - slba * BLOCK_SIZE) as usize;
-            let raw = raw.as_deref().unwrap_or_else(|| &data[from..][..f.raw_len]);
-            let at = (f.start - g.base) as usize;
-            out[at..at + f.raw_len].copy_from_slice(raw);
-        }
-        Ok((out, g.base))
+        let tried = red.replicas;
+        self.tel.iv_failovers.add(tried as u64 - 1);
+        Err(DlfsError::exhausted(
+            io.home, g.base, tried, mismatched, last,
+        ))
     }
 }
