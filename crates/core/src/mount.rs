@@ -1032,7 +1032,8 @@ impl Bringup {
                 let mut loaded = Vec::with_capacity(my_nodes.len());
                 for n in my_nodes {
                     let read = |off, len| read_timed(rt, &row[n], n as u16, off, len, &cfg);
-                    let meta = layout::load_node(read, n as u16, cfg.verify_reads)?;
+                    let capacity = row[n].blocks() * BLOCK_SIZE;
+                    let meta = layout::load_node(read, capacity, n as u16, cfg.verify_reads)?;
                     let [superblocks, meta_bytes, entries] = &tel;
                     superblocks.inc();
                     meta_bytes.add(meta.sb.meta_bytes);
@@ -1075,7 +1076,7 @@ impl Bringup {
             )));
         }
         let mut sum = 0u64;
-        for (n, NodeMeta { sb, records, .. }) in nodes.iter().enumerate() {
+        for (n, NodeMeta { sb, .. }) in nodes.iter().enumerate() {
             if sb.storage_nodes != storage_nodes as u32 {
                 return bad(format!(
                     "node {n} was imported for {} storage nodes, deployment has {storage_nodes}",
@@ -1089,13 +1090,6 @@ impl Bringup {
             {
                 return bad(format!(
                     "node {n} belongs to a different import than node 0"
-                ));
-            }
-            if sb.node_samples != records.len() as u64 {
-                return bad(format!(
-                    "node {n} superblock claims {} samples, metadata holds {}",
-                    sb.node_samples,
-                    records.len()
                 ));
             }
             if cfg.verify_reads && sb.integrity_bytes == 0 {
