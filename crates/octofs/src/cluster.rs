@@ -59,35 +59,23 @@ impl std::error::Error for OctoError {}
 /// Deployment knobs for fault-tolerant operation. The defaults keep the
 /// baseline byte-identical to the original (single-copy, generous retry):
 /// chaos experiments opt into replication to exercise failover.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct OctoConfig {
     /// Retry schedule for data reads.
     pub retry: RetryPolicy,
-    /// Retry schedule for one lookup RPC *before* failing over to the
-    /// replica metadata server; kept short so failover engages quickly.
-    pub rpc_retry: RetryPolicy,
     /// Keep a second copy of data and metadata on `(owner + 1) % nodes`.
     pub replicate: bool,
-    /// Consecutive transport failures that open a target's circuit.
-    pub health_threshold: u32,
-    /// How long an open circuit diverts traffic before a probe is allowed.
-    pub health_cooldown: Dur,
 }
 
-impl Default for OctoConfig {
-    fn default() -> Self {
-        OctoConfig {
-            retry: RetryPolicy::default(),
-            rpc_retry: RetryPolicy {
-                max_attempts: 2,
-                ..Default::default()
-            },
-            replicate: false,
-            health_threshold: 2,
-            health_cooldown: Dur::millis(1),
-        }
-    }
-}
+/// Attempts at one lookup RPC *before* failing over to the replica
+/// metadata server; kept short so failover engages quickly.
+const RPC_ATTEMPTS: u32 = 2;
+
+/// Consecutive transport failures that open a target's circuit.
+const HEALTH_THRESHOLD: u32 = 2;
+
+/// How long an open circuit diverts traffic before a probe is allowed.
+const HEALTH_COOLDOWN: Dur = Dur::millis(1);
 
 /// RPC/read counters, living under `octofs.*` in the cluster's registry.
 struct OctoTelemetry {
@@ -160,11 +148,14 @@ impl OctopusFs {
                     LookupResp(table.lock().lookup(&req.0))
                 },
             )
-            .with_retry(cfg.rpc_retry);
+            .with_retry(RetryPolicy {
+                max_attempts: RPC_ATTEMPTS,
+                ..Default::default()
+            });
             servers.push(client);
         }
         let scope = cluster.registry().scoped("octofs");
-        let health = TargetStates::new(nodes, cfg.health_threshold, cfg.health_cooldown, None);
+        let health = TargetStates::new(nodes, HEALTH_THRESHOLD, HEALTH_COOLDOWN, None);
         health.attach_telemetry(&cluster.registry().scoped("octofs.health"));
         Arc::new(OctopusFs {
             tel: OctoTelemetry {
