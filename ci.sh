@@ -5,8 +5,9 @@
 #  2. the full workspace test suite (includes the deterministic chaos
 #     tests in crates/core/tests/chaos.rs and crates/fabric/tests/faults.rs),
 #     then the chaos / integrity / membership / codec_e2e / offload_e2e /
-#     properties suites and persistence's import → remount roundtrip
-#     again under a second seed (DLFS_TEST_SEED_OFFSET)
+#     properties suites, persistence's import → remount roundtrip and
+#     the reactor's latency-step case again under a second seed
+#     (DLFS_TEST_SEED_OFFSET)
 #     so byte-correctness, determinism, the kill-one-target rebuild path
 #     and the pool-side check of verified and coded reads are exercised
 #     on two timelines;
@@ -123,11 +124,12 @@ echo "== tier-1: root test suite"
 cargo test -q --offline
 echo "== workspace tests"
 cargo test -q --offline --workspace
-echo "== chaos/integrity/membership/codec/offload/properties/roundtrip under a second seed"
+echo "== chaos/integrity/membership/codec/offload/properties/roundtrip/latency step under a second seed"
 DLFS_TEST_SEED_OFFSET=1000 cargo test -q --offline -p dlfs \
   --test chaos --test integrity --test membership \
   --test codec_e2e --test offload_e2e --test properties
 DLFS_TEST_SEED_OFFSET=1000 cargo test -q --offline -p dlfs --test persistence roundtrip_import_remount
+DLFS_TEST_SEED_OFFSET=1000 cargo test -q --offline -p dlfs --test reactor a_latency_step
 echo "== chaos sweep (smoke)"
 cargo run -q --release --offline -p dlfs-bench --bin ext_fault_sweep -- n=256 size=2048
 echo "== cache ablation (smoke)"

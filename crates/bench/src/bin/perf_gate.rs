@@ -52,7 +52,10 @@
 //! - `multitenant_fair_share_err` — max absolute deviation of a
 //!   1:2:4-weighted tenant mix from its weight shares under WFQ slot
 //!   contention (lower is better); the gate asserts inline that it stays
-//!   within the 5% fairness budget.
+//!   within the 5% fairness budget;
+//! - `sync_read_busy_ns` — the reader's busy CPU per `read_by_id` of
+//!   IMDB-sized samples from four NVMe-oF targets (lower is better): the
+//!   trainer CPU a synchronous read costs, most of it its wait.
 //!
 //! Usage:
 //!   perf_gate rev=<id> [out=<dir>] [baseline=<file>] [tolerance=0.10]
@@ -67,7 +70,7 @@
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
-use dlfs::{CodecKind, Deployment, DlfsConfig, ReadRequest, SyntheticSource};
+use dlfs::{CodecKind, Deployment, DlfsConfig, ReadRequest, SampleSource, SyntheticSource};
 use dlfs_bench::{arg, setup, DEFAULT_SEED};
 use fabric::{Cluster, FabricConfig};
 use simkit::prelude::*;
@@ -347,6 +350,28 @@ fn disagg_epoch(seed: u64) -> (f64, f64, u64) {
     .0
 }
 
+/// Busy CPU of one reader per synchronous `read_by_id` of IMDB-sized
+/// samples from four dedicated NVMe-oF storage nodes, random ids. Its own
+/// simulation, so every other metric stays bit-identical.
+fn sync_read_busy(seed: u64) -> f64 {
+    const READS: u32 = 2048;
+    Runtime::simulate(seed, |rt| {
+        let sizes = dlio::sizedist::SizeDist::imdb().sizes(seed, 4096);
+        let source = SyntheticSource::new(seed ^ 0x1BD, sizes);
+        let (fs, _cluster, _devices) =
+            setup::dlfs_disagg_chaos(rt, 1, 4, &source, DlfsConfig::default());
+        let mut io = fs.io(0);
+        let mut ids = SplitMix64::new(seed ^ 0x51D);
+        let busy0 = rt.my_busy();
+        for _ in 0..READS {
+            io.read_by_id(rt, ids.below(source.count() as u64) as u32)
+                .unwrap();
+        }
+        (rt.my_busy() - busy0).as_nanos() as f64 / READS as f64
+    })
+    .0
+}
+
 /// Pull `"key": value` out of the flat JSON the gate itself writes.
 fn json_num(text: &str, key: &str) -> Option<f64> {
     let needle = format!("\"{key}\":");
@@ -399,7 +424,7 @@ fn main() {
     let (offload_epoch_throughput_sps, coded_setup_ns, coded_stored_ratio) =
         offload_epoch_throughput(seed);
     // (key, value, higher is better, decimals printed), in file order.
-    let metrics: [(&str, f64, bool, usize); 15] = [
+    let metrics: [(&str, f64, bool, usize); 16] = [
         ("epoch_throughput_sps", epoch_throughput_sps, true, 3),
         (
             "verified_epoch_throughput_sps",
@@ -450,6 +475,7 @@ fn main() {
         ("multitenant_fair_share_err", fair.err, false, 6),
         ("coded_setup_ns", coded_setup_ns as f64, false, 0),
         ("coded_stored_ratio", coded_stored_ratio, false, 6),
+        ("sync_read_busy_ns", sync_read_busy(seed), false, 1),
     ];
 
     let lines = metrics.map(|(key, now, _, decimals)| format!(",\n  \"{key}\": {now:.decimals$}"));

@@ -416,7 +416,7 @@ impl DlfsIo {
                 Some(t) if t <= rt.now() => {}
                 _ => continue,
             }
-            for comp in self.qpairs[q].process_completions(rt, usize::MAX) {
+            for comp in self.qpairs[q].harvest(rt, t0) {
                 rt.work(costs.per_completion);
                 self.tel.completions.inc();
                 harvested += 1;
@@ -669,16 +669,15 @@ impl DlfsIo {
                 rt.work(req.inject_compute);
                 continue;
             }
-            // Spin the poll loop forward to the next event — a completion
-            // or a delayed part's retry instant (busy polling, so it's CPU
-            // time).
-            let Some(t) = self.next_engine_event() else {
+            // Wait for the next event — a completion or a delayed part's
+            // retry instant (`advance_to`'s waiting rule).
+            let Some((t, predicted)) = self.next_engine_event() else {
                 // Nothing on a device, nothing with the copy pool, nothing
                 // deliverable: the engine lost track of a part, for good.
                 let stalled = DlfsError::Stalled(self.shared.reader_id);
                 return Err(self.failed.insert(stalled).clone());
             };
-            self.advance_to(rt, t);
+            self.advance_to(rt, t, predicted);
         }
         Ok(if copied {
             Completions::copied(batch.copied.into_iter().flatten().collect())
@@ -687,10 +686,14 @@ impl DlfsIo {
         })
     }
 
-    /// Earliest instant at which the engine can make progress again: a
-    /// device completion or a delayed retry becoming due.
-    pub(super) fn next_engine_event(&self) -> Option<Time> {
+    /// Earliest instant at which the engine can make progress again — a
+    /// device completion or a delayed retry becoming due — and the
+    /// handle's prediction of it: its predicted completion, or the retry
+    /// instant if that comes first.
+    pub(super) fn next_engine_event(&self) -> Option<(Time, Option<Time>)> {
         let next_retry = self.delayed_parts.keys().next().map(|&(t, _)| t);
-        self.next_completion().into_iter().chain(next_retry).min()
+        let t = self.next_completion().into_iter().chain(next_retry).min()?;
+        let predicted = self.predicted_completion();
+        Some((t, predicted.map(|p| next_retry.map_or(p, |r| p.min(r)))))
     }
 }

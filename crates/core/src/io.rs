@@ -151,6 +151,11 @@ impl DlfsShared {
     }
 }
 
+/// The wake-up a hybrid park pays when it ends: kernsim's `irq` (the timer
+/// interrupt) plus `context_switch` (out and back in). Kept beside the
+/// waiting rule, not in `DlfsCosts`, which the benchmark fingerprints.
+const PARK_WAKE: Dur = Dur::nanos(4_800);
+
 /// One of a handle's qpairs, on storage node `nid`. Every read it holds
 /// counts in the instance's [`ForegroundReads`] from the submit that enters
 /// it to the harvest — or the handle's drop — that takes it out, whichever
@@ -159,6 +164,14 @@ struct ReadQp {
     qp: IoQPair,
     nid: usize,
     fg: Arc<ForegroundReads>,
+    /// Post instants of the reads in flight, oldest first.
+    posted: VecDeque<Time>,
+    /// What the qpair has seen of its reads, `None` until its first
+    /// harvest: the last harvest that took a completion, and two EWMAs in
+    /// ns of the head time sampled at each — the instant the harvest's
+    /// poll pass began minus the later of the head's post and the previous
+    /// harvest — its mean (weight 1/8) and its mean deviation (1/4).
+    seen: Option<(Time, u64, u64)>,
 }
 
 impl ReadQp {
@@ -173,13 +186,43 @@ impl ReadQp {
     ) -> Result<(), QpairError> {
         self.qp.submit_read(rt, id, slba, nblocks, buf, at)?;
         self.fg.enter(self.nid);
+        self.posted.push_back(rt.now());
         Ok(())
     }
 
-    fn process_completions(&mut self, rt: &Runtime, max: usize) -> Vec<Completion> {
-        let done = self.qp.process_completions(rt, max);
+    /// Take every due completion, in a harvest whose poll pass began at
+    /// `polled`, and sample its head time.
+    fn harvest(&mut self, rt: &Runtime, polled: Time) -> Vec<Completion> {
+        let done = self.qp.process_completions(rt, usize::MAX);
         self.fg.leave(self.nid, done.len());
+        for c in &done {
+            let at = self.posted.partition_point(|&t| t < c.submitted);
+            self.posted.remove(at);
+        }
+        if let Some(head) = done.iter().map(|c| c.submitted).min() {
+            let sample = |since: Time| (polled - head.max(since)).as_nanos();
+            let (mean, dev) = match self.seen {
+                None => (sample(head), 0),
+                Some((last, mean, dev)) => {
+                    let s = sample(last);
+                    ((7 * mean + s) / 8, (3 * dev + s.abs_diff(mean)) / 4)
+                }
+            };
+            self.seen = Some((polled, mean, dev));
+        }
         done
+    }
+
+    /// When this qpair expects its read in flight to complete at the
+    /// earliest, from what it has seen alone: its post, plus the mean head
+    /// time less twice its deviation. `None` before the first harvest, and
+    /// unless exactly one read is in flight: the head times of a queue mix
+    /// the device's latency with queueing and with how late the reader
+    /// got round to harvesting, so they predict none of its reads.
+    fn predicted(&self) -> Option<Time> {
+        let first = *self.posted.front().filter(|_| self.posted.len() == 1)?;
+        let (_, mean, dev) = self.seen?;
+        Some(first + Dur::nanos(mean.saturating_sub(2 * dev)))
     }
 }
 
@@ -388,7 +431,14 @@ impl DlfsIo {
                 let mut qp = IoQPair::new(t.clone(), qd);
                 qp.attach_telemetry(&reg.scoped(&format!("blocksim.dev{nid}")));
                 let fg = shared.fg_reads.clone();
-                ReadQp { qp, nid, fg }
+                let (posted, seen) = (VecDeque::new(), None);
+                ReadQp {
+                    qp,
+                    nid,
+                    fg,
+                    posted,
+                    seen,
+                }
             })
             .collect();
         if let Some(m) = &shared.redundancy.membership {
@@ -447,9 +497,9 @@ impl DlfsIo {
         self.cmds
             .retain(|_, c| matches!(c.owner, Owner::Prefetch { .. }));
         while let Some(t) = self.next_completion() {
-            self.advance_to(rt, t);
+            self.advance_to(rt, t, self.predicted_completion());
             for q in 0..self.qpairs.len() {
-                for comp in self.qpairs[q].process_completions(rt, usize::MAX) {
+                for comp in self.qpairs[q].harvest(rt, rt.now()) {
                     self.complete(rt, &comp);
                 }
             }
@@ -735,8 +785,8 @@ impl DlfsIo {
 
     /// Allocate cache chunks for `bytes`, waiting out a momentarily full
     /// pool under the shared retry policy: bounded exponential backoff,
-    /// busy-waited in virtual time (another thread's release or a dropped
-    /// zero-copy sample may free chunks meanwhile). `None` once the
+    /// parked (another thread's release or a dropped zero-copy sample may
+    /// free chunks meanwhile; there is nothing to poll). `None` once the
     /// attempts are spent.
     fn alloc_backoff(&self, rt: &Runtime, bytes: u64) -> Option<Vec<DmaBuf>> {
         let mut failures = 0u32;
@@ -745,7 +795,7 @@ impl DlfsIo {
                 return Some(bufs);
             }
             failures += 1;
-            rt.work(self.shared.cfg.retry.next_delay(failures)?);
+            rt.sleep(self.shared.cfg.retry.next_delay(failures)?);
         }
     }
 
@@ -756,14 +806,24 @@ impl DlfsIo {
         next.min()
     }
 
-    /// Advance the calling thread to `t`, the next engine event. Counted
-    /// as a reactor wakeup. While any qpair has commands in flight this is
-    /// hot-polling (busy CPU, exactly as before); with *nothing* in flight
-    /// anywhere — a pure retry-backoff wait — the reactor parks the thread
-    /// instead (idle). Virtual time advances identically either way; only
-    /// the busy/idle ledger differs, and a parked wait can never coincide
-    /// with in-flight commands by construction.
-    fn advance_to(&mut self, rt: &Runtime, t: Time) {
+    /// The handle's own guess at its next completion: the earliest of its
+    /// qpairs' predictions ([`ReadQp::predicted`]). `None` when nothing is
+    /// in flight or a qpair with reads in flight predicts nothing.
+    fn predicted_completion(&self) -> Option<Time> {
+        let busy = self.qpairs.iter().filter(|q| q.outstanding() > 0);
+        // `None` orders first: one qpair without a guess leaves none.
+        busy.map(ReadQp::predicted).min()?
+    }
+
+    /// Advance the calling thread to `t`, the next event of the wait.
+    /// Counted as a reactor wakeup. With *nothing* in flight anywhere — a
+    /// pure retry-backoff wait — the reactor parks the thread (idle). With
+    /// commands in flight it hybrid-polls: if `predicted`, the handle's
+    /// own guess at the event, is at least two wake-ups away, it parks
+    /// half of that wait, pays one [`PARK_WAKE`], then spins to `t` (busy)
+    /// — late, counted in `dlfs.reactor.late_ns`, if `t` passed meanwhile.
+    /// Without a prediction it spins. `t` itself never decides a park.
+    fn advance_to(&mut self, rt: &Runtime, t: Time, predicted: Option<Time>) {
         let now = rt.now();
         if t <= now {
             return;
@@ -776,9 +836,17 @@ impl DlfsIo {
             self.background.idle_gap();
             self.tel.parked_ns.add((t - now).as_nanos());
             rt.sleep_until(t);
-        } else {
-            rt.work_until(t);
+            return;
         }
+        let wait = predicted.map_or(Dur::ZERO, |p| p - now);
+        if wait < PARK_WAKE * 2 {
+            rt.work_until(t);
+            return;
+        }
+        let (nap, end) = (wait / 2, t.max(now + wait / 2 + PARK_WAKE));
+        self.tel.parked_ns.add(nap.as_nanos());
+        self.tel.late_ns.add((end - t).as_nanos());
+        rt.sleep_then_work(nap, end - now - nap);
     }
 
     // ------------------------------------------------- background healing --

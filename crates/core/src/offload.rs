@@ -150,7 +150,7 @@ impl DlfsIo {
         self.tel.bytes_delivered.add(bytes);
         // This reader parks until the last response it needs has landed,
         // and collects every exchange this batch consumed the last of.
-        self.advance_to(rt, ready);
+        self.advance_to(rt, ready, None);
         let issued = &mut self.split().0.ahead.issued;
         while issued.front().is_some_and(|x| x.end <= done) {
             issued.pop_front();

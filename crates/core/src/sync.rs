@@ -81,7 +81,7 @@ impl DlfsIo {
                 continue;
             }
             match self.next_engine_event() {
-                Some(t) => self.advance_to(rt, t),
+                Some((t, predicted)) => self.advance_to(rt, t, predicted),
                 None => self.sync_failed = Some(DlfsError::Stalled(self.shared.reader_id)),
             }
         }

@@ -71,10 +71,13 @@ pub(super) struct IoTelemetry {
     /// to a known event (a completion instant, a retry coming due) instead
     /// of spinning poll iterations toward it; submission-queue doorbell
     /// flushes (one per pass that posted, not one per command); virtual
-    /// nanoseconds parked idle with nothing in flight.
+    /// nanoseconds parked idle, with nothing in flight or in a hybrid
+    /// poll's park; virtual nanoseconds a harvest came after its
+    /// completion because the thread was parked.
     pub(super) wakeups: Counter,
     pub(super) doorbells: Counter,
     pub(super) parked_ns: Counter,
+    pub(super) late_ns: Counter,
 }
 
 impl IoTelemetry {
@@ -103,6 +106,7 @@ impl IoTelemetry {
             wakeups: counter_in(rx.as_ref(), "wakeups"),
             doorbells: counter_in(rx.as_ref(), "doorbells"),
             parked_ns: counter_in(rx.as_ref(), "parked_ns"),
+            late_ns: counter_in(rx.as_ref(), "late_ns"),
             iv_verified: counter_in(iv, "verified"),
             iv_mismatches: counter_in(iv, "mismatches"),
             iv_repairs: counter_in(iv, "repairs"),

@@ -363,6 +363,42 @@ fn sync_read_waits_out_transient_cache_pressure() {
     });
 }
 
+/// The wait for a momentarily full pool polls nothing, so it is parked:
+/// a read that waits one out costs the busy time of the same read with
+/// chunks free, only later.
+#[test]
+fn a_sync_read_parks_through_its_pool_backoff() {
+    Runtime::simulate(108, |rt| {
+        let source = SyntheticSource::fixed(9, 64, 2048);
+        let dev = NvmeDevice::new(DeviceConfig::optane(64 << 20));
+        let fs = dlfs::MountBuilder::new(DlfsConfig::default())
+            .local(dev)
+            .mount(rt, &source)
+            .unwrap();
+        let cache = fs.shared(0).cache.clone();
+        let mut io = fs.io(0);
+        let mut read = || {
+            let (start, busy) = (rt.now(), rt.my_busy());
+            assert_eq!(io.read_by_id(rt, 3).unwrap(), source.expected(3));
+            (rt.now().since(start), rt.my_busy() - busy)
+        };
+        read(); // the qpair's first completion, which later waits predict from
+        let (free_took, free_busy) = read();
+        let chunk = cache.chunk_size() as u64;
+        let mut hogged = Vec::new();
+        while let Some(bufs) = cache.alloc_for(chunk).0 {
+            hogged.extend(bufs);
+        }
+        rt.spawn("hog-release", move |rt| {
+            rt.sleep(Dur::micros(50));
+            hogged.into_iter().for_each(|b| cache.free_raw(b));
+        });
+        let (full_took, full_busy) = read();
+        assert!(full_took >= free_took + Dur::micros(50), "{full_took:?}");
+        assert_eq!(full_busy, free_busy);
+    });
+}
+
 /// ...but *permanent* exhaustion still surfaces as `CacheExhausted` after
 /// the bounded retry budget.
 #[test]

@@ -779,6 +779,83 @@ fn reactor_stats_expose_wakeups_and_doorbells() {
     assert!(reactor("parked_ns") > 0, "an offload wait is parked time");
 }
 
+/// Hybrid polling predicts a wait only from what its reader has seen, so
+/// it cannot see a device's latency change coming. Synchronous reads from
+/// one device whose every read is slowed by 30 µs, then not (a step down),
+/// then slowed again (a step up). The first wait after the step down parks
+/// through its completion and harvests late, and so do the next
+/// `LATE - 1`: each sample is censored by its own park. From the `LATE`-th
+/// on none is late; the prediction's spread keeps most of them spun, and
+/// from the `RECOVER`-th on every wait parks again, converging on the park
+/// of a handle that only ever saw the fast device.
+/// The first wait after the step up is not late, but it spins longer than
+/// a slow read of steady state.
+#[test]
+fn a_latency_step_is_mispredicted_in_both_directions() {
+    const LATE: usize = 3;
+    const RECOVER: usize = 27;
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    let seed = common::test_seed(41);
+    Runtime::simulate(seed, |rt| {
+        let source = SyntheticSource::fixed(seed, 400, 1024);
+        let device = NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(12)));
+        let cfg = DlfsConfig {
+            reactor_stats: true,
+            ..DlfsConfig::default()
+        };
+        let fs = MountBuilder::new(cfg)
+            .local(device.clone())
+            .mount(rt, &source)
+            .unwrap();
+        let mut ids = simkit::rng::SplitMix64::derive(seed, 0x57e9);
+        // `n` reads by `io` with the device slowed or not, each as the
+        // (late ns, parked ns, busy) it added.
+        let mut reads = |io: &mut dlfs::DlfsIo, slowed: bool, n: usize| {
+            let extra = if slowed { Dur::micros(30) } else { Dur::ZERO };
+            device.set_faults(FaultInjector::new(seed).with_latency_spikes(1_000_000, extra));
+            let mut out = Vec::new();
+            for _ in 0..n {
+                let (m0, busy0) = (io.metrics(), rt.my_busy());
+                let id = ids.below(source.count() as u64) as u32;
+                assert_eq!(io.read_by_id(rt, id).unwrap(), source.expected(id));
+                let m = io.metrics();
+                let added = |c: &str| {
+                    let name = format!("dlfs.reactor.{c}");
+                    m.counter(&name) - m0.counter(&name)
+                };
+                out.push((added("late_ns"), added("parked_ns"), rt.my_busy() - busy0));
+            }
+            out
+        };
+        // A handle's first read spins; every later one parks alike.
+        let fast = reads(&mut fs.io(0), false, 4);
+        let mut io = fs.io(0);
+        let slow = reads(&mut io, true, 4);
+        let down = reads(&mut io, false, 64);
+        let up = reads(&mut io, true, 1);
+        for steady in [&fast, &slow] {
+            assert!(steady[1..]
+                .iter()
+                .all(|&r| r == steady[1] && r.0 == 0 && r.1 > 0));
+        }
+        // The step down: late, then on time; parking again, converging.
+        assert!(down[..LATE].iter().all(|r| r.0 > 0), "{down:?}");
+        assert!(down[LATE..].iter().all(|r| r.0 == 0), "{down:?}");
+        let parked: Vec<u64> = down[RECOVER..].iter().map(|r| r.1).collect();
+        assert!(
+            parked.windows(2).all(|w| 0 < w[0] && w[0] <= w[1]),
+            "{parked:?}"
+        );
+        assert!(
+            parked[parked.len() - 1] * 100 >= fast[1].1 * 99,
+            "{parked:?}"
+        );
+        // The step up: on time, but spun longer than a steady slow read.
+        assert_eq!(up[0].0, 0);
+        assert!(up[0].2 > slow[1].2, "{up:?} against {slow:?}");
+    });
+}
+
 /// `sequence()` and a dropped handle with verdicts outstanding — parts
 /// harvested, their chunks still the copy pool's to read: each waits for
 /// the pool before any chunk goes back (a prefetch's verdict is applied,

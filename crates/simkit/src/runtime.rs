@@ -84,6 +84,14 @@ impl Runtime {
         }
     }
 
+    /// Park for `idle`, then spin for `busy`: the instants and ledgers of
+    /// `sleep(idle)` then `work(busy)`, in one scheduling step — nothing
+    /// observes the task in between, and the end keeps its place among
+    /// same-instant wake-ups as if the whole wait were one call.
+    pub fn sleep_then_work(&self, idle: Dur, busy: Dur) {
+        self.0.sleep_then_work(idle, busy)
+    }
+
     /// Busy CPU time consumed so far by the calling task.
     pub fn my_busy(&self) -> Dur {
         self.0.my_busy()
@@ -279,6 +287,16 @@ mod tests {
         });
         assert_eq!(me, Dur::micros(10));
         assert_eq!(total, Dur::micros(40));
+    }
+
+    #[test]
+    fn sleep_then_work_charges_each_ledger() {
+        let (ledgers, end) = Runtime::simulate(0, |rt| {
+            rt.sleep_then_work(Dur::micros(10), Dur::micros(5));
+            (rt.my_busy(), rt.total_idle())
+        });
+        assert_eq!(ledgers, (Dur::micros(5), Dur::micros(10)));
+        assert_eq!(end, Time(15_000));
     }
 
     #[test]

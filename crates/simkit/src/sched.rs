@@ -373,6 +373,18 @@ impl SimCore {
         self.advance(d);
     }
 
+    /// [`SimCore::sleep`] for `idle`, then [`SimCore::work`] for `busy`,
+    /// in one scheduling step.
+    pub(crate) fn sleep_then_work(&self, idle: Dur, busy: Dur) {
+        let my = self.my_pid();
+        {
+            let mut g = self.state.lock();
+            g.parts[my].idle_ns += idle.as_nanos();
+            g.parts[my].busy_ns += busy.as_nanos();
+        }
+        self.advance(idle + busy);
+    }
+
     /// Block the calling participant (channel/join wait). The waker must call
     /// [`SimCore::make_ready`]. Returns after being rescheduled.
     pub(crate) fn block(&self) {

@@ -210,6 +210,65 @@ fn an_all_resident_batch_pays_one_memcpy_of_tail() {
     });
 }
 
+/// Steady synchronous reads of 2 KiB samples from one local device that
+/// serves a read in `delay` plus its fixed overheads, each once the qpair
+/// has seen its first completion: (wait, busy, parked) per read. The wait
+/// is the device latency less the poll pass that follows the post.
+fn steady_sync_read(delay: Dur) -> (Dur, Dur, Dur) {
+    const READS: u64 = 16;
+    let source = SyntheticSource::fixed(13, 64, 2048);
+    let per_read = |d: Dur| d / READS;
+    Runtime::simulate(4, |rt| {
+        let device = NvmeDevice::new(DeviceConfig::emulated_ramdisk(16 << 20, delay));
+        let fs = dlfs::MountBuilder::new(DlfsConfig::default())
+            .local(device)
+            .mount(rt, &source)
+            .unwrap();
+        let mut io = fs.io(0);
+        io.read_by_id(rt, 0).unwrap();
+        let (busy0, idle0) = (rt.my_busy(), rt.total_idle());
+        for id in 1..=READS as u32 {
+            assert_eq!(io.read_by_id(rt, id).unwrap(), source.expected(id));
+        }
+        // Every read, the first too, takes the same time on the device.
+        let lat = io.metrics().histogram("blocksim.dev0.cmd_latency_ns");
+        assert_eq!((lat.count, lat.sum % lat.count), (READS + 1, 0));
+        let busy = per_read(rt.my_busy() - busy0);
+        let wait = Dur::nanos(lat.sum / lat.count) - DlfsConfig::default().costs.poll_iteration;
+        (wait, busy, per_read(rt.total_idle() - idle0))
+    })
+    .0
+}
+
+/// Hybrid polling parks only a wait worth a kernel wake-up, as kernsim
+/// prices one (`irq` + `context_switch`): a steady synchronous read whose
+/// wait — which its reader predicts exactly — is just under twice that
+/// spins through it; just over, it parks half of it, and its busy time
+/// falls by that half.
+#[test]
+fn a_sync_read_parks_only_a_wait_worth_two_kernel_wakeups() {
+    let k = KernelCosts::default();
+    let threshold = (k.irq + k.context_switch) * 2;
+    let probe = Dur::micros(5);
+    let overheads = steady_sync_read(probe).0 - probe;
+    let step = Dur::nanos(2);
+    let (wait_under, busy_under, parked_under) = steady_sync_read(threshold - overheads - step);
+    let (wait_over, busy_over, parked_over) = steady_sync_read(threshold - overheads + step);
+    assert_eq!(
+        (wait_under, wait_over),
+        (threshold - step, threshold + step)
+    );
+    assert_eq!(parked_under, Dur::ZERO, "a wait under the threshold spins");
+    assert_eq!(parked_over, wait_over / 2);
+    // The same read, 2 × `step` longer, minus the parked half.
+    let spun = busy_under + (wait_over - wait_under);
+    let fell = spun.as_nanos() as i64 - busy_over.as_nanos() as i64;
+    assert!(
+        fell.abs_diff(parked_over.as_nanos() as i64) <= 1,
+        "busy fell {fell} ns"
+    );
+}
+
 #[test]
 fn dlfs_order_trains_as_well_as_full_shuffle() {
     // Miniature Fig. 13 as a regression test.
