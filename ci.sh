@@ -20,8 +20,9 @@
 #  4. perf-trajectory gate: the pinned-seed perf_gate suite emits
 #     BENCH_<rev>.json and fails on >10% regression against the
 #     committed baseline (crates/bench/baseline/BENCH_baseline.json);
-#  5. rustfmt (check mode) and clippy, warnings denied, across every
-#     target;
+#  5. rustfmt (check mode), clippy and rustdoc, warnings denied, across
+#     every target (rustdoc: every crate's public docs, so a broken or
+#     private intra-doc link fails);
 #  6. the surface ratchet: code lines of the io family — crates/core/src/io.rs
 #     with every `#[path]` child module it declares (check, engine,
 #     offload, prefetch, sync, tel), so a line moved between them still
@@ -171,6 +172,8 @@ cargo run -q --release --offline -p dlfs-bench --bin perf_gate -- \
   baseline=crates/bench/baseline/BENCH_baseline.json
 echo "== clippy (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+echo "== rustdoc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 echo "== benchmark/ builds against this tree and repeats its 56 values"
 CARGO_TARGET_DIR=target/benchmark benchmark/run.sh check
 echo "== ci OK"

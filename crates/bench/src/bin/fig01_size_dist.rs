@@ -1,7 +1,7 @@
 //! Figure 1: sample-size CDF for ImageNet-like and IMDB-like datasets.
 //!
-//! Paper's anchors: "about 75% of [ImageNet] samples are less than 147 KB
-//! ... 75% of [IMDB] samples are less than 1.6 KB".
+//! Paper's anchors: "about 75% of \[ImageNet\] samples are less than 147 KB
+//! ... 75% of \[IMDB\] samples are less than 1.6 KB".
 
 use dlfs_bench::{arg, fmt_size, Table, DEFAULT_SEED};
 use dlio::SizeDist;

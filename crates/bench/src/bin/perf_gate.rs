@@ -58,7 +58,10 @@
 //!   trainer CPU a synchronous read costs, most of it its wait.
 //!
 //! Usage:
-//!   perf_gate rev=<id> [out=<dir>] [baseline=<file>] [tolerance=0.10]
+//!
+//! ```text
+//! perf_gate rev=<id> [out=<dir>] [baseline=<file>] [tolerance=0.10]
+//! ```
 //!
 //! With `baseline=`, exits 1 when any metric regresses beyond the
 //! tolerance fraction in its bad direction or is missing from the

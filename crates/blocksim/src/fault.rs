@@ -8,6 +8,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use simkit::plock::Mutex;
+use simkit::rng::keyed;
 use simkit::time::Dur;
 
 use crate::config::BLOCK_SIZE;
@@ -174,11 +175,7 @@ impl FaultInjector {
     /// which also knows death and sticky extents.
     fn decide(&self, is_write: bool) -> FaultOutcome {
         let n = self.counter.fetch_add(1, Ordering::Relaxed);
-        // SplitMix64 step keyed on (seed, n).
-        let mut z = self.seed ^ n.wrapping_mul(0x9e3779b97f4a7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^= z >> 31;
+        let z = keyed(self.seed, n);
         let die = (z % 1_000_000) as u32;
         let fail_ppm = if is_write {
             self.write_fail_ppm
@@ -241,11 +238,8 @@ impl FaultInjector {
             if !overlaps(&flips, abs, 1) {
                 continue;
             }
-            // SplitMix64 keyed on (seed, block): stable flip position.
-            let mut z = self.seed ^ abs.wrapping_mul(0x9e3779b97f4a7c15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^= z >> 31;
+            // Keyed on (seed, block): a stable flip position.
+            let z = keyed(self.seed, abs);
             let start = (b * BLOCK_SIZE) as usize;
             let span = dst.len().min(start + BLOCK_SIZE as usize) - start;
             let byte = start + (z as usize >> 3) % span;

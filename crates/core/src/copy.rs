@@ -218,13 +218,13 @@ impl CopyPool {
             .try_for_each(|e| self.jobs.send(e).map_err(|_| DlfsError::CopyPoolDown))
     }
 
-    /// Publish a run of copy jobs ([`CopyPool::publish`]).
+    /// Publish a run of copy jobs (`CopyPool::publish`).
     pub fn submit_run(&self, run: impl IntoIterator<Item = CopyJob>) -> Result<(), DlfsError> {
         self.publish(run.into_iter().map(Entry::Copy))
     }
 
     /// Publish a run of check entries, `(tag, cost)` each, answered on
-    /// `done` ([`CopyPool::publish`]).
+    /// `done` (`CopyPool::publish`).
     pub(crate) fn check_run(
         &self,
         run: impl IntoIterator<Item = (u64, Dur)>,

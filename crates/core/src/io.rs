@@ -115,7 +115,7 @@ pub struct DlfsShared {
     /// admission entirely (no QoS config on the mount).
     pub qos: Option<Arc<crate::tenant::TenantQos>>,
     /// The instance's read commands in flight per storage node, kept by
-    /// every handle's qpairs ([`ReadQp`]): what checkpoint appends yield to.
+    /// every handle's qpairs (`ReadQp`): what checkpoint appends yield to.
     pub fg_reads: Arc<ForegroundReads>,
 }
 

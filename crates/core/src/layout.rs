@@ -35,23 +35,25 @@
 //! (frames at their raw chunk offsets) and version 2 (frames rounded to
 //! whole blocks) — are refused with [`LayoutError::Version`].
 //!
-//! **One planner, one committer, one loader.** [`plan_nodes`] sizes and
-//! places every node of a bring-up — through [`Superblock::plan`] when
-//! persisting (an integrity table after the metadata with `verify_reads`, a
-//! codec table before `data_base` with a codec, `replicas` slots inside the
-//! data region), from byte 0 when not — and holds the one fit rule: each
-//! home's share fits every slot hosting one of its copies, whose host
-//! [`replica_host`] names. [`Superblock::stamp_writes`] and
-//! [`Superblock::commit_writes`] are the only code that encodes a node's
-//! regions, for the import and the rebuild's restore alike. [`load_node`]
-//! is the only code that reads them back, and makes every check of one
-//! node: `remount` drives it with timed reads and adds only what compares
-//! nodes with each other, with the deployment and with its config;
-//! [`fsck_node`] and [`fsck_repair`] drive it with `read_untimed`. So a
-//! device fsck reports `Clean` is a device `remount` accepts, by
-//! construction, unless it disagrees with what one device cannot see. A
-//! checkpoint region may be empty (`ckpt_region_bytes: 0`): the commit
-//! then writes no stream head.
+//! **One planner, one committer, one loader, one judge.** [`plan_nodes`]
+//! sizes and places every node of a bring-up — through
+//! [`Superblock::plan`] when persisting (an integrity table after the
+//! metadata with `verify_reads`, a codec table before `data_base` with a
+//! codec, `replicas` slots inside the data region), from byte 0 when not —
+//! and holds it to the one fit rule ([`check_fit`]): each home's share fits
+//! every slot hosting one of its copies, whose host [`replica_host`] names.
+//! [`Superblock::stamp_writes`] and [`Superblock::commit_writes`] are the
+//! only code that encodes a node's regions, for the import and the
+//! rebuild's restore alike. [`load_node`] is the only code that reads them
+//! back, and makes every check of one node: `remount` drives it with timed
+//! reads, [`fsck_node`] and [`fsck_repair`] with `read_untimed`.
+//! [`check_import`] makes every check between nodes, or between a node and
+//! the deployment or the config: one import identity
+//! ([`Superblock::import_id`], which `fsck_repair` shares) and the fit rule
+//! again. So a device fsck reports `Clean` is a device `remount` accepts,
+//! by construction, unless the judge refuses it for what one device cannot
+//! see. A checkpoint region may be empty (`ckpt_region_bytes: 0`): the
+//! commit then writes no stream head.
 //!
 //! **Checkpoint records** are self-describing: a one-block header (magic,
 //! generation, sequence number, payload length + checksum) followed by the
@@ -136,7 +138,7 @@ pub struct Superblock {
     /// Samples across the whole dataset.
     pub total_samples: u64,
     pub meta_base: u64,
-    /// Serialized metadata length ([`META_RECORD_BYTES`] × samples).
+    /// Serialized metadata length (`META_RECORD_BYTES` × samples).
     pub meta_bytes: u64,
     pub meta_checksum: u64,
     /// Chunk-aligned start of the sample data region.
@@ -209,7 +211,7 @@ impl Superblock {
     /// not need take no space: with `ckpt_region_bytes: 0` the checkpoint
     /// region is empty and `ckpt_base` is the device's end. Only the whole
     /// device is checked here; whether every copy fits the slot hosting it
-    /// is [`plan_nodes`]'s fit rule. Generation and metadata checksum are
+    /// is `plan_nodes`'s fit rule. Generation and metadata checksum are
     /// filled in during import.
     pub fn plan(
         node_id: u16,
@@ -306,6 +308,16 @@ impl Superblock {
             0
         };
         self.meta_base + meta_capacity + integrity_capacity
+    }
+
+    /// The import identity, stated once: what every device of one import
+    /// records alike — its shape, its placement's stamp and how its data
+    /// was coded. The generation is not part of it: an import bumps each
+    /// device's own, so devices with different histories hold one import
+    /// at different generations.
+    pub(crate) fn import_id(&self) -> ((u32, u64, u32), u64, CodecKind, u64) {
+        let shape = (self.storage_nodes, self.total_samples, self.replicas);
+        (shape, self.dataset_stamp, self.codec, self.chunk_size)
     }
 
     /// Phase A of the two-phase commit as `(byte offset, bytes)` device
@@ -560,15 +572,97 @@ pub(crate) fn plan_nodes(
         };
         (shares.iter().zip(device_bytes).map(at_zero).collect(), None)
     };
+    check_fit(&geometry, cfg.replicas)?;
+    Ok((geometry, drafts))
+}
+
+/// The fit rule, stated once: with `replicas` copies of every node's data,
+/// each home's share fits every slot hosting one of its copies, its own
+/// included, or the node set is a [`DlfsError::Capacity`] naming the host.
+/// [`plan_nodes`] holds a plan to it and [`check_import`] a loaded set.
+fn check_fit(geometry: &[Geometry], replicas: usize) -> Result<(), DlfsError> {
     for (home, g) in geometry.iter().enumerate() {
-        let mut hosts = (0..cfg.replicas).map(|r| replica_host(home, r, nodes));
+        let mut hosts = (0..replicas).map(|r| replica_host(home, r, geometry.len()));
         if let Some(host) = hosts.find(|&host| g.data_bytes > geometry[host].slot_bytes) {
-            let (need, have) = (g.data_bytes, geometry[host].slot_bytes);
-            let node = host as u16;
+            let (node, need, have) = (host as u16, g.data_bytes, geometry[host].slot_bytes);
             return Err(DlfsError::Capacity { node, need, have });
         }
     }
-    Ok((geometry, drafts))
+    Ok(())
+}
+
+/// The one judge of a device set: whether the `nodes` loaded for a
+/// deployment of `storage_nodes` hold one import
+/// ([`Superblock::import_id`]) shaped for it, whether `cfg` reads them as
+/// they were written, and whether every copy fits its slot
+/// ([`check_fit`]). Returns the dataset's sample count. [`load_node`]
+/// makes every check of one device; this makes every check between
+/// devices, or between a device and the deployment or the config.
+pub(crate) fn check_import(
+    nodes: &[NodeMeta],
+    storage_nodes: usize,
+    cfg: &DlfsConfig,
+) -> Result<u64, DlfsError> {
+    let bad = |msg: String| Err(LayoutError::Inconsistent(msg).into());
+    let first = &nodes[0].sb;
+    let (total, codec, recorded) = (first.total_samples, first.codec, first.chunk_size);
+    // The codec and a coded import's frame size are the devices' to say:
+    // reading with another would serve garbage, so a config that disagrees
+    // is refused (re-import, or set it to what the devices hold). An
+    // uncoded layout records no frame size and needs none.
+    if cfg.codec != codec {
+        return Err(DlfsError::Config(format!(
+            "config asks for codec {}, devices were imported with codec {codec}",
+            cfg.codec
+        )));
+    }
+    if recorded != 0 && cfg.chunk_size != recorded {
+        return Err(DlfsError::Config(format!(
+            "config asks for chunk_size {} B, devices were imported with {recorded} B \
+             {codec} frames",
+            cfg.chunk_size
+        )));
+    }
+    for (n, NodeMeta { sb, .. }) in nodes.iter().enumerate() {
+        check_shape(sb, storage_nodes)?;
+        if sb.import_id() != first.import_id() {
+            return bad(format!(
+                "node {n} belongs to a different import than node 0"
+            ));
+        }
+        if cfg.verify_reads && sb.integrity_bytes == 0 {
+            return bad(format!(
+                "verify_reads needs an integrity table, but node {n} was imported without \
+                 one (re-import with verify_reads on)"
+            ));
+        }
+    }
+    if cfg.replicas > 1 && cfg.replicas as u32 != first.replicas {
+        return bad(format!(
+            "config asks for {} replicas, devices were imported with {}",
+            cfg.replicas, first.replicas
+        ));
+    }
+    let sum: u64 = nodes.iter().map(|m| m.sb.node_samples).sum();
+    if sum != total || total > u32::MAX as u64 {
+        return bad(format!(
+            "per-node sample counts sum to {sum}, superblocks claim {total}"
+        ));
+    }
+    let geometry: Vec<Geometry> = nodes.iter().map(|m| Geometry::from(&m.sb)).collect();
+    check_fit(&geometry, first.replicas as usize)?;
+    Ok(total)
+}
+
+/// The shape half of the import identity: a device imported for
+/// `sb.storage_nodes` nodes serves only a deployment of that many.
+fn check_shape(sb: &Superblock, nodes: usize) -> Result<(), DlfsError> {
+    if sb.storage_nodes as usize == nodes {
+        return Ok(());
+    }
+    let (n, had) = (sb.node_id, sb.storage_nodes);
+    let msg = format!("node {n} was imported for {had} storage nodes, deployment has {nodes}");
+    Err(LayoutError::Inconsistent(msg).into())
 }
 
 /// Serialize one node's sample metadata region.
@@ -875,14 +969,15 @@ impl NodeMeta {
 
 /// The one reader of a device's metadata, of `capacity` bytes: superblock
 /// (decoded, committed, a replica count its storage nodes can host, every
-/// region on the device), sample metadata (region checksum, then records,
-/// as many as the superblock claims), the integrity table when `want_sums`
-/// and the import persisted one, and the self-checksummed codec table of a
-/// coded import — in that order, through `read(offset, len)`. Every check of one node is made here: `remount`
-/// passes a timed read and adds only what compares nodes with each other
-/// and with its config, `fsck_node`/`fsck_repair` pass an untimed one, so
-/// a device fsck calls clean is a device remount accepts: both ran this
-/// function.
+/// region on the device, the fit rule's own half), sample metadata (region
+/// checksum, then records, as many as the superblock claims), the integrity
+/// table when `want_sums` and the import persisted one, and the
+/// self-checksummed codec table of a coded import — in that order, through
+/// `read(offset, len)`. Every check of one node is made here: `remount`
+/// passes a timed read and leaves what compares nodes with each other and
+/// with its config to [`check_import`], `fsck_node`/`fsck_repair` pass an
+/// untimed one, so a device fsck calls clean is a device remount accepts
+/// unless the judge refuses the set: both ran this function.
 pub fn load_node(
     mut read: impl FnMut(u64, usize) -> Result<Vec<u8>, DlfsError>,
     capacity: u64,
@@ -914,11 +1009,22 @@ pub fn load_node(
     };
     for (what, base, len) in [
         ("metadata", sb.meta_base, sb.meta_bytes),
-        ("data", sb.data_base, sb.data_bytes),
         ("integrity table", sb.integrity_base, sb.integrity_bytes),
         ("checkpoint stream", sb.ckpt_base, sb.ckpt_capacity),
     ] {
         on_device(what, base, len)?;
+    }
+    // The fit rule's half one device can judge ([`check_fit`] judges the
+    // copies it hosts): its own share fits its own slot, and its slots end
+    // by the checkpoint stream — so its data lies on the device too.
+    let slots = (sb.replicas as u64).checked_mul(sb.replica_slot_bytes);
+    let slots_end = slots.and_then(|s| s.checked_add(sb.data_base));
+    if sb.data_bytes > sb.replica_slot_bytes || slots_end.is_none_or(|end| end > sb.ckpt_base) {
+        return Err(bad(format!(
+            "node {node}: {} slots of {} B at {} do not hold its {} B of data before \
+             the checkpoint stream at {}",
+            sb.replicas, sb.replica_slot_bytes, sb.data_base, sb.data_bytes, sb.ckpt_base
+        )));
     }
     // The table's region was planned for the raw data; what it holds is
     // checked against the stored blocks once the codec table is in.
@@ -1038,7 +1144,7 @@ pub struct FsckNodeReport {
 
 /// Walk one device's metadata (untimed; a debug tool, not a data path).
 /// `deep` additionally re-reads every sample's logical bytes
-/// ([`read_logical`]; a coded device's frame size and codec come from its
+/// (`read_logical`; a coded device's frame size and codec come from its
 /// superblock) and verifies its stored checksum.
 pub fn fsck_node(target: &Arc<dyn NvmeTarget>, node: u16, deep: bool) -> FsckNodeReport {
     let mut report = FsckNodeReport {
@@ -1101,7 +1207,6 @@ pub fn fsck_node(target: &Arc<dyn NvmeTarget>, node: u16, deep: bool) -> FsckNod
     }
     // Walk the checkpoint stream, exactly as a replay would.
     let (mut pos, mut seq) = (sb.ckpt_base, 0);
-    let read = |off, len| Ok(read_untimed(target, off, len));
     while let Ok(Some(payload)) = next_ckpt_record(read, &sb, (&mut pos, &mut seq)) {
         report.checkpoints += 1;
         report.checkpoint_bytes += payload.len() as u64;
@@ -1153,17 +1258,12 @@ pub fn fsck_repair(
     let (frame_at, sums) = (meta.frame_at(), std::mem::take(&mut meta.sums));
     let (sb, records) = (&meta.sb, &meta.records);
     let nodes = targets.len();
-    if sb.storage_nodes as usize != nodes {
-        return Err(LayoutError::Inconsistent(format!(
-            "node {node}: superblock spans {} nodes, {nodes} targets supplied",
-            sb.storage_nodes
-        ))
-        .into());
-    }
+    check_shape(sb, nodes)?;
     // The instance's redundancy, rebuilt from the devices: the table this
     // node carries, and geometry from every superblock of this import. A
-    // replica whose host is torn, from another import or differently
-    // shaped has none, and is no candidate.
+    // replica whose host is torn or holds another import
+    // ([`Superblock::import_id`]; its generation may differ) has none, and
+    // is no candidate.
     let mut tables = Vec::new();
     if !sums.is_empty() {
         tables = vec![Arc::default(); nodes];
@@ -1171,15 +1271,11 @@ pub fn fsck_repair(
     }
     let mut red = Redundancy::new(sb.replicas, vec![(0, 0); nodes], tables);
     red.slots[node as usize] = (sb.data_base, sb.replica_slot_bytes);
-    let same_import = |p: &Superblock| {
-        (p.generation, p.dataset_stamp, p.replicas)
-            == (sb.generation, sb.dataset_stamp, sb.replicas)
-    };
     let mut candidates = Vec::new();
     for r in 1..sb.replicas {
         let (host, _) = red.route(node, r, sb.data_base / BLOCK_SIZE);
         let loaded = load(host, false).ok().map(|meta| meta.sb);
-        if let Some(psb) = loaded.filter(same_import) {
+        if let Some(psb) = loaded.filter(|p| p.import_id() == sb.import_id()) {
             red.slots[host as usize] = (psb.data_base, psb.replica_slot_bytes);
             candidates.push(r);
         }

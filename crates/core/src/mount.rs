@@ -22,7 +22,8 @@
 //! `land` writes (and so replicates), checksums and records every extent,
 //! apply the layout's commit writes when persisting, and `assemble` the
 //! instance. `remount` is `Bringup::remount`: [`crate::layout::load_node`]
-//! per device instead of staging, then the same `assemble`.
+//! per device instead of staging, `layout::check_import` to judge the set,
+//! then the same `assemble`.
 //!
 //! Staging streams samples through a bounded per-reader pipe: the caller's
 //! task produces, one spawned task per reader consumes and writes through
@@ -72,7 +73,7 @@ use crate::codec::{stored_blocks, CodecKind, CodecTables, FrameStager, NodeFrame
 use crate::config::DlfsConfig;
 use crate::directory::{node_for_name, tree_wire_bytes, DirectoryBuilder, SampleDirectory};
 use crate::entry::SampleEntry;
-use crate::error::{DlfsError, LayoutError};
+use crate::error::DlfsError;
 use crate::integrity::Redundancy;
 use crate::io::{DlfsIo, DlfsShared};
 use crate::layout::{self, BlockChecksums, Geometry, MetaRecord, NodeMeta, Superblock};
@@ -561,13 +562,8 @@ impl UploadTask {
         // accumulate into chunk frames that are encoded and landed whole.
         let codec = self.cfg.codec.codec();
         let coded = self.cfg.codec != CodecKind::Identity;
-        let mut stagers: Vec<FrameStager> = if coded {
-            let stager =
-                |&n: &usize| FrameStager::new(self.geometry[n].data_base, self.cfg.chunk_size);
-            self.my_nodes.iter().map(stager).collect()
-        } else {
-            Vec::new()
-        };
+        let stager = |&n: &usize| FrameStager::new(self.geometry[n].data_base, self.cfg.chunk_size);
+        let mut stagers: Vec<_> = self.my_nodes.iter().filter(|_| coded).map(stager).collect();
         // Phase A (persistent only): stamp each node with the new,
         // uncommitted generation before any data lands, and invalidate the
         // previous generation's checkpoint stream head, if the node has a
@@ -578,10 +574,8 @@ impl UploadTask {
             for (pos, &n) in self.my_nodes.iter().enumerate() {
                 let block = BLOCK_SIZE as usize;
                 let prev = read_timed(rt, &self.row[n], n as u16, 0, block, &self.cfg)?;
-                let prev_gen = Superblock::decode(n as u16, &prev)
-                    .map(|sb| sb.generation)
-                    .unwrap_or(0);
-                drafts[pos].generation = prev_gen + 1;
+                let prev = Superblock::decode(n as u16, &prev).map_or(0, |sb| sb.generation);
+                drafts[pos].generation = prev + 1;
                 for (at, bytes) in drafts[pos].stamp_writes() {
                     l.writers[pos].write(rt, at, &bytes)?;
                 }
@@ -703,15 +697,9 @@ fn join_nodes<T>(handles: Vec<Worker<T>>, storage_nodes: usize) -> Result<Vec<T>
     if let Some(e) = first_err {
         return Err(e);
     }
-    per_node
-        .into_iter()
-        .enumerate()
-        .map(|(n, t)| {
-            t.ok_or_else(|| {
-                DlfsError::Deployment(format!("bring-up finished without storage node {n}"))
-            })
-        })
-        .collect()
+    let missing = |n| DlfsError::Deployment(format!("bring-up finished without storage node {n}"));
+    let node = |(n, t): (usize, Option<T>)| t.ok_or_else(|| missing(n));
+    per_node.into_iter().enumerate().map(node).collect()
 }
 
 /// Samples buffered per reader between the staging producer and each
@@ -745,7 +733,7 @@ impl Bringup {
     /// build the replicated directory. With `persist` the on-device layout
     /// of [`crate::layout`] is written around the data (two-phase commit
     /// per device: a crash mid-import leaves a torn generation stamp that
-    /// `remount` rejects with [`LayoutError::TornImport`]) so that later
+    /// `remount` rejects with [`crate::LayoutError::TornImport`]) so that later
     /// jobs can [`Bringup::remount`] warm; without it the devices hold raw
     /// sample data from offset 0. The two differ in the [`Geometry`]
     /// [`layout::plan_nodes`] hands back and in the commit around the data,
@@ -1009,10 +997,10 @@ impl Bringup {
     /// through [`layout::load_node`] (timed reads through qpairs; the
     /// integrity table only when `cfg.verify_reads` asks for checksummed
     /// reads, keeping the default remount's timing untouched) and ships its
-    /// trees once they are loaded, the directory is rebuilt from the
-    /// serialized entries, and the merge is charged as on `stage`. Rejects
-    /// torn imports, checksum mismatches and
-    /// devices mixed from different imports with typed [`LayoutError`]s.
+    /// trees once they are loaded; [`layout::check_import`] judges the set
+    /// against itself, the deployment and the config; the directory is
+    /// rebuilt from the serialized entries, and the merge is charged as on
+    /// `stage`.
     fn remount(self, rt: &Runtime) -> Result<DlfsInstance, DlfsError> {
         let cfg = &self.cfg;
         let storage_nodes = self.storage_nodes;
@@ -1052,65 +1040,8 @@ impl Bringup {
         }
         drop(gather);
         let nodes: Vec<NodeMeta> = join_nodes(handles, storage_nodes)?;
-        // Cross-node consistency: all devices must come from one import of
-        // one dataset, shaped for this deployment.
-        let bad = |msg: String| Err(LayoutError::Inconsistent(msg).into());
-        let first = &nodes[0].sb;
-        let (total, replicas, codec) = (first.total_samples, first.replicas, first.codec);
-        // The codec and a coded import's frame size are the devices' to
-        // say: reading with another would serve garbage, so a config that
-        // disagrees is refused (re-import, or set it to what the devices
-        // hold). An uncoded layout records no frame size and needs none.
-        let recorded = first.chunk_size;
-        if cfg.codec != codec {
-            return Err(DlfsError::Config(format!(
-                "config asks for codec {}, devices were imported with codec {codec}",
-                cfg.codec
-            )));
-        }
-        if recorded != 0 && cfg.chunk_size != recorded {
-            return Err(DlfsError::Config(format!(
-                "config asks for chunk_size {} B, devices were imported with {recorded} B \
-                 {codec} frames",
-                cfg.chunk_size
-            )));
-        }
-        let mut sum = 0u64;
-        for (n, NodeMeta { sb, .. }) in nodes.iter().enumerate() {
-            if sb.storage_nodes != storage_nodes as u32 {
-                return bad(format!(
-                    "node {n} was imported for {} storage nodes, deployment has {storage_nodes}",
-                    sb.storage_nodes
-                ));
-            }
-            if sb.total_samples != total
-                || sb.dataset_stamp != first.dataset_stamp
-                || sb.replicas != replicas
-                || (sb.codec, sb.chunk_size) != (codec, recorded)
-            {
-                return bad(format!(
-                    "node {n} belongs to a different import than node 0"
-                ));
-            }
-            if cfg.verify_reads && sb.integrity_bytes == 0 {
-                return bad(format!(
-                    "verify_reads needs an integrity table, but node {n} was imported without \
-                     one (re-import with verify_reads on)"
-                ));
-            }
-            sum += sb.node_samples;
-        }
-        if cfg.replicas > 1 && cfg.replicas as u32 != replicas {
-            return bad(format!(
-                "config asks for {} replicas, devices were imported with {replicas}",
-                cfg.replicas
-            ));
-        }
-        if sum != total || total > u32::MAX as u64 {
-            return bad(format!(
-                "per-node sample counts sum to {sum}, superblocks claim {total}"
-            ));
-        }
+        let total = layout::check_import(&nodes, storage_nodes, cfg)?;
+        let replicas = nodes[0].sb.replicas;
         let mut builder = DirectoryBuilder::new(storage_nodes, total as usize)?;
         for rec in nodes.iter().flat_map(|node| &node.records) {
             builder.add_raw(rec.id, rec.unit1, rec.unit2)?;

@@ -114,7 +114,7 @@ fn is_edge(e: SampleEntry, chunk_size: u64) -> bool {
 ///
 /// Sample-level plans and edge samples fetch the sample itself. Under
 /// chunk-level batching a full sample rides with its chunk — under a codec
-/// with its frame's run ([`CodecTables::run_span`]) — and the fetch covers
+/// with its frame's run (`CodecTables::run_span`) — and the fetch covers
 /// exactly the full samples inside it — first full sample's offset to last
 /// full sample's end — not the fixed-size chunk: the chunk's partial head
 /// and tail belong to edge samples, which are fetched by their own items,

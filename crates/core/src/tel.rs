@@ -93,7 +93,9 @@ impl IoTelemetry {
         let (cache, iv, cd, of) = (cache.as_ref(), iv.as_ref(), cd.as_ref(), of.as_ref());
         let checked = shared.redundancy.verify() || shared.codec.is_some();
         let checked = scope("dlfs.io.stage", checked).map(|s| s.histogram("check_ns"));
-        // Registered at 0 and never counted: the benchmark's ledger names them.
+        // Registered at 0 and never counted. The benchmark's ledger reads an
+        // absent name as 0 (`Snapshot::counter`), so what needs them
+        // registered is the five goldens that list them.
         counter_in(iv, "hedges");
         counter_in(iv, "hedge_wins");
         IoTelemetry {

@@ -610,7 +610,7 @@ impl CheckpointReader {
 
     /// The next record's payload, or `None` at the end of the stream (an
     /// invalid header, a generation from an earlier import, or a torn
-    /// tail all terminate it — [`next_ckpt_record`] decides), read with
+    /// tail all terminate it — `layout::next_ckpt_record` decides), read with
     /// timed reads.
     pub fn next(&mut self, rt: &Runtime) -> Result<Option<Vec<u8>>, DlfsError> {
         let (target, nid, cfg) = (&self.target, self.sb.node_id, &self.cfg);

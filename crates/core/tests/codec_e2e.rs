@@ -982,19 +982,23 @@ const SB_HALVES: [(&str, Half); 2] = [
 
 /// A remount's refusals that compare a device with what no fsck of it
 /// alone can see — the other devices of the import, the deployment, the
-/// config — and the only fields whose edit may draw one.
-const CROSS_DEVICE: [&str; 4] = [
+/// config, and the fit rule's check that each copy fits the peer slot
+/// hosting it — and the only fields whose edit may draw one.
+const CROSS_DEVICE: [&str; 5] = [
     "belongs to a different import",
     "storage nodes, deployment has",
     "per-node sample counts sum to",
     "verify_reads needs an integrity table",
+    "too small: need",
 ];
-const CROSS_DEVICE_FIELDS: [&str; 5] = [
+const CROSS_DEVICE_FIELDS: [&str; 7] = [
     "total_samples",
     "dataset_stamp",
     "replicas",
     "storage_nodes",
     "integrity_bytes",
+    "data_bytes",
+    "replica_slot_bytes",
 ];
 
 /// Hostile layout bytes: a seeded sweep (SplitMix64) of N = 480 mutations

@@ -750,6 +750,97 @@ fn forged_superblocks_are_inconsistent_to_every_loader() {
     });
 }
 
+/// Devices with different histories hold one import at different
+/// generations: a one-node import onto device 0, then a two-node replicated,
+/// verified import onto devices 0 and 1, leaves generations 2 and 1. The
+/// set is one import to `remount` and to `fsck_repair` alike, so a bit
+/// flip on node 0 is healed from node 1's copy.
+#[test]
+fn one_import_at_two_generations_remounts_and_repairs() {
+    Runtime::simulate(93, |rt| {
+        let devices = vec![ramdisk(16 << 20), ramdisk(16 << 20)];
+        MountBuilder::new(DlfsConfig::default())
+            .local(devices[0].clone())
+            .persistent()
+            .mount(rt, &SyntheticSource::fixed(44, 32, 2048))
+            .unwrap();
+        let cfg = || DlfsConfig {
+            replicas: 2,
+            verify_reads: true,
+            ..DlfsConfig::default()
+        };
+        let source = SyntheticSource::fixed(45, 64, 2048);
+        let fs = MountBuilder::new(cfg())
+            .deployment(Deployment::local(1, &devices))
+            .persistent()
+            .mount(rt, &source)
+            .unwrap();
+        let generations = [0, 1].map(|n| fs.layout(n).unwrap().generation);
+        assert_eq!(generations, [2, 1]);
+        let sb0 = fs.layout(0).unwrap().clone();
+        drop(fs);
+        let warm = MountBuilder::new(cfg())
+            .deployment(Deployment::local(1, &devices))
+            .warm()
+            .remount(rt)
+            .unwrap();
+        drain_all_readers(rt, &warm, &source, 6);
+        let targets = warm.shared(0).targets.clone();
+        drop(warm);
+        let base = sb0.data_base / blocksim::BLOCK_SIZE;
+        devices[0].set_faults(FaultInjector::new(19).with_bit_flips(base, 1));
+        let rep = fsck_repair(&targets, 0).unwrap();
+        assert_eq!((rep.detected, rep.repaired, rep.unrepairable), (1, 1, 0));
+        let fsck = fsck_node(&targets[0], 0, true);
+        assert!(matches!(fsck.state, FsckState::Clean { .. }), "{fsck:?}");
+    });
+}
+
+/// A replica slot forged below the copy it hosts, under a valid checksum,
+/// is the planner's `Capacity` refusal on remount: node 0's slot 1 holds
+/// node 1's copy, and the fit rule that sized the slots at import judges
+/// them again. Node 0 alone is consistent, so its fsck stays clean.
+#[test]
+fn a_slot_forged_below_its_hosted_copy_is_a_capacity_error() {
+    Runtime::simulate(94, |rt| {
+        let devices = vec![ramdisk(16 << 20), ramdisk(16 << 20)];
+        let cfg = || DlfsConfig {
+            replicas: 2,
+            ..DlfsConfig::default()
+        };
+        let fs = MountBuilder::new(cfg())
+            .deployment(Deployment::local(1, &devices))
+            .persistent()
+            .mount(rt, &SyntheticSource::new(46, vec![1000, 3000, 5000, 7000]))
+            .unwrap();
+        let (mut sb0, sb1) = (fs.layout(0).unwrap().clone(), fs.layout(1).unwrap().clone());
+        drop(fs);
+        assert!(sb0.data_bytes < sb1.data_bytes, "{sb0:?} {sb1:?}");
+        sb0.replica_slot_bytes = sb0.data_bytes;
+        devices[0].dma_write(0, &sb0.encode());
+        let remounted = MountBuilder::new(cfg())
+            .deployment(Deployment::local(1, &devices))
+            .warm()
+            .remount(rt);
+        match remounted {
+            Err(DlfsError::Capacity {
+                node: 0,
+                need,
+                have,
+            }) => {
+                assert_eq!((need, have), (sb1.data_bytes, sb0.data_bytes));
+            }
+            other => panic!(
+                "want the fit rule's Capacity refusal, got {:?}",
+                other.err()
+            ),
+        }
+        let target: Arc<dyn NvmeTarget> = devices[0].clone();
+        let fsck = fsck_node(&target, 0, true);
+        assert!(matches!(fsck.state, FsckState::Clean { .. }), "{fsck:?}");
+    });
+}
+
 /// Import and remount work identically over NVMe-oF: a full-mesh
 /// disaggregated deployment imports through remote write qpairs, then a
 /// second job remounts the same devices over a clone of that wiring —

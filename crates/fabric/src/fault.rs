@@ -18,6 +18,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use simkit::plock::Mutex;
+use simkit::rng::keyed;
 use simkit::telemetry::{Counter, Gauge, Registry};
 use simkit::time::{Dur, Time};
 
@@ -175,11 +176,7 @@ impl FabricFaultInjector {
     /// the run replays unchanged.
     pub fn decide(&self, now: Time, from: usize, to: usize) -> FabricFault {
         let n = self.counter.fetch_add(1, Ordering::Relaxed);
-        // SplitMix64 step keyed on (seed, n), as in blocksim's injector.
-        let mut z = self.seed ^ n.wrapping_mul(0x9e3779b97f4a7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^= z >> 31;
+        let z = keyed(self.seed, n);
 
         let tel = self.tel.lock();
         if let Some(t) = tel.as_ref() {

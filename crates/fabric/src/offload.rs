@@ -20,7 +20,7 @@
 //! computed bytes it carries). [`NvmeOfTarget`]
 //! (`nvmeof.rs`) embeds one scheduler per target and exposes the whole
 //! request/process/respond exchange through
-//! [`NvmeTarget::reserve_offload`](blocksim::NvmeTarget::reserve_offload).
+//! [`NvmeTarget::reserve_offload`].
 //!
 //! [`NvmeOfTarget`]: crate::nvmeof::NvmeOfTarget
 

@@ -26,6 +26,15 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Draw `n` of the stream keyed by `seed`, stateless: SplitMix64's
+/// finalizer over `seed ^ n × golden`. A fault injector replays its n-th
+/// decision, or a block's fixed damage, from this without holding a
+/// generator.
+#[inline]
+pub fn keyed(seed: u64, n: u64) -> u64 {
+    mix(seed ^ n.wrapping_mul(0x9e3779b97f4a7c15))
+}
+
 impl SplitMix64 {
     /// Create a generator from a raw seed.
     #[inline]
