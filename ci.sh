@@ -48,7 +48,9 @@
 #     there and says so in bench/history/README.md;
 #  7. doc citations: every `file.rs::fn_name` that DESIGN.md, README.md or
 #     EXPERIMENTS.md cites names a `fn` in a file of that name under
-#     crates, src, tests or examples;
+#     crates, src, tests or examples, and every field line of a
+#     `DlfsConfig { .. }` literal in README's rust blocks names a `pub`
+#     field of DlfsConfig (a deleted knob cannot survive in the docs);
 #  8. every example runs twice in release mode and must print the same
 #     bytes both times (everything is simulated, so nothing may differ);
 #  9. the benchmark's compile contract: benchmark/ is its own workspace
@@ -119,6 +121,17 @@ grep -ohE '\b[A-Za-z0-9_]+\.rs::[a-z_][a-z0-9_]*' DESIGN.md README.md EXPERIMENT
       { echo "doc citation $cite: no \`fn $name\` in any $file" >&2; exit 1; }
     echo "$cite"
   done
+echo "== README DlfsConfig literals name pub fields of DlfsConfig"
+awk 'FNR == NR { pub[$1]; next }
+  /^```/ { rust = /^```rust/; ind = -1; next }
+  rust && ind < 0 && /DlfsConfig \{$/ { match($0, /^ */); ind = RLENGTH + 4; next }
+  ind < 0 { next }
+  { match($0, /^ */) }
+  RLENGTH == ind - 4 && /^ *\}/ { ind = -1; next }
+  RLENGTH == ind && /^ *[a-z_0-9]+:/ { f = $1; sub(/:.*/, "", f)
+    if (!(f in pub)) { print "README.md:" FNR ": DlfsConfig has no pub field " f; bad = 1 } }
+  END { exit bad }' <(sed -n '/^pub struct DlfsConfig {/,/^}/s/^    pub \([a-z_0-9]*\):.*/\1/p' \
+  crates/core/src/config.rs) README.md
 echo "== tier-1: release build"
 cargo build --release --offline
 echo "== tier-1: root test suite"

@@ -144,7 +144,6 @@ fn corruption_run(
     replicas: usize,
     flip_blocks: u64,
     bad_blocks: u64,
-    scrub: bool,
 ) -> (u64, u64, String, [u64; 5]) {
     let ((checksum, metrics, iv), end) = Runtime::simulate(seed, |rt| {
         let source = SyntheticSource::fixed(seed ^ 0xC0, n, size);
@@ -152,7 +151,6 @@ fn corruption_run(
             chunk_size: 16 * 1024,
             replicas,
             verify_reads: true,
-            scrub,
             ..DlfsConfig::default()
         };
         let (fs, _cluster, devices) = setup::dlfs_disagg_chaos(rt, 3, 3, &source, cfg);
@@ -338,24 +336,18 @@ fn main() {
         "replicas",
         "flips",
         "bad ext",
-        "scrub",
         "verified",
         "mismatches",
         "repairs",
         "scrubbed",
         "failovers",
     ]);
-    // (replicas, flipped blocks, sticky bad blocks, background scrub)
+    // (replicas, flipped blocks, sticky bad blocks)
     // flips = 1M blocks ≫ device: the whole node-0 device is corrupt.
-    let grid: &[(usize, u64, u64, bool)] = &[
-        (2, 1_000_000, 0, false),
-        (2, 1_000_000, 8, false),
-        (3, 1_000_000, 8, false),
-        (2, 1_000_000, 8, true),
-    ];
-    for &(replicas, flips, bad, scrub) in grid {
-        let a = corruption_run(seed, cor_n, size, replicas, flips, bad, scrub);
-        let b = corruption_run(seed, cor_n, size, replicas, flips, bad, scrub);
+    let grid: &[(usize, u64, u64)] = &[(2, 1_000_000, 0), (2, 1_000_000, 8), (3, 1_000_000, 8)];
+    for &(replicas, flips, bad) in grid {
+        let a = corruption_run(seed, cor_n, size, replicas, flips, bad);
+        let b = corruption_run(seed, cor_n, size, replicas, flips, bad);
         assert_eq!(
             (a.0, a.1, &a.2),
             (b.0, b.1, &b.2),
@@ -373,7 +365,6 @@ fn main() {
             replicas.to_string(),
             "whole dev".to_string(),
             bad.to_string(),
-            if scrub { "bg+pass" } else { "pass" }.to_string(),
             verified.to_string(),
             mismatches.to_string(),
             repairs.to_string(),

@@ -8,16 +8,17 @@
 //! factory-fresh replacement, and measures what the rebuild costs:
 //!
 //! * how long restoring full redundancy takes (virtual time, from
-//!   `begin_rebuild` to the rejoin), split into blocks trickled through
-//!   idle reactor gaps during a concurrent epoch vs. drained afterwards;
+//!   `begin_rebuild` to the rejoin), split into blocks trickled by
+//!   `rebuild_step` beside a concurrent epoch vs. drained afterwards;
 //! * what degraded-mode serving does to the foreground batch tail
 //!   (healthy vs. degraded vs. post-rebuild p99);
-//! * how the `rebuild_gap_blocks` throttle trades foreground latency
-//!   against rebuild progress.
+//! * how the step budget — the blocks stepped after every foreground
+//!   batch, the `gap blks` column — trades foreground latency against
+//!   rebuild progress. The caller sets the pace: nothing else steps it.
 //!
-//! Sweeps `replicas x rebuild_gap_blocks`, verifies every delivered
-//! sample byte-for-byte, ends each cell deep-fsck-clean on every node,
-//! and runs each cell twice to prove same-seed determinism.
+//! Sweeps `replicas x step budget`, verifies every delivered sample
+//! byte-for-byte, ends each cell deep-fsck-clean on every node, and runs
+//! each cell twice to prove same-seed determinism.
 
 use std::sync::Arc;
 
@@ -103,7 +104,7 @@ struct CellOutcome {
     post_p99: u64,
 }
 
-fn cell(seed: u64, n: usize, size: u64, replicas: usize, gap: u64) -> CellOutcome {
+fn cell(seed: u64, n: usize, size: u64, replicas: usize, step: u64) -> CellOutcome {
     let (out, end) = Runtime::simulate(seed, |rt| {
         let source = SyntheticSource::fixed(seed ^ 0x8E, n, size);
         let cfg = DlfsConfig {
@@ -111,7 +112,6 @@ fn cell(seed: u64, n: usize, size: u64, replicas: usize, gap: u64) -> CellOutcom
             replicas,
             verify_reads: true,
             fail_dead_after: Some(Dur::micros(300)),
-            rebuild_gap_blocks: gap,
             ..DlfsConfig::default()
         };
         let devices: Vec<_> = (0..NODES).map(|_| ramdisk()).collect();
@@ -151,9 +151,8 @@ fn cell(seed: u64, n: usize, size: u64, replicas: usize, gap: u64) -> CellOutcom
         }
 
         // A fresh replacement joins under the same index; epoch 2 runs
-        // while the rebuild makes cooperative progress — `gap` blocks
-        // after every foreground batch (idle reactor gaps drain the same
-        // quantum, but a healthy epoch hot-polls and never parks).
+        // while the rebuild makes cooperative progress — `step` blocks
+        // after every foreground batch, the only pace it has.
         devices[1].revive();
         devices[1].dma_write(0, &vec![0u8; DEV_BYTES as usize]);
         let t_begin = rt.now();
@@ -179,7 +178,7 @@ fn cell(seed: u64, n: usize, size: u64, replicas: usize, gap: u64) -> CellOutcom
                 Err(e) => panic!("epoch failed mid-rebuild: {e}"),
             }
             if io.rebuild_active() {
-                io.rebuild_step(gap);
+                io.rebuild_step(step);
                 if !io.rebuild_active() {
                     t_done = Some(rt.now());
                 }
@@ -188,7 +187,7 @@ fn cell(seed: u64, n: usize, size: u64, replicas: usize, gap: u64) -> CellOutcom
         assert_eq!(delivered, total, "mid-rebuild epoch must complete");
         checksum ^= sum.rotate_left(2);
         let trickled = planned - io.rebuild_remaining();
-        io.drive_rebuild();
+        io.rebuild_step(u64::MAX);
         let rebuild_ns = (t_done.unwrap_or_else(|| rt.now()) - t_begin).as_nanos();
         let m = io.metrics();
         assert_eq!(m.counter("dlfs.rebuild.completed"), 1);
@@ -253,12 +252,12 @@ fn main() {
         "post p99",
     ]);
     for &replicas in &[2usize, 3] {
-        for &gap in &[16u64, 64, 256] {
-            let a = cell(seed, n, size, replicas, gap);
-            let b = cell(seed, n, size, replicas, gap);
+        for &step in &[16u64, 64, 256] {
+            let a = cell(seed, n, size, replicas, step);
+            let b = cell(seed, n, size, replicas, step);
             assert!(
                 a == b,
-                "same-seed rebuild runs diverged at k={replicas} gap={gap}"
+                "same-seed rebuild runs diverged at k={replicas} step={step}"
             );
             assert_eq!(
                 a.planned,
@@ -267,7 +266,7 @@ fn main() {
             );
             t.row(&[
                 replicas.to_string(),
-                gap.to_string(),
+                step.to_string(),
                 a.planned.to_string(),
                 a.trickled.to_string(),
                 a.rebuilt.to_string(),

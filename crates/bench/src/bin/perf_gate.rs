@@ -161,7 +161,6 @@ fn degraded_and_rebuild(seed: u64) -> (u64, u64) {
             replicas: 2,
             verify_reads: true,
             fail_dead_after: Some(Dur::micros(300)),
-            rebuild_gap_blocks: 128,
             ..DlfsConfig::default()
         };
         let devices: Vec<Arc<NvmeDevice>> = (0..3)
@@ -197,7 +196,7 @@ fn degraded_and_rebuild(seed: u64) -> (u64, u64) {
         let degraded_p99 = lat[(lat.len() * 99) / 100];
 
         // Fresh replacement under the same index; rebuild rides along a
-        // foreground epoch, `rebuild_gap_blocks` after every batch.
+        // foreground epoch, 128 blocks stepped after every batch.
         devices[1].revive();
         devices[1].dma_write(0, &vec![0u8; DEV_BYTES as usize]);
         let t_begin = rt.now();
@@ -215,7 +214,7 @@ fn degraded_and_rebuild(seed: u64) -> (u64, u64) {
                 }
             }
         }
-        io.drive_rebuild();
+        io.rebuild_step(u64::MAX);
         let rebuild_ns = (t_done.unwrap_or_else(|| rt.now()) - t_begin).as_nanos();
         assert!(!red.is_dead(1), "rebuilt node must rejoin");
         (degraded_p99, rebuild_ns)

@@ -158,10 +158,6 @@ pub struct DlfsConfig {
     /// retried/failed over, and (with replicas) the bad extent is
     /// rewritten from a healthy copy (read-repair). Off by default.
     pub verify_reads: bool,
-    /// Walk and verify data extents during idle reactor gaps, repairing
-    /// latent corruption from replicas before demand reads hit it.
-    /// Requires `verify_reads`.
-    pub scrub: bool,
     /// Death policy: a target continuously Suspect (its circuit open) for
     /// at least this long is declared permanently Dead — it is never
     /// routed to or probed again, writes targeting it fail fast with
@@ -172,11 +168,6 @@ pub struct DlfsConfig {
     /// `replicas >= 2` — with a single copy there is nothing to serve
     /// from once a node is written off.
     pub fail_dead_after: Option<Dur>,
-    /// Block budget the online rebuild copies per idle reactor gap — the
-    /// rebuild bandwidth cap. Rebuild I/O runs only while every qpair is
-    /// idle, so foreground epoch reads keep their latency; this bounds
-    /// how much of each gap the rebuild may consume. Must be > 0.
-    pub rebuild_gap_blocks: u64,
     /// Per-chunk codec applied to the staged data region at mount/import
     /// time (FanStore-style transparent compression). `Identity` — the
     /// default — stores raw bytes, byte-identical to builds without the
@@ -218,9 +209,7 @@ impl Default for DlfsConfig {
             reactor_stats: false,
             replicas: 1,
             verify_reads: false,
-            scrub: false,
             fail_dead_after: None,
-            rebuild_gap_blocks: 64,
             codec: crate::codec::CodecKind::Identity,
             offload: false,
             qos: None,
@@ -267,22 +256,12 @@ impl DlfsConfig {
                 self.prefetch_window
             ));
         }
-        if self.scrub && !self.verify_reads {
-            return bad(
-                "scrub requires verify_reads: the scrubber walks extents against \
-                 the persisted checksum table"
-                    .into(),
-            );
-        }
         if self.fail_dead_after.is_some() && self.replicas < 2 {
             return bad(format!(
                 "fail_dead_after requires replicas >= 2 (have {}): declaring a \
                  node dead only helps if its data survives elsewhere",
                 self.replicas
             ));
-        }
-        if self.rebuild_gap_blocks == 0 {
-            return bad("rebuild_gap_blocks must be > 0".into());
         }
         if self.codec != crate::codec::CodecKind::Identity
             && matches!(self.batch_mode, BatchMode::SampleLevel)
@@ -401,20 +380,6 @@ mod tests {
         };
         assert!(c.check_replicas(4).is_err());
         assert!(DlfsConfig::default().check_replicas(0).is_err());
-        // Scrub needs the checksum table…
-        let c = DlfsConfig {
-            scrub: true,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
-        // …and is valid once it has one.
-        let c = DlfsConfig {
-            replicas: 2,
-            verify_reads: true,
-            scrub: true,
-            ..Default::default()
-        };
-        c.validate().unwrap();
         // Membership needs a surviving copy to serve from…
         let c = DlfsConfig {
             fail_dead_after: Some(Dur::millis(1)),
@@ -428,11 +393,6 @@ mod tests {
             ..Default::default()
         };
         c.validate().unwrap();
-        let c = DlfsConfig {
-            rebuild_gap_blocks: 0,
-            ..Default::default()
-        };
-        assert!(c.validate().is_err());
         // QoS: zero slots, duplicate ids and zero weight are all caught; a
         // well-formed config passes.
         use crate::tenant::{QosConfig, TenantSpec};

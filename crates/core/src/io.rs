@@ -393,7 +393,7 @@ pub struct DlfsIo {
     staged: Vec<(u64, Dur)>,
     /// Check entries published and not yet answered.
     checks_out: usize,
-    /// Scrub and rebuild: background work done in idle reactor gaps.
+    /// Scrub and rebuild, run when the caller asks.
     background: Background,
     /// Fatal engine failure (a part exhausted its retry budget). Sticky
     /// until the epoch is replaced: the plan can no longer be completed.
@@ -830,10 +830,7 @@ impl DlfsIo {
         }
         self.tel.wakeups.inc();
         if self.qpairs.iter().all(|q| q.outstanding() == 0) {
-            // Nothing in flight: the reactor parks. The idle gap goes to
-            // background scrubbing and rebuild first (untimed bookkeeping
-            // — a housekeeping thread, not reactor CPU).
-            self.background.idle_gap();
+            // Nothing in flight: the reactor parks.
             self.tel.parked_ns.add((t - now).as_nanos());
             rt.sleep_until(t);
             return;
@@ -852,13 +849,11 @@ impl DlfsIo {
     // ------------------------------------------------- background healing --
     //
     // Scrub and rebuild execution live in [`Background`]; the handle only
-    // forwards (and lends its idle gaps, see `advance_to`).
+    // forwards. A caller paces healing: nothing here runs unless called.
 
-    /// One full background-scrub sweep over every node's data region:
-    /// verify every covered block and repair what a healthy replica can
-    /// provide. Returns the number of blocks scrubbed. Exposed for tests
-    /// and the fsck/CI tooling; the engine otherwise scrubs incrementally
-    /// during idle reactor gaps (config `scrub`).
+    /// One full scrub sweep over every node's data region: verify every
+    /// covered block and repair what a healthy replica can provide.
+    /// Returns the number of blocks scrubbed.
     pub fn scrub_pass(&mut self) -> u64 {
         self.background.scrub_pass()
     }
@@ -866,13 +861,13 @@ impl DlfsIo {
     /// Start automated re-replication of storage node `node` after a
     /// permanent loss: enumerate every replica slot the node hosted
     /// (`RebuildPlan::for_dead_node`) and copy each block back
-    /// from a surviving verified replica, `rebuild_gap_blocks` per idle
-    /// reactor gap (call [`DlfsIo::drive_rebuild`] to finish
-    /// synchronously). The replacement device — the revived node, or a
-    /// fresh one mounted under the same index — must be attached and
-    /// serving writes first. Returns the total blocks to rebuild; a typed
-    /// configuration error without `replicas >= 2` and a membership policy,
-    /// or for a `node` past the deployment's storage nodes.
+    /// from a surviving verified replica as [`DlfsIo::rebuild_step`] walks
+    /// it (`rebuild_step(u64::MAX)` finishes it in one call). The
+    /// replacement device — the revived node, or a fresh one mounted under
+    /// the same index — must be attached and serving writes first. Returns
+    /// the total blocks to rebuild; a typed configuration error without
+    /// `replicas >= 2` and a membership policy, or for a `node` past the
+    /// deployment's storage nodes.
     pub fn begin_rebuild(&mut self, node: u16) -> Result<u64, DlfsError> {
         self.background.begin_rebuild(node)
     }
@@ -887,19 +882,12 @@ impl DlfsIo {
         self.background.rebuild_remaining()
     }
 
-    /// Walk up to `budget` blocks of the in-flight rebuild — the same
-    /// slice the engine takes per idle reactor gap, exposed so tests and
-    /// the `ext_rebuild` bench can interleave rebuild progress with
-    /// foreground work (or mid-rebuild faults) at a controlled pace.
+    /// Walk up to `budget` blocks of the in-flight rebuild, finishing it
+    /// once the plan is walked; returns blocks walked. The only pace a
+    /// rebuild has: interleave steps with foreground work, or pass
+    /// `u64::MAX` to run it to completion now.
     pub fn rebuild_step(&mut self, budget: u64) -> u64 {
         self.background.rebuild_blocks(budget)
-    }
-
-    /// Run the in-flight rebuild to completion in one call (tests, the
-    /// `ext_rebuild` bench, and operators who want redundancy back *now*
-    /// rather than trickled through idle gaps). Returns blocks walked.
-    pub fn drive_rebuild(&mut self) -> u64 {
-        self.background.drive_rebuild()
     }
 }
 

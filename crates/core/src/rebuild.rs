@@ -18,14 +18,14 @@
 //! under the same deployment always yields the same extent list, and a
 //! same-seed rerun of a chaos scenario replays the rebuild byte-for-byte.
 //!
-//! [`Background`] executes it, and the scrubber, in slices: untimed
-//! bookkeeping that models a housekeeping thread running in the reactor's
-//! idle gaps, not reactor CPU. It touches only [`DlfsShared`] and its own
-//! counters; [`crate::io::DlfsIo`] owns one, calls [`Background::idle_gap`]
-//! when it parks, and forwards its public scrub/rebuild methods here. Both
-//! are one walk: a [`Walk`] over `(home, dest)` extents — copy 0 of every
-//! node for scrub, the plan's extents for a rebuild — and one step per
-//! stored block, [`Background::mend`], that each counts its own way. What
+//! [`Background`] executes it, and the scrubber: untimed bookkeeping that
+//! models a housekeeping thread, not reactor CPU, run only when a caller
+//! asks — a caller paces healing, the reactor lends it nothing. It touches
+//! only [`DlfsShared`] and its own counters; [`crate::io::DlfsIo`] owns one
+//! and forwards its public scrub/rebuild methods here. Both are one walk:
+//! a [`Walk`] over `(home, dest)` extents — copy 0 of every node for
+//! scrub, the plan's extents for a rebuild — and one step per stored
+//! block, [`Background::mend`], that each counts its own way. What
 //! a good copy is, and how a bad one is healed, is [`Redundancy`]'s to say
 //! ([`Redundancy::heal`]).
 
@@ -86,9 +86,6 @@ impl RebuildPlan {
     }
 }
 
-/// Blocks the background scrubber walks per idle reactor gap.
-const SCRUB_GAP_BLOCKS: u64 = 64;
-
 /// A resumable walk over the stored blocks of `(home, dest)` extents —
 /// copy `dest` of `home`'s stored run, in home coordinates — in order, the
 /// first again after the last: the one cursor under scrub and rebuild.
@@ -121,8 +118,8 @@ impl Walk {
     }
 }
 
-/// In-flight re-replication of one dead node, executed in slices through
-/// idle reactor gaps (see [`Background::begin_rebuild`]).
+/// In-flight re-replication of one dead node, executed in slices of the
+/// caller's size ([`Background::rebuild_blocks`]).
 struct RebuildState {
     plan: RebuildPlan,
     /// Over the plan's extents, each onto the dead node.
@@ -136,11 +133,7 @@ struct RebuildState {
 /// Scrub walk, in-flight rebuild and their counters for one I/O handle.
 pub(crate) struct Background {
     shared: Arc<DlfsShared>,
-    /// Over every node's home copy, round and round.
-    scrub: Walk,
-    /// In-flight node rebuild, throttled to `rebuild_gap_blocks` per idle
-    /// gap so foreground reads keep their latency; `None` when full
-    /// redundancy holds.
+    /// In-flight node rebuild; `None` when full redundancy holds.
     rebuild: Option<RebuildState>,
     /// `dlfs.integrity.{scrubbed,repairs}` (the read path's read-repair
     /// counts into the same `repairs`).
@@ -167,7 +160,6 @@ impl Background {
         let rb = red.membership.as_ref().map(|_| reg.scoped("dlfs.rebuild"));
         let (iv, rb) = (iv.as_ref(), rb.as_ref());
         Background {
-            scrub: Walk::new((0..shared.targets.len() as u16).map(|n| (n, 0))),
             rebuild: None,
             scrubbed: counter_in(iv, "scrubbed"),
             repairs: counter_in(iv, "repairs"),
@@ -177,17 +169,6 @@ impl Background {
             rb_completed: counter_in(rb, "completed"),
             rb_at_risk: rb.map_or_else(Gauge::default, |s| s.gauge("chunks_at_risk")),
             shared,
-        }
-    }
-
-    /// The reactor is about to park with nothing in flight: spend the gap
-    /// on a slice of scrubbing (config `scrub`) and of the rebuild.
-    pub fn idle_gap(&mut self) {
-        if self.shared.cfg.scrub {
-            self.scrub_blocks(SCRUB_GAP_BLOCKS);
-        }
-        if self.rebuild.is_some() {
-            self.rebuild_blocks(self.shared.cfg.rebuild_gap_blocks);
         }
     }
 
@@ -210,18 +191,20 @@ impl Background {
         Ok(true)
     }
 
-    /// Walk `budget` stored blocks on from where the scrub stands, mending
-    /// each home copy, once round at most past the end. Returns the number
-    /// of blocks scrubbed. No-op without checksums.
-    fn scrub_blocks(&mut self, budget: u64) -> u64 {
-        if !self.shared.redundancy.verify() {
+    /// One scrub sweep: mend every node's home copy, each stored block
+    /// once. Returns the number of blocks scrubbed; no-op without
+    /// checksums.
+    pub fn scrub_pass(&self) -> u64 {
+        let red = &self.shared.redundancy;
+        if !red.verify() {
             return 0;
         }
+        let total = red.stored.iter().sum();
+        let mut walk = Walk::new((0..red.stored.len() as u16).map(|n| (n, 0)));
         let mut blk = vec![0u8; BLOCK_SIZE as usize];
-        let (mut scrubbed, mut hops) = (0, 0);
-        while scrubbed < budget && hops <= self.scrub.extents.len() {
-            let Some(at) = self.scrub.next(&self.shared.redundancy) else {
-                hops += 1;
+        let mut scrubbed = 0;
+        while scrubbed < total {
+            let Some(at) = walk.next(red) else {
                 continue;
             };
             if self.mend(at, &mut blk) == Ok(true) {
@@ -231,14 +214,6 @@ impl Background {
         }
         self.scrubbed.add(scrubbed);
         scrubbed
-    }
-
-    /// One full scrub sweep over every node's stored blocks; returns the
-    /// number of blocks scrubbed.
-    pub fn scrub_pass(&mut self) -> u64 {
-        let total = self.shared.redundancy.stored.iter().sum();
-        self.scrub.at = (0, 0);
-        self.scrub_blocks(total)
     }
 
     /// Plan the re-replication of storage node `node` and arm it; returns
@@ -291,15 +266,6 @@ impl Background {
             .as_ref()
             .map(|r| r.plan.total_blocks - r.walked)
             .unwrap_or(0)
-    }
-
-    /// Run the in-flight rebuild to completion; returns blocks walked.
-    pub fn drive_rebuild(&mut self) -> u64 {
-        let mut done = 0;
-        while self.rebuild.is_some() {
-            done += self.rebuild_blocks(u64::MAX);
-        }
-        done
     }
 
     /// Chunks not yet at full redundancy when `blocks` blocks are missing.

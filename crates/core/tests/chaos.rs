@@ -8,7 +8,7 @@ mod common;
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, FaultInjector, NvmeDevice};
-use common::test_seed;
+use common::{local_device, test_seed};
 use dlfs::source::SampleSource;
 use dlfs::{
     Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, IoFailure, ReadRequest,
@@ -17,10 +17,6 @@ use dlfs::{
 use fabric::{Cluster, FabricConfig, FabricFaultInjector};
 use simkit::prelude::*;
 use simkit::rng::fnv1a;
-
-fn local_device() -> Arc<NvmeDevice> {
-    NvmeDevice::new(DeviceConfig::optane(256 << 20))
-}
 
 /// Small chunks so an epoch issues many NVMe commands — enough dice rolls
 /// for per-command fault rates to actually fire.

@@ -8,18 +8,14 @@ mod common;
 
 use std::sync::Arc;
 
-use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget, BLOCK_SIZE};
-use common::test_seed;
+use blocksim::{FaultInjector, NvmeDevice, NvmeTarget, BLOCK_SIZE};
+use common::{ramdisk, test_seed};
 use dlfs::source::SampleSource;
 use dlfs::{
     CacheMode, CodecKind, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance,
     ReadRequest, SyntheticSource,
 };
 use simkit::prelude::*;
-
-fn ramdisk(bytes: u64) -> Arc<NvmeDevice> {
-    NvmeDevice::new(DeviceConfig::emulated_ramdisk(bytes, Dur::micros(10)))
-}
 
 fn lz_cfg() -> DlfsConfig {
     DlfsConfig {
@@ -573,7 +569,7 @@ fn assert_whole(
     let blank = vec![0u8; devices[victim].storage().capacity() as usize];
     devices[victim].dma_write(0, &blank);
     assert!(io.begin_rebuild(victim as u16).unwrap() > 0);
-    io.drive_rebuild();
+    io.rebuild_step(u64::MAX);
     let m = reg.snapshot();
     for counter in [
         "integrity.mismatches",
@@ -714,7 +710,7 @@ fn rebuild_rehash_restores_the_imported_table_over_poisoned_tails() {
         devices[1].dma_write(0, &vec![0x5A; 4 << 20]);
         let mut io = warm.io(0);
         assert!(io.begin_rebuild(1).unwrap() > 0);
-        io.drive_rebuild();
+        io.rebuild_step(u64::MAX);
         assert_eq!(io.metrics().counter("dlfs.rebuild.blocks_failed"), 0);
         assert_eq!(table(&devices[1]), imported, "restored integrity table");
         let rep = dlfs::fsck_node(&warm.shared(0).targets[1], 1, true);

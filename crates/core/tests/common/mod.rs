@@ -2,6 +2,21 @@
 //! crate uses a subset.
 #![allow(dead_code)]
 
+use std::sync::Arc;
+
+use blocksim::{DeviceConfig, NvmeDevice};
+use simkit::Dur;
+
+/// An emulated ramdisk of `bytes` bytes, 10 µs per command.
+pub fn ramdisk(bytes: u64) -> Arc<NvmeDevice> {
+    NvmeDevice::new(DeviceConfig::emulated_ramdisk(bytes, Dur::micros(10)))
+}
+
+/// A local 256 MiB Optane device.
+pub fn local_device() -> Arc<NvmeDevice> {
+    NvmeDevice::new(DeviceConfig::optane(256 << 20))
+}
+
 /// Base seed plus the CI sweep offset (`DLFS_TEST_SEED_OFFSET`), so a
 /// randomized suite re-runs under a second seed without code changes.
 pub fn test_seed(base: u64) -> u64 {

@@ -1,9 +1,12 @@
 //! End-to-end DLFS tests: mount → sequence → bread/read across local and
 //! disaggregated deployments, with full payload verification.
 
+mod common;
+
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
+use common::local_device;
 use dlfs::source::SampleSource;
 use dlfs::{
     BatchMode, CacheMode, Completions, Deployment, DlfsConfig, DlfsError, ReadRequest,
@@ -11,10 +14,6 @@ use dlfs::{
 };
 use fabric::{Cluster, FabricConfig};
 use simkit::prelude::*;
-
-fn local_device() -> Arc<NvmeDevice> {
-    NvmeDevice::new(DeviceConfig::optane(256 << 20))
-}
 
 /// Mount `source` disaggregated: `n` nodes, each a reader and an NVMe-oF
 /// target, full mesh of remote targets.

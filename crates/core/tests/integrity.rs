@@ -1,6 +1,6 @@
 //! End-to-end integrity and self-healing tests: checksummed reads,
 //! replica failover under permanent target death, read-repair of silent
-//! bit flips, background scrubbing, and typed `Corrupt`
+//! bit flips, scrub passes, and typed `Corrupt`
 //! errors when no healthy copy exists. All deterministic: same-seed runs
 //! are byte-identical, and the default configuration builds none of it.
 
@@ -8,8 +8,8 @@ mod common;
 
 use std::sync::Arc;
 
-use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget, BLOCK_SIZE};
-use common::{check_golden, test_seed};
+use blocksim::{FaultInjector, NvmeDevice, NvmeTarget, BLOCK_SIZE};
+use common::{check_golden, ramdisk, test_seed};
 use dlfs::source::SampleSource;
 use dlfs::{
     fsck_node, fsck_repair, CodecKind, Completions, Deployment, DlfsConfig, DlfsError,
@@ -18,10 +18,6 @@ use dlfs::{
 use fabric::{Cluster, FabricConfig, FabricFaultInjector};
 use simkit::prelude::*;
 use simkit::rng::fnv1a;
-
-fn ramdisk(bytes: u64) -> Arc<NvmeDevice> {
-    NvmeDevice::new(DeviceConfig::emulated_ramdisk(bytes, Dur::micros(10)))
-}
 
 /// Replicated + verified config over small chunks (many commands, many
 /// verification points).
@@ -260,19 +256,15 @@ fn zero_copy_reads_verify_and_repair() {
     });
 }
 
-/// The background scrubber walks the integrity tables during idle reactor
-/// gaps and heals latent corruption before demand reads ever see it; an
-/// explicit full pass leaves a deep fsck clean.
+/// A scrub pass, run when the caller asks, walks the integrity tables and
+/// heals latent corruption before demand reads ever see it, leaving a
+/// deep fsck clean.
 #[test]
 fn scrub_pass_heals_latent_corruption_to_fsck_clean() {
     Runtime::simulate(test_seed(75), |rt| {
         let source = SyntheticSource::fixed(6, 700, 2048);
         let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20), ramdisk(64 << 20)];
-        let cfg = DlfsConfig {
-            scrub: true,
-            ..redundant_cfg(2)
-        };
-        let fs = dlfs::MountBuilder::new(cfg)
+        let fs = dlfs::MountBuilder::new(redundant_cfg(2))
             .deployment(Deployment::local(1, &devices))
             .persistent()
             .mount(rt, &source)
@@ -432,11 +424,7 @@ fn parts_checked_on_the_pool_fail_over_repair_and_type_corrupt() {
 fn corruption_run(seed: u64) -> (u64, u64, String) {
     let ((checksum, metrics), end) = Runtime::simulate(seed, |rt| {
         let source = SyntheticSource::fixed(9, 900, 2048);
-        let cfg = DlfsConfig {
-            scrub: true,
-            ..redundant_cfg(2)
-        };
-        let (fs, cluster, devices) = disaggregated(rt, 3, &source, cfg);
+        let (fs, cluster, devices) = disaggregated(rt, 3, &source, redundant_cfg(2));
         devices[0].set_faults(
             FaultInjector::new(seed ^ 0xB1)
                 .with_bit_flips(0, 96)
@@ -581,7 +569,7 @@ fn heal_cell(replicas: usize, codec: CodecKind, damage: Damage, healer: Healer) 
             Healer::Scrub => out.push_str(&format!("scrubbed={}\n", io.scrub_pass())),
             Healer::Rebuild => {
                 let planned = io.begin_rebuild(victim).unwrap();
-                let walked = io.drive_rebuild();
+                let walked = io.rebuild_step(u64::MAX);
                 out.push_str(&format!("planned={planned} walked={walked}\n"));
             }
             Healer::Fsck => {

@@ -10,8 +10,8 @@ mod common;
 
 use std::sync::Arc;
 
-use blocksim::{DeviceConfig, NvmeDevice, NvmeTarget};
-use common::test_seed;
+use blocksim::{NvmeDevice, NvmeTarget};
+use common::{ramdisk, test_seed};
 use dlfs::source::SampleSource;
 use dlfs::{
     fsck_node, Completions, Deployment, DlfsConfig, DlfsError, DlfsIo, FsckState, ReadRequest,
@@ -21,10 +21,6 @@ use fabric::{Outcome, TargetState};
 use simkit::prelude::*;
 use simkit::rng::{fnv1a, SplitMix64};
 use simkit::telemetry::Registry;
-
-fn ramdisk(bytes: u64) -> Arc<NvmeDevice> {
-    NvmeDevice::new(DeviceConfig::emulated_ramdisk(bytes, Dur::micros(10)))
-}
 
 /// The chunk size of every import here.
 const CHUNK: u64 = 8 * 1024;
@@ -189,6 +185,40 @@ fn rebuild_of_a_node_past_the_deployment_is_refused() {
     });
 }
 
+/// Regression: a rebuild moves only when its caller steps it. An armed
+/// rebuild used to be walked 64 blocks at a time whenever the reactor
+/// parked with nothing in flight — which only an offloaded batch's wait
+/// did — so its pace hung on the read path an epoch took.
+#[test]
+fn an_armed_rebuild_waits_for_its_caller_on_either_read_path() {
+    Runtime::simulate(test_seed(100), |rt| {
+        let source = SyntheticSource::fixed(30, 600, 2048);
+        let devices: Vec<_> = (0..3).map(|_| ramdisk(64 << 20)).collect();
+        let cfg = DlfsConfig {
+            offload: true,
+            ..membership_cfg(2)
+        };
+        let fs = dlfs::MountBuilder::new(cfg)
+            .deployment(Deployment::local(1, &devices))
+            .mount(rt, &source)
+            .unwrap();
+        let mut io = fs.io(0);
+        let planned = io.begin_rebuild(1).unwrap();
+        // One epoch per path: an epoch is served by one of them.
+        for (epoch, req) in [ReadRequest::batch(32).offload(), ReadRequest::batch(32)]
+            .into_iter()
+            .enumerate()
+        {
+            io.sequence(rt, 85, epoch as u64);
+            let batch = io.submit(rt, &req).unwrap().into_copied();
+            assert_eq!(batch.len(), 32);
+            assert_eq!(io.rebuild_remaining(), planned, "offload={}", req.offload);
+        }
+        assert_eq!(io.rebuild_step(u64::MAX), planned);
+        assert!(!io.rebuild_active());
+    });
+}
+
 /// The acceptance scenario end to end: kill one target permanently
 /// mid-epoch with `replicas = 2`. The epoch completes byte-correct in
 /// degraded mode, the membership view escalates the node to Dead (epoch
@@ -252,18 +282,19 @@ fn membership_run(seed: u64) -> (u64, u64, String) {
         assert!(io.rebuild_active());
         assert!(io.metrics().gauge("dlfs.rebuild.chunks_at_risk") > 0);
 
-        // Epoch 1 runs *while* the rebuild trickles through idle reactor
-        // gaps: still degraded (node 1 stays Dead until the rebuild
-        // verifies complete), still byte-correct.
+        // Epoch 1 runs with the rebuild armed: still degraded (node 1 stays
+        // Dead until the rebuild verifies complete), still byte-correct,
+        // and the rebuild has not moved — a caller paces it.
         let total = io.sequence(rt, 31, 1);
         checksum ^= drain_epoch(rt, &mut io, &source, total, usize::MAX, || {}).rotate_left(1);
         assert!(red.is_dead(1), "rejoin only after a complete rebuild");
+        assert_eq!(io.rebuild_remaining(), planned);
 
         // Finish the rebuild synchronously: full redundancy restored,
         // node 1 rejoined, nothing at risk, deep fsck clean everywhere —
         // the replacement is indistinguishable from the original import,
         // down to the bytes of its superblock, metadata and tables.
-        io.drive_rebuild();
+        io.rebuild_step(u64::MAX);
         assert_eq!(regions(&devices[1], data_base), imported);
         assert!(!io.rebuild_active());
         assert_eq!(io.rebuild_remaining(), 0);
@@ -330,7 +361,7 @@ fn rolling_failures_rebuild_and_rejoin_in_sequence() {
             // The node restarts with its media intact: catch-up resync.
             devices[victim].revive();
             assert!(io.begin_rebuild(victim as u16).unwrap() > 0);
-            io.drive_rebuild();
+            io.rebuild_step(u64::MAX);
             assert!(!red.is_dead(victim), "round {round}: no rejoin");
             let m = io.metrics();
             assert_eq!(m.counter("dlfs.rebuild.completed"), round as u64 + 1);
@@ -372,7 +403,7 @@ fn mid_rebuild_source_death_falls_back_to_surviving_replica() {
         // Walk a slice, then lose one of the surviving source nodes.
         io.rebuild_step(64);
         devices[2].kill();
-        io.drive_rebuild();
+        io.rebuild_step(u64::MAX);
         let m = io.metrics();
         assert_eq!(m.counter("dlfs.rebuild.completed"), 1);
         assert_eq!(
@@ -504,7 +535,7 @@ fn rebuild_without_checksums_is_sized_from_geometry() {
             assert!(red.is_dead(1), "{case}: no escalation");
             replace_with_fresh(&devices[1], 64 << 20);
             assert_eq!(io.begin_rebuild(1).unwrap(), hosted, "{case}");
-            assert_eq!(io.drive_rebuild(), hosted, "{case}");
+            assert_eq!(io.rebuild_step(u64::MAX), hosted, "{case}");
             let m = io.metrics();
             assert_eq!(m.counter("dlfs.rebuild.blocks_rebuilt"), hosted, "{case}");
             assert_eq!(m.counter("dlfs.rebuild.blocks_failed"), 0, "{case}");

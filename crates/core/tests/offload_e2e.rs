@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget, BLOCK_SIZE};
-use common::test_seed;
+use common::{ramdisk, test_seed};
 use dlfs::source::SampleSource;
 use dlfs::{
     CodecKind, Completions, Deployment, DlfsConfig, DlfsError, DlfsInstance, IoFailure,
@@ -21,10 +21,6 @@ use dlfs::{
 use fabric::{Cluster, FabricConfig, FabricFaultInjector};
 use simkit::prelude::*;
 use simkit::rng::{fnv1a, SplitMix64};
-
-fn ramdisk(bytes: u64) -> Arc<NvmeDevice> {
-    NvmeDevice::new(DeviceConfig::emulated_ramdisk(bytes, Dur::micros(10)))
-}
 
 fn offload_cfg(codec: CodecKind) -> DlfsConfig {
     DlfsConfig {

@@ -9,8 +9,8 @@ mod common;
 
 use std::sync::Arc;
 
-use blocksim::{DeviceConfig, FaultInjector, NvmeDevice, NvmeTarget};
-use common::{check_golden, test_seed};
+use blocksim::{FaultInjector, NvmeDevice, NvmeTarget};
+use common::{check_golden, ramdisk, test_seed};
 use dlfs::source::SampleSource;
 use dlfs::{
     fsck_node, fsck_repair, CodecKind, Completions, Deployment, DlfsConfig, DlfsError,
@@ -21,10 +21,6 @@ use simkit::prelude::*;
 use simkit::resource::Link;
 use simkit::rng::{fnv1a, SplitMix64};
 use simkit::telemetry::Registry;
-
-fn ramdisk(bytes: u64) -> Arc<NvmeDevice> {
-    NvmeDevice::new(DeviceConfig::emulated_ramdisk(bytes, Dur::micros(10)))
-}
 
 /// `readers` reader nodes (cluster nodes `0..readers`) in front of devices
 /// exported as NVMe-oF targets on the cluster nodes that follow.

@@ -14,7 +14,7 @@ mod common;
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, FaultInjector, NvmeDevice};
-use common::check_golden;
+use common::{check_golden, local_device};
 use dlfs::source::SampleSource;
 use dlfs::{
     CacheMode, CodecKind, Deployment, DlfsConfig, DlfsError, DlfsInstance, MountBuilder,
@@ -23,10 +23,6 @@ use dlfs::{
 use fabric::{Cluster, FabricConfig, FabricFaultInjector};
 use simkit::prelude::*;
 use simkit::rng::fnv1a;
-
-fn local_device() -> Arc<NvmeDevice> {
-    NvmeDevice::new(DeviceConfig::optane(256 << 20))
-}
 
 /// Hash of the delivered ids in delivery order.
 fn ids_hash(ids: &[u32]) -> u64 {
