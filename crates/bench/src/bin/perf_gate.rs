@@ -55,7 +55,12 @@
 //!   within the 5% fairness budget;
 //! - `sync_read_busy_ns` — the reader's busy CPU per `read_by_id` of
 //!   IMDB-sized samples from four NVMe-oF targets (lower is better): the
-//!   trainer CPU a synchronous read costs, most of it its wait.
+//!   trainer CPU a synchronous read costs, most of it its wait;
+//! - `queued_read_busy_ns` — the reader's busy CPU per sample of one
+//!   batched epoch of 64 KiB samples from one local ramdisk (lower is
+//!   better): a deep queue on one qpair, whose waits park through what the
+//!   qpair predicts; the gate asserts inline that none parks past its
+//!   completion.
 //!
 //! Usage:
 //!
@@ -374,6 +379,33 @@ fn sync_read_busy(seed: u64) -> f64 {
     .0
 }
 
+fn queued_read_busy(seed: u64) -> f64 {
+    const SAMPLES: usize = 1024;
+    Runtime::simulate(seed, |rt| {
+        let source = SyntheticSource::fixed(seed ^ 0x0DE, SAMPLES, 64 << 10);
+        let cfg = DlfsConfig {
+            reactor_stats: true,
+            ..DlfsConfig::default()
+        };
+        let fs = dlfs::MountBuilder::new(cfg)
+            .local(setup::emulated_for(SAMPLES as u64 * (64 << 10)))
+            .mount(rt, &source)
+            .unwrap();
+        let mut io = fs.io(0);
+        let total = io.sequence(rt, 7, 0);
+        let busy0 = rt.my_busy();
+        let mut got = 0usize;
+        while got < total {
+            got += io.submit(rt, &ReadRequest::batch(32)).unwrap().len();
+        }
+        let busy = rt.my_busy() - busy0;
+        let late = io.metrics().counter("dlfs.reactor.late_ns");
+        assert_eq!(late, 0, "a queued read's wait parked {late} ns past it");
+        busy.as_nanos() as f64 / got as f64
+    })
+    .0
+}
+
 /// Pull `"key": value` out of the flat JSON the gate itself writes.
 fn json_num(text: &str, key: &str) -> Option<f64> {
     let needle = format!("\"{key}\":");
@@ -426,7 +458,7 @@ fn main() {
     let (offload_epoch_throughput_sps, coded_setup_ns, coded_stored_ratio) =
         offload_epoch_throughput(seed);
     // (key, value, higher is better, decimals printed), in file order.
-    let metrics: [(&str, f64, bool, usize); 16] = [
+    let metrics: [(&str, f64, bool, usize); 17] = [
         ("epoch_throughput_sps", epoch_throughput_sps, true, 3),
         (
             "verified_epoch_throughput_sps",
@@ -478,6 +510,7 @@ fn main() {
         ("coded_setup_ns", coded_setup_ns as f64, false, 0),
         ("coded_stored_ratio", coded_stored_ratio, false, 6),
         ("sync_read_busy_ns", sync_read_busy(seed), false, 1),
+        ("queued_read_busy_ns", queued_read_busy(seed), false, 1),
     ];
 
     let lines = metrics.map(|(key, now, _, decimals)| format!(",\n  \"{key}\": {now:.decimals$}"));

@@ -395,7 +395,10 @@ impl DlfsIo {
     /// completion queue consolidates this into one pass), then publish the
     /// pass's check entries. The one harvest of every read but the
     /// `abort_epoch` drain, and one `stage.poll_ns` record per pass.
-    pub(super) fn poll(&mut self, rt: &Runtime) -> usize {
+    /// `prompt`: the pass directly follows a wait that spun until a
+    /// completion landed (what [`DlfsIo::advance_to`] returned), so every
+    /// harvest in it is prompt.
+    pub(super) fn poll(&mut self, rt: &Runtime, prompt: bool) -> usize {
         let costs = self.shared.cfg.costs.clone();
         let t0 = rt.now();
         self.tel.poll_spins.inc();
@@ -416,7 +419,7 @@ impl DlfsIo {
                 Some(t) if t <= rt.now() => {}
                 _ => continue,
             }
-            for comp in self.qpairs[q].harvest(rt, t0) {
+            for comp in self.qpairs[q].harvest(rt, t0, prompt) {
                 rt.work(costs.per_completion);
                 self.tel.completions.inc();
                 harvested += 1;
@@ -622,6 +625,9 @@ impl DlfsIo {
             copied: vec![None; if copied { want } else { 0 }],
             ..Batch::default()
         };
+        // Whether the last wait spun until a completion landed: only the
+        // poll pass right after it harvests promptly.
+        let mut spun = false;
         while batch.received < want {
             let Some(pumped) = self.pump(rt) else {
                 // Drain the copies already dispatched (never tear a
@@ -639,7 +645,7 @@ impl DlfsIo {
                     None => break,
                 }
             };
-            let mut progress = pumped + self.poll(rt);
+            let mut progress = pumped + self.poll(rt, std::mem::take(&mut spun));
             loop {
                 progress += self.deliver(rt, &mut batch)?;
                 if batch.dispatched == want || self.checks_out == 0 {
@@ -677,7 +683,7 @@ impl DlfsIo {
                 let stalled = DlfsError::Stalled(self.shared.reader_id);
                 return Err(self.failed.insert(stalled).clone());
             };
-            self.advance_to(rt, t, predicted);
+            spun = self.advance_to(rt, t, predicted);
         }
         Ok(if copied {
             Completions::copied(batch.copied.into_iter().flatten().collect())

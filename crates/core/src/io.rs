@@ -156,6 +156,33 @@ impl DlfsShared {
 /// waiting rule, not in `DlfsCosts`, which the benchmark fingerprints.
 const PARK_WAKE: Dur = Dur::nanos(4_800);
 
+/// A running mean of a quantity and its mean deviation, both in the unit
+/// of its samples, with TCP's round-trip weights: 1/8 for the mean and 1/4
+/// for the deviation.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Ewma {
+    mean: u64,
+    dev: u64,
+}
+
+impl Ewma {
+    fn new(mean: u64, dev: u64) -> Ewma {
+        Ewma { mean, dev }
+    }
+
+    /// Fold in sample `s`; the deviation is taken from the old mean.
+    fn sample(&mut self, s: u64) {
+        self.dev = (3 * self.dev + s.abs_diff(self.mean)) / 4;
+        self.mean = (7 * self.mean + s) / 8;
+    }
+
+    /// The earliest the next sample is expected: the mean less twice the
+    /// deviation.
+    fn floor(&self) -> u64 {
+        self.mean.saturating_sub(2 * self.dev)
+    }
+}
+
 /// One of a handle's qpairs, on storage node `nid`. Every read it holds
 /// counts in the instance's [`ForegroundReads`] from the submit that enters
 /// it to the harvest — or the handle's drop — that takes it out, whichever
@@ -164,14 +191,20 @@ struct ReadQp {
     qp: IoQPair,
     nid: usize,
     fg: Arc<ForegroundReads>,
-    /// Post instants of the reads in flight, oldest first.
-    posted: VecDeque<Time>,
-    /// What the qpair has seen of its reads, `None` until its first
-    /// harvest: the last harvest that took a completion, and two EWMAs in
-    /// ns of the head time sampled at each — the instant the harvest's
-    /// poll pass began minus the later of the head's post and the previous
-    /// harvest — its mean (weight 1/8) and its mean deviation (1/4).
-    seen: Option<(Time, u64, u64)>,
+    /// Post instant and bytes of each read in flight, oldest first.
+    posted: VecDeque<(Time, u64)>,
+    /// What the qpair has seen of its head times, `None` until its first
+    /// harvest: the last harvest that took a completion, and the head
+    /// time sampled at each, in ns — the instant the harvest's poll pass
+    /// began minus the later of the head's post and the previous harvest.
+    seen: Option<(Time, Ewma)>,
+    /// The pass start of the last harvest that took a completion, if that
+    /// harvest was prompt: its pass directly followed a wait that spun
+    /// until a completion landed. The instant a queued read started.
+    anchor: Option<Time>,
+    /// What a queued read takes per byte, in ps, sampled at prompt
+    /// harvests from the anchor, and the bytes of the reads sampled.
+    per_byte: Option<(Ewma, Ewma)>,
 }
 
 impl ReadQp {
@@ -186,43 +219,72 @@ impl ReadQp {
     ) -> Result<(), QpairError> {
         self.qp.submit_read(rt, id, slba, nblocks, buf, at)?;
         self.fg.enter(self.nid);
-        self.posted.push_back(rt.now());
+        self.posted
+            .push_back((rt.now(), nblocks as u64 * BLOCK_SIZE));
         Ok(())
     }
 
     /// Take every due completion, in a harvest whose poll pass began at
-    /// `polled`, and sample its head time.
-    fn harvest(&mut self, rt: &Runtime, polled: Time) -> Vec<Completion> {
+    /// `polled`, `prompt` if that pass directly followed a wait that spun
+    /// until a completion landed. Sample the head time, and, at a prompt
+    /// harvest whose oldest completion was queued at the anchor, the time
+    /// per byte since the anchor.
+    fn harvest(&mut self, rt: &Runtime, polled: Time, prompt: bool) -> Vec<Completion> {
         let done = self.qp.process_completions(rt, usize::MAX);
         self.fg.leave(self.nid, done.len());
         for c in &done {
-            let at = self.posted.partition_point(|&t| t < c.submitted);
-            self.posted.remove(at);
+            if let Some(at) = self
+                .posted
+                .iter()
+                .position(|&p| p == (c.submitted, c.bytes))
+            {
+                self.posted.remove(at);
+            }
         }
-        if let Some(head) = done.iter().map(|c| c.submitted).min() {
-            let sample = |since: Time| (polled - head.max(since)).as_nanos();
-            let (mean, dev) = match self.seen {
-                None => (sample(head), 0),
-                Some((last, mean, dev)) => {
-                    let s = sample(last);
-                    ((7 * mean + s) / 8, (3 * dev + s.abs_diff(mean)) / 4)
+        let Some(head) = done.iter().min_by_key(|c| c.submitted) else {
+            return done;
+        };
+        let sample = |since: Time| (polled - head.submitted.max(since)).as_nanos();
+        self.seen = Some(match self.seen {
+            None => (polled, Ewma::new(sample(head.submitted), 0)),
+            Some((last, mut seen)) => {
+                seen.sample(sample(last));
+                (polled, seen)
+            }
+        });
+        if let Some(anchor) = self.anchor.filter(|&a| prompt && head.submitted < a) {
+            let ps = (polled - anchor).as_nanos() * 1_000 / head.bytes.max(1);
+            self.per_byte = Some(match self.per_byte {
+                None => (Ewma::new(ps, ps / 2), Ewma::new(head.bytes, 0)),
+                Some((mut rate, mut size)) => {
+                    rate.sample(ps);
+                    size.sample(head.bytes);
+                    (rate, size)
                 }
-            };
-            self.seen = Some((polled, mean, dev));
+            });
         }
+        self.anchor = prompt.then_some(polled);
         done
     }
 
-    /// When this qpair expects its read in flight to complete at the
-    /// earliest, from what it has seen alone: its post, plus the mean head
-    /// time less twice its deviation. `None` before the first harvest, and
-    /// unless exactly one read is in flight: the head times of a queue mix
-    /// the device's latency with queueing and with how late the reader
-    /// got round to harvesting, so they predict none of its reads.
+    /// When this qpair expects its head read to complete at the earliest,
+    /// from what it has seen alone. With one read in flight: its post plus
+    /// the floor of the head times. With a queue: the later of the anchor
+    /// and the head's post, plus the head's bytes at the floor of the time
+    /// per byte — a queued read starts when the one before it lands, and
+    /// the anchor is only ever an instant the reader saw one land. `None`
+    /// before the matching sample, with a queue but no anchor, and for a
+    /// head over twice the mean bytes sampled: a small read's time is
+    /// mostly per-command cost, which a larger read does not pay per byte.
     fn predicted(&self) -> Option<Time> {
-        let first = *self.posted.front().filter(|_| self.posted.len() == 1)?;
-        let (_, mean, dev) = self.seen?;
-        Some(first + Dur::nanos(mean.saturating_sub(2 * dev)))
+        let &(post, bytes) = self.posted.front()?;
+        if self.posted.len() == 1 {
+            let (_, head) = self.seen?;
+            return Some(post + Dur::nanos(head.floor()));
+        }
+        let (rate, _) = self.per_byte.filter(|(_, size)| bytes <= 2 * size.mean)?;
+        let start = self.anchor?.max(post);
+        Some(start + Dur::nanos(bytes * rate.floor() / 1_000))
     }
 }
 
@@ -431,13 +493,14 @@ impl DlfsIo {
                 let mut qp = IoQPair::new(t.clone(), qd);
                 qp.attach_telemetry(&reg.scoped(&format!("blocksim.dev{nid}")));
                 let fg = shared.fg_reads.clone();
-                let (posted, seen) = (VecDeque::new(), None);
                 ReadQp {
                     qp,
                     nid,
                     fg,
-                    posted,
-                    seen,
+                    posted: VecDeque::new(),
+                    seen: None,
+                    anchor: None,
+                    per_byte: None,
                 }
             })
             .collect();
@@ -497,9 +560,13 @@ impl DlfsIo {
         self.cmds
             .retain(|_, c| matches!(c.owner, Owner::Prefetch { .. }));
         while let Some(t) = self.next_completion() {
-            self.advance_to(rt, t, self.predicted_completion());
+            let spun = self.advance_to(rt, t, self.predicted_completion());
+            let woke = rt.now();
             for q in 0..self.qpairs.len() {
-                for comp in self.qpairs[q].harvest(rt, rt.now()) {
+                // Prompt only while no completion's work has moved the
+                // clock since the wait ended.
+                let prompt = spun && rt.now() == woke;
+                for comp in self.qpairs[q].harvest(rt, rt.now(), prompt) {
                     self.complete(rt, &comp);
                 }
             }
@@ -807,8 +874,10 @@ impl DlfsIo {
     }
 
     /// The handle's own guess at its next completion: the earliest of its
-    /// qpairs' predictions ([`ReadQp::predicted`]). `None` when nothing is
-    /// in flight or a qpair with reads in flight predicts nothing.
+    /// qpairs' predictions ([`ReadQp::predicted`]) — from a lone read's
+    /// head time, or from a queue's time per byte since the last read the
+    /// reader saw land. `None` when nothing is in flight or a qpair with
+    /// reads in flight predicts nothing.
     fn predicted_completion(&self) -> Option<Time> {
         let busy = self.qpairs.iter().filter(|q| q.outstanding() > 0);
         // `None` orders first: one qpair without a guess leaves none.
@@ -823,27 +892,30 @@ impl DlfsIo {
     /// half of that wait, pays one [`PARK_WAKE`], then spins to `t` (busy)
     /// — late, counted in `dlfs.reactor.late_ns`, if `t` passed meanwhile.
     /// Without a prediction it spins. `t` itself never decides a park.
-    fn advance_to(&mut self, rt: &Runtime, t: Time, predicted: Option<Time>) {
+    /// Returns whether the wait spun until `t`: whether a harvest that
+    /// directly follows it is prompt ([`ReadQp::harvest`]).
+    fn advance_to(&mut self, rt: &Runtime, t: Time, predicted: Option<Time>) -> bool {
         let now = rt.now();
         if t <= now {
-            return;
+            return false;
         }
         self.tel.wakeups.inc();
         if self.qpairs.iter().all(|q| q.outstanding() == 0) {
             // Nothing in flight: the reactor parks.
             self.tel.parked_ns.add((t - now).as_nanos());
             rt.sleep_until(t);
-            return;
+            return false;
         }
         let wait = predicted.map_or(Dur::ZERO, |p| p - now);
         if wait < PARK_WAKE * 2 {
             rt.work_until(t);
-            return;
+            return true;
         }
         let (nap, end) = (wait / 2, t.max(now + wait / 2 + PARK_WAKE));
         self.tel.parked_ns.add(nap.as_nanos());
         self.tel.late_ns.add((end - t).as_nanos());
         rt.sleep_then_work(nap, end - now - nap);
+        end == t
     }
 
     // ------------------------------------------------- background healing --
@@ -1087,11 +1159,60 @@ mod tests {
             let due = [0, 1, 2].map(|q| io.qpairs[q].next_completion_at().unwrap_or(rt.now()));
             assert_eq!(io.next_completion(), Some(due[0].min(due[1])));
             rt.work_until(due[0].max(due[1]));
-            assert_eq!(io.poll(rt), 2);
+            assert_eq!(io.poll(rt, false), 2);
             assert_eq!(io.next_completion(), Some(due[2]));
             rt.work_until(due[2]);
-            assert_eq!(io.poll(rt), 1);
+            assert_eq!(io.poll(rt, false), 1);
             assert_eq!(io.next_completion(), None);
+        });
+    }
+
+    /// A qpair's anchor is the pass start of its last prompt harvest: a
+    /// prompt harvest sets it and times the queued head from it, a harvest
+    /// that is not prompt clears it — a queue is then predicted nothing
+    /// until a wait sees a read land again — and an empty harvest leaves it.
+    #[test]
+    fn a_harvest_that_is_not_prompt_clears_the_anchor() {
+        Runtime::simulate(5, |rt| {
+            let devices = [NvmeDevice::new(DeviceConfig::optane(16 << 20))];
+            let mut io = mount_on(rt, DlfsConfig::default(), &devices, 1);
+            let qp = &mut io.qpairs[0];
+            let post = |qp: &mut ReadQp, n: u64| {
+                for id in 0..n {
+                    let buf = DmaBuf::standalone(4096);
+                    assert_eq!(qp.submit_read(rt, id, 0, 8, buf, 0), Ok(()));
+                }
+            };
+            // Harvest the next completion as it lands.
+            let land = |qp: &mut ReadQp, prompt: bool| {
+                rt.work_until(qp.next_completion_at().unwrap_or(rt.now()));
+                assert_eq!(qp.harvest(rt, rt.now(), prompt).len(), 1);
+                rt.now()
+            };
+            post(qp, 3);
+            let first = land(qp, true);
+            assert_eq!((qp.anchor, qp.per_byte), (Some(first), None));
+            assert_eq!(qp.predicted(), None, "a queue with nothing timed");
+            let second = land(qp, true);
+            let ps = (second - first).as_nanos() * 1_000 / 4096;
+            let rate = Ewma {
+                mean: ps,
+                dev: ps / 2,
+            };
+            let size = Ewma { mean: 4096, dev: 0 };
+            assert_eq!((qp.anchor, qp.per_byte), (Some(second), Some((rate, size))));
+            post(qp, 1);
+            let head = qp.posted[0].0.max(second);
+            let due = head + Dur::nanos(4096 * rate.floor() / 1_000);
+            assert_eq!(qp.predicted(), Some(due));
+            assert_eq!(qp.harvest(rt, rt.now(), false).len(), 0);
+            assert_eq!(qp.anchor, Some(second), "an empty harvest");
+            land(qp, false);
+            assert_eq!((qp.anchor, qp.per_byte), (None, Some((rate, size))));
+            assert_eq!(qp.posted.len(), 1);
+            assert_ne!(qp.predicted(), None, "one in flight: its head time");
+            post(qp, 1);
+            assert_eq!(qp.predicted(), None, "a queue without an anchor");
         });
     }
 

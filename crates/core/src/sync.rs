@@ -75,13 +75,14 @@ impl DlfsIo {
         // Until every part is done or the fetch failed, and none of its
         // commands is still on a device.
         let mine = |c: &Cmd| matches!(c.owner, Owner::Demand(p) if p.sync);
+        let mut spun = false;
         while (self.sync_left > 0 && self.sync_failed.is_none()) || self.cmds.values().any(mine) {
             self.post_queued(rt);
-            if self.poll(rt) > 0 {
+            if self.poll(rt, std::mem::take(&mut spun)) > 0 {
                 continue;
             }
             match self.next_engine_event() {
-                Some((t, predicted)) => self.advance_to(rt, t, predicted),
+                Some((t, predicted)) => spun = self.advance_to(rt, t, predicted),
                 None => self.sync_failed = Some(DlfsError::Stalled(self.shared.reader_id)),
             }
         }

@@ -17,7 +17,7 @@ use blocksim::{DeviceConfig, FaultInjector, NvmeDevice};
 use common::{check_golden, local_device};
 use dlfs::source::SampleSource;
 use dlfs::{
-    CacheMode, CodecKind, Deployment, DlfsConfig, DlfsError, DlfsInstance, MountBuilder,
+    BatchMode, CacheMode, CodecKind, Deployment, DlfsConfig, DlfsError, DlfsInstance, MountBuilder,
     ReadRequest, SyntheticSource,
 };
 use fabric::{Cluster, FabricConfig, FabricFaultInjector};
@@ -850,6 +850,89 @@ fn a_latency_step_is_mispredicted_in_both_directions() {
         assert_eq!(up[0].0, 0);
         assert!(up[0].2 > slow[1].2, "{up:?} against {slow:?}");
     });
+}
+
+/// One batched epoch of `sizes` from one ramdisk of `device`, reactor
+/// counters on, drained in copied batches of 32: the (late ns, parked ns)
+/// it added, the hash of its report (every batch's instant, ids and
+/// payload), and the instant the run ended.
+fn queued_epoch(
+    seed: u64,
+    sizes: Vec<u64>,
+    device: DeviceConfig,
+    mode: BatchMode,
+) -> (u64, u64, u64, u64) {
+    let ((late, parked, report), end) = Runtime::simulate(seed, |rt| {
+        let source = SyntheticSource::new(seed, sizes);
+        let cfg = DlfsConfig {
+            batch_mode: mode,
+            reactor_stats: true,
+            ..DlfsConfig::default()
+        };
+        let fs = MountBuilder::new(cfg)
+            .local(NvmeDevice::new(device))
+            .mount(rt, &source)
+            .unwrap();
+        let mut io = fs.io(0);
+        io.sequence(rt, seed, 0);
+        let mut report = String::new();
+        drain_copied_report(rt, &mut io, &source, 32, &mut report);
+        let m = io.metrics();
+        let reactor = |c: &str| m.counter(&format!("dlfs.reactor.{c}"));
+        (
+            reactor("late_ns"),
+            reactor("parked_ns"),
+            fnv1a(report.as_bytes()),
+        )
+    });
+    (late, parked, report, end.nanos())
+}
+
+/// Hybrid polling with a queue in flight: a batched epoch of uniform
+/// 64 KiB samples from one local ramdisk keeps a deep queue on one qpair,
+/// and its waits park through half of what the qpair predicts from the
+/// completions it saw land, never past one. Parking moves no instant: the
+/// epoch delivers the same batches at the same instants, and ends when, it
+/// did when every such wait spun.
+#[test]
+fn a_deep_queue_parks_on_time() {
+    // (seed, report hash, end ns) with every queued wait spun, at the base
+    // seed and at the CI sweep's second-seed offset; another offset checks
+    // only the parking.
+    const SPUN: [(u64, u64, u64); 2] = [
+        (46, 0xb14f_bebe_c866_2d94, 45_789_366),
+        (1046, 0xdf14_f438_e8e5_44a5, 45_789_366),
+    ];
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    let seed = common::test_seed(46);
+    let ramdisk = DeviceConfig::emulated_ramdisk(128 << 20, Dur::micros(10));
+    let (late, parked, report, end) =
+        queued_epoch(seed, vec![64 << 10; 768], ramdisk, BatchMode::Auto);
+    assert!(parked > 0, "no queued wait parked");
+    assert_eq!(late, 0, "a queued wait parked past its completion");
+    if let Some(&(_, hash, at)) = SPUN.iter().find(|s| s.0 == seed) {
+        assert_eq!((report, end), (hash, at), "parking moved an instant");
+    }
+}
+
+/// A qpair that has timed only small queued reads predicts nothing for a
+/// head more than twice the largest it timed: per-command costs dominate
+/// a small read's time, so its time per byte would put a large read's
+/// completion far too late. 4 KiB samples, one read each, from a
+/// one-channel device whose every read pays 20 µs, and a few 256 KiB ones
+/// among them: the small reads' waits park, and no wait parks late.
+#[test]
+fn a_head_larger_than_anything_timed_is_not_predicted() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    let seed = common::test_seed(47);
+    let sizes = (0..512).map(|i| if i % 128 == 64 { 256 << 10 } else { 4 << 10 });
+    let device = DeviceConfig {
+        channels: 1,
+        ..DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(20))
+    };
+    let (late, parked, _, _) = queued_epoch(seed, sizes.collect(), device, BatchMode::SampleLevel);
+    assert!(parked > 0, "no queued wait parked");
+    assert_eq!(late, 0, "a queued wait parked past its completion");
 }
 
 /// `sequence()` and a dropped handle with verdicts outstanding — parts
