@@ -48,9 +48,12 @@
 #     there and says so in bench/history/README.md;
 #  7. doc citations: every `file.rs::fn_name` that DESIGN.md, README.md or
 #     EXPERIMENTS.md cites names a `fn` in a file of that name under
-#     crates, src, tests or examples, and every field line of a
-#     `DlfsConfig { .. }` literal in README's rust blocks names a `pub`
-#     field of DlfsConfig (a deleted knob cannot survive in the docs);
+#     crates, src, tests or examples; every `Type::member` they cite whose
+#     Type the workspace defines names a fn, field or variant in a file
+#     that defines or implements it (std types are skipped); and every
+#     field line of a `DlfsConfig { .. }` literal in README's rust blocks
+#     names a `pub` field of DlfsConfig (a deleted knob cannot survive in
+#     the docs);
 #  8. every example runs twice in release mode and must print the same
 #     bytes both times (everything is simulated, so nothing may differ);
 #  9. the benchmark's compile contract: benchmark/ is its own workspace
@@ -119,6 +122,18 @@ grep -ohE '\b[A-Za-z0-9_]+\.rs::[a-z_][a-z0-9_]*' DESIGN.md README.md EXPERIMENT
     # /dev/null keeps grep off stdin when no file has that name.
     grep -qsE "\bfn $name\b" $(find crates src tests examples -name "$file") /dev/null ||
       { echo "doc citation $cite: no \`fn $name\` in any $file" >&2; exit 1; }
+    echo "$cite"
+  done
+echo "== doc citations (Type::member in DESIGN.md, README.md, EXPERIMENTS.md)"
+grep -ohE '\b[A-Z][A-Za-z0-9]*::[A-Za-z_][A-Za-z0-9_]*' DESIGN.md README.md EXPERIMENTS.md | sort -u |
+  while IFS= read -r cite; do
+    ty="${cite%%::*}" member="${cite##*::}"
+    # Files that define the type or implement anything for it.
+    files="$(grep -rlE "^(pub(\([a-z]+\))? )?(struct|enum|trait|type) $ty\b|^impl(<[^>]*>)? ([A-Za-z0-9_:<>, ]+ for )?$ty\b" \
+      --include='*.rs' crates src tests examples || true)"
+    [ -n "$files" ] || continue # not the workspace's: std, say
+    grep -qsE "\bfn $member\b|^\s*(pub(\([a-z]+\))? )?$member:|^\s*$member\b\s*([,({]|$)|const $member\b" $files ||
+      { echo "doc citation $cite: no fn, field or variant $member where $ty is defined" >&2; exit 1; }
     echo "$cite"
   done
 echo "== README DlfsConfig literals name pub fields of DlfsConfig"

@@ -219,10 +219,7 @@ fn octofs_run(seed: u64, n: usize, size: u64) -> (u64, u64, u64, u64) {
             rt,
             cluster.clone(),
             &dev_cfg,
-            OctoConfig {
-                replicate: true,
-                ..OctoConfig::default()
-            },
+            OctoConfig { replicate: true },
         );
         let source = SyntheticSource::fixed(seed ^ 0x0C70, n, size);
         let names: Vec<String> = (0..n as u32)

@@ -57,8 +57,9 @@ fn main() {
         dlfs::full_random_order(train_n, seed, e as u64)
     });
 
-    // DLFS-determined order: the exact chunk-level plan the engine runs
-    // (16 KB chunks over ~257 B records, window 12).
+    // DLFS-determined order: the chunk-level plan's delivery model — the
+    // engine's items and deal, drawn through a window of 12 open items
+    // (16 KB chunks over ~257 B records).
     let dlfs_stats = train_with_orders(&train, &val, &cfg, |e| {
         let plan = dlfs::build_epoch_plan(
             &dir,

@@ -45,7 +45,9 @@ pub(super) struct EpochState {
     /// (the prefetcher derives the *next* epoch's item deal from them).
     pub(super) seed: u64,
     pub(super) epoch: u64,
-    pub(super) plan: ReaderPlan,
+    /// This reader's share of the deal, in first-use order
+    /// ([`crate::plan::reader_items`]).
+    pub(super) dealt: Vec<FetchItem>,
     pub(super) items: Vec<ItemRt>,
     /// Items resident with undelivered samples (the sample-cache draw set).
     resident_ready: Vec<u32>,
@@ -69,10 +71,10 @@ pub(super) struct EpochState {
 }
 
 impl EpochState {
-    /// Epoch `epoch` of `seed` with nothing fetched yet; `plan` is reader
+    /// Epoch `epoch` of `seed` with nothing fetched yet; `dealt` is reader
     /// `reader`'s share of the deal.
-    pub(super) fn new(seed: u64, epoch: u64, plan: ReaderPlan, reader: usize) -> EpochState {
-        let item = |it: &crate::plan::FetchItem| ItemRt {
+    pub(super) fn new(seed: u64, epoch: u64, dealt: Vec<FetchItem>, reader: usize) -> EpochState {
+        let item = |it: &FetchItem| ItemRt {
             parts_left: 0,
             samples_total: it.samples.len() as u32,
             dispatched: 0,
@@ -82,11 +84,11 @@ impl EpochState {
         EpochState {
             seed,
             epoch,
-            items: plan.items.iter().map(item).collect(),
+            items: dealt.iter().map(item).collect(),
             resident_ready: Vec::new(),
             total_dispatched: 0,
-            total: plan.samples(),
-            plan,
+            total: dealt.iter().map(|it| it.samples.len()).sum(),
+            dealt,
             next_fetch: 0,
             open: BTreeMap::new(),
             rng: SplitMix64::derive(seed ^ 0xD15B, epoch * 7919 + reader as u64),
@@ -104,7 +106,7 @@ impl EpochState {
         let pick = self.rng.below(self.resident_ready.len() as u64) as usize;
         let idx = self.resident_ready[pick];
         let item = &mut self.items[idx as usize];
-        let sample = self.plan.items[idx as usize].samples[item.dispatched as usize];
+        let sample = self.dealt[idx as usize].samples[item.dispatched as usize];
         item.dispatched += 1;
         if item.dispatched == item.samples_total {
             self.resident_ready.swap_remove(pick);
@@ -116,7 +118,7 @@ impl EpochState {
     /// Item `idx` is fully resident: flip the V field of its samples and
     /// offer it to the delivery draw.
     fn mark_resident(&mut self, dir: &SampleDirectory, idx: u32) {
-        for &s in &self.plan.items[idx as usize].samples {
+        for &s in &self.dealt[idx as usize].samples {
             dir.set_valid(s, true);
         }
         self.resident_ready.push(idx);
@@ -176,7 +178,7 @@ impl DlfsIo {
     /// to the rescue.
     fn start_fetch(&mut self, rt: &Runtime, idx: u32, starving: bool) -> FetchStart {
         let cross = self.shared.cfg.cache_mode == CacheMode::CrossEpoch;
-        let it = &self.st().plan.items[idx as usize];
+        let it = &self.st().dealt[idx as usize];
         let g = self.read_geometry(it.nid, it.offset, it.len);
         let (key, len) = (self.shared.rkey(it.nid, it.offset), it.len);
         if cross {
@@ -219,7 +221,7 @@ impl DlfsIo {
             Open::Fetching(_) => g.parts(self.per_part()),
             Open::Resident(_) => 0,
         };
-        let home = self.st().plan.items[idx as usize].nid;
+        let home = self.st().dealt[idx as usize].nid;
         for part in 0..parts {
             let io = self.part_io(home, g, part, open.bufs());
             self.pending_parts
@@ -251,7 +253,7 @@ impl DlfsIo {
         loop {
             let st = self.st();
             let (next_fetch, open) = (st.next_fetch, st.open.len());
-            if next_fetch >= st.plan.items.len() {
+            if next_fetch >= st.dealt.len() {
                 break;
             }
             // The pipeline must never starve: with nothing open at all, a
@@ -335,7 +337,7 @@ impl DlfsIo {
     ) {
         let corrupt_at = match p.sync {
             true => io.frames.first().map_or(io.slba * BLOCK_SIZE, |f| f.start),
-            false => self.st().plan.items[p.idx as usize].offset,
+            false => self.st().dealt[p.idx as usize].offset,
         };
         match self.settle_part(rt, p, io, landed, corrupt_at) {
             Settled::Done if p.sync => self.sync_left -= 1,
@@ -371,7 +373,7 @@ impl DlfsIo {
     /// fetch's own chunks go back to the pool.
     fn publish_item(&mut self, idx: u32) {
         let st = self.split().0;
-        let it = &st.plan.items[idx as usize];
+        let it = &st.dealt[idx as usize];
         let (nid, offset, len) = (it.nid, it.offset, it.len);
         // Its last part just settled, so the item is still fetching.
         let Some(Open::Fetching(bufs)) = st.open.remove(&idx) else {
@@ -396,7 +398,7 @@ impl DlfsIo {
     /// pass's check entries. The one harvest of every read but the
     /// `abort_epoch` drain, and one `stage.poll_ns` record per pass.
     /// `prompt`: the pass directly follows a wait that spun until a
-    /// completion landed (what [`DlfsIo::advance_to`] returned), so every
+    /// completion landed (what [`DlfsIo::wait_event`] returned), so every
     /// harvest in it is prompt.
     pub(super) fn poll(&mut self, rt: &Runtime, prompt: bool) -> usize {
         let costs = self.shared.cfg.costs.clone();
@@ -470,7 +472,7 @@ impl DlfsIo {
             };
             let entry = self.shared.dir.entry(sample);
             let st = self.st();
-            let it = &st.plan.items[idx as usize];
+            let it = &st.dealt[idx as usize];
             debug_assert_eq!(entry.nid(), it.nid);
             let within = (entry.offset() - st.items[idx as usize].base) as usize;
             let Open::Resident(range) = &st.open[&idx] else {
@@ -516,7 +518,7 @@ impl DlfsIo {
         if item.copies_done == item.samples_total {
             // Drops the engine's pin; what samples still hold are theirs.
             st.open.remove(&idx);
-            let it = &st.plan.items[idx as usize];
+            let it = &st.dealt[idx as usize];
             shared.cache.release(shared.rkey(it.nid, it.offset));
             for &s in &it.samples {
                 shared.dir.set_valid(s, false);
@@ -676,30 +678,18 @@ impl DlfsIo {
                 continue;
             }
             // Wait for the next event — a completion or a delayed part's
-            // retry instant (`advance_to`'s waiting rule).
-            let Some((t, predicted)) = self.next_engine_event() else {
-                // Nothing on a device, nothing with the copy pool, nothing
-                // deliverable: the engine lost track of a part, for good.
-                let stalled = DlfsError::Stalled(self.shared.reader_id);
-                return Err(self.failed.insert(stalled).clone());
-            };
-            spun = self.advance_to(rt, t, predicted);
+            // retry instant. With none — nothing on a device, nothing with
+            // the copy pool, nothing deliverable — the engine lost track of
+            // a part, for good.
+            let stalled = DlfsError::Stalled(self.shared.reader_id);
+            spun = self
+                .wait_event(rt)
+                .ok_or_else(|| self.failed.insert(stalled).clone())?;
         }
         Ok(if copied {
             Completions::copied(batch.copied.into_iter().flatten().collect())
         } else {
             Completions::zero_copy(batch.pinned)
         })
-    }
-
-    /// Earliest instant at which the engine can make progress again — a
-    /// device completion or a delayed retry becoming due — and the
-    /// handle's prediction of it: its predicted completion, or the retry
-    /// instant if that comes first.
-    pub(super) fn next_engine_event(&self) -> Option<(Time, Option<Time>)> {
-        let next_retry = self.delayed_parts.keys().next().map(|&(t, _)| t);
-        let t = self.next_completion().into_iter().chain(next_retry).min()?;
-        let predicted = self.predicted_completion();
-        Some((t, predicted.map(|p| next_retry.map_or(p, |r| p.min(r)))))
     }
 }

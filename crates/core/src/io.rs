@@ -52,7 +52,7 @@ use crate::directory::SampleDirectory;
 use crate::entry::SampleEntry;
 use crate::error::{CorruptCause, DlfsError};
 use crate::integrity::{Redundancy, Verdict};
-use crate::plan::{build_epoch_plan, fetch_extent, reader_item_ranges, Extents, ReaderPlan};
+use crate::plan::{fetch_extent, reader_items, Extents, FetchItem};
 use crate::rebuild::Background;
 use crate::request::{Completions, Delivery, ReadRequest};
 use crate::writer::{io_failure, ForegroundReads};
@@ -155,6 +155,42 @@ impl DlfsShared {
 /// interrupt) plus `context_switch` (out and back in). Kept beside the
 /// waiting rule, not in `DlfsCosts`, which the benchmark fingerprints.
 const PARK_WAKE: Dur = Dur::nanos(4_800);
+
+/// What one wait did ([`hybrid_wait`]).
+pub(crate) struct Waited {
+    /// It spun until the event: a harvest that directly follows is prompt.
+    pub(crate) spun: bool,
+    /// The time it parked (idle).
+    pub(crate) parked: Dur,
+    /// How far past the event it ran.
+    pub(crate) late: Dur,
+}
+
+/// The one waiting rule (DESIGN §13): advance the calling thread to `t`,
+/// the next event of a wait. Unless `own` — something of the caller's own
+/// is in flight — it parks (idle): a pure backoff, a background driver.
+/// Otherwise it hybrid-polls: if `guess`, the caller's prediction of the
+/// event, is at least two wake-ups away, it parks half of that wait, pays
+/// one [`PARK_WAKE`], then spins to `t` (busy) — late if `t` passed
+/// meanwhile. Without a guess it spins. `t` itself never decides a park.
+/// `None` when `t` is not in the future: no wait.
+pub(crate) fn hybrid_wait(rt: &Runtime, t: Time, own: bool, guess: Option<Time>) -> Option<Waited> {
+    let now = rt.now();
+    if t <= now {
+        return None;
+    }
+    let wait = guess.map_or(Dur::ZERO, |p| p - now);
+    // (park, end): park all of it, spin all of it, or park half the
+    // predicted wait and pay a wake-up before spinning the rest.
+    let (nap, end) = match own {
+        false => (t - now, t),
+        true if wait < PARK_WAKE * 2 => (Dur::ZERO, t),
+        true => (wait / 2, t.max(now + wait / 2 + PARK_WAKE)),
+    };
+    rt.sleep_then_work(nap, end - now - nap);
+    let (spun, parked, late) = (own && end == t, nap, end - t);
+    Some(Waited { spun, parked, late })
+}
 
 /// A running mean of a quantity and its mean deviation, both in the unit
 /// of its samples, with TCP's round-trip weights: 1/8 for the mean and 1/4
@@ -492,11 +528,10 @@ impl DlfsIo {
             .map(|(nid, t)| {
                 let mut qp = IoQPair::new(t.clone(), qd);
                 qp.attach_telemetry(&reg.scoped(&format!("blocksim.dev{nid}")));
-                let fg = shared.fg_reads.clone();
                 ReadQp {
                     qp,
                     nid,
-                    fg,
+                    fg: shared.fg_reads.clone(),
                     posted: VecDeque::new(),
                     seen: None,
                     anchor: None,
@@ -559,8 +594,9 @@ impl DlfsIo {
         // command is drained, and every verdict waited for.
         self.cmds
             .retain(|_, c| matches!(c.owner, Owner::Prefetch { .. }));
-        while let Some(t) = self.next_completion() {
-            let spun = self.advance_to(rt, t, self.predicted_completion());
+        self.pending_parts.clear();
+        self.delayed_parts.clear();
+        while let Some(spun) = self.wait_event(rt) {
             let woke = rt.now();
             for q in 0..self.qpairs.len() {
                 // Prompt only while no completion's work has moved the
@@ -571,8 +607,6 @@ impl DlfsIo {
                 }
             }
         }
-        self.pending_parts.clear();
-        self.delayed_parts.clear();
         self.publish_checks(rt);
         self.teardown(Some(rt));
     }
@@ -596,7 +630,7 @@ impl DlfsIo {
             return; // only prefetches were outstanding
         };
         for (idx, open) in st.open {
-            let it = &st.plan.items[idx as usize];
+            let it = &st.dealt[idx as usize];
             let (cache, key) = (&self.shared.cache, self.shared.rkey(it.nid, it.offset));
             match open {
                 // Never became resident: return the loose chunks.
@@ -621,19 +655,22 @@ impl DlfsIo {
     /// partially-consumed previous epoch is aborted first.
     pub fn sequence(&mut self, rt: &Runtime, seed: u64, epoch: u64) -> usize {
         self.abort_epoch(rt);
-        let cfg = &self.shared.cfg;
-        let (readers, window) = (self.shared.readers, cfg.window_chunks);
-        let plan = build_epoch_plan(&self.shared.dir, self.cut(), readers, window, seed, epoch);
-        let mine = plan.readers[self.shared.reader_id].clone();
-        let n = mine.samples();
+        let dealt = self.dealt(seed, epoch);
         self.failed = None;
         // A queue built during the previous epoch targeted *this* one;
         // whatever it already warmed is found by the demand probes, the
         // rest is stale.
         self.prefetch.queue.clear();
         self.prefetch.built_for = None;
-        self.epoch = Some(EpochState::new(seed, epoch, mine, self.shared.reader_id));
-        n
+        let st = EpochState::new(seed, epoch, dealt, self.shared.reader_id);
+        self.epoch.insert(st).total
+    }
+
+    /// This reader's share of the deal of epoch `epoch` of `seed`, in
+    /// first-use order: what the engine runs and the prefetcher warms.
+    fn dealt(&self, seed: u64, epoch: u64) -> Vec<FetchItem> {
+        let (readers, reader) = (self.shared.readers, self.shared.reader_id);
+        reader_items(&self.shared.dir, self.cut(), readers, seed, epoch, reader)
     }
 
     /// Samples remaining in the current epoch plan.
@@ -642,13 +679,6 @@ impl DlfsIo {
             .as_ref()
             .map(|e| e.total - e.total_dispatched)
             .unwrap_or(0)
-    }
-
-    /// The planned delivery order of the current epoch (statistically
-    /// equivalent to the engine's resident-random draw; the plan tests
-    /// of `end_to_end.rs` read it).
-    pub fn planned_order(&self) -> Option<&[u32]> {
-        self.epoch.as_ref().map(|e| &e.plan.order[..])
     }
 
     /// How this instance cuts its bytes into fetch items.
@@ -862,60 +892,44 @@ impl DlfsIo {
                 return Some(bufs);
             }
             failures += 1;
-            rt.sleep(self.shared.cfg.retry.next_delay(failures)?);
+            let backoff = self.shared.cfg.retry.next_delay(failures)?;
+            hybrid_wait(rt, rt.now() + backoff, false, None);
         }
     }
 
-    /// Earliest completion instant across every qpair: each is asked for
-    /// its own (a heap peek; a handle has one qpair per storage node).
-    fn next_completion(&self) -> Option<Time> {
-        let next = self.qpairs.iter().filter_map(|q| q.next_completion_at());
-        next.min()
-    }
-
-    /// The handle's own guess at its next completion: the earliest of its
-    /// qpairs' predictions ([`ReadQp::predicted`]) — from a lone read's
-    /// head time, or from a queue's time per byte since the last read the
-    /// reader saw land. `None` when nothing is in flight or a qpair with
-    /// reads in flight predicts nothing.
-    fn predicted_completion(&self) -> Option<Time> {
+    /// The reactor's wait stage: advance to its next event — the earliest
+    /// completion over the handle's qpairs (each is asked for its own, a
+    /// heap peek) or a delayed part's retry instant — by the waiting rule
+    /// ([`DlfsIo::advance_to`]). The prediction is the handle's own: the
+    /// earliest of its busy qpairs' ([`ReadQp::predicted`]) and the retry
+    /// instant, or nothing if a busy qpair predicts nothing. Returns
+    /// whether the wait spun until the event, or `None` with nothing on a
+    /// device and no retry queued: nothing to wait for.
+    fn wait_event(&mut self, rt: &Runtime) -> Option<bool> {
+        let retry = self.delayed_parts.keys().next().map(|&(t, _)| t);
+        let due = self.qpairs.iter().filter_map(|q| q.next_completion_at());
+        let t = due.chain(retry).min()?;
         let busy = self.qpairs.iter().filter(|q| q.outstanding() > 0);
         // `None` orders first: one qpair without a guess leaves none.
-        busy.map(ReadQp::predicted).min()?
+        let guess = busy.map(ReadQp::predicted).min().flatten();
+        Some(self.advance_to(rt, t, guess.map(|p| retry.map_or(p, |r| p.min(r)))))
     }
 
-    /// Advance the calling thread to `t`, the next event of the wait.
-    /// Counted as a reactor wakeup. With *nothing* in flight anywhere — a
-    /// pure retry-backoff wait — the reactor parks the thread (idle). With
-    /// commands in flight it hybrid-polls: if `predicted`, the handle's
-    /// own guess at the event, is at least two wake-ups away, it parks
-    /// half of that wait, pays one [`PARK_WAKE`], then spins to `t` (busy)
-    /// — late, counted in `dlfs.reactor.late_ns`, if `t` passed meanwhile.
-    /// Without a prediction it spins. `t` itself never decides a park.
-    /// Returns whether the wait spun until `t`: whether a harvest that
-    /// directly follows it is prompt ([`ReadQp::harvest`]).
-    fn advance_to(&mut self, rt: &Runtime, t: Time, predicted: Option<Time>) -> bool {
-        let now = rt.now();
-        if t <= now {
+    /// Advance the calling thread to `t` by the waiting rule
+    /// ([`hybrid_wait`]), what is in flight being this handle's reads.
+    /// Counted as a reactor wakeup, its park in `dlfs.reactor.parked_ns`
+    /// and a late end in `dlfs.reactor.late_ns`. Returns whether the wait
+    /// spun until `t`: whether a harvest that directly follows it is
+    /// prompt ([`ReadQp::harvest`]).
+    fn advance_to(&mut self, rt: &Runtime, t: Time, guess: Option<Time>) -> bool {
+        let own = self.qpairs.iter().any(|q| q.outstanding() > 0);
+        let Some(waited) = hybrid_wait(rt, t, own, guess) else {
             return false;
-        }
+        };
         self.tel.wakeups.inc();
-        if self.qpairs.iter().all(|q| q.outstanding() == 0) {
-            // Nothing in flight: the reactor parks.
-            self.tel.parked_ns.add((t - now).as_nanos());
-            rt.sleep_until(t);
-            return false;
-        }
-        let wait = predicted.map_or(Dur::ZERO, |p| p - now);
-        if wait < PARK_WAKE * 2 {
-            rt.work_until(t);
-            return true;
-        }
-        let (nap, end) = (wait / 2, t.max(now + wait / 2 + PARK_WAKE));
-        self.tel.parked_ns.add(nap.as_nanos());
-        self.tel.late_ns.add((end - t).as_nanos());
-        rt.sleep_then_work(nap, end - now - nap);
-        end == t
+        self.tel.parked_ns.add(waited.parked.as_nanos());
+        self.tel.late_ns.add(waited.late.as_nanos());
+        waited.spun
     }
 
     // ------------------------------------------------- background healing --
@@ -1142,28 +1156,36 @@ mod tests {
         Runtime::simulate(7, run).0
     }
 
-    /// Each qpair is asked for its next completion: two harvested, one
-    /// still pending.
+    /// The wait stage advances to the earliest event: each qpair is asked
+    /// for its next completion, and a delayed part's retry instant counts
+    /// too. Nothing on a device and no retry queued: nothing to wait for.
     #[test]
-    fn next_completion_is_the_earliest_pending_commands() {
+    fn the_wait_stage_advances_to_the_earliest_event() {
         Runtime::simulate(5, |rt| {
             let devices = [0; 3].map(|_| NvmeDevice::new(DeviceConfig::optane(16 << 20)));
             let mut io = mount_on(rt, DlfsConfig::default(), &devices, 1);
-            assert_eq!(io.next_completion(), None);
+            // Where each wait ended; nothing is harvested, so nothing is
+            // predicted and every wait spins.
+            let wait = |io: &mut DlfsIo| io.wait_event(rt).map(|spun| (spun, rt.now()));
+            assert_eq!(wait(&mut io), None);
             for (q, nblocks) in [(0, 1), (1, 1), (2, 1024)] {
                 let buf = DmaBuf::standalone(nblocks as usize * BLOCK_SIZE as usize);
-                let posted = io.qpairs[q].submit_read(rt, q as u64, 0, nblocks, buf, 0);
-                assert_eq!(posted, Ok(()));
+                assert_eq!(io.qpairs[q].submit_read(rt, 0, 0, nblocks, buf, 0), Ok(()));
             }
             // (A qpair with nothing pending would fail the next assert.)
             let due = [0, 1, 2].map(|q| io.qpairs[q].next_completion_at().unwrap_or(rt.now()));
-            assert_eq!(io.next_completion(), Some(due[0].min(due[1])));
+            assert_eq!(wait(&mut io), Some((true, due[0].min(due[1]))));
             rt.work_until(due[0].max(due[1]));
             assert_eq!(io.poll(rt, false), 2);
-            assert_eq!(io.next_completion(), Some(due[2]));
-            rt.work_until(due[2]);
+            let retry = rt.now() + (due[2] - rt.now()) / 2;
+            let (g, buf) = (io.read_geometry(0, 0, 512), DmaBuf::standalone(512));
+            let part = (Part::first(0, 0, false), io.part_io(0, &g, 0, &[buf]));
+            io.delayed_parts.insert((retry, 1), part);
+            assert_eq!(wait(&mut io), Some((true, retry)));
+            io.delayed_parts.clear();
+            assert_eq!(wait(&mut io), Some((true, due[2])));
             assert_eq!(io.poll(rt, false), 1);
-            assert_eq!(io.next_completion(), None);
+            assert_eq!(wait(&mut io), None);
         });
     }
 

@@ -82,7 +82,7 @@ pub use io::{DlfsIo, DlfsShared};
 pub use layout::{fsck_node, fsck_repair, FsckNodeReport, FsckRepairReport, FsckState, Superblock};
 pub use metashard::{shard_of, MetaClient, MetaLookup, MetaService, MetaShardConfig};
 pub use mount::{Deployment, DlfsInstance, MountBuilder};
-pub use plan::{build_epoch_plan, full_random_order, reader_item_ranges, FetchItem};
+pub use plan::{build_epoch_plan, full_random_order, reader_items, FetchItem};
 pub use request::{Completion, Completions, Delivery, ReadRequest};
 pub use source::{SampleSource, SyntheticSource};
 pub use tenant::{QosConfig, TenantQos, TenantSpec};

@@ -188,10 +188,10 @@ impl DlfsIo {
         //    compute pool ([`DlfsIo::offload_pieces`]) — the bytes of every
         //    sample claimed, and the instant the carried item's compute
         //    finished: its samples cannot ship before it.
-        let plan = &self.st().plan;
+        let dealt = &self.st().dealt;
         let mut per_node: BTreeMap<u16, (Vec<OffloadExtent>, u64, Time)> = BTreeMap::new();
         for (idx, ids) in &claims {
-            let it = &plan.items[*idx];
+            let it = &dealt[*idx];
             let slot = per_node.entry(it.nid).or_default();
             slot.1 += it.samples[ids.clone()]
                 .iter()
@@ -229,7 +229,7 @@ impl DlfsIo {
         let samples = (|| {
             let mut samples = Vec::with_capacity(n);
             for (idx, ids) in claims {
-                let it = &plan.items[idx];
+                let it = &dealt[idx];
                 let (item, done) = match carry.take() {
                     Some(c) if c.0 == idx => (c.1, c.2),
                     _ => (self.offload_item(it)?, per_node[&it.nid].2),

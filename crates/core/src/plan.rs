@@ -17,13 +17,13 @@
 //!   reads exactly the extent of its full samples ([`fetch_extent`]), so
 //!   no byte on a node belongs to two items.
 //!
-//! Delivery order is decided up front by a *windowed random draw* over each
-//! reader's item list: with a window of W open items, each next sample is
-//! drawn from a uniformly random open item (the paper's "copy threads
-//! select samples randomly from the sample cache"). The same generator
-//! produces the order used by the training-accuracy experiment (Fig. 13),
-//! so the accuracy test exercises exactly the randomization the I/O engine
-//! implements.
+//! The engine runs a reader's dealt items ([`reader_items`]) and draws each
+//! next sample from a random *resident* item (the paper's "copy threads
+//! select samples randomly from the sample cache"). [`build_epoch_plan`]
+//! models that draw up front as a *windowed random draw* over the same
+//! items — with a window of W open items, each next sample comes from a
+//! uniformly random open item — the delivery order the training-accuracy
+//! experiment (Fig. 13) trains on.
 
 use simkit::rng::SplitMix64;
 
@@ -212,7 +212,7 @@ pub fn build_epoch_plan(
 }
 
 /// Gather, shuffle and deal the epoch's fetch items: steps 1–3 of the plan,
-/// shared by [`build_epoch_plan`] and [`reader_item_ranges`]. Item
+/// shared by [`build_epoch_plan`] and [`reader_items`]. Item
 /// *geometry* (nid, offset, len) is a pure function of the directory, so
 /// only the shuffle and the deal vary across epochs.
 fn dealt_items(
@@ -267,25 +267,20 @@ fn dealt_items(
     per_reader
 }
 
-/// The device ranges `(nid, offset, len)` epoch `epoch` deals to `reader`,
-/// in first-use order, *without* deriving the delivery order — cheap
-/// enough for the prefetcher to call at the tail of the previous epoch to
-/// learn what to warm next.
-pub fn reader_item_ranges(
+/// The fetch items epoch `epoch` deals to `reader`, in first-use order,
+/// each item's samples shuffled, *without* deriving a delivery order: what
+/// the engine runs (it draws from resident items) and what the prefetcher
+/// asks of the next epoch at the tail of this one.
+pub fn reader_items(
     dir: &SampleDirectory,
     cut: Extents<'_>,
     readers: usize,
     seed: u64,
     epoch: u64,
     reader: usize,
-) -> Vec<(u16, u64, u64)> {
+) -> Vec<FetchItem> {
     let base = SplitMix64::derive(seed, epoch.wrapping_mul(0xD1CE).wrapping_add(7));
-    let mut per_reader = dealt_items(dir, cut, readers, &base);
-    per_reader
-        .swap_remove(reader)
-        .into_iter()
-        .map(|it| (it.nid, it.offset, it.len))
-        .collect()
+    dealt_items(dir, cut, readers, &base).swap_remove(reader)
 }
 
 /// Derive the delivery order for one reader: keep up to `window` items
@@ -587,18 +582,13 @@ mod tests {
     }
 
     #[test]
-    fn reader_item_ranges_match_full_plan() {
+    fn reader_items_match_full_plan() {
         let dir = dir_with(3, 1500, |_| 512);
         for epoch in 0..3u64 {
             let plan = build_epoch_plan(&dir, chunked(16384), 2, 8, 11, epoch);
             for r in 0..2 {
-                let ranges = reader_item_ranges(&dir, chunked(16384), 2, 11, epoch, r);
-                let expect: Vec<(u16, u64, u64)> = plan.readers[r]
-                    .items
-                    .iter()
-                    .map(|it| (it.nid, it.offset, it.len))
-                    .collect();
-                assert_eq!(ranges, expect, "epoch {epoch} reader {r}");
+                let items = reader_items(&dir, chunked(16384), 2, 11, epoch, r);
+                assert_eq!(items, plan.readers[r].items, "epoch {epoch} reader {r}");
             }
         }
     }
@@ -611,7 +601,8 @@ mod tests {
         let dir = dir_with(2, 800, |_| 700);
         let ranges_of = |epoch| {
             let mut v: Vec<(u16, u64, u64)> = (0..3)
-                .flat_map(|r| reader_item_ranges(&dir, chunked(8192), 3, 21, epoch, r))
+                .flat_map(|r| reader_items(&dir, chunked(8192), 3, 21, epoch, r))
+                .map(|it| (it.nid, it.offset, it.len))
                 .collect();
             v.sort_unstable();
             v

@@ -35,16 +35,13 @@ impl DlfsIo {
         let Some(st) = self.epoch.as_ref() else {
             return 0;
         };
-        if st.next_fetch < st.plan.items.len() {
+        if st.next_fetch < st.dealt.len() {
             return 0; // demand fetches still pending; they have priority
         }
         let (seed, epoch) = (st.seed, st.epoch);
         if self.prefetch.built_for != Some((seed, epoch + 1)) {
-            let (readers, reader) = (self.shared.readers, self.shared.reader_id);
-            let cut = self.cut();
-            let ranges =
-                reader_item_ranges(&self.shared.dir, cut, readers, seed, epoch + 1, reader);
-            self.prefetch.queue = ranges.into();
+            let next = self.dealt(seed, epoch + 1);
+            self.prefetch.queue = next.iter().map(|it| (it.nid, it.offset, it.len)).collect();
             self.prefetch.built_for = Some((seed, epoch + 1));
         }
         let reserve = cfg.window_chunks;
@@ -102,7 +99,7 @@ impl DlfsIo {
             return false;
         };
         st.open.keys().any(|&idx| {
-            let it = &st.plan.items[idx as usize];
+            let it = &st.dealt[idx as usize];
             self.shared.rkey(it.nid, it.offset) == key && st.items[idx as usize].parts_left > 0
         })
     }

@@ -47,7 +47,7 @@ impl DlfsIo {
     /// Synchronously fetch the range `g` of node `nid` into freshly
     /// allocated sample-cache chunks: queue its parts with the engine's,
     /// then run the reactor's steps — post pass, `poll`, and after an empty
-    /// harvest an advance to the next engine event — until the fetch
+    /// harvest the wait stage (`wait_event`) — until the fetch
     /// settles. Whatever else those steps post or harvest meanwhile goes
     /// its own way. On retry exhaustion the chunks go back to the pool
     /// once the fetch's commands still in flight have drained (SPDK cannot
@@ -81,8 +81,8 @@ impl DlfsIo {
             if self.poll(rt, std::mem::take(&mut spun)) > 0 {
                 continue;
             }
-            match self.next_engine_event() {
-                Some((t, predicted)) => spun = self.advance_to(rt, t, predicted),
+            match self.wait_event(rt) {
+                Some(waited) => spun = waited,
                 None => self.sync_failed = Some(DlfsError::Stalled(self.shared.reader_id)),
             }
         }

@@ -51,6 +51,7 @@ use simkit::time::{Dur, Time};
 use crate::config::DlfsConfig;
 use crate::counter_in;
 use crate::error::{DlfsError, IoFailure, LayoutError};
+use crate::io::hybrid_wait;
 use crate::layout::{next_ckpt_record, CkptHeader, Superblock, CKPT_HEADER_BYTES};
 
 /// Why a command that came back `status` (not `Ok`) failed.
@@ -221,20 +222,18 @@ impl CmdDriver {
     }
 
     /// An empty poll: one spin, then on to the next event — a completion
-    /// or a parked retry coming due — spinning only while a foreground
-    /// command of this driver's own is in flight, parked otherwise (the
-    /// waiting rule of DESIGN §13).
+    /// or a parked retry coming due — by the waiting rule ([`hybrid_wait`]):
+    /// a foreground command of this driver's own in flight is what it
+    /// spins over, and it predicts nothing, so it spins then and parks
+    /// otherwise.
     fn wait(&self, rt: &Runtime) {
         rt.work(self.poll_cost.max(Dur::nanos(1)));
         let retry = self.parked.first_key_value().map(|(&(ready, _), _)| ready);
         let Some(next) = self.qp.next_completion_at().into_iter().chain(retry).min() else {
             return;
         };
-        if self.yields_to.is_none() && self.qp.outstanding() > 0 {
-            rt.work_until(next);
-        } else {
-            rt.sleep_until(next);
-        }
+        let own = self.yields_to.is_none() && self.qp.outstanding() > 0;
+        hybrid_wait(rt, next, own, None);
     }
 
     /// Wait until every command (retries included) has completed.

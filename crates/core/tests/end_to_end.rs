@@ -367,6 +367,17 @@ fn epoch_reads_sample_bytes_plus_block_alignment_only() {
     }
 }
 
+/// The ids `io` delivers over the whole of epoch `epoch` of `seed`, in
+/// delivery order.
+fn delivered_ids(rt: &Runtime, io: &mut dlfs::DlfsIo, seed: u64, epoch: u64) -> Vec<u32> {
+    io.sequence(rt, seed, epoch);
+    let mut ids = Vec::new();
+    while let Ok(batch) = io.submit(rt, &ReadRequest::batch(64)) {
+        ids.extend(batch.into_copied().into_iter().map(|(id, _)| id));
+    }
+    ids
+}
+
 #[test]
 fn multi_epoch_reshuffles() {
     Runtime::simulate(7, |rt| {
@@ -376,18 +387,13 @@ fn multi_epoch_reshuffles() {
             .mount(rt, &source)
             .unwrap();
         let mut io = fs.io(0);
-        io.sequence(rt, 42, 0);
-        let e0: Vec<u32> = io.planned_order().unwrap().to_vec();
-        // Drain epoch 0.
-        while io.submit(rt, &ReadRequest::batch(64)).is_ok() {}
-        io.sequence(rt, 42, 1);
-        let e1: Vec<u32> = io.planned_order().unwrap().to_vec();
+        let e0 = delivered_ids(rt, &mut io, 42, 0);
+        let e1 = delivered_ids(rt, &mut io, 42, 1);
         assert_ne!(e0, e1);
-        let batch = io
-            .submit(rt, &ReadRequest::batch(32))
-            .unwrap()
-            .into_copied();
-        assert_eq!(batch.len(), 32);
+        for mut ids in [e0, e1] {
+            ids.sort_unstable();
+            assert_eq!(ids, (0..600).collect::<Vec<u32>>(), "every sample once");
+        }
     });
 }
 
@@ -441,20 +447,12 @@ fn same_seed_same_global_plan_across_readers() {
     Runtime::simulate(9, |rt| {
         let source = SyntheticSource::fixed(1, 900, 800);
         let fs = disaggregated(rt, 3, &source);
-        let mut io0 = fs.io(0);
-        let mut io1 = fs.io(1);
-        let mut io2 = fs.io(2);
-        io0.sequence(rt, 1234, 0);
-        io1.sequence(rt, 1234, 0);
-        io2.sequence(rt, 1234, 0);
-        let all: Vec<u32> = [&io0, &io1, &io2]
-            .iter()
-            .flat_map(|io| io.planned_order().unwrap().iter().copied())
+        let mut all: Vec<u32> = (0..3)
+            .flat_map(|r| delivered_ids(rt, &mut fs.io(r), 1234, 0))
             .collect();
-        let mut sorted = all.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 900, "readers' slices must partition the set");
+        all.sort_unstable();
+        let every: Vec<u32> = (0..900).collect();
+        assert_eq!(all, every, "readers' slices must partition the set");
     });
 }
 

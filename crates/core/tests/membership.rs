@@ -323,6 +323,40 @@ fn permanent_loss_escalates_serves_degraded_and_rebuilds() {
     membership_run(test_seed(91));
 }
 
+/// Every registry a handle was built with reports the membership view: the
+/// reading handle's, an idle handle's built after it, and one registry two
+/// more handles share, which counts each transition once.
+#[test]
+fn every_handles_registry_reports_the_membership_view() {
+    Runtime::simulate(test_seed(93), |rt| {
+        let source = SyntheticSource::fixed(22, 1200, 2048);
+        let devices = vec![ramdisk(64 << 20), ramdisk(64 << 20), ramdisk(64 << 20)];
+        let fs = dlfs::MountBuilder::new(membership_cfg(2))
+            .deployment(Deployment::local(1, &devices))
+            .mount(rt, &source)
+            .unwrap();
+        let mut io = fs.io(0);
+        let probe = fs.io(0);
+        let shared = Registry::new();
+        let _pair = [0, 1].map(|_| fs.io_with_registry(0, &shared));
+        let total = io.sequence(rt, 31, 0);
+        drain_epoch(rt, &mut io, &source, total, total / 3, || devices[1].kill());
+        let red = fs.redundancy().expect("redundancy built");
+        let membership = red.membership.as_ref().expect("membership built");
+        assert_eq!(membership.state(1), TargetState::Dead);
+        let view = membership.view_epoch() as i64;
+        for (who, m) in [
+            ("reader", io.metrics()),
+            ("probe", probe.metrics()),
+            ("shared", shared.snapshot()),
+        ] {
+            assert_eq!(m.counter("dlfs.membership.deaths"), 1, "{who}");
+            assert_eq!(m.gauge("dlfs.membership.node1.state"), 2, "{who}");
+            assert_eq!(m.gauge("dlfs.membership.view_epoch"), view, "{who}");
+        }
+    });
+}
+
 /// Same seed, same bytes, same virtual end time, same telemetry — the
 /// whole failure + rebuild story replays bit-identically.
 #[test]

@@ -509,7 +509,7 @@ fn randomized_corruption_repair_across_delivery_modes() {
             let shared = io.shared().clone();
             let mode = shared.cfg.effective_mode(shared.dir.avg_sample_bytes());
             let per_part = (shared.cfg.chunk_size / blocksim::BLOCK_SIZE) as u32;
-            let parts: Vec<(u64, u32)> = dlfs::plan::reader_item_ranges(
+            let parts: Vec<(u64, u32)> = dlfs::plan::reader_items(
                 &shared.dir,
                 dlfs::plan::Extents::raw(shared.cfg.chunk_size, mode),
                 1,
@@ -518,9 +518,9 @@ fn randomized_corruption_repair_across_delivery_modes() {
                 0,
             )
             .into_iter()
-            .filter(|&(nid, ..)| nid == 0)
-            .flat_map(|(_, offset, len)| {
-                let (slba, nblocks, _) = blocksim::covering_blocks(offset, len);
+            .filter(|it| it.nid == 0)
+            .flat_map(|it| {
+                let (slba, nblocks, _) = blocksim::covering_blocks(it.offset, it.len);
                 (0..nblocks.div_ceil(per_part)).map(move |p| {
                     let first = p * per_part;
                     (slba + first as u64, (nblocks - first).min(per_part))

@@ -110,11 +110,21 @@ enum Tel {
     View(Gauge, Vec<Gauge>, Counter, Counter),
 }
 
+impl Tel {
+    /// `circuit_opens` or `deaths`: one handle on it is one registry.
+    fn counter(&self) -> &Counter {
+        match self {
+            Tel::Circuit(_, c) | Tel::View(_, _, c, _) => c,
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     states: Vec<TargetState>,
     epoch: u64,
-    tel: Option<Tel>,
+    /// One sink per registry attached.
+    tel: Vec<Tel>,
 }
 
 /// The state of every target of one deployment, shared by its readers.
@@ -176,7 +186,8 @@ impl TargetStates {
     }
 
     /// Register the circuit's metrics in `reg` without a death policy, the
-    /// view's with one (see `Tel`).
+    /// view's with one (see `Tel`). Every registry attached keeps
+    /// reporting; one attached again counts each transition once.
     pub fn attach_telemetry(&self, reg: &Registry) {
         let mut inner = self.inner.lock();
         let gauges = |name: &str, value: fn(TargetState) -> i64| -> Vec<Gauge> {
@@ -199,7 +210,9 @@ impl TargetStates {
                 Tel::View(epoch, gauges("state", TargetState::code), deaths, rejoins)
             }
         };
-        inner.tel = Some(tel);
+        if !inner.tel.iter().any(|t| t.counter().same(tel.counter())) {
+            inner.tel.push(tel);
+        }
     }
 
     /// The current view epoch, bumped by every change of any target's
@@ -251,19 +264,21 @@ impl TargetStates {
         inner.states[target] = next;
         let moved = discriminant(&prev) != discriminant(&next);
         inner.epoch += moved as u64;
-        match &inner.tel {
-            Some(Tel::Circuit(up, opens)) => {
-                up[target].set((next.code() == 0) as i64);
-                let failed = matches!(event, Event::Observe(o) if o != Outcome::Ok);
-                opens.add((failed && next.code() == 1 && !prev.cooling(now)) as u64);
+        for tel in &inner.tel {
+            match tel {
+                Tel::Circuit(up, opens) => {
+                    up[target].set((next.code() == 0) as i64);
+                    let failed = matches!(event, Event::Observe(o) if o != Outcome::Ok);
+                    opens.add((failed && next.code() == 1 && !prev.cooling(now)) as u64);
+                }
+                Tel::View(epoch, state, deaths, rejoins) if moved => {
+                    epoch.set(inner.epoch as i64);
+                    state[target].set(next.code());
+                    deaths.add((next == TargetState::Dead) as u64);
+                    rejoins.add((prev == TargetState::Dead) as u64);
+                }
+                Tel::View(..) => {}
             }
-            Some(Tel::View(epoch, state, deaths, rejoins)) if moved => {
-                epoch.set(inner.epoch as i64);
-                state[target].set(next.code());
-                deaths.add((next == TargetState::Dead) as u64);
-                rejoins.add((prev == TargetState::Dead) as u64);
-            }
-            _ => {}
         }
         (prev, next)
     }

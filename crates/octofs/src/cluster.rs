@@ -56,13 +56,12 @@ impl std::fmt::Display for OctoError {
 
 impl std::error::Error for OctoError {}
 
-/// Deployment knobs for fault-tolerant operation. The defaults keep the
-/// baseline byte-identical to the original (single-copy, generous retry):
-/// chaos experiments opt into replication to exercise failover.
+/// Deployment knobs for fault-tolerant operation. The default keeps the
+/// baseline byte-identical to the original (single copy): chaos
+/// experiments opt into replication to exercise failover. Data reads retry
+/// under `RetryPolicy::default()`.
 #[derive(Clone, Debug, Default)]
 pub struct OctoConfig {
-    /// Retry schedule for data reads.
-    pub retry: RetryPolicy,
     /// Keep a second copy of data and metadata on `(owner + 1) % nodes`.
     pub replicate: bool,
 }
@@ -343,7 +342,7 @@ impl OctopusFs {
     ///
     /// Device (PM with injected delay) services the access, then the
     /// payload crosses the fabric to the client (RDMA read response); local
-    /// reads skip the wire. Failed attempts retry under the deployment's
+    /// reads skip the wire. Failed attempts retry under the default
     /// [`RetryPolicy`] with deterministic backoff; transport failures trip
     /// the target's circuit breaker, and subsequent attempts fail over to
     /// the replica copy when one exists. A media error sends the next
@@ -429,7 +428,7 @@ impl OctopusFs {
             }
             failed += 1;
             self.tel.read_retries.inc();
-            match self.cfg.retry.next_delay(failed) {
+            match RetryPolicy::default().next_delay(failed) {
                 Some(backoff) => rt.sleep_until(rt.now() + backoff),
                 None => {
                     return Err(OctoError::ReadFailed {
@@ -556,15 +555,7 @@ mod tests {
     fn deploy_replicated(rt: &Runtime, nodes: usize) -> (Arc<Cluster>, Arc<OctopusFs>) {
         let cluster = Arc::new(Cluster::new(nodes, FabricConfig::default()));
         let cfg = DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10));
-        let fs = OctopusFs::deploy_with(
-            rt,
-            cluster.clone(),
-            &cfg,
-            OctoConfig {
-                replicate: true,
-                ..Default::default()
-            },
-        );
+        let fs = OctopusFs::deploy_with(rt, cluster.clone(), &cfg, OctoConfig { replicate: true });
         (cluster, fs)
     }
 
@@ -652,18 +643,7 @@ mod tests {
         Runtime::simulate(0, |rt| {
             let cl = Arc::new(Cluster::new(1, FabricConfig::default()));
             let cfg = DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10));
-            let fs = OctopusFs::deploy_with(
-                rt,
-                cl,
-                &cfg,
-                OctoConfig {
-                    retry: RetryPolicy {
-                        max_attempts: 4,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                },
-            );
+            let fs = OctopusFs::deploy(rt, cl, &cfg);
             let entry = fs.store(rt, "always_bad", &[1u8; 512]);
             fs.device(0)
                 .set_faults(blocksim::FaultInjector::new(3).with_read_failures(1_000_000));
@@ -672,10 +652,10 @@ mod tests {
                 fs.read_entry(rt, 0, &entry, &mut out),
                 Err(OctoError::ReadFailed {
                     node: 0,
-                    attempts: 4
+                    attempts: RetryPolicy::default().max_attempts
                 })
             );
-            assert!(fs.metrics().counter("octofs.read_retries") >= 4);
+            assert!(fs.metrics().counter("octofs.read_retries") >= 12);
         });
     }
 }

@@ -48,6 +48,11 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
+
+    /// Is `other` a handle on this same counter?
+    pub fn same(&self, other: &Counter) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
 }
 
 /// An instantaneous level (queue depth, resident chunks, …).
