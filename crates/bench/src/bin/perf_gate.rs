@@ -60,7 +60,11 @@
 //!   batched epoch of 64 KiB samples from one local ramdisk (lower is
 //!   better): a deep queue on one qpair, whose waits park through what the
 //!   qpair predicts; the gate asserts inline that none parks past its
-//!   completion.
+//!   completion;
+//! - `wire_read_busy_ns` — the same for 16 KiB samples from two NVMe-oF
+//!   ramdisks behind one 1 GB/s reader NIC (lower is better): two qpairs
+//!   whose payloads share one wire, timed on its clock; the gate asserts
+//!   inline that no wait parks past its completion.
 //!
 //! Usage:
 //!
@@ -381,14 +385,38 @@ fn sync_read_busy(seed: u64) -> f64 {
 
 fn queued_read_busy(seed: u64) -> f64 {
     const SAMPLES: usize = 1024;
+    let source = SyntheticSource::fixed(seed ^ 0x0DE, SAMPLES, 64 << 10);
+    batched_busy(seed, source, || {
+        let device = setup::emulated_for(SAMPLES as u64 * (64 << 10));
+        Deployment::local(1, &[device])
+    })
+}
+
+fn wire_read_busy(seed: u64) -> f64 {
+    const SAMPLES: usize = 1024;
+    let source = SyntheticSource::fixed(seed ^ 0x1E5, SAMPLES, 16 << 10);
+    batched_busy(seed, source, || {
+        let wire = FabricConfig {
+            nic_bytes_per_sec: 1.0e9,
+            ..FabricConfig::default()
+        };
+        let cluster = Arc::new(Cluster::new(3, wire));
+        let devices = [0; 2].map(|_| setup::emulated_for(SAMPLES as u64 * (16 << 10)));
+        Deployment::fabric(&cluster, &[0], &[1, 2], &devices).unwrap()
+    })
+}
+
+/// The reader's busy CPU per sample of one batched epoch of `source` over
+/// the deployment `wiring` builds, drained in batches of 32; asserts that
+/// no wait parked past its completion.
+fn batched_busy(seed: u64, source: SyntheticSource, wiring: impl FnOnce() -> Deployment) -> f64 {
     Runtime::simulate(seed, |rt| {
-        let source = SyntheticSource::fixed(seed ^ 0x0DE, SAMPLES, 64 << 10);
         let cfg = DlfsConfig {
             reactor_stats: true,
             ..DlfsConfig::default()
         };
         let fs = dlfs::MountBuilder::new(cfg)
-            .local(setup::emulated_for(SAMPLES as u64 * (64 << 10)))
+            .deployment(wiring())
             .mount(rt, &source)
             .unwrap();
         let mut io = fs.io(0);
@@ -400,7 +428,7 @@ fn queued_read_busy(seed: u64) -> f64 {
         }
         let busy = rt.my_busy() - busy0;
         let late = io.metrics().counter("dlfs.reactor.late_ns");
-        assert_eq!(late, 0, "a queued read's wait parked {late} ns past it");
+        assert_eq!(late, 0, "a batched read's wait parked {late} ns past it");
         busy.as_nanos() as f64 / got as f64
     })
     .0
@@ -458,7 +486,7 @@ fn main() {
     let (offload_epoch_throughput_sps, coded_setup_ns, coded_stored_ratio) =
         offload_epoch_throughput(seed);
     // (key, value, higher is better, decimals printed), in file order.
-    let metrics: [(&str, f64, bool, usize); 17] = [
+    let metrics: [(&str, f64, bool, usize); 18] = [
         ("epoch_throughput_sps", epoch_throughput_sps, true, 3),
         (
             "verified_epoch_throughput_sps",
@@ -511,6 +539,7 @@ fn main() {
         ("coded_stored_ratio", coded_stored_ratio, false, 6),
         ("sync_read_busy_ns", sync_read_busy(seed), false, 1),
         ("queued_read_busy_ns", queued_read_busy(seed), false, 1),
+        ("wire_read_busy_ns", wire_read_busy(seed), false, 1),
     ];
 
     let lines = metrics.map(|(key, now, _, decimals)| format!(",\n  \"{key}\": {now:.decimals$}"));

@@ -121,6 +121,15 @@ pub trait NvmeTarget: Send + Sync {
     fn reached_from(&self, _node: usize) -> Option<Arc<dyn NvmeTarget>> {
         None
     }
+
+    /// The serial link every read of this target lands through that reads
+    /// of other targets share: the ingress of cluster node `n` for a target
+    /// behind a fabric, whose payloads cross the reader's one NIC. `None`
+    /// — the default — for a device whose reads land through nothing
+    /// another target shares.
+    fn ingress(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// One extent of a storage-side offload batch: read `nblocks` logical

@@ -421,13 +421,14 @@ impl DlfsIo {
                 Some(t) if t <= rt.now() => {}
                 _ => continue,
             }
-            for comp in self.qpairs[q].harvest(rt, t0, prompt) {
+            for comp in self.harvest(rt, q, t0, prompt) {
                 rt.work(costs.per_completion);
                 self.tel.completions.inc();
                 harvested += 1;
                 self.complete(rt, &comp);
             }
         }
+        self.close_pass();
         if harvested == 0 {
             self.tel.scq_empty_polls.inc();
         } else {

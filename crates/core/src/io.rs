@@ -219,6 +219,101 @@ impl Ewma {
     }
 }
 
+/// When a serial path lands its queued reads, from what the reader saw
+/// land: one local qpair's device, or the reader NIC's ingress that every
+/// remote qpair of a handle lands through (DESIGN §13). A queued read
+/// starts when the one before it lands, and the anchor is only ever an
+/// instant the reader saw one land.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct LandingClock {
+    /// The start of the last poll pass that took a read off the path, if
+    /// that pass was prompt: it directly followed a wait that spun until a
+    /// completion landed.
+    anchor: Option<Time>,
+    /// What a read takes per byte, in ps, sampled at prompt passes from
+    /// the anchor, and the bytes of the passes sampled.
+    per_byte: Option<(Ewma, Ewma)>,
+    /// A wire's alone ([`LandingClock::wire`]): the least time per byte,
+    /// in ps, of any pass from the anchor, prompt or not. Every payload a
+    /// pass takes crossed the wire after the anchor, one after another,
+    /// so no read beats it; prompt samples miss the payloads that land
+    /// back to back while the reader works, and their floor can sit above
+    /// it.
+    least: Option<u64>,
+}
+
+impl LandingClock {
+    /// The clock of a wire: it keeps the least time per byte too.
+    fn wire() -> LandingClock {
+        LandingClock {
+            least: Some(u64::MAX),
+            ..LandingClock::default()
+        }
+    }
+
+    /// A poll pass that began at `polled`, `prompt` or not, took `bytes`
+    /// off the path, the oldest of its reads posted at `oldest`. A pass
+    /// whose oldest read was posted before the anchor times the bytes
+    /// since the anchor: into the least time per byte, and, if prompt,
+    /// into its mean. The pass is the anchor if prompt, and clears it if
+    /// not.
+    fn landed(&mut self, polled: Time, prompt: bool, oldest: Time, bytes: u64) {
+        if let Some(anchor) = self.anchor.filter(|&a| oldest < a) {
+            let ps = (polled - anchor).as_nanos() * 1_000 / bytes.max(1);
+            if let Some(least) = &mut self.least {
+                *least = ps.min(*least);
+            }
+            if prompt {
+                self.per_byte = Some(match self.per_byte {
+                    None => (Ewma::new(ps, ps / 2), Ewma::new(bytes, 0)),
+                    Some((mut rate, mut size)) => {
+                        rate.sample(ps);
+                        size.sample(bytes);
+                        (rate, size)
+                    }
+                });
+            }
+        }
+        self.anchor = prompt.then_some(polled);
+    }
+
+    /// The earliest a queued read of `bytes` posted at `post` lands: the
+    /// later of the anchor and its post, plus its bytes at the floor of
+    /// the time per byte (on a wire, no more than the least). `None`
+    /// before the first sample, without an anchor, and for a read over
+    /// twice the mean bytes sampled: a small read's time is mostly
+    /// per-command cost, which a larger read does not pay per byte.
+    fn predict(&self, post: Time, bytes: u64) -> Option<Time> {
+        let (rate, _) = self.per_byte.filter(|(_, size)| bytes <= 2 * size.mean)?;
+        let start = self.anchor?.max(post);
+        let floor = self
+            .least
+            .map_or(rate.floor(), |least| least.min(rate.floor()));
+        Some(start + Dur::nanos(bytes * floor / 1_000))
+    }
+}
+
+/// The landing clock a qpair's reads feed, chosen by its target's
+/// topology ([`NvmeTarget::ingress`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Feeds {
+    /// Its own: nothing another qpair's reads cross lies on its path.
+    Own(LandingClock),
+    /// Wire `w` of the handle's ([`DlfsIo::wires`]): a reader NIC ingress
+    /// its payloads cross one after another with other qpairs'.
+    Wire(usize),
+}
+
+/// A serial link several of a handle's qpairs land through, with its
+/// clock, and what the poll pass in progress took through it: the pass's
+/// start, whether every harvest of it was prompt, the oldest post and the
+/// bytes ([`DlfsIo::harvest`]).
+#[derive(Clone)]
+struct Wire {
+    clock: LandingClock,
+    pass: Option<(Time, bool, Time, u64)>,
+}
+
 /// One of a handle's qpairs, on storage node `nid`. Every read it holds
 /// counts in the instance's [`ForegroundReads`] from the submit that enters
 /// it to the harvest — or the handle's drop — that takes it out, whichever
@@ -234,13 +329,8 @@ struct ReadQp {
     /// time sampled at each, in ns — the instant the harvest's poll pass
     /// began minus the later of the head's post and the previous harvest.
     seen: Option<(Time, Ewma)>,
-    /// The pass start of the last harvest that took a completion, if that
-    /// harvest was prompt: its pass directly followed a wait that spun
-    /// until a completion landed. The instant a queued read started.
-    anchor: Option<Time>,
-    /// What a queued read takes per byte, in ps, sampled at prompt
-    /// harvests from the anchor, and the bytes of the reads sampled.
-    per_byte: Option<(Ewma, Ewma)>,
+    /// The clock its queued reads are timed on.
+    clock: Feeds,
 }
 
 impl ReadQp {
@@ -262,9 +352,8 @@ impl ReadQp {
 
     /// Take every due completion, in a harvest whose poll pass began at
     /// `polled`, `prompt` if that pass directly followed a wait that spun
-    /// until a completion landed. Sample the head time, and, at a prompt
-    /// harvest whose oldest completion was queued at the anchor, the time
-    /// per byte since the anchor.
+    /// until a completion landed. Sample the head time, and feed the
+    /// qpair's own clock, if it has one, its oldest completion.
     fn harvest(&mut self, rt: &Runtime, polled: Time, prompt: bool) -> Vec<Completion> {
         let done = self.qp.process_completions(rt, usize::MAX);
         self.fg.leave(self.nid, done.len());
@@ -288,39 +377,32 @@ impl ReadQp {
                 (polled, seen)
             }
         });
-        if let Some(anchor) = self.anchor.filter(|&a| prompt && head.submitted < a) {
-            let ps = (polled - anchor).as_nanos() * 1_000 / head.bytes.max(1);
-            self.per_byte = Some(match self.per_byte {
-                None => (Ewma::new(ps, ps / 2), Ewma::new(head.bytes, 0)),
-                Some((mut rate, mut size)) => {
-                    rate.sample(ps);
-                    size.sample(head.bytes);
-                    (rate, size)
-                }
-            });
+        if let Feeds::Own(clock) = &mut self.clock {
+            clock.landed(polled, prompt, head.submitted, head.bytes);
         }
-        self.anchor = prompt.then_some(polled);
         done
     }
 
-    /// When this qpair expects its head read to complete at the earliest,
-    /// from what it has seen alone. With one read in flight: its post plus
-    /// the floor of the head times. With a queue: the later of the anchor
-    /// and the head's post, plus the head's bytes at the floor of the time
-    /// per byte — a queued read starts when the one before it lands, and
-    /// the anchor is only ever an instant the reader saw one land. `None`
-    /// before the matching sample, with a queue but no anchor, and for a
-    /// head over twice the mean bytes sampled: a small read's time is
-    /// mostly per-command cost, which a larger read does not pay per byte.
+    /// A lone read in flight is expected no earlier than its post plus
+    /// the floor of the head times. `None` before the first harvest.
+    fn lone(&self) -> Option<Time> {
+        let (_, head) = self.seen?;
+        Some(self.posted.front()?.0 + Dur::nanos(head.floor()))
+    }
+
+    /// When a qpair on its own clock expects its head read to complete at
+    /// the earliest, from what it has seen alone: a lone read by its head
+    /// times, a queue's head on the clock ([`LandingClock::predict`]).
+    /// `None` for a qpair on a wire, which the wire predicts for.
     fn predicted(&self) -> Option<Time> {
-        let &(post, bytes) = self.posted.front()?;
+        let Feeds::Own(clock) = &self.clock else {
+            return None;
+        };
         if self.posted.len() == 1 {
-            let (_, head) = self.seen?;
-            return Some(post + Dur::nanos(head.floor()));
+            return self.lone();
         }
-        let (rate, _) = self.per_byte.filter(|(_, size)| bytes <= 2 * size.mean)?;
-        let start = self.anchor?.max(post);
-        Some(start + Dur::nanos(bytes * rate.floor() / 1_000))
+        let &(post, bytes) = self.posted.front()?;
+        clock.predict(post, bytes)
     }
 }
 
@@ -467,6 +549,9 @@ pub struct DlfsIo {
     /// decides every sample's fetch extent and hence its cache key.
     mode: BatchMode,
     qpairs: Vec<ReadQp>,
+    /// The reader NIC ingresses its remote qpairs land through
+    /// ([`Feeds::Wire`]).
+    wires: Vec<Wire>,
     epoch: Option<EpochState>,
     /// Demand parts awaiting qpair submission, the epoch's and the
     /// synchronous read's alike, each with what it reads.
@@ -521,6 +606,10 @@ impl DlfsIo {
     /// `blocksim.dev{n}.*`.
     pub fn with_registry(shared: Arc<DlfsShared>, reg: &Registry) -> DlfsIo {
         let qd = shared.cfg.queue_depth;
+        // The reader NIC ingresses the targets land through: one wire each.
+        let mut nodes: Vec<usize> = shared.targets.iter().filter_map(|t| t.ingress()).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
         let qpairs = shared
             .targets
             .iter()
@@ -528,14 +617,14 @@ impl DlfsIo {
             .map(|(nid, t)| {
                 let mut qp = IoQPair::new(t.clone(), qd);
                 qp.attach_telemetry(&reg.scoped(&format!("blocksim.dev{nid}")));
+                let wire = t.ingress().and_then(|n| nodes.iter().position(|&m| m == n));
                 ReadQp {
                     qp,
                     nid,
                     fg: shared.fg_reads.clone(),
                     posted: VecDeque::new(),
                     seen: None,
-                    anchor: None,
-                    per_byte: None,
+                    clock: wire.map_or(Feeds::Own(LandingClock::default()), Feeds::Wire),
                 }
             })
             .collect();
@@ -549,6 +638,13 @@ impl DlfsIo {
             mode: shared.cfg.effective_mode(shared.dir.avg_sample_bytes()),
             shared,
             qpairs,
+            wires: vec![
+                Wire {
+                    clock: LandingClock::wire(),
+                    pass: None
+                };
+                nodes.len()
+            ],
             epoch: None,
             pending_parts: VecDeque::new(),
             delayed_parts: BTreeMap::new(),
@@ -602,10 +698,11 @@ impl DlfsIo {
                 // Prompt only while no completion's work has moved the
                 // clock since the wait ended.
                 let prompt = spun && rt.now() == woke;
-                for comp in self.qpairs[q].harvest(rt, rt.now(), prompt) {
+                for comp in self.harvest(rt, q, rt.now(), prompt) {
                     self.complete(rt, &comp);
                 }
             }
+            self.close_pass();
         }
         self.publish_checks(rt);
         self.teardown(Some(rt));
@@ -655,13 +752,14 @@ impl DlfsIo {
     /// partially-consumed previous epoch is aborted first.
     pub fn sequence(&mut self, rt: &Runtime, seed: u64, epoch: u64) -> usize {
         self.abort_epoch(rt);
-        let dealt = self.dealt(seed, epoch);
+        // A deal the prefetcher dealt during the previous epoch targeted
+        // *this* one: run it rather than deal it again. Whatever it
+        // already warmed is found by the demand probes.
+        let dealt = self
+            .prefetch
+            .take(seed, epoch)
+            .unwrap_or_else(|| self.dealt(seed, epoch));
         self.failed = None;
-        // A queue built during the previous epoch targeted *this* one;
-        // whatever it already warmed is found by the demand probes, the
-        // rest is stale.
-        self.prefetch.queue.clear();
-        self.prefetch.built_for = None;
         let st = EpochState::new(seed, epoch, dealt, self.shared.reader_id);
         self.epoch.insert(st).total
     }
@@ -897,21 +995,80 @@ impl DlfsIo {
         }
     }
 
+    /// Harvest qpair `q` in a poll pass that began at `polled`, `prompt`
+    /// or not ([`ReadQp::harvest`]), and note what it took through a wire
+    /// for the pass's end ([`DlfsIo::close_pass`]).
+    fn harvest(&mut self, rt: &Runtime, q: usize, polled: Time, prompt: bool) -> Vec<Completion> {
+        let done = self.qpairs[q].harvest(rt, polled, prompt);
+        let oldest = done.iter().map(|c| c.submitted).min();
+        if let (Feeds::Wire(w), Some(oldest)) = (self.qpairs[q].clock, oldest) {
+            let pass = self.wires[w].pass.get_or_insert((polled, true, oldest, 0));
+            pass.1 &= prompt;
+            pass.2 = pass.2.min(oldest);
+            pass.3 += done.iter().map(|c| c.bytes).sum::<u64>();
+        }
+        done
+    }
+
+    /// End a poll pass: every wire it took reads through feeds its clock
+    /// the pass ([`LandingClock::landed`]) — all it took through that
+    /// wire, since payloads cross it one after another.
+    fn close_pass(&mut self) {
+        for wire in &mut self.wires {
+            if let Some((polled, prompt, oldest, bytes)) = wire.pass.take() {
+                wire.clock.landed(polled, prompt, oldest, bytes);
+            }
+        }
+    }
+
+    /// The handle's own guess at its next completion, from what it saw
+    /// land, never from `next_completion_at()`: the earliest over its
+    /// busy clocks. A qpair on its own clock predicts its head
+    /// ([`ReadQp::predicted`]). A wire with one read in flight predicts it
+    /// by its qpair's head times ([`ReadQp::lone`]); with more, every read
+    /// through it on the wire's clock, since a read posted later on
+    /// another qpair can land first. `None` if a busy clock predicts
+    /// nothing.
+    fn predicted(&self) -> Option<Time> {
+        let own = self
+            .qpairs
+            .iter()
+            .filter(|q| matches!(q.clock, Feeds::Own(_)));
+        let own = own.filter(|q| !q.posted.is_empty()).map(ReadQp::predicted);
+        let wires = self.wires.iter().enumerate().filter_map(|(w, wire)| {
+            let on = self
+                .qpairs
+                .iter()
+                .filter(move |q| q.clock == Feeds::Wire(w));
+            let reads = on.clone().flat_map(|q| &q.posted);
+            match reads.clone().take(2).count() {
+                0 => None,
+                1 => Some(on.clone().find_map(ReadQp::lone)),
+                _ => Some(
+                    reads
+                        .map(|&(post, bytes)| wire.clock.predict(post, bytes))
+                        .min()
+                        .flatten(),
+                ),
+            }
+        });
+        // `None` orders first: one clock without a guess leaves none.
+        own.chain(wires).min().flatten()
+    }
+
     /// The reactor's wait stage: advance to its next event — the earliest
     /// completion over the handle's qpairs (each is asked for its own, a
     /// heap peek) or a delayed part's retry instant — by the waiting rule
-    /// ([`DlfsIo::advance_to`]). The prediction is the handle's own: the
-    /// earliest of its busy qpairs' ([`ReadQp::predicted`]) and the retry
-    /// instant, or nothing if a busy qpair predicts nothing. Returns
+    /// ([`DlfsIo::advance_to`]). The guess is the handle's own: the
+    /// earliest of what its clocks predict ([`DlfsIo::predicted`]) and the
+    /// retry instant, or nothing if a busy clock predicts nothing. Returns
     /// whether the wait spun until the event, or `None` with nothing on a
     /// device and no retry queued: nothing to wait for.
     fn wait_event(&mut self, rt: &Runtime) -> Option<bool> {
         let retry = self.delayed_parts.keys().next().map(|&(t, _)| t);
         let due = self.qpairs.iter().filter_map(|q| q.next_completion_at());
         let t = due.chain(retry).min()?;
-        let busy = self.qpairs.iter().filter(|q| q.outstanding() > 0);
-        // `None` orders first: one qpair without a guess leaves none.
-        let guess = busy.map(ReadQp::predicted).min().flatten();
+        let guess = self.predicted();
         Some(self.advance_to(rt, t, guess.map(|p| retry.map_or(p, |r| p.min(r)))))
     }
 
@@ -1108,6 +1265,46 @@ mod tests {
         });
     }
 
+    /// `sequence` runs the deal the prefetcher dealt at the previous
+    /// epoch's tail rather than dealing it again: the same items, and the
+    /// same ids delivered, as a fresh handle deals and delivers. Two
+    /// readers, so each epoch deals this one a different share.
+    #[test]
+    fn sequence_runs_the_deal_the_prefetcher_dealt() {
+        Runtime::simulate(9, |rt| {
+            let devices = [0; 2].map(|_| NvmeDevice::new(DeviceConfig::optane(16 << 20)));
+            let cfg = DlfsConfig {
+                chunk_size: 8 * 1024,
+                cache_mode: CacheMode::CrossEpoch,
+                prefetch_window: 8,
+                ..DlfsConfig::default()
+            };
+            let mut io = mount_on(rt, cfg, &devices, 2);
+            // The ids an epoch delivers, sorted.
+            let epoch = |io: &mut DlfsIo, epoch: u64| {
+                io.sequence(rt, 43, epoch);
+                let mut ids = Vec::new();
+                let end = loop {
+                    match io.submit(rt, &ReadRequest::batch(16)) {
+                        Ok(got) => ids.extend(got.into_copied().into_iter().map(|(id, _)| id)),
+                        Err(e) => break e,
+                    }
+                };
+                assert_eq!(end, DlfsError::EpochExhausted);
+                ids.sort_unstable();
+                ids
+            };
+            let first = epoch(&mut io, 0);
+            assert_eq!(io.prefetch.built_for, Some((43, 1)), "nothing dealt ahead");
+            let ahead = io.prefetch.dealt.clone();
+            let ids = epoch(&mut io, 1);
+            let mut fresh = DlfsIo::new(io.shared.clone());
+            assert_eq!(ahead, fresh.dealt(43, 1));
+            assert_eq!(ids, epoch(&mut fresh, 1));
+            assert_ne!(ids, first, "the same share twice");
+        });
+    }
+
     /// A synchronous read that runs out of retries mid-epoch fails alone: it
     /// returns its typed error, gives its chunks back once its part still
     /// on the device has drained, and the epoch it interrupted delivers
@@ -1211,9 +1408,14 @@ mod tests {
                 assert_eq!(qp.harvest(rt, rt.now(), prompt).len(), 1);
                 rt.now()
             };
+            // A local device: the qpair keeps its own clock.
+            let clock = |qp: &ReadQp| match qp.clock {
+                Feeds::Own(clock) => Some((clock.anchor, clock.per_byte)),
+                Feeds::Wire(_) => None,
+            };
             post(qp, 3);
             let first = land(qp, true);
-            assert_eq!((qp.anchor, qp.per_byte), (Some(first), None));
+            assert_eq!(clock(qp), Some((Some(first), None)));
             assert_eq!(qp.predicted(), None, "a queue with nothing timed");
             let second = land(qp, true);
             let ps = (second - first).as_nanos() * 1_000 / 4096;
@@ -1222,15 +1424,16 @@ mod tests {
                 dev: ps / 2,
             };
             let size = Ewma { mean: 4096, dev: 0 };
-            assert_eq!((qp.anchor, qp.per_byte), (Some(second), Some((rate, size))));
+            assert_eq!(clock(qp), Some((Some(second), Some((rate, size)))));
             post(qp, 1);
             let head = qp.posted[0].0.max(second);
             let due = head + Dur::nanos(4096 * rate.floor() / 1_000);
             assert_eq!(qp.predicted(), Some(due));
             assert_eq!(qp.harvest(rt, rt.now(), false).len(), 0);
-            assert_eq!(qp.anchor, Some(second), "an empty harvest");
+            let anchor = clock(qp).and_then(|(anchor, _)| anchor);
+            assert_eq!(anchor, Some(second), "an empty harvest");
             land(qp, false);
-            assert_eq!((qp.anchor, qp.per_byte), (None, Some((rate, size))));
+            assert_eq!(clock(qp), Some((None, Some((rate, size)))));
             assert_eq!(qp.posted.len(), 1);
             assert_ne!(qp.predicted(), None, "one in flight: its head time");
             post(qp, 1);

@@ -9,12 +9,24 @@ use super::*;
 /// share of the `(seed, epoch+1)` deal) into the cross-epoch cache.
 #[derive(Default)]
 pub(super) struct PrefetchState {
-    /// `(seed, epoch)` the queue was built for; rebuilt when it goes
+    /// `(seed, epoch)` the deal was dealt for; dealt again when it goes
     /// stale.
     pub(super) built_for: Option<(u64, u64)>,
-    /// Upcoming ranges to warm, in the next epoch's first-use order. (What
-    /// is in flight is in the command table: [`DlfsIo::prefetches`].)
-    pub(super) queue: VecDeque<(u16, u64, u64)>,
+    /// That epoch's deal, in first-use order: what `sequence` runs when
+    /// it is called for it.
+    pub(super) dealt: Vec<FetchItem>,
+    /// The next of its items to warm. (What is in flight is in the command
+    /// table: [`DlfsIo::prefetches`].)
+    cursor: usize,
+}
+
+impl PrefetchState {
+    /// The deal of epoch `epoch` of `seed`, if it was dealt ahead of it;
+    /// either way the state starts over.
+    pub(super) fn take(&mut self, seed: u64, epoch: u64) -> Option<Vec<FetchItem>> {
+        let dealt = std::mem::take(self);
+        (dealt.built_for == Some((seed, epoch))).then_some(dealt.dealt)
+    }
 }
 
 impl DlfsIo {
@@ -38,18 +50,21 @@ impl DlfsIo {
         if st.next_fetch < st.dealt.len() {
             return 0; // demand fetches still pending; they have priority
         }
-        let (seed, epoch) = (st.seed, st.epoch);
-        if self.prefetch.built_for != Some((seed, epoch + 1)) {
-            let next = self.dealt(seed, epoch + 1);
-            self.prefetch.queue = next.iter().map(|it| (it.nid, it.offset, it.len)).collect();
-            self.prefetch.built_for = Some((seed, epoch + 1));
+        let next = (st.seed, st.epoch + 1);
+        if self.prefetch.built_for != Some(next) {
+            self.prefetch = PrefetchState {
+                built_for: Some(next),
+                dealt: self.dealt(next.0, next.1),
+                cursor: 0,
+            };
         }
         let reserve = cfg.window_chunks;
         let (out, mut progressed) = (self.prefetches().count(), 0);
         while out + progressed < pf_window {
-            let Some(&(nid, offset, len)) = self.prefetch.queue.front() else {
+            let Some(it) = self.prefetch.dealt.get(self.prefetch.cursor) else {
                 break;
             };
+            let (nid, offset, len) = (it.nid, it.offset, it.len);
             let key = self.shared.rkey(nid, offset);
             let g = self.read_geometry(nid, offset, len);
             if g.parts(self.per_part()) > 1
@@ -59,7 +74,7 @@ impl DlfsIo {
             {
                 // Multi-command edge items aren't worth speculative slots;
                 // already-resident or in-flight ranges need no warming.
-                self.prefetch.queue.pop_front();
+                self.prefetch.cursor += 1;
                 continue;
             }
             let Some(bufs) = self.shared.cache.alloc_prefetch(g.alloc, reserve) else {
@@ -75,7 +90,7 @@ impl DlfsIo {
                 break; // qpair full; demand completions first
             }
             self.tel.prefetch_issued.inc();
-            self.prefetch.queue.pop_front();
+            self.prefetch.cursor += 1;
             progressed += 1;
         }
         if progressed > 0 {

@@ -852,25 +852,24 @@ fn a_latency_step_is_mispredicted_in_both_directions() {
     });
 }
 
-/// One batched epoch of `sizes` from one ramdisk of `device`, reactor
-/// counters on, drained in copied batches of 32: the (late ns, parked ns)
-/// it added, the hash of its report (every batch's instant, ids and
-/// payload), and the instant the run ended.
+/// One batched epoch of `sizes` from reader 0 of `deployment` mounted
+/// with `cfg`, reactor counters on, drained in copied batches of 32: the
+/// (late ns, parked ns) it added, the hash of its report (every batch's
+/// instant, ids and payload), and the instant the run ended.
 fn queued_epoch(
     seed: u64,
     sizes: Vec<u64>,
-    device: DeviceConfig,
-    mode: BatchMode,
+    deployment: Deployment,
+    cfg: DlfsConfig,
 ) -> (u64, u64, u64, u64) {
     let ((late, parked, report), end) = Runtime::simulate(seed, |rt| {
         let source = SyntheticSource::new(seed, sizes);
         let cfg = DlfsConfig {
-            batch_mode: mode,
             reactor_stats: true,
-            ..DlfsConfig::default()
+            ..cfg
         };
         let fs = MountBuilder::new(cfg)
-            .local(NvmeDevice::new(device))
+            .deployment(deployment)
             .mount(rt, &source)
             .unwrap();
         let mut io = fs.io(0);
@@ -886,6 +885,30 @@ fn queued_epoch(
         )
     });
     (late, parked, report, end.nanos())
+}
+
+/// Every sample read alone.
+fn sample_level() -> DlfsConfig {
+    DlfsConfig {
+        batch_mode: BatchMode::SampleLevel,
+        ..DlfsConfig::default()
+    }
+}
+
+/// One reader on node 0 of a fabric whose NICs move `nic` bytes/s, and a
+/// ramdisk of `device` on each of nodes 1 to `targets`: remote qpairs
+/// whose payloads all cross the reader's one NIC ingress.
+fn one_wire(targets: usize, nic: f64, device: DeviceConfig) -> Result<Deployment, DlfsError> {
+    let fabric = FabricConfig {
+        nic_bytes_per_sec: nic,
+        ..FabricConfig::default()
+    };
+    let cluster = Arc::new(Cluster::new(targets + 1, fabric));
+    let devices: Vec<_> = (0..targets)
+        .map(|_| NvmeDevice::new(device.clone()))
+        .collect();
+    let nodes: Vec<usize> = (1..=targets).collect();
+    Deployment::fabric(&cluster, &[0], &nodes, &devices)
 }
 
 /// Hybrid polling with a queue in flight: a batched epoch of uniform
@@ -906,8 +929,9 @@ fn a_deep_queue_parks_on_time() {
     let _copies = COPY_OPS_QUIET.read().unwrap();
     let seed = common::test_seed(46);
     let ramdisk = DeviceConfig::emulated_ramdisk(128 << 20, Dur::micros(10));
+    let deployment = Deployment::local(1, &[NvmeDevice::new(ramdisk)]);
     let (late, parked, report, end) =
-        queued_epoch(seed, vec![64 << 10; 768], ramdisk, BatchMode::Auto);
+        queued_epoch(seed, vec![64 << 10; 768], deployment, DlfsConfig::default());
     assert!(parked > 0, "no queued wait parked");
     assert_eq!(late, 0, "a queued wait parked past its completion");
     if let Some(&(_, hash, at)) = SPUN.iter().find(|s| s.0 == seed) {
@@ -930,9 +954,91 @@ fn a_head_larger_than_anything_timed_is_not_predicted() {
         channels: 1,
         ..DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(20))
     };
-    let (late, parked, _, _) = queued_epoch(seed, sizes.collect(), device, BatchMode::SampleLevel);
+    let deployment = Deployment::local(1, &[NvmeDevice::new(device)]);
+    let (late, parked, _, _) = queued_epoch(seed, sizes.collect(), deployment, sample_level());
     assert!(parked > 0, "no queued wait parked");
     assert_eq!(late, 0, "a queued wait parked past its completion");
+}
+
+/// Hybrid polling across a shared wire: one reader batching from two
+/// NVMe-oF ramdisks behind a 1 GB/s NIC, whose payloads cross the
+/// reader's one ingress one after another. Each qpair's gaps hold the
+/// other's payloads, so the qpairs time their reads on the ingress's
+/// clock, and the waits park through half of what it predicts, never past
+/// a completion. Parking moves no instant: the epoch delivers the same
+/// batches at the same instants, and ends when, it did when every such
+/// wait spun.
+#[test]
+fn two_targets_on_one_wire_park_on_time() {
+    // (seed, report hash, end ns) with every queued wait spun, at the base
+    // seed and at the CI sweep's second-seed offset; another offset checks
+    // only the parking.
+    const SPUN: [(u64, u64, u64); 2] = [
+        (48, 0x0d77_aef7_206f_45ff, 33_850_770),
+        (1048, 0x58ac_a061_e030_e1f8, 33_850_770),
+    ];
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    let seed = common::test_seed(48);
+    let ramdisk = DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10));
+    let (late, parked, report, end) = queued_epoch(
+        seed,
+        vec![16 << 10; 1024],
+        one_wire(2, 1.0e9, ramdisk).unwrap(),
+        DlfsConfig::default(),
+    );
+    assert!(parked > 0, "no wait on the wire parked");
+    assert_eq!(late, 0, "a wait on the wire parked past its completion");
+    if let Some(&(_, hash, at)) = SPUN.iter().find(|s| s.0 == seed) {
+        assert_eq!((report, end), (hash, at), "parking moved an instant");
+    }
+}
+
+/// The wire fills gaps: on ramdisks slower than the wire, a 16 KiB read
+/// posted after a 64 KiB head, on the other qpair, leaves its device
+/// first and crosses the wire in the gap before the head's payload, so it
+/// lands first. Every read in flight through the wire is predicted, not
+/// only the qpairs' heads, so no wait parks past it. One 64 KiB sample in
+/// four, the rest 16 KiB, each read alone. The devices, not the wire,
+/// bound this run, so most waits spin, and none is required to park.
+#[test]
+fn a_later_read_on_another_qpair_can_land_first() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    let seed = common::test_seed(49);
+    let sizes = (0..1024).map(|i| if i % 4 == 0 { 64 << 10 } else { 16 << 10 });
+    let ramdisk = DeviceConfig {
+        bytes_per_sec: 0.5e9,
+        ..DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10))
+    };
+    let (late, _, _, _) = queued_epoch(
+        seed,
+        sizes.collect(),
+        one_wire(2, 1.0e9, ramdisk).unwrap(),
+        sample_level(),
+    );
+    assert_eq!(late, 0, "a wait parked past a read that overtook the heads");
+}
+
+/// A wire with room to spare: four NVMe-oF ramdisks behind the default
+/// 6.8 GB/s NIC, two 64 KiB reads in flight on each. Payloads that land
+/// back to back while the reader works are never timed by a prompt pass,
+/// so the prompt floor sits above the wire's time per byte; the least
+/// time per byte any pass since the anchor saw bounds it, and no wait
+/// parks past a completion.
+#[test]
+fn a_wire_with_room_to_spare_parks_on_time() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    let seed = common::test_seed(50);
+    let ramdisk = DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10));
+    let cfg = DlfsConfig {
+        queue_depth: 2,
+        ..sample_level()
+    };
+    let deployment = one_wire(4, FabricConfig::default().nic_bytes_per_sec, ramdisk);
+    let (late, _, _, _) = queued_epoch(seed, vec![64 << 10; 1024], deployment.unwrap(), cfg);
+    assert_eq!(
+        late, 0,
+        "a wait parked past a payload that crossed the wire early"
+    );
 }
 
 /// `sequence()` and a dropped handle with verdicts outstanding — parts

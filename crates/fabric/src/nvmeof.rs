@@ -332,6 +332,11 @@ impl NvmeTarget for RemoteTarget {
     fn reached_from(&self, node: usize) -> Option<Arc<dyn NvmeTarget>> {
         Some(connect(self.cluster.clone(), node, self.target.clone()))
     }
+
+    /// Every read's payload crosses the client node's NIC ingress.
+    fn ingress(&self) -> Option<usize> {
+        Some(self.client_node)
+    }
 }
 
 /// A replica copy of a client's writes, forwarded by the `home` target
@@ -464,6 +469,19 @@ mod tests {
                 }
             });
         });
+    }
+
+    /// A remote target's reads land through its client's NIC ingress,
+    /// which every target that client reaches shares; a local device's
+    /// land through nothing shared.
+    #[test]
+    fn a_remote_target_lands_through_its_clients_ingress() {
+        let c = cluster(4);
+        let (a, b) = (target_on(2), target_on(3));
+        assert_eq!(connect(c.clone(), 0, a.clone()).ingress(), Some(0));
+        assert_eq!(connect(c.clone(), 0, b).ingress(), Some(0));
+        assert_eq!(connect(c, 1, a.clone()).ingress(), Some(1));
+        assert_eq!(a.device().ingress(), None);
     }
 
     #[test]
