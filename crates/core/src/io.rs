@@ -169,27 +169,35 @@ pub(crate) struct Waited {
 /// The one waiting rule (DESIGN §13): advance the calling thread to `t`,
 /// the next event of a wait. Unless `own` — something of the caller's own
 /// is in flight — it parks (idle): a pure backoff, a background driver.
-/// Otherwise it hybrid-polls: if `guess`, the caller's prediction of the
-/// event, is at least two wake-ups away, it parks half of that wait, pays
-/// one [`PARK_WAKE`], then spins to `t` (busy) — late if `t` passed
-/// meanwhile. Without a guess it spins. `t` itself never decides a park.
-/// `None` when `t` is not in the future: no wait.
-pub(crate) fn hybrid_wait(rt: &Runtime, t: Time, own: bool, guess: Option<Time>) -> Option<Waited> {
+/// Otherwise it hybrid-polls: `wake` is the instant by which the caller
+/// must be spinning. It parks until one [`PARK_WAKE`] before `wake`, if
+/// that nap is at least one wake-up, pays the wake-up, then spins to `t`
+/// (busy) — late if `t` passed meanwhile. Without a `wake` it spins. `t`
+/// itself never decides a park. `None` when `t` is not in the future: no
+/// wait.
+pub(crate) fn hybrid_wait(rt: &Runtime, t: Time, own: bool, wake: Option<Time>) -> Option<Waited> {
     let now = rt.now();
     if t <= now {
         return None;
     }
-    let wait = guess.map_or(Dur::ZERO, |p| p - now);
-    // (park, end): park all of it, spin all of it, or park half the
-    // predicted wait and pay a wake-up before spinning the rest.
+    let nap = wake.map_or(Dur::ZERO, |w| w - now - PARK_WAKE);
+    // (park, end): park all of it, spin all of it, or park to one
+    // wake-up before `wake` and pay it before spinning the rest.
     let (nap, end) = match own {
         false => (t - now, t),
-        true if wait < PARK_WAKE * 2 => (Dur::ZERO, t),
-        true => (wait / 2, t.max(now + wait / 2 + PARK_WAKE)),
+        true if nap < PARK_WAKE => (Dur::ZERO, t),
+        true => (nap, t.max(now + nap + PARK_WAKE)),
     };
     rt.sleep_then_work(nap, end - now - nap);
     let (spun, parked, late) = (own && end == t, nap, end - t);
     Some(Waited { spun, parked, late })
+}
+
+/// The hedged wake-up for `guess`, an event expected no earlier than it
+/// that may yet come earlier: one [`PARK_WAKE`] past half the wait, so
+/// [`hybrid_wait`] parks half of it.
+fn hedge(now: Time, guess: Time) -> Time {
+    now + (guess - now) / 2 + PARK_WAKE
 }
 
 /// A running mean of a quantity and its mean deviation, both in the unit
@@ -388,6 +396,14 @@ impl ReadQp {
     fn lone(&self) -> Option<Time> {
         let (_, head) = self.seen?;
         Some(self.posted.front()?.0 + Dur::nanos(head.floor()))
+    }
+
+    /// Reads besides this qpair's are in flight on its storage node —
+    /// another handle's, or an offload exchange's: the device serves more
+    /// than this qpair holds, so its reads do not land on a clock of this
+    /// handle's alone ([`Feeds::Own`]'s premise).
+    fn shared(&self) -> bool {
+        self.fg.in_flight(self.nid) > self.posted.len()
     }
 
     /// When a qpair on its own clock expects its head read to complete at
@@ -1021,32 +1037,46 @@ impl DlfsIo {
         }
     }
 
-    /// The handle's own guess at its next completion, from what it saw
-    /// land, never from `next_completion_at()`: the earliest over its
-    /// busy clocks. A qpair on its own clock predicts its head
-    /// ([`ReadQp::predicted`]). A wire with one read in flight predicts it
-    /// by its qpair's head times ([`ReadQp::lone`]); with more, every read
-    /// through it on the wire's clock, since a read posted later on
-    /// another qpair can land first. `None` if a busy clock predicts
-    /// nothing.
-    fn predicted(&self) -> Option<Time> {
+    /// When the handle must be spinning again at `now`, from what it saw
+    /// land, never from `next_completion_at()`: the earliest over its busy
+    /// clocks. A landing clock's floor is spun for as it is: a local
+    /// queue's head ([`ReadQp::predicted`]), and every read through a wire
+    /// with two or more in flight, since a read posted later on another
+    /// qpair can land first. A guess that may come early is hedged
+    /// ([`hedge`]): a lone read's head-time floor ([`ReadQp::lone`]) — on
+    /// a wire, a read alone on its qpair whose lone floor is the later
+    /// one — and any floor of a qpair whose device serves other reads
+    /// ([`ReadQp::shared`]). `None` if a busy clock predicts nothing.
+    fn wake_by(&self, now: Time) -> Option<Time> {
+        // `at`, spun for as it is or, if a head-time guess or on a shared
+        // device, hedged.
+        let wake = |q: &ReadQp, at: Time, lone: bool| match lone || q.shared() {
+            true => hedge(now, at),
+            false => at,
+        };
         let own = self
             .qpairs
             .iter()
-            .filter(|q| matches!(q.clock, Feeds::Own(_)));
-        let own = own.filter(|q| !q.posted.is_empty()).map(ReadQp::predicted);
+            .filter(|q| matches!(q.clock, Feeds::Own(_)) && !q.posted.is_empty());
+        let own = own.map(|q| q.predicted().map(|at| wake(q, at, q.posted.len() == 1)));
         let wires = self.wires.iter().enumerate().filter_map(|(w, wire)| {
             let on = self
                 .qpairs
                 .iter()
                 .filter(move |q| q.clock == Feeds::Wire(w));
-            let reads = on.clone().flat_map(|q| &q.posted);
+            let reads = on
+                .clone()
+                .flat_map(|q| q.posted.iter().map(move |read| (q, read)));
             match reads.clone().take(2).count() {
                 0 => None,
-                1 => Some(on.clone().find_map(ReadQp::lone)),
+                1 => Some(on.clone().find_map(ReadQp::lone).map(|at| hedge(now, at))),
                 _ => Some(
                     reads
-                        .map(|&(post, bytes)| wire.clock.predict(post, bytes))
+                        .map(|(q, &(post, bytes))| {
+                            let floor = wire.clock.predict(post, bytes);
+                            let lone = q.lone().filter(|&l| q.posted.len() == 1 && Some(l) > floor);
+                            lone.or(floor).map(|at| wake(q, at, lone.is_some()))
+                        })
                         .min()
                         .flatten(),
                 ),
@@ -1059,17 +1089,19 @@ impl DlfsIo {
     /// The reactor's wait stage: advance to its next event — the earliest
     /// completion over the handle's qpairs (each is asked for its own, a
     /// heap peek) or a delayed part's retry instant — by the waiting rule
-    /// ([`DlfsIo::advance_to`]). The guess is the handle's own: the
-    /// earliest of what its clocks predict ([`DlfsIo::predicted`]) and the
-    /// retry instant, or nothing if a busy clock predicts nothing. Returns
-    /// whether the wait spun until the event, or `None` with nothing on a
-    /// device and no retry queued: nothing to wait for.
+    /// ([`DlfsIo::advance_to`]). The wake-up is the handle's own: the
+    /// earliest of its clocks' ([`DlfsIo::wake_by`]) and the retry
+    /// instant's, hedged, or none if a busy clock predicts nothing.
+    /// Returns whether the wait spun until the event, or `None` with
+    /// nothing on a device and no retry queued: nothing to wait for.
     fn wait_event(&mut self, rt: &Runtime) -> Option<bool> {
         let retry = self.delayed_parts.keys().next().map(|&(t, _)| t);
         let due = self.qpairs.iter().filter_map(|q| q.next_completion_at());
         let t = due.chain(retry).min()?;
-        let guess = self.predicted();
-        Some(self.advance_to(rt, t, guess.map(|p| retry.map_or(p, |r| p.min(r)))))
+        let now = rt.now();
+        let wake = self.wake_by(now);
+        let wake = wake.map(|w| retry.map_or(w, |r| w.min(hedge(now, r))));
+        Some(self.advance_to(rt, t, wake))
     }
 
     /// Advance the calling thread to `t` by the waiting rule
@@ -1078,9 +1110,9 @@ impl DlfsIo {
     /// and a late end in `dlfs.reactor.late_ns`. Returns whether the wait
     /// spun until `t`: whether a harvest that directly follows it is
     /// prompt ([`ReadQp::harvest`]).
-    fn advance_to(&mut self, rt: &Runtime, t: Time, guess: Option<Time>) -> bool {
+    fn advance_to(&mut self, rt: &Runtime, t: Time, wake: Option<Time>) -> bool {
         let own = self.qpairs.iter().any(|q| q.outstanding() > 0);
-        let Some(waited) = hybrid_wait(rt, t, own, guess) else {
+        let Some(waited) = hybrid_wait(rt, t, own, wake) else {
             return false;
         };
         self.tel.wakeups.inc();
@@ -1351,6 +1383,49 @@ mod tests {
             Ok(())
         };
         Runtime::simulate(7, run).0
+    }
+
+    /// The waiting rule's (park, end), in ns from the wait's start, for a
+    /// guess and an event: spinning by the guess itself, it parks to one
+    /// wake-up before it; hedged, it parks half the guessed wait and pays
+    /// the wake-up — spinning under two wake-ups — and ends late where the
+    /// event beat the guess. No wake-up spins; nothing in flight parks.
+    #[test]
+    fn hybrid_wait_parks_to_one_wake_up_before_its_wake() {
+        // [guess, event, park and end spun for as it is, park and end
+        // hedged]
+        const CELLS: [[u64; 6]; 7] = [
+            [9_599, 9_599, 0, 9_599, 0, 9_599],
+            [9_600, 9_600, 4_800, 9_600, 4_800, 9_600],
+            [12_000, 12_000, 7_200, 12_000, 6_000, 12_000],
+            [20_000, 20_000, 15_200, 20_000, 10_000, 20_000],
+            [20_000, 12_000, 15_200, 20_000, 10_000, 14_800],
+            [100_000, 150_000, 95_200, 150_000, 50_000, 150_000],
+            [100_000, 52_000, 95_200, 100_000, 50_000, 54_800],
+        ];
+        Runtime::simulate(3, |rt| {
+            // (park, end) of a wait for `event` with a wake-up at `guess`,
+            // hedged or not, checking what the rule reports of it.
+            let wait = |event: u64, own: bool, guess: Option<u64>, hedged: bool| {
+                let start = rt.now();
+                let at = guess.map(|g| start + Dur::nanos(g));
+                let wake = at.map(|at| if hedged { hedge(start, at) } else { at });
+                let waited = hybrid_wait(rt, start + Dur::nanos(event), own, wake)?;
+                let end = rt.now() - start;
+                assert_eq!(waited.late, end - Dur::nanos(event));
+                assert_eq!(waited.spun, own && waited.late == Dur::ZERO);
+                Some((waited.parked.as_nanos(), end.as_nanos()))
+            };
+            for [guess, event, park, end, h_park, h_end] in CELLS {
+                let cell = format!("guess {guess} event {event}");
+                let g = Some(guess);
+                assert_eq!(wait(event, true, g, false), Some((park, end)), "{cell}");
+                assert_eq!(wait(event, true, g, true), Some((h_park, h_end)), "{cell}");
+                assert_eq!(wait(event, true, None, false), Some((0, event)), "{cell}");
+                assert_eq!(wait(event, false, g, false), Some((event, event)), "{cell}");
+            }
+            assert_eq!(wait(0, true, None, false), None, "no wait");
+        });
     }
 
     /// The wait stage advances to the earliest event: each qpair is asked

@@ -913,10 +913,11 @@ fn one_wire(targets: usize, nic: f64, device: DeviceConfig) -> Result<Deployment
 
 /// Hybrid polling with a queue in flight: a batched epoch of uniform
 /// 64 KiB samples from one local ramdisk keeps a deep queue on one qpair,
-/// and its waits park through half of what the qpair predicts from the
-/// completions it saw land, never past one. Parking moves no instant: the
-/// epoch delivers the same batches at the same instants, and ends when, it
-/// did when every such wait spun.
+/// and its waits park to one wake-up before the floor the qpair predicts
+/// from the completions it saw land, never past one. Parking moves no
+/// instant: the epoch delivers the same batches at the same instants, and
+/// ends when, it did when every such wait spun. Half of each wait parked
+/// 9.9 ms; to the floor, over 15.
 #[test]
 fn a_deep_queue_parks_on_time() {
     // (seed, report hash, end ns) with every queued wait spun, at the base
@@ -932,7 +933,7 @@ fn a_deep_queue_parks_on_time() {
     let deployment = Deployment::local(1, &[NvmeDevice::new(ramdisk)]);
     let (late, parked, report, end) =
         queued_epoch(seed, vec![64 << 10; 768], deployment, DlfsConfig::default());
-    assert!(parked > 0, "no queued wait parked");
+    assert!(parked >= 15_000_000, "queued waits parked {parked} ns");
     assert_eq!(late, 0, "a queued wait parked past its completion");
     if let Some(&(_, hash, at)) = SPUN.iter().find(|s| s.0 == seed) {
         assert_eq!((report, end), (hash, at), "parking moved an instant");
@@ -964,10 +965,10 @@ fn a_head_larger_than_anything_timed_is_not_predicted() {
 /// NVMe-oF ramdisks behind a 1 GB/s NIC, whose payloads cross the
 /// reader's one ingress one after another. Each qpair's gaps hold the
 /// other's payloads, so the qpairs time their reads on the ingress's
-/// clock, and the waits park through half of what it predicts, never past
-/// a completion. Parking moves no instant: the epoch delivers the same
-/// batches at the same instants, and ends when, it did when every such
-/// wait spun.
+/// clock, and the waits park to one wake-up before the floor it predicts,
+/// never past a completion. Parking moves no instant: the epoch delivers
+/// the same batches at the same instants, and ends when, it did when every
+/// such wait spun. Half of each wait parked 6.9 ms; to the floor, over 10.
 #[test]
 fn two_targets_on_one_wire_park_on_time() {
     // (seed, report hash, end ns) with every queued wait spun, at the base
@@ -986,7 +987,7 @@ fn two_targets_on_one_wire_park_on_time() {
         one_wire(2, 1.0e9, ramdisk).unwrap(),
         DlfsConfig::default(),
     );
-    assert!(parked > 0, "no wait on the wire parked");
+    assert!(parked >= 10_000_000, "waits on the wire parked {parked} ns");
     assert_eq!(late, 0, "a wait on the wire parked past its completion");
     if let Some(&(_, hash, at)) = SPUN.iter().find(|s| s.0 == seed) {
         assert_eq!((report, end), (hash, at), "parking moved an instant");
@@ -1039,6 +1040,91 @@ fn a_wire_with_room_to_spare_parks_on_time() {
         late, 0,
         "a wait parked past a payload that crossed the wire early"
     );
+}
+
+/// A read alone on its qpair, on a wire: ablation 4's set-up at queue
+/// depth 1 — four NVMe-oF ramdisks behind the default NIC, one 64 KiB read
+/// in flight on each qpair. The wire's floor alone sits well before most
+/// such reads land; each is expected no earlier than the later of it and
+/// its qpair's head-time floor, hedged when the head times bind. On the
+/// wire's floor alone the epoch parked 5.9 ms; with the later floor, over
+/// 20. Parking moves no instant, and no more of it is late.
+#[test]
+fn a_read_alone_on_its_qpair_keeps_its_lone_floor_on_a_wire() {
+    // (seed, late ns, report hash, end ns) when each wait was hedged on
+    // the earliest floor over every read on the wire, at the base seed and
+    // at the CI sweep's second-seed offset.
+    const WIRE_FLOOR: [(u64, u64, u64, u64); 2] = [
+        (20190920, 1_295, 0x0d37_adab_2e20_b15d, 122_404_755),
+        (20191920, 0, 0xface_74b6_ebe1_2793, 122_677_212),
+    ];
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    let seed = common::test_seed(20190923 ^ 3);
+    let ramdisk = DeviceConfig::emulated_ramdisk(256 << 20, Dur::micros(10));
+    let cfg = DlfsConfig {
+        queue_depth: 1,
+        window_chunks: 8,
+        ..sample_level()
+    };
+    let deployment = one_wire(4, FabricConfig::default().nic_bytes_per_sec, ramdisk);
+    let (late, parked, report, end) =
+        queued_epoch(seed, vec![64 << 10; 3072], deployment.unwrap(), cfg);
+    assert!(parked >= 20_000_000, "waits parked {parked} ns");
+    if let Some(&(_, was_late, hash, at)) = WIRE_FLOOR.iter().find(|s| s.0 == seed) {
+        assert!(late <= was_late, "{late} ns late, {was_late} before");
+        assert_eq!((report, end), (hash, at), "parking moved an instant");
+    }
+}
+
+/// Two handles on one device, no QoS: each keeps a queue on its own
+/// qpair, and the other's reads land between its own, so neither qpair's
+/// clock times its device alone. Their waits keep the hedge, and none
+/// parks past a completion; parked to their clocks' floors, some would.
+/// 4 KiB samples, batches of 32 each. Parking moves no instant.
+#[test]
+fn a_device_another_handle_reads_keeps_the_hedge() {
+    // (seed, hash of both reports, end ns) with every wait hedged, at the
+    // base seed and at the CI sweep's second-seed offset.
+    const HEDGED: [(u64, u64, u64); 2] = [
+        (52, 0x28ff_c3ee_fa00_9dc3, 14_973_486),
+        (1052, 0x243a_db39_996e_9c3c, 14_973_486),
+    ];
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    let seed = common::test_seed(52);
+    let ramdisk = DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10));
+    let deployment = Deployment::local(2, &[NvmeDevice::new(ramdisk)]);
+    let (runs, end) = Runtime::simulate(seed, |rt| {
+        let source = Arc::new(SyntheticSource::fixed(seed, 4000, 4096));
+        let cfg = DlfsConfig {
+            reactor_stats: true,
+            ..DlfsConfig::default()
+        };
+        let fs = MountBuilder::new(cfg).deployment(deployment);
+        let fs = Arc::new(fs.mount(rt, &*source).unwrap());
+        let readers: Vec<_> = (0..2)
+            .map(|r| {
+                let (fs, source) = (fs.clone(), source.clone());
+                rt.spawn_with(&format!("reader{r}"), move |rt| {
+                    let mut io = fs.io(r);
+                    io.sequence(rt, seed, 0);
+                    let mut report = String::new();
+                    drain_copied_report(rt, &mut io, &source, 32, &mut report);
+                    let m = io.metrics();
+                    let reactor = |c: &str| m.counter(&format!("dlfs.reactor.{c}"));
+                    (reactor("late_ns"), reactor("parked_ns"), report)
+                })
+            })
+            .collect();
+        readers.into_iter().map(|r| r.join()).collect::<Vec<_>>()
+    });
+    let late: u64 = runs.iter().map(|r| r.0).sum();
+    assert!(runs.iter().all(|r| r.1 > 0), "a handle never parked");
+    assert_eq!(late, 0, "a wait parked past its completion");
+    let report: String = runs.iter().map(|r| r.2.as_str()).collect();
+    let (report, end) = (fnv1a(report.as_bytes()), end.nanos());
+    if let Some(&(_, hash, at)) = HEDGED.iter().find(|s| s.0 == seed) {
+        assert_eq!((report, end), (hash, at), "parking moved an instant");
+    }
 }
 
 /// `sequence()` and a dropped handle with verdicts outstanding — parts
