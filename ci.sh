@@ -6,8 +6,9 @@
 #     tests in crates/core/tests/chaos.rs and crates/fabric/tests/faults.rs),
 #     then the chaos / integrity / membership / codec_e2e / offload_e2e /
 #     properties suites, persistence's import → remount roundtrip and
-#     the reactor's latency-step, deep-queue, shared-wire, lone-read-on-
-#     a-wire and shared-device cases again under a second seed
+#     the reactor's latency-step, deep-queue, shared-wire, in-order-wire,
+#     lone-read-on-a-wire, shared-device and bursty-neighbour cases again
+#     under a second seed
 #     (DLFS_TEST_SEED_OFFSET)
 #     so byte-correctness, determinism, the kill-one-target rebuild path
 #     and the pool-side check of verified and coded reads are exercised
@@ -154,15 +155,17 @@ echo "== tier-1: root test suite"
 cargo test -q --offline
 echo "== workspace tests"
 cargo test -q --offline --workspace
-echo "== chaos/integrity/membership/codec/offload/properties/roundtrip/latency step/deep queue/shared wire/lone read/shared device under a second seed"
+echo "== chaos/integrity/membership/codec/offload/properties/roundtrip/latency step/deep queue/shared wire/in-order wire/lone read/shared device/bursty neighbour under a second seed"
 DLFS_TEST_SEED_OFFSET=1000 cargo test -q --offline -p dlfs \
   --test chaos --test integrity --test membership \
   --test codec_e2e --test offload_e2e --test properties
 DLFS_TEST_SEED_OFFSET=1000 cargo test -q --offline -p dlfs --test persistence roundtrip_import_remount
 DLFS_TEST_SEED_OFFSET=1000 cargo test -q --offline -p dlfs --test reactor -- a_latency_step \
   a_deep_queue_parks_on_time two_targets_on_one_wire_park_on_time \
+  a_wire_that_lands_in_post_order_parks_to_its_oldest_read \
   a_read_alone_on_its_qpair_keeps_its_lone_floor_on_a_wire \
-  a_device_another_handle_reads_keeps_the_hedge
+  a_device_another_handle_reads_keeps_the_hedge \
+  a_neighbour_that_reads_in_bursts_does_not_skew_the_clock
 echo "== chaos sweep (smoke)"
 cargo run -q --release --offline -p dlfs-bench --bin ext_fault_sweep -- n=256 size=2048
 echo "== cache ablation (smoke)"

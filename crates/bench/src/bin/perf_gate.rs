@@ -64,7 +64,11 @@
 //! - `wire_read_busy_ns` — the same for 16 KiB samples from two NVMe-oF
 //!   ramdisks behind one 1 GB/s reader NIC (lower is better): two qpairs
 //!   whose payloads share one wire, timed on its clock; the gate asserts
-//!   inline that no wait parks past its completion.
+//!   inline that no wait parks past its completion;
+//! - `ordered_wire_busy_ns` — the same wire with one sample in three
+//!   48 KiB, the rest 16 KiB (lower is better): payloads that land in post
+//!   order, so a wait parks to the oldest read's bytes and those ahead of
+//!   it, not to the smallest read's; the same inline assertion.
 //!
 //! Usage:
 //!
@@ -393,15 +397,28 @@ fn queued_read_busy(seed: u64) -> f64 {
 }
 
 fn wire_read_busy(seed: u64) -> f64 {
-    const SAMPLES: usize = 1024;
-    let source = SyntheticSource::fixed(seed ^ 0x1E5, SAMPLES, 16 << 10);
+    let source = SyntheticSource::fixed(seed ^ 0x1E5, 1024, 16 << 10);
+    one_wire_busy(seed, source, 1024 * (16 << 10))
+}
+
+fn ordered_wire_busy(seed: u64) -> f64 {
+    let sizes: Vec<u64> = (0..1024)
+        .map(|i| if i % 3 == 0 { 48 << 10 } else { 16 << 10 })
+        .collect();
+    let bytes = sizes.iter().sum();
+    one_wire_busy(seed, SyntheticSource::new(seed ^ 0x0AD, sizes), bytes)
+}
+
+/// [`batched_busy`] for `source`, of `bytes` in all, from two NVMe-oF
+/// ramdisks behind one 1 GB/s reader NIC.
+fn one_wire_busy(seed: u64, source: SyntheticSource, bytes: u64) -> f64 {
     batched_busy(seed, source, || {
         let wire = FabricConfig {
             nic_bytes_per_sec: 1.0e9,
             ..FabricConfig::default()
         };
         let cluster = Arc::new(Cluster::new(3, wire));
-        let devices = [0; 2].map(|_| setup::emulated_for(SAMPLES as u64 * (16 << 10)));
+        let devices = [0; 2].map(|_| setup::emulated_for(bytes));
         Deployment::fabric(&cluster, &[0], &[1, 2], &devices).unwrap()
     })
 }
@@ -486,7 +503,7 @@ fn main() {
     let (offload_epoch_throughput_sps, coded_setup_ns, coded_stored_ratio) =
         offload_epoch_throughput(seed);
     // (key, value, higher is better, decimals printed), in file order.
-    let metrics: [(&str, f64, bool, usize); 18] = [
+    let metrics: [(&str, f64, bool, usize); 19] = [
         ("epoch_throughput_sps", epoch_throughput_sps, true, 3),
         (
             "verified_epoch_throughput_sps",
@@ -540,6 +557,7 @@ fn main() {
         ("sync_read_busy_ns", sync_read_busy(seed), false, 1),
         ("queued_read_busy_ns", queued_read_busy(seed), false, 1),
         ("wire_read_busy_ns", wire_read_busy(seed), false, 1),
+        ("ordered_wire_busy_ns", ordered_wire_busy(seed), false, 1),
     ];
 
     let lines = metrics.map(|(key, now, _, decimals)| format!(",\n  \"{key}\": {now:.decimals$}"));

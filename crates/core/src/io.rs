@@ -285,19 +285,24 @@ impl LandingClock {
         self.anchor = prompt.then_some(polled);
     }
 
-    /// The earliest a queued read of `bytes` posted at `post` lands: the
-    /// later of the anchor and its post, plus its bytes at the floor of
-    /// the time per byte (on a wire, no more than the least). `None`
-    /// before the first sample, without an anchor, and for a read over
-    /// twice the mean bytes sampled: a small read's time is mostly
-    /// per-command cost, which a larger read does not pay per byte.
-    fn predict(&self, post: Time, bytes: u64) -> Option<Time> {
+    /// The least time a read of `bytes` takes once it starts: its bytes
+    /// at the floor of the time per byte (on a wire, no more than the
+    /// least). `None` before the first sample, and for a read over twice
+    /// the mean bytes sampled: a small read's time is mostly per-command
+    /// cost, which a larger read does not pay per byte.
+    fn crossing(&self, bytes: u64) -> Option<Dur> {
         let (rate, _) = self.per_byte.filter(|(_, size)| bytes <= 2 * size.mean)?;
-        let start = self.anchor?.max(post);
         let floor = self
             .least
             .map_or(rate.floor(), |least| least.min(rate.floor()));
-        Some(start + Dur::nanos(bytes * floor / 1_000))
+        Some(Dur::nanos(bytes * floor / 1_000))
+    }
+
+    /// The earliest a queued read of `bytes` posted at `post` lands: the
+    /// later of the anchor and its post, plus its crossing. `None` without
+    /// an anchor or a crossing.
+    fn predict(&self, post: Time, bytes: u64) -> Option<Time> {
+        Some(self.anchor?.max(post) + self.crossing(bytes)?)
     }
 }
 
@@ -312,14 +317,85 @@ enum Feeds {
     Wire(usize),
 }
 
+/// The passes a wire must take in post order before it is timed as one
+/// that lands in post order ([`Wire::in_order`]): its first few have had
+/// little chance to show an overtake.
+const IN_ORDER_PASSES: u32 = 16;
+
+/// What a poll pass took through a wire ([`DlfsIo::harvest`]).
+#[derive(Clone, Copy)]
+struct WirePass {
+    /// The pass's start.
+    polled: Time,
+    /// Every harvest of it was prompt.
+    prompt: bool,
+    /// The oldest and the newest post of the reads it took.
+    oldest: Time,
+    newest: Time,
+    bytes: u64,
+}
+
 /// A serial link several of a handle's qpairs land through, with its
-/// clock, and what the poll pass in progress took through it: the pass's
-/// start, whether every harvest of it was prompt, the oldest post and the
-/// bytes ([`DlfsIo::harvest`]).
+/// clock, what the poll pass in progress took through it, and whether it
+/// lands its reads in the order they were posted.
 #[derive(Clone)]
 struct Wire {
     clock: LandingClock,
-    pass: Option<(Time, bool, Time, u64)>,
+    pass: Option<WirePass>,
+    /// The passes that took reads off it, every one in post order, or
+    /// `None` once a pass took a read while an older one on the wire was
+    /// still in flight ([`Wire::judge`]).
+    ordered: Option<u32>,
+}
+
+impl Wire {
+    fn new() -> Wire {
+        Wire {
+            clock: LandingClock::wire(),
+            pass: None,
+            ordered: Some(0),
+        }
+    }
+
+    /// Judge a pass that took reads off the wire: `overtaken` if an older
+    /// read on it was still in flight. One overtake is for good.
+    fn judge(&mut self, overtaken: bool) {
+        self.ordered = match overtaken {
+            true => None,
+            false => self.ordered.map(|n| n.saturating_add(1)),
+        };
+    }
+
+    /// It has landed only in post order, over [`IN_ORDER_PASSES`] passes
+    /// at least: a read lands no earlier than every read posted before it.
+    fn in_order(&self) -> bool {
+        self.ordered >= Some(IN_ORDER_PASSES)
+    }
+
+    /// The earliest each of `reads` — (post, bytes), oldest first — lands.
+    /// On a wire that has overtaken, its own bytes from the later of the
+    /// anchor and its post ([`LandingClock::predict`]). On one in post
+    /// order, it starts no earlier than every read posted before it has
+    /// landed, and one the clock cannot time lands no earlier than they.
+    fn floors<'a>(
+        &'a self,
+        reads: impl Iterator<Item = (Time, u64)> + 'a,
+    ) -> impl Iterator<Item = Option<Time>> + 'a {
+        // `before`: when every read posted before `last` has landed.
+        let (mut last, mut before, mut landed) = (None, Time::ZERO, Time::ZERO);
+        reads.map(move |(post, bytes)| {
+            if !self.in_order() {
+                return self.clock.predict(post, bytes);
+            }
+            if last != Some(post) {
+                (last, before) = (Some(post), landed);
+            }
+            let crossing = self.clock.crossing(bytes).unwrap_or(Dur::ZERO);
+            let floor = self.clock.anchor?.max(before).max(post) + crossing;
+            landed = landed.max(floor);
+            Some(floor)
+        })
+    }
 }
 
 /// One of a handle's qpairs, on storage node `nid`. Every read it holds
@@ -339,6 +415,14 @@ struct ReadQp {
     seen: Option<(Time, Ewma)>,
     /// The clock its queued reads are timed on.
     clock: Feeds,
+    /// The reads it ever entered in the instance's [`ForegroundReads`],
+    /// and the others that had entered its node as of its last harvest, if
+    /// none of them was in flight then.
+    entered: usize,
+    others: Option<usize>,
+    /// Its own clock has timed a pass while its device served other reads
+    /// too, and none since with the device alone ([`ReadQp::harvest`]).
+    contended: bool,
 }
 
 impl ReadQp {
@@ -353,6 +437,7 @@ impl ReadQp {
     ) -> Result<(), QpairError> {
         self.qp.submit_read(rt, id, slba, nblocks, buf, at)?;
         self.fg.enter(self.nid);
+        self.entered += 1;
         self.posted
             .push_back((rt.now(), nblocks as u64 * BLOCK_SIZE));
         Ok(())
@@ -361,7 +446,11 @@ impl ReadQp {
     /// Take every due completion, in a harvest whose poll pass began at
     /// `polled`, `prompt` if that pass directly followed a wait that spun
     /// until a completion landed. Sample the head time, and feed the
-    /// qpair's own clock, if it has one, its oldest completion.
+    /// qpair's own clock, if it has one, its oldest completion. A clock
+    /// fed a pass while its device served other reads is `contended`; the
+    /// first pass after one with the device alone since the last harvest
+    /// — no other read in flight then or now, none entered between —
+    /// forgets what it timed, so it times the device alone again.
     fn harvest(&mut self, rt: &Runtime, polled: Time, prompt: bool) -> Vec<Completion> {
         let done = self.qp.process_completions(rt, usize::MAX);
         self.fg.leave(self.nid, done.len());
@@ -385,7 +474,14 @@ impl ReadQp {
                 (polled, seen)
             }
         });
+        let others = (!self.shared()).then(|| self.fg.entered(self.nid) - self.entered);
+        let alone = others.is_some() && others == self.others;
+        self.others = others;
         if let Feeds::Own(clock) = &mut self.clock {
+            if alone && self.contended {
+                clock.per_byte = None;
+            }
+            self.contended = !alone;
             clock.landed(polled, prompt, head.submitted, head.bytes);
         }
         done
@@ -409,11 +505,16 @@ impl ReadQp {
     /// When a qpair on its own clock expects its head read to complete at
     /// the earliest, from what it has seen alone: a lone read by its head
     /// times, a queue's head on the clock ([`LandingClock::predict`]).
-    /// `None` for a qpair on a wire, which the wire predicts for.
+    /// `None` for a qpair on a wire, which the wire predicts for, and
+    /// while its clock is `contended` but its device no longer shared: a
+    /// device timed serving others too is slower than it is alone.
     fn predicted(&self) -> Option<Time> {
         let Feeds::Own(clock) = &self.clock else {
             return None;
         };
+        if self.contended && !self.shared() {
+            return None;
+        }
         if self.posted.len() == 1 {
             return self.lone();
         }
@@ -641,6 +742,10 @@ impl DlfsIo {
                     posted: VecDeque::new(),
                     seen: None,
                     clock: wire.map_or(Feeds::Own(LandingClock::default()), Feeds::Wire),
+                    entered: 0,
+                    others: (shared.fg_reads.in_flight(nid) == 0)
+                        .then(|| shared.fg_reads.entered(nid)),
+                    contended: false,
                 }
             })
             .collect();
@@ -654,13 +759,7 @@ impl DlfsIo {
             mode: shared.cfg.effective_mode(shared.dir.avg_sample_bytes()),
             shared,
             qpairs,
-            wires: vec![
-                Wire {
-                    clock: LandingClock::wire(),
-                    pass: None
-                };
-                nodes.len()
-            ],
+            wires: vec![Wire::new(); nodes.len()],
             epoch: None,
             pending_parts: VecDeque::new(),
             delayed_parts: BTreeMap::new(),
@@ -1016,32 +1115,47 @@ impl DlfsIo {
     /// for the pass's end ([`DlfsIo::close_pass`]).
     fn harvest(&mut self, rt: &Runtime, q: usize, polled: Time, prompt: bool) -> Vec<Completion> {
         let done = self.qpairs[q].harvest(rt, polled, prompt);
-        let oldest = done.iter().map(|c| c.submitted).min();
-        if let (Feeds::Wire(w), Some(oldest)) = (self.qpairs[q].clock, oldest) {
-            let pass = self.wires[w].pass.get_or_insert((polled, true, oldest, 0));
-            pass.1 &= prompt;
-            pass.2 = pass.2.min(oldest);
-            pass.3 += done.iter().map(|c| c.bytes).sum::<u64>();
+        let (Feeds::Wire(w), Some(first)) = (self.qpairs[q].clock, done.first()) else {
+            return done;
+        };
+        let pass = self.wires[w].pass.get_or_insert(WirePass {
+            polled,
+            prompt: true,
+            oldest: first.submitted,
+            newest: first.submitted,
+            bytes: 0,
+        });
+        pass.prompt &= prompt;
+        for c in &done {
+            pass.oldest = pass.oldest.min(c.submitted);
+            pass.newest = pass.newest.max(c.submitted);
+            pass.bytes += c.bytes;
         }
         done
     }
 
     /// End a poll pass: every wire it took reads through feeds its clock
     /// the pass ([`LandingClock::landed`]) — all it took through that
-    /// wire, since payloads cross it one after another.
+    /// wire, since payloads cross it one after another — and is judged on
+    /// the order it landed them in ([`Wire::judge`]).
     fn close_pass(&mut self) {
-        for wire in &mut self.wires {
-            if let Some((polled, prompt, oldest, bytes)) = wire.pass.take() {
-                wire.clock.landed(polled, prompt, oldest, bytes);
-            }
+        for (w, wire) in self.wires.iter_mut().enumerate() {
+            let Some(pass) = wire.pass.take() else {
+                continue;
+            };
+            wire.clock
+                .landed(pass.polled, pass.prompt, pass.oldest, pass.bytes);
+            let mut on = self.qpairs.iter().filter(|q| q.clock == Feeds::Wire(w));
+            wire.judge(on.any(|q| q.posted.front().is_some_and(|r| r.0 < pass.newest)));
         }
     }
 
     /// When the handle must be spinning again at `now`, from what it saw
     /// land, never from `next_completion_at()`: the earliest over its busy
     /// clocks. A landing clock's floor is spun for as it is: a local
-    /// queue's head ([`ReadQp::predicted`]), and every read through a wire
-    /// with two or more in flight, since a read posted later on another
+    /// queue's head ([`ReadQp::predicted`]), and the earliest over every
+    /// read through a wire with two or more in flight ([`Wire::floors`]),
+    /// since on a wire that has overtaken a read posted later on another
     /// qpair can land first. A guess that may come early is hedged
     /// ([`hedge`]): a lone read's head-time floor ([`ReadQp::lone`]) — on
     /// a wire, a read alone on its qpair whose lone floor is the later
@@ -1070,16 +1184,16 @@ impl DlfsIo {
             match reads.clone().take(2).count() {
                 0 => None,
                 1 => Some(on.clone().find_map(ReadQp::lone).map(|at| hedge(now, at))),
-                _ => Some(
-                    reads
-                        .map(|(q, &(post, bytes))| {
-                            let floor = wire.clock.predict(post, bytes);
-                            let lone = q.lone().filter(|&l| q.posted.len() == 1 && Some(l) > floor);
-                            lone.or(floor).map(|at| wake(q, at, lone.is_some()))
-                        })
-                        .min()
-                        .flatten(),
-                ),
+                _ => {
+                    let mut reads: Vec<_> = reads.collect();
+                    reads.sort_by_key(|(_, read)| read.0);
+                    let floors = wire.floors(reads.iter().map(|(_, &read)| read));
+                    let wakes = reads.iter().zip(floors).map(|(&(q, _), floor)| {
+                        let lone = q.lone().filter(|&l| q.posted.len() == 1 && Some(l) > floor);
+                        lone.or(floor).map(|at| wake(q, at, lone.is_some()))
+                    });
+                    Some(wakes.min().flatten())
+                }
             }
         });
         // `None` orders first: one clock without a guess leaves none.
@@ -1514,6 +1628,54 @@ mod tests {
             post(qp, 1);
             assert_eq!(qp.predicted(), None, "a queue without an anchor");
         });
+    }
+
+    /// A wire is judged on the order it lands its reads in: it is timed as
+    /// one in post order after [`IN_ORDER_PASSES`] passes in post order,
+    /// and one overtake is for good.
+    #[test]
+    fn k_passes_in_post_order_arm_the_order_rule_and_one_overtake_disarms_it() {
+        // Armed after each pass judged: the overtake comes two passes
+        // after arming, then only passes in post order.
+        let (mut wire, k) = (Wire::new(), IN_ORDER_PASSES as usize);
+        let armed: Vec<bool> = (0..4 * k)
+            .map(|i| {
+                wire.judge(i == k + 1);
+                wire.in_order()
+            })
+            .collect();
+        let want: Vec<bool> = (0..4 * k).map(|i| i + 1 == k || i == k).collect();
+        assert_eq!(armed, want);
+    }
+
+    /// The floors of a wire's reads, at 1 ns per byte from an anchor at
+    /// 0: on a wire that has overtaken, each read's own bytes from the
+    /// later of the anchor and its post; in post order, after every read
+    /// posted before it, two posted at once alike, and one too large to
+    /// time no earlier than those before it.
+    #[test]
+    fn a_wire_in_post_order_floors_each_read_after_those_posted_before_it() {
+        let mut wire = Wire::new();
+        wire.clock.anchor = Some(Time::ZERO);
+        wire.clock.per_byte = Some((Ewma::new(1_000, 0), Ewma::new(16_000, 0)));
+        let at = |us: u64| Time::ZERO + Dur::micros(us);
+        let reads = [
+            (at(0), 30_000),
+            (at(1), 10_000),
+            (at(1), 20_000),
+            (at(2), 40_000),
+            (at(50), 10_000),
+        ];
+        let floors = |wire: &Wire| -> Vec<Option<u64>> {
+            let floors = wire.floors(reads.into_iter());
+            floors.map(|f| f.map(|t| t.nanos())).collect()
+        };
+        wire.ordered = None;
+        let want = [Some(30_000), Some(11_000), Some(21_000), None, Some(60_000)];
+        assert_eq!(floors(&wire), want);
+        wire.ordered = Some(IN_ORDER_PASSES);
+        let want = [30_000, 40_000, 50_000, 50_000, 60_000];
+        assert_eq!(floors(&wire), want.map(Some));
     }
 
     /// Every way a completion can settle: status x checksum x replicas x

@@ -66,26 +66,34 @@ pub(crate) fn io_failure(status: CmdStatus) -> IoFailure {
 /// the submit that enters a reader handle's qpair to the harvest (or the
 /// handle's drop) that takes it out, plus the offload exchanges touching
 /// the node that their batches have not collected. Every reader handle
-/// shares one; it advances no virtual time.
+/// shares one; it advances no virtual time. Each node also counts the
+/// reads ever entered, so a handle can tell whether others came and went.
 #[derive(Debug)]
-pub struct ForegroundReads(Vec<AtomicUsize>);
+pub struct ForegroundReads(Vec<[AtomicUsize; 2]>);
 
 impl ForegroundReads {
     pub(crate) fn new(nodes: usize) -> ForegroundReads {
-        ForegroundReads((0..nodes).map(|_| AtomicUsize::new(0)).collect())
+        ForegroundReads((0..nodes).map(|_| Default::default()).collect())
     }
 
     /// Read commands in flight on storage node `nid` (0 past the last).
     pub fn in_flight(&self, nid: usize) -> usize {
-        self.0.get(nid).map_or(0, |n| n.load(Ordering::Relaxed))
+        self.0.get(nid).map_or(0, |n| n[0].load(Ordering::Relaxed))
+    }
+
+    /// Read commands ever entered on storage node `nid`.
+    pub(crate) fn entered(&self, nid: usize) -> usize {
+        self.0[nid][1].load(Ordering::Relaxed)
     }
 
     pub(crate) fn enter(&self, nid: usize) {
-        self.0[nid].fetch_add(1, Ordering::Relaxed);
+        for n in &self.0[nid] {
+            n.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn leave(&self, nid: usize, n: usize) {
-        self.0[nid].fetch_sub(n, Ordering::Relaxed);
+        self.0[nid][0].fetch_sub(n, Ordering::Relaxed);
     }
 }
 

@@ -994,6 +994,55 @@ fn two_targets_on_one_wire_park_on_time() {
     }
 }
 
+/// A wire that lands in post order: two NVMe-oF ramdisks, faster than the
+/// 1 GB/s NIC they share, so payloads cross it in the order they were
+/// posted. One sample in three is 48 KiB, the rest 16 KiB. Once the wire
+/// has landed only in post order, a read is expected no earlier than every
+/// read posted before it has crossed, then its own bytes: the waits park
+/// to the oldest read, not to the smallest. At chunk level, waits that
+/// parked to the smallest read's bytes parked 4.1 ms; to the oldest, over
+/// 20. Parking moves no instant, at chunk or sample level.
+#[test]
+fn a_wire_that_lands_in_post_order_parks_to_its_oldest_read() {
+    // (seed, [(report hash, end ns) at chunk level, at sample level]) when
+    // each wait parked to the smallest read's bytes, at the base seed and
+    // at the CI sweep's second-seed offset.
+    const SMALLEST: [(u64, [(u64, u64); 2]); 2] = [
+        (
+            53,
+            [
+                (0xcda9_884b_9df6_ede4, 56_191_017),
+                (0xf310_206e_c92f_2ef4, 56_115_634),
+            ],
+        ),
+        (
+            1053,
+            [
+                (0x2af9_eb8a_7998_96d5, 56_206_264),
+                (0xc8dc_7e3c_2d6d_2b76, 56_115_634),
+            ],
+        ),
+    ];
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    let seed = common::test_seed(53);
+    let sizes: Vec<u64> = (0..1024)
+        .map(|i| if i % 3 == 0 { 48 << 10 } else { 16 << 10 })
+        .collect();
+    let ramdisk = DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10));
+    let levels = [DlfsConfig::default(), sample_level()];
+    for (level, cfg) in levels.into_iter().enumerate() {
+        let deployment = one_wire(2, 1.0e9, ramdisk.clone()).unwrap();
+        let (late, parked, report, end) = queued_epoch(seed, sizes.clone(), deployment, cfg);
+        if level == 0 {
+            assert!(parked >= 10_000_000, "waits on the wire parked {parked} ns");
+        }
+        assert_eq!(late, 0, "a wait on the wire parked past its completion");
+        if let Some((_, spun)) = SMALLEST.iter().find(|s| s.0 == seed) {
+            assert_eq!((report, end), spun[level], "parking moved an instant");
+        }
+    }
+}
+
 /// The wire fills gaps: on ramdisks slower than the wire, a 16 KiB read
 /// posted after a 64 KiB head, on the other qpair, leaves its device
 /// first and crosses the wire in the gap before the head's payload, so it
@@ -1125,6 +1174,56 @@ fn a_device_another_handle_reads_keeps_the_hedge() {
     if let Some(&(_, hash, at)) = HEDGED.iter().find(|s| s.0 == seed) {
         assert_eq!((report, end), (hash, at), "parking moved an instant");
     }
+}
+
+/// A neighbour that reads in bursts: two handles on one device, one
+/// draining batches of 32, the other batches of 4 with a 100 µs pause
+/// after each. A clock that timed passes while the neighbour's reads
+/// shared the device sits late once the neighbour pauses, so it predicts
+/// nothing until a pass with the device alone makes it forget what it
+/// timed. Spun to that clock's floor once no neighbour read was in
+/// flight, the waits ran 238 µs past their completions in all; hedged,
+/// 30 µs. 4 KiB samples.
+#[test]
+fn a_neighbour_that_reads_in_bursts_does_not_skew_the_clock() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    let seed = common::test_seed(54);
+    let ramdisk = DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10));
+    let deployment = Deployment::local(2, &[NvmeDevice::new(ramdisk)]);
+    let (late, _) = Runtime::simulate(seed, |rt| {
+        let source = Arc::new(SyntheticSource::fixed(seed, 4000, 4096));
+        let cfg = DlfsConfig {
+            reactor_stats: true,
+            ..DlfsConfig::default()
+        };
+        let fs = MountBuilder::new(cfg).deployment(deployment);
+        let fs = Arc::new(fs.mount(rt, &*source).unwrap());
+        let readers: Vec<_> = [(32, Dur::ZERO), (4, Dur::micros(100))]
+            .into_iter()
+            .enumerate()
+            .map(|(r, (batch, pause))| {
+                let (fs, source) = (fs.clone(), source.clone());
+                rt.spawn_with(&format!("reader{r}"), move |rt| {
+                    let mut io = fs.io(r);
+                    io.sequence(rt, seed, 0);
+                    loop {
+                        let got = match io.submit(rt, &ReadRequest::batch(batch)) {
+                            Ok(got) => got,
+                            Err(DlfsError::EpochExhausted) => break,
+                            Err(e) => panic!("epoch failed: {e}"),
+                        };
+                        for (id, data) in got.into_copied() {
+                            assert_eq!(data, source.expected(id), "payload mismatch {id}");
+                        }
+                        rt.sleep(pause);
+                    }
+                    io.metrics().counter("dlfs.reactor.late_ns")
+                })
+            })
+            .collect();
+        readers.into_iter().map(|r| r.join()).sum::<u64>()
+    });
+    assert_eq!(late, 0, "a wait parked past its completion");
 }
 
 /// `sequence()` and a dropped handle with verdicts outstanding — parts
