@@ -397,12 +397,16 @@ impl DlfsIo {
     /// completion queue consolidates this into one pass), then publish the
     /// pass's check entries. The one harvest of every read but the
     /// `abort_epoch` drain, and one `stage.poll_ns` record per pass.
-    /// `prompt`: the pass directly follows a wait that spun until a
-    /// completion landed (what [`DlfsIo::wait_event`] returned), so every
-    /// harvest in it is prompt.
-    pub(super) fn poll(&mut self, rt: &Runtime, prompt: bool) -> usize {
+    /// `spun`: the pass directly follows a wait that spun until a
+    /// completion landed, at that instant (what [`DlfsIo::wait_event`]
+    /// returned), so every harvest in it is prompt; if the handle then had
+    /// one read in flight, it is timed alone from that instant
+    /// ([`ReadQp::time_alone`]), whatever ran between the two.
+    pub(super) fn poll(&mut self, rt: &Runtime, spun: Option<Time>) -> usize {
         let costs = self.shared.cfg.costs.clone();
         let t0 = rt.now();
+        let in_flight = self.qpairs.iter().map(|q| q.posted.len()).sum::<usize>();
+        let lone = spun.filter(|_| in_flight == 1);
         self.tel.poll_spins.inc();
         if self.shared.cfg.shared_completion_queue {
             rt.work(costs.poll_iteration);
@@ -421,7 +425,11 @@ impl DlfsIo {
                 Some(t) if t <= rt.now() => {}
                 _ => continue,
             }
-            for comp in self.harvest(rt, q, t0, prompt) {
+            let done = self.harvest(rt, q, t0, spun.is_some());
+            if let (Some(end), [read]) = (lone, &done[..]) {
+                self.qpairs[q].time_alone(read, end);
+            }
+            for comp in done {
                 rt.work(costs.per_completion);
                 self.tel.completions.inc();
                 harvested += 1;
@@ -628,9 +636,9 @@ impl DlfsIo {
             copied: vec![None; if copied { want } else { 0 }],
             ..Batch::default()
         };
-        // Whether the last wait spun until a completion landed: only the
-        // poll pass right after it harvests promptly.
-        let mut spun = false;
+        // When the last wait's spin ended, if it spun until a completion
+        // landed: only the poll pass right after it harvests promptly.
+        let mut spun = None;
         while batch.received < want {
             let Some(pumped) = self.pump(rt) else {
                 // Drain the copies already dispatched (never tear a

@@ -194,8 +194,9 @@ pub(crate) fn hybrid_wait(rt: &Runtime, t: Time, own: bool, wake: Option<Time>) 
 }
 
 /// The hedged wake-up for `guess`, an event expected no earlier than it
-/// that may yet come earlier: one [`PARK_WAKE`] past half the wait, so
-/// [`hybrid_wait`] parks half of it.
+/// that may yet come earlier — a retry instant, or a queue's floor on a
+/// device that serves other reads too: one [`PARK_WAKE`] past half the
+/// wait, so [`hybrid_wait`] parks half of it.
 fn hedge(now: Time, guess: Time) -> Time {
     now + (guess - now) / 2 + PARK_WAKE
 }
@@ -224,6 +225,31 @@ impl Ewma {
     /// deviation.
     fn floor(&self) -> u64 {
         self.mean.saturating_sub(2 * self.dev)
+    }
+}
+
+/// The samples of one read size a qpair must have timed alone before its
+/// least is trusted as a floor ([`LoneFloors::floor`]).
+const LONE_SAMPLES: u32 = 4;
+
+/// The least post-to-landing time of a qpair's reads, by bytes, each read
+/// the only one its handle had in flight: timed from its post to the end
+/// of the wait that spun until it landed. Queueing behind other readers
+/// only delays a read, so no read of a size lands sooner than that alone.
+#[derive(Default)]
+struct LoneFloors(BTreeMap<u64, (Dur, u32)>);
+
+impl LoneFloors {
+    fn sample(&mut self, bytes: u64, took: Dur) {
+        let (least, n) = self.0.entry(bytes).or_insert((took, 0));
+        (*least, *n) = (took.min(*least), *n + 1);
+    }
+
+    /// The least time any size up to `bytes` with [`LONE_SAMPLES`] or more
+    /// took alone: a larger read takes no less. `None` without one.
+    fn floor(&self, bytes: u64) -> Option<Dur> {
+        let trusted = self.0.range(..=bytes).filter(|(_, e)| e.1 >= LONE_SAMPLES);
+        trusted.map(|(_, e)| e.0).min()
     }
 }
 
@@ -406,13 +432,17 @@ struct ReadQp {
     qp: IoQPair,
     nid: usize,
     fg: Arc<ForegroundReads>,
+    /// Its slot there for the NIC ingress its payloads land through, if
+    /// any ([`ReadQp::slots`]).
+    link: Option<usize>,
     /// Post instant and bytes of each read in flight, oldest first.
     posted: VecDeque<(Time, u64)>,
-    /// What the qpair has seen of its head times, `None` until its first
-    /// harvest: the last harvest that took a completion, and the head
-    /// time sampled at each, in ns — the instant the harvest's poll pass
-    /// began minus the later of the head's post and the previous harvest.
-    seen: Option<(Time, Ewma)>,
+    /// What its reads took alone, forgotten at a late wait
+    /// ([`DlfsIo::advance_to`]), and, if its last read was posted with
+    /// its path to itself ([`ReadQp::path`]), the reads entered there by
+    /// then.
+    alone: LoneFloors,
+    quiet: Option<usize>,
     /// The clock its queued reads are timed on.
     clock: Feeds,
     /// The reads it ever entered in the instance's [`ForegroundReads`],
@@ -436,7 +466,9 @@ impl ReadQp {
         at: usize,
     ) -> Result<(), QpairError> {
         self.qp.submit_read(rt, id, slba, nblocks, buf, at)?;
-        self.fg.enter(self.nid);
+        self.slots().for_each(|s| self.fg.enter(s));
+        let (alone, entered) = self.path();
+        self.quiet = alone.then_some(entered);
         self.entered += 1;
         self.posted
             .push_back((rt.now(), nblocks as u64 * BLOCK_SIZE));
@@ -445,15 +477,15 @@ impl ReadQp {
 
     /// Take every due completion, in a harvest whose poll pass began at
     /// `polled`, `prompt` if that pass directly followed a wait that spun
-    /// until a completion landed. Sample the head time, and feed the
-    /// qpair's own clock, if it has one, its oldest completion. A clock
-    /// fed a pass while its device served other reads is `contended`; the
-    /// first pass after one with the device alone since the last harvest
-    /// — no other read in flight then or now, none entered between —
-    /// forgets what it timed, so it times the device alone again.
+    /// until a completion landed. Feed the qpair's own clock, if it has
+    /// one, its oldest completion. A clock fed a pass while its device
+    /// served other reads is `contended`; the first pass after one with
+    /// the device alone since the last harvest — no other read in flight
+    /// then or now, none entered between — forgets what it timed, so it
+    /// times the device alone again.
     fn harvest(&mut self, rt: &Runtime, polled: Time, prompt: bool) -> Vec<Completion> {
         let done = self.qp.process_completions(rt, usize::MAX);
-        self.fg.leave(self.nid, done.len());
+        self.slots().for_each(|s| self.fg.leave(s, done.len()));
         for c in &done {
             if let Some(at) = self
                 .posted
@@ -466,14 +498,6 @@ impl ReadQp {
         let Some(head) = done.iter().min_by_key(|c| c.submitted) else {
             return done;
         };
-        let sample = |since: Time| (polled - head.submitted.max(since)).as_nanos();
-        self.seen = Some(match self.seen {
-            None => (polled, Ewma::new(sample(head.submitted), 0)),
-            Some((last, mut seen)) => {
-                seen.sample(sample(last));
-                (polled, seen)
-            }
-        });
         let others = (!self.shared()).then(|| self.fg.entered(self.nid) - self.entered);
         let alone = others.is_some() && others == self.others;
         self.others = others;
@@ -487,11 +511,34 @@ impl ReadQp {
         done
     }
 
+    /// Time `read`, harvested alone in its handle in a pass that followed a
+    /// wait whose spin ended at `end` as it landed ([`LoneFloors`]): if it
+    /// was posted with its path to itself and nothing entered it since.
+    fn time_alone(&mut self, read: &Completion, end: Time) {
+        if self.quiet == Some(self.path().1) {
+            self.alone.sample(read.bytes, end - read.submitted);
+        }
+    }
+
     /// A lone read in flight is expected no earlier than its post plus
-    /// the floor of the head times. `None` before the first harvest.
+    /// the least time its bytes took alone ([`LoneFloors::floor`]).
     fn lone(&self) -> Option<Time> {
-        let (_, head) = self.seen?;
-        Some(self.posted.front()?.0 + Dur::nanos(head.floor()))
+        let &(post, bytes) = self.posted.front()?;
+        Some(post + self.alone.floor(bytes)?)
+    }
+
+    /// Its slots in the instance's [`ForegroundReads`]: its storage node,
+    /// and the NIC ingress its payloads land through, if any.
+    fn slots(&self) -> impl Iterator<Item = usize> {
+        std::iter::once(self.nid).chain(self.link)
+    }
+
+    /// Whether its reads have their path to themselves — no other read in
+    /// flight, any handle's, on its device or through its NIC ingress —
+    /// and the reads ever entered there.
+    fn path(&self) -> (bool, usize) {
+        let alone = self.slots().all(|s| self.fg.in_flight(s) <= 1);
+        (alone, self.slots().map(|s| self.fg.entered(s)).sum())
     }
 
     /// Reads besides this qpair's are in flight on its storage node —
@@ -502,21 +549,18 @@ impl ReadQp {
         self.fg.in_flight(self.nid) > self.posted.len()
     }
 
-    /// When a qpair on its own clock expects its head read to complete at
-    /// the earliest, from what it has seen alone: a lone read by its head
-    /// times, a queue's head on the clock ([`LandingClock::predict`]).
-    /// `None` for a qpair on a wire, which the wire predicts for, and
-    /// while its clock is `contended` but its device no longer shared: a
-    /// device timed serving others too is slower than it is alone.
+    /// When a qpair on its own clock expects the head of its queue to
+    /// complete at the earliest, from what it has seen alone
+    /// ([`LandingClock::predict`]). `None` for a qpair on a wire, which
+    /// the wire predicts for, and while its clock is `contended` but its
+    /// device no longer shared: a device timed serving others too is
+    /// slower than it is alone.
     fn predicted(&self) -> Option<Time> {
         let Feeds::Own(clock) = &self.clock else {
             return None;
         };
         if self.contended && !self.shared() {
             return None;
-        }
-        if self.posted.len() == 1 {
-            return self.lone();
         }
         let &(post, bytes) = self.posted.front()?;
         clock.predict(post, bytes)
@@ -533,7 +577,8 @@ impl std::ops::Deref for ReadQp {
 /// A dropped handle's reads never complete for it.
 impl Drop for ReadQp {
     fn drop(&mut self) {
-        self.fg.leave(self.nid, self.qp.outstanding());
+        self.slots()
+            .for_each(|s| self.fg.leave(s, self.qp.outstanding()));
     }
 }
 
@@ -739,8 +784,10 @@ impl DlfsIo {
                     qp,
                     nid,
                     fg: shared.fg_reads.clone(),
+                    link: t.ingress().map(|n| shared.targets.len() + n),
                     posted: VecDeque::new(),
-                    seen: None,
+                    alone: LoneFloors::default(),
+                    quiet: None,
                     clock: wire.map_or(Feeds::Own(LandingClock::default()), Feeds::Wire),
                     entered: 0,
                     others: (shared.fg_reads.in_flight(nid) == 0)
@@ -812,7 +859,7 @@ impl DlfsIo {
             for q in 0..self.qpairs.len() {
                 // Prompt only while no completion's work has moved the
                 // clock since the wait ended.
-                let prompt = spun && rt.now() == woke;
+                let prompt = spun.is_some() && rt.now() == woke;
                 for comp in self.harvest(rt, q, rt.now(), prompt) {
                     self.complete(rt, &comp);
                 }
@@ -1150,21 +1197,46 @@ impl DlfsIo {
         }
     }
 
+    /// Every read in flight through wire `w`, oldest post first, with its
+    /// qpair: a merge of the qpairs' `posted` queues, each in post order
+    /// already, that allocates nothing.
+    fn on_wire(&self, w: usize) -> impl Iterator<Item = (&ReadQp, (Time, u64))> + Clone {
+        // The last read yielded, as (post, qpair, place there): each step
+        // takes the least such key past it.
+        let (qpairs, mut last) = (&self.qpairs, None);
+        std::iter::from_fn(move || {
+            let on = qpairs.iter().enumerate();
+            let next = on
+                .filter(|(_, q)| q.clock == Feeds::Wire(w))
+                .filter_map(|(j, q)| {
+                    let i = match last {
+                        None => 0,
+                        Some((_, k, i)) if k == j => i + 1,
+                        Some((post, k, _)) => q.posted.partition_point(|r| (r.0, j) < (post, k)),
+                    };
+                    Some((q.posted.get(i)?.0, j, i))
+                });
+            last = Some(next.min()?);
+            let (_, j, i) = last?;
+            Some((&qpairs[j], qpairs[j].posted[i]))
+        })
+    }
+
     /// When the handle must be spinning again at `now`, from what it saw
     /// land, never from `next_completion_at()`: the earliest over its busy
-    /// clocks. A landing clock's floor is spun for as it is: a local
-    /// queue's head ([`ReadQp::predicted`]), and the earliest over every
-    /// read through a wire with two or more in flight ([`Wire::floors`]),
-    /// since on a wire that has overtaken a read posted later on another
-    /// qpair can land first. A guess that may come early is hedged
-    /// ([`hedge`]): a lone read's head-time floor ([`ReadQp::lone`]) — on
-    /// a wire, a read alone on its qpair whose lone floor is the later
-    /// one — and any floor of a qpair whose device serves other reads
-    /// ([`ReadQp::shared`]). `None` if a busy clock predicts nothing.
+    /// clocks. A lone read — its handle's only one on its path, or alone
+    /// on its qpair on a wire where that binds — is expected no earlier
+    /// than its measured floor ([`ReadQp::lone`]); a landing clock's floor
+    /// is a local queue's head ([`ReadQp::predicted`]), and the earliest
+    /// over every read through a wire with two or more in flight
+    /// ([`Wire::floors`]), since on a wire that has overtaken a read
+    /// posted later on another qpair can land first. Each is spun for as
+    /// it is, but a clock's floor on a device that serves other reads
+    /// ([`ReadQp::shared`]) is hedged ([`hedge`]). `None` if a busy path
+    /// predicts nothing.
     fn wake_by(&self, now: Time) -> Option<Time> {
-        // `at`, spun for as it is or, if a head-time guess or on a shared
-        // device, hedged.
-        let wake = |q: &ReadQp, at: Time, lone: bool| match lone || q.shared() {
+        // A clock's floor `at` for `q`'s read, hedged on a shared device.
+        let wake = |q: &ReadQp, at: Time| match q.shared() {
             true => hedge(now, at),
             false => at,
         };
@@ -1172,25 +1244,20 @@ impl DlfsIo {
             .qpairs
             .iter()
             .filter(|q| matches!(q.clock, Feeds::Own(_)) && !q.posted.is_empty());
-        let own = own.map(|q| q.predicted().map(|at| wake(q, at, q.posted.len() == 1)));
+        let own = own.map(|q| match q.posted.len() {
+            1 => q.lone(),
+            _ => q.predicted().map(|at| wake(q, at)),
+        });
         let wires = self.wires.iter().enumerate().filter_map(|(w, wire)| {
-            let on = self
-                .qpairs
-                .iter()
-                .filter(move |q| q.clock == Feeds::Wire(w));
-            let reads = on
-                .clone()
-                .flat_map(|q| q.posted.iter().map(move |read| (q, read)));
+            let reads = self.on_wire(w);
             match reads.clone().take(2).count() {
                 0 => None,
-                1 => Some(on.clone().find_map(ReadQp::lone).map(|at| hedge(now, at))),
+                1 => Some(reads.clone().find_map(|(q, _)| q.lone())),
                 _ => {
-                    let mut reads: Vec<_> = reads.collect();
-                    reads.sort_by_key(|(_, read)| read.0);
-                    let floors = wire.floors(reads.iter().map(|(_, &read)| read));
-                    let wakes = reads.iter().zip(floors).map(|(&(q, _), floor)| {
+                    let floors = wire.floors(reads.clone().map(|(_, read)| read));
+                    let wakes = reads.zip(floors).map(|((q, _), floor)| {
                         let lone = q.lone().filter(|&l| q.posted.len() == 1 && Some(l) > floor);
-                        lone.or(floor).map(|at| wake(q, at, lone.is_some()))
+                        lone.or(floor.map(|at| wake(q, at)))
                     });
                     Some(wakes.min().flatten())
                 }
@@ -1206,9 +1273,10 @@ impl DlfsIo {
     /// ([`DlfsIo::advance_to`]). The wake-up is the handle's own: the
     /// earliest of its clocks' ([`DlfsIo::wake_by`]) and the retry
     /// instant's, hedged, or none if a busy clock predicts nothing.
-    /// Returns whether the wait spun until the event, or `None` with
-    /// nothing on a device and no retry queued: nothing to wait for.
-    fn wait_event(&mut self, rt: &Runtime) -> Option<bool> {
+    /// Returns the instant the wait's spin ended if it spun until the
+    /// event, or `None` with nothing on a device and no retry queued:
+    /// nothing to wait for.
+    fn wait_event(&mut self, rt: &Runtime) -> Option<Option<Time>> {
         let retry = self.delayed_parts.keys().next().map(|&(t, _)| t);
         let due = self.qpairs.iter().filter_map(|q| q.next_completion_at());
         let t = due.chain(retry).min()?;
@@ -1221,18 +1289,20 @@ impl DlfsIo {
     /// Advance the calling thread to `t` by the waiting rule
     /// ([`hybrid_wait`]), what is in flight being this handle's reads.
     /// Counted as a reactor wakeup, its park in `dlfs.reactor.parked_ns`
-    /// and a late end in `dlfs.reactor.late_ns`. Returns whether the wait
-    /// spun until `t`: whether a harvest that directly follows it is
-    /// prompt ([`ReadQp::harvest`]).
-    fn advance_to(&mut self, rt: &Runtime, t: Time, wake: Option<Time>) -> bool {
+    /// and a late end in `dlfs.reactor.late_ns`; a late wait forgets what
+    /// every qpair timed alone, so a latency step down is late once.
+    /// Returns `t` if the wait spun until it: a harvest that directly
+    /// follows is prompt ([`ReadQp::harvest`]).
+    fn advance_to(&mut self, rt: &Runtime, t: Time, wake: Option<Time>) -> Option<Time> {
         let own = self.qpairs.iter().any(|q| q.outstanding() > 0);
-        let Some(waited) = hybrid_wait(rt, t, own, wake) else {
-            return false;
-        };
+        let waited = hybrid_wait(rt, t, own, wake)?;
         self.tel.wakeups.inc();
         self.tel.parked_ns.add(waited.parked.as_nanos());
         self.tel.late_ns.add(waited.late.as_nanos());
-        waited.spun
+        if waited.late > Dur::ZERO {
+            self.qpairs.iter_mut().for_each(|q| q.alone.0.clear());
+        }
+        waited.spun.then_some(t)
     }
 
     // ------------------------------------------------- background healing --
@@ -1552,7 +1622,7 @@ mod tests {
             let mut io = mount_on(rt, DlfsConfig::default(), &devices, 1);
             // Where each wait ended; nothing is harvested, so nothing is
             // predicted and every wait spins.
-            let wait = |io: &mut DlfsIo| io.wait_event(rt).map(|spun| (spun, rt.now()));
+            let wait = |io: &mut DlfsIo| io.wait_event(rt).map(|spun| (spun.is_some(), rt.now()));
             assert_eq!(wait(&mut io), None);
             for (q, nblocks) in [(0, 1), (1, 1), (2, 1024)] {
                 let buf = DmaBuf::standalone(nblocks as usize * BLOCK_SIZE as usize);
@@ -1562,7 +1632,7 @@ mod tests {
             let due = [0, 1, 2].map(|q| io.qpairs[q].next_completion_at().unwrap_or(rt.now()));
             assert_eq!(wait(&mut io), Some((true, due[0].min(due[1]))));
             rt.work_until(due[0].max(due[1]));
-            assert_eq!(io.poll(rt, false), 2);
+            assert_eq!(io.poll(rt, None), 2);
             let retry = rt.now() + (due[2] - rt.now()) / 2;
             let (g, buf) = (io.read_geometry(0, 0, 512), DmaBuf::standalone(512));
             let part = (Part::first(0, 0, false), io.part_io(0, &g, 0, &[buf]));
@@ -1570,7 +1640,7 @@ mod tests {
             assert_eq!(wait(&mut io), Some((true, retry)));
             io.delayed_parts.clear();
             assert_eq!(wait(&mut io), Some((true, due[2])));
-            assert_eq!(io.poll(rt, false), 1);
+            assert_eq!(io.poll(rt, None), 1);
             assert_eq!(wait(&mut io), None);
         });
     }
@@ -1623,10 +1693,95 @@ mod tests {
             assert_eq!(anchor, Some(second), "an empty harvest");
             land(qp, false);
             assert_eq!(clock(qp), Some((None, Some((rate, size)))));
-            assert_eq!(qp.posted.len(), 1);
-            assert_ne!(qp.predicted(), None, "one in flight: its head time");
             post(qp, 1);
             assert_eq!(qp.predicted(), None, "a queue without an anchor");
+        });
+    }
+
+    /// A lone read's floor is the least time any size up to its bytes took
+    /// alone, over sizes sampled [`LONE_SAMPLES`] times: a size sampled
+    /// fewer times, or only larger ones, leave it none.
+    #[test]
+    fn a_lone_floor_is_the_least_trusted_entry_at_or_below_the_bytes() {
+        let us = Dur::micros;
+        let mut floors = LoneFloors::default();
+        let floor = |f: &LoneFloors| [1024, 4096, 8192, 65536].map(|b| f.floor(b));
+        [12, 10, 11]
+            .iter()
+            .for_each(|&took| floors.sample(4096, us(took)));
+        assert_eq!(floor(&floors), [None; 4], "three samples");
+        floors.sample(4096, us(13));
+        assert_eq!(
+            floor(&floors),
+            [None, Some(us(10)), Some(us(10)), Some(us(10))]
+        );
+        (0..LONE_SAMPLES).for_each(|_| floors.sample(8192, us(8)));
+        (0..LONE_SAMPLES).for_each(|_| floors.sample(1024, us(20)));
+        floors.sample(65536, us(1));
+        let want = [Some(us(20)), Some(us(10)), Some(us(8)), Some(us(8))];
+        assert_eq!(floor(&floors), want);
+    }
+
+    /// What one handle's reads on two local devices — `reads` (qpair,
+    /// blocks) posted at once, then harvested by the wait stage, `work`
+    /// (the pump's, say) and a poll pass until none is in flight — timed
+    /// alone: (qpair, bytes, least ns).
+    fn timed_alone(rt: &Runtime, reads: &[(usize, u32)], work: Dur) -> Vec<(usize, u64, u64)> {
+        let devices = [0; 2].map(|_| NvmeDevice::new(DeviceConfig::optane(16 << 20)));
+        let mut io = mount_on(rt, DlfsConfig::default(), &devices, 1);
+        for &(q, n) in reads {
+            let buf = DmaBuf::standalone(n as usize * BLOCK_SIZE as usize);
+            assert_eq!(io.qpairs[q].submit_read(rt, 0, 0, n, buf, 0), Ok(()));
+        }
+        while let Some(spun) = io.wait_event(rt) {
+            rt.work(work);
+            io.poll(rt, spun);
+        }
+        let on = io.qpairs.iter().enumerate();
+        let table =
+            on.flat_map(|(q, p)| p.alone.0.iter().map(move |(&b, e)| (q, b, e.0.as_nanos())));
+        table.collect()
+    }
+
+    /// A read is timed alone only in a poll pass that began with it its
+    /// handle's one read in flight, and only if it was posted with its
+    /// path to itself and nothing entered it since: of two reads posted at
+    /// once on two devices, the first to land is not timed; on one, neither
+    /// is. It is timed from the end of the wait that spun until it landed,
+    /// not from the pass's start: what ran between does not lengthen it.
+    #[test]
+    fn a_read_is_timed_alone_from_the_end_of_its_spin() {
+        Runtime::simulate(5, |rt| {
+            let two = timed_alone(rt, &[(0, 8), (1, 64)], Dur::ZERO);
+            assert_eq!(
+                two.iter().map(|e| (e.0, e.1)).collect::<Vec<_>>(),
+                [(1, 64 * 512)]
+            );
+            assert_eq!(timed_alone(rt, &[(0, 8), (0, 64)], Dur::ZERO), []);
+            let quiet = timed_alone(rt, &[(0, 8)], Dur::ZERO);
+            assert_eq!(
+                (quiet.len(), timed_alone(rt, &[(0, 8)], Dur::micros(3))),
+                (1, quiet)
+            );
+        });
+    }
+
+    /// A wait that ends past its completion forgets what every qpair
+    /// timed alone: a lone read then spins until its size is timed again.
+    #[test]
+    fn a_late_wait_forgets_what_each_qpair_timed_alone() {
+        Runtime::simulate(5, |rt| {
+            let devices = [0; 2].map(|_| NvmeDevice::new(DeviceConfig::optane(16 << 20)));
+            let mut io = mount_on(rt, DlfsConfig::default(), &devices, 1);
+            for q in &mut io.qpairs {
+                (0..LONE_SAMPLES).for_each(|_| q.alone.sample(4096, Dur::micros(1)));
+            }
+            let buf = DmaBuf::standalone(4096);
+            assert_eq!(io.qpairs[0].submit_read(rt, 0, 0, 8, buf, 0), Ok(()));
+            assert_ne!(io.qpairs[0].lone(), None);
+            let t = io.qpairs[0].next_completion_at().unwrap_or(rt.now());
+            assert_eq!(io.advance_to(rt, t, Some(t + Dur::micros(20))), None);
+            assert_eq!(io.qpairs.iter().map(|q| q.alone.0.len()).sum::<usize>(), 0);
         });
     }
 

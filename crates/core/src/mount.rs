@@ -967,7 +967,9 @@ impl Bringup {
             .qos
             .as_ref()
             .map(|q| crate::tenant::TenantQos::new(q, dir.avg_sample_bytes()));
-        let fg_reads = Arc::new(ForegroundReads::new(self.storage_nodes));
+        // A slot per storage node, then one per cluster node's NIC ingress.
+        let nodes = self.storage_nodes + self.deployment.cluster.as_ref().map_or(0, |c| c.len());
+        let fg_reads = Arc::new(ForegroundReads::new(nodes));
         let shared = (self.deployment.targets.into_iter().enumerate())
             .map(|(r, targets)| {
                 let (cache, copy) = reader_runtime(rt, &cfg, &format!("dlfs-r{r}"));

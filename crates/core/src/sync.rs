@@ -75,7 +75,7 @@ impl DlfsIo {
         // Until every part is done or the fetch failed, and none of its
         // commands is still on a device.
         let mine = |c: &Cmd| matches!(c.owner, Owner::Demand(p) if p.sync);
-        let mut spun = false;
+        let mut spun = None;
         while (self.sync_left > 0 && self.sync_failed.is_none()) || self.cmds.values().any(mine) {
             self.post_queued(rt);
             if self.poll(rt, std::mem::take(&mut spun)) > 0 {

@@ -65,9 +65,11 @@ pub(crate) fn io_failure(status: CmdStatus) -> IoFailure {
 /// Per storage node, the instance's read commands in flight: counted from
 /// the submit that enters a reader handle's qpair to the harvest (or the
 /// handle's drop) that takes it out, plus the offload exchanges touching
-/// the node that their batches have not collected. Every reader handle
-/// shares one; it advances no virtual time. Each node also counts the
-/// reads ever entered, so a handle can tell whether others came and went.
+/// the node that their batches have not collected. Past the storage nodes,
+/// a slot per cluster node counts the qpairs' reads landing through its
+/// NIC ingress alike. Every reader handle shares one; it advances no
+/// virtual time. Each slot also counts the reads ever entered, so a
+/// handle can tell whether others came and went.
 #[derive(Debug)]
 pub struct ForegroundReads(Vec<[AtomicUsize; 2]>);
 

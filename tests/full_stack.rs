@@ -211,11 +211,12 @@ fn an_all_resident_batch_pays_one_memcpy_of_tail() {
 }
 
 /// Steady synchronous reads of 2 KiB samples from one local device that
-/// serves a read in `delay` plus its fixed overheads, each once the qpair
-/// has seen its first completion: (wait, busy, parked) per read. The wait
+/// serves a read in `delay` plus its fixed overheads, each once the handle
+/// has timed `TIMED` reads alone: (wait, busy, parked) per read. The wait
 /// is the device latency less the poll pass that follows the post.
 fn steady_sync_read(delay: Dur) -> (Dur, Dur, Dur) {
     const READS: u64 = 16;
+    const TIMED: u32 = 4;
     let source = SyntheticSource::fixed(13, 64, 2048);
     let per_read = |d: Dur| d / READS;
     Runtime::simulate(4, |rt| {
@@ -225,14 +226,16 @@ fn steady_sync_read(delay: Dur) -> (Dur, Dur, Dur) {
             .mount(rt, &source)
             .unwrap();
         let mut io = fs.io(0);
-        io.read_by_id(rt, 0).unwrap();
+        for id in 0..TIMED {
+            io.read_by_id(rt, id).unwrap();
+        }
         let (busy0, idle0) = (rt.my_busy(), rt.total_idle());
-        for id in 1..=READS as u32 {
+        for id in TIMED..TIMED + READS as u32 {
             assert_eq!(io.read_by_id(rt, id).unwrap(), source.expected(id));
         }
         // Every read, the first too, takes the same time on the device.
         let lat = io.metrics().histogram("blocksim.dev0.cmd_latency_ns");
-        assert_eq!((lat.count, lat.sum % lat.count), (READS + 1, 0));
+        assert_eq!((lat.count, lat.sum % lat.count), (READS + TIMED as u64, 0));
         let busy = per_read(rt.my_busy() - busy0);
         let wait = Dur::nanos(lat.sum / lat.count) - DlfsConfig::default().costs.poll_iteration;
         (wait, busy, per_read(rt.total_idle() - idle0))
@@ -243,8 +246,8 @@ fn steady_sync_read(delay: Dur) -> (Dur, Dur, Dur) {
 /// Hybrid polling parks only a wait worth a kernel wake-up, as kernsim
 /// prices one (`irq` + `context_switch`): a steady synchronous read whose
 /// wait — which its reader predicts exactly — is just under twice that
-/// spins through it; just over, it parks half of it, and its busy time
-/// falls by that half.
+/// spins through it; just over, it parks all of it but one wake-up, and
+/// its busy time falls by what it parked.
 #[test]
 fn a_sync_read_parks_only_a_wait_worth_two_kernel_wakeups() {
     let k = KernelCosts::default();
@@ -259,8 +262,8 @@ fn a_sync_read_parks_only_a_wait_worth_two_kernel_wakeups() {
         (threshold - step, threshold + step)
     );
     assert_eq!(parked_under, Dur::ZERO, "a wait under the threshold spins");
-    assert_eq!(parked_over, wait_over / 2);
-    // The same read, 2 × `step` longer, minus the parked half.
+    assert_eq!(parked_over, wait_over - (k.irq + k.context_switch));
+    // The same read, 2 × `step` longer, minus what it parked.
     let spun = busy_under + (wait_over - wait_under);
     let fell = spun.as_nanos() as i64 - busy_over.as_nanos() as i64;
     assert!(
