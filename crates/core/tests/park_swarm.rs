@@ -5,16 +5,21 @@
 //! A shape is drawn from one SplitMix64 stream: 1–4 handles over 1–4
 //! ramdisks, local or behind one or two reader NICs at 0.5–8 GB/s; one to
 //! three sample sizes from 512 B to 256 KiB; synchronous reads or batched
-//! reads at queue depth 1; a sleep per handle between its bursts; and,
+//! reads at queue depth 1 (or 8 beside an appender); a sleep per handle between its bursts; and,
 //! optionally, a latency step (every device slowed by 30 µs before it and
-//! not after, or the reverse). Every cell reports its waits, parked time,
-//! late waits (operations during which `late_ns` grew) and Σ `late_ns`; a
-//! failing cell prints a one-line `park seed=… shape=…` repro, and
-//! `DLFS_SWARM_SEED=<seed>` runs that cell alone. `DLFS_SWARM_CELLS`
-//! runs the first N cells only (and the cells once found late).
+//! not after, or the reverse). [`APPENDERS`] more cells, drawn from a
+//! stream of their own, add a background checkpoint appender on storage
+//! node 0: records of 64 KiB to 1 MiB, a gap of 0 to 1 ms between them.
+//! Every cell reports its waits, parked time, late waits (operations
+//! during which `late_ns` grew) and Σ `late_ns`; a failing cell prints a
+//! one-line `park seed=… shape=…` repro, and `DLFS_SWARM_SEED=<seed>`
+//! runs that cell alone (`DLFS_SWARM_APPENDER=1` with its appender).
+//! `DLFS_SWARM_CELLS` runs the first N cells of each kind only (and the
+//! cells once found late).
 
 mod common;
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use blocksim::{DeviceConfig, FaultInjector, NvmeDevice};
@@ -38,6 +43,27 @@ const BEFORE: [u64; CELLS] = [
     0, 162_337, 26_983, 80_070, 197_275, 260_294, 0, 0, 87_941, 0, 12_658, 0, 1_981,
 ];
 
+/// Cells with a checkpoint appender.
+const APPENDERS: usize = 16;
+
+/// The swarm's base seed.
+const BASE: u64 = 0x5a7;
+
+/// Σ `late_ns` of each appender cell when the device's clock timed every
+/// pass, a checkpoint write's included, at the base seed and at the CI
+/// sweep's second-seed offset. A lone read timed beside a write over the
+/// fabric can leave a floor above what the path takes alone, so at other
+/// seeds an appender cell is reported, not judged.
+const BESIDE: [(u64, [u64; APPENDERS]); 2] = [
+    (BASE, [0, 0, 0, 0, 0, 0, 30_000, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    (
+        BASE + 1000,
+        [
+            0, 0, 0, 0, 0, 306_217, 0, 0, 0, 0, 0, 0, 10_554, 30_000, 0, 0,
+        ],
+    ),
+];
+
 /// What one cell runs.
 #[derive(Clone, Debug)]
 struct Shape {
@@ -49,18 +75,22 @@ struct Shape {
     /// Per-command delay of every device.
     delay_us: u64,
     sizes: Vec<u64>,
-    /// Synchronous reads, or batched ones at queue depth 1.
+    /// Synchronous reads, or batched ones at queue depth `depth`: 1, or
+    /// 1 or 8 in a cell with an appender.
     sync: bool,
+    depth: usize,
     /// Reads per burst, and each handle's sleep between its bursts.
     burst: usize,
     sleeps_us: Vec<u64>,
     /// A latency step: `Some(true)` slows every device before it, so the
     /// step is down; `Some(false)` after it.
     step: Option<bool>,
+    /// A checkpoint appender's record bytes and gap between records.
+    appender: Option<(usize, u64)>,
 }
 
 impl Shape {
-    fn draw(seed: u64) -> Shape {
+    fn draw(seed: u64, appender: bool) -> Shape {
         let mut rng = SplitMix64::derive(seed, 0x9a5c);
         let handles = rng.range(1, 5) as usize;
         let devices = rng.range(1, 5) as usize;
@@ -77,6 +107,16 @@ impl Shape {
             .map(|_| [0, 0, 20, 100, 400][rng.below(5) as usize])
             .collect();
         let step = [None, None, Some(true), Some(false)][rng.below(4) as usize];
+        let mut rng = SplitMix64::derive(seed, 0xc4);
+        let appender = appender.then(|| {
+            let gap_us = [0, 50, 200, 1_000][rng.below(4) as usize];
+            (1 << rng.range(16, 21), gap_us)
+        });
+        let depth = match (sync, appender) {
+            (true, _) => 8,
+            (false, None) => 1,
+            (false, Some(_)) => [1, 8][rng.below(2) as usize],
+        };
         Shape {
             handles,
             devices,
@@ -85,9 +125,11 @@ impl Shape {
             delay_us,
             sizes,
             sync,
+            depth,
             burst,
             sleeps_us,
             step,
+            appender,
         }
     }
 }
@@ -127,7 +169,11 @@ fn run(seed: u64, shape: &Shape) -> Cell {
             .map(|_| shape.sizes[rng.below(shape.sizes.len() as u64) as usize])
             .collect();
         let source = Arc::new(SyntheticSource::new(seed, sizes));
-        let ramdisk = DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(shape.delay_us));
+        // An appender's checkpoint region, past the 64 MiB a cell's data
+        // may take.
+        let region = shape.appender.map_or(0, |_| 64 << 20);
+        let ramdisk =
+            DeviceConfig::emulated_ramdisk((64 << 20) + region, Dur::micros(shape.delay_us));
         let devices: Vec<_> = (0..shape.devices)
             .map(|_| NvmeDevice::new(ramdisk.clone()))
             .collect();
@@ -147,14 +193,33 @@ fn run(seed: u64, shape: &Shape) -> Cell {
                 Deployment::fabric(&cluster, &readers, &nodes, &devices).unwrap()
             }
         };
-        let cfg = DlfsConfig {
+        let mut cfg = DlfsConfig {
             reactor_stats: true,
             batch_mode: BatchMode::SampleLevel,
-            queue_depth: if shape.sync { 8 } else { 1 },
+            queue_depth: shape.depth,
             ..DlfsConfig::default()
         };
+        if shape.appender.is_some() {
+            cfg.ckpt_region_bytes = region;
+        }
         let fs = MountBuilder::new(cfg).deployment(deployment);
+        let fs = match shape.appender {
+            None => fs,
+            Some(_) => fs.persistent(),
+        };
         let fs = Arc::new(fs.mount(rt, &*source).unwrap());
+        let stop = Arc::new(AtomicBool::new(false));
+        let appender = shape.appender.map(|(bytes, gap_us)| {
+            let mut writer = fs.checkpoint_writer(rt, 0, 0, None).unwrap();
+            let stop = stop.clone();
+            rt.spawn_with("ckpt-stream", move |rt| {
+                let record = vec![0xc4; bytes];
+                while !stop.load(Ordering::SeqCst) && writer.remaining() > 2 * bytes as u64 {
+                    writer.append(rt, &record).unwrap();
+                    rt.sleep(Dur::micros(gap_us));
+                }
+            })
+        });
         let on = devices.clone();
         let slow: Step = Arc::new(move |slowed| {
             let extra = if slowed { STEP } else { Dur::ZERO };
@@ -176,6 +241,10 @@ fn run(seed: u64, shape: &Shape) -> Cell {
             .collect();
         let mut sum = Cell::default();
         handles.into_iter().for_each(|h| sum += h.join());
+        stop.store(true, Ordering::SeqCst);
+        if let Some(appender) = appender {
+            appender.join();
+        }
         sum
     })
     .0
@@ -242,43 +311,54 @@ fn handle(
 /// so only their payloads queue on the ingress.
 const ONCE_LATE: [u64; 2] = [8_392_477_305_216_635_401, 12_246_224_950_615_379_232];
 
+/// The stream the appender cells' seeds are drawn from, apart from the
+/// others'.
+const APPENDER_STREAM: u64 = 0xc4_0000;
+
 /// The cells to run: the one `DLFS_SWARM_SEED` names, else the first
-/// `DLFS_SWARM_CELLS` (all [`CELLS`] by default), each with its index,
-/// and the [`ONCE_LATE`] ones.
-fn cells(base: u64) -> Vec<(Option<usize>, u64)> {
+/// `DLFS_SWARM_CELLS` of each kind (all [`CELLS`] and [`APPENDERS`] by
+/// default), each with its index, and the [`ONCE_LATE`] ones; each with
+/// whether it has an appender.
+fn cells(base: u64) -> Vec<(Option<usize>, u64, bool)> {
     let env = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
     if let Some(seed) = env("DLFS_SWARM_SEED") {
-        return vec![(None, seed)];
+        return vec![(None, seed, env("DLFS_SWARM_APPENDER") == Some(1))];
     }
-    let n = env("DLFS_SWARM_CELLS").map_or(CELLS, |n| (n as usize).min(CELLS));
-    let drawn = (0..n).map(|i| (Some(i), SplitMix64::derive(base, i as u64).next()));
-    drawn.chain(ONCE_LATE.map(|seed| (None, seed))).collect()
+    let n = env("DLFS_SWARM_CELLS").map_or(CELLS, |n| n as usize);
+    let draw = |stream: u64, i: usize| SplitMix64::derive(base, stream + i as u64).next();
+    let drawn = (0..n.min(CELLS)).map(|i| (Some(i), draw(0, i), false));
+    let appenders = (0..n.min(APPENDERS)).map(|i| (Some(i), draw(APPENDER_STREAM, i), true));
+    let once_late = ONCE_LATE.map(|seed| (None, seed, false));
+    drawn.chain(appenders).chain(once_late).collect()
 }
 
 /// No wait parks past its completion unless a latency step is taken: a
 /// step down leaves what a handle timed alone too slow, so each handle is
 /// late once, by no more than the step, and times its reads again; a step
 /// up is no later than when a lone read parked half its wait (pinned at
-/// the base seed only).
+/// the base seed only). An appender cell is no later than its pin in
+/// [`BESIDE`].
 #[test]
 fn a_wait_parks_late_only_once_after_a_step_down() {
-    const BASE: u64 = 0x5a7;
     let base = common::test_seed(BASE);
     let mut failed = Vec::new();
     let mut total = Cell::default();
-    for (i, seed) in cells(base) {
-        let shape = Shape::draw(seed);
+    for (i, seed, appender) in cells(base) {
+        let shape = Shape::draw(seed, appender);
         let cell = run(seed, &shape);
         println!("cell {i:?} seed={seed} {shape:?} {cell:?}");
         total += cell;
-        let on_time = match (shape.step, i) {
-            (None, _) => cell.late_ns == 0,
-            (Some(true), _) => {
+        let beside = BESIDE.iter().find(|p| p.0 == base);
+        let on_time = match (shape.step, i, appender) {
+            (_, Some(i), true) => beside.is_none_or(|p| cell.late_ns <= p.1[i]),
+            (_, None, true) => true,
+            (None, ..) => cell.late_ns == 0,
+            (Some(true), ..) => {
                 cell.late_waits <= shape.handles as u64
                     && cell.late_ns <= cell.late_waits * STEP.as_nanos()
             }
-            (Some(false), Some(i)) if base == BASE => cell.late_ns <= BEFORE[i],
-            (Some(false), _) => true,
+            (Some(false), Some(i), _) if base == BASE => cell.late_ns <= BEFORE[i],
+            (Some(false), ..) => true,
         };
         if !on_time {
             failed.push(format!("park seed={seed} shape={shape:?} cell={cell:?}"));
