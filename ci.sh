@@ -7,9 +7,9 @@
 #     then the chaos / integrity / membership / codec_e2e / offload_e2e /
 #     properties suites, persistence's import → remount roundtrip and
 #     the reactor's latency-step, deep-queue, shared-wire, in-order-wire,
-#     lone-read-on-a-wire, shared-device and bursty-neighbour cases and
-#     the first 16 cells of the late-park swarm (park_swarm.rs) again
-#     under a second seed
+#     lone-read-on-a-wire, shared-device, bursty-neighbour and
+#     beside-a-checkpoint-stream cases and the first 16 cells of each kind
+#     of the late-park swarm (park_swarm.rs) again under a second seed
 #     (DLFS_TEST_SEED_OFFSET)
 #     so byte-correctness, determinism, the kill-one-target rebuild path
 #     and the pool-side check of verified and coded reads are exercised
@@ -156,7 +156,7 @@ echo "== tier-1: root test suite"
 cargo test -q --offline
 echo "== workspace tests"
 cargo test -q --offline --workspace
-echo "== chaos/integrity/membership/codec/offload/properties/roundtrip/latency step/deep queue/shared wire/in-order wire/lone read/shared device/bursty neighbour/late-park swarm under a second seed"
+echo "== chaos/integrity/membership/codec/offload/properties/roundtrip/latency step/deep queue/shared wire/in-order wire/lone read/shared device/bursty neighbour/checkpoint stream/late-park swarm under a second seed"
 DLFS_TEST_SEED_OFFSET=1000 cargo test -q --offline -p dlfs \
   --test chaos --test integrity --test membership \
   --test codec_e2e --test offload_e2e --test properties
@@ -166,7 +166,8 @@ DLFS_TEST_SEED_OFFSET=1000 cargo test -q --offline -p dlfs --test reactor -- a_l
   a_wire_that_lands_in_post_order_parks_to_its_oldest_read \
   a_read_alone_on_its_qpair_keeps_its_lone_floor_on_a_wire \
   a_device_another_handle_reads_keeps_the_hedge \
-  a_neighbour_that_reads_in_bursts_does_not_skew_the_clock
+  a_neighbour_that_reads_in_bursts_does_not_skew_the_clock \
+  a_queue_beside_a_checkpoint_stream_parks_on_time
 DLFS_TEST_SEED_OFFSET=1000 DLFS_SWARM_CELLS=16 cargo test -q --offline -p dlfs --test park_swarm
 echo "== chaos sweep (smoke)"
 cargo run -q --release --offline -p dlfs-bench --bin ext_fault_sweep -- n=256 size=2048

@@ -17,7 +17,9 @@
 //! command — a first submission or a parked retry alike — only when it has
 //! none in flight or its device has no foreground read in flight: the
 //! instance's [`ForegroundReads`], which every reader handle's qpairs and
-//! offload exchanges keep. On an idle device it pipelines to the queue
+//! offload exchanges keep; a background driver counts its own commands
+//! there too, so a reader's device clock can leave out a pass one shared
+//! (DESIGN §13). On an idle device it pipelines to the queue
 //! depth like any driver; beside an epoch it holds one chunk-sized
 //! command, so a read batch waits behind at most one chunk instead of a
 //! whole record. Every driver waits by the one waiting rule of DESIGN §13:
@@ -69,9 +71,12 @@ pub(crate) fn io_failure(status: CmdStatus) -> IoFailure {
 /// a slot per cluster node counts the qpairs' reads landing through its
 /// NIC ingress alike. Every reader handle shares one; it advances no
 /// virtual time. Each slot also counts the reads ever entered, so a
-/// handle can tell whether others came and went.
+/// handle can tell whether others came and went. A storage node's slot
+/// counts its background commands in flight and ever entered too: no
+/// driver yields to them, but a reader's device clock does not time a
+/// pass they shared.
 #[derive(Debug)]
-pub struct ForegroundReads(Vec<[AtomicUsize; 2]>);
+pub struct ForegroundReads(Vec<[AtomicUsize; 4]>);
 
 impl ForegroundReads {
     pub(crate) fn new(nodes: usize) -> ForegroundReads {
@@ -88,14 +93,24 @@ impl ForegroundReads {
         self.0[nid][1].load(Ordering::Relaxed)
     }
 
-    pub(crate) fn enter(&self, nid: usize) {
-        for n in &self.0[nid] {
+    /// Background commands ever entered on storage node `nid`, if none is
+    /// in flight there.
+    pub(crate) fn background(&self, nid: usize) -> Option<usize> {
+        let n = &self.0[nid];
+        (n[2].load(Ordering::Relaxed) == 0).then(|| n[3].load(Ordering::Relaxed))
+    }
+
+    /// Count a read, or a `background` command, in on node `nid`.
+    pub(crate) fn enter(&self, nid: usize, background: bool) {
+        let at = 2 * background as usize;
+        for n in &self.0[nid][at..at + 2] {
             n.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    pub(crate) fn leave(&self, nid: usize, n: usize) {
-        self.0[nid][0].fetch_sub(n, Ordering::Relaxed);
+    /// Count `n` reads, or `background` commands, out of node `nid`.
+    pub(crate) fn leave(&self, nid: usize, n: usize, background: bool) {
+        self.0[nid][2 * background as usize].fetch_sub(n, Ordering::Relaxed);
     }
 }
 
@@ -189,6 +204,9 @@ impl CmdDriver {
             Op::Write => qp.submit_write(rt, id, cmd.slba, cmd.nblocks, buf, cmd.at),
         }
         .map_err(|e| DlfsError::Config(format!("node {}: command refused: {e}", self.nid)))?;
+        if let Some(fg) = &self.yields_to {
+            fg.enter(self.nid as usize, true);
+        }
         self.next_id += 1;
         self.inflight.insert(id, cmd);
         Ok(())
@@ -198,7 +216,11 @@ impl CmdDriver {
     /// once the budget is gone) and resubmit the retries whose backoff has
     /// elapsed, as far as the queue has room.
     fn harvest(&mut self, rt: &Runtime) -> Result<(), DlfsError> {
-        for c in self.qp.process_completions(rt, usize::MAX) {
+        let done = self.qp.process_completions(rt, usize::MAX);
+        if let Some(fg) = &self.yields_to {
+            fg.leave(self.nid as usize, done.len(), true);
+        }
+        for c in done {
             let Some(mut cmd) = self.inflight.remove(&c.id) else {
                 continue;
             };
@@ -255,6 +277,15 @@ impl CmdDriver {
                 return Ok(());
             }
             self.wait(rt);
+        }
+    }
+}
+
+/// A dropped background driver's commands never complete for it.
+impl Drop for CmdDriver {
+    fn drop(&mut self) {
+        if let Some(fg) = &self.yields_to {
+            fg.leave(self.nid as usize, self.qp.outstanding(), true);
         }
     }
 }
