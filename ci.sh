@@ -7,8 +7,9 @@
 #     then the chaos / integrity / membership / codec_e2e / offload_e2e /
 #     properties suites, persistence's import → remount roundtrip and
 #     the reactor's latency-step, deep-queue, shared-wire, in-order-wire,
-#     lone-read-on-a-wire, shared-device, bursty-neighbour and
-#     beside-a-checkpoint-stream cases and the first 16 cells of each kind
+#     lone-read-on-a-wire, shared-device, bursty-neighbour,
+#     beside-a-checkpoint-stream and mixed-sizes-beside-a-checkpoint-stream
+#     cases and the first 16 cells of each kind
 #     of the late-park swarm (park_swarm.rs) again under a second seed
 #     (DLFS_TEST_SEED_OFFSET)
 #     so byte-correctness, determinism, the kill-one-target rebuild path
@@ -156,7 +157,7 @@ echo "== tier-1: root test suite"
 cargo test -q --offline
 echo "== workspace tests"
 cargo test -q --offline --workspace
-echo "== chaos/integrity/membership/codec/offload/properties/roundtrip/latency step/deep queue/shared wire/in-order wire/lone read/shared device/bursty neighbour/checkpoint stream/late-park swarm under a second seed"
+echo "== chaos/integrity/membership/codec/offload/properties/roundtrip/latency step/deep queue/shared wire/in-order wire/lone read/shared device/bursty neighbour/checkpoint stream/mixed sizes/late-park swarm under a second seed"
 DLFS_TEST_SEED_OFFSET=1000 cargo test -q --offline -p dlfs \
   --test chaos --test integrity --test membership \
   --test codec_e2e --test offload_e2e --test properties
@@ -167,7 +168,8 @@ DLFS_TEST_SEED_OFFSET=1000 cargo test -q --offline -p dlfs --test reactor -- a_l
   a_read_alone_on_its_qpair_keeps_its_lone_floor_on_a_wire \
   a_device_another_handle_reads_keeps_the_hedge \
   a_neighbour_that_reads_in_bursts_does_not_skew_the_clock \
-  a_queue_beside_a_checkpoint_stream_parks_on_time
+  a_queue_beside_a_checkpoint_stream_parks_on_time \
+  a_queue_of_mixed_sizes_beside_a_checkpoint_stream_parks_on_time
 DLFS_TEST_SEED_OFFSET=1000 DLFS_SWARM_CELLS=16 cargo test -q --offline -p dlfs --test park_swarm
 echo "== chaos sweep (smoke)"
 cargo run -q --release --offline -p dlfs-bench --bin ext_fault_sweep -- n=256 size=2048
