@@ -262,6 +262,19 @@ impl LoneFloors {
     }
 }
 
+/// The size classes a device's clock times apart ([`class`]), as blk-mq
+/// keeps its hybrid-poll statistics; and [`MIXED`], the slot past them
+/// that times every size at one rate.
+const CLASSES: usize = 12;
+const MIXED: usize = CLASSES;
+
+/// The size class of a read of `bytes`: its bytes >> 12 by log2, the last
+/// class open-ended. A small read's time per byte carries its per-command
+/// cost, which a larger read pays once.
+fn class(bytes: u64) -> usize {
+    ((u64::BITS - (bytes >> 12).leading_zeros()) as usize).min(CLASSES - 1)
+}
+
 /// When a serial path lands its queued reads, from what the reader saw
 /// land: one local qpair's device, or the reader NIC's ingress that every
 /// remote qpair of a handle lands through (DESIGN §13). A queued read
@@ -274,8 +287,9 @@ struct LandingClock {
     /// completion landed.
     anchor: Option<Time>,
     /// What a read takes per byte, in ps, sampled at prompt passes from
-    /// the anchor, and the bytes of the passes sampled.
-    per_byte: Option<(Ewma, Ewma)>,
+    /// the anchor, and the bytes of the passes sampled: at [`MIXED`] for
+    /// every pass, and on a device at its head's size class too.
+    per_byte: [Option<(Ewma, Ewma)>; CLASSES + 1],
     /// A wire's alone ([`LandingClock::wire`]): the least time per byte,
     /// in ps, of any pass from the anchor, prompt or not. Every payload a
     /// pass takes crossed the wire after the anchor, one after another,
@@ -298,16 +312,18 @@ impl LandingClock {
     /// off the path, the oldest of its reads posted at `oldest`. A pass
     /// whose oldest read was posted before the anchor times the bytes
     /// since the anchor: into the least time per byte, and, if prompt,
-    /// into its mean. The pass is the anchor if prompt, and clears it if
-    /// not.
+    /// into the mixed mean and, on a device, its class's. The pass is the
+    /// anchor if prompt, and clears it if not.
     fn landed(&mut self, polled: Time, prompt: bool, oldest: Time, bytes: u64) {
         if let Some(anchor) = self.anchor.filter(|&a| oldest < a) {
             let ps = (polled - anchor).as_nanos() * 1_000 / bytes.max(1);
             if let Some(least) = &mut self.least {
                 *least = ps.min(*least);
             }
-            if prompt {
-                self.per_byte = Some(match self.per_byte {
+            let class = self.least.is_none().then(|| class(bytes));
+            for slot in class.into_iter().chain([MIXED]).filter(|_| prompt) {
+                let slot = &mut self.per_byte[slot];
+                *slot = Some(match *slot {
                     None => (Ewma::new(ps, ps / 2), Ewma::new(bytes, 0)),
                     Some((mut rate, mut size)) => {
                         rate.sample(ps);
@@ -321,12 +337,14 @@ impl LandingClock {
     }
 
     /// The least time a read of `bytes` takes once it starts: its bytes
-    /// at the floor of the time per byte (on a wire, no more than the
-    /// least). `None` before the first sample, and for a read over twice
-    /// the mean bytes sampled: a small read's time is mostly per-command
-    /// cost, which a larger read does not pay per byte.
-    fn crossing(&self, bytes: u64) -> Option<Dur> {
-        let (rate, _) = self.per_byte.filter(|(_, size)| bytes <= 2 * size.mean)?;
+    /// at the floor of the time per byte `slot` keeps (on a wire, no more
+    /// than the least). `None` before that slot's first sample, and for a
+    /// read over twice the mean bytes [`MIXED`] sampled: a small read's
+    /// time is mostly per-command cost, which a larger read does not pay
+    /// per byte.
+    fn crossing(&self, slot: usize, bytes: u64) -> Option<Dur> {
+        let (rate, _) =
+            self.per_byte[slot].filter(|(_, size)| slot != MIXED || bytes <= 2 * size.mean)?;
         let floor = self
             .least
             .map_or(rate.floor(), |least| least.min(rate.floor()));
@@ -334,19 +352,19 @@ impl LandingClock {
     }
 
     /// The earliest a queued read of `bytes` posted at `post` lands: the
-    /// later of the anchor and its post, plus its crossing. `None` without
-    /// an anchor or a crossing.
-    fn predict(&self, post: Time, bytes: u64) -> Option<Time> {
-        Some(self.anchor?.max(post) + self.crossing(bytes)?)
+    /// later of the anchor and its post, plus its crossing at `slot`.
+    /// `None` without an anchor or a crossing.
+    fn predict(&self, slot: usize, post: Time, bytes: u64) -> Option<Time> {
+        Some(self.anchor?.max(post) + self.crossing(slot, bytes)?)
     }
 }
 
 /// The landing clock a qpair's reads feed, chosen by its target's
 /// topology ([`NvmeTarget::ingress`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 enum Feeds {
     /// Its own: nothing another qpair's reads cross lies on its path.
-    Own(LandingClock),
+    Own(Box<LandingClock>),
     /// Wire `w` of the handle's ([`DlfsIo::wires`]): a reader NIC ingress
     /// its payloads cross one after another with other qpairs'.
     Wire(usize),
@@ -420,12 +438,12 @@ impl Wire {
         let (mut last, mut before, mut landed) = (None, Time::ZERO, Time::ZERO);
         reads.map(move |(post, bytes)| {
             if !self.in_order() {
-                return self.clock.predict(post, bytes);
+                return self.clock.predict(MIXED, post, bytes);
             }
             if last != Some(post) {
                 (last, before) = (Some(post), landed);
             }
-            let crossing = self.clock.crossing(bytes).unwrap_or(Dur::ZERO);
+            let crossing = self.clock.crossing(MIXED, bytes).unwrap_or(Dur::ZERO);
             let floor = self.clock.anchor?.max(before).max(post) + crossing;
             landed = landed.max(floor);
             Some(floor)
@@ -463,11 +481,11 @@ struct ReadQp {
     /// too, and none since with the device alone ([`ReadQp::harvest`]).
     contended: bool,
     /// The background commands that had entered its node as of its last
-    /// harvest, if none of them was in flight then; and whether its own
-    /// clock holds samples of passes one shared, taken because it had
-    /// timed nothing else ([`ReadQp::harvest`]).
+    /// harvest, if none of them was in flight then; and the slots of its
+    /// own clock that hold samples of passes one shared, taken because the
+    /// slot had timed nothing else, a bit each ([`ReadQp::harvest`]).
     background: Option<usize>,
-    beside: bool,
+    beside: u16,
 }
 
 impl ReadQp {
@@ -493,15 +511,16 @@ impl ReadQp {
     /// Take every due completion, in a harvest whose poll pass began at
     /// `polled`, `prompt` if that pass directly followed a wait that spun
     /// until a completion landed. Feed the qpair's own clock, if it has
-    /// one, its oldest completion. A clock fed a pass while its device
-    /// served other reads is `contended`; the first pass after one with
-    /// the device alone since the last harvest — no other read in flight
-    /// then or now, none entered between — forgets what it timed, so it
-    /// times the device alone again. A pass a background command shared
-    /// alike (a checkpoint write, which the handle never sees) sets or
-    /// clears the anchor but is not timed, unless the clock has timed
-    /// nothing else: then it is `beside`, and forgets at the first pass
-    /// without one.
+    /// one, its oldest completion: into the mixed rate and that read's size
+    /// class. A clock fed a pass while its device served other reads is
+    /// `contended`; the first pass after one with the device alone since
+    /// the last harvest — no other read in flight then or now, none
+    /// entered between — forgets what it timed, so it times the device
+    /// alone again. A pass a background command shared alike (a
+    /// checkpoint write, which the handle never sees) sets or clears the
+    /// anchor but is not timed into a slot that has samples; a slot with
+    /// none takes it, is `beside`, and forgets it at the first pass
+    /// without one that times the slot.
     fn harvest(&mut self, rt: &Runtime, polled: Time, prompt: bool) -> Vec<Completion> {
         let done = self.qp.process_completions(rt, usize::MAX);
         self.slots()
@@ -525,14 +544,25 @@ impl ReadQp {
         let quiet = background.is_some() && background == self.background;
         self.background = background;
         if let Feeds::Own(clock) = &mut self.clock {
-            if alone && self.contended || quiet && self.beside {
-                clock.per_byte = None;
+            if alone && self.contended {
+                (clock.per_byte, self.beside) = ([None; CLASSES + 1], 0);
             }
             self.contended = !alone;
-            let kept = clock.per_byte.filter(|_| !quiet && !self.beside);
+            let slots = [class(head.bytes), MIXED];
+            for s in slots.into_iter().filter(|_| quiet) {
+                if self.beside & 1 << s != 0 {
+                    (clock.per_byte[s], self.beside) = (None, self.beside & !(1 << s));
+                }
+            }
+            let kept =
+                slots.map(|s| clock.per_byte[s].filter(|_| !quiet && self.beside & 1 << s == 0));
             clock.landed(polled, prompt, head.submitted, head.bytes);
-            clock.per_byte = kept.or(clock.per_byte);
-            self.beside = !quiet && kept.is_none() && clock.per_byte.is_some();
+            for (s, kept) in slots.into_iter().zip(kept) {
+                clock.per_byte[s] = kept.or(clock.per_byte[s]);
+                if !quiet && kept.is_none() && clock.per_byte[s].is_some() {
+                    self.beside |= 1 << s;
+                }
+            }
         }
         done
     }
@@ -577,10 +607,13 @@ impl ReadQp {
 
     /// When a qpair on its own clock expects the head of its queue to
     /// complete at the earliest, from what it has seen alone
-    /// ([`LandingClock::predict`]). `None` for a qpair on a wire, which
-    /// the wire predicts for, and while its clock is `contended` but its
-    /// device no longer shared: a device timed serving others too is
-    /// slower than it is alone.
+    /// ([`LandingClock::predict`]): at its head's size class, or at
+    /// [`MIXED`] while its clock is `contended`, since other handles'
+    /// reads between its own skew a class's few samples more than the
+    /// mixed rate's many. `None` for a qpair on a wire, which the wire
+    /// predicts for, and while its clock is `contended` but its device no
+    /// longer shared: a device timed serving others too is slower than it
+    /// is alone.
     fn predicted(&self) -> Option<Time> {
         let Feeds::Own(clock) = &self.clock else {
             return None;
@@ -589,7 +622,8 @@ impl ReadQp {
             return None;
         }
         let &(post, bytes) = self.posted.front()?;
-        clock.predict(post, bytes)
+        let slot = if self.contended { MIXED } else { class(bytes) };
+        clock.predict(slot, post, bytes)
     }
 }
 
@@ -814,13 +848,13 @@ impl DlfsIo {
                     posted: VecDeque::new(),
                     alone: LoneFloors::default(),
                     quiet: None,
-                    clock: wire.map_or(Feeds::Own(LandingClock::default()), Feeds::Wire),
+                    clock: wire.map_or(Feeds::Own(Box::default()), Feeds::Wire),
                     entered: 0,
                     others: (shared.fg_reads.in_flight(nid) == 0)
                         .then(|| shared.fg_reads.entered(nid)),
                     contended: false,
                     background: None,
-                    beside: false,
+                    beside: 0,
                 }
             })
             .collect();
@@ -1190,7 +1224,7 @@ impl DlfsIo {
     /// for the pass's end ([`DlfsIo::close_pass`]).
     fn harvest(&mut self, rt: &Runtime, q: usize, polled: Time, prompt: bool) -> Vec<Completion> {
         let done = self.qpairs[q].harvest(rt, polled, prompt);
-        let (Feeds::Wire(w), Some(first)) = (self.qpairs[q].clock, done.first()) else {
+        let (&Feeds::Wire(w), Some(first)) = (&self.qpairs[q].clock, done.first()) else {
             return done;
         };
         let pass = self.wires[w].pass.get_or_insert(WirePass {
@@ -1317,7 +1351,8 @@ impl DlfsIo {
     /// Advance the calling thread to `t` by the waiting rule
     /// ([`hybrid_wait`]), what is in flight being this handle's reads.
     /// Counted as a reactor wakeup, its park in `dlfs.reactor.parked_ns`,
-    /// its spin in `dlfs.reactor.spin_ns` and a late end in
+    /// its spin in `dlfs.reactor.spin_ns` — and, without a `wake`, in
+    /// `dlfs.reactor.blind_spin_ns` — and a late end in
     /// `dlfs.reactor.late_ns`; a late wait forgets what
     /// every qpair timed alone, so a latency step down is late once.
     /// Returns `t` if the wait spun until it: a harvest that directly
@@ -1328,6 +1363,9 @@ impl DlfsIo {
         self.tel.wakeups.inc();
         self.tel.parked_ns.add(waited.parked.as_nanos());
         self.tel.spin_ns.add(waited.spin.as_nanos());
+        if wake.is_none() {
+            self.tel.blind_spin_ns.add(waited.spin.as_nanos());
+        }
         self.tel.late_ns.add(waited.late.as_nanos());
         if waited.late > Dur::ZERO {
             self.qpairs.iter_mut().for_each(|q| q.alone.0.clear());
@@ -1663,8 +1701,9 @@ mod tests {
                 let buf = DmaBuf::standalone(4096);
                 assert_eq!(qp.submit_read(rt, id, 0, 8, buf, 0), Ok(()));
             }
-            let clock = |qp: &ReadQp| match qp.clock {
-                Feeds::Own(clock) => clock,
+            // The clock's anchor, and its 4 KiB class.
+            let clock = |qp: &ReadQp| match &qp.clock {
+                Feeds::Own(clock) => (clock.anchor, clock.per_byte[class(4096)]),
                 Feeds::Wire(_) => unreachable!("a local device"),
             };
             // Harvest the next completion as it lands, promptly: the clock's
@@ -1674,16 +1713,16 @@ mod tests {
                 rt.work_until(qp.next_completion_at().unwrap_or(rt.now()));
                 assert_eq!(qp.harvest(rt, rt.now(), true).len(), 1);
                 let after = clock(qp);
-                assert_eq!(after.anchor, Some(rt.now()), "the anchor moves");
+                assert_eq!(after.0, Some(rt.now()), "the anchor moves");
                 let ps = before
-                    .anchor
+                    .0
                     .map_or(0, |a| (rt.now() - a).as_nanos() * 1_000 / 4096);
-                let sampled = before.per_byte.map(|(mut rate, mut size)| {
+                let sampled = before.1.map(|(mut rate, mut size)| {
                     rate.sample(ps);
                     size.sample(4096);
                     (rate, size)
                 });
-                (before.per_byte, after.per_byte, sampled, ps)
+                (before.1, after.1, sampled, ps)
             };
             // Nothing timed: a shared pass is timed, then forgotten.
             rt.work_until(qp.next_completion_at().unwrap_or(rt.now()));
@@ -1714,6 +1753,101 @@ mod tests {
             assert_eq!(after, before, "entered between");
             let (_, after, sampled, _) = land(qp);
             assert_eq!(after, sampled, "the device alone again");
+        });
+    }
+
+    /// A device's clock times each size class apart: fed prompt passes
+    /// whose heads alternate 64 KiB at 1 000 ps/B and 256 KiB at 500, it
+    /// predicts each from its own class alone, and a class it never timed
+    /// — larger than anything timed, or smaller — not at all.
+    #[test]
+    fn a_device_clock_predicts_each_head_from_its_own_class() {
+        let (mut clock, mut t) = (LandingClock::default(), Time::ZERO + Dur::micros(1));
+        clock.landed(t, true, Time::ZERO, 64 << 10);
+        // Prompt passes whose heads of `bytes` took `ps` per byte.
+        let mut passes = |clock: &mut LandingClock, heads: &[(u64, u64)]| {
+            for &(bytes, ps) in heads {
+                t += Dur::nanos(bytes * ps / 1_000);
+                clock.landed(t, true, Time::ZERO, bytes);
+            }
+        };
+        passes(&mut clock, &[(64 << 10, 1_000)]);
+        let at = |clock: &LandingClock, bytes: u64| clock.crossing(class(bytes), bytes);
+        assert_eq!(at(&clock, 256 << 10), None, "larger than anything timed");
+        passes(&mut clock, &[(256 << 10, 500), (64 << 10, 1_000)].repeat(8));
+        // `bytes` at the floor of `n` samples of `ps`.
+        let own = |ps: u64, n: usize, bytes: u64| {
+            let mut rate = Ewma::new(ps, ps / 2);
+            (1..n).for_each(|_| rate.sample(ps));
+            Some(Dur::nanos(bytes * rate.floor() / 1_000))
+        };
+        let want = [
+            own(500, 8, 256 << 10),
+            own(1_000, 9, 64 << 10),
+            own(1_000, 9, 120 << 10),
+        ];
+        assert_eq!(
+            [256 << 10, 64 << 10, 120 << 10].map(|b| at(&clock, b)),
+            want
+        );
+        let never = [4 << 10, 16 << 10, 1 << 20].map(|b| at(&clock, b));
+        assert_eq!(never, [None; 3], "classes never timed");
+    }
+
+    /// A pass a background command shared is not timed into a class that
+    /// has samples; a class without one takes it, and forgets it at the
+    /// first pass without one that it times. 4 KiB and 64 KiB reads on a
+    /// one-channel device, which lands them in post order.
+    #[test]
+    fn a_shared_pass_is_timed_only_into_a_class_without_samples() {
+        Runtime::simulate(5, |rt| {
+            let device = DeviceConfig {
+                channels: 1,
+                ..DeviceConfig::optane(16 << 20)
+            };
+            let mut io = mount_on(rt, DlfsConfig::default(), &[NvmeDevice::new(device)], 1);
+            let fg = io.shared.fg_reads.clone();
+            let qp = &mut io.qpairs[0];
+            for (id, nblocks) in [8, 8, 8, 128, 128, 8, 128, 8, 128].into_iter().enumerate() {
+                let buf = DmaBuf::standalone(nblocks as usize * BLOCK_SIZE as usize);
+                assert_eq!(qp.submit_read(rt, id as u64, 0, nblocks, buf, 0), Ok(()));
+            }
+            // The 4 KiB and the 64 KiB class.
+            let classes = |qp: &ReadQp| match &qp.clock {
+                Feeds::Own(clock) => [4 << 10, 64 << 10].map(|b| clock.per_byte[class(b)]),
+                Feeds::Wire(_) => unreachable!("a local device"),
+            };
+            // Harvest the next completion as it lands, promptly: the
+            // classes before and after.
+            let mut land = || {
+                let before = classes(qp);
+                rt.work_until(qp.next_completion_at().unwrap_or(rt.now()));
+                assert_eq!(qp.harvest(rt, rt.now(), true).len(), 1);
+                (before, classes(qp))
+            };
+            let (_, alone) = [(); 3].map(|_| land())[2];
+            assert_eq!(alone.map(|c| c.is_some()), [true, false], "4 KiB timed");
+            fg.enter(0, true);
+            let (_, after) = land();
+            assert_ne!(
+                after[1], None,
+                "a class without samples takes a shared pass"
+            );
+            let (before, after) = land();
+            assert_ne!(after[1], before[1], "and more of them");
+            let (before, after) = land();
+            assert_eq!(after[0], before[0], "a class with samples does not");
+            fg.leave(0, 1, true);
+            let (before, after) = land();
+            assert_ne!(after[1], before[1], "in flight at the last harvest");
+            let (before, after) = land();
+            assert_eq!(after[1], before[1], "a pass without one it does not time");
+            assert_ne!(after[0], before[0], "the device alone");
+            let t = rt.now();
+            let (_, after) = land();
+            let ps = (rt.now() - t).as_nanos() * 1_000 / (64 << 10);
+            let fresh = Some((Ewma::new(ps, ps / 2), Ewma::new(64 << 10, 0)));
+            assert_eq!(after[1], fresh, "one it times forgets the shared passes");
         });
     }
 
@@ -1773,8 +1907,8 @@ mod tests {
                 rt.now()
             };
             // A local device: the qpair keeps its own clock.
-            let clock = |qp: &ReadQp| match qp.clock {
-                Feeds::Own(clock) => Some((clock.anchor, clock.per_byte)),
+            let clock = |qp: &ReadQp| match &qp.clock {
+                Feeds::Own(clock) => Some((clock.anchor, clock.per_byte[class(4096)])),
                 Feeds::Wire(_) => None,
             };
             post(qp, 3);
@@ -1917,7 +2051,7 @@ mod tests {
     fn a_wire_in_post_order_floors_each_read_after_those_posted_before_it() {
         let mut wire = Wire::new();
         wire.clock.anchor = Some(Time::ZERO);
-        wire.clock.per_byte = Some((Ewma::new(1_000, 0), Ewma::new(16_000, 0)));
+        wire.clock.per_byte[MIXED] = Some((Ewma::new(1_000, 0), Ewma::new(16_000, 0)));
         let at = |us: u64| Time::ZERO + Dur::micros(us);
         let reads = [
             (at(0), 30_000),
