@@ -425,7 +425,7 @@ impl DlfsIo {
                 Some(t) if t <= rt.now() => {}
                 _ => continue,
             }
-            let done = self.harvest(rt, q, t0, spun.is_some());
+            let done = self.harvest(rt, q, t0, spun);
             if let (Some(end), [read]) = (lone, &done[..]) {
                 self.qpairs[q].time_alone(read, end);
             }
