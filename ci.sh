@@ -7,7 +7,7 @@
 #     then the chaos / integrity / membership / codec_e2e / offload_e2e /
 #     properties suites, persistence's import → remount roundtrip and
 #     the reactor's latency-step, deep-queue, shared-wire, in-order-wire,
-#     lone-read-on-a-wire, shared-device, bursty-neighbour,
+#     lone-read-on-a-wire, behind-another-handle's-reads, bursty-neighbour,
 #     beside-a-checkpoint-stream and mixed-sizes-beside-a-checkpoint-stream
 #     cases and the first 16 cells of each kind
 #     of the late-park swarm (park_swarm.rs) again under a second seed
@@ -157,7 +157,7 @@ echo "== tier-1: root test suite"
 cargo test -q --offline
 echo "== workspace tests"
 cargo test -q --offline --workspace
-echo "== chaos/integrity/membership/codec/offload/properties/roundtrip/latency step/deep queue/shared wire/in-order wire/lone read/shared device/bursty neighbour/checkpoint stream/mixed sizes/late-park swarm under a second seed"
+echo "== chaos/integrity/membership/codec/offload/properties/roundtrip/latency step/deep queue/shared wire/in-order wire/lone read/behind another handle's reads/bursty neighbour/checkpoint stream/mixed sizes/late-park swarm under a second seed"
 DLFS_TEST_SEED_OFFSET=1000 cargo test -q --offline -p dlfs \
   --test chaos --test integrity --test membership \
   --test codec_e2e --test offload_e2e --test properties
@@ -166,7 +166,7 @@ DLFS_TEST_SEED_OFFSET=1000 cargo test -q --offline -p dlfs --test reactor -- a_l
   a_deep_queue_parks_on_time two_targets_on_one_wire_park_on_time \
   a_wire_that_lands_in_post_order_parks_to_its_oldest_read \
   a_read_alone_on_its_qpair_keeps_its_lone_floor_on_a_wire \
-  a_device_another_handle_reads_keeps_the_hedge \
+  a_device_another_handle_reads_parks_behind_its_reads \
   a_neighbour_that_reads_in_bursts_does_not_skew_the_clock \
   a_queue_beside_a_checkpoint_stream_parks_on_time \
   a_queue_of_mixed_sizes_beside_a_checkpoint_stream_parks_on_time

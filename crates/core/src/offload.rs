@@ -82,9 +82,7 @@ struct Issued {
 
 impl Drop for Issued {
     fn drop(&mut self) {
-        self.nodes
-            .iter()
-            .for_each(|&nid| self.fg.leave(nid, 1, false));
+        self.nodes.iter().for_each(|&nid| self.fg.leave(nid, 1));
     }
 }
 
@@ -255,9 +253,7 @@ impl DlfsIo {
         let (st, shared) = self.split();
         st.ahead.carry = carry;
         let nodes: Vec<usize> = per_node.keys().map(|&nid| nid as usize).collect();
-        nodes
-            .iter()
-            .for_each(|&nid| shared.fg_reads.enter(nid, false));
+        nodes.iter().for_each(|&nid| shared.fg_reads.enter(nid));
         let (end, fg) = (st.ahead.claimed, shared.fg_reads.clone());
         st.ahead.issued.push_back(Issued { end, nodes, fg });
         let queue = &mut st.ahead.queue;
