@@ -138,7 +138,7 @@ pub struct DlfsConfig {
     /// checkpoint stream on the instance is a typed `Config` error.
     pub ckpt_region_bytes: u64,
     /// Publish the completion reactor's counters
-    /// (`dlfs.reactor.{wakeups,doorbells,parked_ns,spin_ns,blind_spin_ns,late_ns}`)
+    /// (`dlfs.reactor.{wakeups,doorbells,parked_ns,spin_ns,blind_spin_ns,excess_ns,late_ns}`)
     /// into the instance's metric registry. Off by default so reports
     /// rendered from the registry stay stable across engine-internal
     /// changes; the reactor still tracks them internally either way.

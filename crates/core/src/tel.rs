@@ -74,13 +74,16 @@ pub(super) struct IoTelemetry {
     /// nanoseconds parked idle, with nothing in flight or in a hybrid
     /// poll's park; virtual nanoseconds a wait spun busy after any
     /// wake-up, and of them those of waits with nothing to wake by (its
-    /// own reads in flight, it spins throughout); virtual nanoseconds a
-    /// harvest came after its completion because the thread was parked.
+    /// own reads in flight, it spins throughout); virtual nanoseconds its
+    /// waits spun and woke beyond a clairvoyant wait ([`Waited::excess`]);
+    /// virtual nanoseconds a harvest came after its completion because
+    /// the thread was parked.
     pub(super) wakeups: Counter,
     pub(super) doorbells: Counter,
     pub(super) parked_ns: Counter,
     pub(super) spin_ns: Counter,
     pub(super) blind_spin_ns: Counter,
+    pub(super) excess_ns: Counter,
     pub(super) late_ns: Counter,
 }
 
@@ -114,6 +117,7 @@ impl IoTelemetry {
             parked_ns: counter_in(rx.as_ref(), "parked_ns"),
             spin_ns: counter_in(rx.as_ref(), "spin_ns"),
             blind_spin_ns: counter_in(rx.as_ref(), "blind_spin_ns"),
+            excess_ns: counter_in(rx.as_ref(), "excess_ns"),
             late_ns: counter_in(rx.as_ref(), "late_ns"),
             iv_verified: counter_in(iv, "verified"),
             iv_mismatches: counter_in(iv, "mismatches"),

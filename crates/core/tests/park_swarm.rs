@@ -15,9 +15,10 @@
 //! one or two nominal sizes from 4 KiB to 64 KiB, each ± 1/16, so a
 //! queue mixes read sizes; half of them beside an appender.
 //! Every cell reports its waits, parked time, late waits (operations
-//! during which `late_ns` grew) and Σ `late_ns`; a failing cell prints a
-//! one-line `park seed=… shape=…` repro, and `DLFS_SWARM_SEED=<seed>`
-//! runs that cell alone (`DLFS_SWARM_APPENDER=1` with its appender,
+//! during which `late_ns` grew), Σ `late_ns` and, beside it, Σ
+//! `excess_ns` (what its waits spun and woke beyond clairvoyant ones);
+//! a failing cell prints a one-line `park seed=… shape=…` repro, and
+//! `DLFS_SWARM_SEED=<seed>` runs that cell alone (`DLFS_SWARM_APPENDER=1` with its appender,
 //! `DLFS_SWARM_QUEUE=1` as a queue cell).
 //! `DLFS_SWARM_CELLS` runs the first N cells of each kind only (and the
 //! cells once found late).
@@ -209,6 +210,7 @@ struct Cell {
     parked_ns: u64,
     late_waits: u64,
     late_ns: u64,
+    excess_ns: u64,
 }
 
 impl std::ops::AddAssign for Cell {
@@ -217,6 +219,7 @@ impl std::ops::AddAssign for Cell {
         self.parked_ns += c.parked_ns;
         self.late_waits += c.late_waits;
         self.late_ns += c.late_ns;
+        self.excess_ns += c.excess_ns;
     }
 }
 
@@ -386,6 +389,7 @@ fn handle(
         parked_ns: reactor("parked_ns"),
         late_waits,
         late_ns: reactor("late_ns"),
+        excess_ns: reactor("excess_ns"),
     }
 }
 
