@@ -9,12 +9,11 @@
 #     the reactor's latency-step, deep-queue, shared-wire, in-order-wire,
 #     lone-read-on-a-wire, behind-another-handle's-reads, bursty-neighbour,
 #     beside-a-checkpoint-stream and mixed-sizes-beside-a-checkpoint-stream
-#     cases and the first 16 cells of each kind
-#     of the late-park swarm (park_swarm.rs) again under a second seed
-#     (DLFS_TEST_SEED_OFFSET)
+#     cases again under a second seed (DLFS_TEST_SEED_OFFSET)
 #     so byte-correctness, determinism, the kill-one-target rebuild path
 #     and the pool-side check of verified and coded reads are exercised
-#     on two timelines;
+#     on two timelines; and all 80 cells of the late-park swarm
+#     (park_swarm.rs), in a release build, at seed offsets 1000 and 7;
 #  3. smoke runs: chaos sweep (fault injection + retry/failover plus the
 #     replicated corruption grid: silent bit flips, sticky bad extents,
 #     scrub + read-repair — all with built-in byte-correctness and
@@ -157,7 +156,7 @@ echo "== tier-1: root test suite"
 cargo test -q --offline
 echo "== workspace tests"
 cargo test -q --offline --workspace
-echo "== chaos/integrity/membership/codec/offload/properties/roundtrip/latency step/deep queue/shared wire/in-order wire/lone read/behind another handle's reads/bursty neighbour/checkpoint stream/mixed sizes/late-park swarm under a second seed"
+echo "== chaos/integrity/membership/codec/offload/properties/roundtrip/latency step/deep queue/shared wire/in-order wire/lone read/behind another handle's reads/bursty neighbour/checkpoint stream/mixed sizes under a second seed"
 DLFS_TEST_SEED_OFFSET=1000 cargo test -q --offline -p dlfs \
   --test chaos --test integrity --test membership \
   --test codec_e2e --test offload_e2e --test properties
@@ -170,7 +169,10 @@ DLFS_TEST_SEED_OFFSET=1000 cargo test -q --offline -p dlfs --test reactor -- a_l
   a_neighbour_that_reads_in_bursts_does_not_skew_the_clock \
   a_queue_beside_a_checkpoint_stream_parks_on_time \
   a_queue_of_mixed_sizes_beside_a_checkpoint_stream_parks_on_time
-DLFS_TEST_SEED_OFFSET=1000 DLFS_SWARM_CELLS=16 cargo test -q --offline -p dlfs --test park_swarm
+echo "== the whole late-park swarm at seed offsets 1000 and 7 (release)"
+for offset in 1000 7; do
+  DLFS_TEST_SEED_OFFSET=$offset cargo test -q --release --offline -p dlfs --test park_swarm
+done
 echo "== chaos sweep (smoke)"
 cargo run -q --release --offline -p dlfs-bench --bin ext_fault_sweep -- n=256 size=2048
 echo "== cache ablation (smoke)"
