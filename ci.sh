@@ -12,7 +12,7 @@
 #     cases again under a second seed (DLFS_TEST_SEED_OFFSET)
 #     so byte-correctness, determinism, the kill-one-target rebuild path
 #     and the pool-side check of verified and coded reads are exercised
-#     on two timelines; and all 80 cells of the late-park swarm
+#     on two timelines; and all 96 cells of the late-park swarm
 #     (park_swarm.rs), in a release build, at seed offsets 1000 and 7;
 #  3. smoke runs: chaos sweep (fault injection + retry/failover plus the
 #     replicated corruption grid: silent bit flips, sticky bad extents,

@@ -68,7 +68,12 @@
 //! - `ordered_wire_busy_ns` — the same wire with one sample in three
 //!   48 KiB, the rest 16 KiB (lower is better): payloads that land in post
 //!   order, so a wait parks to the oldest read's bytes and those ahead of
-//!   it, not to the smallest read's; the same inline assertion.
+//!   it, not to the smallest read's; the same inline assertion;
+//! - `mixed_wire_busy_ns` — the same wire with 16 KiB ± 1/16 samples in
+//!   64 KiB chunks (lower is better): ≈ 49 KiB chunk runs among ≈ 16 KiB
+//!   edge reads, so a run can exceed twice the mean bytes the wire's clock
+//!   sampled, and crosses no faster than twice the mean; the same inline
+//!   assertion.
 //!
 //! After the metrics the file holds, ungated, each `*_busy_ns` shape's
 //! `*_excess_ns`: what its waits spun and woke per sample beyond a
@@ -399,29 +404,39 @@ fn sync_read_busy(seed: u64) -> (f64, f64) {
 fn queued_read_busy(seed: u64) -> (f64, f64) {
     const SAMPLES: usize = 1024;
     let source = SyntheticSource::fixed(seed ^ 0x0DE, SAMPLES, 64 << 10);
-    batched_busy(seed, source, || {
+    batched_busy(seed, source, DlfsConfig::default(), || {
         let device = setup::emulated_for(SAMPLES as u64 * (64 << 10));
         Deployment::local(1, &[device])
     })
 }
 
 fn wire_read_busy(seed: u64) -> (f64, f64) {
-    let source = SyntheticSource::fixed(seed ^ 0x1E5, 1024, 16 << 10);
-    one_wire_busy(seed, source, 1024 * (16 << 10))
+    one_wire_busy(seed, 0x1E5, vec![16 << 10; 1024], DlfsConfig::default())
 }
 
 fn ordered_wire_busy(seed: u64) -> (f64, f64) {
-    let sizes: Vec<u64> = (0..1024)
-        .map(|i| if i % 3 == 0 { 48 << 10 } else { 16 << 10 })
-        .collect();
-    let bytes = sizes.iter().sum();
-    one_wire_busy(seed, SyntheticSource::new(seed ^ 0x0AD, sizes), bytes)
+    let sizes = (0..1024).map(|i| if i % 3 == 0 { 48 << 10 } else { 16 << 10 });
+    one_wire_busy(seed, 0x0AD, sizes.collect(), DlfsConfig::default())
 }
 
-/// [`batched_busy`] for `source`, of `bytes` in all, from two NVMe-oF
-/// ramdisks behind one 1 GB/s reader NIC.
-fn one_wire_busy(seed: u64, source: SyntheticSource, bytes: u64) -> (f64, f64) {
-    batched_busy(seed, source, || {
+fn mixed_wire_busy(seed: u64) -> (f64, f64) {
+    const NOMINAL: u64 = 16 << 10;
+    let mut rng = SplitMix64::new(seed ^ 0x5E5);
+    let sizes = (0..1024).map(|_| NOMINAL - NOMINAL / 16 + rng.below(NOMINAL / 8 + 1));
+    let cfg = DlfsConfig {
+        chunk_size: 64 << 10,
+        ..DlfsConfig::default()
+    };
+    one_wire_busy(seed, 0x31E, sizes.collect(), cfg)
+}
+
+/// [`batched_busy`] for samples of `sizes`, their bytes drawn at
+/// `seed ^ salt`, mounted with `cfg` on two NVMe-oF ramdisks behind one
+/// 1 GB/s reader NIC.
+fn one_wire_busy(seed: u64, salt: u64, sizes: Vec<u64>, cfg: DlfsConfig) -> (f64, f64) {
+    let bytes = sizes.iter().sum();
+    let source = SyntheticSource::new(seed ^ salt, sizes);
+    batched_busy(seed, source, cfg, || {
         let wire = FabricConfig {
             nic_bytes_per_sec: 1.0e9,
             ..FabricConfig::default()
@@ -433,17 +448,19 @@ fn one_wire_busy(seed: u64, source: SyntheticSource, bytes: u64) -> (f64, f64) {
 }
 
 /// The reader's busy CPU and its waits' excess per sample of one batched
-/// epoch of `source` over the deployment `wiring` builds, drained in
-/// batches of 32; asserts that no wait parked past its completion.
+/// epoch of `source`, mounted with `cfg` over the deployment `wiring`
+/// builds, drained in batches of 32; asserts that no wait parked past its
+/// completion.
 fn batched_busy(
     seed: u64,
     source: SyntheticSource,
+    cfg: DlfsConfig,
     wiring: impl FnOnce() -> Deployment,
 ) -> (f64, f64) {
     Runtime::simulate(seed, |rt| {
         let cfg = DlfsConfig {
             reactor_stats: true,
-            ..DlfsConfig::default()
+            ..cfg
         };
         let fs = dlfs::MountBuilder::new(cfg)
             .deployment(wiring())
@@ -527,8 +544,9 @@ fn main() {
     let (queued_read_busy_ns, queued_read_excess_ns) = queued_read_busy(seed);
     let (wire_read_busy_ns, wire_read_excess_ns) = wire_read_busy(seed);
     let (ordered_wire_busy_ns, ordered_wire_excess_ns) = ordered_wire_busy(seed);
+    let (mixed_wire_busy_ns, mixed_wire_excess_ns) = mixed_wire_busy(seed);
     // (key, value, higher is better, decimals printed), in file order.
-    let metrics: [(&str, f64, bool, usize); 19] = [
+    let metrics: [(&str, f64, bool, usize); 20] = [
         ("epoch_throughput_sps", epoch_throughput_sps, true, 3),
         (
             "verified_epoch_throughput_sps",
@@ -583,6 +601,7 @@ fn main() {
         ("queued_read_busy_ns", queued_read_busy_ns, false, 1),
         ("wire_read_busy_ns", wire_read_busy_ns, false, 1),
         ("ordered_wire_busy_ns", ordered_wire_busy_ns, false, 1),
+        ("mixed_wire_busy_ns", mixed_wire_busy_ns, false, 1),
     ];
     // Written after the metrics, never gated.
     let excess = [
@@ -590,6 +609,7 @@ fn main() {
         ("queued_read_excess_ns", queued_read_excess_ns),
         ("wire_read_excess_ns", wire_read_excess_ns),
         ("ordered_wire_excess_ns", ordered_wire_excess_ns),
+        ("mixed_wire_excess_ns", mixed_wire_excess_ns),
     ];
 
     let lines = metrics.map(|(key, now, _, decimals)| format!(",\n  \"{key}\": {now:.decimals$}"));

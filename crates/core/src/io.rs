@@ -396,14 +396,14 @@ impl LandingClock {
         self.anchor = prompt.then_some(polled);
     }
 
-    /// The least time a read of `bytes` takes once it starts: its bytes
-    /// at the floor of the rate, no more than the least. `None` before the
-    /// first sample, and for a read over twice the mean bytes sampled: a
-    /// small read's time is mostly per-command cost, which a larger read
-    /// does not pay per byte.
+    /// The least time a read of `bytes` takes once it starts: its bytes,
+    /// no more than twice the mean bytes sampled, at the floor of the rate,
+    /// no more than the least. `None` before the first sample. A small
+    /// read's time is mostly per-command cost, which a larger read does not
+    /// pay per byte, but more bytes never cross faster.
     fn crossing(&self, bytes: u64) -> Option<Dur> {
-        let (rate, _) = self.rate.filter(|(_, size)| bytes <= 2 * size.mean)?;
-        Some(at_rate(bytes, self.least.min(rate.floor())))
+        let ((rate, size), least) = (self.rate?, self.least);
+        Some(at_rate(bytes.min(2 * size.mean), least.min(rate.floor())))
     }
 
     /// The earliest a queued read of `bytes` posted at `post` lands: the
@@ -488,7 +488,8 @@ impl Wire {
     /// On a wire that has overtaken, its own bytes from the later of the
     /// anchor and its post ([`LandingClock::predict`]). On one in post
     /// order, it starts no earlier than every read posted before it has
-    /// landed, and one the clock cannot time lands no earlier than they.
+    /// landed, and one before the clock's first sample lands no earlier
+    /// than they.
     fn floors<'a>(
         &'a self,
         reads: impl Iterator<Item = (Time, u64)> + 'a,
@@ -1293,7 +1294,9 @@ impl DlfsIo {
     /// local queue's head ([`ReadQp::predicted`]), and the earliest over
     /// every read through a wire with two or more in flight
     /// ([`Wire::floors`]), since on a wire that has overtaken a read
-    /// posted later on another qpair can land first. Each is spun for as
+    /// posted later on another qpair can land first; a read over twice the
+    /// wire's mean bytes crosses no faster than one of twice the mean
+    /// ([`LandingClock::crossing`]). Each is spun for as
     /// it is, but a wire's floor for a read whose device serves other
     /// reads ([`ReadQp::shared`]) is hedged ([`hedge`]). `None` if a busy
     /// path predicts nothing.
@@ -1997,8 +2000,8 @@ mod tests {
     /// The floors of a wire's reads, at 1 ns per byte from an anchor at
     /// 0: on a wire that has overtaken, each read's own bytes from the
     /// later of the anchor and its post; in post order, after every read
-    /// posted before it, two posted at once alike, and one too large to
-    /// time no earlier than those before it.
+    /// posted before it, two posted at once alike. A read over twice the
+    /// mean bytes sampled (16 000) crosses as one of twice the mean.
     #[test]
     fn a_wire_in_post_order_floors_each_read_after_those_posted_before_it() {
         let mut wire = Wire::new();
@@ -2011,16 +2014,15 @@ mod tests {
             (at(1), 20_000),
             (at(2), 40_000),
             (at(50), 10_000),
+            (at(200), 1_000_000),
         ];
-        let floors = |wire: &Wire| -> Vec<Option<u64>> {
-            let floors = wire.floors(reads.into_iter());
-            floors.map(|f| f.map(|t| t.nanos())).collect()
-        };
+        let floors =
+            |w: &Wire| Vec::from_iter(w.floors(reads.into_iter()).map(|f| f.map(Time::nanos)));
         wire.ordered = None;
-        let want = [Some(30_000), Some(11_000), Some(21_000), None, Some(60_000)];
-        assert_eq!(floors(&wire), want);
+        let want = [30_000, 11_000, 21_000, 34_000, 60_000, 232_000];
+        assert_eq!(floors(&wire), want.map(Some));
         wire.ordered = Some(IN_ORDER_PASSES);
-        let want = [30_000, 40_000, 50_000, 50_000, 60_000];
+        let want = [30_000, 40_000, 50_000, 82_000, 92_000, 232_000];
         assert_eq!(floors(&wire), want.map(Some));
     }
 

@@ -13,13 +13,19 @@
 //! [`QUEUES`] cells more, from a third stream, keep local queues: one or
 //! two handles batching chunk runs at queue depth 8 to 128 over samples of
 //! one or two nominal sizes from 4 KiB to 64 KiB, each ± 1/16, so a
-//! queue mixes read sizes; half of them beside an appender.
+//! queue mixes read sizes; half of them beside an appender. [`WIRES`]
+//! cells more, from a fourth stream, batch the same way through one
+//! reader NIC: one or two handles over two to four NVMe-oF ramdisks,
+//! samples of one nominal size from 8 KiB to 32 KiB in chunks of four
+//! samples, so ≈ 3-sample chunk runs follow 1-sample edge reads and a run
+//! can exceed twice the mean bytes the wire's clock sampled.
 //! Every cell reports its waits, parked time, late waits (operations
 //! during which `late_ns` grew), Σ `late_ns` and, beside it, Σ
 //! `excess_ns` (what its waits spun and woke beyond clairvoyant ones);
 //! a failing cell prints a one-line `park seed=… shape=…` repro, and
 //! `DLFS_SWARM_SEED=<seed>` runs that cell alone (`DLFS_SWARM_APPENDER=1` with its appender,
-//! `DLFS_SWARM_QUEUE=1` as a queue cell).
+//! `DLFS_SWARM_QUEUE=1` as a queue cell, `DLFS_SWARM_WIRE=1` as a wire
+//! cell).
 //! `DLFS_SWARM_CELLS` runs the first N cells of each kind only (and the
 //! cells once found late).
 
@@ -75,6 +81,32 @@ const BESIDE: [(u64, [u64; APPENDERS]); 2] = [
 /// offsets 1000 and 7.
 const QUEUES: usize = 16;
 
+/// Cells with queues of jittered sizes behind one reader NIC, whose chunk
+/// runs straddle twice the mean bytes the wire's clock samples.
+const WIRES: usize = 16;
+
+/// Σ `late_ns` of each wire cell at the base seed and at the CI sweep's
+/// offsets 1000 and 7. The reader's ingress is booked apart from the
+/// targets' egress, so a payload held at a busy egress lets the next one
+/// land sooner than the NIC moves its bytes: a few waits in a queue of
+/// depth 8 park late, by under 2 µs each, as they did when a run over
+/// twice the mean crossed as nothing. At other seeds a wire cell is
+/// reported, not judged.
+const WIRE_LATE: [(u64, [u64; WIRES]); 3] = [
+    (
+        BASE,
+        [0, 4_886, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 54_598],
+    ),
+    (
+        BASE + 1000,
+        [1_465, 454, 0, 43_909, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    ),
+    (
+        BASE + 7,
+        [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 27_495, 0, 0, 0, 0, 0],
+    ),
+];
+
 /// The kind of a cell, each drawn from a stream of its own.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Kind {
@@ -84,6 +116,8 @@ enum Kind {
     Appender,
     /// Local queues of jittered sizes, half of them beside an appender.
     Queue,
+    /// Queues of jittered sizes behind one reader NIC.
+    Wire,
 }
 
 /// What one cell runs.
@@ -97,9 +131,11 @@ struct Shape {
     /// Per-command delay of every device.
     delay_us: u64,
     sizes: Vec<u64>,
+    chunk_size: u64,
     /// Synchronous reads, or batched ones at queue depth `depth`: 1, or
     /// 1 or 8 in a cell with an appender; in a queue cell, batched chunk
-    /// runs at 8 to 128, each sample's size within 1/16 of one of `sizes`.
+    /// runs at 8 to 128, each sample's size within 1/16 of one of `sizes`;
+    /// a wire cell likewise.
     sync: bool,
     depth: usize,
     queue: bool,
@@ -115,8 +151,10 @@ struct Shape {
 
 impl Shape {
     fn draw(seed: u64, kind: Kind) -> Shape {
-        if kind == Kind::Queue {
-            return Shape::queue(seed);
+        match kind {
+            Kind::Queue => return Shape::queue(seed),
+            Kind::Wire => return Shape::wire(seed),
+            Kind::Lone | Kind::Appender => {}
         }
         let appender = kind == Kind::Appender;
         let mut rng = SplitMix64::derive(seed, 0x9a5c);
@@ -152,6 +190,7 @@ impl Shape {
             gbps,
             delay_us,
             sizes,
+            chunk_size: DlfsConfig::default().chunk_size,
             sync,
             depth,
             queue: false,
@@ -181,6 +220,7 @@ impl Shape {
             gbps: 0.0,
             delay_us: rng.range(5, 31),
             sizes,
+            chunk_size: DlfsConfig::default().chunk_size,
             sync: false,
             depth: [8, 32, 128][rng.below(3) as usize],
             queue: true,
@@ -190,6 +230,34 @@ impl Shape {
                 .collect(),
             step: None,
             appender,
+        }
+    }
+
+    /// A wire cell: one or two handles behind one reader NIC of 0.5 to
+    /// 2 GB/s, over two to four NVMe-oF ramdisks, batching chunk runs at
+    /// queue depth 8 to 128; samples of 8, 16 or 32 KiB ± 1/16, four to a
+    /// chunk.
+    fn wire(seed: u64) -> Shape {
+        let mut rng = SplitMix64::derive(seed, 0x31e);
+        let handles = rng.range(1, 3) as usize;
+        let size = 1u64 << rng.range(13, 16);
+        Shape {
+            handles,
+            devices: rng.range(2, 5) as usize,
+            nics: 1,
+            gbps: [0.5, 1.0, 2.0][rng.below(3) as usize],
+            delay_us: rng.range(5, 31),
+            sizes: vec![size],
+            chunk_size: 4 * size,
+            sync: false,
+            depth: [8, 32, 128][rng.below(3) as usize],
+            queue: true,
+            burst: rng.range(8, 33) as usize,
+            sleeps_us: (0..handles)
+                .map(|_| [0, 0, 20, 100][rng.below(4) as usize])
+                .collect(),
+            step: None,
+            appender: None,
         }
     }
 
@@ -283,6 +351,7 @@ fn run(seed: u64, shape: &Shape) -> Cell {
                 BatchMode::SampleLevel
             },
             queue_depth: shape.depth,
+            chunk_size: shape.chunk_size,
             ..DlfsConfig::default()
         };
         if shape.appender.is_some() {
@@ -402,17 +471,20 @@ const ONCE_LATE: [u64; 2] = [8_392_477_305_216_635_401, 12_246_224_950_615_379_2
 /// apart from the others'.
 const APPENDER_STREAM: u64 = 0xc4_0000;
 const QUEUE_STREAM: u64 = 0x9e_0000;
+const WIRE_STREAM: u64 = 0x31_0000;
 
 /// The cells to run: the one `DLFS_SWARM_SEED` names, else the first
-/// `DLFS_SWARM_CELLS` of each kind (all [`CELLS`], [`APPENDERS`] and
-/// [`QUEUES`] by default), each with its index, and the [`ONCE_LATE`]
+/// `DLFS_SWARM_CELLS` of each kind (all [`CELLS`], [`APPENDERS`],
+/// [`QUEUES`] and [`WIRES`] by default), each with its index, and the [`ONCE_LATE`]
 /// ones; each with its kind.
 fn cells(base: u64) -> Vec<(Option<usize>, u64, Kind)> {
     let env = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
     if let Some(seed) = env("DLFS_SWARM_SEED") {
-        let kind = match (env("DLFS_SWARM_APPENDER"), env("DLFS_SWARM_QUEUE")) {
-            (Some(1), _) => Kind::Appender,
-            (_, Some(1)) => Kind::Queue,
+        let on = |name: &str| env(name) == Some(1);
+        let kind = match (on("DLFS_SWARM_APPENDER"), on("DLFS_SWARM_QUEUE")) {
+            (true, _) => Kind::Appender,
+            (_, true) => Kind::Queue,
+            _ if on("DLFS_SWARM_WIRE") => Kind::Wire,
             _ => Kind::Lone,
         };
         return vec![(None, seed, kind)];
@@ -426,6 +498,7 @@ fn cells(base: u64) -> Vec<(Option<usize>, u64, Kind)> {
     (kind(CELLS, 0, Kind::Lone))
         .chain(kind(APPENDERS, APPENDER_STREAM, Kind::Appender))
         .chain(kind(QUEUES, QUEUE_STREAM, Kind::Queue))
+        .chain(kind(WIRES, WIRE_STREAM, Kind::Wire))
         .chain(once_late)
         .collect()
 }
@@ -435,25 +508,30 @@ fn cells(base: u64) -> Vec<(Option<usize>, u64, Kind)> {
 /// late once, by no more than the step, and times its reads again; a step
 /// up is no later than when a lone read parked half its wait (pinned at
 /// the base seed only). An appender cell is no later than its pin in
-/// [`BESIDE`]. A queue cell takes no step.
+/// [`BESIDE`], a wire cell than its pin in [`WIRE_LATE`]. A queue or wire
+/// cell takes no step.
 #[test]
 fn a_wait_parks_late_only_once_after_a_step_down() {
     let base = common::test_seed(BASE);
     let mut failed = Vec::new();
-    // Totals over the lone and appender cells, and over the queue cells.
-    let (mut total, mut queues) = (Cell::default(), Cell::default());
+    // Totals over the lone and appender cells, the queue cells and the
+    // wire cells.
+    let [mut total, mut queues, mut wires] = [Cell::default(); 3];
     for (i, seed, kind) in cells(base) {
         let shape = Shape::draw(seed, kind);
         let cell = run(seed, &shape);
         println!("cell {i:?} seed={seed} {shape:?} {cell:?}");
         match kind {
             Kind::Queue => queues += cell,
-            _ => total += cell,
+            Kind::Wire => wires += cell,
+            Kind::Lone | Kind::Appender => total += cell,
         }
         let beside = BESIDE.iter().find(|p| p.0 == base);
+        let wire = WIRE_LATE.iter().find(|p| p.0 == base);
         let on_time = match (shape.step, i, kind) {
             (_, Some(i), Kind::Appender) => beside.is_none_or(|p| cell.late_ns <= p.1[i]),
-            (_, None, Kind::Appender) => true,
+            (_, Some(i), Kind::Wire) => wire.is_none_or(|p| cell.late_ns <= p.1[i]),
+            (_, None, Kind::Appender | Kind::Wire) => true,
             (None, ..) => cell.late_ns == 0,
             (Some(true), ..) => {
                 cell.late_waits <= shape.handles as u64
@@ -466,6 +544,6 @@ fn a_wait_parks_late_only_once_after_a_step_down() {
             failed.push(format!("park seed={seed} shape={shape:?} cell={cell:?}"));
         }
     }
-    println!("swarm {total:?} queues {queues:?}");
+    println!("swarm {total:?} queues {queues:?} wires {wires:?}");
     assert!(failed.is_empty(), "{}", failed.join("\n"));
 }

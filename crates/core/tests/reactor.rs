@@ -997,18 +997,25 @@ fn two_targets_on_one_wire_park_on_time() {
 /// read posted before it has crossed, then its own bytes: the waits park
 /// to the oldest read, not to the smallest. At chunk level, waits that
 /// parked to the smallest read's bytes parked 4.1 ms; to the oldest, over
-/// 20. Parking moves no instant, at chunk or sample level.
+/// 20. In `cache_reuse`'s shape — 16 KiB ± 1/16 samples in 64 KiB chunks —
+/// ≈ 49 KiB chunk runs follow ≈ 16 KiB edge reads, and a run can exceed
+/// twice the mean bytes the wire sampled: timed as nothing, its wait spun,
+/// and the epoch parked 11.27–11.39 ms at seed offsets 0, 1000 and 7;
+/// crossing no faster than twice the mean, over 11.7. Parking
+/// moves no instant, at chunk or sample level.
 #[test]
 fn a_wire_that_lands_in_post_order_parks_to_its_oldest_read() {
-    // (seed, [(report hash, end ns) at chunk level, at sample level]) when
-    // each wait parked to the smallest read's bytes, at the base seed and
-    // at the CI sweep's second-seed offset.
-    const SMALLEST: [(u64, [(u64, u64); 2]); 2] = [
+    // (seed, [(report hash, end ns) at chunk level, at sample level, in
+    // 64 KiB chunks]) when each wait parked to the smallest read's bytes
+    // (in 64 KiB chunks, when a run over twice the mean spun), at the base
+    // seed and at the CI sweep's second-seed offset.
+    const SMALLEST: [(u64, [(u64, u64); 3]); 2] = [
         (
             53,
             [
                 (0xcda9_884b_9df6_ede4, 56_191_017),
                 (0xf310_206e_c92f_2ef4, 56_115_634),
+                (0x222a_0cca_645b_cc1e, 33_915_618),
             ],
         ),
         (
@@ -1016,6 +1023,7 @@ fn a_wire_that_lands_in_post_order_parks_to_its_oldest_read() {
             [
                 (0x2af9_eb8a_7998_96d5, 56_206_264),
                 (0xc8dc_7e3c_2d6d_2b76, 56_115_634),
+                (0x3cda_6bdc_aba3_55b6, 33_882_785),
             ],
         ),
     ];
@@ -1024,17 +1032,24 @@ fn a_wire_that_lands_in_post_order_parks_to_its_oldest_read() {
     let sizes: Vec<u64> = (0..1024)
         .map(|i| if i % 3 == 0 { 48 << 10 } else { 16 << 10 })
         .collect();
+    let chunks = DlfsConfig {
+        chunk_size: 64 << 10,
+        ..DlfsConfig::default()
+    };
+    // (sizes, config, least ns parked) of each input.
+    let inputs = [
+        (sizes.clone(), DlfsConfig::default(), 10_000_000),
+        (sizes, sample_level(), 0),
+        (near_fixed_sizes(seed, 1024, 16 << 10), chunks, 11_600_000),
+    ];
     let ramdisk = DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10));
-    let levels = [DlfsConfig::default(), sample_level()];
-    for (level, cfg) in levels.into_iter().enumerate() {
+    for (input, (sizes, cfg, least)) in inputs.into_iter().enumerate() {
         let deployment = one_wire(2, 1.0e9, ramdisk.clone()).unwrap();
-        let (late, parked, report, end) = queued_epoch(seed, sizes.clone(), deployment, cfg);
-        if level == 0 {
-            assert!(parked >= 10_000_000, "waits on the wire parked {parked} ns");
-        }
+        let (late, parked, report, end) = queued_epoch(seed, sizes, deployment, cfg);
+        assert!(parked >= least, "input {input}: waits parked {parked} ns");
         assert_eq!(late, 0, "a wait on the wire parked past its completion");
         if let Some((_, spun)) = SMALLEST.iter().find(|s| s.0 == seed) {
-            assert_eq!((report, end), spun[level], "parking moved an instant");
+            assert_eq!((report, end), spun[input], "parking moved an instant");
         }
     }
 }
