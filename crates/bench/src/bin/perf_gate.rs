@@ -73,7 +73,11 @@
 //!   64 KiB chunks (lower is better): ≈ 49 KiB chunk runs among ≈ 16 KiB
 //!   edge reads, so a run can exceed twice the mean bytes the wire's clock
 //!   sampled, and crosses no faster than twice the mean; the same inline
-//!   assertion.
+//!   assertion;
+//! - `zero_copy_wire_busy_ns` — `mixed_wire`'s samples and wire, drained
+//!   zero-copy (lower is better): landings that stage no copy-pool work,
+//!   so a wait parks through those its batch does not need, to the read
+//!   that fills the batch; the same inline assertion.
 //!
 //! After the metrics the file holds, ungated, each `*_busy_ns` shape's
 //! `*_excess_ns`: what its waits spun and woke per sample beyond a
@@ -404,22 +408,32 @@ fn sync_read_busy(seed: u64) -> (f64, f64) {
 fn queued_read_busy(seed: u64) -> (f64, f64) {
     const SAMPLES: usize = 1024;
     let source = SyntheticSource::fixed(seed ^ 0x0DE, SAMPLES, 64 << 10);
-    batched_busy(seed, source, DlfsConfig::default(), || {
+    let req = ReadRequest::batch(32);
+    batched_busy(seed, source, DlfsConfig::default(), req, || {
         let device = setup::emulated_for(SAMPLES as u64 * (64 << 10));
         Deployment::local(1, &[device])
     })
 }
 
 fn wire_read_busy(seed: u64) -> (f64, f64) {
-    one_wire_busy(seed, 0x1E5, vec![16 << 10; 1024], DlfsConfig::default())
+    let req = ReadRequest::batch(32);
+    one_wire_busy(
+        seed,
+        0x1E5,
+        vec![16 << 10; 1024],
+        DlfsConfig::default(),
+        req,
+    )
 }
 
 fn ordered_wire_busy(seed: u64) -> (f64, f64) {
     let sizes = (0..1024).map(|i| if i % 3 == 0 { 48 << 10 } else { 16 << 10 });
-    one_wire_busy(seed, 0x0AD, sizes.collect(), DlfsConfig::default())
+    let req = ReadRequest::batch(32);
+    one_wire_busy(seed, 0x0AD, sizes.collect(), DlfsConfig::default(), req)
 }
 
-fn mixed_wire_busy(seed: u64) -> (f64, f64) {
+/// `mixed_wire`'s samples and wire, drained by `req`.
+fn mixed_wire_busy(seed: u64, req: ReadRequest) -> (f64, f64) {
     const NOMINAL: u64 = 16 << 10;
     let mut rng = SplitMix64::new(seed ^ 0x5E5);
     let sizes = (0..1024).map(|_| NOMINAL - NOMINAL / 16 + rng.below(NOMINAL / 8 + 1));
@@ -427,16 +441,22 @@ fn mixed_wire_busy(seed: u64) -> (f64, f64) {
         chunk_size: 64 << 10,
         ..DlfsConfig::default()
     };
-    one_wire_busy(seed, 0x31E, sizes.collect(), cfg)
+    one_wire_busy(seed, 0x31E, sizes.collect(), cfg, req)
 }
 
 /// [`batched_busy`] for samples of `sizes`, their bytes drawn at
 /// `seed ^ salt`, mounted with `cfg` on two NVMe-oF ramdisks behind one
-/// 1 GB/s reader NIC.
-fn one_wire_busy(seed: u64, salt: u64, sizes: Vec<u64>, cfg: DlfsConfig) -> (f64, f64) {
+/// 1 GB/s reader NIC, drained by `req`.
+fn one_wire_busy(
+    seed: u64,
+    salt: u64,
+    sizes: Vec<u64>,
+    cfg: DlfsConfig,
+    req: ReadRequest,
+) -> (f64, f64) {
     let bytes = sizes.iter().sum();
     let source = SyntheticSource::new(seed ^ salt, sizes);
-    batched_busy(seed, source, cfg, || {
+    batched_busy(seed, source, cfg, req, || {
         let wire = FabricConfig {
             nic_bytes_per_sec: 1.0e9,
             ..FabricConfig::default()
@@ -449,12 +469,13 @@ fn one_wire_busy(seed: u64, salt: u64, sizes: Vec<u64>, cfg: DlfsConfig) -> (f64
 
 /// The reader's busy CPU and its waits' excess per sample of one batched
 /// epoch of `source`, mounted with `cfg` over the deployment `wiring`
-/// builds, drained in batches of 32; asserts that no wait parked past its
+/// builds, drained by `req`; asserts that no wait parked past its
 /// completion.
 fn batched_busy(
     seed: u64,
     source: SyntheticSource,
     cfg: DlfsConfig,
+    req: ReadRequest,
     wiring: impl FnOnce() -> Deployment,
 ) -> (f64, f64) {
     Runtime::simulate(seed, |rt| {
@@ -471,7 +492,7 @@ fn batched_busy(
         let busy0 = rt.my_busy();
         let mut got = 0usize;
         while got < total {
-            got += io.submit(rt, &ReadRequest::batch(32)).unwrap().len();
+            got += io.submit(rt, &req).unwrap().len();
         }
         let busy = rt.my_busy() - busy0;
         let late = io.metrics().counter("dlfs.reactor.late_ns");
@@ -544,9 +565,11 @@ fn main() {
     let (queued_read_busy_ns, queued_read_excess_ns) = queued_read_busy(seed);
     let (wire_read_busy_ns, wire_read_excess_ns) = wire_read_busy(seed);
     let (ordered_wire_busy_ns, ordered_wire_excess_ns) = ordered_wire_busy(seed);
-    let (mixed_wire_busy_ns, mixed_wire_excess_ns) = mixed_wire_busy(seed);
+    let (mixed_wire_busy_ns, mixed_wire_excess_ns) = mixed_wire_busy(seed, ReadRequest::batch(32));
+    let (zero_copy_wire_busy_ns, zero_copy_wire_excess_ns) =
+        mixed_wire_busy(seed, ReadRequest::batch(32).zero_copy());
     // (key, value, higher is better, decimals printed), in file order.
-    let metrics: [(&str, f64, bool, usize); 20] = [
+    let metrics: [(&str, f64, bool, usize); 21] = [
         ("epoch_throughput_sps", epoch_throughput_sps, true, 3),
         (
             "verified_epoch_throughput_sps",
@@ -602,6 +625,7 @@ fn main() {
         ("wire_read_busy_ns", wire_read_busy_ns, false, 1),
         ("ordered_wire_busy_ns", ordered_wire_busy_ns, false, 1),
         ("mixed_wire_busy_ns", mixed_wire_busy_ns, false, 1),
+        ("zero_copy_wire_busy_ns", zero_copy_wire_busy_ns, false, 1),
     ];
     // Written after the metrics, never gated.
     let excess = [
@@ -610,6 +634,7 @@ fn main() {
         ("wire_read_excess_ns", wire_read_excess_ns),
         ("ordered_wire_excess_ns", ordered_wire_excess_ns),
         ("mixed_wire_excess_ns", mixed_wire_excess_ns),
+        ("zero_copy_wire_excess_ns", zero_copy_wire_excess_ns),
     ];
 
     let lines = metrics.map(|(key, now, _, decimals)| format!(",\n  \"{key}\": {now:.decimals$}"));

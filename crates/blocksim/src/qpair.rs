@@ -323,6 +323,12 @@ impl IoQPair {
         self.pending.peek().map(|p| p.done)
     }
 
+    /// The completion instant of pending command `id`, if it is pending:
+    /// like [`IoQPair::next_completion_at`], for a command not at the head.
+    pub fn completion_at(&self, id: u64) -> Option<Time> {
+        self.pending.iter().find(|p| p.id == id).map(|p| p.done)
+    }
+
     /// Busy-poll until all outstanding commands complete. Returns all
     /// completions. An empty poll models one spin (`poll_cost` of CPU),
     /// then (in virtual time) a jump to the next completion if it is

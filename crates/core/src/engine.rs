@@ -620,6 +620,16 @@ impl DlfsIo {
         ))
     }
 
+    /// What a wait of a batch delivered by `delivery` with `left` samples
+    /// not yet drawn is told it still needs ([`DlfsIo::wait_event`]): those
+    /// samples, if it is delivered zero-copy and its landings stage no
+    /// copy-pool work — neither verified nor coded. `None` otherwise: a
+    /// copy or a check is work the wait may not park through.
+    pub(super) fn need(&self, delivery: Delivery, left: usize) -> Option<usize> {
+        let checked = self.shared.redundancy.verify() || self.shared.codec.is_some();
+        (delivery == Delivery::ZeroCopy && !checked).then_some(left)
+    }
+
     /// The engine loop (prep → post → poll → copy): pump, poll, deliver,
     /// collect, under one failure / stall policy. Copied and
     /// zero-copy batches differ only in the deliver step.
@@ -691,8 +701,9 @@ impl DlfsIo {
             // the copy pool, nothing deliverable — the engine lost track of
             // a part, for good.
             let stalled = DlfsError::Stalled(self.shared.reader_id);
+            let need = self.need(req.delivery, want - batch.dispatched);
             spun = self
-                .wait_event(rt)
+                .wait_event(rt, need)
                 .ok_or_else(|| self.failed.insert(stalled).clone())?;
         }
         Ok(if copied {

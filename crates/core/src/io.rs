@@ -156,6 +156,10 @@ impl DlfsShared {
 /// waiting rule, not in `DlfsCosts`, which the benchmark fingerprints.
 const PARK_WAKE: Dur = Dur::nanos(4_800);
 
+/// The reads a zero-copy wait parks through at most ([`coalesce`]): each
+/// landing it parks through defers the pump's refill of that read's slot.
+const COALESCE: usize = 4;
+
 /// What one wait did ([`hybrid_wait`]).
 pub(crate) struct Waited {
     /// It spun until the event: a harvest that directly follows is prompt.
@@ -219,6 +223,61 @@ pub(crate) fn hybrid_wait(rt: &Runtime, t: Time, own: bool, wake: Option<Time>) 
 /// the wait, so [`hybrid_wait`] parks half of it.
 fn hedge(now: Time, guess: Time) -> Time {
     now + (guess - now) / 2 + PARK_WAKE
+}
+
+/// A read a zero-copy wait may park through ([`coalesce`]): its floor and
+/// wake-up, if it has them, its landing, and, if it is a part of one of
+/// the epoch's items, that item with its parts and samples left.
+struct Through {
+    at: Option<(Time, Time)>,
+    lands: Option<Time>,
+    item: Option<(u32, u32, usize)>,
+}
+
+/// Of `reads` in the order they come, the position of the first after
+/// which the items they complete hold `need` samples: an item's samples
+/// left count once the last of its parts left is reached.
+fn fills<'a>(need: usize, mut reads: impl Iterator<Item = &'a Through>) -> Option<usize> {
+    // Each item's parts reached, and the samples of the items completed.
+    let (mut reached, mut held) = (BTreeMap::new(), 0);
+    reads.position(|r| {
+        if let Some((idx, parts, samples)) = r.item {
+            let n = reached.entry(idx).or_insert(0);
+            *n += 1;
+            held += samples * (*n == parts) as usize;
+        }
+        held >= need
+    })
+}
+
+/// The wait of a zero-copy batch that still needs `need` samples and whose
+/// landings stage no copy-pool work, over `reads`, every read its handle
+/// has in flight (DESIGN §13): `(event, wake-up)`, or `None` to wait for
+/// the next landing. The *target* is the first read, in the order of their
+/// floors, at which the items reached hold `need` samples ([`fills`]), or
+/// the [`COALESCE`]th, whichever comes first (the last, if neither does).
+/// The wait parks to the target's wake-up, and its event is the target's
+/// landing or the landing after which the batch can be filled, whichever
+/// is earlier: like `next_completion_at()`, that instant only ends the
+/// wait. `None` for a lone read, or with a read without a floor ahead of
+/// the target.
+fn coalesce(need: usize, mut reads: Vec<Through>) -> Option<(Time, Time)> {
+    if reads.len() < 2 {
+        return None;
+    }
+    // `None` orders first: a read without a floor is ahead of any target.
+    reads.sort_by_key(|r| r.at.map(|(floor, _)| floor));
+    reads[0].at?;
+    let last = fills(need, reads.iter()).unwrap_or(reads.len() - 1);
+    let target = &reads[last.min(COALESCE - 1)];
+    let (lands, (_, wake)) = (target.lands?, target.at?);
+    // The landings up to the target's, in the order they come.
+    let mut landed: Vec<&Through> = (reads.iter())
+        .filter(|r| r.lands.is_some_and(|t| t <= lands))
+        .collect();
+    landed.sort_by_key(|r| r.lands);
+    let filled = fills(need, landed.iter().copied()).and_then(|i| landed[i].lands);
+    Some((filled.unwrap_or(lands), wake))
 }
 
 /// A running mean of a quantity and its mean deviation, both in the unit
@@ -297,9 +356,9 @@ fn at_rate(bytes: u64, ps: u64) -> Dur {
     Dur::nanos(bytes * ps / 1_000)
 }
 
-/// A read a qpair has in flight: its post, its bytes and its end position
-/// on its device ([`ForegroundReads::advance`]).
-type Posted = (Time, u64, u64);
+/// A read a qpair has in flight: its post, its bytes, its end position on
+/// its device ([`ForegroundReads::advance`]) and its command id.
+type Posted = (Time, u64, u64, u64);
 
 /// When a local qpair's device lands its queued reads, in *device bytes*:
 /// every byte posted to the device, by any handle's reads or the
@@ -324,7 +383,7 @@ impl DeviceClock {
     /// head was posted before the anchor times the device bytes from the
     /// anchor to the head's end — its own bytes at least — into the head's
     /// class. The pass is the anchor if prompt, and clears it if not.
-    fn landed(&mut self, spun: Option<Time>, (post, bytes, end): Posted, newest: u64) {
+    fn landed(&mut self, spun: Option<Time>, (post, bytes, end, _): Posted, newest: u64) {
         if let (Some(t), Some((anchor, at))) = (spun, self.anchor.filter(|a| post < a.0)) {
             let ps = (t - anchor).as_nanos() * 1_000 / end.saturating_sub(at).max(bytes).max(1);
             let rate = &mut self.per_byte[class(bytes)];
@@ -342,7 +401,7 @@ impl DeviceClock {
     /// of others' commands come in every size — plus its own. `None`
     /// without an anchor or a sample of its class: a small read's
     /// per-command cost misprices a large one.
-    fn predict(&self, (post, bytes, end): Posted) -> Option<Time> {
+    fn predict(&self, (post, bytes, end, _): Posted) -> Option<Time> {
         let (anchor, at) = self.anchor?;
         let own = at_rate(bytes, self.per_byte[class(bytes)]?.floor());
         let least = self.per_byte.iter().flatten().map(Ewma::floor).min()?;
@@ -550,7 +609,7 @@ impl ReadQp {
         self.quiet = alone.then_some(entered);
         let bytes = nblocks as u64 * BLOCK_SIZE;
         let end = self.fg.advance(self.nid, bytes);
-        self.posted.push_back((rt.now(), bytes, end));
+        self.posted.push_back((rt.now(), bytes, end, id));
         Ok(())
     }
 
@@ -590,7 +649,7 @@ impl ReadQp {
     /// A lone read in flight is expected no earlier than its post plus
     /// its bytes' lone floor ([`LoneFloors::floor`]).
     fn lone(&self) -> Option<Time> {
-        let &(post, bytes, _) = self.posted.front()?;
+        let &(post, bytes, ..) = self.posted.front()?;
         Some(post + self.alone.floor(bytes)?)
     }
 
@@ -909,7 +968,7 @@ impl DlfsIo {
             .retain(|_, c| matches!(c.owner, Owner::Prefetch { .. }));
         self.pending_parts.clear();
         self.delayed_parts.clear();
-        while let Some(spun) = self.wait_event(rt) {
+        while let Some(spun) = self.wait_event(rt, None) {
             let woke = rt.now();
             for q in 0..self.qpairs.len() {
                 // Prompt only while no completion's work has moved the
@@ -1263,7 +1322,7 @@ impl DlfsIo {
     /// Every read in flight through wire `w`, oldest post first, with its
     /// qpair: a merge of the qpairs' `posted` queues, each in post order
     /// already, that allocates nothing.
-    fn on_wire(&self, w: usize) -> impl Iterator<Item = (&ReadQp, (Time, u64))> + Clone {
+    fn on_wire(&self, w: usize) -> impl Iterator<Item = (&ReadQp, Posted)> + Clone {
         // The last read yielded, as (post, qpair, place there): each step
         // takes the least such key past it.
         let (qpairs, mut last) = (&self.qpairs, None);
@@ -1281,8 +1340,7 @@ impl DlfsIo {
                 });
             last = Some(next.min()?);
             let (_, j, i) = last?;
-            let (post, bytes, _) = qpairs[j].posted[i];
-            Some((&qpairs[j], (post, bytes)))
+            Some((&qpairs[j], qpairs[j].posted[i]))
         })
     }
 
@@ -1301,11 +1359,6 @@ impl DlfsIo {
     /// reads ([`ReadQp::shared`]) is hedged ([`hedge`]). `None` if a busy
     /// path predicts nothing.
     fn wake_by(&self, now: Time) -> Option<Time> {
-        // A wire's floor `at` for `q`'s read, hedged on a shared device.
-        let wake = |q: &ReadQp, at: Time| match q.shared() {
-            true => hedge(now, at),
-            false => at,
-        };
         let own = self
             .qpairs
             .iter()
@@ -1314,23 +1367,67 @@ impl DlfsIo {
             1 => q.lone(),
             _ => q.predicted(),
         });
-        let wires = self.wires.iter().enumerate().filter_map(|(w, wire)| {
-            let reads = self.on_wire(w);
-            match reads.clone().take(2).count() {
-                0 => None,
-                1 => Some(reads.clone().find_map(|(q, _)| q.lone())),
-                _ => {
-                    let floors = wire.floors(reads.clone().map(|(_, read)| read));
-                    let wakes = reads.zip(floors).map(|((q, _), floor)| {
-                        let lone = q.lone().filter(|&l| q.posted.len() == 1 && Some(l) > floor);
-                        lone.or(floor.map(|at| wake(q, at)))
-                    });
-                    Some(wakes.min().flatten())
-                }
-            }
-        });
+        // A wire with nothing in flight has no minimum.
+        let wires = (0..self.wires.len())
+            .filter_map(|w| self.wire_reads(w, now).map(|(.., at)| Some(at?.1)).min());
         // `None` orders first: one clock without a guess leaves none.
         own.chain(wires).min().flatten()
+    }
+
+    /// Every read in flight through wire `w` at `now`, oldest post first,
+    /// with its qpair and its (floor, wake-up), if it has them: a wire's
+    /// only read at its lone floor ([`ReadQp::lone`]); each of two or more
+    /// at the wire's floor ([`Wire::floors`]), hedged on a shared device,
+    /// or at its lone floor, unhedged, where that is later for a read alone
+    /// on its qpair.
+    fn wire_reads(
+        &self,
+        w: usize,
+        now: Time,
+    ) -> impl Iterator<Item = (&ReadQp, Posted, Option<(Time, Time)>)> {
+        let reads = self.on_wire(w);
+        let only = reads.clone().nth(1).is_none();
+        let floors = self.wires[w].floors(reads.clone().map(|(_, r)| (r.0, r.1)));
+        reads.zip(floors).map(move |((q, read), floor)| {
+            let lone = q
+                .lone()
+                .filter(|&l| q.posted.len() == 1 && (only || Some(l) > floor));
+            let hedged = |at| (at, if q.shared() { hedge(now, at) } else { at });
+            let floor = floor.filter(|_| !only).map(hedged);
+            (q, read, lone.map(|l| (l, l)).or(floor))
+        })
+    }
+
+    /// The wait of a zero-copy batch that still needs `need` samples
+    /// ([`coalesce`]) over every read the handle has in flight, each with
+    /// its floor, its landing and the item it is a part of: `(event,
+    /// wake-up)`, or `None` to wait for the next landing, as a local queue
+    /// does — its clock floors only its head ([`ReadQp::predicted`]). A
+    /// read on a wire not timed in post order ([`Wire::in_order`]) has no
+    /// floor here: the wire floors it by its own bytes, which says nothing
+    /// of the landings ahead of it.
+    fn target(&self, now: Time, need: usize) -> Option<(Time, Time)> {
+        let st = self.epoch.as_ref()?;
+        let local = |q: &ReadQp| matches!(q.clock, Feeds::Own(_));
+        if self.qpairs.iter().any(|q| local(q) && !q.posted.is_empty()) {
+            return None;
+        }
+        let reads = (0..self.wires.len()).flat_map(|w| {
+            let timed = self.wires[w].in_order();
+            self.wire_reads(w, now).map(move |(q, (.., id), at)| {
+                let item = match self.cmds.get(&id).map(|c| &c.owner) {
+                    Some(&Owner::Demand(p)) if !p.sync => {
+                        let it = &st.items[p.idx as usize];
+                        let left = it.samples_total - it.dispatched;
+                        Some((p.idx, it.parts_left, left as usize))
+                    }
+                    _ => None,
+                };
+                let (at, lands) = (at.filter(|_| timed), q.completion_at(id));
+                Through { at, lands, item }
+            })
+        });
+        coalesce(need, reads.collect())
     }
 
     /// The reactor's wait stage: advance to its next event — the earliest
@@ -1338,16 +1435,21 @@ impl DlfsIo {
     /// heap peek) or a delayed part's retry instant — by the waiting rule
     /// ([`DlfsIo::advance_to`]). The wake-up is the handle's own: the
     /// earliest of its clocks' ([`DlfsIo::wake_by`]) and the retry
-    /// instant's, hedged, or none if a busy clock predicts nothing.
+    /// instant's, hedged, or none if a busy clock predicts nothing. A
+    /// zero-copy batch that still `need`s samples parks through the
+    /// landings it does not need instead ([`DlfsIo::target`]).
     /// Returns the instant the wait's spin ended if it spun until the
     /// event, or `None` with nothing on a device and no retry queued:
     /// nothing to wait for.
-    fn wait_event(&mut self, rt: &Runtime) -> Option<Option<Time>> {
+    fn wait_event(&mut self, rt: &Runtime, need: Option<usize>) -> Option<Option<Time>> {
         let retry = self.delayed_parts.keys().next().map(|&(t, _)| t);
         let due = self.qpairs.iter().filter_map(|q| q.next_completion_at());
         let t = due.chain(retry).min()?;
         let now = rt.now();
-        let wake = self.wake_by(now);
+        let (t, wake) = match need.and_then(|need| self.target(now, need)) {
+            Some((event, wake)) => (retry.map_or(event, |r| event.min(r)), Some(wake)),
+            None => (t, self.wake_by(now)),
+        };
         let wake = wake.map(|w| retry.map_or(w, |r| w.min(hedge(now, r))));
         Some(self.advance_to(rt, t, wake))
     }
@@ -1458,7 +1560,7 @@ fn segments_at(bufs: &[DmaBuf], chunk: usize, mut pos: usize, mut remaining: usi
 mod tests {
     use super::*;
     use crate::error::IoFailure::{Media, Timeout};
-    use crate::{Deployment, MountBuilder, SyntheticSource};
+    use crate::{CodecKind, Deployment, MountBuilder, SyntheticSource};
     use blocksim::{DeviceConfig, FaultInjector, NvmeDevice};
     use simkit::retry::RetryPolicy;
 
@@ -1712,19 +1814,19 @@ mod tests {
     fn a_device_clock_predicts_each_head_from_its_own_class() {
         let (mut clock, mut t) = (DeviceClock::default(), Time::ZERO + Dur::micros(1));
         let mut end = 64 << 10;
-        clock.landed(Some(t), (Time::ZERO, 64 << 10, end), end);
+        clock.landed(Some(t), (Time::ZERO, 64 << 10, end, 0), end);
         // Prompt passes whose heads of `bytes` took `ps` per byte.
         let mut passes = |clock: &mut DeviceClock, heads: &[(u64, u64)]| {
             for &(bytes, ps) in heads {
                 (t, end) = (t + at_rate(bytes, ps), end + bytes);
-                clock.landed(Some(t), (Time::ZERO, bytes, end), end);
+                clock.landed(Some(t), (Time::ZERO, bytes, end, 0), end);
             }
         };
         passes(&mut clock, &[(64 << 10, 1_000)]);
         // What a head of `bytes` next on the device takes from the anchor.
         let at = |clock: &DeviceClock, bytes: u64| {
             let (anchor, at) = clock.anchor?;
-            Some(clock.predict((Time::ZERO, bytes, at + bytes))? - anchor)
+            Some(clock.predict((Time::ZERO, bytes, at + bytes, 0))? - anchor)
         };
         assert_eq!(at(&clock, 256 << 10), None, "larger than anything timed");
         passes(&mut clock, &[(256 << 10, 500), (64 << 10, 1_000)].repeat(8));
@@ -1813,7 +1915,10 @@ mod tests {
             let mut io = mount_on(rt, DlfsConfig::default(), &devices, 1);
             // Where each wait ended; nothing is harvested, so nothing is
             // predicted and every wait spins.
-            let wait = |io: &mut DlfsIo| io.wait_event(rt).map(|spun| (spun.is_some(), rt.now()));
+            let wait = |io: &mut DlfsIo| {
+                io.wait_event(rt, None)
+                    .map(|spun| (spun.is_some(), rt.now()))
+            };
             assert_eq!(wait(&mut io), None);
             for (q, nblocks) in [(0, 1), (1, 1), (2, 1024)] {
                 let buf = DmaBuf::standalone(nblocks as usize * BLOCK_SIZE as usize);
@@ -1927,7 +2032,7 @@ mod tests {
             let buf = DmaBuf::standalone(n as usize * BLOCK_SIZE as usize);
             assert_eq!(io.qpairs[q].submit_read(rt, 0, 0, n, buf, 0), Ok(()));
         }
-        while let Some(spun) = io.wait_event(rt) {
+        while let Some(spun) = io.wait_event(rt, None) {
             rt.work(work);
             io.poll(rt, spun);
         }
@@ -2024,6 +2129,93 @@ mod tests {
         wire.ordered = Some(IN_ORDER_PASSES);
         let want = [30_000, 40_000, 50_000, 82_000, 92_000, 232_000];
         assert_eq!(floors(&wire), want.map(Some));
+    }
+
+    /// A zero-copy wait's target ([`coalesce`]): in the order of their
+    /// floors, the first read at which the items reached hold what the
+    /// batch needs — an item of two parts only once its second is reached
+    /// — or the [`COALESCE`]th read, or the last. The wait parks to the
+    /// target's wake-up and ends at its landing, or earlier at the landing
+    /// after which the batch can be filled. A read without a floor ahead of
+    /// the target, or a lone read, leaves the next landing's wait.
+    #[test]
+    fn a_zero_copy_wait_targets_the_read_that_fills_its_batch() {
+        let at = |us: u64| Time::ZERO + Dur::micros(us);
+        // A read floored at `floor` µs, woken 1 µs earlier, that lands at
+        // `lands` µs: a part of `item` (item, parts left, samples left), or
+        // a prefetch.
+        let read = |floor: Option<u64>, lands: u64, item: Option<(u32, u32, usize)>| Through {
+            at: floor.map(|f| (at(f), at(f - 1))),
+            lands: Some(at(lands)),
+            item,
+        };
+        // (event, wake-up) in µs.
+        let wait = |need: usize, reads: Vec<Through>| {
+            let us = |t: Time| (t - Time::ZERO).as_nanos() / 1_000;
+            coalesce(need, reads).map(|(event, wake)| (us(event), us(wake)))
+        };
+        // Item 0 of two parts (4 samples), items 1 and 2 of one (3 and 8),
+        // listed out of floor order.
+        let items = || {
+            vec![
+                read(Some(40), 42, Some((2, 1, 8))),
+                read(Some(10), 12, Some((0, 2, 4))),
+                read(Some(30), 32, Some((0, 2, 4))),
+                read(Some(20), 22, Some((1, 1, 3))),
+            ]
+        };
+        assert_eq!(wait(3, items()), Some((22, 19)), "item 1 fills it");
+        assert_eq!(wait(4, items()), Some((32, 29)), "at item 0's last part");
+        assert_eq!(wait(8, items()), Some((42, 39)), "three items");
+        assert_eq!(wait(99, items()), Some((42, 39)), "the fourth read");
+        let three = items().into_iter().skip(1).collect();
+        assert_eq!(wait(99, three), Some((32, 29)), "the last of three");
+        // A later read that lands first fills the batch before the target
+        // lands: the wait ends there, past its wake-up or not.
+        let early = vec![
+            read(Some(10), 40, Some((0, 1, 1))),
+            read(Some(20), 30, Some((1, 1, 1))),
+            read(Some(30), 15, Some((2, 1, 5))),
+        ];
+        assert_eq!(wait(2, early), Some((15, 19)), "filled before the target");
+        // Six one-part items of one sample and a prefetch: the walk stops
+        // at the fourth read.
+        let mut many: Vec<_> = (0..6)
+            .map(|i| read(Some(10 * i + 10), 10 * i + 12, Some((i as u32, 1, 1))))
+            .collect();
+        many.insert(1, read(Some(15), 17, None));
+        assert_eq!(wait(6, many), Some((32, 29)), "capped");
+        let mut blind = items();
+        blind.push(read(None, 50, Some((3, 1, 1))));
+        assert_eq!(wait(3, blind), None, "a read without a floor ahead");
+        assert_eq!(wait(1, vec![read(Some(10), 12, None)]), None, "a lone read");
+    }
+
+    /// Only a zero-copy batch whose landings stage no copy-pool work is
+    /// told what it needs: copied delivery, verified reads and a codec
+    /// wait for every landing.
+    #[test]
+    fn only_an_unchecked_zero_copy_batch_waits_for_what_it_needs() {
+        Runtime::simulate(5, |rt| {
+            let devices = [NvmeDevice::new(DeviceConfig::optane(16 << 20))];
+            let plain = mount_on(rt, DlfsConfig::default(), &devices, 1);
+            assert_eq!(plain.need(Delivery::ZeroCopy, 7), Some(7));
+            assert_eq!(plain.need(Delivery::Copied, 7), None, "copied");
+            for cfg in [
+                DlfsConfig {
+                    verify_reads: true,
+                    ..DlfsConfig::default()
+                },
+                DlfsConfig {
+                    codec: CodecKind::Lz,
+                    ..DlfsConfig::default()
+                },
+            ] {
+                let devices = [NvmeDevice::new(DeviceConfig::optane(16 << 20))];
+                let checked = mount_on(rt, cfg, &devices, 1);
+                assert_eq!(checked.need(Delivery::ZeroCopy, 7), None, "checked");
+            }
+        });
     }
 
     /// Every way a completion can settle: status x checksum x replicas x

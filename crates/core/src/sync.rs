@@ -81,7 +81,7 @@ impl DlfsIo {
             if self.poll(rt, std::mem::take(&mut spun)) > 0 {
                 continue;
             }
-            match self.wait_event(rt) {
+            match self.wait_event(rt, None) {
                 Some(waited) => spun = waited,
                 None => self.sync_failed = Some(DlfsError::Stalled(self.shared.reader_id)),
             }

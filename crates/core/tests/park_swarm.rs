@@ -19,13 +19,19 @@
 //! samples of one nominal size from 8 KiB to 32 KiB in chunks of four
 //! samples, so ≈ 3-sample chunk runs follow 1-sample edge reads and a run
 //! can exceed twice the mean bytes the wire's clock sampled.
+//! [`ZERO_COPIES`] cells more, from a fifth stream, batch zero-copy through
+//! one reader NIC at queue depth 8 to 128: one or two handles over one to
+//! three NVMe-oF ramdisks, samples of 8 to 64 KiB ± 1/16 in chunks of one,
+//! two or four of them, so a sample or an edge read straddles a chunk
+//! boundary and is read in two parts; their landings stage no copy-pool
+//! work, so a wait parks through those its batch does not need.
 //! Every cell reports its waits, parked time, late waits (operations
 //! during which `late_ns` grew), Σ `late_ns` and, beside it, Σ
 //! `excess_ns` (what its waits spun and woke beyond clairvoyant ones);
 //! a failing cell prints a one-line `park seed=… shape=…` repro, and
 //! `DLFS_SWARM_SEED=<seed>` runs that cell alone (`DLFS_SWARM_APPENDER=1` with its appender,
 //! `DLFS_SWARM_QUEUE=1` as a queue cell, `DLFS_SWARM_WIRE=1` as a wire
-//! cell).
+//! cell, `DLFS_SWARM_ZERO_COPY=1` as a zero-copy cell).
 //! `DLFS_SWARM_CELLS` runs the first N cells of each kind only (and the
 //! cells once found late).
 
@@ -107,6 +113,26 @@ const WIRE_LATE: [(u64, [u64; WIRES]); 3] = [
     ),
 ];
 
+/// Cells that batch zero-copy behind one reader NIC, over samples that
+/// straddle a chunk boundary.
+const ZERO_COPIES: usize = 16;
+
+/// Σ `late_ns` of each zero-copy cell at the base seed and at the CI
+/// sweep's offsets 1000 and 7. Their wires land some payloads sooner than
+/// the NIC moves their bytes, as the wire cells of [`WIRE_LATE`] do, so
+/// a floor can overshoot a landing by under 1 µs. Waiting for every
+/// landing, the same cells ran 29 733 ns late in 7 waits (cell 0 at the
+/// base seed), and 3 936 in 8 and 42 996 in 36 (cells 3 and 14 at offset
+/// 7). At other seeds a zero-copy cell is reported, not judged.
+const ZERO_COPY_LATE: [(u64, [u64; ZERO_COPIES]); 3] = [
+    (BASE, [7_668, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    (BASE + 1000, [0; ZERO_COPIES]),
+    (
+        BASE + 7,
+        [0, 0, 0, 16_999, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16_477, 0],
+    ),
+];
+
 /// The kind of a cell, each drawn from a stream of its own.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Kind {
@@ -118,6 +144,8 @@ enum Kind {
     Queue,
     /// Queues of jittered sizes behind one reader NIC.
     Wire,
+    /// The same delivered zero-copy, over samples that straddle a chunk.
+    ZeroCopy,
 }
 
 /// What one cell runs.
@@ -139,6 +167,8 @@ struct Shape {
     sync: bool,
     depth: usize,
     queue: bool,
+    /// Batches delivered zero-copy.
+    zero_copy: bool,
     /// Reads per burst, and each handle's sleep between its bursts.
     burst: usize,
     sleeps_us: Vec<u64>,
@@ -154,6 +184,7 @@ impl Shape {
         match kind {
             Kind::Queue => return Shape::queue(seed),
             Kind::Wire => return Shape::wire(seed),
+            Kind::ZeroCopy => return Shape::zero_copy(seed),
             Kind::Lone | Kind::Appender => {}
         }
         let appender = kind == Kind::Appender;
@@ -194,6 +225,7 @@ impl Shape {
             sync,
             depth,
             queue: false,
+            zero_copy: false,
             burst,
             sleeps_us,
             step,
@@ -224,6 +256,7 @@ impl Shape {
             sync: false,
             depth: [8, 32, 128][rng.below(3) as usize],
             queue: true,
+            zero_copy: false,
             burst: rng.range(8, 33) as usize,
             sleeps_us: (0..handles)
                 .map(|_| [0, 0, 20, 100][rng.below(4) as usize])
@@ -252,6 +285,36 @@ impl Shape {
             sync: false,
             depth: [8, 32, 128][rng.below(3) as usize],
             queue: true,
+            zero_copy: false,
+            burst: rng.range(8, 33) as usize,
+            sleeps_us: (0..handles)
+                .map(|_| [0, 0, 20, 100][rng.below(4) as usize])
+                .collect(),
+            step: None,
+            appender: None,
+        }
+    }
+
+    /// A zero-copy cell: one or two handles behind one reader NIC of 0.5
+    /// to 2 GB/s, over one to three NVMe-oF ramdisks, batching at queue
+    /// depth 8 to 128; samples of 8 to 64 KiB ± 1/16 in chunks of one, two
+    /// or four of them.
+    fn zero_copy(seed: u64) -> Shape {
+        let mut rng = SplitMix64::derive(seed, 0x2e0c);
+        let handles = rng.range(1, 3) as usize;
+        let size = 1u64 << rng.range(13, 17);
+        Shape {
+            handles,
+            devices: rng.range(1, 4) as usize,
+            nics: 1,
+            gbps: [0.5, 1.0, 2.0][rng.below(3) as usize],
+            delay_us: rng.range(5, 31),
+            sizes: vec![size],
+            chunk_size: size << rng.below(3),
+            sync: false,
+            depth: [8, 32, 128][rng.below(3) as usize],
+            queue: true,
+            zero_copy: true,
             burst: rng.range(8, 33) as usize,
             sleeps_us: (0..handles)
                 .map(|_| [0, 0, 20, 100][rng.below(4) as usize])
@@ -437,6 +500,15 @@ fn handle(
                 let id = ids.below(source.count() as u64) as u32;
                 assert_eq!(io.read_by_id(rt, id).unwrap(), source.expected(id));
             }
+        } else if shape.zero_copy {
+            match io.submit(rt, &ReadRequest::batch(n).zero_copy()) {
+                Ok(got) => got
+                    .into_zero_copy()
+                    .into_iter()
+                    .for_each(|s| assert_eq!(s.to_vec(), source.expected(s.id))),
+                Err(DlfsError::EpochExhausted) => break,
+                Err(e) => panic!("epoch failed: {e}"),
+            }
         } else {
             match io.submit(rt, &ReadRequest::batch(n)) {
                 Ok(got) => got
@@ -472,11 +544,12 @@ const ONCE_LATE: [u64; 2] = [8_392_477_305_216_635_401, 12_246_224_950_615_379_2
 const APPENDER_STREAM: u64 = 0xc4_0000;
 const QUEUE_STREAM: u64 = 0x9e_0000;
 const WIRE_STREAM: u64 = 0x31_0000;
+const ZERO_COPY_STREAM: u64 = 0x2e_0000;
 
 /// The cells to run: the one `DLFS_SWARM_SEED` names, else the first
 /// `DLFS_SWARM_CELLS` of each kind (all [`CELLS`], [`APPENDERS`],
-/// [`QUEUES`] and [`WIRES`] by default), each with its index, and the [`ONCE_LATE`]
-/// ones; each with its kind.
+/// [`QUEUES`], [`WIRES`] and [`ZERO_COPIES`] by default), each with its
+/// index, and the [`ONCE_LATE`] ones; each with its kind.
 fn cells(base: u64) -> Vec<(Option<usize>, u64, Kind)> {
     let env = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
     if let Some(seed) = env("DLFS_SWARM_SEED") {
@@ -485,6 +558,7 @@ fn cells(base: u64) -> Vec<(Option<usize>, u64, Kind)> {
             (true, _) => Kind::Appender,
             (_, true) => Kind::Queue,
             _ if on("DLFS_SWARM_WIRE") => Kind::Wire,
+            _ if on("DLFS_SWARM_ZERO_COPY") => Kind::ZeroCopy,
             _ => Kind::Lone,
         };
         return vec![(None, seed, kind)];
@@ -499,6 +573,7 @@ fn cells(base: u64) -> Vec<(Option<usize>, u64, Kind)> {
         .chain(kind(APPENDERS, APPENDER_STREAM, Kind::Appender))
         .chain(kind(QUEUES, QUEUE_STREAM, Kind::Queue))
         .chain(kind(WIRES, WIRE_STREAM, Kind::Wire))
+        .chain(kind(ZERO_COPIES, ZERO_COPY_STREAM, Kind::ZeroCopy))
         .chain(once_late)
         .collect()
 }
@@ -508,15 +583,16 @@ fn cells(base: u64) -> Vec<(Option<usize>, u64, Kind)> {
 /// late once, by no more than the step, and times its reads again; a step
 /// up is no later than when a lone read parked half its wait (pinned at
 /// the base seed only). An appender cell is no later than its pin in
-/// [`BESIDE`], a wire cell than its pin in [`WIRE_LATE`]. A queue or wire
-/// cell takes no step.
+/// [`BESIDE`], a wire cell than its pin in [`WIRE_LATE`], a zero-copy cell
+/// than its pin in [`ZERO_COPY_LATE`]. A queue, wire or zero-copy cell
+/// takes no step.
 #[test]
 fn a_wait_parks_late_only_once_after_a_step_down() {
     let base = common::test_seed(BASE);
     let mut failed = Vec::new();
-    // Totals over the lone and appender cells, the queue cells and the
-    // wire cells.
-    let [mut total, mut queues, mut wires] = [Cell::default(); 3];
+    // Totals over the lone and appender cells, the queue cells, the wire
+    // cells and the zero-copy cells.
+    let [mut total, mut queues, mut wires, mut zero_copies] = [Cell::default(); 4];
     for (i, seed, kind) in cells(base) {
         let shape = Shape::draw(seed, kind);
         let cell = run(seed, &shape);
@@ -524,14 +600,17 @@ fn a_wait_parks_late_only_once_after_a_step_down() {
         match kind {
             Kind::Queue => queues += cell,
             Kind::Wire => wires += cell,
+            Kind::ZeroCopy => zero_copies += cell,
             Kind::Lone | Kind::Appender => total += cell,
         }
         let beside = BESIDE.iter().find(|p| p.0 == base);
         let wire = WIRE_LATE.iter().find(|p| p.0 == base);
+        let zero_copy = ZERO_COPY_LATE.iter().find(|p| p.0 == base);
         let on_time = match (shape.step, i, kind) {
             (_, Some(i), Kind::Appender) => beside.is_none_or(|p| cell.late_ns <= p.1[i]),
             (_, Some(i), Kind::Wire) => wire.is_none_or(|p| cell.late_ns <= p.1[i]),
-            (_, None, Kind::Appender | Kind::Wire) => true,
+            (_, Some(i), Kind::ZeroCopy) => zero_copy.is_none_or(|p| cell.late_ns <= p.1[i]),
+            (_, None, Kind::Appender | Kind::Wire | Kind::ZeroCopy) => true,
             (None, ..) => cell.late_ns == 0,
             (Some(true), ..) => {
                 cell.late_waits <= shape.handles as u64
@@ -544,6 +623,6 @@ fn a_wait_parks_late_only_once_after_a_step_down() {
             failed.push(format!("park seed={seed} shape={shape:?} cell={cell:?}"));
         }
     }
-    println!("swarm {total:?} queues {queues:?} wires {wires:?}");
+    println!("swarm {total:?} queues {queues:?} wires {wires:?} zero-copies {zero_copies:?}");
     assert!(failed.is_empty(), "{}", failed.join("\n"));
 }

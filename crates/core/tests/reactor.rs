@@ -1407,6 +1407,123 @@ fn a_queue_of_mixed_sizes_beside_a_checkpoint_stream_parks_on_time() {
     }
 }
 
+/// What zero-copy epochs of `sizes` from reader 0 of `deployment`, mounted
+/// with `cfg`, drained in batches of `batch`, did: (late ns, wake-ups,
+/// landings, batches), each sample checked against its source, and the
+/// instant the run ended.
+fn zero_copy_epochs(
+    seed: u64,
+    sizes: Vec<u64>,
+    deployment: Deployment,
+    cfg: DlfsConfig,
+    (epochs, batch): (u64, usize),
+) -> ([u64; 4], u64) {
+    let (counts, end) = Runtime::simulate(seed, |rt| {
+        let source = SyntheticSource::new(seed, sizes);
+        let cfg = DlfsConfig {
+            reactor_stats: true,
+            ..cfg
+        };
+        let fs = MountBuilder::new(cfg)
+            .deployment(deployment)
+            .mount(rt, &source)
+            .unwrap();
+        let mut io = fs.io(0);
+        for epoch in 0..epochs {
+            io.sequence(rt, seed, epoch);
+            loop {
+                match io.submit(rt, &ReadRequest::batch(batch).zero_copy()) {
+                    Ok(got) => {
+                        for s in got.into_zero_copy() {
+                            assert_eq!(s.to_vec(), source.expected(s.id), "sample {}", s.id);
+                        }
+                    }
+                    Err(DlfsError::EpochExhausted) => break,
+                    Err(e) => panic!("epoch failed: {e}"),
+                }
+            }
+        }
+        let m = io.metrics();
+        [
+            "reactor.late_ns",
+            "reactor.wakeups",
+            "io.completions",
+            "io.batches",
+        ]
+        .map(|c| m.counter(&format!("dlfs.{c}")))
+    });
+    (counts, end.nanos())
+}
+
+/// A zero-copy batch wakes for the read that completes it, in
+/// `cache_reuse`'s shape: 16 KiB ± 1/16 samples in 64 KiB chunks from two
+/// NVMe-oF ramdisks behind a 1 GB/s NIC, a cross-epoch cache two thirds of
+/// the working set, two epochs drained zero-copy in batches of 16. Its
+/// landings stage no copy-pool work, so a wait parks through the landings
+/// its batch does not need, to the read after which the batch can be
+/// filled or to the fourth in the order of their floors: at most one
+/// wake-up per four landings plus one per batch: 386 for 1 294 landings
+/// in 192 batches, where a wait for every landing woke 1 291 times for
+/// 1 293. No wait ends past the landing that lets its batch be filled.
+#[test]
+fn a_zero_copy_batch_wakes_for_the_read_that_completes_it() {
+    let seed = common::test_seed(58);
+    let sizes = near_fixed_sizes(seed, 1536, 16 << 10);
+    let ramdisk = DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10));
+    let cfg = DlfsConfig {
+        cache_mode: CacheMode::CrossEpoch,
+        prefetch_window: 8,
+        chunk_size: 64 << 10,
+        pool_chunks: 512,
+        ..DlfsConfig::default()
+    };
+    let wire = one_wire(2, 1.0e9, ramdisk).unwrap();
+    let ([late, wakeups, landings, batches], _) = zero_copy_epochs(seed, sizes, wire, cfg, (2, 16));
+    assert_eq!(
+        late, 0,
+        "a wait ended past the landing that filled its batch"
+    );
+    assert!(landings > 0 && batches > 0);
+    assert!(
+        wakeups <= landings / 4 + batches,
+        "{wakeups} wake-ups for {landings} landings in {batches} batches"
+    );
+}
+
+/// A zero-copy epoch on a wire that overtakes: three NVMe-oF ramdisks
+/// slower than the 1 GB/s NIC they share, one sample in three 64 KiB and
+/// the rest 16 KiB, each read alone, so a later small read leaves its
+/// device first and lands before an older large one. Such a wire floors
+/// each read by its own bytes, which says nothing of the landings ahead of
+/// a target, so its waits still wait for the next landing: none ends late,
+/// and the epoch ends within 2 % of when it did before zero-copy waits
+/// parked through landings.
+#[test]
+fn a_zero_copy_epoch_on_an_overtaking_wire_ends_on_time() {
+    // (seed, end ns) with a wait for every landing, at the base seed and
+    // at the CI sweep's offsets 1000 and 7.
+    const PER_LANDING: [(u64, u64); 3] =
+        [(59, 101_326_070), (1059, 101_260_582), (66, 101_211_846)];
+    let seed = common::test_seed(59);
+    let sizes = (0..1536).map(|i| if i % 3 == 0 { 64 << 10 } else { 16 << 10 });
+    let ramdisk = DeviceConfig {
+        bytes_per_sec: 0.5e9,
+        ..DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(10))
+    };
+    let wire = one_wire(3, 1.0e9, ramdisk).unwrap();
+    let ([late, ..], end) = zero_copy_epochs(seed, sizes.collect(), wire, sample_level(), (1, 32));
+    assert_eq!(
+        late, 0,
+        "a wait ended past the landing that filled its batch"
+    );
+    if let Some(&(_, was)) = PER_LANDING.iter().find(|s| s.0 == seed) {
+        assert!(
+            end <= was + was / 50,
+            "the epoch ended at {end} ns, {was} before"
+        );
+    }
+}
+
 /// `sequence()` and a dropped handle with verdicts outstanding — parts
 /// harvested, their chunks still the copy pool's to read: each waits for
 /// the pool before any chunk goes back (a prefetch's verdict is applied,
