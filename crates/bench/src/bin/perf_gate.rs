@@ -82,7 +82,9 @@
 //! After the metrics the file holds, ungated, each `*_busy_ns` shape's
 //! `*_excess_ns`: what its waits spun and woke per sample beyond a
 //! clairvoyant wait (`dlfs.reactor.excess_ns`), the headroom a waiting
-//! rule has left there.
+//! rule has left there, and beside `sync_read_excess_ns` the spin per read
+//! of its waits without a wake-up, `sync_read_blind_spin_ns`
+//! (`dlfs.reactor.blind_spin_ns`).
 //!
 //! Usage:
 //!
@@ -381,9 +383,9 @@ fn disagg_epoch(seed: u64) -> (f64, f64, u64) {
 
 /// Busy CPU of one reader per synchronous `read_by_id` of IMDB-sized
 /// samples from four dedicated NVMe-oF storage nodes, random ids, and its
-/// waits' excess per read. Its own simulation, so every other metric stays
-/// bit-identical.
-fn sync_read_busy(seed: u64) -> (f64, f64) {
+/// waits' excess and blind spin per read. Its own simulation, so every
+/// other metric stays bit-identical.
+fn sync_read_busy(seed: u64) -> (f64, f64, f64) {
     const READS: u32 = 2048;
     Runtime::simulate(seed, |rt| {
         let sizes = dlio::sizedist::SizeDist::imdb().sizes(seed, 4096);
@@ -400,7 +402,9 @@ fn sync_read_busy(seed: u64) -> (f64, f64) {
             io.read_by_id(rt, ids.below(source.count() as u64) as u32)
                 .unwrap();
         }
-        per_sample(&io, rt.my_busy() - busy0, READS as usize)
+        let (busy, excess) = per_sample(&io, rt.my_busy() - busy0, READS as usize);
+        let blind = io.metrics().counter("dlfs.reactor.blind_spin_ns");
+        (busy, excess, blind as f64 / f64::from(READS))
     })
     .0
 }
@@ -561,7 +565,7 @@ fn main() {
     let (disagg_epoch_throughput_sps, read_amplification, disagg_setup_ns) = disagg_epoch(seed);
     let (offload_epoch_throughput_sps, coded_setup_ns, coded_stored_ratio) =
         offload_epoch_throughput(seed);
-    let (sync_read_busy_ns, sync_read_excess_ns) = sync_read_busy(seed);
+    let (sync_read_busy_ns, sync_read_excess_ns, sync_read_blind_spin_ns) = sync_read_busy(seed);
     let (queued_read_busy_ns, queued_read_excess_ns) = queued_read_busy(seed);
     let (wire_read_busy_ns, wire_read_excess_ns) = wire_read_busy(seed);
     let (ordered_wire_busy_ns, ordered_wire_excess_ns) = ordered_wire_busy(seed);
@@ -630,6 +634,7 @@ fn main() {
     // Written after the metrics, never gated.
     let excess = [
         ("sync_read_excess_ns", sync_read_excess_ns),
+        ("sync_read_blind_spin_ns", sync_read_blind_spin_ns),
         ("queued_read_excess_ns", queued_read_excess_ns),
         ("wire_read_excess_ns", wire_read_excess_ns),
         ("ordered_wire_excess_ns", ordered_wire_excess_ns),

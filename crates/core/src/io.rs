@@ -324,20 +324,67 @@ impl LoneFloors {
         (*least, *n) = (took.min(*least), *n + 1);
     }
 
-    /// The least time alone of the largest size up to `bytes` sampled
-    /// [`LONE_SAMPLES`] times — while none is, of every size up to it once
-    /// they hold that many samples together — capped by the least of
-    /// every such size from `bytes` up: a larger read takes no less, so a
-    /// smaller size's least above it is noise. `None` without one.
+    /// The floor of a read of `bytes` from what this qpair timed
+    /// ([`lone_floor`]).
     fn floor(&self, bytes: u64) -> Option<Dur> {
-        let trusted = |e: &(Dur, u32)| e.1 >= LONE_SAMPLES;
-        let below = || self.0.range(..=bytes).map(|(_, &e)| e);
-        let samples: u64 = below().map(|e| u64::from(e.1)).sum();
-        let pooled = || below().min().filter(|_| samples >= LONE_SAMPLES.into());
-        let own = below().rev().find(trusted).or_else(pooled)?;
-        let above = self.0.range(bytes..).map(|(_, &e)| e).filter(trusted);
-        above.chain([own]).map(|e| e.0).min()
+        lone_floor(self.0.iter().map(|(&b, &e)| (b, e)), bytes)
     }
+
+    /// The floor of a read of `bytes` borrowed from `siblings`' tables
+    /// taken together ([`merged`]): only if this one holds a sample at a
+    /// size theirs floors, and each such sample took no less than their
+    /// floor there — a target its own samples show faster is not theirs —
+    /// and no more than any read up to `bytes` took here: a size theirs
+    /// trust may be their slower targets' alone.
+    fn borrow<'a>(
+        &self,
+        siblings: impl Iterator<Item = &'a LoneFloors> + Clone,
+        bytes: u64,
+    ) -> Option<Dur> {
+        let theirs = |b| lone_floor(merged(siblings.clone()), b);
+        let loan = theirs(bytes)?;
+        let mut own = (self.0.iter())
+            .filter_map(|(&b, e)| Some((e.0, theirs(b)?)))
+            .peekable();
+        if own.peek().is_none() || !own.all(|(took, floor)| took >= floor) {
+            return None;
+        }
+        let up_to = self.0.range(..=bytes).map(|(_, e)| e.0);
+        up_to.chain([loan]).min()
+    }
+}
+
+/// The floor of a read of `bytes` from a lone table, (bytes, (least,
+/// samples)) by ascending bytes: the least time alone of the largest size
+/// up to `bytes` sampled [`LONE_SAMPLES`] times — while none is, of every
+/// size up to it once they hold that many samples together — capped by
+/// the least of every such size from `bytes` up: a larger read takes no
+/// less, so a smaller size's least above it is noise. `None` without one.
+fn lone_floor(table: impl Iterator<Item = (u64, (Dur, u32))> + Clone, bytes: u64) -> Option<Dur> {
+    let trusted = |e: &(Dur, u32)| e.1 >= LONE_SAMPLES;
+    let below = || table.clone().take_while(|e| e.0 <= bytes).map(|(_, e)| e);
+    let samples: u64 = below().map(|e| u64::from(e.1)).sum();
+    let pooled = || below().min().filter(|_| samples >= LONE_SAMPLES.into());
+    let own = below().filter(trusted).last().or_else(pooled)?;
+    let above = table.skip_while(|e| e.0 < bytes).map(|(_, e)| e);
+    above.filter(trusted).chain([own]).map(|e| e.0).min()
+}
+
+/// `tables` taken together as one lone table, by ascending bytes: every
+/// size any of them timed, at its least over them and their samples
+/// summed. A merge that allocates nothing.
+fn merged<'a>(
+    tables: impl Iterator<Item = &'a LoneFloors> + Clone,
+) -> impl Iterator<Item = (u64, (Dur, u32))> + Clone {
+    let mut from = 0;
+    std::iter::from_fn(move || {
+        let next = |t: &LoneFloors| t.0.range(from..).next().map(|(&b, _)| b);
+        let bytes = tables.clone().filter_map(next).min()?;
+        from = bytes + 1;
+        let at = tables.clone().filter_map(|t| t.0.get(&bytes));
+        let least = at.clone().map(|e| e.0).min()?;
+        Some((bytes, (least, at.map(|e| e.1).sum())))
+    })
 }
 
 /// The size classes a device's clock times apart ([`class`]), as blk-mq
@@ -647,10 +694,12 @@ impl ReadQp {
     }
 
     /// A lone read in flight is expected no earlier than its post plus
-    /// its bytes' lone floor ([`LoneFloors::floor`]).
-    fn lone(&self) -> Option<Time> {
+    /// its bytes' lone floor ([`LoneFloors::floor`]), or, without one, the
+    /// floor it borrows from `siblings` ([`LoneFloors::borrow`]).
+    fn lone<'a>(&self, siblings: impl Iterator<Item = &'a LoneFloors> + Clone) -> Option<Time> {
         let &(post, bytes, ..) = self.posted.front()?;
-        Some(post + self.alone.floor(bytes)?)
+        let floor = (self.alone.floor(bytes)).or_else(|| self.alone.borrow(siblings, bytes));
+        Some(post + floor?)
     }
 
     /// Its slots in the instance's [`ForegroundReads`]: its storage node,
@@ -1364,7 +1413,7 @@ impl DlfsIo {
             .iter()
             .filter(|q| matches!(q.clock, Feeds::Own(_)) && !q.posted.is_empty());
         let own = own.map(|q| match q.posted.len() {
-            1 => q.lone(),
+            1 => q.lone(std::iter::empty()),
             _ => q.predicted(),
         });
         // A wire with nothing in flight has no minimum.
@@ -1376,7 +1425,8 @@ impl DlfsIo {
 
     /// Every read in flight through wire `w` at `now`, oldest post first,
     /// with its qpair and its (floor, wake-up), if it has them: a wire's
-    /// only read at its lone floor ([`ReadQp::lone`]); each of two or more
+    /// only read at its lone floor ([`ReadQp::lone`]), or one its qpair's
+    /// siblings on the wire lend it; each of two or more
     /// at the wire's floor ([`Wire::floors`]), hedged on a shared device,
     /// or at its lone floor, unhedged, where that is later for a read alone
     /// on its qpair.
@@ -1385,12 +1435,14 @@ impl DlfsIo {
         w: usize,
         now: Time,
     ) -> impl Iterator<Item = (&ReadQp, Posted, Option<(Time, Time)>)> {
-        let reads = self.on_wire(w);
+        let (reads, qpairs) = (self.on_wire(w), &self.qpairs);
         let only = reads.clone().nth(1).is_none();
         let floors = self.wires[w].floors(reads.clone().map(|(_, r)| (r.0, r.1)));
         reads.zip(floors).map(move |((q, read), floor)| {
+            let siblings =
+                (qpairs.iter()).filter(move |s| only && s.clock == q.clock && !std::ptr::eq(*s, q));
             let lone = q
-                .lone()
+                .lone(siblings.map(|s| &s.alone))
                 .filter(|&l| q.posted.len() == 1 && (only || Some(l) > floor));
             let hedged = |at| (at, if q.shared() { hedge(now, at) } else { at });
             let floor = floor.filter(|_| !only).map(hedged);
@@ -1994,6 +2046,15 @@ mod tests {
         });
     }
 
+    /// A lone table fed (bytes, µs, times) in order.
+    fn lone_table(fed: &[(u64, u64, u32)]) -> LoneFloors {
+        let mut floors = LoneFloors::default();
+        for &(bytes, took, times) in fed {
+            (0..times).for_each(|_| floors.sample(bytes, Dur::micros(took)));
+        }
+        floors
+    }
+
     /// A lone read's floor is the least time alone of the largest size up
     /// to its bytes sampled [`LONE_SAMPLES`] times, capped by every such
     /// size above it; while no size up to it is, the least of them all
@@ -2001,14 +2062,8 @@ mod tests {
     #[test]
     fn a_lone_floor_follows_the_largest_trusted_size_at_or_below_the_bytes() {
         let (us, n) = (|t| Some(Dur::micros(t)), LONE_SAMPLES);
-        // The floors at four sizes, fed (bytes, µs, times) in order.
-        let fed = |table: &[(u64, u64, u32)]| {
-            let mut floors = LoneFloors::default();
-            for &(bytes, took, times) in table {
-                (0..times).for_each(|_| floors.sample(bytes, Dur::micros(took)));
-            }
-            [1024, 4096, 8192, 65536].map(|b| floors.floor(b))
-        };
+        // The floors at four sizes.
+        let fed = |fed: &[_]| [1024, 4096, 8192, 65536].map(|b| lone_table(fed).floor(b));
         let want = [None, us(10), us(10), us(30)];
         assert_eq!(fed(&[(4096, 10, n), (65536, 30, n)]), want, "its own size");
         assert_eq!(fed(&[(1024, 20, n), (8192, 8, n)]), [us(8); 4], "capped");
@@ -2019,6 +2074,48 @@ mod tests {
         assert_eq!(fed(&[three, (1024, 9, 1)]), want, "pooled");
         let want = [None, us(10), us(10), us(10)];
         assert_eq!(fed(&[three, (1024, 9, 1), (4096, 13, 1)]), want, "own");
+    }
+
+    /// A qpair without a floor of its own borrows its siblings' tables
+    /// taken together — least per size, samples summed — only if it holds
+    /// a sample at a size theirs floors and each such sample took no less
+    /// than their floor there.
+    #[test]
+    fn a_loan_needs_own_samples_that_agree_with_the_siblings_floor() {
+        let table = lone_table;
+        // 4 KiB trusted only together, at 10 µs; 1 KiB sampled once.
+        let theirs = [
+            table(&[(4096, 12, 2)]),
+            table(&[(4096, 10, 2), (1024, 6, 1)]),
+        ];
+        let lend = |own: &[(u64, u64, u32)]| table(own).borrow(theirs.iter(), 8192);
+        let us = |t| Some(Dur::micros(t));
+        assert_eq!(lend(&[(4096, 11, 1)]), us(10), "agrees");
+        assert_eq!(lend(&[(4096, 10, 1), (8192, 12, 1)]), us(10));
+        assert_eq!(lend(&[(4096, 11, 1), (8192, 9, 1)]), None, "one faster");
+        assert_eq!(lend(&[(1024, 7, 1), (4096, 11, 1)]), us(7), "capped");
+        assert_eq!(lend(&[(1024, 9, 1), (2048, 9, 3)]), None, "none comparable");
+        assert_eq!(lend(&[]), None, "no samples");
+        assert_eq!(table(&[(4096, 11, 1)]).borrow([].iter(), 8192), None);
+    }
+
+    /// A lone read parks to its qpair's own floor where it has one, and
+    /// only without one to the floor its siblings lend.
+    #[test]
+    fn an_own_lone_floor_wins_over_a_loan() {
+        Runtime::simulate(5, |rt| {
+            let devices = [0; 2].map(|_| NvmeDevice::new(DeviceConfig::optane(16 << 20)));
+            let mut io = mount_on(rt, DlfsConfig::default(), &devices, 1);
+            (0..LONE_SAMPLES).for_each(|_| io.qpairs[1].alone.sample(4096, Dur::micros(10)));
+            io.qpairs[0].alone.sample(4096, Dur::micros(30));
+            let buf = DmaBuf::standalone(4096);
+            assert_eq!(io.qpairs[0].submit_read(rt, 0, 0, 8, buf, 0), Ok(()));
+            let post = io.qpairs[0].posted[0].0;
+            let lone = |io: &DlfsIo| io.qpairs[0].lone(std::iter::once(&io.qpairs[1].alone));
+            assert_eq!(lone(&io), Some(post + Dur::micros(10)), "borrowed");
+            (1..LONE_SAMPLES).for_each(|_| io.qpairs[0].alone.sample(4096, Dur::micros(30)));
+            assert_eq!(lone(&io), Some(post + Dur::micros(30)), "its own");
+        });
     }
 
     /// What one handle's reads on two local devices — `reads` (qpair,
@@ -2066,21 +2163,23 @@ mod tests {
     }
 
     /// A wait that ends past its completion forgets what every qpair
-    /// timed alone: a lone read then spins until its size is timed again.
+    /// timed alone, so what its siblings lend too: a lone read then spins
+    /// until its size is timed again.
     #[test]
     fn a_late_wait_forgets_what_each_qpair_timed_alone() {
         Runtime::simulate(5, |rt| {
             let devices = [0; 2].map(|_| NvmeDevice::new(DeviceConfig::optane(16 << 20)));
             let mut io = mount_on(rt, DlfsConfig::default(), &devices, 1);
-            for q in &mut io.qpairs {
-                (0..LONE_SAMPLES).for_each(|_| q.alone.sample(4096, Dur::micros(1)));
-            }
+            (0..LONE_SAMPLES).for_each(|_| io.qpairs[1].alone.sample(4096, Dur::micros(1)));
+            io.qpairs[0].alone.sample(4096, Dur::micros(1));
             let buf = DmaBuf::standalone(4096);
             assert_eq!(io.qpairs[0].submit_read(rt, 0, 0, 8, buf, 0), Ok(()));
-            assert_ne!(io.qpairs[0].lone(), None);
+            let lone = |io: &DlfsIo| io.qpairs[0].lone(std::iter::once(&io.qpairs[1].alone));
+            assert_ne!(lone(&io), None, "a loan");
             let t = io.qpairs[0].next_completion_at().unwrap_or(rt.now());
             assert_eq!(io.advance_to(rt, t, Some(t + Dur::micros(20))), None);
             assert_eq!(io.qpairs.iter().map(|q| q.alone.0.len()).sum::<usize>(), 0);
+            assert_eq!(lone(&io), None, "nothing to lend");
         });
     }
 

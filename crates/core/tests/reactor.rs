@@ -1136,6 +1136,96 @@ fn a_read_alone_on_its_qpair_keeps_its_lone_floor_on_a_wire() {
     }
 }
 
+/// `readers` reader tasks on their own nodes, each issuing 2 000 seeded
+/// `read_by_id` calls over NVMe-oF ramdisks whose reads take `delays` µs,
+/// on samples of 512 B–4 KiB: every target lies behind each reader's one
+/// NIC ingress. Each payload is checked against its source; returns the
+/// (late ns, parked ns) of every handle together.
+fn sync_reads_behind_one_wire(seed: u64, delays: &[u64], readers: usize) -> [u64; 2] {
+    let (sums, _) = Runtime::simulate(seed, |rt| {
+        let mut draw = simkit::rng::SplitMix64::derive(seed, 0x10a4);
+        let sizes = (0..2048).map(|_| 512 + draw.below(3585)).collect();
+        let source = Arc::new(SyntheticSource::new(seed, sizes));
+        let cluster = Arc::new(Cluster::new(
+            readers + delays.len(),
+            FabricConfig::default(),
+        ));
+        let devices: Vec<_> = (delays.iter())
+            .map(|&us| NvmeDevice::new(DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(us))))
+            .collect();
+        let on: Vec<usize> = (0..readers).collect();
+        let at: Vec<usize> = (readers..readers + delays.len()).collect();
+        let deployment = Deployment::fabric(&cluster, &on, &at, &devices).unwrap();
+        let cfg = DlfsConfig {
+            reactor_stats: true,
+            ..DlfsConfig::default()
+        };
+        let fs = Arc::new(
+            MountBuilder::new(cfg)
+                .deployment(deployment)
+                .mount(rt, &*source)
+                .unwrap(),
+        );
+        let tasks: Vec<_> = (0..readers)
+            .map(|r| {
+                let (fs, source) = (fs.clone(), source.clone());
+                rt.spawn_with(&format!("reader{r}"), move |rt| {
+                    let (mut io, mut ids) =
+                        (fs.io(r), simkit::rng::SplitMix64::derive(seed, r as u64));
+                    for _ in 0..2000 {
+                        let id = ids.below(source.count() as u64) as u32;
+                        assert_eq!(
+                            io.read_by_id(rt, id).unwrap(),
+                            source.expected(id),
+                            "sample {id}"
+                        );
+                    }
+                    let m = io.metrics();
+                    ["late_ns", "parked_ns"].map(|c| m.counter(&format!("dlfs.reactor.{c}")))
+                })
+            })
+            .collect();
+        tasks
+            .into_iter()
+            .map(|t| t.join())
+            .fold([0; 2], |a, b| [a[0] + b[0], a[1] + b[1]])
+    });
+    sums
+}
+
+/// A lone read on a wire with no floor of its own borrows its qpair's
+/// siblings' there, if its own samples show its target no faster than
+/// theirs (DESIGN §13), and no more than its own reads up to its size
+/// took. Targets that are not alike behind one wire — a 2 µs ramdisk
+/// beside three of 60, a 40 beside a 5, two 5s beside two 40s — with 1
+/// and 4 readers: no wait parks past its completion, though a fast
+/// target's reads land before a slow sibling's floor. Uncapped by its own
+/// reads, one reader over the last parked 1 232 ns late at offset 7.
+/// Alike targets park more than they did with no loan.
+#[test]
+fn a_lone_read_borrows_only_from_siblings_no_faster_than_its_target() {
+    // (readers, least ns parked) on four alike 10 µs ramdisks: with no
+    // loan the waits parked 25.50–25.52 and 90.70–92.63 ms at offsets 0,
+    // 1000 and 7; with it, 25.87–25.90 and 98.53–99.89.
+    const ALIKE: [(usize, u64); 2] = [(1, 25_700_000), (4, 95_000_000)];
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    let seed = common::test_seed(59);
+    for delays in [&[2, 60, 60, 60][..], &[40, 5], &[5, 40, 5, 40]] {
+        for readers in [1, 4] {
+            let [late, _] = sync_reads_behind_one_wire(seed, delays, readers);
+            assert_eq!(late, 0, "{readers} readers on {delays:?} µs parked late");
+        }
+    }
+    for (readers, least) in ALIKE {
+        let [late, parked] = sync_reads_behind_one_wire(seed, &[10; 4], readers);
+        assert_eq!(late, 0, "{readers} readers on alike targets parked late");
+        assert!(
+            parked > least,
+            "{readers} readers on alike targets parked {parked} ns"
+        );
+    }
+}
+
 /// Two handles on one device, no QoS: each keeps a queue on its own
 /// qpair, and the other's reads land between its own. Each qpair's device
 /// clock counts the other's reads among the bytes its device moved, so a
