@@ -33,7 +33,9 @@
 //! `DLFS_SWARM_QUEUE=1` as a queue cell, `DLFS_SWARM_WIRE=1` as a wire
 //! cell, `DLFS_SWARM_ZERO_COPY=1` as a zero-copy cell).
 //! `DLFS_SWARM_CELLS` runs the first N cells of each kind only (and the
-//! cells once found late).
+//! cells once found late). At the base seed, with every cell run, each
+//! cell's waits, park, spin, late waits, late and excess time match
+//! `golden/park_swarm.txt` exactly.
 
 mod common;
 
@@ -339,6 +341,7 @@ impl Shape {
 struct Cell {
     waits: u64,
     parked_ns: u64,
+    spin_ns: u64,
     late_waits: u64,
     late_ns: u64,
     excess_ns: u64,
@@ -348,6 +351,7 @@ impl std::ops::AddAssign for Cell {
     fn add_assign(&mut self, c: Cell) {
         self.waits += c.waits;
         self.parked_ns += c.parked_ns;
+        self.spin_ns += c.spin_ns;
         self.late_waits += c.late_waits;
         self.late_ns += c.late_ns;
         self.excess_ns += c.excess_ns;
@@ -528,6 +532,7 @@ fn handle(
     Cell {
         waits: reactor("wakeups"),
         parked_ns: reactor("parked_ns"),
+        spin_ns: reactor("spin_ns"),
         late_waits,
         late_ns: reactor("late_ns"),
         excess_ns: reactor("excess_ns"),
@@ -593,10 +598,13 @@ fn a_wait_parks_late_only_once_after_a_step_down() {
     // Totals over the lone and appender cells, the queue cells, the wire
     // cells and the zero-copy cells.
     let [mut total, mut queues, mut wires, mut zero_copies] = [Cell::default(); 4];
+    // Every cell's seed and what it measured, for the golden.
+    let mut measured = String::new();
     for (i, seed, kind) in cells(base) {
         let shape = Shape::draw(seed, kind);
         let cell = run(seed, &shape);
         println!("cell {i:?} seed={seed} {shape:?} {cell:?}");
+        measured += &format!("cell {i:?} seed={seed} {cell:?}\n");
         match kind {
             Kind::Queue => queues += cell,
             Kind::Wire => wires += cell,
@@ -624,5 +632,9 @@ fn a_wait_parks_late_only_once_after_a_step_down() {
         }
     }
     println!("swarm {total:?} queues {queues:?} wires {wires:?} zero-copies {zero_copies:?}");
+    let every = ["DLFS_SWARM_SEED", "DLFS_SWARM_CELLS"].map(|v| std::env::var(v).is_err());
+    if base == BASE && every == [true; 2] {
+        common::check_golden("park_swarm.txt", &measured);
+    }
     assert!(failed.is_empty(), "{}", failed.join("\n"));
 }
