@@ -30,8 +30,8 @@
 #     private intra-doc link fails);
 #  6. the surface ratchet: code lines of the io family — crates/core/src/io.rs
 #     with every `#[path]` child module it declares (check, engine,
-#     offload, prefetch, sync, tel), so a line moved between them still
-#     counts — of crates/core/src/mount.rs, of
+#     offload, prefetch, reactor, sync, tel), so a line moved between
+#     them still counts — of crates/core/src/mount.rs, of
 #     crates/core/src/writer.rs, of crates/core/src/cache.rs, of
 #     crates/core/src/*.rs and of crates/bench/src, panic sites
 #     (unwrap/expect/panic!/assert!) in the io family + rebuild.rs, in

@@ -20,6 +20,8 @@
 //! has the thread waiting on it pay for its parts' work and settles them
 //! on the spot.
 
+use blocksim::Completion;
+
 use super::*;
 
 /// What a completion brought: bytes that hold against their block

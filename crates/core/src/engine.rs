@@ -309,7 +309,7 @@ impl DlfsIo {
             }
             posted += 1;
         }
-        self.tel.doorbells.add((posted > 0) as u64);
+        self.reactor.doorbell(posted);
         progressed + posted
     }
 
@@ -399,36 +399,21 @@ impl DlfsIo {
     /// `abort_epoch` drain, and one `stage.poll_ns` record per pass.
     /// `spun`: the pass directly follows a wait that spun until a
     /// completion landed, at that instant (what [`DlfsIo::wait_event`]
-    /// returned), so every harvest in it is prompt; if the handle then had
-    /// one read in flight, it is timed alone from that instant
-    /// ([`ReadQp::time_alone`]), whatever ran between the two.
+    /// returned; [`Reactor::pass`]).
     pub(super) fn poll(&mut self, rt: &Runtime, spun: Option<Time>) -> usize {
         let costs = self.shared.cfg.costs.clone();
         let t0 = rt.now();
-        let in_flight = self.qpairs.iter().map(|q| q.posted.len()).sum::<usize>();
-        let lone = spun.filter(|_| in_flight == 1);
+        let mut pass = self.reactor.pass(Some(t0), spun);
         self.tel.poll_spins.inc();
         if self.shared.cfg.shared_completion_queue {
             rt.work(costs.poll_iteration);
         } else {
-            rt.work(costs.poll_iteration * self.qpairs.len() as u64);
+            rt.work(costs.poll_iteration * self.reactor.qpairs() as u64);
         }
         let mut harvested = 0;
-        for q in 0..self.qpairs.len() {
-            // Event-driven sweep: only queues whose earliest completion is
-            // due get a harvest pass. The check is live (per-completion
-            // work advances the clock mid-sweep, so a later queue may
-            // become due during this pass) and in index order — both are
-            // load-bearing for determinism. An empty harvest charges and
-            // records nothing, so the skip is unobservable.
-            match self.qpairs[q].next_completion_at() {
-                Some(t) if t <= rt.now() => {}
-                _ => continue,
-            }
-            let done = self.harvest(rt, q, t0, spun);
-            if let (Some(end), [read]) = (lone, &done[..]) {
-                self.qpairs[q].time_alone(read, end);
-            }
+        // Only queues whose earliest completion is due are harvested, live,
+        // as per-completion work advances the clock ([`Reactor::harvest`]).
+        while let Some(done) = self.reactor.harvest(rt, &mut pass) {
             for comp in done {
                 rt.work(costs.per_completion);
                 self.tel.completions.inc();
@@ -436,7 +421,6 @@ impl DlfsIo {
                 self.complete(rt, &comp);
             }
         }
-        self.close_pass();
         if harvested == 0 {
             self.tel.scq_empty_polls.inc();
         } else {

@@ -75,12 +75,11 @@ use crate::directory::{node_for_name, tree_wire_bytes, DirectoryBuilder, SampleD
 use crate::entry::SampleEntry;
 use crate::error::DlfsError;
 use crate::integrity::Redundancy;
+use crate::io::reactor::ForegroundReads;
 use crate::io::{DlfsIo, DlfsShared};
 use crate::layout::{self, BlockChecksums, Geometry, MetaRecord, NodeMeta, Superblock};
 use crate::source::SampleSource;
-use crate::writer::{
-    read_timed, BatchedWriter, CheckpointReader, CheckpointWriter, ForegroundReads,
-};
+use crate::writer::{read_timed, BatchedWriter, CheckpointReader, CheckpointWriter};
 use crate::{cache::SampleCache, copy::CopyPool};
 
 /// How readers reach the storage devices. [`Deployment::local`] and

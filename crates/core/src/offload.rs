@@ -40,6 +40,7 @@ use std::collections::BTreeMap;
 use blocksim::{OffloadExtent, OffloadPiece};
 use fabric::{CAPSULE_BYTES, DESCRIPTOR_BYTES, RESPONSE_BYTES};
 
+use super::reactor::ForegroundReads;
 use super::*;
 use crate::integrity::UNREADABLE;
 use crate::plan::FetchItem;
@@ -150,7 +151,7 @@ impl DlfsIo {
         self.tel.bytes_delivered.add(bytes);
         // This reader parks until the last response it needs has landed,
         // and collects every exchange this batch consumed the last of.
-        self.advance_to(rt, ready, None);
+        self.reactor.advance_to(rt, ready, None);
         let issued = &mut self.split().0.ahead.issued;
         while issued.front().is_some_and(|x| x.end <= done) {
             issued.pop_front();

@@ -93,9 +93,7 @@ impl DlfsIo {
             self.prefetch.cursor += 1;
             progressed += 1;
         }
-        if progressed > 0 {
-            self.tel.doorbells.inc();
-        }
+        self.reactor.doorbell(progressed);
         progressed
     }
 

@@ -1,5 +1,6 @@
 //! Telemetry handles of one [`DlfsIo`], a child module of `io`: the
-//! `dlfs.io.*` engine metrics and the optional scopes beside them.
+//! `dlfs.io.*` engine metrics and the optional scopes beside them (the
+//! reactor keeps its own, `dlfs.reactor.*`).
 
 use super::*;
 
@@ -66,25 +67,6 @@ pub(super) struct IoTelemetry {
     pub(super) of_samples: Counter,
     /// Bytes carried over the fabric by dense offload responses.
     pub(super) of_wire_bytes: Counter,
-    /// Reactor activity under `dlfs.reactor.*`, registered only with
-    /// [`DlfsConfig::reactor_stats`]: times the thread advanced straight
-    /// to a known event (a completion instant, a retry coming due) instead
-    /// of spinning poll iterations toward it; submission-queue doorbell
-    /// flushes (one per pass that posted, not one per command); virtual
-    /// nanoseconds parked idle, with nothing in flight or in a hybrid
-    /// poll's park; virtual nanoseconds a wait spun busy after any
-    /// wake-up, and of them those of waits with nothing to wake by (its
-    /// own reads in flight, it spins throughout); virtual nanoseconds its
-    /// waits spun and woke beyond a clairvoyant wait ([`Waited::excess`]);
-    /// virtual nanoseconds a harvest came after its completion because
-    /// the thread was parked.
-    pub(super) wakeups: Counter,
-    pub(super) doorbells: Counter,
-    pub(super) parked_ns: Counter,
-    pub(super) spin_ns: Counter,
-    pub(super) blind_spin_ns: Counter,
-    pub(super) excess_ns: Counter,
-    pub(super) late_ns: Counter,
 }
 
 impl IoTelemetry {
@@ -96,7 +78,6 @@ impl IoTelemetry {
         let iv = scope("dlfs.integrity", shared.redundancy.in_use());
         let cd = scope("dlfs.codec", shared.codec.is_some());
         let of = scope("dlfs.offload", shared.cfg.offload);
-        let rx = scope("dlfs.reactor", shared.cfg.reactor_stats);
         let (cache, iv, cd, of) = (cache.as_ref(), iv.as_ref(), cd.as_ref(), of.as_ref());
         let checked = shared.redundancy.verify() || shared.codec.is_some();
         let checked = scope("dlfs.io.stage", checked).map(|s| s.histogram("check_ns"));
@@ -112,13 +93,6 @@ impl IoTelemetry {
             of_requests: counter_in(of, "requests"),
             of_samples: counter_in(of, "samples"),
             of_wire_bytes: counter_in(of, "wire_bytes"),
-            wakeups: counter_in(rx.as_ref(), "wakeups"),
-            doorbells: counter_in(rx.as_ref(), "doorbells"),
-            parked_ns: counter_in(rx.as_ref(), "parked_ns"),
-            spin_ns: counter_in(rx.as_ref(), "spin_ns"),
-            blind_spin_ns: counter_in(rx.as_ref(), "blind_spin_ns"),
-            excess_ns: counter_in(rx.as_ref(), "excess_ns"),
-            late_ns: counter_in(rx.as_ref(), "late_ns"),
             iv_verified: counter_in(iv, "verified"),
             iv_mismatches: counter_in(iv, "mismatches"),
             iv_repairs: counter_in(iv, "repairs"),

@@ -40,7 +40,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use blocksim::{CmdStatus, DmaBuf, IoQPair, NvmeTarget, Op, BLOCK_SIZE};
@@ -53,7 +52,7 @@ use simkit::time::{Dur, Time};
 use crate::config::DlfsConfig;
 use crate::counter_in;
 use crate::error::{DlfsError, IoFailure, LayoutError};
-use crate::io::hybrid_wait;
+use crate::io::reactor::{hybrid_wait, ForegroundReads};
 use crate::layout::{next_ckpt_record, CkptHeader, Superblock, CKPT_HEADER_BYTES};
 
 /// Why a command that came back `status` (not `Ok`) failed.
@@ -61,54 +60,6 @@ pub(crate) fn io_failure(status: CmdStatus) -> IoFailure {
     match status {
         CmdStatus::TransportError => IoFailure::Timeout,
         _ => IoFailure::Media,
-    }
-}
-
-/// Per storage node, the instance's read commands in flight: counted from
-/// the submit that enters a reader handle's qpair to the harvest (or the
-/// handle's drop) that takes it out, plus the offload exchanges touching
-/// the node that their batches have not collected. Past the storage nodes,
-/// a slot per cluster node counts the qpairs' reads landing through its
-/// NIC ingress alike. Every reader handle shares one; it advances no
-/// virtual time. Each slot also counts the reads ever entered, so a
-/// handle can tell whether others came and went. A storage node's slot
-/// also counts the bytes ever posted to its device, by every handle's
-/// reads and the checkpoint appender: the *position* of each command,
-/// which a reader's device clock times its device by (DESIGN §13).
-#[derive(Debug)]
-pub struct ForegroundReads(Vec<[AtomicUsize; 3]>);
-
-impl ForegroundReads {
-    pub(crate) fn new(nodes: usize) -> ForegroundReads {
-        ForegroundReads((0..nodes).map(|_| Default::default()).collect())
-    }
-
-    /// Read commands in flight on storage node `nid` (0 past the last).
-    pub fn in_flight(&self, nid: usize) -> usize {
-        self.0.get(nid).map_or(0, |n| n[0].load(Ordering::Relaxed))
-    }
-
-    /// Read commands ever entered on storage node `nid`.
-    pub(crate) fn entered(&self, nid: usize) -> usize {
-        self.0[nid][1].load(Ordering::Relaxed)
-    }
-
-    /// Count a read in on node `nid`.
-    pub(crate) fn enter(&self, nid: usize) {
-        for n in &self.0[nid][..2] {
-            n.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Count `n` reads out of node `nid`.
-    pub(crate) fn leave(&self, nid: usize, n: usize) {
-        self.0[nid][0].fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Post a command of `bytes` to storage node `nid`'s device: its end
-    /// position, the bytes ever posted there with its own.
-    pub(crate) fn advance(&self, nid: usize, bytes: u64) -> u64 {
-        self.0[nid][2].fetch_add(bytes as usize, Ordering::Relaxed) as u64 + bytes
     }
 }
 

@@ -1691,10 +1691,9 @@ fn a_dead_copy_pool_fails_the_batch_and_nothing_waits_on_it() {
             .unwrap();
         let live = fs.shared(0);
         let cache = live.cache.clone();
-        let mut io = dlfs::DlfsIo::new(Arc::new(dlfs::DlfsShared {
-            copy: dlfs::copy::CopyPool::spawn(rt, "dead", 0, &cfg.costs),
-            ..dlfs::DlfsShared::clone(live)
-        }));
+        let mut dead = dlfs::DlfsShared::clone(live);
+        dead.copy = dlfs::copy::CopyPool::spawn(rt, "dead", 0, &cfg.costs);
+        let mut io = dlfs::DlfsIo::new(Arc::new(dead));
         let down = Err(DlfsError::CopyPoolDown);
         for epoch in 0..2 {
             io.sequence(rt, 3, epoch);
