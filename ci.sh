@@ -9,8 +9,9 @@
 #     the reactor's latency-step, deep-queue, shared-wire, in-order-wire,
 #     lone-read-on-a-wire, behind-another-handle's-reads, bursty-neighbour,
 #     beside-a-checkpoint-stream, mixed-sizes-beside-a-checkpoint-stream,
-#     zero-copy-batch, zero-copy-on-an-overtaking-wire and
-#     lone-reads-borrowing-on-a-wire-of-unlike-targets cases again
+#     zero-copy-batch, zero-copy-on-an-overtaking-wire,
+#     lone-reads-borrowing-on-a-wire-of-unlike-targets and
+#     wire-timed-from-where-its-read-landed cases again
 #     under a second seed (DLFS_TEST_SEED_OFFSET)
 #     so byte-correctness, determinism, the kill-one-target rebuild path
 #     and the pool-side check of verified and coded reads are exercised
@@ -158,7 +159,7 @@ echo "== tier-1: root test suite"
 cargo test -q --offline
 echo "== workspace tests"
 cargo test -q --offline --workspace
-echo "== chaos/integrity/membership/codec/offload/properties/roundtrip/latency step/deep queue/shared wire/in-order wire/lone read/behind another handle's reads/bursty neighbour/checkpoint stream/mixed sizes/zero-copy batches/lone-read loans under a second seed"
+echo "== chaos/integrity/membership/codec/offload/properties/roundtrip/latency step/deep queue/shared wire/in-order wire/lone read/behind another handle's reads/bursty neighbour/checkpoint stream/mixed sizes/zero-copy batches/lone-read loans/wire anchor under a second seed"
 DLFS_TEST_SEED_OFFSET=1000 cargo test -q --offline -p dlfs \
   --test chaos --test integrity --test membership \
   --test codec_e2e --test offload_e2e --test properties
@@ -173,7 +174,8 @@ DLFS_TEST_SEED_OFFSET=1000 cargo test -q --offline -p dlfs --test reactor -- a_l
   a_queue_of_mixed_sizes_beside_a_checkpoint_stream_parks_on_time \
   a_zero_copy_batch_wakes_for_the_read_that_completes_it \
   a_zero_copy_epoch_on_an_overtaking_wire_ends_on_time \
-  a_lone_read_borrows_only_from_siblings_no_faster_than_its_target
+  a_lone_read_borrows_only_from_siblings_no_faster_than_its_target \
+  a_wire_is_timed_from_where_its_read_landed
 echo "== the whole late-park swarm at seed offsets 1000 and 7 (release)"
 for offset in 1000 7; do
   DLFS_TEST_SEED_OFFSET=$offset cargo test -q --release --offline -p dlfs --test park_swarm

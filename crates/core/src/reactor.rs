@@ -385,8 +385,8 @@ impl DeviceClock {
 /// and the anchor is only ever an instant the reader saw one land.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct LandingClock {
-    /// When the last poll pass that took a read off the wire began, if
-    /// that pass was prompt.
+    /// When the wait before the last poll pass that took a read off the
+    /// wire stopped spinning, if that pass was prompt.
     anchor: Option<Time>,
     /// What a read takes per byte, in ps, sampled at prompt passes from
     /// the anchor, and the bytes of the passes sampled.
@@ -461,7 +461,8 @@ const IN_ORDER_PASSES: u32 = 16;
 /// What a poll pass took through a wire ([`Reactor::harvest`]).
 #[derive(Clone, Copy)]
 struct WirePass {
-    /// The pass's start.
+    /// Where the wire is timed from: the spin end of the wait before the
+    /// pass if it was prompt, as a device is, else the pass's start.
     polled: Time,
     /// Every harvest of it was prompt.
     prompt: bool,
@@ -808,7 +809,7 @@ impl Reactor {
         }
         if let (&Feeds::Wire(w), Some(first)) = (&q.clock, done.first()) {
             let pass = self.wires[w].pass.get_or_insert(WirePass {
-                polled,
+                polled: spun.unwrap_or(polled),
                 prompt: true,
                 oldest: first.submitted,
                 newest: first.submitted,

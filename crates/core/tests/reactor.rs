@@ -1102,6 +1102,30 @@ fn a_wire_with_room_to_spare_parks_on_time() {
     );
 }
 
+/// A wire is timed from where its read landed: the spin end of the wait
+/// before a prompt pass, as a device is. Two NVMe-oF ramdisks of 29 µs
+/// behind a 1 GB/s NIC, 32 KiB samples in 128 KiB chunks, eight reads in
+/// flight on each qpair. The reader works between the spin end and its
+/// poll while the next payload is already crossing; a wire timed from the
+/// pass's start put that payload after it lands. Timed from the pass
+/// start, the epoch parked 16.0 ms and ≈ 24.8 µs of it late; from the
+/// spin end, ≈ 29 ms and none late.
+#[test]
+fn a_wire_is_timed_from_where_its_read_landed() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    let seed = common::test_seed(61);
+    let ramdisk = DeviceConfig::emulated_ramdisk(64 << 20, Dur::micros(29));
+    let cfg = DlfsConfig {
+        chunk_size: 128 << 10,
+        queue_depth: 8,
+        ..DlfsConfig::default()
+    };
+    let deployment = one_wire(2, 1.0e9, ramdisk).unwrap();
+    let (late, parked, _, _) = queued_epoch(seed, vec![32 << 10; 1024], deployment, cfg);
+    assert_eq!(late, 0, "a wait on the wire parked past its completion");
+    assert!(parked >= 25_000_000, "waits on the wire parked {parked} ns");
+}
+
 /// A read alone on its qpair, on a wire: ablation 4's set-up at queue
 /// depth 1 — four NVMe-oF ramdisks behind the default NIC, one 64 KiB read
 /// in flight on each qpair. The wire's floor alone sits well before most
