@@ -395,15 +395,15 @@ impl DlfsIo {
 
     /// Poll stage: harvest completions across all qpairs (the shared
     /// completion queue consolidates this into one pass), then publish the
-    /// pass's check entries. The one harvest of every read but the
-    /// `abort_epoch` drain, and one `stage.poll_ns` record per pass.
+    /// pass's check entries. The one harvest of every read, and one
+    /// `stage.poll_ns` record per pass.
     /// `spun`: the pass directly follows a wait that spun until a
     /// completion landed, at that instant (what [`DlfsIo::wait_event`]
     /// returned; [`Reactor::pass`]).
     pub(super) fn poll(&mut self, rt: &Runtime, spun: Option<Time>) -> usize {
         let costs = self.shared.cfg.costs.clone();
         let t0 = rt.now();
-        let mut pass = self.reactor.pass(Some(t0), spun);
+        let mut pass = self.reactor.pass(t0, spun);
         self.tel.poll_spins.inc();
         if self.shared.cfg.shared_completion_queue {
             rt.work(costs.poll_iteration);

@@ -195,8 +195,8 @@ enum Owner {
 }
 
 /// One device command, from post to settle: the one record of its fate.
-/// Both harvests — the reactor's `poll` and the `abort_epoch` drain — and
-/// every verdict collected ask [`DlfsIo::cmds`] whose command it holds.
+/// Every harvest (`poll`) and every verdict collected ask
+/// [`DlfsIo::cmds`] whose command it holds.
 /// Whoever settles a command takes its record out first; besides that,
 /// `abort_epoch` removes the epoch's demand parts' (discarded unsettled)
 /// and `teardown` what is left.
@@ -390,20 +390,15 @@ impl DlfsIo {
         // A demand part is discarded unsettled, on a device or with the
         // copy pool (`teardown` returns its chunk); a prefetch completes as
         // usual, publishing its range or returning its chunk. Every
-        // command is drained, and every verdict waited for.
+        // command is drained by poll passes, as in any other wait, and
+        // every verdict waited for.
         self.cmds
             .retain(|_, c| matches!(c.owner, Owner::Prefetch { .. }));
         self.pending_parts.clear();
         self.delayed_parts.clear();
         while let Some(spun) = self.wait_event(rt, None) {
-            let mut pass = self.reactor.pass(None, spun);
-            while let Some(done) = self.reactor.harvest(rt, &mut pass) {
-                for comp in done {
-                    self.complete(rt, &comp);
-                }
-            }
+            self.poll(rt, spun);
         }
-        self.publish_checks(rt);
         self.teardown(Some(rt));
     }
 

@@ -400,17 +400,18 @@ struct LandingClock {
 }
 
 impl LandingClock {
-    /// A poll pass that began at `polled`, `prompt` or not, took `bytes`
-    /// off the wire, the oldest of its reads posted at `oldest`. A pass
-    /// whose oldest read was posted before the anchor times the bytes
-    /// since the anchor: into the least time per byte, and, if prompt,
-    /// into the rate. The pass is the anchor if prompt, and clears it if
-    /// not.
-    fn landed(&mut self, polled: Time, prompt: bool, oldest: Time, bytes: u64) {
+    /// A poll pass that began at `polled` took `bytes` off the wire, the
+    /// oldest of its reads posted at `oldest`; `spun` is when the wait
+    /// before it stopped spinning, if it was prompt. The pass is timed from
+    /// there if prompt, as a device's is, else from its start: one whose
+    /// oldest read was posted before the anchor times the bytes since the
+    /// anchor into the least time per byte, and, if prompt, into the rate.
+    /// The pass is the anchor if prompt, and clears it if not.
+    fn landed(&mut self, polled: Time, spun: Option<Time>, oldest: Time, bytes: u64) {
         if let Some(anchor) = self.anchor.filter(|&a| oldest < a) {
-            let ps = (polled - anchor).as_nanos() * 1_000 / bytes.max(1);
+            let ps = (spun.unwrap_or(polled) - anchor).as_nanos() * 1_000 / bytes.max(1);
             self.least = ps.min(self.least);
-            if prompt {
+            if spun.is_some() {
                 self.rate = Some(match self.rate {
                     None => (Ewma::new(ps, ps / 2), Ewma::new(bytes, 0)),
                     Some((mut rate, mut size)) => {
@@ -421,7 +422,7 @@ impl LandingClock {
                 });
             }
         }
-        self.anchor = prompt.then_some(polled);
+        self.anchor = spun;
     }
 
     /// The least time a read of `bytes` takes once it starts: its bytes,
@@ -461,11 +462,6 @@ const IN_ORDER_PASSES: u32 = 16;
 /// What a poll pass took through a wire ([`Reactor::harvest`]).
 #[derive(Clone, Copy)]
 struct WirePass {
-    /// Where the wire is timed from: the spin end of the wait before the
-    /// pass if it was prompt, as a device is, else the pass's start.
-    polled: Time,
-    /// Every harvest of it was prompt.
-    prompt: bool,
     /// The oldest and the newest post of the reads it took.
     oldest: Time,
     newest: Time,
@@ -658,11 +654,10 @@ struct Tel {
 pub(super) struct Pass {
     /// The next qpair the sweep looks at: it goes in index order.
     next: usize,
-    /// When the pass began, which a wire is timed from, or `None` in a
-    /// drain, where a wire is timed from its first harvest.
-    polled: Option<Time>,
+    /// When the pass began.
+    polled: Time,
     /// When the wait before it stopped spinning, if it spun until a
-    /// completion landed.
+    /// completion landed: the pass is then prompt.
     spun: Option<Time>,
     /// `spun`, if the handle had one read in flight as the pass began: a
     /// read it takes alone is timed from there ([`ReadQp::time_alone`]).
@@ -754,14 +749,11 @@ impl Reactor {
     }
 
     /// A poll pass that begins at `polled`, directly after a wait whose
-    /// spin ended at `spun` as a completion landed, if one did: every
-    /// harvest in it is then prompt, whatever ran between the two. With
-    /// `polled` `None` it is a pass of the `abort_epoch` drain: a harvest
-    /// in it is prompt only while no completion's work has moved the clock
-    /// since, and it times nothing alone.
-    pub(super) fn pass(&self, polled: Option<Time>, spun: Option<Time>) -> Pass {
+    /// spin ended at `spun` as a completion landed, if one did: the pass
+    /// is then prompt, whatever ran between the two.
+    pub(super) fn pass(&self, polled: Time, spun: Option<Time>) -> Pass {
         let in_flight = self.qpairs.iter().map(|q| q.posted.len()).sum::<usize>();
-        let lone = spun.filter(|_| polled.is_some() && in_flight == 1);
+        let lone = spun.filter(|_| in_flight == 1);
         Pass {
             next: 0,
             polled,
@@ -785,15 +777,11 @@ impl Reactor {
         let due = |q: &ReadQp| q.qp.next_completion_at().is_some_and(|t| t <= now);
         let Some(at) = self.qpairs[pass.next..].iter().position(due) else {
             pass.next = self.qpairs.len();
-            self.close_pass();
+            self.close_pass(pass);
             return None;
         };
         let q = &mut self.qpairs[pass.next + at];
         pass.next += at + 1;
-        let (polled, spun) = match pass.polled {
-            Some(polled) => (polled, pass.spun),
-            None => (now, pass.spun.filter(|&s| s == now)),
-        };
         let done = q.qp.process_completions(rt, usize::MAX);
         q.slots().for_each(|s| q.fg.leave(s, done.len()));
         let (mut head, mut newest) = (None::<Posted>, 0);
@@ -805,17 +793,14 @@ impl Reactor {
             }
         }
         if let (Feeds::Own(clock), Some(head)) = (&mut q.clock, head) {
-            clock.landed(spun, head, newest);
+            clock.landed(pass.spun, head, newest);
         }
         if let (&Feeds::Wire(w), Some(first)) = (&q.clock, done.first()) {
             let pass = self.wires[w].pass.get_or_insert(WirePass {
-                polled: spun.unwrap_or(polled),
-                prompt: true,
                 oldest: first.submitted,
                 newest: first.submitted,
                 bytes: 0,
             });
-            pass.prompt &= spun.is_some();
             for c in &done {
                 pass.oldest = pass.oldest.min(c.submitted);
                 pass.newest = pass.newest.max(c.submitted);
@@ -828,19 +813,18 @@ impl Reactor {
         Some(done)
     }
 
-    /// End a poll pass: every wire it took reads through feeds its clock
-    /// the pass ([`LandingClock::landed`]) — all it took through that
-    /// wire, since payloads cross it one after another — and is judged on
-    /// the order it landed them in ([`Wire::judge`]).
-    fn close_pass(&mut self) {
+    /// End poll pass `pass`: every wire it took reads through feeds its
+    /// clock the pass ([`LandingClock::landed`]) — all it took through
+    /// that wire, since payloads cross it one after another — and is
+    /// judged on the order it landed them in ([`Wire::judge`]).
+    fn close_pass(&mut self, pass: &Pass) {
         for (w, wire) in self.wires.iter_mut().enumerate() {
-            let Some(pass) = wire.pass.take() else {
+            let Some(took) = wire.pass.take() else {
                 continue;
             };
-            wire.clock
-                .landed(pass.polled, pass.prompt, pass.oldest, pass.bytes);
+            (wire.clock).landed(pass.polled, pass.spun, took.oldest, took.bytes);
             let mut on = self.qpairs.iter().filter(|q| q.clock == Feeds::Wire(w));
-            wire.judge(on.any(|q| q.posted.front().is_some_and(|r| r.0 < pass.newest)));
+            wire.judge(on.any(|q| q.posted.front().is_some_and(|r| r.0 < took.newest)));
         }
     }
 
@@ -1050,7 +1034,7 @@ mod tests {
     /// A poll pass that begins now after a wait whose spin ended at
     /// `spun`: the completions it took.
     fn poll(r: &mut Reactor, rt: &Runtime, spun: Option<Time>) -> usize {
-        let mut pass = r.pass(Some(rt.now()), spun);
+        let mut pass = r.pass(rt.now(), spun);
         let passes = std::iter::from_fn(|| r.harvest(rt, &mut pass));
         passes.map(|d| d.len()).sum()
     }

@@ -1638,6 +1638,39 @@ fn a_zero_copy_epoch_on_an_overtaking_wire_ends_on_time() {
     }
 }
 
+/// `sequence()` over an epoch with reads in flight drains them through
+/// poll passes like any other wait: every command posted is harvested by
+/// a pass, paid for and counted. One batch of 8 from 2 KiB samples on an
+/// Optane leaves the epoch's window on the device; a drain of its own
+/// harvested 23 of its 24 commands uncounted.
+#[test]
+fn a_replaced_epoch_drains_through_poll_passes() {
+    let _copies = COPY_OPS_QUIET.read().unwrap();
+    let seed = common::test_seed(62);
+    Runtime::simulate(seed, |rt| {
+        let source = SyntheticSource::fixed(seed, 4000, 2048);
+        let fs = MountBuilder::new(DlfsConfig::default())
+            .local(local_device())
+            .mount(rt, &source)
+            .unwrap();
+        let mut io = fs.io(0);
+        io.sequence(rt, 13, 0);
+        assert_eq!(
+            io.submit(rt, &ReadRequest::batch(8)).map(|b| b.len()),
+            Ok(8)
+        );
+        io.sequence(rt, 13, 1);
+        let m = io.metrics();
+        let posted = m.counter("dlfs.io.requests_posted");
+        assert!(posted > 8, "the batch left no read in flight");
+        let harvested = m.counter("dlfs.io.completions");
+        assert_eq!(
+            harvested, posted,
+            "a command was harvested outside a poll pass"
+        );
+    });
+}
+
 /// `sequence()` and a dropped handle with verdicts outstanding — parts
 /// harvested, their chunks still the copy pool's to read: each waits for
 /// the pool before any chunk goes back (a prefetch's verdict is applied,
